@@ -597,22 +597,6 @@ func BenchmarkMeasureDry(b *testing.B) {
 	}
 }
 
-// BenchmarkMeasureDryUnmemoized is the same evaluation without the memo:
-// the closed-form counts recompute on every call. The gap to
-// BenchmarkMeasureDry is what the memo buys a search.
-func BenchmarkMeasureDryUnmemoized(b *testing.B) {
-	arch := memsim.V100
-	s := shapes.ConvShape{Batch: 1, Cin: 256, Hin: 112, Win: 112, Cout: 512, Hker: 3, Wker: 3, Strid: 1, Pad: 1}
-	cfg := conv.DefaultDirectConfig(arch, s)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := conv.DryDirectTiled(arch, s, cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkMeasureDryWinograd is the Winograd counterpart of
 // BenchmarkMeasureDry (memoized steady state, 0 allocs/op).
 func BenchmarkMeasureDryWinograd(b *testing.B) {

@@ -35,7 +35,6 @@ func main() {
 	groups := flag.Int("groups", 1, "channel groups (cin and cout must divide; >1 = grouped/depthwise)")
 	archName := flag.String("arch", "V100", "architecture name")
 	kindName := flag.String("kind", "direct", "direct|winograd|fft|igemm")
-	flag.StringVar(kindName, "algo", "direct", "alias for -kind (kept for old scripts)")
 	budget := flag.Int("budget", 300, "measurement budget")
 	seed := flag.Int64("seed", 1, "random seed")
 	workers := flag.Int("workers", 1, "parallel measurement workers (result is identical for any count)")

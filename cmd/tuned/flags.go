@@ -9,8 +9,8 @@ import (
 )
 
 // flagConfig is every numeric/duration flag the daemon takes, gathered for
-// one startup validation pass. main fills it from the parsed flags;
-// validate rejects configurations that cannot work with a single clear
+// one startup validation pass. main binds the flags straight into its
+// fields; validate rejects configurations that cannot work with a single clear
 // line, before any state file is touched or port bound.
 type flagConfig struct {
 	budget              int

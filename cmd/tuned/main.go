@@ -29,96 +29,84 @@ import (
 )
 
 func main() {
+	var f flagConfig
 	addr := flag.String("addr", "127.0.0.1:9911", "listen address")
 	state := flag.String("state", "", "cache state file: loaded on boot, flushed on shutdown")
 	resume := flag.Bool("resume", false, "resume cached searches whose persisted budget is short of the requested one")
-	batchWindow := flag.Duration("batch-window", 20*time.Millisecond, "admission window within which concurrent requests merge into one tuning batch")
-	maxInflight := flag.Int64("max-inflight", 0, "max in-flight measurement budget before requests are shed with 429 (0 = unlimited)")
-	cacheEntries := flag.Int("cache-entries", 0, "max cached search keys before LRU eviction (0 = unlimited)")
-	cacheBytes := flag.Int64("cache-bytes", 0, "approximate max cache size in bytes before LRU eviction (0 = unlimited)")
-	cacheTTL := flag.Duration("cache-ttl", 0, "expire cache entries unused for this long (0 = never)")
+	flag.DurationVar(&f.batchWindow, "batch-window", 20*time.Millisecond, "admission window within which concurrent requests merge into one tuning batch")
+	flag.Int64Var(&f.maxInflight, "max-inflight", 0, "max in-flight measurement budget before requests are shed with 429 (0 = unlimited)")
+	flag.IntVar(&f.cacheEntries, "cache-entries", 0, "max cached search keys before LRU eviction (0 = unlimited)")
+	flag.Int64Var(&f.cacheBytes, "cache-bytes", 0, "approximate max cache size in bytes before LRU eviction (0 = unlimited)")
+	flag.DurationVar(&f.cacheTTL, "cache-ttl", 0, "expire cache entries unused for this long (0 = never)")
 	bench := flag.String("bench", "BENCH_autotune.json", "benchmark trajectory JSON served at /v1/bench")
-	budget := flag.Int("budget", 0, "default per-layer measurement budget (0 = engine default)")
-	seed := flag.Int64("seed", 0, "default engine seed")
-	workers := flag.Int("workers", 0, "measurement workers per search (0 = GOMAXPROCS)")
-	layerWorkers := flag.Int("layer-workers", 0, "concurrent per-layer searches per batch (0 = GOMAXPROCS)")
+	flag.IntVar(&f.budget, "budget", 0, "default per-layer measurement budget (0 = engine default)")
+	flag.Int64Var(&f.seed, "seed", 0, "default engine seed")
+	flag.IntVar(&f.workers, "workers", 0, "measurement workers per search (0 = GOMAXPROCS)")
+	flag.IntVar(&f.layerWorkers, "layer-workers", 0, "concurrent per-layer searches per batch (0 = GOMAXPROCS)")
 	winograd := flag.Bool("winograd", true, "also tune the fused Winograd dataflow where it applies")
 	warm := flag.Bool("warm", true, "warm-start searches from tuned relatives (cross-request transfer)")
-	requestTimeout := flag.Duration("request-timeout", 0, "deadline per tuning batch; past it, responses carry best-so-far verdicts marked partial (0 = none)")
-	snapshotInterval := flag.Duration("snapshot-interval", 0, "flush -state in the background this often, not only at shutdown (0 = shutdown only)")
-	measureRetries := flag.Int("measure-retries", 0, "measurement attempts per config before quarantine (0 or 1 = no retries)")
-	retryBackoff := flag.Duration("retry-backoff", 0, "base wait before a measurement retry; doubles per retry with seeded jitter")
-	retryBackoffMax := flag.Duration("retry-backoff-max", 0, "cap on the exponential retry backoff (0 = uncapped)")
-	noiseThreshold := flag.Float64("noise-threshold", 0, "re-measure readings within this relative fraction of the I/O-bound floor and take the median (0 = off)")
-	noiseMedian := flag.Int("noise-median", 0, "readings gathered by the noise defense before taking the median (default 3)")
-	chaosFailRate := flag.Float64("chaos-fail-rate", 0, "inject seeded transient measurement failures at this rate (testing only)")
+	flag.DurationVar(&f.requestTimeout, "request-timeout", 0, "deadline per tuning batch; past it, responses carry best-so-far verdicts marked partial (0 = none)")
+	flag.DurationVar(&f.snapshotInterval, "snapshot-interval", 0, "flush -state in the background this often, not only at shutdown (0 = shutdown only)")
+	flag.IntVar(&f.measureRetries, "measure-retries", 0, "measurement attempts per config before quarantine (0 or 1 = no retries)")
+	flag.DurationVar(&f.retryBackoff, "retry-backoff", 0, "base wait before a measurement retry; doubles per retry with seeded jitter")
+	flag.DurationVar(&f.retryBackoffMax, "retry-backoff-max", 0, "cap on the exponential retry backoff (0 = uncapped)")
+	flag.Float64Var(&f.noiseThreshold, "noise-threshold", 0, "re-measure readings within this relative fraction of the I/O-bound floor and take the median (0 = off)")
+	flag.IntVar(&f.noiseMedian, "noise-median", 0, "readings gathered by the noise defense before taking the median (default 3)")
+	flag.Float64Var(&f.chaosFailRate, "chaos-fail-rate", 0, "inject seeded transient measurement failures at this rate (testing only)")
 	chaosSeed := flag.Int64("chaos-seed", 1, "seed of the fault-injection schedule")
-	chaosMaxConsecutive := flag.Int("chaos-max-consecutive", 2, "cap on injected consecutive failures per config (keep below -measure-retries)")
+	flag.IntVar(&f.chaosMaxConsecutive, "chaos-max-consecutive", 2, "cap on injected consecutive failures per config (keep below -measure-retries)")
 	analyticOverflow := flag.Bool("analytic-overflow", false, "serve requests beyond -max-inflight from the instant analytic tier (200, tier \"analytic\") instead of shedding with 429")
-	breakerThreshold := flag.Float64("breaker-threshold", 0, "windowed measurement failure rate that trips the circuit breaker into analytic-only service (0 = no breaker)")
-	breakerWindow := flag.Int("breaker-window", 0, "sliding window of measurement outcomes the breaker rate is computed over (default 32)")
-	breakerCooldown := flag.Duration("breaker-cooldown", 0, "how long an open breaker waits before half-open probe measurements (default 5s)")
-	breakerProbes := flag.Int("breaker-probes", 0, "measurements a half-open breaker admits; one success restores service (default 3)")
-	refineWorkers := flag.Int("refine-workers", 0, "background workers measuring analytically-answered requests once budget frees up (default 1)")
-	peers := flag.String("peers", "", "comma-separated replica addresses forming a cluster (all replicas run the identical list; empty = standalone)")
-	advertise := flag.String("advertise", "", "this replica's address in -peers (required with -peers)")
-	replicas := flag.Int("replicas", 0, "replication factor: owners per request key (default 2, capped at the peer count)")
-	hedgeAfter := flag.Duration("hedge-after", 0, "wait on the primary owner before hedging a forwarded request to the secondary (default 100ms)")
-	probeInterval := flag.Duration("probe-interval", 0, "peer health-check cadence; backs off exponentially while a peer is down (default 1s)")
+	flag.Float64Var(&f.breakerThreshold, "breaker-threshold", 0, "windowed measurement failure rate that trips the circuit breaker into analytic-only service (0 = no breaker)")
+	flag.IntVar(&f.breakerWindow, "breaker-window", 0, "sliding window of measurement outcomes the breaker rate is computed over (default 32)")
+	flag.DurationVar(&f.breakerCooldown, "breaker-cooldown", 0, "how long an open breaker waits before half-open probe measurements (default 5s)")
+	flag.IntVar(&f.breakerProbes, "breaker-probes", 0, "measurements a half-open breaker admits; one success restores service (default 3)")
+	flag.IntVar(&f.refineWorkers, "refine-workers", 0, "background workers measuring analytically-answered requests once budget frees up (default 1)")
+	flag.StringVar(&f.peers, "peers", "", "comma-separated replica addresses forming a cluster (all replicas run the identical list; empty = standalone)")
+	flag.StringVar(&f.advertise, "advertise", "", "this replica's address in -peers (required with -peers)")
+	flag.IntVar(&f.replicas, "replicas", 0, "replication factor: owners per request key (default 2, capped at the peer count)")
+	flag.DurationVar(&f.hedgeAfter, "hedge-after", 0, "wait on the primary owner before hedging a forwarded request to the secondary (default 100ms)")
+	flag.DurationVar(&f.probeInterval, "probe-interval", 0, "peer health-check cadence; backs off exponentially while a peer is down (default 1s)")
 	flag.Parse()
 
-	clusterCfg, err := flagConfig{
-		budget: *budget, seed: *seed, workers: *workers, layerWorkers: *layerWorkers,
-		refineWorkers: *refineWorkers, maxInflight: *maxInflight,
-		cacheEntries: *cacheEntries, cacheBytes: *cacheBytes, cacheTTL: *cacheTTL,
-		batchWindow: *batchWindow, requestTimeout: *requestTimeout,
-		snapshotInterval: *snapshotInterval, measureRetries: *measureRetries,
-		retryBackoff: *retryBackoff, retryBackoffMax: *retryBackoffMax,
-		noiseThreshold: *noiseThreshold, noiseMedian: *noiseMedian,
-		chaosFailRate: *chaosFailRate, chaosMaxConsecutive: *chaosMaxConsecutive,
-		breakerThreshold: *breakerThreshold, breakerWindow: *breakerWindow,
-		breakerCooldown: *breakerCooldown, breakerProbes: *breakerProbes,
-		peers: *peers, advertise: *advertise, replicas: *replicas,
-		hedgeAfter: *hedgeAfter, probeInterval: *probeInterval,
-	}.validate()
+	clusterCfg, err := f.validate()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
 
 	opts := autotune.DefaultOptions()
-	if *budget > 0 {
-		opts.Budget = *budget
+	if f.budget > 0 {
+		opts.Budget = f.budget
 	}
-	opts.Seed = *seed
-	opts.Workers = *workers
+	opts.Seed = f.seed
+	opts.Workers = f.workers
 	opts.Retry = autotune.RetryPolicy{
-		MaxAttempts:    *measureRetries,
-		BackoffBase:    *retryBackoff,
-		BackoffMax:     *retryBackoffMax,
-		NoiseThreshold: *noiseThreshold,
-		MedianK:        *noiseMedian,
+		MaxAttempts:    f.measureRetries,
+		BackoffBase:    f.retryBackoff,
+		BackoffMax:     f.retryBackoffMax,
+		NoiseThreshold: f.noiseThreshold,
+		MedianK:        f.noiseMedian,
 	}
 
 	cache := autotune.NewCache()
-	if *cacheEntries > 0 || *cacheBytes > 0 || *cacheTTL > 0 {
+	if f.cacheEntries > 0 || f.cacheBytes > 0 || f.cacheTTL > 0 {
 		cache.SetEviction(autotune.EvictionPolicy{
-			MaxEntries: *cacheEntries, MaxBytes: *cacheBytes, TTL: *cacheTTL})
+			MaxEntries: f.cacheEntries, MaxBytes: f.cacheBytes, TTL: f.cacheTTL})
 	}
 
 	srv, err := tuned.New(tuned.Config{
 		Cache: cache, Tune: opts,
-		LayerWorkers: *layerWorkers, Winograd: *winograd, Warm: *warm, Resume: *resume,
-		BatchWindow: *batchWindow, MaxInflight: *maxInflight,
-		StatePath: *state, SnapshotInterval: *snapshotInterval,
-		RequestTimeout: *requestTimeout,
-		Chaos: chaos.Config{Seed: *chaosSeed, FailRate: *chaosFailRate,
-			MaxConsecutive: *chaosMaxConsecutive},
+		LayerWorkers: f.layerWorkers, Winograd: *winograd, Warm: *warm, Resume: *resume,
+		BatchWindow: f.batchWindow, MaxInflight: f.maxInflight,
+		StatePath: *state, SnapshotInterval: f.snapshotInterval,
+		RequestTimeout: f.requestTimeout,
+		Chaos: chaos.Config{Seed: *chaosSeed, FailRate: f.chaosFailRate,
+			MaxConsecutive: f.chaosMaxConsecutive},
 		BenchPath:        *bench,
 		AnalyticOverflow: *analyticOverflow,
-		Breaker: autotune.BreakerConfig{Threshold: *breakerThreshold,
-			Window: *breakerWindow, Cooldown: *breakerCooldown, Probes: *breakerProbes},
-		RefineWorkers: *refineWorkers,
+		Breaker: autotune.BreakerConfig{Threshold: f.breakerThreshold,
+			Window: f.breakerWindow, Cooldown: f.breakerCooldown, Probes: f.breakerProbes},
+		RefineWorkers: f.refineWorkers,
 		Cluster:       clusterCfg,
 	})
 	if err != nil {
@@ -132,8 +120,8 @@ func main() {
 	// side is tight — requests are small JSON — so a slow or stalled client
 	// cannot hold a connection open indefinitely.
 	writeTimeout := 10 * time.Minute
-	if *requestTimeout > 0 {
-		writeTimeout = *requestTimeout + time.Minute
+	if f.requestTimeout > 0 {
+		writeTimeout = f.requestTimeout + time.Minute
 	}
 	httpSrv := &http.Server{
 		Addr:              *addr,

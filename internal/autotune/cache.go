@@ -7,9 +7,10 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"maps"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -53,10 +54,10 @@ type Cache struct {
 
 const cacheShards = 32
 
-// cacheFormatVersion is the on-disk format written by Save. Version 1 was
-// a bare JSON array of verdict-only entries; version 2 wraps the entries
-// in a versioned envelope and optionally carries per-entry engine state
-// (rows + curve). Load accepts both; unknown future versions are rejected.
+// cacheFormatVersion is the on-disk format written by Save: a versioned
+// envelope around the entries, which optionally carry per-entry engine
+// state (rows + curve). Every other version — the retired bare-array
+// version 1 included — is rejected.
 const cacheFormatVersion = 2
 
 type cacheShard struct {
@@ -267,11 +268,13 @@ func (c *Cache) put(key string, e CacheEntry) {
 	c.enforce()
 }
 
-// getEntry is the allocation-free raw lookup behind Get and State. A hit
+// Entry is the allocation-free raw lookup behind Get and State, and what
+// callers shipping entries elsewhere (the cluster replication path) read:
+// the persisted entry of one key, engine state included when present. A hit
 // bumps the entry's LRU clock; under a TTL policy an entry idle past the
 // TTL is evicted and reported as a miss, so a long-running service never
 // serves verdicts staler than its policy allows.
-func (c *Cache) getEntry(archName string, kind Kind, s shapes.ConvShape) (CacheEntry, bool) {
+func (c *Cache) Entry(archName string, kind Kind, s shapes.ConvShape) (CacheEntry, bool) {
 	var kb [cacheKeyBuf]byte
 	key := appendCacheKey(kb[:0], archName, kind, s)
 	sh := &c.shards[shardIndex(key)]
@@ -345,7 +348,7 @@ func (c *Cache) PutTrace(archName string, kind Kind, s shapes.ConvShape, tr *Tra
 
 // Get retrieves a cached outcome, if any. The lookup allocates nothing.
 func (c *Cache) Get(archName string, kind Kind, s shapes.ConvShape) (conv.Config, Measurement, bool) {
-	e, ok := c.getEntry(archName, kind, s)
+	e, ok := c.Entry(archName, kind, s)
 	if !ok {
 		return conv.Config{}, Measurement{}, false
 	}
@@ -356,7 +359,7 @@ func (c *Cache) Get(archName string, kind Kind, s shapes.ConvShape) (conv.Config
 // history and convergence curve. ok is false when the key is absent or the
 // entry is verdict-only.
 func (c *Cache) State(archName string, kind Kind, s shapes.ConvShape) ([]MeasuredConfig, []float64, bool) {
-	e, ok := c.getEntry(archName, kind, s)
+	e, ok := c.Entry(archName, kind, s)
 	if !ok || len(e.Rows) == 0 {
 		return nil, nil, false
 	}
@@ -367,33 +370,13 @@ func (c *Cache) State(archName string, kind Kind, s shapes.ConvShape) ([]Measure
 // deterministic (key-sorted) order — the raw material for rebuilding a
 // cross-layer transfer pool from a loaded cache file.
 func (c *Cache) stateEntries(archName string) []CacheEntry {
-	type keyed struct {
-		key string
-		e   CacheEntry
-	}
-	var all []keyed
-	for i := range c.shards {
-		sh := &c.shards[i]
-		sh.mu.RLock()
-		for k, e := range sh.entries {
-			if e.Arch == archName && len(e.Rows) > 0 {
-				all = append(all, keyed{k, e})
-			}
-		}
-		sh.mu.RUnlock()
-	}
-	sort.Slice(all, func(i, j int) bool { return all[i].key < all[j].key })
-	out := make([]CacheEntry, len(all))
-	for i, ke := range all {
-		out[i] = ke.e
-	}
-	return out
+	return c.sortedEntries(func(e CacheEntry) bool { return e.Arch == archName && len(e.Rows) > 0 })
 }
 
 // StateSize reports how many measurements are persisted for a key,
 // without decoding them (0 when the key is absent or verdict-only).
 func (c *Cache) StateSize(archName string, kind Kind, s shapes.ConvShape) int {
-	e, ok := c.getEntry(archName, kind, s)
+	e, ok := c.Entry(archName, kind, s)
 	if !ok {
 		return 0
 	}
@@ -426,86 +409,117 @@ func (c *Cache) snapshot() map[string]CacheEntry {
 	return all
 }
 
+// sortedEntries copies the entries keep admits, in deterministic
+// (key-sorted) order.
+func (c *Cache) sortedEntries(keep func(CacheEntry) bool) []CacheEntry {
+	all := c.snapshot()
+	out := make([]CacheEntry, 0, len(all))
+	for _, k := range slices.Sorted(maps.Keys(all)) {
+		if e := all[k]; keep(e) {
+			out = append(out, e)
+		}
+	}
+	return out
+}
+
 // Save writes the cache as deterministic (key-sorted) JSON in the current
 // (version 2) envelope, engine state included where present, with a
 // CRC-32C integrity checksum over the entries so a loader can tell torn or
 // bit-rotted state from a healthy file.
 func (c *Cache) Save(w io.Writer) error {
-	all := c.snapshot()
-	keys := make([]string, 0, len(all))
-	for k := range all {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	ordered := make([]CacheEntry, 0, len(keys))
-	for _, k := range keys {
-		ordered = append(ordered, all[k])
-	}
-	sum, err := entriesChecksum(ordered)
+	f, err := sealEnvelope(c.sortedEntries(func(CacheEntry) bool { return true }))
 	if err != nil {
 		return err
 	}
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
-	return enc.Encode(cacheFile{Version: cacheFormatVersion, Checksum: sum, Entries: ordered})
+	return enc.Encode(f)
 }
 
-// Load merges entries from JSON previously written by Save. Both formats
-// load: the version-2 envelope and the original bare-array files, which
-// carry no engine state. Entries with an invalid shape or an unrecognized
-// algorithm kind are rejected with an error — a corrupt or future-format
-// file must not silently poison verdicts.
+// sealEnvelope is the one encode side of the envelope codec: entries
+// wrapped with the current version and their checksum. Save indents it for
+// the state file, EncodeEntries marshals it compact for the wire.
+func sealEnvelope(entries []CacheEntry) (cacheFile, error) {
+	sum, err := entriesChecksum(entries)
+	if err != nil {
+		return cacheFile{}, err
+	}
+	return cacheFile{Version: cacheFormatVersion, Checksum: sum, Entries: entries}, nil
+}
+
+// decodeEnvelope is the one decode side: unmarshal, version check, checksum
+// verification, then every entry's invariants. It returns the entries with
+// their cache keys and commits nothing — the first invalid entry rejects the
+// whole envelope, so a caller that commits afterwards is all-or-nothing.
+func decodeEnvelope(data []byte) ([]CacheEntry, []string, error) {
+	var f cacheFile
+	if err := json.Unmarshal(data, &f); err != nil {
+		return nil, nil, fmt.Errorf("autotune: cache decode: %w", err)
+	}
+	if f.Version != cacheFormatVersion {
+		return nil, nil, fmt.Errorf("autotune: unsupported cache format version %d (want %d)", f.Version, cacheFormatVersion)
+	}
+	if f.Checksum != "" {
+		// Files from pre-checksum writers carry no sum and load as before; a
+		// present sum must verify.
+		sum, err := entriesChecksum(f.Entries)
+		if err != nil {
+			return nil, nil, fmt.Errorf("autotune: cache checksum: %w", err)
+		}
+		if sum != f.Checksum {
+			return nil, nil, fmt.Errorf("autotune: cache checksum mismatch: file says %s, entries sum to %s", f.Checksum, sum)
+		}
+	}
+	keys, err := validateEntries(f.Entries)
+	if err != nil {
+		return nil, nil, err
+	}
+	return f.Entries, keys, nil
+}
+
+// validateEntries checks every entry before any is committed — a rejected
+// batch must leave the cache untouched, not partially populated — and
+// returns their cache keys.
+func validateEntries(entries []CacheEntry) ([]string, error) {
+	keys := make([]string, len(entries))
+	for i, e := range entries {
+		key, err := e.Key()
+		if err != nil {
+			return nil, err
+		}
+		keys[i] = key
+	}
+	return keys, nil
+}
+
+// commit stores validated entries under their keys.
+func (c *Cache) commit(entries []CacheEntry, keys []string) {
+	for i, e := range entries {
+		c.put(keys[i], e)
+	}
+}
+
+// Load merges entries from JSON previously written by Save. Entries with an
+// invalid shape or an unrecognized algorithm kind are rejected with an
+// error — a corrupt or future-format file must not silently poison
+// verdicts.
 func (c *Cache) Load(r io.Reader) error {
 	data, err := io.ReadAll(r)
 	if err != nil {
 		return fmt.Errorf("autotune: cache read: %w", err)
 	}
-	var entries []CacheEntry
-	if trimmed := bytes.TrimSpace(data); len(trimmed) > 0 && trimmed[0] == '[' {
-		// Version 1: a bare array of verdict-only entries.
-		if err := json.Unmarshal(trimmed, &entries); err != nil {
-			return fmt.Errorf("autotune: cache decode: %w", err)
-		}
-	} else {
-		var f cacheFile
-		if err := json.Unmarshal(data, &f); err != nil {
-			return fmt.Errorf("autotune: cache decode: %w", err)
-		}
-		if f.Version != cacheFormatVersion {
-			return fmt.Errorf("autotune: unsupported cache format version %d (want %d)", f.Version, cacheFormatVersion)
-		}
-		if f.Checksum != "" {
-			// Files from pre-checksum writers carry no sum and load as
-			// before; a present sum must verify.
-			sum, err := entriesChecksum(f.Entries)
-			if err != nil {
-				return fmt.Errorf("autotune: cache checksum: %w", err)
-			}
-			if sum != f.Checksum {
-				return fmt.Errorf("autotune: cache checksum mismatch: file says %s, entries sum to %s", f.Checksum, sum)
-			}
-		}
-		entries = f.Entries
+	entries, keys, err := decodeEnvelope(data)
+	if err != nil {
+		return err
 	}
-	// Validate every entry before committing any: a file rejected with an
-	// error must leave the cache untouched, not partially populated.
-	keys := make([]string, len(entries))
-	for i, e := range entries {
-		key, err := e.validate()
-		if err != nil {
-			return err
-		}
-		keys[i] = key
-	}
-	for i, e := range entries {
-		c.put(keys[i], e)
-	}
+	c.commit(entries, keys)
 	return nil
 }
 
-// validate checks one entry's invariants — the per-entry half of Load's
-// checks, shared with the salvage path — and returns its cache key.
-func (e CacheEntry) validate() (string, error) {
+// Key checks one entry's invariants — the per-entry half of Load's checks,
+// shared with the salvage path — and returns its cache key: an entry whose
+// Key succeeds is safe to merge into any cache.
+func (e CacheEntry) Key() (string, error) {
 	s := e.Shape.shape()
 	if err := s.Validate(); err != nil {
 		return "", fmt.Errorf("autotune: cache entry for %s: %w", e.Arch, err)
@@ -525,28 +539,16 @@ func (e CacheEntry) validate() (string, error) {
 	return cacheKey(e.Arch, kind, s), nil
 }
 
-// Entry retrieves the raw persisted entry of one key — engine state
-// included when present — for callers shipping entries elsewhere (the
-// cluster replication path). The bool reports presence.
-func (c *Cache) Entry(archName string, kind Kind, s shapes.ConvShape) (CacheEntry, bool) {
-	return c.getEntry(archName, kind, s)
-}
-
-// Key returns the entry's cache key after validating it — the same
-// validation Load applies, so an entry whose Key succeeds is safe to merge
-// into any cache.
-func (e CacheEntry) Key() (string, error) { return e.validate() }
-
 // EncodeEntries wraps entries in the versioned, checksummed on-disk/wire
 // envelope — the exact format Save writes, reused as the replication and
 // hinted-handoff payload between cluster replicas so both sides share one
 // hardened (fuzzed) decoder.
 func EncodeEntries(entries []CacheEntry) ([]byte, error) {
-	sum, err := entriesChecksum(entries)
+	f, err := sealEnvelope(entries)
 	if err != nil {
 		return nil, err
 	}
-	return json.Marshal(cacheFile{Version: cacheFormatVersion, Checksum: sum, Entries: entries})
+	return json.Marshal(f)
 }
 
 // DecodeEntries decodes an envelope produced by EncodeEntries (or Save),
@@ -554,56 +556,30 @@ func EncodeEntries(entries []CacheEntry) ([]byte, error) {
 // committing anything to a cache. The first invalid entry rejects the whole
 // envelope — replication payloads are all-or-nothing, like Load.
 func DecodeEntries(data []byte) ([]CacheEntry, error) {
-	var f cacheFile
-	if err := json.Unmarshal(data, &f); err != nil {
-		return nil, fmt.Errorf("autotune: cache decode: %w", err)
-	}
-	if f.Version != cacheFormatVersion {
-		return nil, fmt.Errorf("autotune: unsupported cache format version %d (want %d)", f.Version, cacheFormatVersion)
-	}
-	if f.Checksum != "" {
-		sum, err := entriesChecksum(f.Entries)
-		if err != nil {
-			return nil, fmt.Errorf("autotune: cache checksum: %w", err)
-		}
-		if sum != f.Checksum {
-			return nil, fmt.Errorf("autotune: cache checksum mismatch: file says %s, entries sum to %s", f.Checksum, sum)
-		}
-	}
-	for _, e := range f.Entries {
-		if _, err := e.validate(); err != nil {
-			return nil, err
-		}
-	}
-	return f.Entries, nil
+	entries, _, err := decodeEnvelope(data)
+	return entries, err
 }
 
 // PutEntries validates entries and merges them all — the receiving half of
 // cluster replication. Like Load, a rejected entry leaves the cache
 // untouched rather than partially updated.
 func (c *Cache) PutEntries(entries []CacheEntry) error {
-	keys := make([]string, len(entries))
-	for i, e := range entries {
-		key, err := e.validate()
-		if err != nil {
-			return err
-		}
-		keys[i] = key
+	keys, err := validateEntries(entries)
+	if err != nil {
+		return err
 	}
-	for i, e := range entries {
-		c.put(keys[i], e)
-	}
+	c.commit(entries, keys)
 	return nil
 }
 
-// SaveFile writes the cache to path atomically: the snapshot goes to a
-// temp file in the same directory, is fsynced, then renamed over path. A
-// crash at any point leaves either the previous complete file or the new
-// complete file — never a torn one — which is what makes the daemon's
-// timed background snapshots safe to take while serving traffic.
-func (c *Cache) SaveFile(path string) error {
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp-*")
+// AtomicWriteFile replaces path with whatever write produces, atomically:
+// the bytes go to a temp file in the same directory, are fsynced, then the
+// temp file is renamed over path. A crash at any point leaves either the
+// previous complete file or the new complete file — never a torn one. It is
+// the one crash-safe writer behind every state file: the cache snapshot and
+// the daemon's handoff and refinement-backlog sidecars.
+func AtomicWriteFile(path string, write func(io.Writer) error) error {
+	tmp, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp-*")
 	if err != nil {
 		return err
 	}
@@ -613,7 +589,7 @@ func (c *Cache) SaveFile(path string) error {
 		os.Remove(tmpName)
 		return err
 	}
-	if err := c.Save(tmp); err != nil {
+	if err := write(tmp); err != nil {
 		return cleanup(err)
 	}
 	if err := tmp.Sync(); err != nil {
@@ -629,6 +605,11 @@ func (c *Cache) SaveFile(path string) error {
 	}
 	return nil
 }
+
+// SaveFile writes the cache to path through AtomicWriteFile, which is what
+// makes the daemon's timed background snapshots safe to take while serving
+// traffic.
+func (c *Cache) SaveFile(path string) error { return AtomicWriteFile(path, c.Save) }
 
 // LoadFile merges a cache file into c.
 func (c *Cache) LoadFile(path string) error {
@@ -657,79 +638,47 @@ func (c *Cache) RecoverFile(path string) (loaded int, salvaged bool, err error) 
 	if err != nil {
 		return 0, false, err
 	}
-	if err := c.Load(bytes.NewReader(data)); err == nil {
-		n := 0
-		if trimmed := bytes.TrimSpace(data); len(trimmed) > 0 && trimmed[0] == '[' {
-			var v1 []CacheEntry
-			if json.Unmarshal(trimmed, &v1) == nil {
-				n = len(v1)
-			}
-		} else {
-			var f cacheFile
-			if json.Unmarshal(data, &f) == nil {
-				n = len(f.Entries)
-			}
+	if entries, keys, err := decodeEnvelope(data); err == nil {
+		c.commit(entries, keys)
+		return len(entries), false, nil
+	}
+	for _, e := range salvageEntries(data) {
+		if key, verr := e.Key(); verr == nil {
+			c.put(key, e)
+			loaded++
 		}
-		return n, false, nil
 	}
-	entries := salvageEntries(data)
-	for _, e := range entries {
-		key, verr := e.validate()
-		if verr != nil {
-			continue
-		}
-		c.put(key, e)
-		loaded++
-	}
-	if rerr := os.Rename(path, path+".corrupt"); rerr != nil {
-		return loaded, true, rerr
-	}
-	return loaded, true, nil
+	return loaded, true, os.Rename(path, path+".corrupt")
 }
 
 // salvageEntries decodes as many whole entries as possible from a damaged
-// cache file: it token-walks to the entries array (either format) and
-// decodes entry by entry until the corruption point. Per-entry validation
-// is the caller's job — a torn tail can truncate an entry into something
-// that still parses.
+// cache file: it token-walks to the envelope's entries array and decodes
+// entry by entry until the corruption point. Per-entry validation is the
+// caller's job — a torn tail can truncate an entry into something that
+// still parses.
 func salvageEntries(data []byte) []CacheEntry {
-	trimmed := bytes.TrimSpace(data)
-	if len(trimmed) == 0 {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	if tok, err := dec.Token(); err != nil || tok != json.Delim('{') {
 		return nil
 	}
-	dec := json.NewDecoder(bytes.NewReader(trimmed))
-	if trimmed[0] == '[' {
-		if _, err := dec.Token(); err != nil { // consume '['
+	for {
+		if !dec.More() {
 			return nil
 		}
-	} else {
-		tok, err := dec.Token()
-		if err != nil || tok != json.Delim('{') {
+		keyTok, err := dec.Token()
+		if err != nil {
 			return nil
 		}
-		found := false
-		for !found && dec.More() {
-			keyTok, err := dec.Token()
-			if err != nil {
-				return nil
-			}
-			key, _ := keyTok.(string)
-			if key == "entries" {
-				tok, err := dec.Token()
-				if err != nil || tok != json.Delim('[') {
-					return nil
-				}
-				found = true
-				break
-			}
-			var skip json.RawMessage
-			if err := dec.Decode(&skip); err != nil {
-				return nil
-			}
+		if key, _ := keyTok.(string); key == "entries" {
+			break
 		}
-		if !found {
+		var skip json.RawMessage
+		if err := dec.Decode(&skip); err != nil {
 			return nil
 		}
+	}
+	if tok, err := dec.Token(); err != nil || tok != json.Delim('[') {
+		return nil
 	}
 	var out []CacheEntry
 	for dec.More() {
@@ -763,7 +712,7 @@ func TuneCached(cache *Cache, sp *Space, measure Measurer, opts Options) (conv.C
 // resume of an overwritten entry simply re-enters.
 func TuneResumed(cache *Cache, sp *Space, measure Measurer, opts Options) (*Trace, error) {
 	opts = opts.normalized()
-	if e, ok := cache.getEntry(sp.Arch.Name, sp.Kind, sp.Shape); ok {
+	if e, ok := cache.Entry(sp.Arch.Name, sp.Kind, sp.Shape); ok {
 		hist, covered := resumeCoverage(e, opts.Budget)
 		if covered {
 			tr := &Trace{Method: "ate", Best: e.Config.config(),
@@ -847,7 +796,7 @@ func tuneShared(ctx context.Context, cache *Cache, sp *Space, measure FallibleMe
 	// entries directly (prime), not this seam.
 	var resumeHist []MeasuredConfig
 	satisfied := func() (conv.Config, Measurement, []MeasuredConfig, bool) {
-		e, ok := cache.getEntry(sp.Arch.Name, sp.Kind, sp.Shape)
+		e, ok := cache.Entry(sp.Arch.Name, sp.Kind, sp.Shape)
 		if !ok {
 			return conv.Config{}, Measurement{}, nil, false
 		}

@@ -71,7 +71,7 @@ func TestCacheLoadRejectsGarbage(t *testing.T) {
 	if err := c.Load(strings.NewReader("not json")); err == nil {
 		t.Error("garbage accepted")
 	}
-	if err := c.Load(strings.NewReader(`[{"arch":"x","kind":"direct","shape":{"Batch":0}}]`)); err == nil {
+	if err := c.Load(strings.NewReader(`{"version":2,"entries":[{"arch":"x","kind":"direct","shape":{"Batch":0}}]}`)); err == nil {
 		t.Error("invalid shape accepted")
 	}
 	// A successful row with non-positive seconds would poison resumed
@@ -94,12 +94,11 @@ func validEntryJSON(kind string) string {
 		`"SharedPerBlock":4096,"Layout":0,"WinogradE":0},"seconds":1.5e-4,"gflops":1234}`
 }
 
-// An unknown algorithm kind must be rejected, in both file formats: a
-// corrupt or future-format cache file silently mapping to Direct would
-// poison every verdict served from it.
+// An unknown algorithm kind must be rejected: a corrupt or future-format
+// cache file silently mapping to Direct would poison every verdict served
+// from it.
 func TestCacheLoadRejectsUnknownKind(t *testing.T) {
 	for name, payload := range map[string]string{
-		"v1 array":    `[` + validEntryJSON("karatsuba") + `]`,
 		"v2 envelope": `{"version":2,"entries":[` + validEntryJSON("karatsuba") + `]}`,
 		// A valid entry ahead of the bad one must not be committed either:
 		// a rejected file leaves the cache untouched.
@@ -157,19 +156,16 @@ func TestCacheRoundTripAllKinds(t *testing.T) {
 	}
 }
 
-// Version-1 files (a bare JSON array, as written before the state-carrying
-// format) still load; unknown future versions are refused.
+// Only the current envelope loads: the retired version-1 format (a bare
+// JSON array, last written before the state-carrying format) and unknown
+// future versions are both refused, leaving the cache untouched.
 func TestCacheLoadFormatVersions(t *testing.T) {
 	c := NewCache()
-	if err := c.Load(strings.NewReader(`[` + validEntryJSON("direct") + `]`)); err != nil {
-		t.Fatalf("v1 file rejected: %v", err)
+	if err := c.Load(strings.NewReader(`[` + validEntryJSON("direct") + `]`)); err == nil {
+		t.Error("retired v1 bare-array file accepted")
 	}
-	cfg, m, ok := c.Get("V100", Direct, layer())
-	if !ok || cfg.TileX != 9 || m.GFLOPS != 1234 {
-		t.Fatalf("v1 entry not retrievable: %v %v %v", cfg, m, ok)
-	}
-	if _, _, ok := c.State("V100", Direct, layer()); ok {
-		t.Error("v1 entry claims engine state")
+	if c.Len() != 0 {
+		t.Errorf("rejected v1 file still stored %d entries", c.Len())
 	}
 	if err := NewCache().Load(strings.NewReader(`{"version":3,"entries":[]}`)); err == nil {
 		t.Error("future format version accepted")
@@ -255,23 +251,13 @@ func TestCacheKeyFormat(t *testing.T) {
 }
 
 // BenchmarkCacheKey measures the strconv-based key builder on the shared
-// cache's hot path (must be 0 allocs/op into a reused buffer);
-// BenchmarkCacheKeySprintf is the fmt.Sprintf construction it replaced.
+// cache's hot path (must be 0 allocs/op into a reused buffer).
 func BenchmarkCacheKey(b *testing.B) {
 	s := layer()
 	var kb [cacheKeyBuf]byte
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		_ = appendCacheKey(kb[:0], "V100", Direct, s)
-	}
-}
-
-func BenchmarkCacheKeySprintf(b *testing.B) {
-	s := layer()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		_ = fmt.Sprintf("%s|%s|%d|%d|%d|%d|%d|%d|%d|%d|%d", "V100", Direct,
-			s.Batch, s.Cin, s.Hin, s.Win, s.Cout, s.Hker, s.Wker, s.Strid, s.Pad)
 	}
 }
 

@@ -22,12 +22,9 @@ func engineBenchLayer() shapes.ConvShape {
 //
 //	current — the bound-guided engine (warm-started GBT, heap ranking, pruning)
 //	noprune — the same engine with the bound filter off
-//	prePR   — the engine exactly as it stood before the rework (full GBT
-//	          retrain per batch, full sorts, no pruning; see legacy_test.go)
 //
-// The acceptance bar for the rework is current ≥ 3x faster than prePR at
-// matching solution quality; the benchmark reports each variant's final
-// GFLOPS so the quality side is visible in the same output.
+// The benchmark reports each variant's final GFLOPS so the quality side is
+// visible in the same output.
 func BenchmarkTuneEngine(b *testing.B) {
 	arch := memsim.V100
 	s := engineBenchLayer()
@@ -37,19 +34,13 @@ func BenchmarkTuneEngine(b *testing.B) {
 	opts.Patience = 0
 	opts.Seed = 1
 
-	variants := []struct {
-		name string
-		run  func(*Space, Measurer, Options) (*Trace, error)
-		mod  func(*Options)
-	}{
-		{"current", Tune, func(*Options) {}},
-		{"noprune", Tune, func(o *Options) { o.NoPrune = true }},
-		{"prePR", legacyTune, func(*Options) {}},
-	}
-	for _, v := range variants {
+	for _, v := range []struct {
+		name    string
+		noPrune bool
+	}{{"current", false}, {"noprune", true}} {
 		b.Run(v.name, func(b *testing.B) {
 			o := opts
-			v.mod(&o)
+			o.NoPrune = v.noPrune
 			var best, pruned float64
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -58,7 +49,7 @@ func BenchmarkTuneEngine(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				tr, err := v.run(sp, measure, o)
+				tr, err := Tune(sp, measure, o)
 				if err != nil {
 					b.Fatal(err)
 				}

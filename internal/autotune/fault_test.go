@@ -67,9 +67,18 @@ func TestFallibleZeroPolicyBitIdentical(t *testing.T) {
 	}
 }
 
+// countEvent is an Options.OnEvent sink counting one event kind into n.
+func countEvent(kind Event, n *int) func(Event) {
+	return func(e Event) {
+		if e == kind {
+			*n++
+		}
+	}
+}
+
 // Every config failing its first attempt and succeeding on retry must
 // yield the exact clean verdict — retries are invisible to the search —
-// with one retry booked per fresh measurement and the OnRetry hook firing
+// with one retry booked per fresh measurement and an EventRetry firing
 // once per retry.
 func TestRetryAbsorbsTransientFailures(t *testing.T) {
 	sp := mustSpace(t, true)
@@ -83,7 +92,7 @@ func TestRetryAbsorbsTransientFailures(t *testing.T) {
 	opts := smallOpts(60, 1)
 	opts.Retry = RetryPolicy{MaxAttempts: 3}
 	var hookRetries int
-	opts.OnRetry = func() { hookRetries++ }
+	opts.OnEvent = countEvent(EventRetry, &hookRetries)
 	tr, err := TuneFallible(context.Background(), sp, flaky.measure, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -100,7 +109,7 @@ func TestRetryAbsorbsTransientFailures(t *testing.T) {
 		t.Errorf("Retries = %d, want one per measurement (%d)", tr.Retries, tr.Measurements)
 	}
 	if hookRetries != tr.Retries {
-		t.Errorf("OnRetry fired %d times, trace counts %d", hookRetries, tr.Retries)
+		t.Errorf("EventRetry fired %d times, trace counts %d", hookRetries, tr.Retries)
 	}
 	if tr.Quarantined != 0 || tr.Partial {
 		t.Errorf("unexpected quarantine/partial on a recoverable run: %+v", tr)
@@ -109,7 +118,7 @@ func TestRetryAbsorbsTransientFailures(t *testing.T) {
 
 // Configs that never stop failing are quarantined after MaxAttempts —
 // booked as failed measurements — while the search completes on the
-// remaining ones; the OnQuarantine hook counts them.
+// remaining ones; OnEvent reports each as an EventQuarantine.
 func TestQuarantinePermanentFailures(t *testing.T) {
 	sp := mustSpace(t, true)
 	measure := DirectMeasurer(arch, layer())
@@ -125,7 +134,7 @@ func TestQuarantinePermanentFailures(t *testing.T) {
 	opts := smallOpts(60, 1)
 	opts.Retry = RetryPolicy{MaxAttempts: 2}
 	var hookQuarantines int
-	opts.OnQuarantine = func() { hookQuarantines++ }
+	opts.OnEvent = countEvent(EventQuarantine, &hookQuarantines)
 	tr, err := TuneFallible(context.Background(), sp, backend, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -134,7 +143,7 @@ func TestQuarantinePermanentFailures(t *testing.T) {
 		t.Fatal("no config quarantined although a quarter of the space is dead")
 	}
 	if hookQuarantines != tr.Quarantined {
-		t.Errorf("OnQuarantine fired %d times, trace counts %d", hookQuarantines, tr.Quarantined)
+		t.Errorf("EventQuarantine fired %d times, trace counts %d", hookQuarantines, tr.Quarantined)
 	}
 	// Each quarantined config burned MaxAttempts-1 retries before giving up.
 	if tr.Retries != tr.Quarantined*(opts.Retry.MaxAttempts-1) {
@@ -261,7 +270,7 @@ func TestContextCancelYieldsResumablePartial(t *testing.T) {
 	resumed := smallOpts(60, 3)
 	resumed.Warm = &WarmStart{History: tr.History}
 	fresh := 0
-	resumed.OnMeasure = func() { fresh++ }
+	resumed.OnEvent = countEvent(EventMeasure, &fresh)
 	tr2, err := Tune(sp, measure, resumed)
 	if err != nil {
 		t.Fatal(err)

@@ -2,15 +2,18 @@ package autotune
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
+	"strconv"
+	"strings"
 	"testing"
 )
 
-// The cache loader parses untrusted bytes — a state file may come off a
-// shared filesystem or a half-written shutdown. The contract under fuzzing:
-// any input either loads or errors, never panics, and whatever loads
-// survives a save/reload round trip.
-func FuzzCacheLoad(f *testing.F) {
-	// Version-1 file: a bare entry array.
+// addEnvelopeSeeds seeds a fuzz target with the envelope corpus both
+// decoder targets share.
+func addEnvelopeSeeds(f *testing.F) {
+	// The retired version-1 format, a bare entry array: rejected like any
+	// other non-envelope (the two decoders used to disagree on it).
 	f.Add([]byte(`[{"arch":"V100","kind":"direct","shape":{"Batch":1,"Cin":16,"Hin":8,"Win":8,"Cout":8,"Hker":3,"Wker":3,"Stride":1,"Pad":1},"config":{"TileX":1,"TileY":1,"TileZ":1,"ThreadsX":8,"ThreadsY":8,"ThreadsZ":1,"SharedPerBlock":0,"Layout":0,"WinogradE":0},"seconds":0.001,"gflops":10}]`))
 	// Version-2 envelope with engine state.
 	f.Add([]byte(`{"version":2,"entries":[{"arch":"V100","kind":"winograd","shape":{"Batch":1,"Cin":16,"Hin":8,"Win":8,"Cout":8,"Hker":3,"Wker":3,"Stride":1,"Pad":1},"config":{"TileX":1,"TileY":1,"TileZ":1,"ThreadsX":8,"ThreadsY":8,"ThreadsZ":1,"SharedPerBlock":0,"Layout":0,"WinogradE":2},"seconds":0.002,"gflops":5,"rows":[{"config":{"TileX":1,"TileY":1,"TileZ":1,"ThreadsX":8,"ThreadsY":8,"ThreadsZ":1,"SharedPerBlock":0,"Layout":0,"WinogradE":2},"seconds":0.002,"gflops":5,"ok":true}],"curve":[5],"budget":4}]}`))
@@ -23,7 +26,14 @@ func FuzzCacheLoad(f *testing.F) {
 	f.Add([]byte(`[`))
 	f.Add([]byte(``))
 	f.Add([]byte(`null`))
+}
 
+// The cache loader parses untrusted bytes — a state file may come off a
+// shared filesystem or a half-written shutdown. The contract under fuzzing:
+// any input either loads or errors, never panics, and whatever loads
+// survives a save/reload round trip.
+func FuzzCacheLoad(f *testing.F) {
+	addEnvelopeSeeds(f)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		c := NewCache()
 		if err := c.Load(bytes.NewReader(data)); err != nil {
@@ -35,6 +45,75 @@ func FuzzCacheLoad(f *testing.F) {
 		}
 		if err := NewCache().Load(bytes.NewReader(out.Bytes())); err != nil {
 			t.Fatalf("saved cache failed to reload: %v", err)
+		}
+	})
+}
+
+// readCorpusFile decodes one single-[]byte entry of the go-fuzz corpus file
+// format ("go test fuzz v1", then a quoted []byte literal).
+func readCorpusFile(path string) ([]byte, error) {
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
+	}
+	lines := strings.Split(strings.TrimSpace(string(raw)), "\n")
+	if len(lines) != 2 || !strings.HasPrefix(lines[1], "[]byte(") || !strings.HasSuffix(lines[1], ")") {
+		return nil, os.ErrInvalid
+	}
+	lit, err := strconv.Unquote(lines[1][len("[]byte(") : len(lines[1])-1])
+	return []byte(lit), err
+}
+
+// The envelope has one codec behind three entry points, and the replication
+// endpoint (/v1/cluster/replicate) feeds DecodeEntries bytes straight off the
+// network. Differential contract: for any input, DecodeEntries and Cache.Load
+// accept and reject alike, and what DecodeEntries returns is exactly the key
+// set Load commits.
+func FuzzEnvelopeDecode(f *testing.F) {
+	addEnvelopeSeeds(f)
+	// FuzzCacheLoad's checked-in findings exercise the same decoder; replay
+	// them here too rather than keeping a second copy on disk.
+	corpus, err := filepath.Glob("testdata/fuzz/FuzzCacheLoad/*")
+	if err != nil || len(corpus) == 0 {
+		f.Fatalf("FuzzCacheLoad corpus not found: %v", err)
+	}
+	for _, path := range corpus {
+		data, err := readCorpusFile(path)
+		if err != nil {
+			f.Fatalf("%s: %v", path, err)
+		}
+		f.Add(data)
+	}
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		entries, decErr := DecodeEntries(data)
+		c := NewCache()
+		loadErr := c.Load(bytes.NewReader(data))
+		if (decErr == nil) != (loadErr == nil) {
+			t.Fatalf("decoders disagree: DecodeEntries err=%v, Load err=%v", decErr, loadErr)
+		}
+		if decErr != nil {
+			if c.Len() != 0 {
+				t.Fatalf("rejected load committed %d entries", c.Len())
+			}
+			return
+		}
+		want := make(map[string]bool)
+		for _, e := range entries {
+			key, err := e.Key()
+			if err != nil {
+				t.Fatalf("DecodeEntries returned an invalid entry: %v", err)
+			}
+			want[key] = true
+		}
+		got := c.snapshot()
+		if len(got) != len(want) {
+			t.Fatalf("Load committed %d keys, DecodeEntries yields %d", len(got), len(want))
+		}
+		for key := range got {
+			if !want[key] {
+				t.Fatalf("Load committed key %q that DecodeEntries did not yield", key)
+			}
 		}
 	})
 }

@@ -191,23 +191,29 @@ func TestRecoverFileTornMidEntry(t *testing.T) {
 	}
 }
 
-// Unsalvageable garbage recovers nothing but still clears the path for
-// the next snapshot.
+// An unreadable file — garbage, or the retired version-1 bare array, which
+// is now just another unsupported format — recovers nothing but still
+// clears the path for the next snapshot.
 func TestRecoverFileGarbage(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "state.cache")
-	if err := os.WriteFile(path, []byte("!!! not a cache file {{{"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	c := NewCache()
-	loaded, salvaged, err := c.RecoverFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !salvaged || loaded != 0 || c.Len() != 0 {
-		t.Errorf("garbage recover: loaded=%d salvaged=%v len=%d, want 0/true/0", loaded, salvaged, c.Len())
-	}
-	if _, err := os.Stat(path + ".corrupt"); err != nil {
-		t.Errorf("garbage file not set aside: %v", err)
+	for name, content := range map[string]string{
+		"garbage":  "!!! not a cache file {{{",
+		"v1 array": `[` + validEntryJSON("direct") + `]`,
+	} {
+		path := filepath.Join(t.TempDir(), "state.cache")
+		if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		c := NewCache()
+		loaded, salvaged, err := c.RecoverFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !salvaged || loaded != 0 || c.Len() != 0 {
+			t.Errorf("%s recover: loaded=%d salvaged=%v len=%d, want 0/true/0", name, loaded, salvaged, c.Len())
+		}
+		if _, err := os.Stat(path + ".corrupt"); err != nil {
+			t.Errorf("%s file not set aside: %v", name, err)
+		}
 	}
 }
 

@@ -129,26 +129,33 @@ type Options struct {
 	// configurations from related layers, and/or this key's own persisted
 	// history to resume from. nil reproduces the cold engine bit-for-bit.
 	Warm *WarmStart
-	// OnMeasure, when non-nil, is called once per fresh measurement, after
-	// its outcome is booked. Replayed history and bound-pruned candidates
-	// do not count. The tuning service uses it to account measurement work
-	// across concurrent requests; it must be cheap and safe for concurrent
-	// use, and it must not influence the search (the engine's outputs are
-	// identical with or without it).
-	OnMeasure func()
 	// Retry configures the fault-tolerant measurement pipeline (retry with
 	// backoff, quarantine, noisy-reading defense). The zero value with an
 	// error-free measurer reproduces the fault-oblivious engine
 	// bit-for-bit; see RetryPolicy.
 	Retry RetryPolicy
-	// OnRetry, when non-nil, is called once per transient-failure retry.
-	// Like OnMeasure it must be cheap, concurrency-safe and must not
-	// influence the search.
-	OnRetry func()
-	// OnQuarantine, when non-nil, is called once per configuration
-	// quarantined after Retry.MaxAttempts consecutive transient failures.
-	OnQuarantine func()
+	// OnEvent, when non-nil, is the engine's one event sink: called once
+	// per fresh measurement, per transient-failure retry and per
+	// quarantined configuration (see Event). The tuning service uses it to
+	// account measurement work across concurrent requests; it must be cheap
+	// and safe for concurrent use, and it must not influence the search
+	// (the engine's outputs are identical with or without it).
+	OnEvent func(Event)
 }
+
+// Event is one engine occurrence reported through Options.OnEvent.
+type Event int
+
+const (
+	// EventMeasure is one fresh measurement, reported after its outcome is
+	// booked. Replayed history and bound-pruned candidates do not count.
+	EventMeasure Event = iota
+	// EventRetry is one transient-failure measurement retry.
+	EventRetry
+	// EventQuarantine is one configuration quarantined after
+	// Retry.MaxAttempts consecutive transient failures.
+	EventQuarantine
+)
 
 // DefaultOptions are sensible mid-size tuning settings.
 func DefaultOptions() Options {
@@ -408,17 +415,15 @@ func tuneFallible(ctx context.Context, sp *Space, measure FallibleMeasurer, opts
 			rec.trace.Remeasured += out.remeasured
 			if out.quarantined {
 				rec.trace.Quarantined++
-				if opts.OnQuarantine != nil {
-					opts.OnQuarantine()
-				}
 			}
-			if opts.OnRetry != nil {
+			if opts.OnEvent != nil {
+				if out.quarantined {
+					opts.OnEvent(EventQuarantine)
+				}
 				for r := 0; r < out.retries; r++ {
-					opts.OnRetry()
+					opts.OnEvent(EventRetry)
 				}
-			}
-			if opts.OnMeasure != nil {
-				opts.OnMeasure()
+				opts.OnEvent(EventMeasure)
 			}
 			cost := 20.0 // a large log-cost for failed configs
 			if out.ok {

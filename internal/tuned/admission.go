@@ -8,21 +8,16 @@
 // beyond the configured measurement budget with 429 + Retry-After.
 package tuned
 
-import (
-	"sync"
-
-	"repro/internal/autotune"
-	"repro/internal/memsim"
-)
+import "sync"
 
 // admission is the server's load-shedding gate. The unit of account is the
 // measurement: one tuning request is admitted with the worst-case number of
-// fresh measurements it can trigger (distinct not-yet-cached search keys ×
-// per-layer budget), and releases that reservation when it completes. A
-// request that would push the in-flight total over the cap is rejected —
-// the HTTP layer turns that into 429 with a Retry-After — except when the
-// server is idle: a request too big for the cap alone still runs, it just
-// runs by itself.
+// fresh measurements it can trigger (request.Cost: distinct not-yet-cached
+// search keys × per-layer budget), and releases that reservation when it
+// completes. A request that would push the in-flight total over the cap is
+// rejected — the HTTP layer turns that into 429 with a Retry-After — except
+// when the server is idle: a request too big for the cap alone still runs,
+// it just runs by itself.
 type admission struct {
 	max int64 // 0 = unlimited
 
@@ -30,14 +25,9 @@ type admission struct {
 	inflight int64
 }
 
-func newAdmission(max int64) *admission { return &admission{max: max} }
-
 // acquire reserves cost in-flight measurements, reporting whether the
 // request is admitted.
 func (a *admission) acquire(cost int64) bool {
-	if cost < 0 {
-		cost = 0
-	}
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	if a.max > 0 && a.inflight > 0 && a.inflight+cost > a.max {
@@ -49,14 +39,8 @@ func (a *admission) acquire(cost int64) bool {
 
 // release returns a reservation.
 func (a *admission) release(cost int64) {
-	if cost < 0 {
-		cost = 0
-	}
 	a.mu.Lock()
 	a.inflight -= cost
-	if a.inflight < 0 {
-		a.inflight = 0
-	}
 	a.mu.Unlock()
 }
 
@@ -65,36 +49,4 @@ func (a *admission) load() int64 {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	return a.inflight
-}
-
-// admissionCost is the worst-case fresh-measurement count of a request:
-// per distinct (kind, shape) key not already answered by the cache, one
-// full per-layer budget. Cached keys cost nothing — a replayed network
-// passes admission even under full load, which is exactly right: it
-// triggers no measurements. The candidate set per layer is exactly what
-// the sweep would search (autotune.CandidateKinds), so extra kinds are
-// accounted before they can run.
-func admissionCost(cache *autotune.Cache, arch memsim.Arch, layers []autotune.NetworkLayer, budget int, winograd bool, kinds []autotune.Kind) int64 {
-	type key struct {
-		kind autotune.Kind
-		s    string
-	}
-	seen := make(map[key]bool)
-	var cost int64
-	count := func(kind autotune.Kind, l autotune.NetworkLayer) {
-		k := key{kind, l.Shape.String()}
-		if seen[k] {
-			return
-		}
-		seen[k] = true
-		if _, _, ok := cache.Get(arch.Name, kind, l.Shape); !ok {
-			cost += int64(budget)
-		}
-	}
-	for _, l := range layers {
-		for _, kind := range autotune.CandidateKinds(l.Shape, winograd, kinds) {
-			count(kind, l)
-		}
-	}
-	return cost
 }

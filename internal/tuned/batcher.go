@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"repro/internal/autotune"
-	"repro/internal/memsim"
 )
 
 // The batcher is how strangers' layers warm-start each other. Requests
@@ -21,26 +20,11 @@ import (
 
 // tuneJob is one admitted request waiting on its batch.
 type tuneJob struct {
-	key    groupKey
-	arch   memsim.Arch
-	layers []autotune.NetworkLayer
-	opts   autotune.NetworkOptions
+	req *request
 
 	verdicts []autotune.LayerVerdict
 	err      error
 	done     chan struct{}
-}
-
-// groupKey identifies the requests of a batch that may legally merge into
-// one TuneNetwork call: same architecture and same per-layer engine
-// options. Merging across differing options would change verdicts (the
-// engine is deterministic in them), so each distinct key tunes separately.
-type groupKey struct {
-	arch     string
-	budget   int
-	seed     int64
-	winograd bool
-	kinds    string // canonicalized candidate-kind list (kindsKey)
 }
 
 // batcher collects jobs for one admission window, then hands the whole
@@ -53,8 +37,7 @@ type batcher struct {
 	run    func([]*tuneJob)
 
 	mu      sync.Mutex
-	pending []*tuneJob
-	armed   bool
+	pending []*tuneJob // the open round; its timer is armed iff non-empty
 }
 
 func newBatcher(window time.Duration, run func([]*tuneJob)) *batcher {
@@ -65,41 +48,38 @@ func newBatcher(window time.Duration, run func([]*tuneJob)) *batcher {
 // round. The job's done channel closes when its batch finishes.
 func (b *batcher) submit(j *tuneJob) {
 	b.mu.Lock()
+	opened := len(b.pending) == 0
 	b.pending = append(b.pending, j)
-	arm := !b.armed
-	if arm {
-		b.armed = true
-	}
 	b.mu.Unlock()
-	if arm {
+	if opened {
 		time.AfterFunc(b.window, b.flush)
 	}
 }
 
-// flush closes the current round and runs it.
+// flush closes the current round and runs it. Only a round's own timer
+// calls it, so the round is never empty.
 func (b *batcher) flush() {
 	b.mu.Lock()
 	jobs := b.pending
 	b.pending = nil
-	b.armed = false
 	b.mu.Unlock()
-	if len(jobs) > 0 {
-		b.run(jobs)
-	}
+	b.run(jobs)
 }
 
-// groupJobs partitions a round into its mergeable groups, preserving
+// groupJobs partitions a round into its mergeable groups (request.groupKey),
+// preserving
 // arrival order within each group (the order decides which layer of a
 // family tunes cold as the warm schedule's representative, so it must be
 // the deterministic concatenation order).
 func groupJobs(jobs []*tuneJob) [][]*tuneJob {
-	idx := make(map[groupKey]int)
+	idx := make(map[string]int)
 	var groups [][]*tuneJob
 	for _, j := range jobs {
-		i, ok := idx[j.key]
+		key := j.req.groupKey()
+		i, ok := idx[key]
 		if !ok {
 			i = len(groups)
-			idx[j.key] = i
+			idx[key] = i
 			groups = append(groups, nil)
 		}
 		groups[i] = append(groups[i], j)
@@ -108,23 +88,23 @@ func groupJobs(jobs []*tuneJob) [][]*tuneJob {
 }
 
 // runGroup merges one group's layer lists, tunes the union in a single
-// TuneNetwork call against cache, and hands each job its own verdicts.
-// ctx bounds the engine: past its deadline every still-running search
+// TuneNetwork call against cache under the group's shared sweep options,
+// and hands each job its own verdicts. ctx bounds the engine: past its deadline every still-running search
 // reports best-so-far and the verdicts come back marked Partial.
-func runGroup(ctx context.Context, cache *autotune.Cache, group []*tuneJob) {
+func runGroup(ctx context.Context, cache *autotune.Cache, group []*tuneJob, opts autotune.NetworkOptions) {
 	var merged []autotune.NetworkLayer
 	for _, j := range group {
-		merged = append(merged, j.layers...)
+		merged = append(merged, j.req.layers...)
 	}
-	verdicts, err := autotune.TuneNetworkContext(ctx, group[0].arch, merged, cache, group[0].opts)
+	verdicts, err := autotune.TuneNetworkContext(ctx, group[0].req.arch, merged, cache, opts)
 	off := 0
 	for _, j := range group {
 		if err != nil {
 			j.err = err
 		} else {
-			j.verdicts = verdicts[off : off+len(j.layers)]
+			j.verdicts = verdicts[off : off+len(j.req.layers)]
 		}
-		off += len(j.layers)
+		off += len(j.req.layers)
 		close(j.done)
 	}
 }

@@ -4,10 +4,23 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/autotune"
+	"repro/internal/memsim"
 )
 
+// groupKey spells out the request fields a job's merge key derives from.
+type groupKey struct {
+	arch     string
+	budget   int
+	seed     int64
+	winograd bool
+}
+
 func jobWithKey(k groupKey) *tuneJob {
-	return &tuneJob{key: k, done: make(chan struct{})}
+	req := &request{arch: memsim.Arch{Name: k.arch}, winograd: k.winograd,
+		tune: autotune.Options{Budget: k.budget, Seed: k.seed}}
+	return &tuneJob{req: req, done: make(chan struct{})}
 }
 
 // groupJobs must partition a round by merge key while preserving arrival

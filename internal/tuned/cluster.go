@@ -3,16 +3,14 @@ package tuned
 import (
 	"context"
 	"encoding/json"
-	"io"
 	"net/http"
+	"slices"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro"
 	"repro/internal/autotune"
 	"repro/internal/cluster"
-	"repro/internal/memsim"
 )
 
 // This file wires the cluster peer layer (internal/cluster) into the
@@ -45,20 +43,11 @@ type clusterState struct {
 	client     *cluster.Client
 
 	pushWG sync.WaitGroup // in-flight async replication pushes
-
-	forwarded      atomic.Int64 // client requests proxied to an owner
-	forwardServed  atomic.Int64 // peer-forwarded requests served locally
-	failovers      atomic.Int64 // forwards moved to the next owner after a failure
-	hedges         atomic.Int64 // hedged duplicates launched
-	localFallbacks atomic.Int64 // requests answered locally because every owner was unreachable
-	pushedEntries  atomic.Int64 // cache entries pushed to peers (replication + replay)
-	pushFailures   atomic.Int64 // replication pushes that failed over to handoff
-	mergedEntries  atomic.Int64 // cache entries merged from peer pushes
 }
 
 // initCluster builds the cluster runtime and registers its peer endpoints;
 // no-op when the daemon is standalone.
-func (s *Server) initCluster(mux *http.ServeMux) {
+func (s *Server) initCluster() {
 	if !s.cfg.Cluster.Enabled() {
 		return
 	}
@@ -73,24 +62,21 @@ func (s *Server) initCluster(mux *http.ServeMux) {
 		go s.drainHandoff(addr)
 	})
 	s.cluster = c
-	mux.HandleFunc("POST /v1/cluster/tune", s.handleClusterTune)
-	mux.HandleFunc("POST /v1/cluster/replicate", s.handleClusterReplicate)
+	s.mux.HandleFunc("POST /v1/cluster/tune", s.handleClusterTune)
+	s.mux.HandleFunc("POST /v1/cluster/replicate", s.handleClusterReplicate)
 }
 
-// startCluster launches the probe loops; split from initCluster so boot-time
-// state restore happens before the first rejoin can fire a drain.
-func (s *Server) startCluster() {
-	if s.cluster != nil {
-		s.cluster.membership.Start()
+// owners splits a request key's owner set into whether this replica is in
+// it and the other owners, in ring (primary-first) order.
+func (c *clusterState) owners(key string) (self bool, others []string) {
+	for _, o := range c.ring.Owners(key, c.cfg.Replicas) {
+		if o == c.cfg.Self {
+			self = true
+		} else {
+			others = append(others, o)
+		}
 	}
-}
-
-// stopCluster halts the probe loops and waits out in-flight pushes.
-func (s *Server) stopCluster() {
-	if s.cluster != nil {
-		s.cluster.membership.Stop()
-		s.cluster.pushWG.Wait()
-	}
+	return self, others
 }
 
 // routeTune is the routing seam handleTune runs after parsing and before
@@ -98,31 +84,24 @@ func (s *Server) stopCluster() {
 // proxied to an owner, or answered from the local fallback tier because no
 // owner was reachable) and false when this replica owns the key and should
 // serve it locally.
-func (s *Server) routeTune(w http.ResponseWriter, r *http.Request, desc repro.NetworkDescription,
-	arch memsim.Arch, layers []autotune.NetworkLayer, opts autotune.Options, winograd bool, kinds []autotune.Kind) bool {
+func (s *Server) routeTune(w http.ResponseWriter, r *http.Request, req *request) bool {
 	c := s.cluster
-	key := requestKey(arch.Name, layers, opts.Budget, opts.Seed, winograd, kinds)
-	owners := c.ring.Owners(key, c.cfg.Replicas)
-	ladder := make([]string, 0, len(owners))
-	for _, o := range owners {
-		if o == c.cfg.Self {
-			return false // we own the key: serve locally
-		}
-		if c.membership.Up(o) {
-			ladder = append(ladder, o)
-		}
+	self, owners := c.owners(req.Key())
+	if self {
+		return false // we own the key: serve locally
 	}
-	envelope, err := json.Marshal(repro.ForwardedTuneRequest{Origin: c.cfg.Self, Attempt: 1, Network: desc})
+	ladder := slices.DeleteFunc(owners, func(o string) bool { return !c.membership.Up(o) })
+	envelope, err := json.Marshal(repro.ForwardedTuneRequest{Origin: c.cfg.Self, Attempt: 1, Network: req.desc})
 	if err == nil && len(ladder) > 0 && s.forwardHedged(r.Context(), w, envelope, ladder) {
-		c.forwarded.Add(1)
+		s.count.forwarded.Add(1)
 		return true
 	}
 	// Every owner is down or failed mid-request: the bottom of the
 	// degradation ladder is the local analytic tier, never a 5xx. The
 	// refinement enqueue inside gives this replica a measured answer to
 	// serve (and replicate) if the partition outlives the client's retry.
-	c.localFallbacks.Add(1)
-	s.serveAnalytic(w, arch, layers, opts, winograd, kinds)
+	s.count.localFallbacks.Add(1)
+	s.serveAnalytic(w, req)
 	return true
 }
 
@@ -143,19 +122,19 @@ func (s *Server) forwardHedged(ctx context.Context, w http.ResponseWriter, envel
 		err    error
 	}
 	replies := make(chan reply, len(ladder))
-	launched := 0
+	launched, pending := 0, 0
 	launch := func() {
 		addr := ladder[launched]
 		launched++
+		pending++
 		go func() {
 			status, body, err := c.client.Forward(ctx, addr, envelope)
 			replies <- reply{status, body, addr, err}
 		}()
 	}
-	launch()
 	hedge := time.NewTimer(c.cfg.HedgeAfter)
 	defer hedge.Stop()
-	for pending := 1; pending > 0; {
+	for launch(); pending > 0; {
 		select {
 		case rep := <-replies:
 			pending--
@@ -164,9 +143,8 @@ func (s *Server) forwardHedged(ctx context.Context, w http.ResponseWriter, envel
 			}
 			if rep.err != nil || rep.status >= 500 {
 				if launched < len(ladder) {
-					c.failovers.Add(1)
+					s.count.failovers.Add(1)
 					launch()
-					pending++
 				}
 				continue
 			}
@@ -178,9 +156,8 @@ func (s *Server) forwardHedged(ctx context.Context, w http.ResponseWriter, envel
 			return true
 		case <-hedge.C:
 			if launched < len(ladder) {
-				c.hedges.Add(1)
+				s.count.hedges.Add(1)
 				launch()
-				pending++
 			}
 		case <-ctx.Done():
 			return false
@@ -194,29 +171,15 @@ func (s *Server) forwardHedged(ctx context.Context, w http.ResponseWriter, envel
 // is what makes routing loop-free — so a forwarded request behaves exactly
 // like a client request that happened to hit its owner.
 func (s *Server) handleClusterTune(w http.ResponseWriter, r *http.Request) {
-	if s.closed.Load() {
-		errJSON(w, http.StatusServiceUnavailable, "server is shutting down")
+	req := s.readRequest(w, r, func(body []byte) (repro.NetworkDescription, error) {
+		fr, err := repro.ParseForwardedTuneRequest(body)
+		return fr.Network, err
+	})
+	if req == nil {
 		return
 	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxRequestBody))
-	if err != nil {
-		errJSON(w, http.StatusBadRequest, "read body: %v", err)
-		return
-	}
-	fr, err := repro.ParseForwardedTuneRequest(body)
-	if err != nil {
-		errJSON(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	arch, err := memsim.ByName(fr.Network.Arch)
-	if err != nil {
-		errJSON(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	s.cluster.forwardServed.Add(1)
-	layers := fr.Network.NetworkLayers()
-	opts, winograd, kinds := s.requestOptions(fr.Network.Options)
-	s.serveTune(w, arch, layers, opts, winograd, kinds)
+	s.count.forwardServed.Add(1)
+	s.serveTune(w, req)
 }
 
 // handleClusterReplicate is POST /v1/cluster/replicate: a peer pushing the
@@ -224,13 +187,8 @@ func (s *Server) handleClusterTune(w http.ResponseWriter, r *http.Request) {
 // handoff). The body is the same versioned, checksummed envelope the state
 // file uses; validation is all-or-nothing, exactly like loading a file.
 func (s *Server) handleClusterReplicate(w http.ResponseWriter, r *http.Request) {
-	if s.closed.Load() {
-		errJSON(w, http.StatusServiceUnavailable, "server is shutting down")
-		return
-	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxReplicateBody))
-	if err != nil {
-		errJSON(w, http.StatusBadRequest, "read body: %v", err)
+	body, ok := s.readBody(w, r, maxReplicateBody)
+	if !ok {
 		return
 	}
 	entries, err := autotune.DecodeEntries(body)
@@ -242,42 +200,32 @@ func (s *Server) handleClusterReplicate(w http.ResponseWriter, r *http.Request) 
 		errJSON(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	s.cluster.mergedEntries.Add(int64(len(entries)))
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(map[string]int{"merged": len(entries)})
+	s.count.mergedEntries.Add(int64(len(entries)))
+	writeJSON(w, http.StatusOK, map[string]int{"merged": len(entries)})
 }
 
 // replicateRequest ships the cache entries a just-served request produced
 // to the key's other owners, asynchronously — replication is off the client
 // response path. A push failing (after the client's own retries) marks the
 // peer down and parks the entries as hinted handoff for the rejoin replay.
-func (s *Server) replicateRequest(arch memsim.Arch, layers []autotune.NetworkLayer, opts autotune.Options, winograd bool, kinds []autotune.Kind) {
+// No-op when standalone.
+func (s *Server) replicateRequest(req *request) {
 	c := s.cluster
-	key := requestKey(arch.Name, layers, opts.Budget, opts.Seed, winograd, kinds)
-	targets := make([]string, 0, c.cfg.Replicas)
-	selfOwns := false
-	for _, o := range c.ring.Owners(key, c.cfg.Replicas) {
-		if o == c.cfg.Self {
-			selfOwns = true
-		} else {
-			targets = append(targets, o)
-		}
+	if c == nil {
+		return
 	}
+	selfOwns, targets := c.owners(req.Key())
 	if !selfOwns || len(targets) == 0 {
 		// A non-owner served this (local fallback during a partition): the
 		// owners will produce their own entries when they next see the key.
 		return
 	}
-	entries := s.collectEntries(arch, layers, winograd, kinds)
-	if len(entries) == 0 {
-		return
-	}
+	entries := req.Entries(s.cache)
 	envelope, err := autotune.EncodeEntries(entries)
-	if err != nil {
+	if err != nil || len(entries) == 0 {
 		return
 	}
 	for _, peer := range targets {
-		peer := peer
 		if !c.membership.Up(peer) {
 			c.handoff.Queue(peer, entries)
 			continue
@@ -288,40 +236,14 @@ func (s *Server) replicateRequest(arch memsim.Arch, layers []autotune.NetworkLay
 			ctx, cancel := context.WithTimeout(context.Background(), pushTimeout)
 			defer cancel()
 			if err := c.client.Push(ctx, peer, envelope); err != nil {
-				c.pushFailures.Add(1)
+				s.count.pushFailures.Add(1)
 				c.membership.MarkDown(peer)
 				c.handoff.Queue(peer, entries)
 				return
 			}
-			c.pushedEntries.Add(int64(len(entries)))
+			s.count.pushedEntries.Add(int64(len(entries)))
 		}()
 	}
-}
-
-// collectEntries gathers the persisted cache entries a request's sweep
-// produced or touched: every candidate kind of every layer shape, engine
-// state included — the sweep measures all candidates (that is what the
-// per-layer kernel choice compares), so after a measured answer every one
-// of these exists and the receiving replica can serve the same request with
-// zero fresh measurements.
-func (s *Server) collectEntries(arch memsim.Arch, layers []autotune.NetworkLayer, winograd bool, kinds []autotune.Kind) []autotune.CacheEntry {
-	seen := make(map[string]bool)
-	var out []autotune.CacheEntry
-	for _, l := range layers {
-		for _, kind := range autotune.CandidateKinds(l.Shape, winograd, kinds) {
-			e, ok := s.cache.Entry(arch.Name, kind, l.Shape)
-			if !ok {
-				continue
-			}
-			key, err := e.Key()
-			if err != nil || seen[key] {
-				continue
-			}
-			seen[key] = true
-			out = append(out, e)
-		}
-	}
-	return out
 }
 
 // drainHandoff replays a rejoined peer's parked entries, batch by batch,
@@ -348,7 +270,7 @@ func (s *Server) drainHandoff(addr string) {
 			return
 		}
 		c.handoff.MarkReplayed(len(entries))
-		c.pushedEntries.Add(int64(len(entries)))
+		s.count.pushedEntries.Add(int64(len(entries)))
 	}
 }
 
@@ -377,27 +299,16 @@ func (s *Server) clusterHealth() *ClusterHealth {
 }
 
 // clusterMetrics appends the peer/forward/handoff series to /metrics.
-func (s *Server) clusterMetrics(m *metricsWriter) {
+func (s *Server) clusterMetrics(m *metricsWriter, rows []counterRow) {
 	c := s.cluster
 	if c == nil {
 		return
 	}
 	m.family("tuned_peer_up", "gauge", "Peer reachability per the failure detector (1 up, 0 down).")
 	for _, p := range c.membership.Snapshot() {
-		up := 0.0
-		if p.Up {
-			up = 1
-		}
-		m.sample("tuned_peer_up", `peer="`+p.Addr+`"`, up)
+		m.sample("tuned_peer_up", `peer="`+p.Addr+`"`, boolGauge(p.Up))
 	}
-	m.counter("tuned_forwarded_total", "Client requests proxied to an owning peer.", c.forwarded.Load())
-	m.counter("tuned_forward_served_total", "Peer-forwarded requests served locally.", c.forwardServed.Load())
-	m.counter("tuned_forward_failovers_total", "Forwards moved to the next owner after a failure.", c.failovers.Load())
-	m.counter("tuned_forward_hedges_total", "Hedged duplicate forwards launched.", c.hedges.Load())
-	m.counter("tuned_forward_local_fallback_total", "Requests answered from the local analytic tier because every owner was unreachable.", c.localFallbacks.Load())
-	m.counter("tuned_replicate_pushed_entries_total", "Cache entries pushed to peers (replication and handoff replay).", c.pushedEntries.Load())
-	m.counter("tuned_replicate_push_failures_total", "Replication pushes diverted to hinted handoff.", c.pushFailures.Load())
-	m.counter("tuned_replicate_merged_entries_total", "Cache entries merged from peer pushes.", c.mergedEntries.Load())
+	m.counters(rows)
 	queued, replayed, dropped := c.handoff.Stats()
 	m.gauge("tuned_handoff_depth", "Cache entries parked for unreachable peers.", float64(c.handoff.DepthAll()))
 	m.counter("tuned_handoff_queued_total", "Cache entries ever parked as hinted handoff.", queued)

@@ -14,7 +14,6 @@ import (
 	"repro/internal/autotune"
 	"repro/internal/chaos"
 	"repro/internal/cluster"
-	"repro/internal/memsim"
 	"repro/internal/models"
 )
 
@@ -146,14 +145,12 @@ func (h *clusterHarness) restart(i int) {
 func (h *clusterHarness) ownersOf(desc repro.NetworkDescription) []int {
 	h.t.Helper()
 	srv := h.servers[0]
-	arch, err := memsim.ByName(desc.Arch)
+	req, err := srv.resolve(desc)
 	if err != nil {
 		h.t.Fatal(err)
 	}
-	opts, winograd, kinds := srv.requestOptions(desc.Options)
-	key := requestKey(arch.Name, desc.NetworkLayers(), opts.Budget, opts.Seed, winograd, kinds)
 	var owners []int
-	for _, addr := range srv.cluster.ring.Owners(key, srv.cluster.cfg.Replicas) {
+	for _, addr := range srv.cluster.ring.Owners(req.Key(), srv.cluster.cfg.Replicas) {
 		for i, a := range h.addrs {
 			if a == addr {
 				owners = append(owners, i)
@@ -212,10 +209,10 @@ func TestClusterForwardsToOwnerAndReplicates(t *testing.T) {
 			t.Errorf("layer %s tier %q, want measured", v.Layer, v.Tier)
 		}
 	}
-	if got := h.servers[client].cluster.forwarded.Load(); got != 1 {
+	if got := h.servers[client].count.forwarded.Load(); got != 1 {
 		t.Errorf("client forwarded %d requests, want 1", got)
 	}
-	if got := h.servers[primary].cluster.forwardServed.Load(); got != 1 {
+	if got := h.servers[primary].count.forwardServed.Load(); got != 1 {
 		t.Errorf("primary served %d forwarded requests, want 1", got)
 	}
 	if n := h.servers[client].Measurements(); n != 0 {
@@ -225,7 +222,7 @@ func TestClusterForwardsToOwnerAndReplicates(t *testing.T) {
 	// Replication is async; once the secondary has merged the push it must
 	// serve the identical request without a single fresh measurement.
 	waitUntil(t, "secondary merged the replication push", func() bool {
-		return h.servers[secondary].cluster.mergedEntries.Load() > 0
+		return h.servers[secondary].count.mergedEntries.Load() > 0
 	})
 	resp2, code := postTune(t, h.addrs[secondary], desc)
 	if code != http.StatusOK {
@@ -368,7 +365,7 @@ func TestClusterAllOwnersDownFallsBackToAnalytic(t *testing.T) {
 	if resp.Tier != autotune.TierAnalytic.String() {
 		t.Fatalf("orphaned request tier %q, want analytic", resp.Tier)
 	}
-	if got := h.servers[client].cluster.localFallbacks.Load(); got != 1 {
+	if got := h.servers[client].count.localFallbacks.Load(); got != 1 {
 		t.Errorf("local fallbacks %d, want 1", got)
 	}
 	mustContain(t, getMetrics(t, h.addrs[client]), "tuned_forward_local_fallback_total 1")
@@ -426,7 +423,7 @@ func TestClusterHandoffPersistsAcrossRestart(t *testing.T) {
 	h.restart(1)
 	waitUntil(t, "restored handoff drained", func() bool {
 		return h.servers[0].cluster.handoff.Depth(h.addrs[1]) == 0 &&
-			h.servers[1].cluster.mergedEntries.Load() > 0
+			h.servers[1].count.mergedEntries.Load() > 0
 	})
 	resp, code := postTune(t, h.addrs[1], desc)
 	if code != http.StatusOK {
@@ -481,7 +478,7 @@ func TestServerRefineQueuePersistsAcrossRestart(t *testing.T) {
 		Tune: tinyOpts(8, 9), Winograd: true, StatePath: state, AnalyticOverflow: true,
 	})
 	waitUntil(t, "restored refinement job measured", func() bool {
-		return srv2.refineDone.Load() > 0
+		return srv2.count.refineDone.Load() > 0
 	})
 	resp, code = postTune(t, ts2.URL, desc)
 	if code != http.StatusOK {

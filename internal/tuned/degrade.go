@@ -1,13 +1,9 @@
 package tuned
 
 import (
-	"encoding/json"
 	"net/http"
-	"strconv"
-	"strings"
 	"time"
 
-	"repro"
 	"repro/internal/autotune"
 	"repro/internal/memsim"
 )
@@ -35,17 +31,6 @@ const (
 	refinePollInterval = 5 * time.Millisecond
 )
 
-// refineJob is one analytically-answered request awaiting measurement.
-type refineJob struct {
-	key      string
-	arch     memsim.Arch
-	layers   []autotune.NetworkLayer
-	opts     autotune.NetworkOptions
-	budget   int
-	winograd bool
-	kinds    []autotune.Kind
-}
-
 // analyticFor returns the per-architecture analytic tier, building it on
 // first use and re-fitting its calibration whenever the cache has changed
 // since the last fit — measured rows sharpen every later estimate.
@@ -69,29 +54,21 @@ func (s *Server) analyticFor(arch memsim.Arch) *autotune.AnalyticDSE {
 // — 200, every verdict Tier "analytic" — and enqueues it for background
 // refinement. The analytic tier consults no cache and takes no budget, so
 // this path stays fast no matter how overloaded the measured path is.
-func (s *Server) serveAnalytic(w http.ResponseWriter, arch memsim.Arch, layers []autotune.NetworkLayer, opts autotune.Options, winograd bool, kinds []autotune.Kind) {
-	verdicts, err := s.analyticFor(arch).NetworkKinds(layers, analyticKinds(winograd, kinds))
+func (s *Server) serveAnalytic(w http.ResponseWriter, req *request) {
+	verdicts, err := s.analyticFor(req.arch).NetworkKinds(req.layers, req.analyticKinds())
 	if err != nil {
 		errJSON(w, http.StatusInternalServerError, "%v", err)
 		return
 	}
-	s.requests.Add(1)
-	s.countTiers(verdicts)
-	s.enqueueRefine(arch, layers, opts, winograd, kinds)
-	resp := repro.TuneResponse{Arch: arch.Name,
-		Verdicts:       repro.DescribeVerdicts(verdicts),
-		NetworkSeconds: autotune.NetworkSeconds(verdicts),
-		Tier:           autotune.TierAnalytic.String()}
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(resp)
+	s.count.requests.Add(1)
+	s.respond(w, req, verdicts)
 }
 
 // markTiers upgrades cache-served verdicts whose key the refinement queue
-// has measured to Tier "refined", then counts every verdict's provenance
-// for /metrics. With no degradation configured the refined set is empty
-// and this is pure counting.
+// has measured to Tier "refined". With no degradation configured the
+// refined set is empty and this does nothing.
 func (s *Server) markTiers(archName string, verdicts []autotune.LayerVerdict) {
-	s.refinedMu.Lock()
+	s.refineMu.Lock()
 	if len(s.refinedKeys) > 0 {
 		for i := range verdicts {
 			v := &verdicts[i]
@@ -101,113 +78,42 @@ func (s *Server) markTiers(archName string, verdicts []autotune.LayerVerdict) {
 			}
 		}
 	}
-	s.refinedMu.Unlock()
-	s.countTiers(verdicts)
-}
-
-func (s *Server) countTiers(verdicts []autotune.LayerVerdict) {
-	for _, v := range verdicts {
-		switch v.Tier {
-		case autotune.TierAnalytic:
-			s.tierAnalytic.Add(1)
-		case autotune.TierRefined:
-			s.tierRefined.Add(1)
-		default:
-			s.tierMeasured.Add(1)
-		}
-	}
-	// The per-(tier, kind) breakdown backs the labeled /metrics family; the
-	// tier atomics above stay as the lock-free totals /healthz reads.
-	s.verdictMu.Lock()
-	for _, v := range verdicts {
-		s.verdictByTK[v.Tier.String()+"|"+v.Kind.String()]++
-	}
-	s.verdictMu.Unlock()
-}
-
-// analyticKinds folds the legacy winograd flag into the candidate-kind list
-// the analytic tier filters on (candidateKinds treats a requested Winograd
-// and the flag identically).
-func analyticKinds(winograd bool, kinds []autotune.Kind) []autotune.Kind {
-	if !winograd {
-		return kinds
-	}
-	for _, k := range kinds {
-		if k == autotune.Winograd {
-			return kinds
-		}
-	}
-	out := make([]autotune.Kind, 0, len(kinds)+1)
-	out = append(out, kinds...)
-	return append(out, autotune.Winograd)
+	s.refineMu.Unlock()
 }
 
 func refinedKey(archName string, kind autotune.Kind, shape string) string {
 	return archName + "|" + kind.String() + "|" + shape
 }
 
-// requestKey identifies one request by everything that shapes its answer —
-// architecture, budget, seed, winograd, candidate kinds, every layer shape.
-// It is the dedup unit of the refinement queue (a hammered analytic
-// endpoint enqueues each network once) and the routing key of the cluster
-// layer (identical requests from any replica converge on one owner, so the
-// cache dedup and warm-merge machinery keep working cluster-wide).
-func requestKey(archName string, layers []autotune.NetworkLayer, budget int, seed int64, winograd bool, kinds []autotune.Kind) string {
-	var b strings.Builder
-	b.WriteString(archName)
-	b.WriteByte('|')
-	b.WriteString(strconv.Itoa(budget))
-	b.WriteByte('|')
-	b.WriteString(strconv.FormatInt(seed, 10))
-	b.WriteByte('|')
-	b.WriteString(strconv.FormatBool(winograd))
-	b.WriteByte('|')
-	b.WriteString(kindsKey(kinds))
-	for _, l := range layers {
-		b.WriteByte('|')
-		b.WriteString(l.Shape.String())
-	}
-	return b.String()
-}
-
 // enqueueRefine queues an analytically-answered network for background
 // measurement. A full queue or an already-pending identical request drops
 // the job — the next analytic answer for it re-enqueues.
-func (s *Server) enqueueRefine(arch memsim.Arch, layers []autotune.NetworkLayer, opts autotune.Options, winograd bool, kinds []autotune.Kind) {
+func (s *Server) enqueueRefine(req *request) {
 	if s.refineCh == nil {
 		return
 	}
-	key := requestKey(arch.Name, layers, opts.Budget, opts.Seed, winograd, kinds)
 	s.refineMu.Lock()
-	if s.refinePending[key] {
-		s.refineMu.Unlock()
+	defer s.refineMu.Unlock()
+	if _, pending := s.refineQueue[req.Key()]; pending {
 		return
 	}
-	s.refinePending[key] = true
-	s.refineMu.Unlock()
-	job := &refineJob{key: key, arch: arch, layers: layers,
-		opts: s.networkOptions(arch, opts, winograd, kinds), budget: opts.Budget,
-		winograd: winograd, kinds: kinds}
 	select {
-	case s.refineCh <- job:
-		s.rememberRefineJob(key, arch, layers, opts, winograd, kinds)
+	case s.refineCh <- req:
+		s.refineQueue[req.Key()] = req
 	default:
-		s.refineDropped.Add(1)
-		s.refineMu.Lock()
-		delete(s.refinePending, key)
-		s.refineMu.Unlock()
+		s.count.refineDropped.Add(1)
 	}
 }
 
 // refineLoop is one background refinement worker.
 func (s *Server) refineLoop() {
-	defer s.refineWG.Done()
+	defer s.bg.Done()
 	for {
 		select {
-		case <-s.refineStop:
+		case <-s.stop:
 			return
-		case j := <-s.refineCh:
-			s.refineOne(j)
+		case req := <-s.refineCh:
+			s.refineOne(req)
 		}
 	}
 }
@@ -216,62 +122,51 @@ func (s *Server) refineLoop() {
 // open and the admission budget has room (refinement always yields to
 // foreground traffic), then run the measured sweep against the shared
 // cache and mark the measured keys refined.
-func (s *Server) refineOne(j *refineJob) {
-	// A job aborted by shutdown (not attempted) stays in refineJobs so the
-	// final snapshot persists it and the next boot re-enqueues it; only an
-	// attempted job — measured or failed — leaves the persisted backlog.
-	aborted := false
-	defer func() {
-		s.refineMu.Lock()
-		delete(s.refinePending, j.key)
-		if !aborted {
-			delete(s.refineJobs, j.key)
-		}
-		s.refineMu.Unlock()
-	}()
+func (s *Server) refineOne(req *request) {
 	var cost int64
 	for {
 		if s.breaker.State() != autotune.BreakerOpen {
-			cost = admissionCost(s.cache, j.arch, j.layers, j.budget, j.winograd, j.kinds)
+			cost = req.Cost(s.cache)
 			if s.adm.acquire(cost) {
 				break
 			}
 		}
 		select {
-		case <-s.refineStop:
-			aborted = true
+		case <-s.stop:
+			// Aborted by shutdown, not attempted: the job stays in
+			// refineQueue so the final snapshot persists it and the next
+			// boot re-enqueues it.
 			return
 		case <-time.After(refinePollInterval):
 		}
 	}
 	defer s.adm.release(cost)
-	verdicts, err := autotune.TuneNetwork(j.arch, j.layers, s.cache, j.opts)
-	if err != nil {
-		s.refineFailed.Add(1)
-		return
-	}
+	// Only an attempted job — measured or failed — leaves the persisted
+	// backlog.
+	defer func() {
+		s.refineMu.Lock()
+		delete(s.refineQueue, req.Key())
+		s.refineMu.Unlock()
+	}()
+	verdicts, err := autotune.TuneNetwork(req.arch, req.layers, s.cache, req.NetworkOptions(s))
 	measured := 0
-	s.refinedMu.Lock()
+	s.refineMu.Lock()
 	for _, v := range verdicts {
 		// A verdict that itself fell back to the analytic tier (the
 		// breaker re-tripped mid-refinement) upgraded nothing; only
 		// genuinely measured keys are marked.
 		if v.Tier == autotune.TierMeasured {
-			s.refinedKeys[refinedKey(j.arch.Name, v.Kind, v.Layer.Shape.String())] = true
+			s.refinedKeys[refinedKey(req.arch.Name, v.Kind, v.Layer.Shape.String())] = true
 			measured++
 		}
 	}
-	s.refinedMu.Unlock()
-	if measured > 0 {
-		s.refineDone.Add(1)
-		if s.cluster != nil {
-			// The refinement just upgraded cache entries this replica owns;
-			// ship the measured upgrade to the key's other owners too.
-			tune := j.opts.Tune
-			tune.Budget = j.budget
-			s.replicateRequest(j.arch, j.layers, tune, j.winograd, j.kinds)
-		}
+	s.refineMu.Unlock()
+	if err == nil && measured > 0 {
+		s.count.refineDone.Add(1)
+		// The refinement just upgraded cache entries this replica owns;
+		// ship the measured upgrade to the key's other owners too.
+		s.replicateRequest(req)
 	} else {
-		s.refineFailed.Add(1)
+		s.count.refineFailed.Add(1)
 	}
 }

@@ -82,23 +82,21 @@ func TestServerSnapshotIntervalFlushesInBackground(t *testing.T) {
 		t.Fatalf("tune request: status %d", status)
 	}
 
+	// The snapshot is atomic, so whenever we look the file is complete. A
+	// tick that fired while the tune was still running legitimately wrote an
+	// empty cache, so keep looking until a tick after the tune shows up.
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		if _, err := os.Stat(state); err == nil {
+		restored := autotune.NewCache()
+		if err := restored.LoadFile(state); err == nil && restored.Len() > 0 {
 			break
+		} else if err != nil && !os.IsNotExist(err) {
+			t.Fatalf("background snapshot not loadable: %v", err)
 		}
 		if time.Now().After(deadline) {
-			t.Fatal("no background snapshot appeared")
+			t.Fatal("no background snapshot holding the tuned entries appeared")
 		}
 		time.Sleep(5 * time.Millisecond)
-	}
-	// The snapshot is atomic, so whenever we look the file is complete.
-	restored := autotune.NewCache()
-	if err := restored.LoadFile(state); err != nil {
-		t.Fatalf("background snapshot not loadable: %v", err)
-	}
-	if restored.Len() == 0 {
-		t.Error("background snapshot holds no entries")
 	}
 	if h := getHealth(t, ts.URL); h.SnapshotAgeSeconds < 0 {
 		t.Errorf("healthz snapshot_age_seconds = %v after a flush, want >= 0", h.SnapshotAgeSeconds)

@@ -2,20 +2,20 @@ package tuned
 
 import (
 	"encoding/json"
+	"io"
+	"maps"
 	"os"
-	"path/filepath"
-	"sort"
+	"slices"
 
 	"repro"
 	"repro/internal/autotune"
-	"repro/internal/memsim"
 )
 
 // This file is the auxiliary persistence riding alongside the cache state
 // file (StatePath): the hinted-handoff queue (StatePath+".handoff") and the
 // background refinement backlog (StatePath+".refine"). Both are written by
-// the same timed/shutdown flush as the cache, with the same atomic
-// temp+fsync+rename discipline, and restored on boot — a crashed replica
+// the same timed/shutdown flush as the cache, through the same atomic
+// writer (autotune.AtomicWriteFile), and restored on boot — a crashed replica
 // neither loses the writes it was holding for a down peer nor forgets the
 // analytically-answered clients it owed a measured upgrade. Both files are
 // best-effort state: a missing, torn or version-skewed file restores
@@ -41,131 +41,66 @@ type refineFile struct {
 	Jobs    []repro.NetworkDescription `json:"jobs"`
 }
 
-func (s *Server) handoffPath() string { return s.cfg.StatePath + ".handoff" }
-func (s *Server) refinePath() string  { return s.cfg.StatePath + ".refine" }
-
-// atomicWriteFile writes data with the cache snapshot's crash discipline:
-// temp file in the same directory, fsync, rename over path.
-func atomicWriteFile(path string, data []byte) error {
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp-*")
+// writeJSONFile snapshots v to path as compact JSON through the one
+// crash-safe writer the cache snapshot uses (temp file, fsync, rename).
+func writeJSONFile(path string, v any) error {
+	data, err := json.Marshal(v)
 	if err != nil {
 		return err
 	}
-	tmpName := tmp.Name()
-	cleanup := func(err error) error {
-		tmp.Close()
-		os.Remove(tmpName)
+	return autotune.AtomicWriteFile(path, func(w io.Writer) error {
+		_, err := w.Write(data)
 		return err
-	}
-	if _, err := tmp.Write(data); err != nil {
-		return cleanup(err)
-	}
-	if err := tmp.Sync(); err != nil {
-		return cleanup(err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmpName)
-		return err
-	}
-	if err := os.Rename(tmpName, path); err != nil {
-		os.Remove(tmpName)
-		return err
-	}
-	return nil
+	})
 }
 
 // flushAux snapshots the handoff queue and the refinement backlog, when
 // their machinery is configured.
 func (s *Server) flushAux() error {
 	if s.cluster != nil {
-		data, err := json.Marshal(handoffFile{Version: auxFormatVersion, Peers: s.cluster.handoff.Snapshot()})
-		if err != nil {
-			return err
-		}
-		if err := atomicWriteFile(s.handoffPath(), data); err != nil {
+		f := handoffFile{Version: auxFormatVersion, Peers: s.cluster.handoff.Snapshot()}
+		if err := writeJSONFile(s.cfg.StatePath+".handoff", f); err != nil {
 			return err
 		}
 	}
-	if s.refineCh != nil {
-		s.refineMu.Lock()
-		keys := make([]string, 0, len(s.refineJobs))
-		for k := range s.refineJobs {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		jobs := make([]repro.NetworkDescription, len(keys))
-		for i, k := range keys {
-			jobs[i] = s.refineJobs[k]
-		}
-		s.refineMu.Unlock()
-		data, err := json.Marshal(refineFile{Version: auxFormatVersion, Jobs: jobs})
-		if err != nil {
-			return err
-		}
-		if err := atomicWriteFile(s.refinePath(), data); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// rememberRefineJob records an enqueued refinement job in the form the
-// snapshot persists (the wire description the replay feeds back through the
-// request path).
-func (s *Server) rememberRefineJob(key string, arch memsim.Arch, layers []autotune.NetworkLayer, opts autotune.Options, winograd bool, kinds []autotune.Kind) {
-	desc := repro.DescribeNetwork(arch.Name, layers)
-	names := make([]string, len(kinds))
-	for i, k := range kinds {
-		names[i] = k.String()
-	}
-	wg := winograd
-	desc.Options = &repro.RequestOptions{Budget: opts.Budget, Seed: opts.Seed, Winograd: &wg, Kinds: names}
-	s.refineMu.Lock()
-	s.refineJobs[key] = desc
-	s.refineMu.Unlock()
-}
-
-// restoreHandoff reloads parked hinted handoff from the last snapshot.
-func (s *Server) restoreHandoff() {
-	if s.cluster == nil {
-		return
-	}
-	data, err := os.ReadFile(s.handoffPath())
-	if err != nil {
-		return
-	}
-	var f handoffFile
-	if json.Unmarshal(data, &f) != nil || f.Version != auxFormatVersion {
-		return
-	}
-	s.cluster.handoff.Restore(f.Peers)
-}
-
-// restoreRefineQueue re-enqueues the persisted refinement backlog through
-// the ordinary enqueue path, re-validating every description — a corrupted
-// or hand-edited file can drop jobs but cannot poison the queue.
-func (s *Server) restoreRefineQueue() {
 	if s.refineCh == nil {
-		return
+		return nil
 	}
-	data, err := os.ReadFile(s.refinePath())
-	if err != nil {
-		return
+	s.refineMu.Lock()
+	jobs := make([]repro.NetworkDescription, 0, len(s.refineQueue))
+	for _, k := range slices.Sorted(maps.Keys(s.refineQueue)) {
+		jobs = append(jobs, s.refineQueue[k].Description())
+	}
+	s.refineMu.Unlock()
+	return writeJSONFile(s.cfg.StatePath+".refine", refineFile{Version: auxFormatVersion, Jobs: jobs})
+}
+
+// readJSONFile loads one auxiliary snapshot into v, reporting false for a
+// missing or torn file (the caller checks the version it decoded).
+func readJSONFile(path string, v any) bool {
+	data, err := os.ReadFile(path)
+	return err == nil && json.Unmarshal(data, v) == nil
+}
+
+// restoreAux is flushAux's inverse at boot: it reloads parked hinted
+// handoff, and re-enqueues the persisted refinement backlog through the
+// ordinary enqueue path, re-validating every description — a corrupted or
+// hand-edited file can drop jobs but cannot poison the queue.
+func (s *Server) restoreAux() {
+	var h handoffFile
+	if s.cluster != nil && readJSONFile(s.cfg.StatePath+".handoff", &h) && h.Version == auxFormatVersion {
+		s.cluster.handoff.Restore(h.Peers)
 	}
 	var f refineFile
-	if json.Unmarshal(data, &f) != nil || f.Version != auxFormatVersion {
+	if s.refineCh == nil || !readJSONFile(s.cfg.StatePath+".refine", &f) || f.Version != auxFormatVersion {
 		return
 	}
 	for _, d := range f.Jobs {
 		if d.Validate() != nil {
 			continue
 		}
-		arch, err := memsim.ByName(d.Arch)
-		if err != nil {
-			continue
+		if req, err := s.resolve(d); err == nil {
+			s.enqueueRefine(req)
 		}
-		opts, winograd, kinds := s.requestOptions(d.Options)
-		s.enqueueRefine(arch, d.NetworkLayers(), opts, winograd, kinds)
 	}
 }

@@ -1,0 +1,184 @@
+package tuned
+
+import (
+	"fmt"
+	"slices"
+	"strings"
+
+	"repro"
+	"repro/internal/autotune"
+	"repro/internal/memsim"
+	"repro/internal/shapes"
+)
+
+// request is one tuning request with every default resolved: the single
+// analytical description of the work that routing, admission, batching,
+// the analytic tier, refinement, replication and persistence all consume.
+// It is built once, by Server.resolve, and handed on whole — no stage
+// re-derives the architecture, the layer list or the option overrides, and
+// the legacy winograd flag lives in exactly one field past this point. A
+// request is owned by one goroutine at a time (the handler, then a
+// refinement worker it was handed to over a channel).
+type request struct {
+	desc     repro.NetworkDescription // as received: what a forward relays to the owner
+	arch     memsim.Arch
+	layers   []autotune.NetworkLayer
+	tune     autotune.Options // server engine defaults under the request's budget and seed
+	winograd bool
+	kinds    []autotune.Kind
+
+	key string // memoised Key()
+}
+
+// resolve turns a validated description into the request value, applying
+// the request's overrides to the server defaults. Every entry point — a
+// client POST, a peer-forwarded POST, a .refine backlog restore — resolves
+// through here, so the same description yields the same Key everywhere.
+func (s *Server) resolve(desc repro.NetworkDescription) (*request, error) {
+	arch, err := memsim.ByName(desc.Arch)
+	if err != nil {
+		return nil, err
+	}
+	r := &request{desc: desc, arch: arch, layers: desc.NetworkLayers(),
+		tune: s.cfg.Tune, winograd: s.cfg.Winograd, kinds: s.cfg.Kinds}
+	if o := desc.Options; o != nil {
+		if o.Budget > 0 {
+			r.tune.Budget = o.Budget
+		}
+		if o.Seed != 0 {
+			r.tune.Seed = o.Seed
+		}
+		if o.Winograd != nil {
+			r.winograd = *o.Winograd
+		}
+		// The description validator already vetted these names; a parse
+		// failure here can only mean a caller bypassed it, so fall back to
+		// the server default rather than crash.
+		if kinds, err := repro.ParseKinds(o.Kinds); err == nil && len(kinds) > 0 {
+			r.kinds = kinds
+		}
+	}
+	return r, nil
+}
+
+// kindNames is the canonical wire spelling of the request's candidate kinds.
+func (r *request) kindNames() []string {
+	names := make([]string, len(r.kinds))
+	for i, k := range r.kinds {
+		names[i] = k.String()
+	}
+	return names
+}
+
+// groupKey identifies the requests of a batch that may legally merge into
+// one TuneNetwork call: same architecture and same per-layer engine
+// options. Merging across differing options would change verdicts (the
+// engine is deterministic in them), so each distinct key tunes separately.
+func (r *request) groupKey() string {
+	return fmt.Sprintf("%s|%d|%d|%t|%s", r.arch.Name, r.tune.Budget, r.tune.Seed,
+		r.winograd, strings.Join(r.kindNames(), ","))
+}
+
+// Key identifies the request by everything that shapes its answer — the
+// groupKey plus every layer shape. It is the dedup unit of the refinement
+// queue (a hammered analytic endpoint enqueues each network once) and the
+// routing key of the cluster layer (identical requests from any replica
+// converge on one owner, so the cache dedup and warm-merge machinery keep
+// working cluster-wide). Built on first use and kept: ring ownership hashes
+// this exact string, so its layout is pinned by a golden test.
+func (r *request) Key() string {
+	if r.key == "" {
+		var b strings.Builder
+		b.WriteString(r.groupKey())
+		for _, l := range r.layers {
+			b.WriteByte('|')
+			b.WriteString(l.Shape.String())
+		}
+		r.key = b.String()
+	}
+	return r.key
+}
+
+// searches visits each distinct (kind, shape) search the request's sweep
+// would run, in layer order: per layer exactly the candidate set the sweep
+// searches (autotune.CandidateKinds), identical searches visited once.
+func (r *request) searches(visit func(autotune.Kind, shapes.ConvShape)) {
+	type search struct {
+		kind  autotune.Kind
+		shape string
+	}
+	seen := make(map[search]bool)
+	for _, l := range r.layers {
+		for _, kind := range autotune.CandidateKinds(l.Shape, r.winograd, r.kinds) {
+			k := search{kind, l.Shape.String()}
+			if !seen[k] {
+				seen[k] = true
+				visit(kind, l.Shape)
+			}
+		}
+	}
+}
+
+// Cost is the worst-case fresh-measurement count of the request: per
+// distinct search not already answered by the cache, one full per-layer
+// budget. Cached searches cost nothing — a replayed network passes
+// admission even under full load, which is exactly right: it triggers no
+// measurements — and extra kinds are accounted before they can run.
+func (r *request) Cost(cache *autotune.Cache) int64 {
+	var cost int64
+	r.searches(func(kind autotune.Kind, shape shapes.ConvShape) {
+		if _, _, ok := cache.Get(r.arch.Name, kind, shape); !ok {
+			cost += int64(r.tune.Budget)
+		}
+	})
+	return cost
+}
+
+// Entries gathers the persisted cache entries the request's sweep produced
+// or touched, engine state included — the sweep measures all candidates
+// (that is what the per-layer kernel choice compares), so after a measured
+// answer every one of these exists and a replica receiving them can serve
+// the same request with zero fresh measurements.
+func (r *request) Entries(cache *autotune.Cache) []autotune.CacheEntry {
+	var out []autotune.CacheEntry
+	r.searches(func(kind autotune.Kind, shape shapes.ConvShape) {
+		if e, ok := cache.Entry(r.arch.Name, kind, shape); ok {
+			out = append(out, e)
+		}
+	})
+	return out
+}
+
+// NetworkOptions assembles the request's sweep options on server s; with
+// any degradation trigger configured the sweep gets the analytic fallback,
+// so a layer whose search dies still answers.
+func (r *request) NetworkOptions(s *Server) autotune.NetworkOptions {
+	no := autotune.NetworkOptions{Tune: r.tune, Workers: s.cfg.LayerWorkers,
+		Winograd: r.winograd, Kinds: r.kinds, Warm: s.cfg.Warm, Resume: s.cfg.Resume,
+		WrapMeasurer: s.wrapMeasurer()}
+	if s.degraded {
+		no.AnalyticFallback = true
+		no.AnalyticCalibration = s.analyticFor(r.arch).Calibration()
+	}
+	return no
+}
+
+// analyticKinds folds the winograd flag into the candidate-kind list the
+// analytic tier filters on (candidateKinds treats a requested Winograd and
+// the flag identically).
+func (r *request) analyticKinds() []autotune.Kind {
+	if !r.winograd || slices.Contains(r.kinds, autotune.Winograd) {
+		return r.kinds
+	}
+	return append(slices.Clone(r.kinds), autotune.Winograd)
+}
+
+// Description is the request's own wire form with every option resolved:
+// what the refinement backlog persists, so a restore on any later boot
+// resolves to the same Key whatever that boot's defaults are.
+func (r *request) Description() repro.NetworkDescription {
+	desc := repro.DescribeNetwork(r.arch.Name, r.layers)
+	desc.Options = &repro.RequestOptions{Budget: r.tune.Budget, Seed: r.tune.Seed,
+		Winograd: &r.winograd, Kinds: r.kindNames()}
+	return desc
+}

@@ -7,7 +7,6 @@ import (
 	"io"
 	"net/http"
 	"os"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -16,7 +15,6 @@ import (
 	"repro/internal/autotune"
 	"repro/internal/chaos"
 	"repro/internal/cluster"
-	"repro/internal/memsim"
 	"repro/internal/shapes"
 )
 
@@ -111,25 +109,20 @@ type Server struct {
 	mux   *http.ServeMux
 	start time.Time
 
-	closed   atomic.Bool
-	measured atomic.Int64 // fresh measurements performed since boot
-	requests atomic.Int64 // POST /v1/tune requests accepted for tuning
-	rejected atomic.Int64 // requests shed by admission control
-	batches  atomic.Int64 // tuning batches run
+	closed atomic.Bool
+	// count is the counter registry (metrics.go): every monotonic count
+	// /healthz and /metrics report comes out of this one value.
+	count counters
 
-	// Fault-tolerance observability (see Health).
-	retries      atomic.Int64 // transient-failure measurement retries
-	quarantined  atomic.Int64 // configs quarantined after repeated failures
-	partials     atomic.Int64 // responses cut short by RequestTimeout
-	salvaged     atomic.Bool  // boot recovered state from a damaged file
+	salvaged     bool         // boot recovered state from a damaged file
 	lastSnapshot atomic.Int64 // unix nanos of the last successful flush (0 = never)
-	lastFlushErr atomic.Pointer[string]
+	lastFlushErr atomic.Value // string: the last flush failure, "" once a flush succeeds
 
 	injector *chaos.Injector // nil unless Config.Chaos is enabled
 
 	// Graceful degradation (degrade.go): the breaker guarding the
 	// measurement seam, the per-arch analytic tier, the background
-	// refinement queue, and the provenance counters behind /metrics.
+	// refinement queue.
 	breaker  *autotune.Breaker // nil unless Config.Breaker is armed
 	degraded bool              // any degradation trigger configured
 
@@ -137,32 +130,18 @@ type Server struct {
 	analytic map[string]*autotune.AnalyticDSE // per arch name
 	calStamp map[string]int                   // cache length at last calibration
 
-	refineCh      chan *refineJob
-	refineStop    chan struct{}
-	refineWG      sync.WaitGroup
-	refineMu      sync.Mutex
-	refinePending map[string]bool
-	refineJobs    map[string]repro.NetworkDescription // pending jobs in persistable form
-	refinedMu     sync.Mutex
-	refinedKeys   map[string]bool
-
-	tierMeasured    atomic.Int64 // verdicts served, by provenance
-	tierAnalytic    atomic.Int64
-	tierRefined     atomic.Int64
-	verdictMu       sync.Mutex       // guards verdictByTK
-	verdictByTK     map[string]int64 // verdicts by (tier, kind), for /metrics
-	refineDone      atomic.Int64     // refinement jobs that measured their network
-	refineDropped   atomic.Int64     // jobs dropped on a full queue
-	refineFailed    atomic.Int64     // jobs whose measured sweep errored
-	breakerOpened   atomic.Int64     // transitions into each breaker state
-	breakerHalfOpen atomic.Int64
-	breakerClosed   atomic.Int64
+	refineCh    chan *request       // nil unless a refinement trigger is configured
+	refineMu    sync.Mutex          // guards the two maps below
+	refineQueue map[string]*request // by Key: queued or mid-refinement, and what .refine persists
+	refinedKeys map[string]bool     // cache keys a refinement has measured (refinedKey)
 
 	// cluster is the replicated-shard runtime (cluster.go); nil standalone.
 	cluster *clusterState
 
-	snapStop chan struct{}
-	snapDone chan struct{}
+	// stop ends the background goroutines — the snapshot timer and the
+	// refinement workers — and bg waits them out.
+	stop     chan struct{}
+	bg       sync.WaitGroup
 	stopOnce sync.Once
 }
 
@@ -179,30 +158,19 @@ func New(cfg Config) (*Server, error) {
 		def.Retry = cfg.Tune.Retry
 		cfg.Tune = def
 	}
-	s := &Server{cfg: cfg, cache: cfg.Cache, adm: newAdmission(cfg.MaxInflight), start: time.Now()}
-	// Every fresh measurement of every request funnels through this hook;
+	s := &Server{cfg: cfg, cache: cfg.Cache, adm: &admission{max: cfg.MaxInflight}, start: time.Now(),
+		stop: make(chan struct{})}
+	// Every fresh measurement of every request funnels through this sink;
 	// it is the denominator of the dedup story (/healthz reports it, the
-	// e2e suite pins it). The retry/quarantine hooks feed the same health
-	// report so an orchestrator sees a flaky measurement backend.
-	prev := cfg.Tune.OnMeasure
-	s.cfg.Tune.OnMeasure = func() {
-		s.measured.Add(1)
+	// e2e suite pins it). Retries and quarantines feed the same registry so
+	// an orchestrator sees a flaky measurement backend.
+	prev := cfg.Tune.OnEvent
+	sink := [...]*atomic.Int64{autotune.EventMeasure: &s.count.measurements,
+		autotune.EventRetry: &s.count.retries, autotune.EventQuarantine: &s.count.quarantined}
+	s.cfg.Tune.OnEvent = func(e autotune.Event) {
+		sink[e].Add(1)
 		if prev != nil {
-			prev()
-		}
-	}
-	prevRetry := cfg.Tune.OnRetry
-	s.cfg.Tune.OnRetry = func() {
-		s.retries.Add(1)
-		if prevRetry != nil {
-			prevRetry()
-		}
-	}
-	prevQuar := cfg.Tune.OnQuarantine
-	s.cfg.Tune.OnQuarantine = func() {
-		s.quarantined.Add(1)
-		if prevQuar != nil {
-			prevQuar()
+			prev(e)
 		}
 	}
 	if cfg.Chaos.Enabled() {
@@ -212,14 +180,7 @@ func New(cfg Config) (*Server, error) {
 		bcfg := cfg.Breaker
 		prevTrans := bcfg.OnTransition
 		bcfg.OnTransition = func(from, to autotune.BreakerState) {
-			switch to {
-			case autotune.BreakerOpen:
-				s.breakerOpened.Add(1)
-			case autotune.BreakerHalfOpen:
-				s.breakerHalfOpen.Add(1)
-			case autotune.BreakerClosed:
-				s.breakerClosed.Add(1)
-			}
+			s.count.breaker[to].Add(1)
 			if prevTrans != nil {
 				prevTrans(from, to)
 			}
@@ -227,53 +188,44 @@ func New(cfg Config) (*Server, error) {
 		s.breaker = autotune.NewBreaker(bcfg)
 	}
 	s.degraded = cfg.AnalyticOverflow || s.breaker != nil || cfg.RequestTimeout > 0
-	s.verdictByTK = make(map[string]int64)
 	s.analytic = make(map[string]*autotune.AnalyticDSE)
 	s.calStamp = make(map[string]int)
 	s.refinedKeys = make(map[string]bool)
 	if cfg.AnalyticOverflow || s.breaker != nil {
-		workers := cfg.RefineWorkers
-		if workers < 1 {
-			workers = 1
-		}
-		s.refineCh = make(chan *refineJob, refineQueueCap)
-		s.refineStop = make(chan struct{})
-		s.refinePending = make(map[string]bool)
-		s.refineJobs = make(map[string]repro.NetworkDescription)
-		for i := 0; i < workers; i++ {
-			s.refineWG.Add(1)
+		s.refineCh = make(chan *request, refineQueueCap)
+		s.refineQueue = make(map[string]*request)
+		for range max(cfg.RefineWorkers, 1) {
+			s.bg.Add(1)
 			go s.refineLoop()
 		}
 	}
-	if cfg.StatePath != "" {
-		if _, salvaged, err := s.cache.RecoverFile(cfg.StatePath); err != nil {
-			return nil, fmt.Errorf("tuned: state %s: %w", cfg.StatePath, err)
-		} else if salvaged {
-			s.salvaged.Store(true)
-		}
-	}
 	s.batch = newBatcher(cfg.BatchWindow, s.runBatch)
-	if cfg.StatePath != "" && cfg.SnapshotInterval > 0 {
-		s.snapStop = make(chan struct{})
-		s.snapDone = make(chan struct{})
-		go s.snapshotLoop()
-	}
-	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/tune", s.handleTune)
-	mux.HandleFunc("GET /v1/bench", s.handleBench)
-	mux.HandleFunc("GET /healthz", s.handleHealth)
-	mux.HandleFunc("GET /metrics", s.handleMetrics)
-	s.initCluster(mux)
+	s.mux = http.NewServeMux()
+	s.mux.HandleFunc("POST /v1/tune", s.handleTune)
+	s.mux.HandleFunc("GET /v1/bench", s.handleBench)
+	s.mux.HandleFunc("GET /healthz", s.handleHealth)
+	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
+	s.initCluster()
 	if cfg.StatePath != "" {
+		var err error
+		if _, s.salvaged, err = s.cache.RecoverFile(cfg.StatePath); err != nil {
+			return nil, fmt.Errorf("tuned: state %s: %w", cfg.StatePath, err)
+		}
 		// The auxiliary snapshots ride alongside the cache state file:
 		// parked handoff survives a crash, and the refinement backlog is
 		// replayed so analytically-answered clients still get their measured
 		// upgrade after a restart.
-		s.restoreHandoff()
-		s.restoreRefineQueue()
+		s.restoreAux()
+		if cfg.SnapshotInterval > 0 {
+			s.bg.Add(1)
+			go s.snapshotLoop()
+		}
 	}
-	s.startCluster()
-	s.mux = mux
+	if s.cluster != nil {
+		// The probe loops start only now: boot-time state restore must be
+		// in place before the first rejoin can fire a handoff drain.
+		s.cluster.membership.Start()
+	}
 	return s, nil
 }
 
@@ -288,21 +240,18 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.Serve
 func (s *Server) Close() error {
 	s.closed.Store(true)
 	s.stopOnce.Do(func() {
-		if s.snapStop != nil {
-			close(s.snapStop)
-			<-s.snapDone
+		// Stop the snapshot timer and the refinement workers (a job
+		// mid-measure finishes, a job mid-wait abandons) before the final
+		// flush so its snapshot includes their last completed work.
+		close(s.stop)
+		s.bg.Wait()
+		if s.cluster != nil {
+			// Stop probing and wait out in-flight replication pushes before
+			// the final flush, so entries that fail their push are parked as
+			// handoff in time to be persisted.
+			s.cluster.membership.Stop()
+			s.cluster.pushWG.Wait()
 		}
-		if s.refineStop != nil {
-			// Stop the refinement workers (a job mid-measure finishes, a
-			// job mid-wait abandons) before the final flush so its snapshot
-			// includes their last completed work.
-			close(s.refineStop)
-			s.refineWG.Wait()
-		}
-		// Stop probing and wait out in-flight replication pushes before the
-		// final flush, so entries that fail their push are parked as handoff
-		// in time to be persisted.
-		s.stopCluster()
 	})
 	if s.cfg.StatePath == "" {
 		return nil
@@ -319,11 +268,10 @@ func (s *Server) flushState() error {
 		err = s.flushAux()
 	}
 	if err != nil {
-		msg := err.Error()
-		s.lastFlushErr.Store(&msg)
+		s.lastFlushErr.Store(err.Error())
 		return err
 	}
-	s.lastFlushErr.Store(nil)
+	s.lastFlushErr.Store("")
 	s.lastSnapshot.Store(time.Now().UnixNano())
 	return nil
 }
@@ -333,21 +281,21 @@ func (s *Server) flushState() error {
 // failing flush is recorded (and surfaced on /healthz) but does not stop
 // the loop — disk pressure may clear.
 func (s *Server) snapshotLoop() {
-	defer close(s.snapDone)
+	defer s.bg.Done()
 	t := time.NewTicker(s.cfg.SnapshotInterval)
 	defer t.Stop()
 	for {
 		select {
 		case <-t.C:
 			s.flushState()
-		case <-s.snapStop:
+		case <-s.stop:
 			return
 		}
 	}
 }
 
 // Measurements reports the fresh measurements performed since boot.
-func (s *Server) Measurements() int64 { return s.measured.Load() }
+func (s *Server) Measurements() int64 { return s.count.measurements.Load() }
 
 // runBatch tunes one admission round: per mergeable group, one TuneNetwork
 // call over the concatenated layers. Groups run concurrently — they share
@@ -356,25 +304,22 @@ func (s *Server) Measurements() int64 { return s.measured.Load() }
 // the deadline is per group, not per request, because a group's searches
 // are shared across every client merged into it.
 func (s *Server) runBatch(jobs []*tuneJob) {
-	s.batches.Add(1)
-	groups := groupJobs(jobs)
-	done := make(chan struct{}, len(groups))
-	for _, g := range groups {
-		g := g
+	s.count.batches.Add(1)
+	var wg sync.WaitGroup
+	for _, g := range groupJobs(jobs) {
+		wg.Add(1)
 		go func() {
+			defer wg.Done()
 			ctx := context.Background()
 			if s.cfg.RequestTimeout > 0 {
 				var cancel context.CancelFunc
 				ctx, cancel = context.WithTimeout(ctx, s.cfg.RequestTimeout)
 				defer cancel()
 			}
-			runGroup(ctx, s.cache, g)
-			done <- struct{}{}
+			runGroup(ctx, s.cache, g, g[0].req.NetworkOptions(s))
 		}()
 	}
-	for range groups {
-		<-done
-	}
+	wg.Wait()
 	s.cache.EvictExpired()
 }
 
@@ -395,105 +340,135 @@ func (s *Server) wrapMeasurer() func(autotune.Kind, shapes.ConvShape, autotune.M
 	}
 }
 
-// errJSON writes a JSON error body with the given status.
-func errJSON(w http.ResponseWriter, status int, format string, args ...any) {
+// writeJSON writes v as a JSON response body with the given status.
+func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(map[string]string{"error": fmt.Sprintf(format, args...)})
+	json.NewEncoder(w).Encode(v)
+}
+
+// errJSON writes a JSON error body with the given status.
+func errJSON(w http.ResponseWriter, status int, format string, args ...any) {
+	writeJSON(w, status, map[string]string{"error": fmt.Sprintf(format, args...)})
 }
 
 // maxRequestBody bounds POST bodies; a maximal description (512 layers)
 // is well under 1 MiB.
 const maxRequestBody = 1 << 20
 
+// readBody is the front of every POST endpoint: refuse while shutting down,
+// then read the body up to limit. It reports false after writing the error
+// response.
+func (s *Server) readBody(w http.ResponseWriter, r *http.Request, limit int64) ([]byte, bool) {
+	if s.closed.Load() {
+		errJSON(w, http.StatusServiceUnavailable, "server is shutting down")
+		return nil, false
+	}
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, limit))
+	if err != nil {
+		errJSON(w, http.StatusBadRequest, "read body: %v", err)
+		return nil, false
+	}
+	return body, true
+}
+
+// readRequest is the shared front half of the two tune endpoints: read the
+// body, decode and validate it with the endpoint's wire parser, resolve it
+// into the request value. It reports nil after writing the error response.
+func (s *Server) readRequest(w http.ResponseWriter, r *http.Request, parse func([]byte) (repro.NetworkDescription, error)) *request {
+	body, ok := s.readBody(w, r, maxRequestBody)
+	if !ok {
+		return nil
+	}
+	desc, err := parse(body)
+	if err != nil {
+		errJSON(w, http.StatusBadRequest, "%v", err)
+		return nil
+	}
+	req, err := s.resolve(desc)
+	if err != nil {
+		errJSON(w, http.StatusBadRequest, "%v", err)
+		return nil
+	}
+	return req
+}
+
 // handleTune is POST /v1/tune: decode and validate the network
 // description, route it to its owning replica when clustered, pass
 // admission, join the current batch, answer with the verdicts.
 func (s *Server) handleTune(w http.ResponseWriter, r *http.Request) {
-	if s.closed.Load() {
-		errJSON(w, http.StatusServiceUnavailable, "server is shutting down")
+	req := s.readRequest(w, r, repro.ParseNetworkDescription)
+	if req == nil {
 		return
 	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxRequestBody))
-	if err != nil {
-		errJSON(w, http.StatusBadRequest, "read body: %v", err)
-		return
+	if s.cluster == nil || !s.routeTune(w, r, req) {
+		s.serveTune(w, req)
 	}
-	desc, err := repro.ParseNetworkDescription(body)
-	if err != nil {
-		errJSON(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	arch, err := memsim.ByName(desc.Arch)
-	if err != nil {
-		errJSON(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	layers := desc.NetworkLayers()
-	opts, winograd, kinds := s.requestOptions(desc.Options)
-	if s.cluster != nil && s.routeTune(w, r, desc, arch, layers, opts, winograd, kinds) {
-		return
-	}
-	s.serveTune(w, arch, layers, opts, winograd, kinds)
 }
 
 // serveTune answers one request from this replica: the breaker check, the
 // admission gate, the batched sweep, the response. It is the local half of
 // the routing seam — both client requests this replica owns and requests
 // peers forward land here.
-func (s *Server) serveTune(w http.ResponseWriter, arch memsim.Arch, layers []autotune.NetworkLayer, opts autotune.Options, winograd bool, kinds []autotune.Kind) {
+func (s *Server) serveTune(w http.ResponseWriter, req *request) {
 	// Degradation trigger: a tripped breaker means a measured search could
 	// only burn its budget on fast-fails, so answer instantly from the
 	// analytic tier and let the refinement queue (and the next half-open
 	// probes) bring measured service back.
 	if s.breaker.State() == autotune.BreakerOpen {
-		s.serveAnalytic(w, arch, layers, opts, winograd, kinds)
+		s.serveAnalytic(w, req)
 		return
 	}
 
-	cost := admissionCost(s.cache, arch, layers, opts.Budget, winograd, kinds)
+	cost := req.Cost(s.cache)
 	if !s.adm.acquire(cost) {
 		if s.cfg.AnalyticOverflow {
 			// Degradation trigger: overload. Instead of shedding with 429,
 			// the overflow gets the instant analytic answer now and a
 			// background refinement slot once budget frees up.
-			s.serveAnalytic(w, arch, layers, opts, winograd, kinds)
+			s.serveAnalytic(w, req)
 			return
 		}
-		s.rejected.Add(1)
-		w.Header().Set("Retry-After", fmt.Sprintf("%d", s.retryAfterSeconds()))
+		s.count.rejected.Add(1)
+		// A shed client should back off for as long as the in-flight budget
+		// takes to measure — the budget times the emulated per-measurement
+		// round-trip — floored at one second.
+		wait := time.Duration(s.adm.load()) * s.cfg.Tune.MeasureLatency
+		w.Header().Set("Retry-After", fmt.Sprintf("%d", max(int64(wait/time.Second), 1)))
 		errJSON(w, http.StatusTooManyRequests,
 			"measurement budget exhausted (%d in flight, limit %d); retry later",
 			s.adm.load(), s.cfg.MaxInflight)
 		return
 	}
 	defer s.adm.release(cost)
-	s.requests.Add(1)
+	s.count.requests.Add(1)
 
-	job := &tuneJob{
-		key: groupKey{arch: arch.Name, budget: opts.Budget, seed: opts.Seed,
-			winograd: winograd, kinds: kindsKey(kinds)},
-		arch: arch, layers: layers,
-		opts: s.networkOptions(arch, opts, winograd, kinds),
-		done: make(chan struct{}),
-	}
+	job := &tuneJob{req: req, done: make(chan struct{})}
 	s.batch.submit(job)
 	<-job.done
 	if job.err != nil {
 		errJSON(w, http.StatusInternalServerError, "%v", job.err)
 		return
 	}
-	s.markTiers(arch.Name, job.verdicts)
-	if s.cluster != nil {
-		// Replicate what the sweep just cached to the key's other owners,
-		// off the response path.
-		s.replicateRequest(arch, layers, opts, winograd, kinds)
-	}
-	resp := repro.TuneResponse{Arch: arch.Name,
-		Verdicts:       repro.DescribeVerdicts(job.verdicts),
-		NetworkSeconds: autotune.NetworkSeconds(job.verdicts)}
+	s.markTiers(req.arch.Name, job.verdicts)
+	s.replicateRequest(req)
+	s.respond(w, req, job.verdicts)
+}
+
+// respond writes a request's verdicts as the 200 response — the one tail of
+// the measured and the analytic path, and so where every verdict's
+// provenance is booked in the registry's tier × kind grid. A response whose
+// every layer is
+// analytic (served from the analytic tier outright, or every search fell
+// back to it because the breaker tripped mid-run or the backend died) is a
+// complete estimate: flagged as such, and queued for background refinement.
+func (s *Server) respond(w http.ResponseWriter, req *request, verdicts []autotune.LayerVerdict) {
+	resp := repro.TuneResponse{Arch: req.arch.Name,
+		Verdicts:       repro.DescribeVerdicts(verdicts),
+		NetworkSeconds: autotune.NetworkSeconds(verdicts)}
 	allAnalytic := true
-	for _, v := range job.verdicts {
+	for _, v := range verdicts {
+		s.count.verdicts[v.Tier][v.Kind].Add(1)
 		if v.Partial {
 			resp.Partial = true
 		}
@@ -502,96 +477,13 @@ func (s *Server) serveTune(w http.ResponseWriter, arch memsim.Arch, layers []aut
 		}
 	}
 	if allAnalytic {
-		// Every layer fell back to the analytic tier (the breaker tripped
-		// mid-run, or the backend died outright): the response is a
-		// complete estimate, flagged as such, and worth refining.
 		resp.Tier = autotune.TierAnalytic.String()
-		s.enqueueRefine(arch, layers, opts, winograd, kinds)
+		s.enqueueRefine(req)
 	}
 	if resp.Partial {
-		s.partials.Add(1)
+		s.count.partials.Add(1)
 	}
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(resp)
-}
-
-// networkOptions assembles the sweep options of one admitted request; with
-// any degradation trigger configured the sweep gets the analytic fallback,
-// so a layer whose search dies still answers.
-func (s *Server) networkOptions(arch memsim.Arch, opts autotune.Options, winograd bool, kinds []autotune.Kind) autotune.NetworkOptions {
-	no := autotune.NetworkOptions{Tune: opts, Workers: s.cfg.LayerWorkers,
-		Winograd: winograd, Kinds: kinds, Warm: s.cfg.Warm, Resume: s.cfg.Resume,
-		WrapMeasurer: s.wrapMeasurer()}
-	if s.degraded {
-		no.AnalyticFallback = true
-		no.AnalyticCalibration = s.analyticFor(arch).Calibration()
-	}
-	return no
-}
-
-// requestOptions resolves a request's overrides against the server
-// defaults.
-func (s *Server) requestOptions(o *repro.RequestOptions) (autotune.Options, bool, []autotune.Kind) {
-	opts := s.cfg.Tune
-	winograd := s.cfg.Winograd
-	kinds := s.cfg.Kinds
-	if o != nil {
-		if o.Budget > 0 {
-			opts.Budget = o.Budget
-		}
-		if o.Seed != 0 {
-			opts.Seed = o.Seed
-		}
-		if o.Winograd != nil {
-			winograd = *o.Winograd
-		}
-		if len(o.Kinds) > 0 {
-			// The description validator already vetted these names; a parse
-			// failure here can only mean a caller bypassed it, so fall back
-			// to the server default rather than crash.
-			if parsed, err := parseRequestKinds(o.Kinds); err == nil {
-				kinds = parsed
-			}
-		}
-	}
-	return opts, winograd, kinds
-}
-
-// parseRequestKinds converts wire kind names to engine kinds.
-func parseRequestKinds(names []string) ([]autotune.Kind, error) {
-	kinds := make([]autotune.Kind, len(names))
-	for i, n := range names {
-		k, err := autotune.ParseKind(n)
-		if err != nil {
-			return nil, err
-		}
-		kinds[i] = k
-	}
-	return kinds, nil
-}
-
-// kindsKey canonicalizes a kind list for grouping and dedup keys.
-func kindsKey(kinds []autotune.Kind) string {
-	var b strings.Builder
-	for i, k := range kinds {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		b.WriteString(k.String())
-	}
-	return b.String()
-}
-
-// retryAfterSeconds estimates how long a shed client should back off: the
-// in-flight measurement budget times the emulated per-measurement
-// round-trip, floored at one second.
-func (s *Server) retryAfterSeconds() int64 {
-	est := time.Duration(s.adm.load()) * s.cfg.Tune.MeasureLatency
-	secs := int64(est / time.Second)
-	if secs < 1 {
-		secs = 1
-	}
-	return secs
+	writeJSON(w, http.StatusOK, resp)
 }
 
 // handleBench is GET /v1/bench: the benchmark trajectory JSON
@@ -664,42 +556,43 @@ type Health struct {
 	Cluster *ClusterHealth `json:"cluster,omitempty"`
 }
 
+// snapshotAge is the age in seconds of the last successful state flush, -1
+// when none has happened yet.
+func (s *Server) snapshotAge() float64 {
+	ns := s.lastSnapshot.Load()
+	if ns == 0 {
+		return -1
+	}
+	return time.Since(time.Unix(0, ns)).Seconds()
+}
+
 // handleHealth is GET /healthz.
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
-	snapAge := -1.0
-	if ns := s.lastSnapshot.Load(); ns > 0 {
-		snapAge = time.Since(time.Unix(0, ns)).Seconds()
-	}
-	flushErr := ""
-	if p := s.lastFlushErr.Load(); p != nil {
-		flushErr = *p
-	}
+	flushErr, _ := s.lastFlushErr.Load().(string)
+	c := &s.count
 	h := Health{
 		OK:                 !s.closed.Load(),
 		UptimeSeconds:      time.Since(s.start).Seconds(),
 		Cache:              s.cache.Stats(),
 		InflightBudget:     s.adm.load(),
-		Measurements:       s.measured.Load(),
-		Requests:           s.requests.Load(),
-		Rejected:           s.rejected.Load(),
-		Batches:            s.batches.Load(),
-		SnapshotAgeSeconds: snapAge,
+		Measurements:       c.measurements.Load(),
+		Requests:           c.requests.Load(),
+		Rejected:           c.rejected.Load(),
+		Batches:            c.batches.Load(),
+		SnapshotAgeSeconds: s.snapshotAge(),
 		LastFlushError:     flushErr,
-		Retries:            s.retries.Load(),
-		Quarantined:        s.quarantined.Load(),
-		PartialResponses:   s.partials.Load(),
-		StateSalvaged:      s.salvaged.Load(),
-		AnalyticVerdicts:   s.tierAnalytic.Load(),
-		RefinedVerdicts:    s.tierRefined.Load(),
-		RefinedNetworks:    s.refineDone.Load(),
+		Retries:            c.retries.Load(),
+		Quarantined:        c.quarantined.Load(),
+		PartialResponses:   c.partials.Load(),
+		StateSalvaged:      s.salvaged,
+		AnalyticVerdicts:   c.tierTotal(autotune.TierAnalytic),
+		RefinedVerdicts:    c.tierTotal(autotune.TierRefined),
+		RefineQueueDepth:   len(s.refineCh),
+		RefinedNetworks:    c.refineDone.Load(),
 		Cluster:            s.clusterHealth(),
 	}
 	if s.breaker != nil {
 		h.Breaker = s.breaker.State().String()
 	}
-	if s.refineCh != nil {
-		h.RefineQueueDepth = len(s.refineCh)
-	}
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(h)
+	writeJSON(w, http.StatusOK, h)
 }

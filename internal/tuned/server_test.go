@@ -124,12 +124,16 @@ func getHealth(t *testing.T, url string) Health {
 }
 
 // countMeasurements runs TuneNetwork directly with an instrumented
-// OnMeasure, returning the verdicts and the fresh-measurement count — the
+// OnEvent, returning the verdicts and the fresh-measurement count — the
 // ground truth the server's counters are compared against.
 func countMeasurements(t *testing.T, layers []autotune.NetworkLayer, opts autotune.NetworkOptions) ([]autotune.LayerVerdict, int64) {
 	t.Helper()
 	var n atomic.Int64
-	opts.Tune.OnMeasure = func() { n.Add(1) }
+	opts.Tune.OnEvent = func(e autotune.Event) {
+		if e == autotune.EventMeasure {
+			n.Add(1)
+		}
+	}
 	verdicts, err := autotune.TuneNetwork(testArch, layers, autotune.NewCache(), opts)
 	if err != nil {
 		t.Fatal(err)

@@ -138,15 +138,16 @@ func (d NetworkDescription) Validate() error {
 		if o.Budget < 0 || o.Budget > MaxRequestBudget {
 			return fmt.Errorf("repro: network description: budget %d outside [0, %d]", o.Budget, MaxRequestBudget)
 		}
-		if _, err := parseKinds(o.Kinds); err != nil {
+		if _, err := ParseKinds(o.Kinds); err != nil {
 			return fmt.Errorf("repro: network description: %w", err)
 		}
 	}
 	return nil
 }
 
-// parseKinds validates a wire kind list against the engine's registry.
-func parseKinds(names []string) ([]Kind, error) {
+// ParseKinds converts a wire kind list to engine kinds, rejecting names the
+// registry does not know.
+func ParseKinds(names []string) ([]Kind, error) {
 	if len(names) == 0 {
 		return nil, nil
 	}
