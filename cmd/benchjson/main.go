@@ -40,8 +40,10 @@ type row struct {
 // overhead pair (the bound-guided loop vs its pre-rework baseline, and the
 // incremental vs from-scratch cost-model refit), and the measurement-free
 // analytic verdict the daemon degrades to (scan = cold per-space enumeration,
-// serve = the memoized steady state, which must stay well under 1ms/network).
-const defaultBench = "BenchmarkMeasureDry|BenchmarkDirectTiledWet|BenchmarkWinogradFusedWet|BenchmarkTuneNetwork|BenchmarkTuneNetworkWarm|BenchmarkTuneNetworkMixedKinds|BenchmarkTuneResume|BenchmarkCacheKey|BenchmarkBlockedConvShape|BenchmarkTuneEngine|BenchmarkTrainGBTIncremental|BenchmarkAnalyticVerdict"
+// serve = the memoized steady state, which must stay well under 1ms/network),
+// and the daemon's fully cached request (ServeHit: the serve path's latency
+// budget, against a zoo-sized and a larger cache).
+const defaultBench = "BenchmarkMeasureDry|BenchmarkDirectTiledWet|BenchmarkWinogradFusedWet|BenchmarkTuneNetwork|BenchmarkTuneNetworkWarm|BenchmarkTuneNetworkMixedKinds|BenchmarkTuneResume|BenchmarkCacheKey|BenchmarkBlockedConvShape|BenchmarkTuneEngine|BenchmarkTrainGBTIncremental|BenchmarkAnalyticVerdict|BenchmarkServeHit"
 
 // parseLine parses one `go test -bench` result line, e.g.
 //

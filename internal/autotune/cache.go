@@ -173,6 +173,11 @@ func (cc cachedConfig) config() conv.Config {
 	}
 }
 
+// verdict is the entry's tuning outcome in the engine's types.
+func (e CacheEntry) verdict() (conv.Config, Measurement) {
+	return e.Config.config(), Measurement{Seconds: e.Seconds, GFLOPS: e.GFLOPS}
+}
+
 // history decodes an entry's persisted rows into the engine's record type.
 func (e CacheEntry) history() []MeasuredConfig {
 	if len(e.Rows) == 0 {
@@ -352,7 +357,8 @@ func (c *Cache) Get(archName string, kind Kind, s shapes.ConvShape) (conv.Config
 	if !ok {
 		return conv.Config{}, Measurement{}, false
 	}
-	return e.Config.config(), Measurement{Seconds: e.Seconds, GFLOPS: e.GFLOPS}, true
+	cfg, m := e.verdict()
+	return cfg, m, true
 }
 
 // State retrieves a cached entry's persisted engine state: the measurement
@@ -713,8 +719,7 @@ func TuneCached(cache *Cache, sp *Space, measure Measurer, opts Options) (conv.C
 func TuneResumed(cache *Cache, sp *Space, measure Measurer, opts Options) (*Trace, error) {
 	opts = opts.normalized()
 	if e, ok := cache.Entry(sp.Arch.Name, sp.Kind, sp.Shape); ok {
-		hist, covered := resumeCoverage(e, opts.Budget)
-		if covered {
+		if resumeRemaining(e, opts.Budget) == 0 {
 			tr := &Trace{Method: "ate", Best: e.Config.config(),
 				BestM:        Measurement{Seconds: e.Seconds, GFLOPS: e.GFLOPS},
 				Curve:        append([]float64(nil), e.Curve...),
@@ -722,7 +727,7 @@ func TuneResumed(cache *Cache, sp *Space, measure Measurer, opts Options) (*Trac
 			tr.ConvergedAt = convergedAt(tr.Curve)
 			return tr, nil
 		}
-		opts = withHistory(opts, hist)
+		opts = withHistory(opts, e.history())
 	}
 	tr, err := Tune(sp, measure, opts)
 	if err != nil {
@@ -732,22 +737,38 @@ func TuneResumed(cache *Cache, sp *Space, measure Measurer, opts Options) (*Trac
 	return tr, nil
 }
 
-// resumeCoverage is the single resume-coverage predicate (shared by
-// TuneResumed and tuneShared so the CLI and network paths cannot drift):
-// a cached entry covers a resume request at budget when the persisted
-// search already ran with at least that budget — even if patience stopped
-// it early — or when the entry is verdict-only, leaving nothing to
-// continue from. Only an uncovered request pays for decoding the rows; the
-// returned history feeds the replay.
-func resumeCoverage(e CacheEntry, budget int) ([]MeasuredConfig, bool) {
-	persisted := e.Budget
-	if persisted < len(e.Rows) {
-		persisted = len(e.Rows) // entries from older files carry no budget
+// Covered is the one coverage predicate: does the cache alone answer a
+// search of (arch, kind, shape) at budget? It returns the entry found (zero
+// when the key is absent) and the measurements the search may still spend —
+// 0 when covered; the whole budget when the key is absent; with resume, the
+// budget beyond what a state-carrying entry persisted, which is what the
+// search then resumes for. Every search asks it before measuring
+// (tuneShared), the network probe asks it for each search of a request
+// (CachedNetwork), and the service's admission accounting sums it, so the
+// three cannot disagree on whether a request will measure.
+func (c *Cache) Covered(archName string, kind Kind, s shapes.ConvShape, budget int, resume bool) (CacheEntry, int) {
+	budget = max(budget, 1) // Options.normalized's floor
+	e, ok := c.Entry(archName, kind, s)
+	if !ok {
+		return CacheEntry{}, budget
 	}
-	if len(e.Rows) == 0 || budget <= persisted {
-		return nil, true
+	if resume {
+		return e, resumeRemaining(e, budget)
 	}
-	return e.history(), false
+	return e, 0
+}
+
+// resumeRemaining is the resume half of the predicate (shared with
+// TuneResumed, so the CLI and network paths cannot drift): a cached entry
+// covers a resume request at budget when the persisted search already ran
+// with at least that budget — even if patience stopped it early — or when
+// the entry is verdict-only, leaving nothing to continue from.
+func resumeRemaining(e CacheEntry, budget int) int {
+	if len(e.Rows) == 0 {
+		return 0
+	}
+	// Entries from older files carry no budget; their rows stand in.
+	return max(budget-max(e.Budget, len(e.Rows)), 0)
 }
 
 // withHistory installs a persisted measurement history as the warm-start
@@ -789,28 +810,22 @@ func convergedAt(curve []float64) int {
 // continues it.
 func tuneShared(ctx context.Context, cache *Cache, sp *Space, measure FallibleMeasurer, opts Options, resume bool) (conv.Config, Measurement, bool, []MeasuredConfig, bool, error) {
 	opts = opts.normalized()
-	// satisfied reports whether the cache alone answers this request. The
-	// persisted rows are decoded only on the resume path (where they decide
-	// coverage and feed the replay); a plain hit stays allocation-light and
-	// returns no history — the transfer pool reads the cache's state
-	// entries directly (prime), not this seam.
+	// satisfied asks the coverage predicate. The persisted rows are decoded
+	// only on the resume path (where they feed the replay); a plain hit stays
+	// allocation-light and returns no history — the transfer pool reads the
+	// cache's state entries directly (prime), not this seam.
 	var resumeHist []MeasuredConfig
-	satisfied := func() (conv.Config, Measurement, []MeasuredConfig, bool) {
-		e, ok := cache.Entry(sp.Arch.Name, sp.Kind, sp.Shape)
-		if !ok {
-			return conv.Config{}, Measurement{}, nil, false
+	satisfied := func() (conv.Config, Measurement, bool) {
+		e, remaining := cache.Covered(sp.Arch.Name, sp.Kind, sp.Shape, opts.Budget, resume)
+		if remaining > 0 {
+			resumeHist = e.history()
+			return conv.Config{}, Measurement{}, false
 		}
-		if resume {
-			hist, covered := resumeCoverage(e, opts.Budget)
-			if !covered {
-				resumeHist = hist
-				return conv.Config{}, Measurement{}, nil, false
-			}
-		}
-		return e.Config.config(), Measurement{Seconds: e.Seconds, GFLOPS: e.GFLOPS}, nil, true
+		cfg, m := e.verdict()
+		return cfg, m, true
 	}
-	if cfg, m, hist, ok := satisfied(); ok {
-		return cfg, m, true, hist, false, nil
+	if cfg, m, ok := satisfied(); ok {
+		return cfg, m, true, nil, false, nil
 	}
 	key := cacheKey(sp.Arch.Name, sp.Kind, sp.Shape)
 	cache.flightMu.Lock()
@@ -821,9 +836,9 @@ func tuneShared(ctx context.Context, cache *Cache, sp *Space, measure FallibleMe
 	}
 	// Re-check under the flight lock: a racing search may have completed —
 	// Put then delete its flight entry — between the check above and here.
-	if cfg, m, hist, ok := satisfied(); ok {
+	if cfg, m, ok := satisfied(); ok {
 		cache.flightMu.Unlock()
-		return cfg, m, true, hist, false, nil
+		return cfg, m, true, nil, false, nil
 	}
 	call := &flightCall{done: make(chan struct{})}
 	cache.flight[key] = call

@@ -316,6 +316,11 @@ func TuneNetworkContext(ctx context.Context, arch memsim.Arch, layers []NetworkL
 	if cache == nil {
 		cache = NewCache()
 	}
+	// A request the cache fully answers is a lookup, not a sweep: it returns
+	// here, before any space, measurer, transfer pool or worker exists.
+	if verdicts, ok := CachedNetwork(arch, layers, cache, opts); ok {
+		return verdicts, nil
+	}
 	workers := opts.Workers
 	if workers < 1 {
 		workers = runtime.GOMAXPROCS(0)
@@ -406,7 +411,51 @@ func TuneNetworkContext(ctx context.Context, arch memsim.Arch, layers []NetworkL
 		}
 		run(wave1, pool)
 	}
+	return chooseKinds(layers, tasks, tasksOf, opts)
+}
 
+// CachedNetwork answers a network request from the cache alone: ok reports
+// that every deduplicated (kind, shape) search the sweep would run is
+// already covered (Cache.Covered — the predicate each search itself asks
+// first), and the verdicts are then exactly what TuneNetworkContext returns
+// for the request, because it returns these. The cost is one lookup per
+// distinct search — independent of how much else the cache holds — and the
+// first uncovered search ends the probe. It is exported for callers that
+// must know "this request will measure nothing" before they queue, meter or
+// replicate it (the tuned daemon's serve path).
+func CachedNetwork(arch memsim.Arch, layers []NetworkLayer, cache *Cache, opts NetworkOptions) ([]LayerVerdict, bool) {
+	if cache == nil || len(layers) == 0 {
+		return nil, false
+	}
+	var tasks []*netTask
+	taskIdx := make(map[string]int)
+	tasksOf := make([][]int, len(layers))
+	for i, l := range layers {
+		for _, kind := range candidateKinds(l.Shape, opts) {
+			key := cacheKey(arch.Name, kind, l.Shape)
+			ti, seen := taskIdx[key]
+			if !seen {
+				e, remaining := cache.Covered(arch.Name, kind, l.Shape, opts.Tune.Budget, opts.Resume)
+				if remaining > 0 {
+					return nil, false
+				}
+				ti = len(tasks)
+				taskIdx[key] = ti
+				t := &netTask{kind: kind, shape: l.Shape, owner: i, shared: true}
+				t.cfg, t.m = e.verdict()
+				tasks = append(tasks, t)
+			}
+			tasksOf[i] = append(tasksOf[i], ti)
+		}
+	}
+	verdicts, err := chooseKinds(layers, tasks, tasksOf, opts)
+	return verdicts, err == nil
+}
+
+// chooseKinds is the per-layer kernel choice: among the finished searches of
+// each layer's candidate kinds (tasksOf[i], the mandatory Direct search
+// first) the best measured verdict wins, in layer order.
+func chooseKinds(layers []NetworkLayer, tasks []*netTask, tasksOf [][]int, opts NetworkOptions) ([]LayerVerdict, error) {
 	verdicts := make([]LayerVerdict, len(layers))
 	for i, l := range layers {
 		dt := tasks[tasksOf[i][0]] // the mandatory Direct search

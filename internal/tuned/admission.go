@@ -12,12 +12,14 @@ import "sync"
 
 // admission is the server's load-shedding gate. The unit of account is the
 // measurement: one tuning request is admitted with the worst-case number of
-// fresh measurements it can trigger (request.Cost: distinct not-yet-cached
-// search keys × per-layer budget), and releases that reservation when it
-// completes. A request that would push the in-flight total over the cap is
-// rejected — the HTTP layer turns that into 429 with a Retry-After — except
-// when the server is idle: a request too big for the cap alone still runs,
-// it just runs by itself.
+// fresh measurements it can trigger (request.Cost: per distinct search the
+// cache does not cover, the budget it has left to spend), and releases that
+// reservation when it completes. A request that would push the in-flight
+// total over the cap is rejected — the HTTP layer turns that into 429 with a
+// Retry-After — except when the server is idle: a request too big for the
+// cap alone still runs, it just runs by itself. Only requests that will
+// measure come here: one the cache fully answers is served before the gate
+// (serveTune), so it is never shed.
 type admission struct {
 	max int64 // 0 = unlimited
 

@@ -204,11 +204,14 @@ func (s *Server) handleClusterReplicate(w http.ResponseWriter, r *http.Request) 
 	writeJSON(w, http.StatusOK, map[string]int{"merged": len(entries)})
 }
 
-// replicateRequest ships the cache entries a just-served request produced
-// to the key's other owners, asynchronously — replication is off the client
-// response path. A push failing (after the client's own retries) marks the
-// peer down and parks the entries as hinted handoff for the rejoin replay.
-// No-op when standalone.
+// replicateRequest ships the cache entries a request's sweep produced to the
+// key's other owners, off the client response path: gathering the entries
+// copies slice headers, while encoding the envelope (engine state makes it
+// hundreds of KB) and pushing it happen on goroutines Close waits for. Only
+// a serve that ran a sweep calls it — a request answered from the cache
+// alone wrote nothing to ship. A push failing (after the client's own
+// retries) marks the peer down and parks the entries as hinted handoff for
+// the rejoin replay. No-op when standalone.
 func (s *Server) replicateRequest(req *request) {
 	c := s.cluster
 	if c == nil {
@@ -221,29 +224,44 @@ func (s *Server) replicateRequest(req *request) {
 		return
 	}
 	entries := req.Entries(s.cache)
-	envelope, err := autotune.EncodeEntries(entries)
-	if err != nil || len(entries) == 0 {
+	if len(entries) == 0 {
 		return
 	}
+	// Handoff parks the entries themselves, no envelope needed.
+	up := targets[:0]
 	for _, peer := range targets {
-		if !c.membership.Up(peer) {
+		if c.membership.Up(peer) {
+			up = append(up, peer)
+		} else {
 			c.handoff.Queue(peer, entries)
-			continue
 		}
-		c.pushWG.Add(1)
-		go func() {
-			defer c.pushWG.Done()
-			ctx, cancel := context.WithTimeout(context.Background(), pushTimeout)
-			defer cancel()
-			if err := c.client.Push(ctx, peer, envelope); err != nil {
-				s.count.pushFailures.Add(1)
-				c.membership.MarkDown(peer)
-				c.handoff.Queue(peer, entries)
-				return
-			}
-			s.count.pushedEntries.Add(int64(len(entries)))
-		}()
 	}
+	if len(up) == 0 {
+		return
+	}
+	c.pushWG.Add(1)
+	go func() {
+		defer c.pushWG.Done()
+		envelope, err := autotune.EncodeEntries(entries)
+		if err != nil {
+			return
+		}
+		for _, peer := range up {
+			c.pushWG.Add(1)
+			go func() {
+				defer c.pushWG.Done()
+				ctx, cancel := context.WithTimeout(context.Background(), pushTimeout)
+				defer cancel()
+				if err := c.client.Push(ctx, peer, envelope); err != nil {
+					s.count.pushFailures.Add(1)
+					c.membership.MarkDown(peer)
+					c.handoff.Queue(peer, entries)
+					return
+				}
+				s.count.pushedEntries.Add(int64(len(entries)))
+			}()
+		}
+	}()
 }
 
 // drainHandoff replays a rejoined peer's parked entries, batch by batch,

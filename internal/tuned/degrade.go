@@ -126,7 +126,7 @@ func (s *Server) refineOne(req *request) {
 	var cost int64
 	for {
 		if s.breaker.State() != autotune.BreakerOpen {
-			cost = req.Cost(s.cache)
+			cost = req.Cost(s)
 			if s.adm.acquire(cost) {
 				break
 			}

@@ -119,17 +119,16 @@ func (r *request) searches(visit func(autotune.Kind, shapes.ConvShape)) {
 	}
 }
 
-// Cost is the worst-case fresh-measurement count of the request: per
-// distinct search not already answered by the cache, one full per-layer
-// budget. Cached searches cost nothing — a replayed network passes
-// admission even under full load, which is exactly right: it triggers no
-// measurements — and extra kinds are accounted before they can run.
-func (r *request) Cost(cache *autotune.Cache) int64 {
+// Cost is the worst-case fresh-measurement count of the request on server
+// s: per distinct search, what the cache leaves it to spend
+// (autotune.Cache.Covered — a full per-layer budget when the key is absent,
+// the budget beyond the persisted one when the sweep will resume it, nothing
+// when it is covered). Extra kinds are accounted before they can run.
+func (r *request) Cost(s *Server) int64 {
 	var cost int64
 	r.searches(func(kind autotune.Kind, shape shapes.ConvShape) {
-		if _, _, ok := cache.Get(r.arch.Name, kind, shape); !ok {
-			cost += int64(r.tune.Budget)
-		}
+		_, remaining := s.cache.Covered(r.arch.Name, kind, shape, r.tune.Budget, s.cfg.Resume)
+		cost += int64(remaining)
 	})
 	return cost
 }
@@ -149,13 +148,20 @@ func (r *request) Entries(cache *autotune.Cache) []autotune.CacheEntry {
 	return out
 }
 
-// NetworkOptions assembles the request's sweep options on server s; with
-// any degradation trigger configured the sweep gets the analytic fallback,
-// so a layer whose search dies still answers.
+// sweepOptions is the request's sweep options short of the measurer seam and
+// the analytic fallback: what is searched, how, and what counts as covered —
+// all a sweep that turns out to measure nothing (the cache probe) reads.
+func (r *request) sweepOptions(s *Server) autotune.NetworkOptions {
+	return autotune.NetworkOptions{Tune: r.tune, Workers: s.cfg.LayerWorkers,
+		Winograd: r.winograd, Kinds: r.kinds, Warm: s.cfg.Warm, Resume: s.cfg.Resume}
+}
+
+// NetworkOptions completes sweepOptions for a sweep that will measure: the
+// measurer seam and, with any degradation trigger configured, the analytic
+// fallback, so a layer whose search dies still answers.
 func (r *request) NetworkOptions(s *Server) autotune.NetworkOptions {
-	no := autotune.NetworkOptions{Tune: r.tune, Workers: s.cfg.LayerWorkers,
-		Winograd: r.winograd, Kinds: r.kinds, Warm: s.cfg.Warm, Resume: s.cfg.Resume,
-		WrapMeasurer: s.wrapMeasurer()}
+	no := r.sweepOptions(s)
+	no.WrapMeasurer = s.wrapMeasurer()
 	if s.degraded {
 		no.AnalyticFallback = true
 		no.AnalyticCalibration = s.analyticFor(r.arch).Calibration()

@@ -394,8 +394,8 @@ func (s *Server) readRequest(w http.ResponseWriter, r *http.Request, parse func(
 }
 
 // handleTune is POST /v1/tune: decode and validate the network
-// description, route it to its owning replica when clustered, pass
-// admission, join the current batch, answer with the verdicts.
+// description, route it to its owning replica when clustered, and serve it
+// there (serveTune).
 func (s *Server) handleTune(w http.ResponseWriter, r *http.Request) {
 	req := s.readRequest(w, r, repro.ParseNetworkDescription)
 	if req == nil {
@@ -406,11 +406,23 @@ func (s *Server) handleTune(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// serveTune answers one request from this replica: the breaker check, the
-// admission gate, the batched sweep, the response. It is the local half of
-// the routing seam — both client requests this replica owns and requests
-// peers forward land here.
+// serveTune answers one request from this replica, in this order: the cache
+// probe, the breaker check, the admission gate, the batched sweep. It is the
+// local half of the routing seam — both client requests this replica owns
+// and requests peers forward land here.
 func (s *Server) serveTune(w http.ResponseWriter, req *request) {
+	// A request the cache fully answers is served inline. It measures
+	// nothing, so there is nothing to admit, nothing a batch could share with
+	// it (it dedups against no search, and the transfer pool is primed from
+	// the cache, not from it), nothing an open breaker protects it from, and
+	// — having written no entry — nothing to replicate.
+	if verdicts, ok := autotune.CachedNetwork(req.arch, req.layers, s.cache, req.sweepOptions(s)); ok {
+		s.count.requests.Add(1)
+		s.markTiers(req.arch.Name, verdicts)
+		s.respond(w, req, verdicts)
+		return
+	}
+
 	// Degradation trigger: a tripped breaker means a measured search could
 	// only burn its budget on fast-fails, so answer instantly from the
 	// analytic tier and let the refinement queue (and the next half-open
@@ -420,7 +432,7 @@ func (s *Server) serveTune(w http.ResponseWriter, req *request) {
 		return
 	}
 
-	cost := req.Cost(s.cache)
+	cost := req.Cost(s)
 	if !s.adm.acquire(cost) {
 		if s.cfg.AnalyticOverflow {
 			// Degradation trigger: overload. Instead of shedding with 429,

@@ -404,9 +404,11 @@ func TestServerAdmissionControl(t *testing.T) {
 	}
 }
 
-// Cached keys cost no admission budget: a request the cache already
-// answers passes even while the budget is fully consumed — it triggers no
-// measurements, so there is nothing to shed.
+// A request the cache already answers is never shed or downgraded, whatever
+// the admission gate holds — it triggers no measurements, so there is nothing
+// to shed. The reservation here is the documented "oversized request admitted
+// alone" state (in flight beyond the cap), where a gate asked to admit even a
+// zero-cost request says no.
 func TestServerAdmissionCachedRequestIsFree(t *testing.T) {
 	opts := tinyOpts(8, 3)
 	srv, ts := newTestServer(t, Config{Tune: opts, Winograd: false, MaxInflight: 8})
@@ -414,14 +416,18 @@ func TestServerAdmissionCachedRequestIsFree(t *testing.T) {
 	if _, status := postTune(t, ts.URL, desc); status != http.StatusOK {
 		t.Fatalf("cold request: status %d", status)
 	}
-	// Occupy the whole budget, then re-request the cached network: cost 0,
-	// admitted anyway.
-	if !srv.adm.acquire(8) {
+	if !srv.adm.acquire(9) {
 		t.Fatal("could not reserve the idle budget")
 	}
-	defer srv.adm.release(8)
-	if _, status := postTune(t, ts.URL, desc); status != http.StatusOK {
-		t.Fatalf("cached request under full budget: status %d, want 200", status)
+	defer srv.adm.release(9)
+	resp, status := postTune(t, ts.URL, desc)
+	if status != http.StatusOK {
+		t.Fatalf("cached request under an over-full budget: status %d, want 200", status)
+	}
+	for _, v := range resp.Verdicts {
+		if v.Tier != "measured" {
+			t.Errorf("cached layer %s answered with tier %q, want the measured verdict it holds", v.Layer, v.Tier)
+		}
 	}
 }
 
