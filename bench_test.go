@@ -456,10 +456,11 @@ func BenchmarkTuneNetworkWarm(b *testing.B) {
 func BenchmarkAnalyticVerdict(b *testing.B) {
 	arch := memsim.V100
 	layers := models.ResNet18().NetworkLayers()
+	kinds := []autotune.Kind{autotune.Winograd}
 	b.Run("scan", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := autotune.NewAnalyticDSE(arch).Network(layers, true); err != nil {
+			if _, err := autotune.NewAnalyticDSE(arch).NetworkKinds(layers, kinds); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -467,13 +468,13 @@ func BenchmarkAnalyticVerdict(b *testing.B) {
 	b.Run("serve", func(b *testing.B) {
 		b.ReportAllocs()
 		dse := autotune.NewAnalyticDSE(arch)
-		verdicts, err := dse.Network(layers, true)
+		verdicts, err := dse.NetworkKinds(layers, kinds)
 		if err != nil {
 			b.Fatal(err)
 		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := dse.Network(layers, true); err != nil {
+			if _, err := dse.NetworkKinds(layers, kinds); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -124,10 +124,15 @@ func main() {
 	fmt.Printf("best config: %v\n", trace.Best)
 	fmt.Printf("simulated:   %.3gs (%.0f GFLOP/s)\n", trace.BestM.Seconds, trace.BestM.GFLOPS)
 
-	// Roofline diagnosis of the winner.
-	res, err := repro.MeasureKind(arch, s, kind, trace.Best)
-	if err == nil {
-		fmt.Printf("diagnosis:   %v\n\n", arch.Explain(res.Counts, res.Launch))
+	// Roofline diagnosis of the winner's tunable launch; a kind with fixed
+	// launches beside it (the FFT transforms) reports their exact cost, so
+	// the two lines add up to the simulated time above.
+	if counts, launch, fixed, err := kind.Phase(arch, s, trace.Best); err == nil {
+		fmt.Printf("diagnosis:   %v\n", arch.Explain(counts, launch))
+		if fixed > 0 {
+			fmt.Printf("             + %.3gs in fixed launches (not tunable)\n", fixed)
+		}
+		fmt.Println()
 	}
 
 	lib, err := repro.MeasureLibraryDirect(arch, s)
@@ -171,11 +176,7 @@ func main() {
 // actual measured time and the winner's regret against the tuned best.
 // This is what a degraded tuned daemon would have answered for this layer.
 func printAnalytic(arch repro.Arch, s repro.Shape, kind autotune.Kind, cache *autotune.Cache, trace *repro.TuneTrace) {
-	e := 0
-	if kind == autotune.Winograd {
-		e = 2
-	}
-	sp, err := autotune.NewSpace(s, arch, kind, e, true)
+	sp, err := autotune.NewSpace(s, arch, kind, 0, true)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "analytic: %v\n", err)
 		return

@@ -4,12 +4,12 @@
 //	tuned -addr :9911 -state tuned.cache -resume
 //
 // Clients POST a JSON network description to /v1/tune and get per-layer
-// verdicts back; GET /v1/bench serves the benchmark trajectory,
-// GET /healthz the cache and admission counters, and GET /metrics the
-// same observability as a Prometheus text exposition. Identical in-flight
-// requests collapse into one search, concurrent distinct networks merge
-// into one transfer pool, and SIGTERM flushes the cache (verdicts plus
-// engine state) to -state so the next boot replays instead of re-tuning.
+// verdicts back; GET /healthz serves the cache and admission counters and
+// GET /metrics the same observability as a Prometheus text exposition.
+// Identical in-flight requests collapse into one search, concurrent
+// distinct networks merge into one transfer pool, and SIGTERM flushes the
+// cache (verdicts plus engine state) to -state so the next boot replays
+// instead of re-tuning.
 package main
 
 import (
@@ -38,7 +38,6 @@ func main() {
 	flag.IntVar(&f.cacheEntries, "cache-entries", 0, "max cached search keys before LRU eviction (0 = unlimited)")
 	flag.Int64Var(&f.cacheBytes, "cache-bytes", 0, "approximate max cache size in bytes before LRU eviction (0 = unlimited)")
 	flag.DurationVar(&f.cacheTTL, "cache-ttl", 0, "expire cache entries unused for this long (0 = never)")
-	bench := flag.String("bench", "BENCH_autotune.json", "benchmark trajectory JSON served at /v1/bench")
 	flag.IntVar(&f.budget, "budget", 0, "default per-layer measurement budget (0 = engine default)")
 	flag.Int64Var(&f.seed, "seed", 0, "default engine seed")
 	flag.IntVar(&f.workers, "workers", 0, "measurement workers per search (0 = GOMAXPROCS)")
@@ -102,7 +101,6 @@ func main() {
 		RequestTimeout: f.requestTimeout,
 		Chaos: chaos.Config{Seed: *chaosSeed, FailRate: f.chaosFailRate,
 			MaxConsecutive: f.chaosMaxConsecutive},
-		BenchPath:        *bench,
 		AnalyticOverflow: *analyticOverflow,
 		Breaker: autotune.BreakerConfig{Threshold: f.breakerThreshold,
 			Window: f.breakerWindow, Cooldown: f.breakerCooldown, Probes: f.breakerProbes},

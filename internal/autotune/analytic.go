@@ -111,42 +111,16 @@ func (sp *Space) analyticScan() {
 // efficiency) and t_compute from its actual flops (≥ the arithmetic floor
 // at the same latency-hiding factor), so
 //
-//	sched + max(Q·4B/(bandwidth·eff), flopsFloor/(peak·hide))
+//	sched + max(Q·4B/(bandwidth·eff), arith/(peak·hide))
 //
 // never exceeds a measurement — it stays admissible — while ranking the
 // space far better than the occupancy-blind bound alone: a tiny-block
 // config with low I/O but terrible latency hiding floats to the top of the
 // raw bound and sinks here, exactly as it does on the device model.
 func (sp *Space) analyticFloor(c conv.Config) float64 {
-	if c.TileX < 1 || c.TileY < 1 || c.TileZ < 1 || c.SharedPerBlock < 1 ||
-		c.ThreadsX < 1 || c.ThreadsY < 1 || c.ThreadsZ < 1 {
-		return 0
-	}
-	var l memsim.Launch
-	switch sp.Kind {
-	case Winograd:
-		if c.WinogradE < 2 {
-			return 0
-		}
-		l = conv.WinogradFusedLaunch(sp.Shape, c)
-	case FFT:
-		lh, lw := conv.FFTGrid(sp.Shape)
-		cpg := sp.Shape.Cout / sp.Shape.G()
-		if lw%c.TileX != 0 || lh%c.TileY != 0 || c.TileZ > cpg || cpg%c.TileZ != 0 {
-			return 0
-		}
-		l = conv.FFTTiledLaunch(sp.Shape, c)
-	case ImplicitGEMM:
-		l = conv.IGEMMTiledLaunch(sp.Shape, c)
-	default:
-		l = conv.DirectTiledLaunch(sp.Shape, c)
-	}
-	if l.Blocks < 1 || l.ThreadsPerBlock < 1 {
-		return 0
-	}
-	sched, resident := sp.Arch.ScheduleCost(l)
-	if resident == 0 {
-		return math.Inf(1)
+	l, sched, resident, ok := sp.launchFloor(c)
+	if !ok {
+		return sched
 	}
 	// hide and eff mirror memsim.Arch.Time exactly; recomputing them from
 	// the same launch keeps the floor admissible term by term.
@@ -166,49 +140,20 @@ func (sp *Space) analyticFloor(c conv.Config) float64 {
 	if eff <= 0 || eff > 1 {
 		eff = 1
 	}
-	tGlobal := sp.boundIO(c.SharedPerBlock, c.WinogradE) * 4 / (sp.Arch.BandwidthGBs * 1e9 * eff)
-	flops := sp.flopsFloor
-	switch sp.Kind {
-	case Winograd:
-		flops = sp.winoFlopsFloor(c.WinogradE)
-	case FFT:
-		flops = sp.fftP3Flops
-	}
-	tCompute := flops / (sp.Arch.PeakGFLOPS * 1e9 * hide)
-	t := sched + math.Max(tGlobal, tCompute)
-	if sp.Kind == FFT {
-		// The transform phases are costed exactly, so they join the floor as
-		// a constant — still admissible, since every FFT measurement pays
-		// exactly this on top of its phase-3 time.
-		t += sp.fftFixedSec
-	}
-	return t
+	ft := sp.floorTerms(c.SharedPerBlock, c.WinogradE)
+	tGlobal := ft.q * 4 / (sp.Arch.BandwidthGBs * 1e9 * eff)
+	tCompute := ft.arith / (sp.Arch.PeakGFLOPS * 1e9 * hide)
+	// Fixed launches are costed exactly, so they join the floor as a
+	// constant — still admissible, since every measurement pays exactly
+	// this on top of its tunable launch.
+	return sched + math.Max(tGlobal, tCompute) + sp.fixedSec
 }
 
-// winoFlopsFloor lower-bounds the fused Winograd kernel's arithmetic for
-// output tile edge e: the element-wise Π accumulation alone is 2·α² flops
-// per (input channel, output channel, output sub-tile) with α = e+r-1, and
-// any tiling covers at least ceil(out/e) sub-tiles per axis — the
-// transforms only add to it.
-func (sp *Space) winoFlopsFloor(e int) float64 {
-	s := sp.Shape
-	alpha := float64(e + s.Hker - 1)
-	subs := float64((s.Wout()+e-1)/e) * float64((s.Hout()+e-1)/e)
-	return 2 * alpha * alpha * subs * float64(s.Batch) * float64(s.Cin) * float64(s.Cout)
-}
-
-// measurable mirrors the validation the Dry evaluators (and MemoMeasure)
-// apply, so an analytic winner is never a config measurement would reject.
+// measurable applies the validation the Dry evaluators and MemoMeasure
+// apply (the same row field MemoMeasure calls), so an analytic winner is
+// never a config measurement would reject.
 func (sp *Space) measurable(c conv.Config) bool {
-	switch sp.Kind {
-	case Winograd:
-		return c.ValidateWinograd(sp.Shape, sp.Arch) == nil
-	case FFT:
-		return c.ValidateFFT(sp.Shape, sp.Arch) == nil
-	case ImplicitGEMM:
-		return c.ValidateIGEMM(sp.Shape, sp.Arch) == nil
-	}
-	return c.ValidateDirect(sp.Shape, sp.Arch) == nil
+	return sp.row.validate(c, sp.Shape, sp.Arch) == nil
 }
 
 // Analytic returns the space's best configuration by the bound-derived
@@ -247,7 +192,7 @@ func (sp *Space) AnalyticTop(k int, calibration float64) ([]AnalyticVerdict, err
 			Config:  s.cfg,
 			Floor:   s.cost,
 			Seconds: sec,
-			GFLOPS:  sp.flopsFloor / sec / 1e9,
+			GFLOPS:  sp.flops / sec / 1e9,
 			Ranked:  sp.anRanked,
 		})
 	}
@@ -283,7 +228,7 @@ func CalibrateAnalytic(cache *Cache, arch memsim.Arch) float64 {
 		if err != nil {
 			continue
 		}
-		sp, err := NewSpace(e.Shape.shape(), arch, kind, winogradDefaultE(kind), true)
+		sp, err := NewSpace(e.Shape.shape(), arch, kind, 0, true)
 		if err != nil {
 			continue
 		}
@@ -368,7 +313,7 @@ func (a *AnalyticDSE) space(kind Kind, s shapes.ConvShape) (*Space, error) {
 	if sp != nil {
 		return sp, nil
 	}
-	sp, err := NewSpace(s, a.arch, kind, winogradDefaultE(kind), true)
+	sp, err := NewSpace(s, a.arch, kind, 0, true)
 	if err != nil {
 		return nil, err
 	}
@@ -389,17 +334,6 @@ func (a *AnalyticDSE) Layer(kind Kind, s shapes.ConvShape) (AnalyticVerdict, err
 		return AnalyticVerdict{}, err
 	}
 	return sp.Analytic(a.Calibration())
-}
-
-// Network is the measurement-free analog of TuneNetwork for the classic
-// direct-vs-Winograd choice; NetworkKinds generalizes it to any candidate
-// kind set.
-func (a *AnalyticDSE) Network(layers []NetworkLayer, winograd bool) ([]LayerVerdict, error) {
-	var kinds []Kind
-	if winograd {
-		kinds = []Kind{Winograd}
-	}
-	return a.NetworkKinds(layers, kinds)
 }
 
 // NetworkKinds is the measurement-free analog of TuneNetwork with per-layer

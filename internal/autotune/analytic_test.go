@@ -214,7 +214,7 @@ func TestAnalyticDSENetwork(t *testing.T) {
 	layers := randomNetwork(rng)
 	run := func() []LayerVerdict {
 		t.Helper()
-		verdicts, err := NewAnalyticDSE(arch).Network(layers, true)
+		verdicts, err := NewAnalyticDSE(arch).NetworkKinds(layers, []Kind{Winograd})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -784,11 +784,14 @@ func withHistory(opts Options, hist []MeasuredConfig) Options {
 }
 
 // convergedAt recovers the 1-based index of the last improvement from a
-// best-so-far curve.
+// best-so-far curve. The curve holds the incumbent's GFLOP/s, and the
+// incumbent is chosen by seconds: where a kind's flop count depends on the
+// configuration (Winograd's tile edge), a faster incumbent can lower the
+// curve — so any move marks an improvement, not only a rise.
 func convergedAt(curve []float64) int {
 	at := 0
 	for i, v := range curve {
-		if i == 0 || v > curve[i-1] {
+		if i == 0 || v != curve[i-1] {
 			at = i + 1
 		}
 	}

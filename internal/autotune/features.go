@@ -22,34 +22,16 @@ func (sp *Space) Features(c conv.Config) []float64 {
 // buffers (dst[:0]) so per-candidate featurization allocates nothing.
 func (sp *Space) FeaturesInto(dst []float64, c conv.Config) []float64 {
 	s := sp.Shape
-	r := s.R()
-	if sp.Kind == Winograd {
-		r = float64(s.Hker * s.Hker)
-	}
+	r := sp.reuse
 	vol := float64(c.TileX * c.TileY * c.TileZ)
-	outW, outH := s.Wout(), s.Hout()
-	if sp.Kind == FFT {
-		// The FFT phase-3 grid is the padded power-of-two frequency plane,
-		// not the spatial output — feature geometry follows what the blocks
-		// actually tile.
-		lh, lw := conv.FFTGrid(s)
-		outW, outH = lw, lh
-	}
+	// Feature geometry follows the plane the blocks actually tile (for FFT
+	// the padded frequency grid, not the spatial output).
+	outH, outW := sp.row.plane(s)
 	blocksX := math.Ceil(float64(outW) / float64(c.TileX))
 	blocksY := math.Ceil(float64(outH) / float64(c.TileY))
 	blocksZ := math.Ceil(float64(s.Cout) / float64(c.TileZ))
 	blocks := blocksX * blocksY * blocksZ * float64(s.Batch)
-	var need int
-	switch sp.Kind {
-	case Winograd:
-		need = conv.WinogradSharedNeed(s, c)
-	case FFT:
-		need = conv.FFTSharedNeed(c)
-	case ImplicitGEMM:
-		need = conv.IGEMMSharedNeed(s, c)
-	default:
-		need = conv.DirectSharedNeed(s, c)
-	}
+	need := sp.row.sharedNeed(s, c)
 	return append(dst,
 		log2(float64(c.TileX)),
 		log2(float64(c.TileY)),

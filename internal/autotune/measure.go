@@ -47,13 +47,13 @@ type measEntry struct {
 type MemoMeasure struct {
 	arch     memsim.Arch
 	s        shapes.ConvShape
-	kind     Kind
-	shapeErr error // non-nil when the shape itself is invalid
+	row      *kindSpec // the kind's row of kindTable, resolved once
+	shapeErr error     // non-nil when the shape itself is invalid
 
-	// fixedSec/fixedFlops are the FFT pipeline's config-independent
-	// transform-phase cost (FFT kind only), computed once at construction;
-	// each measurement adds them so results stay bit-identical to
-	// conv.DryFFTTiled.
+	// fixedSec/fixedFlops are the cost of the row's fixed launches (the FFT
+	// pipeline's transform phases; zero for a single-launch dataflow),
+	// computed once at construction; each measurement adds them so results
+	// stay bit-identical to the row's dry evaluator.
 	fixedSec   float64
 	fixedFlops int64
 
@@ -66,12 +66,12 @@ type MemoMeasure struct {
 // shared by every strategy and worker tuning the same triple — the executor
 // calls Measure concurrently when Options.Workers > 1.
 func NewMemoMeasure(arch memsim.Arch, s shapes.ConvShape, kind Kind) *MemoMeasure {
-	mm := &MemoMeasure{arch: arch, s: s, kind: kind,
+	mm := &MemoMeasure{arch: arch, s: s, row: kind.spec(),
 		shapeErr: s.Validate(),
 		memo:     make(map[countsKey]countsEntry),
 		full:     make(map[conv.Config]measEntry)}
-	if kind == FFT && mm.shapeErr == nil {
-		mm.fixedSec, mm.fixedFlops = conv.FFTFixedCost(arch, s)
+	if mm.row.fixed != nil && mm.shapeErr == nil {
+		mm.fixedSec, mm.fixedFlops = mm.row.fixed(arch, s)
 	}
 	return mm
 }
@@ -101,28 +101,10 @@ func (mm *MemoMeasure) Measure(c conv.Config) (Measurement, bool) {
 // fetch (or compute) the tile's counts, rebuild the launch and run the time
 // model. Results are bit-identical to the unmemoized evaluators.
 func (mm *MemoMeasure) measureCold(c conv.Config) (Measurement, bool) {
-	// Validation mirrors the Dry evaluators exactly; a config they reject
-	// is rejected here before any counts are computed.
-	if mm.shapeErr != nil {
+	// Validation is the Dry evaluators' own; a config they reject is rejected
+	// here before any counts are computed.
+	if mm.shapeErr != nil || mm.row.validate(c, mm.s, mm.arch) != nil {
 		return Measurement{}, false
-	}
-	switch mm.kind {
-	case Winograd:
-		if err := c.ValidateWinograd(mm.s, mm.arch); err != nil {
-			return Measurement{}, false
-		}
-	case FFT:
-		if err := c.ValidateFFT(mm.s, mm.arch); err != nil {
-			return Measurement{}, false
-		}
-	case ImplicitGEMM:
-		if err := c.ValidateIGEMM(mm.s, mm.arch); err != nil {
-			return Measurement{}, false
-		}
-	default:
-		if err := c.ValidateDirect(mm.s, mm.arch); err != nil {
-			return Measurement{}, false
-		}
 	}
 
 	key := countsKey{x: c.TileX, y: c.TileY, z: c.TileZ, e: c.WinogradE}
@@ -130,7 +112,8 @@ func (mm *MemoMeasure) measureCold(c conv.Config) (Measurement, bool) {
 	ent, hit := mm.memo[key]
 	mm.mu.RUnlock()
 	if !hit {
-		ent = mm.compute(c)
+		counts, err := mm.row.counts(mm.s, c)
+		ent = countsEntry{counts: counts, ok: err == nil}
 		mm.mu.Lock()
 		mm.memo[key] = ent
 		mm.mu.Unlock()
@@ -139,42 +122,16 @@ func (mm *MemoMeasure) measureCold(c conv.Config) (Measurement, bool) {
 		return Measurement{}, false
 	}
 
-	var l memsim.Launch
-	switch mm.kind {
-	case Winograd:
-		l = conv.WinogradFusedLaunch(mm.s, c)
-	case FFT:
-		l = conv.FFTTiledLaunch(mm.s, c)
-	case ImplicitGEMM:
-		l = conv.IGEMMTiledLaunch(mm.s, c)
-	default:
-		l = conv.DirectTiledLaunch(mm.s, c)
-	}
+	l := mm.row.launch(mm.s, c)
 	seconds := mm.fixedSec + mm.arch.Time(ent.counts, l)
 	if math.IsInf(seconds, 1) {
 		return Measurement{}, false
 	}
 	// GFLOPS = Flops/seconds/1e9, exactly what arch.GFLOPS computes from
-	// the same finite Time — without running the time model twice. For FFT
-	// the fixed transform phases join both terms, matching conv.DryFFTTiled.
+	// the same finite Time — without running the time model twice. Fixed
+	// launches join both terms, matching conv.DryFFTTiled.
 	flops := ent.counts.Flops + mm.fixedFlops
 	return Measurement{Seconds: seconds, GFLOPS: float64(flops) / seconds / 1e9}, true
-}
-
-func (mm *MemoMeasure) compute(c conv.Config) countsEntry {
-	switch mm.kind {
-	case Winograd:
-		counts, err := conv.WinogradFusedCounts(mm.s, c)
-		if err != nil {
-			return countsEntry{}
-		}
-		return countsEntry{counts: counts, ok: true}
-	case FFT:
-		return countsEntry{counts: conv.FFTTiledCounts(mm.s, c), ok: true}
-	case ImplicitGEMM:
-		return countsEntry{counts: conv.IGEMMTiledCounts(mm.s, c), ok: true}
-	}
-	return countsEntry{counts: conv.DirectTiledCounts(mm.s, c), ok: true}
 }
 
 // Len reports how many distinct tile keys have been evaluated — a

@@ -11,17 +11,13 @@ import (
 	"repro/internal/shapes"
 )
 
-// unmemoizedMeasurer is the pre-memo measurement path: one full dry
-// evaluation per call. The memo must reproduce it bit-exactly.
+// unmemoizedMeasurer is the pre-memo measurement path: one full evaluation
+// by the kind's conv reference evaluator (the row's dry) per call. The memo
+// must reproduce it bit-exactly — which also catches a mis-assembled row,
+// a dry that does not match its validate/counts/launch.
 func unmemoizedMeasurer(arch memsim.Arch, s shapes.ConvShape, kind Kind) Measurer {
 	return func(c conv.Config) (Measurement, bool) {
-		var res conv.Result
-		var err error
-		if kind == Winograd {
-			res, err = conv.DryWinogradFused(arch, s, c)
-		} else {
-			res, err = conv.DryDirectTiled(arch, s, c)
-		}
+		res, err := kind.spec().dry(arch, s, c)
 		if err != nil || math.IsInf(res.Seconds, 1) {
 			return Measurement{}, false
 		}
@@ -59,7 +55,10 @@ func testConfigs(t *testing.T, sp *Space, n int, seed int64) []conv.Config {
 
 // The memoized measurer must be bit-identical to the unmemoized dry path on
 // every config — valid or not — across kinds, layouts and architectures,
-// including re-evaluations served from the memo.
+// including re-evaluations served from the memo. The benchmark's oracle
+// relies on exactly this: it re-measures served verdicts through Kind.Dry.
+// Kind.Phase must decompose the same number: fixed launches plus the time
+// model on the tunable launch is the dry evaluator's Seconds.
 func TestMemoMeasureMatchesUnmemoized(t *testing.T) {
 	cases := []struct {
 		arch memsim.Arch
@@ -71,6 +70,14 @@ func TestMemoMeasureMatchesUnmemoized(t *testing.T) {
 		{memsim.GTX1080Ti, shapes.ConvShape{Batch: 2, Cin: 8, Hin: 27, Win: 27, Cout: 24, Hker: 5, Wker: 5, Strid: 2, Pad: 2}, Direct, 0},
 		{memsim.V100, shapes.ConvShape{Batch: 1, Cin: 16, Hin: 28, Win: 28, Cout: 32, Hker: 3, Wker: 3, Strid: 1, Pad: 1}, Winograd, 2},
 		{memsim.GFX906, shapes.ConvShape{Batch: 1, Cin: 4, Hin: 13, Win: 13, Cout: 8, Hker: 3, Wker: 3, Strid: 1}, Winograd, 2},
+		{memsim.V100, shapes.ConvShape{Batch: 1, Cin: 16, Hin: 28, Win: 28, Cout: 32, Hker: 3, Wker: 3, Strid: 1, Pad: 1}, FFT, 0},
+		{memsim.GTX1080Ti, shapes.ConvShape{Batch: 2, Cin: 8, Hin: 27, Win: 27, Cout: 24, Hker: 5, Wker: 5, Strid: 1, Pad: 2}, FFT, 0},
+		{memsim.V100, shapes.ConvShape{Batch: 1, Cin: 16, Hin: 28, Win: 28, Cout: 32, Hker: 3, Wker: 3, Strid: 1, Pad: 1}, ImplicitGEMM, 0},
+		{memsim.GFX906, shapes.ConvShape{Batch: 2, Cin: 8, Hin: 27, Win: 27, Cout: 24, Hker: 5, Wker: 5, Strid: 2, Pad: 2}, ImplicitGEMM, 0},
+		// Depthwise: the channel axes, counts and FFT fixed phases are per group.
+		{memsim.V100, shapes.ConvShape{Batch: 1, Cin: 32, Hin: 14, Win: 14, Cout: 32, Hker: 3, Wker: 3, Strid: 1, Pad: 1, Groups: 32}, Direct, 0},
+		{memsim.V100, shapes.ConvShape{Batch: 1, Cin: 32, Hin: 14, Win: 14, Cout: 32, Hker: 3, Wker: 3, Strid: 1, Pad: 1, Groups: 32}, FFT, 0},
+		{memsim.V100, shapes.ConvShape{Batch: 1, Cin: 32, Hin: 14, Win: 14, Cout: 32, Hker: 3, Wker: 3, Strid: 1, Pad: 1, Groups: 32}, ImplicitGEMM, 0},
 	}
 	for _, tc := range cases {
 		sp, err := NewSpace(tc.s, tc.arch, tc.kind, tc.e, true)
@@ -88,6 +95,13 @@ func TestMemoMeasureMatchesUnmemoized(t *testing.T) {
 				if gok != wok || gm != wm {
 					t.Fatalf("%s %v pass %d %v: memo (%v, %v) != raw (%v, %v)",
 						tc.arch.Name, tc.kind, pass, c, gm, gok, wm, wok)
+				}
+				counts, l, fixed, err := tc.kind.Phase(tc.arch, tc.s, c)
+				if dry, derr := tc.kind.Dry(tc.arch, tc.s, c); (err == nil) != (derr == nil) {
+					t.Fatalf("%s %v %v: Phase error %v, Dry error %v", tc.arch.Name, tc.kind, c, err, derr)
+				} else if err == nil && fixed+tc.arch.Time(counts, l) != dry.Seconds {
+					t.Fatalf("%s %v %v: fixed %v + tunable %v != dry %v",
+						tc.arch.Name, tc.kind, c, fixed, tc.arch.Time(counts, l), dry.Seconds)
 				}
 			}
 		}

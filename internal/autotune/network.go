@@ -228,7 +228,7 @@ func (p *transferPool) prime(cache *Cache, arch memsim.Arch) {
 			continue // Load validated these; be defensive anyway
 		}
 		s := e.Shape.shape()
-		sp, err := NewSpace(s, arch, kind, winogradDefaultE(kind), true)
+		sp, err := NewSpace(s, arch, kind, 0, true)
 		if err != nil {
 			continue
 		}
@@ -247,20 +247,14 @@ func (p *transferPool) warmFor(k poolKey) *WarmStart {
 	return &WarmStart{Feats: pe.feats, Costs: pe.costs, Seeds: pe.seeds}
 }
 
-func winogradDefaultE(k Kind) int {
-	if k == Winograd {
-		return 2
-	}
-	return 0
-}
-
 // candidateKinds filters the requested kinds by a layer's signature — the
 // torchinductor idiom: cheap static gating decides which kernel templates
 // even enter the search, and the shared cache then dedups identical
 // (kind, shape) searches across layers. Direct is always a candidate (it
-// admits every shape and anchors the sweep's error handling); Winograd only
-// where the paper's dataflow applies, FFT only for unit-stride layers with
-// kernels of at least 3×3 (below that the transform constant cannot win).
+// admits every shape and anchors the sweep's error handling); every other
+// kind is a candidate where it was requested and its row offers it for the
+// shape (kinds.go). Candidates come back in Kind order whatever order they
+// were requested in: the first is the layer's mandatory search.
 // CandidateKinds is the exported form of the gating, for callers that must
 // predict the sweep's search set without running it (the service's
 // admission accounting).
@@ -269,23 +263,18 @@ func CandidateKinds(s shapes.ConvShape, winograd bool, kinds []Kind) []Kind {
 }
 
 func candidateKinds(s shapes.ConvShape, opts NetworkOptions) []Kind {
-	want := func(k Kind) bool {
-		for _, kk := range opts.Kinds {
-			if kk == k {
-				return true
-			}
+	var want [len(kindTable)]bool
+	want[Winograd] = opts.Winograd // the flag is an alias for the kind
+	for _, k := range opts.Kinds {
+		if int(k) < len(want) {
+			want[k] = true
 		}
-		return false
 	}
 	kinds := []Kind{Direct}
-	if (opts.Winograd || want(Winograd)) && s.WinogradOK() && s.Hker == 3 {
-		kinds = append(kinds, Winograd)
-	}
-	if want(FFT) && s.Strid == 1 && s.Hker >= 3 && s.Wker >= 3 {
-		kinds = append(kinds, FFT)
-	}
-	if want(ImplicitGEMM) {
-		kinds = append(kinds, ImplicitGEMM)
+	for _, k := range Kinds[1:] {
+		if row := k.spec(); want[k] && (row.offered == nil || row.offered(s)) {
+			kinds = append(kinds, k)
+		}
 	}
 	return kinds
 }
@@ -336,7 +325,7 @@ func TuneNetworkContext(ctx context.Context, arch memsim.Arch, layers []NetworkL
 		if i, ok := taskIdx[key]; ok {
 			return i, nil
 		}
-		sp, err := NewSpace(s, arch, kind, winogradDefaultE(kind), true)
+		sp, err := NewSpace(s, arch, kind, 0, true)
 		if err != nil {
 			return -1, err
 		}

@@ -24,50 +24,7 @@ import (
 	"repro/internal/conv"
 	"repro/internal/memsim"
 	"repro/internal/shapes"
-	"repro/internal/tensor"
 )
-
-// Kind selects which dataflow template a space tunes.
-type Kind uint8
-
-const (
-	// Direct tunes the Section 5.2 direct-convolution dataflow.
-	Direct Kind = iota
-	// Winograd tunes the Section 5.3 fused Winograd dataflow.
-	Winograd
-	// FFT tunes the frequency-domain pipeline's multiply-accumulate phase
-	// (the transforms are config-independent and costed exactly).
-	FFT
-	// ImplicitGEMM tunes the library-style fused-gather dataflow: more
-	// off-chip traffic than Direct but a smaller shared footprint.
-	ImplicitGEMM
-)
-
-func (k Kind) String() string {
-	switch k {
-	case Winograd:
-		return "winograd"
-	case FFT:
-		return "fft"
-	case ImplicitGEMM:
-		return "igemm"
-	}
-	return "direct"
-}
-
-// Kinds lists every tunable kind, in Kind order.
-var Kinds = []Kind{Direct, Winograd, FFT, ImplicitGEMM}
-
-// ParseKind is the inverse of Kind.String. Unknown strings are rejected —
-// the cache loader and the wire format both rely on that.
-func ParseKind(s string) (Kind, error) {
-	for _, k := range Kinds {
-		if s == k.String() {
-			return k, nil
-		}
-	}
-	return Direct, fmt.Errorf("autotune: unknown kind %q", s)
-}
 
 // Space is the configuration space of Table 1 for one layer on one
 // architecture. Axes: output tile x, y, z (factors of the output dims),
@@ -80,33 +37,33 @@ type Space struct {
 	Shape shapes.ConvShape
 	Arch  memsim.Arch
 	Kind  Kind
-	// E is the default Winograd output tile edge (ignored for Direct); the
-	// space explores Es.
-	E int
 	// Pruned enables the optimality-condition searching domain.
 	Pruned bool
 
-	// es lists the Winograd output-tile-edge choices (just {0} for Direct).
-	es      []int
-	xsByE   map[int][]int
-	ysByE   map[int][]int
-	zs      []int
-	sbs     []int
-	layouts []tensor.Layout
+	// row is the kind's row of kindTable, resolved once: everything below
+	// that depends on the dataflow reads it. reuse is the row's R for this
+	// shape (the shape's own R where the row has none: the cost model still
+	// takes it as a feature).
+	row   *kindSpec
+	reuse float64
 
-	// bmemo caches the I/O lower bound per (Sb, e) for the pruning oracle
-	// (bound.go); flopsFloor is the dataflow's config-independent
-	// arithmetic. sizeOnce guards the cached admissible-config count.
-	bmemo      boundMemo
-	flopsFloor float64
-	// fftFixedSec is the exact cost of the FFT pipeline's config-independent
-	// transform phases (FFT spaces only): every bound and floor adds it as a
-	// constant. fftP3Flops is the (also config-independent) arithmetic of the
-	// tunable phase.
-	fftFixedSec float64
-	fftP3Flops  float64
-	sizeOnce    sync.Once
-	size        int64
+	// The x/y tile axes per tile edge (the row's edges), the channel tile
+	// and the shared-memory sizes; the layout axis is the row's.
+	xsByE map[int][]int
+	ysByE map[int][]int
+	zs    []int
+	sbs   []int
+
+	// bmemo caches the floor terms per (Sb, e) for the pruning oracle
+	// (bound.go); flops is the layer's arithmetic, the numerator of an
+	// analytic verdict's GFLOP/s. fixedSec is the row's fixed-launch cost
+	// for this (arch, shape): every bound and floor adds it as a constant.
+	// sizeOnce guards the cached admissible-config count.
+	bmemo    boundMemo
+	flops    float64
+	fixedSec float64
+	sizeOnce sync.Once
+	size     int64
 
 	// anOnce guards the memoized analytic scan (analytic.go): the
 	// analyticTopCap best measurable configs by bound floor, the count
@@ -117,51 +74,33 @@ type Space struct {
 	anErr    error
 }
 
-// NewSpace builds the space for a layer. For Winograd spaces the spatial
-// tile axes keep only multiples of E.
+// NewSpace builds the space for a layer. The axes come from the kind's row
+// (kinds.go): tile edges, the plane the x/y tiles divide, layouts. e is
+// ignored — the tile edge is an axis of the space, not a parameter — and
+// stays in the signature only for callers compiled against it.
 func NewSpace(s shapes.ConvShape, arch memsim.Arch, kind Kind, e int, pruned bool) (*Space, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
-	if kind == Winograd {
-		if !s.WinogradOK() {
-			return nil, fmt.Errorf("autotune: %v does not admit Winograd", s)
-		}
-		if e < 2 {
-			return nil, fmt.Errorf("autotune: winograd e=%d < 2", e)
+	row := kind.spec()
+	if row.admits != nil {
+		if err := row.admits(s); err != nil {
+			return nil, err
 		}
 	}
-	sp := &Space{Shape: s, Arch: arch, Kind: kind, E: e, Pruned: pruned, layouts: tensor.Layouts}
+	sp := &Space{Shape: s, Arch: arch, Kind: kind, Pruned: pruned,
+		row: row, reuse: s.R(), flops: float64(s.FLOPs())}
+	if row.reuse != nil {
+		sp.reuse = row.reuse(s)
+	}
+	if row.fixed != nil {
+		sp.fixedSec, _ = row.fixed(arch, s)
+	}
 	sp.xsByE = make(map[int][]int)
 	sp.ysByE = make(map[int][]int)
-	switch kind {
-	case Winograd:
-		// The Winograd output tile edge e is itself a tunable (the paper:
-		// "in practice e usually is chosen as 2, 3 or 4"). Tiles are whole
-		// sub-tile grids: e times a factor of the rounded-up grid dimension,
-		// so odd output sizes (e.g. 13×13) still have tile choices; the
-		// kernel clips the partial edge sub-tiles.
-		for _, ee := range []int{2, 4} {
-			sp.es = append(sp.es, ee)
-			sp.xsByE[ee] = scaleAll(factors((s.Wout()+ee-1)/ee), ee)
-			sp.ysByE[ee] = scaleAll(factors((s.Hout()+ee-1)/ee), ee)
-		}
-	case FFT:
-		// The FFT phase-3 tile spans the padded power-of-two frequency grid,
-		// not the output image; its axes are the grid's (power-of-two)
-		// divisors. Spectra have no image layout, so the layout axis
-		// collapses.
-		lh, lw := conv.FFTGrid(s)
-		sp.es = []int{0}
-		sp.xsByE[0] = factors(lw)
-		sp.ysByE[0] = factors(lh)
-		sp.layouts = []tensor.Layout{tensor.NCHW}
-		sp.fftFixedSec, _ = conv.FFTFixedCost(arch, s)
-		sp.fftP3Flops = 8 * float64(s.Batch) * float64(s.Cout) * float64(s.Cin/s.G()) * float64(lh*lw)
-	default:
-		sp.es = []int{0}
-		sp.xsByE[0] = factors(s.Wout())
-		sp.ysByE[0] = factors(s.Hout())
+	h, w := row.plane(s)
+	for _, edge := range row.edges {
+		sp.xsByE[edge], sp.ysByE[edge] = tileAxis(w, edge), tileAxis(h, edge)
 	}
 	// The z tile spans one group's output channels (all of Cout when G=1):
 	// grouped blocks never straddle a group boundary.
@@ -169,8 +108,17 @@ func NewSpace(s shapes.ConvShape, arch memsim.Arch, kind Kind, e int, pruned boo
 	for sb := arch.MaxSharedPerBlock(); sb >= 256; sb /= 2 {
 		sp.sbs = append(sp.sbs, sb)
 	}
-	sp.flopsFloor = float64(s.FLOPs())
 	return sp, nil
+}
+
+// tileAxis lists the tile sizes along a plane extent: its divisors, or —
+// for a dataflow with sub-tile edge e — e times the divisors of the
+// rounded-up sub-tile grid.
+func tileAxis(extent, e int) []int {
+	if e == 0 {
+		return factors(extent)
+	}
+	return scaleAll(factors((extent+e-1)/e), e)
 }
 
 // admissible reports whether a full config belongs to the space, applying
@@ -187,33 +135,20 @@ func (sp *Space) admissible(c conv.Config) bool {
 	if !sp.Pruned {
 		return true
 	}
-	if sp.Kind == FFT {
-		// The frequency-domain tile has no sliding-window reuse, so the
-		// optimality condition does not apply; the searching domain is just
-		// the shared-memory fit.
-		return conv.FFTSharedNeed(c) <= c.SharedPerBlock
-	}
-	r := sp.Shape.R()
-	if sp.Kind == Winograd {
-		r = float64(sp.Shape.Hker * sp.Shape.Hker)
-	}
-	sb := float64(c.SharedPerBlock)
-	if float64(c.TileZ) > math.Sqrt(sb/r)+1e-9 {
-		return false
-	}
-	if float64(c.TileX*c.TileY) > math.Sqrt(sb*r)+1e-9 {
-		return false
+	if sp.row.reuse != nil {
+		// The optimality condition applies only to a tile with sliding-window
+		// reuse; without one the searching domain is just the shared fit.
+		r := sp.reuse
+		sb := float64(c.SharedPerBlock)
+		if float64(c.TileZ) > math.Sqrt(sb/r)+1e-9 {
+			return false
+		}
+		if float64(c.TileX*c.TileY) > math.Sqrt(sb*r)+1e-9 {
+			return false
+		}
 	}
 	// The staged tiles must actually fit the shared allocation.
-	switch sp.Kind {
-	case Direct:
-		return conv.DirectSharedNeed(sp.Shape, c) <= c.SharedPerBlock
-	case Winograd:
-		return conv.WinogradSharedNeed(sp.Shape, c) <= c.SharedPerBlock
-	case ImplicitGEMM:
-		return conv.IGEMMSharedNeed(sp.Shape, c) <= c.SharedPerBlock
-	}
-	return true
+	return sp.row.sharedNeed(sp.Shape, c) <= c.SharedPerBlock
 }
 
 // Size counts the admissible configurations. The count is computed by
@@ -230,12 +165,12 @@ func (sp *Space) Size() int64 {
 // enumerate visits every admissible config; the visitor returns false to
 // stop early.
 func (sp *Space) enumerate(visit func(conv.Config) bool) {
-	for _, e := range sp.es {
+	for _, e := range sp.row.edges {
 		for _, x := range sp.xsByE[e] {
 			for _, y := range sp.ysByE[e] {
 				for _, z := range sp.zs {
 					for _, sb := range sp.sbs {
-						for _, lay := range sp.layouts {
+						for _, lay := range sp.row.layouts {
 							base := conv.Config{TileX: x, TileY: y, TileZ: z,
 								SharedPerBlock: sb, Layout: lay, WinogradE: e}
 							for _, tx := range factors(x) {
@@ -291,7 +226,7 @@ func (sp *Space) Sample(rng *rand.Rand) conv.Config {
 }
 
 func (sp *Space) randomConfig(rng *rand.Rand) conv.Config {
-	e := sp.es[rng.Intn(len(sp.es))]
+	e := sp.row.edges[rng.Intn(len(sp.row.edges))]
 	xs, ys := sp.xsByE[e], sp.ysByE[e]
 	x := xs[rng.Intn(len(xs))]
 	y := ys[rng.Intn(len(ys))]
@@ -301,7 +236,7 @@ func (sp *Space) randomConfig(rng *rand.Rand) conv.Config {
 		TileX: x, TileY: y, TileZ: z,
 		ThreadsX: fx[rng.Intn(len(fx))], ThreadsY: fy[rng.Intn(len(fy))], ThreadsZ: fz[rng.Intn(len(fz))],
 		SharedPerBlock: sp.sbs[rng.Intn(len(sp.sbs))],
-		Layout:         sp.layouts[rng.Intn(len(sp.layouts))],
+		Layout:         sp.row.layouts[rng.Intn(len(sp.row.layouts))],
 		WinogradE:      e,
 	}
 }
@@ -323,7 +258,7 @@ func (sp *Space) NeighborBound(c conv.Config, rng *rand.Rand, maxSeconds float64
 	for attempt := 0; attempt < 64; attempt++ {
 		n := c
 		moves := 8
-		if len(sp.es) > 1 {
+		if len(sp.row.edges) > 1 {
 			moves = 9
 		}
 		switch rng.Intn(moves) {
@@ -345,11 +280,11 @@ func (sp *Space) NeighborBound(c conv.Config, rng *rand.Rand, maxSeconds float64
 		case 6:
 			n.SharedPerBlock = adjacent(sp.sbs, n.SharedPerBlock, rng)
 		case 7:
-			n.Layout = sp.layouts[rng.Intn(len(sp.layouts))]
+			n.Layout = sp.row.layouts[rng.Intn(len(sp.row.layouts))]
 		case 8:
 			// Switch the Winograd tile edge, snapping the spatial tiles to
 			// the new grid.
-			n.WinogradE = adjacent(sp.es, n.WinogradE, rng)
+			n.WinogradE = adjacent(sp.row.edges, n.WinogradE, rng)
 			n.TileX = nearest(sp.xsByE[n.WinogradE], n.TileX)
 			n.TileY = nearest(sp.ysByE[n.WinogradE], n.TileY)
 			n.ThreadsX = clampFactor(n.ThreadsX, n.TileX)
@@ -368,18 +303,8 @@ func (sp *Space) NeighborBound(c conv.Config, rng *rand.Rand, maxSeconds float64
 // fine-grained tuner refines the dataflow design, it does not replace it).
 func (sp *Space) SeedConfigs() []conv.Config {
 	var seeds []conv.Config
-	for _, e := range sp.es {
-		var def conv.Config
-		switch sp.Kind {
-		case Winograd:
-			def = conv.DefaultWinogradConfig(sp.Arch, sp.Shape, e)
-		case FFT:
-			def = conv.DefaultFFTConfig(sp.Arch, sp.Shape)
-		case ImplicitGEMM:
-			def = conv.DefaultIGEMMConfig(sp.Arch, sp.Shape)
-		default:
-			def = conv.DefaultDirectConfig(sp.Arch, sp.Shape)
-		}
+	for _, e := range sp.row.edges {
+		def := sp.row.design(sp.Arch, sp.Shape, e)
 		def.WinogradE = e
 		if snapped, ok := sp.snap(def); ok {
 			seeds = append(seeds, snapped)

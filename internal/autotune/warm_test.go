@@ -336,3 +336,36 @@ func TestTuneNetworkResume(t *testing.T) {
 		_ = verdicts
 	}
 }
+
+// A covered resume synthesizes its trace from the persisted curve, and must
+// report the ConvergedAt the search itself reported. The curve is GFLOP/s of
+// an incumbent chosen by seconds, so for Winograd — whose flop count depends
+// on the tile edge — it falls when a faster, lower-arithmetic config wins;
+// counting only rises under-reported on about half the seeds.
+func TestResumeCoveredKeepsConvergedAt(t *testing.T) {
+	s := shapes.ConvShape{Batch: 1, Cin: 16, Hin: 14, Win: 14, Cout: 16, Hker: 3, Wker: 3, Strid: 1, Pad: 1}
+	for _, kind := range Kinds {
+		sp, err := NewSpace(s, arch, kind, 0, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		measure := KindMeasurer(arch, s, kind)
+		for seed := int64(1); seed <= 40; seed++ {
+			opts := smallOpts(40, seed)
+			tr, err := Tune(sp, measure, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cache := NewCache()
+			cache.PutTrace(arch.Name, kind, s, tr)
+			got, err := TuneResumed(cache, sp, measure, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.ConvergedAt != tr.ConvergedAt {
+				t.Errorf("%s seed %d: covered resume reports ConvergedAt %d, the search reported %d",
+					kind, seed, got.ConvergedAt, tr.ConvergedAt)
+			}
+		}
+	}
+}

@@ -11,7 +11,6 @@ import (
 	"fmt"
 
 	"repro/internal/autotune"
-	"repro/internal/bounds"
 	"repro/internal/conv"
 	"repro/internal/memsim"
 	"repro/internal/shapes"
@@ -86,17 +85,16 @@ func Analyze(arch memsim.Arch, s shapes.ConvShape, opts Options) (*Analysis, err
 		a.Library = naive
 	}
 
-	direct, err := analyzeDirect(arch, s, opts)
-	if err != nil {
-		return nil, err
-	}
-	a.Reports = append(a.Reports, *direct)
+	kinds := []autotune.Kind{autotune.Direct}
 	if s.WinogradOK() && s.Hker == 3 && s.Hout() >= 2 && s.Wout() >= 2 {
-		wino, err := analyzeWinograd(arch, s, opts)
+		kinds = append(kinds, autotune.Winograd)
+	}
+	for _, kind := range kinds {
+		r, err := analyze(arch, s, kind, opts)
 		if err != nil {
 			return nil, err
 		}
-		a.Reports = append(a.Reports, *wino)
+		a.Reports = append(a.Reports, *r)
 	}
 	for i, r := range a.Reports {
 		if r.Tuned.Seconds < a.Reports[a.Best].Tuned.Seconds {
@@ -106,20 +104,21 @@ func Analyze(arch memsim.Arch, s shapes.ConvShape, opts Options) (*Analysis, err
 	return a, nil
 }
 
-func analyzeDirect(arch memsim.Arch, s shapes.ConvShape, opts Options) (*AlgorithmReport, error) {
-	design := conv.DefaultDirectConfig(arch, s)
-	designRes, err := conv.DirectTiledDry(arch, s, design)
+// analyze is the bound → design → tune pipeline for one algorithm kind.
+func analyze(arch memsim.Arch, s shapes.ConvShape, kind autotune.Kind, opts Options) (*AlgorithmReport, error) {
+	design := kind.Design(arch, s)
+	designRes, err := kind.Dry(arch, s, design)
 	if err != nil {
-		return nil, fmt.Errorf("core: design measurement: %w", err)
+		return nil, fmt.Errorf("core: %s design measurement: %w", kind, err)
 	}
-	sp, err := autotune.NewSpace(s, arch, autotune.Direct, 0, true)
+	sp, err := autotune.NewSpace(s, arch, kind, 0, true)
 	if err != nil {
 		return nil, err
 	}
 	topts := autotune.DefaultOptions()
 	topts.Budget = opts.Budget
 	topts.Seed = opts.Seed
-	tr, err := autotune.Tune(sp, autotune.DirectMeasurer(arch, s), topts)
+	tr, err := autotune.Tune(sp, autotune.KindMeasurer(arch, s, kind), topts)
 	if err != nil {
 		return nil, err
 	}
@@ -130,51 +129,13 @@ func analyzeDirect(arch memsim.Arch, s shapes.ConvShape, opts Options) (*Algorit
 	if designRes.Seconds < tr.BestM.Seconds {
 		best = design
 	}
-	tunedRes, err := conv.DirectTiledDry(arch, s, best)
+	tunedRes, err := kind.Dry(arch, s, best)
 	if err != nil {
 		return nil, err
 	}
-	lb := bounds.DirectLowerBound(s, best.SharedPerBlock)
+	lb := kind.LowerBound(s, best)
 	return &AlgorithmReport{
-		Algorithm:    "direct",
-		LowerBound:   lb,
-		DesignConfig: design,
-		Design:       designRes,
-		TunedConfig:  best,
-		Tuned:        tunedRes,
-		BoundGap:     gap(float64(tunedRes.Counts.GlobalIO()), lb),
-	}, nil
-}
-
-func analyzeWinograd(arch memsim.Arch, s shapes.ConvShape, opts Options) (*AlgorithmReport, error) {
-	design := conv.DefaultWinogradConfig(arch, s, 2)
-	designRes, err := conv.WinogradFusedDry(arch, s, design)
-	if err != nil {
-		return nil, fmt.Errorf("core: winograd design measurement: %w", err)
-	}
-	sp, err := autotune.NewSpace(s, arch, autotune.Winograd, 2, true)
-	if err != nil {
-		return nil, err
-	}
-	topts := autotune.DefaultOptions()
-	topts.Budget = opts.Budget
-	topts.Seed = opts.Seed
-	tr, err := autotune.Tune(sp, autotune.WinogradMeasurer(arch, s), topts)
-	if err != nil {
-		return nil, err
-	}
-	// As in analyzeDirect: the raw (unsnapped) design stays a candidate.
-	best := tr.Best
-	if designRes.Seconds < tr.BestM.Seconds {
-		best = design
-	}
-	tunedRes, err := conv.WinogradFusedDry(arch, s, best)
-	if err != nil {
-		return nil, err
-	}
-	lb := bounds.WinogradLowerBound(s, best.WinogradE, best.SharedPerBlock)
-	return &AlgorithmReport{
-		Algorithm:    "winograd",
+		Algorithm:    kind.String(),
 		LowerBound:   lb,
 		DesignConfig: design,
 		Design:       designRes,

@@ -71,32 +71,15 @@ func libraryDirect(arch memsim.Arch, s shapes.ConvShape) (*conv.Result, error) {
 	return col, nil
 }
 
-// tuneDirect tunes the Section 5.2 dataflow on the pruned searching domain
-// with the given measurer (pass nil for a fresh memoized one).
-func tuneDirect(arch memsim.Arch, s shapes.ConvShape, measure autotune.Measurer, budget int, seed int64) (*autotune.Trace, error) {
-	sp, err := autotune.NewSpace(s, arch, autotune.Direct, 0, true)
+// tuneKind tunes one dataflow kind on its pruned searching domain with the
+// given measurer (pass nil for a fresh memoized one).
+func tuneKind(arch memsim.Arch, s shapes.ConvShape, kind autotune.Kind, measure autotune.Measurer, budget int, seed int64) (*autotune.Trace, error) {
+	sp, err := autotune.NewSpace(s, arch, kind, 0, true)
 	if err != nil {
 		return nil, err
 	}
 	if measure == nil {
-		measure = autotune.DirectMeasurer(arch, s)
-	}
-	opts := autotune.DefaultOptions()
-	opts.Budget = budget
-	opts.Patience = 0
-	opts.Seed = seed
-	return autotune.Tune(sp, measure, opts)
-}
-
-// tuneWinograd tunes the Section 5.3 fused Winograd dataflow (e = 2) with
-// the given measurer (pass nil for a fresh memoized one).
-func tuneWinograd(arch memsim.Arch, s shapes.ConvShape, measure autotune.Measurer, budget int, seed int64) (*autotune.Trace, error) {
-	sp, err := autotune.NewSpace(s, arch, autotune.Winograd, 2, true)
-	if err != nil {
-		return nil, err
-	}
-	if measure == nil {
-		measure = autotune.WinogradMeasurer(arch, s)
+		measure = autotune.KindMeasurer(arch, s, kind)
 	}
 	opts := autotune.DefaultOptions()
 	opts.Budget = budget
@@ -119,28 +102,25 @@ func bestLayerSeconds(arch memsim.Arch, s shapes.ConvShape, budget int, seed int
 			baseline = wu.Seconds
 		}
 	}
-	// One memoized measurer per (arch, layer, kind) serves the tuning run
-	// and the coarse-grained default-config evaluations below: the engine's
-	// own measurements warm the memo the defaults then hit.
-	direct := autotune.NewMemoMeasure(arch, s, autotune.Direct)
-	dt, err := tuneDirect(arch, s, direct.Measure, budget, seed)
-	if err != nil {
-		return 0, 0, err
-	}
-	tuned = dt.BestM.Seconds
-	// The coarse-grained dataflow designs themselves (Section 5's
-	// optimality-condition configs) are always candidates; tuning can only
-	// improve on them.
-	if m, ok := direct.Measure(conv.DefaultDirectConfig(arch, s)); ok && m.Seconds < tuned {
-		tuned = m.Seconds
-	}
-	if s.WinogradOK() && s.Hker == 3 {
-		wino := autotune.NewMemoMeasure(arch, s, autotune.Winograd)
-		if wt, werr := tuneWinograd(arch, s, wino.Measure, budget, seed); werr == nil && wt.BestM.Seconds < tuned {
-			tuned = wt.BestM.Seconds
+	tuned = math.Inf(1)
+	for _, kind := range autotune.CandidateKinds(s, true, nil) {
+		// One memoized measurer per (arch, layer, kind) serves the tuning run
+		// and the coarse-grained default-config evaluation below: the engine's
+		// own measurements warm the memo the default then hits.
+		memo := autotune.NewMemoMeasure(arch, s, kind)
+		tr, terr := tuneKind(arch, s, kind, memo.Measure, budget, seed)
+		if terr != nil && kind == autotune.Direct {
+			return 0, 0, terr
 		}
-		wcfg := conv.DefaultWinogradConfig(arch, s, 2)
-		if m, ok := wino.Measure(wcfg); ok && m.Seconds < tuned {
+		// An alternative kind's search may fail (no valid configuration in
+		// its space); its design below is still a candidate.
+		if terr == nil && tr.BestM.Seconds < tuned {
+			tuned = tr.BestM.Seconds
+		}
+		// The coarse-grained dataflow designs themselves (Section 5's
+		// optimality-condition configs) are always candidates; tuning can only
+		// improve on them.
+		if m, ok := memo.Measure(kind.Design(arch, s)); ok && m.Seconds < tuned {
 			tuned = m.Seconds
 		}
 	}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"repro/internal/autotune"
 	"repro/internal/memsim"
 	"repro/internal/report"
 	"repro/internal/shapes"
@@ -39,7 +40,7 @@ func Fig10(opts Options) ([]Fig10Result, *report.Table, error) {
 			if err != nil {
 				return nil, nil, err
 			}
-			tuned, err := tuneDirect(arch, s, nil, budget, opts.seed())
+			tuned, err := tuneKind(arch, s, autotune.Direct, nil, budget, opts.seed())
 			if err != nil {
 				return nil, nil, err
 			}

@@ -29,20 +29,24 @@ func Fig13(opts Options) ([]Fig13Result, *report.Table, error) {
 	archs := []memsim.Arch{memsim.GTX1080Ti, memsim.TitanX, memsim.GFX906}
 	budget := opts.budget(96, 40)
 
+	unfusedWinograd := func(arch memsim.Arch, s shapes.ConvShape) (*conv.Result, error) {
+		return conv.WinogradUnfusedDry(arch, s, 2)
+	}
 	type cse struct {
-		name string
-		s    shapes.ConvShape
-		wino bool
+		name    string
+		s       shapes.ConvShape
+		kind    autotune.Kind
+		library func(memsim.Arch, shapes.ConvShape) (*conv.Result, error)
 	}
 	mk := func(hin, mu int) shapes.ConvShape {
 		return shapes.ConvShape{Batch: 1, Cin: 512, Hin: hin, Win: hin,
 			Cout: 128, Hker: 3, Wker: 3, Strid: mu}
 	}
 	cases := []cse{
-		{"direct 28x28 mu=1", mk(28, 1), false},
-		{"direct 112x112 mu=1", mk(112, 1), false},
-		{"direct 112x112 mu=2", mk(112, 2), false},
-		{"winograd 112x112", mk(112, 1), true},
+		{"direct 28x28 mu=1", mk(28, 1), autotune.Direct, libraryDirect},
+		{"direct 112x112 mu=1", mk(112, 1), autotune.Direct, libraryDirect},
+		{"direct 112x112 mu=2", mk(112, 2), autotune.Direct, libraryDirect},
+		{"winograd 112x112", mk(112, 1), autotune.Winograd, unfusedWinograd},
 	}
 	if opts.Quick {
 		cases = cases[:2]
@@ -52,62 +56,30 @@ func Fig13(opts Options) ([]Fig13Result, *report.Table, error) {
 	var results []Fig13Result
 	for _, c := range cases {
 		for _, arch := range archs {
-			var ours, tvm, lib float64
-			if c.wino {
-				base, err := conv.WinogradUnfusedDry(arch, c.s, 2)
-				if err != nil {
-					return nil, nil, err
-				}
-				lib = base.GFLOPS
-				ot, err := tuneWinograd(arch, c.s, nil, budget, opts.seed())
-				if err != nil {
-					return nil, nil, err
-				}
-				ours = ot.BestM.GFLOPS
-				full, err := autotune.NewSpace(c.s, arch, autotune.Winograd, 2, false)
-				if err != nil {
-					return nil, nil, err
-				}
-				topts := autotune.DefaultOptions()
-				topts.Budget = budget
-				topts.Patience = 0
-				topts.Seed = opts.seed()
-				topts.NoSeeds = true // the TVM proxy has no dataflow-design seeds
-				topts.NoPrune = true // ... and no lower-bound oracle
-				tt, err := autotune.Tune(full, autotune.WinogradMeasurer(arch, c.s), topts)
-				if err != nil {
-					return nil, nil, err
-				}
-				tvm = tt.BestM.GFLOPS
-			} else {
-				base, err := libraryDirect(arch, c.s)
-				if err != nil {
-					return nil, nil, err
-				}
-				lib = base.GFLOPS
-				ot, err := tuneDirect(arch, c.s, nil, budget, opts.seed())
-				if err != nil {
-					return nil, nil, err
-				}
-				ours = ot.BestM.GFLOPS
-				full, err := autotune.NewSpace(c.s, arch, autotune.Direct, 0, false)
-				if err != nil {
-					return nil, nil, err
-				}
-				topts := autotune.DefaultOptions()
-				topts.Budget = budget
-				topts.Patience = 0
-				topts.Seed = opts.seed()
-				topts.NoSeeds = true // the TVM proxy has no dataflow-design seeds
-				topts.NoPrune = true // ... and no lower-bound oracle
-				tt, err := autotune.Tune(full, autotune.DirectMeasurer(arch, c.s), topts)
-				if err != nil {
-					return nil, nil, err
-				}
-				tvm = tt.BestM.GFLOPS
+			base, err := c.library(arch, c.s)
+			if err != nil {
+				return nil, nil, err
+			}
+			ot, err := tuneKind(arch, c.s, c.kind, nil, budget, opts.seed())
+			if err != nil {
+				return nil, nil, err
+			}
+			full, err := autotune.NewSpace(c.s, arch, c.kind, 0, false)
+			if err != nil {
+				return nil, nil, err
+			}
+			topts := autotune.DefaultOptions()
+			topts.Budget = budget
+			topts.Patience = 0
+			topts.Seed = opts.seed()
+			topts.NoSeeds = true // the TVM proxy has no dataflow-design seeds
+			topts.NoPrune = true // ... and no lower-bound oracle
+			tt, err := autotune.Tune(full, autotune.KindMeasurer(arch, c.s, c.kind), topts)
+			if err != nil {
+				return nil, nil, err
 			}
 			results = append(results, Fig13Result{
-				Case: c.name, Arch: arch.Name, Ours: ours, TVM: tvm, Library: lib,
+				Case: c.name, Arch: arch.Name, Ours: ot.BestM.GFLOPS, TVM: tt.BestM.GFLOPS, Library: base.GFLOPS,
 			})
 		}
 	}

@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 
+	"repro/internal/autotune"
 	"repro/internal/conv"
 	"repro/internal/memsim"
 	"repro/internal/report"
@@ -51,7 +52,7 @@ func Fig9(opts Options) ([]Fig9Result, *report.Table, error) {
 				if err != nil {
 					return nil, nil, err
 				}
-				tuned, err := tuneDirect(arch, s, nil, budget, opts.seed())
+				tuned, err := tuneKind(arch, s, autotune.Direct, nil, budget, opts.seed())
 				if err != nil {
 					return nil, nil, err
 				}
@@ -69,7 +70,7 @@ func Fig9(opts Options) ([]Fig9Result, *report.Table, error) {
 			if err != nil {
 				return nil, nil, err
 			}
-			tuned, err := tuneWinograd(arch, s, nil, budget, opts.seed())
+			tuned, err := tuneKind(arch, s, autotune.Winograd, nil, budget, opts.seed())
 			if err != nil {
 				return nil, nil, err
 			}

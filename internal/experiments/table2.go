@@ -58,20 +58,15 @@ func Table2(opts Options) ([]Table2Row, *report.Table, error) {
 
 	var rows []Table2Row
 	for _, j := range jobs {
-		full, err := autotune.NewSpace(j.shape, arch, j.kind, 2, false)
+		full, err := autotune.NewSpace(j.shape, arch, j.kind, 0, false)
 		if err != nil {
 			return nil, nil, err
 		}
-		pruned, err := autotune.NewSpace(j.shape, arch, j.kind, 2, true)
+		pruned, err := autotune.NewSpace(j.shape, arch, j.kind, 0, true)
 		if err != nil {
 			return nil, nil, err
 		}
-		var measure autotune.Measurer
-		if j.kind == autotune.Winograd {
-			measure = autotune.WinogradMeasurer(arch, j.shape)
-		} else {
-			measure = autotune.DirectMeasurer(arch, j.shape)
-		}
+		measure := autotune.KindMeasurer(arch, j.shape, j.kind)
 		tuneOpts := autotune.DefaultOptions()
 		tuneOpts.Budget = budget
 		tuneOpts.Patience = patience

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"os"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -73,9 +72,6 @@ type Config struct {
 	// fault injector — the harness behind the chaos e2e suite and CI job.
 	// Production deployments leave it zero.
 	Chaos chaos.Config
-	// BenchPath, when set, is the benchmark trajectory JSON served by
-	// GET /v1/bench (cmd/tuned points it at BENCH_autotune.json).
-	BenchPath string
 	// AnalyticOverflow degrades overload instead of shedding it: a request
 	// beyond the admission budget is answered immediately from the
 	// measurement-free analytic tier (200 with tier "analytic") instead of
@@ -202,7 +198,6 @@ func New(cfg Config) (*Server, error) {
 	s.batch = newBatcher(cfg.BatchWindow, s.runBatch)
 	s.mux = http.NewServeMux()
 	s.mux.HandleFunc("POST /v1/tune", s.handleTune)
-	s.mux.HandleFunc("GET /v1/bench", s.handleBench)
 	s.mux.HandleFunc("GET /healthz", s.handleHealth)
 	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
 	s.initCluster()
@@ -496,22 +491,6 @@ func (s *Server) respond(w http.ResponseWriter, req *request, verdicts []autotun
 		s.count.partials.Add(1)
 	}
 	writeJSON(w, http.StatusOK, resp)
-}
-
-// handleBench is GET /v1/bench: the benchmark trajectory JSON
-// (BENCH_autotune.json), the same artifact CI archives per commit.
-func (s *Server) handleBench(w http.ResponseWriter, r *http.Request) {
-	if s.cfg.BenchPath == "" {
-		errJSON(w, http.StatusNotFound, "no benchmark trajectory configured")
-		return
-	}
-	data, err := os.ReadFile(s.cfg.BenchPath)
-	if err != nil {
-		errJSON(w, http.StatusNotFound, "benchmark trajectory: %v", err)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.Write(data)
 }
 
 // Health is the /healthz body: liveness plus the cache and admission

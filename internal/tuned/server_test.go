@@ -475,37 +475,3 @@ func TestServerErrorPaths(t *testing.T) {
 		}
 	}
 }
-
-func TestServerBenchEndpoint(t *testing.T) {
-	_, tsNone := newTestServer(t, Config{Tune: tinyOpts(8, 1)})
-	if resp, err := http.Get(tsNone.URL + "/v1/bench"); err != nil {
-		t.Fatal(err)
-	} else {
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusNotFound {
-			t.Errorf("no bench path: status %d, want 404", resp.StatusCode)
-		}
-	}
-
-	bench := filepath.Join(t.TempDir(), "bench.json")
-	const payload = `{"benchmarks":[{"name":"BenchmarkTuneNetwork"}]}`
-	if err := os.WriteFile(bench, []byte(payload), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	_, ts := newTestServer(t, Config{Tune: tinyOpts(8, 1), BenchPath: bench})
-	resp, err := http.Get(ts.URL + "/v1/bench")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("GET /v1/bench: status %d", resp.StatusCode)
-	}
-	var buf bytes.Buffer
-	if _, err := buf.ReadFrom(resp.Body); err != nil {
-		t.Fatal(err)
-	}
-	if buf.String() != payload {
-		t.Errorf("bench body %q, want %q", buf.String(), payload)
-	}
-}

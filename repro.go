@@ -158,33 +158,12 @@ func MeasureDirect(arch Arch, s Shape, cfg Config) (*Result, error) {
 	return conv.DirectTiledDry(arch, s, cfg)
 }
 
-// MeasureWinograd is MeasureDirect for the fused Winograd dataflow.
-func MeasureWinograd(arch Arch, s Shape, cfg Config) (*Result, error) {
-	return conv.WinogradFusedDry(arch, s, cfg)
-}
-
-// MeasureKind is MeasureDirect for any algorithm kind: the same dry
-// evaluator behind that kind's tuning measurements, exposed for roofline
-// diagnosis of a tuned configuration.
+// MeasureKind is MeasureDirect for any algorithm kind: that kind's conv
+// reference evaluator, the one the engine's memoized measurements are
+// pinned bit-identical to — exposed for re-measuring a tuned configuration
+// independently of the engine.
 func MeasureKind(arch Arch, s Shape, kind Kind, cfg Config) (*Result, error) {
-	switch kind {
-	case autotune.Winograd:
-		return conv.WinogradFusedDry(arch, s, cfg)
-	case autotune.FFT:
-		r, err := conv.DryFFTTiled(arch, s, cfg)
-		if err != nil {
-			return nil, err
-		}
-		return &r, nil
-	case autotune.ImplicitGEMM:
-		r, err := conv.DryIGEMMTiled(arch, s, cfg)
-		if err != nil {
-			return nil, err
-		}
-		return &r, nil
-	default:
-		return conv.DirectTiledDry(arch, s, cfg)
-	}
+	return kind.Dry(arch, s, cfg)
 }
 
 // MeasureLibraryDirect returns the better of the two library direct paths
@@ -246,20 +225,6 @@ type FallibleMeasurer = autotune.FallibleMeasurer
 // engine bit-for-bit.
 type RetryPolicy = autotune.RetryPolicy
 
-// NewDirectMeasurer returns a reusable, memoized measurer for the direct
-// dataflow on one (arch, shape): repeated evaluations of configurations
-// sharing an output tile are O(1) lookups and the steady state allocates
-// nothing, which is what makes batch evaluation (and tuning) fast. Safe
-// for concurrent use.
-func NewDirectMeasurer(arch Arch, s Shape) Measurer {
-	return autotune.DirectMeasurer(arch, s)
-}
-
-// NewWinogradMeasurer is NewDirectMeasurer for the fused Winograd dataflow.
-func NewWinogradMeasurer(arch Arch, s Shape) Measurer {
-	return autotune.WinogradMeasurer(arch, s)
-}
-
 // TuneOptions controls a tuning run; the zero value selects defaults.
 type TuneOptions struct {
 	// Budget is the maximum number of measurements (default 400).
@@ -314,74 +279,28 @@ func (o TuneOptions) lower() autotune.Options {
 	return opts
 }
 
-// TuneDirect runs the paper's auto-tuning engine on the
-// optimality-condition-pruned searching domain for the direct dataflow.
-func TuneDirect(arch Arch, s Shape, o TuneOptions) (*TuneTrace, error) {
-	sp, err := autotune.NewSpace(s, arch, autotune.Direct, 0, true)
-	if err != nil {
-		return nil, err
-	}
-	return autotune.Tune(sp, autotune.DirectMeasurer(arch, s), o.lower())
-}
-
-// TuneWinograd runs the engine for the fused Winograd dataflow (tile edge
+// TuneKind runs the paper's auto-tuning engine for an algorithm kind on its
+// optimality-condition-pruned searching domain (for Winograd the tile edge
 // e ∈ {2, 4} is part of the search).
-func TuneWinograd(arch Arch, s Shape, o TuneOptions) (*TuneTrace, error) {
-	sp, err := autotune.NewSpace(s, arch, autotune.Winograd, 2, true)
-	if err != nil {
-		return nil, err
-	}
-	return autotune.Tune(sp, autotune.WinogradMeasurer(arch, s), o.lower())
-}
-
-// ResumeDirect continues a cached direct-dataflow search at a (typically
-// higher) budget: the persisted measurement history replays into the
-// engine — no measurement is ever repeated — and the grown state is
-// written back to the cache. A cached history already covering the budget
-// returns as a synthesized trace without measuring anything.
-func ResumeDirect(arch Arch, s Shape, cache *TuningCache, o TuneOptions) (*TuneTrace, error) {
-	sp, err := autotune.NewSpace(s, arch, autotune.Direct, 0, true)
-	if err != nil {
-		return nil, err
-	}
-	return autotune.TuneResumed(cache, sp, autotune.DirectMeasurer(arch, s), o.lower())
-}
-
-// ResumeWinograd is ResumeDirect for the fused Winograd dataflow.
-func ResumeWinograd(arch Arch, s Shape, cache *TuningCache, o TuneOptions) (*TuneTrace, error) {
-	sp, err := autotune.NewSpace(s, arch, autotune.Winograd, 2, true)
-	if err != nil {
-		return nil, err
-	}
-	return autotune.TuneResumed(cache, sp, autotune.WinogradMeasurer(arch, s), o.lower())
-}
-
-// TuneKind runs the engine for any algorithm kind on its pruned searching
-// domain — the generic form of TuneDirect/TuneWinograd, covering the FFT
-// and implicit-GEMM templates too.
 func TuneKind(arch Arch, s Shape, kind Kind, o TuneOptions) (*TuneTrace, error) {
-	sp, err := newKindSpace(arch, s, kind)
+	sp, err := autotune.NewSpace(s, arch, kind, 0, true)
 	if err != nil {
 		return nil, err
 	}
 	return autotune.Tune(sp, autotune.KindMeasurer(arch, s, kind), o.lower())
 }
 
-// ResumeKind is ResumeDirect for any algorithm kind.
+// ResumeKind continues a cached search at a (typically higher) budget: the
+// persisted measurement history replays into the engine — no measurement is
+// ever repeated — and the grown state is written back to the cache. A
+// cached history already covering the budget returns as a synthesized trace
+// without measuring anything.
 func ResumeKind(arch Arch, s Shape, kind Kind, cache *TuningCache, o TuneOptions) (*TuneTrace, error) {
-	sp, err := newKindSpace(arch, s, kind)
+	sp, err := autotune.NewSpace(s, arch, kind, 0, true)
 	if err != nil {
 		return nil, err
 	}
 	return autotune.TuneResumed(cache, sp, autotune.KindMeasurer(arch, s, kind), o.lower())
-}
-
-func newKindSpace(arch Arch, s Shape, kind Kind) (*autotune.Space, error) {
-	e := 0
-	if kind == autotune.Winograd {
-		e = 2
-	}
-	return autotune.NewSpace(s, arch, kind, e, true)
 }
 
 // NetworkLayer is one layer of a network-level tuning request.

@@ -140,7 +140,7 @@ func TestLibraryBaselines(t *testing.T) {
 		t.Error("degenerate baseline times")
 	}
 	// The tuned dataflow must beat the library baseline on this layer.
-	tuned, err := TuneDirect(arch, s, TuneOptions{Budget: 48, Seed: 1})
+	tuned, err := TuneKind(arch, s, Direct, TuneOptions{Budget: 48, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +152,7 @@ func TestLibraryBaselines(t *testing.T) {
 func TestTuneWinogradFacade(t *testing.T) {
 	arch, _ := ArchByName("V100")
 	s := testLayer(t)
-	tr, err := TuneWinograd(arch, s, TuneOptions{Budget: 48, Seed: 2})
+	tr, err := TuneKind(arch, s, Winograd, TuneOptions{Budget: 48, Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
