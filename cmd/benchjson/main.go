@@ -38,12 +38,13 @@ type row struct {
 // (cold, and warm-started via the cross-layer transfer pool), the
 // resumed-search path, the allocation-free cache key, and the search-engine
 // overhead pair (the bound-guided loop vs its pre-rework baseline, and the
-// incremental vs from-scratch cost-model refit), and the measurement-free
+// incremental vs from-scratch cost-model refit), the cost model's refit
+// sequence as a warm-started search runs it (GBTRefit), and the measurement-free
 // analytic verdict the daemon degrades to (scan = cold per-space enumeration,
 // serve = the memoized steady state, which must stay well under 1ms/network),
 // and the daemon's fully cached request (ServeHit: the serve path's latency
 // budget, against a zoo-sized and a larger cache).
-const defaultBench = "BenchmarkMeasureDry|BenchmarkDirectTiledWet|BenchmarkWinogradFusedWet|BenchmarkTuneNetwork|BenchmarkTuneNetworkWarm|BenchmarkTuneNetworkMixedKinds|BenchmarkTuneResume|BenchmarkCacheKey|BenchmarkBlockedConvShape|BenchmarkTuneEngine|BenchmarkTrainGBTIncremental|BenchmarkAnalyticVerdict|BenchmarkServeHit"
+const defaultBench = "BenchmarkMeasureDry|BenchmarkDirectTiledWet|BenchmarkWinogradFusedWet|BenchmarkTuneNetwork|BenchmarkTuneNetworkWarm|BenchmarkTuneNetworkMixedKinds|BenchmarkTuneResume|BenchmarkCacheKey|BenchmarkBlockedConvShape|BenchmarkTuneEngine|BenchmarkTrainGBTIncremental|BenchmarkGBTRefit|BenchmarkAnalyticVerdict|BenchmarkServeHit"
 
 // parseLine parses one `go test -bench` result line, e.g.
 //

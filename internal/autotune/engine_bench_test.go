@@ -106,6 +106,31 @@ func BenchmarkTrainGBTIncremental(b *testing.B) {
 	})
 }
 
+// BenchmarkGBTRefit is the trainer under the load a warm-started search puts
+// on it: an initial fit on 512 transferred rows, then the search's own rows
+// arriving 8 at a time up to 400 with an 8-round Update per arrival and the
+// from-scratch retrain whenever the forest would pass its cap — the refit
+// sequence of tuneFallible, minus everything that is not the cost model.
+func BenchmarkGBTRefit(b *testing.B) {
+	const prior, step, own = 512, 8, 400
+	x, y := benchRows(prior+own, 13)
+	cfg := DefaultGBTConfig()
+	maxForest := 4 * cfg.Trees
+	b.ReportAllocs()
+	var m *GBTModel
+	for i := 0; i < b.N; i++ {
+		m = TrainGBT(cfg, x[:prior], y[:prior])
+		for n := prior + step; n <= prior+own; n += step {
+			if m.NumTrees()+cfg.UpdateTrees > maxForest {
+				m = TrainGBT(cfg, x[:n], y[:n])
+			} else {
+				m.Update(x[:n], y[:n], cfg.UpdateTrees)
+			}
+		}
+	}
+	b.ReportMetric(float64(m.NumTrees()), "trees")
+}
+
 // benchRows draws feature rows from a real tuning space with their
 // measured log-costs, so both trainer benchmarks see the engine's true
 // feature distribution (quantized axes, massed ties) rather than smooth

@@ -24,17 +24,10 @@ type Importance struct {
 // sorted descending — which knobs the cost model learned to care about.
 func (m *GBTModel) FeatureImportance() []Importance {
 	counts := make(map[int]int)
-	var walk func(n *treeNode)
-	walk = func(n *treeNode) {
-		if n == nil || n.leaf {
-			return
+	for _, n := range m.nodes {
+		if n.feature >= 0 {
+			counts[int(n.feature)]++
 		}
-		counts[n.feature]++
-		walk(n.left)
-		walk(n.right)
-	}
-	for _, t := range m.trees {
-		walk(t)
 	}
 	out := make([]Importance, 0, len(counts))
 	for f, c := range counts {

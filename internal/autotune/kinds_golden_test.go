@@ -27,7 +27,7 @@ import (
 //	go test ./internal/autotune -run TestKindsGolden -update
 //
 // only for a change that is meant to move one of these.
-var updateKindsGolden = flag.Bool("update", false, "rewrite testdata/kinds.golden from the current tree")
+var updateGolden = flag.Bool("update", false, "rewrite the testdata/*.golden files from the current tree")
 
 type goldenShape struct {
 	name string
@@ -178,9 +178,16 @@ func TestKindsGolden(t *testing.T) {
 		}
 	}
 
-	path := filepath.Join("testdata", "kinds.golden")
-	if *updateKindsGolden {
-		if err := os.WriteFile(path, b.Bytes(), 0o644); err != nil {
+	checkGolden(t, "kinds.golden", b.Bytes())
+}
+
+// checkGolden compares got with testdata/<name> byte for byte and names the
+// first line that moved; with -update it rewrites the file instead.
+func checkGolden(t *testing.T, name string, got []byte) {
+	t.Helper()
+	path := filepath.Join("testdata", name)
+	if *updateGolden {
+		if err := os.WriteFile(path, got, 0o644); err != nil {
 			t.Fatal(err)
 		}
 		return
@@ -189,14 +196,14 @@ func TestKindsGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if bytes.Equal(b.Bytes(), want) {
+	if bytes.Equal(got, want) {
 		return
 	}
-	got, exp := strings.Split(b.String(), "\n"), strings.Split(string(want), "\n")
-	for i := 0; i < len(got) && i < len(exp); i++ {
-		if got[i] != exp[i] {
-			t.Fatalf("kinds.golden moved at line %d:\n got %s\nwant %s", i+1, got[i], exp[i])
+	gotLines, wantLines := strings.Split(string(got), "\n"), strings.Split(string(want), "\n")
+	for i := 0; i < len(gotLines) && i < len(wantLines); i++ {
+		if gotLines[i] != wantLines[i] {
+			t.Fatalf("%s moved at line %d:\n got %s\nwant %s", name, i+1, gotLines[i], wantLines[i])
 		}
 	}
-	t.Fatalf("kinds.golden moved: %d lines, want %d", len(got), len(exp))
+	t.Fatalf("%s moved: %d lines, want %d", name, len(gotLines), len(wantLines))
 }

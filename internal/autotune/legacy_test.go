@@ -38,18 +38,23 @@ func legacyTrainGBT(cfg GBTConfig, x [][]float64, y []float64) *GBTModel {
 		for i := range resid {
 			resid[i] = y[i] - pred[i]
 		}
-		tree := legacyBuildTree(cfg, x, resid, idx, 0)
-		m.trees = append(m.trees, tree)
+		root := int32(len(m.nodes))
+		m.roots = append(m.roots, root)
+		m.nodes = append(m.nodes, treeNode{})
+		legacyBuildTree(m, root, x, resid, idx, 0)
 		for i := range pred {
-			pred[i] += cfg.LearningRate * tree.predict(x[i])
+			pred[i] += cfg.LearningRate * m.leaf(root, x[i])
 		}
 	}
 	return m
 }
 
-func legacyBuildTree(cfg GBTConfig, x [][]float64, resid []float64, idx []int, depth int) *treeNode {
+// legacyBuildTree grows the subtree of idx recursively into m.nodes[at].
+func legacyBuildTree(m *GBTModel, at int32, x [][]float64, resid []float64, idx []int, depth int) {
+	cfg := m.cfg
 	if depth >= cfg.MaxDepth || len(idx) < cfg.MinSamples {
-		return &treeNode{leaf: true, value: legacyMeanAt(resid, idx)}
+		m.nodes[at] = treeNode{feature: -1, value: legacyMeanAt(resid, idx)}
+		return
 	}
 	bestFeat, bestThr, bestGain := -1, 0.0, 0.0
 	var total, totalSq float64
@@ -88,7 +93,8 @@ func legacyBuildTree(cfg GBTConfig, x [][]float64, resid []float64, idx []int, d
 		}
 	}
 	if bestFeat < 0 {
-		return &treeNode{leaf: true, value: legacyMeanAt(resid, idx)}
+		m.nodes[at] = treeNode{feature: -1, value: legacyMeanAt(resid, idx)}
+		return
 	}
 	var left, right []int
 	for _, i := range idx {
@@ -98,12 +104,11 @@ func legacyBuildTree(cfg GBTConfig, x [][]float64, resid []float64, idx []int, d
 			right = append(right, i)
 		}
 	}
-	return &treeNode{
-		feature:   bestFeat,
-		threshold: bestThr,
-		left:      legacyBuildTree(cfg, x, resid, left, depth+1),
-		right:     legacyBuildTree(cfg, x, resid, right, depth+1),
-	}
+	child := int32(len(m.nodes))
+	m.nodes = append(m.nodes, treeNode{}, treeNode{})
+	m.nodes[at] = treeNode{feature: int32(bestFeat), left: child, value: bestThr}
+	legacyBuildTree(m, child, x, resid, left, depth+1)
+	legacyBuildTree(m, child+1, x, resid, right, depth+1)
 }
 
 func legacyCandidateThresholds(vals []float64, k int) []float64 {

@@ -53,6 +53,11 @@ type Space struct {
 	ysByE map[int][]int
 	zs    []int
 	sbs   []int
+	// divs is tileDivisors(), kept from the first walk step or sample on: a
+	// search asks for a tile's thread-count choices hundreds of times per
+	// batch. A space that only answers analytic scans never builds it.
+	divOnce sync.Once
+	divs    map[int][]int
 
 	// bmemo caches the floor terms per (Sb, e) for the pruning oracle
 	// (bound.go); flops is the layer's arithmetic, the numerator of an
@@ -111,6 +116,33 @@ func NewSpace(s shapes.ConvShape, arch memsim.Arch, kind Kind, e int, pruned boo
 	return sp, nil
 }
 
+// tileDivisors maps every tile size on the x/y/z axes to its divisors,
+// ascending — the thread-count choices for that tile.
+func (sp *Space) tileDivisors() map[int][]int {
+	divs := make(map[int][]int)
+	for _, edge := range sp.row.edges {
+		for _, axis := range [][]int{sp.xsByE[edge], sp.ysByE[edge], sp.zs} {
+			for _, tile := range axis {
+				if _, ok := divs[tile]; !ok {
+					divs[tile] = factors(tile)
+				}
+			}
+		}
+	}
+	return divs
+}
+
+// factors is factors(tile) from the space's own table. The slice is shared:
+// callers only read it. A size off the axes (a caller's own config handed to
+// Neighbor) is computed on the spot.
+func (sp *Space) factors(tile int) []int {
+	sp.divOnce.Do(func() { sp.divs = sp.tileDivisors() })
+	if fs, ok := sp.divs[tile]; ok {
+		return fs
+	}
+	return factors(tile)
+}
+
 // tileAxis lists the tile sizes along a plane extent: its divisors, or —
 // for a dataflow with sub-tile edge e — e times the divisors of the
 // rounded-up sub-tile grid.
@@ -165,6 +197,7 @@ func (sp *Space) Size() int64 {
 // enumerate visits every admissible config; the visitor returns false to
 // stop early.
 func (sp *Space) enumerate(visit func(conv.Config) bool) {
+	divs := sp.tileDivisors() // for this walk only: see Space.divs
 	for _, e := range sp.row.edges {
 		for _, x := range sp.xsByE[e] {
 			for _, y := range sp.ysByE[e] {
@@ -173,9 +206,9 @@ func (sp *Space) enumerate(visit func(conv.Config) bool) {
 						for _, lay := range sp.row.layouts {
 							base := conv.Config{TileX: x, TileY: y, TileZ: z,
 								SharedPerBlock: sb, Layout: lay, WinogradE: e}
-							for _, tx := range factors(x) {
-								for _, ty := range factors(y) {
-									for _, tz := range factors(z) {
+							for _, tx := range divs[x] {
+								for _, ty := range divs[y] {
+									for _, tz := range divs[z] {
 										c := base
 										c.ThreadsX, c.ThreadsY, c.ThreadsZ = tx, ty, tz
 										if sp.admissible(c) {
@@ -231,7 +264,7 @@ func (sp *Space) randomConfig(rng *rand.Rand) conv.Config {
 	x := xs[rng.Intn(len(xs))]
 	y := ys[rng.Intn(len(ys))]
 	z := sp.zs[rng.Intn(len(sp.zs))]
-	fx, fy, fz := factors(x), factors(y), factors(z)
+	fx, fy, fz := sp.factors(x), sp.factors(y), sp.factors(z)
 	return conv.Config{
 		TileX: x, TileY: y, TileZ: z,
 		ThreadsX: fx[rng.Intn(len(fx))], ThreadsY: fy[rng.Intn(len(fy))], ThreadsZ: fz[rng.Intn(len(fz))],
@@ -264,19 +297,19 @@ func (sp *Space) NeighborBound(c conv.Config, rng *rand.Rand, maxSeconds float64
 		switch rng.Intn(moves) {
 		case 0:
 			n.TileX = adjacent(sp.xsByE[n.WinogradE], n.TileX, rng)
-			n.ThreadsX = clampFactor(n.ThreadsX, n.TileX)
+			n.ThreadsX = sp.clampFactor(n.ThreadsX, n.TileX)
 		case 1:
 			n.TileY = adjacent(sp.ysByE[n.WinogradE], n.TileY, rng)
-			n.ThreadsY = clampFactor(n.ThreadsY, n.TileY)
+			n.ThreadsY = sp.clampFactor(n.ThreadsY, n.TileY)
 		case 2:
 			n.TileZ = adjacent(sp.zs, n.TileZ, rng)
-			n.ThreadsZ = clampFactor(n.ThreadsZ, n.TileZ)
+			n.ThreadsZ = sp.clampFactor(n.ThreadsZ, n.TileZ)
 		case 3:
-			n.ThreadsX = adjacent(factors(n.TileX), n.ThreadsX, rng)
+			n.ThreadsX = adjacent(sp.factors(n.TileX), n.ThreadsX, rng)
 		case 4:
-			n.ThreadsY = adjacent(factors(n.TileY), n.ThreadsY, rng)
+			n.ThreadsY = adjacent(sp.factors(n.TileY), n.ThreadsY, rng)
 		case 5:
-			n.ThreadsZ = adjacent(factors(n.TileZ), n.ThreadsZ, rng)
+			n.ThreadsZ = adjacent(sp.factors(n.TileZ), n.ThreadsZ, rng)
 		case 6:
 			n.SharedPerBlock = adjacent(sp.sbs, n.SharedPerBlock, rng)
 		case 7:
@@ -287,8 +320,8 @@ func (sp *Space) NeighborBound(c conv.Config, rng *rand.Rand, maxSeconds float64
 			n.WinogradE = adjacent(sp.row.edges, n.WinogradE, rng)
 			n.TileX = nearest(sp.xsByE[n.WinogradE], n.TileX)
 			n.TileY = nearest(sp.ysByE[n.WinogradE], n.TileY)
-			n.ThreadsX = clampFactor(n.ThreadsX, n.TileX)
-			n.ThreadsY = clampFactor(n.ThreadsY, n.TileY)
+			n.ThreadsX = sp.clampFactor(n.ThreadsX, n.TileX)
+			n.ThreadsY = sp.clampFactor(n.ThreadsY, n.TileY)
 		}
 		if n != c && sp.admissible(n) &&
 			(math.IsInf(maxSeconds, 1) || sp.BoundSeconds(n) <= maxSeconds) {
@@ -326,9 +359,9 @@ func (sp *Space) snap(c conv.Config) (conv.Config, bool) {
 	c.TileY = nearest(sp.ysByE[c.WinogradE], c.TileY)
 	c.TileZ = nearest(sp.zs, c.TileZ)
 	c.SharedPerBlock = nearest(sp.sbs, c.SharedPerBlock)
-	c.ThreadsX = clampFactor(c.ThreadsX, c.TileX)
-	c.ThreadsY = clampFactor(c.ThreadsY, c.TileY)
-	c.ThreadsZ = clampFactor(c.ThreadsZ, c.TileZ)
+	c.ThreadsX = sp.clampFactor(c.ThreadsX, c.TileX)
+	c.ThreadsY = sp.clampFactor(c.ThreadsY, c.TileY)
+	c.ThreadsZ = sp.clampFactor(c.ThreadsZ, c.TileZ)
 	for i := 0; i < 32; i++ {
 		if sp.admissible(c) {
 			return c, true
@@ -337,13 +370,13 @@ func (sp *Space) snap(c conv.Config) (conv.Config, bool) {
 		switch {
 		case c.TileZ > sp.zs[0] && c.TileZ >= c.TileX*c.TileY:
 			c.TileZ = below(sp.zs, c.TileZ)
-			c.ThreadsZ = clampFactor(c.ThreadsZ, c.TileZ)
+			c.ThreadsZ = sp.clampFactor(c.ThreadsZ, c.TileZ)
 		case c.TileX >= c.TileY:
 			c.TileX = below(sp.xsByE[c.WinogradE], c.TileX)
-			c.ThreadsX = clampFactor(c.ThreadsX, c.TileX)
+			c.ThreadsX = sp.clampFactor(c.ThreadsX, c.TileX)
 		default:
 			c.TileY = below(sp.ysByE[c.WinogradE], c.TileY)
-			c.ThreadsY = clampFactor(c.ThreadsY, c.TileY)
+			c.ThreadsY = sp.clampFactor(c.ThreadsY, c.TileY)
 		}
 	}
 	return c, sp.admissible(c)
@@ -407,11 +440,11 @@ func adjacent(vals []int, v int, rng *rand.Rand) int {
 	return vals[idx]
 }
 
-func clampFactor(t, tile int) int {
+func (sp *Space) clampFactor(t, tile int) int {
 	if t <= tile && tile%t == 0 {
 		return t
 	}
-	fs := factors(tile)
+	fs := sp.factors(tile)
 	best := fs[0]
 	for _, f := range fs {
 		if f <= t {

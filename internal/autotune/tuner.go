@@ -273,7 +273,7 @@ func (r *record) stale(patience int) bool {
 // executor (opts.Workers goroutines); outcomes are recorded in submission
 // order, so the run is deterministic for a fixed seed at any worker count.
 //
-// Three things keep the engine's own machinery off the critical path:
+// Four things keep the engine's own machinery off the critical path:
 //
 //   - Bound-guided pruning (unless opts.NoPrune): the I/O-lower-bound
 //     oracle (Space.BoundSeconds) runs inside proposal generation itself.
@@ -298,6 +298,9 @@ func (r *record) stale(patience int) bool {
 //   - Heap-based ranking: walker proposals and the best-measured set are
 //     maintained by bounded max-heaps with recycled backing arrays
 //     instead of full sorts.
+//   - One prediction per configuration per refit: the walkers and the
+//     ranking read the model through a memo (predictor) that is cleared
+//     whenever the model changes.
 func Tune(sp *Space, measure Measurer, opts Options) (*Trace, error) {
 	return TuneContext(context.Background(), sp, measure, opts)
 }
@@ -525,13 +528,10 @@ func tuneFallible(ctx context.Context, sp *Space, measure FallibleMeasurer, opts
 	}
 	measureBatch(ctx, initial)
 
-	// Scratch reused across iterations: walker feature buffers, the ranking
-	// feature matrix (rows into one backing array), its predictions, and
-	// the bounded heaps' extraction buffers.
-	var walkFeat []float64
-	var rankCfgs []conv.Config
-	var rankFeats [][]float64
-	var rankStore, rankPreds []float64
+	// Scratch reused across iterations: the model's prediction memo, the
+	// candidate pool, and the bounded heaps with their extraction buffers.
+	view := predictor{sp: sp, memo: make(map[conv.Config]float64)}
+	pool := make(map[conv.Config]bool)
 	var rank bestK
 	var startsBuf, pickedBuf []scored
 	var candBuf []conv.Config
@@ -550,6 +550,7 @@ func tuneFallible(ctx context.Context, sp *Space, measure FallibleMeasurer, opts
 		} else {
 			model.Update(feats, costs, updateRounds)
 		}
+		view.refit(model)
 		// Build a candidate pool: every unseen config visited by the n_s
 		// parallel random walks (started from the best measured configs),
 		// plus fresh random samples for diversity. The lower-bound oracle
@@ -557,7 +558,7 @@ func tuneFallible(ctx context.Context, sp *Space, measure FallibleMeasurer, opts
 		// floor already exceeds the incumbent is discarded (and counted
 		// pruned) before it can occupy a ranking slot, so the batched
 		// prediction ranks only configurations that could still win.
-		pool := make(map[conv.Config]bool)
+		clear(pool)
 		addCand := func(c conv.Config) {
 			if seen[c] || pool[c] {
 				return
@@ -590,12 +591,10 @@ func tuneFallible(ctx context.Context, sp *Space, measure FallibleMeasurer, opts
 				start = starts[i].cfg
 			}
 			cur := start
-			walkFeat = sp.FeaturesInto(walkFeat[:0], cur)
-			curCost := model.Predict(walkFeat)
+			curCost := view.predict(cur)
 			for step := 0; step < opts.WalkSteps; step++ {
 				next := sp.NeighborBound(cur, rng, walkLimit)
-				walkFeat = sp.FeaturesInto(walkFeat[:0], next)
-				nextCost := model.Predict(walkFeat)
+				nextCost := view.predict(next)
 				if nextCost < curCost || rng.Float64() < 0.1 {
 					cur, curCost = next, nextCost
 				}
@@ -608,24 +607,11 @@ func tuneFallible(ctx context.Context, sp *Space, measure FallibleMeasurer, opts
 		if len(pool) == 0 {
 			break // space exhausted
 		}
-		// Rank the pool by predicted cost — one batched prediction over the
-		// candidate slice, then a bounded heap keeps the BatchSize most
-		// promising (exact cost ties fall back to the configLess total
+		// Rank the pool by predicted cost: a bounded heap keeps the BatchSize
+		// most promising (exact cost ties fall back to the configLess total
 		// order, so the pick is independent of map iteration order).
-		rankCfgs = rankCfgs[:0]
-		rankFeats = rankFeats[:0]
-		rankStore = rankStore[:0]
-		for c := range pool {
-			rankCfgs = append(rankCfgs, c)
-			start := len(rankStore)
-			rankStore = sp.FeaturesInto(rankStore, c)
-			rankFeats = append(rankFeats, rankStore[start:len(rankStore):len(rankStore)])
-		}
-		rankPreds = model.PredictBatch(rankFeats, rankPreds)
 		rank.reset(opts.BatchSize)
-		for i, c := range rankCfgs {
-			rank.push(scored{c, rankPreds[i]})
-		}
+		view.rank(pool, &rank)
 		picked := rank.sorted(pickedBuf)
 		pickedBuf = picked
 		candBuf = candBuf[:0]
@@ -645,4 +631,62 @@ func tuneFallible(ctx context.Context, sp *Space, measure FallibleMeasurer, opts
 		rec.trace.Budget = rec.trace.Measurements
 	}
 	return &rec.trace, nil
+}
+
+// predictor is the engine's view of the cost model between two refits: a
+// configuration is featurized and predicted at most once, however often the
+// walkers step onto it and whether or not it then reaches the ranking. A
+// prediction is a pure function of the fitted forest and the configuration,
+// and Predict and PredictBatch agree bit for bit, so reading one back from
+// the memo cannot change a walker's move or a candidate's rank.
+type predictor struct {
+	sp    *Space
+	model *GBTModel
+	memo  map[conv.Config]float64
+
+	feat []float64 // one configuration's features
+	// The ranking's memo misses: their configurations, their feature matrix
+	// (rows into one backing array) and its batched predictions.
+	cfgs  []conv.Config
+	feats [][]float64
+	store []float64
+	preds []float64
+}
+
+// refit points the view at a refitted model and forgets the old one's
+// predictions.
+func (p *predictor) refit(model *GBTModel) {
+	p.model = model
+	clear(p.memo)
+}
+
+// predict is the modeled cost of one configuration.
+func (p *predictor) predict(c conv.Config) float64 {
+	if v, ok := p.memo[c]; ok {
+		return v
+	}
+	p.feat = p.sp.FeaturesInto(p.feat[:0], c)
+	v := p.model.Predict(p.feat)
+	p.memo[c] = v
+	return v
+}
+
+// rank offers every pool member to the heap under its modeled cost; the
+// members no walker predicted go through one PredictBatch.
+func (p *predictor) rank(pool map[conv.Config]bool, rank *bestK) {
+	p.cfgs, p.feats, p.store = p.cfgs[:0], p.feats[:0], p.store[:0]
+	for c := range pool {
+		if v, ok := p.memo[c]; ok {
+			rank.push(scored{c, v})
+			continue
+		}
+		p.cfgs = append(p.cfgs, c)
+		start := len(p.store)
+		p.store = p.sp.FeaturesInto(p.store, c)
+		p.feats = append(p.feats, p.store[start:len(p.store):len(p.store)])
+	}
+	p.preds = p.model.PredictBatch(p.feats, p.preds)
+	for i, c := range p.cfgs {
+		rank.push(scored{c, p.preds[i]})
+	}
 }
