@@ -172,7 +172,7 @@ func BenchmarkAblationPruning(b *testing.B) {
 	b.ReportAllocs()
 	arch := memsim.V100
 	layer := shapes.ConvShape{Batch: 1, Cin: 96, Hin: 27, Win: 27, Cout: 256, Hker: 5, Wker: 5, Strid: 1, Pad: 2}
-	measure := autotune.DirectMeasurer(arch, layer)
+	measure := autotune.KindMeasurer(arch, layer, autotune.Direct)
 	opts := autotune.DefaultOptions()
 	opts.Budget = 64
 	opts.Patience = 0
@@ -206,7 +206,7 @@ func BenchmarkAblationModelGuided(b *testing.B) {
 	b.ReportAllocs()
 	arch := memsim.V100
 	layer := shapes.ConvShape{Batch: 1, Cin: 256, Hin: 28, Win: 28, Cout: 128, Hker: 3, Wker: 3, Strid: 1, Pad: 1}
-	measure := autotune.DirectMeasurer(arch, layer)
+	measure := autotune.KindMeasurer(arch, layer, autotune.Direct)
 	opts := autotune.DefaultOptions()
 	opts.Budget = 64
 	opts.Patience = 0
@@ -238,11 +238,11 @@ func BenchmarkAblationWinogradE(b *testing.B) {
 	layer := shapes.ConvShape{Batch: 1, Cin: 256, Hin: 56, Win: 56, Cout: 128, Hker: 3, Wker: 3, Strid: 1, Pad: 1}
 	var e2, e4 float64
 	for i := 0; i < b.N; i++ {
-		r2, err := conv.WinogradFusedDry(arch, layer, conv.DefaultWinogradConfig(arch, layer, 2))
+		r2, err := conv.DryWinogradFused(arch, layer, conv.DefaultWinogradConfig(arch, layer, 2))
 		if err != nil {
 			b.Fatal(err)
 		}
-		r4, err := conv.WinogradFusedDry(arch, layer, conv.DefaultWinogradConfig(arch, layer, 4))
+		r4, err := conv.DryWinogradFused(arch, layer, conv.DefaultWinogradConfig(arch, layer, 4))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -328,7 +328,7 @@ func BenchmarkTuneNetwork(b *testing.B) {
 // verdicts, so the mixed arm's repeat-weighted network time must be no
 // worse than direct-only's — the benchmark hard-fails otherwise. The cost
 // of the wider search (more searches per layer) is the wall-clock delta
-// tracked via BENCH_autotune.json.
+// `go test -bench` reports.
 func BenchmarkTuneNetworkMixedKinds(b *testing.B) {
 	arch := memsim.V100
 	layers := models.MobileNetV1().NetworkLayers()
@@ -388,8 +388,8 @@ func BenchmarkTuneNetworkMixedKinds(b *testing.B) {
 // better verdict at equal budget). The headline wall-clock margin — the
 // cold path needs several times the time (~8x on the reference machine,
 // against a ≥ 2x acceptance bar) to match what the warm sweep delivers —
-// is load-dependent, so it is logged and tracked via BENCH_autotune.json
-// rather than asserted.
+// is load-dependent, so it is logged (`go test -bench`) rather than
+// asserted.
 func BenchmarkTuneNetworkWarm(b *testing.B) {
 	arch := memsim.V100
 	layers := models.ResNet18().NetworkLayers()
@@ -434,8 +434,8 @@ func BenchmarkTuneNetworkWarm(b *testing.B) {
 	// The two verdict-quality guards are deterministic (fixed seed) and
 	// hard-fail; the wall-clock margin is load-dependent — a single
 	// -benchtime=1x sample on a noisy CI runner is not evidence — so it is
-	// reported (≈8x on the reference machine, the ≥2x acceptance bar) and
-	// tracked through BENCH_autotune.json instead of asserted.
+	// reported (≈8x on the reference machine, the ≥2x acceptance bar)
+	// instead of asserted; bench/history.jsonl tracks the sweep's timings.
 	if c, w := net["cold"], net["warm"]; c > 0 && w > c*(1+1e-9) {
 		b.Fatalf("equal budget: warm network time %.6g worse than cold %.6g", w, c)
 	}
@@ -491,7 +491,7 @@ func BenchmarkTuneResume(b *testing.B) {
 	arch := memsim.V100
 	// AlexNet conv2, the layer the engine benchmarks share.
 	s := shapes.ConvShape{Batch: 1, Cin: 96, Hin: 27, Win: 27, Cout: 256, Hker: 5, Wker: 5, Strid: 1, Pad: 2}
-	measure := autotune.DirectMeasurer(arch, s)
+	measure := autotune.KindMeasurer(arch, s, autotune.Direct)
 	opts := autotune.DefaultOptions()
 	opts.Patience = 0
 	opts.Seed = 1
@@ -585,7 +585,7 @@ func BenchmarkMeasureDry(b *testing.B) {
 	arch := memsim.V100
 	s := shapes.ConvShape{Batch: 1, Cin: 256, Hin: 112, Win: 112, Cout: 512, Hker: 3, Wker: 3, Strid: 1, Pad: 1}
 	cfg := conv.DefaultDirectConfig(arch, s)
-	measure := autotune.DirectMeasurer(arch, s)
+	measure := autotune.KindMeasurer(arch, s, autotune.Direct)
 	if _, ok := measure(cfg); !ok {
 		b.Fatal("default config rejected")
 	}
@@ -604,7 +604,7 @@ func BenchmarkMeasureDryWinograd(b *testing.B) {
 	arch := memsim.V100
 	s := shapes.ConvShape{Batch: 1, Cin: 256, Hin: 56, Win: 56, Cout: 128, Hker: 3, Wker: 3, Strid: 1, Pad: 1}
 	cfg := conv.DefaultWinogradConfig(arch, s, 2)
-	measure := autotune.WinogradMeasurer(arch, s)
+	measure := autotune.KindMeasurer(arch, s, autotune.Winograd)
 	if _, ok := measure(cfg); !ok {
 		b.Fatal("default config rejected")
 	}

@@ -39,7 +39,7 @@ func main() {
 	fmt.Printf("search space: %d configs full, %d pruned (%.0f%%)\n\n",
 		full.Size(), pruned.Size(), 100*float64(pruned.Size())/float64(full.Size()))
 
-	measure := autotune.DirectMeasurer(arch, layer)
+	measure := autotune.KindMeasurer(arch, layer, autotune.Direct)
 	opts := autotune.DefaultOptions()
 	opts.Budget = budget
 	opts.Patience = 0

@@ -40,7 +40,7 @@ func TestFullPipeline(t *testing.T) {
 	}
 	opts := autotune.DefaultOptions()
 	opts.Budget = 48
-	cfg, m, err := autotune.TuneCached(cache, sp, autotune.DirectMeasurer(arch, layer), opts)
+	cfg, m, err := autotune.TuneCached(cache, sp, autotune.KindMeasurer(arch, layer, autotune.Direct), opts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -353,7 +353,7 @@ func (a *AnalyticDSE) NetworkKinds(layers []NetworkLayer, kinds []Kind) ([]Layer
 		}
 		v := LayerVerdict{Layer: l, Kind: Direct, Config: av.Config,
 			M: Measurement{Seconds: av.Seconds, GFLOPS: av.GFLOPS}, Tier: TierAnalytic}
-		for _, kind := range candidateKinds(l.Shape, NetworkOptions{Kinds: kinds})[1:] {
+		for _, kind := range CandidateKinds(l.Shape, false, kinds)[1:] {
 			// A kind may legitimately not admit the layer; the incumbent
 			// estimate stands alone then — mirroring the measured sweep.
 			if kv, kerr := a.Layer(kind, l.Shape); kerr == nil && kv.Seconds < v.M.Seconds {

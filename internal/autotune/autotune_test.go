@@ -164,7 +164,7 @@ func smallOpts(budget int, seed int64) Options {
 
 func TestTuneFindsGoodConfig(t *testing.T) {
 	sp := mustSpace(t, true)
-	measure := DirectMeasurer(arch, layer())
+	measure := KindMeasurer(arch, layer(), Direct)
 	tr, err := Tune(sp, measure, smallOpts(60, 1))
 	if err != nil {
 		t.Fatal(err)
@@ -205,7 +205,7 @@ func TestTuneFindsGoodConfig(t *testing.T) {
 
 func TestAllStrategiesRun(t *testing.T) {
 	sp := mustSpace(t, false)
-	measure := DirectMeasurer(arch, layer())
+	measure := KindMeasurer(arch, layer(), Direct)
 	for name, run := range map[string]func(*Space, Measurer, Options) (*Trace, error){
 		"random": RandomSearch,
 		"sa":     SimulatedAnnealing,
@@ -228,7 +228,7 @@ func TestAllStrategiesRun(t *testing.T) {
 
 func TestTuneDeterministic(t *testing.T) {
 	sp := mustSpace(t, true)
-	measure := DirectMeasurer(arch, layer())
+	measure := KindMeasurer(arch, layer(), Direct)
 	a, err := Tune(sp, measure, smallOpts(40, 7))
 	if err != nil {
 		t.Fatal(err)
@@ -273,7 +273,7 @@ func TestMinDeltaPatience(t *testing.T) {
 
 func TestPatienceStopsEarly(t *testing.T) {
 	sp := mustSpace(t, true)
-	measure := DirectMeasurer(arch, layer())
+	measure := KindMeasurer(arch, layer(), Direct)
 	opts := smallOpts(500, 8)
 	opts.Patience = 20
 	tr, err := Tune(sp, measure, opts)
@@ -291,7 +291,7 @@ func TestPatienceStopsEarly(t *testing.T) {
 func TestPrunedConvergesFaster(t *testing.T) {
 	full := mustSpace(t, false)
 	pruned := mustSpace(t, true)
-	measure := DirectMeasurer(arch, layer())
+	measure := KindMeasurer(arch, layer(), Direct)
 	// Average over seeds to avoid flakiness; "converged" = first measurement
 	// reaching 95% of the lower of the two final bests.
 	var fullAt, prunedAt, fullBest, prunedBest float64

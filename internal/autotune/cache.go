@@ -66,14 +66,34 @@ type cacheShard struct {
 	meta    map[string]*entryMeta
 }
 
+// searchOutcome is what one search produced: its verdict, the trace of the
+// engine run behind it — nil when the cache answered, which keeps a plain
+// hit allocation-light — or the error that ended it. It is the one value
+// tuneShared returns, an in-flight run hands its waiters and a network task
+// keeps.
+type searchOutcome struct {
+	cfg   conv.Config
+	m     Measurement
+	trace *Trace
+	err   error
+}
+
+// history is the measurement stream of the run behind the outcome, nil when
+// no run is in hand.
+func (o searchOutcome) history() []MeasuredConfig {
+	if o.trace == nil {
+		return nil
+	}
+	return o.trace.History
+}
+
+// partial reports a run cut short by its context.
+func (o searchOutcome) partial() bool { return o.trace != nil && o.trace.Partial }
+
 // flightCall is one in-progress tuning run other goroutines can wait on.
 type flightCall struct {
-	done    chan struct{}
-	cfg     conv.Config
-	m       Measurement
-	hist    []MeasuredConfig
-	partial bool
-	err     error
+	done chan struct{}
+	searchOutcome
 }
 
 // CacheEntry is one persisted tuning outcome. Rows and Curve are the
@@ -702,8 +722,8 @@ func salvageEntries(data []byte) []CacheEntry {
 // resumed or transferred from later). Concurrent callers with the same key
 // share one search.
 func TuneCached(cache *Cache, sp *Space, measure Measurer, opts Options) (conv.Config, Measurement, error) {
-	cfg, m, _, _, _, err := tuneShared(context.Background(), cache, sp, liftMeasurer(measure), opts, false)
-	return cfg, m, err
+	out, _ := tuneShared(context.Background(), cache, sp, LiftMeasurer(measure), opts, false)
+	return out.cfg, out.m, out.err
 }
 
 // TuneResumed continues a cached search at a higher budget: the persisted
@@ -713,27 +733,21 @@ func TuneCached(cache *Cache, sp *Space, measure Measurer, opts Options) (conv.C
 // measuring: the persisted search already ran with at least opts.Budget
 // (even if patience retired it below that, re-running would only re-prove
 // staleness), or the entry is verdict-only with nothing to continue from.
-// Concurrent TuneResumed calls for one key are not flight-deduplicated
-// (the single-caller CLI seam); racing writers last-write-win and a later
-// resume of an overwritten entry simply re-enters.
+// Concurrent calls for one key share one run and its trace, which they
+// must treat as read-only.
 func TuneResumed(cache *Cache, sp *Space, measure Measurer, opts Options) (*Trace, error) {
-	opts = opts.normalized()
+	out, _ := tuneShared(context.Background(), cache, sp, LiftMeasurer(measure), opts, true)
+	if out.err != nil || out.trace != nil {
+		return out.trace, out.err
+	}
+	tr := &Trace{Method: "ate", Best: out.cfg, BestM: out.m}
+	// The entry that covered the request carries the rest; only an eviction
+	// since tuneShared read it leaves the bare verdict.
 	if e, ok := cache.Entry(sp.Arch.Name, sp.Kind, sp.Shape); ok {
-		if resumeRemaining(e, opts.Budget) == 0 {
-			tr := &Trace{Method: "ate", Best: e.Config.config(),
-				BestM:        Measurement{Seconds: e.Seconds, GFLOPS: e.GFLOPS},
-				Curve:        append([]float64(nil), e.Curve...),
-				Measurements: len(e.Rows), History: e.history(), Budget: e.Budget}
-			tr.ConvergedAt = convergedAt(tr.Curve)
-			return tr, nil
-		}
-		opts = withHistory(opts, e.history())
+		tr.Curve, tr.History = append([]float64(nil), e.Curve...), e.history()
+		tr.Measurements, tr.Budget = len(e.Rows), e.Budget
+		tr.ConvergedAt = convergedAt(tr.Curve)
 	}
-	tr, err := Tune(sp, measure, opts)
-	if err != nil {
-		return nil, err
-	}
-	cache.PutTrace(sp.Arch.Name, sp.Kind, sp.Shape, tr)
 	return tr, nil
 }
 
@@ -758,8 +772,7 @@ func (c *Cache) Covered(archName string, kind Kind, s shapes.ConvShape, budget i
 	return e, 0
 }
 
-// resumeRemaining is the resume half of the predicate (shared with
-// TuneResumed, so the CLI and network paths cannot drift): a cached entry
+// resumeRemaining is the resume half of the predicate: a cached entry
 // covers a resume request at budget when the persisted search already ran
 // with at least that budget — even if patience stopped it early — or when
 // the entry is verdict-only, leaving nothing to continue from.
@@ -798,50 +811,47 @@ func convergedAt(curve []float64) int {
 	return at
 }
 
-// tuneShared is the work-sharing core of TuneCached, TuneResumed's
-// network-level counterpart and TuneNetwork: satisfy the request from the
-// cache, join an identical in-flight search, or run the engine and persist
-// the trace. shared reports whether the verdict came without running a
-// search here; hist is the measurement history when one is in hand — a
-// search ran here (or was joined in flight), or a resume request decoded
-// the persisted rows — and nil on plain cache hits, which stay
-// allocation-light. With resume set, a state-carrying cache entry whose
-// history is shorter than opts.Budget re-enters the engine warm instead
-// of short-circuiting. partial reports a search cut short by ctx (joined
-// waiters inherit the flag along with the verdict); the truncated trace is
-// still persisted — at its honest budget — so a repeat resume request
-// continues it.
-func tuneShared(ctx context.Context, cache *Cache, sp *Space, measure FallibleMeasurer, opts Options, resume bool) (conv.Config, Measurement, bool, []MeasuredConfig, bool, error) {
+// tuneShared is the work-sharing core of TuneCached, TuneResumed and
+// TuneNetwork: satisfy the request from the cache, join an identical
+// in-flight search, or run the engine and persist the trace. shared reports
+// whether the outcome came without running a search here; joined waiters
+// inherit the run's trace along with its verdict. With resume set, a
+// state-carrying cache entry whose history is shorter than opts.Budget
+// re-enters the engine warm instead of short-circuiting — the one place a
+// persisted history is replayed. A search cut short by ctx still persists
+// its trace — at its honest budget — so a repeat resume request continues
+// it.
+func tuneShared(ctx context.Context, cache *Cache, sp *Space, measure FallibleMeasurer, opts Options, resume bool) (out searchOutcome, shared bool) {
 	opts = opts.normalized()
 	// satisfied asks the coverage predicate. The persisted rows are decoded
 	// only on the resume path (where they feed the replay); a plain hit stays
-	// allocation-light and returns no history — the transfer pool reads the
+	// allocation-light and carries no trace — the transfer pool reads the
 	// cache's state entries directly (prime), not this seam.
 	var resumeHist []MeasuredConfig
-	satisfied := func() (conv.Config, Measurement, bool) {
+	satisfied := func() bool {
 		e, remaining := cache.Covered(sp.Arch.Name, sp.Kind, sp.Shape, opts.Budget, resume)
 		if remaining > 0 {
 			resumeHist = e.history()
-			return conv.Config{}, Measurement{}, false
+			return false
 		}
-		cfg, m := e.verdict()
-		return cfg, m, true
+		out.cfg, out.m = e.verdict()
+		return true
 	}
-	if cfg, m, ok := satisfied(); ok {
-		return cfg, m, true, nil, false, nil
+	if satisfied() {
+		return out, true
 	}
 	key := cacheKey(sp.Arch.Name, sp.Kind, sp.Shape)
 	cache.flightMu.Lock()
 	if call, ok := cache.flight[key]; ok {
 		cache.flightMu.Unlock()
 		<-call.done
-		return call.cfg, call.m, true, call.hist, call.partial, call.err
+		return call.searchOutcome, true
 	}
 	// Re-check under the flight lock: a racing search may have completed —
 	// Put then delete its flight entry — between the check above and here.
-	if cfg, m, ok := satisfied(); ok {
+	if satisfied() {
 		cache.flightMu.Unlock()
-		return cfg, m, true, nil, false, nil
+		return out, true
 	}
 	call := &flightCall{done: make(chan struct{})}
 	cache.flight[key] = call
@@ -850,9 +860,9 @@ func tuneShared(ctx context.Context, cache *Cache, sp *Space, measure FallibleMe
 	if len(resumeHist) > 0 {
 		opts = withHistory(opts, resumeHist)
 	}
-	tr, err := tuneFallible(ctx, sp, measure, opts)
+	tr, err := TuneFallible(ctx, sp, measure, opts)
 	if err == nil {
-		call.cfg, call.m, call.hist, call.partial = tr.Best, tr.BestM, tr.History, tr.Partial
+		call.searchOutcome = searchOutcome{cfg: tr.Best, m: tr.BestM, trace: tr}
 		cache.PutTrace(sp.Arch.Name, sp.Kind, sp.Shape, tr)
 	}
 	call.err = err
@@ -860,5 +870,5 @@ func tuneShared(ctx context.Context, cache *Cache, sp *Space, measure FallibleMe
 	cache.flightMu.Lock()
 	delete(cache.flight, key)
 	cache.flightMu.Unlock()
-	return call.cfg, call.m, false, call.hist, call.partial, err
+	return call.searchOutcome, false
 }

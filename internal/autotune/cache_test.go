@@ -305,7 +305,7 @@ func TestCacheFileRoundTrip(t *testing.T) {
 func TestTuneCached(t *testing.T) {
 	c := NewCache()
 	sp := mustSpace(t, true)
-	measure := DirectMeasurer(arch, layer())
+	measure := KindMeasurer(arch, layer(), Direct)
 	calls := 0
 	counting := func(cfg conv.Config) (Measurement, bool) {
 		calls++
@@ -353,7 +353,7 @@ func TestEmitSchedule(t *testing.T) {
 
 func TestFeatureImportance(t *testing.T) {
 	sp := mustSpace(t, true)
-	measure := DirectMeasurer(arch, layer())
+	measure := KindMeasurer(arch, layer(), Direct)
 	// Train a model from real measurements.
 	var feats [][]float64
 	var costs []float64

@@ -28,7 +28,7 @@ func engineBenchLayer() shapes.ConvShape {
 func BenchmarkTuneEngine(b *testing.B) {
 	arch := memsim.V100
 	s := engineBenchLayer()
-	measure := DirectMeasurer(arch, s) // shared memo: measurements are free after round one
+	measure := KindMeasurer(arch, s, Direct) // shared memo: measurements are free after round one
 	opts := DefaultOptions()
 	opts.Budget = 192
 	opts.Patience = 0
@@ -110,7 +110,7 @@ func BenchmarkTrainGBTIncremental(b *testing.B) {
 // on it: an initial fit on 512 transferred rows, then the search's own rows
 // arriving 8 at a time up to 400 with an 8-round Update per arrival and the
 // from-scratch retrain whenever the forest would pass its cap — the refit
-// sequence of tuneFallible, minus everything that is not the cost model.
+// sequence of TuneFallible, minus everything that is not the cost model.
 func BenchmarkGBTRefit(b *testing.B) {
 	const prior, step, own = 512, 8, 400
 	x, y := benchRows(prior+own, 13)
@@ -142,7 +142,7 @@ func benchRows(n int, seed int64) ([][]float64, []float64) {
 	if err != nil {
 		panic(err)
 	}
-	measure := DirectMeasurer(arch, s)
+	measure := KindMeasurer(arch, s, Direct)
 	rng := rand.New(rand.NewSource(seed))
 	var x [][]float64
 	var y []float64

@@ -15,7 +15,7 @@ import (
 func TestEngineMatchesLegacyVerdict(t *testing.T) {
 	a := memsim.V100
 	s := engineBenchLayer()
-	measure := DirectMeasurer(a, s)
+	measure := KindMeasurer(a, s, Direct)
 	cases := []struct {
 		budget int
 		seed   int64

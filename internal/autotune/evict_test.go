@@ -163,7 +163,7 @@ func TestEvictedKeyRetunesIdentically(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	measure := DirectMeasurer(arch, shape)
+	measure := KindMeasurer(arch, shape, Direct)
 
 	c := NewCache()
 	c.SetEviction(EvictionPolicy{MaxEntries: 4})

@@ -5,8 +5,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"repro/internal/conv"
 )
 
 // This file is the measurement executor of the engine: each iteration the
@@ -16,40 +14,6 @@ import (
 // to hide its latency. Results come back indexed by submission order, so
 // the engine's bookkeeping — and therefore the whole tuning run — is
 // bit-identical for any worker count.
-
-// measured is one measurement outcome, slotted by submission index.
-type measured struct {
-	m  Measurement
-	ok bool
-}
-
-// measureAll measures cfgs[i] into result[i], fanning the calls across up
-// to workers goroutines. latency emulates the per-measurement hardware
-// round-trip (compile + launch + read-back) that the dry simulator
-// otherwise elides; overlapping those waits is where a multi-worker
-// executor pays off on real devices. The Measurer must be safe for
-// concurrent use when workers > 1.
-func measureAll(measure Measurer, cfgs []conv.Config, workers int, latency time.Duration) []measured {
-	return measureAllInto(nil, measure, cfgs, workers, latency)
-}
-
-// measureAllInto is measureAll with a caller-recycled result buffer: the
-// tuner passes the previous batch's slice back in, so steady-state batches
-// allocate nothing in the executor.
-func measureAllInto(out []measured, measure Measurer, cfgs []conv.Config, workers int, latency time.Duration) []measured {
-	if cap(out) < len(cfgs) {
-		out = make([]measured, len(cfgs))
-	}
-	out = out[:len(cfgs)]
-	run := func(i int) {
-		if latency > 0 {
-			time.Sleep(latency)
-		}
-		out[i].m, out[i].ok = measure(cfgs[i])
-	}
-	fanIndexed(len(cfgs), workers, run)
-	return out
-}
 
 // fanIndexed calls fn(0) … fn(n-1), fanning the calls across up to workers
 // goroutines (serially for workers <= 1). It is the worker-pool primitive

@@ -3,12 +3,15 @@ package autotune_test
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"reflect"
+	"sync"
 	"testing"
 
 	"repro"
 	"repro/internal/autotune"
+	"repro/internal/conv"
 	"repro/internal/memsim"
 	"repro/internal/models"
 	"repro/internal/shapes"
@@ -26,17 +29,20 @@ func laneOpts(budget int) autotune.Options {
 type fixture struct {
 	name   string
 	layers []autotune.NetworkLayer
+	// deadWinograd: the last layer's Winograd candidate is offered, but its
+	// measurer is dead, so that search fails on every sweep.
+	deadWinograd bool
 }
 
 // zooFixtures is the benchmark's six-network zoo.
 func zooFixtures() []fixture {
 	return []fixture{
-		{"alexnet", models.AlexNet().NetworkLayers()},
-		{"vgg19", models.VGG19().NetworkLayers()},
-		{"resnet18", models.ResNet18().NetworkLayers()},
-		{"squeezenet", models.SqueezeNet().NetworkLayers()},
-		{"inceptionv3", models.InceptionV3().NetworkLayers()},
-		{"mobilenetv1", models.MobileNetV1().NetworkLayers()},
+		{name: "alexnet", layers: models.AlexNet().NetworkLayers()},
+		{name: "vgg19", layers: models.VGG19().NetworkLayers()},
+		{name: "resnet18", layers: models.ResNet18().NetworkLayers()},
+		{name: "squeezenet", layers: models.SqueezeNet().NetworkLayers()},
+		{name: "inceptionv3", layers: models.InceptionV3().NetworkLayers()},
+		{name: "mobilenetv1", layers: models.MobileNetV1().NetworkLayers()},
 	}
 }
 
@@ -44,6 +50,20 @@ func zooFixtures() []fixture {
 // is the one uncovered search that sends the whole request down the sweep.
 var strangerLayer = autotune.NetworkLayer{Name: "stranger", Repeat: 1, Shape: shapes.ConvShape{
 	Batch: 1, Cin: 24, Cout: 40, Hin: 10, Win: 10, Hker: 5, Wker: 5, Strid: 1, Pad: 2}}
+
+// deadWinogradLayer is a 3×3 unit-stride shape no zoo layer has.
+var deadWinogradLayer = autotune.NetworkLayer{Name: "dead-winograd", Repeat: 1, Shape: shapes.ConvShape{
+	Batch: 1, Cin: 24, Cout: 40, Hin: 10, Win: 10, Hker: 3, Wker: 3, Strid: 1, Pad: 1}}
+
+// killWinograd fails every Winograd measurement of deadWinogradLayer.
+func killWinograd(k autotune.Kind, s shapes.ConvShape, m autotune.Measurer) autotune.FallibleMeasurer {
+	if k == autotune.Winograd && s == deadWinogradLayer.Shape {
+		return func(conv.Config) (autotune.Measurement, bool, error) {
+			return autotune.Measurement{}, false, errors.New("backend down")
+		}
+	}
+	return autotune.LiftMeasurer(m)
+}
 
 func copyCache(t *testing.T, c *autotune.Cache) *autotune.Cache {
 	t.Helper()
@@ -71,9 +91,13 @@ func wire(t *testing.T, verdicts []autotune.LayerVerdict) []byte {
 // is answered by CachedNetwork, and its verdicts equal — field for field —
 // what the full sweep yields for the same layers over the same entries. The
 // reference runs the sweep on a copy of the cache, forced past the probe by
-// one extra layer the cache does not hold.
+// one extra layer the cache does not hold. A candidate search that fails
+// leaves its key uncovered — the probe declines, every sweep retries it —
+// and the layer keeps its Direct verdict, first tune and replay alike.
 func TestCachedNetworkMatchesSweep(t *testing.T) {
-	for _, f := range zooFixtures() {
+	fixtures := append(zooFixtures(), fixture{name: "alexnet+dead-winograd",
+		layers: append(models.AlexNet().NetworkLayers(), deadWinogradLayer), deadWinograd: true})
+	for _, f := range fixtures {
 		for _, warm := range []bool{false, true} {
 			for _, resume := range []bool{false, true} {
 				for _, kinds := range [][]autotune.Kind{nil, {autotune.FFT, autotune.ImplicitGEMM}} {
@@ -82,6 +106,9 @@ func TestCachedNetworkMatchesSweep(t *testing.T) {
 						t.Parallel()
 						opts := autotune.NetworkOptions{Tune: laneOpts(6), Workers: 2,
 							Winograd: true, Kinds: kinds, Warm: warm, Resume: resume}
+						if f.deadWinograd {
+							opts.WrapMeasurer = killWinograd
+						}
 						cache := autotune.NewCache()
 						cold, err := autotune.TuneNetwork(laneArch, f.layers, cache, opts)
 						if err != nil {
@@ -91,12 +118,18 @@ func TestCachedNetworkMatchesSweep(t *testing.T) {
 							t.Fatal("an empty cache answered the request")
 						}
 						fast, ok := autotune.CachedNetwork(laneArch, f.layers, cache, opts)
-						if !ok {
-							t.Fatal("the cache does not answer a network it has just tuned")
+						if ok == f.deadWinograd {
+							t.Fatalf("CachedNetwork answered: %t, want %t (only a failed search is left uncovered)", ok, !f.deadWinograd)
 						}
 						replay, err := autotune.TuneNetwork(laneArch, f.layers, cache, opts)
 						if err != nil {
 							t.Fatal(err)
+						}
+						if f.deadWinograd {
+							if last := cold[len(cold)-1]; last.Kind == autotune.Winograd {
+								t.Error("a layer with a dead Winograd backend tuned to winograd")
+							}
+							fast = replay
 						}
 						if !reflect.DeepEqual(replay, fast) {
 							t.Error("TuneNetwork's replay differs from CachedNetwork's answer")
@@ -123,6 +156,66 @@ func TestCachedNetworkMatchesSweep(t *testing.T) {
 						}
 					})
 				}
+			}
+		}
+	}
+}
+
+// Searches is the sweep's own plan: for every zoo network, candidate-kind set
+// and schedule, the searches it lists are — in first-come layer order —
+// exactly the ones a sweep on a fresh cache ran, and the cache afterwards
+// holds one entry per listed search that did not error and nothing else.
+func TestSearchesMatchesSweep(t *testing.T) {
+	for _, f := range zooFixtures() {
+		for _, kinds := range [][]autotune.Kind{nil, {autotune.Winograd}, {autotune.FFT, autotune.ImplicitGEMM}} {
+			for _, warm := range []bool{false, true} {
+				t.Run(fmt.Sprintf("%s/kinds=%v/warm=%t", f.name, kinds, warm), func(t *testing.T) {
+					t.Parallel()
+					var mu sync.Mutex
+					ran := make(map[autotune.Search]int)
+					opts := autotune.NetworkOptions{Tune: laneOpts(6), Workers: 2, Kinds: kinds, Warm: warm,
+						WrapMeasurer: func(k autotune.Kind, s shapes.ConvShape, m autotune.Measurer) autotune.FallibleMeasurer {
+							mu.Lock()
+							ran[autotune.Search{Kind: k, Shape: s}]++
+							mu.Unlock()
+							return autotune.LiftMeasurer(m)
+						}}
+					searches := autotune.Searches(laneArch, f.layers, opts)
+
+					var want []autotune.Search
+					seen := make(map[autotune.Search]bool)
+					for _, l := range f.layers {
+						for _, k := range autotune.CandidateKinds(l.Shape, false, kinds) {
+							if q := (autotune.Search{Kind: k, Shape: l.Shape}); !seen[q] {
+								seen[q] = true
+								want = append(want, q)
+							}
+						}
+					}
+					if !reflect.DeepEqual(searches, want) {
+						t.Fatalf("Searches = %v, want the first-come candidate order %v", searches, want)
+					}
+
+					cache := autotune.NewCache()
+					if _, err := autotune.TuneNetwork(laneArch, f.layers, cache, opts); err != nil {
+						t.Fatal(err)
+					}
+					wrote := 0
+					for _, q := range searches {
+						if ran[q] != 1 {
+							t.Errorf("%v %v: the sweep ran it %d times, want once", q.Kind, q.Shape, ran[q])
+						}
+						if _, ok := cache.Entry(laneArch.Name, q.Kind, q.Shape); ok {
+							wrote++
+						} else if q.Kind == autotune.Direct {
+							t.Errorf("direct %v: no entry after a sweep that succeeded", q.Shape)
+						}
+					}
+					if len(ran) != len(searches) || cache.Len() != wrote {
+						t.Errorf("the sweep ran %d searches and wrote %d keys; Searches lists %d, %d of them cached",
+							len(ran), cache.Len(), len(searches), wrote)
+					}
+				})
 			}
 		}
 	}

@@ -48,7 +48,7 @@ func (f *flakyMeasurer) measure(c conv.Config) (Measurement, bool, error) {
 // produce the exact trace Tune does, new counters included (all zero).
 func TestFallibleZeroPolicyBitIdentical(t *testing.T) {
 	sp := mustSpace(t, true)
-	measure := DirectMeasurer(arch, layer())
+	measure := KindMeasurer(arch, layer(), Direct)
 	want, err := Tune(sp, measure, smallOpts(60, 1))
 	if err != nil {
 		t.Fatal(err)
@@ -82,7 +82,7 @@ func countEvent(kind Event, n *int) func(Event) {
 // once per retry.
 func TestRetryAbsorbsTransientFailures(t *testing.T) {
 	sp := mustSpace(t, true)
-	measure := DirectMeasurer(arch, layer())
+	measure := KindMeasurer(arch, layer(), Direct)
 	clean, err := Tune(sp, measure, smallOpts(60, 1))
 	if err != nil {
 		t.Fatal(err)
@@ -121,7 +121,7 @@ func TestRetryAbsorbsTransientFailures(t *testing.T) {
 // remaining ones; OnEvent reports each as an EventQuarantine.
 func TestQuarantinePermanentFailures(t *testing.T) {
 	sp := mustSpace(t, true)
-	measure := DirectMeasurer(arch, layer())
+	measure := KindMeasurer(arch, layer(), Direct)
 	// Deterministic subset of permanently-dead configs, interleaving-free.
 	dead := func(c conv.Config) bool { return ConfigHash(99, c, 0)%4 == 0 }
 	backend := func(c conv.Config) (Measurement, bool, error) {
@@ -186,7 +186,7 @@ func TestAllQuarantinedIsAnError(t *testing.T) {
 // from the floor costs exactly one call.
 func TestNoiseDefenseTakesMedian(t *testing.T) {
 	sp := mustSpace(t, true)
-	measure := DirectMeasurer(arch, layer())
+	measure := KindMeasurer(arch, layer(), Direct)
 	// Find a valid config and its true reading.
 	var cfg conv.Config
 	var truth Measurement
@@ -244,7 +244,7 @@ func TestNoiseDefenseTakesMedian(t *testing.T) {
 // the partial history without re-measuring, then completes.
 func TestContextCancelYieldsResumablePartial(t *testing.T) {
 	sp := mustSpace(t, true)
-	measure := DirectMeasurer(arch, layer())
+	measure := KindMeasurer(arch, layer(), Direct)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel() // expired before the first batch
 	opts := smallOpts(60, 3)
@@ -292,7 +292,7 @@ func TestContextCancelYieldsResumablePartial(t *testing.T) {
 // cancelled batch books a contiguous prefix in submission order.
 func TestPartialTraceWorkerInvariant(t *testing.T) {
 	sp := mustSpace(t, true)
-	measure := DirectMeasurer(arch, layer())
+	measure := KindMeasurer(arch, layer(), Direct)
 	run := func(workers int) *Trace {
 		ctx, cancel := context.WithCancel(context.Background())
 		cancel()

@@ -119,7 +119,7 @@ func TestDepthwiseTunedFlopsAreOneOverG(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		tr, err := Tune(sp, DirectMeasurer(arch, tc.s), smallOpts(32, 5))
+		tr, err := Tune(sp, KindMeasurer(arch, tc.s, Direct), smallOpts(32, 5))
 		if err != nil {
 			t.Fatal(err)
 		}

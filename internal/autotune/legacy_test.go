@@ -11,7 +11,10 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"sort"
+	"testing"
+	"time"
 
 	"repro/internal/conv"
 )
@@ -286,4 +289,57 @@ func legacyTune(sp *Space, measure Measurer, opts Options) (*Trace, error) {
 		return nil, fmt.Errorf("autotune: no valid configuration found in %d measurements", rec.trace.Measurements)
 	}
 	return &rec.trace, nil
+}
+
+// measured is one measurement outcome of the legacy executor, slotted by
+// submission index.
+type measured struct {
+	m  Measurement
+	ok bool
+}
+
+// measureAll is the pre-fanIndexedCtx executor legacyTune still runs on: it
+// measures cfgs[i] into result[i], fanning the calls across up to workers
+// goroutines. latency emulates the per-measurement hardware
+// round-trip (compile + launch + read-back) that the dry simulator
+// otherwise elides; overlapping those waits is where a multi-worker
+// executor pays off on real devices. The Measurer must be safe for
+// concurrent use when workers > 1.
+func measureAll(measure Measurer, cfgs []conv.Config, workers int, latency time.Duration) []measured {
+	return measureAllInto(nil, measure, cfgs, workers, latency)
+}
+
+// measureAllInto is measureAll with a caller-recycled result buffer: the
+// tuner passes the previous batch's slice back in, so steady-state batches
+// allocate nothing in the executor.
+func measureAllInto(out []measured, measure Measurer, cfgs []conv.Config, workers int, latency time.Duration) []measured {
+	if cap(out) < len(cfgs) {
+		out = make([]measured, len(cfgs))
+	}
+	out = out[:len(cfgs)]
+	run := func(i int) {
+		if latency > 0 {
+			time.Sleep(latency)
+		}
+		out[i].m, out[i].ok = measure(cfgs[i])
+	}
+	fanIndexed(len(cfgs), workers, run)
+	return out
+}
+
+// TestMeasureAllOrdering: the executor slots results by submission index
+// regardless of completion order.
+func TestMeasureAllOrdering(t *testing.T) {
+	sp := mustSpace(t, true)
+	var cfgs []conv.Config
+	sp.enumerate(func(c conv.Config) bool {
+		cfgs = append(cfgs, c)
+		return len(cfgs) < 50
+	})
+	measure := KindMeasurer(arch, layer(), Direct)
+	serial := measureAll(measure, cfgs, 1, 0)
+	fanned := measureAll(measure, cfgs, 8, 0)
+	if !reflect.DeepEqual(serial, fanned) {
+		t.Error("executor results differ between 1 and 8 workers")
+	}
 }

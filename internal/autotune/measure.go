@@ -76,10 +76,6 @@ func NewMemoMeasure(arch memsim.Arch, s shapes.ConvShape, kind Kind) *MemoMeasur
 	return mm
 }
 
-// Measurer returns the Measurer func of this memo (the type the engine
-// consumes).
-func (mm *MemoMeasure) Measurer() Measurer { return mm.Measure }
-
 // Measure evaluates one configuration: validation and launch/time are
 // recomputed per call (they depend on every axis), counts come from the
 // memo. Results are bit-identical to the unmemoized dry evaluators.

@@ -113,20 +113,73 @@ type LayerVerdict struct {
 	Tier Tier
 }
 
-// netTask is one deduplicated (kind, shape) search of a network sweep.
-type netTask struct {
-	kind    Kind
-	shape   shapes.ConvShape
-	sp      *Space
-	measure Measurer
-	owner   int // first layer index that requested this search
+// Search is one distinct (kind, shape) search of a network request — the
+// unit the shared cache keys, deduplicates and persists.
+type Search struct {
+	Kind  Kind
+	Shape shapes.ConvShape
+}
 
-	cfg     conv.Config
-	m       Measurement
-	shared  bool
-	partial bool
-	hist    []MeasuredConfig
-	err     error
+// netTask is one planned search of a sweep with its outcome. sp stays nil on
+// a cache probe, which builds no spaces.
+type netTask struct {
+	Search
+	owner int // first layer index that requested this search
+	sp    *Space
+	searchOutcome
+	shared bool // the outcome came without running a search here
+}
+
+// sweepPlan is a network request reduced to the work behind it: the distinct
+// searches in first-come layer order — so the schedule, and therefore the
+// warm pool, is a pure function of the input — and tasksOf[i], the task
+// index per candidate kind of layers[i], the mandatory Direct search first.
+type sweepPlan struct {
+	arch    memsim.Arch
+	layers  []NetworkLayer
+	tasks   []*netTask
+	tasksOf [][]int
+}
+
+// planSweep is the one reduction of (layers, options) to searches: the cache
+// probe, the sweep and the service's accounting (Searches) all read its
+// plan, so they cannot disagree on what a request will search.
+func planSweep(arch memsim.Arch, layers []NetworkLayer, opts NetworkOptions) sweepPlan {
+	p := sweepPlan{arch: arch, layers: layers, tasksOf: make([][]int, len(layers))}
+	// Two layers share a search when they share its cache key; within one
+	// architecture that is the kind and the shape, groups normalized as the
+	// key normalizes them.
+	taskIdx := make(map[Search]int, len(layers))
+	var kinds [len(kindTable)]Kind
+	flat := make([]int, 0, 2*len(layers)) // backs every tasksOf[i]
+	for i, l := range layers {
+		start := len(flat)
+		for _, kind := range candidateKinds(kinds[:0], l.Shape, opts) {
+			key := Search{kind, l.Shape}
+			key.Shape.Groups = l.Shape.G()
+			ti, seen := taskIdx[key]
+			if !seen {
+				ti = len(p.tasks)
+				taskIdx[key] = ti
+				p.tasks = append(p.tasks, &netTask{Search: Search{kind, l.Shape}, owner: i})
+			}
+			flat = append(flat, ti)
+		}
+		p.tasksOf[i] = flat[start:len(flat):len(flat)]
+	}
+	return p
+}
+
+// Searches lists the distinct searches a sweep of the request runs, in the
+// order it schedules them — for callers that must predict the search set
+// without running it (the service's admission accounting and replication).
+func Searches(arch memsim.Arch, layers []NetworkLayer, opts NetworkOptions) []Search {
+	tasks := planSweep(arch, layers, opts).tasks
+	out := make([]Search, len(tasks))
+	for i, t := range tasks {
+		out[i] = t.Search
+	}
+	return out
 }
 
 // poolRowCap bounds the transferred training rows per pool family; beyond
@@ -254,15 +307,15 @@ func (p *transferPool) warmFor(k poolKey) *WarmStart {
 // admits every shape and anchors the sweep's error handling); every other
 // kind is a candidate where it was requested and its row offers it for the
 // shape (kinds.go). Candidates come back in Kind order whatever order they
-// were requested in: the first is the layer's mandatory search.
-// CandidateKinds is the exported form of the gating, for callers that must
-// predict the sweep's search set without running it (the service's
-// admission accounting).
+// were requested in, appended to dst (the plan passes one reused buffer):
+// the first is the layer's mandatory search.
+// CandidateKinds is the exported form of the gating alone; Searches is the
+// whole request's deduplicated search set.
 func CandidateKinds(s shapes.ConvShape, winograd bool, kinds []Kind) []Kind {
-	return candidateKinds(s, NetworkOptions{Winograd: winograd, Kinds: kinds})
+	return candidateKinds(nil, s, NetworkOptions{Winograd: winograd, Kinds: kinds})
 }
 
-func candidateKinds(s shapes.ConvShape, opts NetworkOptions) []Kind {
+func candidateKinds(dst []Kind, s shapes.ConvShape, opts NetworkOptions) []Kind {
 	var want [len(kindTable)]bool
 	want[Winograd] = opts.Winograd // the flag is an alias for the kind
 	for _, k := range opts.Kinds {
@@ -270,13 +323,13 @@ func candidateKinds(s shapes.ConvShape, opts NetworkOptions) []Kind {
 			want[k] = true
 		}
 	}
-	kinds := []Kind{Direct}
+	dst = append(dst, Direct)
 	for _, k := range Kinds[1:] {
 		if row := k.spec(); want[k] && (row.offered == nil || row.offered(s)) {
-			kinds = append(kinds, k)
+			dst = append(dst, k)
 		}
 	}
-	return kinds
+	return dst
 }
 
 // TuneNetwork tunes every layer of a network with the paper's engine,
@@ -307,49 +360,30 @@ func TuneNetworkContext(ctx context.Context, arch memsim.Arch, layers []NetworkL
 	}
 	// A request the cache fully answers is a lookup, not a sweep: it returns
 	// here, before any space, measurer, transfer pool or worker exists.
-	if verdicts, ok := CachedNetwork(arch, layers, cache, opts); ok {
+	plan := planSweep(arch, layers, opts)
+	if verdicts, ok := plan.cached(cache, opts); ok {
 		return verdicts, nil
 	}
 	workers := opts.Workers
 	if workers < 1 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-
-	// Deduplicate the layer list into search tasks, preserving first-come
-	// layer order so the schedule (and therefore the warm pool) is a pure
-	// function of the input.
-	var tasks []*netTask
-	taskIdx := make(map[string]int)
-	addTask := func(kind Kind, s shapes.ConvShape, layer int) (int, error) {
-		key := cacheKey(arch.Name, kind, s)
-		if i, ok := taskIdx[key]; ok {
-			return i, nil
-		}
-		sp, err := NewSpace(s, arch, kind, 0, true)
+	tasks := plan.tasks
+	// live indexes the tasks that have a space to search.
+	live := make([]int, 0, len(tasks))
+	for i, t := range tasks {
+		sp, err := NewSpace(t.Shape, arch, t.Kind, 0, true)
 		if err != nil {
-			return -1, err
-		}
-		tasks = append(tasks, &netTask{kind: kind, shape: s, sp: sp,
-			measure: NewMemoMeasure(arch, s, kind).Measure, owner: layer})
-		taskIdx[key] = len(tasks) - 1
-		return len(tasks) - 1, nil
-	}
-	// tasksOf[i] lists the task index per candidate kind of layer i, the
-	// mandatory Direct search first.
-	tasksOf := make([][]int, len(layers))
-	for i, l := range layers {
-		for _, kind := range candidateKinds(l.Shape, opts) {
-			ti, err := addTask(kind, l.Shape, i)
-			if err != nil {
-				if kind == Direct {
-					return nil, fmt.Errorf("autotune: layer %q: %w", l.Name, err)
-				}
-				// A non-direct kind may legitimately not admit a layer; the
-				// remaining candidates stand alone then.
-				continue
+			if t.Kind == Direct {
+				return nil, fmt.Errorf("autotune: layer %q: %w", layers[t.owner].Name, err)
 			}
-			tasksOf[i] = append(tasksOf[i], ti)
+			// A non-direct kind may legitimately not admit a layer; the
+			// remaining candidates stand alone then.
+			t.err = err
+			continue
 		}
+		t.sp = sp
+		live = append(live, i)
 	}
 
 	run := func(idxs []int, pool *transferPool) {
@@ -357,22 +391,19 @@ func TuneNetworkContext(ctx context.Context, arch memsim.Arch, layers []NetworkL
 			t := tasks[idxs[j]]
 			to := opts.Tune
 			if pool != nil {
-				to.Warm = pool.warmFor(familyOf(t.kind, t.shape))
+				to.Warm = pool.warmFor(familyOf(t.Kind, t.Shape))
 			}
-			measure := liftMeasurer(t.measure)
+			plain := NewMemoMeasure(arch, t.Shape, t.Kind).Measure
+			measure := LiftMeasurer(plain)
 			if opts.WrapMeasurer != nil {
-				measure = opts.WrapMeasurer(t.kind, t.shape, t.measure)
+				measure = opts.WrapMeasurer(t.Kind, t.Shape, plain)
 			}
-			t.cfg, t.m, t.shared, t.hist, t.partial, t.err = tuneShared(ctx, cache, t.sp, measure, to, opts.Resume)
+			t.searchOutcome, t.shared = tuneShared(ctx, cache, t.sp, measure, to, opts.Resume)
 		})
 	}
 
 	if !opts.Warm {
-		all := make([]int, len(tasks))
-		for i := range all {
-			all[i] = i
-		}
-		run(all, nil)
+		run(live, nil)
 	} else {
 		// Two deterministic waves: wave 0 is one representative search per
 		// layer family the pool has nothing for yet (cold), wave 1 is
@@ -383,8 +414,8 @@ func TuneNetworkContext(ctx context.Context, arch memsim.Arch, layers []NetworkL
 		pool.prime(cache, arch)
 		var wave0, wave1 []int
 		cold := make(map[poolKey]bool)
-		for i, t := range tasks {
-			fam := familyOf(t.kind, t.shape)
+		for _, i := range live {
+			fam := familyOf(tasks[i].Kind, tasks[i].Shape)
 			if !pool.has(fam) && !cold[fam] {
 				cold[fam] = true
 				wave0 = append(wave0, i)
@@ -395,12 +426,12 @@ func TuneNetworkContext(ctx context.Context, arch memsim.Arch, layers []NetworkL
 		run(wave0, nil)
 		for _, i := range wave0 {
 			if t := tasks[i]; t.err == nil {
-				pool.contribute(t.kind, t.sp, t.hist)
+				pool.contribute(t.Kind, t.sp, t.history())
 			}
 		}
 		run(wave1, pool)
 	}
-	return chooseKinds(layers, tasks, tasksOf, opts)
+	return plan.chooseKinds(opts)
 }
 
 // CachedNetwork answers a network request from the cache alone: ok reports
@@ -416,82 +447,66 @@ func CachedNetwork(arch memsim.Arch, layers []NetworkLayer, cache *Cache, opts N
 	if cache == nil || len(layers) == 0 {
 		return nil, false
 	}
-	var tasks []*netTask
-	taskIdx := make(map[string]int)
-	tasksOf := make([][]int, len(layers))
-	for i, l := range layers {
-		for _, kind := range candidateKinds(l.Shape, opts) {
-			key := cacheKey(arch.Name, kind, l.Shape)
-			ti, seen := taskIdx[key]
-			if !seen {
-				e, remaining := cache.Covered(arch.Name, kind, l.Shape, opts.Tune.Budget, opts.Resume)
-				if remaining > 0 {
-					return nil, false
-				}
-				ti = len(tasks)
-				taskIdx[key] = ti
-				t := &netTask{kind: kind, shape: l.Shape, owner: i, shared: true}
-				t.cfg, t.m = e.verdict()
-				tasks = append(tasks, t)
-			}
-			tasksOf[i] = append(tasksOf[i], ti)
+	return planSweep(arch, layers, opts).cached(cache, opts)
+}
+
+// cached is the probe over a built plan: every task takes its verdict from
+// the cache, or the first uncovered one reports a miss.
+func (p sweepPlan) cached(cache *Cache, opts NetworkOptions) ([]LayerVerdict, bool) {
+	for _, t := range p.tasks {
+		e, remaining := cache.Covered(p.arch.Name, t.Kind, t.Shape, opts.Tune.Budget, opts.Resume)
+		if remaining > 0 {
+			return nil, false
 		}
+		t.cfg, t.m = e.verdict()
+		t.shared = true
 	}
-	verdicts, err := chooseKinds(layers, tasks, tasksOf, opts)
+	verdicts, err := p.chooseKinds(opts)
 	return verdicts, err == nil
 }
 
 // chooseKinds is the per-layer kernel choice: among the finished searches of
-// each layer's candidate kinds (tasksOf[i], the mandatory Direct search
-// first) the best measured verdict wins, in layer order.
-func chooseKinds(layers []NetworkLayer, tasks []*netTask, tasksOf [][]int, opts NetworkOptions) ([]LayerVerdict, error) {
-	verdicts := make([]LayerVerdict, len(layers))
-	for i, l := range layers {
-		dt := tasks[tasksOf[i][0]] // the mandatory Direct search
-		if dt.err != nil {
+// each layer's candidate kinds the best measured verdict wins, in layer
+// order.
+func (p sweepPlan) chooseKinds(opts NetworkOptions) ([]LayerVerdict, error) {
+	verdicts := make([]LayerVerdict, len(p.layers))
+	for i, l := range p.layers {
+		// best is the layer's winning search so far: the mandatory Direct one,
+		// or — on the degraded path — nothing when that failed. A failed
+		// alternative-kind search (e.g. no valid configuration for tiny
+		// spatial dims) leaves it standing.
+		direct := p.tasks[p.tasksOf[i][0]]
+		best := direct
+		if direct.err != nil {
 			if !opts.AnalyticFallback {
-				return nil, fmt.Errorf("autotune: layer %q: %w", l.Name, dt.err)
+				return nil, fmt.Errorf("autotune: layer %q: %w", l.Name, direct.err)
 			}
-			// Degraded path. If any alternative kind of the failed direct
-			// search measured fine, the best such real verdict wins;
-			// otherwise the layer is answered by the analytic tier so the
-			// sweep stays complete. Only an unrankable space still fails
-			// the sweep.
-			best := -1
-			for _, ti := range tasksOf[i][1:] {
-				if t := tasks[ti]; t.err == nil && (best < 0 || t.m.Seconds < tasks[best].m.Seconds) {
-					best = ti
-				}
+			best = nil
+		}
+		for _, ti := range p.tasksOf[i][1:] {
+			if t := p.tasks[ti]; t.err == nil && (best == nil || t.m.Seconds < best.m.Seconds) {
+				best = t
 			}
-			if best >= 0 {
-				t := tasks[best]
-				verdicts[i] = LayerVerdict{Layer: l, Kind: t.kind, Config: t.cfg, M: t.m,
-					Shared: t.shared || t.owner != i, Partial: t.partial}
-				continue
-			}
-			spaces := make([]*Space, 0, len(tasksOf[i]))
-			for _, ti := range tasksOf[i] {
-				spaces = append(spaces, tasks[ti].sp)
-			}
-			av, ok := analyticLayerVerdict(l, spaces, opts.AnalyticCalibration)
-			if !ok {
-				return nil, fmt.Errorf("autotune: layer %q: %w", l.Name, dt.err)
-			}
-			verdicts[i] = av
+		}
+		if best != nil {
+			verdicts[i] = LayerVerdict{Layer: l, Kind: best.Kind, Config: best.cfg, M: best.m,
+				Shared: best.shared || best.owner != i, Partial: best.partial()}
 			continue
 		}
-		v := LayerVerdict{Layer: l, Kind: Direct, Config: dt.cfg, M: dt.m,
-			Shared: dt.shared || dt.owner != i, Partial: dt.partial}
-		for _, ti := range tasksOf[i][1:] {
-			// A failed alternative-kind search (e.g. no valid configuration
-			// for tiny spatial dims) leaves the incumbent verdict standing.
-			if t := tasks[ti]; t.err == nil && t.m.Seconds < v.M.Seconds {
-				v.Kind, v.Config, v.M = t.kind, t.cfg, t.m
-				v.Shared = t.shared || t.owner != i
-				v.Partial = t.partial
+		// No candidate kind measured: the layer is answered by the analytic
+		// tier so the sweep stays complete. Only an unrankable space still
+		// fails the sweep.
+		spaces := make([]*Space, 0, len(p.tasksOf[i]))
+		for _, ti := range p.tasksOf[i] {
+			if sp := p.tasks[ti].sp; sp != nil {
+				spaces = append(spaces, sp)
 			}
 		}
-		verdicts[i] = v
+		av, ok := analyticLayerVerdict(l, spaces, opts.AnalyticCalibration)
+		if !ok {
+			return nil, fmt.Errorf("autotune: layer %q: %w", l.Name, direct.err)
+		}
+		verdicts[i] = av
 	}
 	return verdicts, nil
 }

@@ -1,11 +1,11 @@
 package autotune
 
 import (
+	"errors"
 	"reflect"
 	"sync"
 	"testing"
 
-	"repro/internal/conv"
 	"repro/internal/shapes"
 )
 
@@ -14,7 +14,7 @@ import (
 // point) whether the batch is measured by 1 goroutine or 8.
 func TestTuneWorkersDeterministic(t *testing.T) {
 	s := layer()
-	measure := DirectMeasurer(arch, s)
+	measure := KindMeasurer(arch, s, Direct)
 	run := func(workers int) *Trace {
 		sp := mustSpace(t, true)
 		opts := smallOpts(64, 7)
@@ -150,19 +150,28 @@ func TestTuneNetworkConcurrentCallers(t *testing.T) {
 	}
 }
 
-// TestMeasureAllOrdering: the executor slots results by submission index
-// regardless of completion order.
-func TestMeasureAllOrdering(t *testing.T) {
-	sp := mustSpace(t, true)
-	var cfgs []conv.Config
-	sp.enumerate(func(c conv.Config) bool {
-		cfgs = append(cfgs, c)
-		return len(cfgs) < 50
-	})
-	measure := DirectMeasurer(arch, layer())
-	serial := measureAll(measure, cfgs, 1, 0)
-	fanned := measureAll(measure, cfgs, 8, 0)
-	if !reflect.DeepEqual(serial, fanned) {
-		t.Error("executor results differ between 1 and 8 workers")
+// A planned task without a space — a kind whose NewSpace refused the shape —
+// takes part in neither the kernel choice nor the analytic fallback's space
+// list.
+func TestChooseKindsSkipsSpacelessTask(t *testing.T) {
+	opts := NetworkOptions{Winograd: true, AnalyticFallback: true}
+	plan := planSweep(arch, []NetworkLayer{{Name: "l", Shape: layer(), Repeat: 1}}, opts)
+	if len(plan.tasks) != 2 || plan.tasks[1].Kind != Winograd {
+		t.Fatalf("plan = %+v, want a direct and a winograd task", plan.tasks)
+	}
+	direct, wino := plan.tasks[0], plan.tasks[1]
+	direct.sp = mustSpace(t, true)
+	wino.err = errors.New("space refused")
+
+	direct.m = Measurement{Seconds: 1}
+	verdicts, err := plan.chooseKinds(opts)
+	if err != nil || verdicts[0].Kind != Direct || verdicts[0].Tier != TierMeasured {
+		t.Errorf("direct measured: verdict %+v, err %v; want the measured direct verdict", verdicts, err)
+	}
+
+	direct.err = errors.New("backend down")
+	verdicts, err = plan.chooseKinds(opts)
+	if err != nil || verdicts[0].Kind != Direct || verdicts[0].Tier != TierAnalytic {
+		t.Errorf("direct failed: verdict %+v, err %v; want direct's analytic verdict", verdicts, err)
 	}
 }

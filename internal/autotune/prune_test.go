@@ -139,7 +139,7 @@ func TestTunePrunesCandidates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	measure := DirectMeasurer(arch, s)
+	measure := KindMeasurer(arch, s, Direct)
 	opts := DefaultOptions()
 	opts.Budget = 96
 	opts.Patience = 32
@@ -188,7 +188,7 @@ func traceEqual(a, b *Trace) bool {
 // runs, with pruning enabled and disabled — including the Pruned counter.
 func TestTuneDeterministicAcrossWorkers(t *testing.T) {
 	sp := mustSpace(t, true)
-	measure := DirectMeasurer(arch, layer())
+	measure := KindMeasurer(arch, layer(), Direct)
 	for _, noPrune := range []bool{false, true} {
 		opts := smallOpts(60, 11)
 		opts.NoPrune = noPrune

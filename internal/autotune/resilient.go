@@ -35,19 +35,16 @@ import (
 // when the engine runs with Workers > 1.
 type FallibleMeasurer func(conv.Config) (Measurement, bool, error)
 
-// liftMeasurer adapts an infallible Measurer to the fallible seam; the
-// lifted measurer never errors, so retry machinery never engages.
-func liftMeasurer(m Measurer) FallibleMeasurer {
+// LiftMeasurer adapts an infallible Measurer to the fallible seam; the
+// lifted measurer never errors, so retry machinery never engages. Callers
+// outside the package use it to compose their own measurement stacks (e.g.
+// a circuit breaker with no fault injector underneath).
+func LiftMeasurer(m Measurer) FallibleMeasurer {
 	return func(c conv.Config) (Measurement, bool, error) {
 		meas, ok := m(c)
 		return meas, ok, nil
 	}
 }
-
-// LiftMeasurer is liftMeasurer for callers outside the package composing
-// their own measurement stacks (e.g. a circuit breaker with no fault
-// injector underneath).
-func LiftMeasurer(m Measurer) FallibleMeasurer { return liftMeasurer(m) }
 
 // RetryPolicy configures the fault-tolerant measurement pipeline. The zero
 // value measures each configuration exactly once with no noise defense —

@@ -24,23 +24,11 @@ type Measurement struct {
 // measurements).
 type Measurer func(conv.Config) (Measurement, bool)
 
-// DirectMeasurer measures configs with the Section 5.2 dataflow on arch
-// (dry: exact counts, no data). The returned Measurer carries its own
+// KindMeasurer measures configs with the dataflow of an algorithm kind on
+// arch (dry: exact counts, no data). The returned Measurer carries its own
 // counts memo (see MemoMeasure): repeated evaluations of configs sharing a
-// tile are O(1) lookups, with results bit-identical to conv.DirectTiledDry.
-func DirectMeasurer(arch memsim.Arch, s shapes.ConvShape) Measurer {
-	return NewMemoMeasure(arch, s, Direct).Measure
-}
-
-// WinogradMeasurer measures configs with the Section 5.3 fused Winograd
-// dataflow on arch, memoized like DirectMeasurer.
-func WinogradMeasurer(arch memsim.Arch, s shapes.ConvShape) Measurer {
-	return NewMemoMeasure(arch, s, Winograd).Measure
-}
-
-// KindMeasurer measures configs with the dataflow of any algorithm kind,
-// memoized like DirectMeasurer. It is the generic constructor behind the
-// per-kind helpers and the network tuner's per-layer kernel choice.
+// tile are O(1) lookups, with results bit-identical to the kind's conv.Dry*
+// evaluator.
 func KindMeasurer(arch memsim.Arch, s shapes.ConvShape, kind Kind) Measurer {
 	return NewMemoMeasure(arch, s, kind).Measure
 }
@@ -313,18 +301,14 @@ func Tune(sp *Space, measure Measurer, opts Options) (*Trace, error) {
 // always measured, even under an already-expired context, so any run over a
 // space with valid seeds produces a verdict.
 func TuneContext(ctx context.Context, sp *Space, measure Measurer, opts Options) (*Trace, error) {
-	return tuneFallible(ctx, sp, liftMeasurer(measure), opts)
+	return TuneFallible(ctx, sp, LiftMeasurer(measure), opts)
 }
 
-// TuneFallible is TuneContext over the error-aware measurement seam: the
-// measurer may report transient failures, which the engine retries,
-// backs off and quarantines per opts.Retry. See FallibleMeasurer and
-// RetryPolicy.
+// TuneFallible is the engine itself, over the error-aware measurement seam
+// (Tune and TuneContext lift a plain Measurer into it): the measurer may
+// report transient failures, which the engine retries, backs off and
+// quarantines per opts.Retry. See FallibleMeasurer and RetryPolicy.
 func TuneFallible(ctx context.Context, sp *Space, measure FallibleMeasurer, opts Options) (*Trace, error) {
-	return tuneFallible(ctx, sp, measure, opts)
-}
-
-func tuneFallible(ctx context.Context, sp *Space, measure FallibleMeasurer, opts Options) (*Trace, error) {
 	opts = opts.normalized()
 	rng := rand.New(rand.NewSource(opts.Seed))
 	rec := &record{trace: Trace{Method: "ate", Budget: opts.Budget}, minDelta: opts.MinDelta}

@@ -4,7 +4,11 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"reflect"
+	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/conv"
 	"repro/internal/shapes"
@@ -97,7 +101,7 @@ func TestWarmStartDeterministicAcrossWorkers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dtr, err := Tune(dsp, DirectMeasurer(arch, donor), smallOpts(32, 5))
+	dtr, err := Tune(dsp, KindMeasurer(arch, donor, Direct), smallOpts(32, 5))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +113,7 @@ func TestWarmStartDeterministicAcrossWorkers(t *testing.T) {
 	}
 
 	sp := mustSpace(t, true)
-	measure := DirectMeasurer(arch, layer())
+	measure := KindMeasurer(arch, layer(), Direct)
 	opts := smallOpts(48, 11)
 	opts.Warm = warm
 	ref, err := Tune(sp, measure, opts)
@@ -170,7 +174,7 @@ func TestWarmPoolSeedCap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dtr, err := Tune(dsp, DirectMeasurer(arch, donor), smallOpts(32, 5))
+	dtr, err := Tune(dsp, KindMeasurer(arch, donor, Direct), smallOpts(32, 5))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,7 +207,7 @@ func countRepeats(t *testing.T, inner Measurer, forbidden map[conv.Config]bool) 
 // the verdict can only improve.
 func TestResumeDoubledBudgetNoRemeasure(t *testing.T) {
 	sp := mustSpace(t, true)
-	measure := DirectMeasurer(arch, layer())
+	measure := KindMeasurer(arch, layer(), Direct)
 	cache := NewCache()
 	cfg0, m0, err := TuneCached(cache, sp, measure, smallOpts(32, 5))
 	if err != nil {
@@ -261,7 +265,7 @@ func TestResumeDoubledBudgetNoRemeasure(t *testing.T) {
 // measurements), not a repeated patience-burn.
 func TestResumeCoveredByPatienceStop(t *testing.T) {
 	sp := mustSpace(t, true)
-	measure := DirectMeasurer(arch, layer())
+	measure := KindMeasurer(arch, layer(), Direct)
 	cache := NewCache()
 	opts := smallOpts(200, 5)
 	opts.Patience = 10
@@ -282,6 +286,50 @@ func TestResumeCoveredByPatienceStop(t *testing.T) {
 	}
 	if tr.Measurements != len(hist) {
 		t.Errorf("synthesized trace reports %d measurements, cache holds %d", tr.Measurements, len(hist))
+	}
+}
+
+// Concurrent TuneResumed calls on one absent key share one run: together
+// they measure exactly what one search measures, and every caller gets that
+// run's trace. The measurer holds the first measurement until every caller
+// has been launched, then keeps the run slow enough for them to find it in
+// flight.
+func TestTuneResumedSharesFlight(t *testing.T) {
+	const callers = 4
+	sp := mustSpace(t, true)
+	plain := KindMeasurer(arch, layer(), Direct)
+	var calls atomic.Int64
+	var launched sync.WaitGroup
+	launched.Add(callers)
+	measure := func(c conv.Config) (Measurement, bool) {
+		calls.Add(1)
+		launched.Wait()
+		time.Sleep(time.Millisecond)
+		return plain(c)
+	}
+	cache := NewCache()
+	traces := make([]*Trace, callers)
+	errs := make([]error, callers)
+	var done sync.WaitGroup
+	for i := range traces {
+		done.Add(1)
+		go func() {
+			defer done.Done()
+			launched.Done()
+			traces[i], errs[i] = TuneResumed(cache, sp, measure, smallOpts(40, 5))
+		}()
+	}
+	done.Wait()
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("caller %d: %v", i, err)
+		}
+		if !reflect.DeepEqual(traces[i], traces[0]) {
+			t.Errorf("caller %d's trace differs from caller 0's", i)
+		}
+	}
+	if got, want := calls.Load(), int64(traces[0].Measurements); got != want {
+		t.Errorf("%d callers measured %d times, want the %d measurements of one search", callers, got, want)
 	}
 }
 

@@ -40,7 +40,7 @@ func tinyOpts() autotune.Options {
 func faultSchedule(t *testing.T, cfg Config, salt uint64, calls int) []bool {
 	t.Helper()
 	sp := mustSpace(t)
-	measure := autotune.DirectMeasurer(arch, layer())
+	measure := autotune.KindMeasurer(arch, layer(), autotune.Direct)
 	wrapped := New(cfg).Wrap(salt, measure)
 	// A fixed, reproducible config sequence: walk the space's seeds
 	// round-robin so repeated attempts at the same config occur.
@@ -106,14 +106,14 @@ func TestMaxConsecutiveCapsStreaks(t *testing.T) {
 // yields its true reading, so the trace is bit-identical to fault-free.
 func TestFaultsPreserveVerdict(t *testing.T) {
 	opts := tinyOpts()
-	clean, err := autotune.Tune(mustSpace(t), autotune.DirectMeasurer(arch, layer()), opts)
+	clean, err := autotune.Tune(mustSpace(t), autotune.KindMeasurer(arch, layer(), autotune.Direct), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	in := New(Config{Seed: 1, FailRate: 0.10, MaxConsecutive: 2,
 		SpikeRate: 0.05, SpikeLatency: time.Microsecond})
-	wrapped := in.Wrap(0, autotune.DirectMeasurer(arch, layer()))
+	wrapped := in.Wrap(0, autotune.KindMeasurer(arch, layer(), autotune.Direct))
 	faultOpts := opts
 	faultOpts.Retry = autotune.RetryPolicy{MaxAttempts: 4}
 	faulty, err := autotune.TuneFallible(context.Background(), mustSpace(t), wrapped, faultOpts)
@@ -156,7 +156,7 @@ func TestFaultedRunWorkerCountInvariant(t *testing.T) {
 		opts.Workers = workers
 		opts.Retry = autotune.RetryPolicy{MaxAttempts: 4}
 		wrapped := New(Config{Seed: 5, FailRate: 0.10, MaxConsecutive: 2}).
-			Wrap(0, autotune.DirectMeasurer(arch, layer()))
+			Wrap(0, autotune.KindMeasurer(arch, layer(), autotune.Direct))
 		tr, err := autotune.TuneFallible(context.Background(), mustSpace(t), wrapped, opts)
 		if err != nil {
 			t.Fatal(err)
@@ -178,7 +178,7 @@ func TestFaultedRunWorkerCountInvariant(t *testing.T) {
 func TestNoiseBoundedByDefense(t *testing.T) {
 	opts := tinyOpts()
 	opts.Budget = 240
-	measure := autotune.DirectMeasurer(arch, layer())
+	measure := autotune.KindMeasurer(arch, layer(), autotune.Direct)
 	clean, err := autotune.Tune(mustSpace(t), measure, opts)
 	if err != nil {
 		t.Fatal(err)

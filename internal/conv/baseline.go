@@ -19,14 +19,9 @@ type phase struct {
 	launch memsim.Launch
 }
 
+// finishPhased sums the launches of a kernel into its Result; the reported
+// launch geometry is the last phase's.
 func finishPhased(arch memsim.Arch, out *tensor.Tensor, phases []phase) *Result {
-	r := finishPhasedVal(arch, out, phases)
-	return &r
-}
-
-// finishPhasedVal is finishPhased without the heap allocation: the Result
-// comes back by value, which is what the Dry* fast paths return.
-func finishPhasedVal(arch memsim.Arch, out *tensor.Tensor, phases []phase) Result {
 	var total memsim.Counts
 	var seconds float64
 	for _, p := range phases {
@@ -42,7 +37,7 @@ func finishPhasedVal(arch memsim.Arch, out *tensor.Tensor, phases []phase) Resul
 		gf = float64(total.Flops) / seconds / 1e9
 	}
 	l := phases[len(phases)-1].launch
-	return Result{Output: out, Counts: total, Launch: l, Seconds: seconds, GFLOPS: gf}
+	return &Result{Output: out, Counts: total, Launch: l, Seconds: seconds, GFLOPS: gf}
 }
 
 // clippedLen returns the length of the overlap of [lo, lo+n) with [0, max).
@@ -87,30 +82,13 @@ func NaiveDirect(arch memsim.Arch, s shapes.ConvShape, input, kernels *tensor.Te
 // NaiveDirectDry returns the same counts and simulated time as NaiveDirect
 // without computing any values (Output is nil).
 func NaiveDirectDry(arch memsim.Arch, s shapes.ConvShape) (*Result, error) {
-	r, err := DryNaiveDirect(arch, s)
-	if err != nil {
+	if err := s.Validate(); err != nil {
 		return nil, err
 	}
-	return &r, nil
-}
-
-// DryNaiveDirect is the allocation-free form of NaiveDirectDry.
-func DryNaiveDirect(arch memsim.Arch, s shapes.ConvShape) (Result, error) {
-	if err := s.Validate(); err != nil {
-		return Result{}, err
-	}
-	return naiveDirectVal(arch, s, nil, nil)
+	return naiveDirect(arch, s, nil, nil)
 }
 
 func naiveDirect(arch memsim.Arch, s shapes.ConvShape, input, kernels *tensor.Tensor) (*Result, error) {
-	r, err := naiveDirectVal(arch, s, input, kernels)
-	if err != nil {
-		return nil, err
-	}
-	return &r, nil
-}
-
-func naiveDirectVal(arch memsim.Arch, s shapes.ConvShape, input, kernels *tensor.Tensor) (Result, error) {
 	// Valid MACs factor across the two spatial axes (closed form, no
 	// per-coordinate slices).
 	macs := sumValidTaps(s.Hout(), s.Hker, s.Strid, s.Pad, s.Hin) *
@@ -128,7 +106,7 @@ func naiveDirectVal(arch memsim.Arch, s shapes.ConvShape, input, kernels *tensor
 		var err error
 		out, err = Reference(s, input, kernels)
 		if err != nil {
-			return Result{}, err
+			return nil, err
 		}
 	}
 	const threads = 256
@@ -138,7 +116,7 @@ func naiveDirectVal(arch memsim.Arch, s shapes.ConvShape, input, kernels *tensor
 		SharedPerBlock:  1,   // no staging
 		BandwidthEff:    0.8, // overlapping-window reads coalesce imperfectly
 	}
-	return finishPhasedVal(arch, out, []phase{{counts, l}}), nil
+	return finishPhased(arch, out, []phase{{counts, l}}), nil
 }
 
 // gemmTile is the square staging tile edge of the baseline blocked GEMM.
@@ -182,30 +160,13 @@ func Im2colGEMM(arch memsim.Arch, s shapes.ConvShape, input, kernels *tensor.Ten
 // Im2colGEMMDry returns Im2colGEMM's counts and simulated time without
 // computing values.
 func Im2colGEMMDry(arch memsim.Arch, s shapes.ConvShape) (*Result, error) {
-	r, err := DryIm2colGEMM(arch, s)
-	if err != nil {
+	if err := s.Validate(); err != nil {
 		return nil, err
 	}
-	return &r, nil
-}
-
-// DryIm2colGEMM is the allocation-free form of Im2colGEMMDry.
-func DryIm2colGEMM(arch memsim.Arch, s shapes.ConvShape) (Result, error) {
-	if err := s.Validate(); err != nil {
-		return Result{}, err
-	}
-	return im2colVal(arch, s, nil, nil)
+	return im2col(arch, s, nil, nil)
 }
 
 func im2col(arch memsim.Arch, s shapes.ConvShape, input, kernels *tensor.Tensor) (*Result, error) {
-	r, err := im2colVal(arch, s, input, kernels)
-	if err != nil {
-		return nil, err
-	}
-	return &r, nil
-}
-
-func im2colVal(arch memsim.Arch, s shapes.ConvShape, input, kernels *tensor.Tensor) (Result, error) {
 	kk := s.KernelSize()     // K = Wker·Hker·Cin
 	p := s.Hout() * s.Wout() // columns per image
 	// Non-padding patch elements per image per channel: the per-axis valid
@@ -241,10 +202,28 @@ func im2colVal(arch memsim.Arch, s shapes.ConvShape, input, kernels *tensor.Tens
 		var err error
 		out, err = im2colCompute(s, input, kernels)
 		if err != nil {
-			return Result{}, err
+			return nil, err
 		}
 	}
-	return finishPhasedVal(arch, out, []phase{{ph1, l1}, g}), nil
+	return finishPhased(arch, out, []phase{{ph1, l1}, g}), nil
+}
+
+// LibraryDirectDry returns the better of the two library direct paths (naive
+// and im2col+GEMM) — the paper's "best of the two direct implementations in
+// cuDNN", the baseline its dataflow is compared against.
+func LibraryDirectDry(arch memsim.Arch, s shapes.ConvShape) (*Result, error) {
+	naive, err := NaiveDirectDry(arch, s)
+	if err != nil {
+		return nil, err
+	}
+	col, err := Im2colGEMMDry(arch, s)
+	if err != nil {
+		return nil, err
+	}
+	if naive.Seconds < col.Seconds {
+		return naive, nil
+	}
+	return col, nil
 }
 
 // im2colCompute is the wet path: real patch matrix, real GEMM. The patch

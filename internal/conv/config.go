@@ -177,14 +177,3 @@ type Result struct {
 	// GFLOPS is the attained rate FLOPs/Seconds.
 	GFLOPS float64
 }
-
-func finishResult(arch memsim.Arch, out *tensor.Tensor, ctr *memsim.Counter, l memsim.Launch) *Result {
-	counts := ctr.Snapshot()
-	return &Result{
-		Output:  out,
-		Counts:  counts,
-		Launch:  l,
-		Seconds: arch.Time(counts, l),
-		GFLOPS:  arch.GFLOPS(counts, l),
-	}
-}

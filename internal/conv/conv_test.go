@@ -196,12 +196,12 @@ func TestDryMatchesWet(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		dry, err = DirectTiledDry(testArch, s, cfg)
+		tiled, err := DryDirectTiled(testArch, s, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if wet.Counts != dry.Counts {
-			t.Errorf("%v tiled: wet %v != dry %v", s, wet.Counts, dry.Counts)
+		if wet.Counts != tiled.Counts {
+			t.Errorf("%v tiled: wet %v != dry %v", s, wet.Counts, tiled.Counts)
 		}
 	}
 	ws := winoShape()
@@ -210,18 +210,18 @@ func TestDryMatchesWet(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dry, err := WinogradFusedDry(testArch, ws, winoConfig(ws, 2))
+	fused, err := DryWinogradFused(testArch, ws, winoConfig(ws, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if wet.Counts != dry.Counts {
-		t.Errorf("wino fused: wet %v != dry %v", wet.Counts, dry.Counts)
+	if wet.Counts != fused.Counts {
+		t.Errorf("wino fused: wet %v != dry %v", wet.Counts, fused.Counts)
 	}
 	wet, err = WinogradUnfused(testArch, ws, 2, in, ker)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dry, err = WinogradUnfusedDry(testArch, ws, 2)
+	dry, err := WinogradUnfusedDry(testArch, ws, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,7 +235,7 @@ func TestDryMatchesWet(t *testing.T) {
 func TestIOOrdering(t *testing.T) {
 	s := shapes.ConvShape{Batch: 1, Cin: 64, Hin: 56, Win: 56, Cout: 64, Hker: 3, Wker: 3, Strid: 1}
 	cfg := DefaultDirectConfig(testArch, s)
-	tiled, err := DirectTiledDry(testArch, s, cfg)
+	tiled, err := DryDirectTiled(testArch, s, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,7 +267,7 @@ func TestTiledIOMatchesEq21(t *testing.T) {
 	if s.Wout()%cfg.TileX != 0 || s.Hout()%cfg.TileY != 0 || s.Cout%cfg.TileZ != 0 {
 		t.Fatal("test requires dividing tiles")
 	}
-	res, err := DirectTiledDry(testArch, s, cfg)
+	res, err := DryDirectTiled(testArch, s, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -282,7 +282,7 @@ func TestTiledIOMatchesEq21(t *testing.T) {
 func TestWinogradFusedBeatsUnfused(t *testing.T) {
 	s := shapes.ConvShape{Batch: 1, Cin: 64, Hin: 56, Win: 56, Cout: 64, Hker: 3, Wker: 3, Strid: 1, Pad: 1}
 	cfg := DefaultWinogradConfig(testArch, s, 2)
-	fused, err := WinogradFusedDry(testArch, s, cfg)
+	fused, err := DryWinogradFused(testArch, s, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -299,7 +299,7 @@ func TestWinogradFusedBeatsUnfused(t *testing.T) {
 func TestMeasuredIOAboveLowerBound(t *testing.T) {
 	s := shapes.ConvShape{Batch: 1, Cin: 64, Hin: 56, Win: 56, Cout: 64, Hker: 3, Wker: 3, Strid: 1}
 	cfg := DefaultDirectConfig(testArch, s)
-	res, err := DirectTiledDry(testArch, s, cfg)
+	res, err := DryDirectTiled(testArch, s, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -394,7 +394,7 @@ func TestSpeedupGrowsWithImageSize(t *testing.T) {
 	for _, hw := range []int{14, 56, 112} {
 		s := shapes.ConvShape{Batch: 1, Cin: 64, Hin: hw, Win: hw, Cout: 128, Hker: 3, Wker: 3, Strid: 1}
 		cfg := DefaultDirectConfig(testArch, s)
-		tiled, err := DirectTiledDry(testArch, s, cfg)
+		tiled, err := DryDirectTiled(testArch, s, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}

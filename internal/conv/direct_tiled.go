@@ -28,20 +28,11 @@ func DirectTiled(arch memsim.Arch, s shapes.ConvShape, cfg Config, input, kernel
 	return directTiled(arch, s, cfg, input, kernels)
 }
 
-// DirectTiledDry returns DirectTiled's exact counts and simulated time
-// without touching data (Output is nil). Tests pin its counts to the wet
-// path's.
-func DirectTiledDry(arch memsim.Arch, s shapes.ConvShape, cfg Config) (*Result, error) {
-	r, err := DryDirectTiled(arch, s, cfg)
-	if err != nil {
-		return nil, err
-	}
-	return &r, nil
-}
-
-// DryDirectTiled is the allocation-free form of DirectTiledDry: the Result
-// comes back by value, counts from the closed-form per-axis aggregates.
-// This is the evaluator behind every direct-dataflow tuning measurement.
+// DryDirectTiled returns DirectTiled's exact counts and simulated time
+// without touching data (Output is nil) or the heap: the Result comes back
+// by value, counts from the closed-form per-axis aggregates. Tests pin its
+// counts to the wet path's. This is the evaluator behind every
+// direct-dataflow tuning measurement.
 func DryDirectTiled(arch memsim.Arch, s shapes.ConvShape, cfg Config) (Result, error) {
 	if err := s.Validate(); err != nil {
 		return Result{}, err
@@ -135,7 +126,7 @@ func directTiled(arch memsim.Arch, s shapes.ConvShape, cfg Config, input, kernel
 	}
 	close(work)
 	wg.Wait()
-	return finishResult(arch, out, ctr, l), nil
+	return finishPhased(arch, out, []phase{{ctr.Snapshot(), l}}), nil
 }
 
 // dryDirectCounts computes the exact traffic of the tiled dataflow from

@@ -167,7 +167,7 @@ func DryFFTTiled(arch memsim.Arch, s shapes.ConvShape, cfg Config) (Result, erro
 	}
 	phases := fftFixedPhases(s)
 	phases = append(phases, phase{FFTTiledCounts(s, cfg), FFTTiledLaunch(s, cfg)})
-	return finishPhasedVal(arch, nil, phases), nil
+	return *finishPhased(arch, nil, phases), nil
 }
 
 // DefaultFFTConfig derives an untuned tiled-FFT configuration: a whole

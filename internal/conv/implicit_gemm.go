@@ -24,30 +24,13 @@ func ImplicitGEMM(arch memsim.Arch, s shapes.ConvShape, input, kernels *tensor.T
 // ImplicitGEMMDry returns ImplicitGEMM's counts and simulated time without
 // computing values.
 func ImplicitGEMMDry(arch memsim.Arch, s shapes.ConvShape) (*Result, error) {
-	r, err := DryImplicitGEMM(arch, s)
-	if err != nil {
+	if err := s.Validate(); err != nil {
 		return nil, err
 	}
-	return &r, nil
-}
-
-// DryImplicitGEMM is the allocation-free form of ImplicitGEMMDry.
-func DryImplicitGEMM(arch memsim.Arch, s shapes.ConvShape) (Result, error) {
-	if err := s.Validate(); err != nil {
-		return Result{}, err
-	}
-	return implicitGEMMVal(arch, s, nil, nil)
+	return implicitGEMM(arch, s, nil, nil)
 }
 
 func implicitGEMM(arch memsim.Arch, s shapes.ConvShape, input, kernels *tensor.Tensor) (*Result, error) {
-	r, err := implicitGEMMVal(arch, s, input, kernels)
-	if err != nil {
-		return nil, err
-	}
-	return &r, nil
-}
-
-func implicitGEMMVal(arch memsim.Arch, s shapes.ConvShape, input, kernels *tensor.Tensor) (Result, error) {
 	kk := s.KernelSize()
 	p := s.Hout() * s.Wout()
 	// Non-padding patch elements per image per channel (closed form).
@@ -87,10 +70,10 @@ func implicitGEMMVal(arch memsim.Arch, s shapes.ConvShape, input, kernels *tenso
 		// distinguishes the algorithms).
 		out, err = im2colCompute(s, input, kernels)
 		if err != nil {
-			return Result{}, err
+			return nil, err
 		}
 	}
-	return finishPhasedVal(arch, out, []phase{{c, l}}), nil
+	return finishPhased(arch, out, []phase{{c, l}}), nil
 }
 
 func scaleCountsBy(c *memsim.Counts, n int64) {

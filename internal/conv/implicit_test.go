@@ -50,7 +50,7 @@ func TestImplicitGEMMIOOrdering(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tiled, err := DirectTiledDry(testArch, s, DefaultDirectConfig(testArch, s))
+	tiled, err := DryDirectTiled(testArch, s, DefaultDirectConfig(testArch, s))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -78,7 +78,7 @@ func TestDirectTiledRandomConfigsProperty(t *testing.T) {
 			if !tensor.AllClose(wet.Output, want, tol) {
 				t.Fatalf("%v %v: wrong result, diff=%g", s, cfg, tensor.MaxAbsDiff(wet.Output, want))
 			}
-			dry, err := DirectTiledDry(testArch, s, cfg)
+			dry, err := DryDirectTiled(testArch, s, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -112,7 +112,7 @@ func TestWinogradFusedRandomConfigsProperty(t *testing.T) {
 			if !tensor.AllClose(wet.Output, want, tol) {
 				t.Fatalf("%v %v: wrong result, diff=%g", s, cfg, tensor.MaxAbsDiff(wet.Output, want))
 			}
-			dry, err := WinogradFusedDry(testArch, s, cfg)
+			dry, err := DryWinogradFused(testArch, s, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -136,7 +136,7 @@ func TestDirectTiledIOMonotoneInTileVolume(t *testing.T) {
 		{TileX: 8, TileY: 8, TileZ: 4, ThreadsX: 4, ThreadsY: 4, ThreadsZ: 1, SharedPerBlock: 8192},
 		{TileX: 24, TileY: 24, TileZ: 8, ThreadsX: 8, ThreadsY: 8, ThreadsZ: 1, SharedPerBlock: 8192},
 	} {
-		res, err := DirectTiledDry(testArch, s, tile)
+		res, err := DryDirectTiled(testArch, s, tile)
 		if err != nil {
 			t.Fatal(err)
 		}

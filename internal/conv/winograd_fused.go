@@ -30,20 +30,10 @@ func WinogradFused(arch memsim.Arch, s shapes.ConvShape, cfg Config, input, kern
 	return winogradFused(arch, s, cfg, input, kernels)
 }
 
-// WinogradFusedDry returns WinogradFused's counts and simulated time without
-// computing values.
-func WinogradFusedDry(arch memsim.Arch, s shapes.ConvShape, cfg Config) (*Result, error) {
-	r, err := DryWinogradFused(arch, s, cfg)
-	if err != nil {
-		return nil, err
-	}
-	return &r, nil
-}
-
-// DryWinogradFused is the allocation-free form of WinogradFusedDry: the
-// Result comes back by value, counts from the closed-form per-axis
-// aggregates and a cached transform. This is the evaluator behind every
-// Winograd tuning measurement.
+// DryWinogradFused returns WinogradFused's counts and simulated time without
+// computing values or allocating: the Result comes back by value, counts
+// from the closed-form per-axis aggregates and a cached transform. This is
+// the evaluator behind every Winograd tuning measurement.
 func DryWinogradFused(arch memsim.Arch, s shapes.ConvShape, cfg Config) (Result, error) {
 	if err := s.Validate(); err != nil {
 		return Result{}, err

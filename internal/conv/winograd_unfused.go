@@ -32,35 +32,18 @@ func WinogradUnfused(arch memsim.Arch, s shapes.ConvShape, e int, input, kernels
 // WinogradUnfusedDry returns WinogradUnfused's counts and simulated time
 // without computing values.
 func WinogradUnfusedDry(arch memsim.Arch, s shapes.ConvShape, e int) (*Result, error) {
-	r, err := DryWinogradUnfused(arch, s, e)
-	if err != nil {
+	if err := s.Validate(); err != nil {
 		return nil, err
 	}
-	return &r, nil
-}
-
-// DryWinogradUnfused is the allocation-free form of WinogradUnfusedDry.
-func DryWinogradUnfused(arch memsim.Arch, s shapes.ConvShape, e int) (Result, error) {
-	if err := s.Validate(); err != nil {
-		return Result{}, err
-	}
-	return winogradUnfusedVal(arch, s, e, nil, nil)
+	return winogradUnfused(arch, s, e, nil, nil)
 }
 
 func winogradUnfused(arch memsim.Arch, s shapes.ConvShape, e int, input, kernels *tensor.Tensor) (*Result, error) {
-	r, err := winogradUnfusedVal(arch, s, e, input, kernels)
-	if err != nil {
-		return nil, err
-	}
-	return &r, nil
-}
-
-func winogradUnfusedVal(arch memsim.Arch, s shapes.ConvShape, e int, input, kernels *tensor.Tensor) (Result, error) {
 	if !s.WinogradOK() {
-		return Result{}, fmt.Errorf("conv: %v does not admit Winograd", s)
+		return nil, fmt.Errorf("conv: %v does not admit Winograd", s)
 	}
 	if e < 2 {
-		return Result{}, fmt.Errorf("conv: winograd e=%d < 2", e)
+		return nil, fmt.Errorf("conv: winograd e=%d < 2", e)
 	}
 	r := s.Hker
 	alpha := e + r - 1
@@ -113,10 +96,10 @@ func winogradUnfusedVal(arch memsim.Arch, s shapes.ConvShape, e int, input, kern
 		var err error
 		out, err = winogradUnfusedCompute(s, e, input, kernels)
 		if err != nil {
-			return Result{}, err
+			return nil, err
 		}
 	}
-	return finishPhasedVal(arch, out, []phase{{p1, l1}, {p2, l2}, g, {p4, l4}}), nil
+	return finishPhased(arch, out, []phase{{p1, l1}, {p2, l2}, g, {p4, l4}}), nil
 }
 
 // winogradUnfusedCompute is the wet path: the four stages operate on real

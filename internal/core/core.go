@@ -72,17 +72,9 @@ func Analyze(arch memsim.Arch, s shapes.ConvShape, opts Options) (*Analysis, err
 	}
 
 	a := &Analysis{Shape: s, Arch: arch}
-	naive, err := conv.NaiveDirectDry(arch, s)
-	if err != nil {
+	var err error
+	if a.Library, err = conv.LibraryDirectDry(arch, s); err != nil {
 		return nil, err
-	}
-	col, err := conv.Im2colGEMMDry(arch, s)
-	if err != nil {
-		return nil, err
-	}
-	a.Library = col
-	if naive.Seconds < col.Seconds {
-		a.Library = naive
 	}
 
 	kinds := []autotune.Kind{autotune.Direct}

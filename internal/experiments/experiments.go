@@ -53,24 +53,6 @@ func (o Options) seed() int64 {
 	return 1
 }
 
-// libraryDirect returns the better of the two library direct paths (naive
-// and im2col+GEMM), mirroring the paper's "best of the two direct
-// implementations in cuDNN".
-func libraryDirect(arch memsim.Arch, s shapes.ConvShape) (*conv.Result, error) {
-	naive, err := conv.NaiveDirectDry(arch, s)
-	if err != nil {
-		return nil, err
-	}
-	col, err := conv.Im2colGEMMDry(arch, s)
-	if err != nil {
-		return nil, err
-	}
-	if naive.Seconds < col.Seconds {
-		return naive, nil
-	}
-	return col, nil
-}
-
 // tuneKind tunes one dataflow kind on its pruned searching domain with the
 // given measurer (pass nil for a fresh memoized one).
 func tuneKind(arch memsim.Arch, s shapes.ConvShape, kind autotune.Kind, measure autotune.Measurer, budget int, seed int64) (*autotune.Trace, error) {
@@ -92,7 +74,7 @@ func tuneKind(arch memsim.Arch, s shapes.ConvShape, kind autotune.Kind, measure 
 // library (baseline) and under our tuned dataflows, picking the best
 // algorithm on each side — the per-layer contest behind Figure 12.
 func bestLayerSeconds(arch memsim.Arch, s shapes.ConvShape, budget int, seed int64) (baseline, tuned float64, err error) {
-	lib, err := libraryDirect(arch, s)
+	lib, err := conv.LibraryDirectDry(arch, s)
 	if err != nil {
 		return 0, 0, err
 	}

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"repro/internal/autotune"
+	"repro/internal/conv"
 	"repro/internal/memsim"
 	"repro/internal/report"
 	"repro/internal/shapes"
@@ -36,7 +37,7 @@ func Fig10(opts Options) ([]Fig10Result, *report.Table, error) {
 				Batch: batch, Cin: 256, Hin: hin, Win: hin,
 				Cout: 128, Hker: 3, Wker: 3, Strid: 1,
 			}
-			lib, err := libraryDirect(arch, s)
+			lib, err := conv.LibraryDirectDry(arch, s)
 			if err != nil {
 				return nil, nil, err
 			}

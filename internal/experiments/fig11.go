@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"repro/internal/autotune"
+	"repro/internal/conv"
 	"repro/internal/memsim"
 	"repro/internal/models"
 	"repro/internal/report"
@@ -36,7 +37,7 @@ func Fig11(opts Options) (*Fig11Result, *report.Table, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	measure := autotune.DirectMeasurer(arch, layer)
+	measure := autotune.KindMeasurer(arch, layer, autotune.Direct)
 	tuneOpts := autotune.DefaultOptions()
 	tuneOpts.Budget = budget
 	tuneOpts.Patience = 0
@@ -58,7 +59,7 @@ func Fig11(opts Options) (*Fig11Result, *report.Table, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	lib, err := libraryDirect(arch, layer)
+	lib, err := conv.LibraryDirectDry(arch, layer)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -43,9 +43,9 @@ func Fig13(opts Options) ([]Fig13Result, *report.Table, error) {
 			Cout: 128, Hker: 3, Wker: 3, Strid: mu}
 	}
 	cases := []cse{
-		{"direct 28x28 mu=1", mk(28, 1), autotune.Direct, libraryDirect},
-		{"direct 112x112 mu=1", mk(112, 1), autotune.Direct, libraryDirect},
-		{"direct 112x112 mu=2", mk(112, 2), autotune.Direct, libraryDirect},
+		{"direct 28x28 mu=1", mk(28, 1), autotune.Direct, conv.LibraryDirectDry},
+		{"direct 112x112 mu=1", mk(112, 1), autotune.Direct, conv.LibraryDirectDry},
+		{"direct 112x112 mu=2", mk(112, 2), autotune.Direct, conv.LibraryDirectDry},
 		{"winograd 112x112", mk(112, 1), autotune.Winograd, unfusedWinograd},
 	}
 	if opts.Quick {

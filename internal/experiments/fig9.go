@@ -48,7 +48,7 @@ func Fig9(opts Options) ([]Fig9Result, *report.Table, error) {
 					Batch: 1, Cin: 256, Hin: hin, Win: hin,
 					Cout: cout, Hker: 3, Wker: 3, Strid: mu,
 				}
-				lib, err := libraryDirect(arch, s)
+				lib, err := conv.LibraryDirectDry(arch, s)
 				if err != nil {
 					return nil, nil, err
 				}

@@ -67,10 +67,9 @@ func (b *batcher) flush() {
 }
 
 // groupJobs partitions a round into its mergeable groups (request.groupKey),
-// preserving
-// arrival order within each group (the order decides which layer of a
-// family tunes cold as the warm schedule's representative, so it must be
-// the deterministic concatenation order).
+// preserving arrival order within each group (the order decides which layer
+// of a family tunes cold as the warm schedule's representative, so it must
+// be the deterministic concatenation order).
 func groupJobs(jobs []*tuneJob) [][]*tuneJob {
 	idx := make(map[string]int)
 	var groups [][]*tuneJob
@@ -89,8 +88,9 @@ func groupJobs(jobs []*tuneJob) [][]*tuneJob {
 
 // runGroup merges one group's layer lists, tunes the union in a single
 // TuneNetwork call against cache under the group's shared sweep options,
-// and hands each job its own verdicts. ctx bounds the engine: past its deadline every still-running search
-// reports best-so-far and the verdicts come back marked Partial.
+// and hands each job its own verdicts. ctx bounds the engine: past its
+// deadline every still-running search reports best-so-far and the verdicts
+// come back marked Partial.
 func runGroup(ctx context.Context, cache *autotune.Cache, group []*tuneJob, opts autotune.NetworkOptions) {
 	var merged []autotune.NetworkLayer
 	for _, j := range group {

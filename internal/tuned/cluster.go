@@ -223,7 +223,7 @@ func (s *Server) replicateRequest(req *request) {
 		// owners will produce their own entries when they next see the key.
 		return
 	}
-	entries := req.Entries(s.cache)
+	entries := req.Entries(s)
 	if len(entries) == 0 {
 		return
 	}

@@ -86,6 +86,31 @@ func TestRequestCostChargesResumableRemainder(t *testing.T) {
 	}
 }
 
+// Admission accounting reads the sweep's own plan: on an empty cache a
+// request costs one full budget per search autotune.Searches lists for it,
+// whatever the candidate kinds, and has no entries to replicate yet.
+func TestRequestCostCountsPlannedSearches(t *testing.T) {
+	resnet := repro.DescribeNetwork(testArch.Name, models.ResNet18().NetworkLayers())
+	for _, kinds := range [][]autotune.Kind{nil, {autotune.Winograd}, {autotune.FFT, autotune.ImplicitGEMM}} {
+		for _, winograd := range []bool{false, true} {
+			srv, _ := newTestServer(t, Config{Tune: tinyOpts(8, 3), Winograd: winograd, Kinds: kinds})
+			req, err := srv.resolve(resnet)
+			if err != nil {
+				t.Fatal(err)
+			}
+			searches := autotune.Searches(testArch, req.layers,
+				autotune.NetworkOptions{Winograd: winograd, Kinds: kinds})
+			if cost, want := req.Cost(srv), int64(len(searches)*8); cost != want {
+				t.Errorf("kinds %v winograd %t: Cost = %d, want %d searches x budget 8 = %d",
+					kinds, winograd, cost, len(searches), want)
+			}
+			if entries := req.Entries(srv); len(entries) != 0 {
+				t.Errorf("kinds %v winograd %t: %d entries from an empty cache", kinds, winograd, len(entries))
+			}
+		}
+	}
+}
+
 // An open breaker must not replace measured verdicts the cache holds with
 // estimates; a request with any uncovered search still goes analytic.
 func TestServerOpenBreakerStillServesCachedVerdicts(t *testing.T) {

@@ -8,7 +8,6 @@ import (
 	"repro"
 	"repro/internal/autotune"
 	"repro/internal/memsim"
-	"repro/internal/shapes"
 )
 
 // request is one tuning request with every default resolved: the single
@@ -99,52 +98,33 @@ func (r *request) Key() string {
 	return r.key
 }
 
-// searches visits each distinct (kind, shape) search the request's sweep
-// would run, in layer order: per layer exactly the candidate set the sweep
-// searches (autotune.CandidateKinds), identical searches visited once.
-func (r *request) searches(visit func(autotune.Kind, shapes.ConvShape)) {
-	type search struct {
-		kind  autotune.Kind
-		shape string
-	}
-	seen := make(map[search]bool)
-	for _, l := range r.layers {
-		for _, kind := range autotune.CandidateKinds(l.Shape, r.winograd, r.kinds) {
-			k := search{kind, l.Shape.String()}
-			if !seen[k] {
-				seen[k] = true
-				visit(kind, l.Shape)
-			}
-		}
-	}
-}
-
 // Cost is the worst-case fresh-measurement count of the request on server
-// s: per distinct search, what the cache leaves it to spend
-// (autotune.Cache.Covered — a full per-layer budget when the key is absent,
-// the budget beyond the persisted one when the sweep will resume it, nothing
-// when it is covered). Extra kinds are accounted before they can run.
+// s: per distinct search of its sweep (autotune.Searches), what the cache
+// leaves it to spend (autotune.Cache.Covered — a full per-layer budget when
+// the key is absent, the budget beyond the persisted one when the sweep will
+// resume it, nothing when it is covered). Extra kinds are accounted before
+// they can run.
 func (r *request) Cost(s *Server) int64 {
 	var cost int64
-	r.searches(func(kind autotune.Kind, shape shapes.ConvShape) {
-		_, remaining := s.cache.Covered(r.arch.Name, kind, shape, r.tune.Budget, s.cfg.Resume)
+	for _, q := range autotune.Searches(r.arch, r.layers, r.sweepOptions(s)) {
+		_, remaining := s.cache.Covered(r.arch.Name, q.Kind, q.Shape, r.tune.Budget, s.cfg.Resume)
 		cost += int64(remaining)
-	})
+	}
 	return cost
 }
 
-// Entries gathers the persisted cache entries the request's sweep produced
-// or touched, engine state included — the sweep measures all candidates
-// (that is what the per-layer kernel choice compares), so after a measured
-// answer every one of these exists and a replica receiving them can serve
-// the same request with zero fresh measurements.
-func (r *request) Entries(cache *autotune.Cache) []autotune.CacheEntry {
+// Entries gathers the persisted cache entries the request's sweep on s
+// produced or touched, engine state included — the sweep measures all
+// candidates (that is what the per-layer kernel choice compares), so after a
+// measured answer every one of these exists and a replica receiving them can
+// serve the same request with zero fresh measurements.
+func (r *request) Entries(s *Server) []autotune.CacheEntry {
 	var out []autotune.CacheEntry
-	r.searches(func(kind autotune.Kind, shape shapes.ConvShape) {
-		if e, ok := cache.Entry(r.arch.Name, kind, shape); ok {
+	for _, q := range autotune.Searches(r.arch, r.layers, r.sweepOptions(s)) {
+		if e, ok := s.cache.Entry(r.arch.Name, q.Kind, q.Shape); ok {
 			out = append(out, e)
 		}
-	})
+	}
 	return out
 }
 

@@ -465,10 +465,10 @@ func (s *Server) serveTune(w http.ResponseWriter, req *request) {
 // respond writes a request's verdicts as the 200 response — the one tail of
 // the measured and the analytic path, and so where every verdict's
 // provenance is booked in the registry's tier × kind grid. A response whose
-// every layer is
-// analytic (served from the analytic tier outright, or every search fell
-// back to it because the breaker tripped mid-run or the backend died) is a
-// complete estimate: flagged as such, and queued for background refinement.
+// every layer is analytic (served from the analytic tier outright, or every
+// search fell back to it because the breaker tripped mid-run or the backend
+// died) is a complete estimate: flagged as such, and queued for background
+// refinement.
 func (s *Server) respond(w http.ResponseWriter, req *request, verdicts []autotune.LayerVerdict) {
 	resp := repro.TuneResponse{Arch: req.arch.Name,
 		Verdicts:       repro.DescribeVerdicts(verdicts),

@@ -155,7 +155,7 @@ func RunWinograd(arch Arch, s Shape, cfg Config, input, kernels *Tensor) (*Resul
 // MeasureDirect returns the exact counts and simulated time of the direct
 // dataflow without computing values (fast, any scale).
 func MeasureDirect(arch Arch, s Shape, cfg Config) (*Result, error) {
-	return conv.DirectTiledDry(arch, s, cfg)
+	return autotune.Direct.Dry(arch, s, cfg)
 }
 
 // MeasureKind is MeasureDirect for any algorithm kind: that kind's conv
@@ -169,18 +169,7 @@ func MeasureKind(arch Arch, s Shape, kind Kind, cfg Config) (*Result, error) {
 // MeasureLibraryDirect returns the better of the two library direct paths
 // (naive, im2col+GEMM) — the baseline the paper compares against.
 func MeasureLibraryDirect(arch Arch, s Shape) (*Result, error) {
-	naive, err := conv.NaiveDirectDry(arch, s)
-	if err != nil {
-		return nil, err
-	}
-	col, err := conv.Im2colGEMMDry(arch, s)
-	if err != nil {
-		return nil, err
-	}
-	if naive.Seconds < col.Seconds {
-		return naive, nil
-	}
-	return col, nil
+	return conv.LibraryDirectDry(arch, s)
 }
 
 // MeasureLibraryWinograd returns the unfused library-style Winograd
