@@ -11,9 +11,9 @@ import (
 // engine and TVM both use. Stdlib only, built from scratch.
 //
 // The trainer is built for the tuning loop's access pattern — the dataset
-// grows by one small batch per engine iteration — so it supports warm-start
-// refits: Update keeps the fitted trees and boosts additional rounds
-// against the residuals over the grown dataset. Split finding runs on
+// only ever grows, a small batch per engine iteration — so it supports
+// warm-start refits: Update keeps the fitted trees and boosts additional
+// rounds against the residuals over the grown dataset. Split finding runs on
 // per-feature presorted column indices that are built once and merged
 // incrementally as batches arrive, replacing the per-node value sort of a
 // naive implementation with a single prefix sweep per (node, feature).
@@ -26,7 +26,7 @@ type GBTConfig struct {
 	LearningRate float64 // shrinkage
 	Thresholds   int     // candidate split thresholds per feature
 	// UpdateTrees is how many fresh boosting rounds one warm-start Update
-	// fits — the engine's per-batch refit size.
+	// fits — the size of one engine refit.
 	UpdateTrees int
 }
 
@@ -108,12 +108,33 @@ func TrainGBT(cfg GBTConfig, x [][]float64, y []float64) *GBTModel {
 // the original dataset is exactly equivalent to a full retrain whose
 // configured rounds match the total — the split between TrainGBT and
 // Update does not change a single bit of the model (tests pin this).
+//
+// Update costs rounds passes over every row it holds, so the caller decides
+// how often the growth is worth one: the engine (TuneFallible) calls it when
+// the dataset has grown by an eighth, not per batch.
 func (m *GBTModel) Update(x [][]float64, y []float64, rounds int) {
 	if len(x) != len(y) || len(x) < len(m.x) {
 		panic("autotune: Update dataset must extend the trained rows")
 	}
 	m.ingest(x, y)
 	m.boost(rounds)
+}
+
+// clone returns an independent copy of the fitted model: everything a later
+// Update writes — the forest, the per-row predictions, the presorted columns
+// — is copied, the scratch starts empty, and the training rows, which no fit
+// ever writes, stay shared. Updating a clone is bit-identical to updating the
+// original and leaves the original untouched, so one fitted prior can seed
+// any number of concurrent searches (see sharedPrior).
+func (m *GBTModel) clone() *GBTModel {
+	c := &GBTModel{cfg: m.cfg, base: m.base, x: m.x, y: m.y,
+		nodes: slices.Clone(m.nodes), roots: slices.Clone(m.roots),
+		pred: slices.Clone(m.pred), cuts: slices.Clone(m.cuts),
+		cols: make([][]int32, len(m.cols)), vals: make([][]float64, len(m.vals))}
+	for f := range m.cols {
+		c.cols[f], c.vals[f] = slices.Clone(m.cols[f]), slices.Clone(m.vals[f])
+	}
+	return c
 }
 
 // NumTrees reports the fitted boosting rounds so far.

@@ -144,14 +144,19 @@ func goldenTune(b *bytes.Buffer, arch memsim.Arch, kind Kind) error {
 	if err != nil {
 		return err
 	}
-	h := fnv.New64a()
-	for _, mc := range tr.History {
-		fmt.Fprintf(h, "%+v %s %s %v\n", mc.Config, goldenFloat(mc.M.Seconds), goldenFloat(mc.M.GFLOPS), mc.OK)
-	}
 	fmt.Fprintf(b, "tune %s best %+v seconds %s gflops %s measurements %d pruned %d convergedAt %d history %016x\n",
 		kind, tr.Best, goldenFloat(tr.BestM.Seconds), goldenFloat(tr.BestM.GFLOPS),
-		tr.Measurements, tr.Pruned, tr.ConvergedAt, h.Sum64())
+		tr.Measurements, tr.Pruned, tr.ConvergedAt, goldenHistoryHash(tr.History))
 	return nil
+}
+
+// goldenHistoryHash folds a measurement stream into one word.
+func goldenHistoryHash(hist []MeasuredConfig) uint64 {
+	h := fnv.New64a()
+	for _, mc := range hist {
+		fmt.Fprintf(h, "%+v %s %s %v\n", mc.Config, goldenFloat(mc.M.Seconds), goldenFloat(mc.M.GFLOPS), mc.OK)
+	}
+	return h.Sum64()
 }
 
 func TestKindsGolden(t *testing.T) {

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"sync"
 
 	"repro/internal/conv"
 	"repro/internal/memsim"
@@ -210,7 +211,8 @@ func familyOf(kind Kind, s shapes.ConvShape) poolKey {
 // transferPool is the cross-layer state: normalized training rows and
 // incumbent seed configurations from finished searches, binned by family.
 // It is written between waves and read-only while searches run, so no lock
-// is needed.
+// is needed; the one thing a running search adds is the family's fitted
+// prior, behind its own sync.Once.
 type transferPool struct {
 	topK     int
 	byFamily map[poolKey]*poolEntry
@@ -220,6 +222,26 @@ type poolEntry struct {
 	feats [][]float64
 	costs []float64
 	seeds []conv.Config
+	// prior is the cost model fitted on (feats, costs) as they stand once
+	// the pool is frozen; contribute must not run after a search took it.
+	prior sharedPrior
+}
+
+// sharedPrior is the cost model every warm search of one family starts from.
+// The fit is a pure function of the family's frozen rows, so it runs once —
+// lazily, in the worker of whichever search asks first — and each search
+// takes a copy it then Updates on its own: copy-on-take, never a shared
+// mutable model.
+type sharedPrior struct {
+	once  sync.Once
+	model *GBTModel
+}
+
+// take returns a private copy of the prior, fitting it on (x, y) first if no
+// search has yet. Every caller must pass the same frozen rows.
+func (p *sharedPrior) take(cfg GBTConfig, x [][]float64, y []float64) *GBTModel {
+	p.once.Do(func() { p.model = TrainGBT(cfg, x, y) })
+	return p.model.clone()
 }
 
 func newTransferPool(topK int) *transferPool {
@@ -291,13 +313,14 @@ func (p *transferPool) prime(cache *Cache, arch memsim.Arch) {
 
 // warmFor assembles the WarmStart a search inherits from its family, or
 // nil when the pool has nothing for it. The slices are shared read-only
-// across concurrent searches; Tune copies before it appends.
+// across concurrent searches; Tune copies before it appends, and takes its
+// copy of the family's one fitted prior.
 func (p *transferPool) warmFor(k poolKey) *WarmStart {
 	pe := p.byFamily[k]
 	if pe == nil || (len(pe.feats) == 0 && len(pe.seeds) == 0) {
 		return nil
 	}
-	return &WarmStart{Feats: pe.feats, Costs: pe.costs, Seeds: pe.seeds}
+	return &WarmStart{Feats: pe.feats, Costs: pe.costs, Seeds: pe.seeds, prior: &pe.prior}
 }
 
 // candidateKinds filters the requested kinds by a layer's signature — the
@@ -364,18 +387,27 @@ func TuneNetworkContext(ctx context.Context, arch memsim.Arch, layers []NetworkL
 	if verdicts, ok := plan.cached(cache, opts); ok {
 		return verdicts, nil
 	}
+	if err := plan.run(ctx, cache, opts); err != nil {
+		return nil, err
+	}
+	return plan.chooseKinds(opts)
+}
+
+// run executes the plan's searches against the cache, leaving each task its
+// outcome — for a search that ran here, its trace included.
+func (p sweepPlan) run(ctx context.Context, cache *Cache, opts NetworkOptions) error {
+	arch, tasks := p.arch, p.tasks
 	workers := opts.Workers
 	if workers < 1 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	tasks := plan.tasks
 	// live indexes the tasks that have a space to search.
 	live := make([]int, 0, len(tasks))
 	for i, t := range tasks {
 		sp, err := NewSpace(t.Shape, arch, t.Kind, 0, true)
 		if err != nil {
 			if t.Kind == Direct {
-				return nil, fmt.Errorf("autotune: layer %q: %w", layers[t.owner].Name, err)
+				return fmt.Errorf("autotune: layer %q: %w", p.layers[t.owner].Name, err)
 			}
 			// A non-direct kind may legitimately not admit a layer; the
 			// remaining candidates stand alone then.
@@ -431,7 +463,7 @@ func TuneNetworkContext(ctx context.Context, arch memsim.Arch, layers []NetworkL
 		}
 		run(wave1, pool)
 	}
-	return plan.chooseKinds(opts)
+	return nil
 }
 
 // CachedNetwork answers a network request from the cache alone: ok reports

@@ -49,9 +49,13 @@ type WarmStart struct {
 	// Feats/Costs are prior training rows for the cost model, in this
 	// space's feature encoding with costs normalized to zero mean per
 	// source layer (the model only ranks candidates within one layer, so
-	// only relative cost transfers). The engine fits its initial model on
-	// them and continues via GBTModel.Update as its own measurements
-	// arrive.
+	// only relative cost transfers). The engine's initial model is the fit
+	// on exactly these rows — a pure function of them — and continues via
+	// GBTModel.Update as its own measurements arrive. A WarmStart built by
+	// hand has the search fit that model itself; one handed out by
+	// TuneNetwork's transfer pool carries the family's shared prior, fitted
+	// once per sweep by whichever search needs it first, of which every
+	// search takes a private copy (bit-identical to fitting its own).
 	Feats [][]float64
 	Costs []float64
 	// Seeds are incumbent configurations from related layers. They are
@@ -65,14 +69,19 @@ type WarmStart struct {
 	// History is set, Feats/Costs are ignored: the key's own rows beat
 	// transferred ones.
 	History []MeasuredConfig
+	// prior, set by the transfer pool alone, is the shared fit on
+	// Feats/Costs a search copies instead of fitting its own.
+	prior *sharedPrior
 }
 
 // Options controls a tuning run.
 type Options struct {
 	// Budget is the maximum number of measurements.
 	Budget int
-	// BatchSize is how many configurations are measured per iteration
-	// (between cost-model refits).
+	// BatchSize is how many configurations are measured per iteration: the
+	// model ranks a candidate pool and the BatchSize most promising members
+	// are measured together. (The cost model is refitted as the training set
+	// grows, not per batch — see Tune.)
 	BatchSize int
 	// Walkers is n_s, the number of parallel random walks of the explorer.
 	Walkers int
@@ -213,6 +222,11 @@ type Trace struct {
 	// (they do not consume Budget: budget accounts configurations, not
 	// raw readings).
 	Remeasured int
+	// Refits counts the cost-model fits this search ran — full TrainGBT
+	// fits and incremental Updates alike; a copy taken of a transfer pool's
+	// shared prior is not a fit. In memory only: a cache entry does not
+	// persist it.
+	Refits int
 }
 
 // record is the shared bookkeeping of all strategies.
@@ -254,14 +268,15 @@ func (r *record) stale(patience int) bool {
 }
 
 // Tune runs the paper's auto-tuning engine (Figure 8): iterate
-// {refit the cost model on all measurements so far; explore with n_s
-// parallel model-guided random walks from the current best configurations;
-// measure the proposals; update the dataset} until the budget or patience
-// is exhausted. Each batch of proposals is measured by the worker-pool
-// executor (opts.Workers goroutines); outcomes are recorded in submission
-// order, so the run is deterministic for a fixed seed at any worker count.
+// {refit the cost model when enough new measurements have arrived; explore
+// with n_s parallel model-guided random walks from the current best
+// configurations; measure the proposals; update the dataset} until the budget
+// or patience is exhausted. Each batch of proposals is measured by the
+// worker-pool executor (opts.Workers goroutines); outcomes are recorded in
+// submission order, so the run is deterministic for a fixed seed at any
+// worker count.
 //
-// Four things keep the engine's own machinery off the critical path:
+// Five things keep the engine's own machinery off the critical path:
 //
 //   - Bound-guided pruning (unless opts.NoPrune): the I/O-lower-bound
 //     oracle (Space.BoundSeconds) runs inside proposal generation itself.
@@ -273,22 +288,29 @@ func (r *record) stale(patience int) bool {
 //     Trace.Pruned. Because the bound is a true floor on every
 //     measurement, pruning can never discard a configuration that would
 //     have improved the verdict.
-//
-// A non-nil opts.Warm transfers state from related searches: prior model
-// rows fit the initial cost model, transferred incumbent configs are
-// snapped into the space and measured first (replacing most of the cold
-// start's random guesses), and a persisted history replays without
-// re-measuring so a cached search resumes at a higher budget. With
-// opts.Warm nil the engine is bit-identical to the cold path.
 //   - Warm-started cost model: the GBT forest is kept across iterations
 //     and refit incrementally (GBTModel.Update) on the grown dataset, with
 //     a full retrain only when the forest would exceed its size cap.
+//   - Amortised refits: past the first warmStartRows rows the model is
+//     refitted only when the training set — transferred rows included — has
+//     grown by an eighth since the last fit, so the fits of a search number
+//     O(log budget) and each sees a batch of rows big enough to move it;
+//     between fits the walkers keep the model and its prediction memo.
+//     Trace.Refits counts them.
 //   - Heap-based ranking: walker proposals and the best-measured set are
 //     maintained by bounded max-heaps with recycled backing arrays
 //     instead of full sorts.
 //   - One prediction per configuration per refit: the walkers and the
 //     ranking read the model through a memo (predictor) that is cleared
 //     whenever the model changes.
+//
+// A non-nil opts.Warm transfers state from related searches: prior model
+// rows fit the initial cost model (once per family per sweep when the
+// WarmStart comes from TuneNetwork's pool), transferred incumbent configs are
+// snapped into the space and measured first (replacing most of the cold
+// start's random guesses), and a persisted history replays without
+// re-measuring so a cached search resumes at a higher budget. With
+// opts.Warm nil the engine is bit-identical to the cold path.
 func Tune(sp *Space, measure Measurer, opts Options) (*Trace, error) {
 	return TuneContext(context.Background(), sp, measure, opts)
 }
@@ -430,8 +452,13 @@ func TuneFallible(ctx context.Context, sp *Space, measure FallibleMeasurer, opts
 	// the residuals over the grown dataset. Two situations fall back to a
 	// full retrain: tiny datasets (below warmStartRows a full fit is cheap
 	// and early trees overfit the first few measurements, so keeping them
-	// hurts guidance exactly when each measurement matters most) and a
-	// forest at its size cap (prediction cost grows with forest size).
+	// hurts guidance exactly when each measurement matters most — there the
+	// model is refitted every batch) and a forest at its size cap
+	// (prediction cost grows with forest size). Past warmStartRows a refit
+	// waits until the training set has grown by 1/refitGrowth since the
+	// model last ingested it. The growth is measured against all the rows
+	// the model holds, transferred ones included: what a fit costs and how
+	// little a few fresh rows can move it both scale with that total.
 	gcfg := DefaultGBTConfig()
 	updateRounds := gcfg.UpdateTrees
 	if updateRounds < 1 {
@@ -462,12 +489,18 @@ func TuneFallible(ctx context.Context, sp *Space, measure FallibleMeasurer, opts
 		}
 		rec.resumedAt = rec.trace.Measurements
 	} else if transfer {
-		// Fit the initial cost model on the transferred rows; the layer's
-		// own rows append behind them, so every later refit continues via
-		// GBTModel.Update over the combined dataset.
+		// The initial cost model is the fit on the transferred rows — the
+		// pool's shared one when there is one; the layer's own rows append
+		// behind them, so every later refit continues via GBTModel.Update
+		// over the combined dataset.
 		feats = append(make([][]float64, 0, len(warm.Feats)+opts.Budget), warm.Feats...)
 		costs = append(make([]float64, 0, len(warm.Costs)+opts.Budget), warm.Costs...)
-		model = TrainGBT(gcfg, feats, costs)
+		if warm.prior != nil {
+			model = warm.prior.take(gcfg, warm.Feats, warm.Costs)
+		} else {
+			model = TrainGBT(gcfg, feats, costs)
+			rec.trace.Refits++
+		}
 	}
 
 	// The coarse-grained Section 5 dataflow designs are the first
@@ -514,7 +547,9 @@ func TuneFallible(ctx context.Context, sp *Space, measure FallibleMeasurer, opts
 
 	// Scratch reused across iterations: the model's prediction memo, the
 	// candidate pool, and the bounded heaps with their extraction buffers.
-	view := predictor{sp: sp, memo: make(map[conv.Config]float64)}
+	// The view starts on the transferred prior (if any): a warm search's first
+	// iterations are not due a refit.
+	view := predictor{sp: sp, model: model, memo: make(map[conv.Config]float64)}
 	pool := make(map[conv.Config]bool)
 	var rank bestK
 	var startsBuf, pickedBuf []scored
@@ -529,12 +564,16 @@ func TuneFallible(ctx context.Context, sp *Space, measure FallibleMeasurer, opts
 			measureBatch(ctx, []conv.Config{sp.Sample(rng)})
 			continue
 		}
-		if model == nil || len(feats) < warmStartRows || model.NumTrees()+updateRounds > maxForest {
-			model = TrainGBT(gcfg, feats, costs)
-		} else {
-			model.Update(feats, costs, updateRounds)
+		small := model == nil || len(feats) < warmStartRows
+		if small || refitDue(len(feats), model.NumRows()) {
+			if small || model.NumTrees()+updateRounds > maxForest {
+				model = TrainGBT(gcfg, feats, costs)
+			} else {
+				model.Update(feats, costs, updateRounds)
+			}
+			rec.trace.Refits++
+			view.refit(model)
 		}
-		view.refit(model)
 		// Build a candidate pool: every unseen config visited by the n_s
 		// parallel random walks (started from the best measured configs),
 		// plus fresh random samples for diversity. The lower-bound oracle
@@ -615,6 +654,17 @@ func TuneFallible(ctx context.Context, sp *Space, measure FallibleMeasurer, opts
 		rec.trace.Budget = rec.trace.Measurements
 	}
 	return &rec.trace, nil
+}
+
+// refitGrowth sets the refit cadence: a model fitted on n rows is refitted
+// once n/refitGrowth more have arrived.
+const refitGrowth = 8
+
+// refitDue reports whether a training set of rows rows has outgrown the
+// model last fitted on fitted of them. Successive fits are then at least a
+// factor 1+1/refitGrowth apart in rows — a geometric schedule.
+func refitDue(rows, fitted int) bool {
+	return rows-fitted >= fitted/refitGrowth
 }
 
 // predictor is the engine's view of the cost model between two refits: a
