@@ -40,7 +40,7 @@ func main() {
 	flag.DurationVar(&f.cacheTTL, "cache-ttl", 0, "expire cache entries unused for this long (0 = never)")
 	flag.IntVar(&f.budget, "budget", 0, "default per-layer measurement budget (0 = engine default)")
 	flag.Int64Var(&f.seed, "seed", 0, "default engine seed")
-	flag.IntVar(&f.workers, "workers", 0, "measurement workers per search (0 = GOMAXPROCS)")
+	flag.IntVar(&f.workers, "workers", 0, "measurement workers per search (0 = 1: a batch is measured on one goroutine)")
 	flag.IntVar(&f.layerWorkers, "layer-workers", 0, "concurrent per-layer searches per batch (0 = GOMAXPROCS)")
 	winograd := flag.Bool("winograd", true, "also tune the fused Winograd dataflow where it applies")
 	warm := flag.Bool("warm", true, "warm-start searches from tuned relatives (cross-request transfer)")

@@ -12,13 +12,13 @@ import (
 )
 
 // This file is the instant-verdict tier: a full design-space exploration
-// that never measures anything. The paper's I/O lower bounds already give
-// an admissible per-config time floor (BoundSeconds: launch + waves +
-// Q(Sb)·4B/bandwidth, plus flops/peak for direct); sharpened with the
-// launch-geometry terms of the time model that are themselves lower bounds
-// (analyticFloor), it orders configurations well enough to rank the whole
-// space analytically — the idiom of analytical-characterization DSE, here
-// serving as the service's degradation path. The scan enumerates every admissible, measurable
+// that never measures anything. The paper's I/O lower bounds give an
+// admissible per-config time floor (bound.go: the time model applied to the
+// theorem's traffic and the kind's arithmetic floor); taken at the launch's
+// own latency-hiding and bandwidth rates (analyticFloor) it orders
+// configurations well enough to rank the whole space analytically — the
+// idiom of analytical-characterization DSE, here serving as the service's
+// degradation path. The scan enumerates every admissible, measurable
 // configuration once per Space (memoized like Size), keeps the best few by
 // floor, and a verdict is then one lookup scaled by a calibration factor
 // fitted to whatever measured rows the cache already holds. An analytic
@@ -62,9 +62,8 @@ const analyticTopCap = 8
 type AnalyticVerdict struct {
 	Config conv.Config
 	// Floor is the admissible bound-derived time of Config in seconds
-	// (analyticFloor: launch + waves + the occupancy- and
-	// efficiency-scaled I/O and arithmetic floors): no measurement of it
-	// can come in lower.
+	// (analyticFloor: the time model at the launch's own rates over the
+	// I/O and arithmetic floors): no measurement of it can come in lower.
 	Floor float64
 	// Seconds is the served estimate: Floor scaled by the calibration
 	// factor (≥ 1, fitted from measured rows when any exist).
@@ -103,51 +102,14 @@ func (sp *Space) analyticScan() {
 	}
 }
 
-// analyticFloor is the analytic tier's per-config time floor: BoundSeconds
-// sharpened with the launch-dependent terms of the time model that are
-// themselves lower bounds. The measured model is sched + max(t_global,
-// t_shared, t_compute) with t_global built from the dataflow's actual
-// traffic (≥ the Theorem 4.12/4.20 bound Q at the same bandwidth
-// efficiency) and t_compute from its actual flops (≥ the arithmetic floor
-// at the same latency-hiding factor), so
-//
-//	sched + max(Q·4B/(bandwidth·eff), arith/(peak·hide))
-//
-// never exceeds a measurement — it stays admissible — while ranking the
-// space far better than the occupancy-blind bound alone: a tiny-block
+// analyticFloor is the analytic tier's per-config time floor: the tight
+// form of Space.floor, at the launch's own latency-hiding and bandwidth
+// rates. It stays admissible — the measurement is the same time model at
+// the same rates over at least this traffic and these flops — while ranking
+// the space far better than the occupancy-blind pruning floor: a tiny-block
 // config with low I/O but terrible latency hiding floats to the top of the
 // raw bound and sinks here, exactly as it does on the device model.
-func (sp *Space) analyticFloor(c conv.Config) float64 {
-	l, sched, resident, ok := sp.launchFloor(c)
-	if !ok {
-		return sched
-	}
-	// hide and eff mirror memsim.Arch.Time exactly; recomputing them from
-	// the same launch keeps the floor admissible term by term.
-	concurrent := l.Blocks
-	if resident < concurrent {
-		concurrent = resident
-	}
-	activePerSM := float64(concurrent*l.ThreadsPerBlock) / float64(sp.Arch.NumSMs)
-	hide := math.Min(1, activePerSM/float64(sp.Arch.ThreadsForPeak))
-	if l.ThreadsPerBlock < 32 {
-		hide *= float64(l.ThreadsPerBlock) / 32
-	}
-	if hide <= 0 {
-		return math.Inf(1)
-	}
-	eff := l.BandwidthEff
-	if eff <= 0 || eff > 1 {
-		eff = 1
-	}
-	ft := sp.floorTerms(c.SharedPerBlock, c.WinogradE)
-	tGlobal := ft.q * 4 / (sp.Arch.BandwidthGBs * 1e9 * eff)
-	tCompute := ft.arith / (sp.Arch.PeakGFLOPS * 1e9 * hide)
-	// Fixed launches are costed exactly, so they join the floor as a
-	// constant — still admissible, since every measurement pays exactly
-	// this on top of its tunable launch.
-	return sched + math.Max(tGlobal, tCompute) + sp.fixedSec
-}
+func (sp *Space) analyticFloor(c conv.Config) float64 { return sp.floor(c, false) }
 
 // measurable applies the validation the Dry evaluators and MemoMeasure
 // apply (the same row field MemoMeasure calls), so an analytic winner is
@@ -208,18 +170,34 @@ const (
 	calibrationMaxFactor  = 1e6
 )
 
-// CalibrateAnalytic fits the analytic tier's calibration factor from the
-// measured rows persisted in cache for arch: the median ratio of measured
-// seconds to the admissible floor, over the state-carrying entries (in
-// deterministic key order, capped). The floor never exceeds a measured
-// time, so the factor is ≥ 1; an empty or stateless cache yields 1 (serve
-// the raw floor).
+// CalibrateAnalytic fits a calibration factor for arch from cache on a
+// throwaway tier; a caller that keeps a tier calls its Calibrate.
 func CalibrateAnalytic(cache *Cache, arch memsim.Arch) float64 {
+	return NewAnalyticDSE(arch).Calibrate(cache)
+}
+
+// Calibrate refits the tier's calibration factor from the measured rows
+// persisted in cache for its architecture, installs it and returns it: the
+// median ratio of measured seconds to the admissible floor, over the
+// state-carrying entries (in deterministic key order, capped). The floor
+// never exceeds a measured time, so the factor is ≥ 1; a nil, empty or
+// stateless cache yields 1 (serve the raw floor). The floors are read off
+// the tier's memoized spaces, so a refit after the cache grew builds only
+// the spaces it has not met.
+func (a *AnalyticDSE) Calibrate(cache *Cache) float64 {
+	cal := a.fitCalibration(cache)
+	a.mu.Lock()
+	a.cal = cal
+	a.mu.Unlock()
+	return cal
+}
+
+func (a *AnalyticDSE) fitCalibration(cache *Cache) float64 {
 	if cache == nil {
 		return 1
 	}
 	var ratios []float64
-	entries := cache.stateEntries(arch.Name)
+	entries := cache.stateEntries(a.arch.Name)
 	if len(entries) > calibrationMaxEntries {
 		entries = entries[:calibrationMaxEntries]
 	}
@@ -228,7 +206,7 @@ func CalibrateAnalytic(cache *Cache, arch memsim.Arch) float64 {
 		if err != nil {
 			continue
 		}
-		sp, err := NewSpace(e.Shape.shape(), arch, kind, 0, true)
+		sp, err := a.space(kind, e.Shape.shape())
 		if err != nil {
 			continue
 		}
@@ -251,14 +229,7 @@ func CalibrateAnalytic(cache *Cache, arch memsim.Arch) float64 {
 		return 1
 	}
 	sort.Float64s(ratios)
-	cal := ratios[len(ratios)/2]
-	if !(cal > 1) {
-		cal = 1
-	}
-	if cal > calibrationMaxFactor {
-		cal = calibrationMaxFactor
-	}
-	return cal
+	return min(max(ratios[len(ratios)/2], 1), calibrationMaxFactor)
 }
 
 // dseKey addresses one memoized space of an AnalyticDSE.
@@ -284,19 +255,8 @@ func NewAnalyticDSE(arch memsim.Arch) *AnalyticDSE {
 	return &AnalyticDSE{arch: arch, spaces: make(map[dseKey]*Space), cal: 1}
 }
 
-// SetCalibration installs a new calibration factor (clamped to ≥ 1); see
-// CalibrateAnalytic.
-func (a *AnalyticDSE) SetCalibration(f float64) {
-	if !(f > 1) {
-		f = 1
-	}
-	a.mu.Lock()
-	a.cal = f
-	a.mu.Unlock()
-}
-
-// Calibration reports the current calibration factor.
-func (a *AnalyticDSE) Calibration() float64 {
+// calibration reports the current calibration factor.
+func (a *AnalyticDSE) calibration() float64 {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	return a.cal
@@ -333,7 +293,7 @@ func (a *AnalyticDSE) Layer(kind Kind, s shapes.ConvShape) (AnalyticVerdict, err
 	if err != nil {
 		return AnalyticVerdict{}, err
 	}
-	return sp.Analytic(a.Calibration())
+	return sp.Analytic(a.calibration())
 }
 
 // NetworkKinds is the measurement-free analog of TuneNetwork with per-layer
@@ -347,40 +307,44 @@ func (a *AnalyticDSE) NetworkKinds(layers []NetworkLayer, kinds []Kind) ([]Layer
 	}
 	verdicts := make([]LayerVerdict, len(layers))
 	for i, l := range layers {
-		av, err := a.Layer(Direct, l.Shape)
+		v, err := a.layerVerdict(l, CandidateKinds(l.Shape, false, kinds))
 		if err != nil {
 			return nil, fmt.Errorf("autotune: analytic tier: layer %q: %w", l.Name, err)
-		}
-		v := LayerVerdict{Layer: l, Kind: Direct, Config: av.Config,
-			M: Measurement{Seconds: av.Seconds, GFLOPS: av.GFLOPS}, Tier: TierAnalytic}
-		for _, kind := range CandidateKinds(l.Shape, false, kinds)[1:] {
-			// A kind may legitimately not admit the layer; the incumbent
-			// estimate stands alone then — mirroring the measured sweep.
-			if kv, kerr := a.Layer(kind, l.Shape); kerr == nil && kv.Seconds < v.M.Seconds {
-				v.Kind, v.Config = kind, kv.Config
-				v.M = Measurement{Seconds: kv.Seconds, GFLOPS: kv.GFLOPS}
-			}
 		}
 		verdicts[i] = v
 	}
 	return verdicts, nil
 }
 
-// analyticLayerVerdict answers one layer from the analytic tier using the
-// already-built task spaces (the mandatory Direct space first) —
-// TuneNetwork's degradation path for a layer whose search errored. ok is
-// false when no space can rank anything.
-func analyticLayerVerdict(l NetworkLayer, spaces []*Space, calibration float64) (LayerVerdict, bool) {
-	av, err := spaces[0].Analytic(calibration)
-	best := LayerVerdict{Layer: l, Kind: spaces[0].Kind, Config: av.Config,
-		M: Measurement{Seconds: av.Seconds, GFLOPS: av.GFLOPS}, Tier: TierAnalytic}
-	ok := err == nil
-	for _, sp := range spaces[1:] {
-		if kv, kerr := sp.Analytic(calibration); kerr == nil && (!ok || kv.Seconds < best.M.Seconds) {
-			best.Kind, best.Config = sp.Kind, kv.Config
-			best.M = Measurement{Seconds: kv.Seconds, GFLOPS: kv.GFLOPS}
-			ok = true
+// layerVerdict is the tier's per-layer kernel choice, the one NetworkKinds
+// and TuneNetwork's degradation path share: the best estimate over the
+// layer's candidate kinds, the mandatory Direct first. A kind may
+// legitimately not admit the layer, or rank nothing in it; the others stand
+// alone then — mirroring the measured sweep — and only a layer no kind can
+// rank is an error (the first one met, Direct's when Direct failed).
+func (a *AnalyticDSE) layerVerdict(l NetworkLayer, kinds []Kind) (LayerVerdict, error) {
+	best := LayerVerdict{Layer: l, Tier: TierAnalytic}
+	var firstErr error
+	ranked := false
+	for _, kind := range kinds {
+		av, err := a.Layer(kind, l.Shape)
+		if err != nil {
+			if firstErr == nil {
+				firstErr = err
+			}
+			continue
+		}
+		if !ranked || av.Seconds < best.M.Seconds {
+			best.Kind, best.Config = kind, av.Config
+			best.M = Measurement{Seconds: av.Seconds, GFLOPS: av.GFLOPS}
+			ranked = true
 		}
 	}
-	return best, ok
+	if ranked {
+		return best, nil
+	}
+	if firstErr == nil {
+		firstErr = fmt.Errorf("autotune: analytic tier: no candidate kind for %v", l.Shape)
+	}
+	return LayerVerdict{}, firstErr
 }

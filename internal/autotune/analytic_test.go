@@ -1,6 +1,7 @@
 package autotune
 
 import (
+	"context"
 	"errors"
 	"math"
 	"math/rand"
@@ -200,6 +201,16 @@ func TestCalibrateAnalytic(t *testing.T) {
 	if !(cal >= 1) || math.IsInf(cal, 1) {
 		t.Fatalf("fitted calibration %v, want finite ≥ 1", cal)
 	}
+	// A kept tier fits the same factor, installs it, and reads its floors
+	// off one memoized space however often it refits.
+	tier := NewAnalyticDSE(arch)
+	if got := tier.Calibrate(cache); got != cal || tier.calibration() != cal {
+		t.Fatalf("tier calibration %v (installed %v), want %v", got, tier.calibration(), cal)
+	}
+	built := tier.spaces[dseKey{Direct, s}]
+	if tier.Calibrate(cache); len(tier.spaces) != 1 || built == nil || tier.spaces[dseKey{Direct, s}] != built {
+		t.Fatalf("refit rebuilt the tier's spaces: %d held", len(tier.spaces))
+	}
 	// A different architecture has no rows here and stays at 1.
 	if got := CalibrateAnalytic(cache, memsim.TitanX); got != 1 {
 		t.Fatalf("foreign-arch calibration %v, want 1", got)
@@ -255,9 +266,9 @@ func deadMeasurer(Kind, shapes.ConvShape, Measurer) FallibleMeasurer {
 	}
 }
 
-// AnalyticFallback is the sweep-level degradation trigger: with a dead
-// measurer the plain sweep fails, the fallback sweep returns a complete
-// all-analytic verdict list instead.
+// NetworkOptions.Analytic is the sweep-level degradation trigger: with a
+// dead measurer the plain sweep fails, the sweep holding a tier returns a
+// complete all-analytic verdict list instead.
 func TestTuneNetworkAnalyticFallback(t *testing.T) {
 	rng := rand.New(rand.NewSource(61))
 	layers := randomNetwork(rng)
@@ -267,11 +278,11 @@ func TestTuneNetworkAnalyticFallback(t *testing.T) {
 
 	base := NetworkOptions{Tune: opts, Winograd: true, WrapMeasurer: deadMeasurer}
 	if _, err := TuneNetwork(arch, layers, NewCache(), base); err == nil {
-		t.Fatal("dead measurer without AnalyticFallback must fail the sweep")
+		t.Fatal("dead measurer without an analytic tier must fail the sweep")
 	}
 
 	withFallback := base
-	withFallback.AnalyticFallback = true
+	withFallback.Analytic = NewAnalyticDSE(arch)
 	verdicts, err := TuneNetwork(arch, layers, NewCache(), withFallback)
 	if err != nil {
 		t.Fatalf("fallback sweep failed: %v", err)
@@ -295,7 +306,7 @@ func TestTuneNetworkAnalyticFallback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	healthy.AnalyticFallback = true
+	healthy.Analytic = NewAnalyticDSE(arch)
 	got, err := TuneNetwork(arch, layers, NewCache(), healthy)
 	if err != nil {
 		t.Fatal(err)
@@ -307,5 +318,68 @@ func TestTuneNetworkAnalyticFallback(t *testing.T) {
 		if got[i].Tier != TierMeasured {
 			t.Fatalf("layer %s: healthy sweep tier %v, want measured", got[i].Layer.Name, got[i].Tier)
 		}
+	}
+}
+
+// The sweep's degradation path reads the tier it was handed, not the
+// sweep's own throwaway spaces: two dead-backend sweeps sharing one tier
+// scan each (kind, shape) space once between them, and what they answer is
+// what the tier's NetworkKinds answers for the same layers and kinds — one
+// per-layer chooser behind both.
+func TestSweepFallbackSharesTierMemo(t *testing.T) {
+	rng := rand.New(rand.NewSource(67))
+	layers := randomNetwork(rng)
+	tune := DefaultOptions()
+	tune.Budget = 8
+	tier := NewAnalyticDSE(arch)
+	opts := NetworkOptions{Tune: tune, Winograd: true, WrapMeasurer: deadMeasurer, Analytic: tier}
+
+	sweep := func() []LayerVerdict {
+		t.Helper()
+		plan := planSweep(arch, layers, opts)
+		if err := plan.run(context.Background(), NewCache(), opts); err != nil {
+			t.Fatal(err)
+		}
+		verdicts, err := plan.chooseKinds(opts)
+		if err != nil {
+			t.Fatalf("dead-backend sweep with a tier failed: %v", err)
+		}
+		for _, task := range plan.tasks {
+			if task.sp.scanned() {
+				t.Fatalf("%s %v: the sweep scanned its own space", task.Kind, task.Shape)
+			}
+		}
+		if got, want := tier.scannedSpaces(), len(plan.tasks); got != want {
+			t.Fatalf("tier holds %d scanned spaces for %d searches", got, want)
+		}
+		return verdicts
+	}
+	first := sweep()
+	memo := make(map[dseKey]*Space)
+	for k, sp := range tier.spaces {
+		memo[k] = sp
+	}
+	second := sweep()
+	for k, sp := range tier.spaces {
+		if memo[k] != sp {
+			t.Fatalf("%s %v: the second sweep rebuilt the tier's space", k.kind, k.s)
+		}
+	}
+
+	want, err := tier.NetworkKinds(layers, []Kind{Winograd})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range want {
+		if first[i] != want[i] || second[i] != want[i] {
+			t.Fatalf("layer %s: sweep fallback %+v / %+v, NetworkKinds %+v",
+				want[i].Layer.Name, first[i], second[i], want[i])
+		}
+	}
+
+	// A tier built for another architecture is not this sweep's tier.
+	opts.Analytic = NewAnalyticDSE(memsim.TitanX)
+	if _, err := TuneNetwork(arch, layers, NewCache(), opts); err == nil {
+		t.Fatal("a foreign-arch tier answered a dead layer; want the sweep to fail as with none")
 	}
 }

@@ -5,39 +5,42 @@ import (
 	"sync"
 
 	"repro/internal/conv"
-	"repro/internal/memsim"
 )
 
 // This file turns the paper's I/O lower bounds (Theorems 4.12 and 4.20)
-// into a pruning oracle for the search engine. For any configuration, the
-// simulated runtime is at least
+// into time floors. The simulated runtime of a configuration is the time
+// model, memsim.Arch.Seconds, applied to the traffic and flops its dataflow
+// actually incurs at its launch's rates, plus the kind's fixed launches.
+// Seconds is monotone in each operand, the measured off-chip traffic of any
+// dataflow using Sb floats of fast memory is at least the theorem's Q(Sb),
+// and its flops are at least the kind's arithmetic floor, so
 //
-//	launch + waves·waveLatency + Q(Sb)·4 / bandwidth
+//	Seconds(rates; Q(Sb)·4, 0, arith) + fixed
 //
-// because the time model adds the launch terms unconditionally and its
-// global-memory term is the measured off-chip traffic over (at most) full
-// bandwidth — and the measured traffic of any dataflow using Sb floats of
-// fast memory is at least the theorem's Q(Sb). Where the arithmetic is
-// configuration-independent (the direct dataflows, the FFT product phase),
-// flops/peak joins the max as a second floor. A candidate whose floor
-// already exceeds the best measured time can therefore be discarded without
-// measuring it (branch-and-bound); the tests assert the floor never exceeds
-// the measured time of any admissible configuration.
+// never exceeds a measurement — and neither does the same expression at
+// better rates. The engine uses it twice (Space.floor): the tight floor at
+// the launch's own rates ranks the space for the analytic tier, the pruning
+// floor at ideal rates (Hide = Eff = 1) is the branch-and-bound oracle: a
+// candidate whose pruning floor already exceeds the best measured time is
+// discarded without measuring it. The shared↔register operand is 0 today;
+// a lower bound on that traffic (the same theorem one level down) is one
+// argument away. The tests assert pruning ≤ tight ≤ measured for every
+// measurable configuration of every kind.
 //
 // The theorem evaluation depends on the configuration only through the
 // fast-memory size Sb and the tile edge e (the arithmetic floor through e
 // alone), so — mirroring the MemoMeasure tile-key machinery — both are
-// memoized per (Sb, e) key and a steady-state BoundSeconds call is one map
-// lookup plus O(1) launch geometry.
+// memoized per (Sb, e) key and a steady-state floor is one map lookup plus
+// O(1) launch geometry.
 
 // boundKey is the memo key: the only config axes the theorems see.
 type boundKey struct {
 	sb, e int
 }
 
-// floorTerms are the two row-evaluated terms of a time floor: the theorem's
-// minimum off-chip traffic q, in elements, and the arithmetic floor of the
-// tunable launch, in flops.
+// floorTerms are the two row-evaluated operands of a time floor: the
+// theorem's minimum off-chip traffic q, in elements, and the arithmetic
+// floor of the tunable launch, in flops.
 type floorTerms struct {
 	q, arith float64
 }
@@ -50,59 +53,47 @@ type boundMemo struct {
 	memo map[boundKey]floorTerms
 }
 
-// launchFloor is the launch-and-validity prologue of both time floors
-// (BoundSeconds here, analyticFloor in analytic.go): the launch geometry of
-// c and the time model's own scheduling term for it. Being one function is
-// what keeps the two floors — and through them the paper's contract, floor
-// ≤ every measurement — from drifting apart per kind. ok is false when the
-// floor is already decided, and sched is then that floor: 0 (no useful
-// bound applies: an empty axis, or a configuration the dataflow cannot
-// launch) or +Inf (the block does not fit the device at all; its
-// measurement can only fail).
-func (sp *Space) launchFloor(c conv.Config) (l memsim.Launch, sched float64, resident int, ok bool) {
+// floor is the one time floor of c: the time model applied to the row's
+// lower bounds on traffic and flops instead of measured counts. With ideal
+// unset the rates are the launch's own (the tight floor); with it set they
+// are the best any launch could have, and arithmetic joins only where it is
+// the same for every configuration (flatArith) — the pruning floor, pointwise
+// ≤ the tight one. The result is 0 when no useful bound applies (an empty
+// axis, or a configuration the dataflow cannot launch) and +Inf when the
+// block does not fit the device at all: its measurement can only fail.
+func (sp *Space) floor(c conv.Config, ideal bool) float64 {
 	if c.TileX < 1 || c.TileY < 1 || c.TileZ < 1 || c.SharedPerBlock < 1 ||
 		c.ThreadsX < 1 || c.ThreadsY < 1 || c.ThreadsZ < 1 {
-		return l, 0, 0, false
+		return 0
 	}
 	if sp.row.launchable != nil && !sp.row.launchable(sp.Shape, c) {
-		return l, 0, 0, false
+		return 0
 	}
-	l = sp.row.launch(sp.Shape, c)
+	l := sp.row.launch(sp.Shape, c)
 	if l.Blocks < 1 || l.ThreadsPerBlock < 1 {
-		return l, 0, 0, false
+		return 0
 	}
-	// The scheduling floor is the time model's own additive term, via the
-	// shared memsim helper — never a re-derived copy, so the two cannot
-	// drift apart.
-	sched, resident = sp.Arch.ScheduleCost(l)
-	if resident == 0 {
-		return l, math.Inf(1), 0, false
+	r, ok := sp.Arch.Rates(l)
+	if !ok {
+		return math.Inf(1)
 	}
-	return l, sched, resident, true
+	ft := sp.floorTerms(c.SharedPerBlock, c.WinogradE)
+	if ideal {
+		r.Hide, r.Eff = 1, 1
+		if !sp.row.flatArith {
+			ft.arith = 0
+		}
+	}
+	// Fixed launches are costed exactly and every measurement pays them on
+	// top of its tunable launch, so they join the floor as a constant.
+	return sp.Arch.Seconds(r, ft.q*4, 0, ft.arith) + sp.fixedSec
 }
 
 // BoundSeconds returns a lower bound (in simulated seconds) on what any
-// measurement of c can report, or 0 when no useful bound applies. A
-// configuration whose block does not fit the device at all gets +Inf: its
-// measurement can only fail.
-func (sp *Space) BoundSeconds(c conv.Config) float64 {
-	_, sched, _, ok := sp.launchFloor(c)
-	if !ok {
-		return sched
-	}
-	ft := sp.floorTerms(c.SharedPerBlock, c.WinogradE)
-	t := sched + ft.q*4/(sp.Arch.BandwidthGBs*1e9)
-	if sp.row.flatArith {
-		// Arithmetic that is the same for every tiling is a second
-		// configuration-independent floor: peak compute.
-		if alt := sched + ft.arith/(sp.Arch.PeakGFLOPS*1e9); alt > t {
-			t = alt
-		}
-	}
-	// Fixed launches cost the same for every config; the tunable launch is
-	// floored by its bandwidth/compute roofline.
-	return t + sp.fixedSec
-}
+// measurement of c can report — the pruning floor — or 0 when no useful
+// bound applies. A configuration whose block does not fit the device at all
+// gets +Inf: its measurement can only fail.
+func (sp *Space) BoundSeconds(c conv.Config) float64 { return sp.floor(c, true) }
 
 // floorTerms returns the memoized row terms for fast memory sb and tile
 // edge e: the kind's theorem lower bound (Theorem 4.12 / 4.20, or the FFT

@@ -24,3 +24,19 @@ func TuneNetworkTraces(arch memsim.Arch, layers []NetworkLayer, cache *Cache, op
 	verdicts, err := plan.chooseKinds(opts)
 	return verdicts, traces, err
 }
+
+// scanned reports whether the space's analytic scan has run.
+func (sp *Space) scanned() bool { return sp.anTop != nil || sp.anErr != nil }
+
+// scannedSpaces counts the tier's memoized spaces whose scan has run.
+func (a *AnalyticDSE) scannedSpaces() int {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	n := 0
+	for _, sp := range a.spaces {
+		if sp.scanned() {
+			n++
+		}
+	}
+	return n
+}

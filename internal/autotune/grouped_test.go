@@ -30,27 +30,7 @@ func TestGroupedBoundSecondsIsAFloor(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	archs := []memsim.Arch{memsim.V100, memsim.GTX1080Ti, memsim.GFX906}
 	for trial := 0; trial < 8; trial++ {
-		s := randomGroupedShape(rng)
-		a := archs[trial%len(archs)]
-		for _, sp := range boundTestSpaces(t, s, a) {
-			mm := NewMemoMeasure(a, s, sp.Kind)
-			checked := 0
-			sp.enumerate(func(c conv.Config) bool {
-				m, ok := mm.Measure(c)
-				if !ok {
-					return true
-				}
-				checked++
-				if lb := sp.BoundSeconds(c); lb > m.Seconds {
-					t.Fatalf("%s %v %s: bound %.6g above measured %.6g for %v",
-						a.Name, s, sp.Kind, lb, m.Seconds, c)
-				}
-				return true
-			})
-			if checked == 0 {
-				t.Fatalf("%s %v %s: no measurable configs", a.Name, s, sp.Kind)
-			}
-		}
+		assertFloorChain(t, randomGroupedShape(rng), archs[trial%len(archs)])
 	}
 }
 

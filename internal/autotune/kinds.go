@@ -67,7 +67,7 @@ type kindSpec struct {
 	// is also what makes a configuration rankable by the analytic tier.
 	// sharedNeed is the staged tiles' shared-memory footprint. launchable,
 	// when set, says whether launch is meaningful for a configuration off
-	// the space's axes — the floors claim nothing for one that is not.
+	// the space's axes — the floor claims nothing for one that is not.
 	validate   func(conv.Config, shapes.ConvShape, memsim.Arch) error
 	sharedNeed func(shapes.ConvShape, conv.Config) int
 	counts     func(shapes.ConvShape, conv.Config) (memsim.Counts, error)
@@ -78,18 +78,19 @@ type kindSpec struct {
 	// engine's seed.
 	design func(memsim.Arch, shapes.ConvShape, int) conv.Config
 
-	// lowerBound is the theorem's minimum off-chip traffic, in elements,
-	// for tile edge e and fast memory sb. arith lower-bounds the tunable
-	// launch's flops for tile edge e; flatArith says it is the same for
-	// every configuration, so it joins the pruning bound too and not only
-	// the analytic floor.
+	// lowerBound and arith are the operands the time floor (Space.floor)
+	// hands the time model in place of measured counts: the theorem's
+	// minimum off-chip traffic, in elements, for tile edge e and fast memory
+	// sb, and a lower bound on the tunable launch's flops for tile edge e.
+	// flatArith says arith is the same for every configuration; only then
+	// does it join the pruning floor as well as the tight one.
 	lowerBound func(s shapes.ConvShape, e, sb int) float64
 	arith      func(s shapes.ConvShape, e int) float64
 	flatArith  bool
 
 	// fixed is the exact cost of the config-independent launches that run
-	// beside the tunable one (nil: the dataflow is a single launch). Every
-	// floor and every measurement adds it as a constant.
+	// beside the tunable one (nil: the dataflow is a single launch). The
+	// floor and every measurement add it as a constant.
 	fixed func(memsim.Arch, shapes.ConvShape) (seconds float64, flops int64)
 
 	// emit renders the schedule body (template.go).

@@ -81,16 +81,14 @@ type NetworkOptions struct {
 	// search, letting a wrapper derive a per-search deterministic schedule.
 	// nil lifts the plain measurer into an error-free fallible one.
 	WrapMeasurer func(Kind, shapes.ConvShape, Measurer) FallibleMeasurer
-	// AnalyticFallback degrades instead of failing: a layer whose search
-	// errors out (dead measurer, open circuit breaker, every configuration
-	// quarantined before one valid measurement) is answered by the
-	// analytic tier (Tier: TierAnalytic) so the sweep still returns a
-	// complete verdict list. Off by default, the sweep then fails on the
-	// first layer error exactly as before.
-	AnalyticFallback bool
-	// AnalyticCalibration scales analytic-fallback estimates (≤ 1 or NaN
-	// means 1; see CalibrateAnalytic).
-	AnalyticCalibration float64
+	// Analytic, when non-nil, degrades instead of failing: a layer whose
+	// search errors out (dead measurer, open circuit breaker, every
+	// configuration quarantined before one valid measurement) is answered
+	// by this tier (Tier: TierAnalytic), at its calibration and from its
+	// memoized spaces, so the sweep still returns a complete verdict list.
+	// nil — or a tier built for another architecture — fails the sweep on
+	// the first layer error.
+	Analytic *AnalyticDSE
 }
 
 // LayerVerdict is the tuning outcome of one network layer.
@@ -501,6 +499,10 @@ func (p sweepPlan) cached(cache *Cache, opts NetworkOptions) ([]LayerVerdict, bo
 // each layer's candidate kinds the best measured verdict wins, in layer
 // order.
 func (p sweepPlan) chooseKinds(opts NetworkOptions) ([]LayerVerdict, error) {
+	tier := opts.Analytic
+	if tier != nil && tier.arch != p.arch {
+		tier = nil
+	}
 	verdicts := make([]LayerVerdict, len(p.layers))
 	for i, l := range p.layers {
 		// best is the layer's winning search so far: the mandatory Direct one,
@@ -510,7 +512,7 @@ func (p sweepPlan) chooseKinds(opts NetworkOptions) ([]LayerVerdict, error) {
 		direct := p.tasks[p.tasksOf[i][0]]
 		best := direct
 		if direct.err != nil {
-			if !opts.AnalyticFallback {
+			if tier == nil {
 				return nil, fmt.Errorf("autotune: layer %q: %w", l.Name, direct.err)
 			}
 			best = nil
@@ -526,16 +528,16 @@ func (p sweepPlan) chooseKinds(opts NetworkOptions) ([]LayerVerdict, error) {
 			continue
 		}
 		// No candidate kind measured: the layer is answered by the analytic
-		// tier so the sweep stays complete. Only an unrankable space still
-		// fails the sweep.
-		spaces := make([]*Space, 0, len(p.tasksOf[i]))
+		// tier, over the kinds the sweep had a space for, so the sweep stays
+		// complete. Only an unrankable layer still fails it.
+		kinds := make([]Kind, 0, len(p.tasksOf[i]))
 		for _, ti := range p.tasksOf[i] {
-			if sp := p.tasks[ti].sp; sp != nil {
-				spaces = append(spaces, sp)
+			if t := p.tasks[ti]; t.sp != nil {
+				kinds = append(kinds, t.Kind)
 			}
 		}
-		av, ok := analyticLayerVerdict(l, spaces, opts.AnalyticCalibration)
-		if !ok {
+		av, err := tier.layerVerdict(l, kinds)
+		if err != nil {
 			return nil, fmt.Errorf("autotune: layer %q: %w", l.Name, direct.err)
 		}
 		verdicts[i] = av

@@ -154,7 +154,7 @@ func TestTuneNetworkConcurrentCallers(t *testing.T) {
 // takes part in neither the kernel choice nor the analytic fallback's space
 // list.
 func TestChooseKindsSkipsSpacelessTask(t *testing.T) {
-	opts := NetworkOptions{Winograd: true, AnalyticFallback: true}
+	opts := NetworkOptions{Winograd: true, Analytic: NewAnalyticDSE(arch)}
 	plan := planSweep(arch, []NetworkLayer{{Name: "l", Shape: layer(), Repeat: 1}}, opts)
 	if len(plan.tasks) != 2 || plan.tasks[1].Kind != Winograd {
 		t.Fatalf("plan = %+v, want a direct and a winograd task", plan.tasks)

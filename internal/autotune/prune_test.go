@@ -44,35 +44,45 @@ func boundTestSpaces(t *testing.T, s shapes.ConvShape, a memsim.Arch) []*Space {
 	return sps
 }
 
-// The admissibility of the pruning oracle: BoundSeconds must never exceed
-// the measured time of any configuration that measures successfully —
-// otherwise branch-and-bound could discard an optimum. Checked by full
-// enumeration over randomized small shapes, both dataflows.
+// assertFloorChain enumerates every applicable kind's space for s on a and
+// asserts, for each configuration that measures, the ordering the floor's
+// one body states: pruning floor ≤ tight floor ≤ measured time.
+func assertFloorChain(t *testing.T, s shapes.ConvShape, a memsim.Arch) {
+	t.Helper()
+	for _, sp := range boundTestSpaces(t, s, a) {
+		mm := NewMemoMeasure(a, s, sp.Kind)
+		checked := 0
+		sp.enumerate(func(c conv.Config) bool {
+			m, ok := mm.Measure(c)
+			if !ok {
+				return true
+			}
+			checked++
+			lb, tight := sp.BoundSeconds(c), sp.analyticFloor(c)
+			if !(lb > 0) || lb > tight || tight > m.Seconds {
+				t.Fatalf("%s %v %s: want 0 < bound %.6g ≤ tight floor %.6g ≤ measured %.6g for %v",
+					a.Name, s, sp.Kind, lb, tight, m.Seconds, c)
+			}
+			return true
+		})
+		if checked == 0 {
+			t.Fatalf("%s %v %s: no measurable configs", a.Name, s, sp.Kind)
+		}
+	}
+}
+
+// The admissibility of both floors: BoundSeconds — the pruning oracle — must
+// never exceed the measured time of any configuration that measures
+// successfully, otherwise branch-and-bound could discard an optimum; and the
+// tight floor between them must hold on arbitrary configurations, not only
+// on analytic winners, because calibration and the benchmark's bound_gap
+// evaluate it there. Checked by full enumeration over randomized small
+// shapes, every applicable kind.
 func TestBoundSecondsIsAFloor(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	archs := []memsim.Arch{memsim.V100, memsim.GTX1080Ti, memsim.GFX906}
 	for trial := 0; trial < 8; trial++ {
-		s := randomSmallShape(rng)
-		a := archs[trial%len(archs)]
-		for _, sp := range boundTestSpaces(t, s, a) {
-			mm := NewMemoMeasure(a, s, sp.Kind)
-			checked := 0
-			sp.enumerate(func(c conv.Config) bool {
-				m, ok := mm.Measure(c)
-				if !ok {
-					return true
-				}
-				checked++
-				if lb := sp.BoundSeconds(c); lb > m.Seconds {
-					t.Fatalf("%s %v %s: bound %.6g above measured %.6g for %v",
-						a.Name, s, sp.Kind, lb, m.Seconds, c)
-				}
-				return true
-			})
-			if checked == 0 {
-				t.Fatalf("%s %v %s: no measurable configs", a.Name, s, sp.Kind)
-			}
-		}
+		assertFloorChain(t, randomSmallShape(rng), archs[trial%len(archs)])
 	}
 }
 

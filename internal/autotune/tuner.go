@@ -281,13 +281,15 @@ func (r *record) stale(patience int) bool {
 //   - Bound-guided pruning (unless opts.NoPrune): the I/O-lower-bound
 //     oracle (Space.BoundSeconds) runs inside proposal generation itself.
 //     Walkers reject Neighbor moves into (Sb, e) tiers whose floor already
-//     exceeds the incumbent before any model prediction, the candidate
-//     pool is bound-filtered before the batched ranking prediction, and
-//     the measurement batch re-checks survivors against the (possibly
-//     improved) incumbent. Provably-worse candidates are counted in
-//     Trace.Pruned. Because the bound is a true floor on every
-//     measurement, pruning can never discard a configuration that would
-//     have improved the verdict.
+//     exceeds the incumbent before any model prediction, and the
+//     candidate pool is bound-filtered before the batched ranking
+//     prediction. The measurement batch asks the same predicate: nothing
+//     is measured between pool formation and the batch, so on a loop batch
+//     it cannot fire again — it is the only gate the Section 5 seed,
+//     transferred-seed and initial-random batches pass through.
+//     Provably-worse candidates are counted in Trace.Pruned. Because the
+//     bound is a true floor on every measurement, pruning can never
+//     discard a configuration that would have improved the verdict.
 //   - Warm-started cost model: the GBT forest is kept across iterations
 //     and refit incrementally (GBTModel.Update) on the grown dataset, with
 //     a full retrain only when the forest would exceed its size cap.
@@ -375,6 +377,21 @@ func TuneFallible(ctx context.Context, sp *Space, measure FallibleMeasurer, opts
 	// measure() call, so the default path is untouched.
 	res := newResilient(measure, sp, opts.Retry, opts.Seed)
 
+	// prune is the engine's one branch-and-bound predicate: once any
+	// configuration has been measured, a candidate whose pruning floor
+	// (Space.BoundSeconds) exceeds the incumbent cannot improve it. Such a
+	// candidate is counted and marked seen — the best only ever decreases,
+	// so it would be pruned again at any later threshold — and the caller
+	// skips it.
+	prune := func(c conv.Config) bool {
+		if opts.NoPrune || !rec.found || !(sp.BoundSeconds(c) > rec.trace.BestM.Seconds) {
+			return false
+		}
+		seen[c] = true
+		rec.trace.Pruned++
+		return true
+	}
+
 	// measureBatch dedups the candidates against everything measured so
 	// far, drops the ones the lower bound proves non-improving, truncates
 	// to the remaining budget, fans the survivors across the executor's
@@ -390,17 +407,7 @@ func TuneFallible(ctx context.Context, sp *Space, measure FallibleMeasurer, opts
 			if rec.trace.Measurements+len(batch) >= opts.Budget {
 				break
 			}
-			if seen[c] {
-				continue
-			}
-			// Branch-and-bound: once any configuration has been measured,
-			// a candidate whose bound-implied time exceeds the incumbent
-			// cannot improve it — skip the measurement entirely. The best
-			// only ever decreases, so marking the candidate seen is safe:
-			// it would be pruned again at any later threshold.
-			if !opts.NoPrune && rec.found && sp.BoundSeconds(c) > rec.trace.BestM.Seconds {
-				seen[c] = true
-				rec.trace.Pruned++
+			if seen[c] || prune(c) {
 				continue
 			}
 			seen[c] = true
@@ -583,12 +590,7 @@ func TuneFallible(ctx context.Context, sp *Space, measure FallibleMeasurer, opts
 		// prediction ranks only configurations that could still win.
 		clear(pool)
 		addCand := func(c conv.Config) {
-			if seen[c] || pool[c] {
-				return
-			}
-			if !opts.NoPrune && rec.found && sp.BoundSeconds(c) > rec.trace.BestM.Seconds {
-				seen[c] = true
-				rec.trace.Pruned++
+			if seen[c] || pool[c] || prune(c) {
 				return
 			}
 			pool[c] = true

@@ -34,40 +34,18 @@ func (b Breakdown) String() string {
 		b.Total, b.Bound, b.Global, b.Shared, b.Compute, b.Overhead, 100*b.Occupancy)
 }
 
-// Explain recomputes the time model's individual terms for a measured
-// kernel, identifying the binding constraint — the diagnostic behind "why is
+// Explain reads the time model's individual terms for a measured kernel —
+// the same Rates and roofline terms Time sums, so Total is Time bit for bit
+// — and identifies the binding constraint: the diagnostic behind "why is
 // this configuration slow".
 func (a Arch) Explain(c Counts, l Launch) Breakdown {
-	sched, resident := a.ScheduleCost(l)
-	if resident == 0 {
+	r, ok := a.Rates(l)
+	if !ok {
 		return Breakdown{Total: math.Inf(1), Bound: Invalid}
 	}
-	concurrent := min(l.Blocks, resident)
-	activePerSM := float64(concurrent*l.ThreadsPerBlock) / float64(a.NumSMs)
-	hide := math.Min(1, activePerSM/float64(a.ThreadsForPeak))
-	if l.ThreadsPerBlock < 32 {
-		hide *= float64(l.ThreadsPerBlock) / 32
-	}
-	eff := l.BandwidthEff
-	if eff <= 0 || eff > 1 {
-		eff = 1
-	}
-	regReuse := a.RegisterTileReuse
-	if regReuse < 1 {
-		regReuse = 1
-	}
-	const bytesPerFloat = 4
-	b := Breakdown{Occupancy: hide}
-	b.Global = float64(c.GlobalIO()) * bytesPerFloat / (a.BandwidthGBs * 1e9 * eff)
-	b.Shared = float64(c.SharedIO()) * bytesPerFloat /
-		(a.SharedBandwidthGBs * 1e9 * regReuse * math.Max(hide, 0.25))
-	if hide > 0 {
-		b.Compute = float64(c.Flops) / (a.PeakGFLOPS * 1e9 * hide)
-	} else {
-		b.Compute = math.Inf(1)
-	}
-	b.Overhead = sched
-	b.Total = b.Overhead + math.Max(b.Global, math.Max(b.Shared, b.Compute))
+	global, shared, flops := float64(c.GlobalIO())*bytesPerFloat, float64(c.SharedIO())*bytesPerFloat, float64(c.Flops)
+	b := Breakdown{Total: a.Seconds(r, global, shared, flops), Overhead: r.Sched, Occupancy: r.Hide}
+	b.Global, b.Shared, b.Compute = a.terms(r, global, shared, flops)
 
 	b.Bound = ComputeBound
 	top := b.Compute

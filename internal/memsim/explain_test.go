@@ -2,6 +2,7 @@ package memsim
 
 import (
 	"math"
+	"math/rand"
 	"strings"
 	"testing"
 )
@@ -30,16 +31,103 @@ func TestExplainIdentifiesBottleneck(t *testing.T) {
 	}
 }
 
-func TestExplainAgreesWithTime(t *testing.T) {
-	a := GTX1080Ti
-	l := Launch{Blocks: 777, ThreadsPerBlock: 128, SharedPerBlock: 8192, BandwidthEff: 0.85}
-	c := Counts{GlobalLoads: 5 << 20, GlobalStores: 1 << 18, SharedLoads: 9 << 22, Flops: 3 << 28}
-	b := a.Explain(c, l)
-	if d := math.Abs(b.Total - a.Time(c, l)); d > 1e-15 {
-		t.Errorf("Explain total %v != Time %v", b.Total, a.Time(c, l))
+// randomLaunch draws launches across the model's regimes: sub-warp blocks,
+// BandwidthEff unset, negative and above 1, and — about one in eight — a
+// block that does not fit an SM.
+func randomLaunch(rng *rand.Rand, a Arch) Launch {
+	l := Launch{
+		Blocks:          1 + rng.Intn(1<<uint(rng.Intn(14))),
+		ThreadsPerBlock: 1 + rng.Intn(1<<uint(rng.Intn(11))),
+		SharedPerBlock:  rng.Intn(a.SharedPerSM),
+		BandwidthEff:    []float64{0, -0.5, 0.3, 0.85, 1, 1.7}[rng.Intn(6)],
 	}
-	if b.Occupancy <= 0 || b.Occupancy > 1 {
-		t.Errorf("occupancy %v out of range", b.Occupancy)
+	if rng.Intn(8) == 0 {
+		l.SharedPerBlock = a.SharedPerSM + 1 + rng.Intn(a.SharedPerSM)
+	}
+	return l
+}
+
+func randomCounts(rng *rand.Rand) Counts {
+	return Counts{GlobalLoads: rng.Int63n(1 << 30), GlobalStores: rng.Int63n(1 << 24),
+		SharedLoads: rng.Int63n(1 << 34), SharedStores: rng.Int63n(1 << 28), Flops: rng.Int63n(1 << 40)}
+}
+
+// Explain reads the terms Time sums, so its total is Time bit for bit on
+// every launch — including the ones that cannot run, where Time is +Inf and
+// the breakdown says Invalid.
+func TestExplainAgreesWithTime(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	runnable, invalid, subWarp := 0, 0, 0
+	for i := 0; i < 4000; i++ {
+		a := Catalog[rng.Intn(len(Catalog))]
+		l, c := randomLaunch(rng, a), randomCounts(rng)
+		b, want := a.Explain(c, l), a.Time(c, l)
+		if b.Total != want {
+			t.Fatalf("%s %+v %+v: Explain total %v != Time %v", a.Name, l, c, b.Total, want)
+		}
+		if math.IsInf(want, 1) {
+			invalid++
+			if b.Bound != Invalid {
+				t.Fatalf("%s %+v: Time is +Inf but Explain says %s", a.Name, l, b.Bound)
+			}
+			continue
+		}
+		runnable++
+		if l.ThreadsPerBlock < 32 {
+			subWarp++
+		}
+		if b.Bound == Invalid || b.Occupancy <= 0 || b.Occupancy > 1 {
+			t.Fatalf("%s %+v: runnable launch explained as %+v", a.Name, l, b)
+		}
+		if top := math.Max(b.Global, math.Max(b.Shared, b.Compute)); b.Total != b.Overhead+top {
+			t.Fatalf("%s %+v: total %v is not overhead %v + top term %v", a.Name, l, b.Total, b.Overhead, top)
+		}
+	}
+	if runnable < 1000 || invalid < 100 || subWarp < 100 {
+		t.Fatalf("draw covered %d runnable (%d sub-warp) and %d invalid launches", runnable, subWarp, invalid)
+	}
+}
+
+// Seconds is monotone: more traffic or more flops never make a kernel
+// faster, better latency hiding or bandwidth efficiency never make it
+// slower. The tuner's floors are admissible because of exactly this (they
+// hand Seconds lower bounds on the operands, at the measurement's rates or
+// at ideal ones), so it is a property of the function, not of its callers.
+func TestSecondsMonotone(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for i := 0; i < 4000; i++ {
+		a := Catalog[rng.Intn(len(Catalog))]
+		r, ok := a.Rates(randomLaunch(rng, a))
+		if !ok {
+			continue
+		}
+		if r.Hide <= 0 || r.Hide > 1 || r.Eff <= 0 || r.Eff > 1 || r.Sched <= 0 {
+			t.Fatalf("%s: rates out of range: %+v", a.Name, r)
+		}
+		c := randomCounts(rng)
+		// Zero operands are drawn too: the floors pass 0 shared bytes.
+		op := [3]float64{float64(c.GlobalIO()) * 4, float64(c.SharedIO()) * 4 * float64(rng.Intn(2)), float64(c.Flops)}
+		base := a.Seconds(r, op[0], op[1], op[2])
+		for k := range op {
+			up := op
+			up[k] = op[k]*(1+rng.Float64()) + float64(rng.Intn(2))
+			if got := a.Seconds(r, up[0], up[1], up[2]); got < base {
+				t.Fatalf("%s %+v: operand %d %v → %v lowered Seconds %v → %v", a.Name, r, k, op[k], up[k], base, got)
+			}
+		}
+		better := r
+		better.Hide += (1 - r.Hide) * rng.Float64()
+		if got := a.Seconds(better, op[0], op[1], op[2]); got > base {
+			t.Fatalf("%s: Hide %v → %v raised Seconds %v → %v", a.Name, r.Hide, better.Hide, base, got)
+		}
+		better = r
+		better.Eff += (1 - r.Eff) * rng.Float64()
+		if got := a.Seconds(better, op[0], op[1], op[2]); got > base {
+			t.Fatalf("%s: Eff %v → %v raised Seconds %v → %v", a.Name, r.Eff, better.Eff, base, got)
+		}
+		if ideal := a.Seconds(Rates{Sched: r.Sched, Hide: 1, Eff: 1}, op[0], op[1], op[2]); ideal > base {
+			t.Fatalf("%s %+v: ideal rates %v above the launch's own %v", a.Name, r, ideal, base)
+		}
 	}
 }
 

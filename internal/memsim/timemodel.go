@@ -22,11 +22,18 @@ type Launch struct {
 // time model — LaunchOverhead + ceil(Blocks/resident)·WaveLatency — and
 // the resident block count it derives from. resident is 0 when the block
 // does not fit an SM at all (Time is +Inf there); seconds is 0 in that
-// case. Every consumer of this scheduling floor — Time itself, the
-// Explain breakdown, and the tuner's lower-bound pruning oracle (which is
-// only sound while its floor never exceeds Time) — shares this one
-// definition.
+// case. It is the Sched term of Rates, through which Time, the Explain
+// breakdown and the tuner's lower-bound floors all read it.
 func (a Arch) ScheduleCost(l Launch) (seconds float64, resident int) {
+	return a.schedule(l)
+}
+
+// schedule is ScheduleCost's body. It, Rates and Seconds take the
+// architecture by pointer although Arch's other methods take it by value:
+// Arch is thirteen words, these run once per measurement and once per
+// proposal, and each by-value call — inlined or not — copied all of it
+// (BoundSeconds 99 → 117 ns by value, 87 ns by pointer).
+func (a *Arch) schedule(l Launch) (seconds float64, resident int) {
 	if l.Blocks < 1 || l.ThreadsPerBlock < 1 {
 		return 0, 0
 	}
@@ -38,51 +45,89 @@ func (a Arch) ScheduleCost(l Launch) (seconds float64, resident int) {
 	return a.LaunchOverhead + float64(waves)*a.WaveLatency, resident
 }
 
-// Time converts measured counts plus a launch configuration into a
-// deterministic simulated runtime in seconds:
-//
-//	t = launch + waves·waveLatency + max(t_global, t_shared, t_compute)
-//
-// where t_global is off-chip traffic over bandwidth, t_shared is on-chip
-// traffic over aggregate shared bandwidth scaled by occupancy, and t_compute
-// is flops over peak scaled by how well the launch hides latency
-// (resident threads vs ThreadsForPeak per SM). The model is a roofline: its
-// purpose is to make data movement and occupancy — the two quantities the
-// paper tunes — determine performance.
-func (a Arch) Time(c Counts, l Launch) float64 {
-	sched, resident := a.ScheduleCost(l)
-	if resident == 0 {
-		return math.Inf(1) // empty launch, or block does not fit on an SM
-	}
-	concurrent := min(l.Blocks, resident)
+// Rates are the launch-dependent terms of the time model: everything a
+// launch geometry decides about a kernel's time before any count is known.
+type Rates struct {
+	// Sched is the unconditional launch-plus-waves term (ScheduleCost).
+	Sched float64
+	// Hide in (0, 1] is the latency-hiding factor: the fraction of peak
+	// arithmetic reachable with the resident thread count.
+	Hide float64
+	// Eff in (0, 1] is the fraction of the off-chip bandwidth attained.
+	Eff float64
+}
 
-	// Latency hiding: fraction of peak compute reachable with the resident
-	// thread count.
-	activePerSM := float64(concurrent*l.ThreadsPerBlock) / float64(a.NumSMs)
-	hide := math.Min(1, activePerSM/float64(a.ThreadsForPeak))
+// Rates derives the launch-dependent terms of l. ok is false when the
+// launch cannot run — it is empty, or its block does not fit on an SM — and
+// its time is +Inf whatever it computes.
+func (a *Arch) Rates(l Launch) (r Rates, ok bool) {
+	sched, resident := a.schedule(l)
+	if resident == 0 {
+		return Rates{}, false
+	}
+	// Latency hiding: resident threads per SM against ThreadsForPeak.
+	activePerSM := float64(min(l.Blocks, resident)*l.ThreadsPerBlock) / float64(a.NumSMs)
+	hide := min(1, activePerSM/float64(a.ThreadsForPeak))
 	// Very small blocks also pay a scheduling-efficiency penalty.
 	if l.ThreadsPerBlock < 32 {
 		hide *= float64(l.ThreadsPerBlock) / 32
 	}
 	if hide <= 0 {
-		return math.Inf(1)
+		return Rates{}, false
 	}
-
 	eff := l.BandwidthEff
 	if eff <= 0 || eff > 1 {
 		eff = 1
 	}
-	regReuse := a.RegisterTileReuse
-	if regReuse < 1 {
-		regReuse = 1
-	}
-	const bytesPerFloat = 4
-	tGlobal := float64(c.GlobalIO()) * bytesPerFloat / (a.BandwidthGBs * 1e9 * eff)
-	tShared := float64(c.SharedIO()) * bytesPerFloat /
-		(a.SharedBandwidthGBs * 1e9 * regReuse * math.Max(hide, 0.25))
-	tCompute := float64(c.Flops) / (a.PeakGFLOPS * 1e9 * hide)
+	return Rates{Sched: sched, Hide: hide, Eff: eff}, true
+}
 
-	return sched + math.Max(tGlobal, math.Max(tShared, tCompute))
+// terms are the three roofline terms of Seconds. A zero operand's term is
+// zero; the shared one is skipped outright because the floors pass 0 for it
+// once per enumerated configuration of an analytic scan.
+func (a *Arch) terms(r Rates, globalBytes, sharedBytes, flops float64) (global, shared, compute float64) {
+	global = globalBytes / (a.BandwidthGBs * 1e9 * r.Eff)
+	if sharedBytes != 0 {
+		shared = sharedBytes /
+			(a.SharedBandwidthGBs * 1e9 * max(a.RegisterTileReuse, 1) * max(r.Hide, 0.25))
+	}
+	compute = flops / (a.PeakGFLOPS * 1e9 * r.Hide)
+	return global, shared, compute
+}
+
+// Seconds is the time model, stated once:
+//
+//	t = launch + waves·waveLatency + max(t_global, t_shared, t_compute)
+//
+// where t_global is off-chip traffic over the attained bandwidth, t_shared
+// is on-chip traffic over aggregate shared bandwidth scaled by register
+// reuse and occupancy, and t_compute is flops over peak scaled by how well
+// the launch hides latency. The model is a roofline: its purpose is to make
+// data movement and occupancy — the two quantities the paper tunes —
+// determine performance.
+//
+// Seconds is non-decreasing in each of its three operands and
+// non-increasing in r.Hide and r.Eff. That is the whole admissibility
+// argument of the tuner's lower-bound floors: Time applies it to a kernel's
+// measured counts, a floor applies it to lower bounds on those counts at
+// the same — or at ideal (Hide = Eff = 1) — rates, so floor ≤ measurement
+// holds by construction.
+func (a *Arch) Seconds(r Rates, globalBytes, sharedBytes, flops float64) float64 {
+	return r.Sched + max(a.terms(r, globalBytes, sharedBytes, flops))
+}
+
+// bytesPerFloat converts counts, kept in float32 elements, to traffic.
+const bytesPerFloat = 4
+
+// Time converts measured counts plus a launch configuration into a
+// deterministic simulated runtime in seconds: Seconds at the launch's own
+// Rates, or +Inf for a launch that cannot run.
+func (a Arch) Time(c Counts, l Launch) float64 {
+	r, ok := a.Rates(l)
+	if !ok {
+		return math.Inf(1)
+	}
+	return a.Seconds(r, float64(c.GlobalIO())*bytesPerFloat, float64(c.SharedIO())*bytesPerFloat, float64(c.Flops))
 }
 
 // GFLOPS returns the attained arithmetic rate of a measured kernel under the
@@ -94,11 +139,4 @@ func (a Arch) GFLOPS(c Counts, l Launch) float64 {
 		return 0
 	}
 	return float64(c.Flops) / t / 1e9
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -15,11 +15,12 @@ import (
 // breaker (the backend is down — a measured search could only fast-fail),
 // admission overflow with AnalyticOverflow set (the budget is spoken for —
 // 429 becomes an estimate), and a layer whose search died inside an
-// otherwise-admitted sweep (the engine's AnalyticFallback fills it). Every
-// analytically-answered network is enqueued for background refinement: a
-// worker waits until the breaker is not open and the admission budget has
-// room, runs the measured sweep against the shared cache, and marks the
-// refined keys so later cache-served verdicts report Tier "refined".
+// otherwise-admitted sweep (the engine's NetworkOptions.Analytic fills it).
+// Every analytically-answered network is enqueued for background
+// refinement: a worker waits until the breaker is not open and the
+// admission budget has room, runs the measured sweep against the shared
+// cache, and marks the refined keys so later cache-served verdicts report
+// Tier "refined".
 
 const (
 	// refineQueueCap bounds the refinement backlog; beyond it, new
@@ -44,7 +45,7 @@ func (s *Server) analyticFor(arch memsim.Arch) *autotune.AnalyticDSE {
 	}
 	stamp := s.cache.Len()
 	if last, ok := s.calStamp[arch.Name]; !ok || last != stamp {
-		a.SetCalibration(autotune.CalibrateAnalytic(s.cache, arch))
+		a.Calibrate(s.cache)
 		s.calStamp[arch.Name] = stamp
 	}
 	return a

@@ -143,8 +143,7 @@ func (r *request) NetworkOptions(s *Server) autotune.NetworkOptions {
 	no := r.sweepOptions(s)
 	no.WrapMeasurer = s.wrapMeasurer()
 	if s.degraded {
-		no.AnalyticFallback = true
-		no.AnalyticCalibration = s.analyticFor(r.arch).Calibration()
+		no.Analytic = s.analyticFor(r.arch)
 	}
 	return no
 }
