@@ -218,9 +218,15 @@ func TestRefitDueIsGeometric(t *testing.T) {
 // batch below 64 rows, then geometric) and warm (512 transferred rows, so a
 // refit every 64+ own rows) — where the per-batch schedule ran ~50. A warm
 // search's first iterations are not due a refit and must rank from the prior.
+// The layer is ResNet-18's strided 3×3 whose optimum sits 1.42× above the
+// minimum floor of its space: no certificate can stop it, so with Patience
+// off both searches spend the whole budget.
 func TestRefitCadence(t *testing.T) {
-	s := layer()
-	sp := mustSpace(t, true)
+	s := shapes.ConvShape{Batch: 1, Cin: 64, Hin: 56, Win: 56, Cout: 128, Hker: 3, Wker: 3, Strid: 2, Pad: 1}
+	sp, err := NewSpace(s, arch, Direct, 0, true)
+	if err != nil {
+		t.Fatal(err)
+	}
 	measure := KindMeasurer(arch, s, Direct)
 	opts := DefaultOptions()
 	opts.Patience = 0
@@ -229,8 +235,8 @@ func TestRefitCadence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cold.Measurements != opts.Budget {
-		t.Fatalf("cold search stopped at %d of %d measurements", cold.Measurements, opts.Budget)
+	if cold.Measurements != opts.Budget || cold.Stop != StopBudget {
+		t.Fatalf("cold search stopped on %v at %d of %d measurements", cold.Stop, cold.Measurements, opts.Budget)
 	}
 	// 64 → 400 rows is at most 15 geometric fits; the small-set phase adds a
 	// handful.
@@ -241,8 +247,8 @@ func TestRefitCadence(t *testing.T) {
 	// Two donor searches of the family fill the pool to its row cap.
 	pool := newTransferPool(4)
 	for i, donor := range []shapes.ConvShape{
-		{Batch: 1, Cin: 64, Hin: 14, Win: 14, Cout: 32, Hker: 3, Wker: 3, Strid: 1, Pad: 1},
-		{Batch: 1, Cin: 32, Hin: 28, Win: 28, Cout: 64, Hker: 3, Wker: 3, Strid: 1, Pad: 1},
+		{Batch: 1, Cin: 128, Hin: 28, Win: 28, Cout: 256, Hker: 3, Wker: 3, Strid: 2, Pad: 1},
+		{Batch: 1, Cin: 32, Hin: 56, Win: 56, Cout: 64, Hker: 3, Wker: 3, Strid: 2, Pad: 1},
 	} {
 		dsp, err := NewSpace(donor, arch, Direct, 0, true)
 		if err != nil {
@@ -266,8 +272,8 @@ func TestRefitCadence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if full.Measurements != opts.Budget {
-		t.Fatalf("warm search stopped at %d of %d measurements", full.Measurements, opts.Budget)
+	if full.Measurements != opts.Budget || full.Stop != StopBudget {
+		t.Fatalf("warm search stopped on %v at %d of %d measurements", full.Stop, full.Measurements, opts.Budget)
 	}
 	// 512 → 912 rows is at most 5 geometric fits; the copy of the shared
 	// prior is none.
@@ -303,9 +309,9 @@ func TestRefitCadence(t *testing.T) {
 
 // cadenceDigest is one search in testdata/cadence.golden.
 func cadenceDigest(b *bytes.Buffer, tag string, tr *Trace) {
-	fmt.Fprintf(b, "%s best %+v seconds %s measurements %d convergedAt %d pruned %d refits %d history %016x\n",
+	fmt.Fprintf(b, "%s best %+v seconds %s measurements %d convergedAt %d pruned %d refits %d stop %v history %016x\n",
 		tag, tr.Best, goldenFloat(tr.BestM.Seconds), tr.Measurements, tr.ConvergedAt, tr.Pruned, tr.Refits,
-		goldenHistoryHash(tr.History))
+		tr.Stop, goldenHistoryHash(tr.History))
 }
 
 // kinds.golden tunes at budget 48, which never leaves the small-set phase:

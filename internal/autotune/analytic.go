@@ -21,7 +21,12 @@ import (
 // degradation path. The scan enumerates every admissible, measurable
 // configuration once per Space (memoized like Size), keeps the best few by
 // floor, and a verdict is then one lookup scaled by a calibration factor
-// fitted to whatever measured rows the cache already holds. An analytic
+// fitted to whatever measured rows the cache already holds. The enumeration
+// (Space.enumerateTiles) checks every constraint but the thread-count limit
+// once per tile, outside the three thread loops — no constraint but that one
+// reads the thread counts — in the same visit order as checking each
+// configuration whole. The engine's certificate (Space.minFloor) is the same
+// walk, finding only the minimum floor. An analytic
 // verdict is explicit about its provenance: LayerVerdict.Tier says whether
 // a number was measured, estimated, or refined in the background after an
 // estimate was served.
@@ -109,7 +114,7 @@ func (sp *Space) analyticScan() {
 // the space far better than the occupancy-blind pruning floor: a tiny-block
 // config with low I/O but terrible latency hiding floats to the top of the
 // raw bound and sinks here, exactly as it does on the device model.
-func (sp *Space) analyticFloor(c conv.Config) float64 { return sp.floor(c, false) }
+func (sp *Space) analyticFloor(c conv.Config) float64 { return sp.floor(c, launchRates) }
 
 // measurable applies the validation the Dry evaluators and MemoMeasure
 // apply (the same row field MemoMeasure calls), so an analytic winner is

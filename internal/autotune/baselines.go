@@ -21,7 +21,7 @@ func RandomSearch(sp *Space, measure Measurer, opts Options) (*Trace, error) {
 	opts = opts.normalized()
 	rng := rand.New(rand.NewSource(opts.Seed))
 	rec := &record{trace: Trace{Method: "random"}}
-	for rec.trace.Measurements < opts.Budget && !rec.stale(opts.Patience) {
+	for !rec.over(opts.Budget, opts.Patience) {
 		c := sp.Sample(rng)
 		m, ok := measure(c)
 		rec.add(c, m, ok)
@@ -47,7 +47,7 @@ func SimulatedAnnealing(sp *Space, measure Measurer, opts Options) (*Trace, erro
 	// Geometric cooling from a temperature matched to the initial cost.
 	temp := curM.Seconds
 	cool := math.Pow(1e-3, 1/float64(opts.Budget)) // reach temp/1000 at budget
-	for rec.trace.Measurements < opts.Budget && !rec.stale(opts.Patience) {
+	for !rec.over(opts.Budget, opts.Patience) {
 		next := sp.Neighbor(cur, rng)
 		m, ok := measure(next)
 		rec.add(next, m, ok)
@@ -98,7 +98,7 @@ func GeneticAlgorithm(sp *Space, measure Measurer, opts Options) (*Trace, error)
 		}
 		return b
 	}
-	for rec.trace.Measurements < opts.Budget && !rec.stale(opts.Patience) {
+	for !rec.over(opts.Budget, opts.Patience) {
 		p1, p2 := tournament(), tournament()
 		child := crossover(sp, p1.cfg, p2.cfg, rng)
 		if rng.Float64() < 0.4 {

@@ -5,6 +5,7 @@ import (
 	"sync"
 
 	"repro/internal/conv"
+	"repro/internal/memsim"
 )
 
 // This file turns the paper's I/O lower bounds (Theorems 4.12 and 4.20)
@@ -53,15 +54,34 @@ type boundMemo struct {
 	memo map[boundKey]floorTerms
 }
 
+// rates selects where Space.floor evaluates the time model.
+type rates uint8
+
+const (
+	// launchRates are the launch's own: the tight floor (analyticFloor).
+	launchRates rates = iota
+	// idealRates are the best any launch could have: the pruning floor
+	// (BoundSeconds).
+	idealRates
+	// tileRates bound the launch rates of every thread count of c's tile
+	// (memsim.Arch.RatesBound up to the tile's volume, capped at the 1024
+	// threads a block may have). The launch builders' Blocks and
+	// BandwidthEff read only the tile, Sb and layout, so the result is ≤ the
+	// tight floor of each configuration of the tile (Space.minFloor).
+	tileRates
+)
+
 // floor is the one time floor of c: the time model applied to the row's
-// lower bounds on traffic and flops instead of measured counts. With ideal
-// unset the rates are the launch's own (the tight floor); with it set they
-// are the best any launch could have, and arithmetic joins only where it is
-// the same for every configuration (flatArith) — the pruning floor, pointwise
-// ≤ the tight one. The result is 0 when no useful bound applies (an empty
-// axis, or a configuration the dataflow cannot launch) and +Inf when the
-// block does not fit the device at all: its measurement can only fail.
-func (sp *Space) floor(c conv.Config, ideal bool) float64 {
+// lower bounds on traffic and flops instead of measured counts, at the rates
+// m selects. Under idealRates arithmetic joins only where it is the same for
+// every configuration (flatArith), so the pruning floor is pointwise ≤ the
+// tight one. The result is 0 when no useful bound applies (an empty axis, or
+// a configuration the dataflow cannot launch) and +Inf when the block does
+// not fit the device at all: its measurement can only fail.
+func (sp *Space) floor(c conv.Config, m rates) float64 {
+	if m == tileRates {
+		c.ThreadsX, c.ThreadsY, c.ThreadsZ = c.TileX, c.TileY, c.TileZ
+	}
 	if c.TileX < 1 || c.TileY < 1 || c.TileZ < 1 || c.SharedPerBlock < 1 ||
 		c.ThreadsX < 1 || c.ThreadsY < 1 || c.ThreadsZ < 1 {
 		return 0
@@ -73,12 +93,19 @@ func (sp *Space) floor(c conv.Config, ideal bool) float64 {
 	if l.Blocks < 1 || l.ThreadsPerBlock < 1 {
 		return 0
 	}
-	r, ok := sp.Arch.Rates(l)
+	var r memsim.Rates
+	var ok bool
+	if m == tileRates {
+		l.ThreadsPerBlock = min(l.ThreadsPerBlock, 1024)
+		r, ok = sp.Arch.RatesBound(l)
+	} else {
+		r, ok = sp.Arch.Rates(l)
+	}
 	if !ok {
 		return math.Inf(1)
 	}
 	ft := sp.floorTerms(c.SharedPerBlock, c.WinogradE)
-	if ideal {
+	if m == idealRates {
 		r.Hide, r.Eff = 1, 1
 		if !sp.row.flatArith {
 			ft.arith = 0
@@ -93,7 +120,33 @@ func (sp *Space) floor(c conv.Config, ideal bool) float64 {
 // measurement of c can report — the pruning floor — or 0 when no useful
 // bound applies. A configuration whose block does not fit the device at all
 // gets +Inf: its measurement can only fail.
-func (sp *Space) BoundSeconds(c conv.Config) float64 { return sp.floor(c, true) }
+func (sp *Space) BoundSeconds(c conv.Config) float64 { return sp.floor(c, idealRates) }
+
+// minFloor returns the minimum tight floor over the space's measurable
+// configurations when it is below ub, and ub otherwise — the search's
+// certificate: an incumbent measured at or below it cannot be beaten by any
+// configuration of the space. It returns 0 when a measurable configuration
+// has no useful bound (floor 0): nothing can be proven against it.
+// Configurations that cannot launch (+Inf) or cannot be measured are
+// skipped; measuring them can only fail. With ub = +Inf the result is
+// AnalyticTop(1)'s Floor.
+//
+// It is one pass of enumerateTiles. A tile whose tileRates floor is ≥ the
+// running minimum holds no configuration that could lower it and is skipped
+// before its thread loops, and inside a kept tile measurable runs only for a
+// configuration that would lower it.
+func (sp *Space) minFloor(ub float64) float64 {
+	low := ub
+	sp.enumerateTiles(func(t conv.Config) bool {
+		return sp.floor(t, tileRates) < low
+	}, func(c conv.Config) bool {
+		if f := sp.analyticFloor(c); f < low && sp.measurable(c) {
+			low = f
+		}
+		return low > 0
+	})
+	return low
+}
 
 // floorTerms returns the memoized row terms for fast memory sb and tile
 // edge e: the kind's theorem lower bound (Theorem 4.12 / 4.20, or the FFT

@@ -1,0 +1,155 @@
+package autotune
+
+import (
+	"math"
+	"math/rand"
+	"testing"
+
+	"repro/internal/conv"
+	"repro/internal/memsim"
+	"repro/internal/shapes"
+)
+
+// certifySpaces draws seeded random (shape, arch, kind) spaces, dense and
+// grouped, pruned and not: every kind that admits the shape.
+func certifySpaces(t *testing.T, seed int64, trials int) []*Space {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	var sps []*Space
+	for trial := 0; trial < trials; trial++ {
+		s := randomSmallShape(rng)
+		if trial%3 == 2 {
+			s = randomGroupedShape(rng)
+		}
+		a := memsim.Catalog[rng.Intn(len(memsim.Catalog))]
+		for _, kind := range Kinds {
+			sp, err := NewSpace(s, a, kind, 0, trial%2 == 0)
+			if err == nil {
+				sps = append(sps, sp)
+			}
+		}
+	}
+	return sps
+}
+
+// The certificate's scan finds the analytic tier's best floor: minFloor(+Inf)
+// equals AnalyticTop(1)'s Floor (+Inf where nothing ranks), and a smaller ub
+// comes back unchanged. The per-tile bound it skips tiles with is ≤ the tight
+// floor of every configuration of the tile.
+func TestMinFloorMatchesAnalyticTop(t *testing.T) {
+	sps := certifySpaces(t, 71, 24)
+	small := len(sps) // the per-configuration check runs on these
+	for _, s := range resnet18Layers()[:5] {
+		for _, a := range []memsim.Arch{memsim.V100, memsim.GFX906} {
+			for _, kind := range Kinds {
+				if sp, err := NewSpace(s.Shape, a, kind, 0, true); err == nil {
+					sps = append(sps, sp)
+				}
+			}
+		}
+	}
+	for i, sp := range sps {
+		want := math.Inf(1)
+		if top, err := sp.AnalyticTop(1, 1); err == nil {
+			want = top[0].Floor
+		}
+		if got := sp.minFloor(math.Inf(1)); got != want {
+			t.Fatalf("%s %v %s pruned=%v: minFloor %v, AnalyticTop(1) floor %v",
+				sp.Arch.Name, sp.Shape, sp.Kind, sp.Pruned, got, want)
+		}
+		if below := want / 2; sp.minFloor(below) != below {
+			t.Errorf("%s %v %s: minFloor(%v) = %v, want its ub", sp.Arch.Name, sp.Shape, sp.Kind, below, sp.minFloor(below))
+		}
+		if i >= small {
+			continue
+		}
+		sp.enumerate(func(c conv.Config) bool {
+			if tile, tight := sp.floor(c, tileRates), sp.analyticFloor(c); tile > tight {
+				t.Fatalf("%s %v %s: tile bound %v > tight floor %v for %v", sp.Arch.Name, sp.Shape, sp.Kind, tile, tight, c)
+			}
+			return true
+		})
+	}
+}
+
+// A search that stops on the certificate ends on the brute-force optimum of
+// its space.
+func TestCertifiedIsOptimal(t *testing.T) {
+	certified := 0
+	for _, sp := range certifySpaces(t, 73, 18) {
+		mm := NewMemoMeasure(sp.Arch, sp.Shape, sp.Kind)
+		best := math.Inf(1)
+		sp.enumerate(func(c conv.Config) bool {
+			if m, ok := mm.Measure(c); ok && m.Seconds < best {
+				best = m.Seconds
+			}
+			return true
+		})
+		if math.IsInf(best, 1) {
+			continue
+		}
+		tr, err := Tune(sp, mm.Measure, smallOpts(64, 5))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tr.Stop == StopCertified {
+			certified++
+			if tr.BestM.Seconds != best {
+				t.Fatalf("%s %v %s: certified at %v, optimum %v", sp.Arch.Name, sp.Shape, sp.Kind, tr.BestM.Seconds, best)
+			}
+		}
+	}
+	if certified == 0 {
+		t.Fatal("no search certified: the property is vacuous")
+	}
+}
+
+// The certificate is a bound-guided stop: a bound-blind run (NoPrune) has
+// no oracle and never stops on it, on a layer where the guided run does.
+func TestCertificateNeverFiresUnderNoPrune(t *testing.T) {
+	sp := mustSpace(t, true)
+	measure := KindMeasurer(arch, layer(), Direct)
+	opts := DefaultOptions()
+	opts.Patience = 0
+	guided, err := Tune(sp, measure, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts.NoPrune = true
+	blind, err := Tune(sp, measure, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if guided.Stop != StopCertified || blind.Stop != StopBudget || blind.Measurements != opts.Budget {
+		t.Fatalf("guided stopped on %v, NoPrune on %v at %d of %d; want certified and budget",
+			guided.Stop, blind.Stop, blind.Measurements, opts.Budget)
+	}
+}
+
+// A measurable configuration with no useful bound (floor 0) proves nothing
+// about itself, so while one exists the certificate never fires: here a row
+// that claims no launch for a channel tile of 1 leaves every such
+// configuration unbounded yet measurable.
+func TestCertificateNeverFiresOverAnUnboundedConfig(t *testing.T) {
+	measure := KindMeasurer(arch, layer(), Direct)
+	opts := smallOpts(120, 11)
+	ref, err := Tune(mustSpace(t, true), measure, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sp := mustSpace(t, true)
+	row := *sp.row
+	row.launchable = func(_ shapes.ConvShape, c conv.Config) bool { return c.TileZ != 1 }
+	sp.row = &row
+	if got := sp.minFloor(math.Inf(1)); got != 0 {
+		t.Fatalf("minFloor %v over a space with unbounded measurable configurations, want 0", got)
+	}
+	tr, err := Tune(sp, measure, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ref.Stop != StopCertified || tr.Stop == StopCertified || tr.Measurements != opts.Budget {
+		t.Fatalf("reference stopped on %v; unbounded space on %v at %d of %d, want certified and not",
+			ref.Stop, tr.Stop, tr.Measurements, opts.Budget)
+	}
+}

@@ -144,9 +144,9 @@ func goldenTune(b *bytes.Buffer, arch memsim.Arch, kind Kind) error {
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(b, "tune %s best %+v seconds %s gflops %s measurements %d pruned %d convergedAt %d history %016x\n",
+	fmt.Fprintf(b, "tune %s best %+v seconds %s gflops %s measurements %d pruned %d convergedAt %d stop %v history %016x\n",
 		kind, tr.Best, goldenFloat(tr.BestM.Seconds), goldenFloat(tr.BestM.GFLOPS),
-		tr.Measurements, tr.Pruned, tr.ConvergedAt, goldenHistoryHash(tr.History))
+		tr.Measurements, tr.Pruned, tr.ConvergedAt, tr.Stop, goldenHistoryHash(tr.History))
 	return nil
 }
 

@@ -177,7 +177,7 @@ func TestTunePrunesCandidates(t *testing.T) {
 func traceEqual(a, b *Trace) bool {
 	if a.Method != b.Method || a.Best != b.Best || a.BestM != b.BestM ||
 		a.Measurements != b.Measurements || a.ConvergedAt != b.ConvergedAt ||
-		a.Pruned != b.Pruned || a.Budget != b.Budget ||
+		a.Pruned != b.Pruned || a.Budget != b.Budget || a.Stop != b.Stop ||
 		len(a.Curve) != len(b.Curve) || len(a.History) != len(b.History) {
 		return false
 	}
@@ -196,15 +196,25 @@ func traceEqual(a, b *Trace) bool {
 
 // The new engine stays bit-identical across worker counts and repeated
 // runs, with pruning enabled and disabled — including the Pruned counter.
+// With pruning the certificate stops the search mid-run, on the same booked
+// measurement at every worker count; bound-blind, it spends the budget.
 func TestTuneDeterministicAcrossWorkers(t *testing.T) {
 	sp := mustSpace(t, true)
 	measure := KindMeasurer(arch, layer(), Direct)
 	for _, noPrune := range []bool{false, true} {
-		opts := smallOpts(60, 11)
+		opts := smallOpts(120, 11)
 		opts.NoPrune = noPrune
 		ref, err := Tune(sp, measure, opts)
 		if err != nil {
 			t.Fatal(err)
+		}
+		want := StopCertified
+		if noPrune {
+			want = StopBudget
+		}
+		if ref.Stop != want || (want == StopCertified) != (ref.Measurements < opts.Budget) {
+			t.Fatalf("noPrune=%v: stopped on %v at %d of %d measurements, want %v",
+				noPrune, ref.Stop, ref.Measurements, opts.Budget, want)
 		}
 		for _, workers := range []int{1, 4, 9} {
 			o := opts
@@ -214,8 +224,8 @@ func TestTuneDeterministicAcrossWorkers(t *testing.T) {
 				t.Fatal(err)
 			}
 			if !traceEqual(ref, tr) {
-				t.Errorf("noPrune=%v workers=%d: trace diverges (best %v vs %v, pruned %d vs %d)",
-					noPrune, workers, tr.Best, ref.Best, tr.Pruned, ref.Pruned)
+				t.Errorf("noPrune=%v workers=%d: trace diverges (best %v vs %v, pruned %d vs %d, stop %v vs %v)",
+					noPrune, workers, tr.Best, ref.Best, tr.Pruned, ref.Pruned, tr.Stop, ref.Stop)
 			}
 		}
 	}

@@ -157,9 +157,13 @@ func tileAxis(extent, e int) []int {
 // the Table 1 constraints (and the pruned searching-domain constraints when
 // enabled).
 func (sp *Space) admissible(c conv.Config) bool {
-	if c.Threads() > 1024 {
-		return false
-	}
+	return c.Threads() <= 1024 && sp.tileAdmissible(c)
+}
+
+// tileAdmissible is admissible without the thread-count limit: every other
+// constraint reads only the tile, Sb, e and layout (no row's sharedNeed reads
+// the thread counts), so enumerate asks it once per tile.
+func (sp *Space) tileAdmissible(c conv.Config) bool {
 	vol := c.TileX * c.TileY * c.TileZ
 	if vol > c.SharedPerBlock {
 		return false
@@ -196,7 +200,13 @@ func (sp *Space) Size() int64 {
 
 // enumerate visits every admissible config; the visitor returns false to
 // stop early.
-func (sp *Space) enumerate(visit func(conv.Config) bool) {
+func (sp *Space) enumerate(visit func(conv.Config) bool) { sp.enumerateTiles(nil, visit) }
+
+// enumerateTiles is the one loop nest over the space. Each admissible tile —
+// a config with its thread counts unset — is offered to keep (when non-nil)
+// before its thread loops run; keep returning false skips the tile's
+// configurations. The order of the visits never depends on keep.
+func (sp *Space) enumerateTiles(keep, visit func(conv.Config) bool) {
 	divs := sp.tileDivisors() // for this walk only: see Space.divs
 	for _, e := range sp.row.edges {
 		for _, x := range sp.xsByE[e] {
@@ -206,15 +216,16 @@ func (sp *Space) enumerate(visit func(conv.Config) bool) {
 						for _, lay := range sp.row.layouts {
 							base := conv.Config{TileX: x, TileY: y, TileZ: z,
 								SharedPerBlock: sb, Layout: lay, WinogradE: e}
+							if !sp.tileAdmissible(base) || (keep != nil && !keep(base)) {
+								continue
+							}
 							for _, tx := range divs[x] {
 								for _, ty := range divs[y] {
 									for _, tz := range divs[z] {
 										c := base
 										c.ThreadsX, c.ThreadsY, c.ThreadsZ = tx, ty, tz
-										if sp.admissible(c) {
-											if !visit(c) {
-												return
-											}
+										if c.Threads() <= 1024 && !visit(c) {
+											return
 										}
 									}
 								}

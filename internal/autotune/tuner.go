@@ -227,6 +227,42 @@ type Trace struct {
 	// shared prior is not a fit. In memory only: a cache entry does not
 	// persist it.
 	Refits int
+	// Stop says why the run ended. In memory only, like Refits.
+	Stop StopReason
+}
+
+// StopReason is why a tuning run ended.
+type StopReason uint8
+
+const (
+	// StopBudget: the run spent its measurement budget.
+	StopBudget StopReason = iota
+	// StopPatience: Patience measurements passed without a significant
+	// improvement.
+	StopPatience
+	// StopCertified: the incumbent met the minimum tight floor of the space
+	// (Space.minFloor), so no configuration can beat it.
+	StopCertified
+	// StopExhausted: no unseen configuration that could still win was left
+	// to propose.
+	StopExhausted
+	// StopCancelled: the context was cancelled or its deadline passed
+	// (Trace.Partial).
+	StopCancelled
+)
+
+func (r StopReason) String() string {
+	switch r {
+	case StopPatience:
+		return "patience"
+	case StopCertified:
+		return "certified"
+	case StopExhausted:
+		return "exhausted"
+	case StopCancelled:
+		return "cancelled"
+	}
+	return "budget"
 }
 
 // record is the shared bookkeeping of all strategies.
@@ -259,6 +295,20 @@ func (r *record) add(c conv.Config, m Measurement, ok bool) {
 	r.trace.Curve = append(r.trace.Curve, r.trace.BestM.GFLOPS)
 }
 
+// over reports whether the run has spent its budget or its patience, and
+// books which in trace.Stop.
+func (r *record) over(budget, patience int) bool {
+	switch {
+	case r.trace.Measurements >= budget:
+		r.trace.Stop = StopBudget
+	case r.stale(patience):
+		r.trace.Stop = StopPatience
+	default:
+		return false
+	}
+	return true
+}
+
 func (r *record) stale(patience int) bool {
 	since := r.sigAt
 	if r.resumedAt > since {
@@ -271,13 +321,24 @@ func (r *record) stale(patience int) bool {
 // {refit the cost model when enough new measurements have arrived; explore
 // with n_s parallel model-guided random walks from the current best
 // configurations; measure the proposals; update the dataset} until the budget
-// or patience is exhausted. Each batch of proposals is measured by the
+// or patience is exhausted, or the incumbent is proven optimal. Each batch of proposals is measured by the
 // worker-pool executor (opts.Workers goroutines); outcomes are recorded in
 // submission order, so the run is deterministic for a fixed seed at any
 // worker count.
 //
-// Five things keep the engine's own machinery off the critical path:
+// Six things keep the engine's own machinery off the critical path:
 //
+//   - The certificate stop (unless opts.NoPrune): between batches, once
+//     the incumbent's measured time is at or below the minimum tight floor
+//     (analyticFloor) over the space's measurable configurations, no
+//     configuration can beat it — floor ≤ measurement holds for every one —
+//     and the run stops with Trace.Stop = StopCertified. It reads the booked
+//     prefix only, so it fires at the same measurement at any worker count.
+//     The scan behind it is gated: a certified incumbent attains its own
+//     tight floor, so nothing is scanned until one does, and the scan
+//     (Space.minFloor) is seeded with that floor. It is one pass of the
+//     space's enumeration that skips a tile's thread loops whenever the
+//     tile's thread-free floor bound cannot lower the running minimum.
 //   - Bound-guided pruning (unless opts.NoPrune): the I/O-lower-bound
 //     oracle (Space.BoundSeconds) runs inside proposal generation itself.
 //     Walkers reject Neighbor moves into (Sb, e) tiers whose floor already
@@ -390,6 +451,32 @@ func TuneFallible(ctx context.Context, sp *Space, measure FallibleMeasurer, opts
 		seen[c] = true
 		rec.trace.Pruned++
 		return true
+	}
+
+	// certified is the engine's stop on a proof: the incumbent's measured
+	// time is at or below the minimum tight floor of the whole space
+	// (Space.minFloor), and floor ≤ measurement holds for every
+	// configuration, so nothing unmeasured can beat it. It is asked between
+	// batches, of the booked prefix only, so it fires at the same measurement
+	// at any worker count. The scan is gated: floor ≤ measurement means a
+	// certified incumbent attains its own tight floor, so nothing is scanned
+	// until one does, and the scan is seeded with that floor. A scan that
+	// finds a lower floor has found the space's minimum, kept for the rest of
+	// the run. Bound-blind runs (NoPrune) have no oracle and never stop on it.
+	scanned, floorMin := false, 0.0
+	certified := func() bool {
+		if opts.NoPrune || !rec.found {
+			return false
+		}
+		t := rec.trace.BestM.Seconds
+		if !scanned {
+			f := sp.analyticFloor(rec.trace.Best)
+			if t > f {
+				return false
+			}
+			floorMin, scanned = sp.minFloor(f), true
+		}
+		return t <= floorMin
 	}
 
 	// measureBatch dedups the candidates against everything measured so
@@ -561,7 +648,11 @@ func TuneFallible(ctx context.Context, sp *Space, measure FallibleMeasurer, opts
 	var rank bestK
 	var startsBuf, pickedBuf []scored
 	var candBuf []conv.Config
-	for rec.trace.Measurements < opts.Budget && !rec.stale(opts.Patience) {
+	for !rec.over(opts.Budget, opts.Patience) {
+		if certified() {
+			rec.trace.Stop = StopCertified
+			break
+		}
 		if ctx.Err() != nil {
 			break // deadline or cancellation: report best-so-far below
 		}
@@ -630,7 +721,8 @@ func TuneFallible(ctx context.Context, sp *Space, measure FallibleMeasurer, opts
 			addCand(sp.Sample(rng))
 		}
 		if len(pool) == 0 {
-			break // space exhausted
+			rec.trace.Stop = StopExhausted
+			break
 		}
 		// Rank the pool by predicted cost: a bounded heap keeps the BatchSize
 		// most promising (exact cost ties fall back to the configLess total
@@ -648,12 +740,13 @@ func TuneFallible(ctx context.Context, sp *Space, measure FallibleMeasurer, opts
 	if !rec.found {
 		return nil, fmt.Errorf("autotune: no valid configuration found in %d measurements", rec.trace.Measurements)
 	}
-	if ctx.Err() != nil && rec.trace.Measurements < opts.Budget {
+	if ctx.Err() != nil && rec.trace.Measurements < opts.Budget && rec.trace.Stop != StopCertified {
 		// Cut short: the verdict is best-so-far, and the honest budget for a
 		// persisted trace is what actually ran — a repeat request resumes
 		// the search instead of trusting truncated coverage.
 		rec.trace.Partial = true
 		rec.trace.Budget = rec.trace.Measurements
+		rec.trace.Stop = StopCancelled
 	}
 	return &rec.trace, nil
 }

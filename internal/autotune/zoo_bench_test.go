@@ -32,37 +32,47 @@ func BenchmarkZooSweepCold(b *testing.B) {
 		}
 	}
 	var sweeps [][]autotune.LayerVerdict
-	var searches, refits int
+	var searches []autotune.SearchTrace
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		cache := autotune.NewCache()
 		measurements.Store(0)
-		sweeps, searches, refits = sweeps[:0], 0, 0
-		for _, fx := range zooFixtures() {
-			opts := autotune.NetworkOptions{Tune: tune, Winograd: true, Warm: true}
-			if fx.name == "mobilenetv1" {
-				opts.Kinds = []autotune.Kind{autotune.FFT, autotune.ImplicitGEMM}
-			}
-			verdicts, traces, err := autotune.TuneNetworkTraces(laneArch, fx.layers, cache, opts)
-			if err != nil {
-				b.Fatal(err)
-			}
-			sweeps = append(sweeps, verdicts)
-			searches += len(traces)
-			for _, tr := range traces {
-				refits += tr.Refits
-			}
-		}
+		sweeps, searches = coldZooPass(b, tune)
 	}
 	b.StopTimer()
+	refits := 0
+	for _, s := range searches {
+		refits += s.Refits
+	}
 	networkMS, boundGap := zooQuality(b, sweeps)
 	b.ReportMetric(float64(measurements.Load()), "measurements")
 	b.ReportMetric(networkMS, "network_ms")
 	b.ReportMetric(boundGap, "bound_gap")
-	b.ReportMetric(float64(refits)/float64(searches), "refits/search")
+	b.ReportMetric(float64(refits)/float64(len(searches)), "refits/search")
 	// ReportMetric rounds to four digits; the guards are exact.
 	b.Logf("measurements %d network_ms %v bound_gap %v refits %d searches %d",
-		measurements.Load(), networkMS, boundGap, refits, searches)
+		measurements.Load(), networkMS, boundGap, refits, len(searches))
+}
+
+// coldZooPass is one cold pass: the six zoo sweeps in order against one fresh
+// cache, with cmd/tuned's network options. It returns each sweep's verdicts
+// and every search the pass ran.
+func coldZooPass(tb testing.TB, tune autotune.Options) ([][]autotune.LayerVerdict, []autotune.SearchTrace) {
+	cache := autotune.NewCache()
+	var sweeps [][]autotune.LayerVerdict
+	var searches []autotune.SearchTrace
+	for _, fx := range zooFixtures() {
+		opts := autotune.NetworkOptions{Tune: tune, Winograd: true, Warm: true}
+		if fx.name == "mobilenetv1" {
+			opts.Kinds = []autotune.Kind{autotune.FFT, autotune.ImplicitGEMM}
+		}
+		verdicts, ran, err := autotune.TuneNetworkTraces(laneArch, fx.layers, cache, opts)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		sweeps = append(sweeps, verdicts)
+		searches = append(searches, ran...)
+	}
+	return sweeps, searches
 }
 
 // zooQuality is what a pass's verdicts are worth: the summed NetworkSeconds

@@ -131,6 +131,34 @@ func TestSecondsMonotone(t *testing.T) {
 	}
 }
 
+// RatesBound is no worse than Rates at every thread count up to its own:
+// the tuner skips a whole tile of configurations on it, so a Hide or Sched
+// it got wrong for one thread count would hide that configuration.
+func TestRatesBoundCoversEveryThreadCount(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	covered := 0
+	for i := 0; i < 400; i++ {
+		a := Catalog[rng.Intn(len(Catalog))]
+		l := randomLaunch(rng, a)
+		bound, bok := a.RatesBound(l)
+		for th := 1; th <= l.ThreadsPerBlock; th++ {
+			lt := l
+			lt.ThreadsPerBlock = th
+			r, ok := a.Rates(lt)
+			if !ok {
+				continue
+			}
+			covered++
+			if !bok || r.Sched < bound.Sched || r.Hide > bound.Hide || r.Eff != bound.Eff {
+				t.Fatalf("%s %+v: %d threads run at %+v, bound %+v (ok %v)", a.Name, l, th, r, bound, bok)
+			}
+		}
+	}
+	if covered < 10000 {
+		t.Fatalf("only %d runnable thread counts drawn", covered)
+	}
+}
+
 func TestExplainInvalidLaunch(t *testing.T) {
 	a := V100
 	b := a.Explain(Counts{Flops: 1}, Launch{})

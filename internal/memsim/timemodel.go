@@ -18,21 +18,17 @@ type Launch struct {
 	BandwidthEff float64
 }
 
-// ScheduleCost returns the unconditional launch-plus-waves term of the
-// time model — LaunchOverhead + ceil(Blocks/resident)·WaveLatency — and
-// the resident block count it derives from. resident is 0 when the block
-// does not fit an SM at all (Time is +Inf there); seconds is 0 in that
-// case. It is the Sched term of Rates, through which Time, the Explain
-// breakdown and the tuner's lower-bound floors all read it.
-func (a Arch) ScheduleCost(l Launch) (seconds float64, resident int) {
-	return a.schedule(l)
-}
-
-// schedule is ScheduleCost's body. It, Rates and Seconds take the
-// architecture by pointer although Arch's other methods take it by value:
-// Arch is thirteen words, these run once per measurement and once per
-// proposal, and each by-value call — inlined or not — copied all of it
-// (BoundSeconds 99 → 117 ns by value, 87 ns by pointer).
+// schedule returns the unconditional launch-plus-waves term of the time
+// model — LaunchOverhead + ceil(Blocks/resident)·WaveLatency — and the
+// resident block count it derives from. resident is 0 when the block does
+// not fit an SM at all (Time is +Inf there); seconds is 0 in that case. It
+// is the Sched term of Rates, through which Time, the Explain breakdown and
+// the tuner's lower-bound floors all read it.
+//
+// It, Rates and Seconds take the architecture by pointer although Arch's
+// other methods take it by value: Arch is thirteen words, these run once per
+// measurement and once per proposal, and each by-value call — inlined or not
+// — copied all of it (BoundSeconds 99 → 117 ns by value, 87 ns by pointer).
 func (a *Arch) schedule(l Launch) (seconds float64, resident int) {
 	if l.Blocks < 1 || l.ThreadsPerBlock < 1 {
 		return 0, 0
@@ -48,7 +44,7 @@ func (a *Arch) schedule(l Launch) (seconds float64, resident int) {
 // Rates are the launch-dependent terms of the time model: everything a
 // launch geometry decides about a kernel's time before any count is known.
 type Rates struct {
-	// Sched is the unconditional launch-plus-waves term (ScheduleCost).
+	// Sched is the unconditional launch-plus-waves term (schedule).
 	Sched float64
 	// Hide in (0, 1] is the latency-hiding factor: the fraction of peak
 	// arithmetic reachable with the resident thread count.
@@ -65,13 +61,7 @@ func (a *Arch) Rates(l Launch) (r Rates, ok bool) {
 	if resident == 0 {
 		return Rates{}, false
 	}
-	// Latency hiding: resident threads per SM against ThreadsForPeak.
-	activePerSM := float64(min(l.Blocks, resident)*l.ThreadsPerBlock) / float64(a.NumSMs)
-	hide := min(1, activePerSM/float64(a.ThreadsForPeak))
-	// Very small blocks also pay a scheduling-efficiency penalty.
-	if l.ThreadsPerBlock < 32 {
-		hide *= float64(l.ThreadsPerBlock) / 32
-	}
+	hide := a.hide(min(l.Blocks, resident)*l.ThreadsPerBlock, l.ThreadsPerBlock)
 	if hide <= 0 {
 		return Rates{}, false
 	}
@@ -80,6 +70,37 @@ func (a *Arch) Rates(l Launch) (r Rates, ok bool) {
 		eff = 1
 	}
 	return Rates{Sched: sched, Hide: hide, Eff: eff}, true
+}
+
+// hide is the latency-hiding factor of active resident threads in blocks of
+// threadsPerBlock: resident threads per SM against ThreadsForPeak, and a
+// scheduling-efficiency penalty on very small blocks. It is non-decreasing
+// in both arguments.
+func (a *Arch) hide(active, threadsPerBlock int) float64 {
+	h := min(1, float64(active)/float64(a.NumSMs)/float64(a.ThreadsForPeak))
+	if threadsPerBlock < 32 {
+		h *= float64(threadsPerBlock) / 32
+	}
+	return h
+}
+
+// RatesBound returns rates no worse than Rates of any launch that shares l's
+// Blocks, SharedPerBlock and BandwidthEff and runs between 1 and
+// l.ThreadsPerBlock threads per block: Sched at one thread per block (the
+// most resident blocks, so the fewest waves), the same Eff, and a Hide at
+// least that of every such thread count t, because the active threads
+// min(Blocks, resident(t))·t never exceed Blocks·l.ThreadsPerBlock, the
+// shared-memory residency times l.ThreadsPerBlock, or the device's resident
+// thread capacity. ok is false when no such launch can run.
+func (a *Arch) RatesBound(l Launch) (r Rates, ok bool) {
+	most := l.ThreadsPerBlock
+	l.ThreadsPerBlock = 1
+	if r, ok = a.Rates(l); !ok || most < 1 {
+		return Rates{}, false
+	}
+	active := min(l.Blocks, a.ResidentBlocks(l.SharedPerBlock, 0)) * most
+	r.Hide = a.hide(min(active, a.NumSMs*a.MaxThreadsPerSM), most)
+	return r, true
 }
 
 // terms are the three roofline terms of Seconds. A zero operand's term is
