@@ -33,7 +33,7 @@ func main() {
 	addr := flag.String("addr", "127.0.0.1:9911", "listen address")
 	state := flag.String("state", "", "cache state file: loaded on boot, flushed on shutdown")
 	resume := flag.Bool("resume", false, "resume cached searches whose persisted budget is short of the requested one")
-	flag.DurationVar(&f.batchWindow, "batch-window", 20*time.Millisecond, "admission window within which concurrent requests merge into one tuning batch")
+	flag.DurationVar(&f.batchWindow, "batch-window", 20*time.Millisecond, "admission window within which requests arriving behind a running tuning batch merge into the next one (an idle daemon runs a request at once)")
 	flag.Int64Var(&f.maxInflight, "max-inflight", 0, "max in-flight measurement budget before requests are shed with 429 (0 = unlimited)")
 	flag.IntVar(&f.cacheEntries, "cache-entries", 0, "max cached search keys before LRU eviction (0 = unlimited)")
 	flag.Int64Var(&f.cacheBytes, "cache-bytes", 0, "approximate max cache size in bytes before LRU eviction (0 = unlimited)")

@@ -9,14 +9,16 @@ import (
 )
 
 // The batcher is how strangers' layers warm-start each other. Requests
-// admitted within one admission window are collected and — per group of
-// compatible tuning options — merged into a single TuneNetwork call: the
-// concatenated layer list deduplicates identical shapes across callers
-// (identical concurrent requests collapse to one search), and with
-// warm-starting enabled every network in the batch draws on one shared
-// transfer pool, so a layer family one client already paid to tune cold
-// warm-starts every other client's members of that family. Each request
-// gets back exactly its own slice of the merged verdict list.
+// that arrive while a round is already tuning are collected for one
+// admission window and — per group of compatible tuning options — merged
+// into a single TuneNetwork call: the concatenated layer list deduplicates
+// identical shapes across callers (identical concurrent requests collapse
+// to one search), and with warm-starting enabled every network in the batch
+// draws on one shared transfer pool, so a layer family one client already
+// paid to tune cold warm-starts every other client's members of that
+// family. Each request gets back exactly its own slice of the merged
+// verdict list. A request that finds no round in flight has no one to wait
+// for, so its round runs at once.
 
 // tuneJob is one admitted request waiting on its batch.
 type tuneJob struct {
@@ -27,42 +29,61 @@ type tuneJob struct {
 	done     chan struct{}
 }
 
-// batcher collects jobs for one admission window, then hands the whole
-// round to run. The window opens when the first job of a round arrives, so
-// an idle server adds at most window of latency and a busy one amortizes
-// the model-transfer benefit across everything that arrived meanwhile. A
-// zero window degenerates to one batch per request.
+// batcher hands rounds of jobs to run. A job that opens a round while no
+// round is running runs it at once, in the submitting goroutine: an idle
+// server adds no latency. A job that opens a round while another is running
+// arms the round's window, and everything that arrives before it elapses
+// joins, so a busy server amortizes the model-transfer benefit across
+// everything that arrived meanwhile. A zero window degenerates to one batch
+// per request.
 type batcher struct {
-	window time.Duration
-	run    func([]*tuneJob)
+	run func([]*tuneJob)
+	// arm schedules a busy round's flush one window after the round opens;
+	// tests substitute it to fire the window themselves.
+	arm func(flush func())
 
-	mu      sync.Mutex
-	pending []*tuneJob // the open round; its timer is armed iff non-empty
+	mu       sync.Mutex
+	pending  []*tuneJob // the open round, non-empty iff its opener has yet to flush it
+	inflight int        // rounds flushed whose run has not returned
 }
 
 func newBatcher(window time.Duration, run func([]*tuneJob)) *batcher {
-	return &batcher{window: window, run: run}
+	return &batcher{run: run, arm: func(flush func()) { time.AfterFunc(window, flush) }}
 }
 
-// submit enqueues a job and arms the round timer if this job opened the
-// round. The job's done channel closes when its batch finishes.
+// submit enqueues a job; if the job opened the round it either flushes the
+// round itself (no round in flight) or arms the round's window. The job's
+// done channel closes when its batch finishes.
 func (b *batcher) submit(j *tuneJob) {
 	b.mu.Lock()
 	opened := len(b.pending) == 0
+	idle := opened && b.inflight == 0
 	b.pending = append(b.pending, j)
 	b.mu.Unlock()
-	if opened {
-		time.AfterFunc(b.window, b.flush)
+	switch {
+	case idle:
+		b.flush()
+	case opened:
+		b.arm(b.flush)
 	}
 }
 
-// flush closes the current round and runs it. Only a round's own timer
-// calls it, so the round is never empty.
+// flush closes the current round and runs it. Only a round's opener calls
+// it — at once or from the round's timer — and no other round can open
+// until it has, so the round it takes is its own and never empty. A job
+// arriving between the opening and the flush joins the round.
 func (b *batcher) flush() {
 	b.mu.Lock()
 	jobs := b.pending
 	b.pending = nil
+	b.inflight++
 	b.mu.Unlock()
+	// Deferred, so a panicking run cannot leave the batcher busy forever.
+	defer func() {
+		b.mu.Lock()
+		b.inflight--
+		b.mu.Unlock()
+	}()
 	b.run(jobs)
 }
 

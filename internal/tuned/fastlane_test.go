@@ -55,6 +55,26 @@ func TestServerCachedRequestSkipsBatchWindow(t *testing.T) {
 	}
 }
 
+// The measuring twin: a cold request to an idle server finds no round in
+// flight, so it runs at once rather than waiting out the two-second window
+// for company that cannot come — one batch, and it measures.
+func TestServerIdleRequestSkipsBatchWindow(t *testing.T) {
+	_, ts := newTestServer(t, Config{Tune: tinyOpts(8, 3), Winograd: true, Warm: true,
+		BatchWindow: 2 * time.Second})
+	before := getHealth(t, ts.URL)
+
+	start := time.Now()
+	_, status := postTune(t, ts.URL, repro.DescribeNetwork(testArch.Name, netA()[:1]))
+	if took := time.Since(start); status != http.StatusOK || took > 500*time.Millisecond {
+		t.Fatalf("cold request: status %d after %v, want 200 well inside the 2s batch window", status, took)
+	}
+	after := getHealth(t, ts.URL)
+	if after.Batches != before.Batches+1 || after.Measurements <= before.Measurements {
+		t.Errorf("cold request: batches %d→%d, measurements %d→%d, want one batch that measures",
+			before.Batches, after.Batches, before.Measurements, after.Measurements)
+	}
+}
+
 // Admission accounting follows Resume: an entry persisted at budget 8 is
 // resumed by a budget-40 request, which may measure 32 more — so it reserves
 // 32, is batched, and measures.

@@ -45,8 +45,11 @@ type Config struct {
 	// Resume re-enters cached searches whose persisted state is shorter
 	// than the requested budget instead of returning them as-is.
 	Resume bool
-	// BatchWindow is the admission window: requests arriving within it
-	// merge into one tuning batch. 0 means one batch per request.
+	// BatchWindow is the admission window behind a running batch: a request
+	// that finds a batch in flight opens or joins the next one, which runs
+	// once the window has elapsed, so everything arriving within it merges.
+	// A request that finds no batch in flight runs at once. 0 means one
+	// batch per request.
 	BatchWindow time.Duration
 	// MaxInflight caps the summed worst-case fresh-measurement budget of
 	// admitted requests; beyond it, requests get 429 + Retry-After
@@ -104,6 +107,9 @@ type Server struct {
 	adm   *admission
 	mux   *http.ServeMux
 	start time.Time
+	// measuring maps the Key of each request past the breaker check to a
+	// channel closed when it leaves serveTune; identical requests wait on it.
+	measuring sync.Map
 
 	closed atomic.Bool
 	// count is the counter registry (metrics.go): every monotonic count
@@ -402,7 +408,8 @@ func (s *Server) handleTune(w http.ResponseWriter, r *http.Request) {
 }
 
 // serveTune answers one request from this replica, in this order: the cache
-// probe, the breaker check, the admission gate, the batched sweep. It is the
+// probe, the breaker check, the wait for an identical request already
+// measuring, the admission gate, the batched sweep. It is the
 // local half of the routing seam — both client requests this replica owns
 // and requests peers forward land here.
 func (s *Server) serveTune(w http.ResponseWriter, req *request) {
@@ -426,6 +433,22 @@ func (s *Server) serveTune(w http.ResponseWriter, req *request) {
 		s.serveAnalytic(w, req)
 		return
 	}
+
+	// A request identical to one already measuring waits for it, then starts
+	// over: the cache answers it whole, or, if the first was shed or failed,
+	// it goes on in its place. On an idle server the first runs alone, so the
+	// batcher cannot merge the two, and a sweep beside the first would
+	// warm-start from whatever the first had cached so far.
+	mine := make(chan struct{})
+	if first, busy := s.measuring.LoadOrStore(req.Key(), mine); busy {
+		<-first.(chan struct{})
+		s.serveTune(w, req)
+		return
+	}
+	defer func() {
+		s.measuring.Delete(req.Key()) // before the close, so a woken twin cannot find it
+		close(mine)
+	}()
 
 	cost := req.Cost(s)
 	if !s.adm.acquire(cost) {

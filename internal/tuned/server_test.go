@@ -144,9 +144,10 @@ func countMeasurements(t *testing.T, layers []autotune.NetworkLayer, opts autotu
 // K concurrent clients POST the same ResNet-18: every response must be
 // bit-identical to a direct in-process TuneNetwork call with the same
 // options, and the server must have measured exactly as many fresh
-// configurations as that single direct call — the batcher merge and the
-// cache's singleflight together collapse all K requests onto one search
-// per layer family member, no matter how the requests interleave.
+// configurations as that single direct call — the wait for an identical
+// request already measuring, the batcher merge and the cache's singleflight
+// together collapse all K requests onto one search per layer family member,
+// no matter how the requests interleave.
 func TestServerConcurrentIdenticalRequests(t *testing.T) {
 	const clients = 6
 	opts := tinyOpts(16, 7)
@@ -211,6 +212,52 @@ func TestServerConcurrentIdenticalRequests(t *testing.T) {
 	}
 }
 
+// A request identical to one already measuring waits for it and is answered
+// from the cache: one batch, exactly one direct run's measurements, the same
+// verdicts — although the first ran alone and the twin arrived mid-sweep.
+func TestServerIdenticalRequestWaitsForTheOneMeasuring(t *testing.T) {
+	opts := tinyOpts(8, 3)
+	opts.Workers = 1
+	opts.MeasureLatency = 10 * time.Millisecond
+	_, ts := newTestServer(t, Config{Tune: opts, Winograd: false, BatchWindow: time.Millisecond})
+	desc := repro.DescribeNetwork(testArch.Name, netA()[:1])
+
+	first := make(chan repro.TuneResponse, 1)
+	go func() {
+		tr, status := postTune(t, ts.URL, desc)
+		if status != http.StatusOK {
+			t.Errorf("first request: status %d", status)
+		}
+		first <- tr
+	}()
+	deadline := time.Now().Add(5 * time.Second)
+	for getHealth(t, ts.URL).InflightBudget == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("the first request never showed up in the in-flight budget")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	twin, status := postTune(t, ts.URL, desc)
+	if status != http.StatusOK {
+		t.Fatalf("twin request: status %d", status)
+	}
+	want := <-first
+
+	_, direct := countMeasurements(t, netA()[:1], autotune.NetworkOptions{Tune: opts})
+	h := getHealth(t, ts.URL)
+	if h.Batches != 1 || h.Measurements != direct || h.Requests != 2 {
+		t.Errorf("batches %d, measurements %d, requests %d; want 1 batch, the direct run's %d measurements, 2 requests",
+			h.Batches, h.Measurements, h.Requests, direct)
+	}
+	for i, v := range twin.Verdicts {
+		w := want.Verdicts[i]
+		w.Shared = true
+		if v != w {
+			t.Errorf("layer %s: twin got %+v, the first %+v", v.Layer, v, w)
+		}
+	}
+}
+
 // netStem is the layer the two distinct test networks share.
 func netStem() autotune.NetworkLayer {
 	return autotune.NetworkLayer{Name: "stem", Repeat: 1, Shape: shapes.ConvShape{
@@ -233,10 +280,15 @@ func netB() []autotune.NetworkLayer {
 	}
 }
 
-// Two distinct networks POSTed concurrently merge into one transfer pool:
-// the total fresh measurements come in under two cold sweeps (their shared
-// stem tunes once, not twice), and each network's tuned end-to-end time is
-// no worse than its own cold sweep — transfer only adds information.
+// Two distinct networks POSTed concurrently share what they tune. On an
+// idle server the first POST runs alone at once; the second either merges
+// into the first's round (if it arrives before that round is flushed) or
+// gathers behind it and warm-starts from the first's cache entries, which
+// prime its transfer pool. Either way the total fresh measurements come in
+// under two cold sweeps (their shared stem tunes once, not twice), and each
+// network's tuned end-to-end time is no worse than its own cold sweep —
+// transfer only adds information. The merge itself is pinned by
+// TestBatcherGathersBehindARunningRound.
 func TestServerDistinctNetworksShareTransferPool(t *testing.T) {
 	opts := tinyOpts(16, 11)
 	srv, ts := newTestServer(t, Config{
