@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
@@ -124,6 +126,79 @@ func TestGBTCloneUpdatesIndependently(t *testing.T) {
 	wg.Wait()
 	if got := gbtGoldenHash(shared.model, probes); got != wantPrior {
 		t.Errorf("concurrent takers moved the shared prior: %016x, was %016x", got, wantPrior)
+	}
+}
+
+// A prior rebuilt from a memo slot is TrainGBT on the same rows, bit for bit:
+// the same predictions, per-row state and presorted columns, and the same
+// model after two engine-style Updates. Four sweeps' priors that hit one slot
+// concurrently each get that model, and the slot's shared forest survives
+// their updates (the race detector checks the sharing).
+func TestPriorMemoIsBitNeutral(t *testing.T) {
+	const n, grown = poolRowCap, poolRowCap + 80
+	cfg := DefaultGBTConfig()
+	probes := gbtGoldenProbes()
+	x, y := gbtGoldenRows(grown, 47)
+	update := func(m *GBTModel) uint64 {
+		m.Update(x[:n+40], y[:n+40], cfg.UpdateTrees)
+		m.Update(x, y, cfg.UpdateTrees)
+		return gbtGoldenHash(m, probes)
+	}
+	ref := TrainGBT(cfg, x[:n], y[:n])
+	wantFit := gbtGoldenHash(ref, probes)
+	wantUpdated := update(ref.clone())
+
+	var memo priorMemo
+	key := priorKey{arch.Name, familyOf(Direct, layer())}
+	counts := func(hits, misses int) {
+		t.Helper()
+		memo.mu.Lock()
+		defer memo.mu.Unlock()
+		if memo.hits != hits || memo.misses != misses {
+			t.Errorf("memo counted %d hits, %d misses; want %d, %d", memo.hits, memo.misses, hits, misses)
+		}
+	}
+	fitted := memo.fit(key, cfg, x[:n], y[:n])
+	rebuilt := memo.fit(key, cfg, x[:n], y[:n])
+	counts(1, 1)
+	for name, m := range map[string]*GBTModel{"fitted": fitted, "rebuilt": rebuilt} {
+		if m.base != ref.base || !slices.Equal(m.nodes, ref.nodes) || !slices.Equal(m.roots, ref.roots) ||
+			!slices.Equal(m.pred, ref.pred) || !reflect.DeepEqual(m.cols, ref.cols) ||
+			!reflect.DeepEqual(m.vals, ref.vals) || !slices.Equal(m.cuts, ref.cuts) {
+			t.Errorf("%s prior differs from TrainGBT on the same rows", name)
+		}
+		if got := update(m.clone()); got != wantUpdated {
+			t.Errorf("%s prior updated predicts %016x, TrainGBT updated %016x", name, got, wantUpdated)
+		}
+	}
+
+	// Below the cap nothing is memoized; a changed row set misses and takes
+	// the slot over.
+	memo.fit(key, cfg, x[:n-1], y[:n-1])
+	counts(1, 1)
+	y2 := slices.Clone(y[:n])
+	y2[n/2] += 1e-9
+	memo.fit(key, cfg, x[:n], y2)
+	counts(1, 2)
+	memo.fit(key, cfg, x[:n], y[:n])
+	counts(1, 3)
+
+	// Four sweeps' family priors, hitting one slot at once.
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			p := &sharedPrior{memo: &memo, key: key}
+			if got := update(p.take(cfg, x[:n], y[:n])); got != wantUpdated {
+				t.Errorf("concurrent memo taker predicts %016x, want %016x", got, wantUpdated)
+			}
+		}()
+	}
+	wg.Wait()
+	counts(5, 3)
+	if got := gbtGoldenHash(memo.fit(key, cfg, x[:n], y[:n]), probes); got != wantFit {
+		t.Errorf("updating rebuilt priors moved the slot: %016x, was %016x", got, wantFit)
 	}
 }
 

@@ -50,6 +50,9 @@ type Cache struct {
 	misses    atomic.Int64
 	evictions atomic.Int64
 	evictMu   sync.Mutex // serializes enforce sweeps
+
+	// priors memoizes the transfer priors warm sweeps fit (network.go).
+	priors priorMemo
 }
 
 const cacheShards = 32

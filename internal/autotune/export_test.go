@@ -2,7 +2,10 @@ package autotune
 
 import (
 	"context"
+	"fmt"
 	"math"
+	"reflect"
+	"slices"
 
 	"repro/internal/conv"
 	"repro/internal/memsim"
@@ -32,6 +35,53 @@ func TuneNetworkTraces(arch memsim.Arch, layers []NetworkLayer, cache *Cache, op
 	}
 	verdicts, err := plan.chooseKinds(opts)
 	return verdicts, searches, err
+}
+
+// Restarted is what a Save/Load round trip of c yields — its entries, bit for
+// bit (floats round-trip exactly), in a new cache with an empty prior memo —
+// without the JSON, which would cost a test more than the sweeps it checks.
+func Restarted(c *Cache) *Cache {
+	out := NewCache()
+	for key, e := range c.snapshot() {
+		out.put(key, e)
+	}
+	return out
+}
+
+// PriorMemoCounts reports how many capped family priors the cache's memo
+// answered from a slot and how many it fitted afresh.
+func PriorMemoCounts(c *Cache) (hits, misses int) {
+	c.priors.mu.Lock()
+	defer c.priors.mu.Unlock()
+	return c.priors.hits, c.priors.misses
+}
+
+// ScopedPrimeDiff primes a warm sweep's transfer pool from the cache twice —
+// scoped to the families the sweep reads, as the sweep does, and from every
+// state-carrying entry — and compares the two family by family. It returns
+// how many of the sweep's families the full prime gives rows or seeds, and
+// the first family whose rows, costs or seeds differ ("" when none does).
+func ScopedPrimeDiff(arch memsim.Arch, layers []NetworkLayer, cache *Cache, opts NetworkOptions) (primed int, diff string, err error) {
+	plan := planSweep(arch, layers, opts)
+	live, err := plan.spaces()
+	if err != nil {
+		return 0, "", err
+	}
+	fams := liveFamilies(plan.tasks, live)
+	scoped, full := newTransferPool(opts.WarmTopK), newTransferPool(opts.WarmTopK)
+	scoped.prime(cache, arch, fams)
+	full.prime(cache, arch, nil)
+	for fam := range fams {
+		a, b := scoped.byFamily[fam], full.byFamily[fam]
+		if b != nil {
+			primed++
+		}
+		if (a == nil) != (b == nil) || b != nil &&
+			(!reflect.DeepEqual(a.feats, b.feats) || !slices.Equal(a.costs, b.costs) || !slices.Equal(a.seeds, b.seeds)) {
+			return primed, fmt.Sprintf("%+v", fam), nil
+		}
+	}
+	return primed, "", nil
 }
 
 // MinFloor is the space's minimum tight floor over its measurable

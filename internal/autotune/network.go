@@ -2,9 +2,12 @@ package autotune
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/binary"
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"sync"
 
 	"repro/internal/conv"
@@ -210,10 +213,13 @@ func familyOf(kind Kind, s shapes.ConvShape) poolKey {
 // incumbent seed configurations from finished searches, binned by family.
 // It is written between waves and read-only while searches run, so no lock
 // is needed; the one thing a running search adds is the family's fitted
-// prior, behind its own sync.Once.
+// prior, behind its own sync.Once. memo, when set, is the cache's prior memo
+// the family priors of this pool's arch fit through.
 type transferPool struct {
 	topK     int
 	byFamily map[poolKey]*poolEntry
+	memo     *priorMemo
+	arch     string
 }
 
 type poolEntry struct {
@@ -226,20 +232,104 @@ type poolEntry struct {
 }
 
 // sharedPrior is the cost model every warm search of one family starts from.
-// The fit is a pure function of the family's frozen rows, so it runs once —
-// lazily, in the worker of whichever search asks first — and each search
-// takes a copy it then Updates on its own: copy-on-take, never a shared
-// mutable model.
+// The fit is a pure function of the family's frozen rows, so it runs once per
+// sweep — lazily, in the worker of whichever search asks first, and through
+// the cache's memo when the pool has one — and each search takes a copy it
+// then Updates on its own: copy-on-take, never a shared mutable model.
 type sharedPrior struct {
 	once  sync.Once
 	model *GBTModel
+	memo  *priorMemo // nil fits without a memo
+	key   priorKey
 }
 
 // take returns a private copy of the prior, fitting it on (x, y) first if no
 // search has yet. Every caller must pass the same frozen rows.
 func (p *sharedPrior) take(cfg GBTConfig, x [][]float64, y []float64) *GBTModel {
-	p.once.Do(func() { p.model = TrainGBT(cfg, x, y) })
+	p.once.Do(func() { p.model = p.memo.fit(p.key, cfg, x, y) })
 	return p.model.clone()
+}
+
+// priorMemo keeps, per (arch, family), the forest of the last prior fitted
+// at the row cap, addressed by a digest of the rows it was fitted on: a
+// family's prior is a pure function of its frozen rows, so a later sweep
+// whose pool hands the family the same rows rebuilds the fit instead of
+// running it. Only capped families are kept — below the cap every search
+// that read a family's prior adds rows to it, so that row set never comes
+// back. The memo lives on the Cache, in memory only, and needs no
+// invalidation: a slot is content-addressed, and a changed row set simply
+// misses and replaces it.
+type priorMemo struct {
+	mu           sync.Mutex
+	slots        map[priorKey]*priorFit
+	hits, misses int // capped fits answered from a slot, and fitted afresh
+}
+
+type priorKey struct {
+	arch string
+	fam  poolKey
+}
+
+// priorFit is one slot: the rows' digest, the config of the fit, and the
+// fitted forest alone — no rows, predictions or columns.
+type priorFit struct {
+	digest [sha256.Size]byte
+	cfg    GBTConfig
+	base   float64
+	nodes  []treeNode
+	roots  []int32
+}
+
+// fit returns TrainGBT(cfg, x, y), bit for bit. On a slot hit it rebuilds the
+// model from the stored forest and ingests the rows: ingest predicts each row
+// as base + Σ lr·leaf in tree order — exactly the sum boost advanced the
+// row's prediction by — and builds the presorted columns from x alone. The
+// rebuilt model shares the slot's forest, clipped so that an append would
+// reallocate; the sweep only ever clones it anyway.
+func (m *priorMemo) fit(k priorKey, cfg GBTConfig, x [][]float64, y []float64) *GBTModel {
+	if m == nil || len(x) < poolRowCap {
+		return TrainGBT(cfg, x, y)
+	}
+	digest := rowsDigest(x, y)
+	m.mu.Lock()
+	f := m.slots[k]
+	hit := f != nil && f.digest == digest && f.cfg == cfg
+	if hit {
+		m.hits++
+	} else {
+		m.misses++
+	}
+	m.mu.Unlock()
+	if hit {
+		model := &GBTModel{cfg: cfg, base: f.base, nodes: slices.Clip(f.nodes), roots: slices.Clip(f.roots)}
+		model.ingest(x, y)
+		return model
+	}
+	model := TrainGBT(cfg, x, y)
+	f = &priorFit{digest: digest, cfg: cfg, base: model.base,
+		nodes: slices.Clone(model.nodes), roots: slices.Clone(model.roots)}
+	m.mu.Lock()
+	if m.slots == nil {
+		m.slots = make(map[priorKey]*priorFit)
+	}
+	m.slots[k] = f
+	m.mu.Unlock()
+	return model
+}
+
+// rowsDigest is the SHA-256 of a training set's float bits: the rows, which
+// within a family share one width, then the costs.
+func rowsDigest(x [][]float64, y []float64) [sha256.Size]byte {
+	buf := make([]byte, 0, 8*(len(x)*len(x[0])+len(y)))
+	for _, row := range x {
+		for _, v := range row {
+			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v))
+		}
+	}
+	for _, v := range y {
+		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v))
+	}
+	return sha256.Sum256(buf)
 }
 
 func newTransferPool(topK int) *transferPool {
@@ -252,6 +342,13 @@ func newTransferPool(topK int) *transferPool {
 func (p *transferPool) has(k poolKey) bool {
 	pe := p.byFamily[k]
 	return pe != nil && (len(pe.feats) > 0 || len(pe.seeds) > 0)
+}
+
+// full reports a family at both caps — poolRowCap rows and
+// poolSeedCapFactor·topK seeds — to which contribute adds nothing.
+func (p *transferPool) full(k poolKey) bool {
+	pe := p.byFamily[k]
+	return pe != nil && len(pe.feats) >= poolRowCap && len(pe.seeds) >= poolSeedCapFactor*p.topK
 }
 
 // contribute folds one finished search into its family's pool: successful
@@ -274,7 +371,7 @@ func (p *transferPool) contribute(kind Kind, sp *Space, hist []MeasuredConfig) {
 	key := familyOf(kind, sp.Shape)
 	pe := p.byFamily[key]
 	if pe == nil {
-		pe = &poolEntry{}
+		pe = &poolEntry{prior: sharedPrior{memo: p.memo, key: priorKey{p.arch, key}}}
 		p.byFamily[key] = pe
 	}
 	for _, h := range hist {
@@ -292,15 +389,22 @@ func (p *transferPool) contribute(kind Kind, sp *Space, hist []MeasuredConfig) {
 	}
 }
 
-// prime rebuilds the pool from a loaded cache file: every state-carrying
-// entry of this architecture contributes, in deterministic key order.
-func (p *transferPool) prime(cache *Cache, arch memsim.Arch) {
+// prime rebuilds the pool from the cache: every state-carrying entry of this
+// architecture contributes, in deterministic key order — except, skipped
+// before its space is built or its rows decoded, an entry whose family the
+// sweep does not read (fams; nil reads every family) or whose family is
+// already full, where contribute would add nothing. A family the sweep reads
+// gets the pool a full prime would give it.
+func (p *transferPool) prime(cache *Cache, arch memsim.Arch, fams map[poolKey]bool) {
 	for _, e := range cache.stateEntries(arch.Name) {
 		kind, err := kindFromString(e.Kind)
 		if err != nil {
 			continue // Load validated these; be defensive anyway
 		}
 		s := e.Shape.shape()
+		if fam := familyOf(kind, s); (fams != nil && !fams[fam]) || p.full(fam) {
+			continue
+		}
 		sp, err := NewSpace(s, arch, kind, 0, true)
 		if err != nil {
 			continue
@@ -399,21 +503,9 @@ func (p sweepPlan) run(ctx context.Context, cache *Cache, opts NetworkOptions) e
 	if workers < 1 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	// live indexes the tasks that have a space to search.
-	live := make([]int, 0, len(tasks))
-	for i, t := range tasks {
-		sp, err := NewSpace(t.Shape, arch, t.Kind, 0, true)
-		if err != nil {
-			if t.Kind == Direct {
-				return fmt.Errorf("autotune: layer %q: %w", p.layers[t.owner].Name, err)
-			}
-			// A non-direct kind may legitimately not admit a layer; the
-			// remaining candidates stand alone then.
-			t.err = err
-			continue
-		}
-		t.sp = sp
-		live = append(live, i)
+	live, err := p.spaces()
+	if err != nil {
+		return err
 	}
 
 	run := func(idxs []int, pool *transferPool) {
@@ -441,7 +533,8 @@ func (p sweepPlan) run(ctx context.Context, cache *Cache, opts NetworkOptions) e
 		// waves fan across the workers; determinism holds because searches
 		// within a wave never feed each other.
 		pool := newTransferPool(opts.WarmTopK)
-		pool.prime(cache, arch)
+		pool.memo, pool.arch = &cache.priors, arch.Name
+		pool.prime(cache, arch, liveFamilies(tasks, live))
 		var wave0, wave1 []int
 		cold := make(map[poolKey]bool)
 		for _, i := range live {
@@ -462,6 +555,36 @@ func (p sweepPlan) run(ctx context.Context, cache *Cache, opts NetworkOptions) e
 		run(wave1, pool)
 	}
 	return nil
+}
+
+// spaces builds every task's space and returns the indexes of the tasks that
+// have one to search — the live tasks.
+func (p sweepPlan) spaces() ([]int, error) {
+	live := make([]int, 0, len(p.tasks))
+	for i, t := range p.tasks {
+		sp, err := NewSpace(t.Shape, p.arch, t.Kind, 0, true)
+		if err != nil {
+			if t.Kind == Direct {
+				return nil, fmt.Errorf("autotune: layer %q: %w", p.layers[t.owner].Name, err)
+			}
+			// A non-direct kind may legitimately not admit a layer; the
+			// remaining candidates stand alone then.
+			t.err = err
+			continue
+		}
+		t.sp = sp
+		live = append(live, i)
+	}
+	return live, nil
+}
+
+// liveFamilies is the set of pool families the live tasks read.
+func liveFamilies(tasks []*netTask, live []int) map[poolKey]bool {
+	fams := make(map[poolKey]bool, len(live))
+	for _, i := range live {
+		fams[familyOf(tasks[i].Kind, tasks[i].Shape)] = true
+	}
+	return fams
 }
 
 // CachedNetwork answers a network request from the cache alone: ok reports

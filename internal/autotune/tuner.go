@@ -54,8 +54,9 @@ type WarmStart struct {
 	// GBTModel.Update as its own measurements arrive. A WarmStart built by
 	// hand has the search fit that model itself; one handed out by
 	// TuneNetwork's transfer pool carries the family's shared prior, fitted
-	// once per sweep by whichever search needs it first, of which every
-	// search takes a private copy (bit-identical to fitting its own).
+	// once per sweep by whichever search needs it first — or rebuilt from the
+	// cache's memo when an earlier sweep fitted the same rows — of which
+	// every search takes a private copy (bit-identical to fitting its own).
 	Feats [][]float64
 	Costs []float64
 	// Seeds are incumbent configurations from related layers. They are

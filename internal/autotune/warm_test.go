@@ -152,7 +152,7 @@ func TestWarmPoolPrimedFromCache(t *testing.T) {
 		t.Fatal(err)
 	}
 	pool := newTransferPool(0)
-	pool.prime(restored, arch)
+	pool.prime(restored, arch, nil)
 	fam := familyOf(Direct, layers[1].Shape)
 	if !pool.has(fam) {
 		t.Fatal("reloaded cache primed no pool for the stage family")

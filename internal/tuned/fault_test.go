@@ -98,8 +98,18 @@ func TestServerSnapshotIntervalFlushesInBackground(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	if h := getHealth(t, ts.URL); h.SnapshotAgeSeconds < 0 {
-		t.Errorf("healthz snapshot_age_seconds = %v after a flush, want >= 0", h.SnapshotAgeSeconds)
+	// The cache file is renamed into place before the flush writes its aux
+	// files and stamps the snapshot time, so /healthz may still report no
+	// snapshot for a moment after the file is complete: poll it too.
+	for {
+		h := getHealth(t, ts.URL)
+		if h.SnapshotAgeSeconds >= 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("healthz snapshot_age_seconds = %v after a flush, want >= 0", h.SnapshotAgeSeconds)
+		}
+		time.Sleep(5 * time.Millisecond)
 	}
 	if err := srv.Close(); err != nil {
 		t.Fatal(err)
