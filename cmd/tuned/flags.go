@@ -40,7 +40,6 @@ type flagConfig struct {
 	peers         string
 	advertise     string
 	replicas      int
-	hedgeAfter    time.Duration
 	probeInterval time.Duration
 }
 
@@ -81,8 +80,7 @@ func (f flagConfig) validate() (cluster.Config, error) {
 		{"-cache-ttl", f.cacheTTL}, {"-batch-window", f.batchWindow},
 		{"-request-timeout", f.requestTimeout}, {"-snapshot-interval", f.snapshotInterval},
 		{"-retry-backoff", f.retryBackoff}, {"-retry-backoff-max", f.retryBackoffMax},
-		{"-breaker-cooldown", f.breakerCooldown}, {"-hedge-after", f.hedgeAfter},
-		{"-probe-interval", f.probeInterval},
+		{"-breaker-cooldown", f.breakerCooldown}, {"-probe-interval", f.probeInterval},
 	} {
 		if c.v < 0 {
 			return fail("%s %v is negative", c.name, c.v)
@@ -114,10 +112,7 @@ func (f flagConfig) validate() (cluster.Config, error) {
 	if f.advertise == "" {
 		return fail("-peers requires -advertise (this replica's address in the list)")
 	}
-	ccfg := cluster.Config{
-		Self: f.advertise, Peers: peers, Replicas: f.replicas,
-		HedgeAfter: f.hedgeAfter, ProbeInterval: f.probeInterval,
-	}
+	ccfg := cluster.Config{Self: f.advertise, Peers: peers, Replicas: f.replicas, ProbeInterval: f.probeInterval}
 	if err := ccfg.Validate(); err != nil {
 		return fail("%v", err)
 	}

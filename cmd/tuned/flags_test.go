@@ -15,7 +15,7 @@ func TestValidateFlagsAcceptsDefaults(t *testing.T) {
 		breakerThreshold: 0.5,
 		peers:            "http://127.0.0.1:9911,http://127.0.0.1:9912,http://127.0.0.1:9913",
 		advertise:        "http://127.0.0.1:9911",
-		replicas:         2, hedgeAfter: 50 * time.Millisecond,
+		replicas:         2,
 	}.validate()
 	if err != nil {
 		t.Fatalf("full valid config rejected: %v", err)
@@ -52,7 +52,6 @@ func TestValidateFlagsRejections(t *testing.T) {
 		{"advertise without peers", flagConfig{advertise: "http://127.0.0.1:9911"}, "-advertise set without -peers"},
 		{"replicas without peers", flagConfig{replicas: 2}, "-replicas set without -peers"},
 		{"replicas over peers", flagConfig{peers: peers, advertise: "http://127.0.0.1:9911", replicas: 3}, "replication factor"},
-		{"negative hedge", flagConfig{peers: peers, advertise: "http://127.0.0.1:9911", hedgeAfter: -1}, "-hedge-after"},
 		{"negative probe interval", flagConfig{peers: peers, advertise: "http://127.0.0.1:9911", probeInterval: -1}, "-probe-interval"},
 	}
 	for _, c := range cases {

@@ -63,7 +63,6 @@ func main() {
 	flag.StringVar(&f.peers, "peers", "", "comma-separated replica addresses forming a cluster (all replicas run the identical list; empty = standalone)")
 	flag.StringVar(&f.advertise, "advertise", "", "this replica's address in -peers (required with -peers)")
 	flag.IntVar(&f.replicas, "replicas", 0, "replication factor: owners per request key (default 2, capped at the peer count)")
-	flag.DurationVar(&f.hedgeAfter, "hedge-after", 0, "wait on the primary owner before hedging a forwarded request to the secondary (default 100ms)")
 	flag.DurationVar(&f.probeInterval, "probe-interval", 0, "peer health-check cadence; backs off exponentially while a peer is down (default 1s)")
 	flag.Parse()
 

@@ -3,12 +3,12 @@
 // configuration: the full peer list, its own advertise address, and a
 // replication factor. A consistent-hash ring assigns every request key a
 // primary owner and (replication factor - 1) secondary owners; a replica
-// that does not own a key proxies the request to the primary and hedges to
-// the secondary when the primary is slow, so clients may POST to any
-// replica. Verdicts an owner computes are replicated to the key's other
-// owners; writes destined for a peer that is down are queued as bounded
-// hinted handoff and replayed when the membership probe loop sees the peer
-// rejoin. The package holds the mechanism only — ring, membership,
+// that does not own a key proxies the request to the primary and fails over
+// to the secondary when the primary errors or is detected down, so clients
+// may POST to any replica. Verdicts an owner computes are replicated to the
+// key's other owners; writes destined for a peer that is down are queued as
+// bounded hinted handoff and replayed when the membership probe loop sees
+// the peer rejoin. The package holds the mechanism only — ring, membership,
 // peer client, handoff queue — and no HTTP handlers; internal/tuned wires
 // it into the daemon.
 package cluster
@@ -34,10 +34,6 @@ type Config struct {
 	// Replicas is the replication factor: how many owners the ring assigns
 	// each key (default 2, capped at len(Peers)).
 	Replicas int
-	// HedgeAfter is how long a proxying replica waits on the primary owner
-	// before launching a hedged duplicate at the secondary (default 100ms;
-	// the first response wins and the loser is cancelled).
-	HedgeAfter time.Duration
 	// ProbeInterval is the peer health-check cadence (default 1s). After a
 	// failed probe the interval backs off exponentially, capped at
 	// ProbeBackoffMax — the RetryPolicy shape on the membership plane.
@@ -92,9 +88,6 @@ func (c Config) Validate() error {
 	if c.Replicas < 0 || c.Replicas > len(c.Peers) {
 		return fmt.Errorf("cluster: replication factor %d outside [1, %d peers]", c.Replicas, len(c.Peers))
 	}
-	if c.HedgeAfter < 0 {
-		return fmt.Errorf("cluster: negative hedge-after %v", c.HedgeAfter)
-	}
 	if c.ProbeInterval < 0 || c.ProbeBackoffMax < 0 {
 		return fmt.Errorf("cluster: negative probe timing")
 	}
@@ -138,16 +131,13 @@ func ParsePeers(csv string) ([]string, error) {
 	return peers, nil
 }
 
-// normalized fills the documented defaults in.
+// Normalized returns c with the documented defaults filled in.
 func (c Config) Normalized() Config {
 	if c.Replicas < 1 {
 		c.Replicas = 2
 	}
 	if c.Replicas > len(c.Peers) {
 		c.Replicas = len(c.Peers)
-	}
-	if c.HedgeAfter == 0 {
-		c.HedgeAfter = 100 * time.Millisecond
 	}
 	if c.ProbeInterval == 0 {
 		c.ProbeInterval = time.Second

@@ -28,6 +28,7 @@ type Membership struct {
 
 type peerState struct {
 	up          bool
+	down        chan struct{} // closed on the up→down flip, replaced on rejoin
 	consecFails int
 	lastProbe   time.Time
 	transitions int64 // up<->down flips since boot
@@ -55,7 +56,7 @@ func NewMembership(cfg Config, probe func(addr string) error, onRejoin func(addr
 	m := &Membership{cfg: cfg, probe: probe, onRejoin: onRejoin,
 		peers: make(map[string]*peerState), stop: make(chan struct{})}
 	for _, p := range cfg.Others() {
-		m.peers[p] = &peerState{up: true}
+		m.peers[p] = &peerState{up: true, down: make(chan struct{})}
 	}
 	return m
 }
@@ -95,6 +96,7 @@ func (m *Membership) probeLoop(addr string) {
 			rejoined := !st.up
 			if rejoined {
 				st.transitions++
+				st.down = make(chan struct{})
 			}
 			st.up = true
 			st.consecFails = 0
@@ -107,6 +109,7 @@ func (m *Membership) probeLoop(addr string) {
 		}
 		if st.up {
 			st.transitions++
+			close(st.down)
 		}
 		st.up = false
 		st.consecFails++
@@ -145,6 +148,21 @@ func (m *Membership) MarkDown(addr string) {
 	st.up = false
 	st.consecFails++
 	st.transitions++
+	close(st.down)
+}
+
+// Down returns a channel that is closed when addr goes down, whether by
+// MarkDown or by a failed probe; while addr is down it is already closed,
+// and a rejoin replaces it with a fresh one. A forward selects on it to
+// leave a hung owner once the failure detector has given its verdict.
+// Unknown addresses get nil, which never closes.
+func (m *Membership) Down(addr string) <-chan struct{} {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if st := m.peers[addr]; st != nil {
+		return st.down
+	}
+	return nil
 }
 
 // Snapshot returns the peer table in deterministic (config) order.

@@ -85,6 +85,67 @@ func TestMembershipMarkDown(t *testing.T) {
 	}
 }
 
+// Down is the detector's verdict as a signal: open while the peer is up,
+// closed by MarkDown or by a failed probe, and a fresh open channel once a
+// probe brings the peer back. Closing is once per up→down flip.
+func TestMembershipDownSignal(t *testing.T) {
+	cfg := membershipConfig()
+	peerB, peerC := cfg.Peers[1], cfg.Peers[2]
+	var deadB atomic.Bool
+	m := NewMembership(cfg, func(addr string) error {
+		if addr == peerB && deadB.Load() {
+			return errors.New("unreachable")
+		}
+		return nil
+	}, nil)
+	closed := func(ch <-chan struct{}) bool {
+		select {
+		case <-ch:
+			return true
+		default:
+			return false
+		}
+	}
+	if m.Down("http://nobody:1") != nil {
+		t.Fatal("unknown address got a channel")
+	}
+
+	// Passive plane: MarkDown closes the channel, a second MarkDown is a
+	// no-op (a double close would panic).
+	downC := m.Down(peerC)
+	if downC == nil || closed(downC) {
+		t.Fatal("channel of an up peer must be open")
+	}
+	m.MarkDown(peerC)
+	m.MarkDown(peerC)
+	if !closed(downC) || !closed(m.Down(peerC)) {
+		t.Fatal("MarkDown did not close the down channel")
+	}
+
+	// Probe plane: a failed probe closes it too.
+	downB := m.Down(peerB)
+	deadB.Store(true)
+	m.Start()
+	defer m.Stop()
+	select {
+	case <-downB:
+	case <-time.After(5 * time.Second):
+		t.Fatal("failed probe did not close the down channel")
+	}
+
+	// Rejoin: a successful probe installs a fresh open channel.
+	deadB.Store(false)
+	waitFor(t, "both peers back up", func() bool { return m.Up(peerB) && m.Up(peerC) })
+	for _, c := range []struct {
+		addr string
+		old  <-chan struct{}
+	}{{peerB, downB}, {peerC, downC}} {
+		if ch := m.Down(c.addr); ch == c.old || closed(ch) {
+			t.Errorf("%s: after rejoin the down channel is not a fresh open one", c.addr)
+		}
+	}
+}
+
 func waitFor(t *testing.T, what string, cond func() bool) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)

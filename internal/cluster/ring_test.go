@@ -114,7 +114,6 @@ func TestConfigValidate(t *testing.T) {
 		{"peer with path", Config{Self: peers[0], Peers: []string{peers[0], "http://h:1/x"}}},
 		{"duplicate peer", Config{Self: peers[0], Peers: []string{peers[0], peers[0]}}},
 		{"replicas over peers", Config{Self: peers[0], Peers: peers, Replicas: 4}},
-		{"negative hedge", Config{Self: peers[0], Peers: peers, HedgeAfter: -1}},
 	}
 	for _, c := range cases {
 		if err := c.cfg.Validate(); err == nil {
@@ -145,7 +144,7 @@ func TestParsePeers(t *testing.T) {
 // Normalized fills defaults without disturbing explicit settings.
 func TestConfigNormalized(t *testing.T) {
 	c := Config{Self: "http://a:1", Peers: threePeers()}.Normalized()
-	if c.Replicas != 2 || c.HedgeAfter == 0 || c.ProbeInterval == 0 || c.HandoffMax == 0 {
+	if c.Replicas != 2 || c.ProbeInterval == 0 || c.HandoffMax == 0 {
 		t.Fatalf("defaults not filled: %+v", c)
 	}
 	two := Config{Peers: []string{"http://a:1", "http://b:2"}, Replicas: 5}.Normalized()

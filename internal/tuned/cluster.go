@@ -17,8 +17,8 @@ import (
 // daemon. With -peers configured, N replicas form one logically-shared
 // tuning service: every replica computes the same consistent-hash ownership
 // for every request key, a replica that does not own a key proxies the
-// request to the primary owner (hedging to the secondary when the primary
-// is slow, failing over when it is down), and an owner replicates the cache
+// request to the primary owner (failing over to the secondary when the
+// primary errors or is detected down), and an owner replicates the cache
 // entries a request produced to the key's other owners — queueing them as
 // hinted handoff while a peer is down and replaying on rejoin. The
 // degradation ladder from the standalone daemon gets one more rung at the
@@ -92,9 +92,12 @@ func (s *Server) routeTune(w http.ResponseWriter, r *http.Request, req *request)
 	}
 	ladder := slices.DeleteFunc(owners, func(o string) bool { return !c.membership.Up(o) })
 	envelope, err := json.Marshal(repro.ForwardedTuneRequest{Origin: c.cfg.Self, Attempt: 1, Network: req.desc})
-	if err == nil && len(ladder) > 0 && s.forwardHedged(r.Context(), w, envelope, ladder) {
+	if err == nil && len(ladder) > 0 && s.forward(r.Context(), w, envelope, ladder) {
 		s.count.forwarded.Add(1)
 		return true
+	}
+	if r.Context().Err() != nil {
+		return true // the client hung up: nobody reads an answer, no owner failed
 	}
 	// Every owner is down or failed mid-request: the bottom of the
 	// degradation ladder is the local analytic tier, never a 5xx. The
@@ -105,65 +108,52 @@ func (s *Server) routeTune(w http.ResponseWriter, r *http.Request, req *request)
 	return true
 }
 
-// forwardHedged proxies one request along the owner ladder: the primary is
-// asked first, the next owner is added after HedgeAfter without an answer
-// (tail-latency hedge) or immediately on a failure (failover), and the
-// first non-5xx response wins and is relayed verbatim. A transport error
-// marks the peer down so the very next request routes around it. Reports
-// false when every ladder rung failed.
-func (s *Server) forwardHedged(ctx context.Context, w http.ResponseWriter, envelope []byte, ladder []string) bool {
+// forward proxies one request along the owner ladder, one owner at a time,
+// moving on only on evidence: a transport error (which marks the owner
+// down), a 5xx, or the failure detector marking the owner down mid-call —
+// how a hung owner is left. The client's own hang-up is no evidence. The
+// first non-5xx response is relayed verbatim. Reports false when every
+// rung failed or the client is gone.
+func (s *Server) forward(ctx context.Context, w http.ResponseWriter, envelope []byte, ladder []string) bool {
 	c := s.cluster
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel() // the losing duplicate dies with the handler
-	type reply struct {
-		status int
-		body   []byte
-		addr   string
-		err    error
-	}
-	replies := make(chan reply, len(ladder))
-	launched, pending := 0, 0
-	launch := func() {
-		addr := ladder[launched]
-		launched++
-		pending++
-		go func() {
-			status, body, err := c.client.Forward(ctx, addr, envelope)
-			replies <- reply{status, body, addr, err}
-		}()
-	}
-	hedge := time.NewTimer(c.cfg.HedgeAfter)
-	defer hedge.Stop()
-	for launch(); pending > 0; {
-		select {
-		case rep := <-replies:
-			pending--
-			if rep.err != nil {
-				c.membership.MarkDown(rep.addr)
-			}
-			if rep.err != nil || rep.status >= 500 {
-				if launched < len(ladder) {
-					s.count.failovers.Add(1)
-					launch()
-				}
-				continue
-			}
-			// Any non-5xx answer — success or the owner's own verdict on a
-			// bad request — is the response.
-			w.Header().Set("Content-Type", "application/json")
-			w.WriteHeader(rep.status)
-			w.Write(rep.body)
-			return true
-		case <-hedge.C:
-			if launched < len(ladder) {
-				s.count.hedges.Add(1)
-				launch()
-			}
-		case <-ctx.Done():
+	for i, addr := range ladder {
+		if i > 0 {
+			s.count.failovers.Add(1)
+		}
+		status, body, err := c.forwardTo(ctx, addr, envelope)
+		if ctx.Err() != nil {
 			return false
 		}
+		if err != nil {
+			c.membership.MarkDown(addr)
+		}
+		if err != nil || status >= 500 {
+			continue
+		}
+		// Any non-5xx answer — success or the owner's own verdict on a bad
+		// request — is the response.
+		w.Header().Set("Content-Type", "application/json")
+		w.WriteHeader(status)
+		w.Write(body)
+		return true
 	}
 	return false
+}
+
+// forwardTo is one forward to addr, cancelled the moment the failure
+// detector marks addr down.
+func (c *clusterState) forwardTo(ctx context.Context, addr string, envelope []byte) (int, []byte, error) {
+	ctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	down := c.membership.Down(addr)
+	go func() {
+		select {
+		case <-down:
+			cancel()
+		case <-ctx.Done():
+		}
+	}()
+	return c.client.Forward(ctx, addr, envelope)
 }
 
 // handleClusterTune is POST /v1/cluster/tune: a peer-forwarded client

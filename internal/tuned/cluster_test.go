@@ -1,12 +1,15 @@
 package tuned
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"net"
 	"net/http"
 	"os"
 	"path/filepath"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -40,6 +43,12 @@ type clusterHarness struct {
 
 	mu    sync.Mutex
 	alive []bool
+
+	// hung[i] set makes replica i accept requests and answer none, /healthz
+	// included, until the caller hangs up or cleanup closes release.
+	hung     []atomic.Bool
+	release  chan struct{}
+	inflight []atomic.Int64 // requests inside replica i's handler
 }
 
 // newClusterHarness boots n replicas sharing one peer list. mutate, when
@@ -66,6 +75,7 @@ func newClusterHarness(t *testing.T, n int, ccfg cluster.Config, mutate func(i i
 		ccfg.ProbeBackoffMax = 100 * time.Millisecond
 	}
 	h.alive = make([]bool, n)
+	h.hung, h.release, h.inflight = make([]atomic.Bool, n), make(chan struct{}), make([]atomic.Int64, n)
 	for i := 0; i < n; i++ {
 		cc := ccfg
 		cc.Self = h.addrs[i]
@@ -80,6 +90,7 @@ func newClusterHarness(t *testing.T, n int, ccfg cluster.Config, mutate func(i i
 		h.boot(i, listeners[i])
 	}
 	t.Cleanup(func() {
+		close(h.release)
 		for i := range h.servers {
 			h.mu.Lock()
 			alive := h.alive[i]
@@ -98,7 +109,18 @@ func (h *clusterHarness) boot(i int, ln net.Listener) {
 	if err != nil {
 		h.t.Fatal(err)
 	}
-	hs := &http.Server{Handler: srv}
+	hs := &http.Server{Handler: http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		h.inflight[i].Add(1)
+		defer h.inflight[i].Add(-1)
+		if h.hung[i].Load() {
+			select {
+			case <-h.release:
+			case <-r.Context().Done():
+			}
+			return
+		}
+		srv.ServeHTTP(w, r)
+	})}
 	h.mu.Lock()
 	h.servers[i] = srv
 	h.https[i] = hs
@@ -194,7 +216,7 @@ func waitUntil(t *testing.T, what string, cond func() bool) {
 // to the secondary owner — which then serves the identical request from
 // cache with zero fresh measurements of its own.
 func TestClusterForwardsToOwnerAndReplicates(t *testing.T) {
-	h := newClusterHarness(t, 3, cluster.Config{Replicas: 2, HedgeAfter: 2 * time.Second}, nil)
+	h := newClusterHarness(t, 3, cluster.Config{Replicas: 2}, nil)
 	desc := repro.DescribeNetwork(testArch.Name, netA())
 	owners := h.ownersOf(desc)
 	client := h.nonOwnerOf(owners)
@@ -264,7 +286,7 @@ func TestClusterForwardsToOwnerAndReplicates(t *testing.T) {
 // hinted handoff to zero, and the rejoined replica then serves the repeated
 // request from its replicated cache with zero fresh measurements.
 func TestClusterReplicaLossMidSweepZeroClientErrors(t *testing.T) {
-	h := newClusterHarness(t, 3, cluster.Config{Replicas: 2, HedgeAfter: 150 * time.Millisecond},
+	h := newClusterHarness(t, 3, cluster.Config{Replicas: 2},
 		func(i int, cfg *Config) {
 			// Stretch the sweep so the kill lands mid-flight.
 			cfg.Tune = tinyOpts(12, 3)
@@ -346,12 +368,92 @@ func TestClusterReplicaLossMidSweepZeroClientErrors(t *testing.T) {
 	}
 }
 
+// postTimed is postTune through a client that gives up after timeout; a
+// transport error (the timeout among them) is returned, not fatal.
+func postTimed(t *testing.T, url string, desc repro.NetworkDescription, timeout time.Duration) (repro.TuneResponse, int, error) {
+	t.Helper()
+	body, err := json.Marshal(desc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var tr repro.TuneResponse
+	resp, err := (&http.Client{Timeout: timeout}).Post(url+"/v1/tune", "application/json", bytes.NewReader(body))
+	if err != nil {
+		return tr, 0, err
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode == http.StatusOK {
+		err = json.NewDecoder(resp.Body).Decode(&tr)
+	}
+	return tr, resp.StatusCode, err
+}
+
+// A hung owner — it accepts connections and answers nothing, /healthz
+// included — is left on the failure detector's verdict: the non-owner's
+// probe of the primary times out and marks it down, which aborts the
+// forward in flight and fails it over to the secondary. Without that watch
+// the request would hang until the client gave up.
+func TestClusterHungOwnerFailsOverOnDetection(t *testing.T) {
+	h := newClusterHarness(t, 3, cluster.Config{Replicas: 2}, nil)
+	desc := repro.DescribeNetwork(testArch.Name, netA())
+	owners := h.ownersOf(desc)
+	client := h.nonOwnerOf(owners)
+	primary, secondary := owners[0], owners[1]
+
+	h.hung[primary].Store(true)
+	start := time.Now()
+	resp, code, err := postTimed(t, h.addrs[client], desc, 15*time.Second)
+	if err != nil {
+		t.Fatalf("request through the non-owner: %v", err)
+	}
+	if code != http.StatusOK || resp.Tier == autotune.TierAnalytic.String() {
+		t.Fatalf("status %d tier %q, want 200 from the secondary owner", code, resp.Tier)
+	}
+	t.Logf("answered in %v", time.Since(start).Round(time.Millisecond))
+	if got := h.servers[client].count.failovers.Load(); got != 1 {
+		t.Errorf("failovers %d, want 1", got)
+	}
+	if got := h.servers[secondary].count.forwardServed.Load(); got != 1 {
+		t.Errorf("secondary served %d forwarded requests, want 1", got)
+	}
+}
+
+// A client hanging up mid-forward is no evidence against the owner: no
+// owner is marked down, nothing fails over, and no analytic answer is
+// computed for a reader who has left.
+func TestClusterClientGoneMidForwardKeepsOwnersUp(t *testing.T) {
+	h := newClusterHarness(t, 3, cluster.Config{Replicas: 2}, func(i int, cfg *Config) {
+		cfg.Tune = tinyOpts(12, 3)
+		cfg.Tune.MeasureLatency = 2 * time.Millisecond
+	})
+	resnet := repro.DescribeNetwork(testArch.Name, models.ResNet18().NetworkLayers())
+	owners := h.ownersOf(resnet)
+	client := h.nonOwnerOf(owners)
+
+	if _, _, err := postTimed(t, h.addrs[client], resnet, 50*time.Millisecond); err == nil {
+		t.Fatal("the sweep answered within 50ms: the client never hung up mid-forward")
+	}
+	waitUntil(t, "the non-owner's handler returned", func() bool { return h.inflight[client].Load() == 0 })
+	srv := h.servers[client]
+	for _, o := range owners {
+		if !srv.cluster.membership.Up(h.addrs[o]) {
+			t.Errorf("owner %s marked down by a client hang-up", h.addrs[o])
+		}
+	}
+	if got := srv.count.localFallbacks.Load(); got != 0 {
+		t.Errorf("local fallbacks %d, want 0", got)
+	}
+	if got := srv.count.failovers.Load(); got != 0 {
+		t.Errorf("failovers %d, want 0", got)
+	}
+}
+
 // With every owner of a key unreachable, the proxying replica answers from
 // its local analytic tier — 200, tier "analytic" — never a 5xx; once an
 // owner rejoins, the same request routes to it again and comes back
 // measured.
 func TestClusterAllOwnersDownFallsBackToAnalytic(t *testing.T) {
-	h := newClusterHarness(t, 3, cluster.Config{Replicas: 2, HedgeAfter: 50 * time.Millisecond}, nil)
+	h := newClusterHarness(t, 3, cluster.Config{Replicas: 2}, nil)
 	desc := repro.DescribeNetwork(testArch.Name, netA())
 	owners := h.ownersOf(desc)
 	client := h.nonOwnerOf(owners)
@@ -387,7 +489,7 @@ func TestClusterAllOwnersDownFallsBackToAnalytic(t *testing.T) {
 // rejoins.
 func TestClusterHandoffPersistsAcrossRestart(t *testing.T) {
 	state := filepath.Join(t.TempDir(), "tuned.cache")
-	h := newClusterHarness(t, 2, cluster.Config{Replicas: 2, HedgeAfter: 50 * time.Millisecond},
+	h := newClusterHarness(t, 2, cluster.Config{Replicas: 2},
 		func(i int, cfg *Config) {
 			if i == 0 {
 				cfg.StatePath = state

@@ -236,7 +236,7 @@ func TestServerFastLaneUnderEvictionChurn(t *testing.T) {
 // cache and pushes nothing — it wrote no entry — while the fresh tune before
 // it replicated as ever.
 func TestClusterCachedReplayDoesNotReplicate(t *testing.T) {
-	h := newClusterHarness(t, 3, cluster.Config{Replicas: 2, HedgeAfter: 2 * time.Second}, nil)
+	h := newClusterHarness(t, 3, cluster.Config{Replicas: 2}, nil)
 	desc := repro.DescribeNetwork(testArch.Name, netA())
 	owners := h.ownersOf(desc)
 	client := h.nonOwnerOf(owners)

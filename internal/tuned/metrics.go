@@ -26,7 +26,7 @@ import (
 type counters struct {
 	requests, rejected, batches, measurements, retries, quarantined, partials atomic.Int64
 	refineDone, refineDropped, refineFailed                                   atomic.Int64
-	forwarded, forwardServed, failovers, hedges, localFallbacks               atomic.Int64
+	forwarded, forwardServed, failovers, localFallbacks                       atomic.Int64
 	pushedEntries, pushFailures, mergedEntries                                atomic.Int64
 
 	verdicts [autotune.TierRefined + 1][autotune.ImplicitGEMM + 1]atomic.Int64
@@ -59,7 +59,6 @@ func (c *counters) table() (base, refine, clustered []counterRow) {
 			{&c.forwarded, "tuned_forwarded_total", "Client requests proxied to an owning peer."},
 			{&c.forwardServed, "tuned_forward_served_total", "Peer-forwarded requests served locally."},
 			{&c.failovers, "tuned_forward_failovers_total", "Forwards moved to the next owner after a failure."},
-			{&c.hedges, "tuned_forward_hedges_total", "Hedged duplicate forwards launched."},
 			{&c.localFallbacks, "tuned_forward_local_fallback_total", "Requests answered from the local analytic tier because every owner was unreachable."},
 			{&c.pushedEntries, "tuned_replicate_pushed_entries_total", "Cache entries pushed to peers (replication and handoff replay)."},
 			{&c.pushFailures, "tuned_replicate_push_failures_total", "Replication pushes diverted to hinted handoff."},

@@ -93,7 +93,7 @@ type Config struct {
 	// Cluster, when its peer list is non-empty, joins this daemon to a
 	// replicated shard cluster (see internal/cluster and cluster.go): a
 	// consistent-hash ring routes each request key to its owning replicas,
-	// non-owners proxy with hedged failover, owners replicate verdicts, and
+	// non-owners proxy with owner failover, owners replicate verdicts, and
 	// writes for down peers park as hinted handoff. Zero value = standalone.
 	Cluster cluster.Config
 }
