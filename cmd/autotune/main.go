@@ -187,8 +187,7 @@ func printAnalytic(arch repro.Arch, s repro.Shape, kind autotune.Kind, cache *au
 		fmt.Fprintf(os.Stderr, "analytic: %v\n", err)
 		return
 	}
-	fmt.Printf("\nanalytic ranking (calibration %.2fx, %d configs ranked, no measurements):\n",
-		cal, top[0].Ranked)
+	fmt.Printf("\nanalytic ranking (calibration %.2fx, no measurements):\n", cal)
 	mm := autotune.NewMemoMeasure(arch, s, kind)
 	for i, v := range top {
 		line := fmt.Sprintf("  #%d floor %.3gs estimate %.3gs", i+1, v.Floor, v.Seconds)

@@ -18,18 +18,18 @@ import (
 // own latency-hiding and bandwidth rates (analyticFloor) it orders
 // configurations well enough to rank the whole space analytically — the
 // idiom of analytical-characterization DSE, here serving as the service's
-// degradation path. The scan enumerates every admissible, measurable
-// configuration once per Space (memoized like Size), keeps the best few by
-// floor, and a verdict is then one lookup scaled by a calibration factor
-// fitted to whatever measured rows the cache already holds. The enumeration
-// (Space.enumerateTiles) checks every constraint but the thread-count limit
-// once per tile, outside the three thread loops — no constraint but that one
-// reads the thread counts — in the same visit order as checking each
-// configuration whole. The engine's certificate (Space.minFloor) is the same
-// walk, finding only the minimum floor. An analytic
-// verdict is explicit about its provenance: LayerVerdict.Tier says whether
-// a number was measured, estimated, or refined in the background after an
-// estimate was served.
+// degradation path. The scan runs once per Space (memoized like Size) and
+// keeps the best few admissible, measurable configurations by floor; a
+// verdict is then one lookup scaled by a calibration factor fitted to
+// whatever measured rows the cache already holds. The scan is a best-first
+// branch and bound (Space.bestFirst): each tile's thread-free floor bounds
+// every configuration of the tile, the tiles are visited by ascending bound,
+// and the walk stops at the first tile that cannot place a configuration in
+// the top few — the same ranking a full enumeration yields, for a fraction
+// of the floors. The engine's certificate (Space.minFloor) is the same walk,
+// finding only the minimum floor. An analytic verdict is explicit about its
+// provenance: LayerVerdict.Tier says whether a number was measured,
+// estimated, or refined in the background after an estimate was served.
 
 // Tier is the provenance of a layer verdict. The zero value is
 // TierMeasured, so verdicts from the measured engine are unchanged by the
@@ -75,32 +75,37 @@ type AnalyticVerdict struct {
 	Seconds float64
 	// GFLOPS is the arithmetic throughput implied by Seconds.
 	GFLOPS float64
-	// Ranked is how many valid configurations the scan ordered.
-	Ranked int64
 }
 
-// analyticScan enumerates the space once and retains the analyticTopCap
-// best configurations by the analytic floor. Only configurations the
-// measurers would accept are ranked — the analytic winner must be directly
-// usable as a launch configuration, and the regret property test measures
-// it.
+// analyticScan retains the analyticTopCap best configurations of the space
+// by the analytic floor (scoredBefore: ties by configLess). Only
+// configurations the measurers would accept are ranked — the analytic winner
+// must be directly usable as a launch configuration, and the regret property
+// test measures it.
+//
+// It is the best-first walk, cut at the first tile — once the heap is full —
+// that cannot hold an entrant: its bound is above the worst retained floor,
+// or equal to it with tile dims after that item's, so every configuration
+// of it would lose the cost tie on configLess. Inside a kept tile measurable
+// runs only for a configuration that would enter the heap. The result is the
+// full enumeration's: bestK keeps a pure function of its candidates, and the
+// walk skips only configurations that could not be among them.
 func (sp *Space) analyticScan() {
 	var top bestK
 	top.reset(analyticTopCap)
-	var ranked int64
-	sp.enumerate(func(c conv.Config) bool {
-		if !sp.measurable(c) {
-			return true
+	sp.bestFirst(math.Inf(1), func(bound float64, t conv.Config) bool {
+		if !top.full() {
+			return false
 		}
-		f := sp.analyticFloor(c)
-		if !(f > 0) || math.IsInf(f, 1) {
-			return true
+		w := top.items[0]
+		return bound > w.cost || bound == w.cost && tileDimsAfter(t, w.cfg)
+	}, func(c conv.Config) bool {
+		s := scored{cfg: c, cost: sp.analyticFloor(c)}
+		if s.cost > 0 && !math.IsInf(s.cost, 1) && top.admits(s) && sp.measurable(c) {
+			top.push(s)
 		}
-		ranked++
-		top.push(scored{cfg: c, cost: f})
 		return true
 	})
-	sp.anRanked = ranked
 	sp.anTop = top.sorted(nil)
 	if len(sp.anTop) == 0 {
 		sp.anErr = fmt.Errorf("autotune: analytic tier: no rankable configuration for %v (%s)", sp.Shape, sp.Kind)
@@ -160,7 +165,6 @@ func (sp *Space) AnalyticTop(k int, calibration float64) ([]AnalyticVerdict, err
 			Floor:   s.cost,
 			Seconds: sec,
 			GFLOPS:  sp.flops / sec / 1e9,
-			Ranked:  sp.anRanked,
 		})
 	}
 	return out, nil

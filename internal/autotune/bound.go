@@ -1,11 +1,13 @@
 package autotune
 
 import (
+	"cmp"
 	"math"
 	"sync"
 
 	"repro/internal/conv"
 	"repro/internal/memsim"
+	"repro/internal/tensor"
 )
 
 // This file turns the paper's I/O lower bounds (Theorems 4.12 and 4.20)
@@ -67,7 +69,7 @@ const (
 	// (memsim.Arch.RatesBound up to the tile's volume, capped at the 1024
 	// threads a block may have). The launch builders' Blocks and
 	// BandwidthEff read only the tile, Sb and layout, so the result is ≤ the
-	// tight floor of each configuration of the tile (Space.minFloor).
+	// tight floor of each configuration of the tile (Space.bestFirst).
 	tileRates
 )
 
@@ -131,14 +133,13 @@ func (sp *Space) BoundSeconds(c conv.Config) float64 { return sp.floor(c, idealR
 // skipped; measuring them can only fail. With ub = +Inf the result is
 // AnalyticTop(1)'s Floor.
 //
-// It is one pass of enumerateTiles. A tile whose tileRates floor is ≥ the
-// running minimum holds no configuration that could lower it and is skipped
-// before its thread loops, and inside a kept tile measurable runs only for a
-// configuration that would lower it.
+// It is the best-first walk kept to its top 1: it stops at the first tile
+// whose bound is ≥ the running minimum, and inside a kept tile measurable
+// runs only for a configuration that would lower it.
 func (sp *Space) minFloor(ub float64) float64 {
 	low := ub
-	sp.enumerateTiles(func(t conv.Config) bool {
-		return sp.floor(t, tileRates) < low
+	sp.bestFirst(ub, func(bound float64, _ conv.Config) bool {
+		return bound >= low
 	}, func(c conv.Config) bool {
 		if f := sp.analyticFloor(c); f < low && sp.measurable(c) {
 			low = f
@@ -146,6 +147,96 @@ func (sp *Space) minFloor(ub float64) float64 {
 		return low > 0
 	})
 	return low
+}
+
+// tileBound is one admissible tile of a best-first walk, its axes packed
+// beside its tileRates floor.
+type tileBound struct {
+	bound       float64
+	x, y, z, sb int32
+	lay, e      int32
+}
+
+func (tb tileBound) config() conv.Config {
+	return conv.Config{TileX: int(tb.x), TileY: int(tb.y), TileZ: int(tb.z),
+		SharedPerBlock: int(tb.sb), Layout: tensor.Layout(tb.lay), WinogradE: int(tb.e)}
+}
+
+// compare orders by bound, then as configLess orders the tiles.
+func (tb tileBound) compare(o tileBound) int {
+	switch {
+	case tb.bound != o.bound:
+		return cmp.Compare(tb.bound, o.bound)
+	case tb.x != o.x:
+		return cmp.Compare(tb.x, o.x)
+	case tb.y != o.y:
+		return cmp.Compare(tb.y, o.y)
+	case tb.z != o.z:
+		return cmp.Compare(tb.z, o.z)
+	case tb.sb != o.sb:
+		return cmp.Compare(tb.sb, o.sb)
+	case tb.lay != o.lay:
+		return cmp.Compare(tb.lay, o.lay)
+	}
+	return cmp.Compare(tb.e, o.e)
+}
+
+// bestFirst is the floor-ordered walk of the space, the branch and bound
+// under minFloor and the analytic scan. One pass over the admissible tiles
+// records each tile's floor at tileRates — ≤ the tight floor of every
+// configuration of the tile — keeping the tiles whose bound is below ub; it
+// then visits the kept tiles' configurations tile by tile, by ascending bound
+// and, between equal bounds, in configLess order of the tiles. So no tile
+// after one of bound b holds a configuration of tight floor below b, and
+// none at b whose tile dims precede its. Before a tile's thread loops cut is
+// asked with its bound; returning true ends the walk, as does visit
+// returning false.
+//
+// The walk usually ends long before the last tile, so the tiles are ordered
+// lazily: a min-heap on compare hands them out in sorted order for O(n) to
+// build plus O(log n) per tile visited, not a full sort's O(n log n).
+func (sp *Space) bestFirst(ub float64, cut func(bound float64, t conv.Config) bool, visit func(conv.Config) bool) {
+	var tiles []tileBound
+	sp.enumerateTiles(func(t conv.Config) bool {
+		if b := sp.floor(t, tileRates); b < ub {
+			tiles = append(tiles, tileBound{bound: b, x: int32(t.TileX), y: int32(t.TileY), z: int32(t.TileZ),
+				sb: int32(t.SharedPerBlock), lay: int32(t.Layout), e: int32(t.WinogradE)})
+		}
+		return true
+	})
+	for i := len(tiles)/2 - 1; i >= 0; i-- {
+		siftTiles(tiles, i)
+	}
+	divs := sp.tileDivisors() // for this walk only: see Space.divs
+	for len(tiles) > 0 {
+		tb := tiles[0]
+		t := tb.config()
+		if cut(tb.bound, t) || !threadConfigs(divs, t, visit) {
+			return
+		}
+		last := len(tiles) - 1
+		tiles[0] = tiles[last]
+		tiles = tiles[:last]
+		siftTiles(tiles, 0)
+	}
+}
+
+// siftTiles moves tiles[i] down the min-heap tiles to its place.
+func siftTiles(tiles []tileBound, i int) {
+	for {
+		least := 2*i + 1
+		if least >= len(tiles) {
+			return
+		}
+		if r := least + 1; r < len(tiles) && tiles[r].compare(tiles[least]) < 0 {
+			least = r
+		}
+		if tiles[i].compare(tiles[least]) <= 0 {
+			return
+		}
+		tiles[i], tiles[least] = tiles[least], tiles[i]
+		i = least
+	}
 }
 
 // floorTerms returns the memoized row terms for fast memory sb and tile

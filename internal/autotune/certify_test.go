@@ -1,6 +1,7 @@
 package autotune
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -32,10 +33,49 @@ func certifySpaces(t *testing.T, seed int64, trials int) []*Space {
 	return sps
 }
 
+// referenceScan is the analytic scan by full enumeration: every measurable
+// configuration of positive, finite floor offered to the top-analyticTopCap
+// heap; empty when nothing ranks.
+func referenceScan(sp *Space) []scored {
+	var h bestK
+	h.reset(analyticTopCap)
+	sp.enumerate(func(c conv.Config) bool {
+		if !sp.measurable(c) {
+			return true
+		}
+		f := sp.analyticFloor(c)
+		if !(f > 0) || math.IsInf(f, 1) {
+			return true
+		}
+		h.push(scored{cfg: c, cost: f})
+		return true
+	})
+	return h.sorted(nil)
+}
+
+// scanMismatch compares the space's memoized analytic scan with the full
+// enumeration, floors bit for bit: "" when they agree.
+func scanMismatch(sp *Space) string {
+	want := referenceScan(sp)
+	if _, err := sp.AnalyticTop(0, 1); (err == nil) != (len(want) > 0) {
+		return fmt.Sprintf("scan error %v, reference ranks %d", err, len(want))
+	}
+	if len(sp.anTop) != len(want) {
+		return fmt.Sprintf("scan keeps %d, reference %d", len(sp.anTop), len(want))
+	}
+	for i, s := range sp.anTop {
+		if s.cfg != want[i].cfg || math.Float64bits(s.cost) != math.Float64bits(want[i].cost) {
+			return fmt.Sprintf("[%d] scan %v at %v, reference %v at %v", i, s.cfg, s.cost, want[i].cfg, want[i].cost)
+		}
+	}
+	return ""
+}
+
 // The certificate's scan finds the analytic tier's best floor: minFloor(+Inf)
 // equals AnalyticTop(1)'s Floor (+Inf where nothing ranks), and a smaller ub
-// comes back unchanged. The per-tile bound it skips tiles with is ≤ the tight
-// floor of every configuration of the tile.
+// comes back unchanged. The per-tile bound both best-first walks order tiles
+// by is ≤ the tight floor of every configuration of the tile, and the
+// analytic scan keeps exactly the full enumeration's top configurations.
 func TestMinFloorMatchesAnalyticTop(t *testing.T) {
 	sps := certifySpaces(t, 71, 24)
 	small := len(sps) // the per-configuration check runs on these
@@ -49,6 +89,9 @@ func TestMinFloorMatchesAnalyticTop(t *testing.T) {
 		}
 	}
 	for i, sp := range sps {
+		if d := scanMismatch(sp); d != "" {
+			t.Fatalf("%s %v %s pruned=%v: %s", sp.Arch.Name, sp.Shape, sp.Kind, sp.Pruned, d)
+		}
 		want := math.Inf(1)
 		if top, err := sp.AnalyticTop(1, 1); err == nil {
 			want = top[0].Floor

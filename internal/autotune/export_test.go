@@ -88,6 +88,11 @@ func ScopedPrimeDiff(arch memsim.Arch, layers []NetworkLayer, cache *Cache, opts
 // configurations, with no incumbent to seed the scan.
 func (sp *Space) MinFloor() float64 { return sp.minFloor(math.Inf(1)) }
 
+// ScanMismatch describes how the space's analytic scan differs from the full
+// enumeration's ranking, or is "" when it keeps the same configurations at
+// the same floors, bit for bit.
+func (sp *Space) ScanMismatch() string { return scanMismatch(sp) }
+
 // Optimum dry-measures every configuration of the space and returns the
 // fastest measurement; ok is false when nothing measures.
 func (sp *Space) Optimum() (best Measurement, ok bool) {

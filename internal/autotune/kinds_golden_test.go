@@ -90,8 +90,8 @@ func goldenSpace(b *bytes.Buffer, arch memsim.Arch, kind Kind, name string, s sh
 		fmt.Fprintf(b, "  analytic error %v\n", err)
 	}
 	for i, v := range top {
-		fmt.Fprintf(b, "  analytic[%d] %+v floor %s seconds %s gflops %s ranked %d\n",
-			i, v.Config, goldenFloat(v.Floor), goldenFloat(v.Seconds), goldenFloat(v.GFLOPS), v.Ranked)
+		fmt.Fprintf(b, "  analytic[%d] %+v floor %s seconds %s gflops %s\n",
+			i, v.Config, goldenFloat(v.Floor), goldenFloat(v.Seconds), goldenFloat(v.GFLOPS))
 	}
 	if len(seeds) > 0 {
 		fmt.Fprintf(b, "  schedule of seed[0]:\n")

@@ -9,33 +9,53 @@ import (
 )
 
 // TestZooMinFloorMatchesAnalyticTop: over every (kind, shape) space of the
-// zoo on the benchmark's architecture, the certificate's scan finds exactly
-// the analytic tier's best floor.
+// zoo on the benchmark's architecture, and of the deck of 3×3 unit-stride
+// shapes the benchmark's novel networks draw from, the analytic scan keeps
+// exactly the full enumeration's top configurations and the certificate's
+// scan finds exactly the analytic tier's best floor.
 func TestZooMinFloorMatchesAnalyticTop(t *testing.T) {
 	if testing.Short() {
-		t.Skip("scans every zoo space twice")
+		t.Skip("scans every zoo space three times")
 	}
 	seen := make(map[shapes.ConvShape]bool)
-	spaces := 0
+	var deck []shapes.ConvShape
 	for _, fx := range zooFixtures() {
 		for _, l := range fx.layers {
-			if seen[l.Shape] {
+			if !seen[l.Shape] {
+				seen[l.Shape] = true
+				deck = append(deck, l.Shape)
+			}
+		}
+	}
+	chans, sizes := []int{16, 32, 64, 128, 256}, []int{7, 14, 28, 56}
+	for _, cin := range chans {
+		for _, cout := range chans {
+			for _, hw := range sizes {
+				s := shapes.ConvShape{Batch: 1, Cin: cin, Hin: hw, Win: hw, Cout: cout, Hker: 3, Wker: 3, Strid: 1, Pad: 1}
+				if !seen[s] {
+					seen[s] = true
+					deck = append(deck, s)
+				}
+			}
+		}
+	}
+	spaces := 0
+	for _, s := range deck {
+		for _, kind := range autotune.Kinds {
+			sp, err := autotune.NewSpace(s, laneArch, kind, 0, true)
+			if err != nil {
 				continue
 			}
-			seen[l.Shape] = true
-			for _, kind := range autotune.Kinds {
-				sp, err := autotune.NewSpace(l.Shape, laneArch, kind, 0, true)
-				if err != nil {
-					continue
-				}
-				spaces++
-				want := math.Inf(1)
-				if v, err := sp.Analytic(1); err == nil {
-					want = v.Floor
-				}
-				if got := sp.MinFloor(); got != want {
-					t.Errorf("%v %s: MinFloor %v, AnalyticTop(1) floor %v", l.Shape, kind, got, want)
-				}
+			spaces++
+			if d := sp.ScanMismatch(); d != "" {
+				t.Errorf("%v %s: %s", s, kind, d)
+			}
+			want := math.Inf(1)
+			if v, err := sp.Analytic(1); err == nil {
+				want = v.Floor
+			}
+			if got := sp.MinFloor(); got != want {
+				t.Errorf("%v %s: MinFloor %v, AnalyticTop(1) floor %v", s, kind, got, want)
 			}
 		}
 	}

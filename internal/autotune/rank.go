@@ -44,6 +44,19 @@ func configLess(a, b conv.Config) bool {
 	return false
 }
 
+// tileDimsAfter reports whether a's tile dims (TileX, TileY, TileZ) come
+// after b's in configLess order: every configuration of a's tile then orders
+// after b, whatever its other axes.
+func tileDimsAfter(a, b conv.Config) bool {
+	switch {
+	case a.TileX != b.TileX:
+		return a.TileX > b.TileX
+	case a.TileY != b.TileY:
+		return a.TileY > b.TileY
+	}
+	return a.TileZ > b.TileZ
+}
+
 // scoredBefore ranks by cost ascending, ties by config order.
 func scoredBefore(a, b scored) bool {
 	if a.cost != b.cost {
@@ -66,12 +79,21 @@ func (h *bestK) reset(k int) {
 	h.k = k
 }
 
+// full reports whether the heap holds k items: a newcomer must then beat
+// the root, the worst of them.
+func (h *bestK) full() bool { return len(h.items) >= h.k }
+
+// admits reports whether push(s) would retain s.
+func (h *bestK) admits(s scored) bool {
+	return h.k > 0 && (!h.full() || scoredBefore(s, h.items[0]))
+}
+
 // push offers one item; it is retained iff it is among the k best so far.
 func (h *bestK) push(s scored) {
-	if h.k < 1 {
+	if !h.admits(s) {
 		return
 	}
-	if len(h.items) < h.k {
+	if !h.full() {
 		h.items = append(h.items, s)
 		i := len(h.items) - 1
 		for i > 0 {
@@ -82,9 +104,6 @@ func (h *bestK) push(s scored) {
 			h.items[p], h.items[i] = h.items[i], h.items[p]
 			i = p
 		}
-		return
-	}
-	if !scoredBefore(s, h.items[0]) {
 		return
 	}
 	h.items[0] = s

@@ -71,12 +71,11 @@ type Space struct {
 	size     int64
 
 	// anOnce guards the memoized analytic scan (analytic.go): the
-	// analyticTopCap best measurable configs by bound floor, the count
-	// ranked, and the scan's error when nothing ranked.
-	anOnce   sync.Once
-	anTop    []scored
-	anRanked int64
-	anErr    error
+	// analyticTopCap best measurable configs by bound floor, and the scan's
+	// error when nothing ranked.
+	anOnce sync.Once
+	anTop  []scored
+	anErr  error
 }
 
 // NewSpace builds the space for a layer. The axes come from the kind's row
@@ -200,35 +199,25 @@ func (sp *Space) Size() int64 {
 
 // enumerate visits every admissible config; the visitor returns false to
 // stop early.
-func (sp *Space) enumerate(visit func(conv.Config) bool) { sp.enumerateTiles(nil, visit) }
-
-// enumerateTiles is the one loop nest over the space. Each admissible tile —
-// a config with its thread counts unset — is offered to keep (when non-nil)
-// before its thread loops run; keep returning false skips the tile's
-// configurations. The order of the visits never depends on keep.
-func (sp *Space) enumerateTiles(keep, visit func(conv.Config) bool) {
+func (sp *Space) enumerate(visit func(conv.Config) bool) {
 	divs := sp.tileDivisors() // for this walk only: see Space.divs
+	sp.enumerateTiles(func(t conv.Config) bool { return threadConfigs(divs, t, visit) })
+}
+
+// enumerateTiles is the space's loop nest over tiles: it visits each
+// admissible tile — a config with its thread counts unset — in enumeration
+// order; the visitor returns false to stop early.
+func (sp *Space) enumerateTiles(visit func(conv.Config) bool) {
 	for _, e := range sp.row.edges {
 		for _, x := range sp.xsByE[e] {
 			for _, y := range sp.ysByE[e] {
 				for _, z := range sp.zs {
 					for _, sb := range sp.sbs {
 						for _, lay := range sp.row.layouts {
-							base := conv.Config{TileX: x, TileY: y, TileZ: z,
+							t := conv.Config{TileX: x, TileY: y, TileZ: z,
 								SharedPerBlock: sb, Layout: lay, WinogradE: e}
-							if !sp.tileAdmissible(base) || (keep != nil && !keep(base)) {
-								continue
-							}
-							for _, tx := range divs[x] {
-								for _, ty := range divs[y] {
-									for _, tz := range divs[z] {
-										c := base
-										c.ThreadsX, c.ThreadsY, c.ThreadsZ = tx, ty, tz
-										if c.Threads() <= 1024 && !visit(c) {
-											return
-										}
-									}
-								}
+							if sp.tileAdmissible(t) && !visit(t) {
+								return
 							}
 						}
 					}
@@ -236,6 +225,25 @@ func (sp *Space) enumerateTiles(keep, visit func(conv.Config) bool) {
 			}
 		}
 	}
+}
+
+// threadConfigs visits the admissible configurations of tile t: its thread
+// counts, divisors of the tile dims (divs is tileDivisors), within the
+// thread-count limit — the only constraint tileAdmissible leaves. It reports
+// false when visit stopped the walk.
+func threadConfigs(divs map[int][]int, t conv.Config, visit func(conv.Config) bool) bool {
+	for _, tx := range divs[t.TileX] {
+		for _, ty := range divs[t.TileY] {
+			for _, tz := range divs[t.TileZ] {
+				c := t
+				c.ThreadsX, c.ThreadsY, c.ThreadsZ = tx, ty, tz
+				if c.Threads() <= 1024 && !visit(c) {
+					return false
+				}
+			}
+		}
+	}
+	return true
 }
 
 // Sample draws a uniform-ish random admissible config (rejection sampling

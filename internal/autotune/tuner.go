@@ -337,9 +337,9 @@ func (r *record) stale(patience int) bool {
 //     prefix only, so it fires at the same measurement at any worker count.
 //     The scan behind it is gated: a certified incumbent attains its own
 //     tight floor, so nothing is scanned until one does, and the scan
-//     (Space.minFloor) is seeded with that floor. It is one pass of the
-//     space's enumeration that skips a tile's thread loops whenever the
-//     tile's thread-free floor bound cannot lower the running minimum.
+//     (Space.minFloor) is seeded with that floor. It visits the tiles in
+//     order of their thread-free floor bound and stops at the first one
+//     whose bound cannot lower the running minimum.
 //   - Bound-guided pruning (unless opts.NoPrune): the I/O-lower-bound
 //     oracle (Space.BoundSeconds) runs inside proposal generation itself.
 //     Walkers reject Neighbor moves into (Sb, e) tiers whose floor already
