@@ -150,17 +150,18 @@ func TestPriorMemoIsBitNeutral(t *testing.T) {
 
 	var memo priorMemo
 	key := priorKey{arch.Name, familyOf(Direct, layer())}
-	counts := func(hits, misses int) {
+	counts := func(hits, misses, belowCap int) {
 		t.Helper()
 		memo.mu.Lock()
 		defer memo.mu.Unlock()
-		if memo.hits != hits || memo.misses != misses {
-			t.Errorf("memo counted %d hits, %d misses; want %d, %d", memo.hits, memo.misses, hits, misses)
+		if memo.hits != hits || memo.misses != misses || memo.belowCap != belowCap {
+			t.Errorf("memo counted %d hits, %d misses, %d below the cap; want %d, %d, %d",
+				memo.hits, memo.misses, memo.belowCap, hits, misses, belowCap)
 		}
 	}
 	fitted := memo.fit(key, cfg, x[:n], y[:n])
 	rebuilt := memo.fit(key, cfg, x[:n], y[:n])
-	counts(1, 1)
+	counts(1, 1, 0)
 	for name, m := range map[string]*GBTModel{"fitted": fitted, "rebuilt": rebuilt} {
 		if m.base != ref.base || !slices.Equal(m.nodes, ref.nodes) || !slices.Equal(m.roots, ref.roots) ||
 			!slices.Equal(m.pred, ref.pred) || !reflect.DeepEqual(m.cols, ref.cols) ||
@@ -172,16 +173,16 @@ func TestPriorMemoIsBitNeutral(t *testing.T) {
 		}
 	}
 
-	// Below the cap nothing is memoized; a changed row set misses and takes
+	// Below the cap nothing is memoized, only counted; a changed row set misses and takes
 	// the slot over.
 	memo.fit(key, cfg, x[:n-1], y[:n-1])
-	counts(1, 1)
+	counts(1, 1, 1)
 	y2 := slices.Clone(y[:n])
 	y2[n/2] += 1e-9
 	memo.fit(key, cfg, x[:n], y2)
-	counts(1, 2)
+	counts(1, 2, 1)
 	memo.fit(key, cfg, x[:n], y[:n])
-	counts(1, 3)
+	counts(1, 3, 1)
 
 	// Four sweeps' family priors, hitting one slot at once.
 	var wg sync.WaitGroup
@@ -196,7 +197,7 @@ func TestPriorMemoIsBitNeutral(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	counts(5, 3)
+	counts(5, 3, 1)
 	if got := gbtGoldenHash(memo.fit(key, cfg, x[:n], y[:n]), probes); got != wantFit {
 		t.Errorf("updating rebuilt priors moved the slot: %016x, was %016x", got, wantFit)
 	}

@@ -783,9 +783,12 @@ func resumeRemaining(e CacheEntry, budget int) int {
 	if len(e.Rows) == 0 {
 		return 0
 	}
-	// Entries from older files carry no budget; their rows stand in.
-	return max(budget-max(e.Budget, len(e.Rows)), 0)
+	return max(budget-e.coveredBudget(), 0)
 }
+
+// coveredBudget is the budget the persisted search ran with. Entries from
+// older files carry none; their rows stand in.
+func (e CacheEntry) coveredBudget() int { return max(e.Budget, len(e.Rows)) }
 
 // withHistory installs a persisted measurement history as the warm-start
 // replay, preserving any transfer fields the caller already set.

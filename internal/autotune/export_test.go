@@ -2,13 +2,14 @@ package autotune
 
 import (
 	"context"
+	"crypto/sha256"
 	"fmt"
 	"math"
 	"reflect"
-	"slices"
 
 	"repro/internal/conv"
 	"repro/internal/memsim"
+	"repro/internal/shapes"
 )
 
 // SearchTrace is one search a sweep ran: its space and its trace.
@@ -49,11 +50,12 @@ func Restarted(c *Cache) *Cache {
 }
 
 // PriorMemoCounts reports how many capped family priors the cache's memo
-// answered from a slot and how many it fitted afresh.
-func PriorMemoCounts(c *Cache) (hits, misses int) {
+// answered from a slot and how many it fitted afresh, and how many family
+// priors below the row cap it fitted without a slot.
+func PriorMemoCounts(c *Cache) (hits, misses, belowCap int) {
 	c.priors.mu.Lock()
 	defer c.priors.mu.Unlock()
-	return c.priors.hits, c.priors.misses
+	return c.priors.hits, c.priors.misses, c.priors.belowCap
 }
 
 // ScopedPrimeDiff primes a warm sweep's transfer pool from the cache twice —
@@ -68,20 +70,53 @@ func ScopedPrimeDiff(arch memsim.Arch, layers []NetworkLayer, cache *Cache, opts
 		return 0, "", err
 	}
 	fams := liveFamilies(plan.tasks, live)
-	scoped, full := newTransferPool(opts.WarmTopK), newTransferPool(opts.WarmTopK)
-	scoped.prime(cache, arch, fams)
-	full.prime(cache, arch, nil)
+	scoped := PrimedFamilies(cache, arch, opts.WarmTopK, fams)
+	full := PrimedFamilies(cache, arch, opts.WarmTopK, nil)
 	for fam := range fams {
-		a, b := scoped.byFamily[fam], full.byFamily[fam]
-		if b != nil {
+		a, inScoped := scoped[fam]
+		b, inFull := full[fam]
+		if inFull {
 			primed++
 		}
-		if (a == nil) != (b == nil) || b != nil &&
-			(!reflect.DeepEqual(a.feats, b.feats) || !slices.Equal(a.costs, b.costs) || !slices.Equal(a.seeds, b.seeds)) {
+		if inScoped != inFull || !reflect.DeepEqual(a, b) {
 			return primed, fmt.Sprintf("%+v", fam), nil
 		}
 	}
 	return primed, "", nil
+}
+
+// PoolFamily is a transfer pool's family: (kind, kernel extent, stride).
+type PoolFamily = poolKey
+
+// FamilyOf is the pool family a search of (kind, s) reads and feeds.
+func FamilyOf(kind Kind, s shapes.ConvShape) PoolFamily { return familyOf(kind, s) }
+
+// PrimedFamily is what a transfer pool primed from a cache holds for one
+// family: its rows, costs and seeds, the digest the prior memo keys those
+// rows by, and whether the family is at both caps.
+type PrimedFamily struct {
+	Feats  [][]float64
+	Costs  []float64
+	Seeds  []conv.Config
+	Digest [sha256.Size]byte
+	Full   bool
+}
+
+// PrimedFamilies primes a transfer pool of the given top-K (0: the default)
+// from the cache's state-carrying entries of arch, scoped to fams as a sweep
+// scopes it (nil primes every family), and returns what it holds per family.
+func PrimedFamilies(c *Cache, arch memsim.Arch, topK int, fams map[PoolFamily]bool) map[PoolFamily]PrimedFamily {
+	pool := newTransferPool(topK)
+	pool.prime(c, arch, fams)
+	out := make(map[PoolFamily]PrimedFamily, len(pool.byFamily))
+	for fam, pe := range pool.byFamily {
+		f := PrimedFamily{Feats: pe.feats, Costs: pe.costs, Seeds: pe.seeds, Full: pool.full(fam)}
+		if len(pe.feats) > 0 {
+			f.Digest = rowsDigest(pe.feats, pe.costs)
+		}
+		out[fam] = f
+	}
+	return out
 }
 
 // MinFloor is the space's minimum tight floor over its measurable

@@ -1,6 +1,7 @@
 package autotune
 
 import (
+	"cmp"
 	"context"
 	"crypto/sha256"
 	"encoding/binary"
@@ -258,11 +259,14 @@ func (p *sharedPrior) take(cfg GBTConfig, x [][]float64, y []float64) *GBTModel 
 // that read a family's prior adds rows to it, so that row set never comes
 // back. The memo lives on the Cache, in memory only, and needs no
 // invalidation: a slot is content-addressed, and a changed row set simply
-// misses and replaces it.
+// misses and replaces it. What keeps a capped family's row set stable from
+// sweep to sweep is prime's source order: a fresh low-budget search does not
+// displace the higher-budget sources that filled the family.
 type priorMemo struct {
 	mu           sync.Mutex
 	slots        map[priorKey]*priorFit
 	hits, misses int // capped fits answered from a slot, and fitted afresh
+	belowCap     int // fits below poolRowCap, which bypass the slots
 }
 
 type priorKey struct {
@@ -287,7 +291,13 @@ type priorFit struct {
 // rebuilt model shares the slot's forest, clipped so that an append would
 // reallocate; the sweep only ever clones it anyway.
 func (m *priorMemo) fit(k priorKey, cfg GBTConfig, x [][]float64, y []float64) *GBTModel {
-	if m == nil || len(x) < poolRowCap {
+	if m == nil {
+		return TrainGBT(cfg, x, y)
+	}
+	if len(x) < poolRowCap {
+		m.mu.Lock()
+		m.belowCap++
+		m.mu.Unlock()
 		return TrainGBT(cfg, x, y)
 	}
 	digest := rowsDigest(x, y)
@@ -390,13 +400,21 @@ func (p *transferPool) contribute(kind Kind, sp *Space, hist []MeasuredConfig) {
 }
 
 // prime rebuilds the pool from the cache: every state-carrying entry of this
-// architecture contributes, in deterministic key order — except, skipped
-// before its space is built or its rows decoded, an entry whose family the
-// sweep does not read (fams; nil reads every family) or whose family is
-// already full, where contribute would add nothing. A family the sweep reads
-// gets the pool a full prime would give it.
+// architecture contributes, highest budget first and in key order within one
+// budget — except, skipped before its space is built or its rows decoded, an
+// entry whose family the sweep does not read (fams; nil reads every family)
+// or whose family is already full, where contribute would add nothing. A
+// family the sweep reads gets the pool a full prime would give it.
+//
+// Budget first because the richer search is the better source, and because
+// it keeps a full family's rows where they are: a fresh low-budget entry
+// ranks behind every higher-budget source, so a family those sources fill
+// keeps its rows, its seeds and its slot in the prior memo when one arrives.
+// The order is still a pure function of the cache's entry set.
 func (p *transferPool) prime(cache *Cache, arch memsim.Arch, fams map[poolKey]bool) {
-	for _, e := range cache.stateEntries(arch.Name) {
+	entries := cache.stateEntries(arch.Name)
+	slices.SortStableFunc(entries, func(a, b CacheEntry) int { return cmp.Compare(b.coveredBudget(), a.coveredBudget()) })
+	for _, e := range entries {
 		kind, err := kindFromString(e.Kind)
 		if err != nil {
 			continue // Load validated these; be defensive anyway

@@ -76,7 +76,7 @@ func TestZooOracle(t *testing.T) {
 	}
 	tune := autotune.DefaultOptions()
 	tune.Seed = 0
-	_, searches := coldZooPass(t, tune)
+	_, searches := coldZooPass(t, tune, autotune.NewCache())
 
 	type agg struct {
 		n      int

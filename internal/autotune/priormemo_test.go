@@ -1,9 +1,11 @@
 package autotune_test
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/autotune"
@@ -83,26 +85,111 @@ func TestSweepSequenceUnchangedByPriorMemo(t *testing.T) {
 	}
 
 	for _, fx := range zooFixtures() {
-		opts := autotune.NetworkOptions{Tune: tune, Winograd: true, Warm: true}
-		if fx.name == "mobilenetv1" {
-			opts.Kinds = []autotune.Kind{autotune.FFT, autotune.ImplicitGEMM}
-		}
-		sweep(fx.name, fx.layers, opts)
+		sweep(fx.name, fx.layers, zooOptions(fx, tune))
 	}
-	zooHits, zooMisses := autotune.PriorMemoCounts(cache)
+	zooHits, zooMisses, zooBelow := autotune.PriorMemoCounts(cache)
 
 	fresh := tune
 	fresh.Budget = 48
 	for i, layers := range novelNetworks(20) {
 		sweep(fmt.Sprintf("novel-%d", i), layers, autotune.NetworkOptions{Tune: fresh, Winograd: true, Warm: true})
 	}
-	hits, misses := autotune.PriorMemoCounts(cache)
-	t.Logf("prior memo: %d hits, %d misses on the zoo pass; %d hits, %d misses on the novel sweeps; %d primed families compared",
-		zooHits, zooMisses, hits-zooHits, misses-zooMisses, primed)
+	hits, misses, below := autotune.PriorMemoCounts(cache)
+	t.Logf("prior memo: %d hits, %d misses, %d below the cap on the zoo pass; %d hits, %d misses, %d below the cap on the novel sweeps; %d primed families compared",
+		zooHits, zooMisses, zooBelow, hits-zooHits, misses-zooMisses, below-zooBelow, primed)
 	if hits == 0 {
 		t.Error("the prior memo never answered a fit")
+	}
+	// A novel budget-48 search ranks behind the zoo's budget-400 sources, so
+	// it leaves the capped families' rows, and their memo slots, where they
+	// are: only the first sweep of a family that the zoo pass left without a
+	// slot for its final rows may miss.
+	if novel := misses - zooMisses; novel > 2 {
+		t.Errorf("the novel sweeps refitted %d capped priors, want at most 2", novel)
 	}
 	if primed == 0 {
 		t.Error("no sweep read a primed family: the pool check compared nothing")
 	}
+}
+
+// A fresh low-budget search moves no family the zoo filled: on a zoo-filled
+// cache, novel budget-48 searches and one deadline-truncated search arrive in
+// several orders, and after every arrival each family that was at both caps
+// on the zoo alone primes the same rows, costs and seeds — so the same rows
+// digest reaches the prior memo — as before any arrival.
+func TestPrimeIgnoresLowerBudgetArrivals(t *testing.T) {
+	tune := autotune.DefaultOptions()
+	tune.Seed = 0
+	zoo := autotune.NewCache()
+	coldZooPass(t, tune, zoo)
+	want := autotune.PrimedFamilies(zoo, laneArch, 0, nil)
+	full := make(map[autotune.PoolFamily]bool)
+	for fam, f := range want {
+		if f.Full {
+			full[fam] = true
+		}
+	}
+	if len(full) == 0 {
+		t.Fatal("the zoo fills no family")
+	}
+
+	// The arrivals are tuned once, on a copy of the zoo cache: eight novel
+	// networks at budget 48, then a ninth at the default budget under an
+	// expired deadline, which persists its first searches at the
+	// measurements they took.
+	grown := autotune.Restarted(zoo)
+	nets := novelNetworks(9)
+	fresh := tune
+	fresh.Budget = 48
+	var arrivals []autotune.CacheEntry
+	intoFull := 0
+	arrive := func(ctx context.Context, layers []autotune.NetworkLayer, opts autotune.NetworkOptions) []autotune.LayerVerdict {
+		t.Helper()
+		verdicts, err := autotune.TuneNetworkContext(ctx, laneArch, layers, grown, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, s := range autotune.Searches(laneArch, layers, opts) {
+			if e, ok := grown.Entry(laneArch.Name, s.Kind, s.Shape); ok {
+				arrivals = append(arrivals, e)
+				if full[autotune.FamilyOf(s.Kind, s.Shape)] {
+					intoFull++
+				}
+			}
+		}
+		return verdicts
+	}
+	for _, layers := range nets[:8] {
+		arrive(context.Background(), layers, autotune.NetworkOptions{Tune: fresh, Winograd: true, Warm: true})
+	}
+	expired, cancel := context.WithCancel(context.Background())
+	cancel()
+	verdicts := arrive(expired, nets[8], autotune.NetworkOptions{Tune: tune, Winograd: true, Warm: true})
+	if !verdicts[0].Partial {
+		t.Fatal("the search under an expired deadline ran to completion")
+	}
+	if intoFull == 0 {
+		t.Fatal("no arrival feeds a family the zoo filled: the check compares nothing")
+	}
+
+	rng := rand.New(rand.NewSource(1))
+	orders := [][]autotune.CacheEntry{arrivals, slices.Clone(arrivals), slices.Clone(arrivals)}
+	slices.Reverse(orders[1])
+	rng.Shuffle(len(orders[2]), func(i, j int) { orders[2][i], orders[2][j] = orders[2][j], orders[2][i] })
+	for o, order := range orders {
+		cache := autotune.Restarted(zoo)
+		for i, e := range order {
+			if err := cache.PutEntries([]autotune.CacheEntry{e}); err != nil {
+				t.Fatal(err)
+			}
+			got := autotune.PrimedFamilies(cache, laneArch, 0, full)
+			for fam := range full {
+				if !reflect.DeepEqual(got[fam], want[fam]) {
+					t.Fatalf("order %d, arrival %d (%s %+v, budget %d): full family %+v primes other rows or seeds",
+						o, i, e.Kind, e.Shape, e.Budget, fam)
+				}
+			}
+		}
+	}
+	t.Logf("%d arrivals, %d into %d full families, in %d orders", len(arrivals), intoFull, len(full), len(orders))
 }

@@ -36,7 +36,7 @@ func BenchmarkZooSweepCold(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		measurements.Store(0)
-		sweeps, searches = coldZooPass(b, tune)
+		sweeps, searches = coldZooPass(b, tune, autotune.NewCache())
 	}
 	b.StopTimer()
 	refits := 0
@@ -53,19 +53,60 @@ func BenchmarkZooSweepCold(b *testing.B) {
 		measurements.Load(), networkMS, boundGap, refits, len(searches))
 }
 
-// coldZooPass is one cold pass: the six zoo sweeps in order against one fresh
-// cache, with cmd/tuned's network options. It returns each sweep's verdicts
-// and every search the pass ran.
-func coldZooPass(tb testing.TB, tune autotune.Options) ([][]autotune.LayerVerdict, []autotune.SearchTrace) {
-	cache := autotune.NewCache()
+// BenchmarkNovelSweepsWarm is a daemon that holds the zoo serving fresh
+// requests: 48 novel networks of 2–3 layers, tuned in order at budget 48 with
+// cmd/tuned's warm defaults against a cache the cold zoo pass filled outside
+// the timer. It reports ms/network, the family priors each network fitted —
+// the prior memo's misses plus the fits below the row cap, which bypass it —
+// and the geomean of the novel verdicts' simulated seconds, which a change
+// of the transfer pool's sources may move.
+func BenchmarkNovelSweepsWarm(b *testing.B) {
+	const count = 48
+	tune := autotune.DefaultOptions()
+	tune.Seed = 0
+	fresh := tune
+	fresh.Budget = 48
+	opts := autotune.NetworkOptions{Tune: fresh, Winograd: true, Warm: true}
+	nets := novelNetworks(count)
+	var fits int
+	var logSum float64
+	layers := 0
+	b.ReportAllocs()
+	b.StopTimer()
+	for i := 0; i < b.N; i++ {
+		cache := autotune.NewCache()
+		coldZooPass(b, tune, cache)
+		_, zooMisses, zooBelow := autotune.PriorMemoCounts(cache)
+		logSum, layers = 0, 0
+		b.StartTimer()
+		for _, net := range nets {
+			verdicts, err := autotune.TuneNetwork(laneArch, net, cache, opts)
+			if err != nil {
+				b.Fatal(err)
+			}
+			for _, v := range verdicts {
+				logSum += math.Log(v.M.Seconds)
+				layers++
+			}
+		}
+		b.StopTimer()
+		_, misses, below := autotune.PriorMemoCounts(cache)
+		fits += misses - zooMisses + below - zooBelow
+	}
+	b.ReportMetric(float64(b.Elapsed())/1e6/float64(b.N*count), "ms/network")
+	b.ReportMetric(float64(fits)/float64(b.N*count), "fits/network")
+	b.ReportMetric(math.Exp(logSum/float64(layers)), "verdict_geomean_s")
+	b.Logf("fits %d over %d networks, verdict geomean %v s", fits, b.N*count, math.Exp(logSum/float64(layers)))
+}
+
+// coldZooPass is one cold pass: the six zoo sweeps in order against cache —
+// fresh, for a cold pass — with cmd/tuned's network options. It returns each
+// sweep's verdicts and every search the pass ran.
+func coldZooPass(tb testing.TB, tune autotune.Options, cache *autotune.Cache) ([][]autotune.LayerVerdict, []autotune.SearchTrace) {
 	var sweeps [][]autotune.LayerVerdict
 	var searches []autotune.SearchTrace
 	for _, fx := range zooFixtures() {
-		opts := autotune.NetworkOptions{Tune: tune, Winograd: true, Warm: true}
-		if fx.name == "mobilenetv1" {
-			opts.Kinds = []autotune.Kind{autotune.FFT, autotune.ImplicitGEMM}
-		}
-		verdicts, ran, err := autotune.TuneNetworkTraces(laneArch, fx.layers, cache, opts)
+		verdicts, ran, err := autotune.TuneNetworkTraces(laneArch, fx.layers, cache, zooOptions(fx, tune))
 		if err != nil {
 			tb.Fatal(err)
 		}
@@ -73,6 +114,17 @@ func coldZooPass(tb testing.TB, tune autotune.Options) ([][]autotune.LayerVerdic
 		searches = append(searches, ran...)
 	}
 	return sweeps, searches
+}
+
+// zooOptions are cmd/tuned's network options for one zoo network: Winograd
+// and warm-starting on, and MobileNetV1 asking for the FFT and implicit-GEMM
+// kinds.
+func zooOptions(fx fixture, tune autotune.Options) autotune.NetworkOptions {
+	opts := autotune.NetworkOptions{Tune: tune, Winograd: true, Warm: true}
+	if fx.name == "mobilenetv1" {
+		opts.Kinds = []autotune.Kind{autotune.FFT, autotune.ImplicitGEMM}
+	}
+	return opts
 }
 
 // zooQuality is what a pass's verdicts are worth: the summed NetworkSeconds
