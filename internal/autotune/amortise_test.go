@@ -212,7 +212,7 @@ func TestSharedPriorIsBitNeutral(t *testing.T) {
 	opts := warmSweepOpts(4)
 	plan := runSweep(t, resnet18Layers(), opts)
 
-	pool := newTransferPool(opts.WarmTopK)
+	pool := newTransferPool()
 	cold := make(map[poolKey]bool)
 	var warm []*netTask
 	for _, task := range plan.tasks {
@@ -321,7 +321,7 @@ func TestRefitCadence(t *testing.T) {
 	}
 
 	// Two donor searches of the family fill the pool to its row cap.
-	pool := newTransferPool(4)
+	pool := newTransferPool()
 	for i, donor := range []shapes.ConvShape{
 		{Batch: 1, Cin: 128, Hin: 28, Win: 28, Cout: 256, Hker: 3, Wker: 3, Strid: 2, Pad: 1},
 		{Batch: 1, Cin: 32, Hin: 56, Win: 56, Cout: 64, Hker: 3, Wker: 3, Strid: 2, Pad: 1},

@@ -196,6 +196,19 @@ func (cc cachedConfig) config() conv.Config {
 	}
 }
 
+// check rejects a persisted config the engine would panic on: a tile or
+// thread dimension below 1 (clampFactor and the schedule emitter divide by
+// them) or a tile edge the kind has no axis for (snap reads an empty axis).
+func (cc cachedConfig) check(kind Kind) error {
+	if min(cc.TileX, cc.TileY, cc.TileZ, cc.ThreadsX, cc.ThreadsY, cc.ThreadsZ) < 1 {
+		return fmt.Errorf("config %+v has a tile or thread dimension below 1", cc)
+	}
+	if !slices.Contains(kind.spec().edges, cc.WinogradE) {
+		return fmt.Errorf("config tile edge %d is not one of %s's %v", cc.WinogradE, kind, kind.spec().edges)
+	}
+	return nil
+}
+
 // verdict is the entry's tuning outcome in the engine's types.
 func (e CacheEntry) verdict() (conv.Config, Measurement) {
 	return e.Config.config(), Measurement{Seconds: e.Seconds, GFLOPS: e.GFLOPS}
@@ -557,10 +570,20 @@ func (e CacheEntry) Key() (string, error) {
 	if err != nil {
 		return "", fmt.Errorf("autotune: cache entry for %s %v: %w", e.Arch, s, err)
 	}
+	if err := e.Config.check(kind); err != nil {
+		return "", fmt.Errorf("autotune: cache entry for %s %v: verdict: %w", e.Arch, s, err)
+	}
 	// Persisted rows feed resumed incumbents and warm-pool log-costs; a
 	// successful row with a non-positive time would poison both (a zero
-	// incumbent prunes everything, log(0) is -Inf), so reject it here.
+	// incumbent prunes everything, log(0) is -Inf), so reject it here. Only
+	// a row's Sb must be positive: featurizing divides by it.
 	for j, r := range e.Rows {
+		if err := r.Config.check(kind); err != nil {
+			return "", fmt.Errorf("autotune: cache entry for %s %v: row %d: %w", e.Arch, s, j, err)
+		}
+		if r.Config.SharedPerBlock < 1 {
+			return "", fmt.Errorf("autotune: cache entry for %s %v: row %d: Sb %d below 1", e.Arch, s, j, r.Config.SharedPerBlock)
+		}
 		if r.OK && !(r.Seconds > 0) {
 			return "", fmt.Errorf("autotune: cache entry for %s %v: row %d: non-positive seconds %v on a successful measurement", e.Arch, s, j, r.Seconds)
 		}

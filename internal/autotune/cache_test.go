@@ -128,6 +128,7 @@ func TestCacheRoundTripAllKinds(t *testing.T) {
 	cfg := conv.Config{TileX: 9, TileY: 3, TileZ: 8, ThreadsX: 3, ThreadsY: 3, ThreadsZ: 2,
 		SharedPerBlock: 4096}
 	for i, kind := range Kinds {
+		cfg.WinogradE = kind.spec().edges[0]
 		c.Put(arch.Name, kind, s, cfg, Measurement{Seconds: float64(i+1) * 1e-4, GFLOPS: 100})
 		c.Put(arch.Name, kind, grouped, cfg, Measurement{Seconds: float64(i+1) * 2e-4, GFLOPS: 50})
 	}

@@ -70,8 +70,8 @@ func ScopedPrimeDiff(arch memsim.Arch, layers []NetworkLayer, cache *Cache, opts
 		return 0, "", err
 	}
 	fams := liveFamilies(plan.tasks, live)
-	scoped := PrimedFamilies(cache, arch, opts.WarmTopK, fams)
-	full := PrimedFamilies(cache, arch, opts.WarmTopK, nil)
+	scoped := PrimedFamilies(cache, arch, fams)
+	full := PrimedFamilies(cache, arch, nil)
 	for fam := range fams {
 		a, inScoped := scoped[fam]
 		b, inFull := full[fam]
@@ -102,11 +102,11 @@ type PrimedFamily struct {
 	Full   bool
 }
 
-// PrimedFamilies primes a transfer pool of the given top-K (0: the default)
-// from the cache's state-carrying entries of arch, scoped to fams as a sweep
-// scopes it (nil primes every family), and returns what it holds per family.
-func PrimedFamilies(c *Cache, arch memsim.Arch, topK int, fams map[PoolFamily]bool) map[PoolFamily]PrimedFamily {
-	pool := newTransferPool(topK)
+// PrimedFamilies primes a transfer pool from the cache's state-carrying
+// entries of arch, scoped to fams as a sweep scopes it (nil primes every
+// family), and returns what it holds per family.
+func PrimedFamilies(c *Cache, arch memsim.Arch, fams map[PoolFamily]bool) map[PoolFamily]PrimedFamily {
+	pool := newTransferPool()
 	pool.prime(c, arch, fams)
 	out := make(map[PoolFamily]PrimedFamily, len(pool.byFamily))
 	for fam, pe := range pool.byFamily {

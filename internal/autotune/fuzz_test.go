@@ -7,25 +7,51 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"repro/internal/memsim"
 )
 
-// addEnvelopeSeeds seeds a fuzz target with the envelope corpus both
-// decoder targets share.
-func addEnvelopeSeeds(f *testing.F) {
+// envelopeSeeds is the envelope corpus both decoder fuzz targets share.
+var envelopeSeeds = [][]byte{
 	// The retired version-1 format, a bare entry array: rejected like any
 	// other non-envelope (the two decoders used to disagree on it).
-	f.Add([]byte(`[{"arch":"V100","kind":"direct","shape":{"Batch":1,"Cin":16,"Hin":8,"Win":8,"Cout":8,"Hker":3,"Wker":3,"Stride":1,"Pad":1},"config":{"TileX":1,"TileY":1,"TileZ":1,"ThreadsX":8,"ThreadsY":8,"ThreadsZ":1,"SharedPerBlock":0,"Layout":0,"WinogradE":0},"seconds":0.001,"gflops":10}]`))
+	[]byte(`[{"arch":"V100","kind":"direct","shape":{"Batch":1,"Cin":16,"Hin":8,"Win":8,"Cout":8,"Hker":3,"Wker":3,"Stride":1,"Pad":1},"config":{"TileX":1,"TileY":1,"TileZ":1,"ThreadsX":8,"ThreadsY":8,"ThreadsZ":1,"SharedPerBlock":0,"Layout":0,"WinogradE":0},"seconds":0.001,"gflops":10}]`),
 	// Version-2 envelope with engine state.
-	f.Add([]byte(`{"version":2,"entries":[{"arch":"V100","kind":"winograd","shape":{"Batch":1,"Cin":16,"Hin":8,"Win":8,"Cout":8,"Hker":3,"Wker":3,"Stride":1,"Pad":1},"config":{"TileX":1,"TileY":1,"TileZ":1,"ThreadsX":8,"ThreadsY":8,"ThreadsZ":1,"SharedPerBlock":0,"Layout":0,"WinogradE":2},"seconds":0.002,"gflops":5,"rows":[{"config":{"TileX":1,"TileY":1,"TileZ":1,"ThreadsX":8,"ThreadsY":8,"ThreadsZ":1,"SharedPerBlock":0,"Layout":0,"WinogradE":2},"seconds":0.002,"gflops":5,"ok":true}],"curve":[5],"budget":4}]}`))
+	[]byte(`{"version":2,"entries":[{"arch":"V100","kind":"winograd","shape":{"Batch":1,"Cin":16,"Hin":8,"Win":8,"Cout":8,"Hker":3,"Wker":3,"Stride":1,"Pad":1},"config":{"TileX":1,"TileY":1,"TileZ":1,"ThreadsX":8,"ThreadsY":8,"ThreadsZ":1,"SharedPerBlock":4096,"Layout":0,"WinogradE":2},"seconds":0.002,"gflops":5,"rows":[{"config":{"TileX":1,"TileY":1,"TileZ":1,"ThreadsX":8,"ThreadsY":8,"ThreadsZ":1,"SharedPerBlock":4096,"Layout":0,"WinogradE":2},"seconds":0.002,"gflops":5,"ok":true}],"curve":[5],"budget":4}]}`),
 	// Malformed variants the loader must reject gracefully.
-	f.Add([]byte(`{"version":2,"entries":[{"arch":"V100","kind":"fft","shape":{"Batch":1,"Cin":16,"Hin":8,"Win":8,"Cout":8,"Hker":3,"Wker":3,"Stride":1,"Pad":1},"config":{"TileX":16,"TileY":1,"TileZ":4,"ThreadsX":16,"ThreadsY":1,"ThreadsZ":4,"SharedPerBlock":4096,"Layout":0,"WinogradE":0},"seconds":0.003,"gflops":4}]}`))
-	f.Add([]byte(`{"version":2,"entries":[{"arch":"V100","kind":"igemm","shape":{"Batch":1,"Cin":16,"Hin":8,"Win":8,"Cout":16,"Hker":3,"Wker":3,"Stride":1,"Pad":1,"Groups":4},"config":{"TileX":4,"TileY":4,"TileZ":2,"ThreadsX":4,"ThreadsY":4,"ThreadsZ":2,"SharedPerBlock":2048,"Layout":0,"WinogradE":0},"seconds":0.001,"gflops":8}]}`))
-	f.Add([]byte(`{"version":3,"entries":[]}`))
-	f.Add([]byte(`[{"arch":"V100","kind":"im2col"}]`))
-	f.Add([]byte(`[{"arch":"V100","kind":"direct","seconds":-1}]`))
-	f.Add([]byte(`[`))
-	f.Add([]byte(``))
-	f.Add([]byte(`null`))
+	[]byte(`{"version":2,"entries":[{"arch":"V100","kind":"fft","shape":{"Batch":1,"Cin":16,"Hin":8,"Win":8,"Cout":8,"Hker":3,"Wker":3,"Stride":1,"Pad":1},"config":{"TileX":16,"TileY":1,"TileZ":4,"ThreadsX":16,"ThreadsY":1,"ThreadsZ":4,"SharedPerBlock":4096,"Layout":0,"WinogradE":0},"seconds":0.003,"gflops":4}]}`),
+	[]byte(`{"version":2,"entries":[{"arch":"V100","kind":"igemm","shape":{"Batch":1,"Cin":16,"Hin":8,"Win":8,"Cout":16,"Hker":3,"Wker":3,"Stride":1,"Pad":1,"Groups":4},"config":{"TileX":4,"TileY":4,"TileZ":2,"ThreadsX":4,"ThreadsY":4,"ThreadsZ":2,"SharedPerBlock":2048,"Layout":0,"WinogradE":0},"seconds":0.001,"gflops":8}]}`),
+	[]byte(`{"version":3,"entries":[]}`),
+	[]byte(`[{"arch":"V100","kind":"im2col"}]`),
+	[]byte(`[{"arch":"V100","kind":"direct","seconds":-1}]`),
+	[]byte(`[`),
+	[]byte(``),
+	[]byte(`null`),
+}
+
+// addEnvelopeSeeds seeds a fuzz target with envelopeSeeds.
+func addEnvelopeSeeds(f *testing.F) {
+	for _, seed := range envelopeSeeds {
+		f.Add(seed)
+	}
+}
+
+// The seeds run under plain `go test`, so at least one must decode to an
+// entry with rows: otherwise neither FuzzCacheLoad's round trip nor
+// FuzzEnvelopeDecode's snapRows sees engine state unless a fuzzer runs.
+func TestEnvelopeSeedsCarryRows(t *testing.T) {
+	for _, seed := range envelopeSeeds {
+		entries, err := DecodeEntries(seed)
+		if err != nil {
+			continue
+		}
+		for _, e := range entries {
+			if len(e.Rows) > 0 {
+				return
+			}
+		}
+	}
+	t.Fatal("no envelope seed decodes to an entry with rows")
 }
 
 // The cache loader parses untrusted bytes — a state file may come off a
@@ -67,8 +93,9 @@ func readCorpusFile(path string) ([]byte, error) {
 // The envelope has one codec behind three entry points, and the replication
 // endpoint (/v1/cluster/replicate) feeds DecodeEntries bytes straight off the
 // network. Differential contract: for any input, DecodeEntries and Cache.Load
-// accept and reject alike, and what DecodeEntries returns is exactly the key
-// set Load commits.
+// accept and reject alike, what DecodeEntries returns is exactly the key set
+// Load commits, and every row it returns can be featurized and snapped on its
+// entry's space — what the transfer pool does with it.
 func FuzzEnvelopeDecode(f *testing.F) {
 	addEnvelopeSeeds(f)
 	// FuzzCacheLoad's checked-in findings exercise the same decoder; replay
@@ -115,5 +142,39 @@ func FuzzEnvelopeDecode(f *testing.F) {
 				t.Fatalf("Load committed key %q that DecodeEntries did not yield", key)
 			}
 		}
+		for _, e := range entries {
+			snapRows(e)
+		}
 	})
+}
+
+// fuzzMaxDim bounds the shapes snapRows builds a space for: enumerating the
+// divisors of a huge axis would time the fuzzer out, not find a crash.
+const fuzzMaxDim = 1024
+
+// snapRows does to an accepted entry's rows what a warm sweep's transfer pool
+// does — featurize each row on the entry's space and snap it as a seed —
+// where the entry's kind admits its shape. A row the decoder let through that
+// the engine cannot take panics here.
+func snapRows(e CacheEntry) {
+	s := e.Shape.shape()
+	if max(s.Batch, s.Cin, s.Hin, s.Win, s.Cout, s.Hker, s.Wker, s.Pad) > fuzzMaxDim {
+		return
+	}
+	kind, err := kindFromString(e.Kind)
+	if err != nil {
+		return
+	}
+	a, err := memsim.ByName(e.Arch)
+	if err != nil {
+		a = arch
+	}
+	sp, err := NewSpace(s, a, kind, 0, true)
+	if err != nil {
+		return
+	}
+	for _, h := range e.history() {
+		sp.Features(h.Config)
+		sp.Snap(h.Config)
+	}
 }

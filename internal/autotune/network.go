@@ -70,9 +70,6 @@ type NetworkOptions struct {
 	// cold. Verdicts remain deterministic for a fixed Tune.Seed at any
 	// worker count.
 	Warm bool
-	// WarmTopK is how many incumbent configurations each finished search
-	// contributes to the pool as warm seeds (default 4).
-	WarmTopK int
 	// Resume re-enters cached searches whose persisted engine state is
 	// shorter than Tune.Budget: the stored history replays (no repeat
 	// measurements) and the search continues with the remaining budget.
@@ -186,13 +183,16 @@ func Searches(arch memsim.Arch, layers []NetworkLayer, opts NetworkOptions) []Se
 }
 
 // poolRowCap bounds the transferred training rows per pool family; beyond
-// it, contributions add incumbent seeds only. poolSeedCapFactor bounds the
-// seeds a family accumulates (as a multiple of topK): every seed is
-// snapped and measured at the start of a warm search, so an uncapped list
-// — e.g. a primed cache with many entries per family — would flood the
-// budget with other layers' incumbents instead of leaving room to search.
+// it, contributions add incumbent seeds only. warmTopK is how many incumbent
+// configurations each finished search contributes as warm seeds, and
+// poolSeedCapFactor bounds the seeds a family accumulates (as a multiple of
+// warmTopK): every seed is snapped and measured at the start of a warm
+// search, so an uncapped list — e.g. a primed cache with many entries per
+// family — would flood the budget with other layers' incumbents instead of
+// leaving room to search.
 const (
 	poolRowCap        = 512
+	warmTopK          = 4
 	poolSeedCapFactor = 2
 )
 
@@ -217,7 +217,6 @@ func familyOf(kind Kind, s shapes.ConvShape) poolKey {
 // prior, behind its own sync.Once. memo, when set, is the cache's prior memo
 // the family priors of this pool's arch fit through.
 type transferPool struct {
-	topK     int
 	byFamily map[poolKey]*poolEntry
 	memo     *priorMemo
 	arch     string
@@ -342,11 +341,8 @@ func rowsDigest(x [][]float64, y []float64) [sha256.Size]byte {
 	return sha256.Sum256(buf)
 }
 
-func newTransferPool(topK int) *transferPool {
-	if topK < 1 {
-		topK = 4
-	}
-	return &transferPool{topK: topK, byFamily: make(map[poolKey]*poolEntry)}
+func newTransferPool() *transferPool {
+	return &transferPool{byFamily: make(map[poolKey]*poolEntry)}
 }
 
 func (p *transferPool) has(k poolKey) bool {
@@ -355,10 +351,10 @@ func (p *transferPool) has(k poolKey) bool {
 }
 
 // full reports a family at both caps — poolRowCap rows and
-// poolSeedCapFactor·topK seeds — to which contribute adds nothing.
+// poolSeedCapFactor·warmTopK seeds — to which contribute adds nothing.
 func (p *transferPool) full(k poolKey) bool {
 	pe := p.byFamily[k]
-	return pe != nil && len(pe.feats) >= poolRowCap && len(pe.seeds) >= poolSeedCapFactor*p.topK
+	return pe != nil && len(pe.feats) >= poolRowCap && len(pe.seeds) >= poolSeedCapFactor*warmTopK
 }
 
 // contribute folds one finished search into its family's pool: successful
@@ -391,8 +387,8 @@ func (p *transferPool) contribute(kind Kind, sp *Space, hist []MeasuredConfig) {
 		pe.feats = append(pe.feats, sp.Features(h.Config))
 		pe.costs = append(pe.costs, math.Log(h.M.Seconds)-mean)
 	}
-	for _, c := range topConfigs(hist, p.topK) {
-		if len(pe.seeds) >= poolSeedCapFactor*p.topK {
+	for _, c := range topConfigs(hist, warmTopK) {
+		if len(pe.seeds) >= poolSeedCapFactor*warmTopK {
 			break
 		}
 		pe.seeds = append(pe.seeds, c)
@@ -550,7 +546,7 @@ func (p sweepPlan) run(ctx context.Context, cache *Cache, opts NetworkOptions) e
 		// everything else, warm off the pool frozen after wave 0. Both
 		// waves fan across the workers; determinism holds because searches
 		// within a wave never feed each other.
-		pool := newTransferPool(opts.WarmTopK)
+		pool := newTransferPool()
 		pool.memo, pool.arch = &cache.priors, arch.Name
 		pool.prime(cache, arch, liveFamilies(tasks, live))
 		var wave0, wave1 []int

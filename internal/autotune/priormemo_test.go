@@ -122,7 +122,7 @@ func TestPrimeIgnoresLowerBudgetArrivals(t *testing.T) {
 	tune.Seed = 0
 	zoo := autotune.NewCache()
 	coldZooPass(t, tune, zoo)
-	want := autotune.PrimedFamilies(zoo, laneArch, 0, nil)
+	want := autotune.PrimedFamilies(zoo, laneArch, nil)
 	full := make(map[autotune.PoolFamily]bool)
 	for fam, f := range want {
 		if f.Full {
@@ -182,7 +182,7 @@ func TestPrimeIgnoresLowerBudgetArrivals(t *testing.T) {
 			if err := cache.PutEntries([]autotune.CacheEntry{e}); err != nil {
 				t.Fatal(err)
 			}
-			got := autotune.PrimedFamilies(cache, laneArch, 0, full)
+			got := autotune.PrimedFamilies(cache, laneArch, full)
 			for fam := range full {
 				if !reflect.DeepEqual(got[fam], want[fam]) {
 					t.Fatalf("order %d, arrival %d (%s %+v, budget %d): full family %+v primes other rows or seeds",

@@ -296,17 +296,6 @@ func (sp *Space) randomConfig(rng *rand.Rand) conv.Config {
 // Neighbor mutates one axis of a config to an adjacent admissible choice —
 // the random-walk step of the configuration explorer.
 func (sp *Space) Neighbor(c conv.Config, rng *rand.Rand) conv.Config {
-	return sp.NeighborBound(c, rng, math.Inf(1))
-}
-
-// NeighborBound is Neighbor with the searching domain further restricted
-// by the pruning oracle: moves into (Sb, e) tiers whose I/O-lower-bound-
-// implied time exceeds maxSeconds are rejected inside the retry loop —
-// before any cost model is consulted — so the walk is steered through
-// tiers that can still beat the incumbent while staying fully mobile (a
-// rejected direction retries another axis rather than stalling the step).
-// maxSeconds = +Inf reproduces Neighbor exactly, random draws included.
-func (sp *Space) NeighborBound(c conv.Config, rng *rand.Rand, maxSeconds float64) conv.Config {
 	for attempt := 0; attempt < 64; attempt++ {
 		n := c
 		moves := 8
@@ -342,8 +331,7 @@ func (sp *Space) NeighborBound(c conv.Config, rng *rand.Rand, maxSeconds float64
 			n.ThreadsX = sp.clampFactor(n.ThreadsX, n.TileX)
 			n.ThreadsY = sp.clampFactor(n.ThreadsY, n.TileY)
 		}
-		if n != c && sp.admissible(n) &&
-			(math.IsInf(maxSeconds, 1) || sp.BoundSeconds(n) <= maxSeconds) {
+		if n != c && sp.admissible(n) {
 			return n
 		}
 	}

@@ -341,14 +341,12 @@ func (r *record) stale(patience int) bool {
 //     order of their thread-free floor bound and stops at the first one
 //     whose bound cannot lower the running minimum.
 //   - Bound-guided pruning (unless opts.NoPrune): the I/O-lower-bound
-//     oracle (Space.BoundSeconds) runs inside proposal generation itself.
-//     Walkers reject Neighbor moves into (Sb, e) tiers whose floor already
-//     exceeds the incumbent before any model prediction, and the
-//     candidate pool is bound-filtered before the batched ranking
-//     prediction. The measurement batch asks the same predicate: nothing
-//     is measured between pool formation and the batch, so on a loop batch
-//     it cannot fire again — it is the only gate the Section 5 seed,
-//     transferred-seed and initial-random batches pass through.
+//     oracle (Space.BoundSeconds) filters the candidate pool as it forms,
+//     before the batched ranking prediction; the walkers themselves step
+//     freely, warm or cold. The measurement batch asks the same predicate:
+//     nothing is measured between pool formation and the batch, so on a
+//     loop batch it cannot fire again — it is the only gate the Section 5
+//     seed, transferred-seed and initial-random batches pass through.
 //     Provably-worse candidates are counted in Trace.Pruned. Because the
 //     bound is a true floor on every measurement, pruning can never
 //     discard a configuration that would have improved the verdict.
@@ -687,19 +685,6 @@ func TuneFallible(ctx context.Context, sp *Space, measure FallibleMeasurer, opts
 			}
 			pool[c] = true
 		}
-		// In-walk bound guidance, for warm-started searches: Neighbor moves
-		// into (Sb, e) tiers whose floor cannot beat the incumbent are
-		// rejected inside the step — before the model is consulted — and
-		// the walker retries another direction. Warm incumbents are near
-		// final from measurement #1, so the rejections steer walkers
-		// straight at the viable tiers; against a cold search's weak early
-		// incumbent the same restriction only injects trajectory variance
-		// (measured on the Figure 13 layers), so the cold walk stays free
-		// and relies on the pool filter below.
-		walkLimit := math.Inf(1)
-		if !opts.NoPrune && warm != nil && rec.found {
-			walkLimit = rec.trace.BestM.Seconds
-		}
 		starts := top.sorted(startsBuf)
 		startsBuf = starts
 		for i := 0; i < opts.Walkers; i++ {
@@ -710,7 +695,7 @@ func TuneFallible(ctx context.Context, sp *Space, measure FallibleMeasurer, opts
 			cur := start
 			curCost := view.predict(cur)
 			for step := 0; step < opts.WalkSteps; step++ {
-				next := sp.NeighborBound(cur, rng, walkLimit)
+				next := sp.Neighbor(cur, rng)
 				nextCost := view.predict(next)
 				if nextCost < curCost || rng.Float64() < 0.1 {
 					cur, curCost = next, nextCost

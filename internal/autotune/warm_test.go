@@ -92,9 +92,9 @@ func TestTuneNetworkWarmDeterministic(t *testing.T) {
 	}
 }
 
-// A warm-started Tune — transferred rows, seeds, in-walk bound steering —
-// is bit-identical (trace, curve, Pruned counter) for any measurement
-// worker count, like the cold engine.
+// A warm-started Tune — transferred rows and seeds — is bit-identical
+// (trace, curve, Pruned counter) for any measurement worker count, like the
+// cold engine.
 func TestWarmStartDeterministicAcrossWorkers(t *testing.T) {
 	donor := shapes.ConvShape{Batch: 1, Cin: 64, Hin: 14, Win: 14, Cout: 32, Hker: 3, Wker: 3, Strid: 1, Pad: 1}
 	dsp, err := NewSpace(donor, arch, Direct, 0, true)
@@ -105,7 +105,7 @@ func TestWarmStartDeterministicAcrossWorkers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pool := newTransferPool(4)
+	pool := newTransferPool()
 	pool.contribute(Direct, dsp, dtr.History)
 	warm := pool.warmFor(familyOf(Direct, donor))
 	if warm == nil || len(warm.Feats) == 0 || len(warm.Seeds) == 0 {
@@ -151,7 +151,7 @@ func TestWarmPoolPrimedFromCache(t *testing.T) {
 	if err := restored.Load(&buf); err != nil {
 		t.Fatal(err)
 	}
-	pool := newTransferPool(0)
+	pool := newTransferPool()
 	pool.prime(restored, arch, nil)
 	fam := familyOf(Direct, layers[1].Shape)
 	if !pool.has(fam) {
@@ -178,12 +178,12 @@ func TestWarmPoolSeedCap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pool := newTransferPool(4)
+	pool := newTransferPool()
 	for i := 0; i < 6; i++ {
 		pool.contribute(Direct, dsp, dtr.History)
 	}
 	w := pool.warmFor(familyOf(Direct, donor))
-	if got, max := len(w.Seeds), poolSeedCapFactor*4; got > max {
+	if got, max := len(w.Seeds), poolSeedCapFactor*warmTopK; got > max {
 		t.Errorf("pool accumulated %d seeds, cap is %d", got, max)
 	}
 }

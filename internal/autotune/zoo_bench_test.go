@@ -1,6 +1,7 @@
 package autotune_test
 
 import (
+	"fmt"
 	"math"
 	"sync/atomic"
 	"testing"
@@ -17,20 +18,23 @@ import (
 // bound are what is timed — the stage shares in ARCHITECTURE.md's
 // "Cost-model fast path" come from a CPU profile of this benchmark.
 //
-// Beside the time it reports the pass's three deterministic quality guards —
-// measurements, network_ms and bound_gap, the arithmetic of bench/oracle.go's
-// cold-zoo numbers — so a verdict-moving engine change is visible here
-// before bench/ runs, and refits/search, the cost-model fits the average
-// search of the pass paid for.
+// It runs one sub-benchmark per engine seed, seed=0 to seed=3: an engine
+// change that moves verdicts is judged on all four. Beside the time each
+// reports the pass's three deterministic quality guards — measurements,
+// network_ms and bound_gap, the arithmetic of bench/oracle.go's cold-zoo
+// numbers — so a verdict-moving engine change is visible here before bench/
+// runs, and refits/search, the cost-model fits the average search of the
+// pass paid for.
 func BenchmarkZooSweepCold(b *testing.B) {
-	tune := autotune.DefaultOptions()
-	tune.Seed = 0
-	var measurements atomic.Int64
-	tune.OnEvent = func(e autotune.Event) {
-		if e == autotune.EventMeasure {
-			measurements.Add(1)
-		}
+	for seed := int64(0); seed < 4; seed++ {
+		b.Run(fmt.Sprintf("seed=%d", seed), func(b *testing.B) { benchZooSweepCold(b, seed) })
 	}
+}
+
+func benchZooSweepCold(b *testing.B, seed int64) {
+	tune := autotune.DefaultOptions()
+	tune.Seed = seed
+	measurements := countMeasurements(&tune)
 	var sweeps [][]autotune.LayerVerdict
 	var searches []autotune.SearchTrace
 	b.ReportAllocs()
@@ -56,16 +60,18 @@ func BenchmarkZooSweepCold(b *testing.B) {
 // BenchmarkNovelSweepsWarm is a daemon that holds the zoo serving fresh
 // requests: 48 novel networks of 2–3 layers, tuned in order at budget 48 with
 // cmd/tuned's warm defaults against a cache the cold zoo pass filled outside
-// the timer. It reports ms/network, the family priors each network fitted —
-// the prior memo's misses plus the fits below the row cap, which bypass it —
-// and the geomean of the novel verdicts' simulated seconds, which a change
-// of the transfer pool's sources may move.
+// the timer. It reports ms/network, the measurements each network spent (the
+// warm path's guard), the family priors each network fitted — the prior
+// memo's misses plus the fits below the row cap, which bypass it — and the
+// geomean of the novel verdicts' simulated seconds, which a change of the
+// transfer pool's sources may move.
 func BenchmarkNovelSweepsWarm(b *testing.B) {
 	const count = 48
 	tune := autotune.DefaultOptions()
 	tune.Seed = 0
 	fresh := tune
 	fresh.Budget = 48
+	measurements := countMeasurements(&fresh)
 	opts := autotune.NetworkOptions{Tune: fresh, Winograd: true, Warm: true}
 	nets := novelNetworks(count)
 	var fits int
@@ -94,9 +100,23 @@ func BenchmarkNovelSweepsWarm(b *testing.B) {
 		fits += misses - zooMisses + below - zooBelow
 	}
 	b.ReportMetric(float64(b.Elapsed())/1e6/float64(b.N*count), "ms/network")
+	b.ReportMetric(float64(measurements.Load())/float64(b.N*count), "measurements/network")
 	b.ReportMetric(float64(fits)/float64(b.N*count), "fits/network")
 	b.ReportMetric(math.Exp(logSum/float64(layers)), "verdict_geomean_s")
-	b.Logf("fits %d over %d networks, verdict geomean %v s", fits, b.N*count, math.Exp(logSum/float64(layers)))
+	b.Logf("measurements %d, fits %d over %d networks, verdict geomean %v s",
+		measurements.Load(), fits, b.N*count, math.Exp(logSum/float64(layers)))
+}
+
+// countMeasurements makes tune count, on the returned counter, the
+// measurements its searches take.
+func countMeasurements(tune *autotune.Options) *atomic.Int64 {
+	n := new(atomic.Int64)
+	tune.OnEvent = func(e autotune.Event) {
+		if e == autotune.EventMeasure {
+			n.Add(1)
+		}
+	}
+	return n
 }
 
 // coldZooPass is one cold pass: the six zoo sweeps in order against cache —

@@ -329,10 +329,10 @@ type NetworkTuneOptions struct {
 	// Warm enables cross-layer warm-starting: finished layers feed a
 	// per-(arch, algorithm) transfer pool of normalized cost-model rows
 	// and incumbent configurations, and every subsequent layer starts from
-	// it — fitted model, transferred incumbents, in-walk bound steering —
-	// instead of cold. Repeated-geometry networks converge in a fraction
-	// of the measurements; verdicts stay deterministic for a fixed Seed at
-	// any worker count. A cache saved by a warm run carries engine state,
+	// it — fitted model and transferred incumbents — instead of cold.
+	// Repeated-geometry networks converge in a fraction of the
+	// measurements; verdicts stay deterministic for a fixed Seed at any
+	// worker count. A cache saved by a warm run carries engine state,
 	// so reloading it also rebuilds the pool.
 	Warm bool
 	// Resume re-enters cached layers whose persisted search state is
