@@ -130,7 +130,7 @@ func TestGBTCloneUpdatesIndependently(t *testing.T) {
 }
 
 // A prior rebuilt from a memo slot is TrainGBT on the same rows, bit for bit:
-// the same predictions, per-row state and presorted columns, and the same
+// the same predictions, per-row state and histogram ranks, and the same
 // model after two engine-style Updates. Four sweeps' priors that hit one slot
 // concurrently each get that model, and the slot's shared forest survives
 // their updates (the race detector checks the sharing).
@@ -164,8 +164,8 @@ func TestPriorMemoIsBitNeutral(t *testing.T) {
 	counts(1, 1, 0)
 	for name, m := range map[string]*GBTModel{"fitted": fitted, "rebuilt": rebuilt} {
 		if m.base != ref.base || !slices.Equal(m.nodes, ref.nodes) || !slices.Equal(m.roots, ref.roots) ||
-			!slices.Equal(m.pred, ref.pred) || !reflect.DeepEqual(m.cols, ref.cols) ||
-			!reflect.DeepEqual(m.vals, ref.vals) || !slices.Equal(m.cuts, ref.cuts) {
+			!slices.Equal(m.pred, ref.pred) || !reflect.DeepEqual(m.uniq, ref.uniq) ||
+			!slices.Equal(m.binOff, ref.binOff) || !slices.Equal(m.slot, ref.slot) {
 			t.Errorf("%s prior differs from TrainGBT on the same rows", name)
 		}
 		if got := update(m.clone()); got != wantUpdated {

@@ -73,7 +73,7 @@ func BenchmarkTuneEngine(b *testing.B) {
 //	full-retrain — the pre-rework strategy: a from-scratch 60-round fit
 //	               (per-node value sorts) after every batch
 //	warm-start   — the incremental strategy: one full fit, then 8-round
-//	               GBTModel.Update per batch on the presorted column index,
+//	               GBTModel.Update per batch on the ranked histogram bins,
 //	               with a from-scratch refresh when the forest hits its cap
 //
 // One op = consuming all batches of the same grown dataset.
@@ -117,7 +117,11 @@ func BenchmarkTrainGBTIncremental(b *testing.B) {
 // cap. That per-batch sequence is a trainer stress, not the engine's
 // schedule: TuneFallible refits when the rows have grown by an eighth (about
 // five Updates over the same 400 rows) and copies the 512-row fit from its
-// family's shared prior.
+// family's shared prior. Its rows are engine features (several near-continuous
+// columns), so most batches bring new distinct values and re-rank every row,
+// and the deepest level's histograms span hundreds of mostly empty bins: the
+// trainer's worst case on both counts. Compare ns/op and B/op against the
+// parent before a change to gbt.go reaches the engine benchmarks.
 func BenchmarkGBTRefit(b *testing.B) {
 	const prior, step, own = 512, 8, 400
 	x, y := benchRows(prior+own, 13)

@@ -1,7 +1,6 @@
 package autotune
 
 import (
-	"cmp"
 	"math"
 	"slices"
 )
@@ -13,10 +12,9 @@ import (
 // The trainer is built for the tuning loop's access pattern — the dataset
 // only ever grows, a small batch per engine iteration — so it supports
 // warm-start refits: Update keeps the fitted trees and boosts additional
-// rounds against the residuals over the grown dataset. Split finding runs on
-// per-feature presorted column indices that are built once and merged
-// incrementally as batches arrive, replacing the per-node value sort of a
-// naive implementation with a single prefix sweep per (node, feature).
+// rounds against the residuals over the grown dataset. Splits are found on
+// histograms (as in LightGBM) with one bin per distinct training value, so a
+// node sees exactly the cut points a sort of its members would give.
 
 // GBTConfig holds the boosting hyperparameters.
 type GBTConfig struct {
@@ -38,7 +36,7 @@ func DefaultGBTConfig() GBTConfig {
 // GBTModel is a fitted gradient-boosted tree ensemble predicting a scalar
 // cost (the tuner trains it on log simulated runtime). Beyond the trees it
 // retains its training state — rows, per-row ensemble predictions, and the
-// presorted columns — so Update can continue boosting where the last fit
+// rows' histogram ranks — so Update can continue boosting where the last fit
 // stopped.
 type GBTModel struct {
 	cfg  GBTConfig
@@ -51,14 +49,13 @@ type GBTModel struct {
 	x    [][]float64
 	y    []float64
 	pred []float64 // current ensemble prediction per training row
-	// Per feature, the training rows ordered by (value, row): cols holds the
-	// row ids and vals the values beside them, so the split search reads a
-	// column front to back instead of chasing x[row][f]. cuts is the
-	// column's distinct values minus one — the most cut points any node can
-	// see on that feature.
-	cols [][]int32
-	vals [][]float64
-	cuts []int
+	// uniq[f] holds feature f's distinct training values in ascending order,
+	// and its bin b is histogram slot binOff[f]+b. slot holds, row-major,
+	// every training row's bin slot per feature, so a histogram pass reads
+	// one int32 per (row, feature) and never x itself.
+	uniq   [][]float64
+	binOff []int32
+	slot   []int32
 
 	sc trainScratch
 }
@@ -79,17 +76,20 @@ type trainScratch struct {
 	resid   []float64  // per-row residual for the tree being fit
 	nodeOf  []int32    // per-row frontier-node id (-1 once settled in a leaf)
 	leafVal []float64  // per-row value of the leaf the row settled in
-	flatVal []float64  // column values grouped by node, in sorted order
-	flatRes []float64  // residuals aligned with flatVal
-	cur     []int      // per-node write cursor into the flat arrays
+	hist    []histBin  // histogram slots of binOff[len(uniq)] bins each
 	level   []growNode // the frontier being split
 	next    []growNode // its children
-	newIdx  []int32    // column-merge scratch for freshly ingested rows
+}
+
+// histBin sums the residuals of one node's rows that fall in one bin.
+type histBin struct {
+	n       int
+	sum, sq float64
 }
 
 // TrainGBT fits the ensemble on (x, y). It panics on empty or ragged
 // input. The returned model supports warm-start refits via Update. Feature
-// values must not be NaN: the columns are kept sorted.
+// values must not be NaN: each feature's distinct values are kept sorted.
 func TrainGBT(cfg GBTConfig, x [][]float64, y []float64) *GBTModel {
 	if len(x) == 0 || len(x) != len(y) {
 		panic("autotune: bad training set")
@@ -121,18 +121,17 @@ func (m *GBTModel) Update(x [][]float64, y []float64, rounds int) {
 }
 
 // clone returns an independent copy of the fitted model: everything a later
-// Update writes — the forest, the per-row predictions, the presorted columns
-// — is copied, the scratch starts empty, and the training rows, which no fit
-// ever writes, stay shared. Updating a clone is bit-identical to updating the
-// original and leaves the original untouched, so one fitted prior can seed
-// any number of concurrent searches (see sharedPrior).
+// Update writes — the forest, the per-row predictions, the ranks (copied, not
+// re-ranked) — is copied, the scratch starts empty, and the training rows,
+// which no fit ever writes, stay shared. Updating a clone is bit-identical to
+// updating the original and leaves the original untouched, so one fitted
+// prior can seed any number of concurrent searches (see sharedPrior).
 func (m *GBTModel) clone() *GBTModel {
 	c := &GBTModel{cfg: m.cfg, base: m.base, x: m.x, y: m.y,
-		nodes: slices.Clone(m.nodes), roots: slices.Clone(m.roots),
-		pred: slices.Clone(m.pred), cuts: slices.Clone(m.cuts),
-		cols: make([][]int32, len(m.cols)), vals: make([][]float64, len(m.vals))}
-	for f := range m.cols {
-		c.cols[f], c.vals[f] = slices.Clone(m.cols[f]), slices.Clone(m.vals[f])
+		nodes: slices.Clone(m.nodes), roots: slices.Clone(m.roots), pred: slices.Clone(m.pred),
+		uniq: make([][]float64, len(m.uniq)), binOff: slices.Clone(m.binOff), slot: slices.Clone(m.slot)}
+	for f, u := range m.uniq {
+		c.uniq[f] = slices.Clone(u)
 	}
 	return c
 }
@@ -145,13 +144,10 @@ func (m *GBTModel) NumTrees() int { return len(m.roots) }
 func (m *GBTModel) NumRows() int { return len(m.x) }
 
 // ingest adopts the grown dataset: it predicts the new rows under the
-// current forest and merges them into the presorted columns.
+// current forest and ranks them. A new distinct value moves the bins above
+// it, so a batch that brings one re-ranks every row.
 func (m *GBTModel) ingest(x [][]float64, y []float64) {
 	old := len(m.x)
-	if old == 0 {
-		nf := len(x[0])
-		m.cols, m.vals, m.cuts = make([][]int32, nf), make([][]float64, nf), make([]int, nf)
-	}
 	for i := old; i < len(x); i++ {
 		m.pred = append(m.pred, m.Predict(x[i]))
 	}
@@ -159,53 +155,33 @@ func (m *GBTModel) ingest(x [][]float64, y []float64) {
 	if old == len(x) {
 		return
 	}
-	for f := range m.cols {
-		m.mergeColumn(f, old)
+	nf := len(x[0])
+	if old == 0 {
+		m.uniq, m.binOff = make([][]float64, nf), make([]int32, nf+1)
 	}
-}
-
-// mergeColumn extends one presorted column with rows old..len(x)-1: the new
-// ids are sorted by (value, row) and merged from the back into the (possibly
-// regrown) backing arrays, so steady-state updates reuse storage.
-func (m *GBTModel) mergeColumn(f, old int) {
-	n := len(m.x)
-	x := m.x
-	idx := m.sc.newIdx[:0]
-	for r := old; r < n; r++ {
-		idx = append(idx, int32(r))
-	}
-	m.sc.newIdx = idx
-	slices.SortFunc(idx, func(a, b int32) int {
-		if c := cmp.Compare(x[a][f], x[b][f]); c != 0 {
-			return c
+	first := old // the first row to rank
+	for f, u := range m.uniq {
+		known := len(u)
+		for _, row := range x[old:] {
+			if _, ok := slices.BinarySearch(u[:known], row[f]); !ok {
+				u = append(u, row[f])
+			}
 		}
-		return cmp.Compare(a, b)
-	})
-	col, val := grow(m.cols[f], n), grow(m.vals[f], n)
-	m.cols[f], m.vals[f] = col, val
-	// Backward merge: fill positions n-1..0 from the tails of the old column
-	// and the new batch; positions below the write cursor are still unread
-	// old entries, so the merge is safely in place. Every new row id is above
-	// every old one, so an old entry orders after a new one only on a
-	// strictly larger value.
-	i, j := old-1, len(idx)-1
-	for w := n - 1; j >= 0; w-- {
-		r := idx[j]
-		if v := x[r][f]; i >= 0 && val[i] > v {
-			col[w], val[w] = col[i], val[i]
-			i--
-		} else {
-			col[w], val[w] = r, v
-			j--
+		if len(u) > known {
+			slices.Sort(u)
+			m.uniq[f], first = slices.Compact(u), 0
 		}
 	}
-	cuts := 0
-	for k := 1; k < n; k++ {
-		if val[k] != val[k-1] {
-			cuts++
+	for f, u := range m.uniq {
+		m.binOff[f+1] = m.binOff[f] + int32(len(u))
+	}
+	m.slot = grow(m.slot, len(x)*nf)
+	for i := first; i < len(x); i++ {
+		for f, u := range m.uniq {
+			b, _ := slices.BinarySearch(u, x[i][f])
+			m.slot[i*nf+f] = m.binOff[f] + int32(b)
 		}
 	}
-	m.cuts[f] = cuts
 }
 
 // boost fits rounds more trees on the current residuals. The grower leaves
@@ -225,8 +201,9 @@ type growNode struct {
 	at    int32 // the node's slot in GBTModel.nodes
 	id    int32 // its number among this level's splitters, -1 once settled
 	child int32 // next-level number of its left child (right is +1), -1 for a leaf
+	hist  int32 // its histogram slot; children start out in their parent's
+	from  int32 // -1: filled from its rows; else its sibling's slot, subtracted from the parent's
 	count int
-	off   int     // where its segment starts in the flat arrays
 	sum   float64 // residual sum over members, accumulated in row order
 	sumSq float64
 
@@ -241,25 +218,29 @@ func (m *GBTModel) settle(node *growNode) {
 }
 
 // fitTree grows one regression tree on the residuals y − pred and appends
-// it to the forest, level by level: each level distributes every feature
-// column (already sorted) into per-node segments with one linear pass, finds
-// each node's best split with a prefix sweep over its segment, and reassigns
-// rows to the children in a single row-order pass. No sorting happens per
-// node. A row that stops in a leaf has the leaf's value written to
-// sc.leafVal: the reassignment sends x > threshold right and everything else
-// left, which is the walk Predict takes (x <= threshold left), so leafVal[i]
-// is exactly the new tree's prediction for row i.
+// it to the forest, level by level: each level fills its splitters'
+// histograms in one row-order pass, sweeps each node's bins per feature for
+// its best split, and reassigns rows to the children in one row-order pass.
+// A row that stops in a leaf has the leaf's value written to sc.leafVal: the
+// reassignment sends x > threshold right and everything else left, which is
+// the walk Predict takes (x <= threshold left), so leafVal[i] is exactly the
+// new tree's prediction for row i.
 func (m *GBTModel) fitTree() {
 	n := len(m.x)
 	cfg := m.cfg
 	sc := &m.sc
+	nf := len(m.uniq)
+	nb := int(m.binOff[nf])
 	sc.resid = grow(sc.resid, n)
 	sc.nodeOf = grow(sc.nodeOf, n)
 	sc.leafVal = grow(sc.leafVal, n)
-	sc.flatVal = grow(sc.flatVal, n)
-	sc.flatRes = grow(sc.flatRes, n)
+	if cfg.MaxDepth > 0 { // the root's slot and one per split whose children both split
+		sc.hist = grow(sc.hist, min(1<<min(cfg.MaxDepth-1, 30), n)*nb)
+	}
+	hist := func(s int32) []histBin { return sc.hist[int(s)*nb:][:nb] }
 
-	root := growNode{at: int32(len(m.nodes))}
+	root := growNode{at: int32(len(m.nodes)), from: -1}
+	slots := int32(1) // the root holds slot 0
 	m.roots = append(m.roots, root.at)
 	m.nodes = append(m.nodes, treeNode{})
 	for i := 0; i < n; i++ {
@@ -272,10 +253,7 @@ func (m *GBTModel) fitTree() {
 	}
 	level, next := append(sc.level[:0], root), sc.next[:0]
 
-	kThr := cfg.Thresholds
-	if kThr < 1 {
-		kThr = 1
-	}
+	kThr := max(cfg.Thresholds, 1)
 	for depth := 0; ; depth++ {
 		// Settle the nodes that may not split (depth or sample limits, as in
 		// a plain recursive grower) and number the splitters 0..k-1.
@@ -307,56 +285,63 @@ func (m *GBTModel) fitTree() {
 		if splitters == 0 {
 			break
 		}
-		// Compact the frontier to just the splitters and lay out their
-		// segments.
+		// Siblings start in their parent's slot. When both split, the larger
+		// keeps it as parent − smaller and the smaller is filled in a fresh
+		// slot; a lone splitter refills it.
+		if depth == 0 {
+			clear(hist(0))
+		}
+		for q := 0; depth > 0 && q < len(level); q += 2 {
+			a, b := &level[q], &level[q+1]
+			if b.id >= 0 && (a.id < 0 || b.count < a.count) {
+				a, b = b, a
+			}
+			if a.from = -1; a.id >= 0 && b.id >= 0 {
+				a.hist, b.from, slots = slots, slots, slots+1
+			}
+			if a.id >= 0 {
+				clear(hist(a.hist))
+			}
+		}
+		// Compact the frontier to just the splitters.
 		frontier := level[:0]
-		off := 0
 		for g := range level {
 			if node := level[g]; node.id >= 0 {
-				node.off, node.bestFeat, node.bestGain = off, -1, 0
-				off += node.count
+				node.bestFeat, node.bestGain = -1, 0
 				frontier = append(frontier, node)
 			}
 		}
 		level = frontier
 
-		// Split search: one pass per feature distributes the presorted
-		// column into per-node segments; each segment is then swept once. A
-		// constant column offers no cut. At depth 0 the one node holds every
-		// row, so the column is its own segment and only the residuals are
-		// gathered.
-		cur := grow(sc.cur, len(level))
-		sc.cur = cur
-		for f, col := range m.cols {
-			if m.cuts[f] == 0 {
+		// Fill the histograms, then subtract the larger siblings'.
+		for i := 0; i < n; i++ {
+			g := sc.nodeOf[i]
+			if g < 0 || level[g].from >= 0 {
 				continue
 			}
-			vals := m.vals[f]
-			exact := m.cuts[f] <= kThr
-			if depth == 0 {
-				for k, r := range col {
-					sc.flatRes[k] = sc.resid[r]
+			h, r := hist(level[g].hist), sc.resid[i]
+			for _, s := range m.slot[i*nf:][:nf] {
+				b := &h[s]
+				b.n++
+				b.sum += r
+				b.sq += r * r
+			}
+		}
+		for j := range level {
+			if node := &level[j]; node.from >= 0 {
+				h, s := hist(node.hist), hist(node.from)
+				for k := range h {
+					h[k] = histBin{h[k].n - s[k].n, h[k].sum - s[k].sum, h[k].sq - s[k].sq}
 				}
-				sweepSegment(&level[0], f, vals, sc.flatRes, kThr, exact)
-				continue
 			}
-			for j := range level {
-				cur[j] = level[j].off
-			}
-			for k, r := range col {
-				g := sc.nodeOf[r]
-				if g < 0 {
-					continue
-				}
-				w := cur[g]
-				sc.flatVal[w] = vals[k]
-				sc.flatRes[w] = sc.resid[r]
-				cur[g] = w + 1
-			}
-			for j := range level {
-				node := &level[j]
-				end := node.off + node.count
-				sweepSegment(node, f, sc.flatVal[node.off:end], sc.flatRes[node.off:end], kThr, exact)
+		}
+
+		// Split search: one sweep over each node's bins per feature.
+		for j := range level {
+			node := &level[j]
+			h := hist(node.hist)
+			for f, u := range m.uniq {
+				sweepHist(node, f, h[m.binOff[f]:m.binOff[f+1]], u, kThr)
 			}
 		}
 
@@ -374,7 +359,7 @@ func (m *GBTModel) fitTree() {
 			m.nodes = append(m.nodes, treeNode{}, treeNode{})
 			m.nodes[node.at] = treeNode{feature: int32(node.bestFeat), left: left, value: node.bestThr}
 			node.child = int32(len(next))
-			next = append(next, growNode{at: left}, growNode{at: left + 1})
+			next = append(next, growNode{at: left, hist: node.hist}, growNode{at: left + 1, hist: node.hist})
 		}
 		for i := 0; i < n; i++ {
 			j := sc.nodeOf[i]
@@ -403,56 +388,54 @@ func (m *GBTModel) fitTree() {
 	sc.level, sc.next = level, next
 }
 
-// sweepSegment finds the best split of one node on one feature. vals/res
-// hold the node's members in ascending value order; candidate thresholds
-// are up to kThr midpoints between distinct adjacent values (stride-
-// subsampled exactly like a sorted-uniques scan), and each candidate's
-// gain comes from running prefix sums — one linear sweep replaces the
-// per-threshold passes of a naive grower. Ties keep the first (lowest
-// feature, lowest threshold) candidate, matching in-order search. exact
-// says the whole column has at most kThr cut points, so no node's segment
-// can have more and the stride is 1 without counting.
-func sweepSegment(node *growNode, f int, vals, res []float64, kThr int, exact bool) {
+// sweepHist finds the best split of one node on one feature from the node's
+// histogram h over the feature's distinct values u. The candidate thresholds
+// are up to kThr midpoints between adjacent non-empty bins (stride-subsampled
+// exactly like a sorted-uniques scan), and each candidate's gain comes from
+// running prefix sums over the bins. Ties keep the first (lowest feature,
+// lowest threshold) candidate, matching in-order search; a constant feature
+// offers none. A node has fewer cut points than rows and no more than its
+// feature, so the stride is 1 without counting unless both exceed kThr.
+func sweepHist(node *growNode, f int, h []histBin, u []float64, kThr int) {
 	step := 1
-	if !exact {
-		cuts := 0
-		for i := 1; i < len(vals); i++ {
-			if vals[i] != vals[i-1] {
+	if len(u)-1 > kThr && node.count-1 > kThr {
+		cuts := -1
+		for _, b := range h {
+			if b.n > 0 {
 				cuts++
 			}
 		}
-		if cuts > kThr {
-			step = cuts / kThr
-		}
+		step = max(cuts/kThr, 1)
 	}
 	total, totalSq := node.sum, node.sumSq
 	baseSSE := totalSq - total*total/float64(node.count)
 	var lSum, lSq float64
 	lN := 0
-	wait := 0 // cut points still to pass over before the next candidate
-	for i := 0; i < len(vals); {
-		v := vals[i]
-		for i < len(vals) && vals[i] == v {
-			r := res[i]
-			lSum += r
-			lSq += r * r
-			lN++
-			i++
+	last := -1 // the last non-empty bin passed
+	wait := 0  // cut points still to pass over before the next candidate
+	for b := range h {
+		if h[b].n == 0 {
+			continue
 		}
-		if i >= len(vals) {
+		if last >= 0 {
+			if wait == 0 {
+				wait = step
+				rN := node.count - lN
+				rSum := total - lSum
+				rSq := totalSq - lSq
+				sse := (lSq - lSum*lSum/float64(lN)) + (rSq - rSum*rSum/float64(rN))
+				if gain := baseSSE - sse; gain > node.bestGain+1e-12 {
+					node.bestFeat, node.bestThr, node.bestGain = f, (u[last]+u[b])/2, gain
+				}
+			}
+			wait--
+		}
+		lSum += h[b].sum
+		lSq += h[b].sq
+		if lN += h[b].n; lN == node.count {
 			break
 		}
-		if wait == 0 {
-			wait = step
-			rN := node.count - lN
-			rSum := total - lSum
-			rSq := totalSq - lSq
-			sse := (lSq - lSum*lSum/float64(lN)) + (rSq - rSum*rSum/float64(rN))
-			if gain := baseSSE - sse; gain > node.bestGain+1e-12 {
-				node.bestFeat, node.bestThr, node.bestGain = f, (v+vals[i])/2, gain
-			}
-		}
-		wait--
+		last = b
 	}
 }
 

@@ -71,7 +71,7 @@ func gbtGoldenHash(m *GBTModel, probes [][]float64) uint64 {
 // first n rows, then 30 steps of 8 fresh rows and 8 fresh rounds, with a
 // from-scratch retrain whenever the forest would pass 4*Trees — and writes
 // one line per fit. Every fifth step adds no rows (an Update on an unchanged
-// dataset must leave the column index alone).
+// dataset must leave the rank tables alone).
 func gbtGoldenRun(b *bytes.Buffer, tag string, cfg GBTConfig, n int, probes [][]float64) {
 	const steps, batch = 30, 8
 	x, y := gbtGoldenRows(n+steps*batch, int64(1000+n))

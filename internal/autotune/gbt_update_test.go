@@ -3,12 +3,14 @@ package autotune
 import (
 	"math"
 	"math/rand"
+	"reflect"
+	"slices"
 	"testing"
 )
 
 // synthRows builds a deterministic synthetic regression set with mixed
 // continuous and quantized features — quantized columns produce the massed
-// value ties the column-index trainer must handle.
+// value ties the histogram trainer must handle.
 func synthRows(n int, seed int64) ([][]float64, []float64) {
 	rng := rand.New(rand.NewSource(seed))
 	x := make([][]float64, n)
@@ -90,7 +92,7 @@ func TestGBTUpdateRejectsShrunkDataset(t *testing.T) {
 	m.Update(x[:10], y[:10], 4)
 }
 
-// The column-index trainer must behave identically whether ties abound or
+// The histogram trainer must behave identically whether ties abound or
 // not; a constant feature must never be chosen as a split.
 func TestGBTConstantFeatureIgnored(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
@@ -109,5 +111,124 @@ func TestGBTConstantFeatureIgnored(t *testing.T) {
 	}
 	if rmse := m.RMSE(x, y); rmse > 0.05 {
 		t.Errorf("RMSE %v too high on a linear single-feature target", rmse)
+	}
+}
+
+// The histogram trainer against its reference: over random datasets mixing
+// row counts, widths, column cardinalities around the threshold count and
+// continuous columns, TrainGBT and the sort-per-node legacyTrainGBT predict
+// every training row bit for bit. Only the order in which the gain's prefix
+// sums are added differs between the two, so a split could flip only on two
+// candidates whose gains sit within rounding of each other.
+func TestTrainGBTMatchesLegacy(t *testing.T) {
+	rng := rand.New(rand.NewSource(33))
+	deep := GBTConfig{Trees: 20, MaxDepth: 6, MinSamples: 2, LearningRate: 0.1, Thresholds: 3, UpdateTrees: 8}
+	levels := []int{1, 2, 3, 5, 16, 17, 40, 0} // 0: continuous
+	for ds := 0; ds < 300; ds++ {
+		// Rows are log-uniform over 1–400: the small sets hold the edge cases
+		// (a root below MinSamples, one-row leaves), and they are cheap.
+		n, nf := int(math.Exp(rng.Float64()*math.Log(401))), 1+rng.Intn(10)
+		card := make([]int, nf)
+		for f := range card {
+			card[f] = levels[rng.Intn(len(levels))]
+		}
+		x, y := make([][]float64, n), make([]float64, n)
+		for i := range x {
+			x[i] = make([]float64, nf)
+			for f, l := range card {
+				if l == 0 {
+					x[i][f] = rng.Float64()*4 - 2
+				} else {
+					x[i][f] = float64(rng.Intn(l)) / 4
+				}
+				y[i] += float64(f%3-1) * x[i][f] * x[i][f%2]
+			}
+			y[i] += 0.1 * rng.NormFloat64()
+		}
+		cfg := DefaultGBTConfig()
+		if ds%2 == 1 {
+			cfg = deep
+		}
+		got, want := TrainGBT(cfg, x, y), legacyTrainGBT(cfg, x, y)
+		for i, row := range x {
+			if a, b := got.Predict(row), want.Predict(row); math.Float64bits(a) != math.Float64bits(b) {
+				t.Fatalf("dataset %d (%d rows, cardinalities %v, MaxDepth %d): row %d predicts %v, legacy %v",
+					ds, n, card, cfg.MaxDepth, i, a, b)
+			}
+		}
+	}
+}
+
+// The rank tables under growth: Update batches bring values below, between
+// and above the known ones, a batch brings nothing new, and a column that was
+// constant starts to vary. After every batch the distinct values, the bin
+// offsets and the rows' slots equal a fresh ingest of the same rows, and a
+// clone updated with the batch first leaves its source's tables as they were
+// (the clone owns copies: growing a shared uniq in place would corrupt the
+// source).
+func TestIngestRanksMatchFreshIngest(t *testing.T) {
+	cfg := DefaultGBTConfig()
+	rng := rand.New(rand.NewSource(8))
+	var x [][]float64
+	var y []float64
+	add := func(col0 []float64, col1 float64) {
+		for _, v := range col0 {
+			x = append(x, []float64{v, col1, rng.Float64()})
+			y = append(y, v+col1+rng.NormFloat64())
+		}
+	}
+	add([]float64{10, 20, 30, 10, 20, 30, 20, 20}, 5)
+	type tables struct {
+		uniq   [][]float64
+		binOff []int32
+		slot   []int32
+	}
+	copyOf := func(m *GBTModel) tables {
+		tb := tables{binOff: slices.Clone(m.binOff), slot: slices.Clone(m.slot[:len(m.x)*len(m.uniq)])}
+		for _, u := range m.uniq {
+			tb.uniq = append(tb.uniq, slices.Clone(u))
+		}
+		return tb
+	}
+	check := func(step string, m *GBTModel) {
+		t.Helper()
+		fresh := &GBTModel{cfg: cfg}
+		fresh.ingest(m.x, m.y)
+		if got, want := copyOf(m), copyOf(fresh); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: ranks %+v, a fresh ingest of the same rows %+v", step, got, want)
+		}
+	}
+	m := TrainGBT(cfg, x, y)
+	check("fit", m)
+	for _, batch := range []struct {
+		name string
+		col0 []float64
+		col1 float64
+	}{
+		{"below", []float64{0, 5, 0}, 5},
+		{"between", []float64{15, 25, 12}, 5},
+		{"above", []float64{40, 50}, 5},
+		{"nothing new", []float64{10, 20, 50}, 5},
+		{"constant column varies", []float64{10, 30}, 7},
+		{"below again", []float64{-1}, 3},
+	} {
+		// Column 2 is continuous, so only a batch that copies it from known
+		// rows brings no new value.
+		n := len(x)
+		add(batch.col0, batch.col1)
+		if batch.name == "nothing new" {
+			for i := n; i < len(x); i++ {
+				x[i][2] = x[i-n][2]
+			}
+		}
+		src := copyOf(m)
+		c := m.clone()
+		c.Update(x, y, cfg.UpdateTrees)
+		if got := copyOf(m); !reflect.DeepEqual(got, src) {
+			t.Fatalf("%s: a clone's Update moved its source's ranks", batch.name)
+		}
+		check(batch.name+" (clone)", c)
+		m.Update(x, y, cfg.UpdateTrees)
+		check(batch.name, m)
 	}
 }

@@ -286,7 +286,7 @@ type priorFit struct {
 // fit returns TrainGBT(cfg, x, y), bit for bit. On a slot hit it rebuilds the
 // model from the stored forest and ingests the rows: ingest predicts each row
 // as base + Σ lr·leaf in tree order — exactly the sum boost advanced the
-// row's prediction by — and builds the presorted columns from x alone. The
+// row's prediction by — and ranks the rows' histogram bins from x alone. The
 // rebuilt model shares the slot's forest, clipped so that an append would
 // reallocate; the sweep only ever clones it anyway.
 func (m *priorMemo) fit(k priorKey, cfg GBTConfig, x [][]float64, y []float64) *GBTModel {
