@@ -12,9 +12,10 @@ import (
 	"repro/internal/shapes"
 )
 
-// These tests pin the two seams of the amortised cost model: the copy a
-// search takes of its family's shared prior (GBTModel.clone, sharedPrior)
-// and the refit cadence of TuneFallible (refitDue, Trace.Refits).
+// These tests pin the two seams of the amortised cost model: the family's
+// shared prior a search borrows and the copy it takes to refit (sharedPrior,
+// GBTModel.clone), and the refit cadence of TuneFallible (refitDue,
+// Trace.Refits).
 
 // resnet18Layers is ResNet-18 as internal/models lists it (that package
 // imports this one, so the table is repeated here).
@@ -106,8 +107,8 @@ func TestGBTCloneUpdatesIndependently(t *testing.T) {
 			got, prior.NumRows(), prior.NumTrees(), wantPrior)
 	}
 
-	// The sweep's way in: searches on several workers take from one
-	// sharedPrior, the first of them fitting it.
+	// The sweep's way in: searches on several workers borrow one
+	// sharedPrior, the first of them fitting it, and each updates a clone.
 	var shared sharedPrior
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
@@ -118,7 +119,7 @@ func TestGBTCloneUpdatesIndependently(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if got := update(shared.take(cfg, xa[:n], ya[:n]), x, y); got != want {
+			if got := update(shared.borrow(cfg, xa[:n], ya[:n]).clone(), x, y); got != want {
 				t.Errorf("concurrent taker predicts %016x, want %016x", got, want)
 			}
 		}()
@@ -129,11 +130,14 @@ func TestGBTCloneUpdatesIndependently(t *testing.T) {
 	}
 }
 
-// A prior rebuilt from a memo slot is TrainGBT on the same rows, bit for bit:
-// the same predictions, per-row state and histogram ranks, and the same
-// model after two engine-style Updates. Four sweeps' priors that hit one slot
-// concurrently each get that model, and the slot's shared forest survives
-// their updates (the race detector checks the sharing).
+// A prior memo hit is TrainGBT on the same rows to every search that only
+// predicts: the slot's bare forest holding the rows, predicting what TrainGBT
+// does, with no per-row predictions or ranks. A clone of it gets TrainGBT's
+// per-row state and histogram ranks bit for bit on its first Update, and the
+// same model after two engine-style Updates. Four sweeps' priors that hit one
+// slot concurrently each borrow that forest and update a clone, and the
+// slot's shared forest survives their updates (the race detector checks the
+// sharing).
 func TestPriorMemoIsBitNeutral(t *testing.T) {
 	const n, grown = poolRowCap, poolRowCap + 80
 	cfg := DefaultGBTConfig()
@@ -159,10 +163,8 @@ func TestPriorMemoIsBitNeutral(t *testing.T) {
 				memo.hits, memo.misses, memo.belowCap, hits, misses, belowCap)
 		}
 	}
-	fitted := memo.fit(key, cfg, x[:n], y[:n])
-	rebuilt := memo.fit(key, cfg, x[:n], y[:n])
-	counts(1, 1, 0)
-	for name, m := range map[string]*GBTModel{"fitted": fitted, "rebuilt": rebuilt} {
+	sameState := func(name string, m *GBTModel) {
+		t.Helper()
 		if m.base != ref.base || !slices.Equal(m.nodes, ref.nodes) || !slices.Equal(m.roots, ref.roots) ||
 			!slices.Equal(m.pred, ref.pred) || !reflect.DeepEqual(m.uniq, ref.uniq) ||
 			!slices.Equal(m.binOff, ref.binOff) || !slices.Equal(m.slot, ref.slot) {
@@ -171,6 +173,26 @@ func TestPriorMemoIsBitNeutral(t *testing.T) {
 		if got := update(m.clone()); got != wantUpdated {
 			t.Errorf("%s prior updated predicts %016x, TrainGBT updated %016x", name, got, wantUpdated)
 		}
+	}
+	sameState("fitted", memo.fit(key, cfg, x[:n], y[:n]))
+	bare := memo.fit(key, cfg, x[:n], y[:n])
+	counts(1, 1, 0)
+	if bare.base != ref.base || !slices.Equal(bare.nodes, ref.nodes) || !slices.Equal(bare.roots, ref.roots) ||
+		gbtGoldenHash(bare, probes) != wantFit || bare.NumRows() != n {
+		t.Errorf("a memo hit predicts %016x over %d rows, TrainGBT %016x over %d",
+			gbtGoldenHash(bare, probes), bare.NumRows(), wantFit, n)
+	}
+	if bare.pred != nil || bare.uniq != nil || bare.binOff != nil || bare.slot != nil {
+		t.Errorf("a memo hit carries training state: %d predictions, %d rank columns", len(bare.pred), len(bare.uniq))
+	}
+	if got := update(bare.clone()); got != wantUpdated {
+		t.Errorf("a memo hit's clone updated predicts %016x, TrainGBT updated %016x", got, wantUpdated)
+	}
+	ingested := bare.clone()
+	ingested.Update(x[:n], y[:n], 0) // the ingest every Update starts with
+	sameState("ingested", ingested)
+	if bare.pred != nil || gbtGoldenHash(bare, probes) != wantFit {
+		t.Error("updating a memo hit's clones moved the bare forest")
 	}
 
 	// Below the cap nothing is memoized, only counted; a changed row set misses and takes
@@ -191,8 +213,8 @@ func TestPriorMemoIsBitNeutral(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			p := &sharedPrior{memo: &memo, key: key}
-			if got := update(p.take(cfg, x[:n], y[:n])); got != wantUpdated {
-				t.Errorf("concurrent memo taker predicts %016x, want %016x", got, wantUpdated)
+			if got := update(p.borrow(cfg, x[:n], y[:n]).clone()); got != wantUpdated {
+				t.Errorf("concurrent memo hit's clone predicts %016x, want %016x", got, wantUpdated)
 			}
 		}()
 	}
@@ -203,11 +225,65 @@ func TestPriorMemoIsBitNeutral(t *testing.T) {
 	}
 }
 
-// Sharing moves nothing: every warm search of a ResNet-18 sweep — which took
-// a copy of its family's one prior — has the trace of the same search handed
-// the same transferred rows with no shared entry, fitting its own prior. The
-// reference rebuilds the sweep's schedule by hand (the first search of each
-// family runs cold and feeds the pool), so it checks that too.
+// One sweep's family prior, a memo hit, read by six searches at once: four
+// borrow it and predict, two take a clone, as a search does on its first
+// refit, and Update it twice. Borrowers predict what TrainGBT does, takers end
+// where TrainGBT updated twice does, the prior is fitted once, and the shared
+// forest neither moves nor gains training state (the race detector checks
+// the sharing).
+func TestSharedPriorBorrowThenTake(t *testing.T) {
+	const n, grown = poolRowCap, poolRowCap + 80
+	cfg := DefaultGBTConfig()
+	probes := gbtGoldenProbes()
+	x, y := gbtGoldenRows(grown, 59)
+	ref := TrainGBT(cfg, x[:n], y[:n])
+	wantFit := gbtGoldenHash(ref, probes)
+	updated := ref.clone()
+	updated.Update(x[:n+40], y[:n+40], cfg.UpdateTrees)
+	updated.Update(x, y, cfg.UpdateTrees)
+	wantUpdated := gbtGoldenHash(updated, probes)
+
+	var memo priorMemo
+	key := priorKey{arch.Name, familyOf(Direct, layer())}
+	memo.fit(key, cfg, x[:n], y[:n]) // an earlier sweep's fit fills the slot
+	p := &sharedPrior{memo: &memo, key: key}
+	var wg sync.WaitGroup
+	for g := 0; g < 6; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			m := p.borrow(cfg, x[:n], y[:n])
+			if g < 4 {
+				if got := gbtGoldenHash(m, probes); got != wantFit || m.NumRows() != n {
+					t.Errorf("borrower predicts %016x over %d rows, TrainGBT %016x over %d", got, m.NumRows(), wantFit, n)
+				}
+				return
+			}
+			m = m.clone()
+			m.Update(x[:n+40], y[:n+40], cfg.UpdateTrees)
+			m.Update(x, y, cfg.UpdateTrees)
+			if got := gbtGoldenHash(m, probes); got != wantUpdated {
+				t.Errorf("taker updated predicts %016x, TrainGBT updated %016x", got, wantUpdated)
+			}
+		}()
+	}
+	wg.Wait()
+	if memo.hits != 1 || memo.misses != 1 {
+		t.Errorf("memo counted %d hits, %d misses; want the one borrowed fit to hit", memo.hits, memo.misses)
+	}
+	if got := gbtGoldenHash(p.model, probes); got != wantFit || p.model.NumTrees() != cfg.Trees ||
+		p.model.pred != nil || p.model.uniq != nil || p.model.slot != nil {
+		t.Errorf("the shared forest moved: %016x, %d trees, %d predictions; was %016x, %d trees, none",
+			got, p.model.NumTrees(), len(p.model.pred), wantFit, cfg.Trees)
+	}
+}
+
+// Sharing moves nothing: every warm search of a ResNet-18 sweep — which
+// borrowed its family's one prior and copied it to refit — has the trace of
+// the same search handed the same transferred rows with no shared entry,
+// fitting its own prior. The reference rebuilds the sweep's schedule by hand
+// (the first search of each family runs cold and feeds the pool), so it
+// checks that too.
 func TestSharedPriorIsBitNeutral(t *testing.T) {
 	opts := warmSweepOpts(4)
 	plan := runSweep(t, resnet18Layers(), opts)

@@ -145,9 +145,10 @@ func (m *GBTModel) NumRows() int { return len(m.x) }
 
 // ingest adopts the grown dataset: it predicts the new rows under the
 // current forest and ranks them. A new distinct value moves the bins above
-// it, so a batch that brings one re-ranks every row.
+// it, so a batch that brings one re-ranks every row. A row counts as ingested
+// once predicted, so a bare forest (priorMemo.fit) ingests all its rows.
 func (m *GBTModel) ingest(x [][]float64, y []float64) {
-	old := len(m.x)
+	old := len(m.pred)
 	for i := old; i < len(x); i++ {
 		m.pred = append(m.pred, m.Predict(x[i]))
 	}

@@ -232,3 +232,30 @@ func TestIngestRanksMatchFreshIngest(t *testing.T) {
 		check(batch.name, m)
 	}
 }
+
+// A bare forest — TrainGBT's trees over its rows with no per-row predictions
+// or ranks, as a prior memo hit hands it out — ingests every row on its first
+// Update: updated twice, it is TrainGBT updated twice bit for bit, per-row
+// predictions included, and its rank tables are a fresh ingest's.
+func TestGBTUpdateOfBareForest(t *testing.T) {
+	const n, grown = 200, 280
+	cfg := DefaultGBTConfig()
+	probes := gbtGoldenProbes()
+	x, y := gbtGoldenRows(grown, 53)
+	ref := TrainGBT(cfg, x[:n], y[:n])
+	bare := &GBTModel{cfg: cfg, base: ref.base, nodes: slices.Clone(ref.nodes), roots: slices.Clone(ref.roots),
+		x: x[:n], y: y[:n]}
+	for _, m := range []*GBTModel{ref, bare} {
+		m.Update(x[:n+40], y[:n+40], cfg.UpdateTrees)
+		m.Update(x, y, cfg.UpdateTrees)
+	}
+	if got, want := gbtGoldenHash(bare, probes), gbtGoldenHash(ref, probes); got != want ||
+		!slices.Equal(bare.nodes, ref.nodes) || !slices.Equal(bare.roots, ref.roots) || !slices.Equal(bare.pred, ref.pred) {
+		t.Errorf("updated bare forest predicts %016x, updated TrainGBT %016x", got, want)
+	}
+	fresh := &GBTModel{cfg: cfg}
+	fresh.ingest(x, y)
+	if !reflect.DeepEqual(bare.uniq, fresh.uniq) || !slices.Equal(bare.binOff, fresh.binOff) || !slices.Equal(bare.slot, fresh.slot) {
+		t.Error("updated bare forest's ranks differ from a fresh ingest of the same rows")
+	}
+}

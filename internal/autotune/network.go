@@ -227,27 +227,28 @@ type poolEntry struct {
 	costs []float64
 	seeds []conv.Config
 	// prior is the cost model fitted on (feats, costs) as they stand once
-	// the pool is frozen; contribute must not run after a search took it.
+	// the pool is frozen; contribute must not run after a search borrowed it.
 	prior sharedPrior
 }
 
 // sharedPrior is the cost model every warm search of one family starts from.
 // The fit is a pure function of the family's frozen rows, so it runs once per
 // sweep — lazily, in the worker of whichever search asks first, and through
-// the cache's memo when the pool has one — and each search takes a copy it
-// then Updates on its own: copy-on-take, never a shared mutable model.
+// the cache's memo when the pool has one. Every search borrows that model to
+// predict; only a search due an Update clones it, and Updates its clone on
+// its own: never a shared mutable model.
 type sharedPrior struct {
 	once  sync.Once
-	model *GBTModel
+	model *GBTModel  // read-only: Predict and NumRows
 	memo  *priorMemo // nil fits without a memo
 	key   priorKey
 }
 
-// take returns a private copy of the prior, fitting it on (x, y) first if no
-// search has yet. Every caller must pass the same frozen rows.
-func (p *sharedPrior) take(cfg GBTConfig, x [][]float64, y []float64) *GBTModel {
+// borrow returns the prior, fitting it on (x, y) first if no search has yet.
+// The caller must not Update it. Every caller must pass the same frozen rows.
+func (p *sharedPrior) borrow(cfg GBTConfig, x [][]float64, y []float64) *GBTModel {
 	p.once.Do(func() { p.model = p.memo.fit(p.key, cfg, x, y) })
-	return p.model.clone()
+	return p.model
 }
 
 // priorMemo keeps, per (arch, family), the forest of the last prior fitted
@@ -283,12 +284,14 @@ type priorFit struct {
 	roots  []int32
 }
 
-// fit returns TrainGBT(cfg, x, y), bit for bit. On a slot hit it rebuilds the
-// model from the stored forest and ingests the rows: ingest predicts each row
-// as base + Σ lr·leaf in tree order — exactly the sum boost advanced the
-// row's prediction by — and ranks the rows' histogram bins from x alone. The
-// rebuilt model shares the slot's forest, clipped so that an append would
-// reallocate; the sweep only ever clones it anyway.
+// fit returns TrainGBT(cfg, x, y), bit for bit in every prediction. On a slot
+// hit it returns the bare forest holding the rows — no per-row predictions or
+// ranks, which a search that only predicts never reads. The first Update of a
+// clone ingests the rows, which gives TrainGBT's training state too: ingest
+// predicts each row as base + Σ lr·leaf in tree order — exactly the sum boost
+// advanced the row's prediction by — and ranks the rows' histogram bins from
+// x alone. The bare forest shares the slot's, clipped so that an append would
+// reallocate; the sweep only ever borrows or clones it anyway.
 func (m *priorMemo) fit(k priorKey, cfg GBTConfig, x [][]float64, y []float64) *GBTModel {
 	if m == nil {
 		return TrainGBT(cfg, x, y)
@@ -310,9 +313,7 @@ func (m *priorMemo) fit(k priorKey, cfg GBTConfig, x [][]float64, y []float64) *
 	}
 	m.mu.Unlock()
 	if hit {
-		model := &GBTModel{cfg: cfg, base: f.base, nodes: slices.Clip(f.nodes), roots: slices.Clip(f.roots)}
-		model.ingest(x, y)
-		return model
+		return &GBTModel{cfg: cfg, base: f.base, nodes: slices.Clip(f.nodes), roots: slices.Clip(f.roots), x: x, y: y}
 	}
 	model := TrainGBT(cfg, x, y)
 	f = &priorFit{digest: digest, cfg: cfg, base: model.base,
@@ -429,8 +430,8 @@ func (p *transferPool) prime(cache *Cache, arch memsim.Arch, fams map[poolKey]bo
 
 // warmFor assembles the WarmStart a search inherits from its family, or
 // nil when the pool has nothing for it. The slices are shared read-only
-// across concurrent searches; Tune copies before it appends, and takes its
-// copy of the family's one fitted prior.
+// across concurrent searches; Tune copies before it appends, borrows the
+// family's one fitted prior, and clones it only to refit.
 func (p *transferPool) warmFor(k poolKey) *WarmStart {
 	pe := p.byFamily[k]
 	if pe == nil || (len(pe.feats) == 0 && len(pe.seeds) == 0) {

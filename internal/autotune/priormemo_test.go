@@ -43,17 +43,20 @@ func novelNetworks(count int) [][]autotune.NetworkLayer {
 }
 
 // The prior memo moves no bit of a daemon's sweep sequence: the zoo pass, then
-// twenty novel budget-48 networks, all on one cache, and every search of every
-// sweep has the trace — history, verdict, refits, stop — of the same sweep on
-// a restarted copy of the cache, whose memo starts empty. The memo must have
-// answered fits along the way. After each sweep, every family the sweep reads
-// gets from the scoped prime the pool a full prime gives it.
+// twenty novel budget-48 networks, then five at budget 400, all on one cache,
+// and every search of every sweep has the trace — history, verdict, refits,
+// stop — of the same sweep on a restarted copy of the cache, whose memo starts
+// empty. The memo must have answered fits along the way, also in the
+// budget-400 sweeps, whose searches refit: a search that borrowed a memo hit
+// clones the bare forest and ingests its rows on that first Update, so the
+// traces check that path too. After each sweep, every family the sweep reads gets from the scoped prime
+// the pool a full prime gives it.
 func TestSweepSequenceUnchangedByPriorMemo(t *testing.T) {
 	tune := autotune.DefaultOptions()
 	tune.Seed = 0
 	cache := autotune.NewCache()
 	primed := 0
-	sweep := func(name string, layers []autotune.NetworkLayer, opts autotune.NetworkOptions) {
+	sweep := func(name string, layers []autotune.NetworkLayer, opts autotune.NetworkOptions) []autotune.SearchTrace {
 		t.Helper()
 		_, want, err := autotune.TuneNetworkTraces(laneArch, layers, autotune.Restarted(cache), opts)
 		if err != nil {
@@ -82,6 +85,7 @@ func TestSweepSequenceUnchangedByPriorMemo(t *testing.T) {
 			t.Errorf("%s: family %s: the scoped prime's pool differs from the full prime's", name, diff)
 		}
 		primed += n
+		return got
 	}
 
 	for _, fx := range zooFixtures() {
@@ -91,7 +95,8 @@ func TestSweepSequenceUnchangedByPriorMemo(t *testing.T) {
 
 	fresh := tune
 	fresh.Budget = 48
-	for i, layers := range novelNetworks(20) {
+	nets := novelNetworks(25)
+	for i, layers := range nets[:20] {
 		sweep(fmt.Sprintf("novel-%d", i), layers, autotune.NetworkOptions{Tune: fresh, Winograd: true, Warm: true})
 	}
 	hits, misses, below := autotune.PriorMemoCounts(cache)
@@ -106,6 +111,21 @@ func TestSweepSequenceUnchangedByPriorMemo(t *testing.T) {
 	// slot for its final rows may miss.
 	if novel := misses - zooMisses; novel > 2 {
 		t.Errorf("the novel sweeps refitted %d capped priors, want at most 2", novel)
+	}
+
+	searches, refitted := 0, 0
+	for i, layers := range nets[20:] {
+		for _, s := range sweep(fmt.Sprintf("novel-400-%d", i), layers, autotune.NetworkOptions{Tune: tune, Winograd: true, Warm: true}) {
+			searches++
+			if s.Refits > 0 {
+				refitted++
+			}
+		}
+	}
+	hits400, _, _ := autotune.PriorMemoCounts(cache)
+	t.Logf("prior memo: %d hits on the budget-400 sweeps, whose searches refitted in %d of %d", hits400-hits, refitted, searches)
+	if hits400 == hits || refitted == 0 {
+		t.Error("no budget-400 sweep both hit the memo and refitted: the borrow-then-clone path went unchecked")
 	}
 	if primed == 0 {
 		t.Error("no sweep read a primed family: the pool check compared nothing")

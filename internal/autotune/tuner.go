@@ -55,8 +55,8 @@ type WarmStart struct {
 	// hand has the search fit that model itself; one handed out by
 	// TuneNetwork's transfer pool carries the family's shared prior, fitted
 	// once per sweep by whichever search needs it first — or rebuilt from the
-	// cache's memo when an earlier sweep fitted the same rows — of which
-	// every search takes a private copy (bit-identical to fitting its own).
+	// cache's memo when an earlier sweep fitted the same rows — which every
+	// search borrows, copying it only to refit (bit-identical to its own fit).
 	Feats [][]float64
 	Costs []float64
 	// Seeds are incumbent configurations from related layers. They are
@@ -71,7 +71,7 @@ type WarmStart struct {
 	// transferred ones.
 	History []MeasuredConfig
 	// prior, set by the transfer pool alone, is the shared fit on
-	// Feats/Costs a search copies instead of fitting its own.
+	// Feats/Costs a search borrows instead of fitting its own.
 	prior *sharedPrior
 }
 
@@ -224,8 +224,8 @@ type Trace struct {
 	// raw readings).
 	Remeasured int
 	// Refits counts the cost-model fits this search ran — full TrainGBT
-	// fits and incremental Updates alike; a copy taken of a transfer pool's
-	// shared prior is not a fit. In memory only: a cache entry does not
+	// fits and incremental Updates alike; a transfer pool's shared prior,
+	// borrowed or copied, is not a fit. In memory only: a cache entry does not
 	// persist it.
 	Refits int
 	// Stop says why the run ended. In memory only, like Refits.
@@ -368,7 +368,8 @@ func (r *record) stale(patience int) bool {
 //
 // A non-nil opts.Warm transfers state from related searches: prior model
 // rows fit the initial cost model (once per family per sweep when the
-// WarmStart comes from TuneNetwork's pool), transferred incumbent configs are
+// WarmStart comes from TuneNetwork's pool, whose prior the search borrows
+// and copies only for its first Update), transferred incumbent configs are
 // snapped into the space and measured first (replacing most of the cold
 // start's random guesses), and a persisted history replays without
 // re-measuring so a cached search resumes at a higher budget. With
@@ -560,6 +561,7 @@ func TuneFallible(ctx context.Context, sp *Space, measure FallibleMeasurer, opts
 	maxForest := 4 * gcfg.Trees
 	const warmStartRows = 64
 	var model *GBTModel
+	borrowed := false // model is the pool's shared prior, read-only, until a refit
 
 	if resume {
 		// Replay the persisted history: every prior measurement is marked
@@ -583,13 +585,14 @@ func TuneFallible(ctx context.Context, sp *Space, measure FallibleMeasurer, opts
 		rec.resumedAt = rec.trace.Measurements
 	} else if transfer {
 		// The initial cost model is the fit on the transferred rows — the
-		// pool's shared one when there is one; the layer's own rows append
-		// behind them, so every later refit continues via GBTModel.Update
-		// over the combined dataset.
+		// pool's shared one when there is one, borrowed until the first
+		// Update clones it; the layer's own rows append behind them, so
+		// every later refit continues via GBTModel.Update over the combined
+		// dataset.
 		feats = append(make([][]float64, 0, len(warm.Feats)+opts.Budget), warm.Feats...)
 		costs = append(make([]float64, 0, len(warm.Costs)+opts.Budget), warm.Costs...)
 		if warm.prior != nil {
-			model = warm.prior.take(gcfg, warm.Feats, warm.Costs)
+			model, borrowed = warm.prior.borrow(gcfg, warm.Feats, warm.Costs), true
 		} else {
 			model = TrainGBT(gcfg, feats, costs)
 			rec.trace.Refits++
@@ -666,8 +669,12 @@ func TuneFallible(ctx context.Context, sp *Space, measure FallibleMeasurer, opts
 			if small || model.NumTrees()+updateRounds > maxForest {
 				model = TrainGBT(gcfg, feats, costs)
 			} else {
+				if borrowed {
+					model = model.clone()
+				}
 				model.Update(feats, costs, updateRounds)
 			}
+			borrowed = false
 			rec.trace.Refits++
 			view.refit(model)
 		}
