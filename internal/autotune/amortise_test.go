@@ -48,6 +48,14 @@ func warmSweepOpts(workers int) NetworkOptions {
 	return o
 }
 
+// borrowRows is borrow over rows given as they are — the tests' golden rows —
+// instead of rows featurized from a family's sources: the same once, the same
+// fit through the memo.
+func (p *sharedPrior) borrowRows(cfg GBTConfig, x [][]float64, y []float64) *GBTModel {
+	p.once.Do(func() { p.x, p.y, p.model = x, y, p.memo.fit(p.key, cfg, x, y) })
+	return p.model
+}
+
 // runSweep runs a sweep on a fresh cache and returns its plan, whose tasks
 // keep the traces.
 func runSweep(t *testing.T, layers []NetworkLayer, opts NetworkOptions) sweepPlan {
@@ -119,7 +127,7 @@ func TestGBTCloneUpdatesIndependently(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if got := update(shared.borrow(cfg, xa[:n], ya[:n]).clone(), x, y); got != want {
+			if got := update(shared.borrowRows(cfg, xa[:n], ya[:n]).clone(), x, y); got != want {
 				t.Errorf("concurrent taker predicts %016x, want %016x", got, want)
 			}
 		}()
@@ -213,7 +221,7 @@ func TestPriorMemoIsBitNeutral(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			p := &sharedPrior{memo: &memo, key: key}
-			if got := update(p.borrow(cfg, x[:n], y[:n]).clone()); got != wantUpdated {
+			if got := update(p.borrowRows(cfg, x[:n], y[:n]).clone()); got != wantUpdated {
 				t.Errorf("concurrent memo hit's clone predicts %016x, want %016x", got, wantUpdated)
 			}
 		}()
@@ -252,7 +260,7 @@ func TestSharedPriorBorrowThenTake(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			m := p.borrow(cfg, x[:n], y[:n])
+			m := p.borrowRows(cfg, x[:n], y[:n])
 			if g < 4 {
 				if got := gbtGoldenHash(m, probes); got != wantFit || m.NumRows() != n {
 					t.Errorf("borrower predicts %016x over %d rows, TrainGBT %016x over %d", got, m.NumRows(), wantFit, n)
@@ -276,6 +284,118 @@ func TestSharedPriorBorrowThenTake(t *testing.T) {
 		t.Errorf("the shared forest moved: %016x, %d trees, %d predictions; was %016x, %d trees, none",
 			got, p.model.NumTrees(), len(p.model.pred), wantFit, cfg.Trees)
 	}
+}
+
+// A family's prior is built on first need. On a cache a budget-400 sweep
+// filled, a budget-48 search of a novel shape whose transferred seeds certify
+// reads no model: it featurizes no row and fits nothing — the memo counts
+// nothing and the family's prior stays unbuilt — and its trace is the one the
+// same search has when the prior was built before it started. Searches of one
+// family that do predict, run concurrently, build the rows and the fit once
+// (one fit through the memo, in the once that featurizes the rows) and each
+// has the trace of the same search fitting those rows itself.
+func TestSharedPriorBuiltOnFirstNeed(t *testing.T) {
+	cache := NewCache()
+	if _, err := TuneNetwork(arch, resnetBlockLayers(), cache, warmSweepOpts(2)); err != nil {
+		t.Fatal(err)
+	}
+	primed := func() *transferPool {
+		pool := newTransferPool()
+		pool.memo, pool.arch = &cache.priors, arch.Name
+		pool.prime(cache, arch, nil)
+		return pool
+	}
+	memoCounts := func() [3]int {
+		cache.priors.mu.Lock()
+		defer cache.priors.mu.Unlock()
+		return [3]int{cache.priors.hits, cache.priors.misses, cache.priors.belowCap}
+	}
+	opts := warmSweepOpts(1).Tune
+	opts.Budget = 48
+	tune := func(s shapes.ConvShape, warm *WarmStart) *Trace {
+		t.Helper()
+		sp, err := NewSpace(s, arch, Direct, 0, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		o := opts
+		o.Warm = warm
+		tr, err := Tune(sp, KindMeasurer(arch, s, Direct), o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return tr
+	}
+	sameTrace := func(name string, got, want *Trace) {
+		t.Helper()
+		if !traceEqual(got, want) || got.Refits != want.Refits {
+			t.Errorf("%s: best %v vs %v, %d vs %d measurements, stop %v vs %v, %d vs %d refits",
+				name, got.Best, want.Best, got.Measurements, want.Measurements, got.Stop, want.Stop, got.Refits, want.Refits)
+		}
+	}
+	c := func(cin, cout, k, stride int) shapes.ConvShape {
+		return shapes.ConvShape{Batch: 1, Cin: cin, Hin: 28, Win: 28, Cout: cout, Hker: k, Wker: k, Strid: stride, Pad: k / 2}
+	}
+
+	t.Run("certified", func(t *testing.T) {
+		for _, s := range []shapes.ConvShape{c(96, 128, 3, 1), c(96, 64, 3, 2)} {
+			name := fmt.Sprintf("%dx%d/%d cin %d", s.Hker, s.Wker, s.Strid, s.Cin)
+			pool := primed()
+			prior := &pool.byFamily[familyOf(Direct, s)].prior
+			if prior.n == 0 {
+				t.Fatalf("%s: the sweep left the family no rows", name)
+			}
+			before := memoCounts()
+			lazy := tune(s, pool.warmFor(familyOf(Direct, s)))
+			if lazy.Stop != StopCertified {
+				t.Fatalf("%s: stopped on %v after %d measurements, want certified on its seeds", name, lazy.Stop, lazy.Measurements)
+			}
+			if after := memoCounts(); after != before || prior.model != nil || prior.x != nil {
+				t.Errorf("%s: a search that never predicts built its prior: memo %v -> %v, model built %v, %d rows",
+					name, before, after, prior.model != nil, len(prior.x))
+			}
+			built := primed()
+			w := built.warmFor(familyOf(Direct, s))
+			w.prior.borrow(DefaultGBTConfig())
+			sameTrace(name, lazy, tune(s, w))
+		}
+	})
+
+	t.Run("concurrent", func(t *testing.T) {
+		layers := []shapes.ConvShape{c(32, 128, 1, 2), c(48, 128, 1, 2), c(96, 128, 1, 2), c(192, 128, 1, 2)}
+		fam := familyOf(Direct, layers[0])
+		pool := primed()
+		pe := pool.byFamily[fam]
+		before := memoCounts()
+		traces := make([]*Trace, len(layers))
+		var wg sync.WaitGroup
+		for i, s := range layers {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				traces[i] = tune(s, pool.warmFor(fam))
+			}()
+		}
+		wg.Wait()
+		after := memoCounts()
+		if fits := after[0] + after[1] + after[2] - before[0] - before[1] - before[2]; fits != 1 ||
+			pe.prior.model == nil || len(pe.prior.x) != pe.prior.n {
+			t.Fatalf("%d searches that predict: memo %v -> %v, %d of %d rows built; want one fit",
+				len(layers), before, after, len(pe.prior.x), pe.prior.n)
+		}
+		feats, costs := pe.prior.rows()
+		for i, s := range layers {
+			name := fmt.Sprintf("1x1/2 cin %d", s.Cin)
+			// A search that spends its budget measured past its seed batches:
+			// it ranked candidates by the model.
+			if traces[i].Stop != StopBudget {
+				t.Fatalf("%s: stopped on %v, want a search that predicts to the end of its budget", name, traces[i].Stop)
+			}
+			own := tune(s, &WarmStart{Feats: feats, Costs: costs, Seeds: pe.seeds})
+			own.Refits-- // the fit the search no longer runs itself
+			sameTrace(name, traces[i], own)
+		}
+	})
 }
 
 // Sharing moves nothing: every warm search of a ResNet-18 sweep — which
@@ -313,9 +433,10 @@ func TestSharedPriorIsBitNeutral(t *testing.T) {
 		shared := 0
 		if w := pool.warmFor(familyOf(task.Kind, task.Shape)); w != nil {
 			own := *w
+			own.Feats, own.Costs = w.prior.rows()
 			own.prior = nil
 			o.Warm = &own
-			if len(w.Feats) > 0 {
+			if len(own.Feats) > 0 {
 				shared = 1 // the fit the search no longer runs itself
 				transferred++
 			}
@@ -415,8 +536,12 @@ func TestRefitCadence(t *testing.T) {
 		pool.contribute(Direct, dsp, dtr.History)
 	}
 	warm := pool.warmFor(familyOf(Direct, s))
-	if warm == nil || len(warm.Feats) != poolRowCap {
-		t.Fatalf("donors left %d transferred rows, want the cap %d", len(warm.Feats), poolRowCap)
+	if warm == nil {
+		t.Fatalf("donors left no transferred rows, want the cap %d", poolRowCap)
+	}
+	feats, costs := warm.prior.rows()
+	if len(feats) != poolRowCap {
+		t.Fatalf("donors left %d transferred rows, want the cap %d", len(feats), poolRowCap)
 	}
 
 	opts.Warm = warm
@@ -448,7 +573,7 @@ func TestRefitCadence(t *testing.T) {
 	// The same search without the shared entry fits that prior itself — its
 	// one fit — and is otherwise identical.
 	own := *warm
-	own.prior = nil
+	own.Feats, own.Costs, own.prior = feats, costs, nil
 	short.Warm = &own
 	ref, err := Tune(sp, measure, short)
 	if err != nil {

@@ -110,9 +110,10 @@ func PrimedFamilies(c *Cache, arch memsim.Arch, fams map[PoolFamily]bool) map[Po
 	pool.prime(c, arch, fams)
 	out := make(map[PoolFamily]PrimedFamily, len(pool.byFamily))
 	for fam, pe := range pool.byFamily {
-		f := PrimedFamily{Feats: pe.feats, Costs: pe.costs, Seeds: pe.seeds, Full: pool.full(fam)}
-		if len(pe.feats) > 0 {
-			f.Digest = rowsDigest(pe.feats, pe.costs)
+		f := PrimedFamily{Seeds: pe.seeds, Full: pool.full(fam)}
+		if pe.prior.n > 0 {
+			f.Feats, f.Costs = pe.prior.rows()
+			f.Digest = rowsDigest(f.Feats, f.Costs)
 		}
 		out[fam] = f
 	}

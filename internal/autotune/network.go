@@ -210,10 +210,10 @@ func familyOf(kind Kind, s shapes.ConvShape) poolKey {
 	return poolKey{kind: kind, hker: s.Hker, strid: s.Strid}
 }
 
-// transferPool is the cross-layer state: normalized training rows and
-// incumbent seed configurations from finished searches, binned by family.
+// transferPool is the cross-layer state: the training-row sources and
+// incumbent seed configurations of finished searches, binned by family.
 // It is written between waves and read-only while searches run, so no lock
-// is needed; the one thing a running search adds is the family's fitted
+// is needed; the one thing a running search adds is the family's built
 // prior, behind its own sync.Once. memo, when set, is the cache's prior memo
 // the family priors of this pool's arch fit through.
 type transferPool struct {
@@ -223,32 +223,69 @@ type transferPool struct {
 }
 
 type poolEntry struct {
-	feats [][]float64
-	costs []float64
 	seeds []conv.Config
-	// prior is the cost model fitted on (feats, costs) as they stand once
-	// the pool is frozen; contribute must not run after a search borrowed it.
+	// prior holds the family's row sources as they stand once the pool is
+	// frozen; contribute must not run after a search borrowed it.
 	prior sharedPrior
 }
 
+// poolSource is a finished search a family takes rows from: its space,
+// history and mean log-cost, and how many OK measurements the row cap admits.
+type poolSource struct {
+	sp   *Space
+	hist []MeasuredConfig
+	mean float64
+	rows int
+}
+
 // sharedPrior is the cost model every warm search of one family starts from.
-// The fit is a pure function of the family's frozen rows, so it runs once per
-// sweep — lazily, in the worker of whichever search asks first, and through
-// the cache's memo when the pool has one. Every search borrows that model to
-// predict; only a search due an Update clones it, and Updates its clone on
-// its own: never a shared mutable model.
+// Its rows and fit are pure functions of the family's frozen sources, built
+// once per sweep on first need — by whichever search first predicts; one that
+// certifies on its seeds never does — through the cache's memo when the pool
+// has one. Every search borrows that model to predict; only a search due an
+// Update clones it, and Updates its clone on its own: never a shared one.
 type sharedPrior struct {
+	srcs  []poolSource
+	n     int // rows the sources admit: len(x) once built
 	once  sync.Once
-	model *GBTModel  // read-only: Predict and NumRows
+	x     [][]float64 // read-only once built, as are y and model
+	y     []float64
+	model *GBTModel
 	memo  *priorMemo // nil fits without a memo
 	key   priorKey
 }
 
-// borrow returns the prior, fitting it on (x, y) first if no search has yet.
-// The caller must not Update it. Every caller must pass the same frozen rows.
-func (p *sharedPrior) borrow(cfg GBTConfig, x [][]float64, y []float64) *GBTModel {
-	p.once.Do(func() { p.model = p.memo.fit(p.key, cfg, x, y) })
+// borrow returns the prior, building its rows (x, y) and fitting it on them
+// first if no search has yet. The caller must not Update it.
+func (p *sharedPrior) borrow(cfg GBTConfig) *GBTModel {
+	p.once.Do(func() {
+		p.x, p.y = p.rows()
+		p.model = p.memo.fit(p.key, cfg, p.x, p.y)
+	})
 	return p.model
+}
+
+// rows featurizes the family's rows: each source's admitted measurements in
+// its own space, in source order, with their log-costs recentered by the
+// source's mean so only relative (shape-free) cost transfers.
+func (p *sharedPrior) rows() ([][]float64, []float64) {
+	x := make([][]float64, 0, p.n)
+	y := make([]float64, 0, p.n)
+	store := make([]float64, 0, p.n*NumFeatures)
+	for _, s := range p.srcs {
+		taken := 0
+		for _, h := range s.hist {
+			if !h.OK || taken == s.rows {
+				continue
+			}
+			start := len(store)
+			store = s.sp.FeaturesInto(store, h.Config)
+			x = append(x, store[start:len(store):len(store)])
+			y = append(y, math.Log(h.M.Seconds)-s.mean)
+			taken++
+		}
+	}
+	return x, y
 }
 
 // priorMemo keeps, per (arch, family), the forest of the last prior fitted
@@ -348,20 +385,20 @@ func newTransferPool() *transferPool {
 
 func (p *transferPool) has(k poolKey) bool {
 	pe := p.byFamily[k]
-	return pe != nil && (len(pe.feats) > 0 || len(pe.seeds) > 0)
+	return pe != nil && (pe.prior.n > 0 || len(pe.seeds) > 0)
 }
 
 // full reports a family at both caps — poolRowCap rows and
 // poolSeedCapFactor·warmTopK seeds — to which contribute adds nothing.
 func (p *transferPool) full(k poolKey) bool {
 	pe := p.byFamily[k]
-	return pe != nil && len(pe.feats) >= poolRowCap && len(pe.seeds) >= poolSeedCapFactor*warmTopK
+	return pe != nil && pe.prior.n >= poolRowCap && len(pe.seeds) >= poolSeedCapFactor*warmTopK
 }
 
-// contribute folds one finished search into its family's pool: successful
-// measurements become training rows — featurized in the source space, with
-// log-costs recentered to zero mean so only relative (shape-free) cost
-// transfers — and the top-K configurations become warm seeds.
+// contribute folds one finished search into its family's pool: its
+// successful measurements, up to the row cap, become a source of training
+// rows (see rows; featurized only with the prior) and its top-K
+// configurations become warm seeds.
 func (p *transferPool) contribute(kind Kind, sp *Space, hist []MeasuredConfig) {
 	var sum float64
 	n := 0
@@ -374,19 +411,15 @@ func (p *transferPool) contribute(kind Kind, sp *Space, hist []MeasuredConfig) {
 	if n == 0 {
 		return
 	}
-	mean := sum / float64(n)
 	key := familyOf(kind, sp.Shape)
 	pe := p.byFamily[key]
 	if pe == nil {
 		pe = &poolEntry{prior: sharedPrior{memo: p.memo, key: priorKey{p.arch, key}}}
 		p.byFamily[key] = pe
 	}
-	for _, h := range hist {
-		if !h.OK || len(pe.feats) >= poolRowCap {
-			continue
-		}
-		pe.feats = append(pe.feats, sp.Features(h.Config))
-		pe.costs = append(pe.costs, math.Log(h.M.Seconds)-mean)
+	if rows := min(n, poolRowCap-pe.prior.n); rows > 0 {
+		pe.prior.srcs = append(pe.prior.srcs, poolSource{sp: sp, hist: hist, mean: sum / float64(n), rows: rows})
+		pe.prior.n += rows
 	}
 	for _, c := range topConfigs(hist, warmTopK) {
 		if len(pe.seeds) >= poolSeedCapFactor*warmTopK {
@@ -401,7 +434,8 @@ func (p *transferPool) contribute(kind Kind, sp *Space, hist []MeasuredConfig) {
 // budget — except, skipped before its space is built or its rows decoded, an
 // entry whose family the sweep does not read (fams; nil reads every family)
 // or whose family is already full, where contribute would add nothing. A
-// family the sweep reads gets the pool a full prime would give it.
+// family the sweep reads gets the pool a full prime would give it. It
+// featurizes nothing: a family's rows are built with its prior.
 //
 // Budget first because the richer search is the better source, and because
 // it keeps a full family's rows where they are: a fresh low-budget entry
@@ -429,15 +463,15 @@ func (p *transferPool) prime(cache *Cache, arch memsim.Arch, fams map[poolKey]bo
 }
 
 // warmFor assembles the WarmStart a search inherits from its family, or
-// nil when the pool has nothing for it. The slices are shared read-only
-// across concurrent searches; Tune copies before it appends, borrows the
-// family's one fitted prior, and clones it only to refit.
+// nil when the pool has nothing for it. The seeds are shared read-only
+// across concurrent searches; the rows stay with the family's prior, which
+// Tune borrows on its first need of a prediction and clones only to refit.
 func (p *transferPool) warmFor(k poolKey) *WarmStart {
-	pe := p.byFamily[k]
-	if pe == nil || (len(pe.feats) == 0 && len(pe.seeds) == 0) {
+	if !p.has(k) {
 		return nil
 	}
-	return &WarmStart{Feats: pe.feats, Costs: pe.costs, Seeds: pe.seeds, prior: &pe.prior}
+	pe := p.byFamily[k]
+	return &WarmStart{Seeds: pe.seeds, prior: &pe.prior}
 }
 
 // candidateKinds filters the requested kinds by a layer's signature — the

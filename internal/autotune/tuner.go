@@ -52,11 +52,11 @@ type WarmStart struct {
 	// only relative cost transfers). The engine's initial model is the fit
 	// on exactly these rows — a pure function of them — and continues via
 	// GBTModel.Update as its own measurements arrive. A WarmStart built by
-	// hand has the search fit that model itself; one handed out by
-	// TuneNetwork's transfer pool carries the family's shared prior, fitted
-	// once per sweep by whichever search needs it first — or rebuilt from the
-	// cache's memo when an earlier sweep fitted the same rows — which every
-	// search borrows, copying it only to refit (bit-identical to its own fit).
+	// hand has the search fit that model at its start; one from TuneNetwork's
+	// pool has no Feats/Costs but the family's shared prior, built once per
+	// sweep by the first search to need a prediction (or rebuilt from the
+	// cache's memo), which every search that predicts borrows, copying it
+	// only to refit (bit-identical to its own fit).
 	Feats [][]float64
 	Costs []float64
 	// Seeds are incumbent configurations from related layers. They are
@@ -70,8 +70,8 @@ type WarmStart struct {
 	// History is set, Feats/Costs are ignored: the key's own rows beat
 	// transferred ones.
 	History []MeasuredConfig
-	// prior, set by the transfer pool alone, is the shared fit on
-	// Feats/Costs a search borrows instead of fitting its own.
+	// prior, set by the transfer pool alone, stands in for Feats/Costs: the
+	// family's rows and fit, built on first need and borrowed by a search.
 	prior *sharedPrior
 }
 
@@ -368,12 +368,13 @@ func (r *record) stale(patience int) bool {
 //
 // A non-nil opts.Warm transfers state from related searches: prior model
 // rows fit the initial cost model (once per family per sweep when the
-// WarmStart comes from TuneNetwork's pool, whose prior the search borrows
-// and copies only for its first Update), transferred incumbent configs are
-// snapped into the space and measured first (replacing most of the cold
-// start's random guesses), and a persisted history replays without
-// re-measuring so a cached search resumes at a higher budget. With
-// opts.Warm nil the engine is bit-identical to the cold path.
+// WarmStart comes from TuneNetwork's pool, whose prior is built on a search's
+// first need of a prediction, borrowed, and copied only for its first
+// Update), transferred incumbent configs are snapped into the space and
+// measured first (replacing most of the cold start's random guesses), and a
+// persisted history replays without re-measuring so a cached search resumes
+// at a higher budget. With opts.Warm nil the engine is bit-identical to the
+// cold path.
 func Tune(sp *Space, measure Measurer, opts Options) (*Trace, error) {
 	return TuneContext(context.Background(), sp, measure, opts)
 }
@@ -400,8 +401,8 @@ func TuneFallible(ctx context.Context, sp *Space, measure FallibleMeasurer, opts
 
 	warm := opts.Warm
 	resume := warm != nil && len(warm.History) > 0
-	transfer := warm != nil && !resume &&
-		len(warm.Feats) > 0 && len(warm.Feats) == len(warm.Costs)
+	transfer := warm != nil && !resume && (warm.prior != nil && warm.prior.n > 0 ||
+		len(warm.Feats) > 0 && len(warm.Feats) == len(warm.Costs))
 
 	// Training rows are slices into one growing backing array (featStore):
 	// featurizing a measurement appends NumFeatures floats instead of
@@ -561,7 +562,8 @@ func TuneFallible(ctx context.Context, sp *Space, measure FallibleMeasurer, opts
 	maxForest := 4 * gcfg.Trees
 	const warmStartRows = 64
 	var model *GBTModel
-	borrowed := false // model is the pool's shared prior, read-only, until a refit
+	borrowed := false      // model is the pool's shared prior, read-only, until a refit
+	var prior *sharedPrior // the pool's prior, not borrowed until a prediction is needed
 
 	if resume {
 		// Replay the persisted history: every prior measurement is marked
@@ -583,20 +585,16 @@ func TuneFallible(ctx context.Context, sp *Space, measure FallibleMeasurer, opts
 			addRow(h.Config, cost)
 		}
 		rec.resumedAt = rec.trace.Measurements
+	} else if transfer && warm.prior != nil {
+		prior = warm.prior
 	} else if transfer {
-		// The initial cost model is the fit on the transferred rows — the
-		// pool's shared one when there is one, borrowed until the first
-		// Update clones it; the layer's own rows append behind them, so
-		// every later refit continues via GBTModel.Update over the combined
-		// dataset.
+		// The initial cost model is the fit on the transferred rows; the
+		// layer's own rows append behind them, so every later refit continues
+		// via GBTModel.Update over the combined dataset.
 		feats = append(make([][]float64, 0, len(warm.Feats)+opts.Budget), warm.Feats...)
 		costs = append(make([]float64, 0, len(warm.Costs)+opts.Budget), warm.Costs...)
-		if warm.prior != nil {
-			model, borrowed = warm.prior.borrow(gcfg, warm.Feats, warm.Costs), true
-		} else {
-			model = TrainGBT(gcfg, feats, costs)
-			rec.trace.Refits++
-		}
+		model = TrainGBT(gcfg, feats, costs)
+		rec.trace.Refits++
 	}
 
 	// The coarse-grained Section 5 dataflow designs are the first
@@ -643,8 +641,8 @@ func TuneFallible(ctx context.Context, sp *Space, measure FallibleMeasurer, opts
 
 	// Scratch reused across iterations: the model's prediction memo, the
 	// candidate pool, and the bounded heaps with their extraction buffers.
-	// The view starts on the transferred prior (if any): a warm search's first
-	// iterations are not due a refit.
+	// The view starts on the transferred prior (the pool's from its first
+	// need): a warm search's first iterations are not due a refit.
 	view := predictor{sp: sp, model: model, memo: make(map[conv.Config]float64)}
 	pool := make(map[conv.Config]bool)
 	var rank bestK
@@ -657,6 +655,14 @@ func TuneFallible(ctx context.Context, sp *Space, measure FallibleMeasurer, opts
 		}
 		if ctx.Err() != nil {
 			break // deadline or cancellation: report best-so-far below
+		}
+		if prior != nil {
+			// The first need of a prediction: borrow the pool's prior, its rows
+			// ahead of the layer's own as a hand-built warm start puts them.
+			model, borrowed = prior.borrow(gcfg), true
+			feats = append(append(make([][]float64, 0, len(prior.x)+opts.Budget), prior.x...), feats...)
+			costs = append(append(make([]float64, 0, len(prior.y)+opts.Budget), prior.y...), costs...)
+			prior, view.model = nil, model
 		}
 		if len(feats) == 0 {
 			// Degenerate budgets can reach the loop before any measurement

@@ -108,7 +108,10 @@ func TestWarmStartDeterministicAcrossWorkers(t *testing.T) {
 	pool := newTransferPool()
 	pool.contribute(Direct, dsp, dtr.History)
 	warm := pool.warmFor(familyOf(Direct, donor))
-	if warm == nil || len(warm.Feats) == 0 || len(warm.Seeds) == 0 {
+	if warm == nil || len(warm.Seeds) == 0 {
+		t.Fatal("donor search contributed nothing to the pool")
+	}
+	if feats, _ := warm.prior.rows(); len(feats) == 0 {
 		t.Fatal("donor search contributed nothing to the pool")
 	}
 
@@ -158,9 +161,10 @@ func TestWarmPoolPrimedFromCache(t *testing.T) {
 		t.Fatal("reloaded cache primed no pool for the stage family")
 	}
 	w := pool.warmFor(fam)
-	if len(w.Feats) == 0 || len(w.Feats) != len(w.Costs) || len(w.Seeds) == 0 {
+	feats, costs := w.prior.rows()
+	if len(feats) == 0 || len(feats) != len(costs) || len(w.Seeds) == 0 {
 		t.Fatalf("degenerate primed pool: %d rows, %d costs, %d seeds",
-			len(w.Feats), len(w.Costs), len(w.Seeds))
+			len(feats), len(costs), len(w.Seeds))
 	}
 }
 
