@@ -3,6 +3,8 @@ package autotune
 import (
 	"fmt"
 	"math"
+	"runtime"
+	"slices"
 	"sort"
 	"sync"
 
@@ -110,6 +112,7 @@ func (sp *Space) analyticScan() {
 	if len(sp.anTop) == 0 {
 		sp.anErr = fmt.Errorf("autotune: analytic tier: no rankable configuration for %v (%s)", sp.Shape, sp.Kind)
 	}
+	sp.anDone.Store(true)
 }
 
 // analyticFloor is the analytic tier's per-config time floor: the tight
@@ -135,11 +138,11 @@ func (sp *Space) measurable(c conv.Config) bool {
 // calibration below 1 (or NaN) is treated as 1: the floor is admissible,
 // so no honest estimate can undercut it.
 func (sp *Space) Analytic(calibration float64) (AnalyticVerdict, error) {
-	vs, err := sp.AnalyticTop(1, calibration)
-	if err != nil {
-		return AnalyticVerdict{}, err
+	sp.anOnce.Do(sp.analyticScan)
+	if sp.anErr != nil {
+		return AnalyticVerdict{}, sp.anErr
 	}
-	return vs[0], nil
+	return sp.estimate(sp.anTop[0], calibration), nil
 }
 
 // AnalyticTop returns up to k analytically-ranked configurations, best
@@ -150,24 +153,24 @@ func (sp *Space) AnalyticTop(k int, calibration float64) ([]AnalyticVerdict, err
 	if sp.anErr != nil {
 		return nil, sp.anErr
 	}
+	if k < 1 || k > len(sp.anTop) {
+		k = len(sp.anTop)
+	}
+	out := make([]AnalyticVerdict, k)
+	for i, s := range sp.anTop[:k] {
+		out[i] = sp.estimate(s, calibration)
+	}
+	return out, nil
+}
+
+// estimate is the served verdict of one retained configuration.
+func (sp *Space) estimate(s scored, calibration float64) AnalyticVerdict {
 	cal := calibration
 	if !(cal > 1) {
 		cal = 1
 	}
-	if k < 1 || k > len(sp.anTop) {
-		k = len(sp.anTop)
-	}
-	out := make([]AnalyticVerdict, 0, k)
-	for _, s := range sp.anTop[:k] {
-		sec := s.cost * cal
-		out = append(out, AnalyticVerdict{
-			Config:  s.cfg,
-			Floor:   s.cost,
-			Seconds: sec,
-			GFLOPS:  sp.flops / sec / 1e9,
-		})
-	}
-	return out, nil
+	sec := s.cost * cal
+	return AnalyticVerdict{Config: s.cfg, Floor: s.cost, Seconds: sec, GFLOPS: sp.flops / sec / 1e9}
 }
 
 // Calibration sampling caps: the factor is a broad-brush scale, so a
@@ -272,8 +275,8 @@ func (a *AnalyticDSE) calibration() float64 {
 }
 
 // space returns the memoized Space for a (kind, shape), building it on
-// first use. The scan itself runs outside the lock (once-guarded per
-// Space), so concurrent callers on distinct shapes do not serialize.
+// first use; a scanned space costs one lookup. Scans run outside the lock,
+// once per Space, and a first answer fans its pending ones across cores.
 func (a *AnalyticDSE) space(kind Kind, s shapes.ConvShape) (*Space, error) {
 	k := dseKey{kind: kind, s: s}
 	a.mu.Lock()
@@ -296,47 +299,86 @@ func (a *AnalyticDSE) space(kind Kind, s shapes.ConvShape) (*Space, error) {
 	return sp, nil
 }
 
-// Layer returns the analytic verdict for one (kind, shape).
-func (a *AnalyticDSE) Layer(kind Kind, s shapes.ConvShape) (AnalyticVerdict, error) {
-	sp, err := a.space(kind, s)
-	if err != nil {
-		return AnalyticVerdict{}, err
-	}
-	return sp.Analytic(a.calibration())
-}
-
 // NetworkKinds is the measurement-free analog of TuneNetwork with per-layer
 // kernel choice: every layer gets an analytic verdict (Tier: TierAnalytic),
 // choosing among Direct and the requested kinds by the analytic estimate
 // under the same candidate-filtering rule the measured sweep uses. It never
-// blocks on a measurement and never consults a cache.
+// blocks on a measurement and never consults a cache. A first answer fans
+// its spaces' scans across cores; a repeat starts no goroutine.
 func (a *AnalyticDSE) NetworkKinds(layers []NetworkLayer, kinds []Kind) ([]LayerVerdict, error) {
 	if len(layers) == 0 {
 		return nil, fmt.Errorf("autotune: no layers to tune")
 	}
-	verdicts := make([]LayerVerdict, len(layers))
+	kindsOf := make([][]Kind, len(layers))
 	for i, l := range layers {
-		v, err := a.layerVerdict(l, CandidateKinds(l.Shape, false, kinds))
-		if err != nil {
-			return nil, fmt.Errorf("autotune: analytic tier: layer %q: %w", l.Name, err)
-		}
-		verdicts[i] = v
+		kindsOf[i] = CandidateKinds(l.Shape, false, kinds)
+	}
+	verdicts := make([]LayerVerdict, len(layers))
+	if bad, err := a.layerVerdicts(verdicts, layers, kindsOf); err != nil {
+		return nil, fmt.Errorf("autotune: analytic tier: layer %q: %w", layers[bad].Name, err)
 	}
 	return verdicts, nil
 }
 
-// layerVerdict is the tier's per-layer kernel choice, the one NetworkKinds
-// and TuneNetwork's degradation path share: the best estimate over the
-// layer's candidate kinds, the mandatory Direct first. A kind may
-// legitimately not admit the layer, or rank nothing in it; the others stand
-// alone then — mirroring the measured sweep — and only a layer no kind can
-// rank is an error (the first one met, Direct's when Direct failed).
-func (a *AnalyticDSE) layerVerdict(l NetworkLayer, kinds []Kind) (LayerVerdict, error) {
+// scanFan runs layerVerdicts' pending scans; tests count its calls.
+var scanFan = fanIndexed
+
+// kindSpace is a candidate kind's space in the tier, or why it has none.
+type kindSpace struct {
+	sp  *Space
+	err error
+}
+
+// layerVerdicts sets out[i] to layers[i]'s layerVerdict over kindsOf[i], if
+// any, or returns a failing layer's index. It resolves each space once and
+// fans the scans of two or more unscanned ones across cores; a scan is a pure
+// function of its space, so verdicts do not depend on the worker count.
+func (a *AnalyticDSE) layerVerdicts(out []LayerVerdict, layers []NetworkLayer, kindsOf [][]Kind) (int, error) {
+	size := 0
+	for _, ks := range kindsOf {
+		size += len(ks)
+	}
+	cands := make([]kindSpace, 0, size)
+	var pending []*Space
+	for i, l := range layers {
+		for _, k := range kindsOf[i] {
+			sp, err := a.space(k, l.Shape)
+			if err == nil && !sp.anDone.Load() && !slices.Contains(pending, sp) {
+				pending = append(pending, sp)
+			}
+			cands = append(cands, kindSpace{sp, err})
+		}
+	}
+	if len(pending) > 1 {
+		scanFan(len(pending), runtime.GOMAXPROCS(0), func(j int) { pending[j].anOnce.Do(pending[j].analyticScan) })
+	}
+	cal := a.calibration()
+	for i, l := range layers {
+		if n := len(kindsOf[i]); n > 0 {
+			v, err := layerVerdict(l, kindsOf[i], cands[:n], cal)
+			if err != nil {
+				return i, err
+			}
+			out[i], cands = v, cands[n:]
+		}
+	}
+	return 0, nil
+}
+
+// layerVerdict is the best estimate over one layer's candidate kinds and
+// their spaces, the mandatory Direct first. A kind may legitimately not admit
+// the layer, or rank nothing in it; the others stand alone then — mirroring
+// the measured sweep — and only a layer no kind can rank is an error (the
+// first one met, Direct's when Direct failed).
+func layerVerdict(l NetworkLayer, kinds []Kind, cands []kindSpace, cal float64) (LayerVerdict, error) {
 	best := LayerVerdict{Layer: l, Tier: TierAnalytic}
 	var firstErr error
 	ranked := false
-	for _, kind := range kinds {
-		av, err := a.Layer(kind, l.Shape)
+	for j, c := range cands {
+		av, err := AnalyticVerdict{}, c.err
+		if err == nil {
+			av, err = c.sp.Analytic(cal)
+		}
 		if err != nil {
 			if firstErr == nil {
 				firstErr = err
@@ -344,7 +386,7 @@ func (a *AnalyticDSE) layerVerdict(l NetworkLayer, kinds []Kind) (LayerVerdict, 
 			continue
 		}
 		if !ranked || av.Seconds < best.M.Seconds {
-			best.Kind, best.Config = kind, av.Config
+			best.Kind, best.Config = kinds[j], av.Config
 			best.M = Measurement{Seconds: av.Seconds, GFLOPS: av.GFLOPS}
 			ranked = true
 		}

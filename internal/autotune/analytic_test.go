@@ -5,6 +5,8 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"runtime"
+	"sync"
 	"testing"
 
 	"repro/internal/conv"
@@ -378,5 +380,112 @@ func TestSweepFallbackSharesTierMemo(t *testing.T) {
 	opts.Analytic = NewAnalyticDSE(memsim.TitanX)
 	if _, err := TuneNetwork(arch, layers, NewCache(), opts); err == nil {
 		t.Fatal("a foreign-arch tier answered a dead layer; want the sweep to fail as with none")
+	}
+}
+
+// layerAnswers is NetworkKinds answered one space at a time: each layer's
+// best Layer answer over its candidate kinds, from a fresh tier.
+func layerAnswers(t *testing.T, layers []NetworkLayer, kinds []Kind) []LayerVerdict {
+	t.Helper()
+	ref := NewAnalyticDSE(arch)
+	want := make([]LayerVerdict, len(layers))
+	for i, l := range layers {
+		want[i] = LayerVerdict{Layer: l, Tier: TierAnalytic}
+		for _, k := range CandidateKinds(l.Shape, false, kinds) {
+			av, err := ref.Layer(k, l.Shape)
+			if err != nil {
+				continue
+			}
+			if want[i].M.Seconds == 0 || av.Seconds < want[i].M.Seconds {
+				want[i].Kind, want[i].Config = k, av.Config
+				want[i].M = Measurement{Seconds: av.Seconds, GFLOPS: av.GFLOPS}
+			}
+		}
+		if want[i].M.Seconds == 0 {
+			t.Fatalf("layer %s: no kind ranks", l.Name)
+		}
+	}
+	return want
+}
+
+// A network's first analytic answer fans its spaces' scans across cores.
+// A scan is a pure function of its space, so the answer is the per-layer one
+// bit for bit at any GOMAXPROCS, and eight requests racing on one tier with
+// overlapping shapes each get it too.
+func TestNetworkKindsFanIsDeterministic(t *testing.T) {
+	rng := rand.New(rand.NewSource(73))
+	kinds := Kinds[1:]
+	nets := make([][]NetworkLayer, 4)
+	for i := range nets {
+		nets[i] = randomNetwork(rng) // stages of one to two layers: repeated shapes
+	}
+	fans := CountScanFans(t)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 2, 8} {
+		runtime.GOMAXPROCS(procs)
+		for i, layers := range nets {
+			got, err := NewAnalyticDSE(arch).NetworkKinds(layers, kinds)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for j, want := range layerAnswers(t, layers, kinds) {
+				if got[j] != want {
+					t.Fatalf("GOMAXPROCS %d, network %d, layer %s: fanned %+v, per-layer %+v", procs, i, want.Layer.Name, got[j], want)
+				}
+			}
+		}
+	}
+	if fans() == 0 {
+		t.Fatal("no first answer fanned its scans")
+	}
+
+	// Each request is two of the networks, so neighbours share shapes.
+	runtime.GOMAXPROCS(8)
+	shared := NewAnalyticDSE(arch)
+	reqs := make([][]NetworkLayer, 8)
+	got := make([][]LayerVerdict, len(reqs))
+	errs := make([]error, len(reqs))
+	var wg sync.WaitGroup
+	for g := range reqs {
+		reqs[g] = append(append([]NetworkLayer(nil), nets[g%4]...), nets[(g+1)%4]...)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[g], errs[g] = shared.NetworkKinds(reqs[g], kinds)
+		}()
+	}
+	wg.Wait()
+	for g, layers := range reqs {
+		if errs[g] != nil {
+			t.Fatal(errs[g])
+		}
+		for j, want := range layerAnswers(t, layers, kinds) {
+			if got[g][j] != want {
+				t.Fatalf("request %d, layer %s: shared tier %+v, per-layer %+v", g, want.Layer.Name, got[g][j], want)
+			}
+		}
+	}
+}
+
+// A dead-backend sweep hands all its unmeasured layers to the tier at once,
+// so their unscanned spaces are scanned in one fan, as NetworkKinds scans
+// them, and the answers are the per-layer ones.
+func TestSweepFallbackFansScans(t *testing.T) {
+	layers := randomNetwork(rand.New(rand.NewSource(79)))
+	tune := DefaultOptions()
+	tune.Budget = 8
+	opts := NetworkOptions{Tune: tune, Winograd: true, WrapMeasurer: deadMeasurer, Analytic: NewAnalyticDSE(arch)}
+	fans := CountScanFans(t)
+	got, err := TuneNetwork(arch, layers, NewCache(), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fans() != 1 {
+		t.Fatalf("dead-backend sweep fanned %d times, want 1", fans())
+	}
+	for i, want := range layerAnswers(t, layers, []Kind{Winograd}) {
+		if got[i] != want {
+			t.Fatalf("layer %s: fallback %+v, per-layer %+v", want.Layer.Name, got[i], want)
+		}
 	}
 }

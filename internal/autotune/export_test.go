@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"sync/atomic"
+	"testing"
 
 	"repro/internal/conv"
 	"repro/internal/memsim"
@@ -143,7 +145,16 @@ func (sp *Space) Optimum() (best Measurement, ok bool) {
 }
 
 // scanned reports whether the space's analytic scan has run.
-func (sp *Space) scanned() bool { return sp.anTop != nil || sp.anErr != nil }
+func (sp *Space) scanned() bool { return sp.anDone.Load() }
+
+// Layer is the tier's analytic verdict for one (kind, shape), asked alone.
+func (a *AnalyticDSE) Layer(kind Kind, s shapes.ConvShape) (AnalyticVerdict, error) {
+	sp, err := a.space(kind, s)
+	if err != nil {
+		return AnalyticVerdict{}, err
+	}
+	return sp.Analytic(a.calibration())
+}
 
 // scannedSpaces counts the tier's memoized spaces whose scan has run.
 func (a *AnalyticDSE) scannedSpaces() int {
@@ -156,4 +167,21 @@ func (a *AnalyticDSE) scannedSpaces() int {
 		}
 	}
 	return n
+}
+
+// CheckGolden compares got with testdata/<name>, or rewrites the file under
+// -update, for the golden tests outside the package.
+func CheckGolden(t *testing.T, name string, got []byte) { checkGolden(t, name, got) }
+
+// CountScanFans counts the analytic tier's scan fans (layerVerdicts) until
+// tb ends; the returned func reads the count.
+func CountScanFans(tb testing.TB) func() int64 {
+	var n atomic.Int64
+	fan := scanFan
+	scanFan = func(k, workers int, fn func(int)) {
+		n.Add(1)
+		fan(k, workers, fn)
+	}
+	tb.Cleanup(func() { scanFan = fan })
+	return n.Load
 }

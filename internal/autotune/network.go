@@ -676,6 +676,7 @@ func (p sweepPlan) chooseKinds(opts NetworkOptions) ([]LayerVerdict, error) {
 		tier = nil
 	}
 	verdicts := make([]LayerVerdict, len(p.layers))
+	var fallback [][]Kind // per layer, the kinds the analytic tier answers it over
 	for i, l := range p.layers {
 		// best is the layer's winning search so far: the mandatory Direct one,
 		// or — on the degraded path — nothing when that failed. A failed
@@ -702,17 +703,19 @@ func (p sweepPlan) chooseKinds(opts NetworkOptions) ([]LayerVerdict, error) {
 		// No candidate kind measured: the layer is answered by the analytic
 		// tier, over the kinds the sweep had a space for, so the sweep stays
 		// complete. Only an unrankable layer still fails it.
-		kinds := make([]Kind, 0, len(p.tasksOf[i]))
+		if fallback == nil {
+			fallback = make([][]Kind, len(p.layers))
+		}
 		for _, ti := range p.tasksOf[i] {
 			if t := p.tasks[ti]; t.sp != nil {
-				kinds = append(kinds, t.Kind)
+				fallback[i] = append(fallback[i], t.Kind)
 			}
 		}
-		av, err := tier.layerVerdict(l, kinds)
-		if err != nil {
-			return nil, fmt.Errorf("autotune: layer %q: %w", l.Name, direct.err)
+	}
+	if fallback != nil {
+		if bad, err := tier.layerVerdicts(verdicts, p.layers, fallback); err != nil {
+			return nil, fmt.Errorf("autotune: layer %q: %w", p.layers[bad].Name, p.tasks[p.tasksOf[bad][0]].err)
 		}
-		verdicts[i] = av
 	}
 	return verdicts, nil
 }

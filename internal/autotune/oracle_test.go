@@ -1,7 +1,10 @@
 package autotune_test
 
 import (
+	"bytes"
+	"fmt"
 	"math"
+	"strconv"
 	"testing"
 
 	"repro/internal/autotune"
@@ -63,71 +66,102 @@ func TestZooMinFloorMatchesAnalyticTop(t *testing.T) {
 }
 
 // TestZooOracle enumerates and dry-measures every configuration of each
-// search of BenchmarkZooSweepCold's pass, which splits the pass's bound_gap
-// (verdict / minimum floor) into its two halves: the search's regret
-// (verdict / true optimum) and the bound's looseness (optimum / minimum
-// tight floor of the space). A search whose optimum equals that floor is
-// certifiable: the engine can prove it finished. Every search that stopped
-// on the certificate must end on the enumerated optimum, and that optimum
-// must be the minimum floor.
+// search of BenchmarkZooSweepCold's pass at engine seeds 0–3, which splits
+// the pass's bound_gap (verdict / minimum floor) into its two halves: the
+// search's regret (verdict / true optimum) and the bound's looseness
+// (optimum / minimum tight floor of the space). A search whose optimum
+// equals that floor is certifiable: the engine can prove it finished. Every
+// search that stopped on the certificate must end on the enumerated optimum,
+// and that optimum must be the minimum floor. The per-seed, per-kind tallies
+// are pinned in testdata/oracle.golden; regenerate it with
+//
+//	go test ./internal/autotune -run TestZooOracle -update
+//
+// only for a change that is meant to move verdicts.
 func TestZooOracle(t *testing.T) {
 	if testing.Short() {
-		t.Skip("measures every configuration of 146 spaces")
+		t.Skip("measures every configuration of 146 spaces per seed")
 	}
+	var golden bytes.Buffer
+	for seed := int64(0); seed < 4; seed++ {
+		zooOracle(t, seed, &golden)
+	}
+	autotune.CheckGolden(t, "oracle.golden", golden.Bytes())
+}
+
+// oracleTally is one seed's oracle numbers over a set of searches.
+type oracleTally struct {
+	searches, atOptimum, certified, certifiable, measurements int
+	regretLog, regretMax, looseLog                            float64
+}
+
+func (a *oracleTally) add(regret, looseness float64, certified, certifiable bool, measurements int) {
+	a.searches++
+	a.regretLog += math.Log(regret)
+	a.regretMax = max(a.regretMax, regret)
+	a.looseLog += math.Log(looseness)
+	a.measurements += measurements
+	if regret == 1 {
+		a.atOptimum++
+	}
+	if certified {
+		a.certified++
+	}
+	if certifiable {
+		a.certifiable++
+	}
+}
+
+func (a *oracleTally) String() string {
+	g := func(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
+	n := float64(a.searches)
+	return fmt.Sprintf("%d searches, %d at the optimum, regret geomean %s max %s, %d certified of %d certifiable, looseness geomean %s, %d measurements",
+		a.searches, a.atOptimum, g(math.Exp(a.regretLog/n)), g(a.regretMax),
+		a.certified, a.certifiable, g(math.Exp(a.looseLog/n)), a.measurements)
+}
+
+// zooOracle checks one seed's pass against the enumerated optima and writes
+// its tallies, over all searches and per kind, to golden.
+func zooOracle(t *testing.T, seed int64, golden *bytes.Buffer) {
 	tune := autotune.DefaultOptions()
-	tune.Seed = 0
+	tune.Seed = seed
 	_, searches := coldZooPass(t, tune, autotune.NewCache())
 
-	type agg struct {
-		n      int
-		logSum float64
-	}
-	loose := make(map[autotune.Kind]*agg)
-	var regretLog, regretMax float64
-	atOptimum, certifiable, certified := 0, 0, 0
+	var all oracleTally
+	perKind := make(map[autotune.Kind]*oracleTally)
 	for _, s := range searches {
 		sp := s.Space
 		opt, ok := sp.Optimum()
 		if !ok {
-			t.Fatalf("%v %s: nothing measures", sp.Shape, sp.Kind)
+			t.Fatalf("seed %d: %v %s: nothing measures", seed, sp.Shape, sp.Kind)
 		}
 		floor := sp.MinFloor()
 		verdict := s.BestM.Seconds
 		if !(floor <= opt.Seconds) || verdict < opt.Seconds {
-			t.Fatalf("%v %s: want floor %v ≤ optimum %v ≤ verdict %v", sp.Shape, sp.Kind, floor, opt.Seconds, verdict)
+			t.Fatalf("seed %d: %v %s: want floor %v ≤ optimum %v ≤ verdict %v", seed, sp.Shape, sp.Kind, floor, opt.Seconds, verdict)
 		}
-		regret := verdict / opt.Seconds
-		t.Logf("%v %s: regret %.4f looseness %.4f stop %v after %d",
-			sp.Shape, sp.Kind, regret, opt.Seconds/floor, s.Stop, s.Measurements)
-		regretLog += math.Log(regret)
-		regretMax = max(regretMax, regret)
-		if regret == 1 {
-			atOptimum++
+		regret, looseness := verdict/opt.Seconds, opt.Seconds/floor
+		t.Logf("seed %d: %v %s: regret %.4f looseness %.4f stop %v after %d",
+			seed, sp.Shape, sp.Kind, regret, looseness, s.Stop, s.Measurements)
+		certified := s.Stop == autotune.StopCertified
+		if certified && (verdict != opt.Seconds || opt.Seconds != floor) {
+			t.Errorf("seed %d: %v %s: certified at %v, optimum %v, minimum floor %v",
+				seed, sp.Shape, sp.Kind, verdict, opt.Seconds, floor)
 		}
-		a := loose[sp.Kind]
+		a := perKind[sp.Kind]
 		if a == nil {
-			a = &agg{}
-			loose[sp.Kind] = a
+			a = &oracleTally{}
+			perKind[sp.Kind] = a
 		}
-		a.n++
-		a.logSum += math.Log(opt.Seconds / floor)
-		if opt.Seconds == floor {
-			certifiable++
-		}
-		if s.Stop == autotune.StopCertified {
-			certified++
-			if verdict != opt.Seconds || opt.Seconds != floor {
-				t.Errorf("%v %s: certified at %v, optimum %v, minimum floor %v",
-					sp.Shape, sp.Kind, verdict, opt.Seconds, floor)
-			}
+		for _, a := range []*oracleTally{&all, a} {
+			a.add(regret, looseness, certified, opt.Seconds == floor, s.Measurements)
 		}
 	}
-	n := len(searches)
-	t.Logf("%d searches: %d at the optimum, regret geomean %.4f max %.4f; %d certifiable, %d certified",
-		n, atOptimum, math.Exp(regretLog/float64(n)), regretMax, certifiable, certified)
+	t.Logf("seed %d: %v", seed, &all)
+	fmt.Fprintf(golden, "seed %d all: %v\n", seed, &all)
 	for _, kind := range autotune.Kinds {
-		if a := loose[kind]; a != nil {
-			t.Logf("looseness %s: geomean %.4f over %d searches", kind, math.Exp(a.logSum/float64(a.n)), a.n)
+		if a := perKind[kind]; a != nil {
+			fmt.Fprintf(golden, "seed %d %s: %v\n", seed, kind, a)
 		}
 	}
 }

@@ -20,6 +20,7 @@ import (
 	"math"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/conv"
 	"repro/internal/memsim"
@@ -72,8 +73,9 @@ type Space struct {
 
 	// anOnce guards the memoized analytic scan (analytic.go): the
 	// analyticTopCap best measurable configs by bound floor, and the scan's
-	// error when nothing ranked.
+	// error when nothing ranked; the scan sets anDone last.
 	anOnce sync.Once
+	anDone atomic.Bool
 	anTop  []scored
 	anErr  error
 }
