@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -30,7 +31,8 @@ import (
 // runs the search and the other waits for its verdict.
 //
 // Beyond the verdict, an entry can carry the search's engine state — the
-// full measurement history and convergence curve (PutTrace). A state-
+// full measurement history (PutTrace), which its convergence curve is
+// rebuilt from. A state-
 // carrying entry lets a later run resume the search at a higher budget
 // without repeating a single measurement (TuneResumed), and lets
 // TuneNetwork rebuild its cross-layer transfer pool from a loaded file.
@@ -99,9 +101,8 @@ type flightCall struct {
 	searchOutcome
 }
 
-// CacheEntry is one persisted tuning outcome. Rows and Curve are the
-// optional engine state: the measurement stream in submission order and
-// the best-so-far curve, exactly Trace.History / Trace.Curve.
+// CacheEntry is one persisted tuning outcome. Rows is the optional engine
+// state: the measurement stream in submission order, exactly Trace.History.
 type CacheEntry struct {
 	Arch    string              `json:"arch"`
 	Kind    string              `json:"kind"`
@@ -110,7 +111,10 @@ type CacheEntry struct {
 	Seconds float64             `json:"seconds"`
 	GFLOPS  float64             `json:"gflops"`
 	Rows    []CachedMeasurement `json:"rows,omitempty"`
-	Curve   []float64           `json:"curve,omitempty"`
+	// Curve is the best-so-far curve, Trace.Curve: a pure function of Rows
+	// (curveOf). A cached entry holds none — put drops it — and MarshalJSON
+	// fills a nil one from Rows, so it exists only on the wire and on disk.
+	Curve []float64 `json:"curve,omitempty"`
 	// Budget is the measurement budget the persisted search ran with; it
 	// may exceed len(Rows) when the search stopped early on patience. A
 	// resume request is covered — nothing to continue — unless it asks for
@@ -141,13 +145,57 @@ type cacheFile struct {
 
 var crc32c = crc32.MakeTable(crc32.Castagnoli)
 
-// entriesChecksum is the integrity sum Save writes and Load verifies.
-func entriesChecksum(entries []CacheEntry) (string, error) {
-	body, err := json.Marshal(entries)
-	if err != nil {
-		return "", err
+// entriesChecksum is the integrity sum Save writes and Load verifies, over
+// the compact entries array (entriesJSON).
+func entriesChecksum(body []byte) string {
+	return fmt.Sprintf("crc32c:%08x", crc32.Checksum(body, crc32c))
+}
+
+// entriesJSON is the compact JSON array of entries — what
+// json.Marshal(entries) writes — marshalled one entry at a time:
+// encoding/json pools the buffer of every Marshal, so marshalling a whole
+// envelope at once would leave the pool holding a copy of it after the GC.
+func entriesJSON(entries []CacheEntry) ([]byte, error) {
+	if entries == nil {
+		return []byte("null"), nil
 	}
-	return fmt.Sprintf("crc32c:%08x", crc32.Checksum(body, crc32c)), nil
+	dst := []byte{'['}
+	for i, e := range entries {
+		b, err := e.MarshalJSON()
+		if err != nil {
+			return nil, err
+		}
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = append(dst, b...)
+	}
+	return append(dst, ']'), nil
+}
+
+// MarshalJSON writes the entry with its best-so-far curve, rebuilt from Rows
+// when the entry holds none: the one hook behind every writer of entries
+// (Save, EncodeEntries, the checksum, the daemon's handoff sidecar).
+func (e CacheEntry) MarshalJSON() ([]byte, error) {
+	if e.Curve == nil {
+		e.Curve = curveOf(e.history())
+	}
+	type plain CacheEntry // plain's method set is empty: no recursion
+	return json.Marshal(plain(e))
+}
+
+// curveOf rebuilds a search's best-so-far curve from its history exactly as
+// record.add grows Trace.Curve: the incumbent's GFLOP/s after each
+// measurement, 0 before the first successful one.
+func curveOf(hist []MeasuredConfig) (curve []float64) {
+	found, best := false, Measurement{}
+	for _, h := range hist {
+		if h.OK && (!found || h.M.Seconds < best.Seconds) {
+			found, best = true, h.M
+		}
+		curve = append(curve, best.GFLOPS)
+	}
+	return curve
 }
 
 // cachedShape / cachedConfig mirror the internal structs with stable JSON
@@ -160,12 +208,15 @@ type cachedShape struct {
 	Groups int
 }
 
+// cachedConfig's fields are int32, which every space axis fits, so a row of
+// engine state is 64 bytes (rowBytes). A value that does not fit fails to
+// decode.
 type cachedConfig struct {
-	TileX, TileY, TileZ          int
-	ThreadsX, ThreadsY, ThreadsZ int
-	SharedPerBlock               int
-	Layout                       int
-	WinogradE                    int
+	TileX, TileY, TileZ          int32
+	ThreadsX, ThreadsY, ThreadsZ int32
+	SharedPerBlock               int32
+	Layout                       int32
+	WinogradE                    int32
 }
 
 func shapeToCached(s shapes.ConvShape) cachedShape {
@@ -181,18 +232,18 @@ func (cs cachedShape) shape() shapes.ConvShape {
 }
 
 func configToCached(c conv.Config) cachedConfig {
-	return cachedConfig{c.TileX, c.TileY, c.TileZ,
-		c.ThreadsX, c.ThreadsY, c.ThreadsZ,
-		c.SharedPerBlock, int(c.Layout), c.WinogradE}
+	return cachedConfig{int32(c.TileX), int32(c.TileY), int32(c.TileZ),
+		int32(c.ThreadsX), int32(c.ThreadsY), int32(c.ThreadsZ),
+		int32(c.SharedPerBlock), int32(c.Layout), int32(c.WinogradE)}
 }
 
 func (cc cachedConfig) config() conv.Config {
 	return conv.Config{
-		TileX: cc.TileX, TileY: cc.TileY, TileZ: cc.TileZ,
-		ThreadsX: cc.ThreadsX, ThreadsY: cc.ThreadsY, ThreadsZ: cc.ThreadsZ,
-		SharedPerBlock: cc.SharedPerBlock,
+		TileX: int(cc.TileX), TileY: int(cc.TileY), TileZ: int(cc.TileZ),
+		ThreadsX: int(cc.ThreadsX), ThreadsY: int(cc.ThreadsY), ThreadsZ: int(cc.ThreadsZ),
+		SharedPerBlock: int(cc.SharedPerBlock),
 		Layout:         tensor.Layout(cc.Layout),
-		WinogradE:      cc.WinogradE,
+		WinogradE:      int(cc.WinogradE),
 	}
 }
 
@@ -203,7 +254,7 @@ func (cc cachedConfig) check(kind Kind) error {
 	if min(cc.TileX, cc.TileY, cc.TileZ, cc.ThreadsX, cc.ThreadsY, cc.ThreadsZ) < 1 {
 		return fmt.Errorf("config %+v has a tile or thread dimension below 1", cc)
 	}
-	if !slices.Contains(kind.spec().edges, cc.WinogradE) {
+	if !slices.Contains(kind.spec().edges, int(cc.WinogradE)) {
 		return fmt.Errorf("config tile edge %d is not one of %s's %v", cc.WinogradE, kind, kind.spec().edges)
 	}
 	return nil
@@ -293,6 +344,7 @@ func (c *Cache) shardFor(key string) *cacheShard {
 }
 
 func (c *Cache) put(key string, e CacheEntry) {
+	e.Curve = nil // derived from Rows; MarshalJSON rebuilds it
 	size := e.SizeBytes()
 	m := &entryMeta{size: size}
 	m.used.Store(c.clock.Add(1))
@@ -362,16 +414,15 @@ func (c *Cache) Put(archName string, kind Kind, s shapes.ConvShape, cfg conv.Con
 }
 
 // PutTrace stores a tuning outcome together with its engine state: the
-// full measurement history and convergence curve. A state-carrying entry
-// can be resumed at a higher budget (TuneResumed) and contributes to
-// TuneNetwork's transfer pool when the cache is reloaded.
+// full measurement history. A state-carrying entry can be resumed at a
+// higher budget (TuneResumed) and contributes to TuneNetwork's transfer
+// pool when the cache is reloaded.
 func (c *Cache) PutTrace(archName string, kind Kind, s shapes.ConvShape, tr *Trace) {
 	e := CacheEntry{
 		Arch: archName, Kind: kind.String(),
 		Shape:   shapeToCached(s),
 		Config:  configToCached(tr.Best),
 		Seconds: tr.BestM.Seconds, GFLOPS: tr.BestM.GFLOPS,
-		Curve:  append([]float64(nil), tr.Curve...),
 		Budget: tr.Budget,
 	}
 	if e.Budget < len(tr.History) {
@@ -398,14 +449,15 @@ func (c *Cache) Get(archName string, kind Kind, s shapes.ConvShape) (conv.Config
 }
 
 // State retrieves a cached entry's persisted engine state: the measurement
-// history and convergence curve. ok is false when the key is absent or the
+// history and the convergence curve rebuilt from it. ok is false when the key is absent or the
 // entry is verdict-only.
 func (c *Cache) State(archName string, kind Kind, s shapes.ConvShape) ([]MeasuredConfig, []float64, bool) {
 	e, ok := c.Entry(archName, kind, s)
 	if !ok || len(e.Rows) == 0 {
 		return nil, nil, false
 	}
-	return e.history(), append([]float64(nil), e.Curve...), true
+	hist := e.history()
+	return hist, curveOf(hist), true
 }
 
 // stateEntries returns every state-carrying entry of one architecture in
@@ -469,24 +521,16 @@ func (c *Cache) sortedEntries(keep func(CacheEntry) bool) []CacheEntry {
 // CRC-32C integrity checksum over the entries so a loader can tell torn or
 // bit-rotted state from a healthy file.
 func (c *Cache) Save(w io.Writer) error {
-	f, err := sealEnvelope(c.sortedEntries(func(CacheEntry) bool { return true }))
+	env, err := EncodeEntries(c.sortedEntries(func(CacheEntry) bool { return true }))
 	if err != nil {
 		return err
 	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(f)
-}
-
-// sealEnvelope is the one encode side of the envelope codec: entries
-// wrapped with the current version and their checksum. Save indents it for
-// the state file, EncodeEntries marshals it compact for the wire.
-func sealEnvelope(entries []CacheEntry) (cacheFile, error) {
-	sum, err := entriesChecksum(entries)
-	if err != nil {
-		return cacheFile{}, err
+	var out bytes.Buffer
+	if err := json.Indent(&out, env, "", "  "); err != nil {
+		return err
 	}
-	return cacheFile{Version: cacheFormatVersion, Checksum: sum, Entries: entries}, nil
+	_, err = w.Write(append(out.Bytes(), '\n'))
+	return err
 }
 
 // decodeEnvelope is the one decode side: unmarshal, version check, checksum
@@ -504,11 +548,11 @@ func decodeEnvelope(data []byte) ([]CacheEntry, []string, error) {
 	if f.Checksum != "" {
 		// Files from pre-checksum writers carry no sum and load as before; a
 		// present sum must verify.
-		sum, err := entriesChecksum(f.Entries)
+		body, err := entriesJSON(f.Entries)
 		if err != nil {
 			return nil, nil, fmt.Errorf("autotune: cache checksum: %w", err)
 		}
-		if sum != f.Checksum {
+		if sum := entriesChecksum(body); sum != f.Checksum {
 			return nil, nil, fmt.Errorf("autotune: cache checksum mismatch: file says %s, entries sum to %s", f.Checksum, sum)
 		}
 	}
@@ -595,12 +639,16 @@ func (e CacheEntry) Key() (string, error) {
 // envelope — the exact format Save writes, reused as the replication and
 // hinted-handoff payload between cluster replicas so both sides share one
 // hardened (fuzzed) decoder.
+// It is the one encode side of the envelope codec, byte for byte what
+// json.Marshal of a cacheFile writes; Save indents it.
 func EncodeEntries(entries []CacheEntry) ([]byte, error) {
-	f, err := sealEnvelope(entries)
+	body, err := entriesJSON(entries)
 	if err != nil {
 		return nil, err
 	}
-	return json.Marshal(f)
+	out := fmt.Appendf(make([]byte, 0, len(body)+64), `{"version":%d,"checksum":"%s","entries":`,
+		cacheFormatVersion, entriesChecksum(body))
+	return append(append(out, body...), '}'), nil
 }
 
 // DecodeEntries decodes an envelope produced by EncodeEntries (or Save),
@@ -705,9 +753,11 @@ func (c *Cache) RecoverFile(path string) (loaded int, salvaged bool, err error) 
 
 // salvageEntries decodes as many whole entries as possible from a damaged
 // cache file: it token-walks to the envelope's entries array and decodes
-// entry by entry until the corruption point. Per-entry validation is the
-// caller's job — a torn tail can truncate an entry into something that
-// still parses.
+// entry by entry until the corruption point. An entry that is well-formed
+// JSON but does not fit the entry type (a string where a number belongs, a
+// config value past int32) is skipped: the decoder consumed it whole, so
+// the entries after it still decode. Per-entry validation is the caller's
+// job — a torn tail can truncate an entry into something that still parses.
 func salvageEntries(data []byte) []CacheEntry {
 	dec := json.NewDecoder(bytes.NewReader(data))
 	if tok, err := dec.Token(); err != nil || tok != json.Delim('{') {
@@ -735,7 +785,10 @@ func salvageEntries(data []byte) []CacheEntry {
 	var out []CacheEntry
 	for dec.More() {
 		var e CacheEntry
-		if err := dec.Decode(&e); err != nil {
+		var typeErr *json.UnmarshalTypeError
+		if err := dec.Decode(&e); errors.As(err, &typeErr) {
+			continue
+		} else if err != nil {
 			break
 		}
 		out = append(out, e)
@@ -770,7 +823,8 @@ func TuneResumed(cache *Cache, sp *Space, measure Measurer, opts Options) (*Trac
 	// The entry that covered the request carries the rest; only an eviction
 	// since tuneShared read it leaves the bare verdict.
 	if e, ok := cache.Entry(sp.Arch.Name, sp.Kind, sp.Shape); ok {
-		tr.Curve, tr.History = append([]float64(nil), e.Curve...), e.history()
+		tr.History = e.history()
+		tr.Curve = curveOf(tr.History)
 		tr.Measurements, tr.Budget = len(e.Rows), e.Budget
 		tr.ConvergedAt = convergedAt(tr.Curve)
 	}

@@ -173,60 +173,6 @@ func TestCacheLoadFormatVersions(t *testing.T) {
 	}
 }
 
-// State-carrying entries round-trip: history (configs, outcomes, failure
-// flags) and curve survive Save/Load bit-for-bit.
-func TestCacheStateRoundTrip(t *testing.T) {
-	c := NewCache()
-	s := layer()
-	tr := &Trace{
-		Method: "ate",
-		Best:   conv.Config{TileX: 9, TileY: 3, TileZ: 8, ThreadsX: 3, ThreadsY: 3, ThreadsZ: 2, SharedPerBlock: 4096},
-		BestM:  Measurement{Seconds: 2e-4, GFLOPS: 900},
-		Curve:  []float64{100, 900, 900},
-		History: []MeasuredConfig{
-			{Config: conv.Config{TileX: 27, TileY: 27, TileZ: 64, ThreadsX: 1, ThreadsY: 1, ThreadsZ: 1, SharedPerBlock: 256}, OK: false},
-			{Config: conv.Config{TileX: 9, TileY: 3, TileZ: 8, ThreadsX: 3, ThreadsY: 3, ThreadsZ: 2, SharedPerBlock: 4096},
-				M: Measurement{Seconds: 2e-4, GFLOPS: 900}, OK: true},
-		},
-		Measurements: 2,
-	}
-	c.PutTrace(arch.Name, Direct, s, tr)
-
-	var buf bytes.Buffer
-	if err := c.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	restored := NewCache()
-	if err := restored.Load(&buf); err != nil {
-		t.Fatal(err)
-	}
-	hist, curve, ok := restored.State(arch.Name, Direct, s)
-	if !ok {
-		t.Fatal("restored entry lost its state")
-	}
-	if len(hist) != len(tr.History) {
-		t.Fatalf("history length %d != %d", len(hist), len(tr.History))
-	}
-	for i := range hist {
-		if hist[i] != tr.History[i] {
-			t.Errorf("history[%d] %+v != %+v", i, hist[i], tr.History[i])
-		}
-	}
-	if len(curve) != len(tr.Curve) {
-		t.Fatalf("curve length %d != %d", len(curve), len(tr.Curve))
-	}
-	for i := range curve {
-		if curve[i] != tr.Curve[i] {
-			t.Errorf("curve[%d] %v != %v", i, curve[i], tr.Curve[i])
-		}
-	}
-	// And the verdict itself still serves.
-	cfg, m, ok := restored.Get(arch.Name, Direct, s)
-	if !ok || cfg != tr.Best || m != tr.BestM {
-		t.Fatalf("restored verdict wrong: %v %v %v", cfg, m, ok)
-	}
-}
-
 // The strconv key builder and its string wrapper must agree with the
 // reference fmt construction of the same key. (Keys are in-memory only —
 // files persist whole entries — so the format needs internal consistency,

@@ -4,6 +4,7 @@ import (
 	"sort"
 	"sync/atomic"
 	"time"
+	"unsafe"
 )
 
 // This file bounds the cache for long-running service use. The tuning
@@ -110,16 +111,15 @@ func (c *Cache) SizeBytes() int64 { return c.bytes.Load() }
 // is a stable, monotone measure for MaxBytes, not heap-exact byte counts.
 const (
 	entryFixedBytes = 256
-	rowBytes        = 88 // CachedMeasurement: 9 config ints + 2 floats + bool
-	curvePointBytes = 8
+	rowBytes        = int64(unsafe.Sizeof(CachedMeasurement{}))
 )
 
 // SizeBytes estimates the retained bytes of one entry. State-carrying
-// entries (Rows/Curve) dominate: a 400-measurement search persists ~38 KiB
-// against the fixed ~0.3 KiB of a verdict-only entry.
+// entries dominate: a 400-measurement search persists 25 KiB of rows
+// against the fixed ~0.3 KiB of a verdict-only entry. A cached entry holds
+// no curve (put drops it), so none is counted.
 func (e CacheEntry) SizeBytes() int64 {
-	return entryFixedBytes + int64(len(e.Arch)) + int64(len(e.Kind)) +
-		int64(len(e.Rows))*rowBytes + int64(len(e.Curve))*curvePointBytes
+	return entryFixedBytes + int64(len(e.Arch)) + int64(len(e.Kind)) + int64(len(e.Rows))*rowBytes
 }
 
 // remove deletes one entry, keeping the byte accounting and eviction

@@ -185,3 +185,11 @@ func CountScanFans(tb testing.TB) func() int64 {
 	tb.Cleanup(func() { scanFan = fan })
 	return n.Load
 }
+
+// AssertWritersMatchTraces and AssertCurveOf (codec_test.go) check a cache a
+// zoo pass filled against the previous encoder, and a trace's curve against
+// the one the cache derives.
+var (
+	AssertWritersMatchTraces = assertWritersMatchTraces
+	AssertCurveOf            = assertCurveOf
+)

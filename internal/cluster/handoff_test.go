@@ -1,11 +1,15 @@
 package cluster
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
+	"sync"
 	"testing"
 
 	"repro/internal/autotune"
+	"repro/internal/memsim"
+	"repro/internal/shapes"
 )
 
 // testEntry builds a valid cache entry; cout varies the cache key, seconds
@@ -116,5 +120,80 @@ func TestHandoffSnapshotRestoreRoundTrip(t *testing.T) {
 	if restored.DepthAll() != 3 || restored.Depth("a") != 2 || restored.Depth("b") != 1 {
 		t.Fatalf("restored depths a=%d b=%d total=%d, want 2/1/3",
 			restored.Depth("a"), restored.Depth("b"), restored.DepthAll())
+	}
+}
+
+// stateEntries tunes a few small searches into a cache and returns the
+// entries a replica would ship for them: rows and no curve, as cached.
+func stateEntries(t *testing.T) []autotune.CacheEntry {
+	t.Helper()
+	cache := autotune.NewCache()
+	var entries []autotune.CacheEntry
+	for _, cout := range []int{8, 16, 32} {
+		s := shapes.ConvShape{Batch: 1, Cin: 16, Hin: 8, Win: 8, Cout: cout, Hker: 3, Wker: 3, Strid: 1, Pad: 1}
+		sp, err := autotune.NewSpace(s, memsim.V100, autotune.Direct, 0, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		opts := autotune.DefaultOptions()
+		opts.Budget = 12
+		if _, err := autotune.TuneResumed(cache, sp, autotune.KindMeasurer(memsim.V100, s, autotune.Direct), opts); err != nil {
+			t.Fatal(err)
+		}
+		e, _ := cache.Entry(memsim.V100.Name, autotune.Direct, s)
+		if len(e.Rows) == 0 || e.Curve != nil {
+			t.Fatalf("cached entry has %d rows and a %d-point curve", len(e.Rows), len(e.Curve))
+		}
+		entries = append(entries, e)
+	}
+	return entries
+}
+
+// A replica queues an entry slice for a down peer and, on another goroutine,
+// encodes the same slice for the peers that are up. Encoding fills each
+// entry's curve on the wire only: it must never write to the slice the
+// queue shares (run under -race).
+func TestHandoffSharedEntriesUnderEncode(t *testing.T) {
+	entries := stateEntries(t)
+	want, err := autotune.EncodeEntries(entries)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := NewHandoff(16)
+	var wg sync.WaitGroup
+	for g := range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for range 20 {
+				switch g {
+				case 0:
+					h.Queue("down", entries)
+				case 1:
+					if _, err := json.Marshal(h.Snapshot()); err != nil {
+						t.Error(err)
+					}
+				default:
+					if got, err := autotune.EncodeEntries(entries); err != nil || !bytes.Equal(got, want) {
+						t.Errorf("concurrent EncodeEntries differs (%v)", err)
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	for i, e := range entries {
+		if e.Curve != nil {
+			t.Errorf("entry %d gained a %d-point curve", i, len(e.Curve))
+		}
+	}
+	back, err := autotune.DecodeEntries(want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, e := range back {
+		if len(e.Curve) != len(entries[i].Rows) {
+			t.Errorf("entry %d crossed the wire with a %d-point curve for %d rows", i, len(e.Curve), len(e.Rows))
+		}
 	}
 }
