@@ -9,7 +9,8 @@ import (
 // whatever a client POSTs. Under fuzzing it must either return a validated
 // description or an error — never panic — and anything it accepts must
 // survive a marshal/reparse round trip unchanged (the wire format is
-// self-consistent).
+// self-consistent). Whatever the reflection-free fast path accepts, it
+// decodes exactly as the encoding/json reference does.
 func FuzzParseNetworkDescription(f *testing.F) {
 	f.Add([]byte(`{"arch":"V100","layers":[{"cin":64,"hin":28,"cout":64,"hker":3,"pad":1}],"options":{"budget":16}}`))
 	f.Add([]byte(`{"arch":"TitanX","name":"resnet18","layers":[{"name":"conv1","batch":1,"cin":3,"hin":224,"win":224,"cout":64,"hker":7,"wker":7,"stride":2,"pad":3,"repeat":1}],"options":{"budget":400,"seed":7,"winograd":false}}`))
@@ -21,10 +22,13 @@ func FuzzParseNetworkDescription(f *testing.F) {
 	f.Add([]byte(`{"arch":"V100","layers":[{"cin":8,"hin":8,"cout":8,"hker":3}],"options":{"kinds":["karatsuba"]}}`))
 	f.Add([]byte(`{"arch":"V100","unknown":true}`))
 	f.Add([]byte(`{"arch":"V100","layers":[{"cin":8,"hin":8,"cout":8,"hker":3,"pad":1}]}{}`))
+	f.Add([]byte(`{"arch":"V100","layers":[{"cin":8,"hin":8,"cout":8,"hker":3,"pad":1}],"options":{"seed":-5,"winograd":true,"kinds":["igemm","fft","fft"]}}`))
+	f.Add([]byte(`{"arch":"V100","layers":[{"cin":8,"hin":8,"cout":8,"hker":3,"pad":1,"pad":2}]}`))
 	f.Add([]byte(`[`))
 	f.Add([]byte(`null`))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
+		fastPathAgrees(t, data, (*wireScanner).network)
 		d, err := ParseNetworkDescription(data)
 		if err != nil {
 			return
@@ -47,8 +51,9 @@ func FuzzParseNetworkDescription(f *testing.F) {
 
 // The forwarded-request decoder parses what peer replicas POST to
 // /v1/cluster/tune. A replica's cluster port is as exposed as its client
-// port, so the envelope gets the same fuzz contract: no panic, and accepted
-// envelopes re-encode to themselves.
+// port, so the envelope gets the same fuzz contract: no panic, accepted
+// envelopes re-encode to themselves, and the fast path agrees with the
+// reference.
 func FuzzParseForwardedTuneRequest(f *testing.F) {
 	f.Add([]byte(`{"origin":"http://127.0.0.1:9911","network":{"arch":"V100","layers":[{"cin":64,"hin":28,"cout":64,"hker":3,"pad":1}],"options":{"budget":16}}}`))
 	f.Add([]byte(`{"origin":"http://10.0.0.2:8080","attempt":2,"network":{"arch":"TitanX","layers":[{"cin":3,"hin":224,"cout":64,"hker":7,"stride":2,"pad":3}],"options":{"seed":7,"kinds":["fft"]}}}`))
@@ -59,10 +64,12 @@ func FuzzParseForwardedTuneRequest(f *testing.F) {
 	f.Add([]byte(`{"origin":"x","network":{"arch":"V100","layers":[{"cin":-1,"hin":8,"cout":8,"hker":3}]}}`))
 	f.Add([]byte(`{"origin":"x","hops":1,"network":{"arch":"V100","layers":[{"cin":8,"hin":8,"cout":8,"hker":3}]}}`))
 	f.Add([]byte(`{"origin":"x","network":{"arch":"V100","layers":[{"cin":8,"hin":8,"cout":8,"hker":3,"pad":1}]}}{}`))
+	f.Add([]byte(`{"origin":"x","attempt":1,"network":{"arch":"V100","name":"n\u0041","layers":[{"cin":8,"hin":8,"cout":8,"hker":3,"pad":1}]}}`))
 	f.Add([]byte(`{`))
 	f.Add([]byte(`null`))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
+		fastPathAgrees(t, data, (*wireScanner).forwarded)
 		fr, err := ParseForwardedTuneRequest(data)
 		if err != nil {
 			return

@@ -7,6 +7,7 @@ package shapes
 import (
 	"errors"
 	"fmt"
+	"strconv"
 )
 
 // ConvShape describes one convolution layer in the form used throughout the
@@ -115,11 +116,22 @@ func (s ConvShape) WithBatch(n int) ConvShape {
 	return s
 }
 
-func (s ConvShape) String() string {
-	group := ""
-	if s.G() > 1 {
-		group = fmt.Sprintf(" g=%d", s.G())
+func (s ConvShape) String() string { return string(s.AppendString(nil)) }
+
+// shapeFormat is String's text before each of its first nine numbers.
+var shapeFormat = [...]string{"conv[N=", " Cin=", " ", "x", " k=", "x", " Cout=", " mu=", " pad="}
+
+// AppendString appends the shape's String form to b, e.g.
+// "conv[N=1 Cin=64 56x56 k=3x3 Cout=64 mu=1 pad=1 -> 56x56]", with " g=G"
+// after the padding of a grouped shape.
+func (s ConvShape) AppendString(b []byte) []byte {
+	for i, v := range [...]int{s.Batch, s.Cin, s.Hin, s.Win, s.Hker, s.Wker, s.Cout, s.Strid, s.Pad} {
+		b = strconv.AppendInt(append(b, shapeFormat[i]...), int64(v), 10)
 	}
-	return fmt.Sprintf("conv[N=%d Cin=%d %dx%d k=%dx%d Cout=%d mu=%d pad=%d%s -> %dx%d]",
-		s.Batch, s.Cin, s.Hin, s.Win, s.Hker, s.Wker, s.Cout, s.Strid, s.Pad, group, s.Hout(), s.Wout())
+	if s.G() > 1 {
+		b = strconv.AppendInt(append(b, " g="...), int64(s.G()), 10)
+	}
+	b = strconv.AppendInt(append(b, " -> "...), int64(s.Hout()), 10)
+	b = strconv.AppendInt(append(b, 'x'), int64(s.Wout()), 10)
+	return append(b, ']')
 }

@@ -1,6 +1,7 @@
 package shapes
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 )
@@ -148,5 +149,27 @@ func TestString(t *testing.T) {
 	got := s.String()
 	if got == "" {
 		t.Fatal("empty String()")
+	}
+}
+
+// Property: AppendString writes what String's fmt form wrote, on random
+// shapes with and without groups, after any prefix.
+func TestAppendStringMatchesFmt(t *testing.T) {
+	fmtString := func(s ConvShape) string {
+		group := ""
+		if s.G() > 1 {
+			group = fmt.Sprintf(" g=%d", s.G())
+		}
+		return fmt.Sprintf("conv[N=%d Cin=%d %dx%d k=%dx%d Cout=%d mu=%d pad=%d%s -> %dx%d]",
+			s.Batch, s.Cin, s.Hin, s.Win, s.Hker, s.Wker, s.Cout, s.Strid, s.Pad, group, s.Hout(), s.Wout())
+	}
+	f := func(n, cin, hin, win, hker, wker, cout, mu, pad uint16, groups int8) bool {
+		s := ConvShape{Batch: int(n), Cin: int(cin), Hin: int(hin), Win: int(win), Hker: int(hker),
+			Wker: int(wker), Cout: int(cout), Strid: int(mu%7) + 1, Pad: int(pad), Groups: int(groups)}
+		want := fmtString(s)
+		return s.String() == want && string(s.AppendString([]byte("k|"))) == "k|"+want
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
+		t.Error(err)
 	}
 }

@@ -1,9 +1,8 @@
 package tuned
 
 import (
-	"fmt"
 	"slices"
-	"strings"
+	"strconv"
 
 	"repro"
 	"repro/internal/autotune"
@@ -54,10 +53,18 @@ func (s *Server) resolve(desc repro.NetworkDescription) (*request, error) {
 		// failure here can only mean a caller bypassed it, so fall back to
 		// the server default rather than crash.
 		if kinds, err := repro.ParseKinds(o.Kinds); err == nil && len(kinds) > 0 {
-			r.kinds = kinds
+			r.kinds = canonicalKinds(kinds)
 		}
 	}
 	return r, nil
+}
+
+// canonicalKinds sorts kinds in Kind order and drops repeats, in place. The
+// engine tunes a set of kinds, so every spelling of one set must resolve to
+// one Key and one groupKey.
+func canonicalKinds(kinds []autotune.Kind) []autotune.Kind {
+	slices.Sort(kinds)
+	return slices.Compact(kinds)
 }
 
 // kindNames is the canonical wire spelling of the request's candidate kinds.
@@ -73,9 +80,21 @@ func (r *request) kindNames() []string {
 // one TuneNetwork call: same architecture and same per-layer engine
 // options. Merging across differing options would change verdicts (the
 // engine is deterministic in them), so each distinct key tunes separately.
-func (r *request) groupKey() string {
-	return fmt.Sprintf("%s|%d|%d|%t|%s", r.arch.Name, r.tune.Budget, r.tune.Seed,
-		r.winograd, strings.Join(r.kindNames(), ","))
+func (r *request) groupKey() string { return string(r.appendGroupKey(nil)) }
+
+// appendGroupKey appends "arch|budget|seed|winograd|kind,kind" to b.
+func (r *request) appendGroupKey(b []byte) []byte {
+	b = append(append(b, r.arch.Name...), '|')
+	b = append(strconv.AppendInt(b, int64(r.tune.Budget), 10), '|')
+	b = append(strconv.AppendInt(b, r.tune.Seed, 10), '|')
+	b = append(strconv.AppendBool(b, r.winograd), '|')
+	for i, k := range r.kinds {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = append(b, k.String()...)
+	}
+	return b
 }
 
 // Key identifies the request by everything that shapes its answer — the
@@ -87,13 +106,11 @@ func (r *request) groupKey() string {
 // this exact string, so its layout is pinned by a golden test.
 func (r *request) Key() string {
 	if r.key == "" {
-		var b strings.Builder
-		b.WriteString(r.groupKey())
+		b := r.appendGroupKey(make([]byte, 0, 64+64*len(r.layers)))
 		for _, l := range r.layers {
-			b.WriteByte('|')
-			b.WriteString(l.Shape.String())
+			b = l.Shape.AppendString(append(b, '|'))
 		}
-		r.key = b.String()
+		r.key = string(b)
 	}
 	return r.key
 }

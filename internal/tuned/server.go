@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -160,6 +161,7 @@ func New(cfg Config) (*Server, error) {
 		def.Retry = cfg.Tune.Retry
 		cfg.Tune = def
 	}
+	cfg.Kinds = canonicalKinds(slices.Clone(cfg.Kinds))
 	s := &Server{cfg: cfg, cache: cfg.Cache, adm: &admission{max: cfg.MaxInflight}, start: time.Now(),
 		stop: make(chan struct{})}
 	// Every fresh measurement of every request funnels through this sink;

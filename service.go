@@ -8,10 +8,8 @@ package repro
 // contract the cache file format keeps.
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
-	"io"
+	"strconv"
 
 	"repro/internal/autotune"
 	"repro/internal/tensor"
@@ -77,10 +75,10 @@ type NetworkDescription struct {
 	Options *RequestOptions    `json:"options,omitempty"`
 }
 
-// normalized fills the documented field defaults in.
-func (d NetworkDescription) normalized() NetworkDescription {
-	layers := make([]LayerDescription, len(d.Layers))
-	for i, l := range d.Layers {
+// normalize fills the documented field defaults in.
+func (d *NetworkDescription) normalize() {
+	for i := range d.Layers {
+		l := &d.Layers[i]
 		if l.Batch == 0 {
 			l.Batch = 1
 		}
@@ -97,12 +95,9 @@ func (d NetworkDescription) normalized() NetworkDescription {
 			l.Repeat = 1
 		}
 		if l.Name == "" {
-			l.Name = fmt.Sprintf("layer%d", i)
+			l.Name = "layer" + strconv.Itoa(i)
 		}
-		layers[i] = l
 	}
-	d.Layers = layers
-	return d
 }
 
 func (l LayerDescription) shape() Shape {
@@ -183,7 +178,8 @@ func DescribeNetwork(archName string, layers []NetworkLayer) NetworkDescription 
 			Cout: s.Cout, Hker: s.Hker, Wker: s.Wker,
 			Stride: s.Strid, Pad: s.Pad, Groups: s.Groups, Repeat: l.Repeat}
 	}
-	return d.normalized()
+	d.normalize()
+	return d
 }
 
 // ParseNetworkDescription decodes and validates a network description.
@@ -191,16 +187,11 @@ func DescribeNetwork(archName string, layers []NetworkLayer) NetworkDescription 
 // with an error; no input makes it panic (the decoder is fuzzed). The
 // returned description has all defaults filled in.
 func ParseNetworkDescription(data []byte) (NetworkDescription, error) {
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
 	var d NetworkDescription
-	if err := dec.Decode(&d); err != nil {
+	if err := decodeWire(data, &d, (*wireScanner).network); err != nil {
 		return NetworkDescription{}, fmt.Errorf("repro: network description: %w", err)
 	}
-	if _, err := dec.Token(); err != io.EOF {
-		return NetworkDescription{}, fmt.Errorf("repro: network description: trailing data after JSON document")
-	}
-	d = d.normalized()
+	d.normalize()
 	if err := d.Validate(); err != nil {
 		return NetworkDescription{}, err
 	}
@@ -250,16 +241,11 @@ func (f ForwardedTuneRequest) Validate() error {
 // panics (the decoder is fuzzed), and the inner description comes back with
 // defaults filled.
 func ParseForwardedTuneRequest(data []byte) (ForwardedTuneRequest, error) {
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
 	var f ForwardedTuneRequest
-	if err := dec.Decode(&f); err != nil {
+	if err := decodeWire(data, &f, (*wireScanner).forwarded); err != nil {
 		return ForwardedTuneRequest{}, fmt.Errorf("repro: forwarded request: %w", err)
 	}
-	if _, err := dec.Token(); err != io.EOF {
-		return ForwardedTuneRequest{}, fmt.Errorf("repro: forwarded request: trailing data after JSON document")
-	}
-	f.Network = f.Network.normalized()
+	f.Network.normalize()
 	if err := f.Validate(); err != nil {
 		return ForwardedTuneRequest{}, err
 	}
