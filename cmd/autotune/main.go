@@ -87,7 +87,7 @@ func main() {
 	opts := repro.TuneOptions{Budget: *budget, Seed: *seed, Workers: *workers,
 		MeasureLatency: *latency, NoPrune: *noPrune, MinDelta: *minDelta}
 	var trace *repro.TuneTrace
-	replayed := 0
+	replayed, covered := 0, false
 	if *resume {
 		// Continue the cached search: its persisted measurement history
 		// replays into the engine and only the remaining budget measures.
@@ -103,6 +103,10 @@ func main() {
 				return
 			}
 		}
+		// A covered request measures nothing: its trace is rebuilt from the
+		// cache entry, which keeps no prune count.
+		_, remaining := cache.Covered(arch.Name, kind, s, *budget, true)
+		covered = replayed > 0 && remaining == 0
 		trace, err = repro.ResumeKind(arch, s, kind, cache, opts)
 	} else {
 		trace, err = repro.TuneKind(arch, s, kind, opts)
@@ -115,8 +119,13 @@ func main() {
 	fmt.Printf("layer:       %v\n", s)
 	fmt.Printf("arch:        %s\n", arch.Name)
 	fmt.Printf("kind:        %s\n", kind)
-	fmt.Printf("measurements %d (%d candidates pruned by the I/O lower bound), best found at #%d\n",
-		trace.Measurements, trace.Pruned, trace.ConvergedAt)
+	if covered {
+		fmt.Printf("measurements %d (the cache covers budget %d; nothing measured fresh), best found at #%d\n",
+			trace.Measurements, *budget, trace.ConvergedAt)
+	} else {
+		fmt.Printf("measurements %d (%d candidates pruned by the I/O lower bound), best found at #%d\n",
+			trace.Measurements, trace.Pruned, trace.ConvergedAt)
+	}
 	if replayed > 0 {
 		fmt.Printf("resumed:     %d measurements replayed from cache, %d fresh\n",
 			replayed, trace.Measurements-replayed)

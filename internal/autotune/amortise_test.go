@@ -7,6 +7,7 @@ import (
 	"reflect"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/shapes"
@@ -16,6 +17,15 @@ import (
 // shared prior a search borrows and the copy it takes to refit (sharedPrior,
 // GBTModel.clone), and the refit cadence of TuneFallible (refitDue,
 // Trace.Refits).
+
+// privatePrior is a family prior that no pool or memo shares: built on rows
+// x, y and fitted with TrainGBT before any search borrows it. A search handed
+// it is the reference a search borrowing the pool's prior must equal.
+func privatePrior(x [][]float64, y []float64) *sharedPrior {
+	p := &sharedPrior{n: len(x)}
+	p.once.Do(func() { p.x, p.y, p.model = x, y, TrainGBT(DefaultGBTConfig(), x, y) })
+	return p
+}
 
 // resnet18Layers is ResNet-18 as internal/models lists it (that package
 // imports this one, so the table is repeated here).
@@ -293,7 +303,8 @@ func TestSharedPriorBorrowThenTake(t *testing.T) {
 // same search has when the prior was built before it started. Searches of one
 // family that do predict, run concurrently, build the rows and the fit once
 // (one fit through the memo, in the once that featurizes the rows) and each
-// has the trace of the same search fitting those rows itself.
+// has the trace of the same search handed a private prior fitted on those
+// rows.
 func TestSharedPriorBuiltOnFirstNeed(t *testing.T) {
 	cache := NewCache()
 	if _, err := TuneNetwork(arch, resnetBlockLayers(), cache, warmSweepOpts(2)); err != nil {
@@ -312,14 +323,14 @@ func TestSharedPriorBuiltOnFirstNeed(t *testing.T) {
 	}
 	opts := warmSweepOpts(1).Tune
 	opts.Budget = 48
-	tune := func(s shapes.ConvShape, warm *WarmStart) *Trace {
+	tune := func(s shapes.ConvShape, warm *warmStart) *Trace {
 		t.Helper()
 		sp, err := NewSpace(s, arch, Direct, 0, true)
 		if err != nil {
 			t.Fatal(err)
 		}
 		o := opts
-		o.Warm = warm
+		o.warm = warm
 		tr, err := Tune(sp, KindMeasurer(arch, s, Direct), o)
 		if err != nil {
 			t.Fatal(err)
@@ -383,7 +394,6 @@ func TestSharedPriorBuiltOnFirstNeed(t *testing.T) {
 			t.Fatalf("%d searches that predict: memo %v -> %v, %d of %d rows built; want one fit",
 				len(layers), before, after, len(pe.prior.x), pe.prior.n)
 		}
-		feats, costs := pe.prior.rows()
 		for i, s := range layers {
 			name := fmt.Sprintf("1x1/2 cin %d", s.Cin)
 			// A search that spends its budget measured past its seed batches:
@@ -391,17 +401,57 @@ func TestSharedPriorBuiltOnFirstNeed(t *testing.T) {
 			if traces[i].Stop != StopBudget {
 				t.Fatalf("%s: stopped on %v, want a search that predicts to the end of its budget", name, traces[i].Stop)
 			}
-			own := tune(s, &WarmStart{Feats: feats, Costs: costs, Seeds: pe.seeds})
-			own.Refits-- // the fit the search no longer runs itself
-			sameTrace(name, traces[i], own)
+			sameTrace(name, traces[i], tune(s, &warmStart{Seeds: pe.seeds, prior: privatePrior(pe.prior.rows())}))
 		}
 	})
 }
 
+// A resumed search reads its own history, never its family's prior: when a
+// warm ResNet-18 sweep at budget 48 is repeated with Resume at 96, every
+// search resumes and measures on, yet the cache's prior memo counts no fit.
+// History and prior are the two inputs of the warm seam, and this is where
+// both reach one search.
+func TestResumeReadsNoFamilyPrior(t *testing.T) {
+	cache := NewCache()
+	opts := warmSweepOpts(2)
+	opts.Tune.Budget = 48
+	if _, err := TuneNetwork(arch, resnet18Layers(), cache, opts); err != nil {
+		t.Fatal(err)
+	}
+	memoCounts := func() [3]int {
+		cache.priors.mu.Lock()
+		defer cache.priors.mu.Unlock()
+		return [3]int{cache.priors.hits, cache.priors.misses, cache.priors.belowCap}
+	}
+	before := memoCounts()
+	var fresh atomic.Int64
+	opts.Tune.Budget, opts.Resume = 96, true
+	opts.Tune.OnEvent = func(e Event) {
+		if e == EventMeasure {
+			fresh.Add(1)
+		}
+	}
+	verdicts, err := TuneNetwork(arch, resnet18Layers(), cache, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fresh.Load() == 0 {
+		t.Fatal("the resumed sweep measured nothing: no search resumed")
+	}
+	for _, v := range verdicts {
+		if v.Shared {
+			t.Errorf("%s: answered from the cache, want a resumed search", v.Layer.Name)
+		}
+	}
+	if after := memoCounts(); after != before {
+		t.Errorf("resumed searches fitted family priors: memo %v -> %v", before, after)
+	}
+}
+
 // Sharing moves nothing: every warm search of a ResNet-18 sweep — which
-// borrowed its family's one prior and copied it to refit — has the trace of
-// the same search handed the same transferred rows with no shared entry,
-// fitting its own prior. The reference rebuilds the sweep's schedule by hand
+// borrowed its family's one prior and copied it to refit — has the trace and
+// the refits of the same search handed a private prior fitted on the same
+// transferred rows. The reference rebuilds the sweep's schedule by hand
 // (the first search of each family runs cold and feeds the pool), so it
 // checks that too.
 func TestSharedPriorIsBitNeutral(t *testing.T) {
@@ -430,16 +480,13 @@ func TestSharedPriorIsBitNeutral(t *testing.T) {
 	transferred := 0
 	for _, task := range warm {
 		o := opts.Tune
-		shared := 0
 		if w := pool.warmFor(familyOf(task.Kind, task.Shape)); w != nil {
 			own := *w
-			own.Feats, own.Costs = w.prior.rows()
-			own.prior = nil
-			o.Warm = &own
-			if len(own.Feats) > 0 {
-				shared = 1 // the fit the search no longer runs itself
+			if w.prior.n > 0 {
+				own.prior = privatePrior(w.prior.rows())
 				transferred++
 			}
+			o.warm = &own
 		}
 		ref, err := Tune(task.sp, NewMemoMeasure(arch, task.Shape, task.Kind).Measure, o)
 		if (err != nil) != (task.err != nil) {
@@ -452,8 +499,8 @@ func TestSharedPriorIsBitNeutral(t *testing.T) {
 			t.Errorf("%s %v: sharing the prior moved the trace (best %v vs %v, %d vs %d measurements)",
 				task.Kind, task.Shape, task.trace.Best, ref.Best, task.trace.Measurements, ref.Measurements)
 		}
-		if task.trace.Refits+shared != ref.Refits {
-			t.Errorf("%s %v: %d refits with a shared prior, %d fitting its own",
+		if task.trace.Refits != ref.Refits {
+			t.Errorf("%s %v: %d refits with the shared prior, %d with a private one",
 				task.Kind, task.Shape, task.trace.Refits, ref.Refits)
 		}
 	}
@@ -544,7 +591,7 @@ func TestRefitCadence(t *testing.T) {
 		t.Fatalf("donors left %d transferred rows, want the cap %d", len(feats), poolRowCap)
 	}
 
-	opts.Warm = warm
+	opts.warm = warm
 	full, err := Tune(sp, measure, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -570,17 +617,17 @@ func TestRefitCadence(t *testing.T) {
 		t.Errorf("warm budget-%d search: %d refits, %d measurements; want 0 refits and the whole budget",
 			short.Budget, tr.Refits, tr.Measurements)
 	}
-	// The same search without the shared entry fits that prior itself — its
-	// one fit — and is otherwise identical.
+	// The same search handed a private prior fitted on the same rows before
+	// it starts is identical, refits included.
 	own := *warm
-	own.Feats, own.Costs, own.prior = feats, costs, nil
-	short.Warm = &own
+	own.prior = privatePrior(feats, costs)
+	short.warm = &own
 	ref, err := Tune(sp, measure, short)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ref.Refits != 1 || !traceEqual(ref, tr) {
-		t.Errorf("hand-built warm start: %d refits, trace equal %v; want 1 and true", ref.Refits, traceEqual(ref, tr))
+	if ref.Refits != tr.Refits || !traceEqual(ref, tr) {
+		t.Errorf("private prior: %d vs %d refits, trace equal %v; want equal", ref.Refits, tr.Refits, traceEqual(ref, tr))
 	}
 }
 

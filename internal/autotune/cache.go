@@ -868,14 +868,17 @@ func resumeRemaining(e CacheEntry, budget int) int {
 func (e CacheEntry) coveredBudget() int { return max(e.Budget, len(e.Rows)) }
 
 // withHistory installs a persisted measurement history as the warm-start
-// replay, preserving any transfer fields the caller already set.
+// replay on a copy of the caller's warm start. The copy keeps the
+// transferred seeds, which the resumed search measures unless its history
+// already holds them. It keeps the family's prior too, but a search with a
+// history ignores it: the key's own rows beat transferred ones.
 func withHistory(opts Options, hist []MeasuredConfig) Options {
-	w := WarmStart{}
-	if opts.Warm != nil {
-		w = *opts.Warm
+	w := warmStart{}
+	if opts.warm != nil {
+		w = *opts.warm
 	}
 	w.History = hist
-	opts.Warm = &w
+	opts.warm = &w
 	return opts
 }
 

@@ -248,7 +248,7 @@ func TestContextCancelYieldsResumablePartial(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel() // expired before the first batch
 	opts := smallOpts(60, 3)
-	tr, err := TuneContext(ctx, sp, measure, opts)
+	tr, err := TuneFallible(ctx, sp, LiftMeasurer(measure), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,7 +268,7 @@ func TestContextCancelYieldsResumablePartial(t *testing.T) {
 	// Resume: replay the partial history at the full budget. The engine
 	// must not re-measure anything it replayed and must finish the search.
 	resumed := smallOpts(60, 3)
-	resumed.Warm = &WarmStart{History: tr.History}
+	resumed.warm = &warmStart{History: tr.History}
 	fresh := 0
 	resumed.OnEvent = countEvent(EventMeasure, &fresh)
 	tr2, err := Tune(sp, measure, resumed)
@@ -298,7 +298,7 @@ func TestPartialTraceWorkerInvariant(t *testing.T) {
 		cancel()
 		opts := smallOpts(60, 5)
 		opts.Workers = workers
-		tr, err := TuneContext(ctx, sp, measure, opts)
+		tr, err := TuneFallible(ctx, sp, LiftMeasurer(measure), opts)
 		if err != nil {
 			t.Fatal(err)
 		}

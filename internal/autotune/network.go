@@ -462,16 +462,16 @@ func (p *transferPool) prime(cache *Cache, arch memsim.Arch, fams map[poolKey]bo
 	}
 }
 
-// warmFor assembles the WarmStart a search inherits from its family, or
+// warmFor assembles the warm start a search inherits from its family, or
 // nil when the pool has nothing for it. The seeds are shared read-only
 // across concurrent searches; the rows stay with the family's prior, which
 // Tune borrows on its first need of a prediction and clones only to refit.
-func (p *transferPool) warmFor(k poolKey) *WarmStart {
+func (p *transferPool) warmFor(k poolKey) *warmStart {
 	if !p.has(k) {
 		return nil
 	}
 	pe := p.byFamily[k]
-	return &WarmStart{Seeds: pe.seeds, prior: &pe.prior}
+	return &warmStart{Seeds: pe.seeds, prior: &pe.prior}
 }
 
 // candidateKinds filters the requested kinds by a layer's signature — the
@@ -562,7 +562,7 @@ func (p sweepPlan) run(ctx context.Context, cache *Cache, opts NetworkOptions) e
 			t := tasks[idxs[j]]
 			to := opts.Tune
 			if pool != nil {
-				to.Warm = pool.warmFor(familyOf(t.Kind, t.Shape))
+				to.warm = pool.warmFor(familyOf(t.Kind, t.Shape))
 			}
 			plain := NewMemoMeasure(arch, t.Shape, t.Kind).Measure
 			measure := LiftMeasurer(plain)

@@ -43,22 +43,11 @@ type MeasuredConfig struct {
 	OK     bool
 }
 
-// WarmStart is the transfer seam of Tune: everything a search may inherit
-// from related, already-finished searches instead of starting cold.
-type WarmStart struct {
-	// Feats/Costs are prior training rows for the cost model, in this
-	// space's feature encoding with costs normalized to zero mean per
-	// source layer (the model only ranks candidates within one layer, so
-	// only relative cost transfers). The engine's initial model is the fit
-	// on exactly these rows — a pure function of them — and continues via
-	// GBTModel.Update as its own measurements arrive. A WarmStart built by
-	// hand has the search fit that model at its start; one from TuneNetwork's
-	// pool has no Feats/Costs but the family's shared prior, built once per
-	// sweep by the first search to need a prediction (or rebuilt from the
-	// cache's memo), which every search that predicts borrows, copying it
-	// only to refit (bit-identical to its own fit).
-	Feats [][]float64
-	Costs []float64
+// warmStart is the transfer seam of the engine: everything a search may
+// inherit from related, already-finished searches instead of starting cold.
+// Only TuneNetwork's pool (transferPool.warmFor) and the cache's resume road
+// (withHistory) build one.
+type warmStart struct {
 	// Seeds are incumbent configurations from related layers. They are
 	// snapped onto this space's axes and measured first, so the walkers
 	// start from transferred incumbents instead of random guesses.
@@ -67,11 +56,13 @@ type WarmStart struct {
 	// persisted cache entry). It is replayed — marked seen, booked into
 	// the trace and the training set — without re-measuring anything, so a
 	// resumed search at a higher budget continues where it stopped. When
-	// History is set, Feats/Costs are ignored: the key's own rows beat
-	// transferred ones.
+	// History is set, prior is ignored: the key's own rows beat transferred
+	// ones.
 	History []MeasuredConfig
-	// prior, set by the transfer pool alone, stands in for Feats/Costs: the
-	// family's rows and fit, built on first need and borrowed by a search.
+	// prior is the family's rows, in this space's feature encoding with
+	// costs centred per source layer (only relative cost transfers), and the
+	// fit on them: see sharedPrior. A search borrows it on its first need of
+	// a prediction and copies it only to refit.
 	prior *sharedPrior
 }
 
@@ -123,10 +114,11 @@ type Options struct {
 	// auto-tuners parallelize measurement precisely to overlap this wait;
 	// with Workers > 1 the executor does the same.
 	MeasureLatency time.Duration
-	// Warm, when non-nil, warm-starts the search: prior model rows, seed
-	// configurations from related layers, and/or this key's own persisted
-	// history to resume from. nil reproduces the cold engine bit-for-bit.
-	Warm *WarmStart
+	// warm, when non-nil, warm-starts the search: the family's shared prior,
+	// seed configurations from related layers, and/or this key's own
+	// persisted history to resume from. nil reproduces the cold engine
+	// bit-for-bit.
+	warm *warmStart
 	// Retry configures the fault-tolerant measurement pipeline (retry with
 	// backoff, quarantine, noisy-reading defense). The zero value with an
 	// error-free measurer reproduces the fault-oblivious engine
@@ -366,43 +358,38 @@ func (r *record) stale(patience int) bool {
 //     ranking read the model through a memo (predictor) that is cleared
 //     whenever the model changes.
 //
-// A non-nil opts.Warm transfers state from related searches: prior model
-// rows fit the initial cost model (once per family per sweep when the
-// WarmStart comes from TuneNetwork's pool, whose prior is built on a search's
-// first need of a prediction, borrowed, and copied only for its first
-// Update), transferred incumbent configs are snapped into the space and
-// measured first (replacing most of the cold start's random guesses), and a
-// persisted history replays without re-measuring so a cached search resumes
-// at a higher budget. With opts.Warm nil the engine is bit-identical to the
-// cold path.
+// A warm start (set only by TuneNetwork's transfer pool and the cache's
+// resume road) transfers state from related searches: the family's shared
+// prior, built on a search's first need of a prediction, borrowed, and
+// copied only for its first Update; transferred incumbent configs, snapped
+// into the space and measured first (replacing most of the cold start's
+// random guesses); or a persisted history, replayed without re-measuring so
+// a cached search resumes at a higher budget. Without one the engine is
+// bit-identical to the cold path.
 func Tune(sp *Space, measure Measurer, opts Options) (*Trace, error) {
-	return TuneContext(context.Background(), sp, measure, opts)
-}
-
-// TuneContext is Tune bounded by a context: when ctx is cancelled or its
-// deadline passes, the run stops claiming new measurements (in-flight ones
-// finish — a device run cannot be recalled) and returns the best-so-far
-// verdict with Trace.Partial set instead of an error, provided at least one
-// valid configuration measured. The Section 5 seed configurations are
-// always measured, even under an already-expired context, so any run over a
-// space with valid seeds produces a verdict.
-func TuneContext(ctx context.Context, sp *Space, measure Measurer, opts Options) (*Trace, error) {
-	return TuneFallible(ctx, sp, LiftMeasurer(measure), opts)
+	return TuneFallible(context.Background(), sp, LiftMeasurer(measure), opts)
 }
 
 // TuneFallible is the engine itself, over the error-aware measurement seam
-// (Tune and TuneContext lift a plain Measurer into it): the measurer may
-// report transient failures, which the engine retries, backs off and
-// quarantines per opts.Retry. See FallibleMeasurer and RetryPolicy.
+// (Tune lifts a plain Measurer into it): the measurer may report transient
+// failures, which the engine retries, backs off and quarantines per
+// opts.Retry. See FallibleMeasurer and RetryPolicy.
+//
+// The run is bounded by ctx: when ctx is cancelled or its deadline passes,
+// the run stops claiming new measurements (in-flight ones finish — a device
+// run cannot be recalled) and returns the best-so-far verdict with
+// Trace.Partial set instead of an error, provided at least one valid
+// configuration measured. The Section 5 seed configurations are always
+// measured, even under an already-expired context, so any run over a space
+// with valid seeds produces a verdict.
 func TuneFallible(ctx context.Context, sp *Space, measure FallibleMeasurer, opts Options) (*Trace, error) {
 	opts = opts.normalized()
 	rng := rand.New(rand.NewSource(opts.Seed))
 	rec := &record{trace: Trace{Method: "ate", Budget: opts.Budget}, minDelta: opts.MinDelta}
 
-	warm := opts.Warm
+	warm := opts.warm
 	resume := warm != nil && len(warm.History) > 0
-	transfer := warm != nil && !resume && (warm.prior != nil && warm.prior.n > 0 ||
-		len(warm.Feats) > 0 && len(warm.Feats) == len(warm.Costs))
+	transfer := warm != nil && !resume && warm.prior != nil && warm.prior.n > 0
 
 	// Training rows are slices into one growing backing array (featStore):
 	// featurizing a measurement appends NumFeatures floats instead of
@@ -564,6 +551,9 @@ func TuneFallible(ctx context.Context, sp *Space, measure FallibleMeasurer, opts
 	var model *GBTModel
 	borrowed := false      // model is the pool's shared prior, read-only, until a refit
 	var prior *sharedPrior // the pool's prior, not borrowed until a prediction is needed
+	if transfer {
+		prior = warm.prior
+	}
 
 	if resume {
 		// Replay the persisted history: every prior measurement is marked
@@ -585,16 +575,6 @@ func TuneFallible(ctx context.Context, sp *Space, measure FallibleMeasurer, opts
 			addRow(h.Config, cost)
 		}
 		rec.resumedAt = rec.trace.Measurements
-	} else if transfer && warm.prior != nil {
-		prior = warm.prior
-	} else if transfer {
-		// The initial cost model is the fit on the transferred rows; the
-		// layer's own rows append behind them, so every later refit continues
-		// via GBTModel.Update over the combined dataset.
-		feats = append(make([][]float64, 0, len(warm.Feats)+opts.Budget), warm.Feats...)
-		costs = append(make([]float64, 0, len(warm.Costs)+opts.Budget), warm.Costs...)
-		model = TrainGBT(gcfg, feats, costs)
-		rec.trace.Refits++
 	}
 
 	// The coarse-grained Section 5 dataflow designs are the first
@@ -641,9 +621,9 @@ func TuneFallible(ctx context.Context, sp *Space, measure FallibleMeasurer, opts
 
 	// Scratch reused across iterations: the model's prediction memo, the
 	// candidate pool, and the bounded heaps with their extraction buffers.
-	// The view starts on the transferred prior (the pool's from its first
-	// need): a warm search's first iterations are not due a refit.
-	view := predictor{sp: sp, model: model, memo: make(map[conv.Config]float64)}
+	// The view takes the transferred prior on its first need: a warm search's
+	// first iterations are not due a refit.
+	view := predictor{sp: sp, memo: make(map[conv.Config]float64)}
 	pool := make(map[conv.Config]bool)
 	var rank bestK
 	var startsBuf, pickedBuf []scored
@@ -658,7 +638,8 @@ func TuneFallible(ctx context.Context, sp *Space, measure FallibleMeasurer, opts
 		}
 		if prior != nil {
 			// The first need of a prediction: borrow the pool's prior, its rows
-			// ahead of the layer's own as a hand-built warm start puts them.
+			// ahead of the layer's own, so every later refit continues via
+			// GBTModel.Update over the combined dataset.
 			model, borrowed = prior.borrow(gcfg), true
 			feats = append(append(make([][]float64, 0, len(prior.x)+opts.Budget), prior.x...), feats...)
 			costs = append(append(make([]float64, 0, len(prior.y)+opts.Budget), prior.y...), costs...)

@@ -118,7 +118,7 @@ func TestWarmStartDeterministicAcrossWorkers(t *testing.T) {
 	sp := mustSpace(t, true)
 	measure := KindMeasurer(arch, layer(), Direct)
 	opts := smallOpts(48, 11)
-	opts.Warm = warm
+	opts.warm = warm
 	ref, err := Tune(sp, measure, opts)
 	if err != nil {
 		t.Fatal(err)

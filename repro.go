@@ -21,7 +21,6 @@ import (
 	"repro/internal/autotune"
 	"repro/internal/bounds"
 	"repro/internal/conv"
-	"repro/internal/core"
 	"repro/internal/memsim"
 	"repro/internal/shapes"
 	"repro/internal/tensor"
@@ -375,16 +374,6 @@ func TuneNetworkContext(ctx context.Context, arch Arch, layers []NetworkLayer, c
 // list — the tuned network's end-to-end convolution time.
 func NetworkSeconds(verdicts []LayerVerdict) float64 {
 	return autotune.NetworkSeconds(verdicts)
-}
-
-// Analysis is the complete bound→design→tune report of one layer.
-type Analysis = core.Analysis
-
-// Analyze runs the paper's whole pipeline on one layer: lower bounds,
-// Section-5 dataflow designs, auto-tuned refinements and measured outcomes
-// for every applicable algorithm.
-func Analyze(arch Arch, s Shape, o TuneOptions) (*Analysis, error) {
-	return core.Analyze(arch, s, core.Options{Budget: o.Budget, Seed: o.Seed})
 }
 
 // Verify checks that a result's output matches the reference oracle within

@@ -164,21 +164,6 @@ func TestTuneWinogradFacade(t *testing.T) {
 	}
 }
 
-func TestAnalyzeFacade(t *testing.T) {
-	arch, _ := ArchByName("1080Ti")
-	s := testLayer(t)
-	a, err := Analyze(arch, s, TuneOptions{Budget: 32, Seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.Speedup() <= 0 {
-		t.Errorf("degenerate speedup %v", a.Speedup())
-	}
-	if len(a.Reports) == 0 {
-		t.Fatal("no algorithm reports")
-	}
-}
-
 func TestVerifyRejectsCountOnly(t *testing.T) {
 	arch, _ := ArchByName("V100")
 	s := testLayer(t)
