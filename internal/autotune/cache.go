@@ -52,6 +52,9 @@ type Cache struct {
 	misses    atomic.Int64
 	evictions atomic.Int64
 	evictMu   sync.Mutex // serializes enforce sweeps
+	// gen moves after every entry write and removal (put, remove): equal
+	// readings before and after a read of entries bracket no change to them.
+	gen atomic.Uint64
 
 	// priors memoizes the transfer priors warm sweeps fit (network.go).
 	priors priorMemo
@@ -357,6 +360,7 @@ func (c *Cache) put(key string, e CacheEntry) {
 	sh.entries[key] = e
 	sh.meta[key] = m
 	sh.mu.Unlock()
+	c.gen.Add(1) // after the write, so a reading taken before it goes stale
 	c.bytes.Add(size)
 	c.enforce()
 }
@@ -488,6 +492,13 @@ func (c *Cache) Len() int {
 	}
 	return n
 }
+
+// Generation reports a count that moves after every write or removal of an
+// entry — engine commits, Load, RecoverFile, PutEntries, eviction and TTL
+// expiry alike — and at no other time. An answer derived from entries read
+// after a Generation reading is still current while Generation reads the
+// same; lookups (hits, LRU recency) do not move it.
+func (c *Cache) Generation() uint64 { return c.gen.Load() }
 
 // snapshot copies every entry keyed by cache key.
 func (c *Cache) snapshot() map[string]CacheEntry {

@@ -114,12 +114,15 @@ func TestCachedNetworkMatchesSweep(t *testing.T) {
 						if err != nil {
 							t.Fatal(err)
 						}
-						if _, ok := autotune.CachedNetwork(laneArch, f.layers, autotune.NewCache(), opts); ok {
+						if _, _, ok := autotune.CachedNetwork(laneArch, f.layers, autotune.NewCache(), opts); ok {
 							t.Fatal("an empty cache answered the request")
 						}
-						fast, ok := autotune.CachedNetwork(laneArch, f.layers, cache, opts)
+						fast, covered, ok := autotune.CachedNetwork(laneArch, f.layers, cache, opts)
 						if ok == f.deadWinograd {
 							t.Fatalf("CachedNetwork answered: %t, want %t (only a failed search is left uncovered)", ok, !f.deadWinograd)
+						}
+						if want := autotune.Searches(laneArch, f.layers, opts); ok && !reflect.DeepEqual(covered, want) {
+							t.Errorf("CachedNetwork covered %v, the plan searches %v", covered, want)
 						}
 						replay, err := autotune.TuneNetwork(laneArch, f.layers, cache, opts)
 						if err != nil {
@@ -232,14 +235,14 @@ func TestCachedNetworkDeclinesResumableEntry(t *testing.T) {
 	}
 	high := low
 	high.Tune.Budget = 12
-	if _, ok := autotune.CachedNetwork(laneArch, layers, cache, high); ok {
+	if _, _, ok := autotune.CachedNetwork(laneArch, layers, cache, high); ok {
 		t.Error("Resume on: entries persisted at budget 6 answered a budget-12 request")
 	}
 	if _, remaining := cache.Covered(laneArch.Name, autotune.Direct, layers[0].Shape, 12, true); remaining != 6 {
 		t.Errorf("Covered reports %d measurements left to spend, want 12-6", remaining)
 	}
 	high.Resume = false
-	if _, ok := autotune.CachedNetwork(laneArch, layers, cache, high); !ok {
+	if _, _, ok := autotune.CachedNetwork(laneArch, layers, cache, high); !ok {
 		t.Error("Resume off: a cached entry is returned as-is at any budget")
 	}
 }

@@ -174,9 +174,13 @@ func planSweep(arch memsim.Arch, layers []NetworkLayer, opts NetworkOptions) swe
 // order it schedules them — for callers that must predict the search set
 // without running it (the service's admission accounting and replication).
 func Searches(arch memsim.Arch, layers []NetworkLayer, opts NetworkOptions) []Search {
-	tasks := planSweep(arch, layers, opts).tasks
-	out := make([]Search, len(tasks))
-	for i, t := range tasks {
+	return planSweep(arch, layers, opts).searches()
+}
+
+// searches lists the plan's tasks' searches in schedule order.
+func (p sweepPlan) searches() []Search {
+	out := make([]Search, len(p.tasks))
+	for i, t := range p.tasks {
 		out[i] = t.Search
 	}
 	return out
@@ -640,16 +644,22 @@ func liveFamilies(tasks []*netTask, live []int) map[poolKey]bool {
 // that every deduplicated (kind, shape) search the sweep would run is
 // already covered (Cache.Covered — the predicate each search itself asks
 // first), and the verdicts are then exactly what TuneNetworkContext returns
-// for the request, because it returns these. The cost is one lookup per
-// distinct search — independent of how much else the cache holds — and the
-// first uncovered search ends the probe. It is exported for callers that
-// must know "this request will measure nothing" before they queue, meter or
-// replicate it (the tuned daemon's serve path).
-func CachedNetwork(arch memsim.Arch, layers []NetworkLayer, cache *Cache, opts NetworkOptions) ([]LayerVerdict, bool) {
+// for the request, because it returns these. searches are the searches the
+// probe covered, in the order it looked them up — the plan it already built,
+// for a caller that re-checks the same entries later. The cost is one
+// lookup per distinct search — independent of how much else the cache
+// holds — and the first uncovered search ends the probe. It is exported for
+// callers that must know "this request will measure nothing" before they
+// queue, meter or replicate it (the tuned daemon's serve path).
+func CachedNetwork(arch memsim.Arch, layers []NetworkLayer, cache *Cache, opts NetworkOptions) (verdicts []LayerVerdict, searches []Search, ok bool) {
 	if cache == nil || len(layers) == 0 {
-		return nil, false
+		return nil, nil, false
 	}
-	return planSweep(arch, layers, opts).cached(cache, opts)
+	p := planSweep(arch, layers, opts)
+	if verdicts, ok = p.cached(cache, opts); !ok {
+		return nil, nil, false
+	}
+	return verdicts, p.searches(), true
 }
 
 // cached is the probe over a built plan: every task takes its verdict from

@@ -10,6 +10,13 @@ import (
 	"repro/internal/conv"
 )
 
+// measurementPrice is what one measurement costs a tuner on real hardware:
+// triton.testing.do_bench(warmup=10, rep=50) times a candidate in about 60 ms.
+// The simulator measures for free, so the engine benchmarks also report
+// priced_s — their own seconds plus this price per measurement — the cost a
+// trade of measurements against engine CPU is judged by.
+const measurementPrice = 0.060
+
 // BenchmarkZooSweepCold is a cold daemon's first pass over the benchmark's
 // zoo without the HTTP: six TuneNetwork sweeps in order against one fresh
 // cache, with cmd/tuned's defaults (engine defaults at seed 0, Winograd and
@@ -23,8 +30,9 @@ import (
 // reports the pass's three deterministic quality guards — measurements,
 // network_ms and bound_gap, the arithmetic of bench/oracle.go's cold-zoo
 // numbers — so a verdict-moving engine change is visible here before bench/
-// runs, and refits/search, the cost-model fits the average search of the
-// pass paid for.
+// runs; beside them refits/search, the cost-model fits the average search
+// of the pass paid for, and priced_s, the pass's seconds with its
+// measurements priced (measurementPrice).
 func BenchmarkZooSweepCold(b *testing.B) {
 	for seed := int64(0); seed < 4; seed++ {
 		b.Run(fmt.Sprintf("seed=%d", seed), func(b *testing.B) { benchZooSweepCold(b, seed) })
@@ -52,6 +60,7 @@ func benchZooSweepCold(b *testing.B, seed int64) {
 	b.ReportMetric(networkMS, "network_ms")
 	b.ReportMetric(boundGap, "bound_gap")
 	b.ReportMetric(float64(refits)/float64(len(searches)), "refits/search")
+	b.ReportMetric(b.Elapsed().Seconds()/float64(b.N)+float64(measurements.Load())*measurementPrice, "priced_s")
 	// ReportMetric rounds to four digits; the guards are exact.
 	b.Logf("measurements %d network_ms %v bound_gap %v refits %d searches %d",
 		measurements.Load(), networkMS, boundGap, refits, len(searches))
@@ -64,7 +73,8 @@ func benchZooSweepCold(b *testing.B, seed int64) {
 // warm path's guard), the family priors each network fitted — the prior
 // memo's misses plus the fits below the row cap, which bypass it — and the
 // geomean of the novel verdicts' simulated seconds, which a change of the
-// transfer pool's sources may move.
+// transfer pool's sources may move, and priced_s/network, its seconds with
+// its measurements priced (measurementPrice).
 func BenchmarkNovelSweepsWarm(b *testing.B) {
 	const count = 48
 	tune := autotune.DefaultOptions()
@@ -103,6 +113,7 @@ func BenchmarkNovelSweepsWarm(b *testing.B) {
 	b.ReportMetric(float64(measurements.Load())/float64(b.N*count), "measurements/network")
 	b.ReportMetric(float64(fits)/float64(b.N*count), "fits/network")
 	b.ReportMetric(math.Exp(logSum/float64(layers)), "verdict_geomean_s")
+	b.ReportMetric((b.Elapsed().Seconds()+float64(measurements.Load())*measurementPrice)/float64(b.N*count), "priced_s/network")
 	b.Logf("measurements %d, fits %d over %d networks, verdict geomean %v s",
 		measurements.Load(), fits, b.N*count, math.Exp(logSum/float64(layers)))
 }

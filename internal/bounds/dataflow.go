@@ -88,18 +88,6 @@ func DirectDataflowIOOptimal(shape shapes.ConvShape, s, np int) float64 {
 	return q * float64(shape.Batch)
 }
 
-// WinogradDataflowIO is the Section 5.3 I/O model (Equation 22 plus output
-// writes) for output tile x×y×z with Winograd parameters e and r:
-//
-//	Q = (Hout·Wout·Cout)/(xyz) · (xy·Cin + z·r²·Cin) + Hout·Wout·Cout
-func WinogradDataflowIO(shape shapes.ConvShape, t Tile) float64 {
-	out := float64(shape.OutputVolume())
-	blocks := out / float64(t.Volume())
-	r2 := float64(shape.Hker * shape.Hker)
-	reads := blocks * float64(shape.Cin) * (float64(t.X*t.Y) + float64(t.Z)*r2)
-	return (reads + out) * float64(shape.Batch)
-}
-
 // OptimalTileWinograd returns the continuous optimum of Section 5.3: the
 // on-chip budget covers the temporary arrays, 2·(e+r−1)²/e²·xyz = s/np, with
 // the optimality condition xy = r²·z.

@@ -140,18 +140,6 @@ func (g *Graph) Vertices(k Kind) []int {
 	return out
 }
 
-// StepVertexCount returns how many non-input vertices belong to
-// sub-computation j.
-func (g *Graph) StepVertexCount(j int) int {
-	n := 0
-	for v, s := range g.steps {
-		if int(s) == j && g.kinds[v] != Input {
-			n++
-		}
-	}
-	return n
-}
-
 // ComputeCount is the number of non-input vertices |V_inter ∪ V_out|, the
 // quantity bounded by Lemmas 4.8 and 4.14.
 func (g *Graph) ComputeCount() int {

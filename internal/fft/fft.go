@@ -108,11 +108,8 @@ func NewPlan2D(rows, cols int) (*Plan2D, error) {
 	return &Plan2D{rows: rp, cols: cp}, nil
 }
 
-// Rows and Cols return the grid dimensions.
+// Rows returns the number of rows.
 func (p *Plan2D) Rows() int { return p.rows.n }
-
-// Cols returns the number of columns.
-func (p *Plan2D) Cols() int { return p.cols.n }
 
 // Forward computes the in-place 2-D DFT of the rows×cols buffer x.
 func (p *Plan2D) Forward(x []complex128) { p.apply(x, false) }

@@ -105,9 +105,6 @@ func NewBlock(counter *Counter, capacity int) *Block {
 	return &Block{counter: counter, capacity: capacity, buf: make([]float32, capacity)}
 }
 
-// Capacity returns the block's shared-memory size in floats.
-func (b *Block) Capacity() int { return b.capacity }
-
 // Counter returns the counter this block charges its traffic to, so kernels
 // can record bulk counts alongside staged copies.
 func (b *Block) Counter() *Counter { return b.counter }

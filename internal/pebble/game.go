@@ -99,12 +99,6 @@ func (gm *Game) Stores() int { return gm.stores }
 // RedCount returns the number of red pebbles currently placed.
 func (gm *Game) RedCount() int { return gm.redCount }
 
-// HasRed reports whether v currently holds a red pebble.
-func (gm *Game) HasRed(v int) bool { return gm.red[v] }
-
-// HasBlue reports whether v currently holds a blue pebble.
-func (gm *Game) HasBlue(v int) bool { return gm.blue[v] }
-
 // Play applies one move, enforcing the four rules of the game. An illegal
 // move leaves the state unchanged and returns an error.
 func (gm *Game) Play(m Move) error {

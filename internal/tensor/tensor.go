@@ -135,15 +135,6 @@ func (t *Tensor) FillRandom(seed int64) {
 	}
 }
 
-// FillSequential fills the tensor with 0, 1, 2, ... scaled by 1/Len, which
-// gives distinct but bounded values that are convenient in tests.
-func (t *Tensor) FillSequential() {
-	scale := 1 / float32(len(t.Data))
-	for i := range t.Data {
-		t.Data[i] = float32(i) * scale
-	}
-}
-
 // MaxAbsDiff returns the largest absolute element-wise difference between
 // two tensors of identical dimensions, comparing by coordinates so layouts
 // may differ. It panics if dimensions mismatch.

@@ -161,7 +161,11 @@ func (c *clusterState) forwardTo(ctx context.Context, addr string, envelope []by
 // is what makes routing loop-free — so a forwarded request behaves exactly
 // like a client request that happened to hit its owner.
 func (s *Server) handleClusterTune(w http.ResponseWriter, r *http.Request) {
-	req := s.readRequest(w, r, func(body []byte) (repro.NetworkDescription, error) {
+	body, ok := s.readBody(w, r, maxRequestBody)
+	if !ok {
+		return
+	}
+	req := s.parseRequest(w, body, func(body []byte) (repro.NetworkDescription, error) {
 		fr, err := repro.ParseForwardedTuneRequest(body)
 		return fr.Network, err
 	})

@@ -161,6 +161,11 @@ func (s *Server) refineOne(req *request) {
 			measured++
 		}
 	}
+	if measured > 0 {
+		// A recorded reply read the set before this write: tiers may have
+		// moved from "measured" to "refined".
+		s.refineEpoch.Add(1)
+	}
 	s.refineMu.Unlock()
 	if err == nil && measured > 0 {
 		s.count.refineDone.Add(1)

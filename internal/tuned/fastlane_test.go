@@ -13,6 +13,7 @@ import (
 	"repro"
 	"repro/internal/autotune"
 	"repro/internal/cluster"
+	"repro/internal/conv"
 	"repro/internal/models"
 	"repro/internal/shapes"
 )
@@ -306,8 +307,12 @@ func novelBodies(b *testing.B) [][]byte {
 // BenchmarkServeHit is the serve path's latency budget for a fully cached
 // request: POST /v1/tune through Server.ServeHTTP, on a daemon configured as
 // cmd/tuned with no flags (Winograd, Warm, 20ms batch window), one op per
-// zoo replay in rotation. The two sub-benchmarks differ only in how much
-// else the cache holds, so their ratio is the O(cache) creep of a hit.
+// zoo replay in rotation. zoo-cache and zoo+24-novel-cache differ only in
+// how much else the cache holds, so their ratio is the O(cache) creep of a
+// hit; both are answered from recorded replies. after-write writes one
+// unrelated entry before each op, so every op takes the full hit lane —
+// parse, plan, probe, encode, record — as traffic with writes between
+// replays does; the write's own two allocations count in its allocs/op.
 func BenchmarkServeHit(b *testing.B) {
 	srv, err := New(Config{Winograd: true, Warm: true, BatchWindow: 20 * time.Millisecond})
 	if err != nil {
@@ -339,6 +344,14 @@ func BenchmarkServeHit(b *testing.B) {
 		post(body)
 	}
 	b.Run("zoo-cache", replay)
+	b.Run("after-write", func(b *testing.B) {
+		b.ReportAllocs()
+		unrelated := shapes.ConvShape{Batch: 1, Cin: 7, Cout: 9, Hin: 11, Win: 11, Hker: 3, Wker: 3, Strid: 1}
+		for i := 0; i < b.N; i++ {
+			srv.cache.Put(testArch.Name, autotune.Direct, unrelated, conv.Config{}, autotune.Measurement{Seconds: 1})
+			post(zoo[i%len(zoo)])
+		}
+	})
 	for _, body := range novelBodies(b) {
 		post(body)
 	}

@@ -24,6 +24,9 @@ type request struct {
 	tune     autotune.Options // server engine defaults under the request's budget and seed
 	winograd bool
 	kinds    []autotune.Kind
+	// body is a client POST's raw body, which a hit-lane answer is recorded
+	// under (replay.go); nil for forwarded and restored requests.
+	body []byte
 
 	key string // memoised Key()
 }

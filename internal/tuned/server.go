@@ -3,6 +3,7 @@ package tuned
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -137,6 +138,10 @@ type Server struct {
 	refineMu    sync.Mutex          // guards the two maps below
 	refineQueue map[string]*request // by Key: queued or mid-refinement, and what .refine persists
 	refinedKeys map[string]bool     // cache keys a refinement has measured (refinedKey)
+	refineEpoch atomic.Uint64       // moves after every write to refinedKeys
+
+	// replies are the hit lane's recorded answers (replay.go).
+	replies replies
 
 	// cluster is the replicated-shard runtime (cluster.go); nil standalone.
 	cluster *clusterState
@@ -343,11 +348,23 @@ func (s *Server) wrapMeasurer() func(autotune.Kind, shapes.ConvShape, autotune.M
 	}
 }
 
-// writeJSON writes v as a JSON response body with the given status.
-func writeJSON(w http.ResponseWriter, status int, v any) {
+// writeJSON writes v as a JSON response body with the given status and
+// returns the bytes written. A value JSON cannot encode (a NaN) leaves the
+// body empty, as the streaming encoder before it did.
+func writeJSON(w http.ResponseWriter, status int, v any) []byte {
+	out, err := json.Marshal(v)
+	if err == nil {
+		out = append(out, '\n')
+	}
+	writeBody(w, status, out)
+	return out
+}
+
+// writeBody writes an encoded JSON response body with the given status.
+func writeBody(w http.ResponseWriter, status int, out []byte) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(v)
+	w.Write(out)
 }
 
 // errJSON writes a JSON error body with the given status.
@@ -369,20 +386,22 @@ func (s *Server) readBody(w http.ResponseWriter, r *http.Request, limit int64) (
 	}
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, limit))
 	if err != nil {
-		errJSON(w, http.StatusBadRequest, "read body: %v", err)
+		status := http.StatusBadRequest
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		errJSON(w, status, "read body: %v", err)
 		return nil, false
 	}
 	return body, true
 }
 
-// readRequest is the shared front half of the two tune endpoints: read the
-// body, decode and validate it with the endpoint's wire parser, resolve it
-// into the request value. It reports nil after writing the error response.
-func (s *Server) readRequest(w http.ResponseWriter, r *http.Request, parse func([]byte) (repro.NetworkDescription, error)) *request {
-	body, ok := s.readBody(w, r, maxRequestBody)
-	if !ok {
-		return nil
-	}
+// parseRequest is the shared front half of the two tune endpoints after
+// readBody: decode and validate the body with the endpoint's wire parser,
+// resolve it into the request value. It reports nil after writing the error
+// response.
+func (s *Server) parseRequest(w http.ResponseWriter, body []byte, parse func([]byte) (repro.NetworkDescription, error)) *request {
 	desc, err := parse(body)
 	if err != nil {
 		errJSON(w, http.StatusBadRequest, "%v", err)
@@ -396,14 +415,28 @@ func (s *Server) readRequest(w http.ResponseWriter, r *http.Request, parse func(
 	return req
 }
 
-// handleTune is POST /v1/tune: decode and validate the network
-// description, route it to its owning replica when clustered, and serve it
-// there (serveTune).
+// handleTune is POST /v1/tune: answer a body the hit lane answered before
+// from its recorded reply, or decode and validate the network description,
+// route it to its owning replica when clustered, and serve it there
+// (serveTune).
 func (s *Server) handleTune(w http.ResponseWriter, r *http.Request) {
-	req := s.readRequest(w, r, repro.ParseNetworkDescription)
+	body, ok := s.readBody(w, r, maxRequestBody)
+	if !ok {
+		return
+	}
+	// The lookup may come before routing: only serveTune records, and only
+	// for a body this replica served itself, so it owns the body's key. Ring
+	// ownership (clusterState.owners) is a function of the key and the fixed
+	// peer list alone — not of which peers are up — so routing would serve
+	// that body locally again.
+	if s.replay(w, body) {
+		return
+	}
+	req := s.parseRequest(w, body, repro.ParseNetworkDescription)
 	if req == nil {
 		return
 	}
+	req.body = body
 	if s.cluster == nil || !s.routeTune(w, r, req) {
 		s.serveTune(w, req)
 	}
@@ -419,11 +452,13 @@ func (s *Server) serveTune(w http.ResponseWriter, req *request) {
 	// nothing, so there is nothing to admit, nothing a batch could share with
 	// it (it dedups against no search, and the transfer pool is primed from
 	// the cache, not from it), nothing an open breaker protects it from, and
-	// — having written no entry — nothing to replicate.
-	if verdicts, ok := autotune.CachedNetwork(req.arch, req.layers, s.cache, req.sweepOptions(s)); ok {
+	// — having written no entry — nothing to replicate. A client's answer is
+	// recorded for replay (replay.go), stamped with what it was read from.
+	stamp := s.replayStamp()
+	if verdicts, searches, ok := autotune.CachedNetwork(req.arch, req.layers, s.cache, req.sweepOptions(s)); ok {
 		s.count.requests.Add(1)
 		s.markTiers(req.arch.Name, verdicts)
-		s.respond(w, req, verdicts)
+		s.record(req, stamp, searches, verdicts, s.respond(w, req, verdicts))
 		return
 	}
 
@@ -493,8 +528,8 @@ func (s *Server) serveTune(w http.ResponseWriter, req *request) {
 // every layer is analytic (served from the analytic tier outright, or every
 // search fell back to it because the breaker tripped mid-run or the backend
 // died) is a complete estimate: flagged as such, and queued for background
-// refinement.
-func (s *Server) respond(w http.ResponseWriter, req *request, verdicts []autotune.LayerVerdict) {
+// refinement. It returns the bytes written.
+func (s *Server) respond(w http.ResponseWriter, req *request, verdicts []autotune.LayerVerdict) []byte {
 	resp := repro.TuneResponse{Arch: req.arch.Name,
 		Verdicts:       repro.DescribeVerdicts(verdicts),
 		NetworkSeconds: autotune.NetworkSeconds(verdicts)}
@@ -515,7 +550,7 @@ func (s *Server) respond(w http.ResponseWriter, req *request, verdicts []autotun
 	if resp.Partial {
 		s.count.partials.Add(1)
 	}
-	writeJSON(w, http.StatusOK, resp)
+	return writeJSON(w, http.StatusOK, resp)
 }
 
 // Health is the /healthz body: liveness plus the cache and admission

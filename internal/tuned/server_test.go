@@ -527,3 +527,26 @@ func TestServerErrorPaths(t *testing.T) {
 		}
 	}
 }
+
+// An oversized body is refused with 413 Request Entity Too Large on both POST
+// endpoints that read one, not as a malformed request.
+func TestServerOversizedBodyIs413(t *testing.T) {
+	srv, err := New(Config{Tune: tinyOpts(8, 1), Cluster: goldenCluster()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	for _, c := range []struct {
+		path string
+		size int
+	}{
+		{"/v1/tune", 1<<20 + 1},
+		{"/v1/cluster/replicate", 16<<20 + 1},
+	} {
+		rec := httptest.NewRecorder()
+		srv.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, c.path, bytes.NewReader(make([]byte, c.size))))
+		if rec.Code != http.StatusRequestEntityTooLarge {
+			t.Errorf("POST %s with %d bytes: status %d (%s), want 413", c.path, c.size, rec.Code, rec.Body)
+		}
+	}
+}
