@@ -52,9 +52,6 @@ type Cache struct {
 	misses    atomic.Int64
 	evictions atomic.Int64
 	evictMu   sync.Mutex // serializes enforce sweeps
-	// gen moves after every entry write and removal (put, remove): equal
-	// readings before and after a read of entries bracket no change to them.
-	gen atomic.Uint64
 
 	// priors memoizes the transfer priors warm sweeps fit (network.go).
 	priors priorMemo
@@ -360,7 +357,6 @@ func (c *Cache) put(key string, e CacheEntry) {
 	sh.entries[key] = e
 	sh.meta[key] = m
 	sh.mu.Unlock()
-	c.gen.Add(1) // after the write, so a reading taken before it goes stale
 	c.bytes.Add(size)
 	c.enforce()
 }
@@ -492,13 +488,6 @@ func (c *Cache) Len() int {
 	}
 	return n
 }
-
-// Generation reports a count that moves after every write or removal of an
-// entry — engine commits, Load, RecoverFile, PutEntries, eviction and TTL
-// expiry alike — and at no other time. An answer derived from entries read
-// after a Generation reading is still current while Generation reads the
-// same; lookups (hits, LRU recency) do not move it.
-func (c *Cache) Generation() uint64 { return c.gen.Load() }
 
 // snapshot copies every entry keyed by cache key.
 func (c *Cache) snapshot() map[string]CacheEntry {
@@ -852,15 +841,32 @@ func TuneResumed(cache *Cache, sp *Space, measure Measurer, opts Options) (*Trac
 // (CachedNetwork), and the service's admission accounting sums it, so the
 // three cannot disagree on whether a request will measure.
 func (c *Cache) Covered(archName string, kind Kind, s shapes.ConvShape, budget int, resume bool) (CacheEntry, int) {
-	budget = max(budget, 1) // Options.normalized's floor
 	e, ok := c.Entry(archName, kind, s)
-	if !ok {
-		return CacheEntry{}, budget
+	return e, uncovered(e, ok, budget, resume)
+}
+
+// uncovered is Covered's answer over one Entry lookup's result.
+func uncovered(e CacheEntry, ok bool, budget int, resume bool) int {
+	budget = max(budget, 1) // Options.normalized's floor
+	switch {
+	case !ok:
+		return budget
+	case resume:
+		return resumeRemaining(e, budget)
 	}
-	if resume {
-		return e, resumeRemaining(e, budget)
-	}
-	return e, 0
+	return 0
+}
+
+// Holds reports whether the cache still covers q at budget with the verdict
+// a probe read there. It is Covered over the same Entry lookup, so hits, LRU
+// recency and TTL expiry move as the probe's did, and under resume an entry
+// rewritten below budget no longer holds, whatever its verdict. It shares
+// Covered's predicate rather than calling it, which would copy the entry
+// once more for every search a replay checks.
+func (c *Cache) Holds(archName string, q *CoveredSearch, budget int, resume bool) bool {
+	e, ok := c.Entry(archName, q.Kind, q.Shape)
+	cfg, m := e.verdict()
+	return uncovered(e, ok, budget, resume) == 0 && cfg == q.Config && m == q.M
 }
 
 // resumeRemaining is the resume half of the predicate: a cached entry

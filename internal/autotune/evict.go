@@ -137,7 +137,6 @@ func (c *Cache) remove(key string) (CacheEntry, bool) {
 	}
 	sh.mu.Unlock()
 	if ok {
-		c.gen.Add(1)
 		c.evictions.Add(1)
 	}
 	return e, ok

@@ -1,7 +1,6 @@
 package autotune
 
 import (
-	"bytes"
 	"testing"
 	"time"
 
@@ -136,63 +135,6 @@ func TestEvictionTTL(t *testing.T) {
 	if got := c.Len(); got != 0 {
 		t.Errorf("cache holds %d entries after everything expired, want 0", got)
 	}
-}
-
-// Generation moves on every write and removal — Put, PutEntries, Load,
-// LRU eviction, EvictExpired and a lookup's lazy TTL expiry — and on no
-// lookup, hit or miss.
-func TestGenerationMovesOnWritesOnly(t *testing.T) {
-	now := time.Unix(1000, 0)
-	c := NewCache()
-	c.SetEviction(EvictionPolicy{MaxEntries: 2, TTL: time.Minute, Now: func() time.Time { return now }})
-	valid := conv.Config{TileX: 1, TileY: 1, TileZ: 1, ThreadsX: 1, ThreadsY: 1, ThreadsZ: 1} // Load checks it
-	put := func(i int) { c.Put(arch.Name, Direct, evictShape(i), valid, Measurement{Seconds: 1, GFLOPS: 1}) }
-	step := func(what string, moves bool, do func()) {
-		t.Helper()
-		before := c.Generation()
-		do()
-		if moved := c.Generation() != before; moved != moves {
-			t.Errorf("%s: generation moved %t, want %t", what, moved, moves)
-		}
-	}
-	step("Put", true, func() { put(0) })
-	step("hit", false, func() { c.Get(arch.Name, Direct, evictShape(0)) })
-	step("miss", false, func() { c.Get(arch.Name, Direct, evictShape(9)) })
-	step("PutEntries", true, func() {
-		e, _ := c.Entry(arch.Name, Direct, evictShape(0))
-		if err := c.PutEntries([]CacheEntry{e}); err != nil {
-			t.Fatal(err)
-		}
-	})
-	var state bytes.Buffer
-	if err := c.Save(&state); err != nil {
-		t.Fatal(err)
-	}
-	step("Load", true, func() {
-		if err := c.Load(bytes.NewReader(state.Bytes())); err != nil {
-			t.Fatal(err)
-		}
-	})
-	put(1)
-	evicted := c.Stats().Evictions
-	gen := c.Generation()
-	put(2) // over MaxEntries: evicts
-	if n := c.Stats().Evictions - evicted; n == 0 || c.Generation()-gen != uint64(1+n) {
-		t.Errorf("an evicting Put moved the generation by %d over %d evictions, want one move for the put and one per eviction",
-			c.Generation()-gen, n)
-	}
-	now = now.Add(2 * time.Minute)
-	step("lazy TTL expiry", true, func() {
-		if _, _, ok := c.Get(arch.Name, Direct, evictShape(2)); ok {
-			t.Fatal("an expired entry was served")
-		}
-	})
-	step("EvictExpired", true, func() {
-		if c.EvictExpired() == 0 {
-			t.Fatal("nothing expired")
-		}
-	})
-	step("EvictExpired of nothing", false, func() { c.EvictExpired() })
 }
 
 // MaxBytes alone also bounds the cache, evicting in LRU order by the

@@ -93,7 +93,9 @@ func wire(t *testing.T, verdicts []autotune.LayerVerdict) []byte {
 // reference runs the sweep on a copy of the cache, forced past the probe by
 // one extra layer the cache does not hold. A candidate search that fails
 // leaves its key uncovered — the probe declines, every sweep retries it —
-// and the layer keeps its Direct verdict, first tune and replay alike.
+// and the layer keeps its Direct verdict, first tune and replay alike. The
+// searches the probe reports covered are the plan's, each with a verdict the
+// cache holds.
 func TestCachedNetworkMatchesSweep(t *testing.T) {
 	fixtures := append(zooFixtures(), fixture{name: "alexnet+dead-winograd",
 		layers: append(models.AlexNet().NetworkLayers(), deadWinogradLayer), deadWinograd: true})
@@ -121,8 +123,17 @@ func TestCachedNetworkMatchesSweep(t *testing.T) {
 						if ok == f.deadWinograd {
 							t.Fatalf("CachedNetwork answered: %t, want %t (only a failed search is left uncovered)", ok, !f.deadWinograd)
 						}
-						if want := autotune.Searches(laneArch, f.layers, opts); ok && !reflect.DeepEqual(covered, want) {
-							t.Errorf("CachedNetwork covered %v, the plan searches %v", covered, want)
+						if ok {
+							searches := make([]autotune.Search, len(covered))
+							for i, q := range covered {
+								searches[i] = q.Search
+								if !cache.Holds(laneArch.Name, &q, opts.Tune.Budget, opts.Resume) {
+									t.Errorf("covered search %v read %+v %+v, which the cache does not hold", q.Search, q.Config, q.M)
+								}
+							}
+							if want := autotune.Searches(laneArch, f.layers, opts); !reflect.DeepEqual(searches, want) {
+								t.Errorf("CachedNetwork covered %v, the plan searches %v", searches, want)
+							}
 						}
 						replay, err := autotune.TuneNetwork(laneArch, f.layers, cache, opts)
 						if err != nil {

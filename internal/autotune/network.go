@@ -120,6 +120,14 @@ type Search struct {
 	Shape shapes.ConvShape
 }
 
+// CoveredSearch is one search a cache probe covered and the verdict it read
+// there (CachedNetwork).
+type CoveredSearch struct {
+	Search
+	Config conv.Config
+	M      Measurement
+}
+
 // netTask is one planned search of a sweep with its outcome. sp stays nil on
 // a cache probe, which builds no spaces.
 type netTask struct {
@@ -644,14 +652,15 @@ func liveFamilies(tasks []*netTask, live []int) map[poolKey]bool {
 // that every deduplicated (kind, shape) search the sweep would run is
 // already covered (Cache.Covered — the predicate each search itself asks
 // first), and the verdicts are then exactly what TuneNetworkContext returns
-// for the request, because it returns these. searches are the searches the
-// probe covered, in the order it looked them up — the plan it already built,
-// for a caller that re-checks the same entries later. The cost is one
+// for the request, because it returns these. covered lists the searches the
+// probe covered, in the order it looked them up, each with the verdict it
+// read — for a caller that checks later that the cache still holds them
+// (Cache.Holds). The cost is one
 // lookup per distinct search — independent of how much else the cache
 // holds — and the first uncovered search ends the probe. It is exported for
 // callers that must know "this request will measure nothing" before they
 // queue, meter or replicate it (the tuned daemon's serve path).
-func CachedNetwork(arch memsim.Arch, layers []NetworkLayer, cache *Cache, opts NetworkOptions) (verdicts []LayerVerdict, searches []Search, ok bool) {
+func CachedNetwork(arch memsim.Arch, layers []NetworkLayer, cache *Cache, opts NetworkOptions) (verdicts []LayerVerdict, covered []CoveredSearch, ok bool) {
 	if cache == nil || len(layers) == 0 {
 		return nil, nil, false
 	}
@@ -659,7 +668,11 @@ func CachedNetwork(arch memsim.Arch, layers []NetworkLayer, cache *Cache, opts N
 	if verdicts, ok = p.cached(cache, opts); !ok {
 		return nil, nil, false
 	}
-	return verdicts, p.searches(), true
+	covered = make([]CoveredSearch, len(p.tasks))
+	for i, t := range p.tasks {
+		covered[i] = CoveredSearch{t.Search, t.cfg, t.m}
+	}
+	return verdicts, covered, true
 }
 
 // cached is the probe over a built plan: every task takes its verdict from

@@ -159,10 +159,17 @@ func (c *clusterState) forwardTo(ctx context.Context, addr string, envelope []by
 // handleClusterTune is POST /v1/cluster/tune: a peer-forwarded client
 // request. The receiver always serves locally — it never re-forwards, which
 // is what makes routing loop-free — so a forwarded request behaves exactly
-// like a client request that happened to hit its owner.
+// like a client request that happened to hit its owner. For the same reason
+// an envelope the hit lane answered before is replayed (replay.go) with no
+// routing question to ask: serveTune is the only path it could take.
 func (s *Server) handleClusterTune(w http.ResponseWriter, r *http.Request) {
 	body, ok := s.readBody(w, r, maxRequestBody)
 	if !ok {
+		return
+	}
+	if out := s.replay(&s.forwardReplies, body); out != nil {
+		s.count.forwardServed.Add(1)
+		writeBody(w, http.StatusOK, out)
 		return
 	}
 	req := s.parseRequest(w, body, func(body []byte) (repro.NetworkDescription, error) {
@@ -172,6 +179,7 @@ func (s *Server) handleClusterTune(w http.ResponseWriter, r *http.Request) {
 	if req == nil {
 		return
 	}
+	req.body, req.replies = body, &s.forwardReplies
 	s.count.forwardServed.Add(1)
 	s.serveTune(w, req)
 }

@@ -4,10 +4,14 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"os"
 	"path/filepath"
+	"reflect"
+	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -18,6 +22,7 @@ import (
 	"repro/internal/chaos"
 	"repro/internal/cluster"
 	"repro/internal/models"
+	"repro/internal/shapes"
 )
 
 // The clustered e2e suite: N real replicas on real listeners, requests
@@ -276,6 +281,114 @@ func TestClusterForwardsToOwnerAndReplicates(t *testing.T) {
 	mp := getMetrics(t, h.addrs[primary])
 	mustContain(t, mp, "tuned_forward_served_total 1")
 	mustContain(t, mp, "tuned_replicate_pushed_entries_total")
+}
+
+// An owner keeps replaying a body after another network's fresh tune, run on
+// that network's other owner, replicates into its cache: no verdict the
+// reply read has moved. A non-owner's forward of the body is replayed at the
+// owner too. Replays book what full-path answers book: the owner's cache
+// hits and misses, requests and forwards served equal those of a cluster sent
+// the same traffic with distinct whitespace, which it never replays.
+func TestClusterReplaySurvivesReplication(t *testing.T) {
+	play := func(replay bool) map[string]float64 {
+		h := newClusterHarness(t, 3, cluster.Config{Replicas: 2}, nil)
+		desc := repro.DescribeNetwork(testArch.Name, netA())
+		owners := h.ownersOf(desc)
+		p, n := owners[0], h.nonOwnerOf(owners)
+		owner := h.servers[p]
+		body, err := json.Marshal(desc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sent := 0
+		post := func(addr, path string, b []byte) {
+			t.Helper()
+			if !replay {
+				b = append(slices.Clone(b), strings.Repeat("\n", sent)...)
+			}
+			sent++
+			resp, err := http.Post(addr+path, "application/json", bytes.NewReader(b))
+			if err != nil {
+				t.Fatal(err)
+			}
+			io.Copy(io.Discard, resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("%s%s: status %d", addr, path, resp.StatusCode)
+			}
+		}
+		// kept reports whether rs still holds rp under key, as a replay leaves
+		// it: a full-path answer would have recorded a new reply.
+		kept := func(rs *replies, key []byte, rp *reply) bool {
+			return !replay || (rp != nil && recorded(rs, key) == rp)
+		}
+
+		post(h.addrs[p], "/v1/tune", body) // the fresh tune
+		post(h.addrs[p], "/v1/tune", body) // a hit, recorded
+		rp := recorded(&owner.replies, body)
+
+		var other repro.NetworkDescription
+		q := -1
+		for k := 0; q < 0; k++ {
+			if k == 64 {
+				t.Fatal("no one-layer network found that the owner co-owns")
+			}
+			other = repro.DescribeNetwork(testArch.Name, []autotune.NetworkLayer{{Name: "other", Repeat: 1,
+				Shape: shapes.ConvShape{Batch: 1, Cin: 24 + 8*k, Cout: 24, Hin: 14, Win: 14, Hker: 3, Wker: 3, Strid: 1, Pad: 1}}})
+			if o := h.ownersOf(other); slices.Contains(o, p) {
+				q = o[0] + o[1] - p
+			}
+		}
+		if _, code := postTune(t, h.addrs[q], other); code != http.StatusOK {
+			t.Fatalf("the other network's tune: status %d", code)
+		}
+		waitUntil(t, "the other network's replication into the owner", func() bool {
+			return owner.count.mergedEntries.Load() > 0
+		})
+		post(h.addrs[p], "/v1/tune", body)
+		if !kept(&owner.replies, body, rp) {
+			t.Error("the owner did not replay the body after the replication")
+		}
+
+		// The forward: through the non-owner, or, with distinct whitespace,
+		// as the envelope the non-owner relays.
+		parsed, err := repro.ParseNetworkDescription(body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		envelope, err := json.Marshal(repro.ForwardedTuneRequest{Origin: h.addrs[n], Attempt: 1, Network: parsed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		forward := func() {
+			if replay {
+				post(h.addrs[n], "/v1/tune", body)
+			} else {
+				post(h.addrs[p], "/v1/cluster/tune", envelope)
+			}
+		}
+		forward()
+		fr := recorded(&owner.forwardReplies, envelope)
+		forward()
+		if !kept(&owner.forwardReplies, envelope, fr) {
+			t.Error("the owner did not replay the non-owner's forward")
+		}
+
+		all := metricSamples(t, getMetrics(t, h.addrs[p]))
+		booked := make(map[string]float64)
+		for _, name := range []string{"tuned_cache_hits_total", "tuned_cache_misses_total",
+			"tuned_requests_total", "tuned_forward_served_total"} {
+			booked[name] = all[name]
+		}
+		return booked
+	}
+	got, want := play(true), play(false)
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("the owner after replays booked %v; after full-path answers %v", got, want)
+	}
+	if got["tuned_forward_served_total"] != 2 || got["tuned_cache_hits_total"] == 0 {
+		t.Errorf("the owner booked %v, want 2 forwards served and cache hits", got)
+	}
 }
 
 // The acceptance chaos proof. Three replicas, replication factor 2: the

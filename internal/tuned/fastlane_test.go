@@ -310,9 +310,12 @@ func novelBodies(b *testing.B) [][]byte {
 // zoo replay in rotation. zoo-cache and zoo+24-novel-cache differ only in
 // how much else the cache holds, so their ratio is the O(cache) creep of a
 // hit; both are answered from recorded replies. after-write writes one
-// unrelated entry before each op, so every op takes the full hit lane —
-// parse, plan, probe, encode, record — as traffic with writes between
-// replays does; the write's own two allocations count in its allocs/op.
+// unrelated entry before each op, as traffic with writes between replays
+// does; the replies read no verdict it moves, so every op still replays, and
+// the write's own two allocations count in its allocs/op. moved flips the
+// verdict of one entry the op's body reads before each op, so every op takes
+// the full hit lane — parse, plan, probe, encode — and records its reply
+// again.
 func BenchmarkServeHit(b *testing.B) {
 	srv, err := New(Config{Winograd: true, Warm: true, BatchWindow: 20 * time.Millisecond})
 	if err != nil {
@@ -349,6 +352,38 @@ func BenchmarkServeHit(b *testing.B) {
 		unrelated := shapes.ConvShape{Batch: 1, Cin: 7, Cout: 9, Hin: 11, Win: 11, Hker: 3, Wker: 3, Strid: 1}
 		for i := 0; i < b.N; i++ {
 			srv.cache.Put(testArch.Name, autotune.Direct, unrelated, conv.Config{}, autotune.Measurement{Seconds: 1})
+			post(zoo[i%len(zoo)])
+		}
+	})
+	// Per zoo body, its first layer's direct verdict and the same verdict at
+	// twice the time; before each op, moved writes the one its body did not
+	// read last.
+	type flip struct {
+		shape shapes.ConvShape
+		cfg   conv.Config
+		m     [2]autotune.Measurement
+		at    int
+	}
+	flips := make([]flip, len(zoo))
+	for j, body := range zoo {
+		desc, err := repro.ParseNetworkDescription(body)
+		if err != nil {
+			b.Fatal(err)
+		}
+		f := &flips[j]
+		f.shape = desc.NetworkLayers()[0].Shape
+		var ok bool
+		if f.cfg, f.m[0], ok = srv.cache.Get(testArch.Name, autotune.Direct, f.shape); !ok {
+			b.Fatalf("zoo %d: first layer not cached", j)
+		}
+		f.m[1] = autotune.Measurement{Seconds: 2 * f.m[0].Seconds, GFLOPS: f.m[0].GFLOPS / 2}
+	}
+	b.Run("moved", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			f := &flips[i%len(zoo)]
+			f.at ^= 1
+			srv.cache.Put(testArch.Name, autotune.Direct, f.shape, f.cfg, f.m[f.at])
 			post(zoo[i%len(zoo)])
 		}
 	})

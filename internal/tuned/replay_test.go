@@ -14,7 +14,10 @@ import (
 
 	"repro"
 	"repro/internal/autotune"
+	"repro/internal/cluster"
+	"repro/internal/conv"
 	"repro/internal/models"
+	"repro/internal/shapes"
 )
 
 // Replayed replies (replay.go): a body the hit lane answered is answered
@@ -101,20 +104,98 @@ func (c *captureWriter) Write(b []byte) (int, error) {
 	return c.ResponseRecorder.Write(b)
 }
 
+// recorded returns the reply rs holds for body, nil if none.
+func recorded(rs *replies, body []byte) *reply {
+	rs.mu.Lock()
+	defer rs.mu.Unlock()
+	return rs.byBody[string(body)]
+}
+
 // serve POSTs body to /v1/tune through srv's handler and returns the response
 // body and whether it was replayed.
 func serve(t *testing.T, srv *Server, body []byte) ([]byte, bool) {
 	t.Helper()
-	srv.replies.mu.Lock()
-	before := srv.replies.byBody[string(body)]
-	srv.replies.mu.Unlock()
+	return serveAt(t, srv, "/v1/tune", &srv.replies, body)
+}
+
+// serveAt is serve on the endpoint at path, whose record set is rs.
+func serveAt(t *testing.T, srv *Server, path string, rs *replies, body []byte) ([]byte, bool) {
+	t.Helper()
+	before := recorded(rs, body)
 	cw := &captureWriter{ResponseRecorder: httptest.NewRecorder()}
-	srv.ServeHTTP(cw, httptest.NewRequest(http.MethodPost, "/v1/tune", bytes.NewReader(body)))
+	srv.ServeHTTP(cw, httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body)))
 	if cw.Code != http.StatusOK {
-		t.Fatalf("status %d: %s", cw.Code, cw.Body)
+		t.Fatalf("%s: status %d: %s", path, cw.Code, cw.Body)
 	}
 	replayed := before != nil && len(cw.last) > 0 && &cw.last[0] == &before.out[0]
 	return cw.Body.Bytes(), replayed
+}
+
+// freshAnswer is the answer to body of a standalone server that never saw
+// it, configured as srv, on a copy of srv's cache as it stands.
+func freshAnswer(t *testing.T, srv *Server, body []byte) []byte {
+	t.Helper()
+	var state bytes.Buffer
+	if err := srv.cache.Save(&state); err != nil {
+		t.Fatal(err)
+	}
+	cache := autotune.NewCache()
+	if err := cache.Load(&state); err != nil {
+		t.Fatal(err)
+	}
+	cfg := srv.cfg
+	cfg.Cache, cfg.Cluster = cache, cluster.Config{}
+	other, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer other.Close()
+	out, _ := serve(t, other, body)
+	return out
+}
+
+// alexEntry is the cached direct entry of AlexNet's first layer that holds
+// more than one row.
+func alexEntry(t *testing.T, cache *autotune.Cache) autotune.CacheEntry {
+	t.Helper()
+	for _, l := range models.AlexNet().NetworkLayers() {
+		if e, ok := cache.Entry(testArch.Name, autotune.Direct, l.Shape); ok && len(e.Rows) > 1 {
+			return e
+		}
+	}
+	t.Fatal("no AlexNet layer is cached with more than one row")
+	return autotune.CacheEntry{}
+}
+
+// movedEntry is alexEntry with its verdict moved and no engine state.
+func movedEntry(t *testing.T, cache *autotune.Cache) autotune.CacheEntry {
+	t.Helper()
+	e := alexEntry(t, cache)
+	e.Seconds /= 100
+	e.GFLOPS *= 100
+	e.Rows = nil
+	return e
+}
+
+// putUnrelated stores a valid verdict for a shape no zoo network holds.
+func putUnrelated(cache *autotune.Cache) {
+	cache.Put(testArch.Name, autotune.Direct,
+		shapes.ConvShape{Batch: 1, Cin: 7, Cout: 9, Hin: 11, Win: 11, Hker: 3, Wker: 3, Strid: 1},
+		conv.Config{TileX: 1, TileY: 1, TileZ: 1, ThreadsX: 1, ThreadsY: 1, ThreadsZ: 1},
+		autotune.Measurement{Seconds: 1, GFLOPS: 1})
+}
+
+// A reply recorded again under the same body replaces the one before it in
+// the set's byte count: three puts count one body and one reply.
+func TestReplayPutCountsARecordOnce(t *testing.T) {
+	var rs replies
+	body, out := []byte(`{"arch":"V100"}`), []byte("{\"verdicts\":[]}\n")
+	for i := 0; i < 3; i++ {
+		rs.put(body, &reply{out: out}, 7)
+	}
+	if want := len(body) + len(out); rs.bytes != want {
+		t.Errorf("three puts of one body count %d bytes, want %d", rs.bytes, want)
+	}
 }
 
 // For every zoo body: the first answer takes the full hit lane and records;
@@ -141,9 +222,11 @@ func TestReplayMatchesFullPath(t *testing.T) {
 	}
 }
 
-// Only a client POST is recorded: a peer-forwarded request the owner answers
-// from its cache, twice, leaves nothing to replay.
-func TestReplayRecordsClientBodiesOnly(t *testing.T) {
+// Each endpoint answers from its own record set. A forwarded envelope the
+// owner answered from its cache is replayed on /v1/cluster/tune, booking the
+// forward as the full path does; the same bytes POSTed to /v1/tune, and a
+// recorded client body POSTed to /v1/cluster/tune, still get their 400.
+func TestReplayKeepsEndpointsApart(t *testing.T) {
 	srv, bodies := zooServer(t, func(cfg *Config) { cfg.Cluster = goldenCluster() })
 	desc, err := repro.ParseNetworkDescription(bodies[0])
 	if err != nil {
@@ -153,56 +236,161 @@ func TestReplayRecordsClientBodiesOnly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 2; i++ {
-		rec := httptest.NewRecorder()
-		srv.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/cluster/tune", bytes.NewReader(forwarded)))
-		if rec.Code != http.StatusOK {
-			t.Fatalf("forwarded request: status %d: %s", rec.Code, rec.Body)
-		}
+	full, replayed := serveAt(t, srv, "/v1/cluster/tune", &srv.forwardReplies, forwarded)
+	if replayed {
+		t.Fatal("the first forwarded answer was a replay")
 	}
-	if n := len(srv.replies.byBody); n != 0 {
-		t.Fatalf("%d replies recorded for forwarded requests", n)
+	again, replayed := serveAt(t, srv, "/v1/cluster/tune", &srv.forwardReplies, forwarded)
+	if !replayed || !bytes.Equal(again, full) {
+		t.Errorf("the forwarded envelope: replayed %t, answer unchanged %t", replayed, bytes.Equal(again, full))
 	}
 	serve(t, srv, bodies[0])
 	if _, replayed := serve(t, srv, bodies[0]); !replayed {
 		t.Error("the client body was not replayed")
 	}
+	for _, c := range []struct {
+		path string
+		body []byte
+	}{{"/v1/tune", forwarded}, {"/v1/cluster/tune", bodies[0]}} {
+		rec := httptest.NewRecorder()
+		srv.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, c.path, bytes.NewReader(c.body)))
+		if rec.Code != http.StatusBadRequest {
+			t.Errorf("%s answered the other endpoint's recorded body with %d, want 400: %s", c.path, rec.Code, rec.Body)
+		}
+	}
+	if got, want := srv.count.forwardServed.Load(), int64(2); got != want {
+		t.Errorf("%d forwarded requests served, want %d", got, want)
+	}
+	if got, want := srv.count.requests.Load(), int64(4); got != want {
+		t.Errorf("%d requests answered, want %d", got, want)
+	}
 }
 
-// A PutEntries that changes one layer's verdict changes the next answer, and
-// that answer is a fresh server's on the same cache.
-func TestReplayFollowsPutEntries(t *testing.T) {
+// A write that leaves every verdict the body read as it was — a Put of an
+// unrelated entry, a PutEntries rewriting a read entry with its own verdict —
+// keeps the reply replaying, and the replay is a fresh server's answer.
+func TestReplaySurvivesEqualWrites(t *testing.T) {
 	srv, bodies := zooServer(t)
 	body := bodies[0]
 	serve(t, srv, body)
-	before, replayed := serve(t, srv, body)
-	if !replayed {
-		t.Fatal("the second answer was not replayed")
+	same := alexEntry(t, srv.cache)
+	for _, w := range []struct {
+		name  string
+		write func() error
+	}{
+		{"an unrelated Put", func() error { putUnrelated(srv.cache); return nil }},
+		{"a PutEntries of an equal verdict", func() error { return srv.cache.PutEntries([]autotune.CacheEntry{same}) }},
+	} {
+		if err := w.write(); err != nil {
+			t.Fatal(err)
+		}
+		out, replayed := serve(t, srv, body)
+		if !replayed {
+			t.Errorf("after %s: not replayed", w.name)
+		}
+		if want := freshAnswer(t, srv, body); !bytes.Equal(out, want) {
+			t.Errorf("after %s: replay differs from a fresh server's answer", w.name)
+		}
 	}
-	layer := models.AlexNet().NetworkLayers()[0].Shape
-	e, ok := srv.cache.Entry(testArch.Name, autotune.Direct, layer)
-	if !ok {
-		t.Fatal("AlexNet's first layer is not cached")
+}
+
+// Under Resume, a rewrite that keeps a read entry's verdict but lowers its
+// covered budget below the request's is no longer covered: the reply falls
+// through and the search resumes. Without Resume the same rewrite replays.
+func TestReplayFallsThroughBelowResumeBudget(t *testing.T) {
+	for _, resume := range []bool{false, true} {
+		srv, bodies := zooServer(t, func(cfg *Config) { cfg.Resume = resume })
+		body := bodies[0]
+		serve(t, srv, body)
+		if _, replayed := serve(t, srv, body); !replayed {
+			t.Fatalf("resume %t: the second answer was not replayed", resume)
+		}
+		e := alexEntry(t, srv.cache)
+		e.Budget = len(e.Rows) / 2
+		e.Rows = e.Rows[:e.Budget]
+		if err := srv.cache.PutEntries([]autotune.CacheEntry{e}); err != nil {
+			t.Fatal(err)
+		}
+		measured := srv.Measurements()
+		if _, replayed := serve(t, srv, body); replayed == resume {
+			t.Errorf("resume %t: replayed %t after the covered budget fell to %d", resume, replayed, e.Budget)
+		}
+		if resumed := srv.Measurements() > measured; resumed != resume {
+			t.Errorf("resume %t: the answer after the rewrite measured %d", resume, srv.Measurements()-measured)
+		}
 	}
-	e.Seconds /= 100
-	e.GFLOPS *= 100
-	e.Rows = nil
-	if err := srv.cache.PutEntries([]autotune.CacheEntry{e}); err != nil {
-		t.Fatal(err)
-	}
-	after, replayed := serve(t, srv, body)
-	if replayed || bytes.Equal(after, before) {
-		t.Fatalf("after a PutEntries moved a verdict: replayed %t, answer unchanged %t", replayed, bytes.Equal(after, before))
-	}
-	cfg := replayConfig()
-	cfg.Cache = srv.cache
-	other, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer other.Close()
-	if want, _ := serve(t, other, body); !bytes.Equal(after, want) {
-		t.Errorf("answer after PutEntries:\n%s\nfresh server on the same cache:\n%s", after, want)
+}
+
+// Every kind of cache write that changes what a reply read — a PutEntries, a
+// Load into the live cache, an LRU-cap eviction, a TTL expiry — sends the
+// next answer down the full path, and that answer is a fresh server's on a
+// copy of the cache as the write left it. So are the answers after it, the
+// second of them a replay. (Entries evicted or expired are tuned again, and
+// that answer is not recorded: only the one after it is a hit.)
+func TestReplayFollowsEachWriter(t *testing.T) {
+	for _, w := range []struct {
+		name  string
+		write func(t *testing.T, srv *Server, bodies [][]byte)
+	}{
+		{"PutEntries", func(t *testing.T, srv *Server, _ [][]byte) {
+			if err := srv.cache.PutEntries([]autotune.CacheEntry{movedEntry(t, srv.cache)}); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"Load", func(t *testing.T, srv *Server, _ [][]byte) {
+			state, err := autotune.EncodeEntries([]autotune.CacheEntry{movedEntry(t, srv.cache)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := srv.cache.Load(bytes.NewReader(state)); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"LRU eviction", func(t *testing.T, srv *Server, bodies [][]byte) {
+			// Under the policy, the other networks' answers leave AlexNet's
+			// entries the least recently used; one Put past the cap evicts
+			// them.
+			srv.cache.SetEviction(autotune.EvictionPolicy{MaxEntries: srv.cache.Len()})
+			for _, body := range bodies[1:] {
+				serve(t, srv, body)
+			}
+			putUnrelated(srv.cache)
+			if srv.cache.Stats().Evictions == 0 {
+				t.Fatal("nothing was evicted")
+			}
+		}},
+		{"TTL expiry", func(t *testing.T, srv *Server, _ [][]byte) {
+			later := time.Now().Add(time.Hour)
+			srv.cache.SetEviction(autotune.EvictionPolicy{TTL: time.Minute, Now: func() time.Time { return later }})
+			if srv.cache.EvictExpired() == 0 {
+				t.Fatal("nothing expired")
+			}
+		}},
+	} {
+		t.Run(w.name, func(t *testing.T) {
+			srv, bodies := zooServer(t)
+			body := bodies[0]
+			serve(t, srv, body)
+			before, replayed := serve(t, srv, body)
+			if !replayed {
+				t.Fatal("the second answer was not replayed")
+			}
+			w.write(t, srv, bodies)
+			want := freshAnswer(t, srv, body)
+			after, replayed := serve(t, srv, body)
+			if replayed || bytes.Equal(after, before) {
+				t.Errorf("after the write: replayed %t, answer unchanged %t", replayed, bytes.Equal(after, before))
+			}
+			if !bytes.Equal(after, want) {
+				t.Errorf("answer after the write:\n%s\nfresh server on a copy of the cache:\n%s", after, want)
+			}
+			for i := 0; i < 2; i++ {
+				want := freshAnswer(t, srv, body)
+				if again, replayed := serve(t, srv, body); (i == 1 && !replayed) || !bytes.Equal(again, want) {
+					t.Errorf("answer %d after it: replayed %t, equal to a fresh answer %t", i+1, replayed, bytes.Equal(again, want))
+				}
+			}
+		})
 	}
 }
 
@@ -223,10 +411,17 @@ func TestReplayFollowsRefinement(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gen := srv.cache.Generation()
+	save := func() []byte {
+		var state bytes.Buffer
+		if err := srv.cache.Save(&state); err != nil {
+			t.Fatal(err)
+		}
+		return state.Bytes()
+	}
+	state := save()
 	srv.refineOne(req)
-	if g := srv.cache.Generation(); g != gen {
-		t.Fatalf("the refinement wrote the cache (generation %d → %d); this test needs a pure refinedKeys write", gen, g)
+	if !bytes.Equal(save(), state) {
+		t.Fatal("the refinement wrote the cache; this test needs a pure refinedKeys write")
 	}
 	out, replayed := serve(t, srv, body)
 	if replayed {
@@ -323,16 +518,7 @@ func TestReplayBooksLikeTheFullPath(t *testing.T) {
 func TestReplayUnderConcurrentWrites(t *testing.T) {
 	srv, bodies := zooServer(t)
 	body := bodies[0]
-	layer := models.AlexNet().NetworkLayers()[0].Shape
-	orig, ok := srv.cache.Entry(testArch.Name, autotune.Direct, layer)
-	if !ok {
-		t.Fatal("AlexNet's first layer is not cached")
-	}
-	moved := orig
-	moved.Seconds /= 100
-	moved.GFLOPS *= 100
-	moved.Rows = nil
-	states := []autotune.CacheEntry{orig, moved}
+	states := []autotune.CacheEntry{alexEntry(t, srv.cache), movedEntry(t, srv.cache)}
 	answers := make([][]byte, len(states))
 	for i := len(states) - 1; i >= 0; i-- {
 		if err := srv.cache.PutEntries(states[i : i+1]); err != nil {

@@ -24,9 +24,11 @@ type request struct {
 	tune     autotune.Options // server engine defaults under the request's budget and seed
 	winograd bool
 	kinds    []autotune.Kind
-	// body is a client POST's raw body, which a hit-lane answer is recorded
-	// under (replay.go); nil for forwarded and restored requests.
-	body []byte
+	// body is the raw POST body a hit-lane answer is recorded under, in the
+	// endpoint's record set replies (replay.go); both nil for restored
+	// requests.
+	body    []byte
+	replies *replies
 
 	key string // memoised Key()
 }

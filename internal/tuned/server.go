@@ -140,8 +140,9 @@ type Server struct {
 	refinedKeys map[string]bool     // cache keys a refinement has measured (refinedKey)
 	refineEpoch atomic.Uint64       // moves after every write to refinedKeys
 
-	// replies are the hit lane's recorded answers (replay.go).
-	replies replies
+	// replies and forwardReplies are the hit lane's recorded answers to
+	// client and to peer-forwarded requests (replay.go).
+	replies, forwardReplies replies
 
 	// cluster is the replicated-shard runtime (cluster.go); nil standalone.
 	cluster *clusterState
@@ -429,14 +430,15 @@ func (s *Server) handleTune(w http.ResponseWriter, r *http.Request) {
 	// ownership (clusterState.owners) is a function of the key and the fixed
 	// peer list alone — not of which peers are up — so routing would serve
 	// that body locally again.
-	if s.replay(w, body) {
+	if out := s.replay(&s.replies, body); out != nil {
+		writeBody(w, http.StatusOK, out)
 		return
 	}
 	req := s.parseRequest(w, body, repro.ParseNetworkDescription)
 	if req == nil {
 		return
 	}
-	req.body = body
+	req.body, req.replies = body, &s.replies
 	if s.cluster == nil || !s.routeTune(w, r, req) {
 		s.serveTune(w, req)
 	}
@@ -452,13 +454,13 @@ func (s *Server) serveTune(w http.ResponseWriter, req *request) {
 	// nothing, so there is nothing to admit, nothing a batch could share with
 	// it (it dedups against no search, and the transfer pool is primed from
 	// the cache, not from it), nothing an open breaker protects it from, and
-	// — having written no entry — nothing to replicate. A client's answer is
-	// recorded for replay (replay.go), stamped with what it was read from.
-	stamp := s.replayStamp()
-	if verdicts, searches, ok := autotune.CachedNetwork(req.arch, req.layers, s.cache, req.sweepOptions(s)); ok {
+	// — having written no entry — nothing to replicate. The answer is
+	// recorded for replay (replay.go) with the verdicts it was read from.
+	epoch := s.refineEpoch.Load()
+	if verdicts, covered, ok := autotune.CachedNetwork(req.arch, req.layers, s.cache, req.sweepOptions(s)); ok {
 		s.count.requests.Add(1)
 		s.markTiers(req.arch.Name, verdicts)
-		s.record(req, stamp, searches, verdicts, s.respond(w, req, verdicts))
+		s.record(req, epoch, covered, verdicts, s.respond(w, req, verdicts))
 		return
 	}
 
