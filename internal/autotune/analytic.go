@@ -306,6 +306,13 @@ func (a *AnalyticDSE) space(kind Kind, s shapes.ConvShape) (*Space, error) {
 // blocks on a measurement and never consults a cache. A first answer fans
 // its spaces' scans across cores; a repeat starts no goroutine.
 func (a *AnalyticDSE) NetworkKinds(layers []NetworkLayer, kinds []Kind) ([]LayerVerdict, error) {
+	return a.NetworkKindsAt(layers, kinds, a.calibration())
+}
+
+// NetworkKindsAt is NetworkKinds priced at calibration factor cal instead of
+// the tier's current one, for a caller that must know the factor its answer
+// was priced at while another may refit the tier.
+func (a *AnalyticDSE) NetworkKindsAt(layers []NetworkLayer, kinds []Kind, cal float64) ([]LayerVerdict, error) {
 	if len(layers) == 0 {
 		return nil, fmt.Errorf("autotune: no layers to tune")
 	}
@@ -314,7 +321,7 @@ func (a *AnalyticDSE) NetworkKinds(layers []NetworkLayer, kinds []Kind) ([]Layer
 		kindsOf[i] = CandidateKinds(l.Shape, false, kinds)
 	}
 	verdicts := make([]LayerVerdict, len(layers))
-	if bad, err := a.layerVerdicts(verdicts, layers, kindsOf); err != nil {
+	if bad, err := a.layerVerdicts(verdicts, layers, kindsOf, cal); err != nil {
 		return nil, fmt.Errorf("autotune: analytic tier: layer %q: %w", layers[bad].Name, err)
 	}
 	return verdicts, nil
@@ -329,11 +336,12 @@ type kindSpace struct {
 	err error
 }
 
-// layerVerdicts sets out[i] to layers[i]'s layerVerdict over kindsOf[i], if
-// any, or returns a failing layer's index. It resolves each space once and
+// layerVerdicts sets out[i] to layers[i]'s layerVerdict over kindsOf[i],
+// priced at calibration factor cal, if any, or returns a failing layer's
+// index. It resolves each space once and
 // fans the scans of two or more unscanned ones across cores; a scan is a pure
 // function of its space, so verdicts do not depend on the worker count.
-func (a *AnalyticDSE) layerVerdicts(out []LayerVerdict, layers []NetworkLayer, kindsOf [][]Kind) (int, error) {
+func (a *AnalyticDSE) layerVerdicts(out []LayerVerdict, layers []NetworkLayer, kindsOf [][]Kind, cal float64) (int, error) {
 	size := 0
 	for _, ks := range kindsOf {
 		size += len(ks)
@@ -352,7 +360,6 @@ func (a *AnalyticDSE) layerVerdicts(out []LayerVerdict, layers []NetworkLayer, k
 	if len(pending) > 1 {
 		scanFan(len(pending), runtime.GOMAXPROCS(0), func(j int) { pending[j].anOnce.Do(pending[j].analyticScan) })
 	}
-	cal := a.calibration()
 	for i, l := range layers {
 		if n := len(kindsOf[i]); n > 0 {
 			v, err := layerVerdict(l, kindsOf[i], cands[:n], cal)

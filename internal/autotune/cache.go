@@ -53,6 +53,9 @@ type Cache struct {
 	evictions atomic.Int64
 	evictMu   sync.Mutex // serializes enforce sweeps
 
+	// writes counts stores and removals (Writes).
+	writes atomic.Uint64
+
 	// priors memoizes the transfer priors warm sweeps fit (network.go).
 	priors priorMemo
 }
@@ -357,6 +360,7 @@ func (c *Cache) put(key string, e CacheEntry) {
 	sh.entries[key] = e
 	sh.meta[key] = m
 	sh.mu.Unlock()
+	c.writes.Add(1)
 	c.bytes.Add(size)
 	c.enforce()
 }
@@ -476,6 +480,14 @@ func (c *Cache) StateSize(archName string, kind Kind, s shapes.ConvShape) int {
 	}
 	return len(e.Rows)
 }
+
+// Writes reports how many entries have been stored or removed since the
+// cache was made: every Put, PutTrace, PutEntries, Load and salvage entry,
+// engine commit, eviction and expiry moves it, a rewrite of an existing key
+// included, once the write is visible to readers. A derived value stamped
+// with it — the daemon's analytic calibration — is current while it reads
+// the same.
+func (c *Cache) Writes() uint64 { return c.writes.Load() }
 
 // Len reports the number of cached entries.
 func (c *Cache) Len() int {
@@ -867,6 +879,14 @@ func (c *Cache) Holds(archName string, q *CoveredSearch, budget int, resume bool
 	e, ok := c.Entry(archName, q.Kind, q.Shape)
 	cfg, m := e.verdict()
 	return uncovered(e, ok, budget, resume) == 0 && cfg == q.Config && m == q.M
+}
+
+// Misses reports whether a probe still misses q at budget: Covered's
+// predicate over one Entry lookup, as Holds asks it of a covered search, so
+// hits, misses, LRU recency and TTL expiry move as the probe's did.
+func (c *Cache) Misses(archName string, q *Search, budget int, resume bool) bool {
+	e, ok := c.Entry(archName, q.Kind, q.Shape)
+	return uncovered(e, ok, budget, resume) > 0
 }
 
 // resumeRemaining is the resume half of the predicate: a cached entry

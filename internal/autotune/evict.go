@@ -137,6 +137,7 @@ func (c *Cache) remove(key string) (CacheEntry, bool) {
 	}
 	sh.mu.Unlock()
 	if ok {
+		c.writes.Add(1)
 		c.evictions.Add(1)
 	}
 	return e, ok

@@ -1,6 +1,7 @@
 package autotune
 
 import (
+	"bytes"
 	"testing"
 	"time"
 
@@ -135,6 +136,63 @@ func TestEvictionTTL(t *testing.T) {
 	if got := c.Len(); got != 0 {
 		t.Errorf("cache holds %d entries after everything expired, want 0", got)
 	}
+}
+
+// Writes moves on every write and removal — Put, a PutEntries rewriting an
+// existing key with its own entry, Load, LRU eviction, EvictExpired and a
+// lookup's lazy TTL expiry — and on no lookup, hit or miss.
+func TestWritesMovesOnWritesOnly(t *testing.T) {
+	now := time.Unix(1000, 0)
+	c := NewCache()
+	c.SetEviction(EvictionPolicy{MaxEntries: 2, TTL: time.Minute, Now: func() time.Time { return now }})
+	valid := conv.Config{TileX: 1, TileY: 1, TileZ: 1, ThreadsX: 1, ThreadsY: 1, ThreadsZ: 1} // Load checks it
+	put := func(i int) { c.Put(arch.Name, Direct, evictShape(i), valid, Measurement{Seconds: 1, GFLOPS: 1}) }
+	step := func(what string, moves bool, do func()) {
+		t.Helper()
+		before := c.Writes()
+		do()
+		if moved := c.Writes() != before; moved != moves {
+			t.Errorf("%s: Writes moved %t, want %t", what, moved, moves)
+		}
+	}
+	step("Put", true, func() { put(0) })
+	step("hit", false, func() { c.Get(arch.Name, Direct, evictShape(0)) })
+	step("miss", false, func() { c.Get(arch.Name, Direct, evictShape(9)) })
+	step("PutEntries", true, func() {
+		e, _ := c.Entry(arch.Name, Direct, evictShape(0))
+		if err := c.PutEntries([]CacheEntry{e}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	var state bytes.Buffer
+	if err := c.Save(&state); err != nil {
+		t.Fatal(err)
+	}
+	step("Load", true, func() {
+		if err := c.Load(bytes.NewReader(state.Bytes())); err != nil {
+			t.Fatal(err)
+		}
+	})
+	put(1)
+	evicted := c.Stats().Evictions
+	writes := c.Writes()
+	put(2) // over MaxEntries: evicts
+	if n := c.Stats().Evictions - evicted; n == 0 || c.Writes()-writes != uint64(1+n) {
+		t.Errorf("an evicting Put moved Writes by %d over %d evictions, want one move for the put and one per eviction",
+			c.Writes()-writes, n)
+	}
+	now = now.Add(2 * time.Minute)
+	step("lazy TTL expiry", true, func() {
+		if _, _, ok := c.Get(arch.Name, Direct, evictShape(2)); ok {
+			t.Fatal("an expired entry was served")
+		}
+	})
+	step("EvictExpired", true, func() {
+		if c.EvictExpired() == 0 {
+			t.Fatal("nothing expired")
+		}
+	})
+	step("EvictExpired of nothing", false, func() { c.EvictExpired() })
 }
 
 // MaxBytes alone also bounds the cache, evicting in LRU order by the

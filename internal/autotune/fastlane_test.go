@@ -94,8 +94,9 @@ func wire(t *testing.T, verdicts []autotune.LayerVerdict) []byte {
 // one extra layer the cache does not hold. A candidate search that fails
 // leaves its key uncovered — the probe declines, every sweep retries it —
 // and the layer keeps its Direct verdict, first tune and replay alike. The
-// searches the probe reports covered are the plan's, each with a verdict the
-// cache holds.
+// probe's trajectory is a prefix of the plan's searches: the covered ones,
+// each with a verdict the cache holds, and on a miss the dead Winograd
+// search, which the cache still misses.
 func TestCachedNetworkMatchesSweep(t *testing.T) {
 	fixtures := append(zooFixtures(), fixture{name: "alexnet+dead-winograd",
 		layers: append(models.AlexNet().NetworkLayers(), deadWinogradLayer), deadWinograd: true})
@@ -119,21 +120,35 @@ func TestCachedNetworkMatchesSweep(t *testing.T) {
 						if _, _, ok := autotune.CachedNetwork(laneArch, f.layers, autotune.NewCache(), opts); ok {
 							t.Fatal("an empty cache answered the request")
 						}
-						fast, covered, ok := autotune.CachedNetwork(laneArch, f.layers, cache, opts)
+						fast, probe, ok := autotune.CachedNetwork(laneArch, f.layers, cache, opts)
 						if ok == f.deadWinograd {
 							t.Fatalf("CachedNetwork answered: %t, want %t (only a failed search is left uncovered)", ok, !f.deadWinograd)
 						}
-						if ok {
-							searches := make([]autotune.Search, len(covered))
-							for i, q := range covered {
-								searches[i] = q.Search
-								if !cache.Holds(laneArch.Name, &q, opts.Tune.Budget, opts.Resume) {
-									t.Errorf("covered search %v read %+v %+v, which the cache does not hold", q.Search, q.Config, q.M)
-								}
+						trajectory := probe.Searches()
+						covered := trajectory
+						if !ok {
+							missed := &trajectory[len(trajectory)-1]
+							if missed.Kind != autotune.Winograd || missed.Shape != deadWinogradLayer.Shape {
+								t.Errorf("the probe missed %v, want the dead Winograd search", missed.Search)
 							}
-							if want := autotune.Searches(laneArch, f.layers, opts); !reflect.DeepEqual(searches, want) {
-								t.Errorf("CachedNetwork covered %v, the plan searches %v", searches, want)
+							if !cache.Misses(laneArch.Name, &missed.Search, opts.Tune.Budget, opts.Resume) {
+								t.Errorf("the cache covers the search the probe missed, %v", missed.Search)
 							}
+							covered = trajectory[:len(trajectory)-1]
+						}
+						searches := make([]autotune.Search, len(trajectory))
+						for i, q := range trajectory {
+							searches[i] = q.Search
+						}
+						for _, q := range covered {
+							if !cache.Holds(laneArch.Name, &q, opts.Tune.Budget, opts.Resume) {
+								t.Errorf("covered search %v read %+v %+v, which the cache does not hold", q.Search, q.Config, q.M)
+							}
+						}
+						if want := autotune.Searches(laneArch, f.layers, opts); !reflect.DeepEqual(searches, want[:len(searches)]) {
+							t.Errorf("CachedNetwork probed %v, the plan searches %v", searches, want)
+						} else if ok && len(searches) != len(want) {
+							t.Errorf("CachedNetwork answered after probing %d of the plan's %d searches", len(searches), len(want))
 						}
 						replay, err := autotune.TuneNetwork(laneArch, f.layers, cache, opts)
 						if err != nil {

@@ -120,8 +120,8 @@ type Search struct {
 	Shape shapes.ConvShape
 }
 
-// CoveredSearch is one search a cache probe covered and the verdict it read
-// there (CachedNetwork).
+// CoveredSearch is one search a cache probe looked up and the verdict it read
+// there (Probe.Searches).
 type CoveredSearch struct {
 	Search
 	Config conv.Config
@@ -547,7 +547,7 @@ func TuneNetworkContext(ctx context.Context, arch memsim.Arch, layers []NetworkL
 	// A request the cache fully answers is a lookup, not a sweep: it returns
 	// here, before any space, measurer, transfer pool or worker exists.
 	plan := planSweep(arch, layers, opts)
-	if verdicts, ok := plan.cached(cache, opts); ok {
+	if verdicts, _, ok := plan.cached(cache, opts); ok {
 		return verdicts, nil
 	}
 	if err := plan.run(ctx, cache, opts); err != nil {
@@ -652,42 +652,55 @@ func liveFamilies(tasks []*netTask, live []int) map[poolKey]bool {
 // that every deduplicated (kind, shape) search the sweep would run is
 // already covered (Cache.Covered — the predicate each search itself asks
 // first), and the verdicts are then exactly what TuneNetworkContext returns
-// for the request, because it returns these. covered lists the searches the
-// probe covered, in the order it looked them up, each with the verdict it
-// read — for a caller that checks later that the cache still holds them
-// (Cache.Holds). The cost is one
-// lookup per distinct search — independent of how much else the cache
-// holds — and the first uncovered search ends the probe. It is exported for
-// callers that must know "this request will measure nothing" before they
-// queue, meter or replicate it (the tuned daemon's serve path).
-func CachedNetwork(arch memsim.Arch, layers []NetworkLayer, cache *Cache, opts NetworkOptions) (verdicts []LayerVerdict, covered []CoveredSearch, ok bool) {
+// for the request, because it returns these. probe is the probe's
+// trajectory, hit or miss, for a caller that checks later that the cache
+// still answers it the same way. The cost is one lookup per distinct search
+// — independent of how much else the cache holds — and the first uncovered
+// search ends the probe. It is exported for callers that must know "this
+// request will measure nothing" before they queue, meter or replicate it
+// (the tuned daemon's serve path).
+func CachedNetwork(arch memsim.Arch, layers []NetworkLayer, cache *Cache, opts NetworkOptions) (verdicts []LayerVerdict, probe Probe, ok bool) {
 	if cache == nil || len(layers) == 0 {
-		return nil, nil, false
+		return nil, Probe{}, false
 	}
 	p := planSweep(arch, layers, opts)
-	if verdicts, ok = p.cached(cache, opts); !ok {
-		return nil, nil, false
-	}
-	covered = make([]CoveredSearch, len(p.tasks))
+	verdicts, n, ok := p.cached(cache, opts)
+	return verdicts, Probe{p.tasks[:n]}, ok
+}
+
+// Probe is the trajectory of one CachedNetwork probe: the searches it looked
+// up, in order, with the verdict it read at each. On a hit that is every
+// search of the plan; on a miss, the covered prefix and then the search it
+// missed, which carries no verdict. It holds the plan's tasks and builds
+// nothing until Searches is called, so a caller that keeps no trajectory
+// pays nothing for one.
+type Probe struct{ tasks []*netTask }
+
+// Searches returns the probe's trajectory: a caller asks Cache.Holds of a
+// covered search and Cache.Misses of a missed one to learn whether the probe
+// would still go the same way.
+func (p Probe) Searches() []CoveredSearch {
+	out := make([]CoveredSearch, len(p.tasks))
 	for i, t := range p.tasks {
-		covered[i] = CoveredSearch{t.Search, t.cfg, t.m}
+		out[i] = CoveredSearch{t.Search, t.cfg, t.m}
 	}
-	return verdicts, covered, true
+	return out
 }
 
 // cached is the probe over a built plan: every task takes its verdict from
-// the cache, or the first uncovered one reports a miss.
-func (p sweepPlan) cached(cache *Cache, opts NetworkOptions) ([]LayerVerdict, bool) {
-	for _, t := range p.tasks {
+// the cache, or the first uncovered one reports a miss. n counts the tasks it
+// looked up, the missed one included.
+func (p sweepPlan) cached(cache *Cache, opts NetworkOptions) (verdicts []LayerVerdict, n int, ok bool) {
+	for i, t := range p.tasks {
 		e, remaining := cache.Covered(p.arch.Name, t.Kind, t.Shape, opts.Tune.Budget, opts.Resume)
 		if remaining > 0 {
-			return nil, false
+			return nil, i + 1, false
 		}
 		t.cfg, t.m = e.verdict()
 		t.shared = true
 	}
 	verdicts, err := p.chooseKinds(opts)
-	return verdicts, err == nil
+	return verdicts, len(p.tasks), err == nil
 }
 
 // chooseKinds is the per-layer kernel choice: among the finished searches of
@@ -736,7 +749,7 @@ func (p sweepPlan) chooseKinds(opts NetworkOptions) ([]LayerVerdict, error) {
 		}
 	}
 	if fallback != nil {
-		if bad, err := tier.layerVerdicts(verdicts, p.layers, fallback); err != nil {
+		if bad, err := tier.layerVerdicts(verdicts, p.layers, fallback, tier.calibration()); err != nil {
 			return nil, fmt.Errorf("autotune: layer %q: %w", p.layers[bad].Name, p.tasks[p.tasksOf[bad][0]].err)
 		}
 	}

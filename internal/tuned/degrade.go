@@ -32,10 +32,19 @@ const (
 	refinePollInterval = 5 * time.Millisecond
 )
 
+// calibration is one fit of an analytic tier's factor and the cache write
+// count (Cache.Writes) read before it.
+type calibration struct {
+	stamp  uint64
+	factor float64
+}
+
 // analyticFor returns the per-architecture analytic tier, building it on
-// first use and re-fitting its calibration whenever the cache has changed
-// since the last fit — measured rows sharpen every later estimate.
-func (s *Server) analyticFor(arch memsim.Arch) *autotune.AnalyticDSE {
+// first use and re-fitting its calibration whenever the cache has been
+// written since the last fit — measured rows sharpen every later estimate,
+// and a rewrite of a key moves them as much as a new one — and the factor
+// of that fit.
+func (s *Server) analyticFor(arch memsim.Arch) (*autotune.AnalyticDSE, float64) {
 	s.anMu.Lock()
 	defer s.anMu.Unlock()
 	a := s.analytic[arch.Name]
@@ -43,26 +52,30 @@ func (s *Server) analyticFor(arch memsim.Arch) *autotune.AnalyticDSE {
 		a = autotune.NewAnalyticDSE(arch)
 		s.analytic[arch.Name] = a
 	}
-	stamp := s.cache.Len()
-	if last, ok := s.calStamp[arch.Name]; !ok || last != stamp {
-		a.Calibrate(s.cache)
-		s.calStamp[arch.Name] = stamp
+	stamp := s.cache.Writes()
+	c, ok := s.calibrated[arch.Name]
+	if !ok || c.stamp != stamp {
+		c = calibration{stamp, a.Calibrate(s.cache)}
+		s.calibrated[arch.Name] = c
 	}
-	return a
+	return a, c.factor
 }
 
 // serveAnalytic answers a request entirely from the instant-verdict tier
 // — 200, every verdict Tier "analytic" — and enqueues it for background
 // refinement. The analytic tier consults no cache and takes no budget, so
-// this path stays fast no matter how overloaded the measured path is.
-func (s *Server) serveAnalytic(w http.ResponseWriter, req *request) {
-	verdicts, err := s.analyticFor(req.arch).NetworkKinds(req.layers, req.analyticKinds())
+// this path stays fast no matter how overloaded the measured path is. It
+// returns the verdicts, the bytes written (nil after an error) and the
+// calibration factor they were priced at.
+func (s *Server) serveAnalytic(w http.ResponseWriter, req *request) ([]autotune.LayerVerdict, []byte, float64) {
+	a, cal := s.analyticFor(req.arch)
+	verdicts, err := a.NetworkKindsAt(req.layers, req.analyticKinds(), cal)
 	if err != nil {
 		errJSON(w, http.StatusInternalServerError, "%v", err)
-		return
+		return nil, nil, 0
 	}
 	s.count.requests.Add(1)
-	s.respond(w, req, verdicts)
+	return verdicts, s.respond(w, req, verdicts), cal
 }
 
 // markTiers upgrades cache-served verdicts whose key the refinement queue

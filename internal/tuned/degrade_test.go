@@ -1,6 +1,7 @@
 package tuned
 
 import (
+	"bytes"
 	"io"
 	"net/http"
 	"strings"
@@ -364,5 +365,32 @@ func TestServerAnalyticFallbackFillsDeadSearches(t *testing.T) {
 		if v.Tier != "analytic" {
 			t.Fatalf("layer %s: tier %q, want analytic", v.Layer, v.Tier)
 		}
+	}
+}
+
+// The analytic calibration follows every cache write, not the entry count:
+// after a PutEntries rewrites every zoo entry at three times its seconds,
+// Len has not moved, and the next analytic answer is priced at the factor a
+// fresh fit reads off the rewritten rows.
+func TestAnalyticCalibrationFollowsRewrites(t *testing.T) {
+	srv, bodies, _ := analyticServer(t)
+	body := bodies[len(bodies)-1]
+	before := freshAnalytic(t, srv, body)
+	if out, _ := serve(t, srv, body); !bytes.Equal(out, before) {
+		t.Fatalf("the first analytic answer:\n%s\na fresh server's:\n%s", out, before)
+	}
+	n := srv.cache.Len()
+	if err := srv.cache.PutEntries(scaledEntries(t, srv.cache, 3)); err != nil {
+		t.Fatal(err)
+	}
+	if srv.cache.Len() != n {
+		t.Fatalf("the rewrite moved Len from %d to %d", n, srv.cache.Len())
+	}
+	want := freshAnalytic(t, srv, body)
+	if bytes.Equal(want, before) {
+		t.Fatal("the rewrite did not move a fresh server's answer")
+	}
+	if out, _ := serve(t, srv, body); !bytes.Equal(out, want) {
+		t.Errorf("the analytic answer after the rewrite:\n%s\na fresh server's:\n%s", out, want)
 	}
 }

@@ -12,6 +12,7 @@ import (
 
 	"repro"
 	"repro/internal/autotune"
+	"repro/internal/chaos"
 	"repro/internal/cluster"
 	"repro/internal/conv"
 	"repro/internal/models"
@@ -391,4 +392,54 @@ func BenchmarkServeHit(b *testing.B) {
 		post(body)
 	}
 	b.Run("zoo+24-novel-cache", replay)
+}
+
+// BenchmarkServeAnalytic is the serve path's cost for a request the analytic
+// tier answers while the breaker stays open: POST /v1/tune through
+// Server.ServeHTTP on a daemon configured as cmd/tuned with no flags, behind
+// a dead backend with its breaker tripped, one op per zoo network in
+// rotation. The cache is empty, so every probe misses at its first search.
+// replayed answers from recorded replies. full moves the refinement epoch
+// before each op, which empties the record set, so every op takes the full
+// path — parse, resolve, probe, price, encode — and records its reply again.
+func BenchmarkServeAnalytic(b *testing.B) {
+	srv, err := New(Config{Winograd: true, Warm: true, BatchWindow: 20 * time.Millisecond,
+		Chaos:   chaos.Config{Seed: 1, FailRate: 1},
+		Breaker: autotune.BreakerConfig{Threshold: 0.5, Cooldown: time.Hour}})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer srv.Close()
+	srv.breaker.Trip()
+	post := func(body []byte) {
+		rec := httptest.NewRecorder()
+		srv.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/tune", bytes.NewReader(body)))
+		if rec.Code != http.StatusOK {
+			b.Fatalf("status %d: %s", rec.Code, rec.Body)
+		}
+	}
+	zoo := [][]byte{
+		benchBody(b, models.AlexNet().NetworkLayers(), nil),
+		benchBody(b, models.VGG19().NetworkLayers(), nil),
+		benchBody(b, models.ResNet18().NetworkLayers(), nil),
+		benchBody(b, models.SqueezeNet().NetworkLayers(), nil),
+		benchBody(b, models.InceptionV3().NetworkLayers(), nil),
+		benchBody(b, models.MobileNetV1().NetworkLayers(), []string{"fft", "igemm"}),
+	}
+	for _, body := range zoo {
+		post(body)
+	}
+	b.Run("replayed", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			post(zoo[i%len(zoo)])
+		}
+	})
+	b.Run("full", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			srv.refineEpoch.Add(1)
+			post(zoo[i%len(zoo)])
+		}
+	})
 }

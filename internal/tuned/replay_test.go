@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -14,6 +15,7 @@ import (
 
 	"repro"
 	"repro/internal/autotune"
+	"repro/internal/chaos"
 	"repro/internal/cluster"
 	"repro/internal/conv"
 	"repro/internal/models"
@@ -135,6 +137,23 @@ func serveAt(t *testing.T, srv *Server, path string, rs *replies, body []byte) (
 // it, configured as srv, on a copy of srv's cache as it stands.
 func freshAnswer(t *testing.T, srv *Server, body []byte) []byte {
 	t.Helper()
+	out, _ := serve(t, freshServer(t, srv), body)
+	return out
+}
+
+// freshAnalytic is freshAnswer from a server whose breaker is tripped.
+func freshAnalytic(t *testing.T, srv *Server, body []byte) []byte {
+	t.Helper()
+	other := freshServer(t, srv)
+	other.breaker.Trip()
+	out, _ := serve(t, other, body)
+	return out
+}
+
+// freshServer is a standalone server configured as srv on a copy of srv's
+// cache as it stands.
+func freshServer(t *testing.T, srv *Server) *Server {
+	t.Helper()
 	var state bytes.Buffer
 	if err := srv.cache.Save(&state); err != nil {
 		t.Fatal(err)
@@ -149,9 +168,8 @@ func freshAnswer(t *testing.T, srv *Server, body []byte) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer other.Close()
-	out, _ := serve(t, other, body)
-	return out
+	t.Cleanup(func() { other.Close() })
+	return other
 }
 
 // alexEntry is the cached direct entry of AlexNet's first layer that holds
@@ -567,6 +585,378 @@ func TestReplayUnderConcurrentWrites(t *testing.T) {
 	for i := 0; i < 2; i++ {
 		if got, _ := serve(t, srv, body); !bytes.Equal(got, answers[1]) {
 			t.Errorf("answer %d after the writes stopped is not the final state's", i)
+		}
+	}
+}
+
+// novelLayer is a layer no zoo network holds.
+var novelLayer = repro.LayerDescription{Name: "novel", Batch: 1, Cin: 5, Hin: 13, Win: 13,
+	Cout: 11, Hker: 3, Wker: 3, Stride: 1, Pad: 1, Repeat: 1}
+
+// missBodies is AlexNet's and MobileNet's zoo bodies (the latter with extra
+// kinds) with novelLayer appended, so each probe covers the zoo network's
+// searches and misses at the novel layer's, and one body of novelLayer
+// alone, whose probe misses at once. Each is a handful of first analytic
+// scans, which -race makes slow, so the zoo's other four are left out.
+func missBodies(t *testing.T, zoo [][]byte) [][]byte {
+	t.Helper()
+	var out [][]byte
+	for _, body := range [][]byte{zoo[0], zoo[5]} {
+		desc, err := repro.ParseNetworkDescription(body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		desc.Layers = append(desc.Layers, novelLayer)
+		out = append(out, mustMarshal(t, desc))
+	}
+	return append(out, mustMarshal(t, repro.NetworkDescription{Arch: testArch.Name,
+		Layers: []repro.LayerDescription{novelLayer}}))
+}
+
+func mustMarshal(t *testing.T, v any) []byte {
+	t.Helper()
+	b, err := json.Marshal(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// analyticServer is zooServer behind a dead backend with its breaker tripped
+// by hand, on the clock now: a body the cache covers takes the hit lane, one
+// whose probe misses is answered by the analytic tier in serveTune's
+// breaker-open branch. The breaker stays open until now passes its hour of
+// cooldown.
+func analyticServer(t *testing.T, mutate ...func(*Config)) (*Server, [][]byte, *atomic.Int64) {
+	t.Helper()
+	now := new(atomic.Int64)
+	now.Store(time.Unix(1e9, 0).UnixNano())
+	srv, zoo := zooServer(t, append([]func(*Config){func(cfg *Config) {
+		cfg.Chaos = chaos.Config{Seed: 1, FailRate: 1}
+		cfg.Breaker = heldBreaker()
+		cfg.Breaker.Now = func() time.Time { return time.Unix(0, now.Load()) }
+	}}, mutate...)...)
+	srv.breaker.Trip()
+	return srv, missBodies(t, zoo), now
+}
+
+// scaledEntries is every entry of cache with its rows at factor times their
+// seconds and its verdict as it was: the same keys, so Len does not move,
+// and the same verdicts, so a probe reads what it read before.
+func scaledEntries(t *testing.T, cache *autotune.Cache, factor float64) []autotune.CacheEntry {
+	t.Helper()
+	var state bytes.Buffer
+	if err := cache.Save(&state); err != nil {
+		t.Fatal(err)
+	}
+	entries, err := autotune.DecodeEntries(state.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range entries {
+		e := &entries[i]
+		e.Curve = nil
+		e.Rows = slices.Clone(e.Rows)
+		for j := range e.Rows {
+			e.Rows[j].Seconds *= factor
+		}
+	}
+	return entries
+}
+
+// analyticTier reports the response tier of an answer.
+func analyticTier(t *testing.T, out []byte) bool {
+	t.Helper()
+	var resp repro.TuneResponse
+	if err := json.Unmarshal(out, &resp); err != nil {
+		t.Fatal(err)
+	}
+	return resp.Tier == autotune.TierAnalytic.String()
+}
+
+// For every body whose probe misses while the breaker is open: the first
+// answer takes the full path to the analytic tier and records; the second is
+// its replay, byte for byte, and equals the answer of a tripped server that
+// never saw the body.
+func TestReplayAnalyticMatchesFullPath(t *testing.T) {
+	srv, bodies, _ := analyticServer(t)
+	for i, body := range bodies {
+		full, replayed := serve(t, srv, body)
+		if replayed || !analyticTier(t, full) {
+			t.Fatalf("body %d: the first answer was replayed %t, analytic %t", i, replayed, analyticTier(t, full))
+		}
+		again, replayed := serve(t, srv, body)
+		if !replayed {
+			t.Errorf("body %d: the second answer was not replayed", i)
+		}
+		if !bytes.Equal(again, full) {
+			t.Errorf("body %d: replay differs from the full path:\n%s\n%s", i, again, full)
+		}
+		if fresh := freshAnalytic(t, srv, body); !bytes.Equal(again, fresh) {
+			t.Errorf("body %d: replay differs from a fresh server's answer:\n%s\n%s", i, again, fresh)
+		}
+	}
+}
+
+// N analytic replays book what N full-path analytic answers book: a server
+// that replays and one sent each body with distinct trailing whitespace end
+// with equal /healthz and /metrics — requests, cache hits and misses,
+// verdicts by tier and kind, the refinement queue's depth and drops,
+// breaker transitions, everything but the clocks. The queue is emptied
+// before each round, so each round's answers enqueue their refinements.
+func TestReplayAnalyticBooksLikeTheFullPath(t *testing.T) {
+	srv, bodies, _ := analyticServer(t)
+	plain, _, _ := analyticServer(t)
+	// drain empties the refinement queue as finished refinements would, so
+	// the next round's answers enqueue again.
+	drain := func(s *Server) {
+		s.refineMu.Lock()
+		defer s.refineMu.Unlock()
+		for len(s.refineCh) > 0 {
+			delete(s.refineQueue, (<-s.refineCh).Key())
+		}
+	}
+	const rounds = 3
+	for r := 0; r < rounds; r++ {
+		drain(srv)
+		drain(plain)
+		for i, body := range bodies {
+			if _, replayed := serve(t, srv, body); replayed != (r > 0) {
+				t.Errorf("round %d body %d: replayed %t", r, i, replayed)
+			}
+			if _, replayed := serve(t, plain, append(body, strings.Repeat(" ", r)...)); replayed {
+				t.Errorf("round %d body %d: a distinct body was replayed", r, i)
+			}
+		}
+	}
+	health := func(s *Server) (Health, map[string]float64) {
+		// One refinement worker holds the first job, waiting out the
+		// breaker; every other body's waits in the queue.
+		waitUntil(t, "the refinement worker took its job", func() bool { return len(s.refineCh) == len(bodies)-1 })
+		url := newHarnessServer(t, s)
+		h := getHealth(t, url)
+		h.UptimeSeconds = 0
+		m := metricSamples(t, getMetrics(t, url))
+		delete(m, "tuned_uptime_seconds")
+		return h, m
+	}
+	h, m := health(srv)
+	wantH, wantM := health(plain)
+	if !reflect.DeepEqual(h, wantH) {
+		t.Errorf("/healthz after replays:\n%+v\nafter full-path answers:\n%+v", h, wantH)
+	}
+	if !reflect.DeepEqual(m, wantM) {
+		t.Errorf("/metrics after replays:\n%v\nafter full-path answers:\n%v", m, wantM)
+	}
+	if h.Requests != rounds*int64(len(bodies)) || h.AnalyticVerdicts == 0 || h.Cache.Hits == 0 || h.Cache.Misses == 0 {
+		t.Errorf("requests %d, analytic verdicts %d, cache hits %d, misses %d",
+			h.Requests, h.AnalyticVerdicts, h.Cache.Hits, h.Cache.Misses)
+	}
+}
+
+// An analytic reply falls through as soon as one of the full path's checks
+// would go another way — the breaker half-opens, the calibration factor
+// moves, the missed search becomes covered, a covered prefix verdict is
+// rewritten — and the answer is then the full path's. Once the breaker is
+// open again and nothing else moves, the next answer is a replay.
+func TestReplayAnalyticFallsThrough(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		// move changes what the full path reads, and returns whether the
+		// full path still records (false: it answers from overflow).
+		move func(t *testing.T, srv *Server, now *atomic.Int64) bool
+	}{
+		{"breaker half-opens", func(t *testing.T, srv *Server, now *atomic.Int64) bool {
+			now.Add(int64(2 * time.Hour))
+			return false
+		}},
+		{"calibration moves", func(t *testing.T, srv *Server, _ *atomic.Int64) bool {
+			if err := srv.cache.PutEntries(scaledEntries(t, srv.cache, 3)); err != nil {
+				t.Fatal(err)
+			}
+			return true
+		}},
+		{"missed search covered", func(t *testing.T, srv *Server, _ *atomic.Int64) bool {
+			desc := repro.NetworkDescription{Arch: testArch.Name, Layers: []repro.LayerDescription{novelLayer}}
+			srv.cache.Put(testArch.Name, autotune.Direct, desc.NetworkLayers()[0].Shape,
+				conv.Config{TileX: 1, TileY: 1, TileZ: 1, ThreadsX: 1, ThreadsY: 1, ThreadsZ: 1},
+				autotune.Measurement{Seconds: 1, GFLOPS: 1})
+			return true
+		}},
+		{"prefix verdict rewritten", func(t *testing.T, srv *Server, _ *atomic.Int64) bool {
+			// The verdict moves and the rows stay, so the calibration, which
+			// reads only rows, does not.
+			e := alexEntry(t, srv.cache)
+			e.Seconds /= 100
+			e.GFLOPS *= 100
+			if err := srv.cache.PutEntries([]autotune.CacheEntry{e}); err != nil {
+				t.Fatal(err)
+			}
+			return true
+		}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			// Overflow catches the half-open breaker's request: the admission
+			// budget is held, so neither it nor a refinement measures.
+			srv, bodies, now := analyticServer(t, func(cfg *Config) {
+				cfg.MaxInflight, cfg.AnalyticOverflow = 1, true
+			})
+			srv.adm.acquire(1)
+			body := bodies[0]
+			serve(t, srv, body)
+			if _, replayed := serve(t, srv, body); !replayed {
+				t.Fatal("the second answer was not replayed")
+			}
+			_, calBefore := srv.analyticFor(testArch)
+			records := c.move(t, srv, now)
+			if _, cal := srv.analyticFor(testArch); (cal != calBefore) != (c.name == "calibration moves") {
+				t.Fatalf("the calibration factor moved %t", cal != calBefore)
+			}
+			before := recorded(&srv.replies, body)
+			want := freshAnalytic(t, srv, body)
+			out, replayed := serve(t, srv, body)
+			if replayed || !bytes.Equal(out, want) {
+				t.Errorf("after the move: replayed %t, equal to a fresh answer %t:\n%s\n%s",
+					replayed, bytes.Equal(out, want), out, want)
+			}
+			if rerecorded := recorded(&srv.replies, body) != before; rerecorded != records {
+				t.Errorf("after the move: recorded again %t, want %t", rerecorded, records)
+			}
+			srv.breaker.Trip()
+			serve(t, srv, body)
+			if again, replayed := serve(t, srv, body); !replayed || !bytes.Equal(again, want) {
+				t.Errorf("with the breaker open again: replayed %t, equal to a fresh answer %t", replayed, bytes.Equal(again, want))
+			}
+		})
+	}
+}
+
+// The analytic answers of admission overflow and of the cluster's local
+// fallback depend on load and on which peers are up, so neither is recorded
+// and neither is replayed, even with the breaker open.
+func TestReplayNeverRecordsOverflowOrLocalFallback(t *testing.T) {
+	t.Run("overflow", func(t *testing.T) {
+		srv, bodies, _ := analyticServer(t, func(cfg *Config) {
+			cfg.MaxInflight, cfg.AnalyticOverflow = 1, true
+			cfg.Breaker = autotune.BreakerConfig{}
+			cfg.Chaos = chaos.Config{}
+		})
+		srv.adm.acquire(1)
+		for i := 0; i < 2; i++ {
+			out, replayed := serve(t, srv, bodies[0])
+			if replayed || !analyticTier(t, out) {
+				t.Errorf("answer %d: replayed %t, analytic %t", i, replayed, analyticTier(t, out))
+			}
+		}
+		if rp := recorded(&srv.replies, bodies[0]); rp != nil {
+			t.Error("an overflow answer was recorded")
+		}
+	})
+	t.Run("local fallback", func(t *testing.T) {
+		// The other peer owns about half of all keys and is down: a body
+		// it owns is answered by this replica's fallback.
+		srv, bodies, _ := analyticServer(t, func(cfg *Config) {
+			cfg.Cluster = goldenCluster()
+			cfg.Cluster.Replicas = 1
+		})
+		var body []byte
+		for _, b := range bodies {
+			desc, err := repro.ParseNetworkDescription(b)
+			if err != nil {
+				t.Fatal(err)
+			}
+			req, err := srv.resolve(desc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if self, _ := srv.cluster.owners(req.Key()); !self {
+				body = b
+				break
+			}
+		}
+		if body == nil {
+			t.Fatal("this replica owns every body")
+		}
+		for i := 0; i < 2; i++ {
+			out, replayed := serve(t, srv, body)
+			if replayed || !analyticTier(t, out) {
+				t.Errorf("answer %d: replayed %t, analytic %t", i, replayed, analyticTier(t, out))
+			}
+		}
+		if rp := recorded(&srv.replies, body); rp != nil {
+			t.Error("a local-fallback answer was recorded")
+		}
+		if got := srv.count.localFallbacks.Load(); got != 2 {
+			t.Errorf("%d local fallbacks, want 2", got)
+		}
+	})
+}
+
+// Analytic replays racing PutEntries that move the calibration back and
+// forth: on a cache whose one state-carrying entry is the fit's only sample,
+// each write scales its rows or restores them, so the cache is always in one
+// of two states. Every answer is the answer at one of their two factors, and
+// once the writes stop the answer is the final factor's, replayed.
+func TestReplayAnalyticUnderConcurrentWrites(t *testing.T) {
+	zoo, bodies, _ := analyticServer(t)
+	srv, _, _ := analyticServer(t, func(cfg *Config) { cfg.Cache = autotune.NewCache() })
+	if err := srv.cache.PutEntries([]autotune.CacheEntry{alexEntry(t, zoo.cache)}); err != nil {
+		t.Fatal(err)
+	}
+	body := bodies[len(bodies)-1]
+	states := [][]autotune.CacheEntry{scaledEntries(t, srv.cache, 1), scaledEntries(t, srv.cache, 3)}
+	answers := make([][]byte, len(states))
+	for i := len(states) - 1; i >= 0; i-- {
+		if err := srv.cache.PutEntries(states[i]); err != nil {
+			t.Fatal(err)
+		}
+		answers[i], _ = serve(t, srv, body)
+	}
+	if bytes.Equal(answers[0], answers[1]) {
+		t.Fatal("the two states price the body alike")
+	}
+
+	var wg sync.WaitGroup
+	stop := make(chan struct{})
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if err := srv.cache.PutEntries(states[i%2]); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	var readers sync.WaitGroup
+	for c := 0; c < 4; c++ {
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			for r := 0; r < 50; r++ {
+				rec := httptest.NewRecorder()
+				srv.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/tune", bytes.NewReader(body)))
+				if got := rec.Body.Bytes(); !bytes.Equal(got, answers[0]) && !bytes.Equal(got, answers[1]) {
+					t.Errorf("client %d round %d: an answer at neither factor: %s", c, r, got)
+				}
+			}
+		}()
+	}
+	readers.Wait()
+	close(stop)
+	wg.Wait()
+	if err := srv.cache.PutEntries(states[1]); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		if got, replayed := serve(t, srv, body); !bytes.Equal(got, answers[1]) || (i == 1 && !replayed) {
+			t.Errorf("answer %d after the writes stopped: the final factor's %t, replayed %t",
+				i, bytes.Equal(got, answers[1]), replayed)
 		}
 	}
 }

@@ -165,7 +165,7 @@ func (r *request) NetworkOptions(s *Server) autotune.NetworkOptions {
 	no := r.sweepOptions(s)
 	no.WrapMeasurer = s.wrapMeasurer()
 	if s.degraded {
-		no.Analytic = s.analyticFor(r.arch)
+		no.Analytic, _ = s.analyticFor(r.arch)
 	}
 	return no
 }

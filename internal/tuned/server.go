@@ -130,9 +130,9 @@ type Server struct {
 	breaker  *autotune.Breaker // nil unless Config.Breaker is armed
 	degraded bool              // any degradation trigger configured
 
-	anMu     sync.Mutex
-	analytic map[string]*autotune.AnalyticDSE // per arch name
-	calStamp map[string]int                   // cache length at last calibration
+	anMu       sync.Mutex
+	analytic   map[string]*autotune.AnalyticDSE // per arch name
+	calibrated map[string]calibration           // per arch name, the last fit
 
 	refineCh    chan *request       // nil unless a refinement trigger is configured
 	refineMu    sync.Mutex          // guards the two maps below
@@ -199,7 +199,7 @@ func New(cfg Config) (*Server, error) {
 	}
 	s.degraded = cfg.AnalyticOverflow || s.breaker != nil || cfg.RequestTimeout > 0
 	s.analytic = make(map[string]*autotune.AnalyticDSE)
-	s.calStamp = make(map[string]int)
+	s.calibrated = make(map[string]calibration)
 	s.refinedKeys = make(map[string]bool)
 	if cfg.AnalyticOverflow || s.breaker != nil {
 		s.refineCh = make(chan *request, refineQueueCap)
@@ -457,19 +457,23 @@ func (s *Server) serveTune(w http.ResponseWriter, req *request) {
 	// — having written no entry — nothing to replicate. The answer is
 	// recorded for replay (replay.go) with the verdicts it was read from.
 	epoch := s.refineEpoch.Load()
-	if verdicts, covered, ok := autotune.CachedNetwork(req.arch, req.layers, s.cache, req.sweepOptions(s)); ok {
+	verdicts, probe, ok := autotune.CachedNetwork(req.arch, req.layers, s.cache, req.sweepOptions(s))
+	if ok {
 		s.count.requests.Add(1)
 		s.markTiers(req.arch.Name, verdicts)
-		s.record(req, epoch, covered, verdicts, s.respond(w, req, verdicts))
+		s.record(req, epoch, &reply{}, probe, verdicts, s.respond(w, req, verdicts))
 		return
 	}
 
 	// Degradation trigger: a tripped breaker means a measured search could
 	// only burn its budget on fast-fails, so answer instantly from the
 	// analytic tier and let the refinement queue (and the next half-open
-	// probes) bring measured service back.
+	// probes) bring measured service back. The answer is recorded for replay
+	// with the probe that missed and the calibration it was priced at.
 	if s.breaker.State() == autotune.BreakerOpen {
-		s.serveAnalytic(w, req)
+		if verdicts, out, cal := s.serveAnalytic(w, req); out != nil {
+			s.record(req, epoch, &reply{refine: req, cal: cal}, probe, verdicts, out)
+		}
 		return
 	}
 
