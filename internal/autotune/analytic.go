@@ -124,6 +124,17 @@ func (sp *Space) analyticScan() {
 // raw bound and sinks here, exactly as it does on the device model.
 func (sp *Space) analyticFloor(c conv.Config) float64 { return sp.floor(c, launchRates) }
 
+// logFloor is the log of c's tight floor, the baseline a residual search's
+// cost model learns against; ok is false when the floor is not positive and
+// finite, so it gives no baseline.
+func (sp *Space) logFloor(c conv.Config) (float64, bool) {
+	f := sp.analyticFloor(c)
+	if !(f > 0) || math.IsInf(f, 1) {
+		return 0, false
+	}
+	return math.Log(f), true
+}
+
 // measurable applies the validation the Dry evaluators and MemoMeasure
 // apply (the same row field MemoMeasure calls), so an analytic winner is
 // never a config measurement would reject.
@@ -209,7 +220,7 @@ func (a *AnalyticDSE) fitCalibration(cache *Cache) float64 {
 		return 1
 	}
 	var ratios []float64
-	entries := cache.stateEntries(a.arch.Name)
+	entries := cache.stateEntries(a.arch.Name, nil)
 	if len(entries) > calibrationMaxEntries {
 		entries = entries[:calibrationMaxEntries]
 	}

@@ -8,11 +8,11 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"maps"
 	"os"
 	"path/filepath"
 	"slices"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -55,9 +55,6 @@ type Cache struct {
 
 	// writes counts stores and removals (Writes).
 	writes atomic.Uint64
-
-	// priors memoizes the transfer priors warm sweeps fit (network.go).
-	priors priorMemo
 }
 
 const cacheShards = 32
@@ -191,10 +188,10 @@ func (e CacheEntry) MarshalJSON() ([]byte, error) {
 // record.add grows Trace.Curve: the incumbent's GFLOP/s after each
 // measurement, 0 before the first successful one.
 func curveOf(hist []MeasuredConfig) (curve []float64) {
-	found, best := false, Measurement{}
+	found, best, cfg := false, Measurement{}, conv.Config{}
 	for _, h := range hist {
-		if h.OK && (!found || h.M.Seconds < best.Seconds) {
-			found, best = true, h.M
+		if h.OK && (!found || incumbentBefore(h.M.Seconds, h.Config, best.Seconds, cfg)) {
+			found, best, cfg = true, h.M, h.Config
 		}
 		curve = append(curve, best.GFLOPS)
 	}
@@ -464,11 +461,14 @@ func (c *Cache) State(archName string, kind Kind, s shapes.ConvShape) ([]Measure
 	return hist, curveOf(hist), true
 }
 
-// stateEntries returns every state-carrying entry of one architecture in
-// deterministic (key-sorted) order — the raw material for rebuilding a
-// cross-layer transfer pool from a loaded cache file.
-func (c *Cache) stateEntries(archName string) []CacheEntry {
-	return c.sortedEntries(func(e CacheEntry) bool { return e.Arch == archName && len(e.Rows) > 0 })
+// stateEntries returns the state-carrying entries of one architecture that
+// keep admits (nil admits all), in deterministic (key-sorted) order — the
+// raw material for rebuilding a cross-layer transfer pool or the analytic
+// calibration from a loaded cache file.
+func (c *Cache) stateEntries(archName string, keep func(CacheEntry) bool) []CacheEntry {
+	return c.sortedEntries(func(e CacheEntry) bool {
+		return e.Arch == archName && len(e.Rows) > 0 && (keep == nil || keep(e))
+	})
 }
 
 // StateSize reports how many measurements are persisted for a key,
@@ -501,29 +501,29 @@ func (c *Cache) Len() int {
 	return n
 }
 
-// snapshot copies every entry keyed by cache key.
-func (c *Cache) snapshot() map[string]CacheEntry {
-	all := make(map[string]CacheEntry)
+// sortedEntries copies the entries keep admits, in deterministic
+// (key-sorted) order. keep runs under a shard's read lock; only the entries
+// it admits are copied.
+func (c *Cache) sortedEntries(keep func(CacheEntry) bool) []CacheEntry {
+	type keyed struct {
+		key string
+		e   CacheEntry
+	}
+	var kept []keyed
 	for i := range c.shards {
 		sh := &c.shards[i]
 		sh.mu.RLock()
 		for k, e := range sh.entries {
-			all[k] = e
+			if keep(e) {
+				kept = append(kept, keyed{k, e})
+			}
 		}
 		sh.mu.RUnlock()
 	}
-	return all
-}
-
-// sortedEntries copies the entries keep admits, in deterministic
-// (key-sorted) order.
-func (c *Cache) sortedEntries(keep func(CacheEntry) bool) []CacheEntry {
-	all := c.snapshot()
-	out := make([]CacheEntry, 0, len(all))
-	for _, k := range slices.Sorted(maps.Keys(all)) {
-		if e := all[k]; keep(e) {
-			out = append(out, e)
-		}
+	slices.SortFunc(kept, func(a, b keyed) int { return strings.Compare(a.key, b.key) })
+	out := make([]CacheEntry, len(kept))
+	for i, k := range kept {
+		out[i] = k.e
 	}
 	return out
 }
@@ -629,7 +629,7 @@ func (e CacheEntry) Key() (string, error) {
 	if err := e.Config.check(kind); err != nil {
 		return "", fmt.Errorf("autotune: cache entry for %s %v: verdict: %w", e.Arch, s, err)
 	}
-	// Persisted rows feed resumed incumbents and warm-pool log-costs; a
+	// Persisted rows feed resumed incumbents and cost-model log-costs; a
 	// successful row with a non-positive time would poison both (a zero
 	// incumbent prunes everything, log(0) is -Inf), so reject it here. Only
 	// a row's Sb must be positive: featurizing divides by it.
@@ -907,8 +907,7 @@ func (e CacheEntry) coveredBudget() int { return max(e.Budget, len(e.Rows)) }
 // withHistory installs a persisted measurement history as the warm-start
 // replay on a copy of the caller's warm start. The copy keeps the
 // transferred seeds, which the resumed search measures unless its history
-// already holds them. It keeps the family's prior too, but a search with a
-// history ignores it: the key's own rows beat transferred ones.
+// already holds them.
 func withHistory(opts Options, hist []MeasuredConfig) Options {
 	w := warmStart{}
 	if opts.warm != nil {

@@ -110,14 +110,12 @@ func BenchmarkTrainGBTIncremental(b *testing.B) {
 	})
 }
 
-// BenchmarkGBTRefit is the trainer under the heaviest load a warm-started
-// search could put on it: an initial fit on 512 transferred rows, then the
-// search's own rows arriving 8 at a time up to 400 with an 8-round Update per
+// BenchmarkGBTRefit is the trainer under a heavy refit load: an initial fit
+// on 512 rows, then 400 more arriving 8 at a time with an 8-round Update per
 // arrival and the from-scratch retrain whenever the forest would pass its
 // cap. That per-batch sequence is a trainer stress, not the engine's
 // schedule: TuneFallible refits when the rows have grown by an eighth (about
-// five Updates over the same 400 rows) and copies the 512-row fit from its
-// family's shared prior. Its rows are engine features (several near-continuous
+// five Updates over the same 400 rows). Its rows are engine features (several near-continuous
 // columns), so most batches bring new distinct values and re-rank every row,
 // and the deepest level's histograms span hundreds of mostly empty bins: the
 // trainer's worst case on both counts. Compare ns/op and B/op against the

@@ -2,10 +2,7 @@ package autotune
 
 import (
 	"context"
-	"crypto/sha256"
-	"fmt"
 	"math"
-	"reflect"
 	"sync/atomic"
 	"testing"
 
@@ -40,51 +37,29 @@ func TuneNetworkTraces(arch memsim.Arch, layers []NetworkLayer, cache *Cache, op
 	return verdicts, searches, err
 }
 
+// snapshot copies every entry keyed by cache key.
+func (c *Cache) snapshot() map[string]CacheEntry {
+	all := make(map[string]CacheEntry)
+	for i := range c.shards {
+		sh := &c.shards[i]
+		sh.mu.RLock()
+		for k, e := range sh.entries {
+			all[k] = e
+		}
+		sh.mu.RUnlock()
+	}
+	return all
+}
+
 // Restarted is what a Save/Load round trip of c yields — its entries, bit for
-// bit (floats round-trip exactly), in a new cache with an empty prior memo —
-// without the JSON, which would cost a test more than the sweeps it checks.
+// bit (floats round-trip exactly), in a new cache — without the JSON, which
+// would cost a test more than the sweeps it checks.
 func Restarted(c *Cache) *Cache {
 	out := NewCache()
 	for key, e := range c.snapshot() {
 		out.put(key, e)
 	}
 	return out
-}
-
-// PriorMemoCounts reports how many capped family priors the cache's memo
-// answered from a slot and how many it fitted afresh, and how many family
-// priors below the row cap it fitted without a slot.
-func PriorMemoCounts(c *Cache) (hits, misses, belowCap int) {
-	c.priors.mu.Lock()
-	defer c.priors.mu.Unlock()
-	return c.priors.hits, c.priors.misses, c.priors.belowCap
-}
-
-// ScopedPrimeDiff primes a warm sweep's transfer pool from the cache twice —
-// scoped to the families the sweep reads, as the sweep does, and from every
-// state-carrying entry — and compares the two family by family. It returns
-// how many of the sweep's families the full prime gives rows or seeds, and
-// the first family whose rows, costs or seeds differ ("" when none does).
-func ScopedPrimeDiff(arch memsim.Arch, layers []NetworkLayer, cache *Cache, opts NetworkOptions) (primed int, diff string, err error) {
-	plan := planSweep(arch, layers, opts)
-	live, err := plan.spaces()
-	if err != nil {
-		return 0, "", err
-	}
-	fams := liveFamilies(plan.tasks, live)
-	scoped := PrimedFamilies(cache, arch, fams)
-	full := PrimedFamilies(cache, arch, nil)
-	for fam := range fams {
-		a, inScoped := scoped[fam]
-		b, inFull := full[fam]
-		if inFull {
-			primed++
-		}
-		if inScoped != inFull || !reflect.DeepEqual(a, b) {
-			return primed, fmt.Sprintf("%+v", fam), nil
-		}
-	}
-	return primed, "", nil
 }
 
 // PoolFamily is a transfer pool's family: (kind, kernel extent, stride).
@@ -94,14 +69,10 @@ type PoolFamily = poolKey
 func FamilyOf(kind Kind, s shapes.ConvShape) PoolFamily { return familyOf(kind, s) }
 
 // PrimedFamily is what a transfer pool primed from a cache holds for one
-// family: its rows, costs and seeds, the digest the prior memo keys those
-// rows by, and whether the family is at both caps.
+// family: its seeds, and whether the family is at its seed cap.
 type PrimedFamily struct {
-	Feats  [][]float64
-	Costs  []float64
-	Seeds  []conv.Config
-	Digest [sha256.Size]byte
-	Full   bool
+	Seeds []conv.Config
+	Full  bool
 }
 
 // PrimedFamilies primes a transfer pool from the cache's state-carrying
@@ -110,14 +81,9 @@ type PrimedFamily struct {
 func PrimedFamilies(c *Cache, arch memsim.Arch, fams map[PoolFamily]bool) map[PoolFamily]PrimedFamily {
 	pool := newTransferPool()
 	pool.prime(c, arch, fams)
-	out := make(map[PoolFamily]PrimedFamily, len(pool.byFamily))
-	for fam, pe := range pool.byFamily {
-		f := PrimedFamily{Seeds: pe.seeds, Full: pool.full(fam)}
-		if pe.prior.n > 0 {
-			f.Feats, f.Costs = pe.prior.rows()
-			f.Digest = rowsDigest(f.Feats, f.Costs)
-		}
-		out[fam] = f
+	out := make(map[PoolFamily]PrimedFamily, len(pool.seeds))
+	for fam, seeds := range pool.seeds {
+		out[fam] = PrimedFamily{Seeds: seeds, Full: pool.full(fam)}
 	}
 	return out
 }

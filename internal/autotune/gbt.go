@@ -120,33 +120,17 @@ func (m *GBTModel) Update(x [][]float64, y []float64, rounds int) {
 	m.boost(rounds)
 }
 
-// clone returns an independent copy of the fitted model: everything a later
-// Update writes — the forest, the per-row predictions, the ranks (copied, not
-// re-ranked) — is copied, the scratch starts empty, and the training rows,
-// which no fit ever writes, stay shared. Updating a clone is bit-identical to
-// updating the original and leaves the original untouched, so one fitted
-// prior can seed any number of concurrent searches (see sharedPrior).
-func (m *GBTModel) clone() *GBTModel {
-	c := &GBTModel{cfg: m.cfg, base: m.base, x: m.x, y: m.y,
-		nodes: slices.Clone(m.nodes), roots: slices.Clone(m.roots), pred: slices.Clone(m.pred),
-		uniq: make([][]float64, len(m.uniq)), binOff: slices.Clone(m.binOff), slot: slices.Clone(m.slot)}
-	for f, u := range m.uniq {
-		c.uniq[f] = slices.Clone(u)
-	}
-	return c
-}
-
 // NumTrees reports the fitted boosting rounds so far.
 func (m *GBTModel) NumTrees() int { return len(m.roots) }
 
-// NumRows reports the training rows the model currently holds — prior
-// (transferred) rows plus everything ingested since.
+// NumRows reports the training rows the model currently holds.
 func (m *GBTModel) NumRows() int { return len(m.x) }
 
 // ingest adopts the grown dataset: it predicts the new rows under the
 // current forest and ranks them. A new distinct value moves the bins above
 // it, so a batch that brings one re-ranks every row. A row counts as ingested
-// once predicted, so a bare forest (priorMemo.fit) ingests all its rows.
+// once predicted, so a bare forest — trees without per-row predictions —
+// ingests all its rows.
 func (m *GBTModel) ingest(x [][]float64, y []float64) {
 	old := len(m.pred)
 	for i := old; i < len(x); i++ {

@@ -162,10 +162,7 @@ func TestTrainGBTMatchesLegacy(t *testing.T) {
 // The rank tables under growth: Update batches bring values below, between
 // and above the known ones, a batch brings nothing new, and a column that was
 // constant starts to vary. After every batch the distinct values, the bin
-// offsets and the rows' slots equal a fresh ingest of the same rows, and a
-// clone updated with the batch first leaves its source's tables as they were
-// (the clone owns copies: growing a shared uniq in place would corrupt the
-// source).
+// offsets and the rows' slots equal a fresh ingest of the same rows.
 func TestIngestRanksMatchFreshIngest(t *testing.T) {
 	cfg := DefaultGBTConfig()
 	rng := rand.New(rand.NewSource(8))
@@ -221,20 +218,13 @@ func TestIngestRanksMatchFreshIngest(t *testing.T) {
 				x[i][2] = x[i-n][2]
 			}
 		}
-		src := copyOf(m)
-		c := m.clone()
-		c.Update(x, y, cfg.UpdateTrees)
-		if got := copyOf(m); !reflect.DeepEqual(got, src) {
-			t.Fatalf("%s: a clone's Update moved its source's ranks", batch.name)
-		}
-		check(batch.name+" (clone)", c)
 		m.Update(x, y, cfg.UpdateTrees)
 		check(batch.name, m)
 	}
 }
 
 // A bare forest — TrainGBT's trees over its rows with no per-row predictions
-// or ranks, as a prior memo hit hands it out — ingests every row on its first
+// or ranks — ingests every row on its first
 // Update: updated twice, it is TrainGBT updated twice bit for bit, per-row
 // predictions included, and its rank tables are a fresh ingest's.
 func TestGBTUpdateOfBareForest(t *testing.T) {

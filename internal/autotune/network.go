@@ -3,13 +3,9 @@ package autotune
 import (
 	"cmp"
 	"context"
-	"crypto/sha256"
-	"encoding/binary"
 	"fmt"
-	"math"
 	"runtime"
 	"slices"
-	"sync"
 
 	"repro/internal/conv"
 	"repro/internal/memsim"
@@ -24,15 +20,16 @@ import (
 //
 // With NetworkOptions.Warm the sweep additionally transfers state between
 // related searches: a per-(arch, kind) pool — binned by layer family
-// (kernel extent × stride), the granularity at which cost structure
-// actually transfers — collects shape-normalized training rows and top-K
-// incumbent configurations from finished layers, and every later layer
-// starts with a fitted cost model and transferred incumbents instead of a
-// cold random phase. The schedule is two deterministic waves — one
-// representative search per family runs cold, then everything else runs
-// warm off the frozen pool — so verdicts stay bit-identical for any worker
-// count. A cache file saved with engine state (PutTrace) rebuilds the pool
-// on load, in which case already-covered families skip their cold wave.
+// (kernel extent × stride), the granularity at which good configurations
+// actually transfer — collects the top-K incumbent configurations of
+// finished layers, and every later layer starts from those incumbents
+// instead of a cold random phase, with a cost model that learns the
+// residual over the I/O-bound floor on its own rows. The schedule is two
+// deterministic waves — one representative search per family runs cold,
+// then everything else runs warm off the frozen pool — so verdicts stay
+// bit-identical for any worker count. A cache file saved with engine state
+// (PutTrace) rebuilds the pool on load, in which case already-covered
+// families skip their cold wave.
 
 // NetworkLayer is one layer of a network-level tuning request. Grouped or
 // depthwise layers carry their group count in Shape.Groups and tune with
@@ -65,10 +62,11 @@ type NetworkOptions struct {
 	// where it admits — and the best measured verdict per layer wins.
 	Kinds []Kind
 	// Warm enables cross-layer warm-starting: finished searches feed a
-	// per-(arch, kind) transfer pool of normalized training rows and
-	// incumbent seeds, and subsequent layers start from it instead of
-	// cold. Verdicts remain deterministic for a fixed Tune.Seed at any
-	// worker count.
+	// per-(arch, kind) transfer pool of incumbent seeds, and subsequent
+	// layers start from those seeds instead of cold, their cost model
+	// learning the residual over the I/O-bound floor from their own rows
+	// (unless Tune.NoPrune, which keeps the search bound-blind). Verdicts
+	// remain deterministic for a fixed Tune.Seed at any worker count.
 	Warm bool
 	// Resume re-enters cached searches whose persisted engine state is
 	// shorter than Tune.Budget: the stored history replays (no repeat
@@ -194,25 +192,22 @@ func (p sweepPlan) searches() []Search {
 	return out
 }
 
-// poolRowCap bounds the transferred training rows per pool family; beyond
-// it, contributions add incumbent seeds only. warmTopK is how many incumbent
-// configurations each finished search contributes as warm seeds, and
-// poolSeedCapFactor bounds the seeds a family accumulates (as a multiple of
-// warmTopK): every seed is snapped and measured at the start of a warm
-// search, so an uncapped list — e.g. a primed cache with many entries per
-// family — would flood the budget with other layers' incumbents instead of
-// leaving room to search.
+// warmTopK is how many incumbent configurations each finished search
+// contributes as warm seeds, and poolSeedCapFactor bounds the seeds a family
+// accumulates (as a multiple of warmTopK): every seed is snapped and measured
+// at the start of a warm search, so an uncapped list — e.g. a primed cache
+// with many entries per family — would flood the budget with other layers'
+// incumbents instead of leaving room to search.
 const (
-	poolRowCap        = 512
 	warmTopK          = 4
 	poolSeedCapFactor = 2
 )
 
-// poolKey addresses one family of a per-(arch, kind) transfer pool. Cost
-// structure transfers best between layers sharing kernel extent and
+// poolKey addresses one family of a per-(arch, kind) transfer pool. Good
+// configurations transfer best between layers sharing kernel extent and
 // stride (a ResNet stage's repeated 3×3 blocks, the 1×1 projections, the
-// stride-2 downsamplers), so rows and seeds are binned that way and a
-// search inherits exactly its own family's state.
+// stride-2 downsamplers), so seeds are binned that way and a search inherits
+// exactly its own family's.
 type poolKey struct {
 	kind        Kind
 	hker, strid int
@@ -222,268 +217,70 @@ func familyOf(kind Kind, s shapes.ConvShape) poolKey {
 	return poolKey{kind: kind, hker: s.Hker, strid: s.Strid}
 }
 
-// transferPool is the cross-layer state: the training-row sources and
-// incumbent seed configurations of finished searches, binned by family.
-// It is written between waves and read-only while searches run, so no lock
-// is needed; the one thing a running search adds is the family's built
-// prior, behind its own sync.Once. memo, when set, is the cache's prior memo
-// the family priors of this pool's arch fit through.
+// transferPool is the cross-layer state: the incumbent seed configurations
+// of finished searches, binned by family. It is written between waves and
+// read-only while searches run, so no lock is needed.
 type transferPool struct {
-	byFamily map[poolKey]*poolEntry
-	memo     *priorMemo
-	arch     string
-}
-
-type poolEntry struct {
-	seeds []conv.Config
-	// prior holds the family's row sources as they stand once the pool is
-	// frozen; contribute must not run after a search borrowed it.
-	prior sharedPrior
-}
-
-// poolSource is a finished search a family takes rows from: its space,
-// history and mean log-cost, and how many OK measurements the row cap admits.
-type poolSource struct {
-	sp   *Space
-	hist []MeasuredConfig
-	mean float64
-	rows int
-}
-
-// sharedPrior is the cost model every warm search of one family starts from.
-// Its rows and fit are pure functions of the family's frozen sources, built
-// once per sweep on first need — by whichever search first predicts; one that
-// certifies on its seeds never does — through the cache's memo when the pool
-// has one. Every search borrows that model to predict; only a search due an
-// Update clones it, and Updates its clone on its own: never a shared one.
-type sharedPrior struct {
-	srcs  []poolSource
-	n     int // rows the sources admit: len(x) once built
-	once  sync.Once
-	x     [][]float64 // read-only once built, as are y and model
-	y     []float64
-	model *GBTModel
-	memo  *priorMemo // nil fits without a memo
-	key   priorKey
-}
-
-// borrow returns the prior, building its rows (x, y) and fitting it on them
-// first if no search has yet. The caller must not Update it.
-func (p *sharedPrior) borrow(cfg GBTConfig) *GBTModel {
-	p.once.Do(func() {
-		p.x, p.y = p.rows()
-		p.model = p.memo.fit(p.key, cfg, p.x, p.y)
-	})
-	return p.model
-}
-
-// rows featurizes the family's rows: each source's admitted measurements in
-// its own space, in source order, with their log-costs recentered by the
-// source's mean so only relative (shape-free) cost transfers.
-func (p *sharedPrior) rows() ([][]float64, []float64) {
-	x := make([][]float64, 0, p.n)
-	y := make([]float64, 0, p.n)
-	store := make([]float64, 0, p.n*NumFeatures)
-	for _, s := range p.srcs {
-		taken := 0
-		for _, h := range s.hist {
-			if !h.OK || taken == s.rows {
-				continue
-			}
-			start := len(store)
-			store = s.sp.FeaturesInto(store, h.Config)
-			x = append(x, store[start:len(store):len(store)])
-			y = append(y, math.Log(h.M.Seconds)-s.mean)
-			taken++
-		}
-	}
-	return x, y
-}
-
-// priorMemo keeps, per (arch, family), the forest of the last prior fitted
-// at the row cap, addressed by a digest of the rows it was fitted on: a
-// family's prior is a pure function of its frozen rows, so a later sweep
-// whose pool hands the family the same rows rebuilds the fit instead of
-// running it. Only capped families are kept — below the cap every search
-// that read a family's prior adds rows to it, so that row set never comes
-// back. The memo lives on the Cache, in memory only, and needs no
-// invalidation: a slot is content-addressed, and a changed row set simply
-// misses and replaces it. What keeps a capped family's row set stable from
-// sweep to sweep is prime's source order: a fresh low-budget search does not
-// displace the higher-budget sources that filled the family.
-type priorMemo struct {
-	mu           sync.Mutex
-	slots        map[priorKey]*priorFit
-	hits, misses int // capped fits answered from a slot, and fitted afresh
-	belowCap     int // fits below poolRowCap, which bypass the slots
-}
-
-type priorKey struct {
-	arch string
-	fam  poolKey
-}
-
-// priorFit is one slot: the rows' digest, the config of the fit, and the
-// fitted forest alone — no rows, predictions or columns.
-type priorFit struct {
-	digest [sha256.Size]byte
-	cfg    GBTConfig
-	base   float64
-	nodes  []treeNode
-	roots  []int32
-}
-
-// fit returns TrainGBT(cfg, x, y), bit for bit in every prediction. On a slot
-// hit it returns the bare forest holding the rows — no per-row predictions or
-// ranks, which a search that only predicts never reads. The first Update of a
-// clone ingests the rows, which gives TrainGBT's training state too: ingest
-// predicts each row as base + Σ lr·leaf in tree order — exactly the sum boost
-// advanced the row's prediction by — and ranks the rows' histogram bins from
-// x alone. The bare forest shares the slot's, clipped so that an append would
-// reallocate; the sweep only ever borrows or clones it anyway.
-func (m *priorMemo) fit(k priorKey, cfg GBTConfig, x [][]float64, y []float64) *GBTModel {
-	if m == nil {
-		return TrainGBT(cfg, x, y)
-	}
-	if len(x) < poolRowCap {
-		m.mu.Lock()
-		m.belowCap++
-		m.mu.Unlock()
-		return TrainGBT(cfg, x, y)
-	}
-	digest := rowsDigest(x, y)
-	m.mu.Lock()
-	f := m.slots[k]
-	hit := f != nil && f.digest == digest && f.cfg == cfg
-	if hit {
-		m.hits++
-	} else {
-		m.misses++
-	}
-	m.mu.Unlock()
-	if hit {
-		return &GBTModel{cfg: cfg, base: f.base, nodes: slices.Clip(f.nodes), roots: slices.Clip(f.roots), x: x, y: y}
-	}
-	model := TrainGBT(cfg, x, y)
-	f = &priorFit{digest: digest, cfg: cfg, base: model.base,
-		nodes: slices.Clone(model.nodes), roots: slices.Clone(model.roots)}
-	m.mu.Lock()
-	if m.slots == nil {
-		m.slots = make(map[priorKey]*priorFit)
-	}
-	m.slots[k] = f
-	m.mu.Unlock()
-	return model
-}
-
-// rowsDigest is the SHA-256 of a training set's float bits: the rows, which
-// within a family share one width, then the costs.
-func rowsDigest(x [][]float64, y []float64) [sha256.Size]byte {
-	buf := make([]byte, 0, 8*(len(x)*len(x[0])+len(y)))
-	for _, row := range x {
-		for _, v := range row {
-			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v))
-		}
-	}
-	for _, v := range y {
-		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v))
-	}
-	return sha256.Sum256(buf)
+	seeds map[poolKey][]conv.Config
 }
 
 func newTransferPool() *transferPool {
-	return &transferPool{byFamily: make(map[poolKey]*poolEntry)}
+	return &transferPool{seeds: make(map[poolKey][]conv.Config)}
 }
 
-func (p *transferPool) has(k poolKey) bool {
-	pe := p.byFamily[k]
-	return pe != nil && (pe.prior.n > 0 || len(pe.seeds) > 0)
-}
+func (p *transferPool) has(k poolKey) bool { return len(p.seeds[k]) > 0 }
 
-// full reports a family at both caps — poolRowCap rows and
-// poolSeedCapFactor·warmTopK seeds — to which contribute adds nothing.
+// full reports a family at its seed cap, to which contribute adds nothing.
 func (p *transferPool) full(k poolKey) bool {
-	pe := p.byFamily[k]
-	return pe != nil && pe.prior.n >= poolRowCap && len(pe.seeds) >= poolSeedCapFactor*warmTopK
+	return len(p.seeds[k]) >= poolSeedCapFactor*warmTopK
 }
 
-// contribute folds one finished search into its family's pool: its
-// successful measurements, up to the row cap, become a source of training
-// rows (see rows; featurized only with the prior) and its top-K
-// configurations become warm seeds.
-func (p *transferPool) contribute(kind Kind, sp *Space, hist []MeasuredConfig) {
-	var sum float64
-	n := 0
-	for _, h := range hist {
-		if h.OK {
-			sum += math.Log(h.M.Seconds)
-			n++
-		}
-	}
-	if n == 0 {
-		return
-	}
-	key := familyOf(kind, sp.Shape)
-	pe := p.byFamily[key]
-	if pe == nil {
-		pe = &poolEntry{prior: sharedPrior{memo: p.memo, key: priorKey{p.arch, key}}}
-		p.byFamily[key] = pe
-	}
-	if rows := min(n, poolRowCap-pe.prior.n); rows > 0 {
-		pe.prior.srcs = append(pe.prior.srcs, poolSource{sp: sp, hist: hist, mean: sum / float64(n), rows: rows})
-		pe.prior.n += rows
-	}
+// contribute folds one finished search of (kind, s) into its family's pool:
+// its top-K configurations become warm seeds, up to the family's cap.
+func (p *transferPool) contribute(kind Kind, s shapes.ConvShape, hist []MeasuredConfig) {
+	key := familyOf(kind, s)
 	for _, c := range topConfigs(hist, warmTopK) {
-		if len(pe.seeds) >= poolSeedCapFactor*warmTopK {
+		if p.full(key) {
 			break
 		}
-		pe.seeds = append(pe.seeds, c)
+		p.seeds[key] = append(p.seeds[key], c)
 	}
 }
 
 // prime rebuilds the pool from the cache: every state-carrying entry of this
 // architecture contributes, highest budget first and in key order within one
-// budget — except, skipped before its space is built or its rows decoded, an
-// entry whose family the sweep does not read (fams; nil reads every family)
-// or whose family is already full, where contribute would add nothing. A
-// family the sweep reads gets the pool a full prime would give it. It
-// featurizes nothing: a family's rows are built with its prior.
+// budget — except an entry whose family the sweep does not read (fams; nil
+// reads every family), which is not even copied out of the cache, and one
+// whose family is already full, where contribute would add nothing. A
+// family the sweep reads gets the seeds a full prime would give it.
 //
 // Budget first because the richer search is the better source, and because
-// it keeps a full family's rows where they are: a fresh low-budget entry
-// ranks behind every higher-budget source, so a family those sources fill
-// keeps its rows, its seeds and its slot in the prior memo when one arrives.
-// The order is still a pure function of the cache's entry set.
+// it keeps a full family's seeds where they are: a fresh low-budget entry
+// ranks behind every higher-budget source. The order is still a pure
+// function of the cache's entry set.
 func (p *transferPool) prime(cache *Cache, arch memsim.Arch, fams map[poolKey]bool) {
-	entries := cache.stateEntries(arch.Name)
+	read := func(e CacheEntry) bool {
+		kind, err := kindFromString(e.Kind)
+		return err == nil && (fams == nil || fams[familyOf(kind, e.Shape.shape())])
+	}
+	entries := cache.stateEntries(arch.Name, read)
 	slices.SortStableFunc(entries, func(a, b CacheEntry) int { return cmp.Compare(b.coveredBudget(), a.coveredBudget()) })
 	for _, e := range entries {
-		kind, err := kindFromString(e.Kind)
-		if err != nil {
-			continue // Load validated these; be defensive anyway
+		kind, _ := kindFromString(e.Kind) // read admitted it
+		if s := e.Shape.shape(); !p.full(familyOf(kind, s)) {
+			p.contribute(kind, s, e.history())
 		}
-		s := e.Shape.shape()
-		if fam := familyOf(kind, s); (fams != nil && !fams[fam]) || p.full(fam) {
-			continue
-		}
-		sp, err := NewSpace(s, arch, kind, 0, true)
-		if err != nil {
-			continue
-		}
-		p.contribute(kind, sp, e.history())
 	}
 }
 
 // warmFor assembles the warm start a search inherits from its family, or
 // nil when the pool has nothing for it. The seeds are shared read-only
-// across concurrent searches; the rows stay with the family's prior, which
-// Tune borrows on its first need of a prediction and clones only to refit.
+// across concurrent searches.
 func (p *transferPool) warmFor(k poolKey) *warmStart {
 	if !p.has(k) {
 		return nil
 	}
-	pe := p.byFamily[k]
-	return &warmStart{Seeds: pe.seeds, prior: &pe.prior}
+	return &warmStart{Seeds: p.seeds[k]}
 }
 
 // candidateKinds filters the requested kinds by a layer's signature — the
@@ -594,7 +391,6 @@ func (p sweepPlan) run(ctx context.Context, cache *Cache, opts NetworkOptions) e
 		// waves fan across the workers; determinism holds because searches
 		// within a wave never feed each other.
 		pool := newTransferPool()
-		pool.memo, pool.arch = &cache.priors, arch.Name
 		pool.prime(cache, arch, liveFamilies(tasks, live))
 		var wave0, wave1 []int
 		cold := make(map[poolKey]bool)
@@ -610,7 +406,7 @@ func (p sweepPlan) run(ctx context.Context, cache *Cache, opts NetworkOptions) e
 		run(wave0, nil)
 		for _, i := range wave0 {
 			if t := tasks[i]; t.err == nil {
-				pool.contribute(t.Kind, t.sp, t.history())
+				pool.contribute(t.Kind, t.Shape, t.history())
 			}
 		}
 		run(wave1, pool)

@@ -89,6 +89,20 @@ func TestZooOracle(t *testing.T) {
 	autotune.CheckGolden(t, "oracle.golden", golden.Bytes())
 }
 
+// TestZooOracleHeldOut is TestZooOracle at engine seeds 4–7, the meter's
+// held-out half: the same per-search checks, its tallies logged and pinned
+// nowhere, so a verdict-moving change reads both halves from the tree.
+func TestZooOracleHeldOut(t *testing.T) {
+	if testing.Short() {
+		t.Skip("measures every configuration of 146 spaces per seed")
+	}
+	var tallies bytes.Buffer
+	for seed := int64(4); seed < 8; seed++ {
+		zooOracle(t, seed, &tallies)
+	}
+	t.Logf("held-out tallies:\n%s", tallies.Bytes())
+}
+
 // oracleTally is one seed's oracle numbers over a set of searches.
 type oracleTally struct {
 	searches, atOptimum, certified, certifiable, measurements int

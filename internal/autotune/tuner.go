@@ -52,18 +52,11 @@ type warmStart struct {
 	// snapped onto this space's axes and measured first, so the walkers
 	// start from transferred incumbents instead of random guesses.
 	Seeds []conv.Config
-	// History is this exact key's own prior measurement stream (from a
+	// History is this exact key's own earlier measurement stream (from a
 	// persisted cache entry). It is replayed — marked seen, booked into
 	// the trace and the training set — without re-measuring anything, so a
-	// resumed search at a higher budget continues where it stopped. When
-	// History is set, prior is ignored: the key's own rows beat transferred
-	// ones.
+	// resumed search at a higher budget continues where it stopped.
 	History []MeasuredConfig
-	// prior is the family's rows, in this space's feature encoding with
-	// costs centred per source layer (only relative cost transfers), and the
-	// fit on them: see sharedPrior. A search borrows it on its first need of
-	// a prediction and copies it only to refit.
-	prior *sharedPrior
 }
 
 // Options controls a tuning run.
@@ -114,10 +107,10 @@ type Options struct {
 	// auto-tuners parallelize measurement precisely to overlap this wait;
 	// with Workers > 1 the executor does the same.
 	MeasureLatency time.Duration
-	// warm, when non-nil, warm-starts the search: the family's shared prior,
-	// seed configurations from related layers, and/or this key's own
-	// persisted history to resume from. nil reproduces the cold engine
-	// bit-for-bit.
+	// warm, when non-nil, warm-starts the search: seed configurations from
+	// related layers and/or this key's own persisted history to resume from.
+	// A warm search that may prune learns the floor residual (see Tune). nil
+	// reproduces the cold engine bit-for-bit.
 	warm *warmStart
 	// Retry configures the fault-tolerant measurement pipeline (retry with
 	// backoff, quarantine, noisy-reading defense). The zero value with an
@@ -216,9 +209,8 @@ type Trace struct {
 	// raw readings).
 	Remeasured int
 	// Refits counts the cost-model fits this search ran — full TrainGBT
-	// fits and incremental Updates alike; a transfer pool's shared prior,
-	// borrowed or copied, is not a fit. In memory only: a cache entry does not
-	// persist it.
+	// fits and incremental Updates alike. In memory only: a cache entry does
+	// not persist it.
 	Refits int
 	// Stop says why the run ended. In memory only, like Refits.
 	Stop StopReason
@@ -276,16 +268,28 @@ type record struct {
 func (r *record) add(c conv.Config, m Measurement, ok bool) {
 	r.trace.Measurements++
 	r.trace.History = append(r.trace.History, MeasuredConfig{Config: c, M: m, OK: ok})
-	if ok && (!r.found || m.Seconds < r.trace.BestM.Seconds) {
-		if !r.found || r.trace.BestM.Seconds-m.Seconds > r.minDelta*r.trace.BestM.Seconds {
-			r.sigAt = r.trace.Measurements
+	if ok && (!r.found || incumbentBefore(m.Seconds, c, r.trace.BestM.Seconds, r.trace.Best)) {
+		// A tie at the incumbent's seconds takes the verdict but is no
+		// improvement: it moves neither ConvergedAt nor patience.
+		if !r.found || m.Seconds < r.trace.BestM.Seconds {
+			if !r.found || r.trace.BestM.Seconds-m.Seconds > r.minDelta*r.trace.BestM.Seconds {
+				r.sigAt = r.trace.Measurements
+			}
+			r.trace.ConvergedAt = r.trace.Measurements
 		}
 		r.found = true
 		r.trace.Best = c
 		r.trace.BestM = m
-		r.trace.ConvergedAt = r.trace.Measurements
 	}
 	r.trace.Curve = append(r.trace.Curve, r.trace.BestM.GFLOPS)
+}
+
+// incumbentBefore reports whether a measurement of c at seconds t displaces
+// an incumbent best at bt: it is faster, or as fast and first in configLess
+// order — so the verdict is a function of the measured set, not of the order
+// the walk measured it in. record.add and curveOf share it.
+func incumbentBefore(t float64, c conv.Config, bt float64, best conv.Config) bool {
+	return t < bt || (t == bt && configLess(c, best))
 }
 
 // over reports whether the run has spent its budget or its patience, and
@@ -345,11 +349,11 @@ func (r *record) stale(patience int) bool {
 //   - Warm-started cost model: the GBT forest is kept across iterations
 //     and refit incrementally (GBTModel.Update) on the grown dataset, with
 //     a full retrain only when the forest would exceed its size cap.
-//   - Amortised refits: past the first warmStartRows rows the model is
-//     refitted only when the training set — transferred rows included — has
-//     grown by an eighth since the last fit, so the fits of a search number
-//     O(log budget) and each sees a batch of rows big enough to move it;
-//     between fits the walkers keep the model and its prediction memo.
+//   - Amortised refits: past the first warmStartRows rows (from the first
+//     fit on a residual search) the model is refitted only when the training
+//     set has grown by an eighth since the last fit, so the fits of a search
+//     number O(log budget) and each sees a batch of rows big enough to move
+//     it; between fits the walkers keep the model and its prediction memo.
 //     Trace.Refits counts them.
 //   - Heap-based ranking: walker proposals and the best-measured set are
 //     maintained by bounded max-heaps with recycled backing arrays
@@ -359,13 +363,16 @@ func (r *record) stale(patience int) bool {
 //     whenever the model changes.
 //
 // A warm start (set only by TuneNetwork's transfer pool and the cache's
-// resume road) transfers state from related searches: the family's shared
-// prior, built on a search's first need of a prediction, borrowed, and
-// copied only for its first Update; transferred incumbent configs, snapped
-// into the space and measured first (replacing most of the cold start's
-// random guesses); or a persisted history, replayed without re-measuring so
-// a cached search resumes at a higher budget. Without one the engine is
-// bit-identical to the cold path.
+// resume road) transfers state from related searches: transferred incumbent
+// configs, snapped into the space and measured first (replacing the cold
+// start's random guesses), or a persisted history, replayed without
+// re-measuring so a cached search resumes at a higher budget. A warm search
+// that may prune starts its model on few rows, so the I/O bound carries it:
+// the model learns log measured − log analyticFloor, the floor residual, and
+// a prediction adds the log floor back. Its cadence is geometric from the
+// first fit. Without a warm start, or under NoPrune, the engine is
+// bit-identical to the cold path: raw log-seconds, full refits below
+// warmStartRows.
 func Tune(sp *Space, measure Measurer, opts Options) (*Trace, error) {
 	return TuneFallible(context.Background(), sp, LiftMeasurer(measure), opts)
 }
@@ -389,7 +396,9 @@ func TuneFallible(ctx context.Context, sp *Space, measure FallibleMeasurer, opts
 
 	warm := opts.warm
 	resume := warm != nil && len(warm.History) > 0
-	transfer := warm != nil && !resume && warm.prior != nil && warm.prior.n > 0
+	// residual: the model learns the floor residual (see Tune); the
+	// bound-blind path has no floor to learn against.
+	residual := warm != nil && !opts.NoPrune
 
 	// Training rows are slices into one growing backing array (featStore):
 	// featurizing a measurement appends NumFeatures floats instead of
@@ -404,16 +413,23 @@ func TuneFallible(ctx context.Context, sp *Space, measure FallibleMeasurer, opts
 	var top bestK
 	top.reset(opts.Walkers)
 
-	// Transferred rows live on a per-source-layer normalized cost scale
-	// (zero mean); the layer's own rows are re-centered by the first
-	// successful measurement's log-cost so both populations are
-	// commensurable. Predictions are only ever compared between candidates
-	// of this one layer, so a constant offset never changes a ranking. On
-	// the cold path the offset stays 0 and rows are raw log-seconds,
-	// bit-identical to the pre-warm engine.
-	costOffset, offsetSet := 0.0, !transfer
-
-	addRow := func(c conv.Config, cost float64) {
+	// addRow books one measurement into the training set, and a successful
+	// one into top. Its target is the log-cost (failedCost for a failed
+	// config), less the log floor on a residual search; a row whose floor
+	// gives no baseline keeps failedCost.
+	addRow := func(c conv.Config, m Measurement, ok bool) {
+		cost := failedCost
+		if ok {
+			top.push(scored{c, m.Seconds})
+			cost = math.Log(m.Seconds)
+			if residual {
+				if base, has := sp.logFloor(c); has {
+					cost -= base
+				} else {
+					cost = failedCost
+				}
+			}
+		}
 		start := len(featStore)
 		featStore = sp.FeaturesInto(featStore, c)
 		feats = append(feats, featStore[start:len(featStore):len(featStore)])
@@ -516,31 +532,22 @@ func TuneFallible(ctx context.Context, sp *Space, measure FallibleMeasurer, opts
 				}
 				opts.OnEvent(EventMeasure)
 			}
-			cost := 20.0 // a large log-cost for failed configs
-			if out.ok {
-				cost = math.Log(out.m.Seconds)
-				if !offsetSet {
-					costOffset, offsetSet = cost, true
-				}
-				cost -= costOffset
-				top.push(scored{c, out.m.Seconds})
-			}
-			addRow(c, cost)
+			addRow(c, out.m, out.ok)
 		}
 	}
 
 	// The cost model is warm-started: the forest persists across
 	// iterations and each refit boosts UpdateTrees fresh rounds against
 	// the residuals over the grown dataset. Two situations fall back to a
-	// full retrain: tiny datasets (below warmStartRows a full fit is cheap
-	// and early trees overfit the first few measurements, so keeping them
-	// hurts guidance exactly when each measurement matters most — there the
-	// model is refitted every batch) and a forest at its size cap
-	// (prediction cost grows with forest size). Past warmStartRows a refit
+	// full retrain: on a raw search, tiny datasets (below warmStartRows a
+	// full fit is cheap and early trees overfit the first few measurements,
+	// so keeping them hurts guidance exactly when each measurement matters
+	// most — there the model is refitted every batch), and a forest at its
+	// size cap (prediction cost grows with forest size). Otherwise a refit
 	// waits until the training set has grown by 1/refitGrowth since the
-	// model last ingested it. The growth is measured against all the rows
-	// the model holds, transferred ones included: what a fit costs and how
-	// little a few fresh rows can move it both scale with that total.
+	// model last ingested it (refitDue). A residual search starts from the
+	// floor, which already ranks its first rows, so it is geometric from its
+	// first fit.
 	gcfg := DefaultGBTConfig()
 	updateRounds := gcfg.UpdateTrees
 	if updateRounds < 1 {
@@ -549,11 +556,6 @@ func TuneFallible(ctx context.Context, sp *Space, measure FallibleMeasurer, opts
 	maxForest := 4 * gcfg.Trees
 	const warmStartRows = 64
 	var model *GBTModel
-	borrowed := false      // model is the pool's shared prior, read-only, until a refit
-	var prior *sharedPrior // the pool's prior, not borrowed until a prediction is needed
-	if transfer {
-		prior = warm.prior
-	}
 
 	if resume {
 		// Replay the persisted history: every prior measurement is marked
@@ -567,12 +569,7 @@ func TuneFallible(ctx context.Context, sp *Space, measure FallibleMeasurer, opts
 			}
 			seen[h.Config] = true
 			rec.add(h.Config, h.M, h.OK)
-			cost := 20.0
-			if h.OK {
-				cost = math.Log(h.M.Seconds)
-				top.push(scored{h.Config, h.M.Seconds})
-			}
-			addRow(h.Config, cost)
+			addRow(h.Config, h.M, h.OK)
 		}
 		rec.resumedAt = rec.trace.Measurements
 	}
@@ -581,12 +578,12 @@ func TuneFallible(ctx context.Context, sp *Space, measure FallibleMeasurer, opts
 	// measurements — the engine refines them, as in the paper — followed
 	// by transferred incumbents (snapped onto this space's axes) and, on a
 	// cold start, 3x Walkers random guesses that seed the walkers and the
-	// model. A genuinely warm start (prior rows, transferred seeds or a
-	// replayed history) drops the random phase entirely: the model and the
-	// incumbents are already populated, and the per-iteration diversity
-	// samples inside the loop keep exploring — which is what lets a
-	// transferred layer retire after a handful of measurements once the
-	// bound filter proves nothing sampled can beat its incumbent.
+	// model. A genuinely warm start (transferred seeds or a replayed
+	// history) drops the random phase entirely: the incumbents are already
+	// populated, and the per-iteration diversity samples inside the loop
+	// keep exploring — which is what lets a transferred layer retire after a
+	// handful of measurements once the bound filter proves nothing sampled
+	// can beat its incumbent.
 	if !opts.NoSeeds {
 		// The seed batch runs unconditionally — even under an
 		// already-expired ctx — so a deadline-bounded run over a space with
@@ -607,7 +604,7 @@ func TuneFallible(ctx context.Context, sp *Space, measure FallibleMeasurer, opts
 		measureBatch(ctx, snapped)
 	}
 	initRandom := 3 * opts.Walkers
-	if resume || transfer || seeded {
+	if resume || seeded {
 		initRandom = 0
 	}
 	if b := opts.Budget / 4; b < initRandom {
@@ -621,9 +618,7 @@ func TuneFallible(ctx context.Context, sp *Space, measure FallibleMeasurer, opts
 
 	// Scratch reused across iterations: the model's prediction memo, the
 	// candidate pool, and the bounded heaps with their extraction buffers.
-	// The view takes the transferred prior on its first need: a warm search's
-	// first iterations are not due a refit.
-	view := predictor{sp: sp, memo: make(map[conv.Config]float64)}
+	view := predictor{sp: sp, residual: residual, memo: make(map[conv.Config]float64)}
 	pool := make(map[conv.Config]bool)
 	var rank bestK
 	var startsBuf, pickedBuf []scored
@@ -636,32 +631,19 @@ func TuneFallible(ctx context.Context, sp *Space, measure FallibleMeasurer, opts
 		if ctx.Err() != nil {
 			break // deadline or cancellation: report best-so-far below
 		}
-		if prior != nil {
-			// The first need of a prediction: borrow the pool's prior, its rows
-			// ahead of the layer's own, so every later refit continues via
-			// GBTModel.Update over the combined dataset.
-			model, borrowed = prior.borrow(gcfg), true
-			feats = append(append(make([][]float64, 0, len(prior.x)+opts.Budget), prior.x...), feats...)
-			costs = append(append(make([]float64, 0, len(prior.y)+opts.Budget), prior.y...), costs...)
-			prior, view.model = nil, model
-		}
 		if len(feats) == 0 {
 			// Degenerate budgets can reach the loop before any measurement
 			// (no seeds, zero initial randoms); feed the model one sample.
 			measureBatch(ctx, []conv.Config{sp.Sample(rng)})
 			continue
 		}
-		small := model == nil || len(feats) < warmStartRows
+		small := model == nil || (!residual && len(feats) < warmStartRows)
 		if small || refitDue(len(feats), model.NumRows()) {
 			if small || model.NumTrees()+updateRounds > maxForest {
 				model = TrainGBT(gcfg, feats, costs)
 			} else {
-				if borrowed {
-					model = model.clone()
-				}
 				model.Update(feats, costs, updateRounds)
 			}
-			borrowed = false
 			rec.trace.Refits++
 			view.refit(model)
 		}
@@ -732,14 +714,19 @@ func TuneFallible(ctx context.Context, sp *Space, measure FallibleMeasurer, opts
 }
 
 // refitGrowth sets the refit cadence: a model fitted on n rows is refitted
-// once n/refitGrowth more have arrived.
+// once max(1, n/refitGrowth) more have arrived.
 const refitGrowth = 8
+
+// failedCost is the training target of a configuration that failed to
+// measure: a log-cost far above any real one.
+const failedCost = 20.0
 
 // refitDue reports whether a training set of rows rows has outgrown the
 // model last fitted on fitted of them. Successive fits are then at least a
-// factor 1+1/refitGrowth apart in rows — a geometric schedule.
+// factor 1+1/refitGrowth apart in rows — a geometric schedule — and at least
+// one new row apart.
 func refitDue(rows, fitted int) bool {
-	return rows-fitted >= fitted/refitGrowth
+	return rows-fitted >= max(1, fitted/refitGrowth)
 }
 
 // predictor is the engine's view of the cost model between two refits: a
@@ -747,11 +734,14 @@ func refitDue(rows, fitted int) bool {
 // walkers step onto it and whether or not it then reaches the ranking. A
 // prediction is a pure function of the fitted forest and the configuration,
 // and Predict and PredictBatch agree bit for bit, so reading one back from
-// the memo cannot change a walker's move or a candidate's rank.
+// the memo cannot change a walker's move or a candidate's rank. On a
+// residual search the model predicts the floor residual and the view adds
+// the log floor back (see modeled).
 type predictor struct {
-	sp    *Space
-	model *GBTModel
-	memo  map[conv.Config]float64
+	sp       *Space
+	model    *GBTModel
+	residual bool
+	memo     map[conv.Config]float64
 
 	feat []float64 // one configuration's features
 	// The ranking's memo misses: their configurations, their feature matrix
@@ -775,9 +765,23 @@ func (p *predictor) predict(c conv.Config) float64 {
 		return v
 	}
 	p.feat = p.sp.FeaturesInto(p.feat[:0], c)
-	v := p.model.Predict(p.feat)
+	v := p.modeled(c, p.model.Predict(p.feat))
 	p.memo[c] = v
 	return v
+}
+
+// modeled is the cost of c the model's output v stands for: v itself on a
+// raw search, v plus the log floor on a residual one, where a configuration
+// whose floor gives no baseline ranks last.
+func (p *predictor) modeled(c conv.Config, v float64) float64 {
+	if !p.residual {
+		return v
+	}
+	base, ok := p.sp.logFloor(c)
+	if !ok {
+		return math.Inf(1)
+	}
+	return v + base
 }
 
 // rank offers every pool member to the heap under its modeled cost; the
@@ -796,6 +800,6 @@ func (p *predictor) rank(pool map[conv.Config]bool, rank *bestK) {
 	}
 	p.preds = p.model.PredictBatch(p.feats, p.preds)
 	for i, c := range p.cfgs {
-		rank.push(scored{c, p.preds[i]})
+		rank.push(scored{c, p.modeled(c, p.preds[i])})
 	}
 }

@@ -92,9 +92,9 @@ func TestTuneNetworkWarmDeterministic(t *testing.T) {
 	}
 }
 
-// A warm-started Tune — transferred rows and seeds — is bit-identical
-// (trace, curve, Pruned counter) for any measurement worker count, like the
-// cold engine.
+// A warm-started Tune — transferred seeds, the floor residual — is
+// bit-identical (trace, curve, Pruned counter, refits) for any measurement
+// worker count, like the cold engine.
 func TestWarmStartDeterministicAcrossWorkers(t *testing.T) {
 	donor := shapes.ConvShape{Batch: 1, Cin: 64, Hin: 14, Win: 14, Cout: 32, Hker: 3, Wker: 3, Strid: 1, Pad: 1}
 	dsp, err := NewSpace(donor, arch, Direct, 0, true)
@@ -106,12 +106,9 @@ func TestWarmStartDeterministicAcrossWorkers(t *testing.T) {
 		t.Fatal(err)
 	}
 	pool := newTransferPool()
-	pool.contribute(Direct, dsp, dtr.History)
+	pool.contribute(Direct, donor, dtr.History)
 	warm := pool.warmFor(familyOf(Direct, donor))
 	if warm == nil || len(warm.Seeds) == 0 {
-		t.Fatal("donor search contributed nothing to the pool")
-	}
-	if feats, _ := warm.prior.rows(); len(feats) == 0 {
 		t.Fatal("donor search contributed nothing to the pool")
 	}
 
@@ -130,9 +127,9 @@ func TestWarmStartDeterministicAcrossWorkers(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !traceEqual(ref, tr) {
-			t.Errorf("workers=%d: warm trace diverges (best %v vs %v, pruned %d vs %d)",
-				workers, tr.Best, ref.Best, tr.Pruned, ref.Pruned)
+		if !traceEqual(ref, tr) || tr.Refits != ref.Refits {
+			t.Errorf("workers=%d: warm trace diverges (best %v vs %v, pruned %d vs %d, refits %d vs %d)",
+				workers, tr.Best, ref.Best, tr.Pruned, ref.Pruned, tr.Refits, ref.Refits)
 		}
 	}
 }
@@ -160,11 +157,53 @@ func TestWarmPoolPrimedFromCache(t *testing.T) {
 	if !pool.has(fam) {
 		t.Fatal("reloaded cache primed no pool for the stage family")
 	}
-	w := pool.warmFor(fam)
-	feats, costs := w.prior.rows()
-	if len(feats) == 0 || len(feats) != len(costs) || len(w.Seeds) == 0 {
-		t.Fatalf("degenerate primed pool: %d rows, %d costs, %d seeds",
-			len(feats), len(costs), len(w.Seeds))
+	// The pool reads the entries' rows for their top configurations only,
+	// so a reloaded cache seeds the family what the saved one does.
+	want := newTransferPool()
+	want.prime(cache, arch, nil)
+	if w := pool.warmFor(fam); !reflect.DeepEqual(w.Seeds, want.warmFor(fam).Seeds) {
+		t.Fatalf("reloaded cache primes seeds %v, the saved one %v", w.Seeds, want.warmFor(fam).Seeds)
+	}
+}
+
+// Warm sweeps sharing one cache run concurrently: two copies of each of four
+// networks sweep at once, each priming its pool from whatever the others have
+// written by then. Every sweep completes, every verdict is its config's
+// measurement, the copies of a network agree verdict for verdict — an
+// identical search runs once and is joined or read from the cache — and
+// afterwards the cache alone answers every network.
+func TestConcurrentWarmSweepsShareCache(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	nets := [][]NetworkLayer{resnetBlockLayers(), resnet18Layers()[1:6], randomNetwork(rng), randomNetwork(rng)}
+	opts := NetworkOptions{Tune: smallOpts(48, 3), Workers: 2, Winograd: true, Warm: true}
+	cache := NewCache()
+	verdicts := make([][]LayerVerdict, 2*len(nets))
+	errs := make([]error, len(verdicts))
+	var wg sync.WaitGroup
+	for i := range verdicts {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			verdicts[i], errs[i] = TuneNetwork(arch, nets[i%len(nets)], cache, opts)
+		}()
+	}
+	wg.Wait()
+	for i, got := range verdicts {
+		if errs[i] != nil {
+			t.Fatalf("sweep %d: %v", i, errs[i])
+		}
+		twin := verdicts[(i+len(nets))%len(verdicts)]
+		for j, v := range got {
+			if m, ok := KindMeasurer(arch, v.Layer.Shape, v.Kind)(v.Config); !ok || m != v.M {
+				t.Errorf("sweep %d, layer %s: verdict %v measures %v (ok %v), not %v", i, v.Layer.Name, v.Config, m, ok, v.M)
+			}
+			if w := twin[j]; v.Kind != w.Kind || v.Config != w.Config || v.M != w.M {
+				t.Errorf("sweep %d, layer %s: %s %v, its twin %s %v", i, v.Layer.Name, v.Kind, v.Config, w.Kind, w.Config)
+			}
+		}
+		if _, _, ok := CachedNetwork(arch, nets[i%len(nets)], cache, opts); !ok {
+			t.Errorf("sweep %d: the cache does not answer its network afterwards", i)
+		}
 	}
 }
 
@@ -184,7 +223,7 @@ func TestWarmPoolSeedCap(t *testing.T) {
 	}
 	pool := newTransferPool()
 	for i := 0; i < 6; i++ {
-		pool.contribute(Direct, dsp, dtr.History)
+		pool.contribute(Direct, donor, dtr.History)
 	}
 	w := pool.warmFor(familyOf(Direct, donor))
 	if got, max := len(w.Seeds), poolSeedCapFactor*warmTopK; got > max {

@@ -1,13 +1,18 @@
 package autotune_test
 
 import (
+	"context"
 	"fmt"
 	"math"
+	"math/rand"
+	"reflect"
+	"slices"
 	"sync/atomic"
 	"testing"
 
 	"repro/internal/autotune"
 	"repro/internal/conv"
+	"repro/internal/shapes"
 )
 
 // measurementPrice is what one measurement costs a tuner on real hardware:
@@ -70,11 +75,10 @@ func benchZooSweepCold(b *testing.B, seed int64) {
 // requests: 48 novel networks of 2–3 layers, tuned in order at budget 48 with
 // cmd/tuned's warm defaults against a cache the cold zoo pass filled outside
 // the timer. It reports ms/network, the measurements each network spent (the
-// warm path's guard), the family priors each network fitted — the prior
-// memo's misses plus the fits below the row cap, which bypass it — and the
-// geomean of the novel verdicts' simulated seconds, which a change of the
-// transfer pool's sources may move, and priced_s/network, its seconds with
-// its measurements priced (measurementPrice).
+// warm path's guard), the cost-model fits its searches ran, the geomean of
+// the novel verdicts' simulated seconds, which a change of the transfer
+// pool's seeds may move, and priced_s/network, its seconds with its
+// measurements priced (measurementPrice).
 func BenchmarkNovelSweepsWarm(b *testing.B) {
 	const count = 48
 	tune := autotune.DefaultOptions()
@@ -83,8 +87,8 @@ func BenchmarkNovelSweepsWarm(b *testing.B) {
 	fresh.Budget = 48
 	measurements := countMeasurements(&fresh)
 	opts := autotune.NetworkOptions{Tune: fresh, Winograd: true, Warm: true}
-	nets := novelNetworks(count)
-	var fits int
+	nets := novelNetworks(b, count)
+	var refits int
 	var logSum float64
 	layers := 0
 	b.ReportAllocs()
@@ -92,13 +96,15 @@ func BenchmarkNovelSweepsWarm(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		cache := autotune.NewCache()
 		coldZooPass(b, tune, cache)
-		_, zooMisses, zooBelow := autotune.PriorMemoCounts(cache)
 		logSum, layers = 0, 0
 		b.StartTimer()
 		for _, net := range nets {
-			verdicts, err := autotune.TuneNetwork(laneArch, net, cache, opts)
+			verdicts, searches, err := autotune.TuneNetworkTraces(laneArch, net, cache, opts)
 			if err != nil {
 				b.Fatal(err)
+			}
+			for _, s := range searches {
+				refits += s.Refits
 			}
 			for _, v := range verdicts {
 				logSum += math.Log(v.M.Seconds)
@@ -106,16 +112,63 @@ func BenchmarkNovelSweepsWarm(b *testing.B) {
 			}
 		}
 		b.StopTimer()
-		_, misses, below := autotune.PriorMemoCounts(cache)
-		fits += misses - zooMisses + below - zooBelow
 	}
 	b.ReportMetric(float64(b.Elapsed())/1e6/float64(b.N*count), "ms/network")
 	b.ReportMetric(float64(measurements.Load())/float64(b.N*count), "measurements/network")
-	b.ReportMetric(float64(fits)/float64(b.N*count), "fits/network")
+	b.ReportMetric(float64(refits)/float64(b.N*count), "refits/network")
 	b.ReportMetric(math.Exp(logSum/float64(layers)), "verdict_geomean_s")
 	b.ReportMetric((b.Elapsed().Seconds()+float64(measurements.Load())*measurementPrice)/float64(b.N*count), "priced_s/network")
-	b.Logf("measurements %d, fits %d over %d networks, verdict geomean %v s",
-		measurements.Load(), fits, b.N*count, math.Exp(logSum/float64(layers)))
+	b.Logf("measurements %d, refits %d over %d networks, verdict geomean %v s",
+		measurements.Load(), refits, b.N*count, math.Exp(logSum/float64(layers)))
+}
+
+// novelNetworks are count networks of 2 or 3 unit-stride layers — kernels
+// rotating over 1, 3 and 5 — that share no shape with the zoo or with each
+// other: what a daemon holding the zoo still tunes fresh. Each kernel has
+// 100 shapes to deal, less the zoo's; count beyond what they cover fails tb.
+func novelNetworks(tb testing.TB, count int) [][]autotune.NetworkLayer {
+	taken := make(map[shapes.ConvShape]bool)
+	for _, fx := range zooFixtures() {
+		for _, l := range fx.layers {
+			taken[l.Shape] = true
+		}
+	}
+	chans, sizes, kernels := []int{16, 32, 64, 128, 256}, []int{7, 14, 28, 56}, []int{1, 3, 5}
+	shape := func(cin, cout, hw, k int) shapes.ConvShape {
+		return shapes.ConvShape{Batch: 1, Cin: cin, Cout: cout, Hin: hw, Win: hw, Hker: k, Wker: k, Strid: 1, Pad: k / 2}
+	}
+	free := make(map[int]int, len(kernels)) // per kernel, the shapes not yet taken
+	for _, k := range kernels {
+		for _, cin := range chans {
+			for _, cout := range chans {
+				for _, hw := range sizes {
+					if !taken[shape(cin, cout, hw, k)] {
+						free[k]++
+					}
+				}
+			}
+		}
+	}
+	rng := rand.New(rand.NewSource(5))
+	nets := make([][]autotune.NetworkLayer, count)
+	dealt := 0
+	for i := range nets {
+		for len(nets[i]) < 2+i%2 {
+			k, hw := kernels[dealt%len(kernels)], sizes[rng.Intn(len(sizes))]
+			if free[k] == 0 {
+				tb.Fatalf("novelNetworks: every %d×%d shape is dealt by network %d of %d", k, k, i+1, count)
+			}
+			s := shape(chans[rng.Intn(len(chans))], chans[rng.Intn(len(chans))], hw, k)
+			if taken[s] {
+				continue
+			}
+			taken[s] = true
+			free[k]--
+			nets[i] = append(nets[i], autotune.NetworkLayer{Name: fmt.Sprintf("conv%d", len(nets[i])), Shape: s, Repeat: 1})
+			dealt++
+		}
+	}
+	return nets
 }
 
 // countMeasurements makes tune count, on the returned counter, the
@@ -158,6 +211,88 @@ func TestZooPassCodec(t *testing.T) {
 		autotune.AssertCurveOf(t, fmt.Sprintf("%v %v", s.Space.Kind, s.Space.Shape), s.Trace)
 	}
 	autotune.AssertWritersMatchTraces(t, cache, searches)
+}
+
+// A fresh low-budget search moves no family the zoo filled: on a zoo-filled
+// cache, novel budget-48 searches and one deadline-truncated search arrive in
+// several orders, and after every arrival each family that was at its seed
+// cap on the zoo alone primes the same seeds, in the same order, as before
+// any arrival.
+func TestPrimeIgnoresLowerBudgetArrivals(t *testing.T) {
+	tune := autotune.DefaultOptions()
+	tune.Seed = 0
+	zoo := autotune.NewCache()
+	coldZooPass(t, tune, zoo)
+	want := autotune.PrimedFamilies(zoo, laneArch, nil)
+	full := make(map[autotune.PoolFamily]bool)
+	for fam, f := range want {
+		if f.Full {
+			full[fam] = true
+		}
+	}
+	if len(full) == 0 {
+		t.Fatal("the zoo fills no family")
+	}
+
+	// The arrivals are tuned once, on a copy of the zoo cache: eight novel
+	// networks at budget 48, then a ninth at the default budget under an
+	// expired deadline, which persists its first searches at the
+	// measurements they took.
+	grown := autotune.Restarted(zoo)
+	nets := novelNetworks(t, 9)
+	fresh := tune
+	fresh.Budget = 48
+	var arrivals []autotune.CacheEntry
+	intoFull := 0
+	arrive := func(ctx context.Context, layers []autotune.NetworkLayer, opts autotune.NetworkOptions) []autotune.LayerVerdict {
+		t.Helper()
+		verdicts, err := autotune.TuneNetworkContext(ctx, laneArch, layers, grown, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, s := range autotune.Searches(laneArch, layers, opts) {
+			if e, ok := grown.Entry(laneArch.Name, s.Kind, s.Shape); ok {
+				arrivals = append(arrivals, e)
+				if full[autotune.FamilyOf(s.Kind, s.Shape)] {
+					intoFull++
+				}
+			}
+		}
+		return verdicts
+	}
+	for _, layers := range nets[:8] {
+		arrive(context.Background(), layers, autotune.NetworkOptions{Tune: fresh, Winograd: true, Warm: true})
+	}
+	expired, cancel := context.WithCancel(context.Background())
+	cancel()
+	verdicts := arrive(expired, nets[8], autotune.NetworkOptions{Tune: tune, Winograd: true, Warm: true})
+	if !verdicts[0].Partial {
+		t.Fatal("the search under an expired deadline ran to completion")
+	}
+	if intoFull == 0 {
+		t.Fatal("no arrival feeds a family the zoo filled: the check compares nothing")
+	}
+
+	rng := rand.New(rand.NewSource(1))
+	orders := [][]autotune.CacheEntry{arrivals, slices.Clone(arrivals), slices.Clone(arrivals)}
+	slices.Reverse(orders[1])
+	rng.Shuffle(len(orders[2]), func(i, j int) { orders[2][i], orders[2][j] = orders[2][j], orders[2][i] })
+	for o, order := range orders {
+		cache := autotune.Restarted(zoo)
+		for i, e := range order {
+			if err := cache.PutEntries([]autotune.CacheEntry{e}); err != nil {
+				t.Fatal(err)
+			}
+			got := autotune.PrimedFamilies(cache, laneArch, full)
+			for fam := range full {
+				if !reflect.DeepEqual(got[fam], want[fam]) {
+					t.Fatalf("order %d, arrival %d (%s %+v, budget %d): full family %+v primes other seeds",
+						o, i, e.Kind, e.Shape, e.Budget, fam)
+				}
+			}
+		}
+	}
+	t.Logf("%d arrivals, %d into %d full families, in %d orders", len(arrivals), intoFull, len(full), len(orders))
 }
 
 // zooOptions are cmd/tuned's network options for one zoo network: Winograd

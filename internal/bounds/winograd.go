@@ -64,23 +64,3 @@ func WinogradTotalVertices(shape shapes.ConvShape, e int) float64 {
 func WinogradLowerBound(shape shapes.ConvShape, e, s int) float64 {
 	return HongKungBound(WinogradTotalVertices(shape, e), WinogradTClosed(shape, e, 2*s), s)
 }
-
-// WinogradLowerBoundLeading is the Ω-form highest-order term of Theorem
-// 4.20:
-//
-//	Q = Wout·Hout·Cout·Cin·(e+r−1)·r / (e·sqrt(S))
-//
-// scaled by batch.
-func WinogradLowerBoundLeading(shape shapes.ConvShape, e, s int) float64 {
-	r := float64(shape.Hker)
-	ef := float64(e)
-	alpha := ef + r - 1
-	num := float64(shape.OutputVolume()) * float64(shape.Cin) * float64(shape.Batch) * alpha * r
-	return num / (ef * math.Sqrt(float64(s)))
-}
-
-// WinogradLowerBoundEngine evaluates the Winograd bound through the generic
-// composite engine with the four Lemma 4.15–4.18 steps.
-func WinogradLowerBoundEngine(shape shapes.ConvShape, e, s int) float64 {
-	return CompositeLowerBound(WinogradSteps(shape, e, 2*s), WinogradTotalVertices(shape, e), s)
-}
