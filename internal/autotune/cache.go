@@ -208,15 +208,17 @@ type cachedShape struct {
 	Groups int
 }
 
-// cachedConfig's fields are int32, which every space axis fits, so a row of
-// engine state is 64 bytes (rowBytes). A value that does not fit fails to
-// decode.
+// cachedConfig's fields are as narrow as the space allows: a tile dim is at
+// most Sb, Sb at most Arch.MaxSharedPerBlock (12 288 floats on the widest
+// catalog arch) and a thread dim at most 1024, so the axes and Sb are int16
+// and the layout and Winograd edge int8. A row of engine state is then 40
+// bytes (rowBytes). A persisted value past its field's width fails to decode.
 type cachedConfig struct {
-	TileX, TileY, TileZ          int32
-	ThreadsX, ThreadsY, ThreadsZ int32
-	SharedPerBlock               int32
-	Layout                       int32
-	WinogradE                    int32
+	TileX, TileY, TileZ          int16
+	ThreadsX, ThreadsY, ThreadsZ int16
+	SharedPerBlock               int16
+	Layout                       int8
+	WinogradE                    int8
 }
 
 func shapeToCached(s shapes.ConvShape) cachedShape {
@@ -231,10 +233,16 @@ func (cs cachedShape) shape() shapes.ConvShape {
 	}
 }
 
+// configToCached panics on a config that does not fit the narrowed fields:
+// a wrapped value would persist a different config.
 func configToCached(c conv.Config) cachedConfig {
-	return cachedConfig{int32(c.TileX), int32(c.TileY), int32(c.TileZ),
-		int32(c.ThreadsX), int32(c.ThreadsY), int32(c.ThreadsZ),
-		int32(c.SharedPerBlock), int32(c.Layout), int32(c.WinogradE)}
+	cc := cachedConfig{int16(c.TileX), int16(c.TileY), int16(c.TileZ),
+		int16(c.ThreadsX), int16(c.ThreadsY), int16(c.ThreadsZ),
+		int16(c.SharedPerBlock), int8(c.Layout), int8(c.WinogradE)}
+	if cc.config() != c {
+		panic(fmt.Sprintf("autotune: config %+v does not fit a cached row", c))
+	}
+	return cc
 }
 
 func (cc cachedConfig) config() conv.Config {
@@ -345,6 +353,11 @@ func (c *Cache) shardFor(key string) *cacheShard {
 
 func (c *Cache) put(key string, e CacheEntry) {
 	e.Curve = nil // derived from Rows; MarshalJSON rebuilds it
+	if cap(e.Rows) > len(e.Rows) {
+		// Hold rows at their length: a decoded slice carries growth slack
+		// that the size model would not count.
+		e.Rows = append(make([]CachedMeasurement, 0, len(e.Rows)), e.Rows...)
+	}
 	size := e.SizeBytes()
 	m := &entryMeta{size: size}
 	m.used.Store(c.clock.Add(1))
@@ -767,9 +780,10 @@ func (c *Cache) RecoverFile(path string) (loaded int, salvaged bool, err error) 
 // cache file: it token-walks to the envelope's entries array and decodes
 // entry by entry until the corruption point. An entry that is well-formed
 // JSON but does not fit the entry type (a string where a number belongs, a
-// config value past int32) is skipped: the decoder consumed it whole, so
-// the entries after it still decode. Per-entry validation is the caller's
-// job — a torn tail can truncate an entry into something that still parses.
+// config value past its field's width) is skipped: the decoder consumed it
+// whole, so the entries after it still decode. Per-entry validation is the
+// caller's job — a torn tail can truncate an entry into something that still
+// parses.
 func salvageEntries(data []byte) []CacheEntry {
 	dec := json.NewDecoder(bytes.NewReader(data))
 	if tok, err := dec.Token(); err != nil || tok != json.Delim('{') {

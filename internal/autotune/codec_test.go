@@ -18,7 +18,7 @@ import (
 	"repro/internal/shapes"
 )
 
-// The cache holds an entry's rows in int32 and no curve, and writes the
+// The cache holds an entry's rows in int16/int8 fields and no curve, and writes the
 // envelope entry by entry; none of that may move a byte it writes. The
 // reference here is the previous encoder, kept as test code: entries with
 // int config fields and the curve the engine built, marshalled whole by
@@ -389,16 +389,86 @@ func TestCacheStateRoundTrip(t *testing.T) {
 	}
 }
 
-// A row is nine int32 config fields, two floats and a flag: 64 bytes, and
-// the eviction size model counts exactly that. A widened field shows here.
+// A row is seven int16 and two int8 config fields, two floats and a flag:
+// 40 bytes, and the eviction size model counts exactly that. A widened field
+// shows here.
 func TestCachedMeasurementSize(t *testing.T) {
-	if got := unsafe.Sizeof(CachedMeasurement{}); got != 64 || rowBytes != 64 {
-		t.Fatalf("CachedMeasurement is %d bytes, size model says %d; want 64", got, rowBytes)
+	if got := unsafe.Sizeof(CachedMeasurement{}); got != 40 || rowBytes != 40 {
+		t.Fatalf("CachedMeasurement is %d bytes, size model says %d; want 40", got, rowBytes)
+	}
+}
+
+// A config past the narrowed fields panics rather than wrap to another
+// config.
+func TestConfigToCachedRefusesToWrap(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("configToCached took Sb 40000 into an int16")
+		}
+	}()
+	configToCached(conv.Config{TileX: 1, TileY: 1, TileZ: 1, ThreadsX: 1, ThreadsY: 1, ThreadsZ: 1, SharedPerBlock: 40000})
+}
+
+// Every store holds an entry's rows at their length, so the size model and
+// the cache's byte total count what is held: decoded rows (a replication
+// push, Load, the salvage) arrive with encoding/json's growth slack.
+func TestStoredRowsHeldAtLength(t *testing.T) {
+	sp, err := NewSpace(layer(), arch, Direct, 0, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, err := Tune(sp, KindMeasurer(arch, sp.Shape, Direct), smallOpts(45, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	all := func(CacheEntry) bool { return true }
+	src := NewCache()
+	src.PutTrace(arch.Name, Direct, sp.Shape, tr)
+	env, err := EncodeEntries(src.sortedEntries(all))
+	if err != nil {
+		t.Fatal(err)
+	}
+	decoded, err := DecodeEntries(env)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r := decoded[0].Rows; cap(r) == len(r) {
+		t.Fatalf("decoded rows carry no slack (len %d, cap %d): the test proves nothing", len(r), cap(r))
+	}
+	torn := filepath.Join(t.TempDir(), "torn.cache")
+	if err := os.WriteFile(torn, env[:len(env)-1], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	pushed, loaded, salvaged, committed := NewCache(), NewCache(), NewCache(), NewCache()
+	if err := pushed.PutEntries(decoded); err != nil {
+		t.Fatal(err)
+	}
+	if err := loaded.Load(bytes.NewReader(env)); err != nil {
+		t.Fatal(err)
+	}
+	if n, ok, err := salvaged.RecoverFile(torn); n != 1 || !ok || err != nil {
+		t.Fatalf("RecoverFile loaded %d (salvaged %v, err %v), want the 1 entry", n, ok, err)
+	}
+	if _, _, err := TuneCached(committed, sp, KindMeasurer(arch, sp.Shape, Direct), smallOpts(45, 1)); err != nil {
+		t.Fatal(err)
+	}
+	for name, c := range map[string]*Cache{"PutEntries": pushed, "Load": loaded, "RecoverFile": salvaged, "engine commit": committed} {
+		var sum int64
+		for _, e := range c.sortedEntries(all) {
+			if len(e.Rows) == 0 || cap(e.Rows) != len(e.Rows) {
+				t.Errorf("%s: entry holds %d rows at capacity %d, want rows at their length", name, len(e.Rows), cap(e.Rows))
+			}
+			sum += e.SizeBytes()
+		}
+		if got := c.SizeBytes(); got != sum {
+			t.Errorf("%s: cache counts %d bytes, its entries' SizeBytes sum to %d", name, got, sum)
+		}
 	}
 }
 
 // A well-formed entry that does not fit the entry type — a string for a
-// number, a config value past int32 — is skipped by the salvage and the
+// number, a config value past its field's width (int16 for the tile and
+// thread dims and Sb, int8 for the layout and tile edge) — is skipped by the salvage and the
 // entries after it are kept, while Load and DecodeEntries still reject the
 // whole envelope.
 func TestRecoverFileSkipsMistypedEntry(t *testing.T) {
@@ -410,6 +480,8 @@ func TestRecoverFileSkipsMistypedEntry(t *testing.T) {
 		"int32 overflow":      strings.Replace(good(72), `"TileX":9`, `"TileX":3000000000`, 1),
 		"row int32 underflow": strings.Replace(good(72), `"gflops":1234}`, `"gflops":1234,"rows":[{"config":{"TileX":1,"TileY":1,"TileZ":1,"ThreadsX":1,"ThreadsY":1,"ThreadsZ":1,"SharedPerBlock":-2147483649},"seconds":1e-4,"gflops":1,"ok":true}]}`, 1),
 		"not an object":       `"entry"`,
+		"int16 overflow":      strings.Replace(good(72), `"TileZ":8`, `"TileZ":32768`, 1),
+		"row int8 overflow":   strings.Replace(good(72), `"gflops":1234}`, `"gflops":1234,"rows":[{"config":{"TileX":1,"TileY":1,"TileZ":1,"ThreadsX":1,"ThreadsY":1,"ThreadsZ":1,"SharedPerBlock":256,"Layout":128},"seconds":1e-4,"gflops":1,"ok":true}]}`, 1),
 	} {
 		entries := `"entries":[` + good(64) + `,` + bad + `,` + good(80) + `]}`
 		data := `{"version":2,"checksum":"crc32c:00000000",` + entries

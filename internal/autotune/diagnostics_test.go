@@ -1,6 +1,11 @@
 package autotune
 
-import "sort"
+import (
+	"math"
+	"sort"
+)
+
+// Model diagnostics the tests read: per-feature split counts and RMSE.
 
 // FeatureNames labels the cost-model feature vector for diagnostics, in the
 // order produced by Space.Features.
@@ -44,4 +49,14 @@ func (m *GBTModel) FeatureImportance() []Importance {
 		return out[i].Feature < out[j].Feature
 	})
 	return out
+}
+
+// RMSE is the model's root-mean-square error over (x, y).
+func (m *GBTModel) RMSE(x [][]float64, y []float64) float64 {
+	var s float64
+	for i := range x {
+		d := m.Predict(x[i]) - y[i]
+		s += d * d
+	}
+	return math.Sqrt(s / float64(len(x)))
 }

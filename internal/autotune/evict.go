@@ -115,7 +115,7 @@ const (
 )
 
 // SizeBytes estimates the retained bytes of one entry. State-carrying
-// entries dominate: a 400-measurement search persists 25 KiB of rows
+// entries dominate: a 400-measurement search persists 16 KB of rows
 // against the fixed ~0.3 KiB of a verdict-only entry. A cached entry holds
 // no curve (put drops it), so none is counted.
 func (e CacheEntry) SizeBytes() int64 {

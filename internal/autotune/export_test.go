@@ -2,7 +2,9 @@ package autotune
 
 import (
 	"context"
+	"fmt"
 	"math"
+	"math/rand"
 	"sync/atomic"
 	"testing"
 
@@ -159,3 +161,55 @@ var (
 	AssertWritersMatchTraces = assertWritersMatchTraces
 	AssertCurveOf            = assertCurveOf
 )
+
+// fitsIn reports whether a value survives conversion to a field's type.
+func fitsIn[T int8 | int16 | int32](T) func(int) bool {
+	return func(v int) bool { return int(T(v)) == v }
+}
+
+// RowFitMismatch names a value the space can emit on an axis that does not
+// fit its cachedConfig field, or one of samples random configs that
+// configToCached does not carry through unchanged; "" when there is none.
+func (sp *Space) RowFitMismatch(samples int) string {
+	var cc cachedConfig // its field types are the widths checked
+	var xs, ys, txs, tys, tzs, layouts []int
+	for _, e := range sp.row.edges {
+		xs = append(xs, sp.xsByE[e]...)
+		ys = append(ys, sp.ysByE[e]...)
+	}
+	for _, x := range xs {
+		txs = append(txs, sp.factors(x)...)
+	}
+	for _, y := range ys {
+		tys = append(tys, sp.factors(y)...)
+	}
+	for _, z := range sp.zs {
+		tzs = append(tzs, sp.factors(z)...)
+	}
+	for _, l := range sp.row.layouts {
+		layouts = append(layouts, int(l))
+	}
+	for _, a := range []struct {
+		name string
+		vals []int
+		fits func(int) bool
+	}{
+		{"TileX", xs, fitsIn(cc.TileX)}, {"TileY", ys, fitsIn(cc.TileY)}, {"TileZ", sp.zs, fitsIn(cc.TileZ)},
+		{"ThreadsX", txs, fitsIn(cc.ThreadsX)}, {"ThreadsY", tys, fitsIn(cc.ThreadsY)}, {"ThreadsZ", tzs, fitsIn(cc.ThreadsZ)},
+		{"SharedPerBlock", sp.sbs, fitsIn(cc.SharedPerBlock)},
+		{"Layout", layouts, fitsIn(cc.Layout)}, {"WinogradE", sp.row.edges, fitsIn(cc.WinogradE)},
+	} {
+		for _, v := range a.vals {
+			if !a.fits(v) {
+				return fmt.Sprintf("%s value %d does not fit its cached field", a.name, v)
+			}
+		}
+	}
+	rng := rand.New(rand.NewSource(1))
+	for range samples {
+		if c := sp.randomConfig(rng); configToCached(c).config() != c {
+			return fmt.Sprintf("config %+v does not survive a cached row", c)
+		}
+	}
+	return ""
+}

@@ -1,9 +1,6 @@
 package autotune
 
-import (
-	"math"
-	"slices"
-)
+import "slices"
 
 // This file implements the learned cost model: gradient-boosted regression
 // trees with squared loss, the same model family (XGBoost) the paper's
@@ -484,14 +481,4 @@ func mean(v []float64) float64 {
 		s += x
 	}
 	return s / float64(len(v))
-}
-
-// RMSE is a convenience for model-quality tests.
-func (m *GBTModel) RMSE(x [][]float64, y []float64) float64 {
-	var s float64
-	for i := range x {
-		d := m.Predict(x[i]) - y[i]
-		s += d * d
-	}
-	return math.Sqrt(s / float64(len(x)))
 }

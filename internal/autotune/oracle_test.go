@@ -8,18 +8,13 @@ import (
 	"testing"
 
 	"repro/internal/autotune"
+	"repro/internal/memsim"
 	"repro/internal/shapes"
 )
 
-// TestZooMinFloorMatchesAnalyticTop: over every (kind, shape) space of the
-// zoo on the benchmark's architecture, and of the deck of 3×3 unit-stride
-// shapes the benchmark's novel networks draw from, the analytic scan keeps
-// exactly the full enumeration's top configurations and the certificate's
-// scan finds exactly the analytic tier's best floor.
-func TestZooMinFloorMatchesAnalyticTop(t *testing.T) {
-	if testing.Short() {
-		t.Skip("scans every zoo space three times")
-	}
+// zooAndNovelDeck is every distinct zoo layer shape, then the 3×3
+// unit-stride shapes the benchmark's novel networks draw from.
+func zooAndNovelDeck() []shapes.ConvShape {
 	seen := make(map[shapes.ConvShape]bool)
 	var deck []shapes.ConvShape
 	for _, fx := range zooFixtures() {
@@ -42,8 +37,46 @@ func TestZooMinFloorMatchesAnalyticTop(t *testing.T) {
 			}
 		}
 	}
+	return deck
+}
+
+// TestEveryAxisFitsARow: on every architecture memsim.ByName accepts (the
+// catalog), for every kind over the zoo and novel deck, each value a space
+// can emit on an axis fits its narrowed cached-row field, and sampled
+// configs come back from a cached row unchanged.
+func TestEveryAxisFitsARow(t *testing.T) {
 	spaces := 0
-	for _, s := range deck {
+	for _, a := range memsim.Catalog {
+		for _, s := range zooAndNovelDeck() {
+			for _, kind := range autotune.Kinds {
+				sp, err := autotune.NewSpace(s, a, kind, 0, true)
+				if err != nil {
+					continue
+				}
+				spaces++
+				if d := sp.RowFitMismatch(64); d != "" {
+					t.Errorf("%s %v %s: %s", a.Name, s, kind, d)
+				}
+			}
+		}
+	}
+	if spaces == 0 {
+		t.Fatal("no space built")
+	}
+	t.Logf("%d (arch, kind, shape) spaces", spaces)
+}
+
+// TestZooMinFloorMatchesAnalyticTop: over every (kind, shape) space of the
+// zoo on the benchmark's architecture, and of the deck of 3×3 unit-stride
+// shapes the benchmark's novel networks draw from, the analytic scan keeps
+// exactly the full enumeration's top configurations and the certificate's
+// scan finds exactly the analytic tier's best floor.
+func TestZooMinFloorMatchesAnalyticTop(t *testing.T) {
+	if testing.Short() {
+		t.Skip("scans every zoo space three times")
+	}
+	spaces := 0
+	for _, s := range zooAndNovelDeck() {
 		for _, kind := range autotune.Kinds {
 			sp, err := autotune.NewSpace(s, laneArch, kind, 0, true)
 			if err != nil {
