@@ -2,12 +2,14 @@ package autotune
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"slices"
@@ -351,7 +353,16 @@ func (c *Cache) shardFor(key string) *cacheShard {
 	return &c.shards[shardIndex(key)]
 }
 
+// put is the one store behind every writer. It keeps the entry the key holds
+// unless e supersedes it; a rejected put moves no counter, recency or TTL.
 func (c *Cache) put(key string, e CacheEntry) {
+	sh := c.shardFor(key)
+	sh.mu.Lock()
+	old, held := sh.entries[key]
+	if held && !e.Supersedes(old) {
+		sh.mu.Unlock()
+		return
+	}
 	e.Curve = nil // derived from Rows; MarshalJSON rebuilds it
 	if cap(e.Rows) > len(e.Rows) {
 		// Hold rows at their length: a decoded slice carries growth slack
@@ -362,10 +373,8 @@ func (c *Cache) put(key string, e CacheEntry) {
 	m := &entryMeta{size: size}
 	m.used.Store(c.clock.Add(1))
 	m.wall.Store(c.nowNanos())
-	sh := c.shardFor(key)
-	sh.mu.Lock()
-	if old := sh.meta[key]; old != nil {
-		c.bytes.Add(-old.size)
+	if held {
+		c.bytes.Add(-sh.meta[key].size)
 	}
 	sh.entries[key] = e
 	sh.meta[key] = m
@@ -373,6 +382,46 @@ func (c *Cache) put(key string, e CacheEntry) {
 	c.writes.Add(1)
 	c.bytes.Add(size)
 	c.enforce()
+}
+
+// Supersedes reports whether e replaces old, an entry of the same key, in a
+// cache or a handoff queue. It compares, in turn: the verdict by the engine's
+// incumbent rule; more rows (a resumed search's rows extend the entry it
+// resumed, even when a deadline cut its budget); the higher covered budget;
+// every other field the entry encodes but its curve. Two entries tie only
+// when they encode alike, so a set of entries has one survivor in any order.
+func (e CacheEntry) Supersedes(old CacheEntry) bool {
+	switch ec, oc := e.Config.config(), old.Config.config(); {
+	case incumbentBefore(e.Seconds, ec, old.Seconds, oc):
+		return true
+	case incumbentBefore(old.Seconds, oc, e.Seconds, ec):
+		return false
+	}
+	return cmp.Or(
+		cmp.Compare(len(old.Rows), len(e.Rows)),
+		cmp.Compare(old.coveredBudget(), e.coveredBudget()),
+		// The key fixes every other field but Groups, 0 or 1.
+		cmp.Compare(e.Shape.Groups, old.Shape.Groups),
+		cmp.Compare(e.Budget, old.Budget),
+		cmp.Compare(math.Float64bits(e.GFLOPS), math.Float64bits(old.GFLOPS)),
+		slices.CompareFunc(e.Rows, old.Rows, CachedMeasurement.compare),
+	) < 0
+}
+
+// compare orders rows over every field they encode, floats by their bits.
+func (r CachedMeasurement) compare(o CachedMeasurement) int {
+	switch {
+	case r.Config != o.Config && configLess(r.Config.config(), o.Config.config()):
+		return -1
+	case r.Config != o.Config:
+		return 1
+	case r.OK != o.OK && o.OK:
+		return -1
+	case r.OK != o.OK:
+		return 1
+	}
+	return cmp.Or(cmp.Compare(math.Float64bits(r.Seconds), math.Float64bits(o.Seconds)),
+		cmp.Compare(math.Float64bits(r.GFLOPS), math.Float64bits(o.GFLOPS)))
 }
 
 // Entry is the allocation-free raw lookup behind Get and State, and what
@@ -402,7 +451,7 @@ func (c *Cache) Entry(archName string, kind Kind, s shapes.ConvShape) (CacheEntr
 	}
 	if m != nil {
 		if p.TTL > 0 && p.now().UnixNano()-m.wall.Load() > int64(p.TTL) {
-			c.expire(string(key), p)
+			c.remove(string(key))
 			c.misses.Add(1)
 			return CacheEntry{}, false
 		}
@@ -495,11 +544,11 @@ func (c *Cache) StateSize(archName string, kind Kind, s shapes.ConvShape) int {
 }
 
 // Writes reports how many entries have been stored or removed since the
-// cache was made: every Put, PutTrace, PutEntries, Load and salvage entry,
-// engine commit, eviction and expiry moves it, a rewrite of an existing key
-// included, once the write is visible to readers. A derived value stamped
-// with it — the daemon's analytic calibration — is current while it reads
-// the same.
+// cache was made: every Put, PutTrace, PutEntries, Load and salvage entry or
+// engine commit that stores (not one the held entry outranks), eviction and
+// expiry moves it, once the write is visible to readers. A derived value
+// stamped with it — the daemon's analytic calibration — is current while it
+// reads the same.
 func (c *Cache) Writes() uint64 { return c.writes.Load() }
 
 // Len reports the number of cached entries.
@@ -641,6 +690,10 @@ func (e CacheEntry) Key() (string, error) {
 	}
 	if err := e.Config.check(kind); err != nil {
 		return "", fmt.Errorf("autotune: cache entry for %s %v: verdict: %w", e.Arch, s, err)
+	}
+	// A verdict outranks every slower one: a time of 0 would hold its key.
+	if !(e.Seconds > 0) || math.IsInf(e.Seconds, 1) {
+		return "", fmt.Errorf("autotune: cache entry for %s %v: verdict seconds %v not positive and finite", e.Arch, s, e.Seconds)
 	}
 	// Persisted rows feed resumed incumbents and cost-model log-costs; a
 	// successful row with a non-positive time would poison both (a zero

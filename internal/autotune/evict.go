@@ -12,7 +12,7 @@ import (
 // key space — (arch, algorithm, shape) — is effectively unbounded in the
 // millions-of-distinct-shapes regime, so the cache needs what every
 // production verdict cache needs: size accounting, an LRU bound, an
-// optional TTL, and an eviction hook for observability. Eviction is pure
+// optional TTL, and counters for observability. Eviction is pure
 // capacity management: a re-tuned evicted key reproduces its verdict
 // bit-for-bit (the engine is deterministic), so dropping an entry can never
 // change an answer, only the cost of producing it.
@@ -40,9 +40,6 @@ type EvictionPolicy struct {
 	// this (0 = no TTL). Expiry is lazy — checked on lookup — plus
 	// whatever EvictExpired sweeps the owner schedules.
 	TTL time.Duration
-	// OnEvict, when non-nil, is called once per evicted entry, outside all
-	// cache locks. It must not call back into the cache's write paths.
-	OnEvict func(CacheEntry)
 	// Now overrides the wall clock (tests). nil means time.Now.
 	Now func() time.Time
 }
@@ -123,32 +120,22 @@ func (e CacheEntry) SizeBytes() int64 {
 }
 
 // remove deletes one entry, keeping the byte accounting and eviction
-// counter consistent. The caller invokes the OnEvict hook.
-func (c *Cache) remove(key string) (CacheEntry, bool) {
+// counter consistent, and reports whether the key was held.
+func (c *Cache) remove(key string) bool {
 	sh := c.shardFor(key)
 	sh.mu.Lock()
-	e, ok := sh.entries[key]
+	m, ok := sh.meta[key]
 	if ok {
 		delete(sh.entries, key)
-		if m := sh.meta[key]; m != nil {
-			c.bytes.Add(-m.size)
-		}
 		delete(sh.meta, key)
+		c.bytes.Add(-m.size)
 	}
 	sh.mu.Unlock()
 	if ok {
 		c.writes.Add(1)
 		c.evictions.Add(1)
 	}
-	return e, ok
-}
-
-// expire is the lazy-TTL path of getEntry: drop one entry discovered stale
-// during a lookup.
-func (c *Cache) expire(key string, p *EvictionPolicy) {
-	if e, ok := c.remove(key); ok && p.OnEvict != nil {
-		p.OnEvict(e)
-	}
+	return ok
 }
 
 // enforce evicts least-recently-used entries until the policy's limits
@@ -194,22 +181,15 @@ func (c *Cache) enforce() {
 	}
 	entries := int64(len(cands))
 	bytes := c.bytes.Load()
-	var evicted []CacheEntry
 	for _, cd := range cands {
 		if (entryTarget == 0 || entries <= entryTarget) &&
 			(byteTarget == 0 || bytes <= byteTarget) {
 			break
 		}
-		if e, ok := c.remove(cd.key); ok {
+		if c.remove(cd.key) {
 			entries--
 			bytes -= cd.size
-			if p.OnEvict != nil {
-				evicted = append(evicted, e)
-			}
 		}
-	}
-	for _, e := range evicted {
-		p.OnEvict(e)
 	}
 }
 
@@ -235,11 +215,8 @@ func (c *Cache) EvictExpired() int {
 	}
 	n := 0
 	for _, k := range stale {
-		if e, ok := c.remove(k); ok {
+		if c.remove(k) {
 			n++
-			if p.OnEvict != nil {
-				p.OnEvict(e)
-			}
 		}
 	}
 	return n

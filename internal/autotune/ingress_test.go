@@ -3,6 +3,7 @@ package autotune
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"os"
 	"path/filepath"
 	"testing"
@@ -37,8 +38,9 @@ func stateEntry(t *testing.T) CacheEntry {
 // rows carry a config no space of its kind can take. Accepted, such a row
 // reaches a warm sweep's transfer pool as a seed, and snapping it panics the
 // search's goroutine: an empty axis for a tile edge the kind lacks, a divide
-// by zero for a zero thread count. The sweep at the end runs over the
-// salvaged cache of each case and must finish.
+// by zero for a zero thread count. A verdict time that is not positive would
+// outrank every measured verdict of its key for good. The sweep at the end
+// runs over the salvaged cache of each case and must finish.
 func TestCacheIngressRejectsUnusableConfigs(t *testing.T) {
 	base := stateEntry(t)
 	good := envelopeEntries(t, "fft")[0]
@@ -56,6 +58,8 @@ func TestCacheIngressRejectsUnusableConfigs(t *testing.T) {
 		"row Sb zero":                      func(e *CacheEntry) { e.Rows[0].Config.SharedPerBlock = 0 },
 		"verdict tile zero":                func(e *CacheEntry) { e.Config.TileZ = 0 },
 		"verdict edge off the kind's axes": func(e *CacheEntry) { e.Config.WinogradE = 4 },
+		"verdict seconds zero":             func(e *CacheEntry) { e.Seconds = 0 },
+		"verdict seconds negative":         func(e *CacheEntry) { e.Seconds = -1 },
 	} {
 		t.Run(name, func(t *testing.T) {
 			bad := base
@@ -98,5 +102,21 @@ func TestCacheIngressRejectsUnusableConfigs(t *testing.T) {
 				t.Fatal(err)
 			}
 		})
+	}
+}
+
+// A verdict time JSON cannot carry — infinite or NaN — fails Key, so
+// PutEntries, which takes entries no decoder has seen, rejects it too.
+func TestCacheIngressRejectsNonFiniteVerdicts(t *testing.T) {
+	for _, seconds := range []float64{math.Inf(1), math.Inf(-1), math.NaN()} {
+		e := stateEntry(t)
+		e.Seconds = seconds
+		if _, err := e.Key(); err == nil {
+			t.Errorf("Key accepted a verdict of %v s", seconds)
+		}
+		c := NewCache()
+		if err := c.PutEntries([]CacheEntry{e}); err == nil || c.Len() != 0 {
+			t.Errorf("PutEntries of a verdict of %v s: err=%v, %d entries committed", seconds, err, c.Len())
+		}
 	}
 }

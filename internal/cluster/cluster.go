@@ -40,11 +40,6 @@ type Config struct {
 	ProbeInterval time.Duration
 	// ProbeBackoffMax caps the probe backoff (default 15s).
 	ProbeBackoffMax time.Duration
-	// HandoffMax bounds the hinted-handoff queue per down peer, in cache
-	// entries (default 4096). Beyond it new writes for that peer are
-	// dropped and counted — the peer catches up via read-repair when the
-	// dropped keys are next requested.
-	HandoffMax int
 }
 
 // Enabled reports whether this daemon is part of a cluster.
@@ -144,9 +139,6 @@ func (c Config) Normalized() Config {
 	}
 	if c.ProbeBackoffMax == 0 {
 		c.ProbeBackoffMax = 15 * time.Second
-	}
-	if c.HandoffMax == 0 {
-		c.HandoffMax = 4096
 	}
 	return c
 }

@@ -10,9 +10,9 @@ import (
 
 // Handoff is the hinted-handoff queue: cache entries that should live on a
 // peer that is currently unreachable, parked here until the peer rejoins.
-// Entries dedup by cache key with latest-write-wins, so a key re-tuned ten
-// times during an outage replays once, and replay is idempotent (the
-// receiving side is a plain cache merge). The queue is bounded per peer;
+// Entries dedup by cache key and keep the better entry (the cache's own
+// CacheEntry.Supersedes), so a key re-tuned ten times during an outage
+// replays once, and replay is idempotent. The queue is bounded per peer;
 // beyond the bound new writes are dropped and counted — the peer catches
 // up on a dropped key the next time a client asks for it (the owner serves
 // from its cache and replication runs again).
@@ -32,9 +32,9 @@ func NewHandoff(maxPerPeer int) *Handoff {
 	return &Handoff{max: maxPerPeer, byPeer: make(map[string]map[string]autotune.CacheEntry)}
 }
 
-// Queue parks entries destined for peer. Entries that fail validation or
-// overflow the per-peer bound are dropped (counted); updating a key already
-// queued replaces it in place and costs no capacity.
+// Queue parks entries destined for peer, or parks them again after a failed
+// drain or a restart. Entries that fail validation or overflow the per-peer
+// bound are dropped (counted); a queued key keeps the better entry.
 func (h *Handoff) Queue(peer string, entries []autotune.CacheEntry) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -45,22 +45,21 @@ func (h *Handoff) Queue(peer string, entries []autotune.CacheEntry) {
 	}
 	for _, e := range entries {
 		key, err := e.Key()
-		if err != nil {
+		old, exists := q[key]
+		if err != nil || !exists && len(q) >= h.max {
 			h.dropped.Add(1)
 			continue
 		}
-		if _, exists := q[key]; !exists && len(q) >= h.max {
-			h.dropped.Add(1)
-			continue
+		if !exists || e.Supersedes(old) {
+			q[key] = e
 		}
-		q[key] = e
 		h.queued.Add(1)
 	}
 }
 
 // Take removes and returns peer's whole backlog in deterministic
-// (key-sorted) order; nil when empty. The caller replays it and Requeues
-// on failure.
+// (key-sorted) order; nil when empty. The caller replays it and Queues it
+// again on failure.
 func (h *Handoff) Take(peer string) []autotune.CacheEntry {
 	h.mu.Lock()
 	q := h.byPeer[peer]
@@ -70,27 +69,6 @@ func (h *Handoff) Take(peer string) []autotune.CacheEntry {
 		return nil
 	}
 	return sortedEntries(q)
-}
-
-// Requeue returns a failed replay to the queue. Keys queued again since the
-// Take win over the stale replay copy.
-func (h *Handoff) Requeue(peer string, entries []autotune.CacheEntry) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	q := h.byPeer[peer]
-	if q == nil {
-		q = make(map[string]autotune.CacheEntry)
-		h.byPeer[peer] = q
-	}
-	for _, e := range entries {
-		key, err := e.Key()
-		if err != nil {
-			continue
-		}
-		if _, exists := q[key]; !exists {
-			q[key] = e
-		}
-	}
 }
 
 // MarkReplayed books n entries as successfully delivered.
@@ -133,14 +111,6 @@ func (h *Handoff) Snapshot() map[string][]autotune.CacheEntry {
 		}
 	}
 	return out
-}
-
-// Restore merges a persisted snapshot back in (boot path). Entries that
-// fail validation or overflow the bound are dropped, as in Queue.
-func (h *Handoff) Restore(snap map[string][]autotune.CacheEntry) {
-	for peer, entries := range snap {
-		h.Queue(peer, entries)
-	}
 }
 
 func sortedEntries(q map[string]autotune.CacheEntry) []autotune.CacheEntry {

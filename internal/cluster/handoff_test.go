@@ -30,25 +30,29 @@ func testEntry(t *testing.T, cout int, seconds float64) autotune.CacheEntry {
 	return e
 }
 
-func TestHandoffDedupAndLatestWriteWins(t *testing.T) {
-	h := NewHandoff(16)
+// Writes to one key dedup to one queued entry, the better verdict, in either
+// arrival order.
+func TestHandoffDedupKeepsBetterEntry(t *testing.T) {
 	const peer = "http://127.0.0.1:9912"
-	h.Queue(peer, []autotune.CacheEntry{testEntry(t, 8, 0.010)})
-	h.Queue(peer, []autotune.CacheEntry{testEntry(t, 8, 0.003), testEntry(t, 32, 0.007)})
-	if d := h.Depth(peer); d != 2 {
-		t.Fatalf("depth %d after dedup, want 2", d)
-	}
-	got := h.Take(peer)
-	if len(got) != 2 {
-		t.Fatalf("took %d entries, want 2", len(got))
-	}
-	for _, e := range got {
-		if e.Shape.Cout == 8 && e.Seconds != 0.003 {
-			t.Fatalf("stale write survived: seconds %v, want 0.003", e.Seconds)
+	for _, order := range [][]float64{{0.010, 0.003}, {0.003, 0.010}} {
+		h := NewHandoff(16)
+		h.Queue(peer, []autotune.CacheEntry{testEntry(t, 8, order[0])})
+		h.Queue(peer, []autotune.CacheEntry{testEntry(t, 8, order[1]), testEntry(t, 32, 0.007)})
+		if d := h.Depth(peer); d != 2 {
+			t.Fatalf("order %v: depth %d after dedup, want 2", order, d)
 		}
-	}
-	if h.Take(peer) != nil {
-		t.Fatal("second Take returned entries")
+		got := h.Take(peer)
+		if len(got) != 2 {
+			t.Fatalf("order %v: took %d entries, want 2", order, len(got))
+		}
+		for _, e := range got {
+			if e.Shape.Cout == 8 && e.Seconds != 0.003 {
+				t.Fatalf("order %v: the worse write survived: seconds %v, want 0.003", order, e.Seconds)
+			}
+		}
+		if h.Take(peer) != nil {
+			t.Fatal("second Take returned entries")
+		}
 	}
 }
 
@@ -77,21 +81,22 @@ func TestHandoffBoundDropsAndCounts(t *testing.T) {
 	}
 }
 
-// A key re-queued after Take (a fresher verdict during the failed replay)
-// must win over the stale copy Requeue returns.
+// A failed drain parks its batch again through Queue. A key queued again
+// since the Take keeps whichever entry is better: the better write made
+// during the drain, or the drained entry over a worse one.
 func TestHandoffRequeuePreservesFresherWrites(t *testing.T) {
 	h := NewHandoff(16)
 	const peer = "p"
 	h.Queue(peer, []autotune.CacheEntry{testEntry(t, 8, 0.010), testEntry(t, 16, 0.020)})
 	taken := h.Take(peer)
-	h.Queue(peer, []autotune.CacheEntry{testEntry(t, 8, 0.001)}) // fresher, mid-replay
-	h.Requeue(peer, taken)
+	h.Queue(peer, []autotune.CacheEntry{testEntry(t, 8, 0.001), testEntry(t, 16, 0.030)}) // mid-replay
+	h.Queue(peer, taken)
 	if d := h.Depth(peer); d != 2 {
-		t.Fatalf("depth %d after requeue, want 2", d)
+		t.Fatalf("depth %d after the re-park, want 2", d)
 	}
 	for _, e := range h.Take(peer) {
-		if e.Shape.Cout == 8 && e.Seconds != 0.001 {
-			t.Fatalf("requeue clobbered fresher write: seconds %v", e.Seconds)
+		if want := map[int]float64{8: 0.001, 16: 0.020}[e.Shape.Cout]; e.Seconds != want {
+			t.Errorf("key %d holds seconds %v after the re-park, want %v", e.Shape.Cout, e.Seconds, want)
 		}
 	}
 }
@@ -116,7 +121,9 @@ func TestHandoffSnapshotRestoreRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	restored := NewHandoff(16)
-	restored.Restore(back)
+	for peer, entries := range back {
+		restored.Queue(peer, entries)
+	}
 	if restored.DepthAll() != 3 || restored.Depth("a") != 2 || restored.Depth("b") != 1 {
 		t.Fatalf("restored depths a=%d b=%d total=%d, want 2/1/3",
 			restored.Depth("a"), restored.Depth("b"), restored.DepthAll())

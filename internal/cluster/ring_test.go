@@ -144,7 +144,7 @@ func TestParsePeers(t *testing.T) {
 // Normalized fills defaults without disturbing explicit settings.
 func TestConfigNormalized(t *testing.T) {
 	c := Config{Self: "http://a:1", Peers: threePeers()}.Normalized()
-	if c.Replicas != 2 || c.ProbeInterval == 0 || c.HandoffMax == 0 {
+	if c.Replicas != 2 || c.ProbeInterval == 0 {
 		t.Fatalf("defaults not filled: %+v", c)
 	}
 	two := Config{Peers: []string{"http://a:1", "http://b:2"}, Replicas: 5}.Normalized()

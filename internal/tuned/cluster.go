@@ -32,6 +32,8 @@ const (
 	maxReplicateBody = 16 << 20
 	// pushTimeout bounds one replication push or handoff-drain round trip.
 	pushTimeout = 10 * time.Second
+	// handoffMax bounds the hinted-handoff queue per down peer, in entries.
+	handoffMax = 4096
 )
 
 // clusterState is the per-server cluster runtime.
@@ -55,7 +57,7 @@ func (s *Server) initCluster() {
 	c := &clusterState{
 		cfg:     ccfg,
 		ring:    cluster.NewRing(ccfg.Peers),
-		handoff: cluster.NewHandoff(ccfg.HandoffMax),
+		handoff: cluster.NewHandoff(handoffMax),
 		client:  cluster.NewClient(cluster.ClientConfig{}),
 	}
 	c.membership = cluster.NewMembership(ccfg, c.client.Probe, func(addr string) {
@@ -267,9 +269,9 @@ func (s *Server) replicateRequest(req *request) {
 }
 
 // drainHandoff replays a rejoined peer's parked entries, batch by batch,
-// until its queue is empty. A failing replay requeues the batch (fresher
-// writes queued meanwhile win) and re-marks the peer down; the next rejoin
-// resumes the drain.
+// until its queue is empty. A failing replay parks the batch again through
+// Queue — an entry queued meanwhile stays where it supersedes the batch's —
+// and re-marks the peer down; the next rejoin resumes the drain.
 func (s *Server) drainHandoff(addr string) {
 	c := s.cluster
 	for {
@@ -285,7 +287,7 @@ func (s *Server) drainHandoff(addr string) {
 		err = c.client.Push(ctx, addr, envelope)
 		cancel()
 		if err != nil {
-			c.handoff.Requeue(addr, entries)
+			c.handoff.Queue(addr, entries)
 			c.membership.MarkDown(addr)
 			return
 		}

@@ -391,6 +391,84 @@ func TestClusterReplaySurvivesReplication(t *testing.T) {
 	}
 }
 
+// A replica never serves a worse verdict than one it held. The owner that
+// answered a network receives, on POST /v1/cluster/replicate, an envelope
+// holding a worse entry for a key the answer read: it keeps its own, so its
+// state does not move by a byte and the next identical POST is the recorded
+// reply, replayed. An envelope holding a better entry still moves the answer.
+func TestClusterReplayKeepsBetterVerdict(t *testing.T) {
+	h := newClusterHarness(t, 3, cluster.Config{Replicas: 2}, nil)
+	desc := repro.DescribeNetwork(testArch.Name, netA())
+	p := h.ownersOf(desc)[0]
+	owner := h.servers[p]
+	body, err := json.Marshal(desc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	post := func(path string, b []byte) []byte {
+		t.Helper()
+		resp, err := http.Post(h.addrs[p]+path, "application/json", bytes.NewReader(b))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		out, err := io.ReadAll(resp.Body)
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: status %d, err %v: %s", path, resp.StatusCode, err, out)
+		}
+		return out
+	}
+	push := func(e autotune.CacheEntry) {
+		t.Helper()
+		env, err := autotune.EncodeEntries([]autotune.CacheEntry{e})
+		if err != nil {
+			t.Fatal(err)
+		}
+		post("/v1/cluster/replicate", env)
+	}
+	save := func() []byte {
+		t.Helper()
+		var state bytes.Buffer
+		if err := owner.cache.Save(&state); err != nil {
+			t.Fatal(err)
+		}
+		return state.Bytes()
+	}
+
+	post("/v1/tune", body) // the fresh tune
+	hit := post("/v1/tune", body)
+	rp := recorded(&owner.replies, body)
+	if rp == nil {
+		t.Fatal("the hit was not recorded")
+	}
+	held, ok := owner.cache.Entry(testArch.Name, autotune.Direct, netA()[1].Shape)
+	if !ok {
+		t.Fatal("the owner holds no entry for the network's layer")
+	}
+	state := save()
+
+	worse := held
+	worse.Seconds, worse.GFLOPS = held.Seconds*2, held.GFLOPS/2
+	push(worse)
+	if !bytes.Equal(save(), state) {
+		t.Error("a push of a worse entry moved the owner's state")
+	}
+	if out := post("/v1/tune", body); !bytes.Equal(out, hit) || recorded(&owner.replies, body) != rp {
+		t.Errorf("after the worse push: the recorded reply %t, replayed %t",
+			bytes.Equal(out, hit), recorded(&owner.replies, body) == rp)
+	}
+
+	better := held
+	better.Seconds, better.GFLOPS = held.Seconds/100, held.GFLOPS*100
+	push(better)
+	if bytes.Equal(save(), state) {
+		t.Error("a push of a better entry left the owner's state as it was")
+	}
+	if out := post("/v1/tune", body); bytes.Equal(out, hit) {
+		t.Error("a push of a better entry did not move the answer")
+	}
+}
+
 // The acceptance chaos proof. Three replicas, replication factor 2: the
 // primary owner of a ResNet-18 sweep is killed mid-sweep while clients keep
 // POSTing to a surviving non-owner. Required outcome: zero client-visible

@@ -369,9 +369,9 @@ func TestServerAnalyticFallbackFillsDeadSearches(t *testing.T) {
 }
 
 // The analytic calibration follows every cache write, not the entry count:
-// after a PutEntries rewrites every zoo entry at three times its seconds,
-// Len has not moved, and the next analytic answer is priced at the factor a
-// fresh fit reads off the rewritten rows.
+// after every zoo entry expires and comes back with its rows at three times
+// their seconds, Len has not moved, and the next analytic answer is priced at
+// the factor a fresh fit reads off the rewritten rows.
 func TestAnalyticCalibrationFollowsRewrites(t *testing.T) {
 	srv, bodies, _ := analyticServer(t)
 	body := bodies[len(bodies)-1]
@@ -380,9 +380,7 @@ func TestAnalyticCalibrationFollowsRewrites(t *testing.T) {
 		t.Fatalf("the first analytic answer:\n%s\na fresh server's:\n%s", out, before)
 	}
 	n := srv.cache.Len()
-	if err := srv.cache.PutEntries(scaledEntries(t, srv.cache, 3)); err != nil {
-		t.Fatal(err)
-	}
+	replaceAll(t, srv.cache, scaledEntries(t, srv.cache, 3))
 	if srv.cache.Len() != n {
 		t.Fatalf("the rewrite moved Len from %d to %d", n, srv.cache.Len())
 	}

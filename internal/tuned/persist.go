@@ -89,7 +89,9 @@ func readJSONFile(path string, v any) bool {
 func (s *Server) restoreAux() {
 	var h handoffFile
 	if s.cluster != nil && readJSONFile(s.cfg.StatePath+".handoff", &h) && h.Version == auxFormatVersion {
-		s.cluster.handoff.Restore(h.Peers)
+		for peer, entries := range h.Peers {
+			s.cluster.handoff.Queue(peer, entries)
+		}
 	}
 	var f refineFile
 	if s.refineCh == nil || !readJSONFile(s.cfg.StatePath+".refine", &f) || f.Version != auxFormatVersion {

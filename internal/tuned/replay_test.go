@@ -3,9 +3,11 @@ package tuned
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"runtime"
 	"slices"
 	"strings"
 	"sync"
@@ -312,9 +314,11 @@ func TestReplaySurvivesEqualWrites(t *testing.T) {
 	}
 }
 
-// Under Resume, a rewrite that keeps a read entry's verdict but lowers its
-// covered budget below the request's is no longer covered: the reply falls
-// through and the search resumes. Without Resume the same rewrite replays.
+// Under Resume, a cache whose read entry keeps its verdict but whose covered
+// budget fell below the request's no longer covers it: the reply falls
+// through and the search resumes. Without Resume the same state replays. The
+// cache outranks the shorter entry, so the state is reached by emptying it
+// and putting every entry back with that one cut.
 func TestReplayFallsThroughBelowResumeBudget(t *testing.T) {
 	for _, resume := range []bool{false, true} {
 		srv, bodies := zooServer(t, func(cfg *Config) { cfg.Resume = resume })
@@ -326,9 +330,13 @@ func TestReplayFallsThroughBelowResumeBudget(t *testing.T) {
 		e := alexEntry(t, srv.cache)
 		e.Budget = len(e.Rows) / 2
 		e.Rows = e.Rows[:e.Budget]
-		if err := srv.cache.PutEntries([]autotune.CacheEntry{e}); err != nil {
-			t.Fatal(err)
+		entries := cacheEntries(t, srv.cache)
+		for i := range entries {
+			if mustKey(t, entries[i]) == mustKey(t, e) {
+				entries[i] = e
+			}
 		}
+		replaceAll(t, srv.cache, entries)
 		measured := srv.Measurements()
 		if _, replayed := serve(t, srv, body); replayed == resume {
 			t.Errorf("resume %t: replayed %t after the covered budget fell to %d", resume, replayed, e.Budget)
@@ -530,61 +538,70 @@ func TestReplayBooksLikeTheFullPath(t *testing.T) {
 	}
 }
 
-// Replays racing writes that flip one verdict back and forth: every answer
-// is the answer of one of the two states, and once the writes stop the
-// answer is the final state's.
+// Replays racing writes that make one read verdict faster, step by step:
+// every answer is the answer of one of the states the writes pass through,
+// and once the writes stop the answer is the final state's, replayed.
 func TestReplayUnderConcurrentWrites(t *testing.T) {
 	srv, bodies := zooServer(t)
 	body := bodies[0]
-	states := []autotune.CacheEntry{alexEntry(t, srv.cache), movedEntry(t, srv.cache)}
-	answers := make([][]byte, len(states))
-	for i := len(states) - 1; i >= 0; i-- {
-		if err := srv.cache.PutEntries(states[i : i+1]); err != nil {
+	first := cacheEntries(t, srv.cache)
+	const steps, clients, rounds = 8, 4, 50
+	states := []autotune.CacheEntry{alexEntry(t, srv.cache)}
+	answers := [][]byte{nil}
+	answers[0], _ = serve(t, srv, body)
+	for i := 1; i < steps; i++ {
+		e := states[i-1]
+		e.Seconds /= 2
+		e.GFLOPS *= 2
+		if err := srv.cache.PutEntries([]autotune.CacheEntry{e}); err != nil {
 			t.Fatal(err)
 		}
-		answers[i], _ = serve(t, srv, body)
+		out, _ := serve(t, srv, body)
+		states, answers = append(states, e), append(answers, out)
 	}
+	if bytes.Equal(answers[0], answers[steps-1]) {
+		t.Fatal("the first and the last state answer alike")
+	}
+	replaceAll(t, srv.cache, first)
 
+	// The writer takes the next step each time the clients have sent another
+	// share of their requests.
+	var served atomic.Int64
 	var wg sync.WaitGroup
-	stop := make(chan struct{})
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		for i := 0; ; i++ {
-			select {
-			case <-stop:
-				return
-			default:
+		for i := 1; i < steps; i++ {
+			for served.Load() < int64(i*clients*rounds/steps) {
+				runtime.Gosched()
 			}
-			if err := srv.cache.PutEntries(states[i%2 : i%2+1]); err != nil {
+			if err := srv.cache.PutEntries(states[i : i+1]); err != nil {
 				t.Error(err)
 				return
 			}
 		}
 	}()
 	var readers sync.WaitGroup
-	for c := 0; c < 4; c++ {
+	for c := 0; c < clients; c++ {
 		readers.Add(1)
 		go func() {
 			defer readers.Done()
-			for r := 0; r < 50; r++ {
+			for r := 0; r < rounds; r++ {
 				rec := httptest.NewRecorder()
 				srv.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/tune", bytes.NewReader(body)))
-				if got := rec.Body.Bytes(); !bytes.Equal(got, answers[0]) && !bytes.Equal(got, answers[1]) {
-					t.Errorf("client %d round %d: an answer of neither state: %s", c, r, got)
+				served.Add(1)
+				if got := rec.Body.Bytes(); !slices.ContainsFunc(answers, func(a []byte) bool { return bytes.Equal(got, a) }) {
+					t.Errorf("client %d round %d: an answer of no state: %s", c, r, got)
 				}
 			}
 		}()
 	}
 	readers.Wait()
-	close(stop)
 	wg.Wait()
-	if err := srv.cache.PutEntries(states[1:]); err != nil {
-		t.Fatal(err)
-	}
 	for i := 0; i < 2; i++ {
-		if got, _ := serve(t, srv, body); !bytes.Equal(got, answers[1]) {
-			t.Errorf("answer %d after the writes stopped is not the final state's", i)
+		if got, replayed := serve(t, srv, body); !bytes.Equal(got, answers[steps-1]) || (i == 1 && !replayed) {
+			t.Errorf("answer %d after the writes stopped: the final state's %t, replayed %t",
+				i, bytes.Equal(got, answers[steps-1]), replayed)
 		}
 	}
 }
@@ -640,10 +657,8 @@ func analyticServer(t *testing.T, mutate ...func(*Config)) (*Server, [][]byte, *
 	return srv, missBodies(t, zoo), now
 }
 
-// scaledEntries is every entry of cache with its rows at factor times their
-// seconds and its verdict as it was: the same keys, so Len does not move,
-// and the same verdicts, so a probe reads what it read before.
-func scaledEntries(t *testing.T, cache *autotune.Cache, factor float64) []autotune.CacheEntry {
+// cacheEntries is every entry of cache, as Save writes them.
+func cacheEntries(t *testing.T, cache *autotune.Cache) []autotune.CacheEntry {
 	t.Helper()
 	var state bytes.Buffer
 	if err := cache.Save(&state); err != nil {
@@ -653,6 +668,43 @@ func scaledEntries(t *testing.T, cache *autotune.Cache, factor float64) []autotu
 	if err != nil {
 		t.Fatal(err)
 	}
+	return entries
+}
+
+// mustKey is e's cache key.
+func mustKey(t *testing.T, e autotune.CacheEntry) string {
+	t.Helper()
+	key, err := e.Key()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return key
+}
+
+// replaceAll leaves cache holding entries and nothing else, through writes a
+// cache accepts whatever it held: every entry expires under a TTL on a test
+// clock, then entries are put into the emptied cache. A plain PutEntries
+// would keep each held entry that outranks its replacement.
+func replaceAll(t *testing.T, cache *autotune.Cache, entries []autotune.CacheEntry) {
+	t.Helper()
+	later := time.Now().Add(time.Hour)
+	cache.SetEviction(autotune.EvictionPolicy{TTL: time.Minute, Now: func() time.Time { return later }})
+	cache.EvictExpired()
+	cache.SetEviction(autotune.EvictionPolicy{})
+	if n := cache.Len(); n != 0 {
+		t.Fatalf("%d entries outlived their TTL", n)
+	}
+	if err := cache.PutEntries(entries); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// scaledEntries is every entry of cache with its rows at factor times their
+// seconds and its verdict as it was: the same keys, so Len does not move,
+// and the same verdicts, so a probe reads what it read before.
+func scaledEntries(t *testing.T, cache *autotune.Cache, factor float64) []autotune.CacheEntry {
+	t.Helper()
+	entries := cacheEntries(t, cache)
 	for i := range entries {
 		e := &entries[i]
 		e.Curve = nil
@@ -771,9 +823,7 @@ func TestReplayAnalyticFallsThrough(t *testing.T) {
 			return false
 		}},
 		{"calibration moves", func(t *testing.T, srv *Server, _ *atomic.Int64) bool {
-			if err := srv.cache.PutEntries(scaledEntries(t, srv.cache, 3)); err != nil {
-				t.Fatal(err)
-			}
+			replaceAll(t, srv.cache, scaledEntries(t, srv.cache, 3))
 			return true
 		}},
 		{"missed search covered", func(t *testing.T, srv *Server, _ *atomic.Int64) bool {
@@ -894,20 +944,34 @@ func TestReplayNeverRecordsOverflowOrLocalFallback(t *testing.T) {
 
 // Analytic replays racing PutEntries that move the calibration back and
 // forth: on a cache whose one state-carrying entry is the fit's only sample,
-// each write scales its rows or restores them, so the cache is always in one
-// of two states. Every answer is the answer at one of their two factors, and
-// once the writes stop the answer is the final factor's, replayed.
+// each write scales its rows or restores them, so the fit is always at one of
+// two factors. Each write also makes the entry's verdict one float step
+// faster, so the cache takes every one; the body reads no verdict, so only
+// the factor prices it. Every answer is the answer at one of the two factors,
+// and once the writes stop the answer is the final factor's, replayed.
 func TestReplayAnalyticUnderConcurrentWrites(t *testing.T) {
 	zoo, bodies, _ := analyticServer(t)
 	srv, _, _ := analyticServer(t, func(cfg *Config) { cfg.Cache = autotune.NewCache() })
-	if err := srv.cache.PutEntries([]autotune.CacheEntry{alexEntry(t, zoo.cache)}); err != nil {
-		t.Fatal(err)
+	base := alexEntry(t, zoo.cache)
+	scaled := slices.Clone(base.Rows)
+	for j := range scaled {
+		scaled[j].Seconds *= 3
+	}
+	rows := [][]autotune.CachedMeasurement{base.Rows, scaled}
+	// write stores base with rows[i%2] and a verdict faster than the last
+	// write's; the writer goroutine and this one never write at once.
+	seconds := base.Seconds
+	write := func(i int) error {
+		e := base
+		e.Rows = rows[i%2]
+		seconds = math.Nextafter(seconds, 0)
+		e.Seconds = seconds
+		return srv.cache.PutEntries([]autotune.CacheEntry{e})
 	}
 	body := bodies[len(bodies)-1]
-	states := [][]autotune.CacheEntry{scaledEntries(t, srv.cache, 1), scaledEntries(t, srv.cache, 3)}
-	answers := make([][]byte, len(states))
-	for i := len(states) - 1; i >= 0; i-- {
-		if err := srv.cache.PutEntries(states[i]); err != nil {
+	answers := make([][]byte, len(rows))
+	for i := len(rows) - 1; i >= 0; i-- {
+		if err := write(i); err != nil {
 			t.Fatal(err)
 		}
 		answers[i], _ = serve(t, srv, body)
@@ -927,7 +991,7 @@ func TestReplayAnalyticUnderConcurrentWrites(t *testing.T) {
 				return
 			default:
 			}
-			if err := srv.cache.PutEntries(states[i%2]); err != nil {
+			if err := write(i); err != nil {
 				t.Error(err)
 				return
 			}
@@ -950,7 +1014,7 @@ func TestReplayAnalyticUnderConcurrentWrites(t *testing.T) {
 	readers.Wait()
 	close(stop)
 	wg.Wait()
-	if err := srv.cache.PutEntries(states[1]); err != nil {
+	if err := write(1); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 2; i++ {
