@@ -196,3 +196,92 @@ func TestCertificateNeverFiresOverAnUnboundedConfig(t *testing.T) {
 			ref.Stop, tr.Stop, tr.Measurements, opts.Budget)
 	}
 }
+
+// gapCase is a search that stops on the gap: a cold direct one, whose
+// reference is its own incumbent, and an implicit-GEMM one of another layer
+// given that layer's direct verdict, which it cannot approach, as its
+// reference (without it the search runs on to Patience).
+type gapCase struct {
+	name string
+	sp   *Space
+	mm   Measurer
+	opts Options
+	ref  float64 // the layer reference, 0 for none
+}
+
+func gapCases(t *testing.T) []gapCase {
+	t.Helper()
+	layers := resnet18Layers()
+	search := func(s shapes.ConvShape, kind Kind, layerRef float64) gapCase {
+		sp, err := NewSpace(s, arch, kind, 0, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		opts := DefaultOptions()
+		opts.Seed = 2
+		if layerRef > 0 {
+			opts.layerRef = func(float64) float64 { return layerRef }
+		}
+		return gapCase{fmt.Sprintf("%s %v", kind, s), sp, KindMeasurer(arch, s, kind), opts, layerRef}
+	}
+	direct := search(layers[0].Shape, Direct, 0)
+	ref, err := Tune(direct.sp, direct.mm, direct.opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return []gapCase{search(layers[6].Shape, Direct, 0), search(layers[0].Shape, ImplicitGEMM, ref.BestM.Seconds)}
+}
+
+// The gap stop is a bound-guided stop: it records the lower of the
+// incumbent and the layer reference, and a bound-blind run (NoPrune) never
+// stops on it, on searches where the guided run does.
+func TestGapNeverFiresUnderNoPrune(t *testing.T) {
+	for _, c := range gapCases(t) {
+		guided, err := Tune(c.sp, c.mm, c.opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := guided.BestM.Seconds
+		if c.ref > 0 {
+			r = min(r, c.ref)
+		}
+		if guided.Stop != StopGap || guided.GapRef != r {
+			t.Errorf("%s: guided stopped on %v against %v, want gap against %v", c.name, guided.Stop, guided.GapRef, r)
+		}
+		c.opts.NoPrune = true
+		blind, err := Tune(c.sp, c.mm, c.opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if blind.Stop == StopGap || blind.GapRef != 0 || blind.Measurements <= guided.Measurements {
+			t.Errorf("%s: NoPrune stopped on %v against %v after %d measurements, guided after %d",
+				c.name, blind.Stop, blind.GapRef, blind.Measurements, guided.Measurements)
+		}
+	}
+}
+
+// The gap stop reads the booked prefix only, so it fires at the same
+// measurement, against the same reference, at any worker count.
+func TestGapStopDeterministicAcrossWorkers(t *testing.T) {
+	for _, c := range gapCases(t) {
+		ref, err := Tune(c.sp, c.mm, c.opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ref.Stop != StopGap {
+			t.Fatalf("%s: stopped on %v, want gap", c.name, ref.Stop)
+		}
+		for _, workers := range []int{4, 9} {
+			o := c.opts
+			o.Workers = workers
+			tr, err := Tune(c.sp, c.mm, o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !traceEqual(ref, tr) {
+				t.Errorf("%s workers=%d: trace diverges (stop %v after %d against %v, want %v after %d against %v)",
+					c.name, workers, tr.Stop, tr.Measurements, tr.GapRef, ref.Stop, ref.Measurements, ref.GapRef)
+			}
+		}
+	}
+}

@@ -460,7 +460,7 @@ func TestStoredRowsHeldAtLength(t *testing.T) {
 			}
 			sum += e.SizeBytes()
 		}
-		if got := c.SizeBytes(); got != sum {
+		if got := c.Stats().Bytes; got != sum {
 			t.Errorf("%s: cache counts %d bytes, its entries' SizeBytes sum to %d", name, got, sum)
 		}
 	}

@@ -99,9 +99,6 @@ func (c *Cache) Stats() CacheStats {
 	}
 }
 
-// SizeBytes reports the approximate retained bytes of all entries.
-func (c *Cache) SizeBytes() int64 { return c.bytes.Load() }
-
 // Per-entry size model: struct overhead plus the variable-length state.
 // The constants approximate the in-memory footprint (struct sizes, map
 // bucket share, JSON field slack is ignored); the point of the accounting

@@ -56,7 +56,7 @@ func TestEvictionLRUBoundsAndRecency(t *testing.T) {
 	for i := oldestSurvivor; i < inserts; i++ {
 		want += CacheEntry{Arch: arch.Name, Kind: Direct.String()}.SizeBytes()
 	}
-	if got := c.SizeBytes(); got != want {
+	if got := c.Stats().Bytes; got != want {
 		t.Errorf("SizeBytes() = %d, want %d (sum over residents)", got, want)
 	}
 }
@@ -205,7 +205,7 @@ func TestEvictionMaxBytes(t *testing.T) {
 	for i := 0; i < 40; i++ {
 		c.Put(arch.Name, Direct, evictShape(i), conv.Config{}, Measurement{Seconds: 1, GFLOPS: 1})
 	}
-	if got, cap := c.SizeBytes(), 10*perEntry; got > cap {
+	if got, cap := c.Stats().Bytes, 10*perEntry; got > cap {
 		t.Errorf("SizeBytes() = %d, cap is %d", got, cap)
 	}
 	if c.Len() == 0 {

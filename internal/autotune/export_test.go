@@ -90,6 +90,10 @@ func PrimedFamilies(c *Cache, arch memsim.Arch, fams map[PoolFamily]bool) map[Po
 	return out
 }
 
+// GapRatio is the gap stop's G: a StopGap search proved that no measurable
+// configuration has a tight floor below Trace.GapRef / GapRatio.
+const GapRatio = gapRatio
+
 // MinFloor is the space's minimum tight floor over its measurable
 // configurations, with no incumbent to seed the scan.
 func (sp *Space) MinFloor() float64 { return sp.minFloor(math.Inf(1)) }

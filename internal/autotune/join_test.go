@@ -220,7 +220,7 @@ func TestRejectedPutStoresNothing(t *testing.T) {
 	if err := c.Save(&before); err != nil {
 		t.Fatal(err)
 	}
-	writes, size := c.Writes(), c.SizeBytes()
+	writes, size := c.Writes(), c.Stats().Bytes
 
 	now = now.Add(50 * time.Second)
 	c.Put(arch.Name, Direct, evictShape(0), valid, Measurement{Seconds: 2, GFLOPS: 0.5})
@@ -228,9 +228,9 @@ func TestRejectedPutStoresNothing(t *testing.T) {
 	if err := c.Save(&after); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(after.Bytes(), before.Bytes()) || c.Writes() != writes || c.SizeBytes() != size {
+	if !bytes.Equal(after.Bytes(), before.Bytes()) || c.Writes() != writes || c.Stats().Bytes != size {
 		t.Errorf("a slower Put: state unchanged %t, Writes moved %d, bytes %d → %d",
-			bytes.Equal(after.Bytes(), before.Bytes()), c.Writes()-writes, size, c.SizeBytes())
+			bytes.Equal(after.Bytes(), before.Bytes()), c.Writes()-writes, size, c.Stats().Bytes)
 	}
 	now = now.Add(20 * time.Second)
 	if _, _, ok := c.Get(arch.Name, Direct, evictShape(0)); ok {

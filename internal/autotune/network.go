@@ -4,8 +4,10 @@ import (
 	"cmp"
 	"context"
 	"fmt"
+	"math"
 	"runtime"
 	"slices"
+	"sync"
 
 	"repro/internal/conv"
 	"repro/internal/memsim"
@@ -27,9 +29,11 @@ import (
 // residual over the I/O-bound floor on its own rows. The schedule is two
 // deterministic waves — one representative search per family runs cold,
 // then everything else runs warm off the frozen pool — so verdicts stay
-// bit-identical for any worker count. A cache file saved with engine state
-// (PutTrace) rebuilds the pool on load, in which case already-covered
-// families skip their cold wave.
+// bit-identical for any worker count. It runs twice, side by side: over
+// every layer's Direct search and over the other kinds, whose gap stop (see
+// Tune) measures against the Direct verdict of their layer. A cache file
+// saved with engine state (PutTrace) rebuilds the pool on load, in which
+// case already-covered families skip their cold wave.
 
 // NetworkLayer is one layer of a network-level tuning request. Grouped or
 // depthwise layers carry their group count in Shape.Groups and tune with
@@ -134,6 +138,9 @@ type netTask struct {
 	sp    *Space
 	searchOutcome
 	shared bool // the outcome came without running a search here
+	// done, on a live Direct task, is closed once its outcome is set: the
+	// layer's other kinds read their gap stop's reference from it.
+	done chan struct{}
 }
 
 // sweepPlan is a network request reduced to the work behind it: the distinct
@@ -176,14 +183,14 @@ func planSweep(arch memsim.Arch, layers []NetworkLayer, opts NetworkOptions) swe
 	return p
 }
 
-// Searches lists the distinct searches a sweep of the request runs, in the
-// order it schedules them — for callers that must predict the search set
+// Searches lists the distinct searches a sweep of the request runs, in plan
+// (first-come layer) order — for callers that must predict the search set
 // without running it (the service's admission accounting and replication).
 func Searches(arch memsim.Arch, layers []NetworkLayer, opts NetworkOptions) []Search {
 	return planSweep(arch, layers, opts).searches()
 }
 
-// searches lists the plan's tasks' searches in schedule order.
+// searches lists the plan's tasks' searches in plan order.
 func (p sweepPlan) searches() []Search {
 	out := make([]Search, len(p.tasks))
 	for i, t := range p.tasks {
@@ -366,12 +373,43 @@ func (p sweepPlan) run(ctx context.Context, cache *Cache, opts NetworkOptions) e
 		return err
 	}
 
+	// slots holds the two schedules below to workers searches at a time
+	// between them; a search waiting for its layer's Direct verdict gives
+	// its slot back while it waits.
+	slots := make(chan struct{}, workers)
 	run := func(idxs []int, pool *transferPool) {
 		fanIndexed(len(idxs), workers, func(j int) {
+			slots <- struct{}{}
+			defer func() { <-slots }()
 			t := tasks[idxs[j]]
 			to := opts.Tune
 			if pool != nil {
 				to.warm = pool.warmFor(familyOf(t.Kind, t.Shape))
+			}
+			if t.Kind == Direct {
+				defer close(t.done)
+			} else {
+				d := tasks[p.tasksOf[t.owner][0]]
+				to.layerRef = func(below float64) float64 {
+					select {
+					case <-d.done:
+					default:
+						// The Direct verdict is a measurement, at or above
+						// its tight floor: where no floor of its space lies
+						// below, neither can the verdict, and a running
+						// search is not waited for.
+						if d.sp.minFloor(below) >= below {
+							return math.Inf(1)
+						}
+						<-slots
+						<-d.done
+						slots <- struct{}{}
+					}
+					if d.err != nil {
+						return math.Inf(1)
+					}
+					return d.m.Seconds
+				}
 			}
 			plain := NewMemoMeasure(arch, t.Shape, t.Kind).Measure
 			measure := LiftMeasurer(plain)
@@ -382,19 +420,21 @@ func (p sweepPlan) run(ctx context.Context, cache *Cache, opts NetworkOptions) e
 		})
 	}
 
-	if !opts.Warm {
-		run(live, nil)
-	} else {
+	schedule := func(idxs []int) {
+		if !opts.Warm {
+			run(idxs, nil)
+			return
+		}
 		// Two deterministic waves: wave 0 is one representative search per
 		// layer family the pool has nothing for yet (cold), wave 1 is
 		// everything else, warm off the pool frozen after wave 0. Both
 		// waves fan across the workers; determinism holds because searches
 		// within a wave never feed each other.
 		pool := newTransferPool()
-		pool.prime(cache, arch, liveFamilies(tasks, live))
+		pool.prime(cache, arch, liveFamilies(tasks, idxs))
 		var wave0, wave1 []int
 		cold := make(map[poolKey]bool)
-		for _, i := range live {
+		for _, i := range idxs {
 			fam := familyOf(tasks[i].Kind, tasks[i].Shape)
 			if !pool.has(fam) && !cold[fam] {
 				cold[fam] = true
@@ -411,6 +451,31 @@ func (p sweepPlan) run(ctx context.Context, cache *Cache, opts NetworkOptions) e
 		}
 		run(wave1, pool)
 	}
+
+	// The schedule runs twice, side by side: over the Direct searches and
+	// over the rest. A non-Direct search's gap stop measures against its
+	// layer's final Direct verdict and waits for it when that could prove
+	// the gap (Options.layerRef); a Direct search waits on nothing, so the
+	// Direct schedule always finishes, and the reference is the same
+	// whatever the timing. Pool families are per kind, so the split builds
+	// every pool as one schedule over all of live would.
+	var direct, rest []int
+	for _, i := range live {
+		if t := tasks[i]; t.Kind == Direct {
+			t.done = make(chan struct{})
+			direct = append(direct, i)
+		} else {
+			rest = append(rest, i)
+		}
+	}
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		schedule(direct)
+	}()
+	schedule(rest)
+	wg.Wait()
 	return nil
 }
 

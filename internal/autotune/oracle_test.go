@@ -105,8 +105,12 @@ func TestZooMinFloorMatchesAnalyticTop(t *testing.T) {
 // (optimum / minimum tight floor of the space). A search whose optimum
 // equals that floor is certifiable: the engine can prove it finished. Every
 // search that stopped on the certificate must end on the enumerated optimum,
-// and that optimum must be the minimum floor. The per-seed, per-kind tallies
-// are pinned in testdata/oracle.golden; regenerate it with
+// and that optimum must be the minimum floor; every search that stopped on
+// the gap must hold its proof, GapRef / G ≤ the minimum floor ≤ the
+// optimum. The per-seed, per-kind tallies and the layer meter — the
+// distinct zoo shapes whose reply verdict is the best optimum over the kinds
+// searched for them, and the pass's summed network time — are pinned in
+// testdata/oracle.golden; regenerate it with
 //
 //	go test ./internal/autotune -run TestZooOracle -update
 //
@@ -168,20 +172,22 @@ func (a *oracleTally) String() string {
 }
 
 // zooOracle checks one seed's pass against the enumerated optima and writes
-// its tallies, over all searches and per kind, to golden.
+// its tallies, over all searches and per kind, and its layer meter to golden.
 func zooOracle(t *testing.T, seed int64, golden *bytes.Buffer) {
 	tune := autotune.DefaultOptions()
 	tune.Seed = seed
-	_, searches := coldZooPass(t, tune, autotune.NewCache())
+	sweeps, searches := coldZooPass(t, tune, autotune.NewCache())
 
 	var all oracleTally
 	perKind := make(map[autotune.Kind]*oracleTally)
+	optima := make(map[autotune.Search]float64)
 	for _, s := range searches {
 		sp := s.Space
 		opt, ok := sp.Optimum()
 		if !ok {
 			t.Fatalf("seed %d: %v %s: nothing measures", seed, sp.Shape, sp.Kind)
 		}
+		optima[groupsKey(sp.Kind, sp.Shape)] = opt.Seconds
 		floor := sp.MinFloor()
 		verdict := s.BestM.Seconds
 		if !(floor <= opt.Seconds) || verdict < opt.Seconds {
@@ -194,6 +200,13 @@ func zooOracle(t *testing.T, seed int64, golden *bytes.Buffer) {
 		if certified && (verdict != opt.Seconds || opt.Seconds != floor) {
 			t.Errorf("seed %d: %v %s: certified at %v, optimum %v, minimum floor %v",
 				seed, sp.Shape, sp.Kind, verdict, opt.Seconds, floor)
+		}
+		// A gap stop claims that no measurable configuration has a floor
+		// below GapRef / G, so neither the minimum floor nor the optimum
+		// above it lies below that.
+		if s.Stop == autotune.StopGap && !(s.GapRef/autotune.GapRatio <= floor) {
+			t.Errorf("seed %d: %v %s: gap stop against %v, minimum floor %v, optimum %v",
+				seed, sp.Shape, sp.Kind, s.GapRef, floor, opt.Seconds)
 		}
 		a := perKind[sp.Kind]
 		if a == nil {
@@ -211,4 +224,40 @@ func zooOracle(t *testing.T, seed int64, golden *bytes.Buffer) {
 			fmt.Fprintf(golden, "seed %d %s: %v\n", seed, kind, a)
 		}
 	}
+
+	// The layer meter: a reply carries the min over a layer's kinds, so a
+	// shape is at the optimum when, in every sweep that holds it, its
+	// verdict is the best optimum over the kinds searched for it there.
+	atOptimum := make(map[shapes.ConvShape]bool)
+	networkMS := 0.0
+	for i, fx := range zooFixtures() {
+		opts := zooOptions(fx, tune)
+		networkMS += autotune.NetworkSeconds(sweeps[i]) * 1e3
+		for _, v := range sweeps[i] {
+			best := math.Inf(1)
+			for _, k := range autotune.CandidateKinds(v.Layer.Shape, opts.Winograd, opts.Kinds) {
+				if opt, ok := optima[groupsKey(k, v.Layer.Shape)]; ok {
+					best = min(best, opt)
+				}
+			}
+			key := groupsKey(autotune.Direct, v.Layer.Shape).Shape
+			at, seen := atOptimum[key]
+			atOptimum[key] = (at || !seen) && v.M.Seconds == best
+		}
+	}
+	layers := 0
+	for _, at := range atOptimum {
+		if at {
+			layers++
+		}
+	}
+	fmt.Fprintf(golden, "seed %d layers: %d of %d shapes at the optimum, network %s ms\n",
+		seed, layers, len(atOptimum), strconv.FormatFloat(networkMS, 'g', -1, 64))
+}
+
+// groupsKey is the search of (kind, s) keyed as the sweep dedups it: groups
+// 0 and 1 are one shape.
+func groupsKey(kind autotune.Kind, s shapes.ConvShape) autotune.Search {
+	s.Groups = s.G()
+	return autotune.Search{Kind: kind, Shape: s}
 }

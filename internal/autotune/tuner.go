@@ -112,6 +112,15 @@ type Options struct {
 	// A warm search that may prune learns the floor residual (see Tune). nil
 	// reproduces the cold engine bit-for-bit.
 	warm *warmStart
+	// layerRef, when non-nil, returns the verdict the search's layer holds
+	// from another search where that verdict may lie below `below`, and +Inf
+	// where it cannot or there is none. TuneNetwork sets it, on every kind
+	// but Direct, to the Direct verdict of the same shape, waiting for the
+	// Direct search only when its space has a floor below `below`. The gap
+	// stop asks once, with the least reference that cannot prove its gap,
+	// and measures against the lower of the answer and the incumbent (see
+	// Tune).
+	layerRef func(below float64) float64
 	// Retry configures the fault-tolerant measurement pipeline (retry with
 	// backoff, quarantine, noisy-reading defense). The zero value with an
 	// error-free measurer reproduces the fault-oblivious engine
@@ -214,6 +223,12 @@ type Trace struct {
 	Refits int
 	// Stop says why the run ended. In memory only, like Refits.
 	Stop StopReason
+	// GapRef is the reference the gap proof held against when Stop is
+	// StopGap — the incumbent's seconds, or the layer's verdict from another
+	// search where only that proves it: no measurable configuration has a
+	// tight floor below GapRef / 1.3. 0 on every other stop; in memory
+	// only, like Stop.
+	GapRef float64
 }
 
 // StopReason is why a tuning run ended.
@@ -234,6 +249,17 @@ const (
 	// StopCancelled: the context was cancelled or its deadline passed
 	// (Trace.Partial).
 	StopCancelled
+	// StopGap: the search went stale and no measurable configuration has a
+	// tight floor below its reference over gapRatio, so nothing left can
+	// move its layer's verdict by more than that factor (Trace.GapRef).
+	StopGap
+)
+
+// gapRatio (G) and gapStale (F, a fraction of Patience) set the gap stop
+// (see Tune).
+const (
+	gapRatio = 1.3
+	gapStale = 0.75
 )
 
 func (r StopReason) String() string {
@@ -246,6 +272,8 @@ func (r StopReason) String() string {
 		return "exhausted"
 	case StopCancelled:
 		return "cancelled"
+	case StopGap:
+		return "gap"
 	}
 	return "budget"
 }
@@ -317,13 +345,16 @@ func (r *record) stale(patience int) bool {
 // Tune runs the paper's auto-tuning engine (Figure 8): iterate
 // {refit the cost model when enough new measurements have arrived; explore
 // with n_s parallel model-guided random walks from the current best
-// configurations; measure the proposals; update the dataset} until the budget
-// or patience is exhausted, or the incumbent is proven optimal. Each batch of proposals is measured by the
+// configurations; measure the proposals; update the dataset} until one of
+// four stops: the budget is spent (StopBudget), patience is exhausted
+// (StopPatience), the incumbent is proven optimal (StopCertified), or the
+// bound proves that nothing left can move the layer's verdict by more than
+// 1.3× (StopGap). Each batch of proposals is measured by the
 // worker-pool executor (opts.Workers goroutines); outcomes are recorded in
 // submission order, so the run is deterministic for a fixed seed at any
 // worker count.
 //
-// Six things keep the engine's own machinery off the critical path:
+// Seven things keep the engine's own machinery off the critical path:
 //
 //   - The certificate stop (unless opts.NoPrune): between batches, once
 //     the incumbent's measured time is at or below the minimum tight floor
@@ -336,6 +367,18 @@ func (r *record) stale(patience int) bool {
 //     (Space.minFloor) is seeded with that floor. It visits the tiles in
 //     order of their thread-free floor bound and stops at the first one
 //     whose bound cannot lower the running minimum.
+//   - The gap stop (unless opts.NoPrune): between batches, once the search
+//     has gone ¾ of Patience fresh measurements without a significant
+//     improvement, it takes a reference r — the incumbent's seconds, or the
+//     layer's verdict from another kind's search when that is lower (the
+//     network sweep hands every other kind its layer's final Direct
+//     verdict) — and asks Space.minFloor(r/1.3). When no measurable
+//     configuration has a tight floor below r/1.3, no measurement left can
+//     move the layer's verdict by more than a factor 1.3, and the run stops
+//     with Trace.Stop = StopGap and Trace.GapRef = r. A lower r keeps the
+//     proof true, and a scan that fails has found the space's minimum
+//     floor, so each search scans once. Like the certificate it reads the
+//     booked prefix only.
 //   - Bound-guided pruning (unless opts.NoPrune): the I/O-lower-bound
 //     oracle (Space.BoundSeconds) filters the candidate pool as it forms,
 //     before the batched ranking prediction; the walkers themselves step
@@ -483,6 +526,40 @@ func TuneFallible(ctx context.Context, sp *Space, measure FallibleMeasurer, opts
 		return t <= floorMin
 	}
 
+	// gapped is the gap stop (see Tune). Its first check scans for a floor
+	// below t/gapRatio; a scan that finds one has found the space's minimum
+	// floor, gapFloor, and from then on a reference r proves the gap exactly
+	// when r/gapRatio ≤ gapFloor, so nothing is scanned again. The layer's
+	// verdict, layerV, is asked for once, then, below the least reference
+	// that cannot prove it.
+	staleAfter := int(gapStale * float64(opts.Patience))
+	gapFloor, layerV := -1.0, math.Inf(1)
+	gapped := func() bool {
+		if opts.NoPrune || !rec.stale(staleAfter) {
+			return false
+		}
+		r := rec.trace.BestM.Seconds
+		if gapFloor < 0 {
+			ub := r / gapRatio
+			if gapFloor = sp.minFloor(ub); gapFloor >= ub {
+				rec.trace.GapRef = r
+				return true
+			}
+			if opts.layerRef != nil && gapFloor > 0 {
+				below := gapRatio * gapFloor
+				for below/gapRatio <= gapFloor {
+					below = math.Nextafter(below, math.Inf(1))
+				}
+				layerV = opts.layerRef(below)
+			}
+		}
+		if r = min(r, layerV); r/gapRatio > gapFloor {
+			return false
+		}
+		rec.trace.GapRef = r
+		return true
+	}
+
 	// measureBatch dedups the candidates against everything measured so
 	// far, drops the ones the lower bound proves non-improving, truncates
 	// to the remaining budget, fans the survivors across the executor's
@@ -628,6 +705,10 @@ func TuneFallible(ctx context.Context, sp *Space, measure FallibleMeasurer, opts
 			rec.trace.Stop = StopCertified
 			break
 		}
+		if gapped() {
+			rec.trace.Stop = StopGap
+			break
+		}
 		if ctx.Err() != nil {
 			break // deadline or cancellation: report best-so-far below
 		}
@@ -702,7 +783,7 @@ func TuneFallible(ctx context.Context, sp *Space, measure FallibleMeasurer, opts
 	if !rec.found {
 		return nil, fmt.Errorf("autotune: no valid configuration found in %d measurements", rec.trace.Measurements)
 	}
-	if ctx.Err() != nil && rec.trace.Measurements < opts.Budget && rec.trace.Stop != StopCertified {
+	if ctx.Err() != nil && rec.trace.Measurements < opts.Budget && rec.trace.Stop != StopCertified && rec.trace.Stop != StopGap {
 		// Cut short: the verdict is best-so-far, and the honest budget for a
 		// persisted trace is what actually ran — a repeat request resumes
 		// the search instead of trusting truncated coverage.

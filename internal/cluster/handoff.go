@@ -74,13 +74,6 @@ func (h *Handoff) Take(peer string) []autotune.CacheEntry {
 // MarkReplayed books n entries as successfully delivered.
 func (h *Handoff) MarkReplayed(n int) { h.replayed.Add(int64(n)) }
 
-// Depth reports the entries parked for one peer.
-func (h *Handoff) Depth(peer string) int {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return len(h.byPeer[peer])
-}
-
 // DepthAll reports the total backlog over all peers.
 func (h *Handoff) DepthAll() int {
 	h.mu.Lock()

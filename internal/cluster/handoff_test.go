@@ -38,7 +38,7 @@ func TestHandoffDedupKeepsBetterEntry(t *testing.T) {
 		h := NewHandoff(16)
 		h.Queue(peer, []autotune.CacheEntry{testEntry(t, 8, order[0])})
 		h.Queue(peer, []autotune.CacheEntry{testEntry(t, 8, order[1]), testEntry(t, 32, 0.007)})
-		if d := h.Depth(peer); d != 2 {
+		if d := len(h.Snapshot()[peer]); d != 2 {
 			t.Fatalf("order %v: depth %d after dedup, want 2", order, d)
 		}
 		got := h.Take(peer)
@@ -62,17 +62,17 @@ func TestHandoffBoundDropsAndCounts(t *testing.T) {
 	h.Queue(peer, []autotune.CacheEntry{
 		testEntry(t, 8, 1), testEntry(t, 16, 1), testEntry(t, 32, 1),
 	})
-	if d := h.Depth(peer); d != 2 {
+	if d := len(h.Snapshot()[peer]); d != 2 {
 		t.Fatalf("depth %d, want bound 2", d)
 	}
 	// Updating a queued key costs no capacity even at the bound.
 	h.Queue(peer, []autotune.CacheEntry{testEntry(t, 8, 2)})
-	if d := h.Depth(peer); d != 2 {
+	if d := len(h.Snapshot()[peer]); d != 2 {
 		t.Fatalf("in-place update changed depth to %d", d)
 	}
 	// Invalid entries are dropped, not queued.
 	h.Queue("other", []autotune.CacheEntry{{Arch: "V100", Kind: "no-such-kind"}})
-	if d := h.Depth("other"); d != 0 {
+	if d := len(h.Snapshot()["other"]); d != 0 {
 		t.Fatalf("invalid entry queued (depth %d)", d)
 	}
 	queued, _, dropped := h.Stats()
@@ -91,7 +91,7 @@ func TestHandoffRequeuePreservesFresherWrites(t *testing.T) {
 	taken := h.Take(peer)
 	h.Queue(peer, []autotune.CacheEntry{testEntry(t, 8, 0.001), testEntry(t, 16, 0.030)}) // mid-replay
 	h.Queue(peer, taken)
-	if d := h.Depth(peer); d != 2 {
+	if d := len(h.Snapshot()[peer]); d != 2 {
 		t.Fatalf("depth %d after the re-park, want 2", d)
 	}
 	for _, e := range h.Take(peer) {
@@ -124,9 +124,9 @@ func TestHandoffSnapshotRestoreRoundTrip(t *testing.T) {
 	for peer, entries := range back {
 		restored.Queue(peer, entries)
 	}
-	if restored.DepthAll() != 3 || restored.Depth("a") != 2 || restored.Depth("b") != 1 {
+	if restored.DepthAll() != 3 || len(restored.Snapshot()["a"]) != 2 || len(restored.Snapshot()["b"]) != 1 {
 		t.Fatalf("restored depths a=%d b=%d total=%d, want 2/1/3",
-			restored.Depth("a"), restored.Depth("b"), restored.DepthAll())
+			len(restored.Snapshot()["a"]), len(restored.Snapshot()["b"]), restored.DepthAll())
 	}
 }
 

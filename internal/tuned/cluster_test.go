@@ -527,7 +527,7 @@ func TestClusterReplicaLossMidSweepZeroClientErrors(t *testing.T) {
 		return !h.servers[secondary].cluster.membership.Up(h.addrs[primary])
 	})
 	waitUntil(t, "handoff queued for the dead primary", func() bool {
-		return h.servers[secondary].cluster.handoff.Depth(h.addrs[primary]) > 0
+		return len(h.servers[secondary].cluster.handoff.Snapshot()[h.addrs[primary]]) > 0
 	})
 
 	// Rejoin: a fresh instance (fresh cache — crash semantics) on the same
@@ -535,7 +535,7 @@ func TestClusterReplicaLossMidSweepZeroClientErrors(t *testing.T) {
 	h.restart(primary)
 	waitUntil(t, "handoff drained to the rejoined primary", func() bool {
 		_, replayed, _ := h.servers[secondary].cluster.handoff.Stats()
-		return replayed > 0 && h.servers[secondary].cluster.handoff.Depth(h.addrs[primary]) == 0
+		return replayed > 0 && len(h.servers[secondary].cluster.handoff.Snapshot()[h.addrs[primary]]) == 0
 	})
 	m := getMetrics(t, h.addrs[secondary])
 	mustContain(t, m, "tuned_handoff_depth 0")
@@ -695,7 +695,7 @@ func TestClusterHandoffPersistsAcrossRestart(t *testing.T) {
 		t.Fatalf("status %d", code)
 	}
 	waitUntil(t, "handoff parked for the dead peer", func() bool {
-		return h.servers[0].cluster.handoff.Depth(h.addrs[1]) > 0
+		return len(h.servers[0].cluster.handoff.Snapshot()[h.addrs[1]]) > 0
 	})
 
 	// Crash-restart A; the handoff file must bring the backlog back.
@@ -704,7 +704,7 @@ func TestClusterHandoffPersistsAcrossRestart(t *testing.T) {
 		t.Fatalf("handoff snapshot not written: %v", err)
 	}
 	h.restart(0)
-	if h.servers[0].cluster.handoff.Depth(h.addrs[1]) == 0 {
+	if len(h.servers[0].cluster.handoff.Snapshot()[h.addrs[1]]) == 0 {
 		t.Fatal("restored replica lost its handoff backlog")
 	}
 
@@ -715,7 +715,7 @@ func TestClusterHandoffPersistsAcrossRestart(t *testing.T) {
 	})
 	h.restart(1)
 	waitUntil(t, "restored handoff drained", func() bool {
-		return h.servers[0].cluster.handoff.Depth(h.addrs[1]) == 0 &&
+		return len(h.servers[0].cluster.handoff.Snapshot()[h.addrs[1]]) == 0 &&
 			h.servers[1].count.mergedEntries.Load() > 0
 	})
 	resp, code := postTune(t, h.addrs[1], desc)

@@ -152,7 +152,7 @@ func TestGoldenStateFilesRestore(t *testing.T) {
 		return srv
 	}
 	clustered := boot(".handoff", goldenHandoffFile, Config{Cluster: goldenCluster()})
-	if depth := clustered.cluster.handoff.Depth(goldenPeer); depth != 1 {
+	if depth := len(clustered.cluster.handoff.Snapshot()[goldenPeer]); depth != 1 {
 		t.Errorf("restored handoff depth %d, want 1", depth)
 	}
 	refining := boot(".refine", goldenRefineFile, Config{Tune: tinyOpts(8, 9), AnalyticOverflow: true})
