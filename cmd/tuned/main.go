@@ -9,7 +9,8 @@
 // Identical in-flight requests collapse into one search, concurrent
 // distinct networks merge into one transfer pool, and SIGTERM flushes the
 // cache (verdicts plus engine state) to -state so the next boot replays
-// instead of re-tuning.
+// instead of re-tuning. With -pprof the runtime profiles are served under
+// /debug/pprof/ as well.
 package main
 
 import (
@@ -18,6 +19,7 @@ import (
 	"flag"
 	"fmt"
 	"net/http"
+	"net/http/pprof"
 	"os"
 	"os/signal"
 	"syscall"
@@ -64,6 +66,7 @@ func main() {
 	flag.StringVar(&f.advertise, "advertise", "", "this replica's address in -peers (required with -peers)")
 	flag.IntVar(&f.replicas, "replicas", 0, "replication factor: owners per request key (default 2, capped at the peer count)")
 	flag.DurationVar(&f.probeInterval, "probe-interval", 0, "peer health-check cadence; backs off exponentially while a peer is down (default 1s)")
+	profile := flag.Bool("pprof", false, "serve the runtime profiles of net/http/pprof under /debug/pprof/")
 	flag.Parse()
 
 	clusterCfg, err := f.validate()
@@ -120,9 +123,13 @@ func main() {
 	if f.requestTimeout > 0 {
 		writeTimeout = f.requestTimeout + time.Minute
 	}
+	var handler http.Handler = srv
+	if *profile {
+		handler = withPprof(srv)
+	}
 	httpSrv := &http.Server{
 		Addr:              *addr,
-		Handler:           srv,
+		Handler:           handler,
 		ReadHeaderTimeout: 10 * time.Second,
 		ReadTimeout:       time.Minute,
 		WriteTimeout:      writeTimeout,
@@ -155,4 +162,17 @@ func main() {
 	if *state != "" {
 		fmt.Printf("tuned: state flushed to %s\n", *state)
 	}
+}
+
+// withPprof serves net/http/pprof's handlers under /debug/pprof/ and hands
+// every other path to h.
+func withPprof(h http.Handler) http.Handler {
+	mux := http.NewServeMux()
+	mux.HandleFunc("/debug/pprof/", pprof.Index)
+	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+	mux.Handle("/", h)
+	return mux
 }

@@ -28,8 +28,11 @@ import (
 // every configuration of the tile, the tiles are visited by ascending bound,
 // and the walk stops at the first tile that cannot place a configuration in
 // the top few — the same ranking a full enumeration yields, for a fraction
-// of the floors. The engine's certificate (Space.minFloor) is the same walk,
-// finding only the minimum floor. An analytic verdict is explicit about its
+// of the floors. It bounds in two levels: a group — one (x, y, z, e) tile at
+// all its Sb values and layouts — gets one floor ≤ its tiles' before any of
+// theirs, and the walk floors a group's tiles only when it reaches the group.
+// The engine's certificate (Space.minFloor) is the same walk, finding only
+// the minimum floor. An analytic verdict is explicit about its
 // provenance: LayerVerdict.Tier says whether a number was measured,
 // estimated, or refined in the background after an estimate was served.
 

@@ -3,6 +3,7 @@ package autotune
 import (
 	"cmp"
 	"math"
+	"slices"
 	"sync"
 
 	"repro/internal/conv"
@@ -69,7 +70,8 @@ const (
 	// (memsim.Arch.RatesBound up to the tile's volume, capped at the 1024
 	// threads a block may have). The launch builders' Blocks and
 	// BandwidthEff read only the tile, Sb and layout, so the result is ≤ the
-	// tight floor of each configuration of the tile (Space.bestFirst).
+	// tight floor of each configuration of the tile (Space.bestFirst, which
+	// also bounds a group of tiles at these rates: walk.groupFloor).
 	tileRates
 )
 
@@ -80,7 +82,11 @@ const (
 // tight one. The result is 0 when no useful bound applies (an empty axis, or
 // a configuration the dataflow cannot launch) and +Inf when the block does
 // not fit the device at all: its measurement can only fail.
-func (sp *Space) floor(c conv.Config, m rates) float64 {
+func (sp *Space) floor(c conv.Config, m rates) float64 { return sp.floorWith(c, m, nil) }
+
+// floorWith is floor over the row terms *ft — floorTerms of c's (Sb, e), or
+// lower ones — or over the space's memoized terms when ft is nil.
+func (sp *Space) floorWith(c conv.Config, m rates, ft *floorTerms) float64 {
 	if m == tileRates {
 		c.ThreadsX, c.ThreadsY, c.ThreadsZ = c.TileX, c.TileY, c.TileZ
 	}
@@ -106,16 +112,21 @@ func (sp *Space) floor(c conv.Config, m rates) float64 {
 	if !ok {
 		return math.Inf(1)
 	}
-	ft := sp.floorTerms(c.SharedPerBlock, c.WinogradE)
+	var t floorTerms
+	if ft != nil {
+		t = *ft
+	} else {
+		t = sp.floorTerms(c.SharedPerBlock, c.WinogradE)
+	}
 	if m == idealRates {
 		r.Hide, r.Eff = 1, 1
 		if !sp.row.flatArith {
-			ft.arith = 0
+			t.arith = 0
 		}
 	}
 	// Fixed launches are costed exactly and every measurement pays them on
 	// top of its tunable launch, so they join the floor as a constant.
-	return sp.Arch.Seconds(r, ft.q*4, 0, ft.arith) + sp.fixedSec
+	return sp.Arch.Seconds(r, t.q*4, 0, t.arith) + sp.fixedSec
 }
 
 // BoundSeconds returns a lower bound (in simulated seconds) on what any
@@ -135,7 +146,9 @@ func (sp *Space) BoundSeconds(c conv.Config) float64 { return sp.floor(c, idealR
 //
 // It is the best-first walk kept to its top 1: it stops at the first tile
 // whose bound is ≥ the running minimum, and inside a kept tile measurable
-// runs only for a configuration that would lower it.
+// runs only for a configuration that would lower it. The walk bounds a whole
+// (x, y, z, e) tile group before its tiles, so a group whose floor is ≥ ub
+// is dropped without a floor of any of its tiles.
 func (sp *Space) minFloor(ub float64) float64 {
 	low := ub
 	sp.bestFirst(ub, func(bound float64, _ conv.Config) bool {
@@ -149,12 +162,15 @@ func (sp *Space) minFloor(ub float64) float64 {
 	return low
 }
 
-// tileBound is one admissible tile of a best-first walk, its axes packed
-// beside its tileRates floor.
+// tileBound is one entry of a best-first walk, its axes packed beside its
+// bound: an admissible tile at its tileRates floor, or, when n > 0, a group
+// not yet expanded — the tiles (x, y, z, e) at the space's n largest Sb values
+// and every layout — at its groupFloor. The fields are cachedConfig's widths
+// (an admissible tile dim is at most Sb); n is at most len(sbs).
 type tileBound struct {
 	bound       float64
-	x, y, z, sb int32
-	lay, e      int32
+	x, y, z, sb int16
+	lay, e, n   int8
 }
 
 func (tb tileBound) config() conv.Config {
@@ -162,11 +178,14 @@ func (tb tileBound) config() conv.Config {
 		SharedPerBlock: int(tb.sb), Layout: tensor.Layout(tb.lay), WinogradE: int(tb.e)}
 }
 
-// compare orders by bound, then as configLess orders the tiles.
+// compare orders by bound, then a group before the tiles of its bound, then
+// as configLess orders the tiles.
 func (tb tileBound) compare(o tileBound) int {
 	switch {
 	case tb.bound != o.bound:
 		return cmp.Compare(tb.bound, o.bound)
+	case tb.n != o.n:
+		return cmp.Compare(o.n, tb.n)
 	case tb.x != o.x:
 		return cmp.Compare(tb.x, o.x)
 	case tb.y != o.y:
@@ -182,42 +201,145 @@ func (tb tileBound) compare(o tileBound) int {
 }
 
 // bestFirst is the floor-ordered walk of the space, the branch and bound
-// under minFloor and the analytic scan. One pass over the admissible tiles
-// records each tile's floor at tileRates — ≤ the tight floor of every
-// configuration of the tile — keeping the tiles whose bound is below ub; it
-// then visits the kept tiles' configurations tile by tile, by ascending bound
-// and, between equal bounds, in configLess order of the tiles. So no tile
-// after one of bound b holds a configuration of tight floor below b, and
-// none at b whose tile dims precede its. Before a tile's thread loops cut is
-// asked with its bound; returning true ends the walk, as does visit
-// returning false.
+// under minFloor and the analytic scan. It visits the admissible tiles whose
+// tileRates floor — ≤ the tight floor of every configuration of the tile —
+// is below ub, tile by tile, by ascending bound and, between equal bounds, in
+// configLess order of the tiles. So no tile after one of bound b holds a
+// configuration of tight floor below b, and none at b whose tile dims
+// precede its. Before a tile's thread loops cut is asked with its bound;
+// returning true ends the walk, as does visit returning false.
 //
-// The walk usually ends long before the last tile, so the tiles are ordered
-// lazily: a min-heap on compare hands them out in sorted order for O(n) to
-// build plus O(log n) per tile visited, not a full sort's O(n log n).
+// The walk usually ends long before the last tile, so it bounds in two
+// levels. A group is one (x, y, z, e) tile at all its admissible Sb values
+// and layouts; one pass over the groups records each group's floor, ≤ every
+// member tile's bound, and drops the groups at or above ub. A min-heap on
+// compare holds the groups and the tiles of the groups expanded so far: a
+// group is expanded into its tiles' bounds when it reaches the head, which
+// it does before any tile of its bound, so a tile is visited only when it is
+// strictly below every group still closed. The tiles thus come out in the
+// order that flooring every tile and sorting would give, while only the
+// groups the walk reaches have their tiles floored.
 func (sp *Space) bestFirst(ub float64, cut func(bound float64, t conv.Config) bool, visit func(conv.Config) bool) {
-	var tiles []tileBound
-	sp.enumerateTiles(func(t conv.Config) bool {
-		if b := sp.floor(t, tileRates); b < ub {
-			tiles = append(tiles, tileBound{bound: b, x: int32(t.TileX), y: int32(t.TileY), z: int32(t.TileZ),
-				sb: int32(t.SharedPerBlock), lay: int32(t.Layout), e: int32(t.WinogradE)})
-		}
-		return true
-	})
-	for i := len(tiles)/2 - 1; i >= 0; i-- {
-		siftTiles(tiles, i)
-	}
+	w := walk{sp: sp, ub: ub}
+	w.groups()
 	divs := sp.tileDivisors() // for this walk only: see Space.divs
-	for len(tiles) > 0 {
-		tb := tiles[0]
+	for len(w.heap) > 0 {
+		tb := w.pop()
+		if tb.n > 0 {
+			w.expand(tb)
+			continue
+		}
 		t := tb.config()
 		if cut(tb.bound, t) || !threadConfigs(divs, t, visit) {
 			return
 		}
-		last := len(tiles) - 1
-		tiles[0] = tiles[last]
-		tiles = tiles[:last]
-		siftTiles(tiles, 0)
+	}
+}
+
+// walk is one best-first walk: its heap and the row terms per tile edge and
+// Sb index, read from the space once so a tile's floor takes no lock.
+type walk struct {
+	sp    *Space
+	ub    float64
+	heap  []tileBound
+	terms [][]floorTerms
+}
+
+// groups fills the heap with the groups whose floor is below ub. A group's
+// Sb values are a prefix of sbs (descending) and a tile's z a prefix of zs
+// (ascending): every constraint of tileAdmissible loosens with Sb and
+// tightens with z, so both loops stop at the first inadmissible value.
+func (w *walk) groups() {
+	sp := w.sp
+	w.terms = make([][]floorTerms, len(sp.row.edges))
+	for ei, e := range sp.row.edges {
+		w.terms[ei] = make([]floorTerms, len(sp.sbs))
+		for si, sb := range sp.sbs {
+			w.terms[ei][si] = sp.floorTerms(sb, e)
+		}
+		for _, x := range sp.xsByE[e] {
+			for _, y := range sp.ysByE[e] {
+				for _, z := range sp.zs {
+					t := conv.Config{TileX: x, TileY: y, TileZ: z, Layout: sp.row.layouts[0], WinogradE: e}
+					n := 0
+					for _, sb := range sp.sbs {
+						if t.SharedPerBlock = sb; !sp.tileAdmissible(t) {
+							break
+						}
+						n++
+					}
+					if n == 0 {
+						break
+					}
+					if b := w.groupFloor(t, ei, n); b < w.ub {
+						w.heap = append(w.heap, tileBound{bound: b, x: int16(x), y: int16(y), z: int16(z),
+							e: int8(e), n: int8(n)})
+					}
+				}
+			}
+		}
+	}
+	for i := len(w.heap)/2 - 1; i >= 0; i-- {
+		siftTiles(w.heap, i)
+	}
+}
+
+// groupFloor is the floor of the group of tile t (edge index ei, Sb over
+// sbs[:n]): the least, over the row's layouts, of the tile's floor at its
+// smallest Sb, where the most blocks are resident (the least Sched, the
+// highest Hide), over the least traffic bound of its Sb values. The launch
+// builders' Blocks and launchable read only the tile, so this is ≤ the
+// tileRates floor of every member tile.
+func (w *walk) groupFloor(t conv.Config, ei, n int) float64 {
+	ft := w.terms[ei][0]
+	for _, o := range w.terms[ei][1:n] {
+		ft.q = min(ft.q, o.q)
+	}
+	t.SharedPerBlock = w.sp.sbs[n-1]
+	b := math.Inf(1)
+	for _, lay := range w.sp.row.layouts {
+		t.Layout = lay
+		b = min(b, w.sp.floorWith(t, tileRates, &ft))
+	}
+	return b
+}
+
+// expand pushes the tiles of group g whose tileRates floor is below ub.
+func (w *walk) expand(g tileBound) {
+	sp := w.sp
+	ei := slices.Index(sp.row.edges, int(g.e))
+	t := g.config()
+	for si, sb := range sp.sbs[:g.n] {
+		t.SharedPerBlock = sb
+		ft := &w.terms[ei][si]
+		for _, lay := range sp.row.layouts {
+			t.Layout = lay
+			if b := sp.floorWith(t, tileRates, ft); b < w.ub {
+				w.push(tileBound{bound: b, x: g.x, y: g.y, z: g.z, sb: int16(sb), lay: int8(lay), e: g.e})
+			}
+		}
+	}
+}
+
+// pop removes and returns the head of the heap.
+func (w *walk) pop() tileBound {
+	top, last := w.heap[0], len(w.heap)-1
+	w.heap[0] = w.heap[last]
+	w.heap = w.heap[:last]
+	siftTiles(w.heap, 0)
+	return top
+}
+
+// push adds tb to the heap.
+func (w *walk) push(tb tileBound) {
+	w.heap = append(w.heap, tb)
+	for i := len(w.heap) - 1; i > 0; {
+		parent := (i - 1) / 2
+		if w.heap[parent].compare(w.heap[i]) <= 0 {
+			return
+		}
+		w.heap[parent], w.heap[i] = w.heap[i], w.heap[parent]
+		i = parent
 	}
 }
 

@@ -354,14 +354,15 @@ func (c *Cache) shardFor(key string) *cacheShard {
 }
 
 // put is the one store behind every writer. It keeps the entry the key holds
-// unless e supersedes it; a rejected put moves no counter, recency or TTL.
-func (c *Cache) put(key string, e CacheEntry) {
+// unless e supersedes it; a rejected put moves no counter, recency or TTL. It
+// returns the entry the key holds after the put.
+func (c *Cache) put(key string, e CacheEntry) CacheEntry {
 	sh := c.shardFor(key)
 	sh.mu.Lock()
 	old, held := sh.entries[key]
 	if held && !e.Supersedes(old) {
 		sh.mu.Unlock()
-		return
+		return old
 	}
 	e.Curve = nil // derived from Rows; MarshalJSON rebuilds it
 	if cap(e.Rows) > len(e.Rows) {
@@ -382,6 +383,7 @@ func (c *Cache) put(key string, e CacheEntry) {
 	c.writes.Add(1)
 	c.bytes.Add(size)
 	c.enforce()
+	return e
 }
 
 // Supersedes reports whether e replaces old, an entry of the same key, in a
@@ -481,6 +483,11 @@ func (c *Cache) Put(archName string, kind Kind, s shapes.ConvShape, cfg conv.Con
 // higher budget (TuneResumed) and contributes to TuneNetwork's transfer
 // pool when the cache is reloaded.
 func (c *Cache) PutTrace(archName string, kind Kind, s shapes.ConvShape, tr *Trace) {
+	c.put(cacheKey(archName, kind, s), traceEntry(archName, kind, s, tr))
+}
+
+// traceEntry is the state-carrying entry of a tuning outcome.
+func traceEntry(archName string, kind Kind, s shapes.ConvShape, tr *Trace) CacheEntry {
 	e := CacheEntry{
 		Arch: archName, Kind: kind.String(),
 		Shape:   shapeToCached(s),
@@ -498,7 +505,7 @@ func (c *Cache) PutTrace(archName string, kind Kind, s shapes.ConvShape, tr *Tra
 				Seconds: h.M.Seconds, GFLOPS: h.M.GFLOPS, OK: h.OK}
 		}
 	}
-	c.put(cacheKey(archName, kind, s), e)
+	return e
 }
 
 // Get retrieves a cached outcome, if any. The lookup allocates nothing.
@@ -1009,7 +1016,9 @@ func convergedAt(curve []float64) int {
 // re-enters the engine warm instead of short-circuiting — the one place a
 // persisted history is replayed. A search cut short by ctx still persists
 // its trace — at its honest budget — so a repeat resume request continues
-// it.
+// it. A run whose put loses to an entry that arrived for its key meanwhile
+// answers that entry's verdict, it and its waiters alike, and keeps its own
+// trace for the transfer pool.
 func tuneShared(ctx context.Context, cache *Cache, sp *Space, measure FallibleMeasurer, opts Options, resume bool) (out searchOutcome, shared bool) {
 	opts = opts.normalized()
 	// satisfied asks the coverage predicate. The persisted rows are decoded
@@ -1051,8 +1060,11 @@ func tuneShared(ctx context.Context, cache *Cache, sp *Space, measure FallibleMe
 	}
 	tr, err := TuneFallible(ctx, sp, measure, opts)
 	if err == nil {
-		call.searchOutcome = searchOutcome{cfg: tr.Best, m: tr.BestM, trace: tr}
-		cache.PutTrace(sp.Arch.Name, sp.Kind, sp.Shape, tr)
+		// A better entry may have reached the key while the search ran (a
+		// replication push): the put keeps it, and the run answers it too.
+		held := cache.put(key, traceEntry(sp.Arch.Name, sp.Kind, sp.Shape, tr))
+		call.searchOutcome = searchOutcome{trace: tr}
+		call.cfg, call.m = held.verdict()
 	}
 	call.err = err
 	close(call.done)

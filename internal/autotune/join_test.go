@@ -8,10 +8,12 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
+	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/conv"
+	"repro/internal/shapes"
 )
 
 // joinGen draws cache entries of a few keys from small value pools, so that
@@ -348,5 +350,55 @@ func joinWrite(t *testing.T, c *Cache, ingress int, entries []CacheEntry) {
 			}
 			c.PutTrace(e.Arch, kind, e.Shape.shape(), traceOf(e))
 		}
+	}
+}
+
+// A search that misses the cache and then loses its put to a better entry
+// that reached the key while it ran — here a replication push of the
+// space's optimum — answers the entry the cache holds, while the sweep keeps
+// the run's own trace for the transfer pool.
+func TestSearchAnswersTheEntryItLostTo(t *testing.T) {
+	s := layer()
+	sp, err := NewSpace(s, arch, Direct, 0, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mm := NewMemoMeasure(arch, s, Direct)
+	var best conv.Config
+	bestM := Measurement{Seconds: math.Inf(1)}
+	sp.enumerate(func(c conv.Config) bool {
+		if m, ok := mm.Measure(c); ok && m.Seconds < bestM.Seconds {
+			best, bestM = c, m
+		}
+		return true
+	})
+	cache := NewCache()
+	var push sync.Once
+	opts := NetworkOptions{Tune: smallOpts(12, 3)}
+	opts.WrapMeasurer = func(_ Kind, _ shapes.ConvShape, measure Measurer) FallibleMeasurer {
+		return func(c conv.Config) (Measurement, bool, error) {
+			push.Do(func() {
+				err = cache.PutEntries([]CacheEntry{{Arch: arch.Name, Kind: Direct.String(), Shape: shapeToCached(s),
+					Config: configToCached(best), Seconds: bestM.Seconds, GFLOPS: bestM.GFLOPS}})
+			})
+			m, ok := measure(c)
+			return m, ok, nil
+		}
+	}
+	verdicts, searches, terr := TuneNetworkTraces(arch, []NetworkLayer{{Name: "conv", Shape: s, Repeat: 1}}, cache, opts)
+	if terr != nil || err != nil {
+		t.Fatal(terr, err)
+	}
+	if len(searches) != 1 || len(searches[0].History) == 0 {
+		t.Fatalf("%d searches ran, want 1 with its history", len(searches))
+	}
+	if run := searches[0].BestM; run.Seconds <= bestM.Seconds {
+		t.Fatalf("the run found %v itself, the pushed optimum %v: the race is vacuous", run.Seconds, bestM.Seconds)
+	}
+	if v := verdicts[0]; v.Config != best || v.M != bestM {
+		t.Fatalf("verdict %v at %v, want the held optimum %v at %v", v.Config, v.M, best, bestM)
+	}
+	if cfg, m, ok := cache.Get(arch.Name, Direct, s); !ok || cfg != best || m != bestM {
+		t.Fatalf("cache holds %v at %v, want the optimum %v at %v", cfg, m, best, bestM)
 	}
 }

@@ -278,3 +278,53 @@ func TestSizeCached(t *testing.T) {
 		t.Fatalf("cached Size %d != enumerated %d", a, n)
 	}
 }
+
+// Where the Winograd floor's slack lies: at the enumerated Winograd optimum
+// of each ResNet-18 3×3 shape that admits it on V100, the measured shared
+// term is never the largest, so a shared-traffic bound (the theorem one
+// level down) would not raise the floor there. The slack is in the traffic
+// and arithmetic terms, which the test logs beside the floor's.
+func TestWinogradSlackIsNotShared(t *testing.T) {
+	probed := 0
+	for _, l := range resnet18Layers() {
+		s := l.Shape
+		if s.Hker != 3 || !s.WinogradOK() {
+			continue
+		}
+		sp, err := NewSpace(s, memsim.V100, Winograd, 0, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mm := NewMemoMeasure(sp.Arch, s, Winograd)
+		var best conv.Config
+		bestSec := math.Inf(1)
+		sp.enumerate(func(c conv.Config) bool {
+			if m, ok := mm.Measure(c); ok && m.Seconds < bestSec {
+				best, bestSec = c, m.Seconds
+			}
+			return true
+		})
+		counts, launch, _, err := Winograd.Phase(sp.Arch, s, best)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b := sp.Arch.Explain(counts, launch)
+		r, ok := sp.Arch.Rates(launch)
+		if !ok {
+			t.Fatalf("%v: optimum %v cannot launch", s, best)
+		}
+		ft := sp.floorTerms(best.SharedPerBlock, best.WinogradE)
+		traffic := ft.q * 4 / (sp.Arch.BandwidthGBs * 1e9 * r.Eff)
+		arith := ft.arith / (sp.Arch.PeakGFLOPS * 1e9 * r.Hide)
+		t.Logf("%v at %v: measured %.3g µs (global %.3g, shared %.3g, compute %.3g, sched %.3g); floor %.3g µs (traffic %.3g, arithmetic %.3g)",
+			s, best, b.Total*1e6, b.Global*1e6, b.Shared*1e6, b.Compute*1e6, b.Overhead*1e6,
+			sp.analyticFloor(best)*1e6, traffic*1e6, arith*1e6)
+		if b.Shared >= max(b.Global, b.Compute) {
+			t.Errorf("%v: the shared term %v is the largest at the optimum %v (%v)", s, b.Shared, best, b)
+		}
+		probed++
+	}
+	if probed == 0 {
+		t.Fatal("no shape probed: the property is vacuous")
+	}
+}
