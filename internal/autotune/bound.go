@@ -220,7 +220,12 @@ func (tb tileBound) compare(o tileBound) int {
 // order that flooring every tile and sorting would give, while only the
 // groups the walk reaches have their tiles floored.
 func (sp *Space) bestFirst(ub float64, cut func(bound float64, t conv.Config) bool, visit func(conv.Config) bool) {
-	w := walk{sp: sp, ub: ub}
+	heap := walkHeaps.Get().(*[]tileBound)
+	w := walk{sp: sp, ub: ub, heap: (*heap)[:0]}
+	defer func() {
+		*heap = w.heap[:0]
+		walkHeaps.Put(heap)
+	}()
 	w.groups()
 	divs := sp.tileDivisors() // for this walk only: see Space.divs
 	for len(w.heap) > 0 {
@@ -235,6 +240,11 @@ func (sp *Space) bestFirst(ub float64, cut func(bound float64, t conv.Config) bo
 		}
 	}
 }
+
+// walkHeaps recycles the walks' heaps. A walk owns its heap from its start
+// to its end — the analytic tier fans scans of one space across goroutines,
+// so a heap cannot live on the space — and hands it back emptied.
+var walkHeaps = sync.Pool{New: func() any { return new([]tileBound) }}
 
 // walk is one best-first walk: its heap and the row terms per tile edge and
 // Sb index, read from the space once so a tile's floor takes no lock.

@@ -899,11 +899,18 @@ func TuneCached(cache *Cache, sp *Space, measure Measurer, opts Options) (conv.C
 // (even if patience retired it below that, re-running would only re-prove
 // staleness), or the entry is verdict-only with nothing to continue from.
 // Concurrent calls for one key share one run and its trace, which they
-// must treat as read-only.
+// must treat as read-only. A run answers the entry the cache holds after
+// it, as TuneCached does: when a better entry reached the key while it ran,
+// the trace returned is a copy of the run's with that entry's verdict.
 func TuneResumed(cache *Cache, sp *Space, measure Measurer, opts Options) (*Trace, error) {
 	out, _ := tuneShared(context.Background(), cache, sp, LiftMeasurer(measure), opts, true)
-	if out.err != nil || out.trace != nil {
-		return out.trace, out.err
+	if out.err != nil {
+		return nil, out.err
+	}
+	if out.trace != nil {
+		tr := *out.trace
+		tr.Best, tr.BestM = out.cfg, out.m
+		return &tr, nil
 	}
 	tr := &Trace{Method: "ate", Best: out.cfg, BestM: out.m}
 	// The entry that covered the request carries the rest; only an eviction

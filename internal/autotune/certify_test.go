@@ -198,43 +198,61 @@ func TestCertificateNeverFiresOverAnUnboundedConfig(t *testing.T) {
 }
 
 // gapCase is a search that stops on the gap: a cold direct one, whose
-// reference is its own incumbent, and an implicit-GEMM one of another layer
+// reference is its own incumbent; an implicit-GEMM one of another layer
 // given that layer's direct verdict, which it cannot approach, as its
-// reference (without it the search runs on to Patience).
+// reference (without it the search runs on to Patience); and the Direct
+// search of a Winograd-led layer given the layer's Winograd verdict, which
+// lies below every floor of Direct's space, so the waiver stops it on its own
+// incumbent's proof before it goes stale (without it, it runs on to the
+// certificate).
 type gapCase struct {
-	name string
-	sp   *Space
-	mm   Measurer
-	opts Options
-	ref  float64 // the layer reference, 0 for none
+	name   string
+	sp     *Space
+	mm     Measurer
+	opts   Options
+	ref    float64 // the layer reference, 0 for none
+	waived bool    // the stop must be the waiver's
 }
+
+// fixedLead is a layer lead whose verdict is known from the start.
+type fixedLead float64
+
+func (l fixedLead) final(float64) float64 { return float64(l) }
+func (l fixedLead) after(int) float64     { return float64(l) }
 
 func gapCases(t *testing.T) []gapCase {
 	t.Helper()
 	layers := resnet18Layers()
-	search := func(s shapes.ConvShape, kind Kind, layerRef float64) gapCase {
+	search := func(s shapes.ConvShape, kind Kind, lead float64) gapCase {
 		sp, err := NewSpace(s, arch, kind, 0, true)
 		if err != nil {
 			t.Fatal(err)
 		}
 		opts := DefaultOptions()
 		opts.Seed = 2
-		if layerRef > 0 {
-			opts.layerRef = func(float64) float64 { return layerRef }
+		if lead > 0 {
+			opts.lead = fixedLead(lead)
 		}
-		return gapCase{fmt.Sprintf("%s %v", kind, s), sp, KindMeasurer(arch, s, kind), opts, layerRef}
+		return gapCase{name: fmt.Sprintf("%s %v", kind, s), sp: sp, mm: KindMeasurer(arch, s, kind), opts: opts, ref: lead}
 	}
-	direct := search(layers[0].Shape, Direct, 0)
-	ref, err := Tune(direct.sp, direct.mm, direct.opts)
-	if err != nil {
-		t.Fatal(err)
+	verdict := func(c gapCase) float64 {
+		tr, err := Tune(c.sp, c.mm, c.opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return tr.BestM.Seconds
 	}
-	return []gapCase{search(layers[6].Shape, Direct, 0), search(layers[0].Shape, ImplicitGEMM, ref.BestM.Seconds)}
+	stage2 := layers[4].Shape
+	led := search(stage2, Direct, verdict(search(stage2, Winograd, 0)))
+	led.waived = true
+	return []gapCase{search(layers[6].Shape, Direct, 0),
+		search(layers[0].Shape, ImplicitGEMM, verdict(search(layers[0].Shape, Direct, 0))), led}
 }
 
 // The gap stop is a bound-guided stop: it records the lower of the
-// incumbent and the layer reference, and a bound-blind run (NoPrune) never
-// stops on it, on searches where the guided run does.
+// incumbent and the layer reference — the incumbent alone on a waived stop —
+// and a bound-blind run (NoPrune) never stops on it, on searches where the
+// guided run does.
 func TestGapNeverFiresUnderNoPrune(t *testing.T) {
 	for _, c := range gapCases(t) {
 		guided, err := Tune(c.sp, c.mm, c.opts)
@@ -242,18 +260,19 @@ func TestGapNeverFiresUnderNoPrune(t *testing.T) {
 			t.Fatal(err)
 		}
 		r := guided.BestM.Seconds
-		if c.ref > 0 {
+		if c.ref > 0 && !c.waived {
 			r = min(r, c.ref)
 		}
-		if guided.Stop != StopGap || guided.GapRef != r {
-			t.Errorf("%s: guided stopped on %v against %v, want gap against %v", c.name, guided.Stop, guided.GapRef, r)
+		if guided.Stop != StopGap || guided.GapRef != r || guided.Waived != c.waived {
+			t.Errorf("%s: guided stopped on %v against %v (waived %t), want gap against %v (waived %t)",
+				c.name, guided.Stop, guided.GapRef, guided.Waived, r, c.waived)
 		}
 		c.opts.NoPrune = true
 		blind, err := Tune(c.sp, c.mm, c.opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if blind.Stop == StopGap || blind.GapRef != 0 || blind.Measurements <= guided.Measurements {
+		if blind.Stop == StopGap || blind.GapRef != 0 || blind.Waived || blind.Measurements <= guided.Measurements {
 			t.Errorf("%s: NoPrune stopped on %v against %v after %d measurements, guided after %d",
 				c.name, blind.Stop, blind.GapRef, blind.Measurements, guided.Measurements)
 		}
@@ -268,8 +287,8 @@ func TestGapStopDeterministicAcrossWorkers(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if ref.Stop != StopGap {
-			t.Fatalf("%s: stopped on %v, want gap", c.name, ref.Stop)
+		if ref.Stop != StopGap || ref.Waived != c.waived {
+			t.Fatalf("%s: stopped on %v (waived %t), want gap (waived %t)", c.name, ref.Stop, ref.Waived, c.waived)
 		}
 		for _, workers := range []int{4, 9} {
 			o := c.opts
@@ -283,5 +302,31 @@ func TestGapStopDeterministicAcrossWorkers(t *testing.T) {
 					c.name, workers, tr.Stop, tr.Measurements, tr.GapRef, ref.Stop, ref.Measurements, ref.GapRef)
 			}
 		}
+	}
+}
+
+// The waiver, like the rest of the gap stop, needs an incumbent: a follower
+// whose first measurements all fail goes on measuring instead of stopping on
+// a proof against no verdict.
+func TestWaiverWaitsForAnIncumbent(t *testing.T) {
+	c := gapCases(t)[2]
+	if !c.waived {
+		t.Fatal("the third gap case is not the waived one")
+	}
+	failed := 0
+	measure := func(cfg conv.Config) (Measurement, bool) {
+		if failed < 40 {
+			failed++
+			return Measurement{}, false
+		}
+		return c.mm(cfg)
+	}
+	tr, err := Tune(c.sp, measure, c.opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tr.Measurements <= failed || tr.Stop != StopGap || !(tr.GapRef > 0) {
+		t.Errorf("stopped on %v against %v after %d measurements, %d failed; want a gap stop on a verdict",
+			tr.Stop, tr.GapRef, tr.Measurements, failed)
 	}
 }

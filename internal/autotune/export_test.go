@@ -13,10 +13,13 @@ import (
 	"repro/internal/shapes"
 )
 
-// SearchTrace is one search a sweep ran: its space and its trace.
+// SearchTrace is one search a sweep ran: its space and its trace, and for a
+// follower the final verdict of its layer's lead (+Inf where that failed; 0
+// on a lead).
 type SearchTrace struct {
 	*Trace
 	Space *Space
+	Lead  float64
 }
 
 // TuneNetworkTraces is TuneNetwork that also hands back the searches the
@@ -32,7 +35,14 @@ func TuneNetworkTraces(arch memsim.Arch, layers []NetworkLayer, cache *Cache, op
 	var searches []SearchTrace
 	for _, t := range plan.tasks {
 		if !t.shared && t.trace != nil {
-			searches = append(searches, SearchTrace{t.trace, t.sp})
+			s := SearchTrace{Trace: t.trace, Space: t.sp}
+			if lead := plan.lead(t.owner); lead != t {
+				s.Lead = math.Inf(1)
+				if lead.err == nil {
+					s.Lead = lead.m.Seconds
+				}
+			}
+			searches = append(searches, s)
 		}
 	}
 	verdicts, err := plan.chooseKinds(opts)

@@ -311,3 +311,32 @@ func TestCachedSweepCostIndependentOfCacheSize(t *testing.T) {
 		t.Errorf("all-hit ResNet-18 sweep: %.0f allocs, ceiling %d", crowded, hitAllocsCeiling)
 	}
 }
+
+// A Winograd lead whose search fails leaves its Direct follower no waiver:
+// the follower reads no lead verdict and runs the search it runs where
+// Winograd is not asked for. (At seed 0 a follower that read the failed
+// search's zero verdict would be waived and stop on the gap after 33
+// measurements; alone it is certified after 81.)
+func TestFailedLeadGivesNoWaiver(t *testing.T) {
+	layers := []autotune.NetworkLayer{deadWinogradLayer}
+	direct := func(opts autotune.NetworkOptions) autotune.SearchTrace {
+		t.Helper()
+		opts.Tune = autotune.DefaultOptions()
+		opts.Tune.Seed = 0
+		_, searches, err := autotune.TuneNetworkTraces(laneArch, layers, autotune.NewCache(), opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(searches) != 1 || searches[0].Space.Kind != autotune.Direct {
+			t.Fatalf("%d searches ran, want the Direct one alone", len(searches))
+		}
+		return searches[0]
+	}
+	led := direct(autotune.NetworkOptions{Winograd: true, WrapMeasurer: killWinograd})
+	alone := direct(autotune.NetworkOptions{})
+	if led.Waived || led.Stop != alone.Stop || led.Measurements != alone.Measurements ||
+		led.BestM != alone.BestM || led.GapRef != alone.GapRef {
+		t.Errorf("after a failed Winograd lead Direct stopped on %v after %d against %v (waived %t), alone on %v after %d against %v",
+			led.Stop, led.Measurements, led.GapRef, led.Waived, alone.Stop, alone.Measurements, alone.GapRef)
+	}
+}

@@ -353,34 +353,37 @@ func joinWrite(t *testing.T, c *Cache, ingress int, entries []CacheEntry) {
 	}
 }
 
+// layerOptimum is the enumerated optimum of layer()'s Direct space and the
+// entry that holds it.
+func layerOptimum(t *testing.T) (best conv.Config, bestM Measurement, e CacheEntry) {
+	t.Helper()
+	s := layer()
+	mm := NewMemoMeasure(arch, s, Direct)
+	bestM = Measurement{Seconds: math.Inf(1)}
+	mustSpace(t, true).enumerate(func(c conv.Config) bool {
+		if m, ok := mm.Measure(c); ok && m.Seconds < bestM.Seconds {
+			best, bestM = c, m
+		}
+		return true
+	})
+	return best, bestM, CacheEntry{Arch: arch.Name, Kind: Direct.String(), Shape: shapeToCached(s),
+		Config: configToCached(best), Seconds: bestM.Seconds, GFLOPS: bestM.GFLOPS}
+}
+
 // A search that misses the cache and then loses its put to a better entry
 // that reached the key while it ran — here a replication push of the
 // space's optimum — answers the entry the cache holds, while the sweep keeps
 // the run's own trace for the transfer pool.
 func TestSearchAnswersTheEntryItLostTo(t *testing.T) {
 	s := layer()
-	sp, err := NewSpace(s, arch, Direct, 0, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mm := NewMemoMeasure(arch, s, Direct)
-	var best conv.Config
-	bestM := Measurement{Seconds: math.Inf(1)}
-	sp.enumerate(func(c conv.Config) bool {
-		if m, ok := mm.Measure(c); ok && m.Seconds < bestM.Seconds {
-			best, bestM = c, m
-		}
-		return true
-	})
+	best, bestM, optimum := layerOptimum(t)
 	cache := NewCache()
 	var push sync.Once
+	var err error
 	opts := NetworkOptions{Tune: smallOpts(12, 3)}
 	opts.WrapMeasurer = func(_ Kind, _ shapes.ConvShape, measure Measurer) FallibleMeasurer {
 		return func(c conv.Config) (Measurement, bool, error) {
-			push.Do(func() {
-				err = cache.PutEntries([]CacheEntry{{Arch: arch.Name, Kind: Direct.String(), Shape: shapeToCached(s),
-					Config: configToCached(best), Seconds: bestM.Seconds, GFLOPS: bestM.GFLOPS}})
-			})
+			push.Do(func() { err = cache.PutEntries([]CacheEntry{optimum}) })
 			m, ok := measure(c)
 			return m, ok, nil
 		}
@@ -397,6 +400,44 @@ func TestSearchAnswersTheEntryItLostTo(t *testing.T) {
 	}
 	if v := verdicts[0]; v.Config != best || v.M != bestM {
 		t.Fatalf("verdict %v at %v, want the held optimum %v at %v", v.Config, v.M, best, bestM)
+	}
+	if cfg, m, ok := cache.Get(arch.Name, Direct, s); !ok || cfg != best || m != bestM {
+		t.Fatalf("cache holds %v at %v, want the optimum %v at %v", cfg, m, best, bestM)
+	}
+}
+
+// TuneResumed answers the held entry too: after a lost put its trace carries
+// the held verdict beside the run's own measurements.
+func TestResumedSearchAnswersTheEntryItLostTo(t *testing.T) {
+	s := layer()
+	best, bestM, optimum := layerOptimum(t)
+	cache := NewCache()
+	var push sync.Once
+	var err error
+	plain := NewMemoMeasure(arch, s, Direct).Measure
+	measure := func(c conv.Config) (Measurement, bool) {
+		push.Do(func() { err = cache.PutEntries([]CacheEntry{optimum}) })
+		return plain(c)
+	}
+	sp := mustSpace(t, true)
+	tr, terr := TuneResumed(cache, sp, measure, smallOpts(12, 3))
+	if terr != nil || err != nil {
+		t.Fatal(terr, err)
+	}
+	if tr.Best != best || tr.BestM != bestM {
+		t.Fatalf("TuneResumed answered %v at %v, want the held optimum %v at %v", tr.Best, tr.BestM, best, bestM)
+	}
+	if len(tr.History) != 12 || tr.Measurements != 12 {
+		t.Fatalf("trace has %d rows over %d measurements, want the run's 12", len(tr.History), tr.Measurements)
+	}
+	run := math.Inf(1)
+	for _, h := range tr.History {
+		if h.OK {
+			run = min(run, h.M.Seconds)
+		}
+	}
+	if run <= bestM.Seconds {
+		t.Fatalf("the run found %v itself, the pushed optimum %v: the race is vacuous", run, bestM.Seconds)
 	}
 	if cfg, m, ok := cache.Get(arch.Name, Direct, s); !ok || cfg != best || m != bestM {
 		t.Fatalf("cache holds %v at %v, want the optimum %v at %v", cfg, m, best, bestM)

@@ -29,9 +29,10 @@ import (
 // residual over the I/O-bound floor on its own rows. The schedule is two
 // deterministic waves — one representative search per family runs cold,
 // then everything else runs warm off the frozen pool — so verdicts stay
-// bit-identical for any worker count. It runs twice, side by side: over
-// every layer's Direct search and over the other kinds, whose gap stop (see
-// Tune) measures against the Direct verdict of their layer. A cache file
+// bit-identical for any worker count. It runs once per kind, side by side:
+// each layer's lead search — its Winograd one where it has one, its Direct
+// one otherwise — waits on nothing, and its other searches' gap stop (see
+// Tune) measures against the lead's verdict. A cache file
 // saved with engine state (PutTrace) rebuilds the pool on load, in which
 // case already-covered families skip their cold wave.
 
@@ -138,9 +139,113 @@ type netTask struct {
 	sp    *Space
 	searchOutcome
 	shared bool // the outcome came without running a search here
-	// done, on a live Direct task, is closed once its outcome is set: the
-	// layer's other kinds read their gap stop's reference from it.
-	done chan struct{}
+	// On a live lead task (sweepPlan.lead), what the layer's followers
+	// read for their gap stop: done is closed once the outcome is set, and
+	// bookings, under mu, hold the incumbent after each booking of its run;
+	// more is closed and replaced at each.
+	done     chan struct{}
+	mu       sync.Mutex
+	bookings []booking
+	more     chan struct{}
+}
+
+// booking is a lead's trace after one booking of measurements: its
+// measurement count and its incumbent's seconds.
+type booking struct {
+	n    int
+	best float64
+}
+
+// book publishes a booking of the lead's run (Options.booked).
+func (t *netTask) book(n int, best float64) {
+	t.mu.Lock()
+	t.bookings = append(t.bookings, booking{n, best})
+	close(t.more)
+	t.more = make(chan struct{})
+	t.mu.Unlock()
+}
+
+// at returns the lead's incumbent after its last booking of at most n
+// measurements, settled where a booking at or past n shows no later one can
+// move it; otherwise more signals the next booking.
+func (t *netTask) at(n int) (best float64, settled bool, more <-chan struct{}) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	best = math.Inf(1)
+	for _, b := range t.bookings {
+		if b.n > n {
+			return best, true, nil
+		}
+		if best = b.best; b.n == n {
+			return best, true, nil
+		}
+	}
+	return best, false, t.more
+}
+
+// verdict is a finished task's verdict seconds, +Inf where it failed.
+func (t *netTask) verdict() float64 {
+	if t.err != nil {
+		return math.Inf(1)
+	}
+	return t.m.Seconds
+}
+
+// follower is a search's view of its layer's lead in a sweep (layerLead).
+// It waits for the lead with its worker slot handed back, so a sweep of any
+// worker count finishes: a lead waits on nothing.
+type follower struct {
+	lead  *netTask
+	slots chan struct{}
+}
+
+func (f follower) final(below float64) float64 {
+	if !closed(f.lead.done) {
+		// The lead's verdict is a measurement, at or above its tight floor:
+		// where no floor of its space lies below, neither can the verdict,
+		// and a running lead is not waited for.
+		if f.lead.sp.minFloor(below) >= below {
+			return math.Inf(1)
+		}
+		f.wait(nil)
+	}
+	return f.lead.verdict()
+}
+
+func (f follower) after(n int) float64 {
+	for {
+		// done is read first: once it is closed every booking is in, and
+		// none at or past n means the lead stopped short of n.
+		finished := closed(f.lead.done)
+		best, settled, more := f.lead.at(n)
+		switch {
+		case settled:
+			return best
+		case finished:
+			return f.lead.verdict()
+		}
+		f.wait(more)
+	}
+}
+
+// closed reports whether ch is closed.
+func closed(ch <-chan struct{}) bool {
+	select {
+	case <-ch:
+		return true
+	default:
+		return false
+	}
+}
+
+// wait blocks until more signals or the lead is done, its slot handed back.
+func (f follower) wait(more <-chan struct{}) {
+	<-f.slots
+	select {
+	case <-more:
+	case <-f.lead.done:
+	}
+	f.slots <- struct{}{}
 }
 
 // sweepPlan is a network request reduced to the work behind it: the distinct
@@ -373,9 +478,9 @@ func (p sweepPlan) run(ctx context.Context, cache *Cache, opts NetworkOptions) e
 		return err
 	}
 
-	// slots holds the two schedules below to workers searches at a time
-	// between them; a search waiting for its layer's Direct verdict gives
-	// its slot back while it waits.
+	// slots holds the schedules below to workers searches at a time between
+	// them; a follower waiting for its lead gives its slot back while it
+	// waits.
 	slots := make(chan struct{}, workers)
 	run := func(idxs []int, pool *transferPool) {
 		fanIndexed(len(idxs), workers, func(j int) {
@@ -386,30 +491,11 @@ func (p sweepPlan) run(ctx context.Context, cache *Cache, opts NetworkOptions) e
 			if pool != nil {
 				to.warm = pool.warmFor(familyOf(t.Kind, t.Shape))
 			}
-			if t.Kind == Direct {
+			if lead := p.lead(t.owner); lead == t {
 				defer close(t.done)
+				to.booked = t.book
 			} else {
-				d := tasks[p.tasksOf[t.owner][0]]
-				to.layerRef = func(below float64) float64 {
-					select {
-					case <-d.done:
-					default:
-						// The Direct verdict is a measurement, at or above
-						// its tight floor: where no floor of its space lies
-						// below, neither can the verdict, and a running
-						// search is not waited for.
-						if d.sp.minFloor(below) >= below {
-							return math.Inf(1)
-						}
-						<-slots
-						<-d.done
-						slots <- struct{}{}
-					}
-					if d.err != nil {
-						return math.Inf(1)
-					}
-					return d.m.Seconds
-				}
+				to.lead = follower{lead, slots}
 			}
 			plain := NewMemoMeasure(arch, t.Shape, t.Kind).Measure
 			measure := LiftMeasurer(plain)
@@ -452,31 +538,47 @@ func (p sweepPlan) run(ctx context.Context, cache *Cache, opts NetworkOptions) e
 		run(wave1, pool)
 	}
 
-	// The schedule runs twice, side by side: over the Direct searches and
-	// over the rest. A non-Direct search's gap stop measures against its
-	// layer's final Direct verdict and waits for it when that could prove
-	// the gap (Options.layerRef); a Direct search waits on nothing, so the
-	// Direct schedule always finishes, and the reference is the same
-	// whatever the timing. Pool families are per kind, so the split builds
-	// every pool as one schedule over all of live would.
-	var direct, rest []int
+	// The schedule runs once per kind, side by side. Each layer has one
+	// lead search, which waits on nothing; every other search of the layer
+	// is a follower, whose gap stop reads the lead's progress and final
+	// verdict and waits for them (Options.lead), so what it reads is the
+	// same whatever the timing. A lead is a Winograd search or a Direct
+	// one, and a Direct search follows only a Winograd one: the Winograd
+	// schedule always finishes, then the Direct one, then the rest. Pool
+	// families are per kind, so the split builds every pool as one schedule
+	// over all of live would.
+	var byKind [len(kindTable)][]int
 	for _, i := range live {
-		if t := tasks[i]; t.Kind == Direct {
-			t.done = make(chan struct{})
-			direct = append(direct, i)
-		} else {
-			rest = append(rest, i)
+		t := tasks[i]
+		if p.lead(t.owner) == t {
+			t.done, t.more = make(chan struct{}), make(chan struct{})
 		}
+		byKind[t.Kind] = append(byKind[t.Kind], i)
 	}
 	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		schedule(direct)
-	}()
-	schedule(rest)
+	for _, idxs := range byKind {
+		if len(idxs) > 0 {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				schedule(idxs)
+			}()
+		}
+	}
 	wg.Wait()
 	return nil
+}
+
+// lead is layer i's lead search: its Winograd search where that has a space,
+// and its Direct search otherwise. Layers that share a search share their
+// candidate kinds, so a search leads every layer it serves or none.
+func (p sweepPlan) lead(i int) *netTask {
+	for _, ti := range p.tasksOf[i][1:] {
+		if t := p.tasks[ti]; t.Kind == Winograd && t.sp != nil {
+			return t
+		}
+	}
+	return p.tasks[p.tasksOf[i][0]]
 }
 
 // spaces builds every task's space and returns the indexes of the tasks that

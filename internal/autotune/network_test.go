@@ -179,20 +179,22 @@ func TestChooseKindsSkipsSpacelessTask(t *testing.T) {
 	}
 }
 
-// A non-Direct search whose gap only its layer's Direct verdict can prove
-// waits for that verdict, giving its worker slot back while it waits, so a
-// sweep of one worker still finishes; and the traces are those of any other
-// timing. A slowed Direct measurer makes the implicit-GEMM search reach its
-// gap question first.
-func TestGapWaitsForTheDirectVerdict(t *testing.T) {
-	s := resnet18Layers()[0].Shape
-	layers := []NetworkLayer{{Name: "conv0", Shape: s, Repeat: 1}}
+// A follower whose gap only its layer's lead verdict can prove waits for
+// that verdict, giving its worker slot back while it waits, so a sweep of
+// one worker still finishes; and the traces are those of any other timing.
+// Slowed lead measurers make the followers reach their first gap check
+// first: conv0's implicit-GEMM search follows its Direct lead and stops on
+// the gap against the Direct verdict; stage2's Direct search follows its
+// Winograd lead and stops on the waiver.
+func TestGapWaitsForTheLeadVerdict(t *testing.T) {
+	conv0, stage2 := resnet18Layers()[0].Shape, resnet18Layers()[4].Shape
+	layers := []NetworkLayer{{Name: "conv0", Shape: conv0, Repeat: 1}, {Name: "stage2", Shape: stage2, Repeat: 1}}
 	tune := DefaultOptions()
 	tune.Seed = 2
-	sweep := func(workers int, slowDirect bool) (direct, igemm *Trace) {
-		opts := NetworkOptions{Tune: tune, Workers: workers, Kinds: []Kind{ImplicitGEMM},
-			WrapMeasurer: func(k Kind, _ shapes.ConvShape, m Measurer) FallibleMeasurer {
-				if k == Direct && slowDirect {
+	sweep := func(workers int, slowLeads bool) []*Trace {
+		opts := NetworkOptions{Tune: tune, Workers: workers, Winograd: true, Kinds: []Kind{ImplicitGEMM},
+			WrapMeasurer: func(k Kind, s shapes.ConvShape, m Measurer) FallibleMeasurer {
+				if slowLeads && (k == Winograd || k == Direct && s == conv0) {
 					return LiftMeasurer(func(c conv.Config) (Measurement, bool) {
 						time.Sleep(time.Millisecond)
 						return m(c)
@@ -211,18 +213,64 @@ func TestGapWaitsForTheDirectVerdict(t *testing.T) {
 		case <-time.After(time.Minute):
 			t.Fatalf("workers=%d: the sweep did not finish", workers)
 		}
-		return plan.tasks[0].trace, plan.tasks[1].trace
+		traces := make([]*Trace, len(plan.tasks))
+		for i, task := range plan.tasks {
+			traces[i] = task.trace
+		}
+		return traces
 	}
-	direct, igemm := sweep(2, false)
+	want := sweep(2, false)
+	// The plan: conv0 Direct, conv0 implicit GEMM, stage2 Direct, Winograd,
+	// implicit GEMM.
+	if len(want) != 5 {
+		t.Fatalf("%d searches, want 5", len(want))
+	}
+	direct, igemm := want[0], want[1]
 	if igemm.Stop != StopGap || igemm.GapRef != direct.BestM.Seconds {
-		t.Fatalf("implicit GEMM stopped on %v against %v, want gap against the Direct verdict %v",
+		t.Fatalf("conv0 implicit GEMM stopped on %v against %v, want gap against the Direct verdict %v",
 			igemm.Stop, igemm.GapRef, direct.BestM.Seconds)
 	}
+	if led := want[2]; led.Stop != StopGap || !led.Waived {
+		t.Fatalf("stage2 Direct stopped on %v (waived %t), want the waiver's gap stop", led.Stop, led.Waived)
+	}
 	for _, workers := range []int{1, 1, 1, 2, 4} {
-		d, g := sweep(workers, true)
-		if !traceEqual(d, direct) || !traceEqual(g, igemm) {
-			t.Errorf("workers=%d, slow Direct: traces diverge (implicit GEMM stopped on %v after %d against %v)",
-				workers, g.Stop, g.Measurements, g.GapRef)
+		for i, tr := range sweep(workers, true) {
+			if !traceEqual(tr, want[i]) {
+				t.Errorf("workers=%d, slow leads: search %d diverges (stopped on %v after %d against %v)",
+					workers, i, tr.Stop, tr.Measurements, tr.GapRef)
+			}
 		}
+	}
+}
+
+// A "winograd": false request for a shape first tuned Winograd-led reads the
+// Direct entry alone. The waiver stopped that search on its own incumbent's
+// proof, so the answer is within the gap ratio of Direct's enumerated
+// optimum.
+func TestDirectFollowerAnswersAlone(t *testing.T) {
+	s := resnet18Layers()[4].Shape
+	layers := []NetworkLayer{{Name: "stage2", Shape: s, Repeat: 1}}
+	tune := DefaultOptions()
+	tune.Seed = 2
+	cache := NewCache()
+	verdicts, searches, err := TuneNetworkTraces(arch, layers, cache, NetworkOptions{Tune: tune, Winograd: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if verdicts[0].Kind != Winograd || len(searches) != 2 || searches[0].Space.Kind != Direct || !searches[0].Waived {
+		t.Fatalf("verdict %v, Direct search waived: %t; want a Winograd verdict and a waived Direct search",
+			verdicts[0].Kind, len(searches) > 0 && searches[0].Waived)
+	}
+	alone, err := TuneNetwork(arch, layers, cache, NetworkOptions{Tune: tune})
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt, ok := searches[0].Space.Optimum()
+	if !ok {
+		t.Fatal("nothing measures")
+	}
+	if v := alone[0]; v.Kind != Direct || !v.Shared || v.M != searches[0].BestM || !(v.M.Seconds <= gapRatio*opt.Seconds) {
+		t.Errorf("winograd off: %v verdict %v (shared %t), want the cached Direct verdict %v within %v of the optimum %v",
+			v.Kind, v.M.Seconds, v.Shared, searches[0].BestM.Seconds, gapRatio, opt.Seconds)
 	}
 }

@@ -181,6 +181,7 @@ func zooOracle(t *testing.T, seed int64, golden *bytes.Buffer) {
 	var all oracleTally
 	perKind := make(map[autotune.Kind]*oracleTally)
 	optima := make(map[autotune.Search]float64)
+	waived := 0
 	for _, s := range searches {
 		sp := s.Space
 		opt, ok := sp.Optimum()
@@ -208,6 +209,16 @@ func zooOracle(t *testing.T, seed int64, golden *bytes.Buffer) {
 			t.Errorf("seed %d: %v %s: gap stop against %v, minimum floor %v, optimum %v",
 				seed, sp.Shape, sp.Kind, s.GapRef, floor, opt.Seconds)
 		}
+		// A waived stop claims that the lead verdict lies below every floor
+		// of the space, so the kind cannot win the layer, and proves the gap
+		// on the search's own incumbent.
+		if s.Waived {
+			waived++
+			if s.Stop != autotune.StopGap || !(s.Lead < floor) || s.GapRef != verdict {
+				t.Errorf("seed %d: %v %s: waived %v stop against %v, lead verdict %v, minimum floor %v, verdict %v",
+					seed, sp.Shape, sp.Kind, s.Stop, s.GapRef, s.Lead, floor, verdict)
+			}
+		}
 		a := perKind[sp.Kind]
 		if a == nil {
 			a = &oracleTally{}
@@ -217,7 +228,7 @@ func zooOracle(t *testing.T, seed int64, golden *bytes.Buffer) {
 			a.add(regret, looseness, certified, opt.Seconds == floor, s.Measurements)
 		}
 	}
-	t.Logf("seed %d: %v", seed, &all)
+	t.Logf("seed %d: %v; %d waived gap stops", seed, &all, waived)
 	fmt.Fprintf(golden, "seed %d all: %v\n", seed, &all)
 	for _, kind := range autotune.Kinds {
 		if a := perKind[kind]; a != nil {

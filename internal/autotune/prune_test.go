@@ -177,7 +177,7 @@ func TestTunePrunesCandidates(t *testing.T) {
 func traceEqual(a, b *Trace) bool {
 	if a.Method != b.Method || a.Best != b.Best || a.BestM != b.BestM ||
 		a.Measurements != b.Measurements || a.ConvergedAt != b.ConvergedAt ||
-		a.Pruned != b.Pruned || a.Budget != b.Budget || a.Stop != b.Stop || a.GapRef != b.GapRef ||
+		a.Pruned != b.Pruned || a.Budget != b.Budget || a.Stop != b.Stop || a.GapRef != b.GapRef || a.Waived != b.Waived ||
 		len(a.Curve) != len(b.Curve) || len(a.History) != len(b.History) {
 		return false
 	}

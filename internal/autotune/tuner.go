@@ -112,15 +112,15 @@ type Options struct {
 	// A warm search that may prune learns the floor residual (see Tune). nil
 	// reproduces the cold engine bit-for-bit.
 	warm *warmStart
-	// layerRef, when non-nil, returns the verdict the search's layer holds
-	// from another search where that verdict may lie below `below`, and +Inf
-	// where it cannot or there is none. TuneNetwork sets it, on every kind
-	// but Direct, to the Direct verdict of the same shape, waiting for the
-	// Direct search only when its space has a floor below `below`. The gap
-	// stop asks once, with the least reference that cannot prove its gap,
-	// and measures against the lower of the answer and the incumbent (see
-	// Tune).
-	layerRef func(below float64) float64
+	// lead, when non-nil, is the search's layer lead — another kind's
+	// search of the same shape — as TuneNetwork hands it to every search
+	// but the lead: the layer's Winograd search where it has one, its
+	// Direct search otherwise. The gap stop reads it (see Tune).
+	lead layerLead
+	// booked, when non-nil, is called after every booking of measurements
+	// with the trace's measurement count and the incumbent's seconds (+Inf
+	// before a valid one): TuneNetwork publishes a lead's progress with it.
+	booked func(n int, best float64)
 	// Retry configures the fault-tolerant measurement pipeline (retry with
 	// backoff, quarantine, noisy-reading defense). The zero value with an
 	// error-free measurer reproduces the fault-oblivious engine
@@ -133,6 +133,20 @@ type Options struct {
 	// and safe for concurrent use, and it must not influence the search
 	// (the engine's outputs are identical with or without it).
 	OnEvent func(Event)
+}
+
+// layerLead is a follower's view of its layer's lead search.
+type layerLead interface {
+	// final returns the lead's final verdict where it may lie below
+	// `below`, and +Inf where it cannot or the lead failed. It waits for a
+	// running lead only when the lead's space has a floor below `below`.
+	final(below float64) float64
+	// after returns the lead's incumbent seconds after its last booking of
+	// at most n measurements — its final verdict where it books none past
+	// its last — and +Inf before a valid measurement or where it failed,
+	// waiting for the lead to get that far. It is never below the lead's
+	// final verdict.
+	after(n int) float64
 }
 
 // Event is one engine occurrence reported through Options.OnEvent.
@@ -229,6 +243,11 @@ type Trace struct {
 	// tight floor below GapRef / 1.3. 0 on every other stop; in memory
 	// only, like Stop.
 	GapRef float64
+	// Waived is set on a gap stop taken before the search went stale: its
+	// layer lead's verdict lies below every tight floor of the space, so
+	// the kind cannot win the layer, and GapRef is the incumbent's seconds.
+	// In memory only, like Stop.
+	Waived bool
 }
 
 // StopReason is why a tuning run ended.
@@ -249,17 +268,20 @@ const (
 	// StopCancelled: the context was cancelled or its deadline passed
 	// (Trace.Partial).
 	StopCancelled
-	// StopGap: the search went stale and no measurable configuration has a
-	// tight floor below its reference over gapRatio, so nothing left can
-	// move its layer's verdict by more than that factor (Trace.GapRef).
+	// StopGap: the search went stale, or its kind cannot win its layer
+	// (Trace.Waived), and no measurable configuration has a tight floor
+	// below its reference over gapRatio, so nothing left can move its
+	// layer's verdict by more than that factor (Trace.GapRef).
 	StopGap
 )
 
-// gapRatio (G) and gapStale (F, a fraction of Patience) set the gap stop
-// (see Tune).
+// gapRatio (G) and gapStale (F, a fraction of Patience) set the gap stop,
+// and leadAhead how far ahead of a follower its lead's incumbent is read for
+// the waiver, as a multiple of the follower's measurements (see Tune).
 const (
-	gapRatio = 1.3
-	gapStale = 0.75
+	gapRatio  = 1.3
+	gapStale  = 0.75
+	leadAhead = 2
 )
 
 func (r StopReason) String() string {
@@ -371,14 +393,26 @@ func (r *record) stale(patience int) bool {
 //     has gone ¾ of Patience fresh measurements without a significant
 //     improvement, it takes a reference r — the incumbent's seconds, or the
 //     layer's verdict from another kind's search when that is lower (the
-//     network sweep hands every other kind its layer's final Direct
-//     verdict) — and asks Space.minFloor(r/1.3). When no measurable
+//     network sweep hands every follower its layer lead's final verdict:
+//     the Winograd search's where the layer has one, the Direct search's
+//     otherwise) — and asks Space.minFloor(r/1.3). When no measurable
 //     configuration has a tight floor below r/1.3, no measurement left can
 //     move the layer's verdict by more than a factor 1.3, and the run stops
 //     with Trace.Stop = StopGap and Trace.GapRef = r. A lower r keeps the
 //     proof true, and a scan that fails has found the space's minimum
-//     floor, so each search scans once. Like the certificate it reads the
-//     booked prefix only.
+//     floor, so each search scans once. A follower checks its incumbent's
+//     proof from its first check on, stale or not; while it holds, each
+//     check reads the lead's incumbent u after twice the follower's
+//     measurements (its final verdict where it stops short), waiting for
+//     the lead to get there, and at most one scan cut just above u settles
+//     whether any floor lies at or below u. Where none does, the lead's
+//     verdict, ≤ u, lies below every floor: the kind cannot win the layer,
+//     the staleness is waived and the run stops (Trace.Waived). Until it
+//     goes stale r is the incumbent's seconds, never u, so a waived stop
+//     keeps the kind's own verdict within 1.3 of its optimum for a request
+//     that reads it without the lead. Like the certificate it reads the
+//     booked prefix only, and the lead's progress is a function of the
+//     lead's own trace, so the stop does not depend on timing.
 //   - Bound-guided pruning (unless opts.NoPrune): the I/O-lower-bound
 //     oracle (Space.BoundSeconds) filters the candidate pool as it forms,
 //     before the batched ranking prediction; the walkers themselves step
@@ -526,38 +560,81 @@ func TuneFallible(ctx context.Context, sp *Space, measure FallibleMeasurer, opts
 		return t <= floorMin
 	}
 
-	// gapped is the gap stop (see Tune). Its first check scans for a floor
-	// below t/gapRatio; a scan that finds one has found the space's minimum
-	// floor, gapFloor, and from then on a reference r proves the gap exactly
-	// when r/gapRatio ≤ gapFloor, so nothing is scanned again. The layer's
-	// verdict, layerV, is asked for once, then, below the least reference
-	// that cannot prove it.
+	// gapped is the gap stop (see Tune). proves scans once, for a floor below
+	// r/gapRatio; a scan that finds one has found the space's minimum floor
+	// (exact), one that finds none a bound below it, and from then on a
+	// reference r proves the gap exactly when r/gapRatio ≤ gapFloor, so
+	// nothing is scanned again. Before it goes stale a follower whose
+	// incumbent proves the gap asks, at each check, for its lead's incumbent
+	// after leadAhead times the measurements it has taken; once stale it
+	// asks once for the lead's final verdict, below the least reference that
+	// cannot prove the gap.
 	staleAfter := int(gapStale * float64(opts.Patience))
 	gapFloor, layerV := -1.0, math.Inf(1)
+	exact, asked := false, false
+	proves := func(r float64) bool {
+		if gapFloor < 0 {
+			ub := r / gapRatio
+			gapFloor = sp.minFloor(ub)
+			exact = gapFloor < ub
+		}
+		return r/gapRatio <= gapFloor
+	}
 	gapped := func() bool {
-		if opts.NoPrune || !rec.stale(staleAfter) {
+		if opts.NoPrune || !rec.found {
 			return false
 		}
 		r := rec.trace.BestM.Seconds
-		if gapFloor < 0 {
-			ub := r / gapRatio
-			if gapFloor = sp.minFloor(ub); gapFloor >= ub {
-				rec.trace.GapRef = r
-				return true
+		if !rec.stale(staleAfter) {
+			if opts.lead == nil || !proves(r) {
+				return false
 			}
-			if opts.layerRef != nil && gapFloor > 0 {
-				below := gapRatio * gapFloor
-				for below/gapRatio <= gapFloor {
-					below = math.Nextafter(below, math.Inf(1))
+			// The waiver: the lead's incumbent, never below its final
+			// verdict, lies below every floor of the space. The incumbent's
+			// proof bounds the floors from below; one scan cut just above
+			// the lead's incumbent finds the minimum where that does not.
+			u := opts.lead.after(leadAhead * rec.trace.Measurements)
+			waived := u < gapFloor
+			if !waived && !exact && u < math.Inf(1) {
+				above := math.Nextafter(u, math.Inf(1))
+				if f := sp.minFloor(above); f < above {
+					gapFloor, exact = f, true
+				} else {
+					waived = true
 				}
-				layerV = opts.layerRef(below)
 			}
+			if waived {
+				rec.trace.GapRef, rec.trace.Waived = r, true
+			}
+			return waived
+		}
+		if proves(r) {
+			rec.trace.GapRef = r
+			return true
+		}
+		if opts.lead != nil && !asked && gapFloor > 0 {
+			asked = true
+			below := gapRatio * gapFloor
+			for below/gapRatio <= gapFloor {
+				below = math.Nextafter(below, math.Inf(1))
+			}
+			layerV = opts.lead.final(below)
 		}
 		if r = min(r, layerV); r/gapRatio > gapFloor {
 			return false
 		}
 		rec.trace.GapRef = r
 		return true
+	}
+	// book publishes the trace's progress after a booking.
+	book := func() {
+		if opts.booked != nil {
+			best := math.Inf(1)
+			if rec.found {
+				best = rec.trace.BestM.Seconds
+			}
+			opts.booked(rec.trace.Measurements, best)
+		}
 	}
 
 	// measureBatch dedups the candidates against everything measured so
@@ -611,6 +688,9 @@ func TuneFallible(ctx context.Context, sp *Space, measure FallibleMeasurer, opts
 			}
 			addRow(c, out.m, out.ok)
 		}
+		if done > 0 {
+			book()
+		}
 	}
 
 	// The cost model is warm-started: the forest persists across
@@ -649,6 +729,7 @@ func TuneFallible(ctx context.Context, sp *Space, measure FallibleMeasurer, opts
 			addRow(h.Config, h.M, h.OK)
 		}
 		rec.resumedAt = rec.trace.Measurements
+		book()
 	}
 
 	// The coarse-grained Section 5 dataflow designs are the first
