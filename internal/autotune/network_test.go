@@ -179,6 +179,54 @@ func TestChooseKindsSkipsSpacelessTask(t *testing.T) {
 	}
 }
 
+// A non-Direct search whose gap only its layer's Direct verdict can prove
+// waits for that verdict, giving its worker slot back while it waits, so a
+// sweep of one worker still finishes; and the traces are those of any other
+// timing. A slowed Direct measurer makes the implicit-GEMM search reach its
+// gap question first.
+func TestGapWaitsForTheDirectVerdict(t *testing.T) {
+	s := resnet18Layers()[0].Shape
+	layers := []NetworkLayer{{Name: "conv0", Shape: s, Repeat: 1}}
+	tune := DefaultOptions()
+	tune.Seed = 2
+	sweep := func(workers int, slowDirect bool) (direct, igemm *Trace) {
+		opts := NetworkOptions{Tune: tune, Workers: workers, Kinds: []Kind{ImplicitGEMM},
+			WrapMeasurer: func(k Kind, _ shapes.ConvShape, m Measurer) FallibleMeasurer {
+				if k == Direct && slowDirect {
+					return LiftMeasurer(func(c conv.Config) (Measurement, bool) {
+						time.Sleep(time.Millisecond)
+						return m(c)
+					})
+				}
+				return LiftMeasurer(m)
+			}}
+		plan := planSweep(arch, layers, opts)
+		done := make(chan error, 1)
+		go func() { done <- plan.run(context.Background(), NewCache(), opts) }()
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatal(err)
+			}
+		case <-time.After(time.Minute):
+			t.Fatalf("workers=%d: the sweep did not finish", workers)
+		}
+		return plan.tasks[0].trace, plan.tasks[1].trace
+	}
+	direct, igemm := sweep(2, false)
+	if igemm.Stop != StopGap || igemm.GapRef != direct.BestM.Seconds {
+		t.Fatalf("implicit GEMM stopped on %v against %v, want gap against the Direct verdict %v",
+			igemm.Stop, igemm.GapRef, direct.BestM.Seconds)
+	}
+	for _, workers := range []int{1, 1, 1, 2, 4} {
+		d, g := sweep(workers, true)
+		if !traceEqual(d, direct) || !traceEqual(g, igemm) {
+			t.Errorf("workers=%d, slow Direct: traces diverge (implicit GEMM stopped on %v after %d against %v)",
+				workers, g.Stop, g.Measurements, g.GapRef)
+		}
+	}
+}
+
 // A follower whose gap only its layer's lead verdict can prove waits for
 // that verdict, giving its worker slot back while it waits, so a sweep of
 // one worker still finishes; and the traces are those of any other timing.
