@@ -198,61 +198,56 @@ func TestCertificateNeverFiresOverAnUnboundedConfig(t *testing.T) {
 }
 
 // gapCase is a search that stops on the gap: a cold direct one, whose
-// reference is its own incumbent; an implicit-GEMM one of another layer
-// given that layer's direct verdict, which it cannot approach, as its
-// reference (without it the search runs on to Patience); and the Direct
-// search of a Winograd-led layer given the layer's Winograd verdict, which
-// lies below every floor of Direct's space, so the waiver stops it on its own
-// incumbent's proof before it goes stale (without it, it runs on to the
-// certificate).
+// reference is its own incumbent; an implicit-GEMM one of another layer led
+// by that layer's direct verdict, which it cannot approach (without the lead
+// the search runs on to Patience); the same search led by a staged lead whose
+// incumbent falls as it measures, so the reference is the lead's incumbent at
+// leadAhead times the follower's measurements, above the lead's final
+// verdict; and the Direct search of a Winograd-led layer led by the layer's
+// Winograd verdict, which lies below every floor of Direct's space, so the
+// waiver stops it on its own incumbent's proof before it goes stale (without
+// it, it runs on to the certificate).
 type gapCase struct {
 	name   string
 	sp     *Space
 	mm     Measurer
 	opts   Options
-	ref    float64 // the layer reference, 0 for none
-	waived bool    // the stop must be the waiver's
+	waived bool // the stop must be the waiver's
 }
-
-// fixedLead is a layer lead whose verdict is known from the start.
-type fixedLead float64
-
-func (l fixedLead) final(float64) float64 { return float64(l) }
-func (l fixedLead) after(int) float64     { return float64(l) }
 
 func gapCases(t *testing.T) []gapCase {
 	t.Helper()
 	layers := resnet18Layers()
-	search := func(s shapes.ConvShape, kind Kind, lead float64) gapCase {
+	search := func(s shapes.ConvShape, kind Kind, lead func(int) float64) gapCase {
 		sp, err := NewSpace(s, arch, kind, 0, true)
 		if err != nil {
 			t.Fatal(err)
 		}
 		opts := DefaultOptions()
 		opts.Seed = 2
-		if lead > 0 {
-			opts.lead = fixedLead(lead)
-		}
-		return gapCase{name: fmt.Sprintf("%s %v", kind, s), sp: sp, mm: KindMeasurer(arch, s, kind), opts: opts, ref: lead}
+		opts.lead = lead
+		return gapCase{name: fmt.Sprintf("%s %v", kind, s), sp: sp, mm: KindMeasurer(arch, s, kind), opts: opts}
 	}
-	verdict := func(c gapCase) float64 {
+	verdict := func(c gapCase) func(int) float64 {
 		tr, err := Tune(c.sp, c.mm, c.opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return tr.BestM.Seconds
+		return func(int) float64 { return tr.BestM.Seconds }
 	}
-	stage2 := layers[4].Shape
-	led := search(stage2, Direct, verdict(search(stage2, Winograd, 0)))
+	conv0, stage2 := layers[0].Shape, layers[4].Shape
+	direct := verdict(search(conv0, Direct, nil))
+	staged := search(conv0, ImplicitGEMM, func(n int) float64 { return direct(n) * (1 + 4/float64(n+40)) })
+	staged.name += " staged"
+	led := search(stage2, Direct, verdict(search(stage2, Winograd, nil)))
 	led.waived = true
-	return []gapCase{search(layers[6].Shape, Direct, 0),
-		search(layers[0].Shape, ImplicitGEMM, verdict(search(layers[0].Shape, Direct, 0))), led}
+	return []gapCase{search(layers[6].Shape, Direct, nil), search(conv0, ImplicitGEMM, direct), staged, led}
 }
 
 // The gap stop is a bound-guided stop: it records the lower of the
-// incumbent and the layer reference — the incumbent alone on a waived stop —
-// and a bound-blind run (NoPrune) never stops on it, on searches where the
-// guided run does.
+// incumbent and the lead's incumbent at leadAhead times the search's
+// measurements — the incumbent alone on a waived stop — and a bound-blind run
+// (NoPrune) never stops on it, on searches where the guided run does.
 func TestGapNeverFiresUnderNoPrune(t *testing.T) {
 	for _, c := range gapCases(t) {
 		guided, err := Tune(c.sp, c.mm, c.opts)
@@ -260,8 +255,8 @@ func TestGapNeverFiresUnderNoPrune(t *testing.T) {
 			t.Fatal(err)
 		}
 		r := guided.BestM.Seconds
-		if c.ref > 0 && !c.waived {
-			r = min(r, c.ref)
+		if c.opts.lead != nil && !c.waived {
+			r = min(r, c.opts.lead(leadAhead*guided.Measurements))
 		}
 		if guided.Stop != StopGap || guided.GapRef != r || guided.Waived != c.waived {
 			t.Errorf("%s: guided stopped on %v against %v (waived %t), want gap against %v (waived %t)",
@@ -309,9 +304,10 @@ func TestGapStopDeterministicAcrossWorkers(t *testing.T) {
 // whose first measurements all fail goes on measuring instead of stopping on
 // a proof against no verdict.
 func TestWaiverWaitsForAnIncumbent(t *testing.T) {
-	c := gapCases(t)[2]
+	cases := gapCases(t)
+	c := cases[len(cases)-1]
 	if !c.waived {
-		t.Fatal("the third gap case is not the waived one")
+		t.Fatal("the last gap case is not the waived one")
 	}
 	failed := 0
 	measure := func(cfg conv.Config) (Measurement, bool) {

@@ -191,27 +191,15 @@ func (t *netTask) verdict() float64 {
 	return t.m.Seconds
 }
 
-// follower is a search's view of its layer's lead in a sweep (layerLead).
-// It waits for the lead with its worker slot handed back, so a sweep of any
-// worker count finishes: a lead waits on nothing.
+// follower is a search's view of its layer's lead in a sweep. It waits for
+// the lead with its worker slot handed back, so a sweep of any worker count
+// finishes: a lead waits on nothing.
 type follower struct {
 	lead  *netTask
 	slots chan struct{}
 }
 
-func (f follower) final(below float64) float64 {
-	if !closed(f.lead.done) {
-		// The lead's verdict is a measurement, at or above its tight floor:
-		// where no floor of its space lies below, neither can the verdict,
-		// and a running lead is not waited for.
-		if f.lead.sp.minFloor(below) >= below {
-			return math.Inf(1)
-		}
-		f.wait(nil)
-	}
-	return f.lead.verdict()
-}
-
+// after is the follower's Options.lead.
 func (f follower) after(n int) float64 {
 	for {
 		// done is read first: once it is closed every booking is in, and
@@ -224,7 +212,13 @@ func (f follower) after(n int) float64 {
 		case finished:
 			return f.lead.verdict()
 		}
-		f.wait(more)
+		// Wait for the next booking or the lead's end, the slot handed back.
+		<-f.slots
+		select {
+		case <-more:
+		case <-f.lead.done:
+		}
+		f.slots <- struct{}{}
 	}
 }
 
@@ -236,16 +230,6 @@ func closed(ch <-chan struct{}) bool {
 	default:
 		return false
 	}
-}
-
-// wait blocks until more signals or the lead is done, its slot handed back.
-func (f follower) wait(more <-chan struct{}) {
-	<-f.slots
-	select {
-	case <-more:
-	case <-f.lead.done:
-	}
-	f.slots <- struct{}{}
 }
 
 // sweepPlan is a network request reduced to the work behind it: the distinct
@@ -495,7 +479,7 @@ func (p sweepPlan) run(ctx context.Context, cache *Cache, opts NetworkOptions) e
 				defer close(t.done)
 				to.booked = t.book
 			} else {
-				to.lead = follower{lead, slots}
+				to.lead = follower{lead, slots}.after
 			}
 			plain := NewMemoMeasure(arch, t.Shape, t.Kind).Measure
 			measure := LiftMeasurer(plain)
@@ -540,13 +524,13 @@ func (p sweepPlan) run(ctx context.Context, cache *Cache, opts NetworkOptions) e
 
 	// The schedule runs once per kind, side by side. Each layer has one
 	// lead search, which waits on nothing; every other search of the layer
-	// is a follower, whose gap stop reads the lead's progress and final
-	// verdict and waits for them (Options.lead), so what it reads is the
-	// same whatever the timing. A lead is a Winograd search or a Direct
-	// one, and a Direct search follows only a Winograd one: the Winograd
-	// schedule always finishes, then the Direct one, then the rest. Pool
-	// families are per kind, so the split builds every pool as one schedule
-	// over all of live would.
+	// is a follower, whose gap stop reads the lead's incumbent after a given
+	// number of the lead's measurements and waits for it (Options.lead), so
+	// what it reads is the same whatever the timing. A lead is a Winograd
+	// search or a Direct one, and a Direct search follows only a Winograd
+	// one: the Winograd schedule always finishes, then the Direct one, then
+	// the rest. Pool families are per kind, so the split builds every pool
+	// as one schedule over all of live would.
 	var byKind [len(kindTable)][]int
 	for _, i := range live {
 		t := tasks[i]

@@ -179,11 +179,11 @@ func TestChooseKindsSkipsSpacelessTask(t *testing.T) {
 	}
 }
 
-// A non-Direct search whose gap only its layer's Direct verdict can prove
-// waits for that verdict, giving its worker slot back while it waits, so a
-// sweep of one worker still finishes; and the traces are those of any other
-// timing. A slowed Direct measurer makes the implicit-GEMM search reach its
-// gap question first.
+// A non-Direct search whose gap only its layer's Direct lead can prove waits
+// for the lead's incumbent at twice its own measurements, giving its worker
+// slot back while it waits, so a sweep of one worker still finishes; and the
+// traces are those of any other timing. A slowed Direct measurer makes the
+// implicit-GEMM search reach its gap question first.
 func TestGapWaitsForTheDirectVerdict(t *testing.T) {
 	s := resnet18Layers()[0].Shape
 	layers := []NetworkLayer{{Name: "conv0", Shape: s, Repeat: 1}}
@@ -227,9 +227,10 @@ func TestGapWaitsForTheDirectVerdict(t *testing.T) {
 	}
 }
 
-// A follower whose gap only its layer's lead verdict can prove waits for
-// that verdict, giving its worker slot back while it waits, so a sweep of
-// one worker still finishes; and the traces are those of any other timing.
+// A follower whose gap only its layer's lead can prove waits for the lead's
+// incumbent at twice its own measurements, giving its worker slot back while
+// it waits, so a sweep of one worker still finishes; and the traces are those
+// of any other timing.
 // Slowed lead measurers make the followers reach their first gap check
 // first: conv0's implicit-GEMM search follows its Direct lead and stops on
 // the gap against the Direct verdict; stage2's Direct search follows its

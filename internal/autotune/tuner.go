@@ -112,11 +112,15 @@ type Options struct {
 	// A warm search that may prune learns the floor residual (see Tune). nil
 	// reproduces the cold engine bit-for-bit.
 	warm *warmStart
-	// lead, when non-nil, is the search's layer lead — another kind's
+	// lead, when non-nil, reads the search's layer lead — another kind's
 	// search of the same shape — as TuneNetwork hands it to every search
 	// but the lead: the layer's Winograd search where it has one, its
-	// Direct search otherwise. The gap stop reads it (see Tune).
-	lead layerLead
+	// Direct search otherwise. lead(n) is the lead's incumbent seconds after
+	// its last booking of at most n measurements — its final verdict where
+	// it books none past its last — and +Inf before a valid measurement or
+	// where it failed, waiting for the lead to get that far. It is never
+	// below the lead's final verdict. The gap stop reads it (see Tune).
+	lead func(n int) float64
 	// booked, when non-nil, is called after every booking of measurements
 	// with the trace's measurement count and the incumbent's seconds (+Inf
 	// before a valid one): TuneNetwork publishes a lead's progress with it.
@@ -133,20 +137,6 @@ type Options struct {
 	// and safe for concurrent use, and it must not influence the search
 	// (the engine's outputs are identical with or without it).
 	OnEvent func(Event)
-}
-
-// layerLead is a follower's view of its layer's lead search.
-type layerLead interface {
-	// final returns the lead's final verdict where it may lie below
-	// `below`, and +Inf where it cannot or the lead failed. It waits for a
-	// running lead only when the lead's space has a floor below `below`.
-	final(below float64) float64
-	// after returns the lead's incumbent seconds after its last booking of
-	// at most n measurements — its final verdict where it books none past
-	// its last — and +Inf before a valid measurement or where it failed,
-	// waiting for the lead to get that far. It is never below the lead's
-	// final verdict.
-	after(n int) float64
 }
 
 // Event is one engine occurrence reported through Options.OnEvent.
@@ -238,10 +228,10 @@ type Trace struct {
 	// Stop says why the run ended. In memory only, like Refits.
 	Stop StopReason
 	// GapRef is the reference the gap proof held against when Stop is
-	// StopGap — the incumbent's seconds, or the layer's verdict from another
-	// search where only that proves it: no measurable configuration has a
-	// tight floor below GapRef / 1.3. 0 on every other stop; in memory
-	// only, like Stop.
+	// StopGap — the incumbent's seconds, or on a stale follower the lower of
+	// that and its layer lead's incumbent at leadAhead times its own
+	// measurements: no measurable configuration has a tight floor below
+	// GapRef / 1.3. 0 on every other stop; in memory only, like Stop.
 	GapRef float64
 	// Waived is set on a gap stop taken before the search went stale: its
 	// layer lead's verdict lies below every tight floor of the space, so
@@ -391,28 +381,28 @@ func (r *record) stale(patience int) bool {
 //     whose bound cannot lower the running minimum.
 //   - The gap stop (unless opts.NoPrune): between batches, once the search
 //     has gone ¾ of Patience fresh measurements without a significant
-//     improvement, it takes a reference r — the incumbent's seconds, or the
-//     layer's verdict from another kind's search when that is lower (the
-//     network sweep hands every follower its layer lead's final verdict:
-//     the Winograd search's where the layer has one, the Direct search's
-//     otherwise) — and asks Space.minFloor(r/1.3). When no measurable
-//     configuration has a tight floor below r/1.3, no measurement left can
-//     move the layer's verdict by more than a factor 1.3, and the run stops
-//     with Trace.Stop = StopGap and Trace.GapRef = r. A lower r keeps the
-//     proof true, and a scan that fails has found the space's minimum
-//     floor, so each search scans once. A follower checks its incumbent's
-//     proof from its first check on, stale or not; while it holds, each
-//     check reads the lead's incumbent u after twice the follower's
-//     measurements (its final verdict where it stops short), waiting for
-//     the lead to get there, and at most one scan cut just above u settles
-//     whether any floor lies at or below u. Where none does, the lead's
-//     verdict, ≤ u, lies below every floor: the kind cannot win the layer,
-//     the staleness is waived and the run stops (Trace.Waived). Until it
-//     goes stale r is the incumbent's seconds, never u, so a waived stop
-//     keeps the kind's own verdict within 1.3 of its optimum for a request
-//     that reads it without the lead. Like the certificate it reads the
-//     booked prefix only, and the lead's progress is a function of the
-//     lead's own trace, so the stop does not depend on timing.
+//     improvement, it takes a reference r — the incumbent's seconds, or on
+//     a follower the lower of that and u, its layer lead's incumbent after
+//     twice the follower's measurements (the lead's final verdict where it
+//     stops short; the network sweep makes the layer's Winograd search its
+//     lead where it has one, its Direct search otherwise), waiting for the
+//     lead to get there — and asks Space.minFloor(r/1.3). When no
+//     measurable configuration has a tight floor below r/1.3, no
+//     measurement left can move the layer's verdict by more than a factor
+//     1.3, and the run stops with Trace.Stop = StopGap and Trace.GapRef = r.
+//     A lower r keeps the proof true, and a scan that fails has found the
+//     space's minimum floor, so each search scans once. A follower checks
+//     its incumbent's proof from its first check on, stale or not; while it
+//     holds, each check reads u the same way, and at most one scan cut just
+//     above u settles whether any floor lies at or below u. Where none
+//     does, the lead's verdict, ≤ u, lies below every floor: the kind cannot
+//     win the layer, the staleness is waived and the run stops
+//     (Trace.Waived). Until it goes stale r is the incumbent's seconds,
+//     never u, so a waived stop keeps the kind's own verdict within 1.3 of
+//     its optimum for a request that reads it without the lead. Like the
+//     certificate it reads the booked prefix only, and the lead's progress
+//     is a function of the lead's own trace, so the stop does not depend on
+//     timing.
 //   - Bound-guided pruning (unless opts.NoPrune): the I/O-lower-bound
 //     oracle (Space.BoundSeconds) filters the candidate pool as it forms,
 //     before the batched ranking prediction; the walkers themselves step
@@ -564,14 +554,12 @@ func TuneFallible(ctx context.Context, sp *Space, measure FallibleMeasurer, opts
 	// r/gapRatio; a scan that finds one has found the space's minimum floor
 	// (exact), one that finds none a bound below it, and from then on a
 	// reference r proves the gap exactly when r/gapRatio ≤ gapFloor, so
-	// nothing is scanned again. Before it goes stale a follower whose
-	// incumbent proves the gap asks, at each check, for its lead's incumbent
-	// after leadAhead times the measurements it has taken; once stale it
-	// asks once for the lead's final verdict, below the least reference that
-	// cannot prove the gap.
+	// nothing is scanned again. At each check a follower reads its lead's
+	// incumbent after leadAhead times the measurements it has taken: before
+	// it goes stale only where its own incumbent proves the gap, for the
+	// waiver, and once stale as the lower reference.
 	staleAfter := int(gapStale * float64(opts.Patience))
-	gapFloor, layerV := -1.0, math.Inf(1)
-	exact, asked := false, false
+	gapFloor, exact := -1.0, false
 	proves := func(r float64) bool {
 		if gapFloor < 0 {
 			ub := r / gapRatio
@@ -593,7 +581,7 @@ func TuneFallible(ctx context.Context, sp *Space, measure FallibleMeasurer, opts
 			// verdict, lies below every floor of the space. The incumbent's
 			// proof bounds the floors from below; one scan cut just above
 			// the lead's incumbent finds the minimum where that does not.
-			u := opts.lead.after(leadAhead * rec.trace.Measurements)
+			u := opts.lead(leadAhead * rec.trace.Measurements)
 			waived := u < gapFloor
 			if !waived && !exact && u < math.Inf(1) {
 				above := math.Nextafter(u, math.Inf(1))
@@ -608,19 +596,10 @@ func TuneFallible(ctx context.Context, sp *Space, measure FallibleMeasurer, opts
 			}
 			return waived
 		}
-		if proves(r) {
-			rec.trace.GapRef = r
-			return true
+		if opts.lead != nil {
+			r = min(r, opts.lead(leadAhead*rec.trace.Measurements))
 		}
-		if opts.lead != nil && !asked && gapFloor > 0 {
-			asked = true
-			below := gapRatio * gapFloor
-			for below/gapRatio <= gapFloor {
-				below = math.Nextafter(below, math.Inf(1))
-			}
-			layerV = opts.lead.final(below)
-		}
-		if r = min(r, layerV); r/gapRatio > gapFloor {
+		if !proves(r) {
 			return false
 		}
 		rec.trace.GapRef = r
