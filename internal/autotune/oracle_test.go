@@ -107,9 +107,11 @@ func TestZooMinFloorMatchesAnalyticTop(t *testing.T) {
 // search that stopped on the certificate must end on the enumerated optimum,
 // and that optimum must be the minimum floor; every search that stopped on
 // the gap must hold its proof, GapRef / G ≤ the minimum floor ≤ the
-// optimum. The per-seed, per-kind tallies and the layer meter — the
-// distinct zoo shapes whose reply verdict is the best optimum over the kinds
-// searched for them, and the pass's summed network time — are pinned in
+// optimum. The per-seed, per-kind tallies, the stop mix — searches,
+// off-optimum searches and measurements per (kind, stop) — and the layer
+// meter — the distinct zoo shapes whose reply verdict is the best optimum
+// over the kinds searched for them, and the pass's summed network time — are
+// pinned in
 // testdata/oracle.golden; regenerate it with
 //
 //	go test ./internal/autotune -run TestZooOracle -update
@@ -127,17 +129,18 @@ func TestZooOracle(t *testing.T) {
 }
 
 // TestZooOracleHeldOut is TestZooOracle at engine seeds 4–7, the meter's
-// held-out half: the same per-search checks, its tallies logged and pinned
-// nowhere, so a verdict-moving change reads both halves from the tree.
+// held-out half: the same per-search checks, its tallies pinned in
+// testdata/oracle_heldout.golden beside the first half's, so a
+// verdict-moving change shows on both halves.
 func TestZooOracleHeldOut(t *testing.T) {
 	if testing.Short() {
 		t.Skip("measures every configuration of 146 spaces per seed")
 	}
-	var tallies bytes.Buffer
+	var golden bytes.Buffer
 	for seed := int64(4); seed < 8; seed++ {
-		zooOracle(t, seed, &tallies)
+		zooOracle(t, seed, &golden)
 	}
-	t.Logf("held-out tallies:\n%s", tallies.Bytes())
+	autotune.CheckGolden(t, "oracle_heldout.golden", golden.Bytes())
 }
 
 // oracleTally is one seed's oracle numbers over a set of searches.
@@ -171,8 +174,13 @@ func (a *oracleTally) String() string {
 		a.certified, a.certifiable, g(math.Exp(a.looseLog/n)), a.measurements)
 }
 
+// stopMix is one (kind, stop) cell of a pass: its searches, those that ended
+// off their space's optimum, and the measurements they took.
+type stopMix struct{ searches, off, measurements int }
+
 // zooOracle checks one seed's pass against the enumerated optima and writes
-// its tallies, over all searches and per kind, and its layer meter to golden.
+// its tallies, over all searches and per kind, its stop mix and its layer
+// meter to golden.
 func zooOracle(t *testing.T, seed int64, golden *bytes.Buffer) {
 	tune := autotune.DefaultOptions()
 	tune.Seed = seed
@@ -180,6 +188,7 @@ func zooOracle(t *testing.T, seed int64, golden *bytes.Buffer) {
 
 	var all oracleTally
 	perKind := make(map[autotune.Kind]*oracleTally)
+	mix := make(map[autotune.Kind]map[autotune.StopReason]*stopMix)
 	optima := make(map[autotune.Search]float64)
 	waived := 0
 	for _, s := range searches {
@@ -227,6 +236,19 @@ func zooOracle(t *testing.T, seed int64, golden *bytes.Buffer) {
 		for _, a := range []*oracleTally{&all, a} {
 			a.add(regret, looseness, certified, opt.Seconds == floor, s.Measurements)
 		}
+		if mix[sp.Kind] == nil {
+			mix[sp.Kind] = make(map[autotune.StopReason]*stopMix)
+		}
+		m := mix[sp.Kind][s.Stop]
+		if m == nil {
+			m = &stopMix{}
+			mix[sp.Kind][s.Stop] = m
+		}
+		m.searches++
+		m.measurements += s.Measurements
+		if regret != 1 {
+			m.off++
+		}
 	}
 	t.Logf("seed %d: %v; %d waived gap stops", seed, &all, waived)
 	fmt.Fprintf(golden, "seed %d all: %v\n", seed, &all)
@@ -235,6 +257,18 @@ func zooOracle(t *testing.T, seed int64, golden *bytes.Buffer) {
 			fmt.Fprintf(golden, "seed %d %s: %v\n", seed, kind, a)
 		}
 	}
+	fmt.Fprintf(golden, "seed %d stops:", seed)
+	sep := " "
+	for _, kind := range autotune.Kinds {
+		for stop := autotune.StopBudget; stop <= autotune.StopGap; stop++ {
+			if m := mix[kind][stop]; m != nil {
+				fmt.Fprintf(golden, "%s%s %v %d searches %d off the optimum %d measurements",
+					sep, kind, stop, m.searches, m.off, m.measurements)
+				sep = "; "
+			}
+		}
+	}
+	fmt.Fprintln(golden)
 
 	// The layer meter: a reply carries the min over a layer's kinds, so a
 	// shape is at the optimum when, in every sweep that holds it, its
