@@ -12,10 +12,10 @@ func TestValidateFlagsAcceptsDefaults(t *testing.T) {
 	}
 	ccfg, err := flagConfig{
 		budget: 400, batchWindow: 20 * time.Millisecond, chaosFailRate: 0.1,
-		breakerThreshold: 0.5,
-		peers:            "http://127.0.0.1:9911,http://127.0.0.1:9912,http://127.0.0.1:9913",
-		advertise:        "http://127.0.0.1:9911",
-		replicas:         2,
+		breakerThreshold: 0.5, requestTimeout: time.Second, resume: true,
+		peers:     "http://127.0.0.1:9911,http://127.0.0.1:9912,http://127.0.0.1:9913",
+		advertise: "http://127.0.0.1:9911",
+		replicas:  2,
 	}.validate()
 	if err != nil {
 		t.Fatalf("full valid config rejected: %v", err)
@@ -40,6 +40,7 @@ func TestValidateFlagsRejections(t *testing.T) {
 		{"negative cache bytes", flagConfig{cacheBytes: -1}, "-cache-bytes"},
 		{"negative batch window", flagConfig{batchWindow: -time.Second}, "-batch-window"},
 		{"negative request timeout", flagConfig{requestTimeout: -1}, "-request-timeout"},
+		{"request timeout without resume", flagConfig{requestTimeout: time.Second}, "-request-timeout needs -resume"},
 		{"negative snapshot interval", flagConfig{snapshotInterval: -1}, "-snapshot-interval"},
 		{"negative breaker cooldown", flagConfig{breakerCooldown: -1}, "-breaker-cooldown"},
 		{"chaos rate one", flagConfig{chaosFailRate: 1}, "-chaos-fail-rate"},

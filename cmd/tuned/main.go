@@ -34,7 +34,7 @@ func main() {
 	var f flagConfig
 	addr := flag.String("addr", "127.0.0.1:9911", "listen address")
 	state := flag.String("state", "", "cache state file: loaded on boot, flushed on shutdown")
-	resume := flag.Bool("resume", false, "resume cached searches whose persisted budget is short of the requested one")
+	flag.BoolVar(&f.resume, "resume", false, "resume cached searches whose persisted budget is short of the requested one")
 	flag.DurationVar(&f.batchWindow, "batch-window", 20*time.Millisecond, "admission window within which requests arriving behind a running tuning batch merge into the next one (an idle daemon runs a request at once)")
 	flag.Int64Var(&f.maxInflight, "max-inflight", 0, "max in-flight measurement budget before requests are shed with 429 (0 = unlimited)")
 	flag.IntVar(&f.cacheEntries, "cache-entries", 0, "max cached search keys before LRU eviction (0 = unlimited)")
@@ -46,7 +46,7 @@ func main() {
 	flag.IntVar(&f.layerWorkers, "layer-workers", 0, "concurrent per-layer searches per batch (0 = GOMAXPROCS)")
 	winograd := flag.Bool("winograd", true, "also tune the fused Winograd dataflow where it applies")
 	warm := flag.Bool("warm", true, "warm-start searches from tuned relatives (cross-request transfer)")
-	flag.DurationVar(&f.requestTimeout, "request-timeout", 0, "deadline per tuning batch; past it, responses carry best-so-far verdicts marked partial (0 = none)")
+	flag.DurationVar(&f.requestTimeout, "request-timeout", 0, "deadline per tuning batch; past it, responses carry best-so-far verdicts marked partial, which a re-POST continues (needs -resume; 0 = none)")
 	flag.DurationVar(&f.snapshotInterval, "snapshot-interval", 0, "flush -state in the background this often, not only at shutdown (0 = shutdown only)")
 	flag.IntVar(&f.measureRetries, "measure-retries", 0, "measurement attempts per config before quarantine (0 or 1 = no retries)")
 	flag.DurationVar(&f.retryBackoff, "retry-backoff", 0, "base wait before a measurement retry; doubles per retry with seeded jitter")
@@ -97,7 +97,7 @@ func main() {
 
 	srv, err := tuned.New(tuned.Config{
 		Cache: cache, Tune: opts,
-		LayerWorkers: f.layerWorkers, Winograd: *winograd, Warm: *warm, Resume: *resume,
+		LayerWorkers: f.layerWorkers, Winograd: *winograd, Warm: *warm, Resume: f.resume,
 		BatchWindow: f.batchWindow, MaxInflight: f.maxInflight,
 		StatePath: *state, SnapshotInterval: f.snapshotInterval,
 		RequestTimeout: f.requestTimeout,

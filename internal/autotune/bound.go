@@ -136,13 +136,12 @@ func (sp *Space) floorWith(c conv.Config, m rates, ft *floorTerms) float64 {
 func (sp *Space) BoundSeconds(c conv.Config) float64 { return sp.floor(c, idealRates) }
 
 // minFloor returns the minimum tight floor over the space's measurable
-// configurations when it is below ub, and ub otherwise — the search's
-// certificate: an incumbent measured at or below it cannot be beaten by any
-// configuration of the space. It returns 0 when a measurable configuration
-// has no useful bound (floor 0): nothing can be proven against it.
-// Configurations that cannot launch (+Inf) or cannot be measured are
-// skipped; measuring them can only fail. With ub = +Inf the result is
-// AnalyticTop(1)'s Floor.
+// configurations when it is below ub, and ub otherwise. Every stop a search
+// takes on a proof reads it through the search's one proof (see proof). It
+// returns 0 when a measurable configuration has no useful bound (floor 0):
+// nothing can be proven against it. Configurations that cannot launch (+Inf)
+// or cannot be measured are skipped; measuring them can only fail. With
+// ub = +Inf the result is AnalyticTop(1)'s Floor.
 //
 // It is the best-first walk kept to its top 1: it stops at the first tile
 // whose bound is ≥ the running minimum, and inside a kept tile measurable
@@ -160,6 +159,32 @@ func (sp *Space) minFloor(ub float64) float64 {
 		return low > 0
 	})
 	return low
+}
+
+// proof is what one search knows of its space's least tight floor m, the
+// minFloor(+Inf) over the measurable configurations: m ≥ lo, and m = lo when
+// exact. The zero value knows only that floors are not negative. Every stop
+// on a proof — the certificate, the gap stop and the waiver — asks it, so a
+// scan one stop runs serves the others.
+type proof struct {
+	lo    float64
+	exact bool
+}
+
+// atLeast reports whether every measurable tight floor of sp is at least x,
+// that is x ≤ m. It scans only when x is above an inexact lo, and cuts that
+// scan at x: a scan that finds a floor below x has found m, one that finds
+// none raises lo to x.
+func (p *proof) atLeast(sp *Space, x float64) bool {
+	if x <= p.lo || p.exact {
+		return x <= p.lo
+	}
+	if f := sp.minFloor(x); f < x {
+		p.lo, p.exact = f, true
+		return false
+	}
+	p.lo = x
+	return true
 }
 
 // tileBound is one entry of a best-first walk, its axes packed beside its

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/conv"
@@ -112,6 +113,59 @@ func TestMinFloorMatchesAnalyticTop(t *testing.T) {
 			}
 			return true
 		})
+	}
+}
+
+// One proof answers every question as the space's least floor m does: on
+// seeded random dense and grouped spaces, a proof fed rising, falling and
+// mixed sequences of values around m — nextafter neighbours, 0, +Inf and m
+// itself among them, orders the engine never issues included — answers each
+// atLeast(x) with x ≤ m, and what it keeps stays true: lo ≤ m, and lo = m
+// once exact.
+func TestProofMatchesMinFloor(t *testing.T) {
+	rng := rand.New(rand.NewSource(79))
+	spaces := 0
+	for trial := 0; trial < 24; trial++ {
+		s := randomSmallShape(rng)
+		if trial%3 == 2 {
+			s = randomGroupedShape(rng)
+		}
+		a := memsim.Catalog[rng.Intn(len(memsim.Catalog))]
+		for _, sp := range boundTestSpaces(t, s, a) {
+			spaces++
+			m := sp.minFloor(math.Inf(1))
+			xs := []float64{m, math.Inf(1), 0, m / gapRatio, m * gapRatio,
+				math.Nextafter(m, math.Inf(1)), math.Nextafter(m, 0)}
+			for range 8 {
+				x := m * 2 * rng.Float64()
+				xs = append(xs, x, math.Nextafter(x, math.Inf(1)))
+			}
+			rising := slices.Clone(xs)
+			slices.Sort(rising)
+			falling := slices.Clone(rising)
+			slices.Reverse(falling)
+			mixed := slices.Clone(xs)
+			rng.Shuffle(len(mixed), func(i, j int) { mixed[i], mixed[j] = mixed[j], mixed[i] })
+			for _, q := range []struct {
+				name string
+				seq  []float64
+			}{{"rising", rising}, {"falling", falling}, {"mixed", mixed}} {
+				var p proof
+				for i, x := range q.seq {
+					if got := p.atLeast(sp, x); got != (x <= m) {
+						t.Fatalf("%s %v %s, %s query %d: atLeast(%v) = %v, least floor %v",
+							sp.Arch.Name, sp.Shape, sp.Kind, q.name, i, x, got, m)
+					}
+					if p.lo > m || (p.exact && p.lo != m) {
+						t.Fatalf("%s %v %s, %s query %d: proof {lo %v, exact %v}, least floor %v",
+							sp.Arch.Name, sp.Shape, sp.Kind, q.name, i, p.lo, p.exact, m)
+					}
+				}
+			}
+		}
+	}
+	if spaces == 0 {
+		t.Fatal("no space built")
 	}
 }
 

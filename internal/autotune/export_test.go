@@ -28,8 +28,14 @@ type SearchTrace struct {
 // carries — for the tests and benchmarks that live outside the package beside
 // the model zoo.
 func TuneNetworkTraces(arch memsim.Arch, layers []NetworkLayer, cache *Cache, opts NetworkOptions) ([]LayerVerdict, []SearchTrace, error) {
+	return TuneNetworkTracesContext(context.Background(), arch, layers, cache, opts)
+}
+
+// TuneNetworkTracesContext is TuneNetworkTraces bounded by ctx, as
+// TuneNetworkContext bounds TuneNetwork.
+func TuneNetworkTracesContext(ctx context.Context, arch memsim.Arch, layers []NetworkLayer, cache *Cache, opts NetworkOptions) ([]LayerVerdict, []SearchTrace, error) {
 	plan := planSweep(arch, layers, opts)
-	if err := plan.run(context.Background(), cache, opts); err != nil {
+	if err := plan.run(ctx, cache, opts); err != nil {
 		return nil, nil, err
 	}
 	var searches []SearchTrace

@@ -111,8 +111,7 @@ func TestZooMinFloorMatchesAnalyticTop(t *testing.T) {
 // off-optimum searches and measurements per (kind, stop) — and the layer
 // meter — the distinct zoo shapes whose reply verdict is the best optimum
 // over the kinds searched for them, and the pass's summed network time — are
-// pinned in
-// testdata/oracle.golden; regenerate it with
+// pinned in testdata/oracle.golden; regenerate it with
 //
 //	go test ./internal/autotune -run TestZooOracle -update
 //
@@ -178,6 +177,11 @@ func (a *oracleTally) String() string {
 // off their space's optimum, and the measurements they took.
 type stopMix struct{ searches, off, measurements int }
 
+type stopKey struct {
+	kind autotune.Kind
+	stop autotune.StopReason
+}
+
 // zooOracle checks one seed's pass against the enumerated optima and writes
 // its tallies, over all searches and per kind, its stop mix and its layer
 // meter to golden.
@@ -188,7 +192,7 @@ func zooOracle(t *testing.T, seed int64, golden *bytes.Buffer) {
 
 	var all oracleTally
 	perKind := make(map[autotune.Kind]*oracleTally)
-	mix := make(map[autotune.Kind]map[autotune.StopReason]*stopMix)
+	mix := make(map[stopKey]stopMix)
 	optima := make(map[autotune.Search]float64)
 	waived := 0
 	for _, s := range searches {
@@ -236,19 +240,13 @@ func zooOracle(t *testing.T, seed int64, golden *bytes.Buffer) {
 		for _, a := range []*oracleTally{&all, a} {
 			a.add(regret, looseness, certified, opt.Seconds == floor, s.Measurements)
 		}
-		if mix[sp.Kind] == nil {
-			mix[sp.Kind] = make(map[autotune.StopReason]*stopMix)
-		}
-		m := mix[sp.Kind][s.Stop]
-		if m == nil {
-			m = &stopMix{}
-			mix[sp.Kind][s.Stop] = m
-		}
+		m := mix[stopKey{sp.Kind, s.Stop}]
 		m.searches++
 		m.measurements += s.Measurements
 		if regret != 1 {
 			m.off++
 		}
+		mix[stopKey{sp.Kind, s.Stop}] = m
 	}
 	t.Logf("seed %d: %v; %d waived gap stops", seed, &all, waived)
 	fmt.Fprintf(golden, "seed %d all: %v\n", seed, &all)
@@ -261,7 +259,7 @@ func zooOracle(t *testing.T, seed int64, golden *bytes.Buffer) {
 	sep := " "
 	for _, kind := range autotune.Kinds {
 		for stop := autotune.StopBudget; stop <= autotune.StopGap; stop++ {
-			if m := mix[kind][stop]; m != nil {
+			if m, ok := mix[stopKey{kind, stop}]; ok {
 				fmt.Fprintf(golden, "%s%s %v %d searches %d off the optimum %d measurements",
 					sep, kind, stop, m.searches, m.off, m.measurements)
 				sep = "; "

@@ -252,8 +252,10 @@ const (
 	// StopCertified: the incumbent met the minimum tight floor of the space
 	// (Space.minFloor), so no configuration can beat it.
 	StopCertified
-	// StopExhausted: no unseen configuration that could still win was left
-	// to propose.
+	// StopExhausted: an iteration's walkers and random samples proposed no
+	// unseen configuration that the pruning floor did not rule out. Nothing
+	// more is known: the space may still hold unseen configurations that
+	// could win.
 	StopExhausted
 	// StopCancelled: the context was cancelled or its deadline passed
 	// (Trace.Partial).
@@ -366,43 +368,36 @@ func (r *record) stale(patience int) bool {
 // submission order, so the run is deterministic for a fixed seed at any
 // worker count.
 //
-// Seven things keep the engine's own machinery off the critical path:
+// Six things keep the engine's own machinery off the critical path:
 //
-//   - The certificate stop (unless opts.NoPrune): between batches, once
-//     the incumbent's measured time is at or below the minimum tight floor
-//     (analyticFloor) over the space's measurable configurations, no
-//     configuration can beat it — floor ≤ measurement holds for every one —
-//     and the run stops with Trace.Stop = StopCertified. It reads the booked
-//     prefix only, so it fires at the same measurement at any worker count.
-//     The scan behind it is gated: a certified incumbent attains its own
-//     tight floor, so nothing is scanned until one does, and the scan
-//     (Space.minFloor) is seeded with that floor. It visits the tiles in
-//     order of their thread-free floor bound and stops at the first one
-//     whose bound cannot lower the running minimum.
-//   - The gap stop (unless opts.NoPrune): between batches, once the search
-//     has gone ¾ of Patience fresh measurements without a significant
-//     improvement, it takes a reference r — the incumbent's seconds, or on
-//     a follower the lower of that and u, its layer lead's incumbent after
-//     twice the follower's measurements (the lead's final verdict where it
-//     stops short; the network sweep makes the layer's Winograd search its
-//     lead where it has one, its Direct search otherwise), waiting for the
-//     lead to get there — and asks Space.minFloor(r/1.3). When no
-//     measurable configuration has a tight floor below r/1.3, no
-//     measurement left can move the layer's verdict by more than a factor
-//     1.3, and the run stops with Trace.Stop = StopGap and Trace.GapRef = r.
-//     A lower r keeps the proof true, and a scan that fails has found the
-//     space's minimum floor, so each search scans once. A follower checks
-//     its incumbent's proof from its first check on, stale or not; while it
-//     holds, each check reads u the same way, and at most one scan cut just
-//     above u settles whether any floor lies at or below u. Where none
-//     does, the lead's verdict, ≤ u, lies below every floor: the kind cannot
-//     win the layer, the staleness is waived and the run stops
-//     (Trace.Waived). Until it goes stale r is the incumbent's seconds,
-//     never u, so a waived stop keeps the kind's own verdict within 1.3 of
-//     its optimum for a request that reads it without the lead. Like the
-//     certificate it reads the booked prefix only, and the lead's progress
-//     is a function of the lead's own trace, so the stop does not depend on
-//     timing.
+//   - The stops on a proof (unless opts.NoPrune): between batches the
+//     search asks one proof about m, the least tight floor over the space's
+//     measurable configurations (Space.minFloor). The certificate asks,
+//     once the incumbent's measured time t attains its own tight floor
+//     (analyticFloor, no scan), whether t ≤ m: floor ≤ measurement holds
+//     for every configuration, so then nothing can beat it, and the run
+//     stops with Trace.Stop = StopCertified. The gap stop asks, once the
+//     search has gone ¾ of Patience fresh measurements without a
+//     significant improvement, whether r/1.3 ≤ m for a reference r — the
+//     incumbent's seconds, or on a follower the lower of that and u, its
+//     layer lead's incumbent after twice the follower's measurements (the
+//     lead's final verdict where it stops short; the network sweep makes the
+//     layer's Winograd search its lead where it has one, its Direct search
+//     otherwise), waiting for the lead to get there. Then no measurement
+//     left can move the layer's verdict by more than a factor 1.3, and the
+//     run stops with Trace.Stop = StopGap and Trace.GapRef = r. The waiver
+//     asks, on a follower whose own incumbent proves the gap, stale or not,
+//     whether u < m: then the lead's verdict, ≤ u, lies below every floor,
+//     the kind cannot win the layer, the staleness is waived and the run
+//     stops on its incumbent's proof (Trace.Waived). Until it goes stale r
+//     is never u, so a waived stop keeps the kind's own verdict within 1.3
+//     of its optimum for a request that reads it without the lead. The
+//     proof keeps a lower bound on m and whether it is m itself, and scans
+//     only when asked above an inexact bound, cut at the asked value: a scan
+//     that finds a floor below it has found m, and one that finds none
+//     raises the bound to it. Every answer is a function of m, the booked
+//     prefix and the lead's progress — a function of the lead's own trace —
+//     so the stops fire at the same measurement at any worker count.
 //   - Bound-guided pruning (unless opts.NoPrune): the I/O-lower-bound
 //     oracle (Space.BoundSeconds) filters the candidate pool as it forms,
 //     before the batched ranking prediction; the walkers themselves step
@@ -524,85 +519,42 @@ func TuneFallible(ctx context.Context, sp *Space, measure FallibleMeasurer, opts
 		return true
 	}
 
-	// certified is the engine's stop on a proof: the incumbent's measured
-	// time is at or below the minimum tight floor of the whole space
-	// (Space.minFloor), and floor ≤ measurement holds for every
-	// configuration, so nothing unmeasured can beat it. It is asked between
-	// batches, of the booked prefix only, so it fires at the same measurement
-	// at any worker count. The scan is gated: floor ≤ measurement means a
-	// certified incumbent attains its own tight floor, so nothing is scanned
-	// until one does, and the scan is seeded with that floor. A scan that
-	// finds a lower floor has found the space's minimum, kept for the rest of
-	// the run. Bound-blind runs (NoPrune) have no oracle and never stop on it.
-	scanned, floorMin := false, 0.0
-	certified := func() bool {
-		if opts.NoPrune || !rec.found {
-			return false
-		}
-		t := rec.trace.BestM.Seconds
-		if !scanned {
-			f := sp.analyticFloor(rec.trace.Best)
-			if t > f {
-				return false
-			}
-			floorMin, scanned = sp.minFloor(f), true
-		}
-		return t <= floorMin
-	}
-
-	// gapped is the gap stop (see Tune). proves scans once, for a floor below
-	// r/gapRatio; a scan that finds one has found the space's minimum floor
-	// (exact), one that finds none a bound below it, and from then on a
-	// reference r proves the gap exactly when r/gapRatio ≤ gapFloor, so
-	// nothing is scanned again. At each check a follower reads its lead's
-	// incumbent after leadAhead times the measurements it has taken: before
-	// it goes stale only where its own incumbent proves the gap, for the
-	// waiver, and once stale as the lower reference.
+	// proven takes the stops on a proof (see Tune), asking the search's one
+	// proof about m, the space's least tight floor: it books the stop and
+	// reports true when one fires. The certificate is asked only once the
+	// incumbent attains its own tight floor, which a certified one does. A
+	// follower reads its lead's incumbent after leadAhead times its own
+	// measurements: once stale as the lower reference r, before that only
+	// where its own incumbent proves the gap, for the waiver. Bound-blind
+	// runs (NoPrune) have no oracle and never stop on a proof.
+	var floors proof
 	staleAfter := int(gapStale * float64(opts.Patience))
-	gapFloor, exact := -1.0, false
-	proves := func(r float64) bool {
-		if gapFloor < 0 {
-			ub := r / gapRatio
-			gapFloor = sp.minFloor(ub)
-			exact = gapFloor < ub
-		}
-		return r/gapRatio <= gapFloor
-	}
-	gapped := func() bool {
+	proven := func() bool {
 		if opts.NoPrune || !rec.found {
 			return false
 		}
 		r := rec.trace.BestM.Seconds
-		if !rec.stale(staleAfter) {
-			if opts.lead == nil || !proves(r) {
-				return false
-			}
-			// The waiver: the lead's incumbent, never below its final
-			// verdict, lies below every floor of the space. The incumbent's
-			// proof bounds the floors from below; one scan cut just above
-			// the lead's incumbent finds the minimum where that does not.
-			u := opts.lead(leadAhead * rec.trace.Measurements)
-			waived := u < gapFloor
-			if !waived && !exact && u < math.Inf(1) {
-				above := math.Nextafter(u, math.Inf(1))
-				if f := sp.minFloor(above); f < above {
-					gapFloor, exact = f, true
-				} else {
-					waived = true
-				}
-			}
-			if waived {
-				rec.trace.GapRef, rec.trace.Waived = r, true
-			}
-			return waived
+		if r <= sp.analyticFloor(rec.trace.Best) && floors.atLeast(sp, r) {
+			rec.trace.Stop = StopCertified
+			return true
 		}
-		if opts.lead != nil {
+		stale := rec.stale(staleAfter)
+		if stale && opts.lead != nil {
 			r = min(r, opts.lead(leadAhead*rec.trace.Measurements))
 		}
-		if !proves(r) {
+		if (!stale && opts.lead == nil) || !floors.atLeast(sp, r/gapRatio) {
 			return false
 		}
-		rec.trace.GapRef = r
+		if !stale {
+			// The waiver: the lead's incumbent, never below its final
+			// verdict, lies below every floor of the space.
+			u := opts.lead(leadAhead * rec.trace.Measurements)
+			if math.IsInf(u, 1) || !floors.atLeast(sp, math.Nextafter(u, math.Inf(1))) {
+				return false
+			}
+			rec.trace.Waived = true
+		}
+		rec.trace.Stop, rec.trace.GapRef = StopGap, r
 		return true
 	}
 	// book publishes the trace's progress after a booking.
@@ -761,12 +713,7 @@ func TuneFallible(ctx context.Context, sp *Space, measure FallibleMeasurer, opts
 	var startsBuf, pickedBuf []scored
 	var candBuf []conv.Config
 	for !rec.over(opts.Budget, opts.Patience) {
-		if certified() {
-			rec.trace.Stop = StopCertified
-			break
-		}
-		if gapped() {
-			rec.trace.Stop = StopGap
+		if proven() {
 			break
 		}
 		if ctx.Err() != nil {

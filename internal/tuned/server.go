@@ -70,8 +70,11 @@ type Config struct {
 	// RequestTimeout, when > 0, bounds each tuning batch's engine time.
 	// Searches still running at the deadline stop after their current
 	// measurement and the response carries best-so-far verdicts marked
-	// "partial": true; the truncated engine state is persisted, so
-	// re-POSTing the identical request continues the search.
+	// "partial": true; the truncated engine state is persisted at the
+	// measurements it took, so with Resume re-POSTing the identical request
+	// continues the search. Without Resume the re-POST is a cache hit that
+	// serves the cut-short verdict as final (cmd/tuned refuses the
+	// combination).
 	RequestTimeout time.Duration
 	// Chaos, when enabled, wraps every search's measurer in the seeded
 	// fault injector — the harness behind the chaos e2e suite and CI job.

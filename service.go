@@ -330,7 +330,8 @@ type TuneResponse struct {
 	NetworkSeconds float64              `json:"network_seconds"`
 	// Partial is true when any verdict is partial — the request hit the
 	// server's -request-timeout and the response is best-so-far. Re-POST
-	// the identical request to continue the persisted searches.
+	// the identical request to continue the persisted searches (the server
+	// runs with -resume, which -request-timeout needs).
 	Partial bool `json:"partial,omitempty"`
 	// Tier is "analytic" when every verdict is analytic — the whole
 	// response is a measurement-free estimate (the server was overloaded or
