@@ -36,7 +36,6 @@ type flagConfig struct {
 	breakerWindow       int
 	breakerCooldown     time.Duration
 	breakerProbes       int
-	resume              bool
 
 	peers         string
 	advertise     string
@@ -86,9 +85,6 @@ func (f flagConfig) validate() (cluster.Config, error) {
 		if c.v < 0 {
 			return fail("%s %v is negative", c.name, c.v)
 		}
-	}
-	if f.requestTimeout > 0 && !f.resume {
-		return fail("-request-timeout needs -resume (a re-POST must continue a cut-short search)")
 	}
 	if f.noiseThreshold < 0 {
 		return fail("-noise-threshold %g is negative", f.noiseThreshold)

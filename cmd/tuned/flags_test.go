@@ -1,10 +1,40 @@
 package main
 
 import (
+	"errors"
+	"os"
+	"os/exec"
 	"strings"
 	"testing"
 	"time"
 )
+
+// TestMain runs the command's main instead of the tests when the first
+// argument is "tuned-main", so a test can start the command as a process and
+// read its exit status.
+func TestMain(m *testing.M) {
+	if len(os.Args) > 1 && os.Args[1] == "tuned-main" {
+		os.Args = append(os.Args[:1], os.Args[2:]...)
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+// tuned.New refuses -request-timeout without -resume before it reads any
+// state or the command binds a port; the command prints New's one line and
+// exits 2, as for any flag validate rejects.
+func TestRequestTimeoutWithoutResumeExits2(t *testing.T) {
+	out, err := exec.Command(os.Args[0], "tuned-main", "-request-timeout", "1s").CombinedOutput()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+		t.Fatalf("got %v, want exit status 2; output %q", err, out)
+	}
+	lines := strings.Split(strings.TrimSpace(string(out)), "\n")
+	if len(lines) != 1 || !strings.Contains(lines[0], "-request-timeout needs -resume") {
+		t.Errorf("output %q, want one line naming -request-timeout and -resume", out)
+	}
+}
 
 func TestValidateFlagsAcceptsDefaults(t *testing.T) {
 	if _, err := (flagConfig{}).validate(); err != nil {
@@ -12,7 +42,7 @@ func TestValidateFlagsAcceptsDefaults(t *testing.T) {
 	}
 	ccfg, err := flagConfig{
 		budget: 400, batchWindow: 20 * time.Millisecond, chaosFailRate: 0.1,
-		breakerThreshold: 0.5, requestTimeout: time.Second, resume: true,
+		breakerThreshold: 0.5, requestTimeout: time.Second,
 		peers:     "http://127.0.0.1:9911,http://127.0.0.1:9912,http://127.0.0.1:9913",
 		advertise: "http://127.0.0.1:9911",
 		replicas:  2,
@@ -40,7 +70,6 @@ func TestValidateFlagsRejections(t *testing.T) {
 		{"negative cache bytes", flagConfig{cacheBytes: -1}, "-cache-bytes"},
 		{"negative batch window", flagConfig{batchWindow: -time.Second}, "-batch-window"},
 		{"negative request timeout", flagConfig{requestTimeout: -1}, "-request-timeout"},
-		{"request timeout without resume", flagConfig{requestTimeout: time.Second}, "-request-timeout needs -resume"},
 		{"negative snapshot interval", flagConfig{snapshotInterval: -1}, "-snapshot-interval"},
 		{"negative breaker cooldown", flagConfig{breakerCooldown: -1}, "-breaker-cooldown"},
 		{"chaos rate one", flagConfig{chaosFailRate: 1}, "-chaos-fail-rate"},

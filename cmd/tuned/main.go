@@ -34,7 +34,7 @@ func main() {
 	var f flagConfig
 	addr := flag.String("addr", "127.0.0.1:9911", "listen address")
 	state := flag.String("state", "", "cache state file: loaded on boot, flushed on shutdown")
-	flag.BoolVar(&f.resume, "resume", false, "resume cached searches whose persisted budget is short of the requested one")
+	resume := flag.Bool("resume", false, "resume cached searches whose persisted budget is short of the requested one")
 	flag.DurationVar(&f.batchWindow, "batch-window", 20*time.Millisecond, "admission window within which requests arriving behind a running tuning batch merge into the next one (an idle daemon runs a request at once)")
 	flag.Int64Var(&f.maxInflight, "max-inflight", 0, "max in-flight measurement budget before requests are shed with 429 (0 = unlimited)")
 	flag.IntVar(&f.cacheEntries, "cache-entries", 0, "max cached search keys before LRU eviction (0 = unlimited)")
@@ -97,7 +97,7 @@ func main() {
 
 	srv, err := tuned.New(tuned.Config{
 		Cache: cache, Tune: opts,
-		LayerWorkers: f.layerWorkers, Winograd: *winograd, Warm: *warm, Resume: f.resume,
+		LayerWorkers: f.layerWorkers, Winograd: *winograd, Warm: *warm, Resume: *resume,
 		BatchWindow: f.batchWindow, MaxInflight: f.maxInflight,
 		StatePath: *state, SnapshotInterval: f.snapshotInterval,
 		RequestTimeout: f.requestTimeout,
@@ -110,8 +110,11 @@ func main() {
 		Cluster:       clusterCfg,
 	})
 	if err != nil {
+		// New refuses only what the flags gave it: a configuration that
+		// cannot work (-request-timeout without -resume) or a -state file it
+		// cannot read.
 		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		os.Exit(2)
 	}
 
 	// A tuning response can legitimately take minutes (the engine runs

@@ -16,13 +16,16 @@ import (
 // model, memsim.Arch.Seconds, applied to the traffic and flops its dataflow
 // actually incurs at its launch's rates, plus the kind's fixed launches.
 // Seconds is monotone in each operand, the measured off-chip traffic of any
-// dataflow using Sb floats of fast memory is at least the theorem's Q(Sb),
-// and its flops are at least the kind's arithmetic floor, so
+// dataflow using Sb floats of fast memory is at least the theorem's Q(Sb)
+// and at least the compulsory traffic C (every output written once, every
+// weight and used input read once: bounds.CompulsoryTraffic), and its flops
+// are at least the kind's arithmetic floor, so
 //
-//	Seconds(rates; Q(Sb)·4, 0, arith) + fixed
+//	Seconds(rates; max(Q(Sb), C)·4, 0, arith) + fixed
 //
 // never exceeds a measurement — and neither does the same expression at
-// better rates. The engine uses it twice (Space.floor): the tight floor at
+// better rates. (FFT's traffic operand is its phase-3 bound alone, which
+// carries its own compulsory term over spectra.) The engine uses it twice (Space.floor): the tight floor at
 // the launch's own rates ranks the space for the analytic tier, the pruning
 // floor at ideal rates (Hide = Eff = 1) is the branch-and-bound oracle: a
 // candidate whose pruning floor already exceeds the best measured time is
@@ -43,7 +46,7 @@ type boundKey struct {
 }
 
 // floorTerms are the two row-evaluated operands of a time floor: the
-// theorem's minimum off-chip traffic q, in elements, and the arithmetic
+// minimum off-chip traffic q, in elements, and the arithmetic
 // floor of the tunable launch, in flops.
 type floorTerms struct {
 	q, arith float64
@@ -397,8 +400,9 @@ func siftTiles(tiles []tileBound, i int) {
 }
 
 // floorTerms returns the memoized row terms for fast memory sb and tile
-// edge e: the kind's theorem lower bound (Theorem 4.12 / 4.20, or the FFT
-// composite) and its arithmetic floor.
+// edge e: the kind's traffic lower bound (Theorem 4.12 / 4.20 or the
+// compulsory traffic, whichever is larger, or the FFT composite) and its
+// arithmetic floor.
 func (sp *Space) floorTerms(sb, e int) floorTerms {
 	key := boundKey{sb: sb, e: e}
 	sp.bmemo.mu.RLock()

@@ -120,16 +120,25 @@ func (sp *Space) MinFloor() float64 { return sp.minFloor(math.Inf(1)) }
 func (sp *Space) ScanMismatch() string { return scanMismatch(sp) }
 
 // Optimum dry-measures every configuration of the space and returns the
-// fastest measurement; ok is false when nothing measures.
-func (sp *Space) Optimum() (best Measurement, ok bool) {
+// fastest measurement; ok is false when nothing measures. above describes
+// the first configuration whose tight floor lies above its measurement, or
+// is "" when the floor holds under every one.
+func (sp *Space) Optimum() (best Measurement, above string, ok bool) {
 	measure := KindMeasurer(sp.Arch, sp.Shape, sp.Kind)
 	sp.enumerate(func(c conv.Config) bool {
-		if m, mok := measure(c); mok && (!ok || m.Seconds < best.Seconds) {
+		m, mok := measure(c)
+		if !mok {
+			return true
+		}
+		if f := sp.analyticFloor(c); above == "" && !(f <= m.Seconds) {
+			above = fmt.Sprintf("%v: tight floor %v above measured %v", c, f, m.Seconds)
+		}
+		if !ok || m.Seconds < best.Seconds {
 			best, ok = m, true
 		}
 		return true
 	})
-	return best, ok
+	return best, above, ok
 }
 
 // scanned reports whether the space's analytic scan has run.

@@ -79,9 +79,9 @@ type kindSpec struct {
 	design func(memsim.Arch, shapes.ConvShape, int) conv.Config
 
 	// lowerBound and arith are the operands the time floor (Space.floor)
-	// hands the time model in place of measured counts: the theorem's
-	// minimum off-chip traffic, in elements, for tile edge e and fast memory
-	// sb, and a lower bound on the tunable launch's flops for tile edge e.
+	// hands the time model in place of measured counts: the minimum off-chip
+	// traffic, in elements, for tile edge e and fast memory sb, and a lower
+	// bound on the tunable launch's flops for tile edge e.
 	// flatArith says arith is the same for every configuration; only then
 	// does it join the pruning floor as well as the tight one.
 	lowerBound func(s shapes.ConvShape, e, sb int) float64
@@ -146,7 +146,7 @@ var kindTable = [...]kindSpec{
 		launch:     conv.WinogradFusedLaunch,
 		launchable: func(_ shapes.ConvShape, c conv.Config) bool { return c.WinogradE >= 2 },
 		design:     conv.DefaultWinogradConfig,
-		lowerBound: bounds.WinogradLowerBound,
+		lowerBound: winogradLowerBound,
 		arith:      winogradFlopsFloor,
 		emit:       emitWinograd,
 		dry:        conv.DryWinogradFused,
@@ -167,6 +167,10 @@ var kindTable = [...]kindSpec{
 		launch:     conv.FFTTiledLaunch,
 		launchable: fftLaunchable,
 		design:     anyEdge(conv.DefaultFFTConfig),
+		// The phase-3 bound covers the pointwise launch alone, whose traffic
+		// is spectra, and carries its own compulsory term over them. The
+		// images and weights are moved by the fixed transform launches, so
+		// the convolution's compulsory traffic does not bound this one.
 		lowerBound: func(s shapes.ConvShape, _, sb int) float64 { return bounds.FFTPhase3LowerBound(s, sb) },
 		arith:      fftPhase3Flops,
 		flatArith:  true,
@@ -186,7 +190,8 @@ var kindTable = [...]kindSpec{
 		launch:     conv.IGEMMTiledLaunch,
 		design:     anyEdge(conv.DefaultIGEMMConfig),
 		// Implicit-GEMM shares the direct convolution DAG, so Theorem 4.12
-		// bounds both (group-aware through KernelSize).
+		// and the compulsory term bound both (group-aware through
+		// KernelSize and KernelVolume).
 		lowerBound: directLowerBound,
 		arith:      shapeFlops,
 		flatArith:  true,
@@ -245,8 +250,10 @@ func (k Kind) Dry(arch memsim.Arch, s shapes.ConvShape, c conv.Config) (*conv.Re
 	return &r, nil
 }
 
-// LowerBound is the kind's theorem lower bound on off-chip traffic, in
-// elements, for any schedule with c's fast-memory size (and tile edge).
+// LowerBound is the kind's lower bound on off-chip traffic, in elements, for
+// any schedule with c's fast-memory size (and tile edge): for Direct,
+// Winograd and implicit GEMM the larger of the theorem's Q(Sb) and the
+// compulsory traffic (bounds.CompulsoryTraffic), for FFT the phase-3 bound.
 func (k Kind) LowerBound(s shapes.ConvShape, c conv.Config) float64 {
 	return k.spec().lowerBound(s, c.WinogradE, c.SharedPerBlock)
 }
@@ -282,7 +289,16 @@ func anyEdge(design func(memsim.Arch, shapes.ConvShape) conv.Config) func(memsim
 	return func(arch memsim.Arch, s shapes.ConvShape, _ int) conv.Config { return design(arch, s) }
 }
 
-func directLowerBound(s shapes.ConvShape, _, sb int) float64 { return bounds.DirectLowerBound(s, sb) }
+// directLowerBound and winogradLowerBound take the larger of the theorem's
+// Hong–Kung term and the compulsory traffic: each term is a floor on the
+// traffic, so the larger one is too.
+func directLowerBound(s shapes.ConvShape, _, sb int) float64 {
+	return max(bounds.DirectLowerBound(s, sb), bounds.CompulsoryTraffic(s))
+}
+
+func winogradLowerBound(s shapes.ConvShape, e, sb int) float64 {
+	return max(bounds.WinogradLowerBound(s, e, sb), bounds.CompulsoryTraffic(s))
+}
 
 // shapeFlops is the arithmetic of the tiled direct dataflows: the same for
 // every tiling.

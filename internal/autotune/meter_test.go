@@ -1,0 +1,176 @@
+package autotune_test
+
+import (
+	"bufio"
+	"bytes"
+	"encoding/json"
+	"math"
+	"os"
+	"regexp"
+	"strconv"
+	"testing"
+)
+
+// meterLine is one line of testdata/meter.jsonl: the engine meter — per
+// engine seed 0–7 of a cold zoo pass, its measurements, the zoo shapes
+// whose verdict is at the optimum, the pass's network time and the bound's
+// looseness — as a change left it. A value the record does not hold is null;
+// halves carries the per-half sums for lines whose seeds are incomplete.
+type meterLine struct {
+	PR     int         `json:"pr"`
+	Parent string      `json:"parent"`
+	Source string      `json:"source"`
+	Seeds  []meterSeed `json:"seeds"`
+	Halves []meterHalf `json:"halves"`
+}
+
+type meterSeed struct {
+	Seed         int      `json:"seed"`
+	Measurements *int     `json:"measurements"`
+	Layers       *int     `json:"layers"`
+	NetworkMS    *float64 `json:"network_ms"`
+	Looseness    *float64 `json:"looseness"`
+}
+
+type meterHalf struct {
+	Seeds        string  `json:"seeds"`
+	Measurements int     `json:"measurements"`
+	Layers       int     `json:"layers"`
+	NetworkMS    float64 `json:"network_ms"`
+}
+
+var (
+	meterAll    = regexp.MustCompile(`(?m)^seed (\d+) all: .*, looseness geomean (\S+), (\d+) measurements$`)
+	meterLayers = regexp.MustCompile(`(?m)^seed (\d+) layers: (\d+) of \d+ shapes at the optimum, network (\S+) ms$`)
+)
+
+// TestMeterHistory holds the meter's history to the tree: the last line of
+// testdata/meter.jsonl must equal the `all` and `layers` lines of
+// oracle.golden and oracle_heldout.golden, seed for seed, and every line must
+// be well formed, with its halves the sums of whatever seeds it records. It
+// re-runs nothing. A change that moves the meter regenerates the goldens and
+// appends one line; it never rewrites a line.
+func TestMeterHistory(t *testing.T) {
+	raw, err := os.ReadFile("testdata/meter.jsonl")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var lines []meterLine
+	sc := bufio.NewScanner(bytes.NewReader(raw))
+	sc.Buffer(nil, 1<<20)
+	for sc.Scan() {
+		dec := json.NewDecoder(bytes.NewReader(sc.Bytes()))
+		dec.DisallowUnknownFields()
+		var l meterLine
+		if err := dec.Decode(&l); err != nil {
+			t.Fatalf("meter.jsonl line %d: %v", len(lines)+1, err)
+		}
+		lines = append(lines, l)
+	}
+	if err := sc.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if len(lines) == 0 {
+		t.Fatal("meter.jsonl holds no line")
+	}
+	for i, l := range lines {
+		if i > 0 && l.PR <= lines[i-1].PR {
+			t.Errorf("line %d: change %d does not follow %d", i+1, l.PR, lines[i-1].PR)
+		}
+		if l.Parent == "" || len(l.Seeds) != 8 || len(l.Halves) != 2 {
+			t.Fatalf("line %d: want a parent, 8 seeds and 2 halves, got %q, %d, %d", i+1, l.Parent, len(l.Seeds), len(l.Halves))
+		}
+		for h, half := range l.Halves {
+			checkMeterHalf(t, i+1, half, l.Seeds[4*h:4*h+4])
+		}
+	}
+
+	want := make(map[int]*meterSeed)
+	seed := func(b []byte) *meterSeed {
+		n := *meterInt(t, b)
+		if want[n] == nil {
+			want[n] = &meterSeed{Seed: n}
+		}
+		return want[n]
+	}
+	for _, name := range []string{"oracle.golden", "oracle_heldout.golden"} {
+		g, err := os.ReadFile("testdata/" + name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range meterAll.FindAllSubmatch(g, -1) {
+			s := seed(m[1])
+			s.Looseness, s.Measurements = meterFloat(t, m[2]), meterInt(t, m[3])
+		}
+		for _, m := range meterLayers.FindAllSubmatch(g, -1) {
+			s := seed(m[1])
+			s.Layers, s.NetworkMS = meterInt(t, m[2]), meterFloat(t, m[3])
+		}
+	}
+	last := lines[len(lines)-1]
+	for i, got := range last.Seeds {
+		w := want[i]
+		if w == nil || w.Measurements == nil || w.Layers == nil {
+			t.Fatalf("the goldens hold no `all` and `layers` lines for seed %d", i)
+		}
+		if got.Seed != i || !meterEqual(got.Measurements, w.Measurements) || !meterEqual(got.Layers, w.Layers) ||
+			!meterEqual(got.NetworkMS, w.NetworkMS) || !meterEqual(got.Looseness, w.Looseness) {
+			t.Errorf("last meter line (change %d), seed %d: got %s, the goldens read %s",
+				last.PR, i, meterString(got), meterString(*w))
+		}
+	}
+}
+
+// checkMeterHalf holds a half's sums to its seeds where they record them all.
+func checkMeterHalf(t *testing.T, line int, half meterHalf, seeds []meterSeed) {
+	t.Helper()
+	if want := strconv.Itoa(seeds[0].Seed) + "-" + strconv.Itoa(seeds[3].Seed); half.Seeds != want {
+		t.Errorf("line %d: half %q, want %q", line, half.Seeds, want)
+	}
+	m, l, ms := 0, 0, 0.0
+	var n [3]int // seeds recording measurements, layers, network ms
+	for i, s := range seeds {
+		if s.Seed != seeds[0].Seed+i {
+			t.Errorf("line %d: seed %d out of order", line, s.Seed)
+		}
+		if s.Measurements != nil {
+			m, n[0] = m+*s.Measurements, n[0]+1
+		}
+		if s.Layers != nil {
+			l, n[1] = l+*s.Layers, n[1]+1
+		}
+		if s.NetworkMS != nil {
+			ms, n[2] = ms+*s.NetworkMS, n[2]+1
+		}
+	}
+	// The halves' network time is written to 5 decimals.
+	if n[0] == 4 && m != half.Measurements || n[1] == 4 && l != half.Layers || n[2] == 4 && math.Abs(ms-half.NetworkMS) > 5e-6 {
+		t.Errorf("line %d: half %s records %d measurements, %d layers, %v ms; its seeds sum to %d, %d, %v",
+			line, half.Seeds, half.Measurements, half.Layers, half.NetworkMS, m, l, ms)
+	}
+}
+
+func meterInt(t *testing.T, b []byte) *int {
+	t.Helper()
+	v, err := strconv.Atoi(string(b))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &v
+}
+
+func meterFloat(t *testing.T, b []byte) *float64 {
+	t.Helper()
+	v, err := strconv.ParseFloat(string(b), 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &v
+}
+
+func meterEqual[T comparable](got, want *T) bool { return got != nil && want != nil && *got == *want }
+
+func meterString(s meterSeed) string {
+	b, _ := json.Marshal(s)
+	return string(b)
+}

@@ -314,9 +314,9 @@ func TestDirectFollowerAnswersAlone(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt, ok := searches[0].Space.Optimum()
-	if !ok {
-		t.Fatal("nothing measures")
+	opt, above, ok := searches[0].Space.Optimum()
+	if !ok || above != "" {
+		t.Fatalf("nothing measures (%t) or a floor lies above a measurement: %s", !ok, above)
 	}
 	if v := alone[0]; v.Kind != Direct || !v.Shared || v.M != searches[0].BestM || !(v.M.Seconds <= gapRatio*opt.Seconds) {
 		t.Errorf("winograd off: %v verdict %v (shared %t), want the cached Direct verdict %v within %v of the optimum %v",

@@ -104,6 +104,7 @@ func TestZooMinFloorMatchesAnalyticTop(t *testing.T) {
 // search's regret (verdict / true optimum) and the bound's looseness
 // (optimum / minimum tight floor of the space). A search whose optimum
 // equals that floor is certifiable: the engine can prove it finished. Every
+// configuration must measure at or above its tight floor, every
 // search that stopped on the certificate must end on the enumerated optimum,
 // and that optimum must be the minimum floor; every search that stopped on
 // the gap must hold its proof, GapRef / G ≤ the minimum floor ≤ the
@@ -197,9 +198,15 @@ func zooOracle(t *testing.T, seed int64, golden *bytes.Buffer) {
 	waived := 0
 	for _, s := range searches {
 		sp := s.Space
-		opt, ok := sp.Optimum()
+		opt, above, ok := sp.Optimum()
 		if !ok {
 			t.Fatalf("seed %d: %v %s: nothing measures", seed, sp.Shape, sp.Kind)
+		}
+		// Admissibility on the whole zoo: no configuration measures below
+		// its tight floor, so no floor the engine prunes, certifies, stops
+		// or waives on claims more than the space can deliver.
+		if above != "" {
+			t.Errorf("seed %d: %v %s: %s", seed, sp.Shape, sp.Kind, above)
 		}
 		optima[groupsKey(sp.Kind, sp.Shape)] = opt.Seconds
 		floor := sp.MinFloor()

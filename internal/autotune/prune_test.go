@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/bounds"
 	"repro/internal/conv"
 	"repro/internal/memsim"
 	"repro/internal/shapes"
@@ -83,6 +84,51 @@ func TestBoundSecondsIsAFloor(t *testing.T) {
 	archs := []memsim.Arch{memsim.V100, memsim.GTX1080Ti, memsim.GFX906}
 	for trial := 0; trial < 8; trial++ {
 		assertFloorChain(t, randomSmallShape(rng), archs[trial%len(archs)])
+	}
+}
+
+// The compulsory term at the traffic level: every configuration of the
+// Direct, Winograd and implicit-GEMM spaces must move at least
+// bounds.CompulsoryTraffic off chip — its counts write every output and read
+// every weight and, at stride 1, every input. Seeded small shapes, strided,
+// grouped and depthwise among them; each configuration's counts are the
+// ones a measurement of it prices.
+func TestCompulsoryTrafficIsAFloor(t *testing.T) {
+	rng := rand.New(rand.NewSource(53))
+	a := memsim.V100
+	kinds := []Kind{Direct, Winograd, ImplicitGEMM}
+	var checked [len(kindTable)]int
+	for trial := 0; trial < 24; trial++ {
+		s := randomSmallShape(rng)
+		switch trial % 3 {
+		case 1:
+			s = randomGroupedShape(rng)
+		case 2:
+			s.Cout, s.Groups = s.Cin, s.Cin // depthwise
+		}
+		c := bounds.CompulsoryTraffic(s)
+		for _, kind := range kinds {
+			sp, err := NewSpace(s, a, kind, 2, false)
+			if err != nil {
+				continue
+			}
+			sp.enumerate(func(cfg conv.Config) bool {
+				counts, _, _, err := kind.Phase(a, s, cfg)
+				if err != nil {
+					return true
+				}
+				checked[kind]++
+				if io := float64(counts.GlobalIO()); io < c {
+					t.Fatalf("%v %s %v: off-chip traffic %v < compulsory %v", s, kind, cfg, io, c)
+				}
+				return true
+			})
+		}
+	}
+	for _, kind := range kinds {
+		if checked[kind] == 0 {
+			t.Errorf("%s: no configuration checked", kind)
+		}
 	}
 }
 

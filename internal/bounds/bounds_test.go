@@ -243,3 +243,36 @@ func TestBatchScaling(t *testing.T) {
 		t.Errorf("batched bound %v not ~8x single %v", batched, single)
 	}
 }
+
+// The compulsory term's arithmetic: outputs written, weights read (Cin/G per
+// filter on a grouped layer) and, at stride 1 only, inputs read, all scaled
+// by the batch where they are per image.
+func TestCompulsoryTraffic(t *testing.T) {
+	dense := shapes.ConvShape{Batch: 2, Cin: 4, Hin: 6, Win: 5, Cout: 8, Hker: 3, Wker: 3, Strid: 1, Pad: 1}
+	// Outputs 2·6·5·8, weights 3·3·4·8, inputs 2·4·6·5.
+	if got, want := CompulsoryTraffic(dense), float64(480+288+240); got != want {
+		t.Errorf("dense: C = %v, want %v", got, want)
+	}
+	grouped := dense
+	grouped.Groups = 2
+	// Each filter spans Cin/G = 2 channels: 3·3·2·8 weights.
+	if got, want := CompulsoryTraffic(grouped), float64(480+144+240); got != want {
+		t.Errorf("grouped: C = %v, want %v", got, want)
+	}
+	if got, want := CompulsoryTraffic(grouped), float64(2*grouped.OutputVolume()+grouped.KernelVolume()+2*grouped.InputVolume()); got != want {
+		t.Errorf("grouped: C = %v, want outputs + KernelVolume + inputs = %v", got, want)
+	}
+	depthwise := dense
+	depthwise.Cout, depthwise.Groups = 4, 4
+	// Outputs 2·6·5·4, one 3×3 filter per channel, inputs 2·4·6·5.
+	if got, want := CompulsoryTraffic(depthwise), float64(240+36+240); got != want {
+		t.Errorf("depthwise: C = %v, want %v", got, want)
+	}
+	strided := dense
+	strided.Strid = 2
+	// Hout = (6+2-3)/2+1 = 3, Wout = (5+2-3)/2+1 = 3: outputs 2·3·3·8 and
+	// the weights; the inputs drop out.
+	if got, want := CompulsoryTraffic(strided), float64(144+288); got != want {
+		t.Errorf("stride 2: C = %v, want %v (no input term)", got, want)
+	}
+}

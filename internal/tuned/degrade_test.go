@@ -353,6 +353,7 @@ func TestServerAnalyticFallbackFillsDeadSearches(t *testing.T) {
 		Tune:           opts,
 		Chaos:          chaos.Config{Seed: 1, FailRate: 1},
 		RequestTimeout: 30 * time.Second, // arms degradation; never fires here
+		Resume:         true,             // New refuses a request timeout without it
 	})
 	resp, status := postTune(t, ts.URL, repro.DescribeNetwork(testArch.Name, netA()))
 	if status != http.StatusOK {

@@ -4,6 +4,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -16,6 +17,26 @@ import (
 // request deadlines answer best-so-far and resume, timed snapshots persist
 // without shutdown, a torn state file salvages on boot, and seeded fault
 // injection leaves every verdict untouched.
+
+// New refuses a request timeout without Resume: a cut-short verdict would
+// be stored, and its re-POST served from the cache as a final hit.
+func TestNewRefusesRequestTimeoutWithoutResume(t *testing.T) {
+	srv, err := New(Config{RequestTimeout: time.Second})
+	if err == nil {
+		srv.Close()
+		t.Fatal("New accepted RequestTimeout without Resume")
+	}
+	if !strings.Contains(err.Error(), "-request-timeout needs -resume") {
+		t.Errorf("error %q does not name the flags", err)
+	}
+	srv, err = New(Config{RequestTimeout: time.Second, Resume: true})
+	if err != nil {
+		t.Fatalf("New refused RequestTimeout with Resume: %v", err)
+	}
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
 
 // A request that cannot finish inside -request-timeout answers 200 with
 // best-so-far verdicts marked partial; because the truncated engine state

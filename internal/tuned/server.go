@@ -71,10 +71,9 @@ type Config struct {
 	// Searches still running at the deadline stop after their current
 	// measurement and the response carries best-so-far verdicts marked
 	// "partial": true; the truncated engine state is persisted at the
-	// measurements it took, so with Resume re-POSTing the identical request
-	// continues the search. Without Resume the re-POST is a cache hit that
-	// serves the cut-short verdict as final (cmd/tuned refuses the
-	// combination).
+	// measurements it took, so re-POSTing the identical request continues
+	// the search. It needs Resume, and New refuses it without: the re-POST
+	// would be a cache hit that serves the cut-short verdict as final.
 	RequestTimeout time.Duration
 	// Chaos, when enabled, wraps every search's measurer in the seeded
 	// fault injector — the harness behind the chaos e2e suite and CI job.
@@ -158,8 +157,12 @@ type Server struct {
 }
 
 // New builds a Server, loading persisted cache state from cfg.StatePath if
-// the file exists.
+// the file exists. It fails on a configuration that cannot work (a
+// RequestTimeout without Resume) or a state file it cannot read.
 func New(cfg Config) (*Server, error) {
+	if cfg.RequestTimeout > 0 && !cfg.Resume {
+		return nil, errors.New("tuned: -request-timeout needs -resume (Config.RequestTimeout needs Config.Resume): a re-POST must continue a cut-short search, not serve it as final")
+	}
 	if cfg.Cache == nil {
 		cfg.Cache = autotune.NewCache()
 	}
