@@ -7,7 +7,7 @@
 // verdicts back; GET /healthz serves the cache and admission counters and
 // GET /metrics the same observability as a Prometheus text exposition.
 // Identical in-flight requests collapse into one search, concurrent
-// distinct networks merge into one transfer pool, and SIGTERM flushes the
+// distinct networks merge into one warm sweep, and SIGTERM flushes the
 // cache (verdicts plus engine state) to -state so the next boot replays
 // instead of re-tuning. With -pprof the runtime profiles are served under
 // /debug/pprof/ as well.

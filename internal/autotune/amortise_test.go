@@ -108,8 +108,9 @@ func TestRefitCadence(t *testing.T) {
 		t.Errorf("cold budget-%d search ran %d refits, want 8..25", opts.Budget, cold.Refits)
 	}
 
-	// Two donor searches of the family leave the pool its seeds.
-	pool := newTransferPool()
+	// Two donor searches of the family: their measured configurations,
+	// each with its ratio to its floor in its own space, rank the seeds.
+	var cands []scored
 	for i, donor := range []shapes.ConvShape{
 		{Batch: 1, Cin: 128, Hin: 28, Win: 28, Cout: 256, Hker: 3, Wker: 3, Strid: 2, Pad: 1},
 		{Batch: 1, Cin: 32, Hin: 56, Win: 56, Cout: 64, Hker: 3, Wker: 3, Strid: 2, Pad: 1},
@@ -124,11 +125,15 @@ func TestRefitCadence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		pool.contribute(Direct, donor, dtr.History)
+		for _, h := range dtr.History {
+			if h.OK {
+				cands = append(cands, scored{h.Config, h.M.Seconds / dsp.analyticFloor(h.Config)})
+			}
+		}
 	}
-	warm := pool.warmFor(familyOf(Direct, s))
-	if warm == nil || len(warm.Seeds) != poolSeedCapFactor*warmTopK {
-		t.Fatalf("donors left the family %v, want %d seeds", warm, poolSeedCapFactor*warmTopK)
+	warm := seedsFor(sp, cands, false)
+	if warm == nil || len(warm.Seeds) != warmSeeds {
+		t.Fatalf("donors rank the seeds %v, want %d seeds", warm, warmSeeds)
 	}
 
 	opts.warm = warm

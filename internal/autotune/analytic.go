@@ -223,7 +223,7 @@ func (a *AnalyticDSE) fitCalibration(cache *Cache) float64 {
 		return 1
 	}
 	var ratios []float64
-	entries := cache.stateEntries(a.arch.Name, nil)
+	entries := cache.stateEntries(a.arch.Name)
 	if len(entries) > calibrationMaxEntries {
 		entries = entries[:calibrationMaxEntries]
 	}

@@ -251,8 +251,10 @@ func (sp *Space) bestFirst(ub float64, cut func(bound float64, t conv.Config) bo
 	heap := walkHeaps.Get().(*[]tileBound)
 	w := walk{sp: sp, ub: ub, heap: (*heap)[:0]}
 	defer func() {
-		*heap = w.heap[:0]
-		walkHeaps.Put(heap)
+		if cap(w.heap) <= walkHeapCap {
+			*heap = w.heap[:0]
+			walkHeaps.Put(heap)
+		}
 	}()
 	w.groups()
 	divs := sp.tileDivisors() // for this walk only: see Space.divs
@@ -271,8 +273,12 @@ func (sp *Space) bestFirst(ub float64, cut func(bound float64, t conv.Config) bo
 
 // walkHeaps recycles the walks' heaps. A walk owns its heap from its start
 // to its end — the analytic tier fans scans of one space across goroutines,
-// so a heap cannot live on the space — and hands it back emptied.
+// so a heap cannot live on the space — and hands it back emptied if it holds
+// at most walkHeapCap entries (12 KiB): a pooled heap outlives a forced GC,
+// and the analytic scans' reach 2 048 (48 KiB).
 var walkHeaps = sync.Pool{New: func() any { return new([]tileBound) }}
+
+const walkHeapCap = 512
 
 // walk is one best-first walk: its heap and the row terms per tile edge and
 // Sb index, read from the space once so a tile's floor takes no lock.

@@ -19,6 +19,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/conv"
+	"repro/internal/memsim"
 	"repro/internal/shapes"
 	"repro/internal/tensor"
 )
@@ -34,10 +35,10 @@ import (
 //
 // Beyond the verdict, an entry can carry the search's engine state — the
 // full measurement history (PutTrace), which its convergence curve is
-// rebuilt from. A state-
-// carrying entry lets a later run resume the search at a higher budget
-// without repeating a single measurement (TuneResumed), and lets
-// TuneNetwork rebuild its cross-layer transfer pool from a loaded file.
+// rebuilt from. A state-carrying entry lets a later run resume the search at
+// a higher budget without repeating a single measurement (TuneResumed).
+// Every verdict, with or without state, seeds TuneNetwork's warm searches
+// (Cache.candidates).
 type Cache struct {
 	shards [cacheShards]cacheShard
 
@@ -355,8 +356,10 @@ func (c *Cache) shardFor(key string) *cacheShard {
 
 // put is the one store behind every writer. It keeps the entry the key holds
 // unless e supersedes it; a rejected put moves no counter, recency or TTL. It
-// returns the entry the key holds after the put.
-func (c *Cache) put(key string, e CacheEntry) CacheEntry {
+// returns the entry the key holds after the put. sp is e's own space where
+// the writer has it at hand (the engine's put), or nil: a put that stores
+// computes the entry's floor ratio from it, once.
+func (c *Cache) put(key string, e CacheEntry, sp *Space) CacheEntry {
 	sh := c.shardFor(key)
 	sh.mu.Lock()
 	old, held := sh.entries[key]
@@ -371,7 +374,7 @@ func (c *Cache) put(key string, e CacheEntry) CacheEntry {
 		e.Rows = append(make([]CachedMeasurement, 0, len(e.Rows)), e.Rows...)
 	}
 	size := e.SizeBytes()
-	m := &entryMeta{size: size}
+	m := &entryMeta{size: size, ratio: floorRatio(e, sp)}
 	m.used.Store(c.clock.Add(1))
 	m.wall.Store(c.nowNanos())
 	if held {
@@ -385,6 +388,34 @@ func (c *Cache) put(key string, e CacheEntry) CacheEntry {
 	c.enforce()
 	return e
 }
+
+// floorRatio is e's verdict seconds over the verdict's tight floor in its
+// own space sp, built from the entry when nil (catalog architectures only),
+// or 0 where there is no such space or the floor is not positive and finite.
+func floorRatio(e CacheEntry, sp *Space) float64 {
+	if sp == nil {
+		s := e.Shape
+		arch, aerr := memsim.ByName(e.Arch)
+		kind, kerr := kindFromString(e.Kind)
+		if aerr != nil || kerr != nil || max(s.Batch, s.Cin, s.Hin, s.Win, s.Cout, s.Hker, s.Wker, s.Stride, s.Pad, s.Groups) > ratioMaxDim {
+			return 0
+		}
+		var err error
+		if sp, err = NewSpace(s.shape(), arch, kind, 0, true); err != nil {
+			return 0
+		}
+	}
+	f := sp.analyticFloor(e.Config.config())
+	if !(f > 0) || math.IsInf(f, 1) {
+		return 0
+	}
+	return e.Seconds / f
+}
+
+// ratioMaxDim bounds the entry shapes floorRatio builds a space for, as the
+// wire bounds a request's (repro.MaxLayerDim): nothing else bounds an entry,
+// and a space lists its axes' divisors in time linear in their length.
+const ratioMaxDim = 1 << 16
 
 // Supersedes reports whether e replaces old, an entry of the same key, in a
 // cache or a handoff queue. It compares, in turn: the verdict by the engine's
@@ -475,15 +506,15 @@ func (c *Cache) Put(archName string, kind Kind, s shapes.ConvShape, cfg conv.Con
 		Shape:   shapeToCached(s),
 		Config:  configToCached(cfg),
 		Seconds: m.Seconds, GFLOPS: m.GFLOPS,
-	})
+	}, nil)
 }
 
 // PutTrace stores a tuning outcome together with its engine state: the
 // full measurement history. A state-carrying entry can be resumed at a
-// higher budget (TuneResumed) and contributes to TuneNetwork's transfer
-// pool when the cache is reloaded.
+// higher budget (TuneResumed); like every verdict, it seeds TuneNetwork's
+// warm searches.
 func (c *Cache) PutTrace(archName string, kind Kind, s shapes.ConvShape, tr *Trace) {
-	c.put(cacheKey(archName, kind, s), traceEntry(archName, kind, s, tr))
+	c.put(cacheKey(archName, kind, s), traceEntry(archName, kind, s, tr), nil)
 }
 
 // traceEntry is the state-carrying entry of a tuning outcome.
@@ -530,14 +561,37 @@ func (c *Cache) State(archName string, kind Kind, s shapes.ConvShape) ([]Measure
 	return hist, curveOf(hist), true
 }
 
-// stateEntries returns the state-carrying entries of one architecture that
-// keep admits (nil admits all), in deterministic (key-sorted) order — the
-// raw material for rebuilding a cross-layer transfer pool or the analytic
-// calibration from a loaded cache file.
-func (c *Cache) stateEntries(archName string, keep func(CacheEntry) bool) []CacheEntry {
+// stateEntries returns the state-carrying entries of one architecture, in
+// deterministic (key-sorted) order — the rows the analytic calibration fits
+// on (AnalyticDSE.Calibrate).
+func (c *Cache) stateEntries(archName string) []CacheEntry {
 	return c.sortedEntries(func(e CacheEntry) bool {
-		return e.Arch == archName && len(e.Rows) > 0 && (keep == nil || keep(e))
+		return e.Arch == archName && len(e.Rows) > 0
 	})
+}
+
+// candidates returns the verdicts of (arch, kind) a warm search ranks
+// (seedsFor), each scored by the floor ratio put stored for it, or under
+// noPrune by its seconds; without noPrune an entry with no ratio is left out.
+// It builds no space. Its order is the shards' map order: seedsFor ranks by a
+// total order, so its seeds depend on the entry set alone.
+func (c *Cache) candidates(archName string, kind Kind, noPrune bool) []scored {
+	name := kind.String()
+	var out []scored
+	for i := range c.shards {
+		sh := &c.shards[i]
+		sh.mu.RLock()
+		for k, e := range sh.entries {
+			if r := sh.meta[k].ratio; e.Arch == archName && e.Kind == name && (r > 0 || noPrune) {
+				if noPrune {
+					r = e.Seconds
+				}
+				out = append(out, scored{e.Config.config(), r})
+			}
+		}
+		sh.mu.RUnlock()
+	}
+	return out
 }
 
 // StateSize reports how many measurements are persisted for a key,
@@ -662,7 +716,7 @@ func validateEntries(entries []CacheEntry) ([]string, error) {
 // commit stores validated entries under their keys.
 func (c *Cache) commit(entries []CacheEntry, keys []string) {
 	for i, e := range entries {
-		c.put(keys[i], e)
+		c.put(keys[i], e, nil)
 	}
 }
 
@@ -829,7 +883,7 @@ func (c *Cache) RecoverFile(path string) (loaded int, salvaged bool, err error) 
 	}
 	for _, e := range salvageEntries(data) {
 		if key, verr := e.Key(); verr == nil {
-			c.put(key, e)
+			c.put(key, e, nil)
 			loaded++
 		}
 	}
@@ -1025,13 +1079,13 @@ func convergedAt(curve []float64) int {
 // its trace — at its honest budget — so a repeat resume request continues
 // it. A run whose put loses to an entry that arrived for its key meanwhile
 // answers that entry's verdict, it and its waiters alike, and keeps its own
-// trace for the transfer pool.
+// trace.
 func tuneShared(ctx context.Context, cache *Cache, sp *Space, measure FallibleMeasurer, opts Options, resume bool) (out searchOutcome, shared bool) {
 	opts = opts.normalized()
 	// satisfied asks the coverage predicate. The persisted rows are decoded
 	// only on the resume path (where they feed the replay); a plain hit stays
-	// allocation-light and carries no trace — the transfer pool reads the
-	// cache's state entries directly (prime), not this seam.
+	// allocation-light and carries no trace — warm searches read the cache's
+	// verdicts directly (Cache.candidates), not this seam.
 	var resumeHist []MeasuredConfig
 	satisfied := func() bool {
 		e, remaining := cache.Covered(sp.Arch.Name, sp.Kind, sp.Shape, opts.Budget, resume)
@@ -1069,7 +1123,7 @@ func tuneShared(ctx context.Context, cache *Cache, sp *Space, measure FallibleMe
 	if err == nil {
 		// A better entry may have reached the key while the search ran (a
 		// replication push): the put keeps it, and the run answers it too.
-		held := cache.put(key, traceEntry(sp.Arch.Name, sp.Kind, sp.Shape, tr))
+		held := cache.put(key, traceEntry(sp.Arch.Name, sp.Kind, sp.Shape, tr), sp)
 		call.searchOutcome = searchOutcome{trace: tr}
 		call.cfg, call.m = held.verdict()
 	}

@@ -75,7 +75,7 @@ func TestCacheLoadRejectsGarbage(t *testing.T) {
 		t.Error("invalid shape accepted")
 	}
 	// A successful row with non-positive seconds would poison resumed
-	// incumbents (zero best prunes everything) and warm-pool log-costs.
+	// incumbents (zero best prunes everything) and cost-model log-costs.
 	bad := `{"version":2,"entries":[` + strings.Replace(validEntryJSON("direct"),
 		`"seconds":1.5e-4`, `"seconds":1.5e-4,"rows":[{"config":{"TileX":1,"TileY":1,"TileZ":1,"ThreadsX":1,"ThreadsY":1,"ThreadsZ":1,"SharedPerBlock":256,"Layout":0,"WinogradE":0},"seconds":0,"gflops":0,"ok":true}]`, 1) + `]}`
 	if err := c.Load(strings.NewReader(bad)); err == nil {

@@ -17,14 +17,16 @@ import (
 // bit-for-bit (the engine is deterministic), so dropping an entry can never
 // change an answer, only the cost of producing it.
 
-// entryMeta is the per-entry accounting record: approximate retained bytes,
-// the logical LRU clock tick of the last access, and the wall time of the
-// last access (TTL). The atomics let the read-locked lookup path touch an
+// entryMeta is the per-entry in-memory record: approximate retained bytes,
+// the logical LRU clock tick of the last access, the wall time of the last
+// access (TTL), and the entry's floor ratio, fixed when it was stored (see
+// Cache.candidates). The atomics let the read-locked lookup path touch an
 // entry without taking the shard's write lock.
 type entryMeta struct {
-	size int64
-	used atomic.Int64
-	wall atomic.Int64
+	size  int64
+	ratio float64
+	used  atomic.Int64
+	wall  atomic.Int64
 }
 
 // EvictionPolicy bounds a cache. The zero value is unbounded; any

@@ -75,36 +75,22 @@ func (c *Cache) snapshot() map[string]CacheEntry {
 func Restarted(c *Cache) *Cache {
 	out := NewCache()
 	for key, e := range c.snapshot() {
-		out.put(key, e)
+		out.put(key, e, nil)
 	}
 	return out
 }
 
-// PoolFamily is a transfer pool's family: (kind, kernel extent, stride).
-type PoolFamily = poolKey
-
-// FamilyOf is the pool family a search of (kind, s) reads and feeds.
-func FamilyOf(kind Kind, s shapes.ConvShape) PoolFamily { return familyOf(kind, s) }
-
-// PrimedFamily is what a transfer pool primed from a cache holds for one
-// family: its seeds, and whether the family is at its seed cap.
-type PrimedFamily struct {
-	Seeds []conv.Config
-	Full  bool
-}
-
-// PrimedFamilies primes a transfer pool from the cache's state-carrying
-// entries of arch, scoped to fams as a sweep scopes it (nil primes every
-// family), and returns what it holds per family.
-func PrimedFamilies(c *Cache, arch memsim.Arch, fams map[PoolFamily]bool) map[PoolFamily]PrimedFamily {
-	pool := newTransferPool()
-	pool.prime(c, arch, fams)
-	out := make(map[PoolFamily]PrimedFamily, len(pool.seeds))
-	for fam, seeds := range pool.seeds {
-		out[fam] = PrimedFamily{Seeds: seeds, Full: pool.full(fam)}
+// WarmSeeds are the seeds a warm search of sp ranks from the cache's verdicts
+// of its (arch, kind), as a sweep with the given NoPrune ranks them (nil
+// when none lands in sp), and WarmSeedCount is their cap.
+func WarmSeeds(c *Cache, sp *Space, noPrune bool) []conv.Config {
+	if w := seedsFor(sp, c.candidates(sp.Arch.Name, sp.Kind, noPrune), noPrune); w != nil {
+		return w.Seeds
 	}
-	return out
+	return nil
 }
+
+const WarmSeedCount = warmSeeds
 
 // GapRatio is the gap stop's G: a StopGap search proved that no measurable
 // configuration has a tight floor below Trace.GapRef / GapRatio.

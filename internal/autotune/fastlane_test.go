@@ -277,7 +277,7 @@ func TestCachedNetworkDeclinesResumableEntry(t *testing.T) {
 // dedup map and its keys, one task per distinct search, a candidate list per
 // layer and the verdict list — 73 when this was written. Before the probe
 // the same call cost 4 572 allocations against a three-network cache,
-// because Warm rebuilt the whole transfer pool first.
+// because Warm rebuilt the whole transfer pool, since removed, first.
 const hitAllocsCeiling = 100
 
 // The cost of a hit depends on the request, not on the cache: an all-hit

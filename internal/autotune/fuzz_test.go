@@ -102,7 +102,7 @@ func readCorpusFile(path string) ([]byte, error) {
 // network. Differential contract: for any input, DecodeEntries and Cache.Load
 // accept and reject alike, what DecodeEntries returns is exactly the key set
 // Load commits, and every row it returns can be featurized and snapped on its
-// entry's space — what the transfer pool does with it.
+// entry's space — what a resumed search and a warm sweep do with its configs.
 func FuzzEnvelopeDecode(f *testing.F) {
 	addEnvelopeSeeds(f)
 	// FuzzCacheLoad's checked-in findings exercise the same decoder; replay
@@ -159,8 +159,9 @@ func FuzzEnvelopeDecode(f *testing.F) {
 // divisors of a huge axis would time the fuzzer out, not find a crash.
 const fuzzMaxDim = 1024
 
-// snapRows does to an accepted entry's rows what a warm sweep's transfer pool
-// does — featurize each row on the entry's space and snap it as a seed —
+// snapRows does to an accepted entry's rows what the engine does with its
+// configs — featurize each row on the entry's space, as a resumed search's
+// replay does, and snap it, as a warm sweep snaps a verdict into its space —
 // where the entry's kind admits its shape. A row the decoder let through that
 // the engine cannot take panics here.
 func snapRows(e CacheEntry) {

@@ -35,9 +35,9 @@ func stateEntry(t *testing.T) CacheEntry {
 
 // Every cache ingress — Load, PutEntries (the replication endpoint's
 // receiver) and RecoverFile's salvage — rejects an entry whose verdict or
-// rows carry a config no space of its kind can take. Accepted, such a row
-// reaches a warm sweep's transfer pool as a seed, and snapping it panics the
-// search's goroutine: an empty axis for a tile edge the kind lacks, a divide
+// rows carry a config no space of its kind can take. Accepted, such a
+// verdict reaches a warm sweep as a seed candidate, and snapping it panics
+// the search's goroutine: an empty axis for a tile edge the kind lacks, a divide
 // by zero for a zero thread count. A verdict time that is not positive would
 // outrank every measured verdict of its key for good. The sweep at the end
 // runs over the salvaged cache of each case and must finish.

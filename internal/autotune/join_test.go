@@ -199,9 +199,9 @@ func TestSupersedesOrder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.put(key, base)
+	c.put(key, base, nil)
 	writes := c.Writes()
-	if n := testing.AllocsPerRun(100, func() { c.put(key, base) }); n != 0 {
+	if n := testing.AllocsPerRun(100, func() { c.put(key, base, nil) }); n != 0 {
 		t.Errorf("a re-put of the held entry allocates %v times", n)
 	}
 	if c.Writes() != writes {
@@ -373,7 +373,7 @@ func layerOptimum(t *testing.T) (best conv.Config, bestM Measurement, e CacheEnt
 // A search that misses the cache and then loses its put to a better entry
 // that reached the key while it ran — here a replication push of the
 // space's optimum — answers the entry the cache holds, while the sweep keeps
-// the run's own trace for the transfer pool.
+// the run's own trace.
 func TestSearchAnswersTheEntryItLostTo(t *testing.T) {
 	s := layer()
 	best, bestM, optimum := layerOptimum(t)

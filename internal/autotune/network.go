@@ -1,7 +1,6 @@
 package autotune
 
 import (
-	"cmp"
 	"context"
 	"fmt"
 	"math"
@@ -20,21 +19,19 @@ import (
 // repeated 3×3 blocks of a ResNet stage tune once and share the verdict —
 // mirroring how key-based autotuner caches amortize search across a model.
 //
-// With NetworkOptions.Warm the sweep additionally transfers state between
-// related searches: a per-(arch, kind) pool — binned by layer family
-// (kernel extent × stride), the granularity at which good configurations
-// actually transfer — collects the top-K incumbent configurations of
-// finished layers, and every later layer starts from those incumbents
-// instead of a cold random phase, with a cost model that learns the
-// residual over the I/O-bound floor on its own rows. The schedule is two
-// deterministic waves — one representative search per family runs cold,
-// then everything else runs warm off the frozen pool — so verdicts stay
-// bit-identical for any worker count. It runs once per kind, side by side:
-// each layer's lead search — its Winograd one where it has one, its Direct
-// one otherwise — waits on nothing, and its other searches' gap stop (see
-// Tune) measures against the lead's verdict. A cache file
-// saved with engine state (PutTrace) rebuilds the pool on load, in which
-// case already-covered families skip their cold wave.
+// With NetworkOptions.Warm the sweep transfers state between searches: the
+// I/O floor ranks a space, and each cached verdict of the search's (arch,
+// kind), of any shape, knows how far its measured time sat above its own
+// floor (Cache.candidates). A warm search measures first the verdicts that
+// rank best in its space by floor × that ratio, instead of a cold random
+// phase, and its cost model learns the residual over the floor on its own
+// rows (seedsFor). The candidates are read once per (sweep, kind), before
+// its searches start, so verdicts stay bit-identical for any worker count.
+// Only a kind the cache holds no candidate of runs a cold wave first: one
+// search per layer family (kernel extent × stride). The schedule runs once
+// per kind, side by side: each layer's lead search — its Winograd one where
+// it has one, its Direct one otherwise — waits on nothing, and its other
+// searches' gap stop (see Tune) measures against the lead's verdict.
 
 // NetworkLayer is one layer of a network-level tuning request. Grouped or
 // depthwise layers carry their group count in Shape.Groups and tune with
@@ -66,12 +63,14 @@ type NetworkOptions struct {
 	// for unit-stride layers with kernels of at least 3×3, Winograd only
 	// where it admits — and the best measured verdict per layer wins.
 	Kinds []Kind
-	// Warm enables cross-layer warm-starting: finished searches feed a
-	// per-(arch, kind) transfer pool of incumbent seeds, and subsequent
-	// layers start from those seeds instead of cold, their cost model
-	// learning the residual over the I/O-bound floor from their own rows
-	// (unless Tune.NoPrune, which keeps the search bound-blind). Verdicts
-	// remain deterministic for a fixed Tune.Seed at any worker count.
+	// Warm enables cross-layer warm-starting: every search starts from the
+	// cached verdicts of its kind that rank best in its space by floor ×
+	// measured/floor ratio (by seconds alone under Tune.NoPrune, which
+	// keeps the search bound-blind), instead of cold, its cost model
+	// learning the residual over the I/O-bound floor from its own rows. A
+	// kind the cache holds no verdict of first runs one cold search per
+	// layer family. Verdicts remain deterministic for a fixed Tune.Seed at
+	// any worker count.
 	Warm bool
 	// Resume re-enters cached searches whose persisted engine state is
 	// shorter than Tune.Budget: the stored history replays (no repeat
@@ -234,8 +233,9 @@ func closed(ch <-chan struct{}) bool {
 
 // sweepPlan is a network request reduced to the work behind it: the distinct
 // searches in first-come layer order — so the schedule, and therefore the
-// warm pool, is a pure function of the input — and tasksOf[i], the task
-// index per candidate kind of layers[i], the mandatory Direct search first.
+// warm seeds, is a pure function of the input and the cache — and
+// tasksOf[i], the task index per candidate kind of layers[i], the mandatory
+// Direct search first.
 type sweepPlan struct {
 	arch    memsim.Arch
 	layers  []NetworkLayer
@@ -288,95 +288,55 @@ func (p sweepPlan) searches() []Search {
 	return out
 }
 
-// warmTopK is how many incumbent configurations each finished search
-// contributes as warm seeds, and poolSeedCapFactor bounds the seeds a family
-// accumulates (as a multiple of warmTopK): every seed is snapped and measured
-// at the start of a warm search, so an uncapped list — e.g. a primed cache
-// with many entries per family — would flood the budget with other layers'
-// incumbents instead of leaving room to search.
-const (
-	warmTopK          = 4
-	poolSeedCapFactor = 2
-)
+// warmSeeds is how many cached verdicts a warm search measures first. Every
+// seed is measured at the start of the search, so more would spend the
+// budget on other layers' verdicts instead of searching.
+const warmSeeds = 8
 
-// poolKey addresses one family of a per-(arch, kind) transfer pool. Good
-// configurations transfer best between layers sharing kernel extent and
-// stride (a ResNet stage's repeated 3×3 blocks, the 1×1 projections, the
-// stride-2 downsamplers), so seeds are binned that way and a search inherits
-// exactly its own family's.
-type poolKey struct {
-	kind        Kind
-	hker, strid int
-}
-
-func familyOf(kind Kind, s shapes.ConvShape) poolKey {
-	return poolKey{kind: kind, hker: s.Hker, strid: s.Strid}
-}
-
-// transferPool is the cross-layer state: the incumbent seed configurations
-// of finished searches, binned by family. It is written between waves and
-// read-only while searches run, so no lock is needed.
-type transferPool struct {
-	seeds map[poolKey][]conv.Config
-}
-
-func newTransferPool() *transferPool {
-	return &transferPool{seeds: make(map[poolKey][]conv.Config)}
-}
-
-func (p *transferPool) has(k poolKey) bool { return len(p.seeds[k]) > 0 }
-
-// full reports a family at its seed cap, to which contribute adds nothing.
-func (p *transferPool) full(k poolKey) bool {
-	return len(p.seeds[k]) >= poolSeedCapFactor*warmTopK
-}
-
-// contribute folds one finished search of (kind, s) into its family's pool:
-// its top-K configurations become warm seeds, up to the family's cap.
-func (p *transferPool) contribute(kind Kind, s shapes.ConvShape, hist []MeasuredConfig) {
-	key := familyOf(kind, s)
-	for _, c := range topConfigs(hist, warmTopK) {
-		if p.full(key) {
+// seedsFor is the warm start of a search of sp from the frozen candidates of
+// its kind: each candidate snapped into sp, the measurable ones ranked by
+// sp's tight floor of the snapped configuration times the candidate's floor
+// ratio — by the candidate's seconds alone under noPrune — ties by
+// configLess, and the warmSeeds best distinct ones. It is nil when no
+// candidate lands in sp: the search runs cold. The ranking is a total order,
+// so the seeds are a pure function of the candidate set.
+func seedsFor(sp *Space, cands []scored, noPrune bool) *warmStart {
+	ranked := make([]scored, 0, len(cands))
+	for _, c := range cands {
+		cfg, ok := sp.snap(c.cfg)
+		if !ok || !sp.measurable(cfg) {
+			continue
+		}
+		cost := c.cost
+		if !noPrune {
+			cost *= sp.analyticFloor(cfg)
+		}
+		if cost > 0 && !math.IsInf(cost, 1) {
+			ranked = append(ranked, scored{cfg, cost})
+		}
+	}
+	slices.SortFunc(ranked, func(a, b scored) int {
+		switch {
+		case scoredBefore(a, b):
+			return -1
+		case scoredBefore(b, a):
+			return 1
+		}
+		return 0
+	})
+	var seeds []conv.Config
+	for _, r := range ranked {
+		if len(seeds) == warmSeeds {
 			break
 		}
-		p.seeds[key] = append(p.seeds[key], c)
-	}
-}
-
-// prime rebuilds the pool from the cache: every state-carrying entry of this
-// architecture contributes, highest budget first and in key order within one
-// budget — except an entry whose family the sweep does not read (fams; nil
-// reads every family), which is not even copied out of the cache, and one
-// whose family is already full, where contribute would add nothing. A
-// family the sweep reads gets the seeds a full prime would give it.
-//
-// Budget first because the richer search is the better source, and because
-// it keeps a full family's seeds where they are: a fresh low-budget entry
-// ranks behind every higher-budget source. The order is still a pure
-// function of the cache's entry set.
-func (p *transferPool) prime(cache *Cache, arch memsim.Arch, fams map[poolKey]bool) {
-	read := func(e CacheEntry) bool {
-		kind, err := kindFromString(e.Kind)
-		return err == nil && (fams == nil || fams[familyOf(kind, e.Shape.shape())])
-	}
-	entries := cache.stateEntries(arch.Name, read)
-	slices.SortStableFunc(entries, func(a, b CacheEntry) int { return cmp.Compare(b.coveredBudget(), a.coveredBudget()) })
-	for _, e := range entries {
-		kind, _ := kindFromString(e.Kind) // read admitted it
-		if s := e.Shape.shape(); !p.full(familyOf(kind, s)) {
-			p.contribute(kind, s, e.history())
+		if !slices.Contains(seeds, r.cfg) {
+			seeds = append(seeds, r.cfg)
 		}
 	}
-}
-
-// warmFor assembles the warm start a search inherits from its family, or
-// nil when the pool has nothing for it. The seeds are shared read-only
-// across concurrent searches.
-func (p *transferPool) warmFor(k poolKey) *warmStart {
-	if !p.has(k) {
+	if seeds == nil {
 		return nil
 	}
-	return &warmStart{Seeds: p.seeds[k]}
+	return &warmStart{Seeds: seeds}
 }
 
 // candidateKinds filters the requested kinds by a layer's signature — the
@@ -418,7 +378,7 @@ func candidateKinds(dst []Kind, s shapes.ConvShape, opts NetworkOptions) []Kind 
 // Workers/opts.Tune.Workers setting — with or without warm-starting.
 // cache may be nil for a throwaway run; passing a loaded persistent cache
 // skips already-tuned layers entirely (or resumes them, with opts.Resume)
-// and seeds the transfer pool from any persisted engine state.
+// and, with opts.Warm, seeds the other searches from its verdicts.
 func TuneNetwork(arch memsim.Arch, layers []NetworkLayer, cache *Cache, opts NetworkOptions) ([]LayerVerdict, error) {
 	return TuneNetworkContext(context.Background(), arch, layers, cache, opts)
 }
@@ -438,7 +398,7 @@ func TuneNetworkContext(ctx context.Context, arch memsim.Arch, layers []NetworkL
 		cache = NewCache()
 	}
 	// A request the cache fully answers is a lookup, not a sweep: it returns
-	// here, before any space, measurer, transfer pool or worker exists.
+	// here, before any space, measurer or worker exists.
 	plan := planSweep(arch, layers, opts)
 	if verdicts, _, ok := plan.cached(cache, opts); ok {
 		return verdicts, nil
@@ -466,15 +426,13 @@ func (p sweepPlan) run(ctx context.Context, cache *Cache, opts NetworkOptions) e
 	// them; a follower waiting for its lead gives its slot back while it
 	// waits.
 	slots := make(chan struct{}, workers)
-	run := func(idxs []int, pool *transferPool) {
+	run := func(idxs []int, cands []scored) {
 		fanIndexed(len(idxs), workers, func(j int) {
 			slots <- struct{}{}
 			defer func() { <-slots }()
 			t := tasks[idxs[j]]
 			to := opts.Tune
-			if pool != nil {
-				to.warm = pool.warmFor(familyOf(t.Kind, t.Shape))
-			}
+			to.warm = seedsFor(t.sp, cands, to.NoPrune)
 			if lead := p.lead(t.owner); lead == t {
 				defer close(t.done)
 				to.booked = t.book
@@ -495,31 +453,28 @@ func (p sweepPlan) run(ctx context.Context, cache *Cache, opts NetworkOptions) e
 			run(idxs, nil)
 			return
 		}
-		// Two deterministic waves: wave 0 is one representative search per
-		// layer family the pool has nothing for yet (cold), wave 1 is
-		// everything else, warm off the pool frozen after wave 0. Both
-		// waves fan across the workers; determinism holds because searches
-		// within a wave never feed each other.
-		pool := newTransferPool()
-		pool.prime(cache, arch, liveFamilies(tasks, idxs))
-		var wave0, wave1 []int
-		cold := make(map[poolKey]bool)
-		for _, i := range idxs {
-			fam := familyOf(tasks[i].Kind, tasks[i].Shape)
-			if !pool.has(fam) && !cold[fam] {
-				cold[fam] = true
-				wave0 = append(wave0, i)
-			} else {
-				wave1 = append(wave1, i)
+		// The searches rank candidates read once, before any of them runs,
+		// so none feeds another and any worker count gives the same seeds.
+		// A kind with no candidate yet first runs one cold search per layer
+		// family (kernel extent × stride), whose verdicts the rest rank.
+		kind := tasks[idxs[0]].Kind
+		cands := cache.candidates(arch.Name, kind, opts.Tune.NoPrune)
+		if len(cands) == 0 {
+			var wave0, rest []int
+			cold := make(map[[2]int]bool)
+			for _, i := range idxs {
+				s := tasks[i].Shape
+				if fam := [2]int{s.Hker, s.Strid}; !cold[fam] {
+					cold[fam] = true
+					wave0 = append(wave0, i)
+				} else {
+					rest = append(rest, i)
+				}
 			}
+			run(wave0, nil)
+			idxs, cands = rest, cache.candidates(arch.Name, kind, opts.Tune.NoPrune)
 		}
-		run(wave0, nil)
-		for _, i := range wave0 {
-			if t := tasks[i]; t.err == nil {
-				pool.contribute(t.Kind, t.Shape, t.history())
-			}
-		}
-		run(wave1, pool)
+		run(idxs, cands)
 	}
 
 	// The schedule runs once per kind, side by side. Each layer has one
@@ -529,8 +484,8 @@ func (p sweepPlan) run(ctx context.Context, cache *Cache, opts NetworkOptions) e
 	// what it reads is the same whatever the timing. A lead is a Winograd
 	// search or a Direct one, and a Direct search follows only a Winograd
 	// one: the Winograd schedule always finishes, then the Direct one, then
-	// the rest. Pool families are per kind, so the split builds every pool
-	// as one schedule over all of live would.
+	// the rest. A search ranks only its own kind's verdicts, so the split
+	// seeds every search as one schedule over all of live would.
 	var byKind [len(kindTable)][]int
 	for _, i := range live {
 		t := tasks[i]
@@ -584,15 +539,6 @@ func (p sweepPlan) spaces() ([]int, error) {
 		live = append(live, i)
 	}
 	return live, nil
-}
-
-// liveFamilies is the set of pool families the live tasks read.
-func liveFamilies(tasks []*netTask, live []int) map[poolKey]bool {
-	fams := make(map[poolKey]bool, len(live))
-	for _, i := range live {
-		fams[familyOf(tasks[i].Kind, tasks[i].Shape)] = true
-	}
-	return fams
 }
 
 // CachedNetwork answers a network request from the cache alone: ok reports

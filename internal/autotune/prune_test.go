@@ -218,7 +218,7 @@ func TestTunePrunesCandidates(t *testing.T) {
 
 // traceEqual compares every field of two traces — curve and full
 // measurement history included, since the history is what PutTrace
-// persists and the transfer pool consumes; worker-count determinism must
+// persists and a resumed search replays; worker-count determinism must
 // cover it too.
 func traceEqual(a, b *Trace) bool {
 	if a.Method != b.Method || a.Best != b.Best || a.BestM != b.BestM ||

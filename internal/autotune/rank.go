@@ -128,25 +128,6 @@ func (h *bestK) siftDown(i int) {
 	}
 }
 
-// topConfigs extracts the k best successfully-measured configurations of a
-// history, best first — the incumbent seeds a finished search contributes
-// to the cross-layer transfer pool.
-func topConfigs(hist []MeasuredConfig, k int) []conv.Config {
-	var h bestK
-	h.reset(k)
-	for _, r := range hist {
-		if r.OK {
-			h.push(scored{r.Config, r.M.Seconds})
-		}
-	}
-	ranked := h.sorted(nil)
-	out := make([]conv.Config, len(ranked))
-	for i, s := range ranked {
-		out[i] = s.cfg
-	}
-	return out
-}
-
 // sorted writes the retained items into dst (recycled) in best-to-worst
 // order and returns it. k is small (a batch or walker count), so an
 // insertion sort beats a general sort and allocates nothing.

@@ -36,7 +36,7 @@ func KindMeasurer(arch memsim.Arch, s shapes.ConvShape, kind Kind) Measurer {
 // MeasuredConfig is one measurement record of a tuning run: the
 // configuration, its outcome and whether it measured successfully. Traces
 // carry the full record stream (Trace.History); it is the raw material of
-// cross-layer warm pools and of cache-persisted resume.
+// cache-persisted resume.
 type MeasuredConfig struct {
 	Config conv.Config
 	M      Measurement
@@ -45,12 +45,13 @@ type MeasuredConfig struct {
 
 // warmStart is the transfer seam of the engine: everything a search may
 // inherit from related, already-finished searches instead of starting cold.
-// Only TuneNetwork's pool (transferPool.warmFor) and the cache's resume road
+// Only TuneNetwork's warm searches (seedsFor) and the cache's resume road
 // (withHistory) build one.
 type warmStart struct {
-	// Seeds are incumbent configurations from related layers. They are
-	// snapped onto this space's axes and measured first, so the walkers
-	// start from transferred incumbents instead of random guesses.
+	// Seeds are cached verdicts of other searches of the kind, snapped into
+	// this space and ranked by floor × measured/floor ratio (seedsFor). They
+	// are measured first, so the walkers start from transferred verdicts
+	// instead of random guesses.
 	Seeds []conv.Config
 	// History is this exact key's own earlier measurement stream (from a
 	// persisted cache entry). It is replayed — marked seen, booked into
@@ -107,8 +108,9 @@ type Options struct {
 	// auto-tuners parallelize measurement precisely to overlap this wait;
 	// with Workers > 1 the executor does the same.
 	MeasureLatency time.Duration
-	// warm, when non-nil, warm-starts the search: seed configurations from
-	// related layers and/or this key's own persisted history to resume from.
+	// warm, when non-nil, warm-starts the search: other searches' cached
+	// verdicts ranked for this space, and/or this key's own persisted
+	// history to resume from.
 	// A warm search that may prune learns the floor residual (see Tune). nil
 	// reproduces the cold engine bit-for-bit.
 	warm *warmStart
@@ -194,8 +196,8 @@ type Trace struct {
 	// searchers are bound-blind and never prune).
 	Pruned int
 	// History records every measurement in submission order (replayed
-	// history included, on a resumed run). Cache.PutTrace persists it and
-	// the network tuner's transfer pool is built from it.
+	// history included, on a resumed run). Cache.PutTrace persists it, and
+	// a resumed search replays it.
 	History []MeasuredConfig
 	// Budget is the measurement budget the run was given (normalized).
 	// Persisted with the trace, it lets a resume request distinguish "this
@@ -424,10 +426,11 @@ func (r *record) stale(patience int) bool {
 //     ranking read the model through a memo (predictor) that is cleared
 //     whenever the model changes.
 //
-// A warm start (set only by TuneNetwork's transfer pool and the cache's
-// resume road) transfers state from related searches: transferred incumbent
-// configs, snapped into the space and measured first (replacing the cold
-// start's random guesses), or a persisted history, replayed without
+// A warm start (set only by TuneNetwork's warm searches and the cache's
+// resume road) transfers state from related searches: other searches'
+// cached verdicts, snapped into the space, ranked by floor × measured/floor
+// ratio and measured first (replacing the cold start's random guesses), or a
+// persisted history, replayed without
 // re-measuring so a cached search resumes at a higher budget. A warm search
 // that may prune starts its model on few rows, so the I/O bound carries it:
 // the model learns log measured − log analyticFloor, the floor residual, and

@@ -66,7 +66,7 @@ func TestWarmNetworkNeverWorse(t *testing.T) {
 }
 
 // Warm-started sweeps stay bit-identical across every worker knob: the
-// two-wave schedule freezes the transfer pool between waves, so neither
+// seed candidates are read before any search of a kind runs, so neither
 // the layer fan-out nor the per-search measurement executor can reorder
 // what any search sees.
 func TestTuneNetworkWarmDeterministic(t *testing.T) {
@@ -105,14 +105,14 @@ func TestWarmStartDeterministicAcrossWorkers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pool := newTransferPool()
-	pool.contribute(Direct, donor, dtr.History)
-	warm := pool.warmFor(familyOf(Direct, donor))
-	if warm == nil || len(warm.Seeds) == 0 {
-		t.Fatal("donor search contributed nothing to the pool")
+	donors := NewCache()
+	donors.PutTrace(arch.Name, Direct, donor, dtr)
+	sp := mustSpace(t, true)
+	warm := seedsFor(sp, donors.candidates(arch.Name, Direct, false), false)
+	if warm == nil {
+		t.Fatal("the donor's verdict seeds nothing")
 	}
 
-	sp := mustSpace(t, true)
 	measure := KindMeasurer(arch, layer(), Direct)
 	opts := smallOpts(48, 11)
 	opts.warm = warm
@@ -134,8 +134,10 @@ func TestWarmStartDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
-// A cache saved by a state-persisting run rebuilds the transfer pool on
-// load, so a later sweep skips even the cold representative wave.
+// A cache saved by a warm sweep and loaded again seeds a later warm search
+// as the saved one does: the floor ratio is not in the file, and Load
+// computes it again from each entry, so the stage layer's seeds come out the
+// same, with pruning and under NoPrune.
 func TestWarmPoolPrimedFromCache(t *testing.T) {
 	layers := resnetBlockLayers()
 	cache := NewCache()
@@ -151,24 +153,64 @@ func TestWarmPoolPrimedFromCache(t *testing.T) {
 	if err := restored.Load(&buf); err != nil {
 		t.Fatal(err)
 	}
-	pool := newTransferPool()
-	pool.prime(restored, arch, nil)
-	fam := familyOf(Direct, layers[1].Shape)
-	if !pool.has(fam) {
-		t.Fatal("reloaded cache primed no pool for the stage family")
+	sp, err := NewSpace(layers[1].Shape, arch, Direct, 0, true)
+	if err != nil {
+		t.Fatal(err)
 	}
-	// The pool reads the entries' rows for their top configurations only,
-	// so a reloaded cache seeds the family what the saved one does.
-	want := newTransferPool()
-	want.prime(cache, arch, nil)
-	if w := pool.warmFor(fam); !reflect.DeepEqual(w.Seeds, want.warmFor(fam).Seeds) {
-		t.Fatalf("reloaded cache primes seeds %v, the saved one %v", w.Seeds, want.warmFor(fam).Seeds)
+	for _, noPrune := range []bool{false, true} {
+		want := seedsFor(sp, cache.candidates(arch.Name, Direct, noPrune), noPrune)
+		if want == nil {
+			t.Fatalf("noPrune %v: the saved cache seeds no search of the stage layer", noPrune)
+		}
+		got := seedsFor(sp, restored.candidates(arch.Name, Direct, noPrune), noPrune)
+		if got == nil || !reflect.DeepEqual(got.Seeds, want.Seeds) {
+			t.Fatalf("noPrune %v: reloaded cache seeds %v, the saved one %v", noPrune, got, want.Seeds)
+		}
+	}
+}
+
+// A warm search's seeds are capped: a cache holding many sibling verdicts
+// that snap into one space must not hand the search more than warmSeeds
+// seeds, which it would measure before it can explore.
+func TestWarmPoolSeedCap(t *testing.T) {
+	donor := shapes.ConvShape{Batch: 1, Cin: 64, Hin: 14, Win: 14, Cout: 32, Hker: 3, Wker: 3, Strid: 1, Pad: 1}
+	var layers []NetworkLayer
+	for _, cin := range []int{16, 32, 64, 128} {
+		for _, hw := range []int{7, 14, 28} {
+			s := donor
+			s.Cin, s.Hin, s.Win = cin, hw, hw
+			layers = append(layers, NetworkLayer{Name: fmt.Sprintf("c%d_hw%d", cin, hw), Shape: s, Repeat: 1})
+		}
+	}
+	cache := NewCache()
+	if _, err := TuneNetwork(arch, layers, cache, NetworkOptions{Tune: smallOpts(32, 5), Workers: 2}); err != nil {
+		t.Fatal(err)
+	}
+	sp, err := NewSpace(donor, arch, Direct, 0, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, noPrune := range []bool{false, true} {
+		cands := cache.candidates(arch.Name, Direct, noPrune)
+		snapped := make(map[conv.Config]bool)
+		for _, c := range cands {
+			if cfg, ok := sp.snap(c.cfg); ok && sp.measurable(cfg) {
+				snapped[cfg] = true
+			}
+		}
+		if len(snapped) <= warmSeeds {
+			t.Fatalf("noPrune %v: only %d distinct verdicts snap into the space: the cap is never reached", noPrune, len(snapped))
+		}
+		w := seedsFor(sp, cands, noPrune)
+		if w == nil || len(w.Seeds) != warmSeeds {
+			t.Errorf("noPrune %v: %d candidates seed %v, want %d seeds", noPrune, len(snapped), w, warmSeeds)
+		}
 	}
 }
 
 // Warm sweeps sharing one cache run concurrently: two copies of each of four
-// networks sweep at once, each priming its pool from whatever the others have
-// written by then. Every sweep completes, every verdict is its config's
+// networks sweep at once, each ranking its seeds from whatever the others
+// have written by then. Every sweep completes, every verdict is its config's
 // measurement, the copies of a network agree verdict for verdict — an
 // identical search runs once and is joined or read from the cache — and
 // afterwards the cache alone answers every network.
@@ -204,30 +246,6 @@ func TestConcurrentWarmSweepsShareCache(t *testing.T) {
 		if _, _, ok := CachedNetwork(arch, nets[i%len(nets)], cache, opts); !ok {
 			t.Errorf("sweep %d: the cache does not answer its network afterwards", i)
 		}
-	}
-}
-
-// The pool's seed list is capped: repeated contributions to one family
-// (e.g. a primed cache with many sibling entries) must not accumulate an
-// unbounded seed set that would flood a warm search's budget before it
-// can explore.
-func TestWarmPoolSeedCap(t *testing.T) {
-	donor := shapes.ConvShape{Batch: 1, Cin: 64, Hin: 14, Win: 14, Cout: 32, Hker: 3, Wker: 3, Strid: 1, Pad: 1}
-	dsp, err := NewSpace(donor, arch, Direct, 0, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dtr, err := Tune(dsp, KindMeasurer(arch, donor, Direct), smallOpts(32, 5))
-	if err != nil {
-		t.Fatal(err)
-	}
-	pool := newTransferPool()
-	for i := 0; i < 6; i++ {
-		pool.contribute(Direct, donor, dtr.History)
-	}
-	w := pool.warmFor(familyOf(Direct, donor))
-	if got, max := len(w.Seeds), poolSeedCapFactor*warmTopK; got > max {
-		t.Errorf("pool accumulated %d seeds, cap is %d", got, max)
 	}
 }
 
@@ -457,6 +475,159 @@ func TestResumeCoveredKeepsConvergedAt(t *testing.T) {
 				t.Errorf("%s seed %d: covered resume reports ConvergedAt %d, the search reported %d",
 					kind, seed, got.ConvergedAt, tr.ConvergedAt)
 			}
+		}
+	}
+}
+
+// The cold wave runs only for a kind the cache holds no rankable verdict of.
+// A Direct sweep over an empty cache runs one cold search per layer family
+// before the rest, which start from the seeds the cold searches' verdicts
+// rank. A later sweep of the kind runs no cold wave, even for a family new to
+// the cache. A search whose candidates all fail to land in its space runs
+// cold. Cold or seeded, a search's trace is Tune's from that warm start.
+func TestColdWave(t *testing.T) {
+	shape := func(k, c, hw int) shapes.ConvShape {
+		return shapes.ConvShape{Batch: 1, Cin: c, Hin: hw, Win: hw, Cout: c, Hker: k, Wker: k, Strid: 1, Pad: k / 2}
+	}
+	// started records the order in which the sweep's searches start: the
+	// first measurement of each.
+	var mu sync.Mutex
+	var started []shapes.ConvShape
+	opts := NetworkOptions{Tune: smallOpts(24, 3), Workers: 1, Warm: true,
+		WrapMeasurer: func(_ Kind, s shapes.ConvShape, plain Measurer) FallibleMeasurer {
+			first := true
+			return func(c conv.Config) (Measurement, bool, error) {
+				mu.Lock()
+				if first {
+					first = false
+					started = append(started, s)
+				}
+				mu.Unlock()
+				m, ok := plain(c)
+				return m, ok, nil
+			}
+		}}
+	sweep := func(cache *Cache, o NetworkOptions, kind Kind, layers ...shapes.ConvShape) map[shapes.ConvShape]SearchTrace {
+		t.Helper()
+		net := make([]NetworkLayer, len(layers))
+		for i, s := range layers {
+			net[i] = NetworkLayer{Name: fmt.Sprint(i), Shape: s, Repeat: 1}
+		}
+		started = nil
+		_, searches, err := TuneNetworkTraces(arch, net, cache, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := make(map[shapes.ConvShape]SearchTrace)
+		for _, s := range searches {
+			if s.Space.Kind == kind {
+				out[s.Space.Shape] = s
+			}
+		}
+		return out
+	}
+	// tuned holds a search to Tune's trace from the warm start cands rank
+	// for it, which must be cold or seeded as warm says.
+	tuned := func(s SearchTrace, cands []scored, warm bool) {
+		t.Helper()
+		o := opts.Tune
+		o.warm = seedsFor(s.Space, cands, false)
+		if (o.warm != nil) != warm {
+			t.Fatalf("%v %+v: seeds %v, want seeded %v", s.Space.Kind, s.Space.Shape, o.warm, warm)
+		}
+		want, err := Tune(s.Space, KindMeasurer(arch, s.Space.Shape, s.Space.Kind), o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !traceEqual(s.Trace, want) {
+			t.Errorf("%v %+v: the sweep's trace is not Tune's from seeds %v", s.Space.Kind, s.Space.Shape, o.warm)
+		}
+	}
+
+	// Two families on an empty cache: the first search of each runs cold,
+	// then the rest, in plan order.
+	a1, a2, a3 := shape(3, 16, 14), shape(3, 32, 14), shape(3, 16, 7)
+	b1, b2 := shape(1, 16, 14), shape(1, 32, 14)
+	cache := NewCache()
+	got := sweep(cache, opts, Direct, a1, a2, b1, b2, a3)
+	if want := []shapes.ConvShape{a1, b1, a2, b2, a3}; !reflect.DeepEqual(started, want) {
+		t.Fatalf("searches started in the order %v, want %v", started, want)
+	}
+	wave0 := NewCache()
+	for _, s := range []shapes.ConvShape{a1, b1} {
+		tuned(got[s], nil, false)
+		wave0.PutTrace(arch.Name, Direct, s, got[s].Trace)
+	}
+	for _, s := range []shapes.ConvShape{a2, b2, a3} {
+		tuned(got[s], wave0.candidates(arch.Name, Direct, false), true)
+	}
+
+	// The kind now has verdicts: no cold wave, a new family included.
+	c1, d1 := shape(3, 64, 7), shape(5, 16, 14)
+	cands := cache.candidates(arch.Name, Direct, false)
+	got = sweep(cache, opts, Direct, c1, d1)
+	for _, s := range []shapes.ConvShape{c1, d1} {
+		tuned(got[s], cands, true)
+	}
+
+	// A Winograd verdict whose tile cannot shrink into the 3×3 space at its
+	// Sb: the kind has a candidate, which lands nowhere, so the search runs
+	// cold.
+	cache = NewCache()
+	cache.Put(arch.Name, Winograd, shape(3, 32, 28), conv.Config{TileX: 4, TileY: 4, TileZ: 16,
+		ThreadsX: 1, ThreadsY: 1, ThreadsZ: 1, SharedPerBlock: 256, WinogradE: 4}, Measurement{Seconds: 1e-3, GFLOPS: 1})
+	cands = cache.candidates(arch.Name, Winograd, false)
+	if len(cands) == 0 {
+		t.Fatal("the Winograd verdict has no floor ratio: the kind would run a cold wave")
+	}
+	o := opts
+	o.Winograd = true
+	got = sweep(cache, o, Winograd, a1)
+	tuned(got[a1], cands, false)
+}
+
+// An entry's floor ratio is its verdict seconds over the verdict's tight
+// floor in its own space, whether the engine's put hands that space over or
+// the cache builds it (Load, PutEntries, Put); an entry of an architecture
+// outside the catalog, or with a dimension past ratioMaxDim, gets none and
+// is a candidate only under NoPrune.
+func TestFloorRatio(t *testing.T) {
+	s := layer()
+	sp := mustSpace(t, true)
+	cache := NewCache()
+	if _, _, err := TuneCached(cache, sp, KindMeasurer(arch, s, Direct), smallOpts(24, 3)); err != nil {
+		t.Fatal(err)
+	}
+	cfg, m, _ := cache.Get(arch.Name, Direct, s)
+	want := []scored{{cfg, m.Seconds / sp.analyticFloor(cfg)}}
+	if got := cache.candidates(arch.Name, Direct, false); !reflect.DeepEqual(got, want) {
+		t.Fatalf("the engine's put rates %v, want %v", got, want)
+	}
+	var saved bytes.Buffer
+	if err := cache.Save(&saved); err != nil {
+		t.Fatal(err)
+	}
+	loaded := NewCache()
+	if err := loaded.Load(&saved); err != nil {
+		t.Fatal(err)
+	}
+	if got := loaded.candidates(arch.Name, Direct, false); !reflect.DeepEqual(got, want) {
+		t.Fatalf("Load rates %v, want %v", got, want)
+	}
+
+	wide := s
+	wide.Cin = ratioMaxDim * 2
+	for _, e := range []struct {
+		arch string
+		s    shapes.ConvShape
+	}{{"off-catalog", s}, {arch.Name, wide}} {
+		c := NewCache()
+		c.Put(e.arch, Direct, e.s, cfg, m)
+		if got := c.candidates(e.arch, Direct, false); len(got) != 0 {
+			t.Errorf("%s %+v: rated %v, want no ratio", e.arch, e.s, got)
+		}
+		if got := c.candidates(e.arch, Direct, true); !reflect.DeepEqual(got, []scored{{cfg, m.Seconds}}) {
+			t.Errorf("%s %+v: NoPrune candidates %v, want the verdict at its seconds", e.arch, e.s, got)
 		}
 	}
 }

@@ -76,8 +76,8 @@ func benchZooSweepCold(b *testing.B, seed int64) {
 // cmd/tuned's warm defaults against a cache the cold zoo pass filled outside
 // the timer. It reports ms/network, the measurements each network spent (the
 // warm path's guard), the cost-model fits its searches ran, the geomean of
-// the novel verdicts' simulated seconds, which a change of the transfer
-// pool's seeds may move, and priced_s/network, its seconds with its
+// the novel verdicts' simulated seconds, which a change of the warm seeds
+// may move, and priced_s/network, its seconds with its
 // measurements priced (measurementPrice).
 func BenchmarkNovelSweepsWarm(b *testing.B) {
 	const count = 48
@@ -213,86 +213,109 @@ func TestZooPassCodec(t *testing.T) {
 	autotune.AssertWritersMatchTraces(t, cache, searches)
 }
 
-// A fresh low-budget search moves no family the zoo filled: on a zoo-filled
-// cache, novel budget-48 searches and one deadline-truncated search arrive in
-// several orders, and after every arrival each family that was at its seed
-// cap on the zoo alone primes the same seeds, in the same order, as before
-// any arrival.
+// A lower-budget arrival moves no seed the zoo ranks: on a zoo-filled cache,
+// zoo searches re-run at budget 48 and one network's searches cut short by
+// an expired deadline arrive in several orders; the join rejects each, and
+// after every arrival its own space's seeds, and at the end of each order
+// those of every zoo search, are the ones the zoo alone ranks, in the same
+// order.
 func TestPrimeIgnoresLowerBudgetArrivals(t *testing.T) {
 	tune := autotune.DefaultOptions()
 	tune.Seed = 0
 	zoo := autotune.NewCache()
 	coldZooPass(t, tune, zoo)
-	want := autotune.PrimedFamilies(zoo, laneArch, nil)
-	full := make(map[autotune.PoolFamily]bool)
-	for fam, f := range want {
-		if f.Full {
-			full[fam] = true
-		}
-	}
-	if len(full) == 0 {
-		t.Fatal("the zoo fills no family")
-	}
 
-	// The arrivals are tuned once, on a copy of the zoo cache: eight novel
-	// networks at budget 48, then a ninth at the default budget under an
-	// expired deadline, which persists its first searches at the
-	// measurements they took.
-	grown := autotune.Restarted(zoo)
-	nets := novelNetworks(t, 9)
-	fresh := tune
-	fresh.Budget = 48
-	var arrivals []autotune.CacheEntry
-	intoFull := 0
-	arrive := func(ctx context.Context, layers []autotune.NetworkLayer, opts autotune.NetworkOptions) []autotune.LayerVerdict {
+	// The arrivals are tuned once, into fresh caches: two zoo networks at
+	// budget 48, then a third at the default budget under an expired
+	// deadline, which persists its first searches at the measurements they
+	// took. Only arrivals the zoo's entry supersedes are kept.
+	type search struct {
+		kind  autotune.Kind
+		shape shapes.ConvShape
+	}
+	type arrival struct {
+		entry autotune.CacheEntry
+		space search
+	}
+	var arrivals []arrival
+	var spaces []search
+	seen := make(map[search]bool)
+	arrive := func(ctx context.Context, fx fixture, tune autotune.Options) []autotune.LayerVerdict {
 		t.Helper()
-		verdicts, err := autotune.TuneNetworkContext(ctx, laneArch, layers, grown, opts)
+		fresh := autotune.NewCache()
+		opts := zooOptions(fx, tune)
+		verdicts, err := autotune.TuneNetworkContext(ctx, laneArch, fx.layers, fresh, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, s := range autotune.Searches(laneArch, layers, opts) {
-			if e, ok := grown.Entry(laneArch.Name, s.Kind, s.Shape); ok {
-				arrivals = append(arrivals, e)
-				if full[autotune.FamilyOf(s.Kind, s.Shape)] {
-					intoFull++
-				}
+		for _, s := range autotune.Searches(laneArch, fx.layers, opts) {
+			e, ok := fresh.Entry(laneArch.Name, s.Kind, s.Shape)
+			held, inZoo := zoo.Entry(laneArch.Name, s.Kind, s.Shape)
+			k := search{s.Kind, s.Shape}
+			if ok && inZoo && held.Supersedes(e) {
+				arrivals = append(arrivals, arrival{e, k})
+			}
+			if inZoo && !seen[k] {
+				seen[k] = true
+				spaces = append(spaces, k)
 			}
 		}
 		return verdicts
 	}
-	for _, layers := range nets[:8] {
-		arrive(context.Background(), layers, autotune.NetworkOptions{Tune: fresh, Winograd: true, Warm: true})
-	}
+	fixtures := zooFixtures()
+	low := tune
+	low.Budget = 48
+	arrive(context.Background(), fixtures[2], low)
+	arrive(context.Background(), fixtures[3], low)
 	expired, cancel := context.WithCancel(context.Background())
 	cancel()
-	verdicts := arrive(expired, nets[8], autotune.NetworkOptions{Tune: tune, Winograd: true, Warm: true})
-	if !verdicts[0].Partial {
-		t.Fatal("the search under an expired deadline ran to completion")
+	if verdicts := arrive(expired, fixtures[0], tune); !slices.ContainsFunc(verdicts, func(v autotune.LayerVerdict) bool { return v.Partial }) {
+		t.Fatal("every search under an expired deadline ran to completion")
 	}
-	if intoFull == 0 {
-		t.Fatal("no arrival feeds a family the zoo filled: the check compares nothing")
+	if len(arrivals) == 0 {
+		t.Fatal("the join keeps every arrival: the check compares nothing")
+	}
+
+	want := make(map[search][2][]conv.Config)
+	seedsOf := func(c *autotune.Cache, s search) [2][]conv.Config {
+		t.Helper()
+		sp, err := autotune.NewSpace(s.shape, laneArch, s.kind, 0, true)
+		if err != nil {
+			return [2][]conv.Config{}
+		}
+		return [2][]conv.Config{autotune.WarmSeeds(c, sp, false), autotune.WarmSeeds(c, sp, true)}
+	}
+	ranked := 0
+	for _, s := range spaces {
+		want[s] = seedsOf(zoo, s)
+		ranked += len(want[s][0])
+	}
+	if ranked == 0 {
+		t.Fatal("the zoo ranks no seed: the check compares nothing")
 	}
 
 	rng := rand.New(rand.NewSource(1))
-	orders := [][]autotune.CacheEntry{arrivals, slices.Clone(arrivals), slices.Clone(arrivals)}
+	orders := [][]arrival{arrivals, slices.Clone(arrivals), slices.Clone(arrivals)}
 	slices.Reverse(orders[1])
 	rng.Shuffle(len(orders[2]), func(i, j int) { orders[2][i], orders[2][j] = orders[2][j], orders[2][i] })
 	for o, order := range orders {
 		cache := autotune.Restarted(zoo)
-		for i, e := range order {
+		for i, a := range order {
+			e, s := a.entry, a.space
 			if err := cache.PutEntries([]autotune.CacheEntry{e}); err != nil {
 				t.Fatal(err)
 			}
-			got := autotune.PrimedFamilies(cache, laneArch, full)
-			for fam := range full {
-				if !reflect.DeepEqual(got[fam], want[fam]) {
-					t.Fatalf("order %d, arrival %d (%s %+v, budget %d): full family %+v primes other seeds",
-						o, i, e.Kind, e.Shape, e.Budget, fam)
-				}
+			if got := seedsOf(cache, s); !reflect.DeepEqual(got, want[s]) {
+				t.Fatalf("order %d, arrival %d (%s %+v, budget %d): seeds %v, the zoo's %v", o, i, e.Kind, e.Shape, e.Budget, got, want[s])
+			}
+		}
+		for _, s := range spaces {
+			if got := seedsOf(cache, s); !reflect.DeepEqual(got, want[s]) {
+				t.Fatalf("order %d: %s %+v seeds %v, the zoo's %v", o, s.kind, s.shape, got, want[s])
 			}
 		}
 	}
-	t.Logf("%d arrivals, %d into %d full families, in %d orders", len(arrivals), intoFull, len(full), len(orders))
+	t.Logf("%d arrivals rejected, %d zoo spaces, %d seeds", len(arrivals), len(spaces), ranked)
 }
 
 // zooOptions are cmd/tuned's network options for one zoo network: Winograd

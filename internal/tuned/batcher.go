@@ -14,9 +14,9 @@ import (
 // into a single TuneNetwork call: the concatenated layer list deduplicates
 // identical shapes across callers (identical concurrent requests collapse
 // to one search), and with warm-starting enabled every network in the batch
-// draws on one shared transfer pool, so a layer family one client already
-// paid to tune cold warm-starts every other client's members of that
-// family. Each request gets back exactly its own slice of the merged
+// starts from the cache's verdicts, and on a cache holding none of a kind
+// the one cold search per layer family the batch runs first seeds every
+// other client's searches. Each request gets back exactly its own slice of the merged
 // verdict list. A request that finds no round in flight has no one to wait
 // for, so its round runs at once.
 

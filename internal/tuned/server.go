@@ -41,8 +41,8 @@ type Config struct {
 	// choice (requests may override via options.kinds); Direct is always
 	// tuned.
 	Kinds []autotune.Kind
-	// Warm enables cross-request warm-starting through the batcher's
-	// merged transfer pool.
+	// Warm enables cross-request warm-starting: every search starts from
+	// the cache's verdicts of its kind (autotune.NetworkOptions.Warm).
 	Warm bool
 	// Resume re-enters cached searches whose persisted state is shorter
 	// than the requested budget instead of returning them as-is.
@@ -458,8 +458,8 @@ func (s *Server) handleTune(w http.ResponseWriter, r *http.Request) {
 func (s *Server) serveTune(w http.ResponseWriter, req *request) {
 	// A request the cache fully answers is served inline. It measures
 	// nothing, so there is nothing to admit, nothing a batch could share with
-	// it (it dedups against no search, and the transfer pool is primed from
-	// the cache, not from it), nothing an open breaker protects it from, and
+	// it (it dedups against no search, and warm seeds rank the cache's
+	// verdicts, not it), nothing an open breaker protects it from, and
 	// — having written no entry — nothing to replicate. The answer is
 	// recorded for replay (replay.go) with the verdicts it was read from.
 	epoch := s.refineEpoch.Load()

@@ -284,7 +284,7 @@ func netB() []autotune.NetworkLayer {
 // idle server the first POST runs alone at once; the second either merges
 // into the first's round (if it arrives before that round is flushed) or
 // gathers behind it and warm-starts from the first's cache entries, which
-// prime its transfer pool. Either way the total fresh measurements come in
+// rank its seeds. Either way the total fresh measurements come in
 // under two cold sweeps (their shared stem tunes once, not twice), and each
 // network's tuned end-to-end time is no worse than its own cold sweep —
 // transfer only adds information. The merge itself is pinned by

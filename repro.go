@@ -325,14 +325,13 @@ type NetworkTuneOptions struct {
 	// consider where each applies (Winograd, FFT, ImplicitGEMM); the direct
 	// dataflow is always tuned and every layer keeps the fastest verdict.
 	Kinds []Kind
-	// Warm enables cross-layer warm-starting: finished layers feed a
-	// per-(arch, algorithm) transfer pool of normalized cost-model rows
-	// and incumbent configurations, and every subsequent layer starts from
-	// it — fitted model and transferred incumbents — instead of cold.
+	// Warm enables cross-layer warm-starting: every layer starts from the
+	// cached verdicts of its algorithm that rank best in its space by I/O
+	// floor × measured/floor ratio, instead of cold (a kind with no cached
+	// verdict first tunes one layer per kernel-and-stride family cold).
 	// Repeated-geometry networks converge in a fraction of the
 	// measurements; verdicts stay deterministic for a fixed Seed at any
-	// worker count. A cache saved by a warm run carries engine state,
-	// so reloading it also rebuilds the pool.
+	// worker count. A reloaded cache seeds later runs the same way.
 	Warm bool
 	// Resume re-enters cached layers whose persisted search state is
 	// shorter than Budget: the stored measurement history replays (no
