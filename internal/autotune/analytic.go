@@ -205,7 +205,8 @@ func CalibrateAnalytic(cache *Cache, arch memsim.Arch) float64 {
 // Calibrate refits the tier's calibration factor from the measured rows
 // persisted in cache for its architecture, installs it and returns it: the
 // median ratio of measured seconds to the admissible floor, over the
-// state-carrying entries (in deterministic key order, capped). The floor
+// state-carrying entries with no dimension past ratioMaxDim (in
+// deterministic key order, capped). The floor
 // never exceeds a measured time, so the factor is ≥ 1; a nil, empty or
 // stateless cache yields 1 (serve the raw floor). The floors are read off
 // the tier's memoized spaces, so a refit after the cache grew builds only

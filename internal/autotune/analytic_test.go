@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 
@@ -487,5 +488,41 @@ func TestSweepFallbackFansScans(t *testing.T) {
 		if got[i] != want {
 			t.Fatalf("layer %s: fallback %+v, per-layer %+v", want.Layer.Name, got[i], want)
 		}
+	}
+}
+
+// An entry with a dimension past ratioMaxDim is left out of the calibration,
+// as floorRatio leaves it unrated: the factor equals the same cache's without
+// it, and the tier builds no space for it.
+func TestCalibrationSkipsOversizedEntries(t *testing.T) {
+	s := shapes.ConvShape{Batch: 1, Cin: 4, Hin: 10, Win: 10, Cout: 6, Hker: 3, Wker: 3, Strid: 1, Pad: 1}
+	sp, err := NewSpace(s, arch, Direct, 0, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := DefaultOptions()
+	opts.Budget = 24
+	tr, err := Tune(sp, KindMeasurer(arch, s, Direct), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cache := NewCache()
+	cache.PutTrace(arch.Name, Direct, s, tr)
+	want := CalibrateAnalytic(cache, arch)
+
+	// The wide entry's rows, 1000× slower, would move the median.
+	wide, _ := cache.Entry(arch.Name, Direct, s)
+	wide.Shape.Cout = ratioMaxDim + 1
+	wide.Seconds *= 1000
+	wide.Rows = slices.Clone(wide.Rows)
+	for i := range wide.Rows {
+		wide.Rows[i].Seconds *= 1000
+	}
+	if err := cache.PutEntries([]CacheEntry{wide}); err != nil {
+		t.Fatal(err)
+	}
+	tier := NewAnalyticDSE(arch)
+	if got := tier.Calibrate(cache); got != want || len(tier.spaces) != 1 {
+		t.Errorf("with an entry of Cout %d: calibration %v over %d spaces, want %v over 1", wide.Shape.Cout, got, len(tier.spaces), want)
 	}
 }

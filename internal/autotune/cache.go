@@ -394,14 +394,13 @@ func (c *Cache) put(key string, e CacheEntry, sp *Space) CacheEntry {
 // or 0 where there is no such space or the floor is not positive and finite.
 func floorRatio(e CacheEntry, sp *Space) float64 {
 	if sp == nil {
-		s := e.Shape
 		arch, aerr := memsim.ByName(e.Arch)
 		kind, kerr := kindFromString(e.Kind)
-		if aerr != nil || kerr != nil || max(s.Batch, s.Cin, s.Hin, s.Win, s.Cout, s.Hker, s.Wker, s.Stride, s.Pad, s.Groups) > ratioMaxDim {
+		if aerr != nil || kerr != nil || e.Shape.oversized() {
 			return 0
 		}
 		var err error
-		if sp, err = NewSpace(s.shape(), arch, kind, 0, true); err != nil {
+		if sp, err = NewSpace(e.Shape.shape(), arch, kind, 0, true); err != nil {
 			return 0
 		}
 	}
@@ -412,10 +411,15 @@ func floorRatio(e CacheEntry, sp *Space) float64 {
 	return e.Seconds / f
 }
 
-// ratioMaxDim bounds the entry shapes floorRatio builds a space for, as the
+// ratioMaxDim bounds the entry shapes the cache builds a space for, as the
 // wire bounds a request's (repro.MaxLayerDim): nothing else bounds an entry,
 // and a space lists its axes' divisors in time linear in their length.
 const ratioMaxDim = 1 << 16
+
+// oversized reports whether a dimension of cs exceeds ratioMaxDim.
+func (cs cachedShape) oversized() bool {
+	return max(cs.Batch, cs.Cin, cs.Hin, cs.Win, cs.Cout, cs.Hker, cs.Wker, cs.Stride, cs.Pad, cs.Groups) > ratioMaxDim
+}
 
 // Supersedes reports whether e replaces old, an entry of the same key, in a
 // cache or a handoff queue. It compares, in turn: the verdict by the engine's
@@ -464,6 +468,13 @@ func (r CachedMeasurement) compare(o CachedMeasurement) int {
 // TTL is evicted and reported as a miss, so a long-running service never
 // serves verdicts staler than its policy allows.
 func (c *Cache) Entry(archName string, kind Kind, s shapes.ConvShape) (CacheEntry, bool) {
+	return c.lookup(archName, kind, s, true)
+}
+
+// lookup is Entry, which books the lookup; unbooked, it moves nothing — no
+// counter, LRU clock or TTL stamp — and an entry idle past the TTL reads as
+// absent and stays.
+func (c *Cache) lookup(archName string, kind Kind, s shapes.ConvShape, book bool) (CacheEntry, bool) {
 	var kb [cacheKeyBuf]byte
 	key := appendCacheKey(kb[:0], archName, kind, s)
 	sh := &c.shards[shardIndex(key)]
@@ -478,16 +489,18 @@ func (c *Cache) Entry(archName string, kind Kind, s shapes.ConvShape) (CacheEntr
 		m = sh.meta[string(key)]
 	}
 	sh.mu.RUnlock()
-	if !ok {
+	expired := ok && m != nil && p.TTL > 0 && p.now().UnixNano()-m.wall.Load() > int64(p.TTL)
+	switch {
+	case !book:
+		return e, ok && !expired
+	case expired:
+		c.remove(string(key))
+		fallthrough
+	case !ok:
 		c.misses.Add(1)
 		return CacheEntry{}, false
 	}
 	if m != nil {
-		if p.TTL > 0 && p.now().UnixNano()-m.wall.Load() > int64(p.TTL) {
-			c.remove(string(key))
-			c.misses.Add(1)
-			return CacheEntry{}, false
-		}
 		m.used.Store(c.clock.Add(1))
 		// The wall clock backs the TTL only; without one, skip the
 		// time.Now so the hot lookup stays a pair of atomic bumps.
@@ -561,12 +574,12 @@ func (c *Cache) State(archName string, kind Kind, s shapes.ConvShape) ([]Measure
 	return hist, curveOf(hist), true
 }
 
-// stateEntries returns the state-carrying entries of one architecture, in
-// deterministic (key-sorted) order — the rows the analytic calibration fits
-// on (AnalyticDSE.Calibrate).
+// stateEntries returns the state-carrying entries of one architecture with
+// no dimension past ratioMaxDim, in deterministic (key-sorted) order — the
+// rows the analytic calibration fits on (AnalyticDSE.Calibrate).
 func (c *Cache) stateEntries(archName string) []CacheEntry {
 	return c.sortedEntries(func(e CacheEntry) bool {
-		return e.Arch == archName && len(e.Rows) > 0
+		return e.Arch == archName && len(e.Rows) > 0 && !e.Shape.oversized()
 	})
 }
 
@@ -1005,23 +1018,35 @@ func uncovered(e CacheEntry, ok bool, budget int, resume bool) int {
 }
 
 // Holds reports whether the cache still covers q at budget with the verdict
-// a probe read there. It is Covered over the same Entry lookup, so hits, LRU
-// recency and TTL expiry move as the probe's did, and under resume an entry
-// rewritten below budget no longer holds, whatever its verdict. It shares
-// Covered's predicate rather than calling it, which would copy the entry
-// once more for every search a replay checks.
+// a probe read there: Covered's predicate over a lookup that books nothing
+// (a replay that answers books it afterwards, Book), so under resume an
+// entry rewritten below budget no longer holds, whatever its verdict.
 func (c *Cache) Holds(archName string, q *CoveredSearch, budget int, resume bool) bool {
-	e, ok := c.Entry(archName, q.Kind, q.Shape)
+	e, ok := c.lookup(archName, q.Kind, q.Shape, false)
 	cfg, m := e.verdict()
 	return uncovered(e, ok, budget, resume) == 0 && cfg == q.Config && m == q.M
 }
 
 // Misses reports whether a probe still misses q at budget: Covered's
-// predicate over one Entry lookup, as Holds asks it of a covered search, so
-// hits, misses, LRU recency and TTL expiry move as the probe's did.
+// predicate over an unbooked lookup, as Holds asks it of a covered search.
 func (c *Cache) Misses(archName string, q *Search, budget int, resume bool) bool {
-	e, ok := c.Entry(archName, q.Kind, q.Shape)
+	e, ok := c.lookup(archName, q.Kind, q.Shape, false)
 	return uncovered(e, ok, budget, resume) > 0
+}
+
+// Book books the lookups of a probe trajectory qs as the probe's Entry calls
+// did. With no eviction policy a held entry's lookup moves only the hit
+// count, so a covered search books just that.
+func (c *Cache) Book(archName string, qs []CoveredSearch) {
+	plain, hits := c.policy.Load() == nil, 0
+	for i := range qs {
+		if plain && qs[i].M != (Measurement{}) {
+			hits++
+		} else {
+			c.Entry(archName, qs[i].Kind, qs[i].Shape)
+		}
+	}
+	c.hits.Add(int64(hits))
 }
 
 // resumeRemaining is the resume half of the predicate: a cached entry

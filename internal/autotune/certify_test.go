@@ -259,8 +259,8 @@ func TestCertificateNeverFiresOverAnUnboundedConfig(t *testing.T) {
 // leadAhead times the follower's measurements, above the lead's final
 // verdict; and the Direct search of a Winograd-led layer led by the layer's
 // Winograd verdict, which lies below every floor of Direct's space, so the
-// waiver stops it on its own incumbent's proof before it goes stale (without
-// it, it runs on to the certificate).
+// waiver stops it against the lead's incumbent, on its own incumbent's proof
+// too, before it goes stale (without it, it runs on to the certificate).
 type gapCase struct {
 	name   string
 	sp     *Space
@@ -300,8 +300,9 @@ func gapCases(t *testing.T) []gapCase {
 
 // The gap stop is a bound-guided stop: it records the lower of the
 // incumbent and the lead's incumbent at leadAhead times the search's
-// measurements — the incumbent alone on a waived stop — and a bound-blind run
-// (NoPrune) never stops on it, on searches where the guided run does.
+// measurements — the lead's, below every floor, on a waived stop — and a
+// bound-blind run (NoPrune) never stops on it, on searches where the guided
+// run does.
 func TestGapNeverFiresUnderNoPrune(t *testing.T) {
 	for _, c := range gapCases(t) {
 		guided, err := Tune(c.sp, c.mm, c.opts)
@@ -309,7 +310,7 @@ func TestGapNeverFiresUnderNoPrune(t *testing.T) {
 			t.Fatal(err)
 		}
 		r := guided.BestM.Seconds
-		if c.opts.lead != nil && !c.waived {
+		if c.opts.lead != nil {
 			r = min(r, c.opts.lead(leadAhead*guided.Measurements))
 		}
 		if guided.Stop != StopGap || guided.GapRef != r || guided.Waived != c.waived {

@@ -247,3 +247,37 @@ func TestEvictedKeyRetunesIdentically(t *testing.T) {
 		t.Errorf("re-tuned verdict differs: (%+v, %+v) != (%+v, %+v)", cfg2, m2, cfg1, m1)
 	}
 }
+
+// Holds and Misses book nothing, and Book books a probe's lookups as Entry
+// does: under an LRU bound, a key only checked is still first out, and one
+// booked survives the overflow that evicts a colder key instead; the counts
+// move by the booked hit and miss alone.
+func TestReplayChecksBookNothing(t *testing.T) {
+	const cap = 8
+	c := NewCache()
+	c.SetEviction(EvictionPolicy{MaxEntries: cap})
+	m := Measurement{Seconds: 1, GFLOPS: 1}
+	for i := 0; i < cap; i++ {
+		c.Put(arch.Name, Direct, evictShape(i), conv.Config{}, m)
+	}
+	held := []CoveredSearch{{Search{Kind: Direct, Shape: evictShape(0)}, conv.Config{}, m},
+		{Search{Kind: Direct, Shape: evictShape(cap + 1)}, conv.Config{}, Measurement{}}}
+	before := c.Stats()
+	if !c.Holds(arch.Name, &held[0], 0, false) || !c.Misses(arch.Name, &held[1].Search, 0, false) {
+		t.Fatal("the checks do not see the cache as it stands")
+	}
+	if st := c.Stats(); st.Hits != before.Hits || st.Misses != before.Misses {
+		t.Fatalf("the checks booked %d hits and %d misses", st.Hits-before.Hits, st.Misses-before.Misses)
+	}
+	c.Book(arch.Name, held)
+	if st := c.Stats(); st.Hits != before.Hits+1 || st.Misses != before.Misses+1 {
+		t.Fatalf("Book booked %d hits and %d misses, want 1 and 1", st.Hits-before.Hits, st.Misses-before.Misses)
+	}
+	c.Put(arch.Name, Direct, evictShape(cap), conv.Config{}, m)
+	if _, ok := c.lookup(arch.Name, Direct, evictShape(0), false); !ok {
+		t.Error("the booked key was evicted ahead of colder ones")
+	}
+	if _, ok := c.lookup(arch.Name, Direct, evictShape(1), false); ok {
+		t.Error("the coldest key survived the overflow")
+	}
+}

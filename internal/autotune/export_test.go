@@ -15,11 +15,12 @@ import (
 
 // SearchTrace is one search a sweep ran: its space and its trace, and for a
 // follower the final verdict of its layer's lead (+Inf where that failed; 0
-// on a lead).
+// on a lead) and the lead's kind.
 type SearchTrace struct {
 	*Trace
-	Space *Space
-	Lead  float64
+	Space    *Space
+	Lead     float64
+	LeadKind Kind
 }
 
 // TuneNetworkTraces is TuneNetwork that also hands back the searches the
@@ -43,7 +44,7 @@ func TuneNetworkTracesContext(ctx context.Context, arch memsim.Arch, layers []Ne
 		if !t.shared && t.trace != nil {
 			s := SearchTrace{Trace: t.trace, Space: t.sp}
 			if lead := plan.lead(t.owner); lead != t {
-				s.Lead = math.Inf(1)
+				s.Lead, s.LeadKind = math.Inf(1), lead.Kind
 				if lead.err == nil {
 					s.Lead = lead.m.Seconds
 				}

@@ -437,7 +437,7 @@ func (p sweepPlan) run(ctx context.Context, cache *Cache, opts NetworkOptions) e
 				defer close(t.done)
 				to.booked = t.book
 			} else {
-				to.lead = follower{lead, slots}.after
+				to.lead, to.leadDirect = follower{lead, slots}.after, lead.Kind == Direct
 			}
 			plain := NewMemoMeasure(arch, t.Shape, t.Kind).Measure
 			measure := LiftMeasurer(plain)

@@ -294,32 +294,128 @@ func TestGapWaitsForTheLeadVerdict(t *testing.T) {
 
 // A "winograd": false request for a shape first tuned Winograd-led reads the
 // Direct entry alone. The waiver stopped that search on its own incumbent's
-// proof, so the answer is within the gap ratio of Direct's enumerated
-// optimum.
+// proof as well as its lead's, so the answer is within the gap ratio of
+// Direct's minimum floor, and so of its enumerated optimum. At seed 0 a
+// waiver on the lead's proof alone would stop it 1.7× above that floor.
 func TestDirectFollowerAnswersAlone(t *testing.T) {
 	s := resnet18Layers()[4].Shape
 	layers := []NetworkLayer{{Name: "stage2", Shape: s, Repeat: 1}}
+	for _, seed := range []int64{0, 2} {
+		tune := DefaultOptions()
+		tune.Seed = seed
+		cache := NewCache()
+		verdicts, searches, err := TuneNetworkTraces(arch, layers, cache, NetworkOptions{Tune: tune, Winograd: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if verdicts[0].Kind != Winograd || len(searches) != 2 || searches[0].Space.Kind != Direct || !searches[0].Waived {
+			t.Fatalf("seed %d: verdict %v, Direct search waived: %t; want a Winograd verdict and a waived Direct search",
+				seed, verdicts[0].Kind, len(searches) > 0 && searches[0].Waived)
+		}
+		alone, err := TuneNetwork(arch, layers, cache, NetworkOptions{Tune: tune})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sp := searches[0].Space
+		opt, above, ok := sp.Optimum()
+		if !ok || above != "" {
+			t.Fatalf("seed %d: nothing measures (%t) or a floor lies above a measurement: %s", seed, !ok, above)
+		}
+		if v := alone[0]; v.Kind != Direct || !v.Shared || v.M != searches[0].BestM ||
+			!(v.M.Seconds <= gapRatio*sp.MinFloor()) || !(v.M.Seconds <= gapRatio*opt.Seconds) {
+			t.Errorf("seed %d, winograd off: %v verdict %v (shared %t), want the cached Direct verdict %v within %v of the minimum floor %v",
+				seed, v.Kind, v.M.Seconds, v.Shared, searches[0].BestM.Seconds, gapRatio, sp.MinFloor())
+		}
+	}
+}
+
+// dwLayer is MobileNetV1's 14×14 depthwise layer: its Direct verdict lies
+// below every floor of its implicit-GEMM space, whose own incumbent, ~1.7×
+// above its floor, seldom proves the gap.
+var dwLayer = NetworkLayer{Name: "dw", Repeat: 1, Shape: shapes.ConvShape{
+	Batch: 1, Cin: 512, Cout: 512, Hin: 14, Win: 14, Hker: 3, Wker: 3, Strid: 1, Pad: 1, Groups: 512}}
+
+// A Direct-led implicit-GEMM search whose floors all lie above its lead's
+// incumbent is waived on that proof alone, before its own incumbent proves
+// the gap, at any worker count. Every request reads the Direct entry, so a
+// later "kinds": ["igemm"] request for the layer answers Direct's cached
+// verdict.
+func TestDirectLedWaiverAnswersDirect(t *testing.T) {
+	layers := []NetworkLayer{dwLayer}
 	tune := DefaultOptions()
-	tune.Seed = 2
+	tune.Seed = 0
+	sweep := func(workers int, cache *Cache) (direct, igemm SearchTrace) {
+		t.Helper()
+		_, searches, err := TuneNetworkTraces(arch, layers, cache,
+			NetworkOptions{Tune: tune, Workers: workers, Kinds: []Kind{FFT, ImplicitGEMM}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, s := range searches {
+			switch s.Space.Kind {
+			case Direct:
+				direct = s
+			case ImplicitGEMM:
+				igemm = s
+			}
+		}
+		if direct.Trace == nil || igemm.Trace == nil {
+			t.Fatalf("workers=%d: %d searches, want Direct and implicit GEMM among them", workers, len(searches))
+		}
+		return direct, igemm
+	}
 	cache := NewCache()
-	verdicts, searches, err := TuneNetworkTraces(arch, layers, cache, NetworkOptions{Tune: tune, Winograd: true})
+	direct, igemm := sweep(2, cache)
+	floor := igemm.Space.MinFloor()
+	if !igemm.Waived || igemm.LeadKind != Direct || !(igemm.Lead < floor) || igemm.BestM.Seconds/gapRatio <= floor {
+		t.Fatalf("implicit GEMM stopped on %v (waived %t) with verdict %v, %s lead %v, minimum floor %v; want a waiver its own incumbent does not prove",
+			igemm.Stop, igemm.Waived, igemm.BestM.Seconds, igemm.LeadKind, igemm.Lead, floor)
+	}
+	for _, workers := range []int{1, 4} {
+		d, g := sweep(workers, NewCache())
+		if !traceEqual(d.Trace, direct.Trace) || !traceEqual(g.Trace, igemm.Trace) {
+			t.Errorf("workers=%d: traces diverge (implicit GEMM stopped on %v after %d against %v)",
+				workers, g.Stop, g.Measurements, g.GapRef)
+		}
+	}
+	verdicts, err := TuneNetwork(arch, layers, cache, NetworkOptions{Tune: tune, Kinds: []Kind{ImplicitGEMM}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if verdicts[0].Kind != Winograd || len(searches) != 2 || searches[0].Space.Kind != Direct || !searches[0].Waived {
-		t.Fatalf("verdict %v, Direct search waived: %t; want a Winograd verdict and a waived Direct search",
-			verdicts[0].Kind, len(searches) > 0 && searches[0].Waived)
+	if v := verdicts[0]; v.Kind != Direct || !v.Shared || v.M != direct.BestM {
+		t.Errorf(`"kinds": ["igemm"]: %v verdict %v (shared %t), want the cached Direct verdict %v`,
+			v.Kind, v.M.Seconds, v.Shared, direct.BestM.Seconds)
 	}
-	alone, err := TuneNetwork(arch, layers, cache, NetworkOptions{Tune: tune})
+}
+
+// A Direct lead whose measurements all fail gives its follower no waiver:
+// the lead's incumbent reads +Inf throughout, and the follower runs the
+// search it runs with no lead.
+func TestFailedDirectLeadGivesNoWaiver(t *testing.T) {
+	layers := []NetworkLayer{dwLayer}
+	tune := DefaultOptions()
+	tune.Seed = 0
+	opts := NetworkOptions{Tune: tune, Workers: 2, Kinds: []Kind{ImplicitGEMM},
+		WrapMeasurer: func(k Kind, _ shapes.ConvShape, m Measurer) FallibleMeasurer {
+			if k == Direct {
+				return func(conv.Config) (Measurement, bool, error) { return Measurement{}, false, nil }
+			}
+			return LiftMeasurer(m)
+		}}
+	plan := planSweep(arch, layers, opts)
+	if err := plan.run(context.Background(), NewCache(), opts); err != nil {
+		t.Fatal(err)
+	}
+	led := plan.tasks[1]
+	if led.Kind != ImplicitGEMM || plan.tasks[0].err == nil {
+		t.Fatalf("search 1 is %v and Direct failed: %t; want implicit GEMM after a failed Direct lead", led.Kind, plan.tasks[0].err != nil)
+	}
+	alone, err := Tune(led.sp, KindMeasurer(arch, dwLayer.Shape, ImplicitGEMM), tune)
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt, above, ok := searches[0].Space.Optimum()
-	if !ok || above != "" {
-		t.Fatalf("nothing measures (%t) or a floor lies above a measurement: %s", !ok, above)
-	}
-	if v := alone[0]; v.Kind != Direct || !v.Shared || v.M != searches[0].BestM || !(v.M.Seconds <= gapRatio*opt.Seconds) {
-		t.Errorf("winograd off: %v verdict %v (shared %t), want the cached Direct verdict %v within %v of the optimum %v",
-			v.Kind, v.M.Seconds, v.Shared, searches[0].BestM.Seconds, gapRatio, opt.Seconds)
+	if led.trace.Waived || !traceEqual(led.trace, alone) {
+		t.Errorf("after a failed Direct lead implicit GEMM stopped on %v after %d against %v (waived %t), alone on %v after %d against %v",
+			led.trace.Stop, led.trace.Measurements, led.trace.GapRef, led.trace.Waived, alone.Stop, alone.Measurements, alone.GapRef)
 	}
 }

@@ -19,6 +19,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -361,8 +362,9 @@ func (sp *Space) SeedConfigs() []conv.Config {
 // on the nearest admissible point of another layer's space.
 func (sp *Space) Snap(c conv.Config) (conv.Config, bool) { return sp.snap(c) }
 
-// snap moves a config onto the space's axes, shrinking the channel tile
-// until it is admissible. ok is false if no admissible snap exists.
+// snap moves a config onto the space's axes, shrinking its largest tile axis
+// above that axis's minimum until it is admissible. ok is false if it is
+// not admissible with every tile axis at its minimum.
 func (sp *Space) snap(c conv.Config) (conv.Config, bool) {
 	c.TileX = nearest(sp.xsByE[c.WinogradE], c.TileX)
 	c.TileY = nearest(sp.ysByE[c.WinogradE], c.TileY)
@@ -371,43 +373,33 @@ func (sp *Space) snap(c conv.Config) (conv.Config, bool) {
 	c.ThreadsX = sp.clampFactor(c.ThreadsX, c.TileX)
 	c.ThreadsY = sp.clampFactor(c.ThreadsY, c.TileY)
 	c.ThreadsZ = sp.clampFactor(c.ThreadsZ, c.TileZ)
-	for i := 0; i < 32; i++ {
-		if sp.admissible(c) {
-			return c, true
-		}
-		// Shrink the largest tile axis and retry.
+	for !sp.admissible(c) {
+		// Shrink the largest tile axis above its minimum and retry; fail
+		// once every axis sits at its minimum.
+		xs, ys := sp.xsByE[c.WinogradE], sp.ysByE[c.WinogradE]
+		x, y, z := c.TileX > xs[0], c.TileY > ys[0], c.TileZ > sp.zs[0]
 		switch {
-		case c.TileZ > sp.zs[0] && c.TileZ >= c.TileX*c.TileY:
+		case z && (c.TileZ >= c.TileX*c.TileY || !x && !y):
 			c.TileZ = below(sp.zs, c.TileZ)
 			c.ThreadsZ = sp.clampFactor(c.ThreadsZ, c.TileZ)
-		case c.TileX >= c.TileY:
-			c.TileX = below(sp.xsByE[c.WinogradE], c.TileX)
+		case x && (c.TileX >= c.TileY || !y):
+			c.TileX = below(xs, c.TileX)
 			c.ThreadsX = sp.clampFactor(c.ThreadsX, c.TileX)
-		default:
-			c.TileY = below(sp.ysByE[c.WinogradE], c.TileY)
+		case y:
+			c.TileY = below(ys, c.TileY)
 			c.ThreadsY = sp.clampFactor(c.ThreadsY, c.TileY)
+		default:
+			return c, false
 		}
 	}
-	return c, sp.admissible(c)
+	return c, true
 }
 
-// below returns the largest value in vals strictly below v, or the smallest
-// value if none is.
+// below returns the largest value of the ascending vals strictly below v,
+// which must exceed vals[0].
 func below(vals []int, v int) int {
-	best, found := 0, false
-	smallest := vals[0]
-	for _, x := range vals {
-		if x < smallest {
-			smallest = x
-		}
-		if x < v && (!found || x > best) {
-			best, found = x, true
-		}
-	}
-	if !found {
-		return smallest
-	}
-	return best
+	i, _ := slices.BinarySearch(vals, v)
+	return vals[i-1]
 }
 
 // nearest returns the value of vals closest to v.

@@ -123,6 +123,9 @@ type Options struct {
 	// where it failed, waiting for the lead to get that far. It is never
 	// below the lead's final verdict. The gap stop reads it (see Tune).
 	lead func(n int) float64
+	// leadDirect says the lead is a Direct search, which every request
+	// reads: the waiver then needs no proof from the search's own incumbent.
+	leadDirect bool
 	// booked, when non-nil, is called after every booking of measurements
 	// with the trace's measurement count and the incumbent's seconds (+Inf
 	// before a valid one): TuneNetwork publishes a lead's progress with it.
@@ -233,12 +236,14 @@ type Trace struct {
 	// StopGap — the incumbent's seconds, or on a stale follower the lower of
 	// that and its layer lead's incumbent at leadAhead times its own
 	// measurements: no measurable configuration has a tight floor below
-	// GapRef / 1.3. 0 on every other stop; in memory only, like Stop.
+	// GapRef / 1.3. On a waived stop it is that lead incumbent, below every
+	// tight floor. 0 on every other stop; in memory only, like Stop.
 	GapRef float64
 	// Waived is set on a gap stop taken before the search went stale: its
-	// layer lead's verdict lies below every tight floor of the space, so
-	// the kind cannot win the layer, and GapRef is the incumbent's seconds.
-	// In memory only, like Stop.
+	// layer lead's incumbent lies below every tight floor of the space, so
+	// the kind cannot win the layer. Under a Winograd lead the search's own
+	// incumbent also proves the gap; under a Direct lead, which every
+	// request reads, it need not. In memory only, like Stop.
 	Waived bool
 }
 
@@ -262,10 +267,10 @@ const (
 	// StopCancelled: the context was cancelled or its deadline passed
 	// (Trace.Partial).
 	StopCancelled
-	// StopGap: the search went stale, or its kind cannot win its layer
-	// (Trace.Waived), and no measurable configuration has a tight floor
-	// below its reference over gapRatio, so nothing left can move its
-	// layer's verdict by more than that factor (Trace.GapRef).
+	// StopGap: the search went stale and no measurable configuration has a
+	// tight floor below its reference over gapRatio, so nothing left can
+	// move its layer's verdict by more than that factor (Trace.GapRef); or
+	// its kind cannot win its layer (Trace.Waived).
 	StopGap
 )
 
@@ -388,12 +393,14 @@ func (r *record) stale(patience int) bool {
 //     otherwise), waiting for the lead to get there. Then no measurement
 //     left can move the layer's verdict by more than a factor 1.3, and the
 //     run stops with Trace.Stop = StopGap and Trace.GapRef = r. The waiver
-//     asks, on a follower whose own incumbent proves the gap, stale or not,
-//     whether u < m: then the lead's verdict, ≤ u, lies below every floor,
-//     the kind cannot win the layer, the staleness is waived and the run
-//     stops on its incumbent's proof (Trace.Waived). Until it goes stale r
-//     is never u, so a waived stop keeps the kind's own verdict within 1.3
-//     of its optimum for a request that reads it without the lead. The
+//     asks, on a follower not yet stale, whether u < m: then the lead's
+//     verdict, ≤ u, lies below every floor, the kind cannot win the layer,
+//     and the run stops with Trace.Waived and Trace.GapRef = u. Every
+//     request searches Direct and answers the least verdict over its kinds,
+//     so a Direct-led follower waived so is never any reply's answer. A
+//     Winograd-led one is waived only where its own incumbent also proves
+//     the gap, r/1.3 ≤ m: a "winograd": false request reads it without its
+//     lead, and gets a verdict within 1.3 of its optimum. The
 //     proof keeps a lower bound on m and whether it is m itself, and scans
 //     only when asked above an inexact bound, cut at the asked value: a scan
 //     that finds a floor below it has found m, and one that finds none
@@ -527,9 +534,10 @@ func TuneFallible(ctx context.Context, sp *Space, measure FallibleMeasurer, opts
 	// reports true when one fires. The certificate is asked only once the
 	// incumbent attains its own tight floor, which a certified one does. A
 	// follower reads its lead's incumbent after leadAhead times its own
-	// measurements: once stale as the lower reference r, before that only
-	// where its own incumbent proves the gap, for the waiver. Bound-blind
-	// runs (NoPrune) have no oracle and never stop on a proof.
+	// measurements: once stale as the lower reference r, before that for
+	// the waiver, where its lead is Direct or its own incumbent proves the
+	// gap. Bound-blind runs (NoPrune) have no oracle and never stop on a
+	// proof.
 	var floors proof
 	staleAfter := int(gapStale * float64(opts.Patience))
 	proven := func() bool {
@@ -545,7 +553,7 @@ func TuneFallible(ctx context.Context, sp *Space, measure FallibleMeasurer, opts
 		if stale && opts.lead != nil {
 			r = min(r, opts.lead(leadAhead*rec.trace.Measurements))
 		}
-		if (!stale && opts.lead == nil) || !floors.atLeast(sp, r/gapRatio) {
+		if (!stale && opts.lead == nil) || ((stale || !opts.leadDirect) && !floors.atLeast(sp, r/gapRatio)) {
 			return false
 		}
 		if !stale {
@@ -555,7 +563,7 @@ func TuneFallible(ctx context.Context, sp *Space, measure FallibleMeasurer, opts
 			if math.IsInf(u, 1) || !floors.atLeast(sp, math.Nextafter(u, math.Inf(1))) {
 				return false
 			}
-			rec.trace.Waived = true
+			rec.trace.Waived, r = true, u
 		}
 		rec.trace.Stop, rec.trace.GapRef = StopGap, r
 		return true

@@ -483,8 +483,9 @@ func TestResumeCoveredKeepsConvergedAt(t *testing.T) {
 // A Direct sweep over an empty cache runs one cold search per layer family
 // before the rest, which start from the seeds the cold searches' verdicts
 // rank. A later sweep of the kind runs no cold wave, even for a family new to
-// the cache. A search whose candidates all fail to land in its space runs
-// cold. Cold or seeded, a search's trace is Tune's from that warm start.
+// the cache. A Winograd candidate whose X and Y tiles already sit at their
+// minimum lands by shrinking its channel tile. Cold or seeded, a search's
+// trace is Tune's from that warm start.
 func TestColdWave(t *testing.T) {
 	shape := func(k, c, hw int) shapes.ConvShape {
 		return shapes.ConvShape{Batch: 1, Cin: c, Hin: hw, Win: hw, Cout: c, Hker: k, Wker: k, Strid: 1, Pad: k / 2}
@@ -570,9 +571,9 @@ func TestColdWave(t *testing.T) {
 		tuned(got[s], cands, true)
 	}
 
-	// A Winograd verdict whose tile cannot shrink into the 3×3 space at its
-	// Sb: the kind has a candidate, which lands nowhere, so the search runs
-	// cold.
+	// A Winograd verdict too deep in channels for the 3×3 space at its Sb,
+	// with its X and Y tiles at the e=4 minimum: it lands once its channel
+	// tile shrinks, so the search is seeded.
 	cache = NewCache()
 	cache.Put(arch.Name, Winograd, shape(3, 32, 28), conv.Config{TileX: 4, TileY: 4, TileZ: 16,
 		ThreadsX: 1, ThreadsY: 1, ThreadsZ: 1, SharedPerBlock: 256, WinogradE: 4}, Measurement{Seconds: 1e-3, GFLOPS: 1})
@@ -583,7 +584,7 @@ func TestColdWave(t *testing.T) {
 	o := opts
 	o.Winograd = true
 	got = sweep(cache, o, Winograd, a1)
-	tuned(got[a1], cands, false)
+	tuned(got[a1], cands, true)
 }
 
 // An entry's floor ratio is its verdict seconds over the verdict's tight
@@ -628,6 +629,27 @@ func TestFloorRatio(t *testing.T) {
 		}
 		if got := c.candidates(e.arch, Direct, true); !reflect.DeepEqual(got, []scored{{cfg, m.Seconds}}) {
 			t.Errorf("%s %+v: NoPrune candidates %v, want the verdict at its seconds", e.arch, e.s, got)
+		}
+	}
+}
+
+// Snap shrinks only a tile axis above its minimum: a Winograd e=4 tile
+// 4×4×16 at Sb 256, whose X and Y edges already sit at the e=4 minimum,
+// snaps into every 3×3 Winograd space by shrinking its channel tile.
+func TestSnapShrinksPastAnAxisMinimum(t *testing.T) {
+	c := conv.Config{TileX: 4, TileY: 4, TileZ: 16, ThreadsX: 4, ThreadsY: 4, ThreadsZ: 16,
+		SharedPerBlock: 256, WinogradE: 4}
+	for _, cin := range []int{3, 64, 256, 2048} {
+		for _, px := range []int{7, 56, 224} {
+			s := shapes.ConvShape{Batch: 1, Cin: cin, Cout: 64, Hin: px, Win: px, Hker: 3, Wker: 3, Strid: 1, Pad: 1}
+			sp, err := NewSpace(s, arch, Winograd, 0, true)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, ok := sp.Snap(c)
+			if !ok || !sp.admissible(got) || got.WinogradE != 4 {
+				t.Errorf("Cin %d, %d px: snapped to %v (ok %t), want an admissible e=4 configuration", cin, px, got, ok)
+			}
 		}
 	}
 }

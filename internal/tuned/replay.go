@@ -127,9 +127,10 @@ func (s *Server) record(req *request, epoch uint64, rp *reply, probe autotune.Pr
 // fixed server config. The reply keeps the verdicts its bytes were derived
 // from, and the refinement epoch covers refinedKeys. So each recorded search
 // is asked of Cache.Holds again — at the recorded budget and the server's
-// Resume, as the probe asked it, so hits, LRU recency and TTL expiry move as
-// the probe would have moved them — and any entry gone, rewritten with
-// another verdict or, under Resume, below the budget fails the replay. A
+// Resume, as the probe asked it — and any entry gone, rewritten with another
+// verdict or, under Resume, below the budget fails the replay. The checks
+// book nothing; a replay that answers books the probe's lookups (Cache.Book),
+// so one that falls through leaves them to the full path's probe. A
 // write landing between the probe and record leaves a reply whose verdicts
 // no longer match, so it is never replayed; one that rewrites an equal
 // verdict costs nothing.
@@ -160,6 +161,7 @@ func (s *Server) replay(rs *replies, body []byte) []byte {
 	if rp.refine != nil && !s.stillAnalytic(rp) {
 		return nil
 	}
+	s.cache.Book(rp.arch, rp.searches)
 	s.count.requests.Add(1)
 	for tier := range rp.tally {
 		for kind, n := range rp.tally[tier] {
