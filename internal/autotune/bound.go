@@ -166,21 +166,38 @@ func (sp *Space) minFloor(ub float64) float64 {
 
 // proof is what one search knows of its space's least tight floor m, the
 // minFloor(+Inf) over the measurable configurations: m ≥ lo, and m = lo when
-// exact. The zero value knows only that floors are not negative. Every stop
-// on a proof — the certificate, the gap stop and the waiver — asks it, so a
-// scan one stop runs serves the others.
+// exact; m ≤ hi when hi > 0 (see show). The zero value knows only that
+// floors are not negative. Every stop on a proof — the certificate, the gap
+// stop and the waiver — asks it, so a scan one stop runs serves the others.
 type proof struct {
-	lo    float64
-	exact bool
+	lo, hi float64
+	exact  bool
+}
+
+// show tells the proof of a configuration of sp: a measurable one's tight
+// floor is at least m, so it bounds m from above. A search shows its warm
+// seeds before its first booking, because the Section-5 seed it books first
+// can attain its own floor hundreds of times above m, and a scan cut that
+// high walks most of the space only to refute the certificate.
+func (p *proof) show(sp *Space, c conv.Config) {
+	if !sp.measurable(c) {
+		return
+	}
+	if f := sp.analyticFloor(c); f > 0 && (p.hi == 0 || f < p.hi) {
+		p.hi = f
+	}
 }
 
 // atLeast reports whether every measurable tight floor of sp is at least x,
-// that is x ≤ m. It scans only when x is above an inexact lo, and cuts that
-// scan at x: a scan that finds a floor below x has found m, one that finds
-// none raises lo to x.
+// that is x ≤ m. It scans only when x is above an inexact lo and not above
+// hi, and cuts that scan at x: a scan that finds a floor below x has found
+// m, one that finds none raises lo to x.
 func (p *proof) atLeast(sp *Space, x float64) bool {
 	if x <= p.lo || p.exact {
 		return x <= p.lo
+	}
+	if p.hi > 0 && x > p.hi {
+		return false
 	}
 	if f := sp.minFloor(x); f < x {
 		p.lo, p.exact = f, true

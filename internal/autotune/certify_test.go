@@ -121,7 +121,8 @@ func TestMinFloorMatchesAnalyticTop(t *testing.T) {
 // mixed sequences of values around m — nextafter neighbours, 0, +Inf and m
 // itself among them, orders the engine never issues included — answers each
 // atLeast(x) with x ≤ m, and what it keeps stays true: lo ≤ m, and lo = m
-// once exact.
+// once exact. So it does when shown configurations between the queries
+// (sampled ones, and the optimum), and hi stays ≥ m.
 func TestProofMatchesMinFloor(t *testing.T) {
 	rng := rand.New(rand.NewSource(79))
 	spaces := 0
@@ -146,19 +147,33 @@ func TestProofMatchesMinFloor(t *testing.T) {
 			slices.Reverse(falling)
 			mixed := slices.Clone(xs)
 			rng.Shuffle(len(mixed), func(i, j int) { mixed[i], mixed[j] = mixed[j], mixed[i] })
+			// A shown configuration bounds m from above; the shown runs
+			// show sampled ones between queries, and the optimum too.
+			top, err := sp.AnalyticTop(1, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
 			for _, q := range []struct {
 				name string
 				seq  []float64
-			}{{"rising", rising}, {"falling", falling}, {"mixed", mixed}} {
+				show bool
+			}{{"rising", rising, false}, {"falling", falling, false}, {"mixed", mixed, false},
+				{"rising shown", rising, true}, {"falling shown", falling, true}, {"mixed shown", mixed, true}} {
 				var p proof
 				for i, x := range q.seq {
+					if q.show {
+						p.show(sp, sp.Sample(rng))
+						if i == len(q.seq)/2 {
+							p.show(sp, top[0].Config)
+						}
+					}
 					if got := p.atLeast(sp, x); got != (x <= m) {
 						t.Fatalf("%s %v %s, %s query %d: atLeast(%v) = %v, least floor %v",
 							sp.Arch.Name, sp.Shape, sp.Kind, q.name, i, x, got, m)
 					}
-					if p.lo > m || (p.exact && p.lo != m) {
-						t.Fatalf("%s %v %s, %s query %d: proof {lo %v, exact %v}, least floor %v",
-							sp.Arch.Name, sp.Shape, sp.Kind, q.name, i, p.lo, p.exact, m)
+					if p.lo > m || (p.exact && p.lo != m) || (p.hi > 0 && p.hi < m) {
+						t.Fatalf("%s %v %s, %s query %d: proof {lo %v, hi %v, exact %v}, least floor %v",
+							sp.Arch.Name, sp.Shape, sp.Kind, q.name, i, p.lo, p.hi, p.exact, m)
 					}
 				}
 			}

@@ -97,6 +97,23 @@ const WarmSeedCount = warmSeeds
 // configuration has a tight floor below Trace.GapRef / GapRatio.
 const GapRatio = gapRatio
 
+// StopMismatch describes how tr's stop fields disagree, or is "" when they
+// agree: a waived stop is a gap stop, exactly a gap stop carries a GapRef,
+// and a certified stop ends at the booking that proved it — the incumbent's
+// last improvement, on a run that replays no history. A stop rewritten by a
+// later check shows here.
+func StopMismatch(tr *Trace) string {
+	switch {
+	case tr.Waived && tr.Stop != StopGap:
+		return fmt.Sprintf("waived, stop %v", tr.Stop)
+	case (tr.Stop == StopGap) != (tr.GapRef > 0):
+		return fmt.Sprintf("stop %v against %v", tr.Stop, tr.GapRef)
+	case tr.Stop == StopCertified && tr.ConvergedAt != tr.Measurements:
+		return fmt.Sprintf("certified after %d measurements, last improved at %d", tr.Measurements, tr.ConvergedAt)
+	}
+	return ""
+}
+
 // MinFloor is the space's minimum tight floor over its measurable
 // configurations, with no incumbent to seed the scan.
 func (sp *Space) MinFloor() float64 { return sp.minFloor(math.Inf(1)) }

@@ -298,13 +298,13 @@ type measured struct {
 	ok bool
 }
 
-// measureAll is the pre-fanIndexedCtx executor legacyTune still runs on: it
-// measures cfgs[i] into result[i], fanning the calls across up to workers
-// goroutines. latency emulates the per-measurement hardware
-// round-trip (compile + launch + read-back) that the dry simulator
-// otherwise elides; overlapping those waits is where a multi-worker
-// executor pays off on real devices. The Measurer must be safe for
-// concurrent use when workers > 1.
+// measureAll is the executor legacyTune still runs on, from before the
+// tuner booked its batches through fanBooked: it measures cfgs[i] into
+// result[i], fanning the calls across up to workers goroutines. latency
+// emulates the per-measurement hardware round-trip (compile + launch +
+// read-back) that the dry simulator otherwise elides; overlapping those
+// waits is where a multi-worker executor pays off on real devices. The
+// Measurer must be safe for concurrent use when workers > 1.
 func measureAll(measure Measurer, cfgs []conv.Config, workers int, latency time.Duration) []measured {
 	return measureAllInto(nil, measure, cfgs, workers, latency)
 }

@@ -109,7 +109,8 @@ func TestZooMinFloorMatchesAnalyticTop(t *testing.T) {
 // and that optimum must be the minimum floor; every search that stopped on
 // the gap must hold its proof, GapRef / G ≤ the minimum floor ≤ the
 // optimum, and every waived one its lead's verdict below that floor (led by
-// Winograd, its own verdict within G of it too). The per-seed, per-kind tallies, the stop mix — searches,
+// Winograd, its own verdict within G of it too); and every stop's fields
+// must agree (StopMismatch). The per-seed, per-kind tallies, the stop mix — searches,
 // off-optimum searches and measurements per (kind, stop) — and the layer
 // meter — the distinct zoo shapes whose reply verdict is the best optimum
 // over the kinds searched for them, and the pass's summed network time — are
@@ -218,6 +219,11 @@ func zooOracle(t *testing.T, seed int64, golden *bytes.Buffer) {
 		regret, looseness := verdict/opt.Seconds, opt.Seconds/floor
 		t.Logf("seed %d: %v %s: regret %.4f looseness %.4f stop %v after %d",
 			seed, sp.Shape, sp.Kind, regret, looseness, s.Stop, s.Measurements)
+		// A booked stop is never rewritten: a waiver stays a gap stop, and
+		// a certified search ends at the booking that proved it.
+		if msg := autotune.StopMismatch(s.Trace); msg != "" {
+			t.Errorf("seed %d: %v %s: %s", seed, sp.Shape, sp.Kind, msg)
+		}
 		certified := s.Stop == autotune.StopCertified
 		if certified && (verdict != opt.Seconds || opt.Seconds != floor) {
 			t.Errorf("seed %d: %v %s: certified at %v, optimum %v, minimum floor %v",

@@ -101,7 +101,8 @@ type Options struct {
 	// batch of candidates across (default 1). The best configuration, the
 	// convergence curve and every other engine output are bit-identical for
 	// any worker count given a fixed Seed: candidates are chosen before the
-	// batch is dispatched and outcomes are recorded in submission order.
+	// batch is dispatched and outcomes are recorded in submission order, up
+	// to the one a proof ends the search at (see fanBooked).
 	Workers int
 	// MeasureLatency emulates the per-measurement hardware round-trip
 	// (compile + launch + read-back) that the dry simulator elides. Real
@@ -377,10 +378,10 @@ func (r *record) stale(patience int) bool {
 //
 // Six things keep the engine's own machinery off the critical path:
 //
-//   - The stops on a proof (unless opts.NoPrune): between batches the
-//     search asks one proof about m, the least tight floor over the space's
-//     measurable configurations (Space.minFloor). The certificate asks,
-//     once the incumbent's measured time t attains its own tight floor
+//   - The stops on a proof (unless opts.NoPrune): the search asks one
+//     proof about m, the least tight floor over the space's measurable
+//     configurations (Space.minFloor). The certificate asks, once the
+//     incumbent's measured time t attains its own tight floor
 //     (analyticFloor, no scan), whether t ≤ m: floor ≤ measurement holds
 //     for every configuration, so then nothing can beat it, and the run
 //     stops with Trace.Stop = StopCertified. The gap stop asks, once the
@@ -400,13 +401,20 @@ func (r *record) stale(patience int) bool {
 //     so a Direct-led follower waived so is never any reply's answer. A
 //     Winograd-led one is waived only where its own incumbent also proves
 //     the gap, r/1.3 ≤ m: a "winograd": false request reads it without its
-//     lead, and gets a verdict within 1.3 of its optimum. The
-//     proof keeps a lower bound on m and whether it is m itself, and scans
-//     only when asked above an inexact bound, cut at the asked value: a scan
-//     that finds a floor below it has found m, and one that finds none
-//     raises the bound to it. Every answer is a function of m, the booked
-//     prefix and the lead's progress — a function of the lead's own trace —
-//     so the stops fire at the same measurement at any worker count.
+//     lead, and gets a verdict within 1.3 of its optimum. The two exact
+//     proofs — the certificate and a Direct-led follower's waiver — are
+//     asked after every booked measurement and end the search at the one
+//     that proves them: nothing later in its batch, and no later batch
+//     (seed, warm seed, initial random, loop), is booked. The gap stop and
+//     a Winograd-led follower's waiver, like Patience and the budget, are
+//     asked between batches. A booked stop is final: no later check
+//     rewrites it. The proof keeps a lower bound on m and whether it is m
+//     itself, and scans only when asked above an inexact bound, cut at the
+//     asked value: a scan that finds a floor below it has found m, and one
+//     that finds none raises the bound to it. Every answer is a function of
+//     m, the booked prefix and the lead's progress — a function of the
+//     lead's own trace — so the stops fire at the same measurement at any
+//     worker count.
 //   - Bound-guided pruning (unless opts.NoPrune): the I/O-lower-bound
 //     oracle (Space.BoundSeconds) filters the candidate pool as it forms,
 //     before the batched ranking prediction; the walkers themselves step
@@ -531,16 +539,18 @@ func TuneFallible(ctx context.Context, sp *Space, measure FallibleMeasurer, opts
 
 	// proven takes the stops on a proof (see Tune), asking the search's one
 	// proof about m, the space's least tight floor: it books the stop and
-	// reports true when one fires. The certificate is asked only once the
-	// incumbent attains its own tight floor, which a certified one does. A
-	// follower reads its lead's incumbent after leadAhead times its own
-	// measurements: once stale as the lower reference r, before that for
-	// the waiver, where its lead is Direct or its own incumbent proves the
-	// gap. Bound-blind runs (NoPrune) have no oracle and never stop on a
-	// proof.
+	// reports true when one fires. After a booked measurement it asks the
+	// two exact proofs, the certificate and a Direct-led follower's waiver;
+	// between batches it also asks the gap stop and a Winograd-led
+	// follower's waiver. The certificate is asked only once the incumbent
+	// attains its own tight floor, which a certified one does. A follower
+	// reads its lead's incumbent after leadAhead times its own measurements:
+	// once stale as the lower reference r, before that for the waiver, where
+	// its lead is Direct or its own incumbent proves the gap. Bound-blind
+	// runs (NoPrune) have no oracle and never stop on a proof.
 	var floors proof
 	staleAfter := int(gapStale * float64(opts.Patience))
-	proven := func() bool {
+	proven := func(between bool) bool {
 		if opts.NoPrune || !rec.found {
 			return false
 		}
@@ -550,6 +560,9 @@ func TuneFallible(ctx context.Context, sp *Space, measure FallibleMeasurer, opts
 			return true
 		}
 		stale := rec.stale(staleAfter)
+		if !between && (stale || !opts.leadDirect) {
+			return false
+		}
 		if stale && opts.lead != nil {
 			r = min(r, opts.lead(leadAhead*rec.trace.Measurements))
 		}
@@ -568,6 +581,9 @@ func TuneFallible(ctx context.Context, sp *Space, measure FallibleMeasurer, opts
 		rec.trace.Stop, rec.trace.GapRef = StopGap, r
 		return true
 	}
+	// proved is set once proven has booked a stop: nothing is measured or
+	// booked after it, and no later check rewrites the stop.
+	proved := false
 	// book publishes the trace's progress after a booking.
 	book := func() {
 		if opts.booked != nil {
@@ -582,13 +598,18 @@ func TuneFallible(ctx context.Context, sp *Space, measure FallibleMeasurer, opts
 	// measureBatch dedups the candidates against everything measured so
 	// far, drops the ones the lower bound proves non-improving, truncates
 	// to the remaining budget, fans the survivors across the executor's
-	// workers, and books the outcomes in submission order. The batch and
-	// result buffers are reused across calls. Under a cancelled batchCtx
-	// only the contiguous prefix of completed outcomes is booked (see
-	// fanIndexedCtx), keeping a partial trace coherent.
+	// workers, and books the outcomes in submission order, asking the exact
+	// proofs after each: a proof ends the batch — and the search — at the
+	// booking that proves it. The batch and result buffers are reused across
+	// calls. Only a contiguous prefix of the outcomes is booked (see
+	// fanBooked), under a proof or a cancelled batchCtx alike, so a partial
+	// trace stays coherent; the search reads nothing of the unbooked rest.
 	var batchBuf []conv.Config
 	var resultBuf []outcome
 	measureBatch := func(batchCtx context.Context, cands []conv.Config) {
+		if proved {
+			return
+		}
 		batch := batchBuf[:0]
 		for _, c := range cands {
 			if rec.trace.Measurements+len(batch) >= opts.Budget {
@@ -605,14 +626,13 @@ func TuneFallible(ctx context.Context, sp *Space, measure FallibleMeasurer, opts
 			resultBuf = make([]outcome, len(batch))
 		}
 		resultBuf = resultBuf[:len(batch)]
-		done := fanIndexedCtx(batchCtx, len(batch), opts.Workers, func(i int) {
+		done := fanBooked(batchCtx, len(batch), opts.Workers, func(i int) {
 			if opts.MeasureLatency > 0 {
 				time.Sleep(opts.MeasureLatency)
 			}
 			resultBuf[i] = res.run(batchCtx, batch[i])
-		})
-		for i, c := range batch[:done] {
-			out := resultBuf[i]
+		}, func(i int) bool {
+			c, out := batch[i], resultBuf[i]
 			rec.add(c, out.m, out.ok)
 			rec.trace.Retries += out.retries
 			rec.trace.Remeasured += out.remeasured
@@ -629,7 +649,9 @@ func TuneFallible(ctx context.Context, sp *Space, measure FallibleMeasurer, opts
 				opts.OnEvent(EventMeasure)
 			}
 			addRow(c, out.m, out.ok)
-		}
+			proved = proven(false)
+			return !proved
+		})
 		if done > 0 {
 			book()
 		}
@@ -683,24 +705,30 @@ func TuneFallible(ctx context.Context, sp *Space, measure FallibleMeasurer, opts
 	// populated, and the per-iteration diversity samples inside the loop
 	// keep exploring — which is what lets a transferred layer retire after a
 	// handful of measurements once the bound filter proves nothing sampled
-	// can beat its incumbent.
+	// can beat its incumbent. The transferred seeds are snapped first and
+	// shown to the proof (proof.show), so the Section-5 seed's booking asks
+	// it already bounded by their floors.
+	var snapped []conv.Config
+	if warm != nil {
+		for _, s := range warm.Seeds {
+			if c, ok := sp.Snap(s); ok {
+				snapped = append(snapped, c)
+				if !opts.NoPrune {
+					floors.show(sp, c)
+				}
+			}
+		}
+	}
 	if !opts.NoSeeds {
 		// The seed batch runs unconditionally — even under an
 		// already-expired ctx — so a deadline-bounded run over a space with
 		// valid seeds always has a verdict to report.
 		measureBatch(context.Background(), sp.SeedConfigs())
 	}
-	seeded := false
-	if warm != nil && len(warm.Seeds) > 0 {
-		snapped := make([]conv.Config, 0, len(warm.Seeds))
-		for _, s := range warm.Seeds {
-			if c, ok := sp.Snap(s); ok {
-				snapped = append(snapped, c)
-			}
-		}
-		// Seeds that cannot land anywhere in this space inherit nothing;
-		// only an actually-snapped seed counts as a warm start below.
-		seeded = len(snapped) > 0
+	// Seeds that cannot land anywhere in this space inherit nothing; only an
+	// actually-snapped seed counts as a warm start below.
+	seeded := len(snapped) > 0
+	if seeded {
 		measureBatch(ctx, snapped)
 	}
 	initRandom := 3 * opts.Walkers
@@ -723,8 +751,8 @@ func TuneFallible(ctx context.Context, sp *Space, measure FallibleMeasurer, opts
 	var rank bestK
 	var startsBuf, pickedBuf []scored
 	var candBuf []conv.Config
-	for !rec.over(opts.Budget, opts.Patience) {
-		if proven() {
+	for !proved && !rec.over(opts.Budget, opts.Patience) {
+		if proven(true) {
 			break
 		}
 		if ctx.Err() != nil {
