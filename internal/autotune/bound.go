@@ -18,7 +18,8 @@ import (
 // Seconds is monotone in each operand, the measured off-chip traffic of any
 // dataflow using Sb floats of fast memory is at least the theorem's Q(Sb)
 // and at least the compulsory traffic C (every output written once, every
-// weight and used input read once: bounds.CompulsoryTraffic), and its flops
+// weight and every input some window reads read once, at any stride:
+// bounds.CompulsoryTraffic), and its flops
 // are at least the kind's arithmetic floor, so
 //
 //	Seconds(rates; max(Q(Sb), C)·4, 0, arith) + fixed

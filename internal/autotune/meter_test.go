@@ -12,10 +12,12 @@ import (
 )
 
 // meterLine is one line of testdata/meter.jsonl: the engine meter — per
-// engine seed 0–7 of a cold zoo pass, its measurements, the zoo shapes
-// whose verdict is at the optimum, the pass's network time and the bound's
-// looseness — as a change left it. A value the record does not hold is null;
-// halves carries the per-half sums for lines whose seeds are incomplete.
+// engine seed of a cold zoo pass, its measurements, the zoo shapes whose
+// verdict is at the optimum, the pass's network time and the bound's
+// looseness — as a change left it. The early lines hold seeds 0–7, the later
+// ones seeds 0–15. A value the record does not hold is null; halves carries
+// the sums per four seeds (two on an eight-seed line, four on a
+// sixteen-seed line), which also stand for lines whose seeds are incomplete.
 type meterLine struct {
 	PR     int         `json:"pr"`
 	Parent string      `json:"parent"`
@@ -45,9 +47,10 @@ var (
 )
 
 // TestMeterHistory holds the meter's history to the tree: the last line of
-// testdata/meter.jsonl must equal the `all` and `layers` lines of
-// oracle.golden and oracle_heldout.golden, seed for seed, and every line must
-// be well formed, with its halves the sums of whatever seeds it records. It
+// testdata/meter.jsonl must equal the `all` and `layers` lines of the three
+// oracle goldens, seeds 0–15, and every line must be well formed, with its
+// halves the sums of whatever seeds it records. A line holds eight seeds
+// until the first one that holds sixteen, and sixteen from there on. It
 // re-runs nothing. A change that moves the meter regenerates the goldens and
 // appends one line; it never rewrites a line.
 func TestMeterHistory(t *testing.T) {
@@ -73,12 +76,16 @@ func TestMeterHistory(t *testing.T) {
 	if len(lines) == 0 {
 		t.Fatal("meter.jsonl holds no line")
 	}
+	seeds := 8
 	for i, l := range lines {
 		if i > 0 && l.PR <= lines[i-1].PR {
 			t.Errorf("line %d: change %d does not follow %d", i+1, l.PR, lines[i-1].PR)
 		}
-		if l.Parent == "" || len(l.Seeds) != 8 || len(l.Halves) != 2 {
-			t.Fatalf("line %d: want a parent, 8 seeds and 2 halves, got %q, %d, %d", i+1, l.Parent, len(l.Seeds), len(l.Halves))
+		if len(l.Seeds) == 16 {
+			seeds = 16
+		}
+		if l.Parent == "" || len(l.Seeds) != seeds || len(l.Halves) != seeds/4 {
+			t.Fatalf("line %d: want a parent, %d seeds and %d halves, got %q, %d, %d", i+1, seeds, seeds/4, l.Parent, len(l.Seeds), len(l.Halves))
 		}
 		for h, half := range l.Halves {
 			checkMeterHalf(t, i+1, half, l.Seeds[4*h:4*h+4])
@@ -93,7 +100,7 @@ func TestMeterHistory(t *testing.T) {
 		}
 		return want[n]
 	}
-	for _, name := range []string{"oracle.golden", "oracle_heldout.golden"} {
+	for _, name := range []string{"oracle.golden", "oracle_heldout.golden", "oracle_seeds8_15.golden"} {
 		g, err := os.ReadFile("testdata/" + name)
 		if err != nil {
 			t.Fatal(err)
@@ -108,6 +115,9 @@ func TestMeterHistory(t *testing.T) {
 		}
 	}
 	last := lines[len(lines)-1]
+	if len(last.Seeds) != len(want) {
+		t.Fatalf("last meter line (change %d) records %d seeds, the goldens %d", last.PR, len(last.Seeds), len(want))
+	}
 	for i, got := range last.Seeds {
 		w := want[i]
 		if w == nil || w.Measurements == nil || w.Layers == nil {

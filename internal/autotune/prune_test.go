@@ -90,22 +90,17 @@ func TestBoundSecondsIsAFloor(t *testing.T) {
 // The compulsory term at the traffic level: every configuration of the
 // Direct, Winograd and implicit-GEMM spaces must move at least
 // bounds.CompulsoryTraffic off chip — its counts write every output and read
-// every weight and, at stride 1, every input. Seeded small shapes, strided,
-// grouped and depthwise among them; each configuration's counts are the
-// ones a measurement of it prices.
+// every weight and every input some window reads. Seeded small shapes,
+// strided, grouped and depthwise among them, and draws of their own at
+// strides 3–4 with kernels narrower than, equal to and wider than the
+// stride, padded, where whole rows and columns go unread; each
+// configuration's counts are the ones a measurement of it prices.
 func TestCompulsoryTrafficIsAFloor(t *testing.T) {
 	rng := rand.New(rand.NewSource(53))
 	a := memsim.V100
 	kinds := []Kind{Direct, Winograd, ImplicitGEMM}
-	var checked [len(kindTable)]int
-	for trial := 0; trial < 24; trial++ {
-		s := randomSmallShape(rng)
-		switch trial % 3 {
-		case 1:
-			s = randomGroupedShape(rng)
-		case 2:
-			s.Cout, s.Groups = s.Cin, s.Cin // depthwise
-		}
+	var checked, checkedWide [len(kindTable)]int
+	check := func(s shapes.ConvShape, checked *[len(kindTable)]int) {
 		c := bounds.CompulsoryTraffic(s)
 		for _, kind := range kinds {
 			sp, err := NewSpace(s, a, kind, 2, false)
@@ -125,9 +120,40 @@ func TestCompulsoryTrafficIsAFloor(t *testing.T) {
 			})
 		}
 	}
+	for trial := 0; trial < 24; trial++ {
+		s := randomSmallShape(rng)
+		switch trial % 3 {
+		case 1:
+			s = randomGroupedShape(rng)
+		case 2:
+			s.Cout, s.Groups = s.Cin, s.Cin // depthwise
+		}
+		check(s, &checked)
+	}
+	wide := rand.New(rand.NewSource(56))
+	for trial := 0; trial < 12; trial++ {
+		mu := 3 + wide.Intn(2)
+		k := [...]int{1 + wide.Intn(mu-1), mu, mu + 1 + wide.Intn(2)}[trial%3] // k < μ, k = μ, k > μ
+		s := shapes.ConvShape{
+			Batch: 1 + wide.Intn(2),
+			Cin:   2 + wide.Intn(6),
+			Hin:   k + wide.Intn(3*mu),
+			Win:   k + wide.Intn(3*mu),
+			Cout:  3 + wide.Intn(8),
+			Hker:  k, Wker: k,
+			Strid: mu,
+			Pad:   wide.Intn(k),
+		}
+		check(s, &checkedWide)
+	}
 	for _, kind := range kinds {
 		if checked[kind] == 0 {
 			t.Errorf("%s: no configuration checked", kind)
+		}
+	}
+	for _, kind := range []Kind{Direct, ImplicitGEMM} {
+		if checkedWide[kind] == 0 {
+			t.Errorf("%s: no configuration checked at strides 3–4", kind)
 		}
 	}
 }

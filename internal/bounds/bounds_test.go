@@ -245,8 +245,8 @@ func TestBatchScaling(t *testing.T) {
 }
 
 // The compulsory term's arithmetic: outputs written, weights read (Cin/G per
-// filter on a grouped layer) and, at stride 1 only, inputs read, all scaled
-// by the batch where they are per image.
+// filter on a grouped layer) and the inputs some window reads, all scaled by
+// the batch where they are per image. The strided cases are counted by hand.
 func TestCompulsoryTraffic(t *testing.T) {
 	dense := shapes.ConvShape{Batch: 2, Cin: 4, Hin: 6, Win: 5, Cout: 8, Hker: 3, Wker: 3, Strid: 1, Pad: 1}
 	// Outputs 2·6·5·8, weights 3·3·4·8, inputs 2·4·6·5.
@@ -268,11 +268,34 @@ func TestCompulsoryTraffic(t *testing.T) {
 	if got, want := CompulsoryTraffic(depthwise), float64(240+36+240); got != want {
 		t.Errorf("depthwise: C = %v, want %v", got, want)
 	}
-	strided := dense
-	strided.Strid = 2
-	// Hout = (6+2-3)/2+1 = 3, Wout = (5+2-3)/2+1 = 3: outputs 2·3·3·8 and
-	// the weights; the inputs drop out.
-	if got, want := CompulsoryTraffic(strided), float64(144+288); got != want {
-		t.Errorf("stride 2: C = %v, want %v (no input term)", got, want)
+	for _, c := range []struct {
+		name  string
+		shape shapes.ConvShape
+		want  float64
+	}{
+		// 1×1/2 on 5×4: Hout 3, Wout 2. The windows read rows 0, 2, 4 and
+		// columns 0, 2, so 3·2 of the 5·4 pixels per channel: outputs
+		// 3·2·2, weights 3·2, inputs 3·2·3.
+		{"1x1/2", shapes.ConvShape{Batch: 1, Cin: 3, Hin: 5, Win: 4, Cout: 2, Hker: 1, Wker: 1, Strid: 2}, 12 + 6 + 18},
+		// 3×3/2 pad 1 on 6×5: Hout = (6+2−3)/2+1 = 3, Wout = (5+2−3)/2+1 =
+		// 3. The row windows [−1,1], [1,3], [3,5] cover rows 0–5 and the
+		// column windows columns 0–4: every input is read, outputs 2·3·3·8,
+		// weights 3·3·4·8, inputs 2·4·6·5.
+		{"3x3/2 pad 1", func() shapes.ConvShape { s := dense; s.Strid = 2; return s }(), 144 + 288 + 240},
+		// 3×3/2 on 6×5, no padding: Hout = 2, Wout = 2. Rows [0,2], [2,4]
+		// leave row 5 unread, columns [0,2], [2,4] read all five: inputs
+		// 2·4·5·5.
+		{"3x3/2", func() shapes.ConvShape { s := dense; s.Strid, s.Pad = 2, 0; return s }(), 2*2*2*8 + 288 + 200},
+		// AlexNet's conv1: 11×11/4 on 227², Hout 55. The last window is
+		// [216, 226], so every pixel is read: outputs 55·55·96, weights
+		// 11·11·3·96, inputs 3·227·227.
+		{"11x11/4", shapes.ConvShape{Batch: 1, Cin: 3, Hin: 227, Win: 227, Cout: 96, Hker: 11, Wker: 11, Strid: 4}, 290400 + 34848 + 154587},
+		// The same on 225 rows: Hout 54, the last row window is [212, 222]
+		// and rows 223–224 go unread: outputs 54·55·96, inputs 3·223·227.
+		{"11x11/4 short", shapes.ConvShape{Batch: 1, Cin: 3, Hin: 225, Win: 227, Cout: 96, Hker: 11, Wker: 11, Strid: 4}, 285120 + 34848 + 151863},
+	} {
+		if got := CompulsoryTraffic(c.shape); got != c.want {
+			t.Errorf("%s: C = %v, want %v", c.name, got, c.want)
+		}
 	}
 }
