@@ -49,12 +49,12 @@ type Cache struct {
 	// SetEviction installs one; the counters run unconditionally — they are
 	// a handful of atomics, and the service's /healthz reports them.
 	policy    atomic.Pointer[EvictionPolicy]
-	clock     atomic.Int64 // logical LRU clock, bumped on every access
+	clock     atomic.Int64 // logical LRU tick, advanced by Evict alone
 	bytes     atomic.Int64 // approximate retained bytes over all entries
 	hits      atomic.Int64
 	misses    atomic.Int64
 	evictions atomic.Int64
-	evictMu   sync.Mutex // serializes enforce sweeps
+	evictMu   sync.Mutex // serializes Evict
 
 	// writes counts stores and removals (Writes).
 	writes atomic.Uint64
@@ -375,7 +375,7 @@ func (c *Cache) put(key string, e CacheEntry, sp *Space) CacheEntry {
 	}
 	size := e.SizeBytes()
 	m := &entryMeta{size: size, ratio: floorRatio(e, sp)}
-	m.used.Store(c.clock.Add(1))
+	m.used.Store(c.clock.Load())
 	m.wall.Store(c.nowNanos())
 	if held {
 		c.bytes.Add(-sh.meta[key].size)
@@ -385,7 +385,6 @@ func (c *Cache) put(key string, e CacheEntry, sp *Space) CacheEntry {
 	sh.mu.Unlock()
 	c.writes.Add(1)
 	c.bytes.Add(size)
-	c.enforce()
 	return e
 }
 
@@ -464,21 +463,21 @@ func (r CachedMeasurement) compare(o CachedMeasurement) int {
 // Entry is the allocation-free raw lookup behind Get and State, and what
 // callers shipping entries elsewhere (the cluster replication path) read:
 // the persisted entry of one key, engine state included when present. A hit
-// bumps the entry's LRU clock; under a TTL policy an entry idle past the
-// TTL is evicted and reported as a miss, so a long-running service never
-// serves verdicts staler than its policy allows.
+// stamps the entry with the running operation's LRU tick; under a TTL policy
+// an entry idle past the TTL is evicted and reported as a miss, so a
+// long-running service never serves verdicts staler than its policy allows.
 func (c *Cache) Entry(archName string, kind Kind, s shapes.ConvShape) (CacheEntry, bool) {
 	return c.lookup(archName, kind, s, true)
 }
 
 // lookup is Entry, which books the lookup; unbooked, it moves nothing — no
-// counter, LRU clock or TTL stamp — and an entry idle past the TTL reads as
+// counter, LRU tick or TTL stamp — and an entry idle past the TTL reads as
 // absent and stays.
 func (c *Cache) lookup(archName string, kind Kind, s shapes.ConvShape, book bool) (CacheEntry, bool) {
 	var kb [cacheKeyBuf]byte
 	key := appendCacheKey(kb[:0], archName, kind, s)
 	sh := &c.shards[shardIndex(key)]
-	// The eviction bookkeeping (recency clock, TTL stamp) is paid only
+	// The eviction bookkeeping (recency tick, TTL stamp) is paid only
 	// when a policy is installed; the default unbounded cache keeps the
 	// bare map-hit lookup, plus one counter bump for Stats.
 	p := c.policy.Load()
@@ -501,7 +500,7 @@ func (c *Cache) lookup(archName string, kind Kind, s shapes.ConvShape, book bool
 		return CacheEntry{}, false
 	}
 	if m != nil {
-		m.used.Store(c.clock.Add(1))
+		m.used.Store(c.clock.Load())
 		// The wall clock backs the TTL only; without one, skip the
 		// time.Now so the hot lookup stays a pair of atomic bumps.
 		if p.TTL > 0 {
@@ -726,11 +725,12 @@ func validateEntries(entries []CacheEntry) ([]string, error) {
 	return keys, nil
 }
 
-// commit stores validated entries under their keys.
+// commit stores validated entries under their keys, as one operation.
 func (c *Cache) commit(entries []CacheEntry, keys []string) {
 	for i, e := range entries {
 		c.put(keys[i], e, nil)
 	}
+	c.Evict()
 }
 
 // Load merges entries from JSON previously written by Save. Entries with an
@@ -900,6 +900,7 @@ func (c *Cache) RecoverFile(path string) (loaded int, salvaged bool, err error) 
 			loaded++
 		}
 	}
+	c.Evict()
 	return loaded, true, os.Rename(path, path+".corrupt")
 }
 

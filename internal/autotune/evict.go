@@ -1,7 +1,9 @@
 package autotune
 
 import (
-	"sort"
+	"cmp"
+	"slices"
+	"strings"
 	"sync/atomic"
 	"time"
 	"unsafe"
@@ -12,16 +14,31 @@ import (
 // key space — (arch, algorithm, shape) — is effectively unbounded in the
 // millions-of-distinct-shapes regime, so the cache needs what every
 // production verdict cache needs: size accounting, an LRU bound, an
-// optional TTL, and counters for observability. Eviction is pure
-// capacity management: a re-tuned evicted key reproduces its verdict
-// bit-for-bit (the engine is deterministic), so dropping an entry can never
-// change an answer, only the cost of producing it.
+// optional TTL, and counters for observability.
+//
+// Eviction is a function of the operation sequence, not of goroutine
+// timing, as long as operations run one at a time. An operation — a sweep
+// round of the daemon, a Load, a PutEntries — ends at a boundary, Evict.
+// Everything one operation stores or books shares the LRU tick, which only
+// Evict advances, so the concurrent searches of one round touch their
+// entries alike in any order. Evict drops the entries idle past the TTL,
+// then, over a cap, evicts in (tick, key) order to a low-water mark ~10 %
+// under it. Between boundaries a bound may be exceeded by the entries the
+// running operation adds. Operations that overlap share no such guarantee:
+// in the daemon a replication push or a refinement sweep may end (and
+// advance the tick) in the middle of a round, which then spans two ticks.
+//
+// Eviction changes no cold answer: a cold re-tune of an evicted key
+// reproduces its verdict bit for bit (the engine is deterministic). A warm
+// re-tune need not: a warm search seeds from the cached verdicts of its kind
+// (Cache.candidates), a set the eviction changed, so the key can come back
+// with another verdict, a slower one included.
 
 // entryMeta is the per-entry in-memory record: approximate retained bytes,
-// the logical LRU clock tick of the last access, the wall time of the last
-// access (TTL), and the entry's floor ratio, fixed when it was stored (see
-// Cache.candidates). The atomics let the read-locked lookup path touch an
-// entry without taking the shard's write lock.
+// the LRU tick of the operation that last touched the entry, the wall time of
+// the last access (TTL), and the entry's floor ratio, fixed when it was
+// stored (see Cache.candidates). The atomics let the read-locked lookup path
+// touch an entry without taking the shard's write lock.
 type entryMeta struct {
 	size  int64
 	ratio float64
@@ -30,7 +47,9 @@ type entryMeta struct {
 }
 
 // EvictionPolicy bounds a cache. The zero value is unbounded; any
-// combination of limits may be set.
+// combination of limits may be set. The limits hold at every operation
+// boundary (Evict), which trims an exceeded cap to ~10 % under it; within
+// an operation the entries it adds may exceed them.
 type EvictionPolicy struct {
 	// MaxEntries caps the number of cached verdicts (0 = unlimited).
 	MaxEntries int
@@ -39,8 +58,8 @@ type EvictionPolicy struct {
 	// entries (0 = unlimited).
 	MaxBytes int64
 	// TTL evicts entries idle (neither read nor written) for longer than
-	// this (0 = no TTL). Expiry is lazy — checked on lookup — plus
-	// whatever EvictExpired sweeps the owner schedules.
+	// this (0 = no TTL). A lookup reads an entry past it as absent and
+	// drops it; Evict drops every such entry.
 	TTL time.Duration
 	// Now overrides the wall clock (tests). nil means time.Now.
 	Now func() time.Time
@@ -57,27 +76,11 @@ func (c *Cache) nowNanos() int64 {
 	return c.policy.Load().now().UnixNano()
 }
 
-// SetEviction installs (or replaces) the cache's eviction policy and
-// enforces its limits immediately.
+// SetEviction installs (or replaces) the cache's eviction policy. It is an
+// operation boundary: the new limits hold when it returns.
 func (c *Cache) SetEviction(p EvictionPolicy) {
 	c.policy.Store(&p)
-	if p.TTL > 0 {
-		// Entries inserted before any TTL policy existed carry no wall
-		// stamp; date them "now" so installing a policy starts their idle
-		// clock instead of expiring them retroactively.
-		now := p.now().UnixNano()
-		for i := range c.shards {
-			sh := &c.shards[i]
-			sh.mu.RLock()
-			for _, m := range sh.meta {
-				if m.wall.Load() == 0 {
-					m.wall.Store(now)
-				}
-			}
-			sh.mu.RUnlock()
-		}
-	}
-	c.enforce()
+	c.Evict()
 }
 
 // CacheStats is a point-in-time accounting snapshot, exported by the
@@ -137,28 +140,54 @@ func (c *Cache) remove(key string) bool {
 	return ok
 }
 
-// enforce evicts least-recently-used entries until the policy's limits
-// hold again. When a sweep is needed it batches: eviction overshoots to a
-// low-water mark ~10% under the cap, so a put-heavy workload near capacity
-// pays the O(n log n) LRU scan once per batch of inserts instead of once
-// per insert. Concurrent enforce calls serialize on evictMu; racing puts
-// during a sweep are picked up by the next one.
-func (c *Cache) enforce() {
-	p := c.policy.Load()
-	if p == nil || (p.MaxEntries <= 0 && p.MaxBytes <= 0) {
-		return
-	}
-	if (p.MaxEntries <= 0 || c.Len() <= p.MaxEntries) &&
-		(p.MaxBytes <= 0 || c.bytes.Load() <= p.MaxBytes) {
-		return
-	}
+// Evict ends an operation and reports how many entries it dropped: every
+// entry idle past the policy's TTL, then, if MaxEntries or MaxBytes is
+// exceeded, entries in (tick, key) order until each cap holds with ~10 %
+// to spare. The low-water mark lets a cache held at its cap pay the
+// O(n log n) ranking once per tenth of its capacity inserted, not once per
+// operation; under the caps the size half returns without a scan. Evict
+// then advances the LRU tick, so the next operation's stores and booked
+// lookups rank after this one's. The daemon runs it at the end of every
+// sweep round and refinement sweep; Load, PutEntries, RecoverFile and
+// SetEviction run it themselves. Concurrent calls serialize on evictMu.
+func (c *Cache) Evict() int {
 	c.evictMu.Lock()
 	defer c.evictMu.Unlock()
-
+	defer c.clock.Add(1)
+	p := c.policy.Load()
+	if p == nil {
+		return 0
+	}
+	n := 0
+	if p.TTL > 0 {
+		cutoff := p.now().UnixNano() - int64(p.TTL)
+		var stale []string
+		for i := range c.shards {
+			sh := &c.shards[i]
+			sh.mu.RLock()
+			for k, m := range sh.meta {
+				if m.wall.Load() <= cutoff {
+					stale = append(stale, k)
+				}
+			}
+			sh.mu.RUnlock()
+		}
+		for _, k := range stale {
+			if c.remove(k) {
+				n++
+			}
+		}
+	}
+	maxEntries, maxBytes := int64(p.MaxEntries), p.MaxBytes
+	over := func(entries, bytes int64) bool {
+		return (maxEntries > 0 && entries > maxEntries) || (maxBytes > 0 && bytes > maxBytes)
+	}
+	if !over(int64(c.Len()), c.bytes.Load()) {
+		return n
+	}
 	type cand struct {
-		key  string
-		used int64
-		size int64
+		key        string
+		used, size int64
 	}
 	var cands []cand
 	for i := range c.shards {
@@ -169,53 +198,20 @@ func (c *Cache) enforce() {
 		}
 		sh.mu.RUnlock()
 	}
-	sort.Slice(cands, func(i, j int) bool { return cands[i].used < cands[j].used })
-
-	entryTarget, byteTarget := int64(0), int64(0)
-	if p.MaxEntries > 0 {
-		entryTarget = int64(p.MaxEntries) - int64(p.MaxEntries/10)
-	}
-	if p.MaxBytes > 0 {
-		byteTarget = p.MaxBytes - p.MaxBytes/10
-	}
-	entries := int64(len(cands))
-	bytes := c.bytes.Load()
+	slices.SortFunc(cands, func(a, b cand) int {
+		return cmp.Or(cmp.Compare(a.used, b.used), strings.Compare(a.key, b.key))
+	})
+	maxEntries -= maxEntries / 10
+	maxBytes -= maxBytes / 10
+	entries, bytes := int64(len(cands)), c.bytes.Load()
 	for _, cd := range cands {
-		if (entryTarget == 0 || entries <= entryTarget) &&
-			(byteTarget == 0 || bytes <= byteTarget) {
+		if !over(entries, bytes) {
 			break
 		}
 		if c.remove(cd.key) {
+			n++
 			entries--
 			bytes -= cd.size
-		}
-	}
-}
-
-// EvictExpired sweeps out every entry idle longer than the policy TTL and
-// reports how many were dropped. The service's batcher runs it after each
-// batch; without a TTL it is a no-op.
-func (c *Cache) EvictExpired() int {
-	p := c.policy.Load()
-	if p == nil || p.TTL <= 0 {
-		return 0
-	}
-	cutoff := p.now().UnixNano() - int64(p.TTL)
-	var stale []string
-	for i := range c.shards {
-		sh := &c.shards[i]
-		sh.mu.RLock()
-		for k, m := range sh.meta {
-			if m.wall.Load() <= cutoff {
-				stale = append(stale, k)
-			}
-		}
-		sh.mu.RUnlock()
-	}
-	n := 0
-	for _, k := range stale {
-		if c.remove(k) {
-			n++
 		}
 	}
 	return n

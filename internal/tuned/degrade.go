@@ -163,6 +163,7 @@ func (s *Server) refineOne(req *request) {
 		s.refineMu.Unlock()
 	}()
 	verdicts, err := autotune.TuneNetwork(req.arch, req.layers, s.cache, req.NetworkOptions(s))
+	s.cache.Evict()
 	measured := 0
 	s.refineMu.Lock()
 	for _, v := range verdicts {

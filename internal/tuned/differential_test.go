@@ -10,7 +10,9 @@ import (
 	"net/http/httptest"
 	"reflect"
 	"slices"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro"
 	"repro/internal/autotune"
@@ -107,13 +109,57 @@ func diffMetrics(t *testing.T, srv *Server) map[string]float64 {
 	return m
 }
 
+// diffTTL is the TTL of a differential sequence drawn with one.
+const diffTTL = time.Hour
+
+// diffPolicy draws the eviction policy both servers of a sequence run under:
+// none (nil); MaxEntries the zoo's entries + 8; MaxBytes the zoo's bytes +
+// 8 times their mean; or a TTL on now, the fake clock both servers share.
+func diffPolicy(rng *rand.Rand, zoo []autotune.CacheEntry, now *atomic.Int64) (string, *autotune.EvictionPolicy) {
+	var size int64
+	for _, e := range zoo {
+		size += e.SizeBytes()
+	}
+	switch rng.Intn(4) {
+	case 1:
+		return "entries", &autotune.EvictionPolicy{MaxEntries: len(zoo) + 8}
+	case 2:
+		return "bytes", &autotune.EvictionPolicy{MaxBytes: size + 8*size/int64(len(zoo))}
+	case 3:
+		return "ttl", &autotune.EvictionPolicy{TTL: diffTTL, Now: func() time.Time { return time.Unix(0, now.Load()) }}
+	}
+	return "none", nil
+}
+
+// policyServer is zooServer with p, unless nil, installed before the zoo's
+// state loads, so a TTL's fake clock stamps every entry.
+func policyServer(t *testing.T, p *autotune.EvictionPolicy) *Server {
+	t.Helper()
+	if p == nil {
+		srv, _ := zooServer(t)
+		return srv
+	}
+	srv, _ := zooServer(t, func(cfg *Config) {
+		_, state := replayZoo()
+		cfg.Cache = autotune.NewCache()
+		cfg.Cache.SetEviction(*p)
+		if err := cfg.Cache.Load(bytes.NewReader(state)); err != nil {
+			t.Fatal(err)
+		}
+	})
+	return srv
+}
+
 // TestServersWithAndWithoutReplayAgree: a replayed reply, and what it books,
-// are the full path's. Two servers on the tuned zoo's cache take one seeded
-// sequence of operations — POSTs drawn from a pool of zoo bodies and
-// variants (diffBodies) and replication pushes (diffPush) — one as it runs,
-// the other with its record sets cleared before every operation (forget),
-// so it never replays. After each operation the reply bytes and /metrics
-// must be equal. Each seed is a subtest
+// are the full path's. Two servers on the tuned zoo's cache, under one
+// eviction policy drawn per seed (diffPolicy), take one seeded sequence of
+// operations — POSTs drawn from a pool of zoo bodies and variants
+// (diffBodies), replication pushes (diffPush) and, under a TTL, advances of
+// its fake clock — one as it runs, the other with its record sets cleared
+// before every operation (forget), so it never replays. After each
+// operation the reply bytes and /metrics must be equal. A policy that
+// evicted nothing over the run's sequences is an error: the differential
+// then never compared an eviction. Each seed is a subtest
 // (-run 'TestServersWithAndWithoutReplayAgree/seed=3'); a seed that fails
 // becomes a named regression test beside this one.
 func TestServersWithAndWithoutReplayAgree(t *testing.T) {
@@ -126,31 +172,45 @@ func TestServersWithAndWithoutReplayAgree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	replays := 0
+	replays, evictions := 0, map[string]int64{}
 	for seed := range int64(seeds) {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			replays += diffSequence(t, seed, zoo, entries)
+			policy, r, e := diffSequence(t, seed, zoo, entries)
+			replays += r
+			evictions[policy] += e
 		})
 	}
 	if !t.Failed() && replays == 0 {
 		t.Errorf("%d sequences replayed nothing: the differential compared the full path with itself", seeds)
 	}
-	t.Logf("%d sequences, %d replays", seeds, replays)
+	for policy, n := range evictions {
+		if !t.Failed() && policy != "none" && n == 0 {
+			t.Errorf("the sequences under the %s policy evicted nothing", policy)
+		}
+	}
+	t.Logf("%d sequences, %d replays, evictions by policy %v", seeds, replays, evictions)
 }
 
 // diffSequence runs seed's sequence of 24 operations on two zoo servers and
-// returns how many answers the replaying one replayed.
-func diffSequence(t *testing.T, seed int64, zoo [][]byte, entries []autotune.CacheEntry) int {
+// returns the policy drawn, how many answers the replaying server replayed
+// and how many entries it evicted.
+func diffSequence(t *testing.T, seed int64, zoo [][]byte, entries []autotune.CacheEntry) (string, int, int64) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	bodies := diffBodies(t, rng, zoo)
-	replaying, _ := zooServer(t)
-	full, _ := zooServer(t)
+	var now atomic.Int64
+	now.Store(time.Unix(1e9, 0).UnixNano())
+	policy, p := diffPolicy(rng, entries, &now)
+	replaying, full := policyServer(t, p), policyServer(t, p)
 	replays := 0
 	for op := range 24 {
 		forget(full)
 		what := "push"
-		if rng.Intn(4) > 0 {
+		switch r := rng.Intn(8); {
+		case r == 7 && p != nil && p.TTL > 0:
+			what = "clock advance"
+			now.Add(int64(diffTTL) / 2 * int64(1+rng.Intn(2)))
+		case r >= 2:
 			i := rng.Intn(len(bodies))
 			what = fmt.Sprintf("POST body %d", i)
 			got, replayed := serve(t, replaying, bodies[i])
@@ -159,20 +219,20 @@ func diffSequence(t *testing.T, seed int64, zoo [][]byte, entries []autotune.Cac
 				replays++
 			}
 			if !bytes.Equal(got, want) {
-				t.Fatalf("op %d, %s (replayed %t): replies differ:\n%s\n%s", op, what, replayed, got, want)
+				t.Fatalf("policy %s, op %d, %s (replayed %t): replies differ:\n%s\n%s", policy, op, what, replayed, got, want)
 			}
-		} else {
+		default:
 			push := diffPush(rng, entries)
 			gotErr, wantErr := replaying.cache.PutEntries(push), full.cache.PutEntries(push)
 			if (gotErr == nil) != (wantErr == nil) {
-				t.Fatalf("op %d, push: errors %v and %v", op, gotErr, wantErr)
+				t.Fatalf("policy %s, op %d, push: errors %v and %v", policy, op, gotErr, wantErr)
 			}
 		}
 		if got, want := diffMetrics(t, replaying), diffMetrics(t, full); !reflect.DeepEqual(got, want) {
-			t.Fatalf("op %d, %s: /metrics differ:\n%v\n%v", op, what, got, want)
+			t.Fatalf("policy %s, op %d, %s: /metrics differ:\n%v\n%v", policy, op, what, got, want)
 		}
 	}
-	return replays
+	return policy, replays, replaying.cache.Stats().Evictions
 }
 
 // A replay that falls through books nothing: the full path's probe books

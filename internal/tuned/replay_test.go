@@ -374,21 +374,24 @@ func TestReplayFollowsEachWriter(t *testing.T) {
 		}},
 		{"LRU eviction", func(t *testing.T, srv *Server, bodies [][]byte) {
 			// Under the policy, the other networks' answers leave AlexNet's
-			// entries the least recently used; one Put past the cap evicts
-			// them.
+			// entries the least recently used; one Put past the cap, ended
+			// by Evict, evicts them.
 			srv.cache.SetEviction(autotune.EvictionPolicy{MaxEntries: srv.cache.Len()})
 			for _, body := range bodies[1:] {
 				serve(t, srv, body)
 			}
 			putUnrelated(srv.cache)
+			srv.cache.Evict()
 			if srv.cache.Stats().Evictions == 0 {
 				t.Fatal("nothing was evicted")
 			}
 		}},
 		{"TTL expiry", func(t *testing.T, srv *Server, _ [][]byte) {
+			// Installing the policy is an operation boundary: every entry
+			// expires inside SetEviction.
 			later := time.Now().Add(time.Hour)
 			srv.cache.SetEviction(autotune.EvictionPolicy{TTL: time.Minute, Now: func() time.Time { return later }})
-			if srv.cache.EvictExpired() == 0 {
+			if srv.cache.Stats().Evictions == 0 {
 				t.Fatal("nothing expired")
 			}
 		}},
@@ -682,14 +685,13 @@ func mustKey(t *testing.T, e autotune.CacheEntry) string {
 }
 
 // replaceAll leaves cache holding entries and nothing else, through writes a
-// cache accepts whatever it held: every entry expires under a TTL on a test
-// clock, then entries are put into the emptied cache. A plain PutEntries
-// would keep each held entry that outranks its replacement.
+// cache accepts whatever it held: every entry expires as a TTL on a test
+// clock is installed, then entries are put into the emptied cache. A plain
+// PutEntries would keep each held entry that outranks its replacement.
 func replaceAll(t *testing.T, cache *autotune.Cache, entries []autotune.CacheEntry) {
 	t.Helper()
 	later := time.Now().Add(time.Hour)
 	cache.SetEviction(autotune.EvictionPolicy{TTL: time.Minute, Now: func() time.Time { return later }})
-	cache.EvictExpired()
 	cache.SetEviction(autotune.EvictionPolicy{})
 	if n := cache.Len(); n != 0 {
 		t.Fatalf("%d entries outlived their TTL", n)

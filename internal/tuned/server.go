@@ -25,7 +25,8 @@ import (
 type Config struct {
 	// Cache is the verdict store and dedup point; nil makes a fresh one.
 	// Install an autotune.EvictionPolicy on it (or via cmd/tuned's flags)
-	// for the bounded long-running regime.
+	// for the bounded long-running regime: the server evicts at the end of
+	// every sweep round and refinement sweep (autotune.Cache.Evict).
 	Cache *autotune.Cache
 	// Tune holds the per-layer engine defaults; requests may override
 	// Budget and Seed within the wire limits. A zero value uses
@@ -317,7 +318,8 @@ func (s *Server) Measurements() int64 { return s.count.measurements.Load() }
 // nothing but the (concurrency-safe) cache. With RequestTimeout set, each
 // group's engine time is deadline-bounded from the moment its batch runs;
 // the deadline is per group, not per request, because a group's searches
-// are shared across every client merged into it.
+// are shared across every client merged into it. The round is one cache
+// operation: it ends at Cache.Evict, never between its groups.
 func (s *Server) runBatch(jobs []*tuneJob) {
 	s.count.batches.Add(1)
 	var wg sync.WaitGroup
@@ -335,7 +337,7 @@ func (s *Server) runBatch(jobs []*tuneJob) {
 		}()
 	}
 	wg.Wait()
-	s.cache.EvictExpired()
+	s.cache.Evict()
 }
 
 // wrapMeasurer is the NetworkOptions.WrapMeasurer hook, composing the two
