@@ -398,7 +398,7 @@ func BenchmarkTuneNetworkWarm(b *testing.B) {
 	tune.Patience = 16
 	tune.Seed = 1
 	tune.MeasureLatency = 500 * time.Microsecond
-	matched := autotune.DefaultOptions() // Budget 400, Patience 120
+	matched := autotune.DefaultOptions() // Budget 400, Patience 90
 	matched.Seed = 1
 	matched.MeasureLatency = tune.MeasureLatency
 

@@ -2,6 +2,7 @@ package autotune
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/conv"
@@ -51,10 +52,10 @@ func TestPredictPathsAgree(t *testing.T) {
 			pool[c] = true
 			want[c] = batch[i]
 		}
-		var rank bestK
-		rank.reset(len(pool))
-		view.rank(pool, &rank)
-		ranked := rank.sorted(nil)
+		ranked := view.rank(pool, nil)
+		if !slices.IsSortedFunc(ranked, compareScored) {
+			t.Fatal("rank is not in scoredBefore order")
+		}
 		if len(ranked) != len(pool) {
 			t.Fatalf("ranked %d of %d pool members", len(ranked), len(pool))
 		}

@@ -3,10 +3,10 @@ package autotune
 import "repro/internal/conv"
 
 // This file is the engine's ranking machinery: every iteration the tuner
-// must keep the k best walker proposals (by predicted cost) and the k best
-// measured configurations (by real cost) out of streams much larger than
-// k. Both use bestK — a bounded max-heap whose root is the worst retained
-// item — instead of sorting the whole stream, and every backing array is
+// keeps the k best measured configurations (by real cost) out of a stream
+// much larger than k in bestK — a bounded max-heap whose root is the worst
+// retained item — and ranks its whole candidate pool (by predicted cost) to
+// pick a batch spread over tiles (pickBatch). Every backing array is
 // recycled across iterations, so steady-state ranking allocates nothing.
 
 // scored pairs a configuration with a cost: measured seconds for the
@@ -63,6 +63,47 @@ func scoredBefore(a, b scored) bool {
 		return a.cost < b.cost
 	}
 	return configLess(a.cfg, b.cfg)
+}
+
+// compareScored is scoredBefore as a three-way comparison, for sorting.
+func compareScored(a, b scored) int {
+	switch {
+	case scoredBefore(a, b):
+		return -1
+	case scoredBefore(b, a):
+		return 1
+	}
+	return 0
+}
+
+// tileKey is a configuration's tile: its output sub-block and Winograd
+// edge, which fix its traffic. Configurations of one tile differ only in
+// threads, Sb and layout.
+type tileKey struct{ x, y, z, e int }
+
+func tileOf(c conv.Config) tileKey {
+	return tileKey{c.TileX, c.TileY, c.TileZ, c.WinogradE}
+}
+
+// pickBatch writes into dst (recycled) the first k configurations of ranked,
+// in rank order, taking at most one per tile — except own's, the
+// incumbent's tile, when refine is set — and returns it. taken is scratch
+// for the tiles already picked.
+func pickBatch(dst []conv.Config, ranked []scored, k int, own tileKey, refine bool, taken map[tileKey]bool) []conv.Config {
+	dst = dst[:0]
+	clear(taken)
+	for _, s := range ranked {
+		if len(dst) == k {
+			break
+		}
+		t := tileOf(s.cfg)
+		if taken[t] && !(refine && t == own) {
+			continue
+		}
+		taken[t] = true
+		dst = append(dst, s.cfg)
+	}
+	return dst
 }
 
 // bestK retains the k best scored items of a stream. Internally a max-heap

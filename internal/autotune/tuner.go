@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"time"
 
 	"repro/internal/conv"
@@ -65,9 +66,9 @@ type Options struct {
 	// Budget is the maximum number of measurements.
 	Budget int
 	// BatchSize is how many configurations are measured per iteration: the
-	// model ranks a candidate pool and the BatchSize most promising members
-	// are measured together. (The cost model is refitted as the training set
-	// grows, not per batch — see Tune.)
+	// model ranks a candidate pool and the most promising members, at most
+	// one per tile, are measured together (see Tune). (The cost model is
+	// refitted as the training set grows, not per batch.)
 	BatchSize int
 	// Walkers is n_s, the number of parallel random walks of the explorer.
 	Walkers int
@@ -75,7 +76,8 @@ type Options struct {
 	// iteration.
 	WalkSteps int
 	// Patience stops the run after this many measurements without
-	// improvement (0 disables).
+	// improvement (0 disables; DefaultOptions sets 90). The gap stop asks
+	// its proof once a search has gone ¾ of it.
 	Patience int
 	// MinDelta is the relative improvement (in measured seconds) below
 	// which an improvement does not reset Patience — the min_delta of
@@ -161,7 +163,7 @@ const (
 
 // DefaultOptions are sensible mid-size tuning settings.
 func DefaultOptions() Options {
-	return Options{Budget: 400, BatchSize: 8, Walkers: 8, WalkSteps: 24, Patience: 120, Seed: 1, Workers: 1}
+	return Options{Budget: 400, BatchSize: 8, Walkers: 8, WalkSteps: 24, Patience: 90, Seed: 1, Workers: 1}
 }
 
 func (o Options) normalized() Options {
@@ -376,6 +378,15 @@ func (r *record) stale(patience int) bool {
 // submission order, so the run is deterministic for a fixed seed at any
 // worker count.
 //
+// Each batch the loop measures is spread over tiles: the model ranks the
+// whole candidate pool and the batch takes, in rank order, at most one
+// configuration per tile (TileX, TileY, TileZ, WinogradE), except that the
+// incumbent's own tile may fill it while the incumbent improved within the
+// last BatchSize measurements (pickBatch). A tile fixes a configuration's
+// traffic; its other configurations differ only in threads, Sb and layout,
+// and a stale search re-measuring them rarely finds the late improvement a
+// new tile does.
+//
 // Six things keep the engine's own machinery off the critical path:
 //
 //   - The stops on a proof (unless opts.NoPrune): the search asks one
@@ -434,9 +445,8 @@ func (r *record) stale(patience int) bool {
 //     number O(log budget) and each sees a batch of rows big enough to move
 //     it; between fits the walkers keep the model and its prediction memo.
 //     Trace.Refits counts them.
-//   - Heap-based ranking: walker proposals and the best-measured set are
-//     maintained by bounded max-heaps with recycled backing arrays
-//     instead of full sorts.
+//   - Allocation-free ranking: the best-measured set is kept by a bounded
+//     max-heap and the candidate pool is ranked into a recycled slice.
 //   - One prediction per configuration per refit: the walkers and the
 //     ranking read the model through a memo (predictor) that is cleared
 //     whenever the model changes.
@@ -745,11 +755,12 @@ func TuneFallible(ctx context.Context, sp *Space, measure FallibleMeasurer, opts
 	measureBatch(ctx, initial)
 
 	// Scratch reused across iterations: the model's prediction memo, the
-	// candidate pool, and the bounded heaps with their extraction buffers.
+	// candidate pool and its ranking, the batch's tiles, and the walker
+	// starts' extraction buffer.
 	view := predictor{sp: sp, residual: residual, memo: make(map[conv.Config]float64)}
 	pool := make(map[conv.Config]bool)
-	var rank bestK
-	var startsBuf, pickedBuf []scored
+	tiles := make(map[tileKey]bool)
+	var startsBuf, ranked []scored
 	var candBuf []conv.Config
 	for !proved && !rec.over(opts.Budget, opts.Patience) {
 		if proven(true) {
@@ -813,17 +824,13 @@ func TuneFallible(ctx context.Context, sp *Space, measure FallibleMeasurer, opts
 			rec.trace.Stop = StopExhausted
 			break
 		}
-		// Rank the pool by predicted cost: a bounded heap keeps the BatchSize
-		// most promising (exact cost ties fall back to the configLess total
-		// order, so the pick is independent of map iteration order).
-		rank.reset(opts.BatchSize)
-		view.rank(pool, &rank)
-		picked := rank.sorted(pickedBuf)
-		pickedBuf = picked
-		candBuf = candBuf[:0]
-		for _, s := range picked {
-			candBuf = append(candBuf, s.cfg)
-		}
+		// Rank the whole pool by predicted cost (exact cost ties fall back to
+		// the configLess total order, so the ranking is independent of map
+		// iteration order) and fill the batch in rank order, one
+		// configuration per tile but for a fresh incumbent's own (see Tune).
+		ranked = view.rank(pool, ranked)
+		refine := rec.found && rec.trace.Measurements-rec.sigAt < opts.BatchSize
+		candBuf = pickBatch(candBuf, ranked, opts.BatchSize, tileOf(rec.trace.Best), refine, tiles)
 		measureBatch(ctx, candBuf)
 	}
 	if !rec.found {
@@ -911,13 +918,15 @@ func (p *predictor) modeled(c conv.Config, v float64) float64 {
 	return v + base
 }
 
-// rank offers every pool member to the heap under its modeled cost; the
-// members no walker predicted go through one PredictBatch.
-func (p *predictor) rank(pool map[conv.Config]bool, rank *bestK) {
+// rank writes every pool member under its modeled cost into dst (recycled)
+// in scoredBefore order and returns it; the members no walker predicted go
+// through one PredictBatch.
+func (p *predictor) rank(pool map[conv.Config]bool, dst []scored) []scored {
+	dst = dst[:0]
 	p.cfgs, p.feats, p.store = p.cfgs[:0], p.feats[:0], p.store[:0]
 	for c := range pool {
 		if v, ok := p.memo[c]; ok {
-			rank.push(scored{c, v})
+			dst = append(dst, scored{c, v})
 			continue
 		}
 		p.cfgs = append(p.cfgs, c)
@@ -927,6 +936,8 @@ func (p *predictor) rank(pool map[conv.Config]bool, rank *bestK) {
 	}
 	p.preds = p.model.PredictBatch(p.feats, p.preds)
 	for i, c := range p.cfgs {
-		rank.push(scored{c, p.modeled(c, p.preds[i])})
+		dst = append(dst, scored{c, p.modeled(c, p.preds[i])})
 	}
+	slices.SortFunc(dst, compareScored)
+	return dst
 }

@@ -44,23 +44,41 @@ func randomNetwork(rng *rand.Rand) []NetworkLayer {
 // from measurement #1, so on related geometry transfer only adds
 // information (the trial set pins ten networks across both algorithms).
 func TestWarmNetworkNeverWorse(t *testing.T) {
-	rng := rand.New(rand.NewSource(71))
-	for trial := 0; trial < 10; trial++ {
+	warmNeverWorse(t, 71, 10)
+}
+
+// The warm-start property over 200 networks, twenty from each of the rng
+// seeds 71–80. A loop batch takes one configuration per tile except while
+// the incumbent is fresh (pickBatch); without that exception 27 of these 200
+// warm sweeps came out worse than cold, by up to 0.54 %.
+func TestWarmNetworkNeverWorseSeeded(t *testing.T) {
+	for seed := int64(71); seed <= 80; seed++ {
+		warmNeverWorse(t, seed, 20)
+	}
+}
+
+// warmNeverWorse draws trials networks from rng seed seed and requires each
+// warm sweep's network time to be no worse than the cold sweep's, Winograd
+// on for even trials.
+func warmNeverWorse(t *testing.T, seed int64, trials int) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	for trial := 0; trial < trials; trial++ {
 		layers := randomNetwork(rng)
 		opts := NetworkOptions{Tune: smallOpts(32, 3), Workers: 4, Winograd: trial%2 == 0}
 		cold, err := TuneNetwork(arch, layers, NewCache(), opts)
 		if err != nil {
-			t.Fatalf("trial %d cold: %v", trial, err)
+			t.Fatalf("seed %d trial %d cold: %v", seed, trial, err)
 		}
 		warm := opts
 		warm.Warm = true
 		got, err := TuneNetwork(arch, layers, NewCache(), warm)
 		if err != nil {
-			t.Fatalf("trial %d warm: %v", trial, err)
+			t.Fatalf("seed %d trial %d warm: %v", seed, trial, err)
 		}
 		cs, ws := NetworkSeconds(cold), NetworkSeconds(got)
 		if ws > cs*(1+1e-9) {
-			t.Errorf("trial %d: warm network time %.6g worse than cold %.6g", trial, ws, cs)
+			t.Errorf("seed %d trial %d: warm network time %.6g worse than cold %.6g", seed, trial, ws, cs)
 		}
 	}
 }
@@ -176,7 +194,7 @@ func TestWarmPoolSeedCap(t *testing.T) {
 	donor := shapes.ConvShape{Batch: 1, Cin: 64, Hin: 14, Win: 14, Cout: 32, Hker: 3, Wker: 3, Strid: 1, Pad: 1}
 	var layers []NetworkLayer
 	for _, cin := range []int{16, 32, 64, 128} {
-		for _, hw := range []int{7, 14, 28} {
+		for _, hw := range []int{7, 14, 28, 56} {
 			s := donor
 			s.Cin, s.Hin, s.Win = cin, hw, hw
 			layers = append(layers, NetworkLayer{Name: fmt.Sprintf("c%d_hw%d", cin, hw), Shape: s, Repeat: 1})
