@@ -194,7 +194,7 @@ func BenchmarkAblationPruning(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		fullG, prunedG = tf.BestM.GFLOPS, tp.BestM.GFLOPS
+		fullG, prunedG = layer.GFLOPS(tf.BestM.Seconds), layer.GFLOPS(tp.BestM.Seconds)
 	}
 	b.ReportMetric(fullG, "full-space-gflops")
 	b.ReportMetric(prunedG, "pruned-space-gflops")
@@ -224,7 +224,7 @@ func BenchmarkAblationModelGuided(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		guided, random = tg.BestM.GFLOPS, rg.BestM.GFLOPS
+		guided, random = layer.GFLOPS(tg.BestM.Seconds), layer.GFLOPS(rg.BestM.Seconds)
 	}
 	b.ReportMetric(guided, "model-guided-gflops")
 	b.ReportMetric(random, "random-gflops")
@@ -246,7 +246,7 @@ func BenchmarkAblationWinogradE(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		e2, e4 = r2.GFLOPS, r4.GFLOPS
+		e2, e4 = layer.GFLOPS(r2.Seconds), layer.GFLOPS(r4.Seconds)
 	}
 	b.ReportMetric(e2, "e2-gflops")
 	b.ReportMetric(e4, "e4-gflops")
@@ -508,7 +508,7 @@ func BenchmarkTuneResume(b *testing.B) {
 	halfCache := autotune.NewCache()
 	half := opts
 	half.Budget = 96
-	if _, _, err := autotune.TuneCached(halfCache, mustSpace(), measure, half); err != nil {
+	if _, err := autotune.TuneResumed(halfCache, mustSpace(), measure, half); err != nil {
 		b.Fatal(err)
 	}
 	var persisted bytes.Buffer

@@ -76,7 +76,7 @@ func main() {
 		}
 	}
 	if cfg, m, ok := cache.Get(arch.Name, kind, s); ok && !*resume {
-		fmt.Printf("cache hit: %v\nsimulated: %.3gs (%.0f GFLOP/s)\n", cfg, m.Seconds, m.GFLOPS)
+		fmt.Printf("cache hit: %v\nsimulated: %.3gs (%.0f GFLOP/s)\n", cfg, m.Seconds, s.GFLOPS(m.Seconds))
 		if *emit {
 			fmt.Println()
 			fmt.Print(autotune.EmitSchedule(kind, s, cfg))
@@ -95,7 +95,7 @@ func main() {
 		if replayed == 0 {
 			if cfg, m, ok := cache.Get(arch.Name, kind, s); ok {
 				fmt.Printf("cache hit (entry carries no persisted search state; nothing to resume): %v\nsimulated: %.3gs (%.0f GFLOP/s)\n",
-					cfg, m.Seconds, m.GFLOPS)
+					cfg, m.Seconds, s.GFLOPS(m.Seconds))
 				if *emit {
 					fmt.Println()
 					fmt.Print(autotune.EmitSchedule(kind, s, cfg))
@@ -131,7 +131,7 @@ func main() {
 			replayed, trace.Measurements-replayed)
 	}
 	fmt.Printf("best config: %v\n", trace.Best)
-	fmt.Printf("simulated:   %.3gs (%.0f GFLOP/s)\n", trace.BestM.Seconds, trace.BestM.GFLOPS)
+	fmt.Printf("simulated:   %.3gs (%.0f GFLOP/s)\n", trace.BestM.Seconds, s.GFLOPS(trace.BestM.Seconds))
 
 	// Roofline diagnosis of the winner's tunable launch; a kind with fixed
 	// launches beside it (the FFT transforms) reports their exact cost, so
@@ -147,7 +147,7 @@ func main() {
 	lib, err := repro.MeasureLibraryDirect(arch, s)
 	if err == nil {
 		fmt.Printf("library direct baseline: %.3gs (%.0f GFLOP/s) -> speedup %.2fx\n",
-			lib.Seconds, lib.GFLOPS, lib.Seconds/trace.BestM.Seconds)
+			lib.Seconds, s.GFLOPS(lib.Seconds), lib.Seconds/trace.BestM.Seconds)
 	}
 
 	if *analytic {
@@ -155,12 +155,13 @@ func main() {
 	}
 
 	fmt.Println("\nconvergence (best-so-far GFLOP/s):")
-	step := len(trace.Curve) / 15
+	curve := autotune.BestSoFar(trace.History)
+	step := len(curve) / 15
 	if step < 1 {
 		step = 1
 	}
-	for i := 0; i < len(trace.Curve); i += step {
-		fmt.Printf("  after %4d: %8.1f\n", i+1, trace.Curve[i])
+	for i := 0; i < len(curve); i += step {
+		fmt.Printf("  after %4d: %8.1f\n", i+1, s.GFLOPS(curve[i]))
 	}
 
 	if *emit {
@@ -168,7 +169,7 @@ func main() {
 		fmt.Print(autotune.EmitSchedule(kind, s, trace.Best))
 	}
 	if *cachePath != "" {
-		// PutTrace persists the engine state (measurement history + curve)
+		// PutTrace persists the engine state (the measurement history)
 		// alongside the verdict, so a later -resume at a higher budget
 		// continues this search instead of restarting it.
 		cache.PutTrace(arch.Name, kind, s, trace)

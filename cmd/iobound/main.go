@@ -73,5 +73,5 @@ func main() {
 	fmt.Printf("optimality gap |xy-Rz|/(xy+Rz): %.3f\n", tile.OptimalityGap(s.R()))
 	fmt.Printf("measured off-chip traffic:      %d elements\n", res.Counts.GlobalIO())
 	fmt.Printf("lower bound at S=Sb:            %.0f elements\n", repro.LowerBoundDirect(s, cfg.SharedPerBlock))
-	fmt.Printf("simulated time on %s:       %.3gs (%.0f GFLOP/s)\n", arch.Name, res.Seconds, res.GFLOPS)
+	fmt.Printf("simulated time on %s:       %.3gs (%.0f GFLOP/s)\n", arch.Name, res.Seconds, s.GFLOPS(res.Seconds))
 }

@@ -66,10 +66,10 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("%-14s %12s %12s %10s\n", "method", "best GFLOPS", "vs library", "found at")
-	fmt.Printf("%-14s %12.0f %12s %10s\n", "library", lib.GFLOPS, "1.00x", "-")
+	fmt.Printf("%-14s %12.0f %12s %10s\n", "library", layer.GFLOPS(lib.Seconds), "1.00x", "-")
 	for _, e := range entries {
 		fmt.Printf("%-14s %12.0f %11.2fx %10d\n",
-			e.name, e.trace.BestM.GFLOPS, lib.Seconds/e.trace.BestM.Seconds, e.trace.ConvergedAt)
+			e.name, layer.GFLOPS(e.trace.BestM.Seconds), lib.Seconds/e.trace.BestM.Seconds, e.trace.ConvergedAt)
 	}
 
 	fmt.Println("\nbest-so-far GFLOPS by measurement count:")
@@ -81,11 +81,9 @@ func main() {
 	for _, at := range []int{10, 25, 50, 100, budget} {
 		fmt.Printf("%8d", at)
 		for _, e := range entries {
-			idx := at - 1
-			if idx >= len(e.trace.Curve) {
-				idx = len(e.trace.Curve) - 1
-			}
-			fmt.Printf(" %13.0f", e.trace.Curve[idx])
+			curve := autotune.BestSoFar(e.trace.History)
+			idx := min(at, len(curve)) - 1
+			fmt.Printf(" %13.0f", layer.GFLOPS(curve[idx]))
 		}
 		fmt.Println()
 	}

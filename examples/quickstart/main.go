@@ -40,7 +40,7 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("measured off-chip traffic:         %.2e elements\n", float64(res.Counts.GlobalIO()))
-	fmt.Printf("simulated runtime:                 %.3gs (%.0f GFLOP/s)\n\n", res.Seconds, res.GFLOPS)
+	fmt.Printf("simulated runtime:                 %.3gs (%.0f GFLOP/s)\n\n", res.Seconds, layer.GFLOPS(res.Seconds))
 
 	// 3. Correctness: the dataflow result must match the plain convolution.
 	diff, err := repro.Verify(layer, res, input, kernels, 1e-3)

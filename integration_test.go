@@ -40,10 +40,11 @@ func TestFullPipeline(t *testing.T) {
 	}
 	opts := autotune.DefaultOptions()
 	opts.Budget = 48
-	cfg, m, err := autotune.TuneCached(cache, sp, autotune.KindMeasurer(arch, layer, autotune.Direct), opts)
+	tr, err := autotune.TuneResumed(cache, sp, autotune.KindMeasurer(arch, layer, autotune.Direct), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
+	cfg, m := tr.Best, tr.BestM
 	path := filepath.Join(t.TempDir(), "cache.json")
 	if err := cache.SaveFile(path); err != nil {
 		t.Fatal(err)
@@ -52,14 +53,14 @@ func TestFullPipeline(t *testing.T) {
 	if err := reloaded.LoadFile(path); err != nil {
 		t.Fatal(err)
 	}
-	cfg2, m2, err := autotune.TuneCached(reloaded, sp, func(Config) (autotune.Measurement, bool) {
+	tr2, err := autotune.TuneResumed(reloaded, sp, func(Config) (autotune.Measurement, bool) {
 		t.Fatal("cache miss after reload")
 		return autotune.Measurement{}, false
 	}, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cfg2 != cfg || m2 != m {
+	if cfg2, m2 := tr2.Best, tr2.BestM; cfg2 != cfg || m2 != m {
 		t.Fatalf("cache round trip changed the verdict: %v vs %v", cfg2, cfg)
 	}
 

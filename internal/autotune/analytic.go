@@ -78,8 +78,6 @@ type AnalyticVerdict struct {
 	// Seconds is the served estimate: Floor scaled by the calibration
 	// factor (≥ 1, fitted from measured rows when any exist).
 	Seconds float64
-	// GFLOPS is the arithmetic throughput implied by Seconds.
-	GFLOPS float64
 }
 
 // analyticScan retains the analyticTopCap best configurations of the space
@@ -183,8 +181,7 @@ func (sp *Space) estimate(s scored, calibration float64) AnalyticVerdict {
 	if !(cal > 1) {
 		cal = 1
 	}
-	sec := s.cost * cal
-	return AnalyticVerdict{Config: s.cfg, Floor: s.cost, Seconds: sec, GFLOPS: sp.flops / sec / 1e9}
+	return AnalyticVerdict{Config: s.cfg, Floor: s.cost, Seconds: s.cost * cal}
 }
 
 // Calibration sampling caps: the factor is a broad-brush scale, so a
@@ -409,7 +406,7 @@ func layerVerdict(l NetworkLayer, kinds []Kind, cands []kindSpace, cal float64) 
 		}
 		if !ranked || av.Seconds < best.M.Seconds {
 			best.Kind, best.Config = kinds[j], av.Config
-			best.M = Measurement{Seconds: av.Seconds, GFLOPS: av.GFLOPS}
+			best.M = Measurement{Seconds: av.Seconds}
 			ranked = true
 		}
 	}

@@ -169,15 +169,16 @@ func TestTuneFindsGoodConfig(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tr.BestM.GFLOPS <= 0 {
+	if layer().GFLOPS(tr.BestM.Seconds) <= 0 {
 		t.Fatal("no positive-GFLOPS config found")
 	}
-	if len(tr.Curve) != tr.Measurements {
-		t.Errorf("curve length %d != measurements %d", len(tr.Curve), tr.Measurements)
+	curve := rateCurve(layer(), tr)
+	if len(curve) != tr.Measurements {
+		t.Errorf("curve length %d != measurements %d", len(curve), tr.Measurements)
 	}
 	// Curve must be nondecreasing.
-	for i := 1; i < len(tr.Curve); i++ {
-		if tr.Curve[i] < tr.Curve[i-1] {
+	for i := 1; i < len(curve); i++ {
+		if curve[i] < curve[i-1] {
 			t.Fatalf("best-so-far curve decreased at %d", i)
 		}
 	}
@@ -195,8 +196,8 @@ func TestTuneFindsGoodConfig(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		tuned += tt.BestM.GFLOPS
-		random += rr.BestM.GFLOPS
+		tuned += layer().GFLOPS(tt.BestM.Seconds)
+		random += layer().GFLOPS(rr.BestM.Seconds)
 	}
 	if tuned < random*0.98 {
 		t.Errorf("tuned avg %v GFLOPS well below random avg %v", tuned/seeds, random/seeds)
@@ -215,11 +216,12 @@ func TestAllStrategiesRun(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if tr.BestM.GFLOPS <= 0 || tr.Measurements == 0 {
+		if layer().GFLOPS(tr.BestM.Seconds) <= 0 || tr.Measurements == 0 {
 			t.Errorf("%s: degenerate trace %+v", name, tr)
 		}
-		for i := 1; i < len(tr.Curve); i++ {
-			if tr.Curve[i] < tr.Curve[i-1] {
+		curve := rateCurve(layer(), tr)
+		for i := 1; i < len(curve); i++ {
+			if curve[i] < curve[i-1] {
 				t.Fatalf("%s: curve decreased at %d", name, i)
 			}
 		}
@@ -305,11 +307,12 @@ func TestPrunedConvergesFaster(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		target := 0.95 * math.Min(f.BestM.GFLOPS, p.BestM.GFLOPS)
-		fullAt += float64(firstReaching(f.Curve, target))
-		prunedAt += float64(firstReaching(p.Curve, target))
-		fullBest += f.BestM.GFLOPS
-		prunedBest += p.BestM.GFLOPS
+		fg, pg := layer().GFLOPS(f.BestM.Seconds), layer().GFLOPS(p.BestM.Seconds)
+		target := 0.95 * math.Min(fg, pg)
+		fullAt += float64(firstReaching(rateCurve(layer(), f), target))
+		prunedAt += float64(firstReaching(rateCurve(layer(), p), target))
+		fullBest += fg
+		prunedBest += pg
 	}
 	if prunedBest < fullBest*0.95 {
 		t.Errorf("pruned quality %v well below full %v", prunedBest/seeds, fullBest/seeds)
@@ -317,6 +320,16 @@ func TestPrunedConvergesFaster(t *testing.T) {
 	if prunedAt > fullAt*1.5+seeds {
 		t.Errorf("pruned reached target slower (%v) than full (%v)", prunedAt/seeds, fullAt/seeds)
 	}
+}
+
+// rateCurve is tr's best-so-far series read as the layer's useful rate, as
+// Figure 11 prints it.
+func rateCurve(s shapes.ConvShape, tr *Trace) []float64 {
+	curve := BestSoFar(tr.History)
+	for i, sec := range curve {
+		curve[i] = s.GFLOPS(sec)
+	}
+	return curve
 }
 
 func firstReaching(curve []float64, target float64) int {

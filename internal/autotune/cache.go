@@ -34,9 +34,9 @@ import (
 // runs the search and the other waits for its verdict.
 //
 // Beyond the verdict, an entry can carry the search's engine state — the
-// full measurement history (PutTrace), which its convergence curve is
-// rebuilt from. A state-carrying entry lets a later run resume the search at
-// a higher budget without repeating a single measurement (TuneResumed).
+// full measurement history (PutTrace). A state-carrying entry lets a later
+// run resume the search at a higher budget without repeating a single
+// measurement (TuneResumed).
 // Every verdict, with or without state, seeds TuneNetwork's warm searches
 // (Cache.candidates).
 type Cache struct {
@@ -64,9 +64,11 @@ const cacheShards = 32
 
 // cacheFormatVersion is the on-disk format written by Save: a versioned
 // envelope around the entries, which optionally carry per-entry engine
-// state (rows + curve). Every other version — the retired bare-array
-// version 1 included — is rejected.
-const cacheFormatVersion = 2
+// state (rows). Every other version is rejected: the retired bare-array
+// version 1, and version 2, whose entries and rows also stored a GFLOP/s
+// rate and whose entries a best-so-far curve. RecoverFile still salvages a
+// version-2 file's entries, since the fields it lacks decode away.
+const cacheFormatVersion = 3
 
 type cacheShard struct {
 	mu      sync.RWMutex
@@ -112,12 +114,7 @@ type CacheEntry struct {
 	Shape   cachedShape         `json:"shape"`
 	Config  cachedConfig        `json:"config"`
 	Seconds float64             `json:"seconds"`
-	GFLOPS  float64             `json:"gflops"`
 	Rows    []CachedMeasurement `json:"rows,omitempty"`
-	// Curve is the best-so-far curve, Trace.Curve: a pure function of Rows
-	// (curveOf). A cached entry holds none — put drops it — and MarshalJSON
-	// fills a nil one from Rows, so it exists only on the wire and on disk.
-	Curve []float64 `json:"curve,omitempty"`
 	// Budget is the measurement budget the persisted search ran with; it
 	// may exceed len(Rows) when the search stopped early on patience. A
 	// resume request is covered — nothing to continue — unless it asks for
@@ -130,16 +127,14 @@ type CacheEntry struct {
 type CachedMeasurement struct {
 	Config  cachedConfig `json:"config"`
 	Seconds float64      `json:"seconds"`
-	GFLOPS  float64      `json:"gflops"`
 	OK      bool         `json:"ok"`
 }
 
-// cacheFile is the version-2 on-disk envelope. Checksum is an optional
-// integrity field (added within version 2 so older loaders, which ignore
-// unknown fields, still read new files): "crc32c:" plus the hex CRC-32C of
-// the compact JSON encoding of Entries. Go's shortest-roundtrip float
-// encoding makes decode→re-encode byte-stable, so the loader can recompute
-// the sum from the decoded entries without retaining the original bytes.
+// cacheFile is the on-disk envelope. Checksum is an optional integrity
+// field: "crc32c:" plus the hex CRC-32C of the compact JSON encoding of
+// Entries. Go's shortest-roundtrip float encoding makes decode→re-encode
+// byte-stable, so the loader can recompute the sum from the decoded entries
+// without retaining the original bytes.
 type cacheFile struct {
 	Version  int          `json:"version"`
 	Checksum string       `json:"checksum,omitempty"`
@@ -164,7 +159,7 @@ func entriesJSON(entries []CacheEntry) ([]byte, error) {
 	}
 	dst := []byte{'['}
 	for i, e := range entries {
-		b, err := e.MarshalJSON()
+		b, err := json.Marshal(e)
 		if err != nil {
 			return nil, err
 		}
@@ -176,27 +171,17 @@ func entriesJSON(entries []CacheEntry) ([]byte, error) {
 	return append(dst, ']'), nil
 }
 
-// MarshalJSON writes the entry with its best-so-far curve, rebuilt from Rows
-// when the entry holds none: the one hook behind every writer of entries
-// (Save, EncodeEntries, the checksum, the daemon's handoff sidecar).
-func (e CacheEntry) MarshalJSON() ([]byte, error) {
-	if e.Curve == nil {
-		e.Curve = curveOf(e.history())
-	}
-	type plain CacheEntry // plain's method set is empty: no recursion
-	return json.Marshal(plain(e))
-}
-
-// curveOf rebuilds a search's best-so-far curve from its history exactly as
-// record.add grows Trace.Curve: the incumbent's GFLOP/s after each
-// measurement, 0 before the first successful one.
-func curveOf(hist []MeasuredConfig) (curve []float64) {
-	found, best, cfg := false, Measurement{}, conv.Config{}
-	for _, h := range hist {
-		if h.OK && (!found || incumbentBefore(h.M.Seconds, h.Config, best.Seconds, cfg)) {
-			found, best, cfg = true, h.M, h.Config
+// BestSoFar is a search's best-so-far series over its history
+// (Trace.History): the incumbent's seconds after each measurement, chosen by
+// record.add's incumbent rule, +Inf before the first successful one.
+func BestSoFar(hist []MeasuredConfig) []float64 {
+	curve := make([]float64, len(hist))
+	best, cfg := math.Inf(1), conv.Config{}
+	for i, h := range hist {
+		if h.OK && (math.IsInf(best, 1) || incumbentBefore(h.M.Seconds, h.Config, best, cfg)) {
+			best, cfg = h.M.Seconds, h.Config
 		}
-		curve = append(curve, best.GFLOPS)
+		curve[i] = best
 	}
 	return curve
 }
@@ -214,7 +199,7 @@ type cachedShape struct {
 // cachedConfig's fields are as narrow as the space allows: a tile dim is at
 // most Sb, Sb at most Arch.MaxSharedPerBlock (12 288 floats on the widest
 // catalog arch) and a thread dim at most 1024, so the axes and Sb are int16
-// and the layout and Winograd edge int8. A row of engine state is then 40
+// and the layout and Winograd edge int8. A row of engine state is then 32
 // bytes (rowBytes). A persisted value past its field's width fails to decode.
 type cachedConfig struct {
 	TileX, TileY, TileZ          int16
@@ -273,7 +258,7 @@ func (cc cachedConfig) check(kind Kind) error {
 
 // verdict is the entry's tuning outcome in the engine's types.
 func (e CacheEntry) verdict() (conv.Config, Measurement) {
-	return e.Config.config(), Measurement{Seconds: e.Seconds, GFLOPS: e.GFLOPS}
+	return e.Config.config(), Measurement{Seconds: e.Seconds}
 }
 
 // history decodes an entry's persisted rows into the engine's record type.
@@ -284,7 +269,7 @@ func (e CacheEntry) history() []MeasuredConfig {
 	hist := make([]MeasuredConfig, len(e.Rows))
 	for i, r := range e.Rows {
 		hist[i] = MeasuredConfig{Config: r.Config.config(),
-			M: Measurement{Seconds: r.Seconds, GFLOPS: r.GFLOPS}, OK: r.OK}
+			M: Measurement{Seconds: r.Seconds}, OK: r.OK}
 	}
 	return hist
 }
@@ -367,7 +352,6 @@ func (c *Cache) put(key string, e CacheEntry, sp *Space) CacheEntry {
 		sh.mu.Unlock()
 		return old
 	}
-	e.Curve = nil // derived from Rows; MarshalJSON rebuilds it
 	if cap(e.Rows) > len(e.Rows) {
 		// Hold rows at their length: a decoded slice carries growth slack
 		// that the size model would not count.
@@ -424,8 +408,8 @@ func (cs cachedShape) oversized() bool {
 // cache or a handoff queue. It compares, in turn: the verdict by the engine's
 // incumbent rule; more rows (a resumed search's rows extend the entry it
 // resumed, even when a deadline cut its budget); the higher covered budget;
-// every other field the entry encodes but its curve. Two entries tie only
-// when they encode alike, so a set of entries has one survivor in any order.
+// every other field the entry encodes. Two entries tie only when they encode
+// alike, so a set of entries has one survivor in any order.
 func (e CacheEntry) Supersedes(old CacheEntry) bool {
 	switch ec, oc := e.Config.config(), old.Config.config(); {
 	case incumbentBefore(e.Seconds, ec, old.Seconds, oc):
@@ -439,7 +423,6 @@ func (e CacheEntry) Supersedes(old CacheEntry) bool {
 		// The key fixes every other field but Groups, 0 or 1.
 		cmp.Compare(e.Shape.Groups, old.Shape.Groups),
 		cmp.Compare(e.Budget, old.Budget),
-		cmp.Compare(math.Float64bits(e.GFLOPS), math.Float64bits(old.GFLOPS)),
 		slices.CompareFunc(e.Rows, old.Rows, CachedMeasurement.compare),
 	) < 0
 }
@@ -456,11 +439,10 @@ func (r CachedMeasurement) compare(o CachedMeasurement) int {
 	case r.OK != o.OK:
 		return 1
 	}
-	return cmp.Or(cmp.Compare(math.Float64bits(r.Seconds), math.Float64bits(o.Seconds)),
-		cmp.Compare(math.Float64bits(r.GFLOPS), math.Float64bits(o.GFLOPS)))
+	return cmp.Compare(math.Float64bits(r.Seconds), math.Float64bits(o.Seconds))
 }
 
-// Entry is the allocation-free raw lookup behind Get and State, and what
+// Entry is the allocation-free raw lookup behind Get, and what
 // callers shipping entries elsewhere (the cluster replication path) read:
 // the persisted entry of one key, engine state included when present. A hit
 // stamps the entry with the running operation's LRU tick; under a TTL policy
@@ -517,7 +499,7 @@ func (c *Cache) Put(archName string, kind Kind, s shapes.ConvShape, cfg conv.Con
 		Arch: archName, Kind: kind.String(),
 		Shape:   shapeToCached(s),
 		Config:  configToCached(cfg),
-		Seconds: m.Seconds, GFLOPS: m.GFLOPS,
+		Seconds: m.Seconds,
 	}, nil)
 }
 
@@ -535,8 +517,8 @@ func traceEntry(archName string, kind Kind, s shapes.ConvShape, tr *Trace) Cache
 		Arch: archName, Kind: kind.String(),
 		Shape:   shapeToCached(s),
 		Config:  configToCached(tr.Best),
-		Seconds: tr.BestM.Seconds, GFLOPS: tr.BestM.GFLOPS,
-		Budget: tr.Budget,
+		Seconds: tr.BestM.Seconds,
+		Budget:  tr.Budget,
 	}
 	if e.Budget < len(tr.History) {
 		e.Budget = len(tr.History)
@@ -545,7 +527,7 @@ func traceEntry(archName string, kind Kind, s shapes.ConvShape, tr *Trace) Cache
 		e.Rows = make([]CachedMeasurement, len(tr.History))
 		for i, h := range tr.History {
 			e.Rows[i] = CachedMeasurement{Config: configToCached(h.Config),
-				Seconds: h.M.Seconds, GFLOPS: h.M.GFLOPS, OK: h.OK}
+				Seconds: h.M.Seconds, OK: h.OK}
 		}
 	}
 	return e
@@ -559,18 +541,6 @@ func (c *Cache) Get(archName string, kind Kind, s shapes.ConvShape) (conv.Config
 	}
 	cfg, m := e.verdict()
 	return cfg, m, true
-}
-
-// State retrieves a cached entry's persisted engine state: the measurement
-// history and the convergence curve rebuilt from it. ok is false when the key is absent or the
-// entry is verdict-only.
-func (c *Cache) State(archName string, kind Kind, s shapes.ConvShape) ([]MeasuredConfig, []float64, bool) {
-	e, ok := c.Entry(archName, kind, s)
-	if !ok || len(e.Rows) == 0 {
-		return nil, nil, false
-	}
-	hist := e.history()
-	return hist, curveOf(hist), true
 }
 
 // stateEntries returns the state-carrying entries of one architecture with
@@ -664,7 +634,7 @@ func (c *Cache) sortedEntries(keep func(CacheEntry) bool) []CacheEntry {
 }
 
 // Save writes the cache as deterministic (key-sorted) JSON in the current
-// (version 2) envelope, engine state included where present, with a
+// (version 3) envelope, engine state included where present, with a
 // CRC-32C integrity checksum over the entries so a loader can tell torn or
 // bit-rotted state from a healthy file.
 func (c *Cache) Save(w io.Writer) error {
@@ -693,8 +663,7 @@ func decodeEnvelope(data []byte) ([]CacheEntry, []string, error) {
 		return nil, nil, fmt.Errorf("autotune: unsupported cache format version %d (want %d)", f.Version, cacheFormatVersion)
 	}
 	if f.Checksum != "" {
-		// Files from pre-checksum writers carry no sum and load as before; a
-		// present sum must verify.
+		// The sum is optional; a present sum must verify.
 		body, err := entriesJSON(f.Entries)
 		if err != nil {
 			return nil, nil, fmt.Errorf("autotune: cache checksum: %w", err)
@@ -950,15 +919,6 @@ func salvageEntries(data []byte) []CacheEntry {
 	return out
 }
 
-// TuneCached returns the cached best for (arch, kind, shape) or runs the
-// engine and caches its verdict (with engine state, so the search can be
-// resumed or transferred from later). Concurrent callers with the same key
-// share one search.
-func TuneCached(cache *Cache, sp *Space, measure Measurer, opts Options) (conv.Config, Measurement, error) {
-	out, _ := tuneShared(context.Background(), cache, sp, LiftMeasurer(measure), opts, false)
-	return out.cfg, out.m, out.err
-}
-
 // TuneResumed continues a cached search at a higher budget: the persisted
 // measurement history replays into a fresh engine run — zero measurements
 // are repeated — and the grown state is written back. A covered request
@@ -968,8 +928,10 @@ func TuneCached(cache *Cache, sp *Space, measure Measurer, opts Options) (conv.C
 // staleness), or the entry is verdict-only with nothing to continue from.
 // Concurrent calls for one key share one run and its trace, which they
 // must treat as read-only. A run answers the entry the cache holds after
-// it, as TuneCached does: when a better entry reached the key while it ran,
-// the trace returned is a copy of the run's with that entry's verdict.
+// it: when a better entry reached the key while it ran, the trace returned
+// is a copy of the run's with that entry's verdict. A covered trace is
+// rebuilt from the entry's rows by record.add, which sets its ConvergedAt
+// as the live run did.
 func TuneResumed(cache *Cache, sp *Space, measure Measurer, opts Options) (*Trace, error) {
 	out, _ := tuneShared(context.Background(), cache, sp, LiftMeasurer(measure), opts, true)
 	if out.err != nil {
@@ -980,15 +942,15 @@ func TuneResumed(cache *Cache, sp *Space, measure Measurer, opts Options) (*Trac
 		tr.Best, tr.BestM = out.cfg, out.m
 		return &tr, nil
 	}
-	tr := &Trace{Method: "ate", Best: out.cfg, BestM: out.m}
+	r := record{trace: Trace{Method: "ate"}}
 	// The entry that covered the request carries the rest; only an eviction
 	// since tuneShared read it leaves the bare verdict.
-	if e, ok := cache.Entry(sp.Arch.Name, sp.Kind, sp.Shape); ok {
-		tr.History = e.history()
-		tr.Curve = curveOf(tr.History)
-		tr.Measurements, tr.Budget = len(e.Rows), e.Budget
-		tr.ConvergedAt = convergedAt(tr.Curve)
+	e, _ := cache.Entry(sp.Arch.Name, sp.Kind, sp.Shape)
+	for _, h := range e.history() {
+		r.add(h.Config, h.M, h.OK)
 	}
+	tr := &r.trace
+	tr.Best, tr.BestM, tr.Budget = out.cfg, out.m, e.Budget
 	return tr, nil
 }
 
@@ -1079,23 +1041,7 @@ func withHistory(opts Options, hist []MeasuredConfig) Options {
 	return opts
 }
 
-// convergedAt recovers the 1-based index of the last improvement from a
-// best-so-far curve. The curve holds the incumbent's GFLOP/s, and the
-// incumbent is chosen by seconds: where a kind's flop count depends on the
-// configuration (Winograd's tile edge), a faster incumbent can lower the
-// curve — so any move marks an improvement, not only a rise.
-func convergedAt(curve []float64) int {
-	at := 0
-	for i, v := range curve {
-		if i == 0 || v != curve[i-1] {
-			at = i + 1
-		}
-	}
-	return at
-}
-
-// tuneShared is the work-sharing core of TuneCached, TuneResumed and
-// TuneNetwork: satisfy the request from the cache, join an identical
+// tuneShared is the work-sharing core of TuneResumed and TuneNetwork: satisfy the request from the cache, join an identical
 // in-flight search, or run the engine and persist the trace. shared reports
 // whether the outcome came without running a search here; joined waiters
 // inherit the run's trace along with its verdict. With resume set, a

@@ -16,7 +16,7 @@ func TestCacheRoundTrip(t *testing.T) {
 	s := layer()
 	cfg := conv.Config{TileX: 9, TileY: 3, TileZ: 8, ThreadsX: 3, ThreadsY: 3, ThreadsZ: 2,
 		SharedPerBlock: 4096, WinogradE: 0}
-	m := Measurement{Seconds: 1.5e-4, GFLOPS: 1234}
+	m := Measurement{Seconds: 1.5e-4}
 	c.Put(arch.Name, Direct, s, cfg, m)
 	if c.Len() != 1 {
 		t.Fatalf("Len=%d", c.Len())
@@ -71,13 +71,13 @@ func TestCacheLoadRejectsGarbage(t *testing.T) {
 	if err := c.Load(strings.NewReader("not json")); err == nil {
 		t.Error("garbage accepted")
 	}
-	if err := c.Load(strings.NewReader(`{"version":2,"entries":[{"arch":"x","kind":"direct","shape":{"Batch":0}}]}`)); err == nil {
+	if err := c.Load(strings.NewReader(`{"version":3,"entries":[{"arch":"x","kind":"direct","shape":{"Batch":0}}]}`)); err == nil {
 		t.Error("invalid shape accepted")
 	}
 	// A successful row with non-positive seconds would poison resumed
 	// incumbents (zero best prunes everything) and cost-model log-costs.
-	bad := `{"version":2,"entries":[` + strings.Replace(validEntryJSON("direct"),
-		`"seconds":1.5e-4`, `"seconds":1.5e-4,"rows":[{"config":{"TileX":1,"TileY":1,"TileZ":1,"ThreadsX":1,"ThreadsY":1,"ThreadsZ":1,"SharedPerBlock":256,"Layout":0,"WinogradE":0},"seconds":0,"gflops":0,"ok":true}]`, 1) + `]}`
+	bad := `{"version":3,"entries":[` + strings.Replace(validEntryJSON("direct"),
+		`"seconds":1.5e-4`, `"seconds":1.5e-4,"rows":[{"config":{"TileX":1,"TileY":1,"TileZ":1,"ThreadsX":1,"ThreadsY":1,"ThreadsZ":1,"SharedPerBlock":256,"Layout":0,"WinogradE":0},"seconds":0,"ok":true}]`, 1) + `]}`
 	if err := c.Load(strings.NewReader(bad)); err == nil {
 		t.Error("zero-seconds successful row accepted")
 	}
@@ -91,7 +91,7 @@ func validEntryJSON(kind string) string {
 	return `{"arch":"V100","kind":"` + kind + `",` +
 		`"shape":{"Batch":1,"Cin":96,"Hin":27,"Win":27,"Cout":64,"Hker":3,"Wker":3,"Stride":1,"Pad":1},` +
 		`"config":{"TileX":9,"TileY":3,"TileZ":8,"ThreadsX":3,"ThreadsY":3,"ThreadsZ":2,` +
-		`"SharedPerBlock":4096,"Layout":0,"WinogradE":0},"seconds":1.5e-4,"gflops":1234}`
+		`"SharedPerBlock":4096,"Layout":0,"WinogradE":0},"seconds":1.5e-4}`
 }
 
 // An unknown algorithm kind must be rejected: a corrupt or future-format
@@ -99,10 +99,10 @@ func validEntryJSON(kind string) string {
 // from it.
 func TestCacheLoadRejectsUnknownKind(t *testing.T) {
 	for name, payload := range map[string]string{
-		"v2 envelope": `{"version":2,"entries":[` + validEntryJSON("karatsuba") + `]}`,
+		"current envelope": `{"version":3,"entries":[` + validEntryJSON("karatsuba") + `]}`,
 		// A valid entry ahead of the bad one must not be committed either:
 		// a rejected file leaves the cache untouched.
-		"partial": `{"version":2,"entries":[` + validEntryJSON("direct") + `,` + validEntryJSON("karatsuba") + `]}`,
+		"partial": `{"version":3,"entries":[` + validEntryJSON("direct") + `,` + validEntryJSON("karatsuba") + `]}`,
 	} {
 		c := NewCache()
 		err := c.Load(strings.NewReader(payload))
@@ -118,7 +118,7 @@ func TestCacheLoadRejectsUnknownKind(t *testing.T) {
 }
 
 // Every registered algorithm kind — and a grouped shape — must survive a
-// Save/Load round trip through the v2 envelope: the per-layer kernel choice
+// Save/Load round trip through the current envelope: the per-layer kernel choice
 // persists its verdicts under "fft"/"igemm" names and depthwise shapes.
 func TestCacheRoundTripAllKinds(t *testing.T) {
 	c := NewCache()
@@ -129,8 +129,8 @@ func TestCacheRoundTripAllKinds(t *testing.T) {
 		SharedPerBlock: 4096}
 	for i, kind := range Kinds {
 		cfg.WinogradE = kind.spec().edges[0]
-		c.Put(arch.Name, kind, s, cfg, Measurement{Seconds: float64(i+1) * 1e-4, GFLOPS: 100})
-		c.Put(arch.Name, kind, grouped, cfg, Measurement{Seconds: float64(i+1) * 2e-4, GFLOPS: 50})
+		c.Put(arch.Name, kind, s, cfg, Measurement{Seconds: float64(i+1) * 1e-4})
+		c.Put(arch.Name, kind, grouped, cfg, Measurement{Seconds: float64(i+1) * 2e-4})
 	}
 	var buf bytes.Buffer
 	if err := c.Save(&buf); err != nil {
@@ -158,8 +158,9 @@ func TestCacheRoundTripAllKinds(t *testing.T) {
 }
 
 // Only the current envelope loads: the retired version-1 format (a bare
-// JSON array, last written before the state-carrying format) and unknown
-// future versions are both refused, leaving the cache untouched.
+// JSON array, last written before the state-carrying format), the retired
+// version 2 (TestRetiredV2Envelope) and unknown future versions are all
+// refused, leaving the cache untouched.
 func TestCacheLoadFormatVersions(t *testing.T) {
 	c := NewCache()
 	if err := c.Load(strings.NewReader(`[` + validEntryJSON("direct") + `]`)); err == nil {
@@ -168,7 +169,7 @@ func TestCacheLoadFormatVersions(t *testing.T) {
 	if c.Len() != 0 {
 		t.Errorf("rejected v1 file still stored %d entries", c.Len())
 	}
-	if err := NewCache().Load(strings.NewReader(`{"version":3,"entries":[]}`)); err == nil {
+	if err := NewCache().Load(strings.NewReader(`{"version":4,"entries":[]}`)); err == nil {
 		t.Error("future format version accepted")
 	}
 }
@@ -215,7 +216,7 @@ func BenchmarkCacheGet(b *testing.B) {
 	s := layer()
 	c.Put(arch.Name, Direct, s,
 		conv.Config{TileX: 9, TileY: 3, TileZ: 8, ThreadsX: 3, ThreadsY: 3, ThreadsZ: 2, SharedPerBlock: 4096},
-		Measurement{Seconds: 1e-4, GFLOPS: 1000})
+		Measurement{Seconds: 1e-4})
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if _, _, ok := c.Get(arch.Name, Direct, s); !ok {
@@ -232,7 +233,7 @@ func TestCacheFileRoundTrip(t *testing.T) {
 	c.Put(arch.Name, Winograd, s,
 		conv.Config{TileX: 4, TileY: 4, TileZ: 4, ThreadsX: 2, ThreadsY: 2, ThreadsZ: 2,
 			SharedPerBlock: 8192, WinogradE: 2},
-		Measurement{Seconds: 3e-4, GFLOPS: 777})
+		Measurement{Seconds: 3e-4})
 	if err := c.SaveFile(path); err != nil {
 		t.Fatal(err)
 	}

@@ -18,10 +18,10 @@ import (
 	"repro/internal/shapes"
 )
 
-// The cache holds an entry's rows in int16/int8 fields and no curve, and writes the
+// The cache holds an entry's rows in int16/int8 fields and writes the
 // envelope entry by entry; none of that may move a byte it writes. The
-// reference here is the previous encoder, kept as test code: entries with
-// int config fields and the curve the engine built, marshalled whole by
+// reference here is a plain encoder, kept as test code: entries with int
+// config fields built straight from the engine's trace, marshalled whole by
 // encoding/json.
 
 type legacyConfig struct {
@@ -35,7 +35,6 @@ type legacyConfig struct {
 type legacyRow struct {
 	Config  legacyConfig `json:"config"`
 	Seconds float64      `json:"seconds"`
-	GFLOPS  float64      `json:"gflops"`
 	OK      bool         `json:"ok"`
 }
 
@@ -45,9 +44,7 @@ type legacyEntry struct {
 	Shape   cachedShape  `json:"shape"`
 	Config  legacyConfig `json:"config"`
 	Seconds float64      `json:"seconds"`
-	GFLOPS  float64      `json:"gflops"`
 	Rows    []legacyRow  `json:"rows,omitempty"`
-	Curve   []float64    `json:"curve,omitempty"`
 	Budget  int          `json:"budget,omitempty"`
 }
 
@@ -62,18 +59,17 @@ func legacyConfigOf(c conv.Config) legacyConfig {
 		c.SharedPerBlock, int(c.Layout), c.WinogradE}
 }
 
-// legacyEntryOf is what the previous PutTrace stored for a trace.
+// legacyEntryOf is what PutTrace stores for a trace.
 func legacyEntryOf(archName string, kind Kind, s shapes.ConvShape, tr *Trace) legacyEntry {
 	e := legacyEntry{Arch: archName, Kind: kind.String(), Shape: shapeToCached(s),
-		Config: legacyConfigOf(tr.Best), Seconds: tr.BestM.Seconds, GFLOPS: tr.BestM.GFLOPS,
-		Curve: append([]float64(nil), tr.Curve...), Budget: max(tr.Budget, len(tr.History))}
+		Config: legacyConfigOf(tr.Best), Seconds: tr.BestM.Seconds, Budget: max(tr.Budget, len(tr.History))}
 	for _, h := range tr.History {
-		e.Rows = append(e.Rows, legacyRow{legacyConfigOf(h.Config), h.M.Seconds, h.M.GFLOPS, h.OK})
+		e.Rows = append(e.Rows, legacyRow{legacyConfigOf(h.Config), h.M.Seconds, h.OK})
 	}
 	return e
 }
 
-// legacyWriters is the previous encoder's output for entries: the checksum,
+// legacyWriters is the reference encoder's output for entries: the checksum,
 // EncodeEntries' compact envelope and Save's indented file.
 func legacyWriters(t testing.TB, entries []legacyEntry) (sum string, wire, file []byte) {
 	t.Helper()
@@ -94,7 +90,7 @@ func legacyWriters(t testing.TB, entries []legacyEntry) (sum string, wire, file 
 	return f.Checksum, wire, out.Bytes()
 }
 
-// assertWritersMatchLegacy checks every writer of c against the previous
+// assertWritersMatchLegacy checks every writer of c against the reference
 // encoder over want (keyed by cache key), and that Save → Load → Save is
 // the identity.
 func assertWritersMatchLegacy(t testing.TB, c *Cache, want map[string]legacyEntry) {
@@ -111,7 +107,7 @@ func assertWritersMatchLegacy(t testing.TB, c *Cache, want map[string]legacyEntr
 	entries := c.sortedEntries(func(CacheEntry) bool { return true })
 	body, err := entriesJSON(entries)
 	if sum := entriesChecksum(body); err != nil || sum != wantSum {
-		t.Errorf("checksum %s (%v), previous encoder %s", sum, err, wantSum)
+		t.Errorf("checksum %s (%v), reference encoder %s", sum, err, wantSum)
 	}
 	wire, err := EncodeEntries(entries)
 	if err != nil {
@@ -145,7 +141,7 @@ func assertSameBytes(t testing.TB, what string, got, want []byte) {
 		i++
 	}
 	lo := max(i-60, 0)
-	t.Errorf("%s: %d bytes, previous encoder %d; first difference at %d:\n got  …%s\n want …%s",
+	t.Errorf("%s: %d bytes, reference encoder %d; first difference at %d:\n got  …%s\n want …%s",
 		what, len(got), len(want), i, got[lo:min(i+60, len(got))], want[lo:min(i+60, len(want))])
 }
 
@@ -162,17 +158,34 @@ func assertWritersMatchTraces(t testing.TB, c *Cache, searches []SearchTrace) {
 	assertWritersMatchLegacy(t, c, want)
 }
 
-// assertCurveOf fails unless curveOf rebuilds tr's curve bit for bit.
-func assertCurveOf(t testing.TB, what string, tr *Trace) {
+// assertBestSoFar fails unless BestSoFar over tr's history has a point per
+// measurement, never rises, ends at the verdict's seconds (+Inf with no
+// verdict), and last drops at the trace's ConvergedAt.
+func assertBestSoFar(t testing.TB, what string, tr *Trace) {
 	t.Helper()
-	got := curveOf(tr.History)
-	if len(got) != len(tr.Curve) || len(got) != tr.Measurements {
-		t.Fatalf("%s: curveOf gives %d points, trace %d over %d measurements", what, len(got), len(tr.Curve), tr.Measurements)
+	got := BestSoFar(tr.History)
+	if len(got) != tr.Measurements {
+		t.Fatalf("%s: BestSoFar gives %d points over %d measurements", what, len(got), tr.Measurements)
 	}
-	for i := range got {
-		if math.Float64bits(got[i]) != math.Float64bits(tr.Curve[i]) {
-			t.Fatalf("%s: curve[%d] = %v, trace %v", what, i, got[i], tr.Curve[i])
+	last, at := math.Inf(1), 0
+	for i, sec := range got {
+		if sec > last {
+			t.Fatalf("%s: best-so-far rose at %d: %v after %v", what, i, sec, last)
 		}
+		if sec < last {
+			at = i + 1
+		}
+		last = sec
+	}
+	want := tr.BestM.Seconds
+	if tr.BestM == (Measurement{}) {
+		want = math.Inf(1)
+	}
+	if math.Float64bits(last) != math.Float64bits(want) {
+		t.Fatalf("%s: best-so-far ends at %v, verdict %v", what, last, want)
+	}
+	if at != tr.ConvergedAt {
+		t.Fatalf("%s: best-so-far last drops at %d, ConvergedAt %d", what, at, tr.ConvergedAt)
 	}
 }
 
@@ -192,11 +205,11 @@ func patchyMeasurer(m Measurer) FallibleMeasurer {
 	}
 }
 
-// The stored curve is derived, so curveOf must rebuild Trace.Curve bit for
-// bit from Trace.History on every kind of run: every kind (on Winograd a
-// faster incumbent can lower the curve), pruned and NoPrune, resumed, with
-// failures retried and quarantined, and the baseline searchers.
-func TestCurveOfMatchesTrace(t *testing.T) {
+// The best-so-far series is derived from Trace.History, so it must agree
+// with the trace's verdict and ConvergedAt on every kind of run: every kind,
+// pruned and NoPrune, resumed and covered, with failures retried and
+// quarantined, and the baseline searchers.
+func TestBestSoFarMatchesTrace(t *testing.T) {
 	grouped := layer()
 	grouped.Cin, grouped.Cout, grouped.Groups = 96, 96, 4
 	strided := shapes.ConvShape{Batch: 1, Cin: 32, Hin: 28, Win: 28, Cout: 48, Hker: 5, Wker: 5, Strid: 2, Pad: 2}
@@ -216,12 +229,12 @@ func TestCurveOfMatchesTrace(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					assertCurveOf(t, name+" tune", tr)
+					assertBestSoFar(t, name+" tune", tr)
 					opts.NoPrune = true
 					if tr, err = Tune(sp, measure, opts); err != nil {
 						t.Fatal(err)
 					}
-					assertCurveOf(t, name+" noprune", tr)
+					assertBestSoFar(t, name+" noprune", tr)
 				}
 
 				opts := smallOpts(40, 1)
@@ -231,7 +244,7 @@ func TestCurveOfMatchesTrace(t *testing.T) {
 					t.Fatal(err)
 				}
 				retries, quarantined = retries+tr.Retries, quarantined+tr.Quarantined
-				assertCurveOf(t, name+" retry/quarantine", tr)
+				assertBestSoFar(t, name+" retry/quarantine", tr)
 
 				c := NewCache()
 				if _, err := TuneResumed(c, sp, measure, smallOpts(20, 2)); err != nil {
@@ -241,14 +254,14 @@ func TestCurveOfMatchesTrace(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				assertCurveOf(t, name+" resumed", resumed)
+				assertBestSoFar(t, name+" resumed", resumed)
 				covered, err := TuneResumed(c, sp, measure, smallOpts(50, 2))
 				if err != nil {
 					t.Fatal(err)
 				}
-				assertCurveOf(t, name+" covered resume", covered)
-				if _, curve, _ := c.State(arch.Name, kind, s); !slices.Equal(curve, resumed.Curve) {
-					t.Fatalf("%s: State's curve differs from the resumed trace's", name)
+				assertBestSoFar(t, name+" covered resume", covered)
+				if covered.ConvergedAt != resumed.ConvergedAt || !slices.Equal(covered.History, resumed.History) {
+					t.Fatalf("%s: covered resume converged at %d, the resumed run at %d", name, covered.ConvergedAt, resumed.ConvergedAt)
 				}
 
 				for method, search := range map[string]func(*Space, Measurer, Options) (*Trace, error){
@@ -258,7 +271,7 @@ func TestCurveOfMatchesTrace(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					assertCurveOf(t, name+" "+method, tr)
+					assertBestSoFar(t, name+" "+method, tr)
 				}
 			}
 		}
@@ -268,13 +281,51 @@ func TestCurveOfMatchesTrace(t *testing.T) {
 	}
 }
 
+// A covered resume takes ConvergedAt from record.add's rule, a strict drop
+// in seconds: a tie at the incumbent's seconds that configLess prefers takes
+// the verdict, a Winograd tile of another edge, without improving, so the
+// covered trace converges where the live run did.
+func TestCoveredResumeKeepsLiveConvergedAt(t *testing.T) {
+	sp, err := NewSpace(layer(), arch, Winograd, 2, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tile := func(x, e int) conv.Config {
+		return conv.Config{TileX: x, TileY: x, TileZ: 1, ThreadsX: x, ThreadsY: x, ThreadsZ: 1, SharedPerBlock: 12288, WinogradE: e}
+	}
+	live := record{trace: Trace{Method: "ate", Budget: 4}}
+	for _, h := range []MeasuredConfig{
+		{tile(8, 4), Measurement{Seconds: 2e-4}, true},
+		{tile(4, 4), Measurement{Seconds: 1e-4}, true},
+		{tile(2, 2), Measurement{Seconds: 1e-4}, true}, // the tie configLess prefers
+		{tile(8, 2), Measurement{}, false},
+	} {
+		live.add(h.Config, h.M, h.OK)
+	}
+	if live.trace.ConvergedAt != 2 || live.trace.Best != tile(2, 2) {
+		t.Fatalf("live run converged at %d on %v, want 2 on the tie's tile", live.trace.ConvergedAt, live.trace.Best)
+	}
+	c := NewCache()
+	c.PutTrace(arch.Name, Winograd, sp.Shape, &live.trace)
+	covered, err := TuneResumed(c, sp, func(conv.Config) (Measurement, bool) {
+		t.Fatal("a covered resume measured")
+		return Measurement{}, false
+	}, smallOpts(4, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if covered.ConvergedAt != live.trace.ConvergedAt || covered.Best != live.trace.Best || covered.Measurements != 4 {
+		t.Errorf("covered resume converged at %d on %v over %d measurements, live run at %d on %v",
+			covered.ConvergedAt, covered.Best, covered.Measurements, live.trace.ConvergedAt, live.trace.Best)
+	}
+}
+
 // genTrace is a random history run through the engine's own bookkeeping
-// (record.add): failed rows, ties on seconds, and GFLOPS drawn apart from
-// seconds, so a faster incumbent can lower the curve as on Winograd.
+// (record.add): failed rows and ties on seconds.
 func genTrace(rng *rand.Rand, sp *Space, n int) *Trace {
 	var r record
 	for i := range n {
-		m := Measurement{Seconds: float64(1+rng.Intn(4)) * 1e-4, GFLOPS: float64(rng.Intn(2000)) + rng.Float64()}
+		m := Measurement{Seconds: float64(1+rng.Intn(4)) * 1e-4}
 		ok := rng.Intn(5) > 0 || (i == n-1 && !r.found) // a verdict to store
 		if !ok {
 			m = Measurement{}
@@ -285,10 +336,9 @@ func genTrace(rng *rand.Rand, sp *Space, n int) *Trace {
 	return &r.trace
 }
 
-// Generated entry sets — verdict-only entries, traces with failed rows and
-// lowering curves, budget 0, and entries arriving through PutEntries the way
-// a replica ships them — write exactly the previous encoder's bytes from
-// every writer.
+// Generated entry sets — verdict-only entries, traces with failed rows,
+// budget 0, and entries arriving through PutEntries the way a replica ships
+// them — write exactly the reference encoder's bytes from every writer.
 func TestEntryWritersMatchLegacyEncoder(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for set := range 20 {
@@ -335,13 +385,12 @@ func TestEntryWritersMatchLegacyEncoder(t *testing.T) {
 	assertWritersMatchLegacy(t, NewCache(), nil)
 	_, wantWire, _ := legacyWriters(t, nil)
 	if wire, err := EncodeEntries(nil); err != nil || !bytes.Equal(wire, wantWire) {
-		t.Errorf("EncodeEntries(nil) = %s (%v), previous encoder %s", wire, err, wantWire)
+		t.Errorf("EncodeEntries(nil) = %s (%v), reference encoder %s", wire, err, wantWire)
 	}
 }
 
-// A stored entry holds its rows and no curve; State, TuneResumed and the
-// writers rebuild it. So a state entry round-trips through Save/Load with
-// its history, the engine's curve and its verdict.
+// A state entry round-trips through Save/Load with its history, failed rows
+// included, and its verdict.
 func TestCacheStateRoundTrip(t *testing.T) {
 	sp, err := NewSpace(layer(), arch, Winograd, 2, true)
 	if err != nil {
@@ -358,8 +407,8 @@ func TestCacheStateRoundTrip(t *testing.T) {
 	}
 	c := NewCache()
 	c.PutTrace(arch.Name, Winograd, sp.Shape, tr)
-	if e, _ := c.Entry(arch.Name, Winograd, sp.Shape); e.Curve != nil || len(e.Rows) != len(tr.History) {
-		t.Fatalf("stored entry holds %d rows and a %d-point curve, want %d rows and none", len(e.Rows), len(e.Curve), len(tr.History))
+	if e, _ := c.Entry(arch.Name, Winograd, sp.Shape); len(e.Rows) != len(tr.History) {
+		t.Fatalf("stored entry holds %d rows, want %d", len(e.Rows), len(tr.History))
 	}
 
 	var buf bytes.Buffer
@@ -370,18 +419,12 @@ func TestCacheStateRoundTrip(t *testing.T) {
 	if err := restored.Load(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if e, _ := restored.Entry(arch.Name, Winograd, sp.Shape); e.Curve != nil {
-		t.Fatal("a loaded entry kept its curve")
-	}
-	hist, curve, ok := restored.State(arch.Name, Winograd, sp.Shape)
+	hist, ok := restored.State(arch.Name, Winograd, sp.Shape)
 	if !ok {
 		t.Fatal("restored entry lost its state")
 	}
 	if !slices.Equal(hist, tr.History) {
 		t.Error("history changed over Save/Load")
-	}
-	if !slices.Equal(curve, tr.Curve) {
-		t.Errorf("curve changed over Save/Load:\n%v\n%v", curve, tr.Curve)
 	}
 	cfg, m, ok := restored.Get(arch.Name, Winograd, sp.Shape)
 	if !ok || cfg != tr.Best || m != tr.BestM {
@@ -389,12 +432,12 @@ func TestCacheStateRoundTrip(t *testing.T) {
 	}
 }
 
-// A row is seven int16 and two int8 config fields, two floats and a flag:
-// 40 bytes, and the eviction size model counts exactly that. A widened field
+// A row is seven int16 and two int8 config fields, its seconds and a flag:
+// 32 bytes, and the eviction size model counts exactly that. A widened field
 // shows here.
 func TestCachedMeasurementSize(t *testing.T) {
-	if got := unsafe.Sizeof(CachedMeasurement{}); got != 40 || rowBytes != 40 {
-		t.Fatalf("CachedMeasurement is %d bytes, size model says %d; want 40", got, rowBytes)
+	if got := unsafe.Sizeof(CachedMeasurement{}); got != 32 || rowBytes != 32 {
+		t.Fatalf("CachedMeasurement is %d bytes, size model says %d; want 32", got, rowBytes)
 	}
 }
 
@@ -478,14 +521,14 @@ func TestRecoverFileSkipsMistypedEntry(t *testing.T) {
 	for name, bad := range map[string]string{
 		"string field":        strings.Replace(good(72), `"Cin":96`, `"Cin":"x"`, 1),
 		"int32 overflow":      strings.Replace(good(72), `"TileX":9`, `"TileX":3000000000`, 1),
-		"row int32 underflow": strings.Replace(good(72), `"gflops":1234}`, `"gflops":1234,"rows":[{"config":{"TileX":1,"TileY":1,"TileZ":1,"ThreadsX":1,"ThreadsY":1,"ThreadsZ":1,"SharedPerBlock":-2147483649},"seconds":1e-4,"gflops":1,"ok":true}]}`, 1),
+		"row int32 underflow": strings.Replace(good(72), `"seconds":1.5e-4}`, `"seconds":1.5e-4,"rows":[{"config":{"TileX":1,"TileY":1,"TileZ":1,"ThreadsX":1,"ThreadsY":1,"ThreadsZ":1,"SharedPerBlock":-2147483649},"seconds":1e-4,"ok":true}]}`, 1),
 		"not an object":       `"entry"`,
 		"int16 overflow":      strings.Replace(good(72), `"TileZ":8`, `"TileZ":32768`, 1),
-		"row int8 overflow":   strings.Replace(good(72), `"gflops":1234}`, `"gflops":1234,"rows":[{"config":{"TileX":1,"TileY":1,"TileZ":1,"ThreadsX":1,"ThreadsY":1,"ThreadsZ":1,"SharedPerBlock":256,"Layout":128},"seconds":1e-4,"gflops":1,"ok":true}]}`, 1),
+		"row int8 overflow":   strings.Replace(good(72), `"seconds":1.5e-4}`, `"seconds":1.5e-4,"rows":[{"config":{"TileX":1,"TileY":1,"TileZ":1,"ThreadsX":1,"ThreadsY":1,"ThreadsZ":1,"SharedPerBlock":256,"Layout":128},"seconds":1e-4,"ok":true}]}`, 1),
 	} {
 		entries := `"entries":[` + good(64) + `,` + bad + `,` + good(80) + `]}`
-		data := `{"version":2,"checksum":"crc32c:00000000",` + entries
-		for _, data := range []string{data, `{"version":2,` + entries} {
+		data := `{"version":3,"checksum":"crc32c:00000000",` + entries
+		for _, data := range []string{data, `{"version":3,` + entries} {
 			if err := NewCache().Load(strings.NewReader(data)); err == nil {
 				t.Errorf("%s: Load accepted the envelope", name)
 			}
@@ -512,7 +555,7 @@ func TestRecoverFileSkipsMistypedEntry(t *testing.T) {
 	}
 
 	// A syntax error still ends the salvage: nothing after it is read.
-	data := `{"version":2,"entries":[` + good(64) + `,{"arch":"V100",,` + good(80) + `]}`
+	data := `{"version":3,"entries":[` + good(64) + `,{"arch":"V100",,` + good(80) + `]}`
 	path := filepath.Join(t.TempDir(), "state.cache")
 	if err := os.WriteFile(path, []byte(data), 0o644); err != nil {
 		t.Fatal(err)

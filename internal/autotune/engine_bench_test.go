@@ -53,7 +53,7 @@ func BenchmarkTuneEngine(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				best = tr.BestM.GFLOPS
+				best = s.GFLOPS(tr.BestM.Seconds)
 				pruned = float64(tr.Pruned)
 				refits = float64(tr.Refits)
 			}

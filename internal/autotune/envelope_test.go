@@ -56,8 +56,8 @@ func TestDecodeEntriesRejects(t *testing.T) {
 		"garbage":       `{]`,
 		"wrong version": `{"version":1,"entries":[]}`,
 		"bad checksum":  strings.Replace(string(env), `"checksum":"crc32c:`, `"checksum":"crc32c:0`, 1),
-		"bad entry":     `{"version":2,"entries":[` + validEntryJSON("karatsuba") + `]}`,
-		"torn entry": `{"version":2,"entries":[` + validEntryJSON("direct") + `,` +
+		"bad entry":     `{"version":3,"entries":[` + validEntryJSON("karatsuba") + `]}`,
+		"torn entry": `{"version":3,"entries":[` + validEntryJSON("direct") + `,` +
 			strings.Replace(validEntryJSON("fft"), `"Stride":1`, `"Stride":0`, 1) + `]}`,
 	} {
 		if _, err := DecodeEntries([]byte(payload)); err == nil {

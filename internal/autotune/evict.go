@@ -114,9 +114,8 @@ const (
 )
 
 // SizeBytes estimates the retained bytes of one entry. State-carrying
-// entries dominate: a 400-measurement search persists 16 KB of rows
-// against the fixed ~0.3 KiB of a verdict-only entry. A cached entry holds
-// no curve (put drops it), so none is counted.
+// entries dominate: a 400-measurement search persists 12.8 KB of rows
+// against the fixed ~0.3 KiB of a verdict-only entry.
 func (e CacheEntry) SizeBytes() int64 {
 	return entryFixedBytes + int64(len(e.Arch)) + int64(len(e.Kind)) + int64(len(e.Rows))*rowBytes
 }

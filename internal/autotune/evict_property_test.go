@@ -40,9 +40,9 @@ func drawEvictOps(seed int64, pool []autotune.CacheEntry, ttl bool) []evictOp {
 				e := pool[rng.Intn(len(pool))]
 				switch rng.Intn(3) {
 				case 0:
-					e.Seconds, e.GFLOPS = e.Seconds/2, e.GFLOPS*2
+					e.Seconds /= 2
 				case 1:
-					e.Seconds, e.GFLOPS = e.Seconds*2, e.GFLOPS/2
+					e.Seconds *= 2
 				}
 				ops[i].push[j] = e
 			}
@@ -130,7 +130,7 @@ func TestEvictionIsAFunctionOfTheOperationSequence(t *testing.T) {
 		policy autotune.EvictionPolicy
 	}{
 		{"entries", autotune.EvictionPolicy{MaxEntries: 16}},
-		{"bytes", autotune.EvictionPolicy{MaxBytes: 64 << 10}},
+		{"bytes", autotune.EvictionPolicy{MaxBytes: 52 << 10}},
 		{"ttl", autotune.EvictionPolicy{TTL: evictTTL}},
 	} {
 		for seed := range int64(seeds) {

@@ -28,7 +28,7 @@ func TestEvictionLRUBoundsAndRecency(t *testing.T) {
 
 	for i := 0; i < inserts; i++ {
 		// Seconds encodes the insert index.
-		c.Put(arch.Name, Direct, evictShape(i), conv.Config{}, Measurement{Seconds: float64(i), GFLOPS: 1})
+		c.Put(arch.Name, Direct, evictShape(i), conv.Config{}, Measurement{Seconds: float64(i)})
 		c.Evict()
 	}
 
@@ -70,7 +70,7 @@ func TestEvictionGetRefreshesRecency(t *testing.T) {
 	c := NewCache()
 	c.SetEviction(EvictionPolicy{MaxEntries: cap})
 	for i := 0; i < cap; i++ {
-		c.Put(arch.Name, Direct, evictShape(i), conv.Config{}, Measurement{Seconds: 1, GFLOPS: 1})
+		c.Put(arch.Name, Direct, evictShape(i), conv.Config{}, Measurement{Seconds: 1})
 		c.Evict()
 	}
 	// Touch the oldest key, then overflow by one: the victim must be the
@@ -79,7 +79,7 @@ func TestEvictionGetRefreshesRecency(t *testing.T) {
 	if _, _, ok := c.Get(arch.Name, Direct, evictShape(0)); !ok {
 		t.Fatal("freshly inserted key missing")
 	}
-	c.Put(arch.Name, Direct, evictShape(cap), conv.Config{}, Measurement{Seconds: 1, GFLOPS: 1})
+	c.Put(arch.Name, Direct, evictShape(cap), conv.Config{}, Measurement{Seconds: 1})
 	c.Evict()
 	if _, _, ok := c.Get(arch.Name, Direct, evictShape(0)); !ok {
 		t.Error("recently read key was evicted ahead of colder ones")
@@ -97,8 +97,8 @@ func TestEvictionTTL(t *testing.T) {
 	c := NewCache()
 	c.SetEviction(EvictionPolicy{TTL: time.Minute, Now: func() time.Time { return now }})
 
-	c.Put(arch.Name, Direct, evictShape(0), conv.Config{}, Measurement{Seconds: 1, GFLOPS: 1})
-	c.Put(arch.Name, Direct, evictShape(1), conv.Config{}, Measurement{Seconds: 1, GFLOPS: 1})
+	c.Put(arch.Name, Direct, evictShape(0), conv.Config{}, Measurement{Seconds: 1})
+	c.Put(arch.Name, Direct, evictShape(1), conv.Config{}, Measurement{Seconds: 1})
 
 	now = now.Add(50 * time.Second)
 	if _, _, ok := c.Get(arch.Name, Direct, evictShape(0)); !ok {
@@ -138,7 +138,7 @@ func TestWritesMovesOnWritesOnly(t *testing.T) {
 	c := NewCache()
 	c.SetEviction(EvictionPolicy{MaxEntries: 2, TTL: time.Minute, Now: func() time.Time { return now }})
 	valid := conv.Config{TileX: 1, TileY: 1, TileZ: 1, ThreadsX: 1, ThreadsY: 1, ThreadsZ: 1} // Load checks it
-	put := func(i int) { c.Put(arch.Name, Direct, evictShape(i), valid, Measurement{Seconds: 1, GFLOPS: 1}) }
+	put := func(i int) { c.Put(arch.Name, Direct, evictShape(i), valid, Measurement{Seconds: 1}) }
 	step := func(what string, moves bool, do func()) {
 		t.Helper()
 		before := c.Writes()
@@ -208,7 +208,7 @@ func TestEvictionMaxBytes(t *testing.T) {
 	c := NewCache()
 	c.SetEviction(EvictionPolicy{MaxBytes: 10 * perEntry})
 	for i := 0; i < 40; i++ {
-		c.Put(arch.Name, Direct, evictShape(i), conv.Config{}, Measurement{Seconds: 1, GFLOPS: 1})
+		c.Put(arch.Name, Direct, evictShape(i), conv.Config{}, Measurement{Seconds: 1})
 		c.Evict()
 	}
 	if got, cap := c.Stats().Bytes, 10*perEntry; got > cap {
@@ -241,7 +241,7 @@ func TestEvictedKeyRetunesIdentically(t *testing.T) {
 
 	// Push the tuned key out with filler traffic, then prove it is gone.
 	for i := 1; i <= 16; i++ {
-		c.Put(arch.Name, Direct, evictShape(i), conv.Config{}, Measurement{Seconds: 1, GFLOPS: 1})
+		c.Put(arch.Name, Direct, evictShape(i), conv.Config{}, Measurement{Seconds: 1})
 		c.Evict()
 	}
 	if _, _, ok := c.Get(arch.Name, Direct, shape); ok {
@@ -265,7 +265,7 @@ func TestReplayChecksBookNothing(t *testing.T) {
 	const cap = 8
 	c := NewCache()
 	c.SetEviction(EvictionPolicy{MaxEntries: cap})
-	m := Measurement{Seconds: 1, GFLOPS: 1}
+	m := Measurement{Seconds: 1}
 	for i := 0; i < cap; i++ {
 		c.Put(arch.Name, Direct, evictShape(i), conv.Config{}, m)
 		c.Evict()
@@ -303,7 +303,7 @@ func BenchmarkEvictAtCap(b *testing.B) {
 	const n, per = 100000, 32
 	c := NewCache()
 	c.SetEviction(EvictionPolicy{MaxEntries: n})
-	m := Measurement{Seconds: 1, GFLOPS: 1}
+	m := Measurement{Seconds: 1}
 	i := 0
 	for ; i < n; i++ {
 		c.Put("bench", Direct, evictShape(i), conv.Config{}, m)

@@ -187,13 +187,31 @@ func CountScanFans(tb testing.TB) func() int64 {
 	return n.Load
 }
 
-// AssertWritersMatchTraces and AssertCurveOf (codec_test.go) check a cache a
-// zoo pass filled against the previous encoder, and a trace's curve against
-// the one the cache derives.
+// AssertWritersMatchTraces and AssertBestSoFar (codec_test.go) check a cache
+// a zoo pass filled against the reference encoder, and a trace's best-so-far
+// series against its verdict and ConvergedAt.
 var (
 	AssertWritersMatchTraces = assertWritersMatchTraces
-	AssertCurveOf            = assertCurveOf
+	AssertBestSoFar          = assertBestSoFar
 )
+
+// TuneCached returns the cached best for (arch, kind, shape) or runs the
+// engine and caches its verdict with engine state. Concurrent callers with
+// the same key share one search.
+func TuneCached(cache *Cache, sp *Space, measure Measurer, opts Options) (conv.Config, Measurement, error) {
+	out, _ := tuneShared(context.Background(), cache, sp, LiftMeasurer(measure), opts, false)
+	return out.cfg, out.m, out.err
+}
+
+// State returns a cached entry's persisted measurement history; ok is false
+// when the key is absent or the entry is verdict-only.
+func (c *Cache) State(archName string, kind Kind, s shapes.ConvShape) ([]MeasuredConfig, bool) {
+	e, ok := c.Entry(archName, kind, s)
+	if !ok || len(e.Rows) == 0 {
+		return nil, false
+	}
+	return e.history(), true
+}
 
 // fitsIn reports whether a value survives conversion to a field's type.
 func fitsIn[T int8 | int16 | int32](T) func(int) bool {

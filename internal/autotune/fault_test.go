@@ -101,7 +101,7 @@ func TestRetryAbsorbsTransientFailures(t *testing.T) {
 		t.Errorf("verdict changed under transient failures: %v/%v != %v/%v",
 			tr.Best, tr.BestM, clean.Best, clean.BestM)
 	}
-	if tr.Measurements != clean.Measurements || !reflect.DeepEqual(tr.Curve, clean.Curve) {
+	if tr.Measurements != clean.Measurements || !reflect.DeepEqual(tr.History, clean.History) {
 		t.Errorf("trajectory changed under transient failures: %d measurements vs %d",
 			tr.Measurements, clean.Measurements)
 	}
@@ -212,7 +212,7 @@ func TestNoiseDefenseTakesMedian(t *testing.T) {
 	noisy := func(c conv.Config) (Measurement, bool, error) {
 		calls++
 		if calls == 1 {
-			return Measurement{Seconds: floor / 2, GFLOPS: truth.GFLOPS * 2}, true, nil
+			return Measurement{Seconds: floor / 2}, true, nil
 		}
 		return truth, true, nil
 	}
@@ -229,7 +229,7 @@ func TestNoiseDefenseTakesMedian(t *testing.T) {
 	calls = 0
 	clean := func(c conv.Config) (Measurement, bool, error) {
 		calls++
-		return Measurement{Seconds: floor * 10, GFLOPS: 1}, true, nil
+		return Measurement{Seconds: floor * 10}, true, nil
 	}
 	out = newResilient(clean, sp, policy, 1).run(context.Background(), cfg)
 	if !out.ok || out.remeasured != 0 || calls != 1 {

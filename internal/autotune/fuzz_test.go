@@ -16,19 +16,22 @@ var envelopeSeeds = [][]byte{
 	// The retired version-1 format, a bare entry array: rejected like any
 	// other non-envelope (the two decoders used to disagree on it).
 	[]byte(`[{"arch":"V100","kind":"direct","shape":{"Batch":1,"Cin":16,"Hin":8,"Win":8,"Cout":8,"Hker":3,"Wker":3,"Stride":1,"Pad":1},"config":{"TileX":1,"TileY":1,"TileZ":1,"ThreadsX":8,"ThreadsY":8,"ThreadsZ":1,"SharedPerBlock":0,"Layout":0,"WinogradE":0},"seconds":0.001,"gflops":10}]`),
-	// Version-2 envelope with engine state.
-	[]byte(`{"version":2,"entries":[{"arch":"V100","kind":"winograd","shape":{"Batch":1,"Cin":16,"Hin":8,"Win":8,"Cout":8,"Hker":3,"Wker":3,"Stride":1,"Pad":1},"config":{"TileX":1,"TileY":1,"TileZ":1,"ThreadsX":8,"ThreadsY":8,"ThreadsZ":1,"SharedPerBlock":4096,"Layout":0,"WinogradE":2},"seconds":0.002,"gflops":5,"rows":[{"config":{"TileX":1,"TileY":1,"TileZ":1,"ThreadsX":8,"ThreadsY":8,"ThreadsZ":1,"SharedPerBlock":4096,"Layout":0,"WinogradE":2},"seconds":0.002,"gflops":5,"ok":true}],"curve":[5],"budget":4}]}`),
+	// The current envelope with engine state.
+	[]byte(`{"version":3,"entries":[{"arch":"V100","kind":"winograd","shape":{"Batch":1,"Cin":16,"Hin":8,"Win":8,"Cout":8,"Hker":3,"Wker":3,"Stride":1,"Pad":1},"config":{"TileX":1,"TileY":1,"TileZ":1,"ThreadsX":8,"ThreadsY":8,"ThreadsZ":1,"SharedPerBlock":4096,"Layout":0,"WinogradE":2},"seconds":0.002,"rows":[{"config":{"TileX":1,"TileY":1,"TileZ":1,"ThreadsX":8,"ThreadsY":8,"ThreadsZ":1,"SharedPerBlock":4096,"Layout":0,"WinogradE":2},"seconds":0.002,"ok":true}],"budget":4}]}`),
 	// Malformed variants the loader must reject gracefully.
-	[]byte(`{"version":2,"entries":[{"arch":"V100","kind":"fft","shape":{"Batch":1,"Cin":16,"Hin":8,"Win":8,"Cout":8,"Hker":3,"Wker":3,"Stride":1,"Pad":1},"config":{"TileX":16,"TileY":1,"TileZ":4,"ThreadsX":16,"ThreadsY":1,"ThreadsZ":4,"SharedPerBlock":4096,"Layout":0,"WinogradE":0},"seconds":0.003,"gflops":4}]}`),
-	[]byte(`{"version":2,"entries":[{"arch":"V100","kind":"igemm","shape":{"Batch":1,"Cin":16,"Hin":8,"Win":8,"Cout":16,"Hker":3,"Wker":3,"Stride":1,"Pad":1,"Groups":4},"config":{"TileX":4,"TileY":4,"TileZ":2,"ThreadsX":4,"ThreadsY":4,"ThreadsZ":2,"SharedPerBlock":2048,"Layout":0,"WinogradE":0},"seconds":0.001,"gflops":8}]}`),
+	[]byte(`{"version":3,"entries":[{"arch":"V100","kind":"fft","shape":{"Batch":1,"Cin":16,"Hin":8,"Win":8,"Cout":8,"Hker":3,"Wker":3,"Stride":1,"Pad":1},"config":{"TileX":16,"TileY":1,"TileZ":4,"ThreadsX":16,"ThreadsY":1,"ThreadsZ":4,"SharedPerBlock":4096,"Layout":0,"WinogradE":0},"seconds":0.003}]}`),
+	[]byte(`{"version":3,"entries":[{"arch":"V100","kind":"igemm","shape":{"Batch":1,"Cin":16,"Hin":8,"Win":8,"Cout":16,"Hker":3,"Wker":3,"Stride":1,"Pad":1,"Groups":4},"config":{"TileX":4,"TileY":4,"TileZ":2,"ThreadsX":4,"ThreadsY":4,"ThreadsZ":2,"SharedPerBlock":2048,"Layout":0,"WinogradE":0},"seconds":0.001}]}`),
 	// Config values past int32: a verdict's and a row's.
-	[]byte(`{"version":2,"entries":[{"arch":"V100","kind":"direct","shape":{"Batch":1,"Cin":16,"Hin":8,"Win":8,"Cout":8,"Hker":3,"Wker":3,"Stride":1,"Pad":1},"config":{"TileX":4294967297,"TileY":1,"TileZ":1,"ThreadsX":8,"ThreadsY":8,"ThreadsZ":1,"SharedPerBlock":4096,"Layout":0,"WinogradE":0},"seconds":0.001,"gflops":10}]}`),
-	[]byte(`{"version":2,"entries":[{"arch":"V100","kind":"direct","shape":{"Batch":1,"Cin":16,"Hin":8,"Win":8,"Cout":8,"Hker":3,"Wker":3,"Stride":1,"Pad":1},"config":{"TileX":1,"TileY":1,"TileZ":1,"ThreadsX":8,"ThreadsY":8,"ThreadsZ":1,"SharedPerBlock":4096,"Layout":0,"WinogradE":0},"seconds":0.001,"gflops":10,"rows":[{"config":{"TileX":1,"TileY":1,"TileZ":1,"ThreadsX":8,"ThreadsY":8,"ThreadsZ":1,"SharedPerBlock":-2147483649,"Layout":0,"WinogradE":0},"seconds":0.001,"gflops":10,"ok":true}],"curve":[10]}]}`),
+	[]byte(`{"version":3,"entries":[{"arch":"V100","kind":"direct","shape":{"Batch":1,"Cin":16,"Hin":8,"Win":8,"Cout":8,"Hker":3,"Wker":3,"Stride":1,"Pad":1},"config":{"TileX":4294967297,"TileY":1,"TileZ":1,"ThreadsX":8,"ThreadsY":8,"ThreadsZ":1,"SharedPerBlock":4096,"Layout":0,"WinogradE":0},"seconds":0.001}]}`),
+	[]byte(`{"version":3,"entries":[{"arch":"V100","kind":"direct","shape":{"Batch":1,"Cin":16,"Hin":8,"Win":8,"Cout":8,"Hker":3,"Wker":3,"Stride":1,"Pad":1},"config":{"TileX":1,"TileY":1,"TileZ":1,"ThreadsX":8,"ThreadsY":8,"ThreadsZ":1,"SharedPerBlock":4096,"Layout":0,"WinogradE":0},"seconds":0.001,"rows":[{"config":{"TileX":1,"TileY":1,"TileZ":1,"ThreadsX":8,"ThreadsY":8,"ThreadsZ":1,"SharedPerBlock":-2147483649,"Layout":0,"WinogradE":0},"seconds":0.001,"ok":true}]}]}`),
 	// Values past the narrowed fields, int16 and int8: a verdict's TileZ of
 	// 32768 and a row's layout of 128.
-	[]byte(`{"version":2,"entries":[{"arch":"V100","kind":"direct","shape":{"Batch":1,"Cin":16,"Hin":8,"Win":8,"Cout":8,"Hker":3,"Wker":3,"Stride":1,"Pad":1},"config":{"TileX":1,"TileY":1,"TileZ":32768,"ThreadsX":8,"ThreadsY":8,"ThreadsZ":1,"SharedPerBlock":4096,"Layout":0,"WinogradE":0},"seconds":0.001,"gflops":10}]}`),
-	[]byte(`{"version":2,"entries":[{"arch":"V100","kind":"direct","shape":{"Batch":1,"Cin":16,"Hin":8,"Win":8,"Cout":8,"Hker":3,"Wker":3,"Stride":1,"Pad":1},"config":{"TileX":1,"TileY":1,"TileZ":1,"ThreadsX":8,"ThreadsY":8,"ThreadsZ":1,"SharedPerBlock":4096,"Layout":0,"WinogradE":0},"seconds":0.001,"gflops":10,"rows":[{"config":{"TileX":1,"TileY":1,"TileZ":1,"ThreadsX":8,"ThreadsY":8,"ThreadsZ":1,"SharedPerBlock":4096,"Layout":128,"WinogradE":0},"seconds":0.001,"gflops":10,"ok":true}],"curve":[10]}]}`),
-	[]byte(`{"version":3,"entries":[]}`),
+	[]byte(`{"version":3,"entries":[{"arch":"V100","kind":"direct","shape":{"Batch":1,"Cin":16,"Hin":8,"Win":8,"Cout":8,"Hker":3,"Wker":3,"Stride":1,"Pad":1},"config":{"TileX":1,"TileY":1,"TileZ":32768,"ThreadsX":8,"ThreadsY":8,"ThreadsZ":1,"SharedPerBlock":4096,"Layout":0,"WinogradE":0},"seconds":0.001}]}`),
+	[]byte(`{"version":3,"entries":[{"arch":"V100","kind":"direct","shape":{"Batch":1,"Cin":16,"Hin":8,"Win":8,"Cout":8,"Hker":3,"Wker":3,"Stride":1,"Pad":1},"config":{"TileX":1,"TileY":1,"TileZ":1,"ThreadsX":8,"ThreadsY":8,"ThreadsZ":1,"SharedPerBlock":4096,"Layout":0,"WinogradE":0},"seconds":0.001,"rows":[{"config":{"TileX":1,"TileY":1,"TileZ":1,"ThreadsX":8,"ThreadsY":8,"ThreadsZ":1,"SharedPerBlock":4096,"Layout":128,"WinogradE":0},"seconds":0.001,"ok":true}]}]}`),
+	// The retired version 2, whose entries and rows carried a rate and
+	// entries a best-so-far curve: rejected by its version.
+	[]byte(`{"version":2,"entries":[{"arch":"V100","kind":"winograd","shape":{"Batch":1,"Cin":16,"Hin":8,"Win":8,"Cout":8,"Hker":3,"Wker":3,"Stride":1,"Pad":1},"config":{"TileX":1,"TileY":1,"TileZ":1,"ThreadsX":8,"ThreadsY":8,"ThreadsZ":1,"SharedPerBlock":4096,"Layout":0,"WinogradE":2},"seconds":0.002,"gflops":5,"rows":[{"config":{"TileX":1,"TileY":1,"TileZ":1,"ThreadsX":8,"ThreadsY":8,"ThreadsZ":1,"SharedPerBlock":4096,"Layout":0,"WinogradE":2},"seconds":0.002,"gflops":5,"ok":true}],"curve":[5],"budget":4}]}`),
+	[]byte(`{"version":4,"entries":[]}`),
 	[]byte(`[{"arch":"V100","kind":"im2col"}]`),
 	[]byte(`[{"arch":"V100","kind":"direct","seconds":-1}]`),
 	[]byte(`[`),

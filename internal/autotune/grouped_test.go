@@ -103,12 +103,14 @@ func TestDepthwiseTunedFlopsAreOneOverG(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// GFLOPS·seconds recovers the flop count the measurement billed.
-		got := tr.BestM.GFLOPS * 1e9 * tr.BestM.Seconds
-		want := float64(tc.s.FLOPs())
-		if math.Abs(got-want)/want > 1e-6 {
-			t.Errorf("%s: tuned measurement accounts %.6g flops, shape has %d",
-				tc.name, got, tc.s.FLOPs())
+		// The verdict's launch counts the flops its measurement billed.
+		counts, _, _, err := Direct.Phase(arch, tc.s, tr.Best)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if counts.Flops != tc.s.FLOPs() {
+			t.Errorf("%s: tuned measurement accounts %d flops, shape has %d",
+				tc.name, counts.Flops, tc.s.FLOPs())
 		}
 	}
 }

@@ -30,8 +30,8 @@ var (
 		{TileX: 1, TileY: 1, TileZ: 1, ThreadsX: 2, ThreadsY: 1, ThreadsZ: 1, SharedPerBlock: 128},
 	}
 	joinSeconds = []float64{1e-3, 2e-3, 3e-3}
-	// 0 and -0 compare equal but encode apart.
-	joinGFLOPS = []float64{1, 2.5, 0, math.Copysign(0, -1)}
+	// A failed row's time: 0 and -0 compare equal but encode apart.
+	joinFailedSeconds = []float64{0, math.Copysign(0, -1)}
 )
 
 func pick[T any](rng *rand.Rand, pool []T) T { return pool[rng.Intn(len(pool))] }
@@ -45,9 +45,9 @@ func (g joinGen) shape(i int) cachedShape {
 
 func (g joinGen) row() CachedMeasurement {
 	r := CachedMeasurement{Config: pick(g.rng, joinConfigs), Seconds: pick(g.rng, joinSeconds),
-		GFLOPS: pick(g.rng, joinGFLOPS), OK: g.rng.Intn(4) > 0}
+		OK: g.rng.Intn(4) > 0}
 	if !r.OK {
-		r.Seconds = pick(g.rng, joinGFLOPS) // a failed row's time may be 0 or -0
+		r.Seconds = pick(g.rng, joinFailedSeconds)
 	}
 	return r
 }
@@ -67,8 +67,7 @@ func (g joinGen) rows() []CachedMeasurement {
 // entry draws a valid entry.
 func (g joinGen) entry() CacheEntry {
 	e := CacheEntry{Arch: arch.Name, Kind: Direct.String(), Shape: g.shape(g.rng.Intn(g.keys)),
-		Config: pick(g.rng, joinConfigs), Seconds: pick(g.rng, joinSeconds), GFLOPS: pick(g.rng, joinGFLOPS),
-		Rows: g.rows()}
+		Config: pick(g.rng, joinConfigs), Seconds: pick(g.rng, joinSeconds), Rows: g.rows()}
 	e.Budget = len(e.Rows) + g.rng.Intn(3)
 	if g.rng.Intn(4) == 0 {
 		e.Budget = 0 // an older file's: the rows stand in
@@ -81,20 +80,18 @@ func (g joinGen) entry() CacheEntry {
 func (g joinGen) mutate(e CacheEntry) CacheEntry {
 	e.Rows = slices.Clone(e.Rows)
 	for range g.rng.Intn(3) {
-		switch g.rng.Intn(8) {
+		switch g.rng.Intn(7) {
 		case 0:
 			e.Seconds = pick(g.rng, joinSeconds)
 		case 1:
 			e.Config = pick(g.rng, joinConfigs)
 		case 2:
-			e.GFLOPS = pick(g.rng, joinGFLOPS)
-		case 3:
 			e.Shape.Groups = 1 - e.Shape.Groups
-		case 4:
+		case 3:
 			e.Budget = g.rng.Intn(5)
-		case 5:
+		case 4:
 			e.Rows = g.rows()
-		case 6:
+		case 5:
 			for i := range e.Rows {
 				if !e.Rows[i].OK {
 					e.Rows[i].Seconds = -e.Rows[i].Seconds // 0 to -0 and back
@@ -111,7 +108,7 @@ func (g joinGen) mutate(e CacheEntry) CacheEntry {
 
 func encoded(t *testing.T, e CacheEntry) []byte {
 	t.Helper()
-	b, err := e.MarshalJSON()
+	b, err := json.Marshal(e)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,8 +165,8 @@ func TestSupersedesIsAStrictTotalOrder(t *testing.T) {
 // nothing and marshals nothing.
 func TestSupersedesOrder(t *testing.T) {
 	base := CacheEntry{Arch: arch.Name, Kind: Direct.String(), Shape: shapeToCached(evictShape(0)),
-		Config: joinConfigs[0], Seconds: 2e-3, GFLOPS: 1, Budget: 8,
-		Rows: []CachedMeasurement{{Config: joinConfigs[0], Seconds: 2e-3, GFLOPS: 1, OK: true}}}
+		Config: joinConfigs[0], Seconds: 2e-3, Budget: 8,
+		Rows: []CachedMeasurement{{Config: joinConfigs[0], Seconds: 2e-3, OK: true}}}
 	with := func(f func(*CacheEntry)) CacheEntry {
 		e := base
 		e.Rows = slices.Clone(base.Rows)
@@ -217,7 +214,7 @@ func TestRejectedPutStoresNothing(t *testing.T) {
 	c := NewCache()
 	c.SetEviction(EvictionPolicy{TTL: time.Minute, Now: func() time.Time { return now }})
 	valid := conv.Config{TileX: 1, TileY: 1, TileZ: 1, ThreadsX: 1, ThreadsY: 1, ThreadsZ: 1}
-	c.Put(arch.Name, Direct, evictShape(0), valid, Measurement{Seconds: 1, GFLOPS: 1})
+	c.Put(arch.Name, Direct, evictShape(0), valid, Measurement{Seconds: 1})
 	var before bytes.Buffer
 	if err := c.Save(&before); err != nil {
 		t.Fatal(err)
@@ -225,7 +222,7 @@ func TestRejectedPutStoresNothing(t *testing.T) {
 	writes, size := c.Writes(), c.Stats().Bytes
 
 	now = now.Add(50 * time.Second)
-	c.Put(arch.Name, Direct, evictShape(0), valid, Measurement{Seconds: 2, GFLOPS: 0.5})
+	c.Put(arch.Name, Direct, evictShape(0), valid, Measurement{Seconds: 2})
 	var after bytes.Buffer
 	if err := c.Save(&after); err != nil {
 		t.Fatal(err)
@@ -367,7 +364,7 @@ func layerOptimum(t *testing.T) (best conv.Config, bestM Measurement, e CacheEnt
 		return true
 	})
 	return best, bestM, CacheEntry{Arch: arch.Name, Kind: Direct.String(), Shape: shapeToCached(s),
-		Config: configToCached(best), Seconds: bestM.Seconds, GFLOPS: bestM.GFLOPS}
+		Config: configToCached(best), Seconds: bestM.Seconds}
 }
 
 // A search that misses the cache and then loses its put to a better entry

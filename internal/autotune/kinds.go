@@ -91,7 +91,7 @@ type kindSpec struct {
 	// fixed is the exact cost of the config-independent launches that run
 	// beside the tunable one (nil: the dataflow is a single launch). The
 	// floor and every measurement add it as a constant.
-	fixed func(memsim.Arch, shapes.ConvShape) (seconds float64, flops int64)
+	fixed func(memsim.Arch, shapes.ConvShape) (seconds float64)
 
 	// emit renders the schedule body (template.go).
 	emit func(scheduleWriter, shapes.ConvShape, conv.Config)
@@ -274,7 +274,7 @@ func (k Kind) Phase(arch memsim.Arch, s shapes.ConvShape, c conv.Config) (counts
 		return memsim.Counts{}, memsim.Launch{}, 0, err
 	}
 	if row.fixed != nil {
-		fixed, _ = row.fixed(arch, s)
+		fixed = row.fixed(arch, s)
 	}
 	return counts, row.launch(s, c), fixed, nil
 }

@@ -58,10 +58,10 @@ func goldenFloats(vs []float64) string {
 // goldenConfig writes everything the engine derives from one configuration.
 func goldenConfig(b *bytes.Buffer, sp *Space, mm *MemoMeasure, tag string, c conv.Config) {
 	m, ok := mm.Measure(c)
-	fmt.Fprintf(b, "  %s %+v\n    features %s\n    bound %s floor %s measure %s %s %v\n",
+	fmt.Fprintf(b, "  %s %+v\n    features %s\n    bound %s floor %s measure %s %v\n",
 		tag, c, goldenFloats(sp.FeaturesInto(nil, c)),
 		goldenFloat(sp.BoundSeconds(c)), goldenFloat(sp.analyticFloor(c)),
-		goldenFloat(m.Seconds), goldenFloat(m.GFLOPS), ok)
+		goldenFloat(m.Seconds), ok)
 }
 
 func goldenSpace(b *bytes.Buffer, arch memsim.Arch, kind Kind, name string, s shapes.ConvShape, pruned bool) {
@@ -90,8 +90,8 @@ func goldenSpace(b *bytes.Buffer, arch memsim.Arch, kind Kind, name string, s sh
 		fmt.Fprintf(b, "  analytic error %v\n", err)
 	}
 	for i, v := range top {
-		fmt.Fprintf(b, "  analytic[%d] %+v floor %s seconds %s gflops %s\n",
-			i, v.Config, goldenFloat(v.Floor), goldenFloat(v.Seconds), goldenFloat(v.GFLOPS))
+		fmt.Fprintf(b, "  analytic[%d] %+v floor %s seconds %s\n",
+			i, v.Config, goldenFloat(v.Floor), goldenFloat(v.Seconds))
 	}
 	if len(seeds) > 0 {
 		fmt.Fprintf(b, "  schedule of seed[0]:\n")
@@ -144,8 +144,8 @@ func goldenTune(b *bytes.Buffer, arch memsim.Arch, kind Kind) error {
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(b, "tune %s best %+v seconds %s gflops %s measurements %d pruned %d convergedAt %d stop %v history %016x\n",
-		kind, tr.Best, goldenFloat(tr.BestM.Seconds), goldenFloat(tr.BestM.GFLOPS),
+	fmt.Fprintf(b, "tune %s best %+v seconds %s measurements %d pruned %d convergedAt %d stop %v history %016x\n",
+		kind, tr.Best, goldenFloat(tr.BestM.Seconds),
 		tr.Measurements, tr.Pruned, tr.ConvergedAt, tr.Stop, goldenHistoryHash(tr.History))
 	return nil
 }
@@ -154,7 +154,7 @@ func goldenTune(b *bytes.Buffer, arch memsim.Arch, kind Kind) error {
 func goldenHistoryHash(hist []MeasuredConfig) uint64 {
 	h := fnv.New64a()
 	for _, mc := range hist {
-		fmt.Fprintf(h, "%+v %s %s %v\n", mc.Config, goldenFloat(mc.M.Seconds), goldenFloat(mc.M.GFLOPS), mc.OK)
+		fmt.Fprintf(h, "%+v %s %v\n", mc.Config, goldenFloat(mc.M.Seconds), mc.OK)
 	}
 	return h.Sum64()
 }

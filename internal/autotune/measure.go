@@ -50,12 +50,11 @@ type MemoMeasure struct {
 	row      *kindSpec // the kind's row of kindTable, resolved once
 	shapeErr error     // non-nil when the shape itself is invalid
 
-	// fixedSec/fixedFlops are the cost of the row's fixed launches (the FFT
-	// pipeline's transform phases; zero for a single-launch dataflow),
-	// computed once at construction; each measurement adds them so results
-	// stay bit-identical to the row's dry evaluator.
-	fixedSec   float64
-	fixedFlops int64
+	// fixedSec is the cost of the row's fixed launches (the FFT pipeline's
+	// transform phases; zero for a single-launch dataflow), computed once at
+	// construction; each measurement adds it so results stay bit-identical
+	// to the row's dry evaluator.
+	fixedSec float64
 
 	mu   sync.RWMutex
 	memo map[countsKey]countsEntry
@@ -71,7 +70,7 @@ func NewMemoMeasure(arch memsim.Arch, s shapes.ConvShape, kind Kind) *MemoMeasur
 		memo:     make(map[countsKey]countsEntry),
 		full:     make(map[conv.Config]measEntry)}
 	if mm.row.fixed != nil && mm.shapeErr == nil {
-		mm.fixedSec, mm.fixedFlops = mm.row.fixed(arch, s)
+		mm.fixedSec = mm.row.fixed(arch, s)
 	}
 	return mm
 }
@@ -123,11 +122,7 @@ func (mm *MemoMeasure) measureCold(c conv.Config) (Measurement, bool) {
 	if math.IsInf(seconds, 1) {
 		return Measurement{}, false
 	}
-	// GFLOPS = Flops/seconds/1e9, exactly what arch.GFLOPS computes from
-	// the same finite Time — without running the time model twice. Fixed
-	// launches join both terms, matching conv.DryFFTTiled.
-	flops := ent.counts.Flops + mm.fixedFlops
-	return Measurement{Seconds: seconds, GFLOPS: float64(flops) / seconds / 1e9}, true
+	return Measurement{Seconds: seconds}, true
 }
 
 // Len reports how many distinct tile keys have been evaluated — a

@@ -3,6 +3,7 @@ package autotune
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -21,7 +22,7 @@ func unmemoizedMeasurer(arch memsim.Arch, s shapes.ConvShape, kind Kind) Measure
 		if err != nil || math.IsInf(res.Seconds, 1) {
 			return Measurement{}, false
 		}
-		return Measurement{Seconds: res.Seconds, GFLOPS: res.GFLOPS}, true
+		return Measurement{Seconds: res.Seconds}, true
 	}
 }
 
@@ -187,13 +188,8 @@ func TestTuneWithMemoBitIdentical(t *testing.T) {
 			memoTrace.ConvergedAt != rawTrace.ConvergedAt {
 			t.Fatalf("%v: memo trace %+v diverges from raw %+v", kind, memoTrace, rawTrace)
 		}
-		if len(memoTrace.Curve) != len(rawTrace.Curve) {
-			t.Fatalf("%v: curve lengths differ", kind)
-		}
-		for i := range memoTrace.Curve {
-			if memoTrace.Curve[i] != rawTrace.Curve[i] {
-				t.Fatalf("%v: curve diverges at %d: %g != %g", kind, i, memoTrace.Curve[i], rawTrace.Curve[i])
-			}
+		if !slices.Equal(memoTrace.History, rawTrace.History) {
+			t.Fatalf("%v: memo history diverges from raw", kind)
 		}
 	}
 }

@@ -39,8 +39,8 @@ func TestTuneWorkersDeterministic(t *testing.T) {
 		t.Errorf("bookkeeping differs: (%d,%d) vs (%d,%d)",
 			t1.Measurements, t1.ConvergedAt, t8.Measurements, t8.ConvergedAt)
 	}
-	if !reflect.DeepEqual(t1.Curve, t8.Curve) {
-		t.Error("convergence curves differ across worker counts")
+	if !reflect.DeepEqual(t1.History, t8.History) {
+		t.Error("measurement histories differ across worker counts")
 	}
 }
 

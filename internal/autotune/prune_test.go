@@ -242,21 +242,16 @@ func TestTunePrunesCandidates(t *testing.T) {
 	}
 }
 
-// traceEqual compares every field of two traces — curve and full
-// measurement history included, since the history is what PutTrace
+// traceEqual compares every field of two traces — the full measurement
+// history included, since the history is what PutTrace
 // persists and a resumed search replays; worker-count determinism must
 // cover it too.
 func traceEqual(a, b *Trace) bool {
 	if a.Method != b.Method || a.Best != b.Best || a.BestM != b.BestM ||
 		a.Measurements != b.Measurements || a.ConvergedAt != b.ConvergedAt ||
 		a.Pruned != b.Pruned || a.Budget != b.Budget || a.Stop != b.Stop || a.GapRef != b.GapRef || a.Waived != b.Waived ||
-		len(a.Curve) != len(b.Curve) || len(a.History) != len(b.History) {
+		len(a.History) != len(b.History) {
 		return false
-	}
-	for i := range a.Curve {
-		if a.Curve[i] != b.Curve[i] {
-			return false
-		}
 	}
 	for i := range a.History {
 		if a.History[i] != b.History[i] {

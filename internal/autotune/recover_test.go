@@ -24,7 +24,7 @@ func seedCache(t *testing.T, n int) *Cache {
 		sh.Cout = s.Cout + i // distinct shapes -> distinct keys
 		cfg := conv.Config{TileX: 9, TileY: 3, TileZ: 8, ThreadsX: 3, ThreadsY: 3, ThreadsZ: 2,
 			SharedPerBlock: 4096}
-		c.Put(arch.Name, Direct, sh, cfg, Measurement{Seconds: 1.5e-4 * float64(i+1), GFLOPS: 100 * float64(i+1)})
+		c.Put(arch.Name, Direct, sh, cfg, Measurement{Seconds: 1.5e-4 * float64(i+1)})
 	}
 	return c
 }
@@ -46,7 +46,7 @@ func TestSaveFileAtomicRoundTrip(t *testing.T) {
 	}
 	// Overwrite with more state: rename-over must replace cleanly.
 	c.Put(arch.Name, Direct, entryShape(7), conv.Config{TileX: 3, TileY: 3, TileZ: 4,
-		ThreadsX: 3, ThreadsY: 3, ThreadsZ: 2, SharedPerBlock: 2048}, Measurement{Seconds: 2e-4, GFLOPS: 50})
+		ThreadsX: 3, ThreadsY: 3, ThreadsZ: 2, SharedPerBlock: 2048}, Measurement{Seconds: 2e-4})
 	if err := c.SaveFile(path); err != nil {
 		t.Fatal(err)
 	}
@@ -84,8 +84,8 @@ func TestLoadChecksumDetectsBitRot(t *testing.T) {
 	if !bytes.Contains(data, []byte(`"checksum": "crc32c:`)) {
 		t.Fatal("saved file carries no checksum")
 	}
-	// GFLOPS 100 -> 900: valid JSON, valid entry, wrong bytes.
-	rotted := bytes.Replace(data, []byte(`"gflops": 100`), []byte(`"gflops": 900`), 1)
+	// Seconds 0.00015 -> 0.00095: valid JSON, valid entry, wrong bytes.
+	rotted := bytes.Replace(data, []byte(`"seconds": 0.00015`), []byte(`"seconds": 0.00095`), 1)
 	if bytes.Equal(rotted, data) {
 		t.Fatal("test corruption did not apply")
 	}

@@ -62,12 +62,10 @@ type Space struct {
 	divs    map[int][]int
 
 	// bmemo caches the floor terms per (Sb, e) for the pruning oracle
-	// (bound.go); flops is the layer's arithmetic, the numerator of an
-	// analytic verdict's GFLOP/s. fixedSec is the row's fixed-launch cost
-	// for this (arch, shape): every bound and floor adds it as a constant.
-	// sizeOnce guards the cached admissible-config count.
+	// (bound.go). fixedSec is the row's fixed-launch cost for this (arch,
+	// shape): every bound and floor adds it as a constant. sizeOnce guards
+	// the cached admissible-config count.
 	bmemo    boundMemo
-	flops    float64
 	fixedSec float64
 	sizeOnce sync.Once
 	size     int64
@@ -96,12 +94,12 @@ func NewSpace(s shapes.ConvShape, arch memsim.Arch, kind Kind, e int, pruned boo
 		}
 	}
 	sp := &Space{Shape: s, Arch: arch, Kind: kind, Pruned: pruned,
-		row: row, reuse: s.R(), flops: float64(s.FLOPs())}
+		row: row, reuse: s.R()}
 	if row.reuse != nil {
 		sp.reuse = row.reuse(s)
 	}
 	if row.fixed != nil {
-		sp.fixedSec, _ = row.fixed(arch, s)
+		sp.fixedSec = row.fixed(arch, s)
 	}
 	sp.xsByE = make(map[int][]int)
 	sp.ysByE = make(map[int][]int)

@@ -17,7 +17,6 @@ import (
 // simulated hardware (the template manager's job in Figure 8).
 type Measurement struct {
 	Seconds float64
-	GFLOPS  float64
 }
 
 // Measurer runs one configuration and reports its cost; ok is false for
@@ -101,7 +100,7 @@ type Options struct {
 	NoPrune bool
 	// Workers is how many goroutines the measurement executor fans each
 	// batch of candidates across (default 1). The best configuration, the
-	// convergence curve and every other engine output are bit-identical for
+	// measurement history and every other engine output are bit-identical for
 	// any worker count given a fixed Seed: candidates are chosen before the
 	// batch is dispatched and outcomes are recorded in submission order, up
 	// to the one a proof ends the search at (see fanBooked).
@@ -185,13 +184,13 @@ func (o Options) normalized() Options {
 	return o
 }
 
-// Trace records a tuning run: the best configuration found and the
-// best-so-far curve per measurement (Figure 11's series).
+// Trace records a tuning run: the best configuration found and every
+// measurement in order (History), from which BestSoFar derives the
+// best-so-far series (Figure 11's curves).
 type Trace struct {
 	Method       string
 	Best         conv.Config
 	BestM        Measurement
-	Curve        []float64 // best GFLOPS after each measurement
 	Measurements int
 	// ConvergedAt is the measurement index (1-based) of the last
 	// improvement — the paper's "iterations" column in Table 2.
@@ -333,13 +332,12 @@ func (r *record) add(c conv.Config, m Measurement, ok bool) {
 		r.trace.Best = c
 		r.trace.BestM = m
 	}
-	r.trace.Curve = append(r.trace.Curve, r.trace.BestM.GFLOPS)
 }
 
 // incumbentBefore reports whether a measurement of c at seconds t displaces
 // an incumbent best at bt: it is faster, or as fast and first in configLess
 // order — so the verdict is a function of the measured set, not of the order
-// the walk measured it in. record.add and curveOf share it.
+// the walk measured it in. record.add and BestSoFar share it.
 func incumbentBefore(t float64, c conv.Config, bt float64, best conv.Config) bool {
 	return t < bt || (t == bt && configLess(c, best))
 }

@@ -282,7 +282,7 @@ func countRepeats(t *testing.T, inner Measurer, forbidden map[conv.Config]bool) 
 }
 
 // Resume at a doubled budget: the persisted history replays — zero repeat
-// measurements — the convergence curve extends the original exactly, and
+// measurements — the history extends the original exactly, and
 // the verdict can only improve.
 func TestResumeDoubledBudgetNoRemeasure(t *testing.T) {
 	sp := mustSpace(t, true)
@@ -292,7 +292,7 @@ func TestResumeDoubledBudgetNoRemeasure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hist, curve, ok := cache.State(arch.Name, Direct, layer())
+	hist, ok := cache.State(arch.Name, Direct, layer())
 	if !ok || len(hist) == 0 {
 		t.Fatal("TuneCached persisted no engine state")
 	}
@@ -312,12 +312,12 @@ func TestResumeDoubledBudgetNoRemeasure(t *testing.T) {
 	if tr.Measurements != len(hist)+*calls {
 		t.Errorf("measurements %d != replayed %d + fresh %d", tr.Measurements, len(hist), *calls)
 	}
-	if len(tr.Curve) < len(curve) {
-		t.Fatalf("resumed curve shorter than original: %d < %d", len(tr.Curve), len(curve))
+	if len(tr.History) < len(hist) {
+		t.Fatalf("resumed history shorter than original: %d < %d", len(tr.History), len(hist))
 	}
-	for i := range curve {
-		if tr.Curve[i] != curve[i] {
-			t.Fatalf("resumed curve diverges from the original at %d", i)
+	for i := range hist {
+		if tr.History[i] != hist[i] {
+			t.Fatalf("resumed history diverges from the original at %d", i)
 		}
 	}
 	if tr.BestM.Seconds > m0.Seconds {
@@ -351,7 +351,7 @@ func TestResumeCoveredByPatienceStop(t *testing.T) {
 	if _, _, err := TuneCached(cache, sp, measure, opts); err != nil {
 		t.Fatal(err)
 	}
-	hist, _, ok := cache.State(arch.Name, Direct, layer())
+	hist, ok := cache.State(arch.Name, Direct, layer())
 	if !ok || len(hist) >= 200 {
 		t.Fatalf("setup: want a patience-stopped history below budget, got %d rows", len(hist))
 	}
@@ -422,7 +422,7 @@ func TestTuneNetworkResume(t *testing.T) {
 	}
 	already := make(map[conv.Config]bool)
 	for _, l := range layers {
-		if hist, _, ok := cache.State(arch.Name, Direct, l.Shape); ok {
+		if hist, ok := cache.State(arch.Name, Direct, l.Shape); ok {
 			for _, h := range hist {
 				already[h.Config] = true
 			}
@@ -441,7 +441,7 @@ func TestTuneNetworkResume(t *testing.T) {
 		t.Errorf("resume changed the key count: %d -> %d", first, cache.Len())
 	}
 	for i, l := range layers {
-		hist, _, ok := cache.State(arch.Name, Direct, l.Shape)
+		hist, ok := cache.State(arch.Name, Direct, l.Shape)
 		if !ok {
 			t.Fatalf("layer %s lost its state", l.Name)
 		}
@@ -594,7 +594,7 @@ func TestColdWave(t *testing.T) {
 	// tile shrinks, so the search is seeded.
 	cache = NewCache()
 	cache.Put(arch.Name, Winograd, shape(3, 32, 28), conv.Config{TileX: 4, TileY: 4, TileZ: 16,
-		ThreadsX: 1, ThreadsY: 1, ThreadsZ: 1, SharedPerBlock: 256, WinogradE: 4}, Measurement{Seconds: 1e-3, GFLOPS: 1})
+		ThreadsX: 1, ThreadsY: 1, ThreadsZ: 1, SharedPerBlock: 256, WinogradE: 4}, Measurement{Seconds: 1e-3})
 	cands = cache.candidates(arch.Name, Winograd, false)
 	if len(cands) == 0 {
 		t.Fatal("the Winograd verdict has no floor ratio: the kind would run a cold wave")

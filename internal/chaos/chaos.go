@@ -183,9 +183,6 @@ func (in *Injector) Wrap(salt uint64, measure autotune.Measurer) autotune.Fallib
 			factor := 1 + in.cfg.NoiseAmp*(2*unit(c, attempt, saltNoise)-1)
 			if factor > 0 {
 				m.Seconds *= factor
-				if m.Seconds > 0 {
-					m.GFLOPS /= factor
-				}
 				in.noised.Add(1)
 			}
 		}

@@ -128,9 +128,9 @@ func TestFaultsPreserveVerdict(t *testing.T) {
 	if faulty.Measurements != clean.Measurements {
 		t.Fatalf("measurement count changed: %d vs %d", faulty.Measurements, clean.Measurements)
 	}
-	for i := range clean.Curve {
-		if faulty.Curve[i] != clean.Curve[i] {
-			t.Fatalf("curve diverged at %d", i)
+	for i := range clean.History {
+		if faulty.History[i] != clean.History[i] {
+			t.Fatalf("history diverged at %d", i)
 		}
 	}
 	if faulty.Retries == 0 {

@@ -103,15 +103,14 @@ func fftFixedPhases(s shapes.ConvShape) []phase {
 	return []phase{{p1, l1}, {p2, l2}, {p4, l4}}
 }
 
-// FFTFixedCost returns the simulated seconds and flops of the FFT
-// convolution's config-independent phases (the forward and inverse
-// transforms). The tuner's memoized measurer computes this once per space.
-func FFTFixedCost(arch memsim.Arch, s shapes.ConvShape) (seconds float64, flops int64) {
+// FFTFixedCost returns the simulated seconds of the FFT convolution's
+// config-independent phases (the forward and inverse transforms). The
+// tuner's memoized measurer computes this once per space.
+func FFTFixedCost(arch memsim.Arch, s shapes.ConvShape) (seconds float64) {
 	for _, p := range fftFixedPhases(s) {
 		seconds += arch.Time(p.counts, p.launch)
-		flops += p.counts.Flops
 	}
-	return seconds, flops
+	return seconds
 }
 
 // FFTTiledCounts returns the exact phase-3 traffic of the tiled FFT dataflow.

@@ -64,13 +64,22 @@ func Fig11(opts Options) (*Fig11Result, *report.Table, error) {
 		return nil, nil, err
 	}
 
+	// A best-so-far series of seconds (autotune.BestSoFar) read as the
+	// layer's useful rate.
+	rates := func(tr *autotune.Trace) []float64 {
+		curve := autotune.BestSoFar(tr.History)
+		for i, sec := range curve {
+			curve[i] = layer.GFLOPS(sec)
+		}
+		return curve
+	}
 	res := &Fig11Result{
-		ATE: ate.Curve, SA: sa.Curve, GA: ga.Curve, Random: rnd.Curve,
-		Baseline: lib.GFLOPS,
+		ATE: rates(ate), SA: rates(sa), GA: rates(ga), Random: rates(rnd),
+		Baseline: layer.GFLOPS(lib.Seconds),
 	}
 	t := report.New("Figure 11: tuning convergence on AlexNet conv1 (V100 model, best-so-far GFLOPS)",
 		"measurement", "ATE", "SA", "GA", "random", "library")
-	step := len(ate.Curve) / 12
+	step := len(res.ATE) / 12
 	if step < 1 {
 		step = 1
 	}
@@ -84,7 +93,7 @@ func Fig11(opts Options) (*Fig11Result, *report.Table, error) {
 		return c[i]
 	}
 	for i := 0; i < budget; i += step {
-		t.AddRowF(i+1, at(ate.Curve, i), at(sa.Curve, i), at(ga.Curve, i), at(rnd.Curve, i), res.Baseline)
+		t.AddRowF(i+1, at(res.ATE, i), at(res.SA, i), at(res.GA, i), at(res.Random, i), res.Baseline)
 	}
 	return res, t, nil
 }

@@ -10,9 +10,9 @@ import (
 	"repro/internal/shapes"
 )
 
-// Fig13Result is one bar triple of Figure 13: attained GFLOPS of our tuned
-// dataflow, the TVM proxy and the library baseline for one convolution case
-// on one architecture.
+// Fig13Result is one bar triple of Figure 13: the useful GFLOPS
+// (shapes.ConvShape.GFLOPS) of our tuned dataflow, the TVM proxy and the
+// library baseline for one convolution case on one architecture.
 type Fig13Result struct {
 	Case    string
 	Arch    string
@@ -79,7 +79,8 @@ func Fig13(opts Options) ([]Fig13Result, *report.Table, error) {
 				return nil, nil, err
 			}
 			results = append(results, Fig13Result{
-				Case: c.name, Arch: arch.Name, Ours: ot.BestM.GFLOPS, TVM: tt.BestM.GFLOPS, Library: base.GFLOPS,
+				Case: c.name, Arch: arch.Name, Ours: c.s.GFLOPS(ot.BestM.Seconds),
+				TVM: c.s.GFLOPS(tt.BestM.Seconds), Library: c.s.GFLOPS(base.Seconds),
 			})
 		}
 	}

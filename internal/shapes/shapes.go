@@ -97,6 +97,17 @@ func (s ConvShape) FLOPs() int64 {
 	return per * int64(s.Batch)
 }
 
+// GFLOPS is the layer's useful arithmetic rate when it runs in seconds:
+// FLOPs()/seconds/1e9, the direct algorithm's flops whatever algorithm ran,
+// so a faster run always reads a higher rate. 0 when seconds is not
+// positive.
+func (s ConvShape) GFLOPS(seconds float64) float64 {
+	if !(seconds > 0) {
+		return 0
+	}
+	return float64(s.FLOPs()) / seconds / 1e9
+}
+
 // R is the maximum input-reuse factor Wker·Hker/μ² from Equation (13) of the
 // paper: how many sliding windows can touch one input element.
 func (s ConvShape) R() float64 {

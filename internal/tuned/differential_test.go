@@ -84,12 +84,12 @@ func diffPush(rng *rand.Rand, entries []autotune.CacheEntry) []autotune.CacheEnt
 	push := make([]autotune.CacheEntry, 1+rng.Intn(3))
 	for i := range push {
 		e := entries[rng.Intn(len(entries))]
-		e.Rows, e.Curve = nil, nil
+		e.Rows = nil
 		switch rng.Intn(3) {
 		case 0:
-			e.Seconds, e.GFLOPS = e.Seconds/2, e.GFLOPS*2
+			e.Seconds /= 2
 		case 1:
-			e.Seconds, e.GFLOPS = e.Seconds*2, e.GFLOPS/2
+			e.Seconds *= 2
 		}
 		push[i] = e
 	}

@@ -192,7 +192,6 @@ func movedEntry(t *testing.T, cache *autotune.Cache) autotune.CacheEntry {
 	t.Helper()
 	e := alexEntry(t, cache)
 	e.Seconds /= 100
-	e.GFLOPS *= 100
 	e.Rows = nil
 	return e
 }
@@ -202,7 +201,7 @@ func putUnrelated(cache *autotune.Cache) {
 	cache.Put(testArch.Name, autotune.Direct,
 		shapes.ConvShape{Batch: 1, Cin: 7, Cout: 9, Hin: 11, Win: 11, Hker: 3, Wker: 3, Strid: 1},
 		conv.Config{TileX: 1, TileY: 1, TileZ: 1, ThreadsX: 1, ThreadsY: 1, ThreadsZ: 1},
-		autotune.Measurement{Seconds: 1, GFLOPS: 1})
+		autotune.Measurement{Seconds: 1})
 }
 
 // A reply recorded again under the same body replaces the one before it in
@@ -555,7 +554,6 @@ func TestReplayUnderConcurrentWrites(t *testing.T) {
 	for i := 1; i < steps; i++ {
 		e := states[i-1]
 		e.Seconds /= 2
-		e.GFLOPS *= 2
 		if err := srv.cache.PutEntries([]autotune.CacheEntry{e}); err != nil {
 			t.Fatal(err)
 		}
@@ -709,7 +707,6 @@ func scaledEntries(t *testing.T, cache *autotune.Cache, factor float64) []autotu
 	entries := cacheEntries(t, cache)
 	for i := range entries {
 		e := &entries[i]
-		e.Curve = nil
 		e.Rows = slices.Clone(e.Rows)
 		for j := range e.Rows {
 			e.Rows[j].Seconds *= factor
@@ -832,7 +829,7 @@ func TestReplayAnalyticFallsThrough(t *testing.T) {
 			desc := repro.NetworkDescription{Arch: testArch.Name, Layers: []repro.LayerDescription{novelLayer}}
 			srv.cache.Put(testArch.Name, autotune.Direct, desc.NetworkLayers()[0].Shape,
 				conv.Config{TileX: 1, TileY: 1, TileZ: 1, ThreadsX: 1, ThreadsY: 1, ThreadsZ: 1},
-				autotune.Measurement{Seconds: 1, GFLOPS: 1})
+				autotune.Measurement{Seconds: 1})
 			return true
 		}},
 		{"prefix verdict rewritten", func(t *testing.T, srv *Server, _ *atomic.Int64) bool {
@@ -840,7 +837,6 @@ func TestReplayAnalyticFallsThrough(t *testing.T) {
 			// reads only rows, does not.
 			e := alexEntry(t, srv.cache)
 			e.Seconds /= 100
-			e.GFLOPS *= 100
 			if err := srv.cache.PutEntries([]autotune.CacheEntry{e}); err != nil {
 				t.Fatal(err)
 			}

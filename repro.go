@@ -47,8 +47,10 @@ type Tensor = tensor.Tensor
 // Tile is an output sub-block x×y×z.
 type Tile = bounds.Tile
 
-// TuneTrace records a tuning run: the best configuration and the
-// best-so-far curve.
+// TuneTrace records a tuning run: the best configuration and every
+// measurement in order (History). Its best-so-far series is derived from
+// History (autotune.BestSoFar); no rate is stored, and
+// shapes.ConvShape.GFLOPS reads a time as the layer's useful rate.
 type TuneTrace = autotune.Trace
 
 // Kind selects a convolution algorithm template ("direct", "winograd",

@@ -287,7 +287,10 @@ type VerdictDescription struct {
 	Kind    string            `json:"kind"` // "direct" | "winograd" | "fft" | "igemm"
 	Config  ConfigDescription `json:"config"`
 	Seconds float64           `json:"seconds"`
-	GFLOPS  float64           `json:"gflops"`
+	// GFLOPS is the layer's useful rate at Seconds: its direct-algorithm
+	// flops (shapes.ConvShape.FLOPs) per second, in 1e9, on every tier and
+	// for every kind, so a faster verdict always reads a higher rate.
+	GFLOPS float64 `json:"gflops"`
 	// Shared reports that the verdict came without running a fresh search
 	// here: a cache hit, or deduplication onto a concurrent identical
 	// search (possibly another client's).
@@ -316,7 +319,7 @@ func DescribeVerdicts(verdicts []LayerVerdict) []VerdictDescription {
 		}
 		out[i] = VerdictDescription{Layer: v.Layer.Name, Repeat: r,
 			Kind: v.Kind.String(), Config: DescribeConfig(v.Config),
-			Seconds: v.M.Seconds, GFLOPS: v.M.GFLOPS, Shared: v.Shared,
+			Seconds: v.M.Seconds, GFLOPS: v.Layer.Shape.GFLOPS(v.M.Seconds), Shared: v.Shared,
 			Partial: v.Partial, Tier: v.Tier.String()}
 	}
 	return out
