@@ -179,111 +179,131 @@ func TestChooseKindsSkipsSpacelessTask(t *testing.T) {
 	}
 }
 
-// A non-Direct search whose gap only its layer's Direct lead can prove waits
-// for the lead's incumbent at twice its own measurements, giving its worker
-// slot back while it waits, so a sweep of one worker still finishes; and the
-// traces are those of any other timing. A slowed Direct measurer makes the
-// implicit-GEMM search reach its gap question first.
-func TestGapWaitsForTheDirectVerdict(t *testing.T) {
-	s := resnet18Layers()[0].Shape
-	layers := []NetworkLayer{{Name: "conv0", Shape: s, Repeat: 1}}
-	tune := DefaultOptions()
-	tune.Seed = 2
-	sweep := func(workers int, slowDirect bool) (direct, igemm *Trace) {
-		opts := NetworkOptions{Tune: tune, Workers: workers, Kinds: []Kind{ImplicitGEMM},
-			WrapMeasurer: func(k Kind, _ shapes.ConvShape, m Measurer) FallibleMeasurer {
-				if k == Direct && slowDirect {
-					return LiftMeasurer(func(c conv.Config) (Measurement, bool) {
-						time.Sleep(time.Millisecond)
-						return m(c)
-					})
-				}
-				return LiftMeasurer(m)
-			}}
-		plan := planSweep(arch, layers, opts)
-		done := make(chan error, 1)
-		go func() { done <- plan.run(context.Background(), NewCache(), opts) }()
-		select {
-		case err := <-done:
-			if err != nil {
-				t.Fatal(err)
-			}
-		case <-time.After(time.Minute):
-			t.Fatalf("workers=%d: the sweep did not finish", workers)
+// leadWaitLayers are three resnet18 layers whose implicit-GEMM searches,
+// led by Direct at seed 0, read their lead for both stops that read it:
+// conv0's trails its lead and stops on the short Patience, and stage3_proj's,
+// which ends at its lead's verdict, keeps the full Patience and stops on the
+// gap against it. stage2 has a Winograd lead, which waives its Direct
+// search.
+func leadWaitLayers() (conv0, stage2, proj NetworkLayer) {
+	l := resnet18Layers()
+	return NetworkLayer{Name: "conv0", Shape: l[0].Shape, Repeat: 1},
+		NetworkLayer{Name: "stage2", Shape: l[4].Shape, Repeat: 1},
+		NetworkLayer{Name: "stage3_proj", Shape: l[6].Shape, Repeat: 1}
+}
+
+// leadWaitSweep runs the sweep of layers at workers, with the measurers of
+// the kinds slow says on the shapes it says slowed by a millisecond, and
+// returns its traces in plan order. A sweep that does not finish within a
+// minute — a follower that kept its worker slot while it waited for its
+// lead — fails the test instead of hanging it.
+func leadWaitSweep(t *testing.T, layers []NetworkLayer, opts NetworkOptions, slow func(Kind, shapes.ConvShape) bool) []*Trace {
+	t.Helper()
+	opts.WrapMeasurer = func(k Kind, s shapes.ConvShape, m Measurer) FallibleMeasurer {
+		if slow != nil && slow(k, s) {
+			return LiftMeasurer(func(c conv.Config) (Measurement, bool) {
+				time.Sleep(time.Millisecond)
+				return m(c)
+			})
 		}
-		return plan.tasks[0].trace, plan.tasks[1].trace
+		return LiftMeasurer(m)
 	}
-	direct, igemm := sweep(2, false)
-	if igemm.Stop != StopGap || igemm.GapRef != direct.BestM.Seconds {
-		t.Fatalf("implicit GEMM stopped on %v against %v, want gap against the Direct verdict %v",
-			igemm.Stop, igemm.GapRef, direct.BestM.Seconds)
+	plan := planSweep(arch, layers, opts)
+	done := make(chan error, 1)
+	go func() { done <- plan.run(context.Background(), NewCache(), opts) }()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(time.Minute):
+		t.Fatalf("workers=%d: the sweep did not finish", opts.Workers)
 	}
+	traces := make([]*Trace, len(plan.tasks))
+	for i, task := range plan.tasks {
+		traces[i] = task.trace
+	}
+	return traces
+}
+
+// checkLeadStops holds the two implicit-GEMM followers of leadWaitLayers to
+// their stops: conv0's trails its Direct lead's verdict and stops on the
+// short Patience, 2·BatchSize flat measurements or a batch more; stage3_proj's
+// goes past that unstopped and stops on the gap against its lead's verdict.
+func checkLeadStops(t *testing.T, tune Options, conv0Direct, conv0IGEMM, projDirect, projIGEMM *Trace) {
+	t.Helper()
+	trail := 2 * tune.BatchSize
+	if g, f := conv0IGEMM, conv0IGEMM.Measurements-conv0IGEMM.ConvergedAt; g.Stop != StopPatience ||
+		!(conv0Direct.BestM.Seconds < g.BestM.Seconds) || f < trail || f >= trail+tune.BatchSize {
+		t.Fatalf("conv0 implicit GEMM stopped on %v at %v after %d flat measurements, Direct verdict %v; want the short Patience of a trailing follower",
+			g.Stop, g.BestM.Seconds, f, conv0Direct.BestM.Seconds)
+	}
+	if g := projIGEMM; g.Stop != StopGap || g.GapRef != projDirect.BestM.Seconds || g.Measurements-g.ConvergedAt < trail {
+		t.Fatalf("stage3_proj implicit GEMM stopped on %v against %v after %d flat measurements, want gap against the Direct verdict %v",
+			g.Stop, g.GapRef, g.Measurements-g.ConvergedAt, projDirect.BestM.Seconds)
+	}
+}
+
+// A Direct-led search waits for its lead's incumbent at twice its own
+// measurements, giving its worker slot back while it waits, so a sweep of one
+// worker still finishes; and the traces are those of any other timing. A
+// slowed Direct measurer makes the implicit-GEMM searches reach their
+// questions first: the trailing follower's short Patience and the gap stop
+// both read the lead they wait for.
+func TestGapWaitsForTheDirectVerdict(t *testing.T) {
+	conv0, _, proj := leadWaitLayers()
+	layers := []NetworkLayer{conv0, proj}
+	tune := DefaultOptions()
+	tune.Seed = 0
+	opts := NetworkOptions{Tune: tune, Workers: 2, Kinds: []Kind{ImplicitGEMM}}
+	slow := func(k Kind, _ shapes.ConvShape) bool { return k == Direct }
+	want := leadWaitSweep(t, layers, opts, nil)
+	// The plan: conv0 Direct, conv0 implicit GEMM, stage3_proj Direct,
+	// implicit GEMM.
+	if len(want) != 4 {
+		t.Fatalf("%d searches, want 4", len(want))
+	}
+	checkLeadStops(t, tune, want[0], want[1], want[2], want[3])
 	for _, workers := range []int{1, 1, 1, 2, 4} {
-		d, g := sweep(workers, true)
-		if !traceEqual(d, direct) || !traceEqual(g, igemm) {
-			t.Errorf("workers=%d, slow Direct: traces diverge (implicit GEMM stopped on %v after %d against %v)",
-				workers, g.Stop, g.Measurements, g.GapRef)
+		opts.Workers = workers
+		for i, tr := range leadWaitSweep(t, layers, opts, slow) {
+			if !traceEqual(tr, want[i]) {
+				t.Errorf("workers=%d, slow Direct: search %d diverges (stopped on %v after %d against %v)",
+					workers, i, tr.Stop, tr.Measurements, tr.GapRef)
+			}
 		}
 	}
 }
 
-// A follower whose gap only its layer's lead can prove waits for the lead's
-// incumbent at twice its own measurements, giving its worker slot back while
-// it waits, so a sweep of one worker still finishes; and the traces are those
-// of any other timing.
-// Slowed lead measurers make the followers reach their first gap check
-// first: conv0's implicit-GEMM search follows its Direct lead and stops on
-// the gap against the Direct verdict; stage2's Direct search follows its
-// Winograd lead and stops on the waiver.
+// A follower waits for its layer lead's incumbent at twice its own
+// measurements, giving its worker slot back while it waits, so a sweep of one
+// worker still finishes; and the traces are those of any other timing.
+// Slowed lead measurers make the followers reach their questions first: the
+// implicit-GEMM searches of conv0 and stage3_proj follow their Direct leads
+// and stop on the trailing Patience and on the gap; stage2's Direct search
+// follows its Winograd lead and stops on the waiver.
 func TestGapWaitsForTheLeadVerdict(t *testing.T) {
-	conv0, stage2 := resnet18Layers()[0].Shape, resnet18Layers()[4].Shape
-	layers := []NetworkLayer{{Name: "conv0", Shape: conv0, Repeat: 1}, {Name: "stage2", Shape: stage2, Repeat: 1}}
+	conv0, stage2, proj := leadWaitLayers()
+	layers := []NetworkLayer{conv0, stage2, proj}
 	tune := DefaultOptions()
-	tune.Seed = 2
-	sweep := func(workers int, slowLeads bool) []*Trace {
-		opts := NetworkOptions{Tune: tune, Workers: workers, Winograd: true, Kinds: []Kind{ImplicitGEMM},
-			WrapMeasurer: func(k Kind, s shapes.ConvShape, m Measurer) FallibleMeasurer {
-				if slowLeads && (k == Winograd || k == Direct && s == conv0) {
-					return LiftMeasurer(func(c conv.Config) (Measurement, bool) {
-						time.Sleep(time.Millisecond)
-						return m(c)
-					})
-				}
-				return LiftMeasurer(m)
-			}}
-		plan := planSweep(arch, layers, opts)
-		done := make(chan error, 1)
-		go func() { done <- plan.run(context.Background(), NewCache(), opts) }()
-		select {
-		case err := <-done:
-			if err != nil {
-				t.Fatal(err)
-			}
-		case <-time.After(time.Minute):
-			t.Fatalf("workers=%d: the sweep did not finish", workers)
-		}
-		traces := make([]*Trace, len(plan.tasks))
-		for i, task := range plan.tasks {
-			traces[i] = task.trace
-		}
-		return traces
+	tune.Seed = 0
+	opts := NetworkOptions{Tune: tune, Workers: 2, Winograd: true, Kinds: []Kind{ImplicitGEMM}}
+	slow := func(k Kind, s shapes.ConvShape) bool {
+		return k == Winograd || k == Direct && s != stage2.Shape
 	}
-	want := sweep(2, false)
+	want := leadWaitSweep(t, layers, opts, nil)
 	// The plan: conv0 Direct, conv0 implicit GEMM, stage2 Direct, Winograd,
-	// implicit GEMM.
-	if len(want) != 5 {
-		t.Fatalf("%d searches, want 5", len(want))
+	// implicit GEMM, stage3_proj Direct, implicit GEMM.
+	if len(want) != 7 {
+		t.Fatalf("%d searches, want 7", len(want))
 	}
-	direct, igemm := want[0], want[1]
-	if igemm.Stop != StopGap || igemm.GapRef != direct.BestM.Seconds {
-		t.Fatalf("conv0 implicit GEMM stopped on %v against %v, want gap against the Direct verdict %v",
-			igemm.Stop, igemm.GapRef, direct.BestM.Seconds)
-	}
+	checkLeadStops(t, tune, want[0], want[1], want[5], want[6])
 	if led := want[2]; led.Stop != StopGap || !led.Waived {
 		t.Fatalf("stage2 Direct stopped on %v (waived %t), want the waiver's gap stop", led.Stop, led.Waived)
 	}
 	for _, workers := range []int{1, 1, 1, 2, 4} {
-		for i, tr := range sweep(workers, true) {
+		opts.Workers = workers
+		for i, tr := range leadWaitSweep(t, layers, opts, slow) {
 			if !traceEqual(tr, want[i]) {
 				t.Errorf("workers=%d, slow leads: search %d diverges (stopped on %v after %d against %v)",
 					workers, i, tr.Stop, tr.Measurements, tr.GapRef)

@@ -108,8 +108,9 @@ func TestZooMinFloorMatchesAnalyticTop(t *testing.T) {
 // configuration must measure at or above its tight floor, every
 // search that stopped on the certificate must end on the enumerated optimum,
 // and that optimum must be the minimum floor; every search that stopped on
-// the gap must hold its proof, GapRef / G ≤ the minimum floor ≤ the
-// optimum, and every waived one its lead's verdict below that floor (led by
+// the gap f flat measurements after its last improvement must hold its
+// proof, GapRef / g(f) ≤ the minimum floor ≤ the optimum (g(f) ≤ G, and G
+// once stale), and every waived one its lead's verdict below that floor (led by
 // Winograd, its own verdict within G of it too); and every stop's fields
 // must agree (StopMismatch). The per-seed, per-kind tallies, the stop mix — searches,
 // off-optimum searches and measurements per (kind, stop), then the Patience
@@ -135,33 +136,50 @@ func TestZooMinFloorMatchesAnalyticTop(t *testing.T) {
 //     network time at 10⁶ serves. A change that trades one for the other
 //     gains when Σ measurements × 0.06 s + Σ network s × 10⁶ falls; a
 //     layer loss beyond the band is reported beside that price.
+//   - Layers are read beside the regret on each `layers` line: the pass's
+//     network time above the time with every layer at the best enumerated
+//     optimum over its kinds, and the largest one layer contributes. Layers
+//     count how many shapes miss their optimum, the regret how much it
+//     costs: a change that loses layers in the band while its Σ regret
+//     moves by less than the price of its measurements lost nothing a
+//     serve would pay for.
+//
+// A change is judged on V100 and read on a held-out architecture
+// (TestZooOracle1080Ti), so that constants tuned on one machine's timings
+// are not tuned to them alone.
 func TestZooOracle(t *testing.T) {
-	zooOracleGolden(t, "oracle.golden", 0)
+	zooOracleGolden(t, "oracle.golden", laneArch, 0)
 }
 
 // TestZooOracleHeldOut is TestZooOracle at engine seeds 4–7, pinned in
 // testdata/oracle_heldout.golden beside the first quartet's, so a
 // verdict-moving change shows on both.
 func TestZooOracleHeldOut(t *testing.T) {
-	zooOracleGolden(t, "oracle_heldout.golden", 4)
+	zooOracleGolden(t, "oracle_heldout.golden", laneArch, 4)
 }
 
 // TestZooOracleSeeds8To15 is TestZooOracle at engine seeds 8–15, the
 // meter's other half, pinned in testdata/oracle_seeds8_15.golden.
 func TestZooOracleSeeds8To15(t *testing.T) {
-	zooOracleGolden(t, "oracle_seeds8_15.golden", 8, 12)
+	zooOracleGolden(t, "oracle_seeds8_15.golden", laneArch, 8, 12)
 }
 
-// zooOracleGolden runs the oracle at the four engine seeds from each of
-// firsts and checks the tallies against the named golden.
-func zooOracleGolden(t *testing.T, name string, firsts ...int64) {
+// TestZooOracle1080Ti is TestZooOracle's pass on the GTX 1080 Ti, a held-out
+// architecture, at engine seeds 0–3, pinned in testdata/oracle_1080ti.golden.
+func TestZooOracle1080Ti(t *testing.T) {
+	zooOracleGolden(t, "oracle_1080ti.golden", memsim.GTX1080Ti, 0)
+}
+
+// zooOracleGolden runs the oracle on arch at the four engine seeds from each
+// of firsts and checks the tallies against the named golden.
+func zooOracleGolden(t *testing.T, name string, arch memsim.Arch, firsts ...int64) {
 	if testing.Short() {
 		t.Skip("measures every configuration of 146 spaces per seed")
 	}
 	var golden bytes.Buffer
 	for _, first := range firsts {
 		for seed := first; seed < first+4; seed++ {
-			zooOracle(t, seed, &golden)
+			zooOracle(t, arch, seed, &golden)
 		}
 	}
 	autotune.CheckGolden(t, name, golden.Bytes())
@@ -249,13 +267,13 @@ type stopKey struct {
 	stop autotune.StopReason
 }
 
-// zooOracle checks one seed's pass against the enumerated optima and writes
-// its tallies, over all searches and per kind, its stop mix and its layer
-// meter to golden.
-func zooOracle(t *testing.T, seed int64, golden *bytes.Buffer) {
+// zooOracle checks one seed's pass on arch against the enumerated optima and
+// writes its tallies, over all searches and per kind, its stop mix and its
+// layer meter to golden.
+func zooOracle(t *testing.T, arch memsim.Arch, seed int64, golden *bytes.Buffer) {
 	tune := autotune.DefaultOptions()
 	tune.Seed = seed
-	sweeps, searches := coldZooPass(t, tune, autotune.NewCache())
+	sweeps, searches := coldZooPassOn(t, arch, tune, autotune.NewCache())
 
 	var all oracleTally
 	perKind := make(map[autotune.Kind]*oracleTally)
@@ -288,12 +306,14 @@ func zooOracle(t *testing.T, seed int64, golden *bytes.Buffer) {
 			t.Errorf("seed %d: %v %s: certified at %v, optimum %v, minimum floor %v",
 				seed, sp.Shape, sp.Kind, verdict, opt.Seconds, floor)
 		}
-		// A gap stop claims that no measurable configuration has a floor
-		// below GapRef / G, so neither the minimum floor nor the optimum
-		// above it lies below that.
-		if s.Stop == autotune.StopGap && !(s.GapRef/autotune.GapRatio <= floor) {
-			t.Errorf("seed %d: %v %s: gap stop against %v, minimum floor %v, optimum %v",
-				seed, sp.Shape, sp.Kind, s.GapRef, floor, opt.Seconds)
+		// A gap stop taken f flat measurements after the last improvement
+		// claims that no measurable configuration has a floor below
+		// GapRef / g(f), so neither the minimum floor nor the optimum above
+		// it lies below that. The pass resumes nothing and counts every
+		// improvement, so f is the measurements after ConvergedAt.
+		if g := autotune.GapWait(s.Measurements - s.ConvergedAt); s.Stop == autotune.StopGap && !(s.GapRef/g <= floor) {
+			t.Errorf("seed %d: %v %s: gap stop against %v at g %v, minimum floor %v, optimum %v",
+				seed, sp.Shape, sp.Kind, s.GapRef, g, floor, opt.Seconds)
 		}
 		// A waived stop claims that the lead's incumbent it stopped against,
 		// never below the lead's verdict, lies below every floor of the
@@ -348,9 +368,11 @@ func zooOracle(t *testing.T, seed int64, golden *bytes.Buffer) {
 
 	// The layer meter: a reply carries the min over a layer's kinds, so a
 	// shape is at the optimum when, in every sweep that holds it, its
-	// verdict is the best optimum over the kinds searched for it there.
+	// verdict is the best optimum over the kinds searched for it there. A
+	// layer's regret is its verdict's time above that optimum, times its
+	// repeat count.
 	atOptimum := make(map[shapes.ConvShape]bool)
-	networkMS := 0.0
+	networkMS, regretUS, worstUS, worst := 0.0, 0.0, 0.0, "none"
 	for i, fx := range zooFixtures() {
 		opts := zooOptions(fx, tune)
 		networkMS += autotune.NetworkSeconds(sweeps[i]) * 1e3
@@ -364,6 +386,11 @@ func zooOracle(t *testing.T, seed int64, golden *bytes.Buffer) {
 			key := groupsKey(autotune.Direct, v.Layer.Shape).Shape
 			at, seen := atOptimum[key]
 			atOptimum[key] = (at || !seen) && v.M.Seconds == best
+			r := (v.M.Seconds - best) * float64(max(v.Layer.Repeat, 1)) * 1e6
+			regretUS += r
+			if r > worstUS {
+				worstUS, worst = r, fx.name+" "+v.Layer.Name
+			}
 		}
 	}
 	layers := 0
@@ -372,8 +399,9 @@ func zooOracle(t *testing.T, seed int64, golden *bytes.Buffer) {
 			layers++
 		}
 	}
-	fmt.Fprintf(golden, "seed %d layers: %d of %d shapes at the optimum, network %s ms\n",
-		seed, layers, len(atOptimum), strconv.FormatFloat(networkMS, 'g', -1, 64))
+	g := func(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
+	fmt.Fprintf(golden, "seed %d layers: %d of %d shapes at the optimum, network %s ms, regret %s µs, largest %s µs (%s)\n",
+		seed, layers, len(atOptimum), g(networkMS), g(regretUS), g(worstUS), worst)
 }
 
 // patienceTax is what a pass spends after its searches stop improving:

@@ -75,8 +75,11 @@ type Options struct {
 	// iteration.
 	WalkSteps int
 	// Patience stops the run after this many measurements without
-	// improvement (0 disables; DefaultOptions sets 90). The gap stop asks
-	// its proof once a search has gone ¾ of it.
+	// improvement (0 disables; DefaultOptions sets 90). A Direct-led
+	// follower in a network sweep whose lead's incumbent lies below its own
+	// stops after min(Patience, 2·BatchSize) instead. The gap stop asks ever
+	// looser ratios as a search goes flat, up to G once it has gone ¾ of
+	// Patience (see Tune).
 	Patience int
 	// MinDelta is the relative improvement (in measured seconds) below
 	// which an improvement does not reset Patience — the min_delta of
@@ -238,7 +241,9 @@ type Trace struct {
 	// StopGap — the incumbent's seconds, or on a stale follower the lower of
 	// that and its layer lead's incumbent at leadAhead times its own
 	// measurements: no measurable configuration has a tight floor below
-	// GapRef / 1.3. On a waived stop it is that lead incumbent, below every
+	// GapRef / g(f), f the fresh measurements since the last significant
+	// improvement and g(f) ≤ 1.3 (gapWait), so below GapRef / 1.3 on every
+	// gap stop. On a waived stop it is that lead incumbent, below every
 	// tight floor. 0 on every other stop; in memory only, like Stop.
 	GapRef float64
 	// Waived is set on a gap stop taken before the search went stale: its
@@ -256,7 +261,8 @@ const (
 	// StopBudget: the run spent its measurement budget.
 	StopBudget StopReason = iota
 	// StopPatience: Patience measurements passed without a significant
-	// improvement.
+	// improvement — fewer for a Direct-led follower that trails its lead
+	// (see Options.Patience).
 	StopPatience
 	// StopCertified: the incumbent met the minimum tight floor of the space
 	// (Space.minFloor), so no configuration can beat it.
@@ -269,21 +275,36 @@ const (
 	// StopCancelled: the context was cancelled or its deadline passed
 	// (Trace.Partial).
 	StopCancelled
-	// StopGap: the search went stale and no measurable configuration has a
-	// tight floor below its reference over gapRatio, so nothing left can
-	// move its layer's verdict by more than that factor (Trace.GapRef); or
-	// its kind cannot win its layer (Trace.Waived).
+	// StopGap: no measurable configuration has a tight floor below the
+	// search's reference over g(f), a ratio that grows from 1 to gapRatio as
+	// the search goes flat, so nothing left can move its layer's verdict by
+	// more than that factor (Trace.GapRef); or its kind cannot win its layer
+	// (Trace.Waived).
 	StopGap
 )
 
 // gapRatio (G) and gapStale (F, a fraction of Patience) set the gap stop,
-// and leadAhead how far ahead of a follower its lead's incumbent is read for
-// the waiver, as a multiple of the follower's measurements (see Tune).
+// and leadAhead how far ahead of a follower its lead's incumbent is read, as
+// a multiple of the follower's measurements (see Tune).
 const (
 	gapRatio  = 1.3
 	gapStale  = 0.75
 	leadAhead = 2
 )
+
+// gapWait is g(f), the ratio the gap stop proves after f fresh
+// measurements without a significant improvement: 1 + (G−1)·(f/staleAfter)³
+// before the search is stale, G from there on. It runs from the
+// certificate's ratio (g = 1) to the stale gap stop's, so a search whose
+// incumbent the bound already holds within a few percent stops after a few
+// flat batches instead of waiting staleAfter measurements.
+func gapWait(f, staleAfter int) float64 {
+	if f >= staleAfter {
+		return gapRatio
+	}
+	x := float64(f) / float64(staleAfter)
+	return 1 + (gapRatio-1)*x*x*x
+}
 
 func (r StopReason) String() string {
 	switch r {
@@ -357,11 +378,13 @@ func (r *record) over(budget, patience int) bool {
 }
 
 func (r *record) stale(patience int) bool {
-	since := r.sigAt
-	if r.resumedAt > since {
-		since = r.resumedAt
-	}
-	return patience > 0 && r.found && r.trace.Measurements-since >= patience
+	return patience > 0 && r.found && r.flat() >= patience
+}
+
+// flat is how many fresh measurements the run has taken since its last
+// significant improvement; replayed history is not fresh.
+func (r *record) flat() int {
+	return r.trace.Measurements - max(r.sigAt, r.resumedAt)
 }
 
 // Tune runs the paper's auto-tuning engine (Figure 8): iterate
@@ -371,7 +394,8 @@ func (r *record) stale(patience int) bool {
 // four stops: the budget is spent (StopBudget), patience is exhausted
 // (StopPatience), the incumbent is proven optimal (StopCertified), or the
 // bound proves that nothing left can move the layer's verdict by more than
-// 1.3× (StopGap). Each batch of proposals is measured by the
+// a ratio that grows from 1 to 1.3 as the search goes flat (StopGap). Each
+// batch of proposals is measured by the
 // worker-pool executor (opts.Workers goroutines); outcomes are recorded in
 // submission order, so the run is deterministic for a fixed seed at any
 // worker count.
@@ -393,16 +417,20 @@ func (r *record) stale(patience int) bool {
 //     incumbent's measured time t attains its own tight floor
 //     (analyticFloor, no scan), whether t ≤ m: floor ≤ measurement holds
 //     for every configuration, so then nothing can beat it, and the run
-//     stops with Trace.Stop = StopCertified. The gap stop asks, once the
-//     search has gone ¾ of Patience fresh measurements without a
-//     significant improvement, whether r/1.3 ≤ m for a reference r — the
-//     incumbent's seconds, or on a follower the lower of that and u, its
-//     layer lead's incumbent after twice the follower's measurements (the
-//     lead's final verdict where it stops short; the network sweep makes the
-//     layer's Winograd search its lead where it has one, its Direct search
-//     otherwise), waiting for the lead to get there. Then no measurement
-//     left can move the layer's verdict by more than a factor 1.3, and the
-//     run stops with Trace.Stop = StopGap and Trace.GapRef = r. The waiver
+//     stops with Trace.Stop = StopCertified. The gap stop asks, f fresh
+//     measurements after the last significant improvement, whether
+//     r/g(f) ≤ m, where g(f) = 1 + 0.3·(f/s)³ grows from 1 to 1.3 at
+//     s = ¾ of Patience (gapWait) and r is the incumbent's seconds. From s
+//     on, the search is stale: g is 1.3, and on a follower r is the lower
+//     of the incumbent and u, its layer lead's incumbent after twice the
+//     follower's measurements (the lead's final verdict where it stops
+//     short; the network sweep makes the layer's Winograd search its lead
+//     where it has one, its Direct search otherwise), waiting for the lead
+//     to get there. Then no measurement left can move the layer's verdict by
+//     more than a factor g(f) ≤ 1.3, and the run stops with Trace.Stop =
+//     StopGap and Trace.GapRef = r: an incumbent the bound holds within a
+//     few percent stops after a few flat batches, a looser one waits longer
+//     for the improvement that would tighten it. The waiver
 //     asks, on a follower not yet stale, whether u < m: then the lead's
 //     verdict, ≤ u, lies below every floor, the kind cannot win the layer,
 //     and the run stops with Trace.Waived and Trace.GapRef = u. Every
@@ -416,7 +444,13 @@ func (r *record) stale(patience int) bool {
 //     that proves them: nothing later in its batch, and no later batch
 //     (seed, warm seed, initial random, loop), is booked. The gap stop and
 //     a Winograd-led follower's waiver, like Patience and the budget, are
-//     asked between batches. A booked stop is final: no later check
+//     asked between batches. So is a Direct-led follower's Patience, which
+//     is 2·BatchSize where u lies below its incumbent r: every request
+//     searches Direct and answers the least verdict, so a follower that
+//     trails its Direct lead matters only if it overtakes it, which a
+//     search flat for two batches seldom does. A Winograd-led follower keeps
+//     the full Patience, since a "winograd": false request reads it alone,
+//     and so does a lead. A booked stop is final: no later check
 //     rewrites it. The proof keeps a lower bound on m and whether it is m
 //     itself, and scans only when asked above an inexact bound, cut at the
 //     asked value: a scan that finds a floor below it has found m, and one
@@ -553,9 +587,9 @@ func TuneFallible(ctx context.Context, sp *Space, measure FallibleMeasurer, opts
 	// follower's waiver. The certificate is asked only once the incumbent
 	// attains its own tight floor, which a certified one does. A follower
 	// reads its lead's incumbent after leadAhead times its own measurements:
-	// once stale as the lower reference r, before that for the waiver, where
-	// its lead is Direct or its own incumbent proves the gap. Bound-blind
-	// runs (NoPrune) have no oracle and never stop on a proof.
+	// before it is stale for the waiver, where its lead is Direct or its own
+	// incumbent proves the gap, and once stale as the lower reference r.
+	// Bound-blind runs (NoPrune) have no oracle and never stop on a proof.
 	var floors proof
 	staleAfter := int(gapStale * float64(opts.Patience))
 	proven := func(between bool) bool {
@@ -568,25 +602,40 @@ func TuneFallible(ctx context.Context, sp *Space, measure FallibleMeasurer, opts
 			return true
 		}
 		stale := rec.stale(staleAfter)
-		if !between && (stale || !opts.leadDirect) {
+		if !stale && opts.lead != nil && (opts.leadDirect || between && floors.atLeast(sp, r/gapRatio)) {
+			// The waiver: the lead's incumbent, never below its final
+			// verdict, lies below every floor of the space.
+			u := opts.lead(leadAhead * rec.trace.Measurements)
+			if !math.IsInf(u, 1) && floors.atLeast(sp, math.Nextafter(u, math.Inf(1))) {
+				rec.trace.Stop, rec.trace.GapRef, rec.trace.Waived = StopGap, u, true
+				return true
+			}
+		}
+		if !between || staleAfter == 0 {
 			return false
 		}
 		if stale && opts.lead != nil {
 			r = min(r, opts.lead(leadAhead*rec.trace.Measurements))
 		}
-		if (!stale && opts.lead == nil) || ((stale || !opts.leadDirect) && !floors.atLeast(sp, r/gapRatio)) {
+		if !floors.atLeast(sp, r/gapWait(rec.flat(), staleAfter)) {
 			return false
 		}
-		if !stale {
-			// The waiver: the lead's incumbent, never below its final
-			// verdict, lies below every floor of the space.
-			u := opts.lead(leadAhead * rec.trace.Measurements)
-			if math.IsInf(u, 1) || !floors.atLeast(sp, math.Nextafter(u, math.Inf(1))) {
-				return false
-			}
-			rec.trace.Waived, r = true, u
-		}
 		rec.trace.Stop, rec.trace.GapRef = StopGap, r
+		return true
+	}
+	// trails takes the Patience of a Direct-led follower that trails its
+	// lead: once it has gone trailPatience fresh measurements without a
+	// significant improvement and its lead's incumbent after leadAhead times
+	// its measurements lies below its own, it stops with StopPatience. Every
+	// request searches Direct and answers the least verdict over its kinds,
+	// so such a search matters only where it beats Direct.
+	trailPatience := min(opts.Patience, 2*opts.BatchSize)
+	trails := func() bool {
+		if !opts.leadDirect || !rec.stale(trailPatience) ||
+			!(opts.lead(leadAhead*rec.trace.Measurements) < rec.trace.BestM.Seconds) {
+			return false
+		}
+		rec.trace.Stop = StopPatience
 		return true
 	}
 	// proved is set once proven has booked a stop: nothing is measured or
@@ -761,7 +810,7 @@ func TuneFallible(ctx context.Context, sp *Space, measure FallibleMeasurer, opts
 	var startsBuf, ranked []scored
 	var candBuf []conv.Config
 	for !proved && !rec.over(opts.Budget, opts.Patience) {
-		if proven(true) {
+		if trails() || proven(true) {
 			break
 		}
 		if ctx.Err() != nil {

@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/autotune"
 	"repro/internal/conv"
+	"repro/internal/memsim"
 	"repro/internal/shapes"
 )
 
@@ -187,10 +188,15 @@ func countMeasurements(tune *autotune.Options) *atomic.Int64 {
 // fresh, for a cold pass — with cmd/tuned's network options. It returns each
 // sweep's verdicts and every search the pass ran.
 func coldZooPass(tb testing.TB, tune autotune.Options, cache *autotune.Cache) ([][]autotune.LayerVerdict, []autotune.SearchTrace) {
+	return coldZooPassOn(tb, laneArch, tune, cache)
+}
+
+// coldZooPassOn is coldZooPass on arch.
+func coldZooPassOn(tb testing.TB, arch memsim.Arch, tune autotune.Options, cache *autotune.Cache) ([][]autotune.LayerVerdict, []autotune.SearchTrace) {
 	var sweeps [][]autotune.LayerVerdict
 	var searches []autotune.SearchTrace
 	for _, fx := range zooFixtures() {
-		verdicts, ran, err := autotune.TuneNetworkTraces(laneArch, fx.layers, cache, zooOptions(fx, tune))
+		verdicts, ran, err := autotune.TuneNetworkTraces(arch, fx.layers, cache, zooOptions(fx, tune))
 		if err != nil {
 			tb.Fatal(err)
 		}

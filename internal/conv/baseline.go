@@ -32,12 +32,8 @@ func finishPhased(arch memsim.Arch, out *tensor.Tensor, phases []phase) *Result 
 		total.Flops += p.counts.Flops
 		seconds += arch.Time(p.counts, p.launch)
 	}
-	gf := 0.0
-	if seconds > 0 {
-		gf = float64(total.Flops) / seconds / 1e9
-	}
 	l := phases[len(phases)-1].launch
-	return &Result{Output: out, Counts: total, Launch: l, Seconds: seconds, GFLOPS: gf}
+	return &Result{Output: out, Counts: total, Launch: l, Seconds: seconds}
 }
 
 // clippedLen returns the length of the overlap of [lo, lo+n) with [0, max).

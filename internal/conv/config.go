@@ -174,6 +174,4 @@ type Result struct {
 	Launch memsim.Launch
 	// Seconds is the simulated runtime under arch's time model.
 	Seconds float64
-	// GFLOPS is the attained rate FLOPs/Seconds.
-	GFLOPS float64
 }

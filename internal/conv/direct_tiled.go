@@ -1,7 +1,6 @@
 package conv
 
 import (
-	"math"
 	"runtime"
 	"sync"
 
@@ -46,15 +45,9 @@ func DryDirectTiled(arch memsim.Arch, s shapes.ConvShape, cfg Config) (Result, e
 }
 
 // dryResult finishes a single-phase dry evaluation, running the time model
-// once (GFLOPS is Flops/seconds, exactly what arch.GFLOPS would recompute;
-// an infinite time yields 0 GFLOPS either way).
+// once.
 func dryResult(arch memsim.Arch, counts memsim.Counts, l memsim.Launch) Result {
-	seconds := arch.Time(counts, l)
-	gf := 0.0
-	if seconds > 0 && !math.IsInf(seconds, 1) {
-		gf = float64(counts.Flops) / seconds / 1e9
-	}
-	return Result{Counts: counts, Launch: l, Seconds: seconds, GFLOPS: gf}
+	return Result{Counts: counts, Launch: l, Seconds: arch.Time(counts, l)}
 }
 
 // blockGrid returns the block-grid extents of the tiled dataflows: output

@@ -200,19 +200,6 @@ func TestTimePenalizesBadLaunch(t *testing.T) {
 	}
 }
 
-func TestGFLOPS(t *testing.T) {
-	a := V100
-	l := Launch{Blocks: 4096, ThreadsPerBlock: 256, SharedPerBlock: 4096}
-	c := Counts{GlobalLoads: 1 << 20, Flops: 1 << 32}
-	g := a.GFLOPS(c, l)
-	if g <= 0 || g > a.PeakGFLOPS {
-		t.Errorf("GFLOPS=%v outside (0, peak]", g)
-	}
-	if got := a.GFLOPS(c, Launch{}); got != 0 {
-		t.Errorf("GFLOPS of invalid launch = %v want 0", got)
-	}
-}
-
 func TestMaxSharedPerBlock(t *testing.T) {
 	for _, a := range Catalog {
 		if a.MaxSharedPerBlock() != a.SharedPerSM/2 {

@@ -150,14 +150,3 @@ func (a Arch) Time(c Counts, l Launch) float64 {
 	}
 	return a.Seconds(r, float64(c.GlobalIO())*bytesPerFloat, float64(c.SharedIO())*bytesPerFloat, float64(c.Flops))
 }
-
-// GFLOPS returns the attained arithmetic rate of a measured kernel under the
-// time model, the metric reported by the paper's Figures 11 and 13 and
-// Table 2.
-func (a Arch) GFLOPS(c Counts, l Launch) float64 {
-	t := a.Time(c, l)
-	if t <= 0 || math.IsInf(t, 1) {
-		return 0
-	}
-	return float64(c.Flops) / t / 1e9
-}
