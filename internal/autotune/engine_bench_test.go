@@ -167,3 +167,39 @@ func benchRows(n int, seed int64) ([][]float64, []float64) {
 	}
 	return x, y
 }
+
+// TestTuneEngineAllocCeiling holds BenchmarkTuneEngine's two variants to the
+// allocations they made when the engine became one driver over a search
+// struct: a search at budget 192, Patience 0, on a warmed memoized measurer,
+// space construction included. A change that allocates per booking, per
+// proposal or per loop iteration again fails it; one that allocates less
+// lowers the ceiling.
+func TestTuneEngineAllocCeiling(t *testing.T) {
+	arch := memsim.V100
+	s := engineBenchLayer()
+	measure := KindMeasurer(arch, s, Direct)
+	for _, v := range []struct {
+		name    string
+		noPrune bool
+		ceiling float64
+	}{{"current", false, 346}, {"noprune", true, 925}} {
+		opts := DefaultOptions()
+		opts.Budget = 192
+		opts.Patience = 0
+		opts.Seed = 1
+		opts.NoPrune = v.noPrune
+		allocs := testing.AllocsPerRun(50, func() {
+			sp, err := NewSpace(s, arch, Direct, 0, true)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := Tune(sp, measure, opts); err != nil {
+				t.Fatal(err)
+			}
+		})
+		t.Logf("%s: %.0f allocs/op", v.name, allocs)
+		if allocs > v.ceiling {
+			t.Errorf("%s: %.0f allocs/op, ceiling %.0f", v.name, allocs, v.ceiling)
+		}
+	}
+}

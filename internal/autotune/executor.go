@@ -20,10 +20,7 @@ import (
 // goroutines (serially for workers <= 1). It is the worker-pool primitive
 // of the network-level tuner and the analytic tier's scans.
 func fanIndexed(n, workers int, fn func(int)) {
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
+	if workers = min(workers, n); workers <= 1 {
 		for i := 0; i < n; i++ {
 			fn(i)
 		}
@@ -43,7 +40,7 @@ func fanIndexed(n, workers int, fn func(int)) {
 	wg.Wait()
 }
 
-// fanBooked runs run(0) … run(n-1) across up to workers goroutines and books
+// fanBooked runs run(0) … run(n-1) across up to maxWorkers goroutines and books
 // the outcomes on the calling goroutine in index order: book(i) is called
 // once run(i) has returned and book(0) … book(i-1) have returned true. A
 // booking that returns false ends the fan there. Workers stop claiming new
@@ -58,10 +55,8 @@ func fanIndexed(n, workers int, fn func(int)) {
 // are still unbooked, so when book(i) ends the fan at most workers − 1
 // outcomes past i have run; they are dropped unbooked. Where book alone
 // ends the fan, the booked prefix is the same at any worker count.
-func fanBooked(ctx context.Context, n, workers int, run func(int), book func(int) bool) int {
-	if workers > n {
-		workers = n
-	}
+func fanBooked(ctx context.Context, n, maxWorkers int, run func(int), book func(int) bool) int {
+	workers := min(maxWorkers, n) // never reassigned, so the workers capture it by value
 	if workers <= 1 {
 		for i := 0; i < n; i++ {
 			if ctx.Err() != nil {

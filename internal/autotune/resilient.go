@@ -83,12 +83,7 @@ type RetryPolicy struct {
 }
 
 func (p RetryPolicy) normalized() RetryPolicy {
-	if p.MaxAttempts < 1 {
-		p.MaxAttempts = 1
-	}
-	if p.MedianK < 3 {
-		p.MedianK = 3
-	}
+	p.MaxAttempts, p.MedianK = max(p.MaxAttempts, 1), max(p.MedianK, 3)
 	if p.MedianK%2 == 0 {
 		p.MedianK++
 	}

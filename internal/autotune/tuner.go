@@ -2,7 +2,6 @@ package autotune
 
 import (
 	"context"
-	"fmt"
 	"math"
 	"math/rand"
 	"slices"
@@ -169,21 +168,8 @@ func DefaultOptions() Options {
 }
 
 func (o Options) normalized() Options {
-	if o.Budget < 1 {
-		o.Budget = 1
-	}
-	if o.BatchSize < 1 {
-		o.BatchSize = 1
-	}
-	if o.Walkers < 1 {
-		o.Walkers = 1
-	}
-	if o.WalkSteps < 1 {
-		o.WalkSteps = 1
-	}
-	if o.Workers < 1 {
-		o.Workers = 1
-	}
+	o.Budget, o.BatchSize, o.Walkers = max(o.Budget, 1), max(o.BatchSize, 1), max(o.Walkers, 1)
+	o.WalkSteps, o.Workers = max(o.WalkSteps, 1), max(o.Workers, 1)
 	return o
 }
 
@@ -395,10 +381,17 @@ func (r *record) flat() int {
 // (StopPatience), the incumbent is proven optimal (StopCertified), or the
 // bound proves that nothing left can move the layer's verdict by more than
 // a ratio that grows from 1 to 1.3 as the search goes flat (StopGap). Each
-// batch of proposals is measured by the
-// worker-pool executor (opts.Workers goroutines); outcomes are recorded in
-// submission order, so the run is deterministic for a fixed seed at any
-// worker count.
+// batch of proposals is measured by the worker-pool executor (opts.Workers
+// goroutines, search.measure); outcomes are booked in submission order
+// (search.add), so the run is deterministic for a fixed seed at any worker
+// count.
+//
+// The engine is one driver (TuneFallible) over a search, the state every
+// phase shares. The driver measures the opening proposals in order — the
+// Section-5 designs (search.designs), the snapped warm seeds
+// (search.snapped), the initial random guesses (search.initial) — and then
+// loops: ask the stops (search.stop), propose a batch (search.walk),
+// measure it (search.measure).
 //
 // Each batch the loop measures is spread over tiles: the model ranks the
 // whole candidate pool and the batch takes, in rank order, at most one
@@ -411,9 +404,9 @@ func (r *record) flat() int {
 //
 // Six things keep the engine's own machinery off the critical path:
 //
-//   - The stops on a proof (unless opts.NoPrune): the search asks one
-//     proof about m, the least tight floor over the space's measurable
-//     configurations (Space.minFloor). The certificate asks, once the
+//   - The stops on a proof (unless opts.NoPrune; search.proven): the search
+//     asks one proof about m, the least tight floor over the space's
+//     measurable configurations (Space.minFloor). The certificate asks, once the
 //     incumbent's measured time t attains its own tight floor
 //     (analyticFloor, no scan), whether t ≤ m: floor ≤ measurement holds
 //     for every configuration, so then nothing can beat it, and the run
@@ -440,11 +433,12 @@ func (r *record) flat() int {
 //     the gap, r/1.3 ≤ m: a "winograd": false request reads it without its
 //     lead, and gets a verdict within 1.3 of its optimum. The two exact
 //     proofs — the certificate and a Direct-led follower's waiver — are
-//     asked after every booked measurement and end the search at the one
-//     that proves them: nothing later in its batch, and no later batch
-//     (seed, warm seed, initial random, loop), is booked. The gap stop and
-//     a Winograd-led follower's waiver, like Patience and the budget, are
-//     asked between batches. So is a Direct-led follower's Patience, which
+//     asked after every booked measurement (search.stop(false)) and end the
+//     search at the one that proves them: nothing later in its batch, and no
+//     later batch (seed, warm seed, initial random, loop), is booked. The gap
+//     stop and a Winograd-led follower's waiver, like Patience and the
+//     budget, are asked between batches (search.stop(true)). So is a
+//     Direct-led follower's Patience, which
 //     is 2·BatchSize where u lies below its incumbent r: every request
 //     searches Direct and answers the least verdict, so a follower that
 //     trails its Direct lead matters only if it overtakes it, which a
@@ -458,16 +452,16 @@ func (r *record) flat() int {
 //     m, the booked prefix and the lead's progress — a function of the
 //     lead's own trace — so the stops fire at the same measurement at any
 //     worker count.
-//   - Bound-guided pruning (unless opts.NoPrune): the I/O-lower-bound
-//     oracle (Space.BoundSeconds) filters the candidate pool as it forms,
-//     before the batched ranking prediction; the walkers themselves step
-//     freely, warm or cold. The measurement batch asks the same predicate:
-//     nothing is measured between pool formation and the batch, so on a
-//     loop batch it cannot fire again — it is the only gate the Section 5
-//     seed, transferred-seed and initial-random batches pass through.
-//     Provably-worse candidates are counted in Trace.Pruned. Because the
-//     bound is a true floor on every measurement, pruning can never
-//     discard a configuration that would have improved the verdict.
+//   - Bound-guided pruning (unless opts.NoPrune; search.prune): the
+//     I/O-lower-bound oracle (Space.BoundSeconds) filters the candidate pool
+//     as it forms, before the batched ranking prediction; the walkers
+//     themselves step freely, warm or cold. The measurement batch asks the
+//     same predicate: nothing is measured between pool formation and the
+//     batch, so on a loop batch it cannot fire again — it is the only gate
+//     the Section 5 seed, transferred-seed and initial-random batches pass
+//     through. Provably-worse candidates are counted in Trace.Pruned.
+//     Because the bound is a true floor on every measurement, pruning can
+//     never discard a configuration that would have improved the verdict.
 //   - Warm-started cost model: the GBT forest is kept across iterations
 //     and refit incrementally (GBTModel.Update) on the grown dataset, with
 //     a full retrain only when the forest would exceed its size cap.
@@ -487,8 +481,8 @@ func (r *record) flat() int {
 // resume road) transfers state from related searches: other searches'
 // cached verdicts, snapped into the space, ranked by floor × measured/floor
 // ratio and measured first (replacing the cold start's random guesses), or a
-// persisted history, replayed without
-// re-measuring so a cached search resumes at a higher budget. A warm search
+// persisted history, replayed without re-measuring (search.replay) so a
+// cached search resumes at a higher budget. A warm search
 // that may prune starts its model on few rows, so the I/O bound carries it:
 // the model learns log measured − log analyticFloor, the floor residual, and
 // a prediction adds the log floor back. Its cadence is geometric from the
@@ -512,386 +506,401 @@ func Tune(sp *Space, measure Measurer, opts Options) (*Trace, error) {
 // measured, even under an already-expired context, so any run over a space
 // with valid seeds produces a verdict.
 func TuneFallible(ctx context.Context, sp *Space, measure FallibleMeasurer, opts Options) (*Trace, error) {
-	opts = opts.normalized()
-	rng := rand.New(rand.NewSource(opts.Seed))
-	rec := &record{trace: Trace{Method: "ate", Budget: opts.Budget}, minDelta: opts.MinDelta}
-
-	warm := opts.warm
-	resume := warm != nil && len(warm.History) > 0
-	// residual: the model learns the floor residual (see Tune); the
-	// bound-blind path has no floor to learn against.
-	residual := warm != nil && !opts.NoPrune
-
-	// Training rows are slices into one growing backing array (featStore):
-	// featurizing a measurement appends NumFeatures floats instead of
-	// allocating a fresh vector per config.
-	var feats [][]float64
-	var featStore []float64
-	var costs []float64
-	seen := make(map[conv.Config]bool)
-	// top holds the best measured configs (by real cost); they re-seed the
-	// walkers each iteration — the paper's "promising configurations are
-	// saved as the initial guesses for the next searching step".
-	var top bestK
-	top.reset(opts.Walkers)
-
-	// addRow books one measurement into the training set, and a successful
-	// one into top. Its target is the log-cost (failedCost for a failed
-	// config), less the log floor on a residual search; a row whose floor
-	// gives no baseline keeps failedCost.
-	addRow := func(c conv.Config, m Measurement, ok bool) {
-		cost := failedCost
-		if ok {
-			top.push(scored{c, m.Seconds})
-			cost = math.Log(m.Seconds)
-			if residual {
-				if base, has := sp.logFloor(c); has {
-					cost -= base
-				} else {
-					cost = failedCost
-				}
-			}
-		}
-		start := len(featStore)
-		featStore = sp.FeaturesInto(featStore, c)
-		feats = append(feats, featStore[start:len(featStore):len(featStore)])
-		costs = append(costs, cost)
+	s := newSearch(ctx, sp, measure, opts)
+	s.replay()
+	warm := s.snapped()
+	// The seed batch runs unconditionally — even under an already-expired
+	// ctx — so a deadline-bounded run over a space with valid seeds always
+	// has a verdict to report.
+	s.measure(context.Background(), s.designs())
+	s.measure(ctx, warm)
+	s.measure(ctx, s.initial(len(warm) > 0))
+	for !s.stop(true) {
+		s.measure(ctx, s.walk())
 	}
+	t := &s.rec.trace
+	if ctx.Err() != nil && t.Measurements < s.opts.Budget && t.Stop != StopCertified && t.Stop != StopGap {
+		// Cut short: the verdict is best-so-far, and the honest budget for a
+		// persisted trace is what actually ran — a repeat request resumes
+		// the search instead of trusting truncated coverage.
+		t.Partial, t.Budget, t.Stop = true, t.Measurements, StopCancelled
+	}
+	return finish(s.rec)
+}
 
+// search is one run of the engine: the booked state its driver
+// (TuneFallible), its proposers (designs, snapped, initial, walk) and its
+// stops share. A new proposer is a method that returns a batch for
+// measure, called by the driver in its turn; a per-stage count is a field
+// here, bumped where the stage runs.
+type search struct {
+	ctx  context.Context // bounds the run: stop books its cancellation
+	sp   *Space
+	opts Options // normalized
+	rng  *rand.Rand
 	// res is the fault-tolerance pipeline around the measurer: retry with
 	// seeded backoff, quarantine, noisy-reading defense. With the zero
 	// RetryPolicy and an error-free measurer every run() is exactly one
 	// measure() call, so the default path is untouched.
-	res := newResilient(measure, sp, opts.Retry, opts.Seed)
+	res resilient
+	rec *record // apart, so the returned trace holds none of the buffers below
+	// Training rows are slices into one growing backing array (featStore):
+	// featurizing a measurement appends NumFeatures floats instead of
+	// allocating a fresh vector per config.
+	feats            [][]float64
+	featStore, costs []float64
+	seen             map[conv.Config]bool
+	// top holds the best measured configs (by real cost); they re-seed the
+	// walkers each iteration — the paper's "promising configurations are
+	// saved as the initial guesses for the next searching step".
+	top    bestK
+	floors proof
+	// stopped is set once stop has booked a stop: nothing is measured or
+	// booked after it, and no later check rewrites the stop. exhausted is
+	// set by a walk that found nothing to propose.
+	stopped, exhausted bool
+	// Scratch reused across batches: the batch, the proposed batch and the
+	// outcomes; the model's view (the model and its prediction memo), the
+	// candidate pool, the walker starts and the ranking, the batch's tiles.
+	batchBuf, candBuf []conv.Config
+	resultBuf         []outcome
+	view              predictor
+	pool              map[conv.Config]bool
+	startsBuf, ranked []scored
+	tiles             map[tileKey]bool
+}
 
-	// prune is the engine's one branch-and-bound predicate: once any
-	// configuration has been measured, a candidate whose pruning floor
-	// (Space.BoundSeconds) exceeds the incumbent cannot improve it. Such a
-	// candidate is counted and marked seen — the best only ever decreases,
-	// so it would be pruned again at any later threshold — and the caller
-	// skips it.
-	prune := func(c conv.Config) bool {
-		if opts.NoPrune || !rec.found || !(sp.BoundSeconds(c) > rec.trace.BestM.Seconds) {
-			return false
-		}
-		seen[c] = true
-		rec.trace.Pruned++
-		return true
+func newSearch(ctx context.Context, sp *Space, measure FallibleMeasurer, opts Options) *search {
+	opts = opts.normalized()
+	return &search{
+		ctx: ctx, sp: sp, opts: opts,
+		rng:  rand.New(rand.NewSource(opts.Seed)),
+		res:  *newResilient(measure, sp, opts.Retry, opts.Seed),
+		rec:  &record{trace: Trace{Method: "ate", Budget: opts.Budget}, minDelta: opts.MinDelta},
+		seen: make(map[conv.Config]bool),
+		top:  bestK{k: opts.Walkers},
+		// A warm search that may prune learns the floor residual (see Tune);
+		// the bound-blind path has no floor to learn against.
+		view: predictor{sp: sp, residual: opts.warm != nil && !opts.NoPrune, memo: make(map[conv.Config]float64)},
+		pool: make(map[conv.Config]bool), tiles: make(map[tileKey]bool),
 	}
+}
 
-	// proven takes the stops on a proof (see Tune), asking the search's one
-	// proof about m, the space's least tight floor: it books the stop and
-	// reports true when one fires. After a booked measurement it asks the
-	// two exact proofs, the certificate and a Direct-led follower's waiver;
-	// between batches it also asks the gap stop and a Winograd-led
-	// follower's waiver. The certificate is asked only once the incumbent
-	// attains its own tight floor, which a certified one does. A follower
-	// reads its lead's incumbent after leadAhead times its own measurements:
-	// before it is stale for the waiver, where its lead is Direct or its own
-	// incumbent proves the gap, and once stale as the lower reference r.
-	// Bound-blind runs (NoPrune) have no oracle and never stop on a proof.
-	var floors proof
-	staleAfter := int(gapStale * float64(opts.Patience))
-	proven := func(between bool) bool {
-		if opts.NoPrune || !rec.found {
-			return false
-		}
-		r := rec.trace.BestM.Seconds
-		if r <= sp.analyticFloor(rec.trace.Best) && floors.atLeast(sp, r) {
-			rec.trace.Stop = StopCertified
-			return true
-		}
-		stale := rec.stale(staleAfter)
-		if !stale && opts.lead != nil && (opts.leadDirect || between && floors.atLeast(sp, r/gapRatio)) {
-			// The waiver: the lead's incumbent, never below its final
-			// verdict, lies below every floor of the space.
-			u := opts.lead(leadAhead * rec.trace.Measurements)
-			if !math.IsInf(u, 1) && floors.atLeast(sp, math.Nextafter(u, math.Inf(1))) {
-				rec.trace.Stop, rec.trace.GapRef, rec.trace.Waived = StopGap, u, true
-				return true
+// add books one outcome: into the record, into the training set, and a
+// successful one into top. Its training target is the log-cost (failedCost
+// for a failed config), less the log floor on a residual search; a row
+// whose floor gives no baseline keeps failedCost.
+func (s *search) add(c conv.Config, m Measurement, ok bool) {
+	s.rec.add(c, m, ok)
+	cost := failedCost
+	if ok {
+		s.top.push(scored{c, m.Seconds})
+		cost = math.Log(m.Seconds)
+		if s.view.residual {
+			if base, has := s.sp.logFloor(c); has {
+				cost -= base
+			} else {
+				cost = failedCost
 			}
 		}
-		if !between || staleAfter == 0 {
-			return false
-		}
-		if stale && opts.lead != nil {
-			r = min(r, opts.lead(leadAhead*rec.trace.Measurements))
-		}
-		if !floors.atLeast(sp, r/gapWait(rec.flat(), staleAfter)) {
-			return false
-		}
-		rec.trace.Stop, rec.trace.GapRef = StopGap, r
-		return true
 	}
-	// trails takes the Patience of a Direct-led follower that trails its
-	// lead: once it has gone trailPatience fresh measurements without a
-	// significant improvement and its lead's incumbent after leadAhead times
-	// its measurements lies below its own, it stops with StopPatience. Every
-	// request searches Direct and answers the least verdict over its kinds,
-	// so such a search matters only where it beats Direct.
-	trailPatience := min(opts.Patience, 2*opts.BatchSize)
-	trails := func() bool {
-		if !opts.leadDirect || !rec.stale(trailPatience) ||
-			!(opts.lead(leadAhead*rec.trace.Measurements) < rec.trace.BestM.Seconds) {
-			return false
-		}
-		rec.trace.Stop = StopPatience
-		return true
-	}
-	// proved is set once proven has booked a stop: nothing is measured or
-	// booked after it, and no later check rewrites the stop.
-	proved := false
-	// book publishes the trace's progress after a booking.
-	book := func() {
-		if opts.booked != nil {
-			best := math.Inf(1)
-			if rec.found {
-				best = rec.trace.BestM.Seconds
-			}
-			opts.booked(rec.trace.Measurements, best)
-		}
-	}
+	start := len(s.featStore)
+	s.featStore = s.sp.FeaturesInto(s.featStore, c)
+	s.feats = append(s.feats, s.featStore[start:len(s.featStore):len(s.featStore)])
+	s.costs = append(s.costs, cost)
+}
 
-	// measureBatch dedups the candidates against everything measured so
-	// far, drops the ones the lower bound proves non-improving, truncates
-	// to the remaining budget, fans the survivors across the executor's
-	// workers, and books the outcomes in submission order, asking the exact
-	// proofs after each: a proof ends the batch — and the search — at the
-	// booking that proves it. The batch and result buffers are reused across
-	// calls. Only a contiguous prefix of the outcomes is booked (see
-	// fanBooked), under a proof or a cancelled batchCtx alike, so a partial
-	// trace stays coherent; the search reads nothing of the unbooked rest.
-	var batchBuf []conv.Config
-	var resultBuf []outcome
-	measureBatch := func(batchCtx context.Context, cands []conv.Config) {
-		if proved {
-			return
+// book publishes the trace's progress after a booking.
+func (s *search) book() {
+	if s.opts.booked != nil {
+		best := math.Inf(1)
+		if s.rec.found {
+			best = s.rec.trace.BestM.Seconds
 		}
-		batch := batchBuf[:0]
-		for _, c := range cands {
-			if rec.trace.Measurements+len(batch) >= opts.Budget {
-				break
-			}
-			if seen[c] || prune(c) {
-				continue
-			}
-			seen[c] = true
-			batch = append(batch, c)
-		}
-		batchBuf = batch
-		if cap(resultBuf) < len(batch) {
-			resultBuf = make([]outcome, len(batch))
-		}
-		resultBuf = resultBuf[:len(batch)]
-		done := fanBooked(batchCtx, len(batch), opts.Workers, func(i int) {
-			if opts.MeasureLatency > 0 {
-				time.Sleep(opts.MeasureLatency)
-			}
-			resultBuf[i] = res.run(batchCtx, batch[i])
-		}, func(i int) bool {
-			c, out := batch[i], resultBuf[i]
-			rec.add(c, out.m, out.ok)
-			rec.trace.Retries += out.retries
-			rec.trace.Remeasured += out.remeasured
-			if out.quarantined {
-				rec.trace.Quarantined++
-			}
-			if opts.OnEvent != nil {
-				if out.quarantined {
-					opts.OnEvent(EventQuarantine)
-				}
-				for r := 0; r < out.retries; r++ {
-					opts.OnEvent(EventRetry)
-				}
-				opts.OnEvent(EventMeasure)
-			}
-			addRow(c, out.m, out.ok)
-			proved = proven(false)
-			return !proved
-		})
-		if done > 0 {
-			book()
-		}
+		s.opts.booked(s.rec.trace.Measurements, best)
 	}
+}
 
-	// The cost model is warm-started: the forest persists across
-	// iterations and each refit boosts UpdateTrees fresh rounds against
-	// the residuals over the grown dataset. Two situations fall back to a
-	// full retrain: on a raw search, tiny datasets (below warmStartRows a
-	// full fit is cheap and early trees overfit the first few measurements,
-	// so keeping them hurts guidance exactly when each measurement matters
-	// most — there the model is refitted every batch), and a forest at its
-	// size cap (prediction cost grows with forest size). Otherwise a refit
-	// waits until the training set has grown by 1/refitGrowth since the
-	// model last ingested it (refitDue). A residual search starts from the
-	// floor, which already ranks its first rows, so it is geometric from its
-	// first fit.
-	gcfg := DefaultGBTConfig()
-	updateRounds := gcfg.UpdateTrees
-	if updateRounds < 1 {
-		updateRounds = 8
+// replay books a resumed search's persisted history: every prior
+// measurement is marked seen and booked into the trace and the training
+// set without re-measuring, so continuing at a higher budget performs zero
+// repeat measurements and the cost model picks up via Update on the
+// replayed rows.
+func (s *search) replay() {
+	if s.opts.warm == nil || len(s.opts.warm.History) == 0 {
+		return
 	}
-	maxForest := 4 * gcfg.Trees
-	const warmStartRows = 64
-	var model *GBTModel
-
-	if resume {
-		// Replay the persisted history: every prior measurement is marked
-		// seen and booked into the trace and the training set without
-		// re-measuring, so continuing at a higher budget performs zero
-		// repeat measurements and the cost model picks up via Update on
-		// the replayed rows.
-		for _, h := range warm.History {
-			if seen[h.Config] {
-				continue
-			}
-			seen[h.Config] = true
-			rec.add(h.Config, h.M, h.OK)
-			addRow(h.Config, h.M, h.OK)
-		}
-		rec.resumedAt = rec.trace.Measurements
-		book()
-	}
-
-	// The coarse-grained Section 5 dataflow designs are the first
-	// measurements — the engine refines them, as in the paper — followed
-	// by transferred incumbents (snapped onto this space's axes) and, on a
-	// cold start, 3x Walkers random guesses that seed the walkers and the
-	// model. A genuinely warm start (transferred seeds or a replayed
-	// history) drops the random phase entirely: the incumbents are already
-	// populated, and the per-iteration diversity samples inside the loop
-	// keep exploring — which is what lets a transferred layer retire after a
-	// handful of measurements once the bound filter proves nothing sampled
-	// can beat its incumbent. The transferred seeds are snapped first and
-	// shown to the proof (proof.show), so the Section-5 seed's booking asks
-	// it already bounded by their floors.
-	var snapped []conv.Config
-	if warm != nil {
-		for _, s := range warm.Seeds {
-			if c, ok := sp.Snap(s); ok {
-				snapped = append(snapped, c)
-				if !opts.NoPrune {
-					floors.show(sp, c)
-				}
-			}
-		}
-	}
-	if !opts.NoSeeds {
-		// The seed batch runs unconditionally — even under an
-		// already-expired ctx — so a deadline-bounded run over a space with
-		// valid seeds always has a verdict to report.
-		measureBatch(context.Background(), sp.SeedConfigs())
-	}
-	// Seeds that cannot land anywhere in this space inherit nothing; only an
-	// actually-snapped seed counts as a warm start below.
-	seeded := len(snapped) > 0
-	if seeded {
-		measureBatch(ctx, snapped)
-	}
-	initRandom := 3 * opts.Walkers
-	if resume || seeded {
-		initRandom = 0
-	}
-	if b := opts.Budget / 4; b < initRandom {
-		initRandom = b
-	}
-	initial := make([]conv.Config, 0, initRandom)
-	for i := 0; i < initRandom; i++ {
-		initial = append(initial, sp.Sample(rng))
-	}
-	measureBatch(ctx, initial)
-
-	// Scratch reused across iterations: the model's prediction memo, the
-	// candidate pool and its ranking, the batch's tiles, and the walker
-	// starts' extraction buffer.
-	view := predictor{sp: sp, residual: residual, memo: make(map[conv.Config]float64)}
-	pool := make(map[conv.Config]bool)
-	tiles := make(map[tileKey]bool)
-	var startsBuf, ranked []scored
-	var candBuf []conv.Config
-	for !proved && !rec.over(opts.Budget, opts.Patience) {
-		if trails() || proven(true) {
-			break
-		}
-		if ctx.Err() != nil {
-			break // deadline or cancellation: report best-so-far below
-		}
-		if len(feats) == 0 {
-			// Degenerate budgets can reach the loop before any measurement
-			// (no seeds, zero initial randoms); feed the model one sample.
-			measureBatch(ctx, []conv.Config{sp.Sample(rng)})
+	for _, h := range s.opts.warm.History {
+		if s.seen[h.Config] {
 			continue
 		}
-		small := model == nil || (!residual && len(feats) < warmStartRows)
-		if small || refitDue(len(feats), model.NumRows()) {
-			if small || model.NumTrees()+updateRounds > maxForest {
-				model = TrainGBT(gcfg, feats, costs)
-			} else {
-				model.Update(feats, costs, updateRounds)
-			}
-			rec.trace.Refits++
-			view.refit(model)
-		}
-		// Build a candidate pool: every unseen config visited by the n_s
-		// parallel random walks (started from the best measured configs),
-		// plus fresh random samples for diversity. The lower-bound oracle
-		// filters the pool as it forms — a candidate whose (Sb, e) tier
-		// floor already exceeds the incumbent is discarded (and counted
-		// pruned) before it can occupy a ranking slot, so the batched
-		// prediction ranks only configurations that could still win.
-		clear(pool)
-		addCand := func(c conv.Config) {
-			if seen[c] || pool[c] || prune(c) {
-				return
-			}
-			pool[c] = true
-		}
-		starts := top.sorted(startsBuf)
-		startsBuf = starts
-		for i := 0; i < opts.Walkers; i++ {
-			start := sp.Sample(rng)
-			if i < len(starts) {
-				start = starts[i].cfg
-			}
-			cur := start
-			curCost := view.predict(cur)
-			for step := 0; step < opts.WalkSteps; step++ {
-				next := sp.Neighbor(cur, rng)
-				nextCost := view.predict(next)
-				if nextCost < curCost || rng.Float64() < 0.1 {
-					cur, curCost = next, nextCost
-				}
-				addCand(cur)
-			}
-		}
-		for i := 0; i < 4*opts.BatchSize; i++ {
-			addCand(sp.Sample(rng))
-		}
-		if len(pool) == 0 {
-			rec.trace.Stop = StopExhausted
+		s.seen[h.Config] = true
+		s.add(h.Config, h.M, h.OK)
+	}
+	s.rec.resumedAt = s.rec.trace.Measurements
+	s.book()
+}
+
+// prune is the engine's one branch-and-bound predicate: once any
+// configuration has been measured, a candidate whose pruning floor
+// (Space.BoundSeconds) exceeds the incumbent cannot improve it. Such a
+// candidate is counted and marked seen — the best only ever decreases, so
+// it would be pruned again at any later threshold — and the caller skips it.
+func (s *search) prune(c conv.Config) bool {
+	if s.opts.NoPrune || !s.rec.found || !(s.sp.BoundSeconds(c) > s.rec.trace.BestM.Seconds) {
+		return false
+	}
+	s.seen[c] = true
+	s.rec.trace.Pruned++
+	return true
+}
+
+// measure dedups the candidates against everything measured so far, drops
+// the ones the lower bound proves non-improving, truncates to the remaining
+// budget, fans the survivors across the executor's workers, and books the
+// outcomes in submission order, asking the exact proofs after each: a proof
+// ends the batch — and the search — at the booking that proves it. Only a
+// contiguous prefix of the outcomes is booked (see fanBooked), under a
+// proof or a cancelled ctx alike, so a partial trace stays coherent; the
+// search reads nothing of the unbooked rest.
+func (s *search) measure(ctx context.Context, cands []conv.Config) {
+	if s.stopped || len(cands) == 0 {
+		return
+	}
+	batch := s.batchBuf[:0]
+	for _, c := range cands {
+		if s.rec.trace.Measurements+len(batch) >= s.opts.Budget {
 			break
 		}
-		// Rank the whole pool by predicted cost (exact cost ties fall back to
-		// the configLess total order, so the ranking is independent of map
-		// iteration order) and fill the batch in rank order, one
-		// configuration per tile but for a fresh incumbent's own (see Tune).
-		ranked = view.rank(pool, ranked)
-		refine := rec.found && rec.trace.Measurements-rec.sigAt < opts.BatchSize
-		candBuf = pickBatch(candBuf, ranked, opts.BatchSize, tileOf(rec.trace.Best), refine, tiles)
-		measureBatch(ctx, candBuf)
+		if s.seen[c] || s.prune(c) {
+			continue
+		}
+		s.seen[c] = true
+		batch = append(batch, c)
 	}
-	if !rec.found {
-		return nil, fmt.Errorf("autotune: no valid configuration found in %d measurements", rec.trace.Measurements)
+	s.batchBuf = batch
+	if cap(s.resultBuf) < len(batch) {
+		s.resultBuf = make([]outcome, len(batch))
 	}
-	if ctx.Err() != nil && rec.trace.Measurements < opts.Budget && rec.trace.Stop != StopCertified && rec.trace.Stop != StopGap {
-		// Cut short: the verdict is best-so-far, and the honest budget for a
-		// persisted trace is what actually ran — a repeat request resumes
-		// the search instead of trusting truncated coverage.
-		rec.trace.Partial = true
-		rec.trace.Budget = rec.trace.Measurements
-		rec.trace.Stop = StopCancelled
+	results := s.resultBuf[:len(batch)]
+	done := fanBooked(ctx, len(batch), s.opts.Workers, func(i int) {
+		if s.opts.MeasureLatency > 0 {
+			time.Sleep(s.opts.MeasureLatency)
+		}
+		results[i] = s.res.run(ctx, batch[i])
+	}, func(i int) bool {
+		out := results[i]
+		s.add(batch[i], out.m, out.ok)
+		s.rec.trace.Retries += out.retries
+		s.rec.trace.Remeasured += out.remeasured
+		if out.quarantined {
+			s.rec.trace.Quarantined++
+		}
+		if s.opts.OnEvent != nil {
+			if out.quarantined {
+				s.opts.OnEvent(EventQuarantine)
+			}
+			for r := 0; r < out.retries; r++ {
+				s.opts.OnEvent(EventRetry)
+			}
+			s.opts.OnEvent(EventMeasure)
+		}
+		return !s.stop(false)
+	})
+	if done > 0 {
+		s.book()
 	}
-	return &rec.trace, nil
+}
+
+// designs proposes the coarse-grained Section 5 dataflow designs, the
+// first measurements (unless opts.NoSeeds): the engine refines them, as in
+// the paper.
+func (s *search) designs() []conv.Config {
+	if s.opts.NoSeeds {
+		return nil
+	}
+	return s.sp.SeedConfigs()
+}
+
+// snapped proposes the warm seeds: other searches' cached verdicts snapped
+// onto this space's axes; a seed that lands nowhere in the space inherits
+// nothing. Each is shown to the proof (proof.show) as it is snapped, before
+// anything is measured, so the Section-5 designs' bookings ask the proof
+// already bounded by their floors.
+func (s *search) snapped() []conv.Config {
+	if s.opts.warm == nil {
+		return nil
+	}
+	var snapped []conv.Config
+	for _, w := range s.opts.warm.Seeds {
+		if c, ok := s.sp.Snap(w); ok {
+			snapped = append(snapped, c)
+			if !s.opts.NoPrune {
+				s.floors.show(s.sp, c)
+			}
+		}
+	}
+	return snapped
+}
+
+// initial proposes a cold start's random guesses, 3×Walkers of them (at
+// most a quarter of the budget), which seed the walkers and the model. A
+// genuinely warm start — snapped seeds (seeded) or a replayed history —
+// proposes none: its incumbents are already populated, and the loop's
+// diversity samples keep exploring, which is what lets a transferred layer
+// retire after a handful of measurements once the bound filter proves
+// nothing sampled can beat its incumbent.
+func (s *search) initial(seeded bool) []conv.Config {
+	n := min(3*s.opts.Walkers, s.opts.Budget/4)
+	if seeded || s.rec.resumedAt > 0 {
+		n = 0
+	}
+	s.candBuf = make([]conv.Config, 0, n) // later batches reuse it
+	for range n {
+		s.candBuf = append(s.candBuf, s.sp.Sample(s.rng))
+	}
+	return s.candBuf
+}
+
+// stop asks the search's stops and books the first that fires (see Tune); a
+// booked stop is final, and every later call reports it without asking
+// again. After a booking (between false) it asks the two exact proofs only.
+// Between batches it asks, in order: exhaustion (the last walk proposed
+// nothing), the budget and Patience (record.over), the trailing Patience of
+// a Direct-led follower whose lead's incumbent after leadAhead times its
+// measurements lies below its own, every proof, and cancellation.
+func (s *search) stop(between bool) bool {
+	if s.stopped {
+		return true
+	}
+	t := &s.rec.trace
+	switch {
+	case between && s.exhausted:
+		t.Stop = StopExhausted
+	case between && s.rec.over(s.opts.Budget, s.opts.Patience):
+	case between && s.opts.leadDirect && s.rec.stale(min(s.opts.Patience, 2*s.opts.BatchSize)) &&
+		s.opts.lead(leadAhead*t.Measurements) < t.BestM.Seconds:
+		t.Stop = StopPatience
+	case s.proven(between):
+	case between && s.ctx.Err() != nil:
+		t.Stop = StopCancelled // the driver marks the trace Partial
+	default:
+		return false
+	}
+	s.stopped = true
+	return true
+}
+
+// proven takes the stops on a proof (see Tune): it books the stop and
+// reports true when one fires. After a booking it asks the certificate and
+// a Direct-led follower's waiver; between batches also the gap stop and a
+// Winograd-led follower's waiver. The certificate is asked only once the
+// incumbent attains its own tight floor, which a certified one does.
+// Bound-blind runs (NoPrune) have no oracle and never stop on a proof.
+func (s *search) proven(between bool) bool {
+	rec, opts, sp := s.rec, &s.opts, s.sp
+	if opts.NoPrune || !rec.found {
+		return false
+	}
+	r := rec.trace.BestM.Seconds
+	if r <= sp.analyticFloor(rec.trace.Best) && s.floors.atLeast(sp, r) {
+		rec.trace.Stop = StopCertified
+		return true
+	}
+	staleAfter := int(gapStale * float64(opts.Patience))
+	stale := rec.stale(staleAfter)
+	if !stale && opts.lead != nil && (opts.leadDirect || between && s.floors.atLeast(sp, r/gapRatio)) {
+		// The waiver: the lead's incumbent, never below its final
+		// verdict, lies below every floor of the space.
+		u := opts.lead(leadAhead * rec.trace.Measurements)
+		if !math.IsInf(u, 1) && s.floors.atLeast(sp, math.Nextafter(u, math.Inf(1))) {
+			rec.trace.Stop, rec.trace.GapRef, rec.trace.Waived = StopGap, u, true
+			return true
+		}
+	}
+	if !between || staleAfter == 0 {
+		return false
+	}
+	if stale && opts.lead != nil {
+		r = min(r, opts.lead(leadAhead*rec.trace.Measurements))
+	}
+	if !s.floors.atLeast(sp, r/gapWait(rec.flat(), staleAfter)) {
+		return false
+	}
+	rec.trace.Stop, rec.trace.GapRef = StopGap, r
+	return true
+}
+
+// warmStartRows is the dataset size below which a raw search fully refits.
+const warmStartRows = 64
+
+// walk proposes a loop batch. It refits the cost model when due (see Tune):
+// a full retrain for a raw search below warmStartRows, where early trees
+// overfit the first few measurements, and for a forest at its size cap
+// (four times the default Trees); otherwise UpdateTrees fresh rounds once
+// refitDue. Then it pools every unseen config the n_s parallel random walks (started
+// from the best measured configs) visit, plus fresh random samples for
+// diversity. The lower-bound oracle filters the pool as it forms (addCand),
+// so the batched prediction ranks only configurations that could still
+// win. It ranks the whole pool by predicted cost (exact cost ties fall back
+// to the configLess total order, so the ranking is independent of map
+// iteration order) and fills the batch in rank order, one configuration per
+// tile but for a fresh incumbent's own (pickBatch). An empty pool proposes
+// nothing and marks the search exhausted.
+func (s *search) walk() []conv.Config {
+	if len(s.feats) == 0 {
+		// Degenerate budgets can reach the loop before any measurement
+		// (no seeds, zero initial randoms); feed the model one sample.
+		s.candBuf = append(s.candBuf[:0], s.sp.Sample(s.rng))
+		return s.candBuf
+	}
+	model, cfg := s.view.model, DefaultGBTConfig()
+	small := model == nil || !s.view.residual && len(s.feats) < warmStartRows
+	if small || refitDue(len(s.feats), model.NumRows()) {
+		if small || model.NumTrees()+cfg.UpdateTrees > 4*cfg.Trees {
+			model = TrainGBT(cfg, s.feats, s.costs)
+		} else {
+			model.Update(s.feats, s.costs, cfg.UpdateTrees)
+		}
+		s.rec.trace.Refits++
+		s.view.refit(model)
+	}
+	clear(s.pool)
+	s.startsBuf = s.top.sorted(s.startsBuf)
+	for i := 0; i < s.opts.Walkers; i++ {
+		cur := s.sp.Sample(s.rng)
+		if i < len(s.startsBuf) {
+			cur = s.startsBuf[i].cfg
+		}
+		curCost := s.view.predict(cur)
+		for step := 0; step < s.opts.WalkSteps; step++ {
+			next := s.sp.Neighbor(cur, s.rng)
+			nextCost := s.view.predict(next)
+			if nextCost < curCost || s.rng.Float64() < 0.1 {
+				cur, curCost = next, nextCost
+			}
+			s.addCand(cur)
+		}
+	}
+	for i := 0; i < 4*s.opts.BatchSize; i++ {
+		s.addCand(s.sp.Sample(s.rng))
+	}
+	if len(s.pool) == 0 {
+		s.exhausted = true
+		return nil
+	}
+	s.ranked = s.view.rank(s.pool, s.ranked)
+	refine := s.rec.found && s.rec.trace.Measurements-s.rec.sigAt < s.opts.BatchSize
+	s.candBuf = pickBatch(s.candBuf, s.ranked, s.opts.BatchSize, tileOf(s.rec.trace.Best), refine, s.tiles)
+	return s.candBuf
+}
+
+// addCand pools c unless it is measured, already pooled or pruned.
+func (s *search) addCand(c conv.Config) {
+	if s.seen[c] || s.pool[c] || s.prune(c) {
+		return
+	}
+	s.pool[c] = true
 }
 
 // refitGrowth sets the refit cadence: a model fitted on n rows is refitted
