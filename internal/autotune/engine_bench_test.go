@@ -168,12 +168,12 @@ func benchRows(n int, seed int64) ([][]float64, []float64) {
 	return x, y
 }
 
-// TestTuneEngineAllocCeiling holds BenchmarkTuneEngine's two variants to the
-// allocations they made when the engine became one driver over a search
-// struct: a search at budget 192, Patience 0, on a warmed memoized measurer,
-// space construction included. A change that allocates per booking, per
-// proposal or per loop iteration again fails it; one that allocates less
-// lowers the ceiling.
+// TestTuneEngineAllocCeiling holds BenchmarkTuneEngine's two variants — a
+// search at budget 192, Patience 0, on a warmed memoized measurer, space
+// construction included — to the allocations the engine made before it
+// became one driver over a search struct: 343 pruned (345–346 under -race,
+// whose readings vary by a few with map growth) and 925 NoPrune. A change
+// that allocates per booking, per proposal or per loop iteration fails it.
 func TestTuneEngineAllocCeiling(t *testing.T) {
 	arch := memsim.V100
 	s := engineBenchLayer()
