@@ -3,6 +3,7 @@ package autotune
 import (
 	"cmp"
 	"math"
+	"math/bits"
 	"slices"
 	"sync"
 
@@ -37,28 +38,15 @@ import (
 //
 // The theorem evaluation depends on the configuration only through the
 // fast-memory size Sb and the tile edge e (the arithmetic floor through e
-// alone), so — mirroring the MemoMeasure tile-key machinery — both are
-// memoized per (Sb, e) key and a steady-state floor is one map lookup plus
-// O(1) launch geometry.
-
-// boundKey is the memo key: the only config axes the theorems see.
-type boundKey struct {
-	sb, e int
-}
+// alone), so both are evaluated once per (Sb, e) pair of the space's axes
+// (Space.rowTerms) and a steady-state floor is one slice index plus O(1)
+// launch geometry.
 
 // floorTerms are the two row-evaluated operands of a time floor: the
 // minimum off-chip traffic q, in elements, and the arithmetic
 // floor of the tunable launch, in flops.
 type floorTerms struct {
 	q, arith float64
-}
-
-// boundMemo caches the floor terms per (Sb, e) per space. It is safe for
-// concurrent use: a Space may be shared by concurrent tuning runs
-// (TuneNetwork's layer workers, tests under -race).
-type boundMemo struct {
-	mu   sync.RWMutex
-	memo map[boundKey]floorTerms
 }
 
 // rates selects where Space.floor evaluates the time model.
@@ -266,14 +254,8 @@ func (tb tileBound) compare(o tileBound) int {
 // order that flooring every tile and sorting would give, while only the
 // groups the walk reaches have their tiles floored.
 func (sp *Space) bestFirst(ub float64, cut func(bound float64, t conv.Config) bool, visit func(conv.Config) bool) {
-	heap := walkHeaps.Get().(*[]tileBound)
-	w := walk{sp: sp, ub: ub, heap: (*heap)[:0]}
-	defer func() {
-		if cap(w.heap) <= walkHeapCap {
-			*heap = w.heap[:0]
-			walkHeaps.Put(heap)
-		}
-	}()
+	w := sp.newWalk(ub)
+	defer w.release()
 	w.groups()
 	divs := sp.tileDivisors() // for this walk only: see Space.divs
 	for len(w.heap) > 0 {
@@ -291,51 +273,68 @@ func (sp *Space) bestFirst(ub float64, cut func(bound float64, t conv.Config) bo
 
 // walkHeaps recycles the walks' heaps. A walk owns its heap from its start
 // to its end — the analytic tier fans scans of one space across goroutines,
-// so a heap cannot live on the space — and hands it back emptied if it holds
-// at most walkHeapCap entries (12 KiB): a pooled heap outlives a forced GC,
-// and the analytic scans' reach 2 048 (48 KiB).
-var walkHeaps = sync.Pool{New: func() any { return new([]tileBound) }}
-
-const walkHeapCap = 512
-
-// walk is one best-first walk: its heap and the row terms per tile edge and
-// Sb index, read from the space once so a tile's floor takes no lock.
-type walk struct {
-	sp    *Space
-	ub    float64
-	heap  []tileBound
-	terms [][]floorTerms
+// so a heap cannot live on the space — and hands it back if it holds at
+// most walkHeapCap entries (12 KiB; the analytic scans' reach 2 048,
+// 48 KiB). It keeps at most walkHeapsKept of them. A free list and not a
+// sync.Pool: a race-enabled build's Pool drops a quarter of what it is
+// handed at random, which made a search's allocations a draw.
+var walkHeaps struct {
+	sync.Mutex
+	free [][]tileBound
 }
 
-// groups fills the heap with the groups whose floor is below ub. A group's
-// Sb values are a prefix of sbs (descending) and a tile's z a prefix of zs
-// (ascending): every constraint of tileAdmissible loosens with Sb and
-// tightens with z, so both loops stop at the first inadmissible value.
+const (
+	walkHeapCap   = 512
+	walkHeapsKept = 8
+)
+
+// walk is one best-first walk and its heap.
+type walk struct {
+	sp   *Space
+	ub   float64
+	heap []tileBound
+}
+
+// newWalk starts a walk below ub on a recycled, empty heap.
+func (sp *Space) newWalk(ub float64) walk {
+	var heap []tileBound
+	walkHeaps.Lock()
+	if n := len(walkHeaps.free); n > 0 {
+		heap = walkHeaps.free[n-1]
+		walkHeaps.free = walkHeaps.free[:n-1]
+	}
+	walkHeaps.Unlock()
+	return walk{sp: sp, ub: ub, heap: heap[:0]}
+}
+
+// release hands the walk's heap back, unless it grew past walkHeapCap.
+func (w *walk) release() {
+	if cap(w.heap) > walkHeapCap {
+		return
+	}
+	walkHeaps.Lock()
+	if len(walkHeaps.free) < walkHeapsKept {
+		walkHeaps.free = append(walkHeaps.free, w.heap[:0])
+	}
+	walkHeaps.Unlock()
+}
+
+// groups fills the heap, as a min-heap on compare, with the groups whose
+// floor is below ub. A tile's admissible z values are a prefix of zs
+// (ascending): every constraint of tileAdmissible tightens with z, so the
+// loop stops at the first inadmissible one.
 func (w *walk) groups() {
 	sp := w.sp
-	w.terms = make([][]floorTerms, len(sp.row.edges))
 	for ei, e := range sp.row.edges {
-		w.terms[ei] = make([]floorTerms, len(sp.sbs))
-		for si, sb := range sp.sbs {
-			w.terms[ei][si] = sp.floorTerms(sb, e)
-		}
 		for _, x := range sp.xsByE[e] {
 			for _, y := range sp.ysByE[e] {
 				for _, z := range sp.zs {
-					t := conv.Config{TileX: x, TileY: y, TileZ: z, Layout: sp.row.layouts[0], WinogradE: e}
-					n := 0
-					for _, sb := range sp.sbs {
-						if t.SharedPerBlock = sb; !sp.tileAdmissible(t) {
-							break
-						}
-						n++
-					}
-					if n == 0 {
+					g := w.group(ei, x, y, z)
+					if g.n == 0 {
 						break
 					}
-					if b := w.groupFloor(t, ei, n); b < w.ub {
-						w.heap = append(w.heap, tileBound{bound: b, x: int16(x), y: int16(y), z: int16(z),
-							e: int8(e), n: int8(n)})
+					if g.bound < w.ub {
+						w.heap = append(w.heap, g)
 					}
 				}
 			}
@@ -346,6 +345,33 @@ func (w *walk) groups() {
 	}
 }
 
+// group is the group of tile (x, y, z) at edge index ei at its floor; its
+// Sb values are a prefix of sbs (descending: every constraint of
+// tileAdmissible loosens with Sb), and n is 0 where none admits the tile.
+func (w *walk) group(ei, x, y, z int) tileBound {
+	sp := w.sp
+	e := sp.row.edges[ei]
+	t := conv.Config{TileX: x, TileY: y, TileZ: z, Layout: sp.row.layouts[0], WinogradE: e}
+	n := 0
+	for _, sb := range sp.sbs {
+		if t.SharedPerBlock = sb; !sp.tileAdmissible(t) {
+			break
+		}
+		n++
+	}
+	g := tileBound{x: int16(x), y: int16(y), z: int16(z), e: int8(e), n: int8(n)}
+	if n > 0 {
+		g.bound = w.groupFloor(t, ei, n)
+	}
+	return g
+}
+
+// edgeTerms is the space's row terms of tile edge index ei, by Sb index.
+func (sp *Space) edgeTerms(ei int) []floorTerms {
+	n := len(sp.sbs)
+	return sp.rowTerms()[ei*n : (ei+1)*n]
+}
+
 // groupFloor is the floor of the group of tile t (edge index ei, Sb over
 // sbs[:n]): the least, over the row's layouts, of the tile's floor at its
 // smallest Sb, where the most blocks are resident (the least Sched, the
@@ -353,8 +379,9 @@ func (w *walk) groups() {
 // builders' Blocks and launchable read only the tile, so this is ≤ the
 // tileRates floor of every member tile.
 func (w *walk) groupFloor(t conv.Config, ei, n int) float64 {
-	ft := w.terms[ei][0]
-	for _, o := range w.terms[ei][1:n] {
+	terms := w.sp.edgeTerms(ei)
+	ft := terms[0]
+	for _, o := range terms[1:n] {
 		ft.q = min(ft.q, o.q)
 	}
 	t.SharedPerBlock = w.sp.sbs[n-1]
@@ -368,19 +395,30 @@ func (w *walk) groupFloor(t conv.Config, ei, n int) float64 {
 
 // expand pushes the tiles of group g whose tileRates floor is below ub.
 func (w *walk) expand(g tileBound) {
+	n := len(w.heap)
+	w.heap = w.appendTiles(w.heap, g)
+	for i := n; i < len(w.heap); i++ {
+		w.up(i)
+	}
+}
+
+// appendTiles appends to dst the tiles of group g whose tileRates floor is
+// below ub.
+func (w *walk) appendTiles(dst []tileBound, g tileBound) []tileBound {
 	sp := w.sp
 	ei := slices.Index(sp.row.edges, int(g.e))
 	t := g.config()
 	for si, sb := range sp.sbs[:g.n] {
 		t.SharedPerBlock = sb
-		ft := &w.terms[ei][si]
+		ft := &sp.edgeTerms(ei)[si]
 		for _, lay := range sp.row.layouts {
 			t.Layout = lay
 			if b := sp.floorWith(t, tileRates, ft); b < w.ub {
-				w.push(tileBound{bound: b, x: g.x, y: g.y, z: g.z, sb: int16(sb), lay: int8(lay), e: g.e})
+				dst = append(dst, tileBound{bound: b, x: g.x, y: g.y, z: g.z, sb: int16(sb), lay: int8(lay), e: g.e})
 			}
 		}
 	}
+	return dst
 }
 
 // pop removes and returns the head of the heap.
@@ -392,10 +430,9 @@ func (w *walk) pop() tileBound {
 	return top
 }
 
-// push adds tb to the heap.
-func (w *walk) push(tb tileBound) {
-	w.heap = append(w.heap, tb)
-	for i := len(w.heap) - 1; i > 0; {
+// up moves heap[i] up the min-heap to its place.
+func (w *walk) up(i int) {
+	for i > 0 {
 		parent := (i - 1) / 2
 		if w.heap[parent].compare(w.heap[i]) <= 0 {
 			return
@@ -423,24 +460,30 @@ func siftTiles(tiles []tileBound, i int) {
 	}
 }
 
-// floorTerms returns the memoized row terms for fast memory sb and tile
-// edge e: the kind's traffic lower bound (Theorem 4.12 / 4.20 or the
-// compulsory traffic, whichever is larger, or the FFT composite) and its
-// arithmetic floor.
+// floorTerms returns the row terms for fast memory sb and tile edge e: the
+// kind's traffic lower bound (Theorem 4.12 / 4.20 or the compulsory
+// traffic, whichever is larger, or the FFT composite) and its arithmetic
+// floor. A pair off the space's axes is evaluated on the spot.
 func (sp *Space) floorTerms(sb, e int) floorTerms {
-	key := boundKey{sb: sb, e: e}
-	sp.bmemo.mu.RLock()
-	ft, hit := sp.bmemo.memo[key]
-	sp.bmemo.mu.RUnlock()
-	if hit {
-		return ft
+	si := bits.Len(uint(sp.sbs[0])) - bits.Len(uint(sb)) // sbs halves from sbs[0]
+	if ei := slices.Index(sp.row.edges, e); ei >= 0 && si >= 0 && si < len(sp.sbs) && sp.sbs[si] == sb {
+		return sp.edgeTerms(ei)[si]
 	}
-	ft = floorTerms{q: sp.row.lowerBound(sp.Shape, e, sb), arith: sp.row.arith(sp.Shape, e)}
-	sp.bmemo.mu.Lock()
-	if sp.bmemo.memo == nil {
-		sp.bmemo.memo = make(map[boundKey]floorTerms)
-	}
-	sp.bmemo.memo[key] = ft
-	sp.bmemo.mu.Unlock()
-	return ft
+	return floorTerms{q: sp.row.lowerBound(sp.Shape, e, sb), arith: sp.row.arith(sp.Shape, e)}
+}
+
+// rowTerms is the row terms of every (tile edge, Sb) pair of the space's
+// axes, len(sbs) per edge in the row's order, evaluated on the first call.
+// Safe for concurrent use: a Space may be shared by concurrent tuning runs
+// (TuneNetwork's layer workers, tests under -race).
+func (sp *Space) rowTerms() []floorTerms {
+	sp.termsOnce.Do(func() {
+		sp.terms = make([]floorTerms, 0, len(sp.row.edges)*len(sp.sbs))
+		for _, e := range sp.row.edges {
+			for _, sb := range sp.sbs {
+				sp.terms = append(sp.terms, floorTerms{q: sp.row.lowerBound(sp.Shape, e, sb), arith: sp.row.arith(sp.Shape, e)})
+			}
+		}
+	})
+	return sp.terms
 }

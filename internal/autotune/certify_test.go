@@ -266,16 +266,17 @@ func TestCertificateNeverFiresOverAnUnboundedConfig(t *testing.T) {
 	}
 }
 
-// gapCase is a search that stops on the gap: a cold direct one, whose
-// reference is its own incumbent; an implicit-GEMM one of another layer led
-// by that layer's direct verdict, which it cannot approach (without the lead
-// the search runs on to Patience); the same search led by a staged lead whose
-// incumbent falls as it measures, so the reference is the lead's incumbent at
-// leadAhead times the follower's measurements, above the lead's final
-// verdict; and the Direct search of a Winograd-led layer led by the layer's
-// Winograd verdict, which lies below every floor of Direct's space, so the
-// waiver stops it against the lead's incumbent, on its own incumbent's proof
-// too, before it goes stale (without it, it runs on to the certificate).
+// gapCase is a search that stops on the gap before Patience: a cold direct
+// one, on the graded wait against its own incumbent; the implicit-GEMM search
+// of MobileNetV1's first layer led by that layer's direct verdict, which lies
+// below every floor of its space, so the waiver stops it after the booking
+// of its first valid measurement; and the Direct search of a Winograd-led
+// layer led by the layer's Winograd verdict, which lies below every floor of
+// Direct's space, so the waiver stops it against the lead's incumbent, on
+// its own incumbent's proof too — once led by that verdict itself, and once
+// by a staged lead whose incumbent falls as it measures, so the reference is
+// the lead's incumbent at leadAhead times the follower's measurements, above
+// the lead's final verdict. The Direct-led waiver comes last.
 type gapCase struct {
 	name   string
 	sp     *Space
@@ -295,7 +296,8 @@ func gapCases(t *testing.T) []gapCase {
 		opts := DefaultOptions()
 		opts.Seed = 2
 		opts.lead = lead
-		return gapCase{name: fmt.Sprintf("%s %v", kind, s), sp: sp, mm: KindMeasurer(arch, s, kind), opts: opts}
+		return gapCase{name: fmt.Sprintf("%s %v", kind, s), sp: sp, mm: KindMeasurer(arch, s, kind), opts: opts,
+			waived: lead != nil}
 	}
 	verdict := func(c gapCase) func(int) float64 {
 		tr, err := Tune(c.sp, c.mm, c.opts)
@@ -304,20 +306,20 @@ func gapCases(t *testing.T) []gapCase {
 		}
 		return func(int) float64 { return tr.BestM.Seconds }
 	}
-	conv0, stage2 := layers[0].Shape, layers[4].Shape
-	direct := verdict(search(conv0, Direct, nil))
-	staged := search(conv0, ImplicitGEMM, func(n int) float64 { return direct(n) * (1 + 4/float64(n+40)) })
+	stage2 := layers[4].Shape
+	wino := verdict(search(stage2, Winograd, nil))
+	staged := search(stage2, Direct, func(n int) float64 { return wino(n) * (1 + 4/float64(n+40)) })
 	staged.name += " staged"
-	led := search(stage2, Direct, verdict(search(stage2, Winograd, nil)))
-	led.waived = true
-	return []gapCase{search(layers[6].Shape, Direct, nil), search(conv0, ImplicitGEMM, direct), staged, led}
+	mobile0 := shapes.ConvShape{Batch: 1, Cin: 3, Hin: 224, Win: 224, Cout: 32, Hker: 3, Wker: 3, Strid: 2, Pad: 1}
+	directLed := search(mobile0, ImplicitGEMM, verdict(search(mobile0, Direct, nil)))
+	directLed.opts.leadDirect = true
+	return []gapCase{search(layers[5].Shape, Direct, nil), search(stage2, Direct, wino), staged, directLed}
 }
 
-// The gap stop is a bound-guided stop: it records the lower of the
-// incumbent and the lead's incumbent at leadAhead times the search's
-// measurements — the lead's, below every floor, on a waived stop — and a
-// bound-blind run (NoPrune) never stops on it, on searches where the guided
-// run does.
+// The gap stop is a bound-guided stop: it records the incumbent, or on a
+// waived stop the lead's incumbent at leadAhead times the search's
+// measurements, below every floor; and a bound-blind run (NoPrune) never
+// stops on it, on searches where the guided run does.
 func TestGapNeverFiresUnderNoPrune(t *testing.T) {
 	for _, c := range gapCases(t) {
 		guided, err := Tune(c.sp, c.mm, c.opts)
@@ -325,12 +327,13 @@ func TestGapNeverFiresUnderNoPrune(t *testing.T) {
 			t.Fatal(err)
 		}
 		r := guided.BestM.Seconds
-		if c.opts.lead != nil {
-			r = min(r, c.opts.lead(leadAhead*guided.Measurements))
+		if c.waived {
+			r = c.opts.lead(leadAhead * guided.Measurements)
 		}
-		if guided.Stop != StopGap || guided.GapRef != r || guided.Waived != c.waived {
-			t.Errorf("%s: guided stopped on %v against %v (waived %t), want gap against %v (waived %t)",
-				c.name, guided.Stop, guided.GapRef, guided.Waived, r, c.waived)
+		if guided.Stop != StopGap || guided.GapRef != r || guided.Waived != c.waived ||
+			guided.Measurements-guided.ConvergedAt >= c.opts.Patience {
+			t.Errorf("%s: guided stopped on %v against %v (waived %t) %d flat, want gap against %v (waived %t) before Patience",
+				c.name, guided.Stop, guided.GapRef, guided.Waived, guided.Measurements-guided.ConvergedAt, r, c.waived)
 		}
 		c.opts.NoPrune = true
 		blind, err := Tune(c.sp, c.mm, c.opts)
@@ -370,14 +373,15 @@ func TestGapStopDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
-// The waiver, like the rest of the gap stop, needs an incumbent: a follower
-// whose first measurements all fail goes on measuring instead of stopping on
-// a proof against no verdict.
+// The waiver, like the rest of the gap stop, needs an incumbent: a
+// Direct-led follower, which asks it after every booking, whose first
+// measurements all fail goes on measuring instead of stopping on a proof
+// against no verdict.
 func TestWaiverWaitsForAnIncumbent(t *testing.T) {
 	cases := gapCases(t)
 	c := cases[len(cases)-1]
-	if !c.waived {
-		t.Fatal("the last gap case is not the waived one")
+	if !c.waived || !c.opts.leadDirect {
+		t.Fatal("the last gap case is not the Direct-led waived one")
 	}
 	failed := 0
 	measure := func(cfg conv.Config) (Measurement, bool) {

@@ -172,8 +172,10 @@ func benchRows(n int, seed int64) ([][]float64, []float64) {
 // search at budget 192, Patience 0, on a warmed memoized measurer, space
 // construction included — to the allocations the engine made before it
 // became one driver over a search struct: 343 pruned (345–346 under -race,
-// whose readings vary by a few with map growth) and 925 NoPrune. A change
-// that allocates per booking, per proposal or per loop iteration fails it.
+// whose sync.Pool then dropped recycled walk heaps at random) and 925
+// NoPrune. The pruned search, the tile-shape probes' table included, reads
+// the same count in every run, with or without -race. A change that
+// allocates per booking, per proposal or per loop iteration fails it.
 func TestTuneEngineAllocCeiling(t *testing.T) {
 	arch := memsim.V100
 	s := engineBenchLayer()

@@ -100,8 +100,8 @@ const GapRatio = gapRatio
 // GapWait is g(f) under DefaultOptions' Patience: a gap stop taken f fresh
 // measurements after the search's last significant improvement proved that
 // no measurable configuration has a tight floor below Trace.GapRef /
-// GapWait(f). It is GapRatio from the stale search on.
-func GapWait(f int) float64 { return gapWait(f, int(gapStale*float64(DefaultOptions().Patience))) }
+// GapWait(f), f below Patience.
+func GapWait(f int) float64 { return gapWait(f, DefaultOptions().Patience) }
 
 // StopMismatch describes how tr's stop fields disagree, or is "" when they
 // agree: a waived stop is a gap stop, exactly a gap stop carries a GapRef,

@@ -7,8 +7,8 @@ import (
 	"repro/internal/conv"
 )
 
-// gradedSearch is a cold search that stops on the gap before it is stale:
-// f fresh measurements after its last improvement, its own incumbent proved
+// gradedSearch is a cold search that stops on the gap before Patience: f
+// fresh measurements after its last improvement, its own incumbent proved
 // the ratio g(f) < G.
 type gradedSearch struct {
 	name string
@@ -23,7 +23,7 @@ type gradedSearch struct {
 // fails the test when there are none.
 func gradedSearches(t *testing.T) []gradedSearch {
 	t.Helper()
-	staleAfter := int(gapStale * float64(DefaultOptions().Patience))
+	patience := DefaultOptions().Patience
 	var out []gradedSearch
 	for _, l := range resnet18Layers() {
 		for _, kind := range Kinds {
@@ -39,28 +39,28 @@ func gradedSearches(t *testing.T) []gradedSearch {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if tr.Stop == StopGap && tr.Measurements-tr.ConvergedAt < staleAfter {
+				if tr.Stop == StopGap && tr.Measurements-tr.ConvergedAt < patience {
 					out = append(out, gradedSearch{fmt.Sprintf("%s %v seed %d", kind, l.Shape, seed), sp, mm, opts, tr})
 				}
 			}
 		}
 	}
 	if len(out) == 0 {
-		t.Fatal("no search stopped on the gap before it went stale: the property is vacuous")
+		t.Fatal("no search stopped on the gap before Patience: the property is vacuous")
 	}
 	return out
 }
 
 // A gap stop taken f flat measurements after the last improvement, before
-// the search is stale, holds its proof against its own incumbent: no
-// measurable configuration has a tight floor below GapRef / g(f), so the
-// verdict is within g(f) < G of the space's optimum.
+// Patience, holds its proof against its own incumbent: no measurable
+// configuration has a tight floor below GapRef / g(f), so the verdict is
+// within g(f) < G of the space's optimum.
 func TestGradedGapStopHoldsItsProof(t *testing.T) {
-	staleAfter := int(gapStale * float64(DefaultOptions().Patience))
+	patience := DefaultOptions().Patience
 	below := false
 	for _, c := range gradedSearches(t) {
 		f := c.tr.Measurements - c.tr.ConvergedAt
-		g := gapWait(f, staleAfter)
+		g := gapWait(f, patience)
 		below = below || g < 1.1
 		if c.tr.GapRef != c.tr.BestM.Seconds || c.tr.Waived || !(g < gapRatio) || !(c.tr.GapRef/g <= c.sp.MinFloor()) {
 			t.Errorf("%s: gap stop against %v (verdict %v, waived %t) after %d flat measurements, g %v, minimum floor %v",
@@ -73,11 +73,12 @@ func TestGradedGapStopHoldsItsProof(t *testing.T) {
 }
 
 // The graded gap stop is a bound-guided stop: bound-blind (NoPrune), every
-// search it stops runs on past it; and it needs an incumbent: a search whose
-// first measurements all fail asks it only from its first valid one, and
-// stops, if on the gap, on a verdict and the flat measurements after it.
+// search it stops runs on to its Patience, its budget or the end of its
+// space instead; and it needs an incumbent: a search whose first
+// measurements all fail asks it only from its first valid one, and stops, if
+// on the gap, on a verdict and the flat measurements after it.
 func TestGradedGapNeedsTheBoundAndAVerdict(t *testing.T) {
-	staleAfter := int(gapStale * float64(DefaultOptions().Patience))
+	patience := DefaultOptions().Patience
 	cases := gradedSearches(t)
 	for _, c := range cases {
 		o := c.opts
@@ -86,7 +87,7 @@ func TestGradedGapNeedsTheBoundAndAVerdict(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if blind.Stop == StopGap || blind.GapRef != 0 || blind.Measurements <= c.tr.Measurements {
+		if blind.GapRef != 0 || blind.Stop != StopPatience && blind.Stop != StopBudget && blind.Stop != StopExhausted {
 			t.Errorf("%s: NoPrune stopped on %v against %v after %d measurements, guided on the gap after %d",
 				c.name, blind.Stop, blind.GapRef, blind.Measurements, c.tr.Measurements)
 		}
@@ -106,7 +107,7 @@ func TestGradedGapNeedsTheBoundAndAVerdict(t *testing.T) {
 	}
 	f := tr.Measurements - tr.ConvergedAt
 	if tr.Measurements <= failed || tr.ConvergedAt <= failed ||
-		tr.Stop == StopGap && !(tr.GapRef > 0 && tr.GapRef/gapWait(f, staleAfter) <= c.sp.MinFloor()) {
+		tr.Stop == StopGap && !(tr.GapRef > 0 && tr.GapRef/gapWait(f, patience) <= c.sp.MinFloor()) {
 		t.Errorf("%s, first %d measurements failed: stopped on %v against %v after %d, last improved at %d",
 			c.name, failed, tr.Stop, tr.GapRef, tr.Measurements, tr.ConvergedAt)
 	}

@@ -179,17 +179,18 @@ func TestChooseKindsSkipsSpacelessTask(t *testing.T) {
 	}
 }
 
-// leadWaitLayers are three resnet18 layers whose implicit-GEMM searches,
-// led by Direct at seed 0, read their lead for both stops that read it:
-// conv0's trails its lead and stops on the short Patience, and stage3_proj's,
-// which ends at its lead's verdict, keeps the full Patience and stops on the
-// gap against it. stage2 has a Winograd lead, which waives its Direct
-// search.
-func leadWaitLayers() (conv0, stage2, proj NetworkLayer) {
+// leadWaitLayers are three layers whose implicit-GEMM searches, led by
+// Direct at seed 0, read their lead for both stops that read it: resnet18's
+// conv0's trails its lead and stops on the short Patience, and MobileNetV1's
+// first layer's, whose lead's verdict lies below every floor of its space,
+// stops on the waiver against its lead's incumbent. resnet18's stage2 has a
+// Winograd lead, which waives its Direct search.
+func leadWaitLayers() (conv0, stage2, mobile0 NetworkLayer) {
 	l := resnet18Layers()
 	return NetworkLayer{Name: "conv0", Shape: l[0].Shape, Repeat: 1},
 		NetworkLayer{Name: "stage2", Shape: l[4].Shape, Repeat: 1},
-		NetworkLayer{Name: "stage3_proj", Shape: l[6].Shape, Repeat: 1}
+		NetworkLayer{Name: "mobile0", Shape: shapes.ConvShape{Batch: 1, Cin: 3, Hin: 224, Win: 224, Cout: 32,
+			Hker: 3, Wker: 3, Strid: 2, Pad: 1}, Repeat: 1}
 }
 
 // leadWaitSweep runs the sweep of layers at workers, with the measurers of
@@ -228,9 +229,10 @@ func leadWaitSweep(t *testing.T, layers []NetworkLayer, opts NetworkOptions, slo
 
 // checkLeadStops holds the two implicit-GEMM followers of leadWaitLayers to
 // their stops: conv0's trails its Direct lead's verdict and stops on the
-// short Patience, 2·BatchSize flat measurements or a batch more; stage3_proj's
-// goes past that unstopped and stops on the gap against its lead's verdict.
-func checkLeadStops(t *testing.T, tune Options, conv0Direct, conv0IGEMM, projDirect, projIGEMM *Trace) {
+// short Patience, 2·BatchSize flat measurements or a batch more; mobile0's
+// stops on the waiver against its lead's incumbent at leadAhead times its
+// own measurements, never below the lead's verdict.
+func checkLeadStops(t *testing.T, tune Options, conv0Direct, conv0IGEMM, mobileDirect, mobileIGEMM *Trace) {
 	t.Helper()
 	trail := 2 * tune.BatchSize
 	if g, f := conv0IGEMM, conv0IGEMM.Measurements-conv0IGEMM.ConvergedAt; g.Stop != StopPatience ||
@@ -238,9 +240,9 @@ func checkLeadStops(t *testing.T, tune Options, conv0Direct, conv0IGEMM, projDir
 		t.Fatalf("conv0 implicit GEMM stopped on %v at %v after %d flat measurements, Direct verdict %v; want the short Patience of a trailing follower",
 			g.Stop, g.BestM.Seconds, f, conv0Direct.BestM.Seconds)
 	}
-	if g := projIGEMM; g.Stop != StopGap || g.GapRef != projDirect.BestM.Seconds || g.Measurements-g.ConvergedAt < trail {
-		t.Fatalf("stage3_proj implicit GEMM stopped on %v against %v after %d flat measurements, want gap against the Direct verdict %v",
-			g.Stop, g.GapRef, g.Measurements-g.ConvergedAt, projDirect.BestM.Seconds)
+	if g := mobileIGEMM; g.Stop != StopGap || !g.Waived || !(g.GapRef >= mobileDirect.BestM.Seconds) {
+		t.Fatalf("mobile0 implicit GEMM stopped on %v (waived %t) against %v, want the waiver against its Direct lead, verdict %v",
+			g.Stop, g.Waived, g.GapRef, mobileDirect.BestM.Seconds)
 	}
 }
 
@@ -248,18 +250,18 @@ func checkLeadStops(t *testing.T, tune Options, conv0Direct, conv0IGEMM, projDir
 // measurements, giving its worker slot back while it waits, so a sweep of one
 // worker still finishes; and the traces are those of any other timing. A
 // slowed Direct measurer makes the implicit-GEMM searches reach their
-// questions first: the trailing follower's short Patience and the gap stop
+// questions first: the trailing follower's short Patience and the waiver
 // both read the lead they wait for.
 func TestGapWaitsForTheDirectVerdict(t *testing.T) {
-	conv0, _, proj := leadWaitLayers()
-	layers := []NetworkLayer{conv0, proj}
+	conv0, _, mobile0 := leadWaitLayers()
+	layers := []NetworkLayer{conv0, mobile0}
 	tune := DefaultOptions()
 	tune.Seed = 0
 	opts := NetworkOptions{Tune: tune, Workers: 2, Kinds: []Kind{ImplicitGEMM}}
 	slow := func(k Kind, _ shapes.ConvShape) bool { return k == Direct }
 	want := leadWaitSweep(t, layers, opts, nil)
-	// The plan: conv0 Direct, conv0 implicit GEMM, stage3_proj Direct,
-	// implicit GEMM.
+	// The plan: conv0 Direct, conv0 implicit GEMM, mobile0 Direct, implicit
+	// GEMM.
 	if len(want) != 4 {
 		t.Fatalf("%d searches, want 4", len(want))
 	}
@@ -279,12 +281,12 @@ func TestGapWaitsForTheDirectVerdict(t *testing.T) {
 // measurements, giving its worker slot back while it waits, so a sweep of one
 // worker still finishes; and the traces are those of any other timing.
 // Slowed lead measurers make the followers reach their questions first: the
-// implicit-GEMM searches of conv0 and stage3_proj follow their Direct leads
-// and stop on the trailing Patience and on the gap; stage2's Direct search
+// implicit-GEMM searches of conv0 and mobile0 follow their Direct leads and
+// stop on the trailing Patience and on the waiver; stage2's Direct search
 // follows its Winograd lead and stops on the waiver.
 func TestGapWaitsForTheLeadVerdict(t *testing.T) {
-	conv0, stage2, proj := leadWaitLayers()
-	layers := []NetworkLayer{conv0, stage2, proj}
+	conv0, stage2, mobile0 := leadWaitLayers()
+	layers := []NetworkLayer{conv0, stage2, mobile0}
 	tune := DefaultOptions()
 	tune.Seed = 0
 	opts := NetworkOptions{Tune: tune, Workers: 2, Winograd: true, Kinds: []Kind{ImplicitGEMM}}
@@ -293,7 +295,7 @@ func TestGapWaitsForTheLeadVerdict(t *testing.T) {
 	}
 	want := leadWaitSweep(t, layers, opts, nil)
 	// The plan: conv0 Direct, conv0 implicit GEMM, stage2 Direct, Winograd,
-	// implicit GEMM, stage3_proj Direct, implicit GEMM.
+	// implicit GEMM, mobile0 Direct, implicit GEMM.
 	if len(want) != 7 {
 		t.Fatalf("%d searches, want 7", len(want))
 	}

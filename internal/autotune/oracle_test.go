@@ -4,12 +4,14 @@ import (
 	"bytes"
 	"fmt"
 	"math"
+	"slices"
 	"strconv"
 	"sync"
 	"testing"
 
 	"repro/internal/autotune"
 	"repro/internal/memsim"
+	"repro/internal/models"
 	"repro/internal/shapes"
 )
 
@@ -109,14 +111,15 @@ func TestZooMinFloorMatchesAnalyticTop(t *testing.T) {
 // search that stopped on the certificate must end on the enumerated optimum,
 // and that optimum must be the minimum floor; every search that stopped on
 // the gap f flat measurements after its last improvement must hold its
-// proof, GapRef / g(f) ≤ the minimum floor ≤ the optimum (g(f) ≤ G, and G
-// once stale), and every waived one its lead's verdict below that floor (led by
+// proof, GapRef / g(f) ≤ the minimum floor ≤ the optimum (g(f) < G, f
+// below Patience), and every waived one its lead's verdict below that floor (led by
 // Winograd, its own verdict within G of it too); and every stop's fields
 // must agree (StopMismatch). The per-seed, per-kind tallies, the stop mix — searches,
 // off-optimum searches and measurements per (kind, stop), then the Patience
 // tax: the measurements after each search's last improvement, and the late
 // jumps, improvements of at least 2 % after at least 40 measurements
-// without one, with the largest one's factor — and the layer
+// without one, with the largest one's factor, and the tile-shape probes'
+// credit: the probes measured and the improvements they booked — and the layer
 // meter — the distinct zoo shapes whose reply verdict is the best optimum
 // over the kinds searched for them, and the pass's summed network time — are
 // pinned in testdata/oracle.golden; regenerate it with
@@ -183,6 +186,40 @@ func zooOracleGolden(t *testing.T, name string, arch memsim.Arch, firsts ...int6
 		}
 	}
 	autotune.CheckGolden(t, name, golden.Bytes())
+}
+
+// TestVGG19WinogradBasinGone: VGG-19's conv3_x Winograd search (Cin 256,
+// 56², Cout 256) in the cold zoo pass at engine seeds 0, 2, 4 and 14 used to
+// settle on its space's least-floor tile, e=4 8×8×32, at 180.107 µs, and
+// never measure the optimum, e=4 4×28×16 at 169.549 µs: the walkers step
+// one axis at a time, and that tile changes all three. The tile-shape
+// probes reach it: the search ends on its enumerated optimum.
+func TestVGG19WinogradBasinGone(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs four cold zoo passes")
+	}
+	var layer autotune.NetworkLayer
+	for _, l := range models.VGG19().NetworkLayers() {
+		if l.Name == "conv3_x" {
+			layer = l
+		}
+	}
+	want := groupsKey(autotune.Winograd, layer.Shape)
+	for _, seed := range []int64{0, 2, 4, 14} {
+		tune := autotune.DefaultOptions()
+		tune.Seed = seed
+		_, searches := coldZooPass(t, tune, autotune.NewCache())
+		i := slices.IndexFunc(searches, func(s autotune.SearchTrace) bool { return groupsKey(s.Space.Kind, s.Space.Shape) == want })
+		if i < 0 {
+			t.Fatalf("seed %d: no Winograd search of %v in the pass", seed, layer.Shape)
+		}
+		s := searches[i]
+		opt, ok := optimumOf(t, s.Space)
+		if !ok || math.Abs(opt.Seconds*1e6-169.549) > 5e-4 || s.BestM.Seconds != opt.Seconds {
+			t.Errorf("seed %d: %v Winograd ended at %v s after %d measurements (probes %+v), optimum %v s",
+				seed, layer.Shape, s.BestM.Seconds, s.Measurements, s.Probes, opt.Seconds)
+		}
+	}
 }
 
 // spaceOptima holds each zoo space's enumerated optimum, keyed by (arch,
@@ -281,6 +318,7 @@ func zooOracle(t *testing.T, arch memsim.Arch, seed int64, golden *bytes.Buffer)
 	optima := make(map[autotune.Search]float64)
 	waived := 0
 	var tax patienceTax
+	var probes autotune.Credit
 	for _, s := range searches {
 		sp := s.Space
 		opt, ok := optimumOf(t, sp)
@@ -344,6 +382,8 @@ func zooOracle(t *testing.T, arch memsim.Arch, seed int64, golden *bytes.Buffer)
 		}
 		mix[stopKey{sp.Kind, s.Stop}] = m
 		tax.add(s.Trace)
+		probes.Measured += s.Probes.Measured
+		probes.Improved += s.Probes.Improved
 	}
 	t.Logf("seed %d: %v; %d waived gap stops", seed, &all, waived)
 	fmt.Fprintf(golden, "seed %d all: %v\n", seed, &all)
@@ -363,8 +403,8 @@ func zooOracle(t *testing.T, arch memsim.Arch, seed int64, golden *bytes.Buffer)
 			}
 		}
 	}
-	fmt.Fprintf(golden, "; %d measurements after the last improvement, %d late jumps, largest %s\n",
-		tax.after, tax.jumps, strconv.FormatFloat(tax.largest, 'g', -1, 64))
+	fmt.Fprintf(golden, "; %d measurements after the last improvement, %d late jumps, largest %s; %d probes measured, %d improved\n",
+		tax.after, tax.jumps, strconv.FormatFloat(tax.largest, 'g', -1, 64), probes.Measured, probes.Improved)
 
 	// The layer meter: a reply carries the min over a layer's kinds, so a
 	// shape is at the optimum when, in every sweep that holds it, its

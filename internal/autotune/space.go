@@ -61,14 +61,16 @@ type Space struct {
 	divOnce sync.Once
 	divs    map[int][]int
 
-	// bmemo caches the floor terms per (Sb, e) for the pruning oracle
-	// (bound.go). fixedSec is the row's fixed-launch cost for this (arch,
-	// shape): every bound and floor adds it as a constant. sizeOnce guards
-	// the cached admissible-config count.
-	bmemo    boundMemo
-	fixedSec float64
-	sizeOnce sync.Once
-	size     int64
+	// terms holds the floor terms per (e, Sb) of the axes for every floor
+	// (bound.go's rowTerms), evaluated once under termsOnce. fixedSec is
+	// the row's fixed-launch cost for this (arch, shape): every bound and
+	// floor adds it as a constant. sizeOnce guards the cached
+	// admissible-config count.
+	termsOnce sync.Once
+	terms     []floorTerms
+	fixedSec  float64
+	sizeOnce  sync.Once
+	size      int64
 
 	// anOnce guards the memoized analytic scan (analytic.go): the
 	// analyticTopCap best measurable configs by bound floor, and the scan's
@@ -77,6 +79,12 @@ type Space struct {
 	anDone atomic.Bool
 	anTop  []scored
 	anErr  error
+
+	// classes is the tile-shape class table the engine's probes read
+	// (tuner.go's shapeClasses), built on a search's first probe; classMu
+	// guards it.
+	classMu sync.Mutex
+	classes *shapeClasses
 }
 
 // NewSpace builds the space for a layer. The axes come from the kind's row
@@ -132,12 +140,17 @@ func (sp *Space) tileDivisors() map[int][]int {
 	return divs
 }
 
+// divisors is the space's tileDivisors, built on the first call.
+func (sp *Space) divisors() map[int][]int {
+	sp.divOnce.Do(func() { sp.divs = sp.tileDivisors() })
+	return sp.divs
+}
+
 // factors is factors(tile) from the space's own table. The slice is shared:
 // callers only read it. A size off the axes (a caller's own config handed to
 // Neighbor) is computed on the spot.
 func (sp *Space) factors(tile int) []int {
-	sp.divOnce.Do(func() { sp.divs = sp.tileDivisors() })
-	if fs, ok := sp.divs[tile]; ok {
+	if fs, ok := sp.divisors()[tile]; ok {
 		return fs
 	}
 	return factors(tile)

@@ -1,8 +1,10 @@
 package autotune
 
 import (
+	"cmp"
 	"context"
 	"math"
+	"math/bits"
 	"math/rand"
 	"slices"
 	"time"
@@ -74,11 +76,13 @@ type Options struct {
 	// iteration.
 	WalkSteps int
 	// Patience stops the run after this many measurements without
-	// improvement (0 disables; DefaultOptions sets 90). A Direct-led
+	// improvement (0 disables; DefaultOptions sets 64). A Direct-led
 	// follower in a network sweep whose lead's incumbent lies below its own
 	// stops after min(Patience, 2·BatchSize) instead. The gap stop asks ever
-	// looser ratios as a search goes flat, up to G once it has gone ¾ of
-	// Patience (see Tune).
+	// looser ratios as a search goes flat, towards G at Patience, and from
+	// 2·BatchSize flat measurements on, while the budget covers the rest of
+	// Patience, each loop batch spends two slots on tile shapes the search
+	// has not measured (see Tune).
 	Patience int
 	// MinDelta is the relative improvement (in measured seconds) below
 	// which an improvement does not reset Patience — the min_delta of
@@ -164,7 +168,7 @@ const (
 
 // DefaultOptions are sensible mid-size tuning settings.
 func DefaultOptions() Options {
-	return Options{Budget: 400, BatchSize: 8, Walkers: 8, WalkSteps: 24, Patience: 90, Seed: 1, Workers: 1}
+	return Options{Budget: 400, BatchSize: 8, Walkers: 8, WalkSteps: 24, Patience: 64, Seed: 1, Workers: 1}
 }
 
 func (o Options) normalized() Options {
@@ -221,23 +225,32 @@ type Trace struct {
 	// fits and incremental Updates alike. In memory only: a cache entry does
 	// not persist it.
 	Refits int
+	// Probes is the tile-shape probes' share of the run (see Tune): the
+	// configurations they had measured and the improvements those booked.
+	// In memory only, like Refits.
+	Probes Credit
 	// Stop says why the run ended. In memory only, like Refits.
 	Stop StopReason
 	// GapRef is the reference the gap proof held against when Stop is
-	// StopGap — the incumbent's seconds, or on a stale follower the lower of
-	// that and its layer lead's incumbent at leadAhead times its own
-	// measurements: no measurable configuration has a tight floor below
-	// GapRef / g(f), f the fresh measurements since the last significant
-	// improvement and g(f) ≤ 1.3 (gapWait), so below GapRef / 1.3 on every
-	// gap stop. On a waived stop it is that lead incumbent, below every
+	// StopGap — the incumbent's seconds: no measurable configuration has a
+	// tight floor below GapRef / g(f), f < Patience the fresh measurements
+	// since the last significant improvement and g(f) < 1.3 (gapWait), so
+	// below GapRef / 1.3 on every gap stop. On a waived stop it is its layer
+	// lead's incumbent at leadAhead times its own measurements, below every
 	// tight floor. 0 on every other stop; in memory only, like Stop.
 	GapRef float64
-	// Waived is set on a gap stop taken before the search went stale: its
-	// layer lead's incumbent lies below every tight floor of the space, so
-	// the kind cannot win the layer. Under a Winograd lead the search's own
-	// incumbent also proves the gap; under a Direct lead, which every
-	// request reads, it need not. In memory only, like Stop.
+	// Waived is set on a gap stop on the layer lead: its incumbent lies
+	// below every tight floor of the space, so the kind cannot win the
+	// layer. Under a Winograd lead the search's own incumbent also proves
+	// the gap; under a Direct lead, which every request reads, it need not.
+	// In memory only, like Stop.
 	Waived bool
+}
+
+// Credit is one proposer's share of a run: the configurations it proposed
+// that were measured, and how many of those improved the incumbent.
+type Credit struct {
+	Measured, Improved int
 }
 
 // StopReason is why a tuning run ended.
@@ -262,33 +275,28 @@ const (
 	// (Trace.Partial).
 	StopCancelled
 	// StopGap: no measurable configuration has a tight floor below the
-	// search's reference over g(f), a ratio that grows from 1 to gapRatio as
-	// the search goes flat, so nothing left can move its layer's verdict by
-	// more than that factor (Trace.GapRef); or its kind cannot win its layer
-	// (Trace.Waived).
+	// search's incumbent over g(f), a ratio that grows from 1 towards
+	// gapRatio as the search goes flat, so nothing left can move its verdict
+	// by more than that factor (Trace.GapRef); or its kind cannot win its
+	// layer (Trace.Waived).
 	StopGap
 )
 
-// gapRatio (G) and gapStale (F, a fraction of Patience) set the gap stop,
-// and leadAhead how far ahead of a follower its lead's incumbent is read, as
-// a multiple of the follower's measurements (see Tune).
+// gapRatio (G) bounds the gap stop's ratio, and leadAhead sets how far
+// ahead of a follower its lead's incumbent is read, as a multiple of the
+// follower's measurements (see Tune).
 const (
 	gapRatio  = 1.3
-	gapStale  = 0.75
 	leadAhead = 2
 )
 
-// gapWait is g(f), the ratio the gap stop proves after f fresh
-// measurements without a significant improvement: 1 + (G−1)·(f/staleAfter)³
-// before the search is stale, G from there on. It runs from the
-// certificate's ratio (g = 1) to the stale gap stop's, so a search whose
+// gapWait is g(f), the ratio the gap stop proves after f < patience fresh
+// measurements without a significant improvement: 1 + (G−1)·(f/patience)³.
+// It runs from the certificate's ratio (g = 1) towards G, so a search whose
 // incumbent the bound already holds within a few percent stops after a few
-// flat batches instead of waiting staleAfter measurements.
-func gapWait(f, staleAfter int) float64 {
-	if f >= staleAfter {
-		return gapRatio
-	}
-	x := float64(f) / float64(staleAfter)
+// flat batches instead of waiting out Patience.
+func gapWait(f, patience int) float64 {
+	x := float64(f) / float64(patience)
 	return 1 + (gapRatio-1)*x*x*x
 }
 
@@ -399,8 +407,27 @@ func (r *record) flat() int {
 // incumbent's own tile may fill it while the incumbent improved within the
 // last BatchSize measurements (pickBatch). A tile fixes a configuration's
 // traffic; its other configurations differ only in threads, Sb and layout,
-// and a stale search re-measuring them rarely finds the late improvement a
+// and a flat search re-measuring them rarely finds the late improvement a
 // new tile does.
+//
+// The walkers step one axis at a time from the best measured
+// configurations, so they seldom reach a tile of another shape: the winning
+// aspect can lie several TileX, TileY and TileZ moves from the incumbent.
+// So once a pruning search has gone 2·BatchSize measurements without a
+// significant improvement, each loop batch gives its last two slots to
+// tile-shape probes (search.probes), while its budget covers the rest of its
+// Patience window: the probes look for the late improvement Patience waits
+// for, and a search its budget stops first gains too little from them to
+// pay for their table. A tile-shape class is
+// (round(log2(TileX/TileY)), TileZ, WinogradE), and its representative is
+// its least tileRates-bound tile at that tile's measurable thread counts of
+// least tight floor, from a table the space builds once off the best-first
+// walk's group floors (Space.shapeClasses). The probes are the
+// representatives of the classes no booking has reached yet, least
+// predicted cost first, skipping one of a tile the batch has taken or whose
+// tight floor is not below the incumbent. Bound-blind runs
+// (NoPrune) never probe: the representatives are chosen by the floor.
+// Trace.Probes credits them.
 //
 // Six things keep the engine's own machinery off the critical path:
 //
@@ -412,19 +439,18 @@ func (r *record) flat() int {
 //     for every configuration, so then nothing can beat it, and the run
 //     stops with Trace.Stop = StopCertified. The gap stop asks, f fresh
 //     measurements after the last significant improvement, whether
-//     r/g(f) ≤ m, where g(f) = 1 + 0.3·(f/s)³ grows from 1 to 1.3 at
-//     s = ¾ of Patience (gapWait) and r is the incumbent's seconds. From s
-//     on, the search is stale: g is 1.3, and on a follower r is the lower
-//     of the incumbent and u, its layer lead's incumbent after twice the
+//     r/g(f) ≤ m, where g(f) = 1 + 0.3·(f/s)³ grows from 1 towards 1.3 at
+//     s = Patience (gapWait) and r is the incumbent's seconds. Then no
+//     measurement left can move the search's verdict by more than a factor
+//     g(f) < 1.3, and the run stops with Trace.Stop = StopGap and
+//     Trace.GapRef = r: an incumbent the bound holds within a few percent
+//     stops after a few flat batches, a looser one waits longer for the
+//     improvement that would tighten it. The waiver asks, on a follower,
+//     whether u < m, u its layer lead's incumbent after twice the
 //     follower's measurements (the lead's final verdict where it stops
 //     short; the network sweep makes the layer's Winograd search its lead
 //     where it has one, its Direct search otherwise), waiting for the lead
-//     to get there. Then no measurement left can move the layer's verdict by
-//     more than a factor g(f) ≤ 1.3, and the run stops with Trace.Stop =
-//     StopGap and Trace.GapRef = r: an incumbent the bound holds within a
-//     few percent stops after a few flat batches, a looser one waits longer
-//     for the improvement that would tighten it. The waiver
-//     asks, on a follower not yet stale, whether u < m: then the lead's
+//     to get there: then the lead's
 //     verdict, ≤ u, lies below every floor, the kind cannot win the layer,
 //     and the run stops with Trace.Waived and Trace.GapRef = u. Every
 //     request searches Direct and answers the least verdict over its kinds,
@@ -568,6 +594,13 @@ type search struct {
 	pool              map[conv.Config]bool
 	startsBuf, ranked []scored
 	tiles             map[tileKey]bool
+	// The tile-shape probes (probes): the space's class table and the
+	// classes booked so far, both from the search's first probe on, and the
+	// loop batch's probes.
+	classes *shapeClasses
+	booked  []bool
+	probed  [probeSlots]conv.Config
+	nprobed int
 }
 
 func newSearch(ctx context.Context, sp *Space, measure FallibleMeasurer, opts Options) *search {
@@ -603,6 +636,9 @@ func (s *search) add(c conv.Config, m Measurement, ok bool) {
 				cost = failedCost
 			}
 		}
+	}
+	if s.booked != nil {
+		s.booked[s.classes.index(s.sp, c)] = true
 	}
 	start := len(s.featStore)
 	s.featStore = s.sp.FeaturesInto(s.featStore, c)
@@ -690,7 +726,14 @@ func (s *search) measure(ctx context.Context, cands []conv.Config) {
 		results[i] = s.res.run(ctx, batch[i])
 	}, func(i int) bool {
 		out := results[i]
+		last := s.rec.trace.ConvergedAt
 		s.add(batch[i], out.m, out.ok)
+		if slices.Contains(s.probed[:s.nprobed], batch[i]) {
+			s.rec.trace.Probes.Measured++
+			if s.rec.trace.ConvergedAt != last {
+				s.rec.trace.Probes.Improved++
+			}
+		}
 		s.rec.trace.Retries += out.retries
 		s.rec.trace.Remeasured += out.remeasured
 		if out.quarantined {
@@ -796,7 +839,8 @@ func (s *search) stop(between bool) bool {
 // a Direct-led follower's waiver; between batches also the gap stop and a
 // Winograd-led follower's waiver. The certificate is asked only once the
 // incumbent attains its own tight floor, which a certified one does.
-// Bound-blind runs (NoPrune) have no oracle and never stop on a proof.
+// Bound-blind runs (NoPrune) have no oracle and never stop on a proof, and
+// without Patience the gap stop has no schedule.
 func (s *search) proven(between bool) bool {
 	rec, opts, sp := s.rec, &s.opts, s.sp
 	if opts.NoPrune || !rec.found {
@@ -807,9 +851,7 @@ func (s *search) proven(between bool) bool {
 		rec.trace.Stop = StopCertified
 		return true
 	}
-	staleAfter := int(gapStale * float64(opts.Patience))
-	stale := rec.stale(staleAfter)
-	if !stale && opts.lead != nil && (opts.leadDirect || between && s.floors.atLeast(sp, r/gapRatio)) {
+	if opts.lead != nil && (opts.leadDirect || between && s.floors.atLeast(sp, r/gapRatio)) {
 		// The waiver: the lead's incumbent, never below its final
 		// verdict, lies below every floor of the space.
 		u := opts.lead(leadAhead * rec.trace.Measurements)
@@ -818,13 +860,9 @@ func (s *search) proven(between bool) bool {
 			return true
 		}
 	}
-	if !between || staleAfter == 0 {
-		return false
-	}
-	if stale && opts.lead != nil {
-		r = min(r, opts.lead(leadAhead*rec.trace.Measurements))
-	}
-	if !s.floors.atLeast(sp, r/gapWait(rec.flat(), staleAfter)) {
+	// Between batches the search has gone fewer than Patience flat
+	// measurements (record.over comes first), so g(f) < G.
+	if !between || opts.Patience == 0 || !s.floors.atLeast(sp, r/gapWait(rec.flat(), opts.Patience)) {
 		return false
 	}
 	rec.trace.Stop, rec.trace.GapRef = StopGap, r
@@ -845,8 +883,10 @@ const warmStartRows = 64
 // win. It ranks the whole pool by predicted cost (exact cost ties fall back
 // to the configLess total order, so the ranking is independent of map
 // iteration order) and fills the batch in rank order, one configuration per
-// tile but for a fresh incumbent's own (pickBatch). An empty pool proposes
-// nothing and marks the search exhausted.
+// tile but for a fresh incumbent's own (pickBatch); on a pruning search
+// 2·BatchSize measurements flat whose budget covers the rest of its
+// Patience window, the tile-shape probes take its last two slots (probes). An empty pool proposes nothing and marks the search
+// exhausted.
 func (s *search) walk() []conv.Config {
 	if len(s.feats) == 0 {
 		// Degenerate budgets can reach the loop before any measurement
@@ -891,8 +931,231 @@ func (s *search) walk() []conv.Config {
 	}
 	s.ranked = s.view.rank(s.pool, s.ranked)
 	refine := s.rec.found && s.rec.trace.Measurements-s.rec.sigAt < s.opts.BatchSize
-	s.candBuf = pickBatch(s.candBuf, s.ranked, s.opts.BatchSize, tileOf(s.rec.trace.Best), refine, s.tiles)
+	// A search 2·BatchSize flat is not refining its incumbent's tile.
+	slots := 0
+	if flat := s.rec.flat(); !s.opts.NoPrune && s.rec.found && flat >= 2*s.opts.BatchSize &&
+		s.opts.Budget-s.rec.trace.Measurements >= s.opts.Patience-flat {
+		slots = min(probeSlots, s.opts.BatchSize-1)
+	}
+	s.candBuf = pickBatch(s.candBuf, s.ranked, s.opts.BatchSize-slots, tileOf(s.rec.trace.Best), refine, s.tiles)
+	s.nprobed = 0
+	if slots > 0 {
+		s.candBuf = s.probes(s.candBuf, slots)
+	}
 	return s.candBuf
+}
+
+// probeSlots is how many slots of a flat search's loop batch go to
+// tile-shape probes.
+const probeSlots = 2
+
+// probes appends to batch, which pickBatch filled, up to slots tile-shape
+// probes (see Tune): the representatives of the classes no booking has
+// reached, least predicted cost first. A representative is skipped when it
+// is of a tile the batch has taken (pickBatch's rule) or when its tight
+// floor is not below the incumbent, so that it cannot improve it. The
+// pruning floor is lower still, so the bound never prunes a probe, and no
+// probe is seen: a seen configuration was booked, and so was its class, or
+// pruned against an incumbent no lower than today's. The first probe of a
+// search reads the space's class table and marks the classes its bookings
+// reached; add marks them from then on.
+func (s *search) probes(batch []conv.Config, slots int) []conv.Config {
+	if s.classes == nil {
+		s.classes = s.sp.shapeClasses(s.rec.trace.BestM.Seconds)
+		s.booked = make([]bool, len(s.classes.reps))
+		for _, h := range s.rec.trace.History {
+			s.booked[s.classes.index(s.sp, h.Config)] = true
+		}
+	}
+	// The pool's ranking is spent (pickBatch read it): its buffer holds the
+	// candidates.
+	cands := s.ranked[:0]
+	for i, rep := range s.classes.reps {
+		if !s.booked[i] && rep.cost < s.rec.trace.BestM.Seconds && !s.tiles[tileOf(rep.cfg)] {
+			cands = append(cands, scored{cfg: rep.cfg})
+		}
+	}
+	s.view.score(cands)
+	s.ranked = cands
+	var best [probeSlots]scored
+	n := 0
+	for _, sc := range cands {
+		if n < slots {
+			n++
+		} else if !scoredBefore(sc, best[n-1]) {
+			continue
+		}
+		best[n-1] = sc
+		for j := n - 1; j > 0 && scoredBefore(best[j], best[j-1]); j-- {
+			best[j], best[j-1] = best[j-1], best[j]
+		}
+	}
+	for _, sc := range best[:n] {
+		s.tiles[tileOf(sc.cfg)] = true
+		s.probed[s.nprobed] = sc.cfg
+		s.nprobed++
+		batch = append(batch, sc.cfg)
+	}
+	return batch
+}
+
+// shapeClasses is a space's table of tile-shape classes, one per
+// (round(log2(TileX/TileY)), TileZ, WinogradE) over the space's axes, built
+// below a bound ub. A class's representative is its least tileRates-bound
+// tile that has a measurable configuration, at its measurable thread counts
+// of least tight floor, scored with that floor; a class with no such tile
+// below ub scores +Inf. A search whose incumbent is at most ub reads the
+// same table at any ub: a class left out scores at least ub, so it could
+// not improve the incumbent anyway.
+type shapeClasses struct {
+	ub                 float64
+	minAspect, aspects int
+	reps               []scored
+}
+
+// aspect is round(log2(x/y)), a tile's class coordinate along its
+// TileX:TileY ratio, for x ≥ 1 and y ≥ 1. No ratio of integers lies halfway,
+// at 2^(k+½): k is the exponent with x²/y² in [2^(2k−1), 2^(2k+1)), within
+// one of the bit lengths' difference.
+func aspect(x, y int) int {
+	if x < y {
+		return -aspect(y, x)
+	}
+	x2, y2 := x*x, y*y
+	k := bits.Len(uint(x)) - bits.Len(uint(y))
+	if k > 0 && x2 < y2<<(2*k-1) {
+		k--
+	}
+	if x2 >= y2<<(2*k+1) {
+		k++
+	}
+	return k
+}
+
+// index is the class of c, a configuration on the space's axes.
+func (cl *shapeClasses) index(sp *Space, c conv.Config) int {
+	z, _ := slices.BinarySearch(sp.zs, c.TileZ)
+	e := slices.Index(sp.row.edges, c.WinogradE)
+	return (e*len(sp.zs)+z)*cl.aspects + aspect(c.TileX, c.TileY) - cl.minAspect
+}
+
+// shapeClasses returns the space's class table for a search whose
+// incumbent is ub: the one it holds when that was built below ub or higher,
+// otherwise a new one built below ub, which it then holds. A space searched
+// once builds it once.
+//
+// The build is the best-first walk (bestFirst) run class by class: a
+// class's groups below ub, sorted by floor, are expanded in that order only
+// while one could hold a tile that precedes every tile of the class
+// expanded so far, and the class takes the first of those tiles that has a
+// measurable configuration. A class's other groups are never floored tile
+// by tile.
+func (sp *Space) shapeClasses(ub float64) *shapeClasses {
+	sp.classMu.Lock()
+	defer sp.classMu.Unlock()
+	if cl := sp.classes; cl != nil && cl.ub >= ub {
+		return cl
+	}
+	cl := &shapeClasses{ub: ub}
+	lo, hi := math.MaxInt, math.MinInt
+	for _, e := range sp.row.edges {
+		xs, ys := sp.xsByE[e], sp.ysByE[e]
+		lo, hi = min(lo, aspect(xs[0], ys[len(ys)-1])), max(hi, aspect(xs[len(xs)-1], ys[0]))
+	}
+	cl.minAspect, cl.aspects = lo, hi-lo+1
+	cl.reps = make([]scored, len(sp.row.edges)*len(sp.zs)*cl.aspects)
+	for i := range cl.reps {
+		cl.reps[i].cost = math.Inf(1)
+	}
+	// One buffer holds an edge's (x, y) tiles by aspect (the aspect in
+	// bound), then a class's groups below ub, then their tiles.
+	pairs := 0
+	for _, e := range sp.row.edges {
+		pairs = max(pairs, len(sp.xsByE[e])*len(sp.ysByE[e]))
+	}
+	buf := make([]tileBound, 0, pairs*(2+len(sp.sbs)*len(sp.row.layouts)))
+	w := walk{sp: sp, ub: ub}
+	divs := sp.divisors()
+	for ei, e := range sp.row.edges {
+		plane := buf[:0]
+		for _, x := range sp.xsByE[e] {
+			for _, y := range sp.ysByE[e] {
+				plane = append(plane, tileBound{bound: float64(aspect(x, y)), x: int16(x), y: int16(y)})
+			}
+		}
+		slices.SortFunc(plane, func(a, b tileBound) int { return cmp.Compare(a.bound, b.bound) })
+		for _, z := range sp.zs {
+			for start, end := 0, 0; start < len(plane); start = end {
+				groups := plane[len(plane):len(plane)]
+				for end = start; end < len(plane) && plane[end].bound == plane[start].bound; end++ {
+					if g := w.group(ei, int(plane[end].x), int(plane[end].y), z); g.n > 0 && g.bound < ub {
+						groups = append(groups, g)
+					}
+				}
+				if len(groups) == 0 {
+					continue
+				}
+				slices.SortFunc(groups, tileBound.compare)
+				cl.reps[cl.index(sp, groups[0].config())] = w.leastOfClass(divs, groups, groups[len(groups):len(groups)])
+			}
+		}
+	}
+	sp.classes = cl
+	return cl
+}
+
+// leastOfClass is the representative of the class whose groups are groups,
+// sorted by compare: the first of their tiles in compare order that
+// measures, at its thread counts of least tight floor (leastThreads),
+// scored +Inf when none does. The tiles go in tiles' capacity.
+func (w *walk) leastOfClass(divs map[int][]int, groups, tiles []tileBound) scored {
+	next := 0
+	for {
+		least := -1
+		for k, tb := range tiles {
+			if least < 0 || tb.compare(tiles[least]) < 0 {
+				least = k
+			}
+		}
+		if next < len(groups) && (least < 0 || groups[next].compare(tiles[least]) < 0) {
+			tiles = w.appendTiles(tiles, groups[next])
+			next++
+			continue
+		}
+		if least < 0 {
+			return scored{cost: math.Inf(1)}
+		}
+		if r := w.sp.leastThreads(divs, tiles[least].config()); !math.IsInf(r.cost, 1) {
+			return r
+		}
+		tiles[least] = tiles[len(tiles)-1]
+		tiles = tiles[:len(tiles)-1]
+	}
+}
+
+// leastThreads is tile t at its thread counts of least tight floor, the
+// first in threadConfigs order among equals, scored with that floor; it
+// scores +Inf where the tile does not measure. The validators read the
+// thread counts only to bound them (at least 1, at most 1024 a block, as
+// threadConfigs keeps them), so a tile's configurations measure alike; the
+// tight floor reads them only through the launch's ThreadsPerBlock, so only
+// the first thread counts of each product are floored: a later one ties it.
+func (sp *Space) leastThreads(divs map[int][]int, t conv.Config) scored {
+	var floored [1025]bool // by product
+	least := scored{cost: math.Inf(1)}
+	threadConfigs(divs, t, func(c conv.Config) bool {
+		if n := c.Threads(); !floored[n] {
+			floored[n] = true
+			if f := sp.analyticFloor(c); f < least.cost {
+				least = scored{c, f}
+			}
+		}
+		return true
+	})
+	if math.IsInf(least.cost, 1) || !sp.measurable(least.cfg) {
+		return scored{cost: math.Inf(1)}
+	}
+	return least
 }
 
 // addCand pools c unless it is measured, already pooled or pruned.
@@ -985,10 +1248,7 @@ func (p *predictor) rank(pool map[conv.Config]bool, dst []scored) []scored {
 			dst = append(dst, scored{c, v})
 			continue
 		}
-		p.cfgs = append(p.cfgs, c)
-		start := len(p.store)
-		p.store = p.sp.FeaturesInto(p.store, c)
-		p.feats = append(p.feats, p.store[start:len(p.store):len(p.store)])
+		p.miss(c)
 	}
 	p.preds = p.model.PredictBatch(p.feats, p.preds)
 	for i, c := range p.cfgs {
@@ -996,4 +1256,31 @@ func (p *predictor) rank(pool map[conv.Config]bool, dst []scored) []scored {
 	}
 	slices.SortFunc(dst, compareScored)
 	return dst
+}
+
+// score sets the cost of every member of cs to its configuration's modeled
+// cost and memoizes it; the ones the memo lacks go through one
+// PredictBatch.
+func (p *predictor) score(cs []scored) {
+	p.cfgs, p.feats, p.store = p.cfgs[:0], p.feats[:0], p.store[:0]
+	for _, s := range cs {
+		if _, ok := p.memo[s.cfg]; !ok {
+			p.miss(s.cfg)
+		}
+	}
+	p.preds = p.model.PredictBatch(p.feats, p.preds)
+	for i, c := range p.cfgs {
+		p.memo[c] = p.modeled(c, p.preds[i])
+	}
+	for i := range cs {
+		cs[i].cost = p.memo[cs[i].cfg]
+	}
+}
+
+// miss queues c, a configuration the memo lacks, for the batched prediction.
+func (p *predictor) miss(c conv.Config) {
+	p.cfgs = append(p.cfgs, c)
+	start := len(p.store)
+	p.store = p.sp.FeaturesInto(p.store, c)
+	p.feats = append(p.feats, p.store[start:len(p.store):len(p.store)])
 }
