@@ -6,6 +6,7 @@ import (
 	"slices"
 	"testing"
 
+	"repro/internal/conv"
 	"repro/internal/shapes"
 )
 
@@ -103,5 +104,74 @@ func TestAspectRoundsTheLog(t *testing.T) {
 				t.Fatalf("aspect(%d, %d) = %d, want %d", x, y, got, want)
 			}
 		}
+	}
+}
+
+// A resumed search replays its persisted rows, and the cache's ingress
+// checks only that a row's dimensions are at least 1 and its tile edge is
+// the kind's: a row may still lie off the space's axes. Such a row has no
+// tile-shape class (index -1), so the probes neither mark nor read one for
+// it: the resume runs long enough to probe, and finishes. The rows sit on
+// the last tile edge, where a TileZ past the axis would index past the
+// table, beside a TileZ between two axis values and an aspect past the
+// axes'.
+func TestProbesSkipOffAxisReplayedRows(t *testing.T) {
+	conv3 := shapes.ConvShape{Batch: 1, Cin: 256, Hin: 13, Win: 13, Cout: 384, Hker: 3, Wker: 3, Strid: 1, Pad: 1}
+	sp, err := NewSpace(conv3, arch, Winograd, 0, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mm := KindMeasurer(arch, conv3, Winograd)
+	opts := DefaultOptions()
+	opts.Seed = 3
+	opts.Budget = 48
+	cache := NewCache()
+	if _, _, err := TuneCached(cache, sp, mm, opts); err != nil {
+		t.Fatal(err)
+	}
+	e, ok := cache.Entry(arch.Name, Winograd, conv3)
+	if !ok || len(e.Rows) == 0 {
+		t.Fatal("TuneCached persisted no engine state")
+	}
+	edge := sp.row.edges[len(sp.row.edges)-1]
+	z := sp.zs[len(sp.zs)-1]
+	between := 0
+	for i := 1; i < len(sp.zs) && between == 0; i++ {
+		if sp.zs[i]-sp.zs[i-1] > 1 {
+			between = sp.zs[i-1] + 1
+		}
+	}
+	if between == 0 {
+		t.Fatalf("TileZ axis %v has no gap", sp.zs)
+	}
+	offAxis := []conv.Config{
+		{TileX: 4, TileY: 4, TileZ: 2 * z, ThreadsX: 1, ThreadsY: 1, ThreadsZ: 1, SharedPerBlock: sp.sbs[0], WinogradE: edge},
+		{TileX: 4, TileY: 4, TileZ: between, ThreadsX: 1, ThreadsY: 1, ThreadsZ: 1, SharedPerBlock: sp.sbs[0], WinogradE: edge},
+		{TileX: 2048, TileY: 1, TileZ: z, ThreadsX: 1, ThreadsY: 1, ThreadsZ: 1, SharedPerBlock: sp.sbs[0], WinogradE: edge},
+		{TileX: 1, TileY: 2048, TileZ: z, ThreadsX: 1, ThreadsY: 1, ThreadsZ: 1, SharedPerBlock: sp.sbs[0], WinogradE: edge},
+	}
+	cl := sp.shapeClasses(math.Inf(1))
+	for _, c := range offAxis {
+		if i := cl.index(sp, c); i != -1 {
+			t.Fatalf("index(%+v) = %d, want -1", c, i)
+		}
+		e.Rows = append(e.Rows, CachedMeasurement{Config: configToCached(c), Seconds: 1, OK: true})
+	}
+	for i, rep := range cl.reps {
+		if !math.IsInf(rep.cost, 1) && cl.index(sp, rep.cfg) != i {
+			t.Fatalf("representative %+v of class %d indexes class %d", rep.cfg, i, cl.index(sp, rep.cfg))
+		}
+	}
+	resumed := NewCache()
+	if err := resumed.PutEntries([]CacheEntry{e}); err != nil {
+		t.Fatalf("the cache's ingress rejects the off-axis rows: %v", err)
+	}
+	opts.Budget = 400
+	tr, err := TuneResumed(resumed, sp, mm, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tr.Probes.Measured == 0 {
+		t.Fatalf("the resumed search never probed (%d measurements, stop %v)", tr.Measurements, tr.Stop)
 	}
 }

@@ -79,12 +79,6 @@ type Space struct {
 	anDone atomic.Bool
 	anTop  []scored
 	anErr  error
-
-	// classes is the tile-shape class table the engine's probes read
-	// (tuner.go's shapeClasses), built on a search's first probe; classMu
-	// guards it.
-	classMu sync.Mutex
-	classes *shapeClasses
 }
 
 // NewSpace builds the space for a layer. The axes come from the kind's row

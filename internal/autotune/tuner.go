@@ -388,7 +388,7 @@ func (r *record) flat() int {
 // four stops: the budget is spent (StopBudget), patience is exhausted
 // (StopPatience), the incumbent is proven optimal (StopCertified), or the
 // bound proves that nothing left can move the layer's verdict by more than
-// a ratio that grows from 1 to 1.3 as the search goes flat (StopGap). Each
+// a ratio that grows from 1 towards 1.3 as the search goes flat (StopGap). Each
 // batch of proposals is measured by the worker-pool executor (opts.Workers
 // goroutines, search.measure); outcomes are booked in submission order
 // (search.add), so the run is deterministic for a fixed seed at any worker
@@ -421,8 +421,8 @@ func (r *record) flat() int {
 // pay for their table. A tile-shape class is
 // (round(log2(TileX/TileY)), TileZ, WinogradE), and its representative is
 // its least tileRates-bound tile at that tile's measurable thread counts of
-// least tight floor, from a table the space builds once off the best-first
-// walk's group floors (Space.shapeClasses). The probes are the
+// least tight floor, from a table the search builds on its first probe off
+// the best-first walk's group floors (Space.shapeClasses). The probes are the
 // representatives of the classes no booking has reached yet, least
 // predicted cost first, skipping one of a tile the batch has taken or whose
 // tight floor is not below the incumbent. Bound-blind runs
@@ -594,7 +594,7 @@ type search struct {
 	pool              map[conv.Config]bool
 	startsBuf, ranked []scored
 	tiles             map[tileKey]bool
-	// The tile-shape probes (probes): the space's class table and the
+	// The tile-shape probes (probes): the search's class table and the
 	// classes booked so far, both from the search's first probe on, and the
 	// loop batch's probes.
 	classes *shapeClasses
@@ -637,9 +637,7 @@ func (s *search) add(c conv.Config, m Measurement, ok bool) {
 			}
 		}
 	}
-	if s.booked != nil {
-		s.booked[s.classes.index(s.sp, c)] = true
-	}
+	s.markBooked(c)
 	start := len(s.featStore)
 	s.featStore = s.sp.FeaturesInto(s.featStore, c)
 	s.feats = append(s.feats, s.featStore[start:len(s.featStore):len(s.featStore)])
@@ -957,14 +955,14 @@ const probeSlots = 2
 // pruning floor is lower still, so the bound never prunes a probe, and no
 // probe is seen: a seen configuration was booked, and so was its class, or
 // pruned against an incumbent no lower than today's. The first probe of a
-// search reads the space's class table and marks the classes its bookings
-// reached; add marks them from then on.
+// search builds the class table and marks the classes its bookings reached;
+// add marks them from then on.
 func (s *search) probes(batch []conv.Config, slots int) []conv.Config {
 	if s.classes == nil {
 		s.classes = s.sp.shapeClasses(s.rec.trace.BestM.Seconds)
 		s.booked = make([]bool, len(s.classes.reps))
 		for _, h := range s.rec.trace.History {
-			s.booked[s.classes.index(s.sp, h.Config)] = true
+			s.markBooked(h.Config)
 		}
 	}
 	// The pool's ranking is spent (pickBatch read it): its buffer holds the
@@ -999,16 +997,27 @@ func (s *search) probes(batch []conv.Config, slots int) []conv.Config {
 	return batch
 }
 
-// shapeClasses is a space's table of tile-shape classes, one per
+// markBooked marks the class of a booked configuration once the search
+// has its class table. A configuration off the table (index -1) has no
+// class to mark.
+func (s *search) markBooked(c conv.Config) {
+	if s.booked == nil {
+		return
+	}
+	if i := s.classes.index(s.sp, c); i >= 0 {
+		s.booked[i] = true
+	}
+}
+
+// shapeClasses is a search's table of tile-shape classes, one per
 // (round(log2(TileX/TileY)), TileZ, WinogradE) over the space's axes, built
-// below a bound ub. A class's representative is its least tileRates-bound
-// tile that has a measurable configuration, at its measurable thread counts
-// of least tight floor, scored with that floor; a class with no such tile
-// below ub scores +Inf. A search whose incumbent is at most ub reads the
-// same table at any ub: a class left out scores at least ub, so it could
-// not improve the incumbent anyway.
+// below a bound ub, the incumbent at the search's first probe. A class's
+// representative is its least tileRates-bound tile that has a measurable
+// configuration, at its measurable thread counts of least tight floor,
+// scored with that floor; a class with no such tile below ub scores +Inf.
+// The incumbent only falls, so a class left out could not improve it later
+// either.
 type shapeClasses struct {
-	ub                 float64
 	minAspect, aspects int
 	reps               []scored
 }
@@ -1032,17 +1041,20 @@ func aspect(x, y int) int {
 	return k
 }
 
-// index is the class of c, a configuration on the space's axes.
+// index is the class of c, or -1 when c is off the table: its tile edge or
+// TileZ is not on the space's axes, or its aspect is outside theirs. A
+// resumed search replays persisted rows, which may lie off the axes.
 func (cl *shapeClasses) index(sp *Space, c conv.Config) int {
-	z, _ := slices.BinarySearch(sp.zs, c.TileZ)
+	z, onZ := slices.BinarySearch(sp.zs, c.TileZ)
 	e := slices.Index(sp.row.edges, c.WinogradE)
-	return (e*len(sp.zs)+z)*cl.aspects + aspect(c.TileX, c.TileY) - cl.minAspect
+	a := aspect(c.TileX, c.TileY) - cl.minAspect
+	if !onZ || e < 0 || a < 0 || a >= cl.aspects {
+		return -1
+	}
+	return (e*len(sp.zs)+z)*cl.aspects + a
 }
 
-// shapeClasses returns the space's class table for a search whose
-// incumbent is ub: the one it holds when that was built below ub or higher,
-// otherwise a new one built below ub, which it then holds. A space searched
-// once builds it once.
+// shapeClasses builds the class table of a search whose incumbent is ub.
 //
 // The build is the best-first walk (bestFirst) run class by class: a
 // class's groups below ub, sorted by floor, are expanded in that order only
@@ -1051,12 +1063,7 @@ func (cl *shapeClasses) index(sp *Space, c conv.Config) int {
 // measurable configuration. A class's other groups are never floored tile
 // by tile.
 func (sp *Space) shapeClasses(ub float64) *shapeClasses {
-	sp.classMu.Lock()
-	defer sp.classMu.Unlock()
-	if cl := sp.classes; cl != nil && cl.ub >= ub {
-		return cl
-	}
-	cl := &shapeClasses{ub: ub}
+	cl := &shapeClasses{}
 	lo, hi := math.MaxInt, math.MinInt
 	for _, e := range sp.row.edges {
 		xs, ys := sp.xsByE[e], sp.ysByE[e]
@@ -1100,7 +1107,6 @@ func (sp *Space) shapeClasses(ub float64) *shapeClasses {
 			}
 		}
 	}
-	sp.classes = cl
 	return cl
 }
 
