@@ -92,11 +92,13 @@ type AnalyticVerdict struct {
 // of it would lose the cost tie on configLess. Inside a kept tile measurable
 // runs only for a configuration that would enter the heap. The result is the
 // full enumeration's: bestK keeps a pure function of its candidates, and the
-// walk skips only configurations that could not be among them.
+// walk skips only configurations that could not be among them. The scan runs
+// once per space on a divisor table of its own, which it drops: the analytic
+// tier keeps its spaces, and most are never searched (see Space.divs).
 func (sp *Space) analyticScan() {
 	var top bestK
 	top.reset(analyticTopCap)
-	sp.bestFirst(math.Inf(1), func(bound float64, t conv.Config) bool {
+	sp.bestFirst(sp.tileDivisors(), math.Inf(1), func(bound float64, t conv.Config) bool {
 		if !top.full() {
 			return false
 		}

@@ -41,8 +41,13 @@ func flatBestFirst(sp *Space, ub float64, cut func(bound float64, t conv.Config)
 	}
 }
 
-// walkFunc is a best-first walk: Space.bestFirst or flatBestFirst.
+// walkFunc is a best-first walk: twoLevel or flatBestFirst.
 type walkFunc func(sp *Space, ub float64, cut func(bound float64, t conv.Config) bool, visit func(conv.Config) bool)
+
+// twoLevel is Space.bestFirst over the space's own divisor table.
+func twoLevel(sp *Space, ub float64, cut func(bound float64, t conv.Config) bool, visit func(conv.Config) bool) {
+	sp.bestFirst(sp.divisors(), ub, cut, visit)
+}
 
 // walkStep is one call a walk made: cut with a tile and its bound (cut true),
 // or visit with a configuration.
@@ -153,7 +158,7 @@ func TestBestFirstMatchesFlatWalk(t *testing.T) {
 		for _, ub := range []float64{math.Inf(1), least, least * 1.3, least / 1.3} {
 			for _, how := range wc.cuts {
 				want := recordWalk(flatBestFirst, sp, ub, how)
-				got := recordWalk((*Space).bestFirst, sp, ub, how)
+				got := recordWalk(twoLevel, sp, ub, how)
 				steps += len(want)
 				if i := firstDiff(got, want); i >= 0 {
 					t.Fatalf("%s %v %s pruned=%v ub=%v cut %d: step %d of %d/%d: two-level %s, flat %s",

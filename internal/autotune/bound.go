@@ -142,7 +142,7 @@ func (sp *Space) BoundSeconds(c conv.Config) float64 { return sp.floor(c, idealR
 // is dropped without a floor of any of its tiles.
 func (sp *Space) minFloor(ub float64) float64 {
 	low := ub
-	sp.bestFirst(ub, func(bound float64, _ conv.Config) bool {
+	sp.bestFirst(sp.divisors(), ub, func(bound float64, _ conv.Config) bool {
 		return bound >= low
 	}, func(c conv.Config) bool {
 		if f := sp.analyticFloor(c); f < low && sp.measurable(c) {
@@ -252,12 +252,20 @@ func (tb tileBound) compare(o tileBound) int {
 // it does before any tile of its bound, so a tile is visited only when it is
 // strictly below every group still closed. The tiles thus come out in the
 // order that flooring every tile and sorting would give, while only the
-// groups the walk reaches have their tiles floored.
-func (sp *Space) bestFirst(ub float64, cut func(bound float64, t conv.Config) bool, visit func(conv.Config) bool) {
+// groups the walk reaches have their tiles floored. divs is the caller's
+// tileDivisors, the thread-count choices of the visited tiles.
+func (sp *Space) bestFirst(divs map[int][]int, ub float64, cut func(bound float64, t conv.Config) bool, visit func(conv.Config) bool) {
 	w := sp.newWalk(ub)
 	defer w.release()
 	w.groups()
-	divs := sp.tileDivisors() // for this walk only: see Space.divs
+	w.run(divs, cut, visit)
+}
+
+// run pops the heap to its end: a group is expanded into its tiles, and a
+// tile is handed to cut with its bound and then, unless visit is nil, its
+// configurations to visit (threadConfigs over divs). cut returning true ends
+// the run, as does visit returning false.
+func (w *walk) run(divs map[int][]int, cut func(bound float64, t conv.Config) bool, visit func(conv.Config) bool) {
 	for len(w.heap) > 0 {
 		tb := w.pop()
 		if tb.n > 0 {
@@ -265,7 +273,7 @@ func (sp *Space) bestFirst(ub float64, cut func(bound float64, t conv.Config) bo
 			continue
 		}
 		t := tb.config()
-		if cut(tb.bound, t) || !threadConfigs(divs, t, visit) {
+		if cut(tb.bound, t) || visit != nil && !threadConfigs(divs, t, visit) {
 			return
 		}
 	}
@@ -395,16 +403,6 @@ func (w *walk) groupFloor(t conv.Config, ei, n int) float64 {
 
 // expand pushes the tiles of group g whose tileRates floor is below ub.
 func (w *walk) expand(g tileBound) {
-	n := len(w.heap)
-	w.heap = w.appendTiles(w.heap, g)
-	for i := n; i < len(w.heap); i++ {
-		w.up(i)
-	}
-}
-
-// appendTiles appends to dst the tiles of group g whose tileRates floor is
-// below ub.
-func (w *walk) appendTiles(dst []tileBound, g tileBound) []tileBound {
 	sp := w.sp
 	ei := slices.Index(sp.row.edges, int(g.e))
 	t := g.config()
@@ -414,11 +412,11 @@ func (w *walk) appendTiles(dst []tileBound, g tileBound) []tileBound {
 		for _, lay := range sp.row.layouts {
 			t.Layout = lay
 			if b := sp.floorWith(t, tileRates, ft); b < w.ub {
-				dst = append(dst, tileBound{bound: b, x: g.x, y: g.y, z: g.z, sb: int16(sb), lay: int8(lay), e: g.e})
+				w.heap = append(w.heap, tileBound{bound: b, x: g.x, y: g.y, z: g.z, sb: int16(sb), lay: int8(lay), e: g.e})
+				w.up(len(w.heap) - 1)
 			}
 		}
 	}
-	return dst
 }
 
 // pop removes and returns the head of the heap.

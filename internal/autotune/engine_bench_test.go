@@ -17,8 +17,8 @@ func engineBenchLayer() shapes.ConvShape {
 
 // BenchmarkTuneEngine measures the engine's own overhead: a fixed-budget
 // Tune against a warmed memoized measurer, whose steady-state measurement
-// is a ~30ns map lookup — so model refits, proposal ranking and
-// bookkeeping are essentially all that is timed.
+// is a counts lookup plus an O(1) launch and time model — so model refits,
+// proposal ranking and bookkeeping are essentially all that is timed.
 //
 //	current — the bound-guided engine (warm-started GBT, heap ranking, pruning)
 //	noprune — the same engine with the bound filter off
@@ -28,7 +28,7 @@ func engineBenchLayer() shapes.ConvShape {
 func BenchmarkTuneEngine(b *testing.B) {
 	arch := memsim.V100
 	s := engineBenchLayer()
-	measure := KindMeasurer(arch, s, Direct) // shared memo: measurements are free after round one
+	measure := KindMeasurer(arch, s, Direct) // shared memo: every tile's counts are computed once
 	opts := DefaultOptions()
 	opts.Budget = 192
 	opts.Patience = 0
@@ -170,12 +170,13 @@ func benchRows(n int, seed int64) ([][]float64, []float64) {
 
 // TestTuneEngineAllocCeiling holds BenchmarkTuneEngine's two variants — a
 // search at budget 192, Patience 0, on a warmed memoized measurer, space
-// construction included — to the allocations the engine made before it
-// became one driver over a search struct: 343 pruned (345–346 under -race,
-// whose sync.Pool then dropped recycled walk heaps at random) and 925
-// NoPrune. The pruned search, the tile-shape probes' table included, reads
-// the same count in every run, with or without -race. A change that
-// allocates per booking, per proposal or per loop iteration fails it.
+// construction included — to their allocations once every fact of the hot
+// loop had one owner: 299 pruned, with the floor scans reading the search's
+// own divisor table and the class table built on a recycled walk heap, and
+// 903 NoPrune. Each reads the same count in every run, with or without
+// -race, so the ceilings are the readings themselves: a change that adds one
+// allocation per search, per booking, per proposal or per loop iteration
+// fails it.
 func TestTuneEngineAllocCeiling(t *testing.T) {
 	arch := memsim.V100
 	s := engineBenchLayer()
@@ -184,7 +185,7 @@ func TestTuneEngineAllocCeiling(t *testing.T) {
 		name    string
 		noPrune bool
 		ceiling float64
-	}{{"current", false, 346}, {"noprune", true, 925}} {
+	}{{"current", false, 299}, {"noprune", true, 903}} {
 		opts := DefaultOptions()
 		opts.Budget = 192
 		opts.Patience = 0

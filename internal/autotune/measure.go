@@ -12,18 +12,15 @@ import (
 // This file is the measurement fast path of the engine. A tuning run
 // evaluates hundreds of configurations against one (arch, shape, kind)
 // triple, and the expensive part of each evaluation — the exact dataflow
-// traffic counts — depends only on the output-tile axes (x, y, z) plus the
+// traffic counts — depends only on the output tile (x, y, z) plus the
 // Winograd edge e. Threads, shared-memory size and layout enter through the
 // launch geometry, which is O(1) to rebuild. MemoMeasure therefore caches
-// counts per tile key and recomputes launch + time per call: every
+// counts per tile and recomputes launch + time per call: every
 // thread/Sb/layout variant of a tile the walkers visit is an O(1) lookup,
 // the steady state allocates nothing, and the produced Measurements are
 // bit-identical to the unmemoized conv.Dry* evaluators (tests pin this).
-
-// countsKey is the memo key: the config axes that change dataflow counts.
-type countsKey struct {
-	x, y, z, e int
-}
+// A search measures each configuration once (search.seen), so nothing above
+// the counts is memoised.
 
 // countsEntry is a memoized counts computation. ok is false when the counts
 // evaluator itself rejected the tile (e.g. no transform for e).
@@ -32,18 +29,10 @@ type countsEntry struct {
 	ok     bool
 }
 
-// measEntry is a memoized full measurement (per complete config).
-type measEntry struct {
-	m  Measurement
-	ok bool
-}
-
 // MemoMeasure is a reusable, concurrency-safe measurer for one
-// (arch, shape, kind) triple with two memo levels: dataflow counts per
-// tile key (shared by every thread/Sb/layout variant of a tile) and the
-// finished Measurement per complete config (so re-evaluating a config —
-// across search strategies, network layers or repeated sweeps — is one map
-// lookup). The zero value is not usable; construct with NewMemoMeasure.
+// (arch, shape, kind) triple with one memo level: dataflow counts per tile
+// (tileKey), shared by every thread/Sb/layout variant of the tile. The zero
+// value is not usable; construct with NewMemoMeasure.
 type MemoMeasure struct {
 	arch     memsim.Arch
 	s        shapes.ConvShape
@@ -57,8 +46,7 @@ type MemoMeasure struct {
 	fixedSec float64
 
 	mu   sync.RWMutex
-	memo map[countsKey]countsEntry
-	full map[conv.Config]measEntry
+	memo map[tileKey]countsEntry
 }
 
 // NewMemoMeasure builds a memoized measurer. The same instance may be
@@ -67,42 +55,24 @@ type MemoMeasure struct {
 func NewMemoMeasure(arch memsim.Arch, s shapes.ConvShape, kind Kind) *MemoMeasure {
 	mm := &MemoMeasure{arch: arch, s: s, row: kind.spec(),
 		shapeErr: s.Validate(),
-		memo:     make(map[countsKey]countsEntry),
-		full:     make(map[conv.Config]measEntry)}
+		memo:     make(map[tileKey]countsEntry)}
 	if mm.row.fixed != nil && mm.shapeErr == nil {
 		mm.fixedSec = mm.row.fixed(arch, s)
 	}
 	return mm
 }
 
-// Measure evaluates one configuration: validation and launch/time are
-// recomputed per call (they depend on every axis), counts come from the
-// memo. Results are bit-identical to the unmemoized dry evaluators.
+// Measure evaluates one configuration: validate, fetch (or compute) the
+// tile's counts, rebuild the launch and run the time model. Results are
+// bit-identical to the unmemoized dry evaluators.
 func (mm *MemoMeasure) Measure(c conv.Config) (Measurement, bool) {
-	mm.mu.RLock()
-	fe, hit := mm.full[c]
-	mm.mu.RUnlock()
-	if hit {
-		return fe.m, fe.ok
-	}
-	fe.m, fe.ok = mm.measureCold(c)
-	mm.mu.Lock()
-	mm.full[c] = fe
-	mm.mu.Unlock()
-	return fe.m, fe.ok
-}
-
-// measureCold evaluates a config the full memo has not seen: validate,
-// fetch (or compute) the tile's counts, rebuild the launch and run the time
-// model. Results are bit-identical to the unmemoized evaluators.
-func (mm *MemoMeasure) measureCold(c conv.Config) (Measurement, bool) {
 	// Validation is the Dry evaluators' own; a config they reject is rejected
 	// here before any counts are computed.
 	if mm.shapeErr != nil || mm.row.validate(c, mm.s, mm.arch) != nil {
 		return Measurement{}, false
 	}
 
-	key := countsKey{x: c.TileX, y: c.TileY, z: c.TileZ, e: c.WinogradE}
+	key := tileOf(c)
 	mm.mu.RLock()
 	ent, hit := mm.memo[key]
 	mm.mu.RUnlock()

@@ -55,9 +55,11 @@ func testConfigs(t *testing.T, sp *Space, n int, seed int64) []conv.Config {
 }
 
 // The memoized measurer must be bit-identical to the unmemoized dry path on
-// every config — valid or not — across kinds, layouts and architectures,
-// including re-evaluations served from the memo. The benchmark's oracle
-// relies on exactly this: it re-measures served verdicts through Kind.Dry.
+// every config — valid or not — across kinds, layouts and architectures, on
+// its first reading and on a second one straight after, whose counts come
+// from the memo: the path a retry, the noisy-reading defense and a baseline
+// revisiting a configuration take. The benchmark's oracle relies on exactly
+// this: it re-measures served verdicts through Kind.Dry.
 // Kind.Phase must decompose the same number: fixed launches plus the time
 // model on the tunable launch is the dry evaluator's Seconds.
 func TestMemoMeasureMatchesUnmemoized(t *testing.T) {
@@ -88,22 +90,21 @@ func TestMemoMeasureMatchesUnmemoized(t *testing.T) {
 		memo := NewMemoMeasure(tc.arch, tc.s, tc.kind)
 		raw := unmemoizedMeasurer(tc.arch, tc.s, tc.kind)
 		cfgs := testConfigs(t, sp, 40, 11)
-		// Two passes: the second is served entirely from the memo.
-		for pass := 0; pass < 2; pass++ {
-			for _, c := range cfgs {
+		for _, c := range cfgs {
+			wm, wok := raw(c)
+			for reading := 1; reading <= 2; reading++ {
 				gm, gok := memo.Measure(c)
-				wm, wok := raw(c)
-				if gok != wok || gm != wm {
-					t.Fatalf("%s %v pass %d %v: memo (%v, %v) != raw (%v, %v)",
-						tc.arch.Name, tc.kind, pass, c, gm, gok, wm, wok)
+				if gok != wok || math.Float64bits(gm.Seconds) != math.Float64bits(wm.Seconds) {
+					t.Fatalf("%s %v reading %d %v: memo (%v, %v) != raw (%v, %v)",
+						tc.arch.Name, tc.kind, reading, c, gm, gok, wm, wok)
 				}
-				counts, l, fixed, err := tc.kind.Phase(tc.arch, tc.s, c)
-				if dry, derr := tc.kind.Dry(tc.arch, tc.s, c); (err == nil) != (derr == nil) {
-					t.Fatalf("%s %v %v: Phase error %v, Dry error %v", tc.arch.Name, tc.kind, c, err, derr)
-				} else if err == nil && fixed+tc.arch.Time(counts, l) != dry.Seconds {
-					t.Fatalf("%s %v %v: fixed %v + tunable %v != dry %v",
-						tc.arch.Name, tc.kind, c, fixed, tc.arch.Time(counts, l), dry.Seconds)
-				}
+			}
+			counts, l, fixed, err := tc.kind.Phase(tc.arch, tc.s, c)
+			if dry, derr := tc.kind.Dry(tc.arch, tc.s, c); (err == nil) != (derr == nil) {
+				t.Fatalf("%s %v %v: Phase error %v, Dry error %v", tc.arch.Name, tc.kind, c, err, derr)
+			} else if err == nil && fixed+tc.arch.Time(counts, l) != dry.Seconds {
+				t.Fatalf("%s %v %v: fixed %v + tunable %v != dry %v",
+					tc.arch.Name, tc.kind, c, fixed, tc.arch.Time(counts, l), dry.Seconds)
 			}
 		}
 		if memo.Len() == 0 {

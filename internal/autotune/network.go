@@ -315,15 +315,7 @@ func seedsFor(sp *Space, cands []scored, noPrune bool) *warmStart {
 			ranked = append(ranked, scored{cfg, cost})
 		}
 	}
-	slices.SortFunc(ranked, func(a, b scored) int {
-		switch {
-		case scoredBefore(a, b):
-			return -1
-		case scoredBefore(b, a):
-			return 1
-		}
-		return 0
-	})
+	slices.SortFunc(ranked, compareScored)
 	var seeds []conv.Config
 	for _, r := range ranked {
 		if len(seeds) == warmSeeds {

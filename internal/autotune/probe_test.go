@@ -175,3 +175,73 @@ func TestProbesSkipOffAxisReplayedRows(t *testing.T) {
 		t.Fatalf("the resumed search never probed (%d measurements, stop %v)", tr.Measurements, tr.Stop)
 	}
 }
+
+// The class table is the enumeration's: for each class, its admissible
+// tiles whose tileRates floor is below ub, taken in compare order, and the
+// first of them whose least-floor thread counts measure (leastThreads) is the
+// representative; a class with none scores +Inf. The spaces are a Direct, a
+// Winograd and a grouped one (in which a table that pops a class's groups
+// in the order it meets them, not by floor, picks wrong representatives),
+// each at ub = +Inf and at a finite incumbent, 1.1 times the space's least
+// tight floor, below which some classes must fall out.
+func TestShapeClassesMatchEnumeration(t *testing.T) {
+	conv3 := shapes.ConvShape{Batch: 1, Cin: 256, Hin: 13, Win: 13, Cout: 384, Hker: 3, Wker: 3, Strid: 1, Pad: 1}
+	grouped := shapes.ConvShape{Batch: 1, Cin: 16, Hin: 28, Win: 28, Cout: 32, Hker: 5, Wker: 5, Strid: 1, Pad: 2, Groups: 4}
+	dropped := 0
+	for _, tc := range []struct {
+		name  string
+		shape shapes.ConvShape
+		kind  Kind
+	}{
+		{"direct", engineBenchLayer(), Direct},
+		{"winograd", conv3, Winograd},
+		{"grouped", grouped, Direct},
+	} {
+		sp, err := NewSpace(tc.shape, arch, tc.kind, 0, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		kept := 0
+		for _, ub := range []float64{math.Inf(1), 1.1 * sp.minFloor(math.Inf(1))} {
+			cl := sp.shapeClasses(ub)
+			tiles := make([][]tileBound, len(cl.reps))
+			sp.enumerateTiles(func(c conv.Config) bool {
+				if b := sp.floor(c, tileRates); b < ub {
+					i := cl.index(sp, c)
+					tiles[i] = append(tiles[i], tileBound{bound: b, x: int16(c.TileX), y: int16(c.TileY), z: int16(c.TileZ),
+						sb: int16(c.SharedPerBlock), lay: int8(c.Layout), e: int8(c.WinogradE)})
+				}
+				return true
+			})
+			finite := 0
+			for i, class := range tiles {
+				slices.SortFunc(class, tileBound.compare)
+				want := scored{cost: math.Inf(1)}
+				for _, tb := range class {
+					if r := sp.leastThreads(sp.divisors(), tb.config()); !math.IsInf(r.cost, 1) {
+						want = r
+						break
+					}
+				}
+				if got := cl.reps[i]; got.cfg != want.cfg || math.Float64bits(got.cost) != math.Float64bits(want.cost) {
+					t.Fatalf("%s ub=%v class %d: table %+v, enumeration %+v", tc.name, ub, i, got, want)
+				}
+				if !math.IsInf(want.cost, 1) {
+					finite++
+				}
+			}
+			if finite == 0 {
+				t.Fatalf("%s ub=%v: no class has a representative: the check is vacuous", tc.name, ub)
+			}
+			if math.IsInf(ub, 1) {
+				kept += finite
+			} else {
+				dropped += kept - finite
+			}
+			t.Logf("%s ub=%v: %d of %d classes", tc.name, ub, finite, len(cl.reps))
+		}
+	}
+	if dropped == 0 {
+		t.Fatal("no finite bound dropped a class: the bounded tables are the unbounded ones")
+	}
+}

@@ -55,9 +55,10 @@ type Space struct {
 	ysByE map[int][]int
 	zs    []int
 	sbs   []int
-	// divs is tileDivisors(), kept from the first walk step or sample on: a
-	// search asks for a tile's thread-count choices hundreds of times per
-	// batch. A space that only answers analytic scans never builds it.
+	// divs is tileDivisors(), kept from the first walk step, sample, floor
+	// scan or enumeration on: a search asks for a tile's thread-count choices
+	// hundreds of times per batch. A space that only answers analytic scans
+	// never builds it; its one scan builds a table it drops.
 	divOnce sync.Once
 	divs    map[int][]int
 
@@ -208,7 +209,7 @@ func (sp *Space) Size() int64 {
 // enumerate visits every admissible config; the visitor returns false to
 // stop early.
 func (sp *Space) enumerate(visit func(conv.Config) bool) {
-	divs := sp.tileDivisors() // for this walk only: see Space.divs
+	divs := sp.divisors()
 	sp.enumerateTiles(func(t conv.Config) bool { return threadConfigs(divs, t, visit) })
 }
 

@@ -420,14 +420,14 @@ func (r *record) flat() int {
 // for, and a search its budget stops first gains too little from them to
 // pay for their table. A tile-shape class is
 // (round(log2(TileX/TileY)), TileZ, WinogradE), and its representative is
-// its least tileRates-bound tile at that tile's measurable thread counts of
-// least tight floor, from a table the search builds on its first probe off
-// the best-first walk's group floors (Space.shapeClasses). The probes are the
-// representatives of the classes no booking has reached yet, least
-// predicted cost first, skipping one of a tile the batch has taken or whose
-// tight floor is not below the incumbent. Bound-blind runs
-// (NoPrune) never probe: the representatives are chosen by the floor.
-// Trace.Probes credits them.
+// its least tileRates-bound tile whose thread counts of least tight floor
+// measure, at those counts, from a table the search builds on its first
+// probe by running the best-first walk's loop once per class
+// (Space.shapeClasses). The probes are the representatives of the classes
+// no booking has reached yet, least predicted cost first (one sort on
+// compareScored), skipping one of a tile the batch has taken or whose tight
+// floor is not below the incumbent. Bound-blind runs (NoPrune) never probe:
+// the representatives are chosen by the floor. Trace.Probes credits them.
 //
 // Six things keep the engine's own machinery off the critical path:
 //
@@ -974,21 +974,9 @@ func (s *search) probes(batch []conv.Config, slots int) []conv.Config {
 		}
 	}
 	s.view.score(cands)
+	slices.SortFunc(cands, compareScored)
 	s.ranked = cands
-	var best [probeSlots]scored
-	n := 0
-	for _, sc := range cands {
-		if n < slots {
-			n++
-		} else if !scoredBefore(sc, best[n-1]) {
-			continue
-		}
-		best[n-1] = sc
-		for j := n - 1; j > 0 && scoredBefore(best[j], best[j-1]); j-- {
-			best[j], best[j-1] = best[j-1], best[j]
-		}
-	}
-	for _, sc := range best[:n] {
+	for _, sc := range cands[:min(slots, len(cands))] {
 		s.tiles[tileOf(sc.cfg)] = true
 		s.probed[s.nprobed] = sc.cfg
 		s.nprobed++
@@ -1012,9 +1000,10 @@ func (s *search) markBooked(c conv.Config) {
 // shapeClasses is a search's table of tile-shape classes, one per
 // (round(log2(TileX/TileY)), TileZ, WinogradE) over the space's axes, built
 // below a bound ub, the incumbent at the search's first probe. A class's
-// representative is its least tileRates-bound tile that has a measurable
-// configuration, at its measurable thread counts of least tight floor,
-// scored with that floor; a class with no such tile below ub scores +Inf.
+// representative is its first tile in tileBound.compare order, among those
+// whose tileRates floor is below ub, whose thread counts of least tight floor
+// measure (leastThreads), scored with that floor; a class with no such tile
+// scores +Inf.
 // The incumbent only falls, so a class left out could not improve it later
 // either.
 type shapeClasses struct {
@@ -1056,12 +1045,13 @@ func (cl *shapeClasses) index(sp *Space, c conv.Config) int {
 
 // shapeClasses builds the class table of a search whose incumbent is ub.
 //
-// The build is the best-first walk (bestFirst) run class by class: a
-// class's groups below ub, sorted by floor, are expanded in that order only
-// while one could hold a tile that precedes every tile of the class
-// expanded so far, and the class takes the first of those tiles that has a
-// measurable configuration. A class's other groups are never floored tile
-// by tile.
+// The build is the best-first walk (bestFirst) run class by class on one
+// recycled heap: a class's groups below ub go on the heap, and the walk's
+// loop (walk.run, with no thread loops) pops them, expanding a group when it
+// reaches the head, until a tile measures (leastThreads): the class takes
+// it. compare is a total order, so the representative is the first tile of
+// the class in compare order that measures, and a class's groups past it are
+// never floored tile by tile.
 func (sp *Space) shapeClasses(ub float64) *shapeClasses {
 	cl := &shapeClasses{}
 	lo, hi := math.MaxInt, math.MinInt
@@ -1074,17 +1064,17 @@ func (sp *Space) shapeClasses(ub float64) *shapeClasses {
 	for i := range cl.reps {
 		cl.reps[i].cost = math.Inf(1)
 	}
-	// One buffer holds an edge's (x, y) tiles by aspect (the aspect in
-	// bound), then a class's groups below ub, then their tiles.
+	// plane holds an edge's (x, y) tiles by aspect (the aspect in bound).
 	pairs := 0
 	for _, e := range sp.row.edges {
 		pairs = max(pairs, len(sp.xsByE[e])*len(sp.ysByE[e]))
 	}
-	buf := make([]tileBound, 0, pairs*(2+len(sp.sbs)*len(sp.row.layouts)))
-	w := walk{sp: sp, ub: ub}
+	plane := make([]tileBound, 0, pairs)
+	w := sp.newWalk(ub)
+	defer w.release()
 	divs := sp.divisors()
 	for ei, e := range sp.row.edges {
-		plane := buf[:0]
+		plane = plane[:0]
 		for _, x := range sp.xsByE[e] {
 			for _, y := range sp.ysByE[e] {
 				plane = append(plane, tileBound{bound: float64(aspect(x, y)), x: int16(x), y: int16(y)})
@@ -1093,50 +1083,25 @@ func (sp *Space) shapeClasses(ub float64) *shapeClasses {
 		slices.SortFunc(plane, func(a, b tileBound) int { return cmp.Compare(a.bound, b.bound) })
 		for _, z := range sp.zs {
 			for start, end := 0, 0; start < len(plane); start = end {
-				groups := plane[len(plane):len(plane)]
+				w.heap = w.heap[:0]
 				for end = start; end < len(plane) && plane[end].bound == plane[start].bound; end++ {
 					if g := w.group(ei, int(plane[end].x), int(plane[end].y), z); g.n > 0 && g.bound < ub {
-						groups = append(groups, g)
+						w.heap = append(w.heap, g)
+						w.up(len(w.heap) - 1)
 					}
 				}
-				if len(groups) == 0 {
+				if len(w.heap) == 0 {
 					continue
 				}
-				slices.SortFunc(groups, tileBound.compare)
-				cl.reps[cl.index(sp, groups[0].config())] = w.leastOfClass(divs, groups, groups[len(groups):len(groups)])
+				rep := &cl.reps[cl.index(sp, w.heap[0].config())]
+				w.run(divs, func(_ float64, t conv.Config) bool {
+					*rep = sp.leastThreads(divs, t)
+					return !math.IsInf(rep.cost, 1)
+				}, nil)
 			}
 		}
 	}
 	return cl
-}
-
-// leastOfClass is the representative of the class whose groups are groups,
-// sorted by compare: the first of their tiles in compare order that
-// measures, at its thread counts of least tight floor (leastThreads),
-// scored +Inf when none does. The tiles go in tiles' capacity.
-func (w *walk) leastOfClass(divs map[int][]int, groups, tiles []tileBound) scored {
-	next := 0
-	for {
-		least := -1
-		for k, tb := range tiles {
-			if least < 0 || tb.compare(tiles[least]) < 0 {
-				least = k
-			}
-		}
-		if next < len(groups) && (least < 0 || groups[next].compare(tiles[least]) < 0) {
-			tiles = w.appendTiles(tiles, groups[next])
-			next++
-			continue
-		}
-		if least < 0 {
-			return scored{cost: math.Inf(1)}
-		}
-		if r := w.sp.leastThreads(divs, tiles[least].config()); !math.IsInf(r.cost, 1) {
-			return r
-		}
-		tiles[least] = tiles[len(tiles)-1]
-		tiles = tiles[:len(tiles)-1]
-	}
 }
 
 // leastThreads is tile t at its thread counts of least tight floor, the
@@ -1203,12 +1168,12 @@ type predictor struct {
 	memo     map[conv.Config]float64
 
 	feat []float64 // one configuration's features
-	// The ranking's memo misses: their configurations, their feature matrix
-	// (rows into one backing array) and its batched predictions.
-	cfgs  []conv.Config
-	feats [][]float64
-	store []float64
-	preds []float64
+	// score's memo misses: their indices, their feature matrix (rows into
+	// one backing array) and its batched predictions.
+	misses []int
+	feats  [][]float64
+	store  []float64
+	preds  []float64
 }
 
 // refit points the view at a refitted model and forgets the old one's
@@ -1243,23 +1208,14 @@ func (p *predictor) modeled(c conv.Config, v float64) float64 {
 	return v + base
 }
 
-// rank writes every pool member under its modeled cost into dst (recycled)
-// in scoredBefore order and returns it; the members no walker predicted go
-// through one PredictBatch.
+// rank writes every pool member under its modeled cost (score) into dst
+// (recycled) in scoredBefore order and returns it.
 func (p *predictor) rank(pool map[conv.Config]bool, dst []scored) []scored {
 	dst = dst[:0]
-	p.cfgs, p.feats, p.store = p.cfgs[:0], p.feats[:0], p.store[:0]
 	for c := range pool {
-		if v, ok := p.memo[c]; ok {
-			dst = append(dst, scored{c, v})
-			continue
-		}
-		p.miss(c)
+		dst = append(dst, scored{cfg: c})
 	}
-	p.preds = p.model.PredictBatch(p.feats, p.preds)
-	for i, c := range p.cfgs {
-		dst = append(dst, scored{c, p.modeled(c, p.preds[i])})
-	}
+	p.score(dst)
 	slices.SortFunc(dst, compareScored)
 	return dst
 }
@@ -1268,25 +1224,20 @@ func (p *predictor) rank(pool map[conv.Config]bool, dst []scored) []scored {
 // cost and memoizes it; the ones the memo lacks go through one
 // PredictBatch.
 func (p *predictor) score(cs []scored) {
-	p.cfgs, p.feats, p.store = p.cfgs[:0], p.feats[:0], p.store[:0]
-	for _, s := range cs {
-		if _, ok := p.memo[s.cfg]; !ok {
-			p.miss(s.cfg)
+	p.misses, p.feats, p.store = p.misses[:0], p.feats[:0], p.store[:0]
+	for i, s := range cs {
+		if v, ok := p.memo[s.cfg]; ok {
+			cs[i].cost = v
+			continue
 		}
+		p.misses = append(p.misses, i)
+		start := len(p.store)
+		p.store = p.sp.FeaturesInto(p.store, s.cfg)
+		p.feats = append(p.feats, p.store[start:len(p.store):len(p.store)])
 	}
 	p.preds = p.model.PredictBatch(p.feats, p.preds)
-	for i, c := range p.cfgs {
-		p.memo[c] = p.modeled(c, p.preds[i])
+	for j, i := range p.misses {
+		cs[i].cost = p.modeled(cs[i].cfg, p.preds[j])
+		p.memo[cs[i].cfg] = cs[i].cost
 	}
-	for i := range cs {
-		cs[i].cost = p.memo[cs[i].cfg]
-	}
-}
-
-// miss queues c, a configuration the memo lacks, for the batched prediction.
-func (p *predictor) miss(c conv.Config) {
-	p.cfgs = append(p.cfgs, c)
-	start := len(p.store)
-	p.store = p.sp.FeaturesInto(p.store, c)
-	p.feats = append(p.feats, p.store[start:len(p.store):len(p.store)])
 }
