@@ -97,11 +97,17 @@ const WarmSeedCount = warmSeeds
 // configuration has a tight floor below Trace.GapRef / GapRatio.
 const GapRatio = gapRatio
 
-// GapWait is g(f) under DefaultOptions' Patience: a gap stop taken f fresh
-// measurements after the search's last significant improvement proved that
-// no measurable configuration has a tight floor below Trace.GapRef /
-// GapWait(f), f below Patience.
-func GapWait(f int) float64 { return gapWait(f, DefaultOptions().Patience) }
+// SweepPatience is the Patience a sweep search of sp waits under
+// DefaultOptions, recomputed from the space's minimum tight floor
+// (sweepPatience).
+func SweepPatience(sp *Space) int { return sweepPatience(sp.MinFloor(), DefaultOptions()) }
+
+// SweepGapWait is g(f) at the Patience a sweep search of sp waits under
+// DefaultOptions: a gap stop taken f fresh measurements after the search's
+// last significant improvement proved that no measurable configuration has
+// a tight floor below Trace.GapRef / SweepGapWait(sp, f), f below that
+// Patience.
+func SweepGapWait(sp *Space, f int) float64 { return gapWait(f, SweepPatience(sp)) }
 
 // StopMismatch describes how tr's stop fields disagree, or is "" when they
 // agree: a waived stop is a gap stop, exactly a gap stop carries a GapRef,

@@ -424,7 +424,7 @@ func (p sweepPlan) run(ctx context.Context, cache *Cache, opts NetworkOptions) e
 			defer func() { <-slots }()
 			t := tasks[idxs[j]]
 			to := opts.Tune
-			to.warm = seedsFor(t.sp, cands, to.NoPrune)
+			to.warm, to.floorPatience = seedsFor(t.sp, cands, to.NoPrune), true
 			if lead := p.lead(t.owner); lead == t {
 				defer close(t.done)
 				to.booked = t.book

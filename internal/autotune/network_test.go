@@ -412,7 +412,8 @@ func TestDirectLedWaiverAnswersDirect(t *testing.T) {
 
 // A Direct lead whose measurements all fail gives its follower no waiver:
 // the lead's incumbent reads +Inf throughout, and the follower runs the
-// search it runs with no lead.
+// search it runs with no lead, at the Patience its floor scales as the
+// sweep's.
 func TestFailedDirectLeadGivesNoWaiver(t *testing.T) {
 	layers := []NetworkLayer{dwLayer}
 	tune := DefaultOptions()
@@ -432,7 +433,9 @@ func TestFailedDirectLeadGivesNoWaiver(t *testing.T) {
 	if led.Kind != ImplicitGEMM || plan.tasks[0].err == nil {
 		t.Fatalf("search 1 is %v and Direct failed: %t; want implicit GEMM after a failed Direct lead", led.Kind, plan.tasks[0].err != nil)
 	}
-	alone, err := Tune(led.sp, KindMeasurer(arch, dwLayer.Shape, ImplicitGEMM), tune)
+	lone := tune
+	lone.floorPatience = true
+	alone, err := Tune(led.sp, KindMeasurer(arch, dwLayer.Shape, ImplicitGEMM), lone)
 	if err != nil {
 		t.Fatal(err)
 	}

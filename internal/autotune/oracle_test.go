@@ -112,7 +112,7 @@ func TestZooMinFloorMatchesAnalyticTop(t *testing.T) {
 // and that optimum must be the minimum floor; every search that stopped on
 // the gap f flat measurements after its last improvement must hold its
 // proof, GapRef / g(f) ≤ the minimum floor ≤ the optimum (g(f) < G, f
-// below Patience), and every waived one its lead's verdict below that floor (led by
+// below the search's own Patience, which its floor scales), and every waived one its lead's verdict below that floor (led by
 // Winograd, its own verdict within G of it too); and every stop's fields
 // must agree (StopMismatch). The per-seed, per-kind tallies, the stop mix — searches,
 // off-optimum searches and measurements per (kind, stop), then the Patience
@@ -347,9 +347,10 @@ func zooOracle(t *testing.T, arch memsim.Arch, seed int64, golden *bytes.Buffer)
 		// A gap stop taken f flat measurements after the last improvement
 		// claims that no measurable configuration has a floor below
 		// GapRef / g(f), so neither the minimum floor nor the optimum above
-		// it lies below that. The pass resumes nothing and counts every
-		// improvement, so f is the measurements after ConvergedAt.
-		if g := autotune.GapWait(s.Measurements - s.ConvergedAt); s.Stop == autotune.StopGap && !(s.GapRef/g <= floor) {
+		// it lies below that. g reads the search's own Patience, scaled by
+		// its floor. The pass resumes nothing and counts every improvement,
+		// so f is the measurements after ConvergedAt.
+		if g := autotune.SweepGapWait(sp, s.Measurements-s.ConvergedAt); s.Stop == autotune.StopGap && !(s.GapRef/g <= floor) {
 			t.Errorf("seed %d: %v %s: gap stop against %v at g %v, minimum floor %v, optimum %v",
 				seed, sp.Shape, sp.Kind, s.GapRef, g, floor, opt.Seconds)
 		}

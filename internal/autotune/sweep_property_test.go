@@ -209,3 +209,66 @@ func TestSweepLeavesNoGoroutine(t *testing.T) {
 		})
 	}
 }
+
+// TestSweepPatienceFollowsTheFloor: a sweep search waits its own Patience,
+// recomputed here from its space's minimum tight floor (SweepPatience). In
+// a cold zoo pass at seeds 0 and 1, every search that stopped on Patience,
+// but for a Direct-led follower trailing its lead (which stops after
+// 2·BatchSize flat measurements), stopped at the first between-batch check
+// at least P measurements after its last improvement: P ≤ f < P + BatchSize,
+// f = Measurements − ConvergedAt. The Patience is a function of the search
+// key: each (kind, shape) a pass searched gets the same P from the space
+// every zoo network that holds it builds.
+func TestSweepPatienceFollowsTheFloor(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs two cold zoo passes")
+	}
+	tune := autotune.DefaultOptions()
+	patience := make(map[autotune.Search]int)
+	checked, scaled := 0, 0
+	for _, seed := range []int64{0, 1} {
+		tune.Seed = seed
+		_, searches := coldZooPass(t, tune, autotune.NewCache())
+		for _, s := range searches {
+			sp := s.Space
+			p := autotune.SweepPatience(sp)
+			patience[groupsKey(sp.Kind, sp.Shape)] = p
+			trailing := s.Lead != 0 && s.LeadKind == autotune.Direct && s.Lead < s.BestM.Seconds
+			if s.Stop != autotune.StopPatience || trailing {
+				continue
+			}
+			checked++
+			if p < tune.Patience {
+				scaled++
+			}
+			if f := s.Measurements - s.ConvergedAt; f < p || f >= p+tune.BatchSize {
+				t.Errorf("seed %d: %v %s stopped on Patience %d measurements after its last improvement; its minimum floor %v sets Patience %d",
+					seed, sp.Shape, sp.Kind, f, sp.MinFloor(), p)
+			}
+		}
+	}
+	if scaled == 0 {
+		t.Fatal("no Patience stop waited less than the full Patience: the check compares nothing the floor scaled")
+	}
+	held := 0
+	for _, fx := range zooFixtures() {
+		opts := zooOptions(fx, tune)
+		for _, l := range fx.layers {
+			for _, k := range autotune.CandidateKinds(l.Shape, opts.Winograd, opts.Kinds) {
+				want, searched := patience[groupsKey(k, l.Shape)]
+				if !searched {
+					continue
+				}
+				sp, err := autotune.NewSpace(l.Shape, laneArch, k, 0, true)
+				if err != nil {
+					t.Fatal(err)
+				}
+				held++
+				if p := autotune.SweepPatience(sp); p != want {
+					t.Errorf("%s %s %s: Patience %d, %d where the pass searched it", fx.name, l.Name, k, p, want)
+				}
+			}
+		}
+	}
+	t.Logf("%d Patience stops checked, %d below the full Patience; %d searches, %d zoo layers' kinds", checked, scaled, len(patience), held)
+}

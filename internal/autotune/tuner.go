@@ -76,13 +76,17 @@ type Options struct {
 	// iteration.
 	WalkSteps int
 	// Patience stops the run after this many measurements without
-	// improvement (0 disables; DefaultOptions sets 64). A Direct-led
-	// follower in a network sweep whose lead's incumbent lies below its own
-	// stops after min(Patience, 2·BatchSize) instead. The gap stop asks ever
-	// looser ratios as a search goes flat, towards G at Patience, and from
-	// 2·BatchSize flat measurements on, while the budget covers the rest of
-	// Patience, each loop batch spends two slots on tile shapes the search
-	// has not measured (see Tune).
+	// improvement (0 disables; DefaultOptions sets 64). In a network sweep
+	// each search waits its own Patience, scaled by its space's least tight
+	// floor m: round(Patience·√(m / 20 µs)), at least 2·BatchSize and at
+	// most Patience (sweepPatience), so a light layer, which weighs little
+	// in the network's time, stops sooner. A Direct-led follower in a sweep
+	// whose lead's incumbent lies below its own stops after 2·BatchSize
+	// instead. The gap stop asks ever looser ratios as a search goes flat,
+	// towards G at the search's Patience, and from 2·BatchSize flat
+	// measurements on, while the budget covers the rest of that Patience,
+	// each loop batch spends two slots on tile shapes the search has not
+	// measured (see Tune).
 	Patience int
 	// MinDelta is the relative improvement (in measured seconds) below
 	// which an improvement does not reset Patience — the min_delta of
@@ -134,6 +138,11 @@ type Options struct {
 	// leadDirect says the lead is a Direct search, which every request
 	// reads: the waiver then needs no proof from the search's own incumbent.
 	leadDirect bool
+	// floorPatience, set by TuneNetwork on each of its searches, scales
+	// Patience by the space's least tight floor (see Patience). A search
+	// that may prune resolves it at its first between-batch stop with an
+	// incumbent (search.scalePatience); a bound-blind one keeps Patience.
+	floorPatience bool
 	// booked, when non-nil, is called after every booking of measurements
 	// with the trace's measurement count and the incumbent's seconds (+Inf
 	// before a valid one): TuneNetwork publishes a lead's progress with it.
@@ -233,11 +242,12 @@ type Trace struct {
 	Stop StopReason
 	// GapRef is the reference the gap proof held against when Stop is
 	// StopGap — the incumbent's seconds: no measurable configuration has a
-	// tight floor below GapRef / g(f), f < Patience the fresh measurements
-	// since the last significant improvement and g(f) < 1.3 (gapWait), so
-	// below GapRef / 1.3 on every gap stop. On a waived stop it is its layer
-	// lead's incumbent at leadAhead times its own measurements, below every
-	// tight floor. 0 on every other stop; in memory only, like Stop.
+	// tight floor below GapRef / g(f), f < the search's Patience the fresh
+	// measurements since the last significant improvement and g(f) < 1.3
+	// (gapWait), so below GapRef / 1.3 on every gap stop. On a waived stop
+	// it is its layer lead's incumbent at leadAhead times its own
+	// measurements, below every tight floor. 0 on every other stop; in
+	// memory only, like Stop.
 	GapRef float64
 	// Waived is set on a gap stop on the layer lead: its incumbent lies
 	// below every tight floor of the space, so the kind cannot win the
@@ -259,9 +269,10 @@ type StopReason uint8
 const (
 	// StopBudget: the run spent its measurement budget.
 	StopBudget StopReason = iota
-	// StopPatience: Patience measurements passed without a significant
-	// improvement — fewer for a Direct-led follower that trails its lead
-	// (see Options.Patience).
+	// StopPatience: the search's Patience measurements passed without a
+	// significant improvement — in a network sweep scaled by its floor,
+	// and fewer for a Direct-led follower that trails its lead (see
+	// Options.Patience).
 	StopPatience
 	// StopCertified: the incumbent met the minimum tight floor of the space
 	// (Space.minFloor), so no configuration can beat it.
@@ -289,6 +300,23 @@ const (
 	gapRatio  = 1.3
 	leadAhead = 2
 )
+
+// patienceRef is the least tight floor from which a sweep search keeps the
+// full Patience (see sweepPatience).
+const patienceRef = 20e-6
+
+// sweepPatience is the Patience of a sweep search whose space's least tight
+// floor is m: round(P·√(m / patienceRef)), clamped to [2·BatchSize, P],
+// P = opts.Patience. The floor prices the search before it measures
+// anything, so a light layer, which weighs little in its network's time,
+// waits less after its last improvement — Ansor's task scheduler spends
+// tuning time by each task's weight in end-to-end latency the same way
+// (Zheng et al., arXiv 2006.06762). m depends only on the search's (arch,
+// kind, shape), so the Patience is a function of its cache key.
+func sweepPatience(m float64, opts Options) int {
+	p := int(math.Round(float64(opts.Patience) * math.Sqrt(min(m, patienceRef)/patienceRef)))
+	return min(opts.Patience, max(p, 2*opts.BatchSize))
+}
 
 // gapWait is g(f), the ratio the gap stop proves after f < patience fresh
 // measurements without a significant improvement: 1 + (G−1)·(f/patience)³.
@@ -440,9 +468,12 @@ func (r *record) flat() int {
 //     stops with Trace.Stop = StopCertified. The gap stop asks, f fresh
 //     measurements after the last significant improvement, whether
 //     r/g(f) ≤ m, where g(f) = 1 + 0.3·(f/s)³ grows from 1 towards 1.3 at
-//     s = Patience (gapWait) and r is the incumbent's seconds. Then no
-//     measurement left can move the search's verdict by more than a factor
-//     g(f) < 1.3, and the run stops with Trace.Stop = StopGap and
+//     s (gapWait), r is the incumbent's seconds and s is the search's own
+//     Patience: Patience itself for a single-layer Tune, Patience scaled by
+//     m in a network sweep (sweepPatience), resolved from the proof at the
+//     first between-batch stop with an incumbent (search.scalePatience).
+//     Then no measurement left can move the search's verdict by more than
+//     a factor g(f) < 1.3, and the run stops with Trace.Stop = StopGap and
 //     Trace.GapRef = r: an incumbent the bound holds within a few percent
 //     stops after a few flat batches, a looser one waits longer for the
 //     improvement that would tighten it. The waiver asks, on a follower,
@@ -469,7 +500,7 @@ func (r *record) flat() int {
 //     searches Direct and answers the least verdict, so a follower that
 //     trails its Direct lead matters only if it overtakes it, which a
 //     search flat for two batches seldom does. A Winograd-led follower keeps
-//     the full Patience, since a "winograd": false request reads it alone,
+//     its own Patience, since a "winograd": false request reads it alone,
 //     and so does a lead. A booked stop is final: no later check
 //     rewrites it. The proof keeps a lower bound on m and whether it is m
 //     itself, and scans only when asked above an inexact bound, cut at the
@@ -806,13 +837,17 @@ func (s *search) initial(seeded bool) []conv.Config {
 // stop asks the search's stops and books the first that fires (see Tune); a
 // booked stop is final, and every later call reports it without asking
 // again. After a booking (between false) it asks the two exact proofs only.
-// Between batches it asks, in order: exhaustion (the last walk proposed
+// Between batches it first resolves a sweep search's Patience
+// (scalePatience), then asks, in order: exhaustion (the last walk proposed
 // nothing), the budget and Patience (record.over), the trailing Patience of
 // a Direct-led follower whose lead's incumbent after leadAhead times its
 // measurements lies below its own, every proof, and cancellation.
 func (s *search) stop(between bool) bool {
 	if s.stopped {
 		return true
+	}
+	if between && s.opts.floorPatience && s.rec.found {
+		s.scalePatience()
 	}
 	t := &s.rec.trace
 	switch {
@@ -830,6 +865,30 @@ func (s *search) stop(between bool) bool {
 	}
 	s.stopped = true
 	return true
+}
+
+// scalePatience sets a sweep search's Patience from m, its space's least
+// tight floor (sweepPatience), once, before the first between-batch stop
+// that has an incumbent r reads it. It asks the proof the one question
+// x ≤ m, x = min(r, patienceRef, the proof's hi where set), the scan the gap
+// stop asks next anyway: a no makes m exact (lo); a yes leaves m ≥
+// patienceRef, where the search keeps Patience, or m = x — hi bounds m from
+// above, and at r the certificate fires. A bound-blind search has no proof
+// and keeps Patience.
+func (s *search) scalePatience() {
+	s.opts.floorPatience = false
+	if s.opts.NoPrune {
+		return
+	}
+	x := min(s.rec.trace.BestM.Seconds, patienceRef)
+	if s.floors.hi > 0 {
+		x = min(x, s.floors.hi)
+	}
+	m := x
+	if !s.floors.atLeast(s.sp, x) {
+		m = s.floors.lo
+	}
+	s.opts.Patience = sweepPatience(m, s.opts)
 }
 
 // proven takes the stops on a proof (see Tune): it books the stop and

@@ -313,10 +313,11 @@ func novelBodies(b *testing.B) [][]byte {
 // hit; both are answered from recorded replies. after-write writes one
 // unrelated entry before each op, as traffic with writes between replays
 // does; the replies read no verdict it moves, so every op still replays, and
-// the write's own two allocations count in its allocs/op. moved flips the
-// verdict of one entry the op's body reads before each op, so every op takes
-// the full hit lane — parse, plan, probe, encode — and records its reply
-// again.
+// the write's own two allocations count in its allocs/op. moved writes a
+// strictly faster verdict into one entry the op's body reads before each op
+// — a slower or equal one would not replace it — and checks that the cache
+// holds it, so every op takes the full hit lane — parse, plan, probe,
+// encode — and records its reply again.
 func BenchmarkServeHit(b *testing.B) {
 	srv, err := New(Config{Winograd: true, Warm: true, BatchWindow: 20 * time.Millisecond})
 	if err != nil {
@@ -356,35 +357,38 @@ func BenchmarkServeHit(b *testing.B) {
 			post(zoo[i%len(zoo)])
 		}
 	})
-	// Per zoo body, its first layer's direct verdict and the same verdict at
-	// twice the time; before each op, moved writes the one its body did not
-	// read last.
-	type flip struct {
+	// Per zoo body, its first layer's shape and Direct verdict. The k-th
+	// write of moved, counted across the benchmark's runs, stores that
+	// verdict at its time × (1 − 1e-7·k), faster than every write before it.
+	type target struct {
 		shape shapes.ConvShape
 		cfg   conv.Config
-		m     [2]autotune.Measurement
-		at    int
+		m     autotune.Measurement
 	}
-	flips := make([]flip, len(zoo))
+	targets := make([]target, len(zoo))
 	for j, body := range zoo {
 		desc, err := repro.ParseNetworkDescription(body)
 		if err != nil {
 			b.Fatal(err)
 		}
-		f := &flips[j]
+		f := &targets[j]
 		f.shape = desc.NetworkLayers()[0].Shape
 		var ok bool
-		if f.cfg, f.m[0], ok = srv.cache.Get(testArch.Name, autotune.Direct, f.shape); !ok {
+		if f.cfg, f.m, ok = srv.cache.Get(testArch.Name, autotune.Direct, f.shape); !ok {
 			b.Fatalf("zoo %d: first layer not cached", j)
 		}
-		f.m[1] = autotune.Measurement{Seconds: 2 * f.m[0].Seconds}
 	}
+	writes := 0
 	b.Run("moved", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			f := &flips[i%len(zoo)]
-			f.at ^= 1
-			srv.cache.Put(testArch.Name, autotune.Direct, f.shape, f.cfg, f.m[f.at])
+			f := &targets[i%len(zoo)]
+			writes++
+			m := autotune.Measurement{Seconds: f.m.Seconds * (1 - 1e-7*float64(writes))}
+			srv.cache.Put(testArch.Name, autotune.Direct, f.shape, f.cfg, m)
+			if _, got, _ := srv.cache.Get(testArch.Name, autotune.Direct, f.shape); got != m {
+				b.Fatalf("write %d: the cache holds %v, not the faster %v", writes, got.Seconds, m.Seconds)
+			}
 			post(zoo[i%len(zoo)])
 		}
 	})
